@@ -5,8 +5,8 @@
 //! the wormhole simulator per engine, experiments, and workload
 //! generation); this library crate only hosts the instance constructors
 //! they share. CI builds every bench (`cargo bench --no-run`) so they
-//! cannot rot; `experiments bench-json` records the committed
-//! wall-clock baseline in `BENCH_sim.json`.
+//! cannot rot; the repo's end-to-end benchmark, with checked outputs and
+//! a parent-vs-change `compare`, is `crates/perfbench`.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -38,7 +38,7 @@ pub enum BandwidthModel {
 /// `Static(B)` is exactly `RouterPooled { pool: B · fanout,
 /// per_edge_min: B, per_edge_max: B }` (the floors exhaust the pool and
 /// the shared portion is empty) — a policy-equivalence proptest holds
-/// the two bit-identical across both engines.
+/// the two bit-identical on every engine.
 ///
 /// # Why `per_edge_min ≥ 1` is mandatory
 ///
@@ -191,12 +191,32 @@ pub enum Engine {
     /// Partitioned parallel engine: the network is decomposed into
     /// regions ([`SimConfig::regions`], or a default contiguous cut),
     /// each advanced on its own worker; workers synchronize on
-    /// conservative windows bounded by the plan's cross-region header
-    /// latency (`RegionPlan::lookahead`). Supports static + pooled VC
-    /// policies under oblivious routing at full bandwidth;
-    /// adaptive/faulted/traced/restricted-bandwidth configs fall back
-    /// to a sequential engine with an explicit
-    /// [`crate::stats::EngineFallback`] note.
+    /// conservative windows granted from how soon each worm can reach a
+    /// cross-region edge (`RegionPlan::distance_to_cut`). Supports
+    /// static and pooled VC policies under oblivious **and adaptive**
+    /// routing at full bandwidth; faulted, traced and
+    /// restricted-bandwidth configs fall back to a sequential engine
+    /// with an explicit [`crate::stats::EngineFallback`] note.
+    ///
+    /// ```
+    /// use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig};
+    /// use wormhole_flitsim::message::MessageSpec;
+    /// use wormhole_flitsim::wormhole::run_adaptive;
+    /// use wormhole_topology::mesh::{Mesh, RoutingDiscipline};
+    ///
+    /// // Half-ring shifts on a 4x4 adaptive-escape torus, one VC per class.
+    /// let t = Mesh::new_disciplined(4, 2, true, RoutingDiscipline::AdaptiveEscape);
+    /// let specs: Vec<MessageSpec> = (0..16)
+    ///     .map(|i| (t.node(&[i / 4, i % 4]), t.node(&[(i / 4 + 2) % 4, i % 4])))
+    ///     .map(|(src, dst)| MessageSpec::new(t.route(src, dst), 4))
+    ///     .collect();
+    /// let config = SimConfig::new(1).route_selection(RouteSelection::MinimalAdaptive);
+    /// let default_engine = run_adaptive(&t, &specs, &config);
+    /// let parallel = config.engine(Engine::Parallel { threads: 2 });
+    /// let parallel = run_adaptive(&t, &specs, &parallel);
+    /// assert!(parallel.engine_fallback.is_none()); // adaptive runs natively
+    /// assert!(parallel.same_execution(&default_engine));
+    /// ```
     Parallel {
         /// Worker thread count; `0` means use all available parallelism.
         /// Clamped to the region count. The result is byte-identical
@@ -222,7 +242,7 @@ pub enum Engine {
 /// construction (the escape subnetwork's channel-dependency graph is
 /// acyclic; see `wormhole_topology::adaptive`).
 ///
-/// Selection is a pure function of start-of-step state, so the two
+/// Selection is a pure function of start-of-step state, so the three
 /// [`Engine`]s remain bit-identical under every policy; the differential
 /// proptest suite covers all three.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -269,9 +289,11 @@ pub enum BlockedPolicy {
 ///
 /// # Which knob combinations are differential-tested
 ///
-/// The two [`Engine`]s are required to be bit-identical on every
-/// full-bandwidth configuration. `tests/proptest_engine_diff.rs`
-/// sweeps, on random chain / butterfly / torus workloads:
+/// The three [`Engine`]s are required to be bit-identical on every
+/// full-bandwidth configuration ([`Engine::Parallel`] on every one it
+/// accepts, with an explicit fallback note on the rest).
+/// `tests/proptest_engine_diff.rs` sweeps, on random chain / butterfly /
+/// torus workloads:
 ///
 /// * all four [`Arbitration`] policies (including the stateless
 ///   `(seed, step, edge)`-keyed [`Arbitration::Random`] stream),
@@ -287,7 +309,7 @@ pub enum BlockedPolicy {
 ///   dateline tori, and adaptive tori, plus a policy-equivalence suite
 ///   asserting `Static(B)` ≡ the degenerate
 ///   `RouterPooled { pool: B·fanout, per_edge_min: B, per_edge_max: B }`
-///   field for field on both engines.
+///   field for field on every engine.
 ///
 /// [`BandwidthModel::OneFlitPerStep`] has a single stepper (the
 /// `engine` knob is ignored) and rejects adaptive selection and pooled
@@ -302,7 +324,7 @@ pub struct SimConfig {
     /// 2-class channel with `b` VCs per class models a `2b`-VC
     /// Dally–Seitz router. [`VcPolicy::RouterPooled`] instead lets each
     /// router's outgoing edges share a VC pool on demand (equal total
-    /// storage, floors preserved — both engines remain bit-identical
+    /// storage, floors preserved — the engines remain bit-identical
     /// under either policy).
     pub vc_policy: VcPolicy,
     /// Bandwidth model (see [`BandwidthModel`]).
@@ -320,11 +342,11 @@ pub struct SimConfig {
     /// Blocked-worm policy.
     pub blocked: BlockedPolicy,
     /// Full-bandwidth stepper (see [`Engine`]): the event-driven core
-    /// (default) or the legacy per-step rescanner kept as its
-    /// differential oracle. Both produce bit-identical
-    /// [`crate::stats::SimResult`]s; only their cost differs. Ignored by
-    /// the restricted bandwidth model, which has a single per-flit
-    /// stepper.
+    /// (default), the legacy per-step rescanner kept as its differential
+    /// oracle, or the partitioned parallel engine. All produce
+    /// bit-identical [`crate::stats::SimResult`]s; only their cost
+    /// differs. Ignored by the restricted bandwidth model, which has a
+    /// single per-flit stepper.
     pub engine: Engine,
     /// Route selection policy (see [`RouteSelection`]). Adaptive values
     /// require [`crate::wormhole::run_adaptive`]; [`crate::wormhole::run`]

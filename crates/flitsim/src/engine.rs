@@ -23,7 +23,8 @@
 //!   worm free-runs independently to `min(next release, step cap, its
 //!   finish)`: header steps in a tight `O(1)`-per-advance loop, and the
 //!   deterministic drain phase (`finish at advance = hops + L − 1`)
-//!   collapsed to a closed form by [`Sim::fast_drain`]. A fully idle
+//!   collapsed to a closed form by [`Sim::fast_drain`]
+//!   ([`crate::kernel::Worm::drain`]). A fully idle
 //!   network jumps straight to the next message release. Fast-forwards
 //!   never cross a release time or the step cap, so every arbitration
 //!   decision — and every release-at-`t`-visible-at-`t+1` boundary —
@@ -46,9 +47,9 @@ struct EventState {
     /// Head of the waiter list per wait key (`NONE` = empty). The key is
     /// the wanted **edge** under the static VC policy and the wanted
     /// edge's **source router** under [`VcPolicy::RouterPooled`]
-    /// ([`Sim::wait_key`]): pooling lets a release on any sibling edge
-    /// return shared credit, so every waiter of the router must be
-    /// reconsidered — the pool-release wakeup rule.
+    /// ([`crate::kernel::VcRules::wait_key`]): pooling lets a release on
+    /// any sibling edge return shared credit, so every waiter of the
+    /// router must be reconsidered — the pool-release wakeup rule.
     ///
     /// [`VcPolicy::RouterPooled`]: crate::config::VcPolicy::RouterPooled
     waiter_head: Vec<u32>,
@@ -94,13 +95,8 @@ impl EventState {
 /// Runs the event-driven loop to completion. Returns `(outcome, final
 /// step, deadlock report)` exactly as the legacy driver would.
 pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
-    let n_wait_keys = if sim.pooled {
-        sim.num_nodes()
-    } else {
-        sim.num_edges
-    };
     let mut st = EventState {
-        waiter_head: vec![NONE; n_wait_keys],
+        waiter_head: vec![NONE; sim.rules.num_wait_keys(sim.graph)],
         next_waiter: Vec::new(),
         parked_at: Vec::new(),
         parked: Vec::new(),
@@ -108,32 +104,20 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         n_parked: 0,
         indep_cached: Some(true), // empty set is trivially disjoint
         edge_mark: vec![0; sim.num_edges],
-        node_mark: vec![0; sim.num_nodes()],
+        node_mark: vec![0; sim.graph.num_nodes()],
         mark_epoch: 0,
     };
     let mut t: u64 = 0;
     loop {
-        // Idle network: the run is over iff the source (with every
-        // completion flushed) is dry; otherwise jump to the next release
-        // — never past the cap. With worms in flight, only the cap ends
-        // the run early (settling parked stalls through the last
-        // simulated step, as the legacy per-step counting would).
-        if st.runnable.is_empty() && st.n_parked == 0 {
-            match sim.peek_next_release(t) {
-                None => return (Outcome::Completed, t, None),
-                Some(r) => {
-                    if t >= sim.config.max_steps {
-                        return (Outcome::MaxSteps, t, None);
-                    }
-                    if r >= sim.config.max_steps {
-                        return (Outcome::MaxSteps, sim.config.max_steps, None);
-                    }
-                    t = t.max(r);
-                }
+        // With worms in flight, the cap ends the run early — settling
+        // parked stalls through the last simulated step, as the legacy
+        // per-step counting would.
+        let idle = st.runnable.is_empty() && st.n_parked == 0;
+        if let Some(outcome) = sim.loop_head(&mut t, idle) {
+            if !idle {
+                top_up_stalls(sim, &mut st, sim.config.max_steps.saturating_sub(1));
             }
-        } else if t >= sim.config.max_steps {
-            top_up_stalls(sim, &mut st, sim.config.max_steps.saturating_sub(1));
-            return (Outcome::MaxSteps, t, None);
+            return (outcome, t, None);
         }
         // Kills scheduled at `t` take effect at the start of the step,
         // before admissions — exactly as in the legacy driver. A severed
@@ -155,8 +139,8 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
                     }
                 }
                 for i in 0..sim.released.len() {
-                    let key = sim.wait_key(sim.released[i] as usize);
-                    wake_at_step_start(sim, &mut st, key, t);
+                    let key = sim.rules.wait_key(sim.released[i] as usize);
+                    wake(sim, &mut st, key, t, t - 1);
                 }
                 if st.n_parked == 0 {
                     sim.track_releases = false;
@@ -215,7 +199,7 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         if st.n_parked == 0
             && !sim.reactive
             && (all_draining(sim, &st)
-                || (sim.adaptive.is_none() && !sim.pooled && independent(sim, &mut st)))
+                || (sim.adaptive.is_none() && !sim.rules.pooled && independent(sim, &mut st)))
             && ff_batch(sim, &mut st, &mut t)
         {
             continue;
@@ -235,35 +219,15 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
 /// stepper's classify → arbitrate → apply phases, then parks losers and
 /// wakes the waiters of every wait key that released capacity.
 fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
-    sim.movers.clear();
-    sim.blocked.clear();
-    sim.buckets.clear();
-    sim.doomed.clear();
     sim.released.clear();
-    // Classify. Parked worms are exactly the contenders of non-acquirable
-    // edges, so leaving them out changes no arbitration outcome (such an
-    // edge blocks every contender regardless). Pending adaptive worms
-    // select their wanted hop inside classify — they are never parked, so
-    // they re-select here every step exactly like the legacy stepper.
-    for i in 0..st.runnable.len() {
-        let m = st.runnable[i];
-        sim.classify(m);
-    }
-    // Arbitrate on start-of-step holder counts (the canonical shared
-    // phase-2 — including the pooled ascending-edge-id credit grants).
-    sim.arbitrate(t);
-    // Apply. Doomed worms (pending, with a severed escape continuation)
-    // are discarded here — after arbitration, exactly as in the legacy
-    // stepper — so their releases land mid-step and wake waiters below.
-    let moved = !sim.movers.is_empty();
-    for i in 0..sim.movers.len() {
-        let m = sim.movers[i];
-        sim.apply_advance(m, t);
-    }
-    for i in 0..sim.doomed.len() {
-        let m = sim.doomed[i];
-        sim.discard(m, t, crate::stats::DiscardReason::LinkDown);
-    }
+    // Classify, arbitrate, advance the winners. Parked worms are exactly
+    // the contenders of non-acquirable edges, so leaving them out changes
+    // no arbitration outcome (such an edge blocks every contender
+    // regardless). Pending adaptive worms select their wanted hop inside
+    // classify — they are never parked, so they re-select here every step
+    // exactly like the legacy stepper. Doomed worms' discards release
+    // mid-step and wake waiters below.
+    let progressed = sim.step_winners(t, &st.runnable);
     // Losers stall, then discard or park. Parking checks the *end-of-step*
     // acquirability: if this step's releases already freed capacity on
     // the wanted edge, the worm stays runnable and re-contends at `t+1`,
@@ -274,7 +238,7 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
     // legacy stepper. A frozen-route adaptive worm (arrived or committed
     // to its escape tail) wants the same fixed edge every step, exactly
     // like an oblivious worm, so it parks normally — keyed by the edge
-    // (static) or its source router (pooled; see `Sim::wait_key`).
+    // (static) or its source router (pooled; see `VcRules::wait_key`).
     for i in 0..sim.blocked.len() {
         let m = sim.blocked[i];
         sim.outcomes[m as usize].stalls += 1;
@@ -283,7 +247,7 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
         } else if !sim.worms[m as usize].pending_route {
             let e = sim.path_edge(m, sim.worms[m as usize].advance + 1);
             if !sim.edge_acquirable(e) {
-                let key = sim.wait_key(e);
+                let key = sim.rules.wait_key(e);
                 park(sim, st, m, key, t);
             }
         }
@@ -295,8 +259,8 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
     // visible at `t+1`); a waiter whose edge is still blocked just loses
     // again and re-parks, exactly as the legacy stepper would count it.
     for i in 0..sim.released.len() {
-        let key = sim.wait_key(sim.released[i] as usize);
-        wake_all(sim, st, key, t);
+        let key = sim.rules.wait_key(sim.released[i] as usize);
+        wake(sim, st, key, t, t);
     }
     // Retire finished, discarded, and freshly parked worms.
     let before = st.runnable.len();
@@ -309,10 +273,8 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
     if st.runnable.len() != before {
         st.indep_cached = None;
     }
-    sim.settle_max_vcs();
-    // A fault discard is progress for the deadlock test: it released VCs
-    // mid-step, so blocked worms may advance at `t+1`.
-    moved || !sim.doomed.is_empty()
+    sim.ledger.settle_max(&sim.rules);
+    progressed
 }
 
 fn park(sim: &mut Sim, st: &mut EventState, m: u32, key: usize, t: u64) {
@@ -327,10 +289,16 @@ fn park(sim: &mut Sim, st: &mut EventState, m: u32, key: usize, t: u64) {
 }
 
 /// Unparks every waiter of wait key `key` (an edge, or a router under
-/// pooling), settling their arithmetic stalls. A worm parked earlier
-/// this same step is still in `runnable` and is only unflagged. Repeated
-/// calls for one key in one step are cheap no-ops (the list is taken).
-fn wake_all(sim: &mut Sim, st: &mut EventState, key: usize, t: u64) {
+/// pooling) at step `t`, settling their arithmetic stalls through step
+/// `settle_through`: `t` at the end of step `t` (the waiter lost every
+/// arbitration up to and including `t`, and contends again from
+/// `t + 1`), `t − 1` from the kill hook at the start of step `t` (a kill
+/// discard's releases behave like releases during `t − 1`). A worm
+/// parked earlier this same step is still in `runnable` and is only
+/// unflagged — which never happens at step start, where every parked
+/// worm parked at an earlier step. Repeated calls for one key in one
+/// step are cheap no-ops (the list is taken).
+fn wake(sim: &mut Sim, st: &mut EventState, key: usize, t: u64, settle_through: u64) {
     let mut m = st.waiter_head[key];
     st.waiter_head[key] = NONE;
     while m != NONE {
@@ -342,36 +310,10 @@ fn wake_all(sim: &mut Sim, st: &mut EventState, key: usize, t: u64) {
         if st.parked[mi] {
             st.parked[mi] = false;
             st.n_parked -= 1;
-            sim.outcomes[mi].stalls += t - st.parked_at[mi];
+            sim.outcomes[mi].stalls += settle_through - st.parked_at[mi];
             if st.parked_at[mi] < t {
                 st.runnable.push(m);
             }
-            st.indep_cached = None;
-        }
-        m = next;
-    }
-    if st.n_parked == 0 {
-        sim.track_releases = false;
-    }
-}
-
-/// Kill-hook variant of [`wake_all`]: runs at the **start** of step `t`
-/// (before classification), so woken worms contend at `t` itself — a
-/// kill discard's releases behave like releases during `t − 1`. Stalls
-/// settle through `t − 1`: the legacy stepper counts no stall at `t` for
-/// a worm that re-contends at `t`. Every parked worm here parked at an
-/// earlier step, so it is never still in `runnable`.
-fn wake_at_step_start(sim: &mut Sim, st: &mut EventState, key: usize, t: u64) {
-    let mut m = st.waiter_head[key];
-    st.waiter_head[key] = NONE;
-    while m != NONE {
-        let mi = m as usize;
-        let next = std::mem::replace(&mut st.next_waiter[mi], NONE);
-        if st.parked[mi] {
-            st.parked[mi] = false;
-            st.n_parked -= 1;
-            sim.outcomes[mi].stalls += (t - 1) - st.parked_at[mi];
-            st.runnable.push(m);
             st.indep_cached = None;
         }
         m = next;
@@ -413,12 +355,9 @@ fn ff_stop(sim: &mut Sim, t: u64) -> u64 {
 }
 
 fn all_draining(sim: &Sim, st: &EventState) -> bool {
-    st.runnable.iter().all(|&m| {
-        let w = &sim.worms[m as usize];
-        // A pending adaptive worm at `advance == hops` is awaiting its
-        // next hop, not draining.
-        !w.pending_route && w.advance >= w.hops
-    })
+    st.runnable
+        .iter()
+        .all(|&m| sim.worms[m as usize].draining())
 }
 
 /// Whether the runnable worms' paths are pairwise edge-disjoint **and**
@@ -448,7 +387,7 @@ fn independent(sim: &Sim, st: &mut EventState) -> bool {
                 break 'scan;
             }
             *mark = st.mark_epoch;
-            let nmark = &mut st.node_mark[sim.edge_src[e.idx()] as usize];
+            let nmark = &mut st.node_mark[sim.rules.edge_src[e.idx()] as usize];
             if *nmark == st.mark_epoch {
                 ok = false;
                 break 'scan;
@@ -484,7 +423,7 @@ fn ff_batch(sim: &mut Sim, st: &mut EventState, t: &mut u64) -> bool {
                 sim.fast_drain(m, &mut ti, stop);
             } else {
                 sim.apply_advance(m, ti);
-                sim.settle_max_vcs();
+                sim.ledger.settle_max(&sim.rules);
                 ti += 1;
             }
         }

@@ -1,0 +1,1068 @@
+//! The §1.1 full-bandwidth model, stated once.
+//!
+//! Every rule of the wormhole model lives here as plain structs and
+//! functions over borrowed state; the three drivers — the legacy stepper
+//! and the event engine over [`crate::wormhole`]'s `Sim`, and the
+//! parallel engine's per-region state — only decide *which* worms to
+//! step and *when*, and call in here for everything else:
+//!
+//! * the **VC ledger** — an immutable rule half ([`VcRules`], built once
+//!   per run from the VC policy) and a mutable count half ([`VcLedger`],
+//!   one per `Sim` and one per region): acquirability, acquire/release
+//!   accounting, park/wake keying, capacity checks, the end-of-step
+//!   occupancy maxima, and per-edge arbitration including the pooled
+//!   ascending-edge-id shared-credit grants;
+//! * **worm kinematics** ([`Worm`]) — the rigid-worm advance count, what
+//!   one advance acquires and releases, and the closed-form drain;
+//! * **routing and ordering** — adaptive hop selection and route
+//!   extension, the mover-vs-contender classification, and the canonical
+//!   contender order with its stateless arbitration RNG.
+//!
+//! See the [`crate::wormhole`] module docs for why these rules keep the
+//! engines bit-identical.
+
+use rand::prelude::*;
+use rand::rngs::StdRng;
+
+use wormhole_topology::adaptive::AdaptiveRouter;
+use wormhole_topology::graph::{EdgeId, Graph, NodeId};
+
+use crate::config::{Arbitration, BandwidthModel, FinalEdgePolicy, SimConfig, VcPolicy};
+
+/// The rigid worm: its whole configuration is the advance count (see the
+/// [`crate::wormhole`] module docs).
+#[derive(Clone, Copy)]
+pub(crate) struct Worm {
+    /// Edges crossed by the (virtual) header pipeline.
+    pub(crate) advance: u32,
+    /// Known path length. Fixed for oblivious worms; for adaptive worms
+    /// it grows with each route extension (and equals `advance` while
+    /// `pending_route`), freezing when the header reaches the
+    /// destination or the escape tail is appended.
+    pub(crate) hops: u32,
+    pub(crate) length: u32,
+    /// `true` while the route may still grow (adaptive worm whose header
+    /// has not committed to a complete path). Always `false` under
+    /// [`crate::config::RouteSelection::Oblivious`].
+    pub(crate) pending_route: bool,
+}
+
+/// What one [`Worm::advance`] or [`Worm::drain`] did. Edges are 1-based
+/// path indices the caller resolves against the worm's route (acquire
+/// first, then release).
+pub(crate) struct Moved {
+    /// Flit steps taken: 1 for an advance, `k` clamped to the worm's
+    /// finish for a drain.
+    pub(crate) steps: u64,
+    /// Flits × edges crossed.
+    pub(crate) flit_hops: u64,
+    /// The newly crossed edge, if it takes a VC (drains acquire nothing).
+    pub(crate) acquire: Option<u32>,
+    /// Edges whose VCs were released, in release order: those the tail
+    /// left and, on finishing, the final edge if it held one.
+    pub(crate) released: std::ops::Range<u32>,
+    /// The last flit was delivered, by the last of the `steps`.
+    pub(crate) finished: bool,
+}
+
+impl Worm {
+    #[inline]
+    pub(crate) fn done(&self) -> bool {
+        // A pending worm is never done: `advance == hops` merely means
+        // its header sits at the end of the known path awaiting the next
+        // hop (for L = 1 that coincides with `hops + length − 1`).
+        !self.pending_route && self.advance == self.hops + self.length - 1
+    }
+
+    /// Whether the header has arrived and the worm only streams its
+    /// remaining flits into the delivery buffer. A pending worm at
+    /// `advance == hops` is awaiting its next hop, not draining.
+    #[inline]
+    pub(crate) fn draining(&self) -> bool {
+        !self.pending_route && self.advance >= self.hops
+    }
+
+    /// 1-based range of path edges on which this worm currently holds a VC.
+    #[inline]
+    pub(crate) fn held_range(&self) -> (u32, u32) {
+        if self.advance == 0 {
+            return (1, 0); // empty
+        }
+        let lo = (self.advance + 1).saturating_sub(self.length).max(1);
+        let hi = self.advance.min(self.hops);
+        (lo, hi)
+    }
+
+    /// The 1-based path edges on which this worm holds a VC right now:
+    /// [`Self::held_range`] minus a VC-free final edge.
+    #[inline]
+    pub(crate) fn held_vcs(&self, final_vc: bool) -> std::ops::Range<u32> {
+        let (lo, hi) = self.held_range();
+        let vc_free_end = hi == self.hops && !self.needs_vc(final_vc, hi);
+        lo..hi + 1 - u32::from(vc_free_end)
+    }
+
+    /// Number of flits that cross an edge when the worm advances once.
+    #[inline]
+    fn crossing_width(&self) -> u32 {
+        let next = self.advance + 1;
+        let lo = (next + 1).saturating_sub(self.length).max(1);
+        let hi = next.min(self.hops);
+        hi - lo + 1
+    }
+
+    /// Whether crossing 1-based path edge `edge_1based` requires holding
+    /// a VC. An edge strictly before the end of the path always does; so
+    /// does the newest edge of a still-growing route (`pending_route` —
+    /// nothing marks it final yet, and `hops` only grows, so the answer
+    /// is stable from acquisition to release); the true final edge
+    /// follows [`FinalEdgePolicy`] (`final_vc`, see [`VcRules::final_vc`]).
+    #[inline]
+    pub(crate) fn needs_vc(&self, final_vc: bool, edge_1based: u32) -> bool {
+        edge_1based < self.hops || self.pending_route || final_vc
+    }
+
+    /// The 1-based path edges whose VCs advancing from `a0` to the
+    /// current advance count released. The tail left edges
+    /// `(a0+1−L ..= advance−L) ∩ [1, hops−1]` — all before the path's
+    /// end, so each held a VC — and finishing releases the final edge's
+    /// VC if it held one (index `hops`, the next one up).
+    #[inline]
+    fn released_since(&self, a0: u32, finished: bool, final_vc: bool) -> std::ops::Range<u32> {
+        let lo = (a0 + 1).saturating_sub(self.length).max(1);
+        let hi = self.advance.saturating_sub(self.length)
+            + u32::from(finished && self.needs_vc(final_vc, self.hops));
+        lo..hi + 1
+    }
+
+    /// Advances the worm by one flit step (a pending worm's route was
+    /// extended first, so `hops` already covers the hop it takes).
+    #[inline]
+    pub(crate) fn advance(&mut self, final_vc: bool) -> Moved {
+        let flit_hops = self.crossing_width() as u64;
+        self.advance += 1;
+        let a = self.advance;
+        let finished = self.done();
+        Moved {
+            steps: 1,
+            flit_hops,
+            acquire: (a <= self.hops && self.needs_vc(final_vc, a)).then_some(a),
+            released: self.released_since(a - 1, finished, final_vc),
+            finished,
+        }
+    }
+
+    /// Batch-advances a draining worm by `k` steps (clamped to its
+    /// finish) in O(1) plus the released edges: drains acquire nothing
+    /// and finish deterministically at `advance = hops + L − 1`, so the
+    /// per-step effects collapse to a closed-form `flit_hops` sum and
+    /// the tail's release sequence. Callers use it only where no third
+    /// party can observe the intermediate states (nothing parked;
+    /// co-advancing worms are drains too, and drains only ever decrement
+    /// holder counts, which commutes); the legacy stepper never does —
+    /// it advances drains one [`Self::advance`] at a time, which is what
+    /// differentially checks this closed form.
+    pub(crate) fn drain(&mut self, k: u64, final_vc: bool) -> Moved {
+        debug_assert!(self.draining());
+        let (hops, length, a0) = (self.hops, self.length, self.advance);
+        let fin_a = hops + length - 1;
+        let steps = ((fin_a - a0) as u64).min(k);
+        let a1 = a0 + steps as u32;
+        // flit_hops: Σ width(a) for a ∈ (a0, a1]; width(a) = hops while
+        // a ≤ L (the tail is still injecting) and hops + L − a after.
+        let mut flit_hops = 0;
+        {
+            let (d, l) = (hops as u64, length as u64);
+            let (a0, a1) = (a0 as u64, a1 as u64);
+            let flat_hi = a1.min(l);
+            if flat_hi > a0 {
+                flit_hops += d * (flat_hi - a0);
+            }
+            let s = a0.max(l) + 1;
+            if a1 >= s {
+                let (w_hi, w_lo) = (d + l - s, d + l - a1);
+                flit_hops += (w_hi + w_lo) * (a1 - s + 1) / 2;
+            }
+        }
+        self.advance = a1;
+        let finished = steps > 0 && a1 == fin_a;
+        Moved {
+            steps,
+            flit_hops,
+            acquire: None,
+            released: self.released_since(a0, finished, final_vc),
+            finished,
+        }
+    }
+}
+
+/// The immutable half of the VC ledger: what capacity every edge and
+/// router has. Built once per run — the one place
+/// [`SimConfig::vc_policy`] is decomposed — and shared read-only by every
+/// count half ([`VcLedger`]); only a fault kill, at a start-of-step
+/// barrier, ever changes it (`dead`).
+#[derive(Clone)]
+pub(crate) struct VcRules {
+    /// Edge → source-router index (`graph.edge_sources()` copy): the
+    /// `O(1)` hop from an acquisition/release to the router whose pool
+    /// it debits.
+    pub(crate) edge_src: Vec<u32>,
+    /// Pooled only: each router's shared-portion capacity,
+    /// `pool − per_edge_min · fanout`. Empty under the static policy.
+    shared_cap: Vec<u32>,
+    /// `true` iff [`VcPolicy::RouterPooled`].
+    pub(crate) pooled: bool,
+    /// Guaranteed VCs per edge (`B` under the static policy).
+    per_edge_min: u32,
+    /// Hard per-edge cap (`B` under the static policy).
+    per_edge_max: u32,
+    /// Pool size per router (0 under the static policy — unused).
+    pool: u32,
+    /// Whether a path's final edge holds a VC
+    /// ([`FinalEdgePolicy::RequiresVc`]).
+    pub(crate) final_vc: bool,
+    /// Per-edge dead flags from applied fault kills. Empty when the run
+    /// has no fault plan, so the hot-path guard is a single `is_empty`.
+    pub(crate) dead: Vec<bool>,
+}
+
+impl VcRules {
+    /// Validates `config.vc_policy` against `graph` and decomposes it.
+    /// `faulted` allocates the dead flags.
+    pub(crate) fn new(graph: &Graph, config: &SimConfig, faulted: bool) -> Self {
+        config.vc_policy.validate();
+        let (pooled, per_edge_min, per_edge_max, pool) = match config.vc_policy {
+            VcPolicy::Static(b) => (false, b, b, 0),
+            VcPolicy::RouterPooled {
+                pool,
+                per_edge_min,
+                per_edge_max,
+            } => (true, per_edge_min, per_edge_max, pool),
+        };
+        let shared_cap = if pooled {
+            assert_eq!(
+                config.bandwidth,
+                BandwidthModel::BFlitsPerStep,
+                "RouterPooled VC allocation requires the full-bandwidth model"
+            );
+            // Graph-dependent validation: every router must be able to
+            // honor its floors out of the pool.
+            graph
+                .nodes()
+                .map(|v| {
+                    let fanout = graph.out_degree(v) as u32;
+                    pool.checked_sub(per_edge_min * fanout).unwrap_or_else(|| {
+                        panic!(
+                            "router {v:?}: per_edge_min {per_edge_min} x fanout {fanout} \
+                             exceeds pool {pool}"
+                        )
+                    })
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            edge_src: graph.edge_sources().to_vec(),
+            shared_cap,
+            pooled,
+            per_edge_min,
+            per_edge_max,
+            pool,
+            final_vc: config.final_edge == FinalEdgePolicy::RequiresVc,
+            dead: vec![false; if faulted { graph.num_edges() } else { 0 }],
+        }
+    }
+
+    /// Whether edge `e` has been killed by an applied fault.
+    #[inline]
+    pub(crate) fn is_dead(&self, e: usize) -> bool {
+        !self.dead.is_empty() && self.dead[e]
+    }
+
+    /// The park/wake key for a worm blocked on edge `e`: the edge itself
+    /// under the static policy (only a release there can unblock it),
+    /// the source router under pooling (a release on *any* sibling edge
+    /// can return shared credit — the pool-release wakeup rule).
+    #[inline]
+    pub(crate) fn wait_key(&self, e: usize) -> usize {
+        if self.pooled {
+            self.edge_src[e] as usize
+        } else {
+            e
+        }
+    }
+
+    /// How many distinct [`Self::wait_key`]s there are.
+    pub(crate) fn num_wait_keys(&self, graph: &Graph) -> usize {
+        if self.pooled {
+            graph.num_nodes()
+        } else {
+            graph.num_edges()
+        }
+    }
+}
+
+/// The mutable half of the VC ledger: who holds what, indexed by global
+/// edge / router id. `Sim` owns one for the whole network; each parallel
+/// region owns one for the edges and routers it owns (foreign entries
+/// stay zero, so ascending local edge order is ascending global order).
+pub(crate) struct VcLedger {
+    /// VCs currently held per edge.
+    pub(crate) holders: Vec<u16>,
+    /// VCs currently held across the outgoing edges of each router
+    /// (Σ `holders` per source node) — maintained under both policies so
+    /// `max_pool_in_use` is policy- and engine-identical.
+    pub(crate) pool_used: Vec<u32>,
+    /// [`VcPolicy::RouterPooled`] only: VCs drawn from each router's
+    /// *shared* portion, Σ over out-edges of `max(0, holders − floor)`.
+    /// Empty under the static policy.
+    pub(crate) shared_used: Vec<u32>,
+    /// Pooled arbitration scratch: shared credits already granted to
+    /// earlier (lower-id) edges of the same router within this step.
+    planned_shared: Vec<u32>,
+    /// Routers with nonzero `planned_shared` this step (reset list).
+    touched_routers: Vec<u32>,
+    /// Pooled arbitration scratch: bucket-group indices in ascending
+    /// edge-id order (the canonical shared-credit grant order).
+    group_order: Vec<u32>,
+    /// Edges acquired this step; drained by [`Self::settle_max`].
+    acquired: Vec<u32>,
+    /// Running maximum of `holders` at end of step.
+    pub(crate) max_vcs: u16,
+    /// Running maximum of `pool_used` at end of step.
+    pub(crate) max_pool: u32,
+}
+
+impl VcLedger {
+    pub(crate) fn new(graph: &Graph, rules: &VcRules) -> Self {
+        let per_router = if rules.pooled { graph.num_nodes() } else { 0 };
+        Self {
+            holders: vec![0; graph.num_edges()],
+            pool_used: vec![0; graph.num_nodes()],
+            shared_used: vec![0; per_router],
+            planned_shared: vec![0; per_router],
+            touched_routers: Vec::new(),
+            group_order: Vec::new(),
+            acquired: Vec::new(),
+            max_vcs: 0,
+            max_pool: 0,
+        }
+    }
+
+    /// How many additional VCs edge `e` can grant right now — the
+    /// policy query every capacity decision routes through. Static:
+    /// `B − holders`. Pooled: below the floor is free; past it, each VC
+    /// draws one credit from the source router's shared portion; the
+    /// per-edge cap always binds. A killed edge never grants another VC.
+    ///
+    /// Whether this is nonzero is **monotone** under either policy:
+    /// acquisitions by other worms only reduce it, and it recovers only
+    /// when a release lands on `e`'s [`VcRules::wait_key`] — the
+    /// property park/wake keying relies on.
+    #[inline]
+    pub(crate) fn free_vcs(&self, rules: &VcRules, e: usize) -> u32 {
+        self.free_after(rules, e, 0)
+    }
+
+    /// [`Self::free_vcs`] with `planned` of the router's shared credits
+    /// already promised elsewhere this step.
+    #[inline]
+    fn free_after(&self, rules: &VcRules, e: usize, planned: u32) -> u32 {
+        if rules.is_dead(e) {
+            return 0;
+        }
+        let h = self.holders[e] as u32;
+        let cap_free = rules.per_edge_max.saturating_sub(h);
+        if !rules.pooled {
+            return cap_free;
+        }
+        let r = rules.edge_src[e] as usize;
+        let floor_free = rules.per_edge_min.saturating_sub(h);
+        let shared_free = (rules.shared_cap[r] - self.shared_used[r]).saturating_sub(planned);
+        cap_free.min(floor_free + shared_free)
+    }
+
+    /// Acquires one VC on `e`, updating the per-router pool accounting
+    /// and queueing `e` for the end-of-step [`Self::settle_max`].
+    #[inline]
+    pub(crate) fn acquire(&mut self, rules: &VcRules, e: usize) {
+        let h = self.holders[e];
+        self.holders[e] = h + 1;
+        let r = rules.edge_src[e] as usize;
+        self.pool_used[r] += 1;
+        if rules.pooled && h as u32 >= rules.per_edge_min {
+            self.shared_used[r] += 1;
+        }
+        self.acquired.push(e as u32);
+        if cfg!(debug_assertions) {
+            self.check_capacity(rules, e);
+        }
+    }
+
+    /// Releases one VC on `e`, returning per-router pool accounting.
+    /// Visible to other worms from the next step (arbitration reads
+    /// start-of-step state); the caller records it for its wake pass.
+    #[inline]
+    pub(crate) fn release(&mut self, rules: &VcRules, e: usize) {
+        let h = self.holders[e];
+        self.holders[e] = h - 1;
+        let r = rules.edge_src[e] as usize;
+        self.pool_used[r] -= 1;
+        if rules.pooled && h as u32 > rules.per_edge_min {
+            self.shared_used[r] -= 1;
+        }
+    }
+
+    /// Hard capacity-invariant check for edge `e`: the per-edge cap, and
+    /// under pooling the source router's shared-portion and total-pool
+    /// bounds. One checked helper instead of per-call-site assertions
+    /// (debug builds run it at every acquisition).
+    pub(crate) fn check_capacity(&self, rules: &VcRules, e: usize) {
+        let h = self.holders[e] as u32;
+        assert!(
+            h <= rules.per_edge_max,
+            "edge {e} holds {h} > {} VCs",
+            rules.per_edge_max
+        );
+        if rules.pooled {
+            let r = rules.edge_src[e] as usize;
+            assert!(
+                self.shared_used[r] <= rules.shared_cap[r],
+                "router {r} draws {} > {} shared VCs",
+                self.shared_used[r],
+                rules.shared_cap[r]
+            );
+            assert!(
+                self.pool_used[r] <= rules.pool,
+                "router {r} holds {} > pool {} VCs",
+                self.pool_used[r],
+                rules.pool
+            );
+        }
+    }
+
+    /// Recomputes the per-router pool counters from the holder counts
+    /// and runs [`Self::check_capacity`] on every edge.
+    pub(crate) fn validate(&self, rules: &VcRules) {
+        let mut pool_expect = vec![0u32; self.pool_used.len()];
+        let mut shared_expect = vec![0u32; self.shared_used.len()];
+        for (e, &h) in self.holders.iter().enumerate() {
+            let r = rules.edge_src[e] as usize;
+            pool_expect[r] += h as u32;
+            if rules.pooled {
+                shared_expect[r] += (h as u32).saturating_sub(rules.per_edge_min);
+            }
+        }
+        assert_eq!(
+            pool_expect, self.pool_used,
+            "router pool accounting mismatch"
+        );
+        assert_eq!(
+            shared_expect, self.shared_used,
+            "shared-portion accounting mismatch"
+        );
+        for e in 0..self.holders.len() {
+            self.check_capacity(rules, e);
+        }
+    }
+
+    /// Folds this step's acquisitions into the occupancy maxima.
+    ///
+    /// Holder counts are sampled at **end of step**: within a step, the
+    /// apply order of same-step acquires and releases on one edge is an
+    /// implementation detail (and differs between engines), whereas the
+    /// end-of-step count — and therefore the reported maximum — is
+    /// order-free and engine-identical.
+    pub(crate) fn settle_max(&mut self, rules: &VcRules) {
+        for &e in &self.acquired {
+            self.max_vcs = self.max_vcs.max(self.holders[e as usize]);
+            let r = rules.edge_src[e as usize] as usize;
+            self.max_pool = self.max_pool.max(self.pool_used[r]);
+        }
+        self.acquired.clear();
+    }
+
+    /// Phase-2 arbitration: groups this step's contenders
+    /// ([`FlatBuckets::group`]) and splits each edge's group into
+    /// winners (`movers`) and losers (`blocked`) from start-of-step
+    /// holder counts; `order(edge, group)` puts an oversubscribed group
+    /// into the canonical [`order_contenders`] order (the first `free`
+    /// entries win).
+    ///
+    /// Under [`VcPolicy::RouterPooled`] sibling edges of one router can
+    /// compete for the same shared credits within a single step, so the
+    /// per-edge `free` counts are **allocated in ascending edge-id
+    /// order** (tracked in `planned_shared`): a canonical rule that
+    /// depends only on start-of-step state and the contender *sets* —
+    /// both engine-independent — never on the order the caller
+    /// discovered the groups in. The static policy needs no such
+    /// cross-edge accounting and keeps the plain per-edge split.
+    pub(crate) fn arbitrate(
+        &mut self,
+        rules: &VcRules,
+        buckets: &mut FlatBuckets,
+        movers: &mut Vec<u32>,
+        blocked: &mut Vec<u32>,
+        mut order: impl FnMut(usize, &mut [u32]),
+    ) {
+        let groups = buckets.group();
+        // The first `free` of a group win (all of it when it fits);
+        // returns how many did.
+        let mut split = |e: usize, group: &mut [u32], free: usize| {
+            if group.len() <= free {
+                movers.extend_from_slice(group);
+                return group.len() as u32;
+            }
+            if free > 0 {
+                order(e, group);
+                movers.extend_from_slice(&group[..free]);
+            }
+            blocked.extend_from_slice(&group[free..]);
+            free as u32
+        };
+        if !rules.pooled {
+            for gi in 0..groups {
+                let e = buckets.edge(gi);
+                split(e, buckets.group_mut(gi), self.free_vcs(rules, e) as usize);
+            }
+            return;
+        }
+        self.group_order.clear();
+        self.group_order.extend(0..groups as u32);
+        self.group_order
+            .sort_unstable_by_key(|&gi| buckets.edge(gi as usize));
+        for i in 0..groups {
+            let gi = self.group_order[i] as usize;
+            let e = buckets.edge(gi);
+            let r = rules.edge_src[e] as usize;
+            let floor_free = rules.per_edge_min.saturating_sub(self.holders[e] as u32);
+            let free = self.free_after(rules, e, self.planned_shared[r]) as usize;
+            let granted = split(e, buckets.group_mut(gi), free);
+            let shared_taken = granted.saturating_sub(floor_free);
+            if shared_taken > 0 {
+                if self.planned_shared[r] == 0 {
+                    self.touched_routers.push(r as u32);
+                }
+                self.planned_shared[r] += shared_taken;
+            }
+        }
+        for &r in &self.touched_routers {
+            self.planned_shared[r as usize] = 0;
+        }
+        self.touched_routers.clear();
+    }
+}
+
+/// Seeds the stateless per-arbitration RNG for `(seed, t, e)`.
+///
+/// [`Arbitration::Random`] draws from a counter-based stream keyed by the
+/// configured seed, the flit step, and the edge id — never from a
+/// sequential global stream. Runs stay deterministic per seed, but the
+/// draw no longer depends on how many arbitration events preceded it,
+/// which is what lets the event-driven engine skip blocked steps and
+/// still reproduce the legacy stepper bit for bit.
+pub(crate) fn arb_rng(seed: u64, t: u64, e: usize) -> StdRng {
+    let mut x = seed
+        ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (e as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    StdRng::seed_from_u64(x)
+}
+
+/// Orders `contenders` so the first `free` entries win edge `e` at step
+/// `t`. Every policy is canonical in the contender *set* (the engines
+/// discover contenders in different orders). Contenders are opaque
+/// handles — message ids for `Sim`, resident indices for a parallel
+/// region — that `key` maps to the message's `(release, priority, id)`.
+/// Every sort key ends with (or is) the unique message id, so sorted
+/// handles correspond position for position to sorted ids, including
+/// under `Random`, whose Fisher–Yates shuffle permutes positions and is
+/// keyed by the global `(seed, step, edge)` tuple, never by the caller.
+pub(crate) fn order_contenders(
+    config: &SimConfig,
+    t: u64,
+    e: usize,
+    contenders: &mut [u32],
+    key: impl Fn(u32) -> (u64, u32, u32),
+) {
+    match config.arbitration {
+        Arbitration::FifoById => contenders.sort_unstable_by_key(|&c| key(c).2),
+        Arbitration::OldestFirst => contenders.sort_unstable_by_key(|&c| (key(c).0, key(c).2)),
+        Arbitration::PriorityRank => contenders.sort_unstable_by_key(|&c| (key(c).1, key(c).2)),
+        Arbitration::Random => {
+            contenders.sort_unstable_by_key(|&c| key(c).2);
+            contenders.shuffle(&mut arb_rng(config.seed, t, e));
+        }
+    }
+}
+
+/// Flat per-step contender buckets: a CSR-style `(edge, msg)` arena that
+/// replaces the old one-`Vec`-per-edge scratch (which paid a heap
+/// allocation per contended edge and an `O(num_edges)` clear — doubled
+/// again on dateline-class graphs, where every physical channel is two
+/// parallel edges).
+///
+/// Usage per step: [`clear`](Self::clear), [`push`](Self::push) each
+/// contender, [`group`](Self::group) once, then iterate groups by index.
+/// Steady-state it never allocates.
+pub(crate) struct FlatBuckets {
+    /// `(edge, msg)` pairs in discovery order.
+    pairs: Vec<(u32, u32)>,
+    /// Distinct edges touched this step, in first-touch order.
+    touched: Vec<u32>,
+    /// Per-edge contender count, then scatter cursor (dense, reset via
+    /// `touched`).
+    count: Vec<u32>,
+    /// Contenders grouped contiguously per touched edge.
+    slots: Vec<u32>,
+    /// Group boundaries into `slots`, aligned with `touched` (+1 tail).
+    starts: Vec<u32>,
+}
+
+impl FlatBuckets {
+    pub(crate) fn with_edges(num_edges: usize) -> Self {
+        Self {
+            pairs: Vec::new(),
+            touched: Vec::new(),
+            count: vec![0; num_edges],
+            slots: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        for &e in &self.touched {
+            self.count[e as usize] = 0;
+        }
+        self.pairs.clear();
+        self.touched.clear();
+    }
+
+    /// Records `m` contending for edge `e`. Only valid before `group`.
+    #[inline]
+    pub(crate) fn push(&mut self, e: usize, m: u32) {
+        if self.count[e] == 0 {
+            self.touched.push(e as u32);
+        }
+        self.count[e] += 1;
+        self.pairs.push((e as u32, m));
+    }
+
+    /// Groups the pushed pairs into contiguous per-edge slices (first-touch
+    /// edge order; discovery order within an edge) and returns the group
+    /// count. Leaves `count` holding end offsets; `clear` resets it.
+    pub(crate) fn group(&mut self) -> usize {
+        self.starts.clear();
+        self.slots.clear();
+        self.slots.resize(self.pairs.len(), 0);
+        let mut off = 0u32;
+        self.starts.push(0);
+        for &e in &self.touched {
+            let c = self.count[e as usize];
+            self.count[e as usize] = off; // becomes the scatter cursor
+            off += c;
+            self.starts.push(off);
+        }
+        for &(e, m) in &self.pairs {
+            let cur = &mut self.count[e as usize];
+            self.slots[*cur as usize] = m;
+            *cur += 1;
+        }
+        self.touched.len()
+    }
+
+    /// The edge of group `i` (valid after `group`).
+    #[inline]
+    pub(crate) fn edge(&self, i: usize) -> usize {
+        self.touched[i] as usize
+    }
+
+    /// The contenders of group `i` (valid after `group`).
+    #[inline]
+    pub(crate) fn group_mut(&mut self, i: usize) -> &mut [u32] {
+        let (s, e) = (self.starts[i] as usize, self.starts[i + 1] as usize);
+        &mut self.slots[s..e]
+    }
+}
+
+/// Sorts worm `m` into this step's `movers` — draining worms and
+/// VC-free final hops, which advance unconditionally — or into the
+/// contender `buckets` of the edge its header wants: `next_edge(j)`, the
+/// `j`-th edge of a frozen route, or `selected`, the hop a pending worm
+/// just chose with whether it lands on the destination (delivery absorbs
+/// flits without a VC under [`FinalEdgePolicy::Unlimited`]).
+#[inline]
+pub(crate) fn classify(
+    worm: &Worm,
+    final_vc: bool,
+    m: u32,
+    selected: Option<(u32, bool)>,
+    next_edge: impl FnOnce(u32) -> usize,
+    buckets: &mut FlatBuckets,
+    movers: &mut Vec<u32>,
+) {
+    let next = worm.advance + 1;
+    let wanted = match selected {
+        Some((edge, lands_final)) => (!lands_final || final_vc).then_some(edge as usize),
+        None if worm.draining() => None,
+        None => worm.needs_vc(final_vc, next).then(|| next_edge(next)),
+    };
+    match wanted {
+        Some(e) => buckets.push(e, m),
+        None => movers.push(m),
+    }
+}
+
+/// The wanted-hop decision of a pending adaptive worm, refreshed every
+/// step it classifies (occupancies change, so yesterday's choice is
+/// stale). Read back by the apply phase (route extension) and by the
+/// deadlock report / blocked tracing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SelectedHop {
+    /// Not yet classified this run (fresh worm before its first step).
+    None,
+    /// Extend by one adaptive-lane hop. `misroute` spends one unit of
+    /// the worm's [`SimConfig::misroute_quota`] when crossed.
+    Adaptive { edge: u32, misroute: bool },
+    /// Fall back to the escape network: contend for `edge` (the first
+    /// escape hop from the current node) and, on winning, append the
+    /// whole escape route and freeze the path.
+    Escape { edge: u32 },
+}
+
+impl SelectedHop {
+    /// The wanted edge id, if a selection was made.
+    #[inline]
+    pub(crate) fn edge(self) -> Option<u32> {
+        match self {
+            SelectedHop::None => None,
+            SelectedHop::Adaptive { edge, .. } | SelectedHop::Escape { edge } => Some(edge),
+        }
+    }
+}
+
+/// Per-run adaptive routing counters.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RouteStats {
+    /// Worms that fell back onto the escape network.
+    pub(crate) escape_fallbacks: u64,
+    /// Non-minimal hops crossed.
+    pub(crate) misroute_hops: u64,
+}
+
+/// Where a pending worm's header stands: its node, and the node it came
+/// from (`None` before the first hop, when it sits at `src`).
+#[inline]
+pub(crate) fn header_at(g: &Graph, src: NodeId, route: &[EdgeId]) -> (NodeId, Option<NodeId>) {
+    route
+        .last()
+        .map_or((src, None), |&e| (g.dst(e), Some(g.src(e))))
+}
+
+/// Selects the wanted hop of a pending worm whose header stands at
+/// `at` ([`header_at`]) from start-of-step state. Pure in the sense that
+/// every engine evaluating it at the same step with the same holder
+/// counts makes the same choice:
+///
+/// 1. profitable adaptive candidate with a free VC, minimizing
+///    `(holder count, edge id)`;
+/// 2. else (`misroutes_ok`: fully adaptive, budget left) the same rule
+///    over the misroute candidates, u-turns excluded;
+/// 3. else the first hop of the escape route from the current node.
+///
+/// The candidate filter is the same acquirability query the arbitration
+/// phase runs ([`VcLedger::free_vcs`] — one implementation for
+/// arbitration, parking, and candidate filtering), and the tie-break
+/// key is engine-independent, which is what keeps adaptive runs inside
+/// the differential-oracle relation. `cand` is scratch.
+#[inline]
+pub(crate) fn select_hop(
+    router: &dyn AdaptiveRouter,
+    rules: &VcRules,
+    ledger: &VcLedger,
+    (head, prev): (NodeId, Option<NodeId>),
+    dst: NodeId,
+    misroutes_ok: bool,
+    cand: &mut Vec<(EdgeId, bool)>,
+) -> SelectedHop {
+    debug_assert_ne!(head, dst, "pending worm already at its destination");
+    let g = router.graph();
+    cand.clear();
+    router.candidates(head, dst, misroutes_ok, cand);
+    let best = |want_profitable: bool, skip: Option<NodeId>| {
+        cand.iter()
+            .filter(|&&(e, p)| p == want_profitable && ledger.free_vcs(rules, e.idx()) > 0)
+            .filter(|&&(e, _)| skip != Some(g.dst(e)))
+            .map(|&(e, _)| (ledger.holders[e.idx()], e.0))
+            .min()
+    };
+    if let Some((_, edge)) = best(true, None) {
+        SelectedHop::Adaptive {
+            edge,
+            misroute: false,
+        }
+    } else if let Some((_, edge)) = misroutes_ok.then(|| best(false, prev)).flatten() {
+        SelectedHop::Adaptive {
+            edge,
+            misroute: true,
+        }
+    } else {
+        SelectedHop::Escape {
+            edge: router.escape_hop(head, dst).0,
+        }
+    }
+}
+
+/// Commits a pending worm's `selected` hop just before it advances: one
+/// adaptive edge (spending misroute `budget` where flagged), or the
+/// whole escape tail — after which the route is frozen and the worm is
+/// an ordinary oblivious worm for the rest of its journey.
+pub(crate) fn extend_route(
+    worm: &mut Worm,
+    route: &mut Vec<EdgeId>,
+    budget: &mut u32,
+    selected: SelectedHop,
+    router: &dyn AdaptiveRouter,
+    dst: NodeId,
+    stats: &mut RouteStats,
+) {
+    debug_assert_eq!(route.len() as u32, worm.advance);
+    match selected {
+        SelectedHop::Adaptive { edge, misroute } => {
+            route.push(EdgeId(edge));
+            if misroute {
+                stats.misroute_hops += 1;
+                *budget -= 1;
+            }
+            worm.hops += 1;
+            if router.graph().dst(EdgeId(edge)) == dst {
+                worm.pending_route = false;
+            }
+        }
+        SelectedHop::Escape { edge } => {
+            let head = router.graph().src(EdgeId(edge));
+            let tail = router.escape_route(head, dst);
+            debug_assert_eq!(tail.edges()[0], EdgeId(edge));
+            route.extend_from_slice(tail.edges());
+            stats.escape_fallbacks += 1;
+            worm.hops += tail.len() as u32;
+            worm.pending_route = false;
+        }
+        SelectedHop::None => unreachable!("pending worm advanced without a selection"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wormhole_topology::graph::GraphBuilder;
+
+    /// One advance written out the long way (acquire the crossed edge,
+    /// release the edge the tail left, release the final edge on
+    /// completion) — the oracle [`Worm::advance`] and [`Worm::drain`] are
+    /// checked against. Returns `(width, acquire, released, finished)`.
+    fn reference_advance(w: &mut Worm, final_vc: bool) -> (u32, Option<u32>, Vec<u32>, bool) {
+        let needs_vc = |w: &Worm, j: u32| j < w.hops || w.pending_route || final_vc;
+        let width =
+            (w.advance + 1).min(w.hops) - (w.advance + 2).saturating_sub(w.length).max(1) + 1;
+        w.advance += 1;
+        let a = w.advance;
+        let acquire = (a <= w.hops && needs_vc(w, a)).then_some(a);
+        let mut released = Vec::new();
+        if a > w.length && needs_vc(w, a - w.length) {
+            released.push(a - w.length);
+        }
+        let finished = !w.pending_route && a == w.hops + w.length - 1;
+        if finished && needs_vc(w, w.hops) {
+            released.push(w.hops);
+        }
+        (width, acquire, released, finished)
+    }
+
+    #[test]
+    fn advance_matches_the_written_out_step() {
+        for (hops, length) in (1..=5).flat_map(|d| (1..=6).map(move |l| (d, l))) {
+            for final_vc in [false, true] {
+                let fresh = Worm {
+                    advance: 0,
+                    hops,
+                    length,
+                    pending_route: false,
+                };
+                let (mut w, mut r) = (fresh, fresh);
+                let mut total = 0;
+                while !w.done() {
+                    let step = w.advance(final_vc);
+                    let (width, acquire, released, finished) = reference_advance(&mut r, final_vc);
+                    assert_eq!((step.steps, step.flit_hops), (1, width as u64));
+                    assert_eq!(step.acquire, acquire);
+                    assert_eq!(step.released.collect::<Vec<_>>(), released);
+                    assert_eq!(step.finished, finished);
+                    assert_eq!(w.advance, r.advance);
+                    let (lo, hi) = w.held_range();
+                    let held: Vec<u32> = (lo..=hi).filter(|&j| w.needs_vc(final_vc, j)).collect();
+                    assert_eq!(w.held_vcs(final_vc).collect::<Vec<_>>(), held);
+                    total += width;
+                }
+                assert_eq!(total, hops * length, "every flit crosses every edge");
+            }
+        }
+    }
+
+    #[test]
+    fn drain_equals_k_successive_advances() {
+        for (hops, length) in (1..=5).flat_map(|d| (1..=6).map(move |l| (d, l))) {
+            let fin_a = hops + length - 1;
+            // a0 ranges over every draining state, so `hops ≤ a0 < L ≤ a1`
+            // (the tail finishes injecting mid-drain) is covered whenever
+            // `hops < L`; k runs two past the finish.
+            for (a0, final_vc) in (hops..=fin_a).flat_map(|a| [(a, false), (a, true)]) {
+                for k in 0..=(fin_a - a0 + 2) as u64 {
+                    let start = Worm {
+                        advance: a0,
+                        hops,
+                        length,
+                        pending_route: false,
+                    };
+                    let mut stepped = start;
+                    let (mut flit_hops, mut released, mut finished) = (0u64, Vec::new(), false);
+                    for _ in 0..k {
+                        if stepped.done() {
+                            break;
+                        }
+                        let (width, acquire, rel, fin) = reference_advance(&mut stepped, final_vc);
+                        assert_eq!(acquire, None, "drains acquire nothing");
+                        flit_hops += width as u64;
+                        released.extend(rel);
+                        finished |= fin;
+                    }
+                    let mut drained = start;
+                    let d = drained.drain(k, final_vc);
+                    let case = format!("hops={hops} L={length} a0={a0} k={k} final_vc={final_vc}");
+                    assert_eq!(d.steps, (stepped.advance - a0) as u64, "{case}");
+                    assert_eq!(d.flit_hops, flit_hops, "{case}");
+                    assert_eq!(d.released.collect::<Vec<_>>(), released, "{case}");
+                    assert_eq!(drained.advance, stepped.advance, "{case}");
+                    assert_eq!(d.finished, finished, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Three routers, fanouts 3 / 2 / 1 (edges 0–2 leave router 0, 3–4
+    /// router 1, 5 router 2).
+    fn fan_graph() -> Graph {
+        let mut b = GraphBuilder::new(4);
+        for (src, dst) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            b.add_edge(NodeId(src), NodeId(dst));
+        }
+        b.build()
+    }
+
+    fn pooled(g: &Graph, pool: u32, min: u32, max: u32) -> (VcRules, VcLedger) {
+        let config = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
+        let rules = VcRules::new(g, &config, false);
+        let ledger = VcLedger::new(g, &rules);
+        (rules, ledger)
+    }
+
+    #[test]
+    fn pooled_ledger_keeps_its_identities_under_random_traffic() {
+        let g = fan_graph();
+        let (pool, min, max) = (7, 1, 4);
+        let (rules, mut ledger) = pooled(&g, pool, min, max);
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let (mut grants, mut refusals) = (0, 0);
+        for _ in 0..5_000 {
+            let e = rng.random_range(0..g.num_edges());
+            let r = g.edge_sources()[e] as usize;
+            // The policy, recomputed from the holder counts alone.
+            let siblings = || (0..g.num_edges()).filter(|&x| g.edge_sources()[x] as usize == r);
+            let h = ledger.holders[e] as u32;
+            let shared_cap = pool - min * siblings().count() as u32;
+            let shared_used: u32 = siblings()
+                .map(|x| (ledger.holders[x] as u32).saturating_sub(min))
+                .sum();
+            let expect_free = (max - h).min(min.saturating_sub(h) + shared_cap - shared_used);
+            assert_eq!(ledger.free_vcs(&rules, e), expect_free);
+            if rng.random_bool(0.6) {
+                if expect_free > 0 {
+                    ledger.acquire(&rules, e);
+                    grants += 1;
+                } else {
+                    refusals += 1;
+                }
+            } else if h > 0 {
+                ledger.release(&rules, e);
+            }
+            for v in 0..g.num_nodes() {
+                let out = || (0..g.num_edges()).filter(|&x| g.edge_sources()[x] as usize == v);
+                let held: u32 = out().map(|x| ledger.holders[x] as u32).sum();
+                let shared: u32 = out()
+                    .map(|x| (ledger.holders[x] as u32).saturating_sub(min))
+                    .sum();
+                assert_eq!(ledger.pool_used[v], held);
+                assert_eq!(ledger.shared_used[v], shared);
+                assert!(held <= pool, "router {v} past its pool");
+            }
+            assert!(ledger.holders.iter().all(|&h| h as u32 <= max));
+            ledger.validate(&rules);
+        }
+        assert!(
+            grants > 500 && refusals > 50,
+            "{grants} grants, {refusals} refusals"
+        );
+    }
+
+    #[test]
+    fn arbitrate_grants_shared_credits_in_ascending_edge_order() {
+        let g = fan_graph();
+        let config = SimConfig::new(1);
+        for shared in 1..=2u32 {
+            // Router 0's three edges sit at their floor; `shared` credits
+            // are left for three contenders, one per edge (message id =
+            // 10 + edge id).
+            for push_order in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let (rules, mut ledger) = pooled(&g, 3 + shared, 1, 2);
+                for e in 0..3 {
+                    ledger.acquire(&rules, e);
+                }
+                let mut buckets = FlatBuckets::with_edges(g.num_edges());
+                for e in push_order {
+                    buckets.push(e, 10 + e as u32);
+                }
+                let (mut movers, mut blocked) = (Vec::new(), Vec::new());
+                ledger.arbitrate(
+                    &rules,
+                    &mut buckets,
+                    &mut movers,
+                    &mut blocked,
+                    |e, group| order_contenders(&config, 0, e, group, |m| (0, 0, m)),
+                );
+                let expect: Vec<u32> = (0..3).map(|e| 10 + e).collect();
+                assert_eq!(
+                    movers,
+                    expect[..shared as usize],
+                    "pushed as {push_order:?}"
+                );
+                blocked.sort_unstable();
+                assert_eq!(
+                    blocked,
+                    expect[shared as usize..],
+                    "pushed as {push_order:?}"
+                );
+            }
+        }
+    }
+}

@@ -56,6 +56,7 @@ pub mod config;
 pub mod cut_through;
 mod engine;
 pub mod events;
+mod kernel;
 pub mod message;
 pub mod open_loop;
 mod parallel;

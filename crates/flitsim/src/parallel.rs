@@ -25,8 +25,9 @@
 //! # Why a window is exactly the sequential steps it replaces
 //!
 //! Within a window each region runs the same classify → arbitrate →
-//! apply phases as [`Sim::step_full_bandwidth`], one step at a time,
-//! over the worms *resident* in it (a worm resides in the region owning
+//! apply phases as the sequential steppers — the same [`crate::kernel`]
+//! functions over its own [`VcLedger`] — one step at a time, over the
+//! worms *resident* in it (a worm resides in the region owning
 //! its next wanted edge; draining worms stay where they finished
 //! acquiring; a pending adaptive worm resides in its head node's
 //! region). The grant construction guarantees that for every step of
@@ -60,8 +61,8 @@
 //! counts settle arithmetically at wake (`t − parked_at`), making the
 //! per-step cost proportional to movers and wakeups, not residents.
 //! When every runnable resident is draining and the queue is empty,
-//! the region batch-advances them with [`Sim::fast_drain`]'s
-//! closed-form release/flit-hop formulas; and when a step moves
+//! the region batch-advances them with [`Worm::drain`]'s closed-form
+//! release/flit-hop formulas; and when a step moves
 //! nothing the region is *frozen* — provably identical until the
 //! window ends (releases only come from moves, and nothing external
 //! arrives mid-window) — so it stops stepping and the coordinator tops
@@ -98,23 +99,21 @@
 //!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
-//! [`order_contenders`]: crate::wormhole::order_contenders
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
-
-use rand::prelude::*;
 
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 use wormhole_topology::region::RegionPlan;
 
-use crate::config::{
-    Arbitration, BlockedPolicy, FinalEdgePolicy, RouteSelection, SimConfig, VcPolicy,
-};
+use crate::config::{BlockedPolicy, RouteSelection, SimConfig};
 use crate::events::DeadlockReport;
+use crate::kernel::{
+    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, Worm,
+};
 use crate::stats::{DiscardReason, MessageOutcome, Outcome};
-use crate::wormhole::{arb_rng, FlatBuckets, SelectedHop, Sim, Worm};
+use crate::wormhole::Sim;
 
 /// Default region count when [`SimConfig::regions`] is `None`
 /// (clamped to the node count by [`RegionPlan::contiguous`]).
@@ -124,14 +123,15 @@ const DEFAULT_REGIONS: u32 = 8;
 
 /// Immutable per-run lookup state shared by the coordinator and every
 /// worker: the configuration, the region layout, the lookahead matrix,
-/// and the VC-policy decomposition. Borrowing this never conflicts with
+/// and the VC ledger's rule half. Borrowing this never conflicts with
 /// the coordinator's `&mut Sim` — everything is copied out of the
 /// [`Sim`] or borrows run-outliving state (config, graph, router).
 struct Ctx<'a> {
     config: &'a SimConfig,
     graph: &'a Graph,
-    /// Edge → source-router index (`graph.edge_sources()` copy).
-    edge_src: Vec<u32>,
+    /// The VC ledger's rule half — a copy of the [`Sim`]'s (fault plans
+    /// never reach this engine, so no kill ever changes it mid-run).
+    rules: VcRules,
     /// Edge → destination-node index.
     edge_dst: Vec<u32>,
     /// Edge → owning region (= region of the source router).
@@ -145,36 +145,12 @@ struct Ctx<'a> {
     router: Option<&'a dyn AdaptiveRouter>,
     /// Adaptive routing only: `FullyAdaptive` (misroutes allowed).
     fully: bool,
-    /// Pooled only: each router's shared-portion capacity.
-    shared_cap: Vec<u32>,
-    pooled: bool,
-    per_edge_min: u32,
-    per_edge_max: u32,
-    num_edges: usize,
-    num_nodes: usize,
 }
 
 impl<'a> Ctx<'a> {
     fn new(sim: &Sim<'a>, plan: &RegionPlan) -> Ctx<'a> {
         let graph = sim.graph;
         let config = sim.config;
-        let (pooled, per_edge_min, per_edge_max, pool) = match config.vc_policy {
-            VcPolicy::Static(b) => (false, b, b, 0),
-            VcPolicy::RouterPooled {
-                pool,
-                per_edge_min,
-                per_edge_max,
-            } => (true, per_edge_min, per_edge_max, pool),
-        };
-        // `Sim::new` already validated the pool covers every floor.
-        let shared_cap = if pooled {
-            graph
-                .nodes()
-                .map(|v| pool - per_edge_min * graph.out_degree(v) as u32)
-                .collect()
-        } else {
-            Vec::new()
-        };
         let node_region = plan.node_regions().to_vec();
         let edge_region = graph
             .edge_sources()
@@ -184,28 +160,15 @@ impl<'a> Ctx<'a> {
         Ctx {
             config,
             graph,
-            edge_src: graph.edge_sources().to_vec(),
+            rules: sim.rules.clone(),
             edge_dst: graph.edges().map(|e| graph.dst(e).0).collect(),
             edge_region,
             node_region,
             dist_to_cut: plan.distance_to_cut(graph),
             router: sim.adaptive.as_ref().map(|ad| ad.router),
             fully: config.route_selection == RouteSelection::FullyAdaptive,
-            shared_cap,
-            pooled,
-            per_edge_min,
-            per_edge_max,
-            num_edges: graph.num_edges(),
-            num_nodes: graph.num_nodes(),
         }
     }
-}
-
-/// Whether crossing 1-based path edge `edge_1based` requires a VC —
-/// [`Sim::needs_vc`] over the region-resident worm copy.
-#[inline]
-fn needs_vc(ctx: &Ctx, w: &Worm, edge_1based: u32) -> bool {
-    edge_1based < w.hops || w.pending_route || ctx.config.final_edge == FinalEdgePolicy::RequiresVc
 }
 
 /// A worm resident in a region: the rigid-worm kinematics plus
@@ -223,11 +186,11 @@ struct RWorm {
     /// The route as global edge ids (copied at admission — worms
     /// migrate between regions, specs don't). Grows hop by hop while
     /// `pending_route` is set.
-    path: Vec<u32>,
+    path: Vec<EdgeId>,
     /// Injection node (adaptive head position at `advance == 0`).
-    src: u32,
+    src: NodeId,
     /// Destination node (adaptive arrival test).
-    dst: u32,
+    dst: NodeId,
     /// Remaining misroute budget (`FullyAdaptive`).
     budget: u32,
     /// This step's wanted-hop selection (pending worms only).
@@ -253,9 +216,9 @@ impl RWorm {
     #[inline]
     fn head_node(&self, ctx: &Ctx) -> usize {
         if self.worm.advance == 0 {
-            self.src as usize
+            self.src.idx()
         } else {
-            ctx.edge_dst[self.path[self.worm.advance as usize - 1] as usize] as usize
+            ctx.edge_dst[self.path[self.worm.advance as usize - 1].idx()] as usize
         }
     }
 }
@@ -277,9 +240,8 @@ impl RWorm {
 ///   before relative step `j − 1 − advance`.
 fn worm_bound(ctx: &Ctx, rw: &RWorm, home: u32) -> u64 {
     let w = &rw.worm;
-    let (lo, hi) = w.held_range();
-    for j in lo..=hi {
-        if needs_vc(ctx, w, j) && ctx.edge_region[rw.path[j as usize - 1] as usize] != home {
+    for j in w.held_vcs(ctx.rules.final_vc) {
+        if ctx.edge_region[rw.path[j as usize - 1].idx()] != home {
             return 1;
         }
     }
@@ -290,11 +252,12 @@ fn worm_bound(ctx: &Ctx, rw: &RWorm, home: u32) -> u64 {
         return u64::MAX;
     }
     debug_assert_eq!(
-        ctx.edge_region[rw.path[w.advance as usize] as usize], home,
+        ctx.edge_region[rw.path[w.advance as usize].idx()],
+        home,
         "resident worm's next wanted edge is foreign"
     );
     for j in (w.advance + 2)..=w.hops {
-        if ctx.edge_region[rw.path[j as usize - 1] as usize] != home {
+        if ctx.edge_region[rw.path[j as usize - 1].idx()] != home {
             return (j - 1 - w.advance) as u64;
         }
     }
@@ -303,22 +266,6 @@ fn worm_bound(ctx: &Ctx, rw: &RWorm, home: u32) -> u64 {
 
 /// No waiter — the wait-queue chain terminator.
 const NONE: u32 = u32::MAX;
-
-/// The park/wake key for a worm blocked on edge `e` —
-/// [`Sim::wait_key`]'s rule over the region copy: the edge itself
-/// under the static policy (only a release there can unblock it), the
-/// source router under pooling (a release on any sibling edge can
-/// return shared credit). Both live in the blocked worm's own region:
-/// the wanted edge defines residency, and an edge's region is its
-/// source router's.
-#[inline]
-fn wait_key(ctx: &Ctx, e: usize) -> usize {
-    if ctx.pooled {
-        ctx.edge_src[e] as usize
-    } else {
-        e
-    }
-}
 
 /// A slab entry in a region's wait queue: a parked worm plus the
 /// intrusive chain link. `rw == None` marks a free slot.
@@ -346,19 +293,13 @@ struct Retired {
     out: MessageOutcome,
 }
 
-/// One region's owned state: holder/pool counters for its edges and
-/// routers (full-size arrays indexed by *global* ids — foreign entries
-/// stay zero, so ascending local edge order is ascending global order
-/// for free), its resident worms, per-step scratch, and the outboxes
-/// the coordinator drains between windows.
+/// One region's owned state: the VC ledger's count half for its edges
+/// and routers (full-size arrays indexed by *global* ids — foreign
+/// entries stay zero), its resident worms, per-step scratch, and the
+/// outboxes the coordinator drains between windows.
 struct Region {
     idx: u32,
-    holders: Vec<u16>,
-    pool_used: Vec<u32>,
-    shared_used: Vec<u32>,
-    planned_shared: Vec<u32>,
-    touched_routers: Vec<u32>,
-    group_order: Vec<u32>,
+    ledger: VcLedger,
     buckets: FlatBuckets,
     worms: Vec<RWorm>,
     /// Swap buffer for the retire/handoff sweep (keeps capacity).
@@ -367,8 +308,6 @@ struct Region {
     movers: Vec<u32>,
     /// Loser indices into `worms` this step.
     blocked: Vec<u32>,
-    /// Global edge ids acquired this step (drained by `settle_max`).
-    acquired: Vec<u32>,
     /// Candidate scratch for adaptive hop selection.
     cand: Vec<(EdgeId, bool)>,
     /// Outbox: releases targeting edges owned by other regions (only
@@ -413,73 +352,27 @@ struct Region {
     /// cross edge (minimum [`worm_bound`]; refreshed at window end and
     /// tightened by the coordinator on every handoff/admission).
     safe: u64,
-    max_vcs: u16,
-    max_pool: u32,
     flit_hops: u64,
-    escape_fallbacks: u64,
-    misroute_hops: u64,
-}
-
-/// Orders contender *indices* into `worms` by the canonical
-/// [`order_contenders`](crate::wormhole::order_contenders) keys. Every
-/// key starts with (or is) the message id, and ids are unique, so the
-/// sorted index sequence corresponds position-for-position to the
-/// sorted id sequence the sequential engines produce — including under
-/// `Random`, whose Fisher–Yates shuffle permutes positions identically
-/// (it is keyed by the global `(seed, step, edge)` tuple, never by the
-/// worker).
-fn order_contenders_local(ctx: &Ctx, worms: &[RWorm], t: u64, e: usize, contenders: &mut [u32]) {
-    match ctx.config.arbitration {
-        Arbitration::FifoById => contenders.sort_unstable_by_key(|&i| worms[i as usize].id),
-        Arbitration::OldestFirst => {
-            contenders.sort_unstable_by_key(|&i| {
-                let w = &worms[i as usize];
-                (w.release, w.id)
-            });
-        }
-        Arbitration::PriorityRank => {
-            contenders.sort_unstable_by_key(|&i| {
-                let w = &worms[i as usize];
-                (w.priority, w.id)
-            });
-        }
-        Arbitration::Random => {
-            contenders.sort_unstable_by_key(|&i| worms[i as usize].id);
-            contenders.shuffle(&mut arb_rng(ctx.config.seed, t, e));
-        }
-    }
+    route_stats: RouteStats,
 }
 
 impl Region {
     fn new(idx: u32, ctx: &Ctx) -> Region {
         Region {
             idx,
-            holders: vec![0; ctx.num_edges],
-            pool_used: vec![0; ctx.num_nodes],
-            shared_used: vec![0; if ctx.pooled { ctx.num_nodes } else { 0 }],
-            planned_shared: vec![0; if ctx.pooled { ctx.num_nodes } else { 0 }],
-            touched_routers: Vec::new(),
-            group_order: Vec::new(),
-            buckets: FlatBuckets::with_edges(ctx.num_edges),
+            ledger: VcLedger::new(ctx.graph, &ctx.rules),
+            buckets: FlatBuckets::with_edges(ctx.graph.num_edges()),
             worms: Vec::new(),
             scratch: Vec::new(),
             movers: Vec::new(),
             blocked: Vec::new(),
-            acquired: Vec::new(),
             cand: Vec::new(),
             remote_releases: Vec::new(),
             handoffs: Vec::new(),
             retired: Vec::new(),
             park_slab: Vec::new(),
             free_slots: Vec::new(),
-            waiter_head: vec![
-                NONE;
-                if ctx.pooled {
-                    ctx.num_nodes
-                } else {
-                    ctx.num_edges
-                }
-            ],
+            waiter_head: vec![NONE; ctx.rules.num_wait_keys(ctx.graph)],
             n_parked: 0,
             released_keys: Vec::new(),
             parked_safe: u64::MAX,
@@ -487,41 +380,9 @@ impl Region {
             last_move_plus1: 0,
             static_from: u64::MAX,
             safe: u64::MAX,
-            max_vcs: 0,
-            max_pool: 0,
             flit_hops: 0,
-            escape_fallbacks: 0,
-            misroute_hops: 0,
+            route_stats: RouteStats::default(),
         }
-    }
-
-    /// [`Sim::free_vcs`] over this region's counters (no dead edges —
-    /// faulted configurations never reach the parallel engine).
-    #[inline]
-    fn free_vcs(&self, ctx: &Ctx, e: usize) -> u32 {
-        let h = self.holders[e] as u32;
-        let cap_free = ctx.per_edge_max.saturating_sub(h);
-        if !ctx.pooled {
-            return cap_free;
-        }
-        let r = ctx.edge_src[e] as usize;
-        let floor_free = ctx.per_edge_min.saturating_sub(h);
-        cap_free.min(floor_free + (ctx.shared_cap[r] - self.shared_used[r]))
-    }
-
-    /// [`Sim::acquire_vc`] on an owned edge (winners always acquire
-    /// locally: their wanted edge defines their residency).
-    #[inline]
-    fn acquire(&mut self, ctx: &Ctx, e: usize) {
-        debug_assert_eq!(ctx.edge_region[e], self.idx, "acquire on a foreign edge");
-        let h = self.holders[e];
-        self.holders[e] = h + 1;
-        let r = ctx.edge_src[e] as usize;
-        self.pool_used[r] += 1;
-        if ctx.pooled && h as u32 >= ctx.per_edge_min {
-            self.shared_used[r] += 1;
-        }
-        debug_assert!(self.holders[e] as u32 <= ctx.per_edge_max);
     }
 
     /// Releases one VC on `e`: locally if this region owns the edge,
@@ -538,20 +399,32 @@ impl Region {
         }
     }
 
-    /// [`Sim::release_vc`] on an owned edge (also the coordinator's
-    /// entry point for applying another region's outbox entry). Records
-    /// the wait key so the next [`Self::wake_parked`] pass can unpark
-    /// the waiters the release may have unblocked.
+    /// Releases a VC on an owned edge (also the coordinator's entry
+    /// point for applying another region's outbox entry). Records the
+    /// wait key so the next [`Self::wake_parked`] pass can unpark the
+    /// waiters the release may have unblocked.
     #[inline]
     fn release_local(&mut self, ctx: &Ctx, e: usize) {
-        let h = self.holders[e];
-        self.holders[e] = h - 1;
-        let r = ctx.edge_src[e] as usize;
-        self.pool_used[r] -= 1;
-        if ctx.pooled && h as u32 > ctx.per_edge_min {
-            self.shared_used[r] -= 1;
+        self.ledger.release(&ctx.rules, e);
+        self.released_keys.push(ctx.rules.wait_key(e) as u32);
+    }
+
+    /// Marks resident `wi` retired (the sweep drops it) and hands its
+    /// final state to the coordinator. `time` is `t + 1` for deliveries
+    /// and `t` for discards.
+    fn retire(&mut self, wi: usize, time: u64, delivered: bool) {
+        let w = &mut self.worms[wi];
+        w.gone = true;
+        if delivered {
+            w.out.finished = Some(time);
         }
-        self.released_keys.push(wait_key(ctx, e) as u32);
+        self.retired.push(Retired {
+            id: w.id,
+            worm: w.worm,
+            time,
+            delivered,
+            out: w.out,
+        });
     }
 
     /// Whether any worm still lives in this region — runnable or
@@ -571,8 +444,7 @@ impl Region {
         if !rw.local_path {
             self.parked_safe = self.parked_safe.min(worm_bound(ctx, &rw, self.idx));
         }
-        let e = rw.path[rw.worm.advance as usize] as usize;
-        let key = wait_key(ctx, e);
+        let key = ctx.rules.wait_key(rw.path[rw.worm.advance as usize].idx());
         let next = self.waiter_head[key];
         let slot = match self.free_slots.pop() {
             Some(s) => {
@@ -604,7 +476,7 @@ impl Region {
     /// it re-contends at `t + 1`, exactly when the release becomes
     /// visible sequentially. Waking is conservative: a still-blocked
     /// worm re-parks after its next (stall-counted) step.
-    fn wake_parked(&mut self, _ctx: &Ctx, t: u64) {
+    fn wake_parked(&mut self, t: u64) {
         if self.n_parked == 0 {
             self.released_keys.clear();
             return;
@@ -654,9 +526,7 @@ impl Region {
     /// Whether every resident is draining (`advance ≥ hops`, route
     /// frozen) — the trigger for the closed-form fast-forward.
     fn all_draining(&self) -> bool {
-        self.worms
-            .iter()
-            .all(|w| !w.worm.pending_route && w.worm.advance >= w.worm.hops)
+        self.worms.iter().all(|w| w.worm.draining())
     }
 
     /// Runs this region through the window `[t0, end)` without touching
@@ -694,7 +564,7 @@ impl Region {
                 self.last_move_plus1 = t + 1;
             }
             if local_settle {
-                self.settle_max(ctx);
+                self.ledger.settle_max(&ctx.rules);
             }
             if !self.moved
                 && ctx.config.blocked == BlockedPolicy::Stall
@@ -720,72 +590,25 @@ impl Region {
     }
 
     /// Batch-advances an all-draining population from `t` to `end` (or
-    /// each worm's finish, whichever is first) — [`Sim::fast_drain`]'s
-    /// closed-form flit-hop sum and tail-release sequence, applied
-    /// region-locally. Safe because drains acquire nothing and only
+    /// each worm's finish, whichever is first) with [`Worm::drain`]'s
+    /// closed form. Safe because drains acquire nothing and only
     /// release held edges, which the window grant proved local (except
     /// in one-step windows, where `release` falls back to the outbox).
     fn fast_drain_all(&mut self, ctx: &Ctx, t: u64, end: u64) {
         debug_assert!(t < end);
         debug_assert_eq!(self.n_parked, 0, "fast drain with a populated wait queue");
         for wi in 0..self.worms.len() {
-            let (hops, length, a0) = {
-                let w = &self.worms[wi].worm;
-                (w.hops, w.length, w.advance)
-            };
-            let fin_a = hops + length - 1;
-            let k = ((fin_a - a0) as u64).min(end - t);
-            debug_assert!(k > 0, "a finished worm survived the sweep");
-            let a1 = a0 + k as u32;
-            // flit_hops: Σ width(a) for a ∈ (a0, a1]; width(a) = hops
-            // while a ≤ L (the tail is still injecting), hops + L − a
-            // after.
-            {
-                let (d, l) = (hops as u64, length as u64);
-                let (a0, a1) = (a0 as u64, a1 as u64);
-                let flat_hi = a1.min(l);
-                if flat_hi > a0 {
-                    self.flit_hops += d * (flat_hi - a0);
-                }
-                let s = a0.max(l) + 1;
-                if a1 >= s {
-                    let (w_hi, w_lo) = (d + l - s, d + l - a1);
-                    self.flit_hops += (w_hi + w_lo) * (a1 - s + 1) / 2;
-                }
+            let d = self.worms[wi].worm.drain(end - t, ctx.rules.final_vc);
+            debug_assert!(d.steps > 0, "a finished worm survived the sweep");
+            self.flit_hops += d.flit_hops;
+            for j in d.released {
+                let e = self.worms[wi].path[j as usize - 1];
+                self.release(ctx, e.idx());
             }
-            // The tail leaves edges (a0+1−L ..= a1−L) ∩ [1, hops−1].
-            if a1 > length {
-                let lo = (a0 + 1).saturating_sub(length).max(1);
-                for rel in lo..=a1 - length {
-                    if needs_vc(ctx, &self.worms[wi].worm, rel) {
-                        let e = self.worms[wi].path[rel as usize - 1];
-                        self.release(ctx, e as usize);
-                    }
-                }
-            }
-            self.worms[wi].worm.advance = a1;
-            self.last_move_plus1 = self.last_move_plus1.max(t + k);
-            if a1 == fin_a {
-                if needs_vc(ctx, &self.worms[wi].worm, hops) {
-                    let e = self.worms[wi].path[hops as usize - 1];
-                    self.release(ctx, e as usize);
-                }
-                let fin_t = t + k; // the finishing advance ran at t+k−1
-                let w = &mut self.worms[wi];
-                w.out.finished = Some(fin_t);
-                w.gone = true;
-                self.retired.push(Retired {
-                    id: w.id,
-                    worm: Worm {
-                        advance: w.worm.advance,
-                        hops: w.worm.hops,
-                        length: w.worm.length,
-                        pending_route: w.worm.pending_route,
-                    },
-                    time: fin_t,
-                    delivered: true,
-                    out: w.out,
-                });
+            let fin_t = t + d.steps; // the last advance ran at fin_t − 1
+            self.last_move_plus1 = self.last_move_plus1.max(fin_t);
+            if d.finished {
+                self.retire(wi, fin_t, true);
             }
         }
         self.sweep(ctx, t);
@@ -794,96 +617,8 @@ impl Region {
         self.released_keys.clear();
     }
 
-    /// [`Sim::select_pending`] over region-local state: the wanted hop
-    /// of pending worm index `i`, from start-of-step holder counts. All
-    /// candidates are out-edges of the head node, which this region
-    /// owns — so the local counters are the global truth and both
-    /// engines make the same choice.
-    fn select_pending(&mut self, ctx: &Ctx, i: usize) -> SelectedHop {
-        let mut cand = std::mem::take(&mut self.cand);
-        let router = ctx.router.expect("pending worm without a router");
-        let g = ctx.graph;
-        let rw = &self.worms[i];
-        let a = rw.worm.advance as usize;
-        let (head, prev) = if a == 0 {
-            (NodeId(rw.src), None)
-        } else {
-            let e = EdgeId(rw.path[a - 1]);
-            (g.dst(e), Some(g.src(e)))
-        };
-        let dst = NodeId(rw.dst);
-        debug_assert_ne!(head, dst, "pending worm already at its destination");
-        debug_assert_eq!(
-            ctx.node_region[head.idx()],
-            self.idx,
-            "pending worm resident outside its head's region"
-        );
-        let misroutes_ok = ctx.fully && rw.budget > 0;
-        cand.clear();
-        router.candidates(head, dst, misroutes_ok, &mut cand);
-        let best = |want_profitable: bool, skip: Option<NodeId>| {
-            cand.iter()
-                .filter(|&&(e, p)| p == want_profitable && self.free_vcs(ctx, e.idx()) > 0)
-                .filter(|&&(e, _)| skip != Some(g.dst(e)))
-                .map(|&(e, _)| (self.holders[e.idx()], e.0))
-                .min()
-        };
-        let sel = if let Some((_, edge)) = best(true, None) {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: false,
-            }
-        } else if let Some((_, edge)) = misroutes_ok.then(|| best(false, prev)).flatten() {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: true,
-            }
-        } else {
-            SelectedHop::Escape {
-                edge: router.escape_hop(head, dst).0,
-            }
-        };
-        self.cand = cand;
-        self.worms[i].selected = sel;
-        sel
-    }
-
-    /// [`Sim::extend_route`] for resident worm index `i` (no fault
-    /// branch — fault plans never reach this engine).
-    fn extend_route(&mut self, ctx: &Ctx, wi: usize) {
-        debug_assert_eq!(
-            self.worms[wi].path.len() as u32,
-            self.worms[wi].worm.advance
-        );
-        match self.worms[wi].selected {
-            SelectedHop::Adaptive { edge, misroute } => {
-                self.worms[wi].path.push(edge);
-                if misroute {
-                    self.misroute_hops += 1;
-                    self.worms[wi].budget -= 1;
-                }
-                let arrived = ctx.edge_dst[edge as usize] == self.worms[wi].dst;
-                self.worms[wi].worm.hops += 1;
-                if arrived {
-                    self.worms[wi].worm.pending_route = false;
-                }
-            }
-            SelectedHop::Escape { edge } => {
-                let router = ctx.router.expect("escape without a router");
-                let head = ctx.graph.src(EdgeId(edge));
-                let tail = router.escape_route(head, NodeId(self.worms[wi].dst));
-                debug_assert_eq!(tail.edges()[0], EdgeId(edge));
-                self.worms[wi].path.extend(tail.edges().iter().map(|e| e.0));
-                self.escape_fallbacks += 1;
-                self.worms[wi].worm.hops += tail.len() as u32;
-                self.worms[wi].worm.pending_route = false;
-            }
-            SelectedHop::None => unreachable!("pending worm advanced without a selection"),
-        }
-    }
-
     /// One step over the resident worms: the classify → arbitrate →
-    /// apply phases of [`Sim::step_full_bandwidth`], ending with the
+    /// apply phases of the sequential steppers, ending with the
     /// retire/handoff sweep. Reads and writes only region-owned
     /// state; cross-region effects go to the outboxes.
     fn step(&mut self, ctx: &Ctx, t: u64) {
@@ -894,32 +629,57 @@ impl Region {
         // pending worms select their wanted hop; everything else
         // contends for its next edge).
         for i in 0..self.worms.len() {
-            if self.worms[i].worm.pending_route {
-                let sel = self.select_pending(ctx, i);
-                let edge = sel.edge().expect("selection always yields a hop") as usize;
-                let lands_final = ctx.edge_dst[edge] == self.worms[i].dst;
-                if lands_final && ctx.config.final_edge == FinalEdgePolicy::Unlimited {
-                    self.movers.push(i as u32); // delivery absorbs VC-free
-                } else {
-                    self.buckets.push(edge, i as u32);
-                }
-                continue;
+            let rw = &self.worms[i];
+            let mut selected = None;
+            if rw.worm.pending_route {
+                // All candidates are out-edges of the head node, which
+                // this region owns — so the local counters are the
+                // global truth and every engine makes the same choice.
+                debug_assert_eq!(
+                    ctx.node_region[rw.head_node(ctx)],
+                    self.idx,
+                    "pending worm resident outside its head's region"
+                );
+                let sel = kernel::select_hop(
+                    ctx.router.expect("pending worm without a router"),
+                    &ctx.rules,
+                    &self.ledger,
+                    kernel::header_at(ctx.graph, rw.src, &rw.path),
+                    rw.dst,
+                    ctx.fully && rw.budget > 0,
+                    &mut self.cand,
+                );
+                let edge = sel.edge().expect("selection always yields a hop");
+                selected = Some((edge, ctx.edge_dst[edge as usize] == rw.dst.0));
+                self.worms[i].selected = sel;
             }
-            let w = &self.worms[i].worm;
-            if w.advance >= w.hops {
-                self.movers.push(i as u32);
-            } else {
-                let next = w.advance + 1;
-                if needs_vc(ctx, w, next) {
-                    let e = self.worms[i].path[next as usize - 1] as usize;
-                    self.buckets.push(e, i as u32);
-                } else {
-                    self.movers.push(i as u32);
-                }
-            }
+            let rw = &self.worms[i];
+            kernel::classify(
+                &rw.worm,
+                ctx.rules.final_vc,
+                i as u32,
+                selected,
+                |j| rw.path[j as usize - 1].idx(),
+                &mut self.buckets,
+                &mut self.movers,
+            );
         }
         // Phase 2: arbitration from start-of-step holder counts.
-        self.arbitrate(ctx, t);
+        // Contenders are indices into `worms`; bucket edges are global
+        // ids, so the pooled grant order is the canonical global one.
+        let (config, worms) = (ctx.config, &self.worms);
+        self.ledger.arbitrate(
+            &ctx.rules,
+            &mut self.buckets,
+            &mut self.movers,
+            &mut self.blocked,
+            |e, group| {
+                order_contenders(config, t, e, group, |i| {
+                    let w = &worms[i as usize];
+                    (w.release, w.priority, w.id)
+                })
+            },
+        );
         self.moved = !self.movers.is_empty();
         // Phase 3: apply.
         for i in 0..self.movers.len() {
@@ -937,170 +697,68 @@ impl Region {
                 // blocked — and stalls — until a release on its wait
                 // key, so the step loop can skip it entirely. Pending
                 // adaptive worms never park; they re-select each step.
-                let e = self.worms[m as usize].path[self.worms[m as usize].worm.advance as usize]
-                    as usize;
-                if self.free_vcs(ctx, e) == 0 {
-                    self.worms[m as usize].park = true;
+                let rw = &mut self.worms[m as usize];
+                let e = rw.path[rw.worm.advance as usize].idx();
+                if self.ledger.free_vcs(&ctx.rules, e) == 0 {
+                    rw.park = true;
                 }
             }
         }
         self.sweep(ctx, t);
-        self.wake_parked(ctx, t);
+        self.wake_parked(t);
     }
 
-    /// [`Sim::arbitrate`] over this region's contender buckets. The
-    /// pooled branch allocates shared credits in ascending edge-id
-    /// order; bucket edges are global ids, so the local order *is* the
-    /// canonical global order.
-    fn arbitrate(&mut self, ctx: &Ctx, t: u64) {
-        let groups = self.buckets.group();
-        if !ctx.pooled {
-            for gi in 0..groups {
-                let e = self.buckets.edge(gi);
-                let free = self.free_vcs(ctx, e) as usize;
-                let group = self.buckets.group_mut(gi);
-                if group.len() > free {
-                    if free == 0 {
-                        self.blocked.extend_from_slice(group);
-                        continue;
-                    }
-                    order_contenders_local(ctx, &self.worms, t, e, group);
-                    self.blocked.extend_from_slice(&group[free..]);
-                    self.movers.extend_from_slice(&group[..free]);
-                } else {
-                    self.movers.extend_from_slice(group);
-                }
-            }
-            return;
-        }
-        {
-            let Region {
-                group_order,
-                buckets,
-                ..
-            } = self;
-            group_order.clear();
-            group_order.extend(0..groups as u32);
-            group_order.sort_unstable_by_key(|&gi| buckets.edge(gi as usize));
-        }
-        for i in 0..self.group_order.len() {
-            let gi = self.group_order[i] as usize;
-            let e = self.buckets.edge(gi);
-            let r = ctx.edge_src[e] as usize;
-            let h = self.holders[e] as u32;
-            let floor_free = ctx.per_edge_min.saturating_sub(h);
-            let shared_free =
-                (ctx.shared_cap[r] - self.shared_used[r]).saturating_sub(self.planned_shared[r]);
-            let free = (ctx.per_edge_max.saturating_sub(h)).min(floor_free + shared_free) as usize;
-            let group = self.buckets.group_mut(gi);
-            if free == 0 {
-                self.blocked.extend_from_slice(group);
-                continue;
-            }
-            let granted = if group.len() > free {
-                order_contenders_local(ctx, &self.worms, t, e, group);
-                self.blocked.extend_from_slice(&group[free..]);
-                self.movers.extend_from_slice(&group[..free]);
-                free as u32
-            } else {
-                self.movers.extend_from_slice(group);
-                group.len() as u32
-            };
-            let shared_taken = granted.saturating_sub(floor_free);
-            if shared_taken > 0 {
-                if self.planned_shared[r] == 0 {
-                    self.touched_routers.push(r as u32);
-                }
-                self.planned_shared[r] += shared_taken;
-            }
-        }
-        for i in 0..self.touched_routers.len() {
-            self.planned_shared[self.touched_routers[i] as usize] = 0;
-        }
-        self.touched_routers.clear();
-    }
-
-    /// [`Sim::apply_advance`] for resident worm index `i` (pending
-    /// worms commit their selected hop first, exactly like the
-    /// sequential apply phase).
+    /// Advances winner index `i` one flit step ([`Worm::advance`];
+    /// pending worms commit their selected hop first, exactly like the
+    /// sequential apply phase) and applies what it acquired and
+    /// released.
     fn advance_worm(&mut self, ctx: &Ctx, i: u32, t: u64) {
         let wi = i as usize;
-        if self.worms[wi].worm.pending_route {
-            self.extend_route(ctx, wi);
+        let rw = &mut self.worms[wi];
+        if rw.worm.pending_route {
+            kernel::extend_route(
+                &mut rw.worm,
+                &mut rw.path,
+                &mut rw.budget,
+                rw.selected,
+                ctx.router.expect("pending worm without a router"),
+                rw.dst,
+                &mut self.route_stats,
+            );
         }
-        let (hops, length, width) = {
-            let w = &self.worms[wi].worm;
-            (w.hops, w.length, w.crossing_width())
-        };
-        self.flit_hops += width as u64;
-        if self.worms[wi].out.first_move.is_none() {
-            self.worms[wi].out.first_move = Some(t);
+        let step = rw.worm.advance(ctx.rules.final_vc);
+        self.flit_hops += step.flit_hops;
+        if rw.out.first_move.is_none() {
+            rw.out.first_move = Some(t);
         }
-        self.worms[wi].worm.advance += 1;
-        let a = self.worms[wi].worm.advance;
-        // Acquire the newly crossed edge (always owned).
-        if a <= hops && needs_vc(ctx, &self.worms[wi].worm, a) {
-            let e = self.worms[wi].path[a as usize - 1];
-            self.acquire(ctx, e as usize);
-            self.acquired.push(e);
+        // The newly crossed edge is always owned: winners acquire
+        // locally, their wanted edge defines their residency.
+        if let Some(j) = step.acquire {
+            let e = rw.path[j as usize - 1].idx();
+            debug_assert_eq!(ctx.edge_region[e], self.idx, "acquire on a foreign edge");
+            self.ledger.acquire(&ctx.rules, e);
         }
-        // Release the edge the tail just left (possibly foreign).
-        if a > length {
-            let rel = a - length;
-            if needs_vc(ctx, &self.worms[wi].worm, rel) {
-                let e = self.worms[wi].path[rel as usize - 1];
-                self.release(ctx, e as usize);
-            }
+        // The edge the tail just left and, on completion, the final
+        // edge — either possibly foreign.
+        for j in step.released {
+            let e = self.worms[wi].path[j as usize - 1];
+            self.release(ctx, e.idx());
         }
-        if self.worms[wi].worm.done() {
-            if needs_vc(ctx, &self.worms[wi].worm, hops) {
-                let e = self.worms[wi].path[hops as usize - 1];
-                self.release(ctx, e as usize);
-            }
-            let w = &mut self.worms[wi];
-            w.out.finished = Some(t + 1);
-            w.gone = true;
-            self.retired.push(Retired {
-                id: w.id,
-                worm: Worm {
-                    advance: w.worm.advance,
-                    hops: w.worm.hops,
-                    length: w.worm.length,
-                    pending_route: w.worm.pending_route,
-                },
-                time: t + 1,
-                delivered: true,
-                out: w.out,
-            });
+        if step.finished {
+            self.retire(wi, t + 1, true);
         }
     }
 
-    /// [`Sim::discard`] for resident worm index `i`
-    /// ([`BlockedPolicy::Discard`] only — no faults here).
+    /// Discards blocked resident index `i`, releasing everything it
+    /// holds ([`BlockedPolicy::Discard`] only — no faults here).
     fn discard_worm(&mut self, ctx: &Ctx, i: u32, t: u64) {
         let wi = i as usize;
-        let (lo, hi) = self.worms[wi].worm.held_range();
-        for j in lo..=hi {
-            if needs_vc(ctx, &self.worms[wi].worm, j) {
-                let e = self.worms[wi].path[j as usize - 1];
-                self.release(ctx, e as usize);
-            }
+        for j in self.worms[wi].worm.held_vcs(ctx.rules.final_vc) {
+            let e = self.worms[wi].path[j as usize - 1];
+            self.release(ctx, e.idx());
         }
-        let w = &mut self.worms[wi];
-        w.out.discarded = Some(DiscardReason::Delay);
-        w.gone = true;
-        self.retired.push(Retired {
-            id: w.id,
-            worm: Worm {
-                advance: w.worm.advance,
-                hops: w.worm.hops,
-                length: w.worm.length,
-                pending_route: w.worm.pending_route,
-            },
-            time: t,
-            delivered: false,
-            out: w.out,
-        });
+        self.worms[wi].out.discarded = Some(DiscardReason::Delay);
+        self.retire(wi, t, false);
     }
 
     /// End-of-step sweep: drop retired worms, park this step's marked
@@ -1120,12 +778,10 @@ impl Region {
                 self.park_worm(ctx, w, t);
                 continue;
             }
-            let target = if w.worm.pending_route {
-                ctx.node_region[w.head_node(ctx)]
-            } else if w.worm.advance >= w.worm.hops {
+            let target = if w.worm.draining() {
                 self.idx
             } else {
-                ctx.edge_region[w.path[w.worm.advance as usize] as usize]
+                rworm_home(ctx, &w) as u32
             };
             if target == self.idx {
                 self.worms.push(w);
@@ -1134,21 +790,6 @@ impl Region {
             }
         }
         self.scratch = scratch;
-    }
-
-    /// [`Sim::settle_max_vcs`] over this step's acquisitions, sampling
-    /// the end-of-step holder count — order-free and engine-identical.
-    /// Called in-region inside multi-step windows (interaction-free, so
-    /// the local count is the global one) and by the coordinator after
-    /// remote releases in one-step windows.
-    fn settle_max(&mut self, ctx: &Ctx) {
-        for i in 0..self.acquired.len() {
-            let e = self.acquired[i] as usize;
-            self.max_vcs = self.max_vcs.max(self.holders[e]);
-            let r = ctx.edge_src[e] as usize;
-            self.max_pool = self.max_pool.max(self.pool_used[r]);
-        }
-        self.acquired.clear();
     }
 }
 
@@ -1181,15 +822,16 @@ fn worker_loop(shared: &Shared<'_>, w: usize, nthreads: usize) {
         }
         let t = shared.t_now.load(Ordering::Relaxed);
         let win = shared.w_now.load(Ordering::Relaxed);
-        let mut r = w;
-        while r < shared.regions.len() {
-            shared.regions[r]
-                .lock()
-                .unwrap()
-                .run_window(&shared.ctx, t, t + win);
-            r += nthreads;
-        }
+        run_stripe(shared, w, nthreads, t, win);
         shared.end.wait();
+    }
+}
+
+/// Runs worker `w`'s regions (`w, w + nthreads, …`) through the window
+/// `[t, t + win)`.
+fn run_stripe(shared: &Shared<'_>, w: usize, nthreads: usize, t: u64, win: u64) {
+    for reg in shared.regions.iter().skip(w).step_by(nthreads) {
+        reg.lock().unwrap().run_window(&shared.ctx, t, t + win);
     }
 }
 
@@ -1197,23 +839,12 @@ fn worker_loop(shared: &Shared<'_>, w: usize, nthreads: usize) {
 /// worker pool when there is one, inline otherwise.
 fn step_window(shared: &Shared<'_>, nthreads: usize, t: u64, w: u64) {
     if nthreads == 1 {
-        for reg in &shared.regions {
-            reg.lock().unwrap().run_window(&shared.ctx, t, t + w);
-        }
-        return;
+        return run_stripe(shared, 0, 1, t, w);
     }
     shared.t_now.store(t, Ordering::Relaxed);
     shared.w_now.store(w, Ordering::Relaxed);
     shared.start.wait();
-    // The coordinator doubles as worker 0.
-    let mut r = 0;
-    while r < shared.regions.len() {
-        shared.regions[r]
-            .lock()
-            .unwrap()
-            .run_window(&shared.ctx, t, t + w);
-        r += nthreads;
-    }
+    run_stripe(shared, 0, nthreads, t, w); // the coordinator doubles as worker 0
     shared.end.wait();
 }
 
@@ -1221,29 +852,18 @@ fn step_window(shared: &Shared<'_>, nthreads: usize, t: u64, w: u64) {
 fn make_rworm(sim: &Sim<'_>, m: u32) -> RWorm {
     let mi = m as usize;
     let spec = &sim.specs[mi];
-    let src = &sim.worms[mi];
-    let (path, wsrc, wdst, budget): (Vec<u32>, u32, u32, u32) = match sim.adaptive.as_ref() {
-        Some(ad) => (
-            ad.routes[mi].iter().map(|e| e.0).collect(),
-            ad.src[mi].0,
-            ad.dst[mi].0,
-            ad.budget[mi],
-        ),
-        None => (spec.path.edges().iter().map(|e| e.0).collect(), 0, 0, 0),
+    let (path, src, dst, budget) = match sim.adaptive.as_ref() {
+        Some(ad) => (ad.routes[mi].clone(), ad.src[mi], ad.dst[mi], ad.budget[mi]),
+        None => (spec.path.edges().to_vec(), NodeId(0), NodeId(0), 0),
     };
     RWorm {
         id: m,
-        worm: Worm {
-            advance: src.advance,
-            hops: src.hops,
-            length: src.length,
-            pending_route: src.pending_route,
-        },
+        worm: sim.worms[mi],
         release: spec.release,
         priority: spec.priority,
         path,
-        src: wsrc,
-        dst: wdst,
+        src,
+        dst,
         budget,
         selected: SelectedHop::None,
         out: sim.outcomes[mi],
@@ -1260,7 +880,7 @@ fn rworm_home(ctx: &Ctx, w: &RWorm) -> usize {
     if w.worm.pending_route {
         ctx.node_region[w.head_node(ctx)] as usize
     } else {
-        ctx.edge_region[w.path[w.worm.advance as usize] as usize] as usize
+        ctx.edge_region[w.path[w.worm.advance as usize].idx()] as usize
     }
 }
 
@@ -1275,13 +895,10 @@ fn write_back(sim: &mut Sim<'_>, shared: &Shared<'_>) {
         let parked = reg.park_slab.iter().filter_map(|s| s.rw.as_ref());
         for w in reg.worms.iter().chain(parked) {
             let mi = w.id as usize;
-            sim.worms[mi].advance = w.worm.advance;
-            sim.worms[mi].hops = w.worm.hops;
-            sim.worms[mi].pending_route = w.worm.pending_route;
+            sim.worms[mi] = w.worm;
             sim.outcomes[mi] = w.out;
             if let Some(ad) = sim.adaptive.as_mut() {
-                ad.routes[mi].clear();
-                ad.routes[mi].extend(w.path.iter().map(|&e| EdgeId(e)));
+                ad.routes[mi].clone_from(&w.path);
                 ad.budget[mi] = w.budget;
                 ad.selected[mi] = w.selected;
             }
@@ -1297,14 +914,14 @@ fn sync_counters(sim: &mut Sim<'_>, shared: &Shared<'_>) {
         let reg = cell.lock().unwrap();
         for (e, &owner) in ctx.edge_region.iter().enumerate() {
             if owner as usize == r {
-                sim.holders[e] = reg.holders[e];
+                sim.ledger.holders[e] = reg.ledger.holders[e];
             }
         }
         for (v, &owner) in ctx.node_region.iter().enumerate() {
             if owner as usize == r {
-                sim.pool_used[v] = reg.pool_used[v];
-                if ctx.pooled {
-                    sim.shared_used[v] = reg.shared_used[v];
+                sim.ledger.pool_used[v] = reg.ledger.pool_used[v];
+                if ctx.rules.pooled {
+                    sim.ledger.shared_used[v] = reg.ledger.shared_used[v];
                 }
             }
         }
@@ -1317,11 +934,11 @@ fn fold_stats(sim: &mut Sim<'_>, shared: &Shared<'_>) {
     for cell in &shared.regions {
         let reg = cell.lock().unwrap();
         sim.flit_hops += reg.flit_hops;
-        sim.max_vcs = sim.max_vcs.max(reg.max_vcs);
-        sim.max_pool = sim.max_pool.max(reg.max_pool);
+        sim.ledger.max_vcs = sim.ledger.max_vcs.max(reg.ledger.max_vcs);
+        sim.ledger.max_pool = sim.ledger.max_pool.max(reg.ledger.max_pool);
         if let Some(ad) = sim.adaptive.as_mut() {
-            ad.escape_fallbacks += reg.escape_fallbacks;
-            ad.misroute_hops += reg.misroute_hops;
+            ad.stats.escape_fallbacks += reg.route_stats.escape_fallbacks;
+            ad.stats.misroute_hops += reg.route_stats.misroute_hops;
         }
     }
 }
@@ -1341,24 +958,8 @@ fn run_loop(
     let mut handoff_buf: Vec<(u32, RWorm)> = Vec::new();
     let mut retired_buf: Vec<Retired> = Vec::new();
     let outcome = loop {
-        // Idle fast-forward and termination — byte-for-byte the legacy
-        // loop head's decisions (see `drive_legacy` for the cap rules).
-        if n_active == 0 {
-            match sim.peek_next_release(t) {
-                None => break Outcome::Completed,
-                Some(r) => {
-                    if t >= sim.config.max_steps {
-                        break Outcome::MaxSteps;
-                    }
-                    if r >= sim.config.max_steps {
-                        t = sim.config.max_steps;
-                        break Outcome::MaxSteps;
-                    }
-                    t = t.max(r);
-                }
-            }
-        } else if t >= sim.config.max_steps {
-            break Outcome::MaxSteps;
+        if let Some(outcome) = sim.loop_head(&mut t, n_active == 0) {
+            break outcome;
         }
         let new = sim.admit_ready(t);
         for i in new {
@@ -1449,8 +1050,8 @@ fn run_loop(
         if w == 1 {
             for cell in &shared.regions {
                 let mut reg = cell.lock().unwrap();
-                reg.wake_parked(&shared.ctx, t);
-                reg.settle_max(&shared.ctx);
+                reg.wake_parked(t);
+                reg.ledger.settle_max(&shared.ctx.rules);
             }
         }
         // A frozen region repeats its freeze step verbatim until the
@@ -1476,9 +1077,7 @@ fn run_loop(
         }
         for rt in retired_buf.drain(..) {
             let mi = rt.id as usize;
-            sim.worms[mi].advance = rt.worm.advance;
-            sim.worms[mi].hops = rt.worm.hops;
-            sim.worms[mi].pending_route = rt.worm.pending_route;
+            sim.worms[mi] = rt.worm;
             sim.outcomes[mi] = rt.out;
             sim.record_done(rt.id, rt.time, rt.delivered);
             if rt.delivered {

@@ -50,7 +50,7 @@
 //! `ReplaySource` internally — is **bit-identical** to the historical
 //! slice path: same admissions, same arbitration tie-breaks, same
 //! `SimResult`, message for message. The differential proptests in
-//! `tests/proptest_source_equiv.rs` enforce this on both engines.
+//! `tests/source_equiv.rs` enforce this on both sequential engines.
 
 use crate::message::MessageSpec;
 

@@ -32,10 +32,12 @@
 //!
 //! # Engines
 //!
-//! Two steppers drive the full-bandwidth model
-//! ([`crate::config::Engine`]) and are required to produce **bit-identical
-//! [`SimResult`]s** — the proptest differential suite and the unit fixtures
-//! compare them field for field, deadlock reports included:
+//! The model itself — VC ledger, worm kinematics, arbitration, hop
+//! selection — is stated once, in the crate-private `kernel` module.
+//! Three drivers ([`crate::config::Engine`]) decide which worms it steps
+//! and when, and are required to produce **bit-identical [`SimResult`]s**
+//! — the proptest differential suite and the unit fixtures compare them
+//! field for field, deadlock reports included:
 //!
 //! * the **legacy** stepper rescans every active worm each flit step (the
 //!   original implementation, kept as the differential oracle);
@@ -47,9 +49,14 @@
 //!   source-router-disjoint paths) —
 //!   fast-forward to the next release with drain phases collapsed to
 //!   closed form, and a fully idle network jumps straight to the next
-//!   message release.
+//!   message release;
+//! * the **partitioned parallel** engine (`parallel` module) cuts the
+//!   network into regions and runs each through conservative time
+//!   windows on its own worker, with the event engine's parking and
+//!   drain fast-forward applied per region.
 //!
-//! The equivalence rests on three invariants:
+//! The sequential engines' equivalence rests on three invariants (the
+//! `parallel` module docs add the window argument):
 //!
 //! 1. **Parked ⇒ full.** A worm parks only if its wanted edge still has
 //!    all `B` VCs held *after* the step's releases land. Since holder
@@ -71,9 +78,10 @@
 //!    update (`flit_hops`, holder increments/decrements), except the two
 //!    places the old code was sensitive to iteration order — both now
 //!    canonical so the engines cannot diverge: arbitration under
-//!    [`Arbitration::Random`] sorts contenders by id and shuffles with a
-//!    stateless RNG keyed by `(seed, step, edge)` (not a sequential
-//!    global stream, which skipped steps would desynchronize), and
+//!    [`crate::config::Arbitration::Random`] sorts contenders by id and
+//!    shuffles with a stateless RNG keyed by `(seed, step, edge)` (not a
+//!    sequential global stream, which skipped steps would
+//!    desynchronize), and
 //!    `max_vcs_in_use` samples holder counts at end of step rather than
 //!    at each acquisition instant (which would depend on the interleaving
 //!    of same-step acquires and releases).
@@ -88,16 +96,16 @@
 //! [`crate::config::SimConfig::vc_policy`] rather than a comparison with
 //! a scalar `B`:
 //!
-//! * **acquirability** (`Sim::free_vcs`) — static: `holders < B`;
+//! * **acquirability** (`VcLedger::free_vcs`) — static: `holders < B`;
 //!   pooled: below the per-edge floor, or below the per-edge cap with
 //!   shared credit left at the source router;
-//! * **arbitration** (`Sim::arbitrate`, shared by both engines) —
+//! * **arbitration** (`VcLedger::arbitrate`, shared by every engine) —
 //!   under pooling, sibling edges of one router competing for the same
 //!   shared credits within a step are granted in **ascending edge-id
 //!   order**, a canonical rule that reads only start-of-step state and
 //!   the (engine-independent) contender sets, so the engines cannot
 //!   diverge;
-//! * **park/wake keying** (`Sim::wait_key`) — a blocked worm's edge
+//! * **park/wake keying** (`VcRules::wait_key`) — a blocked worm's edge
 //!   can become acquirable when a VC releases on the edge itself
 //!   (static) or on *any* outgoing edge of its source router (pooled:
 //!   the release may return shared credit). Acquirability is monotone
@@ -137,7 +145,7 @@
 //! winners extend their route and advance, losers stall and re-select
 //! next step (occupancies have changed). Because selection reads only
 //! start-of-step holder counts — the same convention arbitration already
-//! uses — the two engines stay bit-identical; the event engine merely
+//! uses — the engines stay bit-identical; the event engine merely
 //! runs *pending* worms park-free (a blocked pending worm's candidate
 //! set must be re-evaluated every step, so there is no single edge whose
 //! release is the unique wake condition; a frozen-route worm wants one
@@ -146,17 +154,15 @@
 //! jumps (route choice observes other worms' occupancies, so the
 //! edge-disjointness argument no longer applies).
 
-use rand::prelude::*;
-use rand::rngs::StdRng;
-
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 use wormhole_topology::path::Path;
 
-use crate::config::{
-    Arbitration, BandwidthModel, BlockedPolicy, Engine, FinalEdgePolicy, RouteSelection, SimConfig,
-};
+use crate::config::{BandwidthModel, BlockedPolicy, Engine, RouteSelection, SimConfig};
 use crate::events::{DeadlockReport, TraceEvent, WaitFor};
+use crate::kernel::{
+    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, Worm,
+};
 use crate::message::MessageSpec;
 use crate::source::{ReplaySource, TrafficSource};
 use crate::stats::{DiscardReason, EngineFallback, MessageOutcome, Outcome, SimResult};
@@ -165,51 +171,6 @@ use crate::stats::{DiscardReason, EngineFallback, MessageOutcome, Outcome, SimRe
 const FLIT_UNINJECTED: u32 = 0;
 /// Restricted-model flit position: delivered.
 const FLIT_DELIVERED: u32 = u32::MAX;
-
-pub(crate) struct Worm {
-    /// Edges crossed by the (virtual) header pipeline; see module docs.
-    pub(crate) advance: u32,
-    /// Known path length. Fixed for oblivious worms; for adaptive worms
-    /// it grows with each route extension (and equals `advance` while
-    /// `pending_route`), freezing when the header reaches the
-    /// destination or the escape tail is appended.
-    pub(crate) hops: u32,
-    pub(crate) length: u32,
-    /// `true` while the route may still grow (adaptive worm whose header
-    /// has not committed to a complete path). Always `false` under
-    /// [`RouteSelection::Oblivious`].
-    pub(crate) pending_route: bool,
-}
-
-impl Worm {
-    #[inline]
-    pub(crate) fn done(&self) -> bool {
-        // A pending worm is never done: `advance == hops` merely means
-        // its header sits at the end of the known path awaiting the next
-        // hop (for L = 1 that coincides with `hops + length − 1`).
-        !self.pending_route && self.advance == self.hops + self.length - 1
-    }
-
-    /// 1-based range of path edges on which this worm currently holds a VC.
-    #[inline]
-    pub(crate) fn held_range(&self) -> (u32, u32) {
-        if self.advance == 0 {
-            return (1, 0); // empty
-        }
-        let lo = (self.advance + 1).saturating_sub(self.length).max(1);
-        let hi = self.advance.min(self.hops);
-        (lo, hi)
-    }
-
-    /// Number of flits that cross an edge when the worm advances once.
-    #[inline]
-    pub(crate) fn crossing_width(&self) -> u32 {
-        let next = self.advance + 1;
-        let lo = (next + 1).saturating_sub(self.length).max(1);
-        let hi = next.min(self.hops);
-        hi - lo + 1
-    }
-}
 
 /// Eagerly validates a spec slice against `graph` — the historical
 /// entry-point behavior (a bad spec panics before any simulation work),
@@ -333,167 +294,6 @@ pub fn run_traced(
     Sim::new(graph, None, &mut source, config, true).run_inner()
 }
 
-/// Seeds the stateless per-arbitration RNG for `(seed, t, e)`.
-///
-/// [`Arbitration::Random`] draws from a counter-based stream keyed by the
-/// configured seed, the flit step, and the edge id — never from a
-/// sequential global stream. Runs stay deterministic per seed, but the
-/// draw no longer depends on how many arbitration events preceded it,
-/// which is what lets the event-driven engine skip blocked steps and
-/// still reproduce the legacy stepper bit for bit.
-pub(crate) fn arb_rng(seed: u64, t: u64, e: usize) -> StdRng {
-    let mut x = seed
-        ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (e as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    StdRng::seed_from_u64(x)
-}
-
-/// Orders `contenders` so the first `free` entries win the edge. Shared by
-/// both engines; every policy is canonical in the contender *set* (the
-/// engines discover contenders in different orders).
-pub(crate) fn order_contenders(
-    config: &SimConfig,
-    specs: &[MessageSpec],
-    t: u64,
-    e: usize,
-    contenders: &mut [u32],
-) {
-    match config.arbitration {
-        Arbitration::FifoById => contenders.sort_unstable(),
-        Arbitration::OldestFirst => {
-            contenders.sort_unstable_by_key(|&m| (specs[m as usize].release, m));
-        }
-        Arbitration::PriorityRank => {
-            contenders.sort_unstable_by_key(|&m| (specs[m as usize].priority, m));
-        }
-        Arbitration::Random => {
-            contenders.sort_unstable();
-            contenders.shuffle(&mut arb_rng(config.seed, t, e));
-        }
-    }
-}
-
-/// Flat per-step contender buckets: a CSR-style `(edge, msg)` arena that
-/// replaces the old one-`Vec`-per-edge scratch (which paid a heap
-/// allocation per contended edge and an `O(num_edges)` clear — doubled
-/// again on dateline-class graphs, where every physical channel is two
-/// parallel edges).
-///
-/// Usage per step: [`clear`](Self::clear), [`push`](Self::push) each
-/// contender, [`group`](Self::group) once, then iterate groups by index.
-/// Steady-state it never allocates.
-pub(crate) struct FlatBuckets {
-    /// `(edge, msg)` pairs in discovery order.
-    pairs: Vec<(u32, u32)>,
-    /// Distinct edges touched this step, in first-touch order.
-    touched: Vec<u32>,
-    /// Per-edge contender count, then scatter cursor (dense, reset via
-    /// `touched`).
-    count: Vec<u32>,
-    /// Contenders grouped contiguously per touched edge.
-    slots: Vec<u32>,
-    /// Group boundaries into `slots`, aligned with `touched` (+1 tail).
-    starts: Vec<u32>,
-}
-
-impl FlatBuckets {
-    pub(crate) fn with_edges(num_edges: usize) -> Self {
-        Self {
-            pairs: Vec::new(),
-            touched: Vec::new(),
-            count: vec![0; num_edges],
-            slots: Vec::new(),
-            starts: Vec::new(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn clear(&mut self) {
-        for &e in &self.touched {
-            self.count[e as usize] = 0;
-        }
-        self.pairs.clear();
-        self.touched.clear();
-    }
-
-    /// Records `m` contending for edge `e`. Only valid before `group`.
-    #[inline]
-    pub(crate) fn push(&mut self, e: usize, m: u32) {
-        if self.count[e] == 0 {
-            self.touched.push(e as u32);
-        }
-        self.count[e] += 1;
-        self.pairs.push((e as u32, m));
-    }
-
-    /// Groups the pushed pairs into contiguous per-edge slices (first-touch
-    /// edge order; discovery order within an edge) and returns the group
-    /// count. Leaves `count` holding end offsets; `clear` resets it.
-    pub(crate) fn group(&mut self) -> usize {
-        self.starts.clear();
-        self.slots.clear();
-        self.slots.resize(self.pairs.len(), 0);
-        let mut off = 0u32;
-        self.starts.push(0);
-        for &e in &self.touched {
-            let c = self.count[e as usize];
-            self.count[e as usize] = off; // becomes the scatter cursor
-            off += c;
-            self.starts.push(off);
-        }
-        for &(e, m) in &self.pairs {
-            let cur = &mut self.count[e as usize];
-            self.slots[*cur as usize] = m;
-            *cur += 1;
-        }
-        self.touched.len()
-    }
-
-    /// The edge of group `i` (valid after `group`).
-    #[inline]
-    pub(crate) fn edge(&self, i: usize) -> usize {
-        self.touched[i] as usize
-    }
-
-    /// The contenders of group `i` (valid after `group`).
-    #[inline]
-    pub(crate) fn group_mut(&mut self, i: usize) -> &mut [u32] {
-        let (s, e) = (self.starts[i] as usize, self.starts[i + 1] as usize);
-        &mut self.slots[s..e]
-    }
-}
-
-/// The wanted-hop decision of a pending adaptive worm, refreshed every
-/// step it classifies (occupancies change, so yesterday's choice is
-/// stale). Read back by the apply phase (route extension) and by the
-/// deadlock report / blocked tracing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SelectedHop {
-    /// Not yet classified this run (fresh worm before its first step).
-    None,
-    /// Extend by one adaptive-lane hop. `misroute` spends one unit of
-    /// the worm's [`SimConfig::misroute_quota`] when crossed.
-    Adaptive { edge: u32, misroute: bool },
-    /// Fall back to the escape network: contend for `edge` (the first
-    /// escape hop from the current node) and, on winning, append the
-    /// whole escape route and freeze the path.
-    Escape { edge: u32 },
-}
-
-impl SelectedHop {
-    /// The wanted edge id, if a selection was made.
-    #[inline]
-    pub(crate) fn edge(self) -> Option<u32> {
-        match self {
-            SelectedHop::None => None,
-            SelectedHop::Adaptive { edge, .. } | SelectedHop::Escape { edge } => Some(edge),
-        }
-    }
-}
-
 /// Per-run adaptive routing state (present iff the config asks for a
 /// non-oblivious [`RouteSelection`]).
 pub(crate) struct AdaptiveState<'a> {
@@ -513,10 +313,24 @@ pub(crate) struct AdaptiveState<'a> {
     pub(crate) selected: Vec<SelectedHop>,
     /// Candidate scratch for [`AdaptiveRouter::candidates`].
     cand: Vec<(EdgeId, bool)>,
-    /// Worms that fell back onto the escape network.
-    pub(crate) escape_fallbacks: u64,
-    /// Non-minimal hops crossed.
-    pub(crate) misroute_hops: u64,
+    /// Escape fallbacks and misroute hops so far.
+    pub(crate) stats: RouteStats,
+}
+
+/// Global id of the `edge_1based`-th edge of message `msg`'s route: the
+/// incrementally built route under adaptive selection, the spec's path
+/// otherwise.
+#[inline]
+fn route_edge(
+    adaptive: &Option<AdaptiveState>,
+    specs: &[MessageSpec],
+    msg: u32,
+    edge_1based: u32,
+) -> usize {
+    match adaptive {
+        Some(ad) => ad.routes[msg as usize][edge_1based as usize - 1].idx(),
+        None => specs[msg as usize].path.edges()[edge_1based as usize - 1].idx(),
+    }
 }
 
 pub(crate) struct Sim<'a> {
@@ -531,39 +345,11 @@ pub(crate) struct Sim<'a> {
     source: &'a mut dyn TrafficSource,
     pub(crate) worms: Vec<Worm>,
     pub(crate) outcomes: Vec<MessageOutcome>,
-    /// VCs currently held per edge.
-    pub(crate) holders: Vec<u16>,
-    /// Edge → source-router index (`graph.edge_sources()` copy): the
-    /// `O(1)` hop from an acquisition/release to the router whose pool
-    /// it debits.
-    pub(crate) edge_src: Vec<u32>,
-    /// VCs currently held across the outgoing edges of each router
-    /// (Σ `holders` per source node) — maintained under both policies so
-    /// `max_pool_in_use` is policy- and engine-identical.
-    pub(crate) pool_used: Vec<u32>,
-    /// [`VcPolicy::RouterPooled`] only: VCs drawn from each router's
-    /// *shared* portion, Σ over out-edges of `max(0, holders − floor)`.
-    /// Empty under the static policy.
-    pub(crate) shared_used: Vec<u32>,
-    /// Pooled only: each router's shared-portion capacity,
-    /// `pool − per_edge_min · fanout`. Empty under the static policy.
-    shared_cap: Vec<u32>,
-    /// Pooled arbitration scratch: shared credits already granted to
-    /// earlier (lower-id) edges of the same router within this step.
-    planned_shared: Vec<u32>,
-    /// Routers with nonzero `planned_shared` this step (reset list).
-    touched_routers: Vec<u32>,
-    /// Pooled arbitration scratch: bucket-group indices in ascending
-    /// edge-id order (the canonical shared-credit grant order).
-    group_order: Vec<u32>,
-    /// Cached [`VcPolicy`] decomposition: `true` iff router-pooled.
-    pub(crate) pooled: bool,
-    /// Guaranteed VCs per edge (`B` under the static policy).
-    per_edge_min: u32,
-    /// Hard per-edge cap (`B` under the static policy).
-    per_edge_max: u32,
-    /// Pool size per router (0 under the static policy — unused).
-    pool: u32,
+    /// The VC ledger's immutable half: capacities per edge and router,
+    /// and the dead flags applied fault kills set.
+    pub(crate) rules: VcRules,
+    /// The VC ledger's mutable half: who holds what, network-wide.
+    pub(crate) ledger: VcLedger,
     /// Per-step contender scratch (see [`FlatBuckets`]).
     pub(crate) buckets: FlatBuckets,
     /// Released-and-unretired message ids in admission order. The
@@ -586,13 +372,9 @@ pub(crate) struct Sim<'a> {
     pub(crate) reactive: bool,
     pub(crate) movers: Vec<u32>,
     pub(crate) blocked: Vec<u32>,
-    pub(crate) max_vcs: u16,
-    pub(crate) max_pool: u32,
     pub(crate) flit_hops: u64,
     pub(crate) last_finish: u64,
     pub(crate) unfinished: usize,
-    /// Edges acquired this step; drained by [`Sim::settle_max_vcs`].
-    acquired: Vec<u32>,
     /// Edges whose holder count dropped this step. Only populated while
     /// `track_releases` (the event engine sets it exactly while any worm
     /// is parked); the legacy stepper never reads it.
@@ -612,9 +394,6 @@ pub(crate) struct Sim<'a> {
     /// `L` positions every step.
     rfirst: Vec<u32>,
     pub(crate) num_edges: usize,
-    /// Per-edge dead flags from applied fault kills. Empty when the run
-    /// has no fault plan, so the hot-path guard is a single `is_empty`.
-    dead: Vec<bool>,
     /// Expanded per-edge kill schedule from [`SimConfig::faults`]:
     /// ascending `(at, edge)`, router kills expanded to their incident
     /// edges, earliest kill time kept per edge
@@ -647,38 +426,6 @@ impl<'a> Sim<'a> {
         config: &'a SimConfig,
         tracing: bool,
     ) -> Self {
-        config.vc_policy.validate();
-        let (pooled, per_edge_min, per_edge_max, pool) = match config.vc_policy {
-            crate::config::VcPolicy::Static(b) => (false, b, b, 0),
-            crate::config::VcPolicy::RouterPooled {
-                pool,
-                per_edge_min,
-                per_edge_max,
-            } => (true, per_edge_min, per_edge_max, pool),
-        };
-        let shared_cap = if pooled {
-            assert_eq!(
-                config.bandwidth,
-                BandwidthModel::BFlitsPerStep,
-                "RouterPooled VC allocation requires the full-bandwidth model"
-            );
-            // Graph-dependent validation: every router must be able to
-            // honor its floors out of the pool.
-            graph
-                .nodes()
-                .map(|v| {
-                    let fanout = graph.out_degree(v) as u32;
-                    pool.checked_sub(per_edge_min * fanout).unwrap_or_else(|| {
-                        panic!(
-                            "router {v:?}: per_edge_min {per_edge_min} x fanout {fanout} \
-                             exceeds pool {pool}"
-                        )
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let adaptive_mode = config.route_selection != RouteSelection::Oblivious;
         let adaptive = if adaptive_mode {
             let router = router.expect("adaptive route selection needs a router");
@@ -690,8 +437,7 @@ impl<'a> Sim<'a> {
                 budget: Vec::new(),
                 selected: Vec::new(),
                 cand: Vec::new(),
-                escape_fallbacks: 0,
-                misroute_hops: 0,
+                stats: RouteStats::default(),
             })
         } else {
             None
@@ -710,11 +456,8 @@ impl<'a> Sim<'a> {
             }
             _ => Vec::new(),
         };
-        let dead = if kill_schedule.is_empty() {
-            Vec::new()
-        } else {
-            vec![false; graph.num_edges()]
-        };
+        let rules = VcRules::new(graph, config, !kill_schedule.is_empty());
+        let ledger = VcLedger::new(graph, &rules);
         let reactive = source.reactive();
         Self {
             specs: Vec::new(),
@@ -723,18 +466,8 @@ impl<'a> Sim<'a> {
             source,
             worms: Vec::new(),
             outcomes: Vec::new(),
-            holders: vec![0; graph.num_edges()],
-            edge_src: graph.edge_sources().to_vec(),
-            pool_used: vec![0; graph.num_nodes()],
-            shared_used: vec![0; if pooled { graph.num_nodes() } else { 0 }],
-            shared_cap,
-            planned_shared: vec![0; if pooled { graph.num_nodes() } else { 0 }],
-            touched_routers: Vec::new(),
-            group_order: Vec::new(),
-            pooled,
-            per_edge_min,
-            per_edge_max,
-            pool,
+            rules,
+            ledger,
             buckets: FlatBuckets::with_edges(graph.num_edges()),
             active: Vec::new(),
             admitted: Vec::new(),
@@ -744,12 +477,9 @@ impl<'a> Sim<'a> {
             reactive,
             movers: Vec::new(),
             blocked: Vec::new(),
-            max_vcs: 0,
-            max_pool: 0,
             flit_hops: 0,
             last_finish: 0,
             unfinished: 0,
-            acquired: Vec::new(),
             released: Vec::new(),
             track_releases: false,
             tokens_used: vec![false; graph.num_edges()],
@@ -758,7 +488,6 @@ impl<'a> Sim<'a> {
             rdelivered: Vec::new(),
             rfirst: Vec::new(),
             num_edges: graph.num_edges(),
-            dead,
             kill_schedule,
             next_kill: 0,
             fault_discards: 0,
@@ -773,13 +502,7 @@ impl<'a> Sim<'a> {
     /// Whether fault injection is active for this run.
     #[inline]
     pub(crate) fn faulted(&self) -> bool {
-        !self.dead.is_empty()
-    }
-
-    /// Whether edge `e` has been killed by an applied fault.
-    #[inline]
-    fn is_dead(&self, e: usize) -> bool {
-        !self.dead.is_empty() && self.dead[e]
+        !self.rules.dead.is_empty()
     }
 
     /// Earliest unapplied kill time (`u64::MAX` when exhausted) — the
@@ -807,7 +530,7 @@ impl<'a> Sim<'a> {
             if at > t {
                 break;
             }
-            self.dead[e as usize] = true;
+            self.rules.dead[e as usize] = true;
             self.next_kill += 1;
         }
         // Severed scan in admission order — the canonical order shared
@@ -836,24 +559,18 @@ impl<'a> Sim<'a> {
         let w = &self.worms[m as usize];
         let (lo, hi) = w.held_range();
         for j in lo..=hi {
-            if self.is_dead(self.path_edge(m, j)) {
+            if self.rules.is_dead(self.path_edge(m, j)) {
                 return true;
             }
         }
         if !w.pending_route {
             for j in (w.advance + 1)..=w.hops {
-                if self.is_dead(self.path_edge(m, j)) {
+                if self.rules.is_dead(self.path_edge(m, j)) {
                     return true;
                 }
             }
         }
         false
-    }
-
-    /// Number of routers (nodes) in the simulated graph.
-    #[inline]
-    pub(crate) fn num_nodes(&self) -> usize {
-        self.pool_used.len()
     }
 
     /// Installs `spec` as message `id`, growing every per-message array
@@ -934,7 +651,7 @@ impl<'a> Sim<'a> {
                 .path
                 .edges()
                 .iter()
-                .any(|&e| self.dead[e.idx()])
+                .any(|&e| self.rules.dead[e.idx()])
         {
             self.discard(id, now, DiscardReason::LinkDown);
         }
@@ -993,205 +710,46 @@ impl<'a> Sim<'a> {
         self.admitted[i]
     }
 
-    /// Whether crossing 1-based path edge `edge_1based` requires holding
-    /// a VC. An edge strictly before the end of the path always does; so
-    /// does the newest edge of a still-growing route (`pending_route` —
-    /// nothing marks it final yet, and `hops` only grows, so the answer
-    /// is stable from acquisition to release); the true final edge
-    /// follows [`FinalEdgePolicy`].
-    #[inline]
-    pub(crate) fn needs_vc(&self, worm: &Worm, edge_1based: u32) -> bool {
-        edge_1based < worm.hops
-            || worm.pending_route
-            || self.config.final_edge == FinalEdgePolicy::RequiresVc
-    }
-
     #[inline]
     pub(crate) fn path_edge(&self, msg: u32, edge_1based: u32) -> usize {
-        match &self.adaptive {
-            Some(ad) => ad.routes[msg as usize][edge_1based as usize - 1].idx(),
-            None => self.specs[msg as usize].path.edges()[edge_1based as usize - 1].idx(),
-        }
+        route_edge(&self.adaptive, &self.specs, msg, edge_1based)
     }
 
-    /// How many additional VCs edge `e` can grant right now — the
-    /// policy query every capacity decision routes through. Static:
-    /// `B − holders`. Pooled: below the floor is free; past it, each VC
-    /// draws one credit from the source router's shared portion; the
-    /// per-edge cap always binds.
-    #[inline]
-    pub(crate) fn free_vcs(&self, e: usize) -> u32 {
-        if self.is_dead(e) {
-            return 0; // a killed edge never grants another VC
-        }
-        let h = self.holders[e] as u32;
-        let cap_free = self.per_edge_max.saturating_sub(h);
-        if !self.pooled {
-            return cap_free;
-        }
-        let r = self.edge_src[e] as usize;
-        let floor_free = self.per_edge_min.saturating_sub(h);
-        cap_free.min(floor_free + (self.shared_cap[r] - self.shared_used[r]))
-    }
-
-    /// Whether edge `e` could grant at least one VC right now. Under
-    /// either policy this is **monotone**: acquisitions by other worms
-    /// only reduce it, and it recovers only when a release lands on `e`
-    /// itself (static) or on any outgoing edge of `e`'s source router
-    /// (pooled) — the property the event engine's park/wake keying
-    /// relies on.
+    /// Whether edge `e` could grant at least one VC right now
+    /// ([`VcLedger::free_vcs`], which documents the monotonicity the
+    /// event engine's park/wake keying relies on).
     #[inline]
     pub(crate) fn edge_acquirable(&self, e: usize) -> bool {
-        self.free_vcs(e) > 0
+        self.ledger.free_vcs(&self.rules, e) > 0
     }
 
-    /// The event engine's park/wake key for a worm blocked on edge `e`:
-    /// the edge itself under the static policy (only a release there can
-    /// unblock it), the source router under pooling (a release on *any*
-    /// sibling edge can return shared credit — the pool-release wakeup
-    /// rule).
-    #[inline]
-    pub(crate) fn wait_key(&self, e: usize) -> usize {
-        if self.pooled {
-            self.edge_src[e] as usize
-        } else {
-            e
-        }
-    }
-
-    /// Hard capacity-invariant check for edge `e`: the per-edge cap, and
-    /// under pooling the source router's shared-portion and total-pool
-    /// bounds. One checked helper instead of per-call-site assertions.
-    pub(crate) fn check_capacity(&self, e: usize) {
-        let h = self.holders[e] as u32;
-        assert!(
-            h <= self.per_edge_max,
-            "edge {e} holds {h} > {} VCs",
-            self.per_edge_max
-        );
-        if self.pooled {
-            let r = self.edge_src[e] as usize;
-            assert!(
-                self.shared_used[r] <= self.shared_cap[r],
-                "router {r} draws {} > {} shared VCs",
-                self.shared_used[r],
-                self.shared_cap[r]
-            );
-            assert!(
-                self.pool_used[r] <= self.pool,
-                "router {r} holds {} > pool {} VCs",
-                self.pool_used[r],
-                self.pool
-            );
-        }
-    }
-
-    /// [`Sim::check_capacity`] in debug builds only (the hot-path guard
-    /// at every acquisition).
-    #[inline]
-    fn debug_check_capacity(&self, e: usize) {
-        if cfg!(debug_assertions) {
-            self.check_capacity(e);
-        }
-    }
-
-    /// Acquires one VC on `e`, updating the per-router pool accounting.
-    /// The caller handles `acquired`/`max_vcs` bookkeeping (it differs
-    /// between the full-bandwidth and restricted steppers).
-    #[inline]
-    fn acquire_vc(&mut self, e: usize) {
-        let h = self.holders[e];
-        self.holders[e] = h + 1;
-        let r = self.edge_src[e] as usize;
-        self.pool_used[r] += 1;
-        if self.pooled && h as u32 >= self.per_edge_min {
-            self.shared_used[r] += 1;
-        }
-        self.debug_check_capacity(e);
-    }
-
-    /// Selects the wanted hop for pending worm `m` from start-of-step
-    /// state and records it in the adaptive scratch. Pure in the sense
-    /// that two engines evaluating it at the same step with the same
-    /// holder counts make the same choice:
-    ///
-    /// 1. profitable adaptive candidate with a free VC, minimizing
-    ///    `(holder count, edge id)`;
-    /// 2. else (fully adaptive, budget left) the same rule over the
-    ///    misroute candidates, u-turns excluded;
-    /// 3. else the first hop of the escape route from the current node.
-    fn select_pending(&mut self, m: u32) -> SelectedHop {
+    /// Classifies one active worm for this step ([`kernel::classify`]):
+    /// draining worms and VC-free final hops go to `movers`, everything
+    /// else contends in `buckets` for its wanted edge — which a pending
+    /// adaptive worm first selects ([`kernel::select_hop`]) from
+    /// start-of-step state.
+    fn classify(&mut self, m: u32) {
         let mi = m as usize;
-        let a = self.worms[mi].advance as usize;
-        let fully = self.config.route_selection == RouteSelection::FullyAdaptive;
-        // Take the candidate scratch out of the adaptive state so the
-        // filter below can call the shared [`Sim::edge_acquirable`]
-        // policy query (one implementation for arbitration, parking,
-        // and candidate filtering) without a conflicting borrow.
-        let mut cand = std::mem::take(
-            &mut self
-                .adaptive
-                .as_mut()
-                .expect("pending worm without a router")
-                .cand,
-        );
-        let ad = self.adaptive.as_ref().unwrap();
-        let router = ad.router;
-        let g = router.graph();
-        let (head, prev) = if a == 0 {
-            (ad.src[mi], None)
-        } else {
-            let e = ad.routes[mi][a - 1];
-            (g.dst(e), Some(g.src(e)))
-        };
-        let dst = ad.dst[mi];
-        debug_assert_ne!(head, dst, "pending worm already at its destination");
-        let misroutes_ok = fully && ad.budget[mi] > 0;
-        cand.clear();
-        router.candidates(head, dst, misroutes_ok, &mut cand);
-        // Candidate filter: the same acquirability query the arbitration
-        // phase runs, on start-of-step state — so both engines see
-        // identical candidate sets. Tie-break key: (start-of-step holder
-        // count, edge id), both engine-independent, which is what keeps
-        // adaptive runs inside the differential-oracle relation.
-        let best = |want_profitable: bool, skip: Option<NodeId>| {
-            cand.iter()
-                .filter(|&&(e, p)| p == want_profitable && self.edge_acquirable(e.idx()))
-                .filter(|&&(e, _)| skip != Some(g.dst(e)))
-                .map(|&(e, _)| (self.holders[e.idx()], e.0))
-                .min()
-        };
-        let sel = if let Some((_, edge)) = best(true, None) {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: false,
-            }
-        } else if let Some((_, edge)) = misroutes_ok.then(|| best(false, prev)).flatten() {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: true,
-            }
-        } else {
-            SelectedHop::Escape {
-                edge: router.escape_hop(head, dst).0,
-            }
-        };
-        let ad = self.adaptive.as_mut().unwrap();
-        ad.cand = cand;
-        ad.selected[mi] = sel;
-        sel
-    }
-
-    /// Classifies one active worm for this step: draining worms and
-    /// VC-free final hops go to `movers`, everything else contends in
-    /// `buckets` for its wanted edge. Shared by both engines (they only
-    /// differ in which list they iterate).
-    pub(crate) fn classify(&mut self, m: u32) {
-        let w = &self.worms[m as usize];
+        let w = self.worms[mi];
+        let mut selected = None;
         if w.pending_route {
             // Header at the end of the known path: select the next hop.
-            let sel = self.select_pending(m);
-            let edge = sel.edge().expect("selection always yields a hop");
+            let ad = self
+                .adaptive
+                .as_mut()
+                .expect("pending worm without a router");
+            let g = ad.router.graph();
+            let fully = self.config.route_selection == RouteSelection::FullyAdaptive;
+            let sel = kernel::select_hop(
+                ad.router,
+                &self.rules,
+                &self.ledger,
+                kernel::header_at(g, ad.src[mi], &ad.routes[mi]),
+                ad.dst[mi],
+                fully && ad.budget[mi] > 0,
+                &mut ad.cand,
+            );
+            ad.selected[mi] = sel;
             // Under faults, falling back to a severed escape continuation
             // means the worm has nowhere left to go: the adaptive
             // candidates are already filtered to live edges, and the
@@ -1201,37 +759,28 @@ impl<'a> Sim<'a> {
             // still reads unchanged start-of-step holder counts. (A
             // fault-aware router's escape routes avoid dead edges, so
             // this only fires for fault-oblivious escape routing.)
-            if self.faulted() {
+            if !self.rules.dead.is_empty() {
                 if let SelectedHop::Escape { edge } = sel {
-                    let ad = self.adaptive.as_ref().unwrap();
-                    let head = ad.router.graph().src(EdgeId(edge));
-                    let tail = ad.router.escape_route(head, ad.dst[m as usize]);
-                    if tail.edges().iter().any(|&e| self.dead[e.idx()]) {
+                    let tail = ad.router.escape_route(g.src(EdgeId(edge)), ad.dst[mi]);
+                    if tail.edges().iter().any(|&e| self.rules.dead[e.idx()]) {
                         self.doomed.push(m);
                         return;
                     }
                 }
             }
-            let ad = self.adaptive.as_ref().unwrap();
-            let lands_final = ad.router.graph().dst(EdgeId(edge)) == ad.dst[m as usize];
-            if lands_final && self.config.final_edge == FinalEdgePolicy::Unlimited {
-                self.movers.push(m); // delivery absorbs without a VC
-            } else {
-                self.buckets.push(edge as usize, m);
-            }
-            return;
+            let edge = sel.edge().expect("selection always yields a hop");
+            selected = Some((edge, g.dst(EdgeId(edge)) == ad.dst[mi]));
         }
-        if w.advance >= w.hops {
-            self.movers.push(m); // draining into the delivery buffer
-        } else {
-            let next = w.advance + 1;
-            if self.needs_vc(w, next) {
-                let e = self.path_edge(m, next);
-                self.buckets.push(e, m);
-            } else {
-                self.movers.push(m);
-            }
-        }
+        let (adaptive, specs) = (&self.adaptive, &self.specs);
+        kernel::classify(
+            &w,
+            self.rules.final_vc,
+            m,
+            selected,
+            |j| route_edge(adaptive, specs, m, j),
+            &mut self.buckets,
+            &mut self.movers,
+        );
     }
 
     /// The edge a blocked worm wanted this step (for traces and the
@@ -1248,180 +797,89 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Phase-2 arbitration, shared by both engines: groups this step's
-    /// contenders ([`FlatBuckets::group`]), splits each edge's group
-    /// into winners (`movers`) and losers (`blocked`) from start-of-step
-    /// holder counts.
-    ///
-    /// Under [`VcPolicy::RouterPooled`] sibling edges of one router can
-    /// compete for the same shared credits within a single step, so the
-    /// per-edge `free` counts are **allocated in ascending edge-id
-    /// order** (tracked in `planned_shared`): a canonical rule that
-    /// depends only on start-of-step state and the contender *sets* —
-    /// both engine-independent — never on the order the engines
-    /// discovered the groups in. The static policy needs no such
-    /// cross-edge accounting and keeps the plain per-edge split.
-    ///
-    /// [`VcPolicy::RouterPooled`]: crate::config::VcPolicy::RouterPooled
-    pub(crate) fn arbitrate(&mut self, t: u64) {
-        let groups = self.buckets.group();
-        if !self.pooled {
-            for gi in 0..groups {
-                let e = self.buckets.edge(gi);
-                let free = self.free_vcs(e) as usize;
-                let group = self.buckets.group_mut(gi);
-                if group.len() > free {
-                    if free == 0 {
-                        self.blocked.extend_from_slice(group);
-                        continue;
-                    }
-                    order_contenders(self.config, &self.specs, t, e, group);
-                    self.blocked.extend_from_slice(&group[free..]);
-                    self.movers.extend_from_slice(&group[..free]);
-                } else {
-                    self.movers.extend_from_slice(group);
-                }
-            }
-            return;
+    /// The phases of a full-bandwidth step both sequential engines share,
+    /// over the worms `stepping` (they only differ in which list that
+    /// is): classify, arbitrate, advance the winners. Leaves the losers
+    /// in `blocked` for the caller to stall, discard or park. Returns
+    /// whether anything progressed.
+    pub(crate) fn step_winners(&mut self, t: u64, stepping: &[u32]) -> bool {
+        self.movers.clear();
+        self.blocked.clear();
+        self.buckets.clear();
+        self.doomed.clear();
+        // Phase 1: classify worms into drains, contenders, free movers
+        // (pending adaptive worms select their wanted hop here).
+        for &m in stepping {
+            self.classify(m);
         }
-        {
-            let Sim {
-                group_order,
-                buckets,
-                ..
-            } = self;
-            group_order.clear();
-            group_order.extend(0..groups as u32);
-            group_order.sort_unstable_by_key(|&gi| buckets.edge(gi as usize));
+        // Phase 2: per-edge arbitration using start-of-step holder
+        // counts ([`VcLedger::arbitrate`]), contenders keyed by message id.
+        let (config, specs) = (self.config, &self.specs);
+        self.ledger.arbitrate(
+            &self.rules,
+            &mut self.buckets,
+            &mut self.movers,
+            &mut self.blocked,
+            |e, group| {
+                order_contenders(config, t, e, group, |m| {
+                    let s = &specs[m as usize];
+                    (s.release, s.priority, m)
+                })
+            },
+        );
+        // Phase 3: apply. Doomed worms (severed escape continuation) are
+        // discarded here rather than during classification so their VC
+        // releases land mid-step — visible at `t+1`, like any release.
+        for i in 0..self.movers.len() {
+            let m = self.movers[i];
+            self.apply_advance(m, t);
         }
-        for i in 0..self.group_order.len() {
-            let gi = self.group_order[i] as usize;
-            let e = self.buckets.edge(gi);
-            let r = self.edge_src[e] as usize;
-            let h = self.holders[e] as u32;
-            let floor_free = self.per_edge_min.saturating_sub(h);
-            let shared_free =
-                (self.shared_cap[r] - self.shared_used[r]).saturating_sub(self.planned_shared[r]);
-            let free = if self.is_dead(e) {
-                0 // defensive: severed worms are discarded before classify
-            } else {
-                (self.per_edge_max.saturating_sub(h)).min(floor_free + shared_free) as usize
-            };
-            let group = self.buckets.group_mut(gi);
-            if free == 0 {
-                self.blocked.extend_from_slice(group);
-                continue;
-            }
-            let granted = if group.len() > free {
-                order_contenders(self.config, &self.specs, t, e, group);
-                self.blocked.extend_from_slice(&group[free..]);
-                self.movers.extend_from_slice(&group[..free]);
-                free as u32
-            } else {
-                self.movers.extend_from_slice(group);
-                group.len() as u32
-            };
-            let shared_taken = granted.saturating_sub(floor_free);
-            if shared_taken > 0 {
-                if self.planned_shared[r] == 0 {
-                    self.touched_routers.push(r as u32);
-                }
-                self.planned_shared[r] += shared_taken;
-            }
+        for i in 0..self.doomed.len() {
+            let m = self.doomed[i];
+            self.discard(m, t, DiscardReason::LinkDown);
         }
-        for i in 0..self.touched_routers.len() {
-            self.planned_shared[self.touched_routers[i] as usize] = 0;
-        }
-        self.touched_routers.clear();
-    }
-
-    /// Commits pending worm `m`'s selected hop just before it advances:
-    /// one adaptive edge (spending misroute budget where flagged), or
-    /// the whole escape tail — after which the route is frozen and the
-    /// worm is an ordinary oblivious worm for the rest of its journey.
-    fn extend_route(&mut self, m: u32) {
-        let mi = m as usize;
-        let post_fault = self.next_kill > 0;
-        let ad = self.adaptive.as_mut().expect("pending worm without state");
-        debug_assert_eq!(ad.routes[mi].len() as u32, self.worms[mi].advance);
-        match ad.selected[mi] {
-            SelectedHop::Adaptive { edge, misroute } => {
-                let e = EdgeId(edge);
-                ad.routes[mi].push(e);
-                if misroute {
-                    ad.misroute_hops += 1;
-                    ad.budget[mi] -= 1;
-                    if post_fault {
-                        self.fault_detour_hops += 1;
-                    }
-                }
-                let arrived = ad.router.graph().dst(e) == ad.dst[mi];
-                self.worms[mi].hops += 1;
-                if arrived {
-                    self.worms[mi].pending_route = false;
-                }
-            }
-            SelectedHop::Escape { edge } => {
-                let router = ad.router;
-                let head = router.graph().src(EdgeId(edge));
-                let tail = router.escape_route(head, ad.dst[mi]);
-                debug_assert_eq!(tail.edges()[0], EdgeId(edge));
-                ad.routes[mi].extend_from_slice(tail.edges());
-                ad.escape_fallbacks += 1;
-                self.worms[mi].hops += tail.len() as u32;
-                self.worms[mi].pending_route = false;
-            }
-            SelectedHop::None => unreachable!("pending worm advanced without a selection"),
-        }
+        // A fault discard is progress for the deadlock test: it released
+        // VCs mid-step, so blocked worms may advance at `t+1`.
+        !self.movers.is_empty() || !self.doomed.is_empty()
     }
 
     fn run_inner(mut self) -> (SimResult, Vec<TraceEvent>) {
+        // Every sequential run takes the event engine when it accepts
+        // the configuration, the legacy stepper otherwise.
+        let event_ok = self.config.bandwidth == BandwidthModel::BFlitsPerStep && !self.tracing;
+        let sequential = |sim: &mut Self| {
+            if event_ok {
+                crate::engine::drive(sim)
+            } else {
+                sim.drive_legacy()
+            }
+        };
         // The parallel engine only accepts configurations whose step
         // semantics it can reproduce bit-for-bit; everything else falls
         // back to a sequential engine with an explicit note in the
         // result (`SimResult::engine_fallback`) — never silently.
-        let engine_fallback = if let Engine::Parallel { .. } = self.config.engine {
-            if self.faulted() {
-                // Adaptive routing runs natively in the parallel engine;
-                // fault plans are the one remaining routing fallback
-                // (kills apply globally at start-of-step, which the
-                // windowed scheme cannot yet reproduce).
-                Some(EngineFallback::FaultInjection)
-            } else if self.config.bandwidth == BandwidthModel::OneFlitPerStep {
-                Some(EngineFallback::RestrictedBandwidth)
-            } else if self.tracing {
-                Some(EngineFallback::Tracing)
-            } else {
-                None
+        // Adaptive routing runs natively in the parallel engine; fault
+        // plans are the one remaining routing fallback (kills apply
+        // globally at start-of-step, which the windowed scheme cannot
+        // yet reproduce).
+        let ((outcome, t, deadlock_report), engine_fallback) = match self.config.engine {
+            Engine::Legacy => (self.drive_legacy(), None),
+            Engine::EventDriven => (sequential(&mut self), None),
+            Engine::Parallel { threads } => {
+                let fallback = if self.faulted() {
+                    Some(EngineFallback::FaultInjection)
+                } else if self.config.bandwidth == BandwidthModel::OneFlitPerStep {
+                    Some(EngineFallback::RestrictedBandwidth)
+                } else if self.tracing {
+                    Some(EngineFallback::Tracing)
+                } else {
+                    None
+                };
+                match fallback {
+                    None => (crate::parallel::drive(&mut self, threads), None),
+                    Some(_) => (sequential(&mut self), fallback),
+                }
             }
-        } else {
-            None
-        };
-        let use_event = match self.config.engine {
-            Engine::EventDriven => {
-                self.config.bandwidth == BandwidthModel::BFlitsPerStep && !self.tracing
-            }
-            // A fallback run picks the fastest sequential engine that
-            // accepts the configuration.
-            Engine::Parallel { .. } => {
-                engine_fallback.is_some()
-                    && self.config.bandwidth == BandwidthModel::BFlitsPerStep
-                    && !self.tracing
-            }
-            Engine::Legacy => false,
-        };
-        let use_parallel =
-            matches!(self.config.engine, Engine::Parallel { .. }) && engine_fallback.is_none();
-        let (outcome, t, deadlock_report) = if use_parallel {
-            let threads = match self.config.engine {
-                Engine::Parallel { threads } => threads,
-                _ => unreachable!(),
-            };
-            crate::parallel::drive(&mut self, threads)
-        } else if use_event {
-            crate::engine::drive(&mut self)
-        } else {
-            self.drive_legacy()
         };
 
         let total_steps = match outcome {
@@ -1429,10 +887,9 @@ impl<'a> Sim<'a> {
             _ => t,
         };
         let total_stalls = self.outcomes.iter().map(|o| o.stalls).sum();
-        let (escape_fallbacks, misroute_hops) = self
-            .adaptive
-            .as_ref()
-            .map_or((0, 0), |a| (a.escape_fallbacks, a.misroute_hops));
+        let (escape_fallbacks, misroute_hops) = self.adaptive.as_ref().map_or((0, 0), |a| {
+            (a.stats.escape_fallbacks, a.stats.misroute_hops)
+        });
         // Fault stats. The applied-kill cursor is engine-identical: the
         // event engine's fast-forwards stop at kill times exactly as they
         // stop at message releases, so both engines apply every schedule
@@ -1464,8 +921,8 @@ impl<'a> Sim<'a> {
                 outcome,
                 total_steps,
                 messages: self.outcomes,
-                max_vcs_in_use: self.max_vcs as u32,
-                max_pool_in_use: self.max_pool,
+                max_vcs_in_use: self.ledger.max_vcs as u32,
+                max_pool_in_use: self.ledger.max_pool,
                 total_stalls,
                 flit_hops: self.flit_hops,
                 escape_fallbacks,
@@ -1483,34 +940,40 @@ impl<'a> Sim<'a> {
         )
     }
 
+    /// The loop head every driver shares. With worms in flight only the
+    /// step cap ends the run. With nothing in flight (`idle`) the run is
+    /// over iff the source is dry (a reactive source with an idle network
+    /// has flushed every completion, so its answer is final); otherwise
+    /// `t` fast-forwards over the idle gap — but never past the step
+    /// cap: a release at or beyond `max_steps` cannot run inside the
+    /// cap, so the run ends at exactly the cap instead of silently
+    /// simulating (and reporting) beyond it.
+    pub(crate) fn loop_head(&mut self, t: &mut u64, idle: bool) -> Option<Outcome> {
+        let cap = self.config.max_steps;
+        if !idle {
+            return (*t >= cap).then_some(Outcome::MaxSteps);
+        }
+        match self.peek_next_release(*t) {
+            None => Some(Outcome::Completed),
+            Some(_) if *t >= cap => Some(Outcome::MaxSteps),
+            Some(r) if r >= cap => {
+                *t = cap;
+                Some(Outcome::MaxSteps)
+            }
+            Some(r) => {
+                *t = (*t).max(r);
+                None
+            }
+        }
+    }
+
     /// The original per-step driver: rescans every active worm each step.
     pub(crate) fn drive_legacy(&mut self) -> (Outcome, u64, Option<DeadlockReport>) {
         let mut t: u64 = 0;
         let mut deadlock_report = None;
         let outcome = loop {
-            // With nothing in flight the run is over iff the source is
-            // dry (a reactive source with an idle network has flushed
-            // every completion, so its answer is final). Otherwise
-            // fast-forward over the idle gap — but never past the step
-            // cap: a release at or beyond `max_steps` cannot run inside
-            // the cap, so the run ends at exactly the cap instead of
-            // silently simulating (and reporting) beyond it.
-            if self.active.is_empty() {
-                match self.peek_next_release(t) {
-                    None => break Outcome::Completed,
-                    Some(r) => {
-                        if t >= self.config.max_steps {
-                            break Outcome::MaxSteps;
-                        }
-                        if r >= self.config.max_steps {
-                            t = self.config.max_steps;
-                            break Outcome::MaxSteps;
-                        }
-                        t = t.max(r);
-                    }
-                }
-            } else if t >= self.config.max_steps {
-                break Outcome::MaxSteps;
+            if let Some(outcome) = self.loop_head(&mut t, self.active.is_empty()) {
+                break outcome;
             }
             // Kills scheduled at `t` take effect at the start of the step:
             // severed worms are discarded (their VCs released, visible to
@@ -1597,7 +1060,7 @@ impl<'a> Sim<'a> {
             let w = &self.worms[m as usize];
             let (lo, hi) = self.held_span(m);
             for j in lo..=hi {
-                if self.needs_vc(w, j) {
+                if w.needs_vc(self.rules.final_vc, j) {
                     start[self.path_edge(m, j) + 1] += 1;
                 }
             }
@@ -1611,7 +1074,7 @@ impl<'a> Sim<'a> {
             let w = &self.worms[m as usize];
             let (lo, hi) = self.held_span(m);
             for j in lo..=hi {
-                if self.needs_vc(w, j) {
+                if w.needs_vc(self.rules.final_vc, j) {
                     let e = self.path_edge(m, j);
                     hold[cursor[e] as usize] = m;
                     cursor[e] += 1;
@@ -1659,30 +1122,9 @@ impl<'a> Sim<'a> {
     /// One step under the paper's primary model: every VC moves one flit.
     /// Returns whether any worm advanced.
     fn step_full_bandwidth(&mut self, t: u64) -> bool {
-        self.movers.clear();
-        self.blocked.clear();
-        self.buckets.clear();
-        self.doomed.clear();
-        // Phase 1: classify worms into drains, contenders, free movers
-        // (pending adaptive worms select their wanted hop here).
-        for i in 0..self.active.len() {
-            let m = self.active[i];
-            self.classify(m);
-        }
-        // Phase 2: per-edge arbitration using start-of-step holder counts.
-        self.arbitrate(t);
-        // Phase 3: apply. Doomed worms (severed escape continuation) are
-        // discarded here rather than during classification so their VC
-        // releases land mid-step — visible at `t+1`, like any release.
-        let moved = !self.movers.is_empty();
-        for i in 0..self.movers.len() {
-            let m = self.movers[i];
-            self.apply_advance(m, t);
-        }
-        for i in 0..self.doomed.len() {
-            let m = self.doomed[i];
-            self.discard(m, t, DiscardReason::LinkDown);
-        }
+        let active = std::mem::take(&mut self.active);
+        let progressed = self.step_winners(t, &active);
+        self.active = active;
         for i in 0..self.blocked.len() {
             let m = self.blocked[i];
             self.outcomes[m as usize].stalls += 1;
@@ -1694,11 +1136,9 @@ impl<'a> Sim<'a> {
                 self.discard(m, t, DiscardReason::Delay);
             }
         }
-        self.settle_max_vcs();
+        self.ledger.settle_max(&self.rules);
         self.retire_finished();
-        // A fault discard is progress for the deadlock test: it released
-        // VCs mid-step, so blocked worms may advance at `t+1`.
-        moved || !self.doomed.is_empty()
+        progressed
     }
 
     /// One step under the restricted model: each physical edge transmits at
@@ -1754,7 +1194,7 @@ impl<'a> Sim<'a> {
                     }
                 } else {
                     // Head flit: acquires a VC on the edge it crosses.
-                    if self.needs_vc(&self.worms[mi], target)
+                    if self.worms[mi].needs_vc(self.rules.final_vc, target)
                         && !self.edge_acquirable(self.path_edge(m, target))
                     {
                         continue;
@@ -1774,11 +1214,11 @@ impl<'a> Sim<'a> {
                     self.rfirst[mi] += 1;
                 }
                 if k == 0 {
-                    if self.needs_vc(&self.worms[mi], target) {
-                        self.acquire_vc(e);
-                        self.max_vcs = self.max_vcs.max(self.holders[e]);
-                        self.max_pool =
-                            self.max_pool.max(self.pool_used[self.edge_src[e] as usize]);
+                    if self.worms[mi].needs_vc(self.rules.final_vc, target) {
+                        // Per-flit steps sample the occupancy maxima at
+                        // each acquisition instant.
+                        self.ledger.acquire(&self.rules, e);
+                        self.ledger.settle_max(&self.rules);
                         if self.tracing {
                             self.trace.push(TraceEvent::Acquire {
                                 t,
@@ -1794,24 +1234,18 @@ impl<'a> Sim<'a> {
                 if k == length - 1 {
                     // Tail: releases the buffer it left and, on delivery,
                     // the final edge's VC.
-                    if p != FLIT_UNINJECTED && self.needs_vc(&self.worms[mi], p) {
+                    if p != FLIT_UNINJECTED && self.worms[mi].needs_vc(self.rules.final_vc, p) {
                         let e_old = self.path_edge(m, p);
                         self.release_vc(e_old);
                     }
-                    if delivered && self.needs_vc(&self.worms[mi], d) {
+                    if delivered && self.worms[mi].needs_vc(self.rules.final_vc, d) {
                         self.release_vc(e);
                     }
                 }
                 if delivered {
                     self.rdelivered[mi] += 1;
                     if self.rdelivered[mi] as usize == length {
-                        self.outcomes[mi].finished = Some(t + 1);
-                        self.last_finish = self.last_finish.max(t + 1);
-                        self.unfinished -= 1;
-                        self.record_done(m, t + 1, true);
-                        if self.tracing {
-                            self.trace.push(TraceEvent::Finish { t: t + 1, msg: m });
-                        }
+                        self.finish(m, t + 1);
                     }
                 }
                 worm_moved = true;
@@ -1828,45 +1262,61 @@ impl<'a> Sim<'a> {
         any_moved
     }
 
-    /// Releases one VC on `e`, returning per-router pool accounting and
-    /// notifying the event engine's wait queues when any worm is parked.
+    /// Releases one VC on `e` ([`VcLedger::release`]), recording it for
+    /// the event engine's wake pass when any worm is parked.
     #[inline]
     fn release_vc(&mut self, e: usize) {
-        let h = self.holders[e];
-        self.holders[e] = h - 1;
-        let r = self.edge_src[e] as usize;
-        self.pool_used[r] -= 1;
-        if self.pooled && h as u32 > self.per_edge_min {
-            self.shared_used[r] -= 1;
-        }
+        self.ledger.release(&self.rules, e);
         if self.track_releases {
             self.released.push(e as u32);
         }
     }
 
+    /// Delivery bookkeeping for message `m`, whose last flit arrived
+    /// during step `at − 1`.
+    fn finish(&mut self, m: u32, at: u64) {
+        self.outcomes[m as usize].finished = Some(at);
+        self.last_finish = self.last_finish.max(at);
+        self.unfinished -= 1;
+        self.record_done(m, at, true);
+        if self.tracing {
+            self.trace.push(TraceEvent::Finish { t: at, msg: m });
+        }
+    }
+
+    /// Advances winner `m` one flit step ([`Worm::advance`]) and applies
+    /// what it acquired and released to the ledger.
     pub(crate) fn apply_advance(&mut self, m: u32, t: u64) {
+        let mi = m as usize;
         // A pending worm that won its wanted edge extends its route
         // first, so the acquisition below sees the updated path/hops
         // (and the possibly-final edge under its final-edge policy).
-        if self.worms[m as usize].pending_route {
-            self.extend_route(m);
+        if self.worms[mi].pending_route {
+            let ad = self.adaptive.as_mut().expect("pending worm without state");
+            let sel = ad.selected[mi];
+            kernel::extend_route(
+                &mut self.worms[mi],
+                &mut ad.routes[mi],
+                &mut ad.budget[mi],
+                sel,
+                ad.router,
+                ad.dst[mi],
+                &mut ad.stats,
+            );
+            // A misroute taken after the first applied kill is a detour.
+            if self.next_kill > 0 && matches!(sel, SelectedHop::Adaptive { misroute: true, .. }) {
+                self.fault_detour_hops += 1;
+            }
         }
-        let (hops, length, width) = {
-            let w = &self.worms[m as usize];
-            (w.hops, w.length, w.crossing_width())
-        };
-        self.flit_hops += width as u64;
-        let out = &mut self.outcomes[m as usize];
+        let step = self.worms[mi].advance(self.rules.final_vc);
+        self.flit_hops += step.flit_hops;
+        let out = &mut self.outcomes[mi];
         if out.first_move.is_none() {
             out.first_move = Some(t);
         }
-        self.worms[m as usize].advance += 1;
-        let a = self.worms[m as usize].advance;
-        // Acquire the newly crossed edge.
-        if a <= hops && self.needs_vc(&self.worms[m as usize], a) {
-            let e = self.path_edge(m, a);
-            self.acquire_vc(e);
-            self.acquired.push(e as u32);
+        if let Some(j) = step.acquire {
+            let e = self.path_edge(m, j);
+            self.ledger.acquire(&self.rules, e);
             if self.tracing {
                 self.trace.push(TraceEvent::Acquire {
                     t,
@@ -1875,117 +1325,37 @@ impl<'a> Sim<'a> {
                 });
             }
         }
-        // Release the edge the tail just left.
-        if a > length {
-            let rel = a - length; // 1-based; always ≤ hops − 1 here
-            if self.needs_vc(&self.worms[m as usize], rel) {
-                let e = self.path_edge(m, rel);
-                self.release_vc(e);
-            }
+        for j in step.released {
+            let e = self.path_edge(m, j);
+            self.release_vc(e);
         }
-        if self.worms[m as usize].done() {
-            // The final edge's VC is released on completion.
-            if self.needs_vc(&self.worms[m as usize], hops) {
-                let e = self.path_edge(m, hops);
-                self.release_vc(e);
-            }
-            let out = &mut self.outcomes[m as usize];
-            out.finished = Some(t + 1);
-            self.last_finish = self.last_finish.max(t + 1);
-            self.unfinished -= 1;
-            self.record_done(m, t + 1, true);
-            if self.tracing {
-                self.trace.push(TraceEvent::Finish { t: t + 1, msg: m });
-            }
+        if step.finished {
+            self.finish(m, t + 1);
         }
     }
 
-    /// Batch-advances a draining worm (`advance ≥ hops`) from virtual time
-    /// `*t` to `min(stop, finish)`, in O(released edges) instead of one
-    /// call per step: drains acquire nothing and finish deterministically
-    /// at `advance = hops + L − 1`, so the per-step effects collapse to a
-    /// closed-form `flit_hops` sum, the tail's release sequence, and the
-    /// finish bookkeeping. Only called by the event engine in contexts
-    /// where no third party can observe the intermediate states (nothing
-    /// parked; co-advancing worms are drains too, and drains only ever
-    /// decrement holder counts, which commutes).
+    /// Batch-advances a draining worm from virtual time `*t` to
+    /// `min(stop, finish)` with [`Worm::drain`]'s closed form. Only
+    /// called by the event engine, in the contexts that method's docs
+    /// allow.
     pub(crate) fn fast_drain(&mut self, m: u32, t: &mut u64, stop: u64) {
-        let mi = m as usize;
-        let (hops, length, a0) = {
-            let w = &self.worms[mi];
-            (w.hops, w.length, w.advance)
-        };
-        debug_assert!(a0 >= hops && *t < stop);
-        let fin_a = hops + length - 1;
-        let k = ((fin_a - a0) as u64).min(stop - *t);
-        if k == 0 {
-            return; // already done
+        debug_assert!(*t < stop);
+        let d = self.worms[m as usize].drain(stop - *t, self.rules.final_vc);
+        self.flit_hops += d.flit_hops;
+        for j in d.released {
+            let e = self.path_edge(m, j);
+            self.release_vc(e);
         }
-        let a1 = a0 + k as u32;
-        // flit_hops: Σ width(a) for a ∈ (a0, a1]; width(a) = hops while
-        // a ≤ L (the tail is still injecting) and hops + L − a after.
-        {
-            let (d, l) = (hops as u64, length as u64);
-            let (a0, a1) = (a0 as u64, a1 as u64);
-            let flat_hi = a1.min(l);
-            if flat_hi > a0 {
-                self.flit_hops += d * (flat_hi - a0);
-            }
-            let s = a0.max(l) + 1;
-            if a1 >= s {
-                let (w_hi, w_lo) = (d + l - s, d + l - a1);
-                self.flit_hops += (w_hi + w_lo) * (a1 - s + 1) / 2;
-            }
+        *t += d.steps;
+        if d.finished {
+            self.finish(m, *t); // the finishing advance ran at step t − 1
         }
-        // The tail leaves edges (a0+1−L ..= a1−L) ∩ [1, hops−1].
-        if a1 > length {
-            let lo = (a0 + 1).saturating_sub(length).max(1);
-            for rel in lo..=a1 - length {
-                if self.needs_vc(&self.worms[mi], rel) {
-                    let e = self.path_edge(m, rel);
-                    self.release_vc(e);
-                }
-            }
-        }
-        self.worms[mi].advance = a1;
-        if a1 == fin_a {
-            if self.needs_vc(&self.worms[mi], hops) {
-                let e = self.path_edge(m, hops);
-                self.release_vc(e);
-            }
-            let fin_t = *t + k; // the finishing advance ran at step t+k−1
-            self.outcomes[mi].finished = Some(fin_t);
-            self.last_finish = self.last_finish.max(fin_t);
-            self.unfinished -= 1;
-            self.record_done(m, fin_t, true);
-        }
-        *t += k;
-    }
-
-    /// Folds this step's acquisitions into `max_vcs_in_use`.
-    ///
-    /// Holder counts are sampled at **end of step**: within a step, the
-    /// apply order of same-step acquires and releases on one edge is an
-    /// implementation detail (and differs between engines), whereas the
-    /// end-of-step count — and therefore the reported maximum — is
-    /// order-free and engine-identical.
-    pub(crate) fn settle_max_vcs(&mut self) {
-        for i in 0..self.acquired.len() {
-            let e = self.acquired[i] as usize;
-            self.max_vcs = self.max_vcs.max(self.holders[e]);
-            let r = self.edge_src[e] as usize;
-            self.max_pool = self.max_pool.max(self.pool_used[r]);
-        }
-        self.acquired.clear();
     }
 
     pub(crate) fn discard(&mut self, m: u32, t: u64, reason: DiscardReason) {
-        let (lo, hi) = self.worms[m as usize].held_range();
-        for j in lo..=hi {
-            if self.needs_vc(&self.worms[m as usize], j) {
-                let e = self.path_edge(m, j);
-                self.release_vc(e);
-            }
+        for j in self.worms[m as usize].held_vcs(self.rules.final_vc) {
+            let e = self.path_edge(m, j);
+            self.release_vc(e);
         }
         self.outcomes[m as usize].discarded = Some(reason);
         if reason == DiscardReason::LinkDown {
@@ -2016,16 +1386,12 @@ impl<'a> Sim<'a> {
         }
         let mut expect = vec![0u16; self.num_edges];
         for &m in &self.active {
-            let w = &self.worms[m as usize];
-            let (lo, hi) = w.held_range();
-            for j in lo..=hi {
-                if self.needs_vc(w, j) {
-                    expect[self.path_edge(m, j)] += 1;
-                }
+            for j in self.worms[m as usize].held_vcs(self.rules.final_vc) {
+                expect[self.path_edge(m, j)] += 1;
             }
         }
-        assert_eq!(expect, self.holders, "VC accounting mismatch");
-        self.validate_capacity();
+        assert_eq!(expect, self.ledger.holders, "VC accounting mismatch");
+        self.ledger.validate(&self.rules);
         // Flit conservation per worm: injected − delivered == in-network.
         for &m in &self.active {
             let w = &self.worms[m as usize];
@@ -2073,32 +1439,6 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Recomputes the per-router pool counters from the holder counts
-    /// and runs [`Sim::check_capacity`] on every edge — the shared
-    /// capacity/pool validation both bandwidth models end with.
-    fn validate_capacity(&self) {
-        let mut pool_expect = vec![0u32; self.pool_used.len()];
-        let mut shared_expect = vec![0u32; self.shared_used.len()];
-        for (e, &h) in self.holders.iter().enumerate() {
-            let r = self.edge_src[e] as usize;
-            pool_expect[r] += h as u32;
-            if self.pooled {
-                shared_expect[r] += (h as u32).saturating_sub(self.per_edge_min);
-            }
-        }
-        assert_eq!(
-            pool_expect, self.pool_used,
-            "router pool accounting mismatch"
-        );
-        assert_eq!(
-            shared_expect, self.shared_used,
-            "shared-portion accounting mismatch"
-        );
-        for e in 0..self.num_edges {
-            self.check_capacity(e);
-        }
-    }
-
     /// Invariant checks for the restricted (per-flit) model.
     fn validate_restricted(&self) {
         let mut expect = vec![0u16; self.num_edges];
@@ -2132,7 +1472,7 @@ impl<'a> Sim<'a> {
                 p => p - 1,
             };
             for j in tail_rel + 1..=head_acq {
-                if self.needs_vc(w, j) {
+                if w.needs_vc(self.rules.final_vc, j) {
                     expect[self.path_edge(m, j)] += 1;
                 }
             }
@@ -2149,13 +1489,17 @@ impl<'a> Sim<'a> {
                 "flit conservation violated for message {m}"
             );
         }
-        assert_eq!(expect, self.holders, "restricted VC accounting mismatch");
-        self.validate_capacity();
+        assert_eq!(
+            expect, self.ledger.holders,
+            "restricted VC accounting mismatch"
+        );
+        self.ledger.validate(&self.rules);
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Arbitration, FinalEdgePolicy};
     use crate::message::specs_from_paths;
     use wormhole_topology::graph::{GraphBuilder, NodeId};
     use wormhole_topology::path::{Path, PathSet};

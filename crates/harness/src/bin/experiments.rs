@@ -5,141 +5,16 @@
 //! experiments e1 e3          # selected experiments
 //! experiments --fast all     # reduced sweeps (CI-sized)
 //! experiments --threads 2 x13  # x13 with a single-entry worker ladder
-//! experiments bench-json     # time fast x2/x7/x9–x13 → BENCH_sim.json
 //! ```
+//!
+//! Timing lives in `crates/perfbench`, not here.
 
 use std::time::Instant;
 
-use wormhole_flitsim::config::Engine;
-use wormhole_harness::experiments::{
-    all_ids, run_by_id, x10_bounds, x11_closed_loop, x12_faults, x13_parallel, x2_open_loop,
-    x7_dateline, x9_dynamic_vcs,
-};
-
-/// Times the fast x2/x7/x9/x11/x12 families on both simulator engines and writes
-/// the wall-clock trajectory record (`BENCH_sim.json` unless a path is
-/// given). Committed once per perf-relevant PR so regressions have a
-/// baseline.
-fn bench_json(out_path: &str) {
-    let engines = [(Engine::EventDriven, "event"), (Engine::Legacy, "legacy")];
-    // (family, engine, wall_ms, speedup-vs-1-worker) — the speedup
-    // column only exists on parallel rows, so a 2t-slower-than-1t
-    // regression shows up as `"speedup": 0.xx` in the JSON diff
-    // instead of hiding in raw wall clocks.
-    let mut rows: Vec<(&str, &str, f64, Option<f64>)> = Vec::new();
-    for (engine, ename) in engines {
-        let t0 = Instant::now();
-        let points = x2_open_loop::sweep_points_with(true, engine);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(!points.is_empty());
-        eprintln!("[bench-json] x2 {ename}: {ms:.3} ms");
-        rows.push(("x2", ename, ms, None));
-
-        let t0 = Instant::now();
-        let tables = x7_dateline::run_with(true, engine);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(!tables.is_empty());
-        eprintln!("[bench-json] x7 {ename}: {ms:.3} ms");
-        rows.push(("x7", ename, ms, None));
-
-        let t0 = Instant::now();
-        let points = x9_dynamic_vcs::sweep_points_with(true, engine);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(!points.is_empty());
-        eprintln!("[bench-json] x9 {ename}: {ms:.3} ms");
-        rows.push(("x9", ename, ms, None));
-
-        // x11 exercises the pull-based source path on both arms: replay
-        // sources on the open sweep, reactive closed-loop sources (with
-        // the event engine's batched fast-forwards disabled) on the
-        // window sweep.
-        let t0 = Instant::now();
-        let points = x11_closed_loop::sweep_points_with(true, engine);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(!points.is_empty());
-        eprintln!("[bench-json] x11 {ename}: {ms:.3} ms");
-        rows.push(("x11", ename, ms, None));
-
-        // x12 times the fault machinery: the kill phase, severed-worm
-        // sweeps, and fault-filtered adaptive routing across the
-        // fault-rate × selection × VC-arm grid.
-        let t0 = Instant::now();
-        let points = x12_faults::sweep_points_with(true, engine);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(!points.is_empty());
-        eprintln!("[bench-json] x12 {ename}: {ms:.3} ms");
-        rows.push(("x12", ename, ms, None));
-    }
-
-    // x10 splits along a different axis than the simulator engines: the
-    // cross-validation sweep simulates (event engine), the frontier scan
-    // is pure bound computation — the "no-simulation" arm of the crate.
-    let t0 = Instant::now();
-    let points = x10_bounds::sweep_points(true);
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(!points.is_empty());
-    eprintln!("[bench-json] x10 sim: {ms:.3} ms");
-    rows.push(("x10", "sim", ms, None));
-
-    let t0 = Instant::now();
-    let points = x10_bounds::analytic_points(true);
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(!points.is_empty());
-    eprintln!("[bench-json] x10 analytic: {ms:.3} ms");
-    rows.push(("x10", "analytic", ms, None));
-
-    // x13 times the partitioned engine itself against its sequential
-    // baseline on the fast scaling sweep (which now includes the
-    // large-torus strong-scaling arm); the 4-worker row is the one CI
-    // smoke-runs. Each parallel row carries its speedup vs the
-    // 1-worker row.
-    let mut one_worker_ms = None;
-    for workers in [1u32, 2, 4] {
-        let t0 = Instant::now();
-        let points = x13_parallel::sweep_points_with(true, &[workers]);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(!points.is_empty());
-        let ename: &'static str = match workers {
-            1 => "parallel-1t",
-            2 => "parallel-2t",
-            _ => "parallel-4t",
-        };
-        if workers == 1 {
-            one_worker_ms = Some(ms);
-        }
-        let speedup = one_worker_ms.map(|t1| t1 / ms);
-        eprintln!("[bench-json] x13 {ename}: {ms:.3} ms");
-        rows.push(("x13", ename, ms, speedup));
-    }
-    let mut json = String::from("{\n  \"benchmark\": \"experiments bench-json\",\n  \"mode\": \"fast\",\n  \"unit\": \"wall_ms\",\n  \"families\": [\n");
-    for (i, (family, engine, ms, speedup)) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let speedup = speedup
-            .map(|s| format!(", \"speedup\": {s:.3}"))
-            .unwrap_or_default();
-        json.push_str(&format!(
-            "    {{ \"family\": \"{family}\", \"engine\": \"{engine}\", \"wall_ms\": {ms:.3}{speedup} }}{sep}\n"
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, json).expect("write bench json");
-    eprintln!("[bench-json] wrote {out_path}");
-}
+use wormhole_harness::experiments::{all_ids, run_by_id, x13_parallel};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-json") {
-        // bench-json always times the fast families; tolerate a stray
-        // --fast and never mistake a flag for the output path.
-        let out = args
-            .iter()
-            .skip(1)
-            .find(|a| !a.starts_with('-'))
-            .map(String::as_str)
-            .unwrap_or("BENCH_sim.json");
-        bench_json(out);
-        return;
-    }
     let fast = args.iter().any(|a| a == "--fast");
     // `--threads N` narrows x13's worker ladder to a single entry (the
     // CI smoke run uses `--threads 4`); other experiments ignore it.

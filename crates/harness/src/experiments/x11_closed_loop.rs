@@ -148,8 +148,8 @@ pub fn sweep_points(fast: bool) -> Vec<Point> {
     sweep_points_with(fast, Engine::EventDriven)
 }
 
-/// [`sweep_points`] on an explicit simulator engine — the differential /
-/// timing hook used by `experiments bench-json` and the tests.
+/// [`sweep_points`] on an explicit simulator engine — the differential
+/// hook used by the tests.
 pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
     let (warmup, measure) = params(fast);
     let rates: &[f64] = if fast {

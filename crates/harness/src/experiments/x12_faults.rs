@@ -167,8 +167,8 @@ pub fn sweep_points(fast: bool) -> Vec<Point> {
     sweep_points_with(fast, Engine::EventDriven)
 }
 
-/// [`sweep_points`] on an explicit simulator engine — the differential /
-/// timing hook used by `experiments bench-json` and the tests.
+/// [`sweep_points`] on an explicit simulator engine — the differential
+/// hook used by the tests.
 pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
     let (radix, dims, l, window) = params(fast);
     let mut jobs = Vec::new();

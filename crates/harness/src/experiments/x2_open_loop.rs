@@ -108,9 +108,9 @@ pub fn sweep_points(fast: bool) -> Vec<Point> {
     sweep_points_with(fast, Engine::EventDriven)
 }
 
-/// [`sweep_points`] on an explicit simulator engine — the differential /
-/// timing hook used by `experiments bench-json` and the benches (both
-/// engines are bit-identical; only their cost differs).
+/// [`sweep_points`] on an explicit simulator engine — the differential
+/// hook used by the tests (the engines are bit-identical; only their
+/// cost differs, which `crates/perfbench` measures).
 pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
     let (l, warmup, measure) = params(fast);
     let rates: &[f64] = if fast {

@@ -53,8 +53,8 @@ pub fn run(fast: bool) -> Vec<Table> {
     run_with(fast, Engine::EventDriven)
 }
 
-/// [`run`] on an explicit simulator engine — the timing hook used by
-/// `experiments bench-json` (results are engine-independent).
+/// [`run`] on an explicit simulator engine (results are
+/// engine-independent).
 pub fn run_with(fast: bool, engine: Engine) -> Vec<Table> {
     let l = 8u32;
     let mut tables = Vec::new();

@@ -109,8 +109,8 @@ pub fn sweep_points(fast: bool) -> Vec<Point> {
     sweep_points_with(fast, Engine::EventDriven)
 }
 
-/// [`sweep_points`] on an explicit simulator engine — the differential /
-/// timing hook used by `experiments bench-json` and the benches.
+/// [`sweep_points`] on an explicit simulator engine — the differential
+/// hook used by the tests.
 pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
     let (radix, dims, l, warmup, measure) = params(fast);
     let rates: &[f64] = if fast {

@@ -481,6 +481,85 @@ proptest! {
         );
     }
 
+    /// Release-time shift invariance — a metamorphic property that does
+    /// not lean on engine agreement (all three engines share one step
+    /// kernel, so a kernel bug is invisible to the differential matrix).
+    /// Under every arbitration policy that does not read the absolute
+    /// step (`Random` keys its RNG by it), moving every release and the
+    /// step cap `Δ` later moves every `finished` / `first_move` exactly
+    /// `Δ` later and changes nothing else: stalls, flit-hops, VC
+    /// occupancy maxima, the outcome. Chains and dateline tori, tight
+    /// caps included, each engine against itself.
+    #[test]
+    fn release_shift_moves_the_run_and_nothing_else(
+        c in 1u32..8,
+        d in 1u32..12,
+        l in 1u32..8,
+        b in 1u32..4,
+        arb in 0u32..3,
+        torus in proptest::bool::ANY,
+        cap_small in proptest::bool::ANY,
+        delta in 1u64..500,
+        seed in 0u64..1000,
+    ) {
+        let (g, specs): (Graph, Vec<MessageSpec>) = if torus {
+            let substrate =
+                Substrate::torus_with(4 + c % 4, 1 + d % 2, RoutingDiscipline::DatelineClasses);
+            let w = Workload::new(
+                substrate.clone(),
+                TrafficPattern::Tornado,
+                ArrivalProcess::bernoulli(0.2),
+                l,
+                seed,
+            );
+            (substrate.graph().clone(), w.generate(40))
+        } else {
+            let (g, ps) = wormhole_topology::random_nets::shared_chain_instance(c, d);
+            let specs = specs_from_paths(&ps, l)
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| (i as u64, s))
+                .map(|(i, s)| s.release_at((i * 3) % 11).with_priority(((seed + i) % 5) as u32))
+                .collect();
+            (g, specs)
+        };
+        prop_assume!(!specs.is_empty());
+        let shifted: Vec<MessageSpec> = specs
+            .iter()
+            .map(|s| s.clone().release_at(s.release + delta))
+            .collect();
+        let cap = if cap_small { (d + l + 4) as u64 } else { 5_000 };
+        let arbitration =
+            [Arbitration::FifoById, Arbitration::OldestFirst, Arbitration::PriorityRank];
+        let cfg = SimConfig::new(b)
+            .arbitration(arbitration[arb as usize])
+            .check_invariants(true);
+        for engine in [Engine::EventDriven, Engine::Legacy, Engine::Parallel { threads: 2 }] {
+            let base_cfg = cfg.clone().engine(engine).max_steps(cap);
+            let base = wormhole_run(&g, &specs, &base_cfg);
+            let late = wormhole_run(&g, &shifted, &base_cfg.max_steps(cap + delta));
+            // Everything the run reports, with its times moved by `by`.
+            let moved = |r: &SimResult, by: u64| {
+                let messages: Vec<_> = r
+                    .messages
+                    .iter()
+                    .map(|m| {
+                        let times = (m.finished.map(|t| t + by), m.first_move.map(|t| t + by));
+                        (times, m.stalls, m.discarded)
+                    })
+                    .collect();
+                let occupancy = (r.max_vcs_in_use, r.max_pool_in_use);
+                let totals = (r.total_steps + by, r.flit_hops, r.total_stalls);
+                (r.outcome.clone(), totals, occupancy, messages)
+            };
+            prop_assert!(
+                moved(&late, 0) == moved(&base, delta),
+                "{:?}: shifting releases by {} changed the run:\n base: {:?}\n late: {:?}",
+                engine, delta, base, late
+            );
+        }
+    }
+
     /// Discard policy: the messages that do deliver finish by the
     /// unblocked floor of the slowest one, and delivered + discarded
     /// partition the input.
