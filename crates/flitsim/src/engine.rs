@@ -4,14 +4,15 @@
 //! [`crate::wormhole`] but does per-step work proportional to the worms
 //! that can actually *do* something this step:
 //!
-//! * **Wait-queue wakeups** — a worm that loses arbitration parks on an
-//!   intrusive per-edge waiter list (`waiter_head` / `next_waiter`, both
-//!   flat arrays) and is reconsidered only when that edge releases a VC.
-//!   While parked it costs nothing; its stalls are settled arithmetically
-//!   on wakeup (`stalls += wake − park`), because a parked worm's edge
-//!   provably stays full for the whole interval (see the invariants in
-//!   the [`crate::wormhole`] module docs), so the legacy stepper would
-//!   have lost the same arbitration at every one of those steps.
+//! * **Wait-queue wakeups** — a worm that loses arbitration parks on the
+//!   [`WaitQueue`] under the wait key of every edge it could want next
+//!   (one for a frozen route; every candidate plus the escape hop for a
+//!   pending adaptive head) and is reconsidered only when one of them
+//!   releases a VC. While parked it costs nothing; its stalls are
+//!   settled arithmetically on wakeup (`stalls += wake − park`), because
+//!   those edges provably stay full for the whole interval (see the
+//!   [`crate::wormhole`] module docs), so the legacy stepper would have
+//!   lost the same arbitration at every one of those steps.
 //! * **Contention-free fast-forward** — when nothing is parked and the
 //!   runnable set provably cannot interact before the next release —
 //!   either every worm is draining into its delivery buffer (drains only
@@ -38,29 +39,18 @@
 
 use crate::config::BlockedPolicy;
 use crate::events::DeadlockReport;
+use crate::kernel::WaitQueue;
 use crate::stats::Outcome;
 use crate::wormhole::Sim;
 
-const NONE: u32 = u32::MAX;
-
 struct EventState {
-    /// Head of the waiter list per wait key (`NONE` = empty). The key is
-    /// the wanted **edge** under the static VC policy and the wanted
-    /// edge's **source router** under [`VcPolicy::RouterPooled`]
-    /// ([`crate::kernel::VcRules::wait_key`]): pooling lets a release on
-    /// any sibling edge return shared credit, so every waiter of the
-    /// router must be reconsidered — the pool-release wakeup rule.
-    ///
-    /// [`VcPolicy::RouterPooled`]: crate::config::VcPolicy::RouterPooled
-    waiter_head: Vec<u32>,
-    /// Next waiter per message (intrusive list through the parked set).
-    next_waiter: Vec<u32>,
-    /// Step at which each parked worm lost its arbitration.
-    parked_at: Vec<u64>,
-    parked: Vec<bool>,
+    /// Parked worms, by message id, under the
+    /// [`crate::kernel::VcRules::wait_key`]s of the edges they watch.
+    waiting: WaitQueue,
+    /// Wait-key scratch for [`Sim::wait_keys`].
+    keys: Vec<usize>,
     /// Released, unretired, unparked worms — the per-step working set.
     runnable: Vec<u32>,
-    n_parked: usize,
     /// Memoized "runnable paths are pairwise edge- and
     /// source-router-disjoint" verdict; invalidated whenever the
     /// runnable membership changes.
@@ -78,17 +68,7 @@ impl EventState {
     /// Released-and-unretired message count (the legacy `active` size).
     #[inline]
     fn n_active(&self) -> usize {
-        self.runnable.len() + self.n_parked
-    }
-
-    /// Grows the per-message arrays to cover `n` ids — admission lands
-    /// mid-run under a pull source, so the arrays track the sim's.
-    fn grow(&mut self, n: usize) {
-        if self.next_waiter.len() < n {
-            self.next_waiter.resize(n, NONE);
-            self.parked_at.resize(n, 0);
-            self.parked.resize(n, false);
-        }
+        self.runnable.len() + self.waiting.len()
     }
 }
 
@@ -96,12 +76,9 @@ impl EventState {
 /// step, deadlock report)` exactly as the legacy driver would.
 pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
     let mut st = EventState {
-        waiter_head: vec![NONE; sim.rules.num_wait_keys(sim.graph)],
-        next_waiter: Vec::new(),
-        parked_at: Vec::new(),
-        parked: Vec::new(),
+        waiting: WaitQueue::new(sim.rules.num_wait_keys(sim.graph)),
+        keys: Vec::new(),
         runnable: Vec::new(),
-        n_parked: 0,
         indep_cached: Some(true), // empty set is trivially disjoint
         edge_mark: vec![0; sim.num_edges],
         node_mark: vec![0; sim.graph.num_nodes()],
@@ -112,39 +89,42 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         // With worms in flight, the cap ends the run early — settling
         // parked stalls through the last simulated step, as the legacy
         // per-step counting would.
-        let idle = st.runnable.is_empty() && st.n_parked == 0;
+        let idle = st.n_active() == 0;
         if let Some(outcome) = sim.loop_head(&mut t, idle) {
             if !idle {
-                top_up_stalls(sim, &mut st, sim.config.max_steps.saturating_sub(1));
+                settle_parked(sim, &mut st, sim.config.max_steps.saturating_sub(1));
             }
             return (outcome, t, None);
         }
         // Kills scheduled at `t` take effect at the start of the step,
         // before admissions — exactly as in the legacy driver. A severed
-        // parked worm is discarded in place: unflag it (its waiter-list
-        // entry goes stale; the wake loops skip unflagged entries) and
-        // settle the stalls the legacy stepper counted through `t − 1`.
-        // The discards' VC releases then wake the affected wait keys so
-        // unblocked worms contend at `t` itself — a kill discard lands at
-        // step start, so its releases follow the release-at-`t−1` rule.
+        // parked worm is discarded in place: unpark it, settling the
+        // stalls the legacy stepper counted through `t − 1`. Every parked
+        // *pending* worm goes back to `runnable` the same way: the kill
+        // may have severed its escape continuation, which the legacy
+        // stepper dooms at this very step. The discards' VC releases then
+        // wake their wait keys so unblocked worms contend at `t` itself —
+        // they land at step start, like releases during `t − 1`.
         if sim.faulted() && sim.next_kill_time() <= t {
             sim.released.clear();
             sim.apply_kills(t);
-            if st.n_parked > 0 {
-                for mi in 0..st.parked.len() {
-                    if st.parked[mi] && sim.outcomes[mi].discarded.is_some() {
-                        st.parked[mi] = false;
-                        st.n_parked -= 1;
-                        sim.outcomes[mi].stalls += (t - 1) - st.parked_at[mi];
+            if !st.waiting.is_empty() {
+                for m in 0..sim.worms.len() as u32 {
+                    let mi = m as usize;
+                    let severed = sim.outcomes[mi].discarded.is_some();
+                    if st.waiting.is_parked(m) && (severed || sim.worms[mi].pending_route) {
+                        sim.outcomes[mi].stalls += (t - 1) - st.waiting.unpark(m);
+                        if !severed {
+                            st.runnable.push(m);
+                            st.indep_cached = None;
+                        }
                     }
                 }
                 for i in 0..sim.released.len() {
                     let key = sim.rules.wait_key(sim.released[i] as usize);
                     wake(sim, &mut st, key, t, t - 1);
                 }
-                if st.n_parked == 0 {
-                    sim.track_releases = false;
-                }
+                sim.track_releases = !st.waiting.is_empty();
             }
             let before = st.runnable.len();
             let outcomes = &sim.outcomes;
@@ -163,11 +143,10 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
                     st.runnable.push(m);
                 }
             }
-            st.grow(sim.specs.len());
             st.indep_cached = None;
         }
         if st.runnable.is_empty() {
-            if st.n_parked == 0 {
+            if st.waiting.is_empty() {
                 // Kills (or dead-on-arrival admissions) emptied the
                 // network; the next iteration's idle handling jumps to
                 // the next release or ends the run — the legacy stepper
@@ -175,7 +154,7 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
                 // field observes.
                 continue;
             }
-            // Every released worm is parked on a full edge; releases only
+            // Every released worm is parked on full edges; releases only
             // come from moves, so nothing will ever move again. This is
             // the same step at which the legacy stepper's no-movement test
             // fires (parking is impossible under Discard, so the policy is
@@ -196,7 +175,7 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         // (drains only return capacity, which commutes). Reactive
         // sources drop batching entirely: a delivery inside the batch
         // could spawn a release before the precomputed stop point.
-        if st.n_parked == 0
+        if st.waiting.is_empty()
             && !sim.reactive
             && (all_draining(sim, &st)
                 || (sim.adaptive.is_none() && !sim.rules.pooled && independent(sim, &mut st)))
@@ -209,7 +188,7 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
             return deadlock(sim, &mut st, t);
         }
         if sim.config.check_invariants {
-            validate(sim, &st);
+            validate(sim, &mut st);
         }
         t += 1;
     }
@@ -223,33 +202,28 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
     // Classify, arbitrate, advance the winners. Parked worms are exactly
     // the contenders of non-acquirable edges, so leaving them out changes
     // no arbitration outcome (such an edge blocks every contender
-    // regardless). Pending adaptive worms select their wanted hop inside
-    // classify — they are never parked, so they re-select here every step
-    // exactly like the legacy stepper. Doomed worms' discards release
-    // mid-step and wake waiters below.
+    // regardless). Runnable pending adaptive worms select their wanted
+    // hop inside classify, exactly like the legacy stepper. Doomed
+    // worms' discards release mid-step and wake waiters below.
     let progressed = sim.step_winners(t, &st.runnable);
     // Losers stall, then discard or park. Parking checks the *end-of-step*
     // acquirability: if this step's releases already freed capacity on
-    // the wanted edge, the worm stays runnable and re-contends at `t+1`,
-    // exactly as the legacy stepper would. *Pending* adaptive worms
-    // never park: their wanted edge is a fresh occupancy-dependent
-    // selection each step, so no single edge's release is the unique
-    // wake condition — they stay runnable and re-classify like the
-    // legacy stepper. A frozen-route adaptive worm (arrived or committed
-    // to its escape tail) wants the same fixed edge every step, exactly
-    // like an oblivious worm, so it parks normally — keyed by the edge
-    // (static) or its source router (pooled; see `VcRules::wait_key`).
+    // an edge the worm could want, it stays runnable and re-contends at
+    // `t+1`, exactly as the legacy stepper would. A frozen-route worm
+    // (oblivious, or adaptive once arrived or on its escape tail) wants
+    // one fixed edge and parks on its key (`VcRules::wait_key`). A
+    // *pending* adaptive worm re-selects every step, so it parks only
+    // once every candidate and the escape hop are full, on all their
+    // keys: the first release is the first step its choice can change.
     for i in 0..sim.blocked.len() {
         let m = sim.blocked[i];
         sim.outcomes[m as usize].stalls += 1;
         if sim.config.blocked == BlockedPolicy::Discard {
             sim.discard(m, t, crate::stats::DiscardReason::Delay);
-        } else if !sim.worms[m as usize].pending_route {
-            let e = sim.path_edge(m, sim.worms[m as usize].advance + 1);
-            if !sim.edge_acquirable(e) {
-                let key = sim.rules.wait_key(e);
-                park(sim, st, m, key, t);
-            }
+        } else if sim.wait_keys(m, &mut st.keys) {
+            st.waiting.park(m, &st.keys, t);
+            st.indep_cached = None;
+            sim.track_releases = true;
         }
     }
     // Wake the waiters of every wait key that released capacity this
@@ -266,26 +240,17 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
     let before = st.runnable.len();
     let worms = &sim.worms;
     let outcomes = &sim.outcomes;
-    let parked = &st.parked;
+    let waiting = &st.waiting;
     st.runnable.retain(|&m| {
-        !worms[m as usize].done() && outcomes[m as usize].discarded.is_none() && !parked[m as usize]
+        !worms[m as usize].done()
+            && outcomes[m as usize].discarded.is_none()
+            && !waiting.is_parked(m)
     });
     if st.runnable.len() != before {
         st.indep_cached = None;
     }
     sim.ledger.settle_max(&sim.rules);
     progressed
-}
-
-fn park(sim: &mut Sim, st: &mut EventState, m: u32, key: usize, t: u64) {
-    let mi = m as usize;
-    st.next_waiter[mi] = st.waiter_head[key];
-    st.waiter_head[key] = m;
-    st.parked[mi] = true;
-    st.parked_at[mi] = t;
-    st.n_parked += 1;
-    st.indep_cached = None;
-    sim.track_releases = true;
 }
 
 /// Unparks every waiter of wait key `key` (an edge, or a router under
@@ -295,50 +260,32 @@ fn park(sim: &mut Sim, st: &mut EventState, m: u32, key: usize, t: u64) {
 /// `t + 1`), `t − 1` from the kill hook at the start of step `t` (a kill
 /// discard's releases behave like releases during `t − 1`). A worm
 /// parked earlier this same step is still in `runnable` and is only
-/// unflagged — which never happens at step start, where every parked
-/// worm parked at an earlier step. Repeated calls for one key in one
-/// step are cheap no-ops (the list is taken).
+/// unparked (never at step start: every parked worm parked earlier).
 fn wake(sim: &mut Sim, st: &mut EventState, key: usize, t: u64, settle_through: u64) {
-    let mut m = st.waiter_head[key];
-    st.waiter_head[key] = NONE;
-    while m != NONE {
-        let mi = m as usize;
-        let next = std::mem::replace(&mut st.next_waiter[mi], NONE);
-        // An unflagged entry is stale: the worm was discarded by a fault
-        // kill while parked (unlinked lazily — see the kill hook in
-        // `drive`). Skip it; its stalls were settled at discard time.
-        if st.parked[mi] {
-            st.parked[mi] = false;
-            st.n_parked -= 1;
-            sim.outcomes[mi].stalls += settle_through - st.parked_at[mi];
-            if st.parked_at[mi] < t {
-                st.runnable.push(m);
-            }
-            st.indep_cached = None;
+    let before = st.waiting.len();
+    st.waiting.wake(key, |m, parked_at| {
+        sim.outcomes[m as usize].stalls += settle_through - parked_at;
+        if parked_at < t {
+            st.runnable.push(m);
         }
-        m = next;
-    }
-    if st.n_parked == 0 {
-        sim.track_releases = false;
+    });
+    if st.waiting.len() != before {
+        st.indep_cached = None;
+        sim.track_releases = !st.waiting.is_empty();
     }
 }
 
-/// Settles the per-step stalls the legacy stepper would have counted for
-/// every still-parked worm through step `through`.
-fn top_up_stalls(sim: &mut Sim, st: &mut EventState, through: u64) {
-    if st.n_parked == 0 {
-        return;
-    }
-    for m in 0..st.parked.len() {
-        if st.parked[m] {
-            sim.outcomes[m].stalls += through - st.parked_at[m];
-        }
-    }
+/// The run is over: settles the per-step stalls the legacy stepper would
+/// have counted for every still-parked worm through step `through`.
+fn settle_parked(sim: &mut Sim, st: &mut EventState, through: u64) {
+    st.waiting.settle_all(through, |m, skipped| {
+        sim.outcomes[m as usize].stalls += skipped
+    });
 }
 
 fn deadlock(sim: &mut Sim, st: &mut EventState, t: u64) -> (Outcome, u64, Option<DeadlockReport>) {
     // Legacy counted a stall for every blocked worm during step `t`.
-    top_up_stalls(sim, st, t);
+    settle_parked(sim, st, t);
     sim.rebuild_active();
     let report = sim.build_deadlock_report();
     (Outcome::Deadlock(sim.active.clone()), t, Some(report))
@@ -442,26 +389,28 @@ fn ff_batch(sim: &mut Sim, st: &mut EventState, t: &mut u64) -> bool {
 }
 
 /// Full state validation (shared invariants plus the engine's own): the
-/// wait queues must partition the active set with `runnable`, and every
-/// parked worm's wanted edge must be non-acquirable (full, or starved of
-/// shared pool credit) — the property that makes arithmetic stall
-/// accounting exact.
-fn validate(sim: &mut Sim, st: &EventState) {
+/// wait queue must partition the active set with `runnable`, and every
+/// edge a parked worm watches must be non-acquirable (full, or starved
+/// of shared pool credit) — what makes arithmetic stall accounting exact
+/// — with the queue's live entries exactly those watch sets.
+fn validate(sim: &mut Sim, st: &mut EventState) {
     sim.rebuild_active();
     sim.validate();
-    let mut n = 0;
-    for m in 0..st.parked.len() {
-        if st.parked[m] {
-            n += 1;
-            let w = &sim.worms[m];
-            let e = sim.path_edge(m as u32, w.advance + 1);
+    let mut expect = Vec::new();
+    for m in 0..sim.worms.len() as u32 {
+        if st.waiting.is_parked(m) {
             assert!(
-                !sim.edge_acquirable(e),
-                "parked worm {m} waits on an acquirable edge"
+                sim.wait_keys(m, &mut st.keys),
+                "parked worm {m} watches an acquirable edge"
             );
+            expect.extend(st.keys.iter().map(|&key| (m, key)));
         }
     }
-    assert_eq!(n, st.n_parked, "parked count out of sync");
+    assert_eq!(
+        expect,
+        st.waiting.parked_keys(),
+        "wait queue out of sync with the parked worms' watch sets"
+    );
     assert_eq!(
         st.n_active(),
         sim.active.len(),

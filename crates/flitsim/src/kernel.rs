@@ -12,6 +12,8 @@
 //!   accounting, park/wake keying, capacity checks, the end-of-step
 //!   occupancy maxima, and per-edge arbitration including the pooled
 //!   ascending-edge-id shared-credit grants;
+//! * the **wait queue** ([`WaitQueue`]) — where the event engine and each
+//!   region park blocked worms, on one key or a whole candidate set;
 //! * **worm kinematics** ([`Worm`]) — the rigid-worm advance count, what
 //!   one advance acquires and releases, and the closed-form drain;
 //! * **routing and ordering** — adaptive hop selection and route
@@ -554,6 +556,172 @@ impl VcLedger {
     }
 }
 
+/// No node — the chain and free-list terminator of a [`WaitQueue`].
+const NONE: u32 = u32::MAX;
+
+/// One entry on a wait key's chain.
+struct WaitNode {
+    handle: u32,
+    /// The low half of the handle's stamp when it parked; the node is
+    /// live while the handle's current stamp still matches it. (Half a
+    /// stamp keeps the node at 12 bytes; an alias needs the same handle
+    /// to re-park exactly 2³¹ steps later on a chain not taken since,
+    /// and costs one early — conservative, hence harmless — wake.)
+    ticket: u32,
+    /// Next node on the same key's chain (or on the free list).
+    next: u32,
+}
+
+/// The park/wake queue both event-style drivers keep their blocked worms
+/// on. A worm that lost arbitration and whose whole *watch set* — the one
+/// edge a frozen route wants next, or every candidate plus the escape
+/// hop of a pending adaptive head ([`pending_wait_keys`]) — is still
+/// non-acquirable at end of step parks on the [`VcRules::wait_key`] of
+/// each of those edges and is woken by the first release on any of them.
+/// Acquirability is monotone between releases on a key
+/// ([`VcLedger::free_vcs`]), so until then the legacy stepper would have
+/// lost the same arbitration every step: the skipped stalls settle
+/// arithmetically from the park step this queue records.
+///
+/// Handles are the caller's (message ids for `Sim`, parked-slab slots for
+/// a parallel region). Per key the queue holds a newest-first chain of
+/// `(handle, ticket)` nodes in an arena. The ticket is the handle's
+/// stamp, which changes on every park and unpark, so the nodes a
+/// multi-key park left on its other keys go stale the moment one key
+/// wakes it. Stale nodes are skipped and reclaimed when their chain is
+/// next taken.
+pub(crate) struct WaitQueue {
+    /// First node of each wait key's chain.
+    heads: Vec<u32>,
+    nodes: Vec<WaitNode>,
+    /// Free-node list, threaded through [`WaitNode::next`].
+    free: u32,
+    /// Per handle: `2t + 1` while parked since step `t` (its stall for
+    /// that step is already counted), `2t + 2` once unparked again.
+    stamps: Vec<u64>,
+    n_parked: usize,
+}
+
+impl WaitQueue {
+    pub(crate) fn new(num_keys: usize) -> Self {
+        Self {
+            heads: vec![NONE; num_keys],
+            nodes: Vec::new(),
+            free: NONE,
+            stamps: Vec::new(),
+            n_parked: 0,
+        }
+    }
+
+    /// How many handles are parked.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.n_parked
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.n_parked == 0
+    }
+
+    #[inline]
+    pub(crate) fn is_parked(&self, handle: u32) -> bool {
+        self.stamps
+            .get(handle as usize)
+            .is_some_and(|&stamp| stamp & 1 == 1)
+    }
+
+    /// Parks `handle`, blocked at step `t`, on every key of `keys`. A
+    /// handle parks at most once per step — `t` is past its previous
+    /// park step — which is what keeps stamps unique.
+    pub(crate) fn park(&mut self, handle: u32, keys: &[usize], t: u64) {
+        let (h, stamp) = (handle as usize, 2 * t + 1);
+        if self.stamps.len() <= h {
+            self.stamps.resize(h + 1, 0);
+        }
+        debug_assert!(!keys.is_empty() && self.stamps[h] & 1 == 0 && self.stamps[h] < stamp);
+        self.stamps[h] = stamp;
+        self.n_parked += 1;
+        for &key in keys {
+            let node = WaitNode {
+                handle,
+                ticket: stamp as u32,
+                next: self.heads[key],
+            };
+            self.heads[key] = if self.free == NONE {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                let slot = self.free;
+                self.free = std::mem::replace(&mut self.nodes[slot as usize], node).next;
+                slot
+            };
+        }
+    }
+
+    /// Unparks `handle` without a release on any of its keys (a fault
+    /// kill discarded it, or changed what it may select) and returns the
+    /// step it parked at. Its nodes go stale.
+    pub(crate) fn unpark(&mut self, handle: u32) -> u64 {
+        debug_assert!(self.is_parked(handle));
+        let stamp = &mut self.stamps[handle as usize];
+        let parked_at = *stamp / 2;
+        *stamp += 1;
+        self.n_parked -= 1;
+        parked_at
+    }
+
+    /// Takes `key`'s chain and unparks every handle still parked on it,
+    /// newest park first, passing each with the step it parked at.
+    /// Repeated calls for one key are cheap no-ops (the chain is taken).
+    pub(crate) fn wake(&mut self, key: usize, mut woken: impl FnMut(u32, u64)) {
+        let mut n = std::mem::replace(&mut self.heads[key], NONE);
+        while n != NONE {
+            let node = &mut self.nodes[n as usize];
+            let (handle, ticket) = (node.handle, node.ticket);
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = n;
+            if self.stamps[handle as usize] as u32 == ticket {
+                woken(handle, self.unpark(handle));
+            }
+            n = next;
+        }
+    }
+
+    /// Empties the queue because the run is ending (deadlock or step
+    /// cap), passing each parked handle, in ascending order, with the
+    /// stalls the legacy stepper counted for it after its park step
+    /// through step `through`.
+    pub(crate) fn settle_all(&mut self, through: u64, mut settled: impl FnMut(u32, u64)) {
+        for h in 0..self.stamps.len() as u32 {
+            if self.is_parked(h) {
+                settled(h, through - self.unpark(h));
+            }
+        }
+        self.heads.fill(NONE);
+        self.nodes.clear();
+        self.free = NONE;
+    }
+
+    /// Every live `(handle, key)` pair, sorted — what the invariant
+    /// checks compare against the watch sets recomputed from scratch.
+    pub(crate) fn parked_keys(&self) -> Vec<(u32, usize)> {
+        let mut live = Vec::new();
+        for (key, &head) in self.heads.iter().enumerate() {
+            let mut n = head;
+            while n != NONE {
+                let node = &self.nodes[n as usize];
+                if self.stamps[node.handle as usize] as u32 == node.ticket {
+                    live.push((node.handle, key));
+                }
+                n = node.next;
+            }
+        }
+        live.sort_unstable();
+        live
+    }
+}
+
 /// Seeds the stateless per-arbitration RNG for `(seed, t, e)`.
 ///
 /// [`Arbitration::Random`] draws from a counter-based stream keyed by the
@@ -817,6 +985,48 @@ pub(crate) fn select_hop(
     }
 }
 
+/// Whether a pending worm with its header at `head`, blocked this step,
+/// can park: its whole watch set — every edge
+/// [`AdaptiveRouter::candidates`] offers plus the escape hop — is
+/// non-acquirable now that the step's releases have landed. If so, fills
+/// `keys` with the set's distinct [`VcRules::wait_key`]s and returns the
+/// escape hop: until a release lands on one of them [`select_hop`] keeps
+/// answering `Escape` with that hop (the router is pure, `misroutes_ok`
+/// only changes when the worm moves) and the hop keeps granting nothing,
+/// so the caller pins the selection to it. `None` — stay runnable — when
+/// a watched edge is acquirable (a u-turn [`select_hop`] would skip
+/// included, conservatively) or the escape hop lands on `dst` VC-free
+/// (`!final_vc`) and so moves unconditionally next step.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pending_wait_keys(
+    router: &dyn AdaptiveRouter,
+    rules: &VcRules,
+    ledger: &VcLedger,
+    head: NodeId,
+    dst: NodeId,
+    misroutes_ok: bool,
+    cand: &mut Vec<(EdgeId, bool)>,
+    keys: &mut Vec<usize>,
+) -> Option<EdgeId> {
+    let full = |e: EdgeId| ledger.free_vcs(rules, e.idx()) == 0;
+    cand.clear();
+    router.candidates(head, dst, misroutes_ok, cand);
+    if !cand.iter().all(|&(e, _)| full(e)) {
+        return None;
+    }
+    let escape = router.escape_hop(head, dst);
+    let takes_vc = rules.final_vc || router.graph().dst(escape) != dst;
+    if !(takes_vc && full(escape)) {
+        return None;
+    }
+    keys.clear();
+    let watched = cand.iter().map(|&(e, _)| e).chain([escape]);
+    keys.extend(watched.map(|e| rules.wait_key(e.idx())));
+    keys.sort_unstable();
+    keys.dedup();
+    Some(escape)
+}
+
 /// Commits a pending worm's `selected` hop just before it advances: one
 /// adaptive edge (spending misroute `budget` where flagged), or the
 /// whole escape tail — after which the route is frozen and the worm is
@@ -951,6 +1161,185 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Wakes `key` and collects what woke, in order.
+    fn woken(q: &mut WaitQueue, key: usize) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        q.wake(key, |h, at| out.push((h, at)));
+        out
+    }
+
+    #[test]
+    fn wait_queue_matches_a_naive_model_under_random_ops() {
+        const HANDLES: u32 = 12;
+        const KEYS: usize = 6;
+        let mut rng = StdRng::seed_from_u64(0x9A2C);
+        let mut q = WaitQueue::new(KEYS);
+        // The model: `(handle, keys, parked_at)` in park order, plus how
+        // many nodes (live or stale) each key's chain holds.
+        let mut model: Vec<(u32, Vec<usize>, u64)> = Vec::new();
+        let mut chain_len = [0usize; KEYS];
+        let (mut high_water, mut multi_key_wakes, mut settles) = (0, 0, 0);
+        for t in 0..6_000u64 {
+            match rng.random_range(0..10u32) {
+                0..=4 => {
+                    let h = rng.random_range(0..HANDLES);
+                    if model.iter().any(|p| p.0 == h) {
+                        continue;
+                    }
+                    // 1–3 keys, repeats allowed: a repeated key must not
+                    // wake the handle twice.
+                    let keys: Vec<usize> = (0..rng.random_range(1..4u32))
+                        .map(|_| rng.random_range(0..KEYS))
+                        .collect();
+                    q.park(h, &keys, t);
+                    for &k in &keys {
+                        chain_len[k] += 1;
+                    }
+                    model.push((h, keys, t));
+                }
+                5..=7 => {
+                    let key = rng.random_range(0..KEYS);
+                    let expect: Vec<(u32, u64)> = model
+                        .iter()
+                        .rev()
+                        .filter(|p| p.1.contains(&key))
+                        .map(|p| (p.0, p.2))
+                        .collect();
+                    multi_key_wakes += model
+                        .iter()
+                        .filter(|p| p.1.contains(&key) && p.1.len() > 1)
+                        .count();
+                    model.retain(|p| !p.1.contains(&key));
+                    chain_len[key] = 0;
+                    assert_eq!(woken(&mut q, key), expect, "wake({key}) at op {t}");
+                    assert_eq!(woken(&mut q, key), [], "the chain was taken");
+                }
+                8 => {
+                    if let Some(i) = (!model.is_empty()).then(|| rng.random_range(0..model.len())) {
+                        let (h, _, at) = model.remove(i);
+                        assert_eq!(q.unpark(h), at);
+                    }
+                }
+                _ if rng.random_bool(0.1) => {
+                    let mut expect: Vec<(u32, u64)> =
+                        model.drain(..).map(|p| (p.0, t - p.2)).collect();
+                    expect.sort_unstable();
+                    let mut got = Vec::new();
+                    q.settle_all(t, |h, skipped| got.push((h, skipped)));
+                    assert_eq!(got, expect, "settle_all at op {t}");
+                    chain_len = [0; KEYS];
+                    settles += 1;
+                }
+                _ => {}
+            }
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.is_empty(), model.is_empty());
+            for h in 0..HANDLES + 2 {
+                assert_eq!(q.is_parked(h), model.iter().any(|p| p.0 == h));
+            }
+            let mut expect: Vec<(u32, usize)> = model
+                .iter()
+                .flat_map(|p| p.1.iter().map(|&k| (p.0, k)))
+                .collect();
+            expect.sort_unstable();
+            expect.dedup();
+            let mut live = q.parked_keys();
+            live.dedup();
+            assert_eq!(live, expect);
+            // Arena slots are reused: the nodes in use are exactly the
+            // chains' (live parks plus not-yet-taken stale nodes), and
+            // the arena never outgrew their high-water mark.
+            let in_chains: usize = chain_len.iter().sum();
+            let mut free = 0;
+            let mut n = q.free;
+            while n != NONE {
+                free += 1;
+                n = q.nodes[n as usize].next;
+            }
+            assert_eq!(q.nodes.len() - free, in_chains);
+            high_water = high_water.max(in_chains);
+            assert!(q.nodes.len() <= high_water);
+        }
+        assert!(
+            multi_key_wakes > 200 && settles > 5,
+            "{multi_key_wakes} multi-key wakes, {settles} settles"
+        );
+    }
+
+    #[test]
+    fn a_multi_key_park_wakes_once_and_its_stale_nodes_wake_no_later_park() {
+        let mut q = WaitQueue::new(5);
+        q.park(7, &[1, 2, 3], 5);
+        assert_eq!(woken(&mut q, 2), [(7, 5)], "the first release wakes it");
+        assert!(!q.is_parked(7));
+        // Re-parked elsewhere: the stale nodes on keys 1 and 3 are not
+        // the new park's.
+        q.park(7, &[4], 9);
+        assert_eq!(woken(&mut q, 1), []);
+        assert_eq!(woken(&mut q, 3), []);
+        assert!(q.is_parked(7));
+        assert_eq!(woken(&mut q, 4), [(7, 9)]);
+        // Re-parked on a key that still carries one of its stale nodes:
+        // the chain holds both, and only the live one wakes it.
+        q.park(7, &[0, 1], 11);
+        assert_eq!(woken(&mut q, 0), [(7, 11)]);
+        q.park(7, &[1], 13);
+        assert_eq!(woken(&mut q, 1), [(7, 13)]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn one_key_parking_wakes_in_the_old_intrusive_list_order() {
+        // The per-key intrusive list the event engine used to keep
+        // (`waiter_head` / `next_waiter` through the parked set, stale
+        // entries of kill-discarded worms skipped by flag): wake order
+        // feeds `runnable` order, so the one-key case must reproduce it.
+        const HANDLES: usize = 16;
+        const KEYS: usize = 4;
+        let mut head = [NONE; KEYS];
+        let mut next = [NONE; HANDLES];
+        let mut parked = [false; HANDLES];
+        let mut parked_at = [0u64; HANDLES];
+        // The old list could not re-park a handle whose stale entry was
+        // still linked (one `next` per handle), and never had to: only
+        // discarded worms went stale.
+        let mut linked = [false; HANDLES];
+        let mut q = WaitQueue::new(KEYS);
+        let mut rng = StdRng::seed_from_u64(0x01D);
+        let mut wakes = 0;
+        for t in 0..4_000u64 {
+            let h = rng.random_range(0..HANDLES);
+            let key = rng.random_range(0..KEYS);
+            match rng.random_range(0..8u32) {
+                0..=3 if !linked[h] => {
+                    next[h] = std::mem::replace(&mut head[key], h as u32);
+                    (parked[h], linked[h], parked_at[h]) = (true, true, t);
+                    q.park(h as u32, &[key], t);
+                }
+                4..=6 => {
+                    let mut expect = Vec::new();
+                    let mut m = std::mem::replace(&mut head[key], NONE);
+                    while m != NONE {
+                        let mi = m as usize;
+                        linked[mi] = false;
+                        if std::mem::take(&mut parked[mi]) {
+                            expect.push((m, parked_at[mi]));
+                        }
+                        m = std::mem::replace(&mut next[mi], NONE);
+                    }
+                    wakes += expect.len();
+                    assert_eq!(woken(&mut q, key), expect, "wake({key}) at op {t}");
+                }
+                7 if parked[h] => {
+                    parked[h] = false;
+                    assert_eq!(q.unpark(h as u32), parked_at[h]);
+                }
+                _ => {}
+            }
+        }
+        assert!(wakes > 500, "{wakes} wakes");
     }
 
     /// Three routers, fanouts 3 / 2 / 1 (edges 0–2 leave router 0, 3–4

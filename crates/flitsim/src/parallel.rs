@@ -51,14 +51,16 @@
 //!
 //! Because regions are mutually invisible inside a window, the
 //! sequential engines' accelerations apply verbatim *per region*.
-//! Each region keeps a **per-region event queue**: a worm that loses
-//! arbitration under [`BlockedPolicy::Stall`] and whose wanted edge is
-//! still full at the end of the step *parks* on that edge's wait key
-//! (the edge itself, or the source router under pooling — the event
-//! engine's parking discipline, applied region-locally). A parked worm
-//! is skipped by the step loop — its edge provably stays full until a
-//! release on its key, so skipping is behavior-free — and its stall
-//! counts settle arithmetically at wake (`t − parked_at`), making the
+//! Each region keeps a **per-region event queue** (the event engine's
+//! [`WaitQueue`]): a worm that loses arbitration under
+//! [`BlockedPolicy::Stall`] and whose watch set — the next edge of a
+//! frozen route, or every candidate plus the escape hop of a pending
+//! head, all out-edges of the head node and hence region-owned — is
+//! still full at the end of the step *parks* on those edges' wait keys
+//! (the edge, or the source router under pooling). A parked worm is
+//! skipped by the step loop — its edges provably stay full until a
+//! release on one of its keys, so skipping is behavior-free — and its
+//! stalls settle arithmetically at wake (`t − parked_at`), making the
 //! per-step cost proportional to movers and wakeups, not residents.
 //! When every runnable resident is draining and the queue is empty,
 //! the region batch-advances them with [`Worm::drain`]'s closed-form
@@ -110,7 +112,8 @@ use wormhole_topology::region::RegionPlan;
 use crate::config::{BlockedPolicy, RouteSelection, SimConfig};
 use crate::events::DeadlockReport;
 use crate::kernel::{
-    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, Worm,
+    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, WaitQueue,
+    Worm,
 };
 use crate::stats::{DiscardReason, MessageOutcome, Outcome};
 use crate::wormhole::Sim;
@@ -200,8 +203,8 @@ struct RWorm {
     out: MessageOutcome,
     /// Retired (finished or discarded) this step; dropped by the sweep.
     gone: bool,
-    /// Blocked on a provably full edge this step; the sweep moves it to
-    /// the region's wait queue instead of the runnable list.
+    /// Lost arbitration this step under [`BlockedPolicy::Stall`]; the
+    /// sweep parks it if its watch set is still full ([`Region::wait_keys`]).
     park: bool,
     /// Cached "[`worm_bound`] is `u64::MAX`": set by the coordinator at
     /// admission/handoff for a non-pending worm whose held and future
@@ -264,21 +267,6 @@ fn worm_bound(ctx: &Ctx, rw: &RWorm, home: u32) -> u64 {
     u64::MAX
 }
 
-/// No waiter — the wait-queue chain terminator.
-const NONE: u32 = u32::MAX;
-
-/// A slab entry in a region's wait queue: a parked worm plus the
-/// intrusive chain link. `rw == None` marks a free slot.
-struct ParkSlot {
-    rw: Option<RWorm>,
-    /// The step the worm parked at (its stall for that step is already
-    /// counted); a wake at `t` settles the skipped steps arithmetically
-    /// as `t - parked_at`.
-    parked_at: u64,
-    /// Next slot waiting on the same key, or [`NONE`].
-    next: u32,
-}
-
 /// A completed or discarded worm, handed to the coordinator.
 struct Retired {
     id: u32,
@@ -317,21 +305,18 @@ struct Region {
     handoffs: Vec<(u32, RWorm)>,
     /// Outbox: worms that finished or were discarded this window.
     retired: Vec<Retired>,
-    /// The per-region event queue: worms blocked on a full edge under
-    /// [`BlockedPolicy::Stall`] park here (slab + per-key intrusive
-    /// chains) instead of re-contending every step, exactly as in the
-    /// sequential event engine — a parked worm's edge stays full until
-    /// a release on its wait key, so skipping it is behavior-free and
-    /// the per-step cost drops from all residents to movers + wakeups.
-    park_slab: Vec<ParkSlot>,
-    /// Free slots in `park_slab`.
+    /// The per-region event queue: worms blocked on full edges under
+    /// [`BlockedPolicy::Stall`] park here instead of re-contending
+    /// every step, exactly as in the sequential event engine. Handles
+    /// are `parked` slots; keys are global edge (static) or router
+    /// (pooled) ids, always region-owned.
+    waiting: WaitQueue,
+    /// The parked worms, by wait-queue handle (`None` = free slot).
+    parked: Vec<Option<RWorm>>,
+    /// Free slots in `parked`.
     free_slots: Vec<u32>,
-    /// Head slot of each wait key's chain ([`NONE`] = no waiters).
-    /// Keyed by global edge id (static) or router id (pooled); blocked
-    /// worms only ever wait on region-owned keys.
-    waiter_head: Vec<u32>,
-    /// Live entries in `park_slab`.
-    n_parked: usize,
+    /// Wait-key scratch for [`Self::wait_keys`].
+    keys: Vec<usize>,
     /// Wait keys released since the last wake pass.
     released_keys: Vec<u32>,
     /// Running minimum [`worm_bound`] over the parked population
@@ -370,10 +355,10 @@ impl Region {
             remote_releases: Vec::new(),
             handoffs: Vec::new(),
             retired: Vec::new(),
-            park_slab: Vec::new(),
+            waiting: WaitQueue::new(ctx.rules.num_wait_keys(ctx.graph)),
+            parked: Vec::new(),
             free_slots: Vec::new(),
-            waiter_head: vec![NONE; ctx.rules.num_wait_keys(ctx.graph)],
-            n_parked: 0,
+            keys: Vec::new(),
             released_keys: Vec::new(),
             parked_safe: u64::MAX,
             moved: false,
@@ -433,69 +418,77 @@ impl Region {
     /// active for termination.
     #[inline]
     fn has_residents(&self) -> bool {
-        !self.worms.is_empty() || self.n_parked > 0
+        !self.worms.is_empty() || !self.waiting.is_empty()
     }
 
-    /// Moves `rw`, blocked at step `t` on its (provably full) wanted
-    /// edge, onto the wait queue. Its stall for step `t` is already
-    /// counted; the skipped steps settle arithmetically at wake.
-    fn park_worm(&mut self, ctx: &Ctx, mut rw: RWorm, t: u64) {
-        rw.park = false;
+    /// Whether `rw`, blocked this step, can park: every edge it could
+    /// want next is still full now that the step's moves and releases
+    /// have landed. If so, fills `keys` with the wait keys to park on —
+    /// a frozen route's next edge's, or a pending head's whole watch
+    /// set's ([`kernel::pending_wait_keys`]), pinning its selection.
+    fn wait_keys(&mut self, ctx: &Ctx, rw: &mut RWorm) -> bool {
+        if !rw.worm.pending_route {
+            let e = rw.path[rw.worm.advance as usize].idx();
+            self.keys.clear();
+            self.keys.push(ctx.rules.wait_key(e));
+            return self.ledger.free_vcs(&ctx.rules, e) == 0;
+        }
+        let (head, _) = kernel::header_at(ctx.graph, rw.src, &rw.path);
+        let escape = kernel::pending_wait_keys(
+            ctx.router.expect("pending worm without a router"),
+            &ctx.rules,
+            &self.ledger,
+            head,
+            rw.dst,
+            ctx.fully && rw.budget > 0,
+            &mut self.cand,
+            &mut self.keys,
+        );
+        escape.is_some_and(|edge| {
+            rw.selected = SelectedHop::Escape { edge: edge.0 };
+            true
+        })
+    }
+
+    /// Moves `rw`, blocked at step `t` with its watch set provably
+    /// full, onto the wait queue under `keys`. Its stall for step `t` is
+    /// already counted; the skipped steps settle arithmetically at wake.
+    fn park_worm(&mut self, ctx: &Ctx, rw: RWorm, t: u64) {
         if !rw.local_path {
             self.parked_safe = self.parked_safe.min(worm_bound(ctx, &rw, self.idx));
         }
-        let key = ctx.rules.wait_key(rw.path[rw.worm.advance as usize].idx());
-        let next = self.waiter_head[key];
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.park_slab[s as usize] = ParkSlot {
-                    rw: Some(rw),
-                    parked_at: t,
-                    next,
-                };
-                s
-            }
-            None => {
-                self.park_slab.push(ParkSlot {
-                    rw: Some(rw),
-                    parked_at: t,
-                    next,
-                });
-                (self.park_slab.len() - 1) as u32
-            }
-        };
-        self.waiter_head[key] = slot;
-        self.n_parked += 1;
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.parked.push(None);
+            (self.parked.len() - 1) as u32
+        });
+        self.parked[slot as usize] = Some(rw);
+        self.waiting.park(slot, &self.keys, t);
     }
 
     /// Wakes every waiter of every key released during step `t` (or,
     /// on the coordinator's call in one-step windows, released by a
     /// remote worm during that window's step). A woken worm's skipped
     /// stalls settle as `t - parked_at` — it was provably blocked at
-    /// every one of those steps, its edge being full throughout — and
-    /// it re-contends at `t + 1`, exactly when the release becomes
+    /// every one of those steps, its watch set being full throughout —
+    /// and it re-contends at `t + 1`, exactly when the release becomes
     /// visible sequentially. Waking is conservative: a still-blocked
     /// worm re-parks after its next (stall-counted) step.
     fn wake_parked(&mut self, t: u64) {
-        if self.n_parked == 0 {
+        if self.waiting.is_empty() {
             self.released_keys.clear();
             return;
         }
         while let Some(k) = self.released_keys.pop() {
-            let mut slot = self.waiter_head[k as usize];
-            self.waiter_head[k as usize] = NONE;
-            while slot != NONE {
-                let s = &mut self.park_slab[slot as usize];
-                let next = s.next;
-                let mut rw = s.rw.take().expect("free slot on a waiter chain");
-                rw.out.stalls += t - s.parked_at;
+            self.waiting.wake(k as usize, |slot, parked_at| {
+                let mut rw = self.parked[slot as usize]
+                    .take()
+                    .expect("woken handle holds a worm");
+                rw.out.stalls += t - parked_at;
                 self.free_slots.push(slot);
-                self.n_parked -= 1;
                 self.worms.push(rw);
-                slot = next;
-            }
+            });
         }
-        if self.n_parked == 0 {
+        if self.waiting.is_empty() {
             self.parked_safe = u64::MAX;
         }
     }
@@ -505,22 +498,40 @@ impl Region {
     /// step cap) and the sequential engines count a stall for each of
     /// those steps.
     fn settle_parked(&mut self, through: u64) {
-        if self.n_parked == 0 {
-            return;
-        }
-        for slot in &mut self.park_slab {
-            if let Some(mut rw) = slot.rw.take() {
-                rw.out.stalls += through.saturating_sub(slot.parked_at);
-                self.worms.push(rw);
+        self.waiting.settle_all(through, |slot, skipped| {
+            let mut rw = self.parked[slot as usize]
+                .take()
+                .expect("parked handle holds a worm");
+            rw.out.stalls += skipped;
+            self.worms.push(rw);
+        });
+        self.parked.clear();
+        self.free_slots.clear();
+        self.parked_safe = u64::MAX;
+    }
+
+    /// The event engine's invariant check, region-side: every edge a
+    /// parked worm watches is non-acquirable, and the queue's live
+    /// entries are exactly the watch sets, recomputed from scratch.
+    fn validate_parked(&mut self, ctx: &Ctx) {
+        let mut expect = Vec::new();
+        for slot in 0..self.parked.len() {
+            if let Some(mut rw) = self.parked[slot].take() {
+                assert!(
+                    self.wait_keys(ctx, &mut rw),
+                    "parked worm {} watches an acquirable edge",
+                    rw.id
+                );
+                expect.extend(self.keys.iter().map(|&key| (slot as u32, key)));
+                self.parked[slot] = Some(rw);
             }
         }
-        for h in &mut self.waiter_head {
-            *h = NONE;
-        }
-        self.park_slab.clear();
-        self.free_slots.clear();
-        self.n_parked = 0;
-        self.parked_safe = u64::MAX;
+        assert_eq!(
+            expect,
+            self.waiting.parked_keys(),
+            "region {}: wait queue out of sync with the parked worms' watch sets",
+            self.idx
+        );
     }
 
     /// Whether every resident is draining (`advance ≥ hops`, route
@@ -546,16 +557,16 @@ impl Region {
         while t < end {
             if self.worms.is_empty() {
                 // Runnable empty with worms still parked: every parked
-                // worm waits on a full edge, and local releases only
+                // worm waits on full edges, and local releases only
                 // come from local moves — none can happen. Static from
                 // here (only a cross-region release could wake anyone,
                 // and that is a between-windows event).
-                if self.n_parked > 0 {
+                if !self.waiting.is_empty() {
                     self.static_from = t;
                 }
                 break;
             }
-            if local_settle && self.n_parked == 0 && self.all_draining() {
+            if local_settle && self.waiting.is_empty() && self.all_draining() {
                 self.fast_drain_all(ctx, t, end);
                 break;
             }
@@ -566,10 +577,7 @@ impl Region {
             if local_settle {
                 self.ledger.settle_max(&ctx.rules);
             }
-            if !self.moved
-                && ctx.config.blocked == BlockedPolicy::Stall
-                && (self.n_parked > 0 || !self.worms.is_empty())
-            {
+            if !self.moved && ctx.config.blocked == BlockedPolicy::Stall && self.has_residents() {
                 // Frozen: releases only come from moves and nothing
                 // external arrives mid-window, so every remaining step
                 // of the window repeats this one exactly. Stop stepping;
@@ -596,7 +604,7 @@ impl Region {
     /// in one-step windows, where `release` falls back to the outbox).
     fn fast_drain_all(&mut self, ctx: &Ctx, t: u64, end: u64) {
         debug_assert!(t < end);
-        debug_assert_eq!(self.n_parked, 0, "fast drain with a populated wait queue");
+        debug_assert!(self.waiting.is_empty(), "fast drain with parked worms");
         for wi in 0..self.worms.len() {
             let d = self.worms[wi].worm.drain(end - t, ctx.rules.final_vc);
             debug_assert!(d.steps > 0, "a finished worm survived the sweep");
@@ -691,17 +699,12 @@ impl Region {
             self.worms[m as usize].out.stalls += 1;
             if ctx.config.blocked == BlockedPolicy::Discard {
                 self.discard_worm(ctx, m, t);
-            } else if !self.worms[m as usize].worm.pending_route {
-                // Park a loser whose wanted edge is still full after
-                // every move and release of this step landed: it stays
-                // blocked — and stalls — until a release on its wait
-                // key, so the step loop can skip it entirely. Pending
-                // adaptive worms never park; they re-select each step.
-                let rw = &mut self.worms[m as usize];
-                let e = rw.path[rw.worm.advance as usize].idx();
-                if self.ledger.free_vcs(&ctx.rules, e) == 0 {
-                    rw.park = true;
-                }
+            } else {
+                // The sweep parks a loser whose watch set is still full
+                // after every move and release of this step landed: it
+                // stalls until a release on one of its wait keys, so the
+                // step loop can skip it entirely.
+                self.worms[m as usize].park = true;
             }
         }
         self.sweep(ctx, t);
@@ -761,20 +764,20 @@ impl Region {
         self.retire(wi, t, false);
     }
 
-    /// End-of-step sweep: drop retired worms, park this step's marked
-    /// losers, keep residents, and emigrate worms whose next wanted
-    /// edge is owned elsewhere. Draining worms have no wanted edge and
-    /// stay put; a pending worm's residency follows its head node.
+    /// End-of-step sweep: drop retired worms, park this step's losers
+    /// that can park ([`Self::wait_keys`]), keep residents, and emigrate
+    /// worms whose next wanted edge is owned elsewhere. Draining worms
+    /// have none and stay put; a pending worm's residency follows its head.
     /// A parked worm never migrates — it did not move, so its wanted
     /// edge (and with it its residency) is unchanged.
     fn sweep(&mut self, ctx: &Ctx, t: u64) {
         std::mem::swap(&mut self.worms, &mut self.scratch);
         let mut scratch = std::mem::take(&mut self.scratch);
-        for w in scratch.drain(..) {
+        for mut w in scratch.drain(..) {
             if w.gone {
                 continue;
             }
-            if w.park {
+            if std::mem::take(&mut w.park) && self.wait_keys(ctx, &mut w) {
                 self.park_worm(ctx, w, t);
                 continue;
             }
@@ -892,8 +895,7 @@ fn rworm_home(ctx: &Ctx, w: &RWorm) -> usize {
 fn write_back(sim: &mut Sim<'_>, shared: &Shared<'_>) {
     for cell in &shared.regions {
         let reg = cell.lock().unwrap();
-        let parked = reg.park_slab.iter().filter_map(|s| s.rw.as_ref());
-        for w in reg.worms.iter().chain(parked) {
+        for w in reg.worms.iter().chain(reg.parked.iter().flatten()) {
             let mi = w.id as usize;
             sim.worms[mi] = w.worm;
             sim.outcomes[mi] = w.out;
@@ -1113,6 +1115,9 @@ fn run_loop(
             sync_counters(sim, shared);
             sim.rebuild_active();
             sim.validate();
+            for cell in &shared.regions {
+                cell.lock().unwrap().validate_parked(&shared.ctx);
+            }
         }
         t += w;
     };

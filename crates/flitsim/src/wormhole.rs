@@ -42,8 +42,9 @@
 //! * the **legacy** stepper rescans every active worm each flit step (the
 //!   original implementation, kept as the differential oracle);
 //! * the **event-driven** engine (the default, `engine` module) parks a
-//!   worm that loses arbitration on a wait queue of the edge it wants and
-//!   reconsiders it only when that edge releases a VC; contention-free
+//!   worm that loses arbitration on the wait queues of the edges it
+//!   could want next and reconsiders it only when one of them releases a
+//!   VC; contention-free
 //!   stretches — nothing parked and the in-flight worms provably unable
 //!   to interact (all draining, or pairwise edge- and
 //!   source-router-disjoint paths) —
@@ -58,9 +59,11 @@
 //! The sequential engines' equivalence rests on three invariants (the
 //! `parallel` module docs add the window argument):
 //!
-//! 1. **Parked ⇒ full.** A worm parks only if its wanted edge still has
-//!    all `B` VCs held *after* the step's releases land. Since holder
-//!    counts only ever drop on a release, the edge stays full for the
+//! 1. **Parked ⇒ full.** A worm parks only if every edge it could want
+//!    next — the one next edge of a frozen route; every candidate and
+//!    the escape hop of a still-routing adaptive header — still has all
+//!    `B` VCs held *after* the step's releases land. Since holder
+//!    counts only ever drop on a release, those edges stay full for the
 //!    whole parked interval, so the legacy stepper would have re-run and
 //!    lost the same arbitration every step — which is why stalls can be
 //!    settled arithmetically (`stalls += parked duration`) on wakeup,
@@ -145,14 +148,21 @@
 //! winners extend their route and advance, losers stall and re-select
 //! next step (occupancies have changed). Because selection reads only
 //! start-of-step holder counts — the same convention arbitration already
-//! uses — the engines stay bit-identical; the event engine merely
-//! runs *pending* worms park-free (a blocked pending worm's candidate
-//! set must be re-evaluated every step, so there is no single edge whose
-//! release is the unique wake condition; a frozen-route worm wants one
-//! fixed edge and parks like any oblivious worm) and restricts
-//! fast-forwarding to the still-exact all-draining and idle-network
-//! jumps (route choice observes other worms' occupancies, so the
-//! edge-disjointness argument no longer applies).
+//! uses — the engines stay bit-identical. The event engine and the
+//! parallel regions park a blocked *pending* worm once its whole watch
+//! set — every candidate the router offers plus the escape hop — is
+//! full at end of step, on the wait key of each of those edges: until
+//! one of them sees a release, acquirability being monotone, selection
+//! keeps answering "escape hop" and that hop keeps granting nothing, so
+//! the legacy stepper counts exactly one stall per step and the parked
+//! interval settles arithmetically like any other (the worm's selection
+//! is pinned to the escape hop meanwhile, which is what a deadlock
+//! report reads). A frozen-route worm wants one fixed edge and is the
+//! one-key case of the same queue. A fault kill, which can sever a
+//! parked worm's escape continuation, wakes every parked pending worm.
+//! Fast-forwarding is restricted to the still-exact all-draining and
+//! idle-network jumps (route choice observes other worms' occupancies,
+//! so the edge-disjointness argument no longer applies).
 
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
@@ -331,6 +341,17 @@ fn route_edge(
         Some(ad) => ad.routes[msg as usize][edge_1based as usize - 1].idx(),
         None => specs[msg as usize].path.edges()[edge_1based as usize - 1].idx(),
     }
+}
+
+/// Whether an applied fault kill cut the escape continuation from `head`
+/// to `dst` — a pending worm left with only that option is doomed.
+fn escape_severed(rules: &VcRules, router: &dyn AdaptiveRouter, head: NodeId, dst: NodeId) -> bool {
+    !rules.dead.is_empty()
+        && router
+            .escape_route(head, dst)
+            .edges()
+            .iter()
+            .any(|&e| rules.dead[e.idx()])
 }
 
 pub(crate) struct Sim<'a> {
@@ -759,13 +780,10 @@ impl<'a> Sim<'a> {
             // still reads unchanged start-of-step holder counts. (A
             // fault-aware router's escape routes avoid dead edges, so
             // this only fires for fault-oblivious escape routing.)
-            if !self.rules.dead.is_empty() {
-                if let SelectedHop::Escape { edge } = sel {
-                    let tail = ad.router.escape_route(g.src(EdgeId(edge)), ad.dst[mi]);
-                    if tail.edges().iter().any(|&e| self.rules.dead[e.idx()]) {
-                        self.doomed.push(m);
-                        return;
-                    }
+            if let SelectedHop::Escape { edge } = sel {
+                if escape_severed(&self.rules, ad.router, g.src(EdgeId(edge)), ad.dst[mi]) {
+                    self.doomed.push(m);
+                    return;
                 }
             }
             let edge = sel.edge().expect("selection always yields a hop");
@@ -794,6 +812,49 @@ impl<'a> Sim<'a> {
                 .expect("blocked pending worm was classified")
         } else {
             self.path_edge(m, w.advance + 1) as u32
+        }
+    }
+
+    /// Whether worm `m`, blocked this step, can park
+    /// ([`kernel::WaitQueue`]): every edge it could want next is still
+    /// non-acquirable now that the step's releases have landed. If so,
+    /// fills `keys` with the wait keys to park on — the next path edge's
+    /// for a frozen route, the whole watch set's for a pending one
+    /// ([`kernel::pending_wait_keys`]), whose selection is pinned to the
+    /// escape hop the legacy stepper re-selects every step it stays
+    /// blocked (what the deadlock report reads). A pending worm whose
+    /// escape continuation a kill severed stays runnable instead: the
+    /// next classification dooms it.
+    pub(crate) fn wait_keys(&mut self, m: u32, keys: &mut Vec<usize>) -> bool {
+        let mi = m as usize;
+        let w = self.worms[mi];
+        if !w.pending_route {
+            let e = self.path_edge(m, w.advance + 1);
+            keys.clear();
+            keys.push(self.rules.wait_key(e));
+            return !self.edge_acquirable(e);
+        }
+        let ad = self
+            .adaptive
+            .as_mut()
+            .expect("pending worm without a router");
+        let (head, _) = kernel::header_at(ad.router.graph(), ad.src[mi], &ad.routes[mi]);
+        let fully = self.config.route_selection == RouteSelection::FullyAdaptive;
+        match kernel::pending_wait_keys(
+            ad.router,
+            &self.rules,
+            &self.ledger,
+            head,
+            ad.dst[mi],
+            fully && ad.budget[mi] > 0,
+            &mut ad.cand,
+            keys,
+        ) {
+            Some(escape) if !escape_severed(&self.rules, ad.router, head, ad.dst[mi]) => {
+                ad.selected[mi] = SelectedHop::Escape { edge: escape.0 };
+                true
+            }
+            _ => false,
         }
     }
 

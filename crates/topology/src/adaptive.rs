@@ -73,6 +73,16 @@ use crate::path::Path;
 /// is deadlock-free for any selection policy that falls back to the
 /// escape hop when every adaptive candidate is full.
 ///
+/// Every query must also be **pure for the whole run**:
+/// [`candidates`](Self::candidates) and
+/// [`escape_hop`](Self::escape_hop) depend on nothing but
+/// `(at, dst, misroutes)`. The simulator's event and parallel engines
+/// rely on it — a blocked header whose candidates and escape hop are all
+/// full is not asked again until one of those edges releases a VC, on
+/// the grounds that the answer cannot have changed. (`Mesh` computes
+/// both from coordinates; `FaultedMesh` filters by the *whole* fault
+/// plan from step 0, not by the kills applied so far.)
+///
 /// `Sync` is a supertrait because the parallel engine's workers share
 /// one router across threads; every query takes `&self`, so routers are
 /// immutable lookup structures and the bound costs implementors nothing.

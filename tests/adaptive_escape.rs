@@ -6,6 +6,9 @@
 //! guaranteed even at `B = 1` under rotation traffic that wedges the
 //! naive torus).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use wormhole_flitsim::wormhole::run_source_adaptive;
 use wormhole_routing::prelude::*;
 use wormhole_topology::mesh::ADAPTIVE_CLASS;
 
@@ -161,5 +164,298 @@ fn adaptive_class_constant_matches_mesh_tagging() {
             t.edge_vc_class(e) < ADAPTIVE_CLASS,
             "escape tagging disagrees on {e:?}"
         );
+    }
+}
+
+/// An [`AdaptiveRouter`] that counts the queries the simulator makes —
+/// a deterministic work counter for the engines' per-step routing cost.
+struct CountingRouter<'a, R> {
+    inner: &'a R,
+    calls: AtomicU64,
+}
+
+impl<'a, R: AdaptiveRouter> CountingRouter<'a, R> {
+    fn new(inner: &'a R) -> Self {
+        Self {
+            inner,
+            calls: AtomicU64::new(0),
+        }
+    }
+
+    /// Queries since the last call.
+    fn take_calls(&self) -> u64 {
+        self.calls.swap(0, Ordering::Relaxed)
+    }
+
+    fn count(&self) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl<R: AdaptiveRouter> AdaptiveRouter for CountingRouter<'_, R> {
+    fn graph(&self) -> &Graph {
+        self.inner.graph()
+    }
+
+    fn candidates(&self, at: NodeId, dst: NodeId, misroutes: bool, out: &mut Vec<(EdgeId, bool)>) {
+        self.count();
+        self.inner.candidates(at, dst, misroutes, out);
+    }
+
+    fn escape_route(&self, at: NodeId, dst: NodeId) -> Path {
+        self.count();
+        self.inner.escape_route(at, dst)
+    }
+
+    fn escape_hop(&self, at: NodeId, dst: NodeId) -> EdgeId {
+        self.count();
+        self.inner.escape_hop(at, dst)
+    }
+
+    fn is_escape(&self, e: EdgeId) -> bool {
+        self.inner.is_escape(e)
+    }
+}
+
+#[test]
+fn parked_pending_worms_cut_router_calls_on_a_saturated_tornado() {
+    // 8×8 minimal-adaptive tornado far past saturation: nearly every
+    // pending header finds its whole candidate set and the escape hop
+    // full. The legacy stepper re-selects for each of them every step;
+    // the event engine and the parallel engine's regions park them on
+    // the whole watch set and only re-select after a release on it.
+    // Router queries are a work counter, so the gate holds on any host.
+    let substrate = Substrate::torus_with(8, 2, RoutingDiscipline::AdaptiveEscape);
+    let router = CountingRouter::new(substrate.as_mesh().unwrap());
+    let w = Workload::new(
+        substrate.clone(),
+        TrafficPattern::Tornado,
+        ArrivalProcess::bernoulli(0.3),
+        8,
+        5,
+    );
+    let specs = w.generate(300);
+    let cfg = SimConfig::new(1)
+        .route_selection(RouteSelection::MinimalAdaptive)
+        .arbitration(Arbitration::Random)
+        .max_steps(400);
+    let legacy = wormhole_run_adaptive(&router, &specs, &cfg.clone().engine(Engine::Legacy));
+    let legacy_calls = router.take_calls();
+    assert_eq!(legacy.outcome, Outcome::MaxSteps);
+    assert!(
+        legacy.total_stalls > 5 * legacy.flit_hops,
+        "not saturated: {} stalls for {} flit-hops",
+        legacy.total_stalls,
+        legacy.flit_hops
+    );
+    for engine in [Engine::EventDriven, Engine::Parallel { threads: 1 }] {
+        let r = wormhole_run_adaptive(&router, &specs, &cfg.clone().engine(engine));
+        let calls = router.take_calls();
+        assert!(r.same_execution(&legacy), "{engine:?} diverged from legacy");
+        assert!(
+            5 * calls <= legacy_calls,
+            "{engine:?} made {calls} router calls against legacy's {legacy_calls}"
+        );
+    }
+}
+
+/// Replays `specs`, recording every discard notification.
+struct DiscardLog {
+    inner: ReplaySource,
+    discards: Vec<(u32, u64)>,
+}
+
+impl TrafficSource for DiscardLog {
+    fn next_release(&mut self, now: u64) -> Option<u64> {
+        self.inner.next_release(now)
+    }
+
+    fn take_ready(&mut self, now: u64, out: &mut Vec<(u32, MessageSpec)>) {
+        self.inner.take_ready(now, out);
+    }
+
+    fn on_discarded(&mut self, id: u32, t: u64) {
+        self.discards.push((id, t));
+    }
+
+    fn id_bound(&self) -> Option<u32> {
+        self.inner.id_bound()
+    }
+}
+
+#[test]
+fn a_kill_severing_a_parked_pending_worms_escape_route_dooms_it_that_step() {
+    // 8-ring, B = 1, fault-oblivious escape routing (the plain mesh as
+    // router). Three worms leave node 0 the same way: 0 takes the
+    // adaptive lane at step 0, 1 the escape hop at step 1, and 2 — its
+    // only candidate and its escape hop both held for the next ~30
+    // steps — parks at step 1. The kill at step 10 cuts the last hop of
+    // worm 2's escape route, an edge nobody holds: the legacy stepper
+    // dooms worm 2 at that very step, so the event engine must wake it
+    // for the kill rather than for the release 20 steps later.
+    const KILL_AT: u64 = 10;
+    let t = adaptive_torus(8, 1);
+    let (src, near, far) = (NodeId(0), NodeId(2), NodeId(3));
+    let specs = [
+        MessageSpec::new(t.route(src, near), 30),
+        MessageSpec::new(t.route(src, near), 30),
+        MessageSpec::new(t.route(src, far), 30),
+    ];
+    let severed = *t.escape_route(src, far).edges().last().unwrap();
+    let router = CountingRouter::new(&t);
+    let run = |engine, check_invariants| {
+        let cfg = SimConfig::new(1)
+            .route_selection(RouteSelection::MinimalAdaptive)
+            .arbitration(Arbitration::FifoById)
+            .faults(FaultPlan::new().kill_link(KILL_AT, severed))
+            .engine(engine)
+            .check_invariants(check_invariants);
+        let mut source = DiscardLog {
+            inner: ReplaySource::from_slice(&specs),
+            discards: Vec::new(),
+        };
+        let r = run_source_adaptive(&router, &mut source, &cfg);
+        (r, source.discards, router.take_calls())
+    };
+    let mut runs = Vec::new();
+    for engine in [Engine::Legacy, Engine::EventDriven] {
+        let (r, discards, _) = run(engine, true);
+        assert_eq!(r.outcome, Outcome::Completed, "{engine:?}");
+        assert_eq!(discards, [(2, KILL_AT)], "{engine:?}");
+        assert_eq!(r.messages[2].discarded, Some(DiscardReason::LinkDown));
+        // Blocked at every step before the kill, doomed (not stalled)
+        // at the kill step itself.
+        assert_eq!(r.messages[2].stalls, KILL_AT, "{engine:?}");
+        assert_eq!(
+            (r.kills_applied, r.fault_discards, r.delivered()),
+            (1, 1, 2),
+            "{engine:?}"
+        );
+        // The invariant checks query the router themselves; count the
+        // engine's own calls without them.
+        runs.push((r, run(engine, false).2));
+    }
+    let [(legacy, legacy_calls), (event, event_calls)] = &runs[..] else {
+        unreachable!()
+    };
+    assert!(
+        event.same_execution(legacy),
+        "event: {event:?}\nlegacy: {legacy:?}"
+    );
+    // Worm 2 really was parked: legacy re-selected for it at each of the
+    // ten blocked steps, the event engine at two.
+    assert!(
+        event_calls + 8 <= *legacy_calls,
+        "event {event_calls} vs legacy {legacy_calls} router calls"
+    );
+}
+
+/// A ring whose escape routes close a cycle — each physical channel
+/// `i → i + 1` is one adaptive-lane edge (`2i`) and one escape edge
+/// (`2i + 1`), with no dateline. Violates the [`AdaptiveRouter`]
+/// acyclicity contract on purpose: the only way to drive a genuine
+/// adaptive-mode deadlock.
+struct CyclicEscapeRing {
+    graph: Graph,
+    n: u32,
+}
+
+impl CyclicEscapeRing {
+    fn new(n: u32) -> Self {
+        let mut b = GraphBuilder::new(n as usize);
+        for i in 0..n {
+            b.add_edge(NodeId(i), NodeId((i + 1) % n)); // adaptive lane
+            b.add_edge(NodeId(i), NodeId((i + 1) % n)); // escape
+        }
+        Self {
+            graph: b.build(),
+            n,
+        }
+    }
+
+    fn escape_edge(&self, at: NodeId) -> EdgeId {
+        EdgeId(2 * at.0 + 1)
+    }
+}
+
+impl AdaptiveRouter for CyclicEscapeRing {
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    fn candidates(&self, at: NodeId, _dst: NodeId, _mis: bool, out: &mut Vec<(EdgeId, bool)>) {
+        out.push((EdgeId(2 * at.0), true));
+    }
+
+    fn escape_route(&self, at: NodeId, dst: NodeId) -> Path {
+        let hops = (dst.0 + self.n - at.0) % self.n;
+        Path::new(
+            (0..hops)
+                .map(|k| self.escape_edge(NodeId((at.0 + k) % self.n)))
+                .collect(),
+        )
+    }
+
+    fn is_escape(&self, e: EdgeId) -> bool {
+        e.0 % 2 == 1
+    }
+}
+
+#[test]
+fn deadlock_reports_agree_for_worms_parked_on_their_watch_set() {
+    // Worms 0–3 (`i → i + 3`) take the adaptive lane at step 0 and the
+    // escape hop at step 1, then wedge in the escape cycle: each wants
+    // the escape edge its successor holds. Worms 4–7 (`i → i + 2`) lose
+    // both arbitrations at their source and, lane and escape hop full,
+    // are parked (event engine, parallel regions) when step 2 moves
+    // nothing. The report must still name the escape hop they would
+    // have re-selected, with its holder.
+    let ring = CyclicEscapeRing::new(4);
+    let route = |i: u32, hops: u32| {
+        Path::new(
+            (0..hops)
+                .map(|k| EdgeId(2 * ((i + k) % 4)))
+                .collect::<Vec<_>>(),
+        )
+    };
+    let specs: Vec<MessageSpec> = (0..4)
+        .map(|i| MessageSpec::new(route(i, 3), 10))
+        .chain((0..4).map(|i| MessageSpec::new(route(i, 2), 10)))
+        .collect();
+    let cfg = SimConfig::new(1)
+        .route_selection(RouteSelection::MinimalAdaptive)
+        .arbitration(Arbitration::FifoById)
+        .check_invariants(true);
+    let legacy = wormhole_run_adaptive(&ring, &specs, &cfg.clone().engine(Engine::Legacy));
+    assert_eq!(legacy.outcome, Outcome::Deadlock((0..8).collect()));
+    assert_eq!(legacy.total_steps, 2);
+    let report = legacy.deadlock.as_ref().expect("deadlock carries a report");
+    for m in 4..8u32 {
+        let wait = report
+            .waits
+            .iter()
+            .find(|w| w.message == m)
+            .expect("every blocked worm is in the report");
+        let at = NodeId(m - 4);
+        assert_eq!(legacy.messages[m as usize].first_move, None);
+        assert_eq!(
+            wait.edge,
+            ring.escape_edge(at).0,
+            "worm {m} waits on its escape hop"
+        );
+        assert_eq!(
+            wait.holders,
+            [(m - 4 + 3) % 4],
+            "held by the worm that beat it"
+        );
+    }
+    for engine in [
+        Engine::EventDriven,
+        Engine::Parallel { threads: 1 },
+        Engine::Parallel { threads: 2 },
+    ] {
+        let r = wormhole_run_adaptive(&ring, &specs, &cfg.clone().engine(engine));
+        assert_eq!(r.deadlock, legacy.deadlock, "{engine:?}");
+        assert!(r.same_execution(&legacy), "{engine:?}: {r:?}");
     }
 }

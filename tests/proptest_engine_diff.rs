@@ -235,8 +235,9 @@ proptest! {
     /// VC occupancy, so this is where the start-of-step conventions are
     /// load-bearing — wanted-hop selections, escape fallbacks, misroute
     /// budgets, and the escape/misroute counters must all land
-    /// identically under the park-free event engine and the legacy
-    /// rescanner, including at tight step caps.
+    /// identically under the event engine (which parks a pending worm
+    /// once its whole candidate set is full) and the legacy rescanner,
+    /// including at tight step caps.
     #[test]
     fn engines_agree_on_adaptive_tori(
         radix in 3u32..8,
@@ -299,6 +300,86 @@ proptest! {
         );
         // Adaptive-escape runs can stall but never wedge.
         prop_assert!(!matches!(ev.outcome, Outcome::Deadlock(_)));
+    }
+
+    /// The same tori far past saturation, tornado and uniform, static
+    /// and pooled VCs, ending at the step cap: nearly every pending
+    /// header finds its whole candidate set and its escape hop full, so
+    /// the event engine and the parallel regions park it on the whole
+    /// watch set (the precondition below keeps that path exercised) and
+    /// settle its stalls arithmetically — which must reproduce the
+    /// legacy stepper's per-step re-selection bit for bit.
+    #[test]
+    fn engines_agree_on_saturated_adaptive_tori(
+        radix in 4u32..7,
+        dims in 1u32..3,
+        pooled in proptest::bool::ANY,
+        extra in 0u32..4,
+        cap_idx in 0u32..3,
+        l in 8u32..13,
+        rate_pct in 80u32..100,
+        tornado in proptest::bool::ANY,
+        fully in proptest::bool::ANY,
+        quota in 0u32..5,
+        arb in 0u32..4,
+        seed in 0u64..1000,
+    ) {
+        use wormhole_flitsim::config::RouteSelection;
+        let substrate = Substrate::torus_with(radix, dims, RoutingDiscipline::AdaptiveEscape);
+        let mesh = substrate.as_mesh().expect("torus is mesh-based");
+        let pattern = if tornado {
+            TrafficPattern::Tornado
+        } else {
+            TrafficPattern::UniformRandom
+        };
+        let w = Workload::new(
+            substrate.clone(),
+            pattern,
+            ArrivalProcess::bernoulli(rate_pct as f64 / 100.0),
+            l,
+            seed,
+        );
+        let specs = w.generate(160);
+        let sel = if fully {
+            RouteSelection::FullyAdaptive
+        } else {
+            RouteSelection::MinimalAdaptive
+        };
+        // One VC per lane (a floor of one under pooling): the adaptive
+        // lane saturates within a few dozen steps at these loads.
+        let mut cfg = SimConfig::new(1)
+            .arbitration(arbitration(arb))
+            .seed(seed)
+            .route_selection(sel)
+            .misroute_quota(quota)
+            .max_steps(160)
+            .check_invariants(true);
+        if pooled {
+            cfg = cfg.vc_policy(pooled_policy(
+                substrate.graph().max_out_degree() as u32,
+                0,
+                extra,
+                cap_idx,
+            ));
+        }
+        let lg = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(Engine::Legacy));
+        prop_assert_eq!(&lg.outcome, &Outcome::MaxSteps);
+        prop_assert!(
+            lg.total_stalls > 5 * lg.flit_hops,
+            "not saturated: {} stalls for {} flit-hops", lg.total_stalls, lg.flit_hops
+        );
+        for engine in [Engine::EventDriven, Engine::Parallel { threads: 2 }] {
+            let r = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(engine));
+            prop_assert!(
+                r.engine_fallback.is_none(),
+                "saturated adaptive config unexpectedly fell back: {:?}", r.engine_fallback
+            );
+            prop_assert!(
+                r.same_execution(&lg),
+                "saturated adaptive ({sel:?}, tornado={tornado}, pooled={pooled}) diverged:\n{engine:?}: {:?}\nlegacy: {:?}",
+                r, lg
+            );
+        }
     }
 
     /// Router-pooled VC allocation on shared chains: the router-keyed
@@ -400,7 +481,8 @@ proptest! {
 
     /// Pooled adaptive tori: route selection reads the pooled
     /// acquirability query, so candidate filtering, escape fallbacks,
-    /// and the park-free pending-worm path must all stay engine-exact.
+    /// and pending-worm parking — every candidate shares the head
+    /// router's wait key here — must all stay engine-exact.
     #[test]
     fn engines_agree_on_pooled_adaptive_tori(
         radix in 3u32..7,
