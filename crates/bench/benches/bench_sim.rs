@@ -4,9 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use wormhole_bench::butterfly_permutation;
-use wormhole_flitsim::config::{Arbitration, BandwidthModel, Engine, SimConfig, VcPolicy};
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
 use wormhole_flitsim::message::specs_from_paths;
 use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
+use wormhole_flitsim::restricted::{self, RestrictedConfig};
 use wormhole_flitsim::wormhole;
 use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
 
@@ -45,8 +46,8 @@ fn bench_restricted_model(c: &mut Criterion) {
     let specs = specs_from_paths(&paths, 8);
     for b in [1u32, 2] {
         group.bench_with_input(BenchmarkId::new("B", b), &b, |bch, &b| {
-            let cfg = SimConfig::new(b).bandwidth(BandwidthModel::OneFlitPerStep);
-            bch.iter(|| wormhole::run_to_completion(bf.graph(), &specs, &cfg))
+            let cfg = RestrictedConfig::new(b);
+            bch.iter(|| restricted::run(bf.graph(), &specs, &cfg))
         });
     }
     group.finish();

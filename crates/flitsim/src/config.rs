@@ -1,21 +1,7 @@
-//! Simulator configuration: the model knobs of §1.1 and §1.4.
+//! Wormhole simulator configuration: the model knobs of §1.1.
 
 use wormhole_topology::fault::FaultPlan;
 use wormhole_topology::region::RegionPlan;
-
-/// How much traffic a physical channel moves per flit step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BandwidthModel {
-    /// The paper's primary model (footnote 4): with `B` virtual channels, a
-    /// flit step transmits one flit on *each* VC — `B` flits per physical
-    /// channel per step.
-    BFlitsPerStep,
-    /// The restricted model of the §1.4 Remarks: buffering is still `B`
-    /// flits per edge, but each physical channel transmits at most **one**
-    /// flit per step. The paper's algorithms emulate here with a factor-`B`
-    /// slowdown.
-    OneFlitPerStep,
-}
 
 /// How each router's virtual-channel capacity is provisioned across its
 /// outgoing routing edges — the knob the dynamic-VC-allocation studies
@@ -50,10 +36,6 @@ pub enum BandwidthModel {
 /// exactly that: escape-class edges always retain a dedicated VC, so the
 /// proofs survive pooling unchanged. Validation therefore rejects
 /// `per_edge_min == 0`.
-///
-/// Pooling requires the full-bandwidth model
-/// ([`BandwidthModel::BFlitsPerStep`]); the restricted per-flit stepper
-/// only supports `Static`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VcPolicy {
     /// `B` dedicated virtual channels on every routing edge (`B ≥ 1`) —
@@ -171,12 +153,11 @@ pub enum FinalEdgePolicy {
     Unlimited,
 }
 
-/// Which stepper drives a full-bandwidth run. All engines are required
-/// to produce bit-identical [`crate::stats::SimResult`]s on every
-/// configuration they accept (the proptest differential suite enforces
-/// it); they differ only in cost. When [`Engine::Parallel`] is asked
-/// for a configuration it does not support it falls back to a
-/// sequential engine and says so in
+/// Which stepper drives a run. All engines are required to produce
+/// bit-identical [`crate::stats::SimResult`]s on every configuration
+/// (the proptest differential suite enforces it); they differ only in
+/// cost. The one configuration [`Engine::Parallel`] does not run itself
+/// — a fault plan — falls back to the event engine and says so in
 /// [`crate::stats::SimResult::engine_fallback`] — never silently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
@@ -185,8 +166,9 @@ pub enum Engine {
     /// contention-free stretches fast-forward. The default.
     EventDriven,
     /// The original per-step rescanning stepper, kept as the differential
-    /// oracle (and used automatically by [`crate::wormhole::run_traced`],
-    /// whose per-step `Blocked` events are inherently step-enumerated).
+    /// oracle (and what [`crate::wormhole::run_traced`] always drives,
+    /// whatever this knob says: its per-step `Blocked` events are
+    /// inherently step-enumerated).
     Legacy,
     /// Partitioned parallel engine: the network is decomposed into
     /// regions ([`SimConfig::regions`], or a default contiguous cut),
@@ -194,9 +176,8 @@ pub enum Engine {
     /// conservative windows granted from how soon each worm can reach a
     /// cross-region edge (`RegionPlan::distance_to_cut`). Supports
     /// static and pooled VC policies under oblivious **and adaptive**
-    /// routing at full bandwidth; faulted, traced and
-    /// restricted-bandwidth configs fall back to a sequential engine
-    /// with an explicit [`crate::stats::EngineFallback`] note.
+    /// routing; faulted configs fall back to the event engine with an
+    /// explicit [`crate::stats::EngineFallback`] note.
     ///
     /// ```
     /// use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig};
@@ -289,10 +270,10 @@ pub enum BlockedPolicy {
 ///
 /// # Which knob combinations are differential-tested
 ///
-/// The three [`Engine`]s are required to be bit-identical on every
-/// full-bandwidth configuration ([`Engine::Parallel`] on every one it
-/// accepts, with an explicit fallback note on the rest).
-/// `tests/proptest_engine_diff.rs` sweeps, on random chain / butterfly /
+/// Every field below is honoured by every [`Engine`], and the three are
+/// required to be bit-identical on every configuration
+/// ([`Engine::Parallel`] hands fault plans to the event engine, with an
+/// explicit fallback note). `tests/proptest_engine_diff.rs` sweeps, on random chain / butterfly /
 /// torus workloads:
 ///
 /// * all four [`Arbitration`] policies (including the stateless
@@ -311,9 +292,10 @@ pub enum BlockedPolicy {
 ///   `RouterPooled { pool: B·fanout, per_edge_min: B, per_edge_max: B }`
 ///   field for field on every engine.
 ///
-/// [`BandwidthModel::OneFlitPerStep`] has a single stepper (the
-/// `engine` knob is ignored) and rejects adaptive selection and pooled
-/// VC policies.
+/// The §1.4 comparison models — one flit per channel per step, virtual
+/// cut-through, store-and-forward — are not knobs here: each is its own
+/// small stepper ([`crate::restricted`], [`crate::cut_through`],
+/// [`crate::store_forward`]).
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// How VC capacity is provisioned (see [`VcPolicy`]). The default
@@ -327,8 +309,6 @@ pub struct SimConfig {
     /// storage, floors preserved — the engines remain bit-identical
     /// under either policy).
     pub vc_policy: VcPolicy,
-    /// Bandwidth model (see [`BandwidthModel`]).
-    pub bandwidth: BandwidthModel,
     /// Header arbitration policy: which contender wins the free VCs of
     /// an edge when too many headers want it in the same step.
     /// [`Arbitration::Random`] draws from a **stateless RNG keyed by
@@ -341,12 +321,10 @@ pub struct SimConfig {
     pub final_edge: FinalEdgePolicy,
     /// Blocked-worm policy.
     pub blocked: BlockedPolicy,
-    /// Full-bandwidth stepper (see [`Engine`]): the event-driven core
-    /// (default), the legacy per-step rescanner kept as its differential
-    /// oracle, or the partitioned parallel engine. All produce
-    /// bit-identical [`crate::stats::SimResult`]s; only their cost
-    /// differs. Ignored by the restricted bandwidth model, which has a
-    /// single per-flit stepper.
+    /// Stepper (see [`Engine`]): the event-driven core (default), the
+    /// legacy per-step rescanner kept as its differential oracle, or the
+    /// partitioned parallel engine. All produce bit-identical
+    /// [`crate::stats::SimResult`]s; only their cost differs.
     pub engine: Engine,
     /// Route selection policy (see [`RouteSelection`]). Adaptive values
     /// require [`crate::wormhole::run_adaptive`]; [`crate::wormhole::run`]
@@ -377,7 +355,7 @@ pub struct SimConfig {
     /// holding one — or obliviously committed to crossing one — is
     /// discarded with [`crate::stats::DiscardReason::LinkDown`] (the
     /// source's `on_discarded` hook fires, so closed-loop sources can
-    /// reissue). Requires [`BandwidthModel::BFlitsPerStep`].
+    /// reissue).
     pub faults: Option<FaultPlan>,
     /// When set, the simulator re-verifies VC accounting and flit
     /// conservation every step (slow; used by tests).
@@ -392,7 +370,6 @@ impl SimConfig {
         vc_policy.validate();
         Self {
             vc_policy,
-            bandwidth: BandwidthModel::BFlitsPerStep,
             arbitration: Arbitration::FifoById,
             final_edge: FinalEdgePolicy::RequiresVc,
             blocked: BlockedPolicy::Stall,
@@ -414,12 +391,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the bandwidth model.
-    pub fn bandwidth(mut self, m: BandwidthModel) -> Self {
-        self.bandwidth = m;
-        self
-    }
-
     /// Sets the arbitration policy.
     pub fn arbitration(mut self, a: Arbitration) -> Self {
         self.arbitration = a;
@@ -438,7 +409,7 @@ impl SimConfig {
         self
     }
 
-    /// Selects the full-bandwidth stepper.
+    /// Selects the stepper.
     pub fn engine(mut self, e: Engine) -> Self {
         self.engine = e;
         self
@@ -496,7 +467,6 @@ mod tests {
     #[test]
     fn builder_chain() {
         let c = SimConfig::new(3)
-            .bandwidth(BandwidthModel::OneFlitPerStep)
             .arbitration(Arbitration::Random)
             .final_edge(FinalEdgePolicy::Unlimited)
             .blocked(BlockedPolicy::Discard)
@@ -507,7 +477,6 @@ mod tests {
             .seed(7)
             .check_invariants(true);
         assert_eq!(c.vc_policy, VcPolicy::Static(3));
-        assert_eq!(c.bandwidth, BandwidthModel::OneFlitPerStep);
         assert_eq!(c.arbitration, Arbitration::Random);
         assert_eq!(c.final_edge, FinalEdgePolicy::Unlimited);
         assert_eq!(c.blocked, BlockedPolicy::Discard);

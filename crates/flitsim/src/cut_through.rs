@@ -247,30 +247,7 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
         t += 1;
     };
 
-    let total_steps = match outcome {
-        Outcome::Completed => last_finish,
-        _ => t,
-    };
-    let total_stalls = outcomes.iter().map(|o| o.stalls).sum();
-    SimResult {
-        outcome,
-        total_steps,
-        messages: outcomes,
-        max_vcs_in_use: max_occ,
-        max_pool_in_use: 0,
-        total_stalls,
-        flit_hops,
-        escape_fallbacks: 0,
-        misroute_hops: 0,
-        kills_applied: 0,
-        fault_discards: 0,
-        fault_detour_hops: 0,
-        fault_recovery_steps: 0,
-        deadlock: None,
-        open_loop: None,
-        closed_loop: None,
-        engine_fallback: None,
-    }
+    SimResult::baseline(outcome, t, last_finish, outcomes, max_occ, flit_hops)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 
-use crate::config::{Arbitration, BandwidthModel, FinalEdgePolicy, SimConfig, VcPolicy};
+use crate::config::{Arbitration, FinalEdgePolicy, SimConfig, VcPolicy};
 
 /// The rigid worm: its whole configuration is the advance count (see the
 /// [`crate::wormhole`] module docs).
@@ -242,11 +242,6 @@ impl VcRules {
             } => (true, per_edge_min, per_edge_max, pool),
         };
         let shared_cap = if pooled {
-            assert_eq!(
-                config.bandwidth,
-                BandwidthModel::BFlitsPerStep,
-                "RouterPooled VC allocation requires the full-bandwidth model"
-            );
             // Graph-dependent validation: every router must be able to
             // honor its floors out of the pool.
             graph

@@ -1,11 +1,14 @@
 //! Flit-level network simulators for the Cole–Maggs–Sitaraman reproduction.
 //!
-//! Three routing disciplines, all cycle-accurate at flit granularity:
+//! The paper's model plus three comparison baselines, all cycle-accurate
+//! at flit granularity:
 //!
 //! * [`wormhole`] — the paper's model (§1.1): `B` virtual channels per
-//!   physical channel, one-flit buffers, rigid worms, configurable
-//!   bandwidth model (`B` flits/step vs. the restricted 1 flit/step of the
-//!   §1.4 Remarks), arbitration and discard policies, deadlock detection;
+//!   physical channel each moving one flit per step, one-flit buffers,
+//!   rigid worms, arbitration and discard policies, deadlock detection;
+//! * [`restricted`] — the §1.4 Remarks' restricted model: the same `B`
+//!   VC buffers per edge but one flit per *physical channel* per step,
+//!   so flits advance individually and lanes time-share the wire;
 //! * [`store_forward`] — the store-and-forward baseline: a switch must hold
 //!   an entire message before forwarding it (time measured in message steps
 //!   = `L` flit steps);
@@ -26,8 +29,8 @@
 //! ([`config::Engine::Parallel`]) that shards the network into regions
 //! advanced on worker threads under conservative lookahead windows —
 //! see the [`wormhole`] module docs for the equivalence invariants and
-//! [`stats::EngineFallback`] for the configurations the parallel engine
-//! explicitly hands back to a sequential core.
+//! [`stats::EngineFallback`] for the one configuration (fault plans) the
+//! parallel engine explicitly hands back to a sequential core.
 //!
 //! Routes are fixed at injection under
 //! [`config::RouteSelection::Oblivious`]; the adaptive policies
@@ -60,14 +63,13 @@ mod kernel;
 pub mod message;
 pub mod open_loop;
 mod parallel;
+pub mod restricted;
 pub mod source;
 pub mod stats;
 pub mod store_forward;
 pub mod wormhole;
 
-pub use config::{
-    Arbitration, BandwidthModel, BlockedPolicy, Engine, FinalEdgePolicy, RouteSelection, SimConfig,
-};
+pub use config::{Arbitration, BlockedPolicy, Engine, FinalEdgePolicy, RouteSelection, SimConfig};
 pub use events::{DeadlockReport, TraceEvent, WaitFor};
 pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec};
 pub use open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};

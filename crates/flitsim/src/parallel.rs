@@ -89,15 +89,16 @@
 //!
 //! The engine accepts static and pooled VC policies, every arbitration
 //! and blocked policy, oblivious *and* adaptive (`MinimalAdaptive` /
-//! `FullyAdaptive`) routing under the full-bandwidth model. Adaptive
+//! `FullyAdaptive`) routing. Adaptive
 //! hop selection is region-local by construction: candidates are
 //! out-edges of the pending head, whose occupancies the resident region
-//! owns. The remaining fallbacks are fault plans (kills apply globally
-//! at start-of-step), the restricted one-flit-per-step model, and event
-//! tracing — those run on a sequential engine instead, reported in
+//! owns. The one remaining fallback is a fault plan (kills apply
+//! globally at start-of-step): it runs on the event engine instead,
+//! reported in
 //! [`SimResult::engine_fallback`](crate::stats::SimResult); see
 //! [`EngineFallback`](crate::stats::EngineFallback). The dispatch
-//! never falls back silently.
+//! never falls back silently. (`run_traced` is not a fallback: it never
+//! consults the engine knob.)
 //!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
@@ -1140,7 +1141,7 @@ fn run_loop(
 /// Entry point from the engine dispatch: runs `sim` to its outcome on
 /// the partitioned engine with `threads` workers (0 = all available;
 /// always clamped to the region count). The caller has already
-/// verified the configuration is supported — unsupported ones take the
+/// verified the run carries no fault plan — faulted ones take the
 /// explicit-fallback path and never reach this function.
 pub(crate) fn drive(sim: &mut Sim<'_>, threads: u32) -> (Outcome, u64, Option<DeadlockReport>) {
     let graph = sim.graph;

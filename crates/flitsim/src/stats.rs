@@ -19,19 +19,13 @@ pub enum Outcome {
 /// executed by a sequential engine instead. The parallel engine's
 /// contract is *bit-identical or explicit fallback*: for every
 /// configuration it accepts it must reproduce the sequential engines'
-/// [`SimResult`] exactly, and for every configuration it does not
-/// accept it must say so here — never silently degrade.
+/// [`SimResult`] exactly, and for the one kind it does not accept it
+/// must say so here — never silently degrade.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineFallback {
     /// A fault plan is installed: kills apply network-wide at the start
     /// of a step and discard worms in several regions at once.
     FaultInjection,
-    /// The restricted [`crate::config::BandwidthModel::OneFlitPerStep`]
-    /// model, which has its own single per-flit stepper.
-    RestrictedBandwidth,
-    /// An event-trace hook is attached (`run_traced`), whose per-step
-    /// `Blocked` events are inherently step-enumerated.
-    Tracing,
 }
 
 impl EngineFallback {
@@ -39,8 +33,6 @@ impl EngineFallback {
     pub fn name(self) -> &'static str {
         match self {
             EngineFallback::FaultInjection => "faults",
-            EngineFallback::RestrictedBandwidth => "restricted-bw",
-            EngineFallback::Tracing => "tracing",
         }
     }
 }
@@ -213,9 +205,9 @@ pub struct SimResult {
     /// under [`crate::config::VcPolicy::RouterPooled`] (≤ `pool`), and
     /// the same per-router sum under the static policy (≤ `B · fanout`).
     /// Sampled at end of step, like [`SimResult::max_vcs_in_use`], so it
-    /// is engine-identical. Tracked by the wormhole simulators only;
-    /// the comparison disciplines without per-router VC pools (e.g. the
-    /// virtual-cut-through engine) report 0.
+    /// is engine-identical. Tracked by the wormhole engines only; the
+    /// comparison steppers ([`crate::cut_through`],
+    /// [`crate::restricted`]) report 0.
     pub max_pool_in_use: u32,
     /// Total blocked-step count across messages.
     pub total_stalls: u64,
@@ -270,12 +262,51 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// Result of a comparison-model stepper ([`crate::cut_through`],
+    /// [`crate::restricted`]): `steps` is the step the loop stopped at,
+    /// `last_finish` the latest delivery, `max_occupancy` whatever the
+    /// model reports as [`SimResult::max_vcs_in_use`]. Everything only the
+    /// wormhole engines track (pools, adaptive and fault counters, the
+    /// deadlock report) is zero / `None`.
+    pub(crate) fn baseline(
+        outcome: Outcome,
+        steps: u64,
+        last_finish: u64,
+        messages: Vec<MessageOutcome>,
+        max_occupancy: u32,
+        flit_hops: u64,
+    ) -> Self {
+        let total_steps = match outcome {
+            Outcome::Completed => last_finish,
+            _ => steps,
+        };
+        Self {
+            outcome,
+            total_steps,
+            total_stalls: messages.iter().map(|o| o.stalls).sum(),
+            messages,
+            max_vcs_in_use: max_occupancy,
+            max_pool_in_use: 0,
+            flit_hops,
+            escape_fallbacks: 0,
+            misroute_hops: 0,
+            kills_applied: 0,
+            fault_discards: 0,
+            fault_detour_hops: 0,
+            fault_recovery_steps: 0,
+            deadlock: None,
+            open_loop: None,
+            closed_loop: None,
+            engine_fallback: None,
+        }
+    }
+
     /// Field-for-field execution equality over everything the simulator
     /// computes (`open_loop` and `closed_loop` excluded — both are
     /// derived windowing, attached after the run — and
     /// [`SimResult::engine_fallback`] excluded, because it records which
     /// machinery executed the run, not what the run computed). This is
-    /// the differential-oracle relation all full-bandwidth engines
+    /// the differential-oracle relation all engines
     /// ([`crate::config::Engine`]) must satisfy on every workload.
     pub fn same_execution(&self, other: &SimResult) -> bool {
         self.outcome == other.outcome

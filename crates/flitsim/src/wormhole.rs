@@ -168,7 +168,7 @@ use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 use wormhole_topology::path::Path;
 
-use crate::config::{BandwidthModel, BlockedPolicy, Engine, RouteSelection, SimConfig};
+use crate::config::{BlockedPolicy, Engine, RouteSelection, SimConfig};
 use crate::events::{DeadlockReport, TraceEvent, WaitFor};
 use crate::kernel::{
     self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, Worm,
@@ -177,15 +177,10 @@ use crate::message::MessageSpec;
 use crate::source::{ReplaySource, TrafficSource};
 use crate::stats::{DiscardReason, EngineFallback, MessageOutcome, Outcome, SimResult};
 
-/// Restricted-model flit position: not yet injected.
-const FLIT_UNINJECTED: u32 = 0;
-/// Restricted-model flit position: delivered.
-const FLIT_DELIVERED: u32 = u32::MAX;
-
 /// Eagerly validates a spec slice against `graph` — the historical
 /// entry-point behavior (a bad spec panics before any simulation work),
 /// preserved by the slice runners on top of the per-admission checks.
-fn validate_specs(graph: &Graph, specs: &[MessageSpec]) {
+pub(crate) fn validate_specs(graph: &Graph, specs: &[MessageSpec]) {
     for (i, s) in specs.iter().enumerate() {
         assert!(!s.path.is_empty(), "message {i} has an empty path");
         for &e in s.path.edges() {
@@ -221,7 +216,7 @@ pub fn run_source(graph: &Graph, source: &mut dyn TrafficSource, config: &SimCon
         RouteSelection::Oblivious,
         "adaptive route selection needs run_adaptive (per-hop candidates come from a router)"
     );
-    Sim::new(graph, None, source, config, false).run_inner().0
+    simulate(graph, None, source, config)
 }
 
 /// Runs and asserts the routing completed (no deadlock / step-cap abort).
@@ -239,9 +234,7 @@ pub fn run_to_completion(graph: &Graph, specs: &[MessageSpec], config: &SimConfi
 /// under an adaptive policy the actual route is built hop by hop at the
 /// header. With [`RouteSelection::Oblivious`] this is exactly [`run`].
 ///
-/// Panics on empty paths, on a path not belonging to `router`'s graph,
-/// or under the restricted bandwidth model (the per-flit stepper does
-/// not support route extension).
+/// Panics on empty paths or on a path not belonging to `router`'s graph.
 pub fn run_adaptive(
     router: &dyn AdaptiveRouter,
     specs: &[MessageSpec],
@@ -259,35 +252,15 @@ pub fn run_source_adaptive(
     source: &mut dyn TrafficSource,
     config: &SimConfig,
 ) -> SimResult {
-    if config.route_selection == RouteSelection::Oblivious {
-        return run_source(router.graph(), source, config);
-    }
-    assert_eq!(
-        config.bandwidth,
-        BandwidthModel::BFlitsPerStep,
-        "adaptive route selection requires the full-bandwidth model"
-    );
-    Sim::new(router.graph(), Some(router), source, config, false)
-        .run_inner()
-        .0
+    simulate(router.graph(), Some(router), source, config)
 }
 
-/// [`run_adaptive`], asserting the routing completed.
-pub fn run_adaptive_to_completion(
-    router: &dyn AdaptiveRouter,
-    specs: &[MessageSpec],
-    config: &SimConfig,
-) -> SimResult {
-    let r = run_adaptive(router, specs, config);
-    assert_eq!(r.outcome, Outcome::Completed, "simulation did not complete");
-    r
-}
-
-/// Runs with event tracing: every VC acquisition, blocked attempt (full
-/// bandwidth model), delivery, and discard is recorded. Traces grow with
+/// Runs with event tracing: every VC acquisition, blocked attempt,
+/// delivery, and discard is recorded. Traces grow with
 /// `O(steps · messages)` in the worst case — use on instances you intend
-/// to inspect. Always driven by the legacy stepper (per-step `Blocked`
-/// events are what the event engine exists to not enumerate); results are
+/// to inspect. Always driven by the legacy stepper, whatever
+/// [`SimConfig::engine`] says (per-step `Blocked` events are what the
+/// other engines exist to not enumerate); the [`SimResult`] is
 /// bit-identical either way.
 pub fn run_traced(
     graph: &Graph,
@@ -301,7 +274,38 @@ pub fn run_traced(
     );
     validate_specs(graph, specs);
     let mut source = ReplaySource::from_slice(specs);
-    Sim::new(graph, None, &mut source, config, true).run_inner()
+    let mut sim = Sim::new(graph, None, &mut source, config, true);
+    let driven = sim.drive_legacy();
+    sim.into_result(driven, None)
+}
+
+/// The one untraced core behind every `run*` entry point: builds the
+/// simulation (`router` is only consulted under an adaptive
+/// [`RouteSelection`]) and hands it to the configured [`Engine`]. The
+/// parallel engine reproduces every configuration but one bit for bit;
+/// fault plans (kills apply network-wide at start-of-step, which the
+/// windowed scheme cannot yet reproduce) run on the event engine with an
+/// explicit note in [`SimResult::engine_fallback`] — never silently.
+fn simulate(
+    graph: &Graph,
+    router: Option<&dyn AdaptiveRouter>,
+    source: &mut dyn TrafficSource,
+    config: &SimConfig,
+) -> SimResult {
+    let mut sim = Sim::new(graph, router, source, config, false);
+    let (driven, engine_fallback) = match config.engine {
+        Engine::Legacy => (sim.drive_legacy(), None),
+        Engine::EventDriven => (crate::engine::drive(&mut sim), None),
+        Engine::Parallel { threads } => {
+            if sim.faulted() {
+                let fallback = Some(EngineFallback::FaultInjection);
+                (crate::engine::drive(&mut sim), fallback)
+            } else {
+                (crate::parallel::drive(&mut sim, threads), None)
+            }
+        }
+    };
+    sim.into_result(driven, engine_fallback).0
 }
 
 /// Per-run adaptive routing state (present iff the config asks for a
@@ -401,19 +405,6 @@ pub(crate) struct Sim<'a> {
     /// is parked); the legacy stepper never reads it.
     pub(crate) released: Vec<u32>,
     pub(crate) track_releases: bool,
-    /// Bandwidth tokens per edge (restricted model scratch).
-    tokens_used: Vec<bool>,
-    token_touched: Vec<u32>,
-    /// Restricted model: per-worm flit positions (`FLIT_UNINJECTED`,
-    /// buffer index `1..d`, or `FLIT_DELIVERED`). Empty under the full
-    /// bandwidth model.
-    flit_pos: Vec<Vec<u32>>,
-    /// Restricted model: delivered flit counts.
-    rdelivered: Vec<u32>,
-    /// Restricted model: first undelivered flit index per worm — the
-    /// inner loop skips the delivered prefix instead of rescanning all
-    /// `L` positions every step.
-    rfirst: Vec<u32>,
     pub(crate) num_edges: usize,
     /// Expanded per-edge kill schedule from [`SimConfig::faults`]:
     /// ascending `(at, edge)`, router kills expanded to their incident
@@ -465,11 +456,6 @@ impl<'a> Sim<'a> {
         };
         let kill_schedule = match &config.faults {
             Some(plan) if !plan.is_empty() => {
-                assert_eq!(
-                    config.bandwidth,
-                    BandwidthModel::BFlitsPerStep,
-                    "fault injection requires the full-bandwidth model"
-                );
                 if let Err(e) = plan.validate(graph) {
                     panic!("invalid fault plan: {e}");
                 }
@@ -503,11 +489,6 @@ impl<'a> Sim<'a> {
             unfinished: 0,
             released: Vec::new(),
             track_releases: false,
-            tokens_used: vec![false; graph.num_edges()],
-            token_touched: Vec::new(),
-            flit_pos: Vec::new(),
-            rdelivered: Vec::new(),
-            rfirst: Vec::new(),
             num_edges: graph.num_edges(),
             kill_schedule,
             next_kill: 0,
@@ -600,7 +581,6 @@ impl<'a> Sim<'a> {
     /// them in). Validates the spec the way the old eager loop did.
     fn admit(&mut self, id: u32, spec: MessageSpec, now: u64) {
         let mi = id as usize;
-        let restricted = self.config.bandwidth == BandwidthModel::OneFlitPerStep;
         while self.specs.len() <= mi {
             self.specs.push(MessageSpec {
                 path: Path::new(Vec::new()),
@@ -615,12 +595,7 @@ impl<'a> Sim<'a> {
                 pending_route: false,
             });
             self.outcomes.push(MessageOutcome::default());
-            self.rdelivered.push(0);
             self.admitted_flag.push(false);
-            if restricted {
-                self.flit_pos.push(Vec::new());
-                self.rfirst.push(0);
-            }
             if let Some(ad) = &mut self.adaptive {
                 ad.routes.push(Vec::new());
                 ad.src.push(NodeId(0));
@@ -647,10 +622,6 @@ impl<'a> Sim<'a> {
             length: spec.length,
             pending_route: adaptive_mode,
         };
-        if restricted {
-            self.flit_pos[mi] = vec![FLIT_UNINJECTED; spec.length as usize];
-            self.rfirst[mi] = 0;
-        }
         if let Some(ad) = &mut self.adaptive {
             ad.routes[mi] = Vec::with_capacity(spec.hops() as usize);
             ad.src[mi] = spec.path.src(self.graph);
@@ -904,45 +875,14 @@ impl<'a> Sim<'a> {
         !self.movers.is_empty() || !self.doomed.is_empty()
     }
 
-    fn run_inner(mut self) -> (SimResult, Vec<TraceEvent>) {
-        // Every sequential run takes the event engine when it accepts
-        // the configuration, the legacy stepper otherwise.
-        let event_ok = self.config.bandwidth == BandwidthModel::BFlitsPerStep && !self.tracing;
-        let sequential = |sim: &mut Self| {
-            if event_ok {
-                crate::engine::drive(sim)
-            } else {
-                sim.drive_legacy()
-            }
-        };
-        // The parallel engine only accepts configurations whose step
-        // semantics it can reproduce bit-for-bit; everything else falls
-        // back to a sequential engine with an explicit note in the
-        // result (`SimResult::engine_fallback`) — never silently.
-        // Adaptive routing runs natively in the parallel engine; fault
-        // plans are the one remaining routing fallback (kills apply
-        // globally at start-of-step, which the windowed scheme cannot
-        // yet reproduce).
-        let ((outcome, t, deadlock_report), engine_fallback) = match self.config.engine {
-            Engine::Legacy => (self.drive_legacy(), None),
-            Engine::EventDriven => (sequential(&mut self), None),
-            Engine::Parallel { threads } => {
-                let fallback = if self.faulted() {
-                    Some(EngineFallback::FaultInjection)
-                } else if self.config.bandwidth == BandwidthModel::OneFlitPerStep {
-                    Some(EngineFallback::RestrictedBandwidth)
-                } else if self.tracing {
-                    Some(EngineFallback::Tracing)
-                } else {
-                    None
-                };
-                match fallback {
-                    None => (crate::parallel::drive(&mut self, threads), None),
-                    Some(_) => (sequential(&mut self), fallback),
-                }
-            }
-        };
-
+    /// Folds what a driver returned — how the run ended, the step it
+    /// stopped at, the deadlock post-mortem — and the accumulated state
+    /// into the [`SimResult`] (plus the trace, empty unless tracing).
+    fn into_result(
+        mut self,
+        (outcome, t, deadlock_report): (Outcome, u64, Option<DeadlockReport>),
+        engine_fallback: Option<EngineFallback>,
+    ) -> (SimResult, Vec<TraceEvent>) {
         let total_steps = match outcome {
             Outcome::Completed => self.last_finish,
             _ => t,
@@ -1054,10 +994,7 @@ impl<'a> Sim<'a> {
                 }
             }
 
-            let moved = match self.config.bandwidth {
-                BandwidthModel::BFlitsPerStep => self.step_full_bandwidth(t),
-                BandwidthModel::OneFlitPerStep => self.step_restricted(t),
-            };
+            let moved = self.step_full_bandwidth(t);
 
             if !moved && !self.active.is_empty() && self.config.blocked == BlockedPolicy::Stall {
                 // Static state: every active worm is blocked on a held VC
@@ -1088,28 +1025,6 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Held 1-based path-edge span of `m`, under either bandwidth model.
-    fn held_span(&self, m: u32) -> (u32, u32) {
-        let mi = m as usize;
-        let w = &self.worms[mi];
-        if self.config.bandwidth == BandwidthModel::BFlitsPerStep {
-            w.held_range()
-        } else {
-            let pos = &self.flit_pos[mi];
-            let head = match pos[0] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => w.hops,
-                p => p,
-            };
-            let tail = match pos[pos.len() - 1] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => w.hops,
-                p => p - 1,
-            };
-            (tail + 1, head)
-        }
-    }
-
     /// Reconstructs the wait-for relation at the moment of deadlock: per
     /// blocked worm, the edge it wants and that edge's current holders.
     /// Holder lists are CSR over a dense per-edge index (a deadlocked
@@ -1119,7 +1034,7 @@ impl<'a> Sim<'a> {
         let mut start = vec![0u32; self.num_edges + 1];
         for &m in &self.active {
             let w = &self.worms[m as usize];
-            let (lo, hi) = self.held_span(m);
+            let (lo, hi) = w.held_range();
             for j in lo..=hi {
                 if w.needs_vc(self.rules.final_vc, j) {
                     start[self.path_edge(m, j) + 1] += 1;
@@ -1133,7 +1048,7 @@ impl<'a> Sim<'a> {
         let mut hold = vec![0u32; start[self.num_edges] as usize];
         for &m in &self.active {
             let w = &self.worms[m as usize];
-            let (lo, hi) = self.held_span(m);
+            let (lo, hi) = w.held_range();
             for j in lo..=hi {
                 if w.needs_vc(self.rules.final_vc, j) {
                     let e = self.path_edge(m, j);
@@ -1157,15 +1072,7 @@ impl<'a> Sim<'a> {
                 });
                 continue;
             }
-            let wanted = if self.config.bandwidth == BandwidthModel::BFlitsPerStep {
-                w.advance + 1
-            } else {
-                match self.flit_pos[mi][0] {
-                    FLIT_UNINJECTED => 1,
-                    FLIT_DELIVERED => continue, // draining; not head-blocked
-                    p => p + 1,
-                }
-            };
+            let wanted = w.advance + 1;
             if wanted > w.hops {
                 continue;
             }
@@ -1200,127 +1107,6 @@ impl<'a> Sim<'a> {
         self.ledger.settle_max(&self.rules);
         self.retire_finished();
         progressed
-    }
-
-    /// One step under the restricted model: each physical edge transmits at
-    /// most **one flit** per step, and flits advance *individually* (the
-    /// buffering is still `B` one-flit VC buffers per edge, but the shared
-    /// wire forces time-multiplexing). This per-flit semantics is what makes
-    /// the paper's factor-`B` emulation hold: worms sharing one edge only
-    /// contend on that edge's token, not on their entire pipelines.
-    ///
-    /// Flits of a worm are processed head-to-tail with current-state gap
-    /// checks, so an unobstructed worm still advances every flit each step
-    /// (completing in `d + L − 1`); cross-worm contention is resolved by the
-    /// per-edge token in rotating worm order. Flits deliver strictly
-    /// head-to-tail, so the loop starts at the first undelivered flit
-    /// (`rfirst`) instead of rescanning the delivered prefix.
-    fn step_restricted(&mut self, t: u64) -> bool {
-        assert_eq!(
-            self.config.blocked,
-            BlockedPolicy::Stall,
-            "Discard is not supported under the restricted bandwidth model"
-        );
-        for &e in &self.token_touched {
-            self.tokens_used[e as usize] = false;
-        }
-        self.token_touched.clear();
-        let n_active = self.active.len();
-        let start = if n_active == 0 {
-            0
-        } else {
-            (t as usize) % n_active
-        };
-        let mut any_moved = false;
-        for off in 0..n_active {
-            let m = self.active[(start + off) % n_active];
-            let mi = m as usize;
-            let d = self.worms[mi].hops;
-            let length = self.worms[mi].length as usize;
-            let mut worm_moved = false;
-            for k in self.rfirst[mi] as usize..length {
-                let p = self.flit_pos[mi][k];
-                debug_assert_ne!(p, FLIT_DELIVERED, "delivered flit past rfirst");
-                let target = if p == FLIT_UNINJECTED { 1 } else { p + 1 };
-                if target > d {
-                    continue; // defensive; crossing edge d delivers
-                }
-                if k > 0 {
-                    // The slot ahead (buffer of `target`) must be free of the
-                    // predecessor flit; processed head-first, a predecessor
-                    // that moved this step already vacated it.
-                    let pred = self.flit_pos[mi][k - 1];
-                    if pred != FLIT_DELIVERED && pred <= target {
-                        continue;
-                    }
-                } else {
-                    // Head flit: acquires a VC on the edge it crosses.
-                    if self.worms[mi].needs_vc(self.rules.final_vc, target)
-                        && !self.edge_acquirable(self.path_edge(m, target))
-                    {
-                        continue;
-                    }
-                }
-                let e = self.path_edge(m, target);
-                if self.tokens_used[e] {
-                    continue;
-                }
-                // Apply the crossing.
-                self.tokens_used[e] = true;
-                self.token_touched.push(e as u32);
-                self.flit_hops += 1;
-                let delivered = target == d;
-                self.flit_pos[mi][k] = if delivered { FLIT_DELIVERED } else { target };
-                if delivered && k as u32 == self.rfirst[mi] {
-                    self.rfirst[mi] += 1;
-                }
-                if k == 0 {
-                    if self.worms[mi].needs_vc(self.rules.final_vc, target) {
-                        // Per-flit steps sample the occupancy maxima at
-                        // each acquisition instant.
-                        self.ledger.acquire(&self.rules, e);
-                        self.ledger.settle_max(&self.rules);
-                        if self.tracing {
-                            self.trace.push(TraceEvent::Acquire {
-                                t,
-                                msg: m,
-                                edge: e as u32,
-                            });
-                        }
-                    }
-                    if self.outcomes[mi].first_move.is_none() {
-                        self.outcomes[mi].first_move = Some(t);
-                    }
-                }
-                if k == length - 1 {
-                    // Tail: releases the buffer it left and, on delivery,
-                    // the final edge's VC.
-                    if p != FLIT_UNINJECTED && self.worms[mi].needs_vc(self.rules.final_vc, p) {
-                        let e_old = self.path_edge(m, p);
-                        self.release_vc(e_old);
-                    }
-                    if delivered && self.worms[mi].needs_vc(self.rules.final_vc, d) {
-                        self.release_vc(e);
-                    }
-                }
-                if delivered {
-                    self.rdelivered[mi] += 1;
-                    if self.rdelivered[mi] as usize == length {
-                        self.finish(m, t + 1);
-                    }
-                }
-                worm_moved = true;
-            }
-            if worm_moved {
-                any_moved = true;
-            } else {
-                self.outcomes[mi].stalls += 1;
-            }
-        }
-        let outcomes = &self.outcomes;
-        self.active
-            .retain(|&m| outcomes[m as usize].finished.is_none());
-        any_moved
     }
 
     /// Releases one VC on `e` ([`VcLedger::release`]), recording it for
@@ -1441,10 +1227,6 @@ impl<'a> Sim<'a> {
     /// Recomputes VC holder counts from scratch and checks all invariants.
     /// The event engine rebuilds `active` before calling this.
     pub(crate) fn validate(&self) {
-        if self.config.bandwidth == BandwidthModel::OneFlitPerStep {
-            self.validate_restricted();
-            return;
-        }
         let mut expect = vec![0u16; self.num_edges];
         for &m in &self.active {
             for j in self.worms[m as usize].held_vcs(self.rules.final_vc) {
@@ -1499,69 +1281,13 @@ impl<'a> Sim<'a> {
             }
         }
     }
-
-    /// Invariant checks for the restricted (per-flit) model.
-    fn validate_restricted(&self) {
-        let mut expect = vec![0u16; self.num_edges];
-        for &m in &self.active {
-            let mi = m as usize;
-            let w = &self.worms[mi];
-            let d = w.hops;
-            let pos = &self.flit_pos[mi];
-            // Flit positions are strictly ordered head-to-tail.
-            for k in 1..pos.len() {
-                let (a, b) = (pos[k - 1], pos[k]);
-                if b != FLIT_UNINJECTED && a != FLIT_DELIVERED {
-                    assert!(a > b, "flit order violated for message {m}: {a} !> {b}");
-                }
-            }
-            // The delivered prefix and the skip index agree.
-            let prefix = pos.iter().take_while(|&&p| p == FLIT_DELIVERED).count() as u32;
-            assert_eq!(
-                prefix, self.rfirst[mi],
-                "rfirst out of sync for message {m}"
-            );
-            // Held VC range: (tail_released, head_acquired].
-            let head_acq = match pos[0] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => d,
-                p => p,
-            };
-            let tail_rel = match pos[pos.len() - 1] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => d,
-                p => p - 1,
-            };
-            for j in tail_rel + 1..=head_acq {
-                if w.needs_vc(self.rules.final_vc, j) {
-                    expect[self.path_edge(m, j)] += 1;
-                }
-            }
-            // Conservation: injected − delivered flits sit in buffers.
-            let in_buffers = pos
-                .iter()
-                .filter(|&&p| p != FLIT_UNINJECTED && p != FLIT_DELIVERED)
-                .count() as u32;
-            let delivered = self.rdelivered[mi];
-            let uninjected = pos.iter().filter(|&&p| p == FLIT_UNINJECTED).count() as u32;
-            assert_eq!(
-                in_buffers + delivered + uninjected,
-                w.length,
-                "flit conservation violated for message {m}"
-            );
-        }
-        assert_eq!(
-            expect, self.ledger.holders,
-            "restricted VC accounting mismatch"
-        );
-        self.ledger.validate(&self.rules);
-    }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Arbitration, FinalEdgePolicy};
     use crate::message::specs_from_paths;
+    use crate::restricted::{self, RestrictedConfig};
     use wormhole_topology::graph::{GraphBuilder, NodeId};
     use wormhole_topology::path::{Path, PathSet};
     use wormhole_topology::random_nets::shared_chain_instance;
@@ -1754,8 +1480,8 @@ mod tests {
         // needs only its own tokens, so it still advances every step.
         let (g, edges) = chain(6);
         let spec = MessageSpec::new(Path::new(edges), 4);
-        let config = cfg(2).bandwidth(BandwidthModel::OneFlitPerStep);
-        let r = run_to_completion(&g, &[spec], &config);
+        let r = restricted::run(&g, &[spec], &RestrictedConfig::new(2));
+        assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.total_steps, 5 + 4 - 1);
     }
 
@@ -1768,11 +1494,8 @@ mod tests {
         let (g, ps) = shared_chain_instance(b, 8);
         let specs = specs_from_paths(&ps, 6);
         let full = run_to_completion(&g, &specs, &cfg(b));
-        let restricted = run_to_completion(
-            &g,
-            &specs,
-            &cfg(b).bandwidth(BandwidthModel::OneFlitPerStep),
-        );
+        let restricted = restricted::run(&g, &specs, &RestrictedConfig::new(b));
+        assert_eq!(restricted.outcome, Outcome::Completed);
         assert!(
             restricted.total_steps >= (b as u64 - 1) * full.total_steps / 2,
             "restricted {} vs full {}",
@@ -1877,6 +1600,24 @@ mod tests {
         assert!(trace
             .iter()
             .any(|e| matches!(e, TraceEvent::Discard { t: 0, msg: 1 })));
+    }
+
+    #[test]
+    fn run_traced_ignores_the_engine_knob() {
+        // Tracing is legacy-driven whatever engine the config names: same
+        // result, same trace, and nothing to report as a fallback.
+        let (g, ps) = shared_chain_instance(3, 5);
+        let specs = specs_from_paths(&ps, 4);
+        let (legacy, legacy_trace) = run_traced(&g, &specs, &cfg(1).engine(Engine::Legacy));
+        assert!(legacy_trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Blocked { .. })));
+        for engine in [Engine::EventDriven, Engine::Parallel { threads: 2 }] {
+            let (r, trace) = run_traced(&g, &specs, &cfg(1).engine(engine));
+            assert!(r.same_execution(&legacy));
+            assert_eq!(r.engine_fallback, None);
+            assert_eq!(trace, legacy_trace);
+        }
     }
 
     #[test]
@@ -2085,6 +1826,16 @@ mod tests {
 
     fn adaptive_torus(radix: u32, dims: u32) -> Mesh {
         Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+    }
+
+    fn run_adaptive_to_completion(
+        t: &Mesh,
+        specs: &[MessageSpec],
+        config: &SimConfig,
+    ) -> SimResult {
+        let r = run_adaptive(t, specs, config);
+        assert_eq!(r.outcome, Outcome::Completed, "simulation did not complete");
+        r
     }
 
     /// Specs whose paths are the oblivious dateline routes (adaptive runs
@@ -2425,15 +2176,6 @@ mod tests {
         let specs = vec![MessageSpec::new(Path::new(vec![e01]), 2)];
         // fanout 2 at router 0, floor 2 each, pool 3: 2·2 > 3.
         let _ = run(&g, &specs, &pooled_cfg(3, 2, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "full-bandwidth model")]
-    fn pooled_rejects_the_restricted_model() {
-        let (g, e01, _) = star();
-        let specs = vec![MessageSpec::new(Path::new(vec![e01]), 2)];
-        let config = pooled_cfg(4, 1, 2).bandwidth(BandwidthModel::OneFlitPerStep);
-        let _ = run(&g, &specs, &config);
     }
 
     // ---- fault injection --------------------------------------------

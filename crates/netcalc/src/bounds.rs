@@ -3,12 +3,11 @@
 //!
 //! # The model being bounded
 //!
-//! `wormhole_flitsim`'s default semantics: rigid worms (a message's
-//! flits advance in lockstep behind the header), `B` virtual channels
-//! per directed edge ([`VcPolicy::Static`]), full per-VC bandwidth —
-//! every held VC moves one flit per step
-//! ([`BandwidthModel::BFlitsPerStep`]), so an edge's aggregate capacity
-//! is `B` flits/step. A worm stalls only while its **header** waits for
+//! [`wormhole_flitsim::wormhole`]'s default semantics: rigid worms (a
+//! message's flits advance in lockstep behind the header), `B` virtual
+//! channels per directed edge ([`VcPolicy::Static`]), full per-VC
+//! bandwidth — every held VC moves one flit per step, so an edge's
+//! aggregate capacity is `B` flits/step. A worm stalls only while its **header** waits for
 //! a free VC on its next edge, and a step in which a header waits ends
 //! with all `B` of that edge's VCs held by *other* worms (the arbiter
 //! hands every free VC to some waiting header — any arbitration order
@@ -72,7 +71,6 @@
 //! certifiability.
 //!
 //! [`VcPolicy::Static`]: wormhole_flitsim::config::VcPolicy::Static
-//! [`BandwidthModel::BFlitsPerStep`]: wormhole_flitsim::config::BandwidthModel::BFlitsPerStep
 
 use wormhole_topology::graph::Graph;
 

@@ -17,12 +17,12 @@
 //! The contract against the simulator is exact and is enforced by a
 //! cross-validation property test: for every feedforward instance,
 //! **simulated p100 latency ≤ the analytic delay bound**. The bound is
-//! valid for `wormhole_flitsim`'s default model — rigid worms, static
-//! per-edge VC allocation `B`, full per-VC bandwidth
-//! ([`wormhole_flitsim::config::BandwidthModel::BFlitsPerStep`]), any
-//! arbitration — on any acyclic routing graph. It is *not* claimed for
-//! router-pooled VCs, the restricted one-flit-per-step channel model, or
-//! adaptive routing.
+//! valid for [`wormhole_flitsim::wormhole`]'s default model — rigid
+//! worms, static per-edge VC allocation `B`, full per-VC bandwidth (`B`
+//! flits per channel per step), any arbitration — on any acyclic routing
+//! graph. It is *not* claimed for router-pooled VCs, adaptive routing, or
+//! the one-flit-per-step comparison baseline
+//! ([`wormhole_flitsim::restricted`]).
 //!
 //! # Example
 //!

@@ -21,16 +21,13 @@
 //!   reports the same `Outcome::MaxSteps` verdict and the same
 //!   `in_flight` survivor count as the sequential engines;
 //! * a deadlock fixture asserting the parallel run wedges on the same
-//!   step with the same cycle report;
-//! * fallback fixtures for the configs the parallel engine refuses
-//!   (restricted bandwidth, tracing): an explicit
-//!   [`EngineFallback`] note, never a silent sequential run.
+//!   step with the same cycle report.
 
 use proptest::prelude::*;
 
-use wormhole_flitsim::config::{Arbitration, BandwidthModel, Engine, SimConfig};
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
 use wormhole_flitsim::message::specs_from_paths;
-use wormhole_flitsim::stats::{EngineFallback, Outcome, SimResult};
+use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_flitsim::MessageSpec;
 use wormhole_topology::graph::{Graph, GraphBuilder, NodeId};
@@ -182,47 +179,6 @@ fn deadlock_verdict_matches_sequential() {
         other => panic!("fixture must wedge, got {other:?}"),
     }
     assert!(lg.deadlock.is_some(), "wedged runs carry a cycle report");
-}
-
-/// Restricted bandwidth (the §1.4 one-flit-per-step model) is outside
-/// the parallel engine's supported set: the run must carry the
-/// explicit note and match the sequential oracle.
-#[test]
-fn restricted_bandwidth_falls_back_explicitly() {
-    let (g, ps) = shared_chain_instance(3, 5);
-    let specs = specs_from_paths(&ps, 4);
-    let cfg = SimConfig::new(2)
-        .bandwidth(BandwidthModel::OneFlitPerStep)
-        .check_invariants(true);
-    let lg = wormhole::run(&g, &specs, &cfg.clone().engine(Engine::Legacy));
-    let par = wormhole::run(
-        &g,
-        &specs,
-        &cfg.clone().engine(Engine::Parallel { threads: 2 }),
-    );
-    assert_eq!(
-        par.engine_fallback,
-        Some(EngineFallback::RestrictedBandwidth)
-    );
-    assert!(par.same_execution(&lg));
-}
-
-/// Tracing instruments the sequential stepper; a traced parallel run
-/// must fall back explicitly and still produce the identical trace.
-#[test]
-fn tracing_falls_back_explicitly() {
-    let (g, ps) = shared_chain_instance(2, 4);
-    let specs = specs_from_paths(&ps, 3);
-    let cfg = SimConfig::new(1).check_invariants(true);
-    let (lg, lg_trace) = wormhole::run_traced(&g, &specs, &cfg.clone().engine(Engine::Legacy));
-    let (par, par_trace) = wormhole::run_traced(
-        &g,
-        &specs,
-        &cfg.clone().engine(Engine::Parallel { threads: 2 }),
-    );
-    assert_eq!(par.engine_fallback, Some(EngineFallback::Tracing));
-    assert!(par.same_execution(&lg));
-    assert_eq!(par_trace, lg_trace);
 }
 
 proptest! {

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use wormhole_core::firstfit::{compact_coloring, first_fit, FirstFitOrder};
 use wormhole_core::refine::refine;
 use wormhole_core::Coloring;
+use wormhole_routing::flitsim::restricted::{self, RestrictedConfig};
 use wormhole_routing::prelude::*;
 use wormhole_topology::channel_dependency_graph;
 use wormhole_topology::lowerbound;
@@ -20,7 +21,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A lone worm on any chain takes exactly d + L − 1 flit steps under
-    /// any VC count, bandwidth model, and final-edge policy that allows it.
+    /// any VC count, at full bandwidth and in the restricted baseline.
     #[test]
     fn lone_worm_time_is_exact(
         d in 1u32..40,
@@ -30,11 +31,11 @@ proptest! {
     ) {
         let (g, ps) = wormhole_topology::random_nets::shared_chain_instance(1, d);
         let specs = specs_from_paths(&ps, l);
-        let mut cfg = SimConfig::new(b).check_invariants(true);
-        if restricted {
-            cfg = cfg.bandwidth(BandwidthModel::OneFlitPerStep);
-        }
-        let r = wormhole_run(&g, &specs, &cfg);
+        let r = if restricted {
+            restricted::run(&g, &specs, &RestrictedConfig::new(b))
+        } else {
+            wormhole_run(&g, &specs, &SimConfig::new(b).check_invariants(true))
+        };
         prop_assert!(matches!(r.outcome, Outcome::Completed));
         prop_assert_eq!(r.total_steps, (d + l - 1) as u64);
         prop_assert_eq!(r.total_stalls, 0);
@@ -80,12 +81,39 @@ proptest! {
         let loads = ps.edge_loads(net.graph());
         let max_load = loads.iter().copied().max().unwrap_or(0) as u64;
         let specs = specs_from_paths(&ps, l);
-        let cfg = SimConfig::new(b)
-            .bandwidth(BandwidthModel::OneFlitPerStep)
-            .check_invariants(true);
-        let r = wormhole_run(net.graph(), &specs, &cfg);
+        let r = restricted::run(net.graph(), &specs, &RestrictedConfig::new(b));
         prop_assert!(matches!(r.outcome, Outcome::Completed));
         prop_assert!(r.total_steps >= max_load * l as u64);
+    }
+
+    /// Pairwise edge-disjoint worms never compete for a bandwidth token
+    /// (or a VC), so the restricted baseline and the full-bandwidth
+    /// simulator agree message by message.
+    #[test]
+    fn restricted_equals_full_bandwidth_on_edge_disjoint_worms(
+        seed in 0u64..500,
+        b in 1u32..4,
+        l in 1u32..10,
+        msgs in 1usize..24,
+        stagger in 0u64..7,
+    ) {
+        let net = LeveledNet::random(5, 4, 2, seed);
+        let mut used = vec![false; net.graph().num_edges()];
+        let mut specs: Vec<MessageSpec> = Vec::new();
+        for p in net.random_walk_paths(msgs, seed + 4).paths() {
+            if p.edges().iter().all(|e| !used[e.idx()]) {
+                p.edges().iter().for_each(|e| used[e.idx()] = true);
+                let i = specs.len() as u64;
+                specs.push(MessageSpec::new(p.clone(), l).release_at(i * stagger));
+            }
+        }
+        let slim = restricted::run(net.graph(), &specs, &RestrictedConfig::new(b));
+        let full = wormhole_run(net.graph(), &specs, &SimConfig::new(b));
+        prop_assert!(matches!(slim.outcome, Outcome::Completed));
+        prop_assert_eq!(&slim.messages, &full.messages);
+        prop_assert_eq!(slim.total_stalls, 0);
+        prop_assert_eq!(slim.flit_hops, full.flit_hops);
+        prop_assert_eq!(slim.total_steps, full.total_steps);
     }
 
     /// First-fit colorings are always B-bounded, never use fewer than
