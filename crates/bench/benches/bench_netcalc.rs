@@ -3,12 +3,16 @@
 //! simulation costs seconds. These benches pin that claim down on a
 //! 1024-input butterfly (k = 10) with one synthetic flow per input, and
 //! track how the fixed-point iteration scales with the VC count and the
-//! offered rate (more contention → more Picard iterations).
+//! offered rate (more contention → more Picard iterations). One more
+//! case bounds a realized trace instead of contracts — thousands of
+//! short `(path, length)` flows with trace envelopes, the shape the
+//! cross-validation experiment and the benchmark's
+//! `butterfly_bounds_xval` workload feed the closure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use wormhole_netcalc::{delay_bounds, BoundConfig, Flow};
-use wormhole_workloads::Substrate;
+use wormhole_netcalc::{delay_bounds, flows_from_specs, BoundConfig, Flow};
+use wormhole_workloads::{ArrivalProcess, Substrate, TrafficPattern, Workload};
 
 /// One σ=1 leaky-bucket flow per input of a `2^k`-input butterfly,
 /// routed to the bit-complement output (worst-case column reversal —
@@ -70,10 +74,38 @@ fn bench_bound_rates(c: &mut Criterion) {
     group.finish();
 }
 
+/// Uniform Bernoulli(0.05) traffic on butterfly(8) over a 250-step
+/// window: ~3.2 k messages in ~3.1 k flows, 8 hops each.
+fn bench_bound_trace(c: &mut Criterion) {
+    let mut group = c.benchmark_group("netcalc_bounds_trace");
+    group.sample_size(20);
+    let substrate = Substrate::butterfly(8);
+    let specs = Workload::new(
+        substrate.clone(),
+        TrafficPattern::UniformRandom,
+        ArrivalProcess::bernoulli(0.05),
+        4,
+        1,
+    )
+    .generate(250);
+    group.bench_function("flows_from_specs", |bch| {
+        bch.iter(|| flows_from_specs(&specs))
+    });
+    let flows = flows_from_specs(&specs).flows;
+    group.bench_function("delay_bounds_B2", |bch| {
+        bch.iter(|| {
+            delay_bounds(substrate.graph(), &flows, &BoundConfig::new(2))
+                .expect("butterfly is feedforward")
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bound_scaling,
     bench_bound_vcs,
-    bench_bound_rates
+    bench_bound_rates,
+    bench_bound_trace
 );
 criterion_main!(benches);

@@ -24,7 +24,11 @@
 //!
 //! Both row kinds sweep `B ∈ {1, 2, 4, 8}` with the workload held fixed
 //! across `B`, so bound columns are directly comparable (and are
-//! asserted monotone nonincreasing in `B`).
+//! asserted monotone nonincreasing in `B`). The last two columns show
+//! the closure itself: `iters`, its Picard steps including the verifying
+//! one (where no certificate exists, the steps until it diverged), and
+//! `bound/p100`, the certificate's tightness against the simulated
+//! worst case.
 
 use wormhole_flitsim::config::SimConfig;
 use wormhole_flitsim::stats::Outcome;
@@ -60,6 +64,8 @@ pub struct SimPoint {
     /// closure found no finite certificate — seen at B = 1 under hot
     /// adversarial patterns, where worst-case certification is vacuous).
     pub bound: f64,
+    /// Iterations the closure's fixed-point solver ran.
+    pub iterations: u32,
     /// Whether every simulated latency sat at or below its own flow's
     /// bound — the oracle invariant.
     pub oracle_ok: bool,
@@ -80,6 +86,8 @@ pub struct AnalyticPoint {
     /// Worst certified delay, or `None` when no finite certificate
     /// exists at this `B`.
     pub bound: Option<f64>,
+    /// Iterations the closure's fixed-point solver ran.
+    pub iterations: u32,
 }
 
 /// Sweep geometry per mode: substrate × patterns, rates, message length,
@@ -177,6 +185,7 @@ pub fn sweep_points(fast: bool) -> Vec<SimPoint> {
                 flows: tf.flows.len(),
                 sim_p100,
                 bound: report.max_delay(),
+                iterations: report.iterations,
                 oracle_ok,
                 outcome: r.outcome,
             }
@@ -213,6 +222,7 @@ pub fn analytic_points(fast: bool) -> Vec<AnalyticPoint> {
                 b,
                 flows: flows.len(),
                 bound: report.bounded.then(|| report.max_delay()),
+                iterations: report.iterations,
             });
         }
     }
@@ -242,6 +252,8 @@ pub fn run(fast: bool) -> Vec<Table> {
             "bound",
             "p100<=bound",
             "outcome",
+            "iters",
+            "bound/p100",
         ],
     );
     for p in &sim {
@@ -265,6 +277,10 @@ pub fn run(fast: bool) -> Vec<Table> {
                 None
             },
             Some(outcome.into()),
+            Some(p.iterations.to_string()),
+            p.bound
+                .is_finite()
+                .then(|| fnum(p.bound / p.sim_p100.max(1) as f64)),
         ]);
     }
     for p in &analytic {
@@ -278,6 +294,8 @@ pub fn run(fast: bool) -> Vec<Table> {
             None,
             p.bound.map(fnum),
             None,
+            None,
+            Some(p.iterations.to_string()),
             None,
         ]);
     }

@@ -19,6 +19,25 @@
 //! All operations here are *exact* on the stored representations (no
 //! sampling): concavity reduces every sup/inf to a finite scan over
 //! segment endpoints.
+//!
+//! # The sum accumulator
+//!
+//! Pointwise sums have one implementation, `ConcaveSum`: a concave
+//! piecewise-linear curve is its value at 0, its initial slope, and one
+//! `(breakpoint, slope drop)` event per later segment, and a sum of such
+//! curves is the sum of the first two plus the union of the events. Each
+//! summand `w·α(t + d)` is read straight off `α`'s canonical buckets
+//! (the segments that ended at or before `d` contribute nothing, the
+//! active one gives the value and slope at 0, later breakpoints move
+//! left by `d`), the events are sorted once, and walking them in order
+//! emits one tangent line per distinct breakpoint. That output is
+//! canonical **by construction** — every slope drop is positive, so
+//! rates strictly decrease; every breakpoint is positive and larger than
+//! the last, so bursts strictly increase and each line is active on its
+//! own interval — which is why no sort-and-prune pass follows it, and why
+//! the bound engine's per-edge sweep ([`crate::bounds`]) can reuse one
+//! accumulator and one output buffer for the whole fixed-point
+//! iteration without allocating.
 
 /// One affine token bucket `γ_{b,r}`: `t ↦ b + r·t` (burst `b`, rate `r`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -161,35 +180,29 @@ impl ArrivalCurve {
     }
 
     /// Pointwise sum (aggregation of independent flows) — exact on the
-    /// merged segment breakpoints of both envelopes.
+    /// merged segment breakpoints of both envelopes (a two-curve
+    /// `ConcaveSum`).
     pub fn add(&self, other: &ArrivalCurve) -> ArrivalCurve {
-        let mut xs: Vec<f64> = segments(&self.buckets)
-            .iter()
-            .chain(segments(&other.buckets).iter())
-            .map(|&(x, _)| x)
-            .collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-        xs.dedup();
-        let mut buckets = Vec::with_capacity(xs.len());
-        for &x in &xs {
-            let rate = slope_after(&self.buckets, x) + slope_after(&other.buckets, x);
-            let value = self.eval(x) + other.eval(x);
-            // Concavity puts every tangent's y-intercept at or above the
-            // value at 0 (≥ 0); the clamp only absorbs f64 rounding.
-            buckets.push(TokenBucket::new((value - rate * x).max(0.0), rate));
-        }
-        ArrivalCurve::from_buckets(buckets)
+        let mut sum = ConcaveSum::default();
+        sum.push(&self.buckets, 0.0, 1.0);
+        sum.push(&other.buckets, 0.0, 1.0);
+        let mut buckets = Vec::new();
+        sum.envelope_into(&mut buckets);
+        ArrivalCurve { buckets }
     }
 
-    /// Scales the curve by a positive factor: `(c·α)(t) = c·α(t)`.
+    /// Scales the curve by a positive factor: `(c·α)(t) = c·α(t)`. The
+    /// buckets keep their order, so only the linear envelope pass runs
+    /// (it absorbs two rates that round to the same product).
     pub fn scale(&self, c: f64) -> ArrivalCurve {
         assert!(c > 0.0 && c.is_finite(), "scale factor must be positive");
-        ArrivalCurve::from_buckets(
-            self.buckets
-                .iter()
-                .map(|tb| TokenBucket::new(tb.burst * c, tb.rate * c))
-                .collect(),
-        )
+        ArrivalCurve {
+            buckets: lower_envelope(
+                self.buckets
+                    .iter()
+                    .map(|tb| TokenBucket::new(tb.burst * c, tb.rate * c)),
+            ),
+        }
     }
 
     /// Min-plus convolution `(α ⊗ γ)(t) = inf_{0≤s≤t} α(s) + γ(t−s)`.
@@ -213,15 +226,18 @@ impl ArrivalCurve {
     }
 
     /// Deconvolution by a pure delay `δ_d`: `(α ⊘ δ_d)(t) = α(t + d)` —
-    /// each bucket's burst grows by `r·d`.
+    /// each bucket's burst grows by `r·d`. Rates are untouched, so the
+    /// buckets stay sorted and only the linear envelope pass runs; it
+    /// drops the buckets whose segment ended at or before `d`.
     pub fn deconvolve_delay(&self, d: f64) -> ArrivalCurve {
         assert!(d >= 0.0 && d.is_finite(), "delay must be ≥ 0");
-        ArrivalCurve::from_buckets(
-            self.buckets
-                .iter()
-                .map(|tb| TokenBucket::new(tb.burst + tb.rate * d, tb.rate))
-                .collect(),
-        )
+        ArrivalCurve {
+            buckets: lower_envelope(
+                self.buckets
+                    .iter()
+                    .map(|tb| TokenBucket::new(tb.burst + tb.rate * d, tb.rate)),
+            ),
+        }
     }
 
     /// Min-plus deconvolution by a rate-latency service curve:
@@ -243,8 +259,7 @@ impl ArrivalCurve {
             .collect();
         if self.buckets.iter().any(|tb| tb.rate > beta.rate) {
             let crest = segments(&self.buckets)
-                .iter()
-                .map(|&(x, _)| self.eval(x) - beta.rate * x)
+                .map(|(x, _)| self.eval(x) - beta.rate * x)
                 .fold(f64::NEG_INFINITY, f64::max);
             buckets.push(TokenBucket::new(
                 crest + beta.rate * beta.latency,
@@ -320,8 +335,7 @@ pub fn hdev(alpha: &ArrivalCurve, beta: &ServiceCurve) -> Option<f64> {
         return None;
     }
     let sup = segments(alpha.buckets())
-        .iter()
-        .map(|&(x, _)| alpha.eval(x) / beta.rate - x)
+        .map(|(x, _)| alpha.eval(x) / beta.rate - x)
         .fold(f64::NEG_INFINITY, f64::max);
     Some(beta.latency + sup.max(0.0))
 }
@@ -333,32 +347,120 @@ pub fn vdev(alpha: &ArrivalCurve, beta: &ServiceCurve) -> Option<f64> {
         return None;
     }
     let sup = segments(alpha.buckets())
-        .iter()
-        .map(|&(x, _)| x)
+        .map(|(x, _)| x)
         .chain(std::iter::once(beta.latency))
         .map(|x| alpha.eval(x) - beta.eval(x))
         .fold(f64::NEG_INFINITY, f64::max);
     Some(sup.max(0.0))
 }
 
+/// A running pointwise sum of concave piecewise-linear curves, kept as
+/// the sum's value and slope at 0 plus one `(breakpoint, slope drop)`
+/// event per later segment of every summand (see the module docs). The
+/// event buffer is reused across [`ConcaveSum::clear`]s, so a caller
+/// that keeps one accumulator allocates only while it grows.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ConcaveSum {
+    /// Σ of the summands' values at 0.
+    value0: f64,
+    /// Σ of the summands' slopes just after 0.
+    slope0: f64,
+    /// `(x, drop)`: at `x > 0` the sum's slope falls by `drop > 0`.
+    events: Vec<(f64, f64)>,
+}
+
+impl ConcaveSum {
+    /// An empty sum with room for `events` breakpoint events.
+    pub(crate) fn with_capacity(events: usize) -> Self {
+        Self {
+            events: Vec::with_capacity(events),
+            ..Self::default()
+        }
+    }
+
+    /// Room in the event buffer (the zero-allocation test reads it).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.events.capacity()
+    }
+
+    /// Resets to the zero curve, keeping the event buffer.
+    pub(crate) fn clear(&mut self) {
+        self.value0 = 0.0;
+        self.slope0 = 0.0;
+        self.events.clear();
+    }
+
+    /// Adds `t ↦ weight · α(t + shift)` for the canonical envelope
+    /// `buckets` of `α` (`weight > 0`, `shift ≥ 0`). Buckets whose
+    /// segment ended at or before `shift` drop out; the one active at
+    /// `shift` sets the value and slope at 0; each later breakpoint
+    /// becomes an event `shift` to the left.
+    pub(crate) fn push(&mut self, buckets: &[TokenBucket], shift: f64, weight: f64) {
+        let mut active = buckets[0];
+        for w in buckets.windows(2) {
+            let x = crossover(w[0], w[1]);
+            if x <= shift {
+                active = w[1];
+            } else {
+                self.events
+                    .push((x - shift, weight * (w[0].rate - w[1].rate)));
+            }
+        }
+        self.value0 += weight * active.eval(shift);
+        self.slope0 += weight * active.rate;
+    }
+
+    /// Writes the sum's canonical envelope to `out` (cleared first) and
+    /// returns how many breakpoint events it swept. Sorts the events
+    /// once, folds coincident breakpoints into one, and emits the
+    /// tangent after each: same value at the breakpoint, slope lower by
+    /// the drop. A drop lost to rounding emits nothing, and a final
+    /// slope that cancels to a hair below zero is clamped, so the rates
+    /// of `out` strictly decrease and stay `≥ 0` whatever the rounding.
+    pub(crate) fn envelope_into(&mut self, out: &mut Vec<TokenBucket>) -> usize {
+        // Ties on the breakpoint are ordered by drop so that the merged
+        // drop never depends on the order the summands were pushed in.
+        self.events
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let (mut burst, mut rate) = (self.value0, self.slope0);
+        out.clear();
+        out.push(TokenBucket::new(burst, rate));
+        for coincident in self.events.chunk_by(|a, b| a.0 == b.0) {
+            let x = coincident[0].0;
+            let drop: f64 = coincident.iter().map(|e| e.1).sum();
+            burst += drop * x;
+            let lower = (rate - drop).max(0.0);
+            if lower < rate {
+                rate = lower;
+                out.push(TokenBucket::new(burst, rate));
+            }
+        }
+        self.events.len()
+    }
+}
+
 /// Reduces a set of buckets to its lower envelope: rates strictly
 /// decreasing, bursts strictly increasing, each line active somewhere on
 /// `[0, ∞)`.
 fn canonicalize(mut buckets: Vec<TokenBucket>) -> Vec<TokenBucket> {
-    // Sort by rate descending, then burst ascending; drop duplicate rates
-    // (only the smallest burst per rate can be in the envelope).
     buckets.sort_by(|a, b| {
         b.rate
             .partial_cmp(&a.rate)
             .expect("finite rates")
             .then(a.burst.partial_cmp(&b.burst).expect("finite bursts"))
     });
-    buckets.dedup_by(|next, kept| next.rate == kept.rate);
-    // Classic line-envelope stack: `active[i]` is where stack line i
-    // takes over from line i−1.
-    let mut stack: Vec<TokenBucket> = Vec::with_capacity(buckets.len());
-    let mut active: Vec<f64> = Vec::with_capacity(buckets.len());
-    for line in buckets {
+    lower_envelope(buckets)
+}
+
+/// The lower envelope of lines already sorted by rate descending, then
+/// burst ascending — the classic line-envelope stack, linear in the
+/// input.
+fn lower_envelope(sorted: impl IntoIterator<Item = TokenBucket>) -> Vec<TokenBucket> {
+    // `active[i]` is where stack line i takes over from line i−1.
+    let mut stack: Vec<TokenBucket> = Vec::new();
+    let mut active: Vec<f64> = Vec::new();
+    for line in sorted {
         loop {
             match stack.last() {
                 None => {
@@ -366,6 +468,9 @@ fn canonicalize(mut buckets: Vec<TokenBucket>) -> Vec<TokenBucket> {
                     active.push(0.0);
                     break;
                 }
+                // Same rate: only the smallest burst (the earlier line)
+                // can be in the envelope.
+                Some(top) if line.rate == top.rate => break,
                 Some(top) => {
                     if line.burst <= top.burst {
                         // Smaller rate and no larger burst: dominates top.
@@ -373,7 +478,7 @@ fn canonicalize(mut buckets: Vec<TokenBucket>) -> Vec<TokenBucket> {
                         active.pop();
                         continue;
                     }
-                    let x = (line.burst - top.burst) / (top.rate - line.rate);
+                    let x = crossover(*top, line);
                     if x <= *active.last().expect("parallel stacks") {
                         stack.pop();
                         active.pop();
@@ -389,32 +494,23 @@ fn canonicalize(mut buckets: Vec<TokenBucket>) -> Vec<TokenBucket> {
     stack
 }
 
+/// Where the shallower line `next` takes over from the steeper `prev`.
+#[inline]
+fn crossover(prev: TokenBucket, next: TokenBucket) -> f64 {
+    (next.burst - prev.burst) / (prev.rate - next.rate)
+}
+
 /// Segment starts of a canonical envelope: `(x_i, bucket_i)` with the
 /// i-th bucket active on `[x_i, x_{i+1})` (last one to `∞`).
-fn segments(buckets: &[TokenBucket]) -> Vec<(f64, TokenBucket)> {
-    let mut out = Vec::with_capacity(buckets.len());
-    for (i, &tb) in buckets.iter().enumerate() {
+fn segments(buckets: &[TokenBucket]) -> impl Iterator<Item = (f64, TokenBucket)> + '_ {
+    buckets.iter().enumerate().map(move |(i, &tb)| {
         let x = if i == 0 {
             0.0
         } else {
-            let prev = buckets[i - 1];
-            (tb.burst - prev.burst) / (prev.rate - tb.rate)
+            crossover(buckets[i - 1], tb)
         };
-        out.push((x, tb));
-    }
-    out
-}
-
-/// Slope of the envelope just after `x`.
-fn slope_after(buckets: &[TokenBucket], x: f64) -> f64 {
-    let segs = segments(buckets);
-    let mut rate = segs[0].1.rate;
-    for &(from, tb) in &segs {
-        if from <= x {
-            rate = tb.rate;
-        }
-    }
-    rate
+        (x, tb)
+    })
 }
 
 #[cfg(test)]
@@ -467,6 +563,130 @@ mod tests {
                 "sum wrong at t={t}"
             );
         }
+    }
+
+    /// Rates strictly decreasing, bursts and breakpoints strictly
+    /// increasing: the invariant `ArrivalCurve` stores.
+    fn assert_canonical(buckets: &[TokenBucket]) {
+        for w in buckets.windows(2) {
+            assert!(w[1].rate < w[0].rate, "rates must fall: {buckets:?}");
+            assert!(w[1].burst > w[0].burst, "bursts must rise: {buckets:?}");
+        }
+        let xs: Vec<f64> = segments(buckets).map(|(x, _)| x).collect();
+        assert!(xs.windows(2).all(|w| w[0] < w[1]), "breakpoints: {xs:?}");
+    }
+
+    fn two_piece() -> ArrivalCurve {
+        // 2 + t until t = 8, then 8 + t/4.
+        ArrivalCurve::from_buckets(vec![
+            TokenBucket::new(2.0, 1.0),
+            TokenBucket::new(8.0, 0.25),
+        ])
+    }
+
+    #[test]
+    fn sum_merges_coincident_breakpoints_across_curves() {
+        // Both summands break at t = 8 — the second only after its
+        // shift (8 + 4·t until t = 10, read from t = 2 on).
+        let late = ArrivalCurve::from_buckets(vec![
+            TokenBucket::new(8.0, 4.0),
+            TokenBucket::new(38.0, 1.0),
+        ]);
+        let mut sum = ConcaveSum::default();
+        sum.push(two_piece().buckets(), 0.0, 1.0);
+        sum.push(late.buckets(), 2.0, 3.0);
+        let mut out = Vec::new();
+        assert_eq!(sum.envelope_into(&mut out), 2);
+        assert_eq!(
+            out,
+            vec![
+                TokenBucket::new(2.0 + 3.0 * 16.0, 1.0 + 12.0),
+                TokenBucket::new(8.0 + 3.0 * 40.0, 0.25 + 3.0),
+            ]
+        );
+        assert_canonical(&out);
+    }
+
+    #[test]
+    fn sum_drops_buckets_that_end_at_or_before_the_shift() {
+        let a = two_piece();
+        let mut out = Vec::new();
+        for (shift, want) in [
+            // Short of the breakpoint: both pieces, the break 4 earlier.
+            (
+                4.0,
+                vec![TokenBucket::new(12.0, 2.0), TokenBucket::new(18.0, 0.5)],
+            ),
+            // Exactly on it, and past it: only the second piece is left.
+            (8.0, vec![TokenBucket::new(20.0, 0.5)]),
+            (12.0, vec![TokenBucket::new(22.0, 0.5)]),
+        ] {
+            let mut sum = ConcaveSum::default();
+            sum.push(a.buckets(), shift, 2.0);
+            assert_eq!(sum.envelope_into(&mut out), want.len() - 1);
+            assert_eq!(out, want, "shift {shift}");
+            assert_eq!(out, a.deconvolve_delay(shift).scale(2.0).buckets());
+        }
+    }
+
+    #[test]
+    fn sum_of_flat_buckets_has_no_events() {
+        // A one-message trace is the flat bucket γ_{1,0}: nothing to
+        // sort, and the output buffer is reused, not regrown.
+        let lone = ArrivalCurve::from_trace(&[3]);
+        let mut sum = ConcaveSum::with_capacity(0);
+        let mut out = vec![TokenBucket::new(9.0, 9.0); 4];
+        sum.push(lone.buckets(), 11.0, 5.0);
+        sum.push(lone.buckets(), 40.0, 6.0);
+        assert_eq!(sum.envelope_into(&mut out), 0);
+        assert_eq!(out, vec![TokenBucket::new(11.0, 0.0)]);
+        assert_eq!(sum.capacity(), 0);
+        sum.clear();
+        sum.push(lone.buckets(), 0.0, 1.0);
+        sum.envelope_into(&mut out);
+        assert_eq!(out, lone.buckets());
+    }
+
+    #[test]
+    fn sum_matches_the_composed_algebra() {
+        let curves = [
+            (two_piece(), 3.0, 5.0),
+            (ArrivalCurve::from_trace(&[0, 1, 2, 10, 11, 30]), 1.5, 2.0),
+            (ArrivalCurve::from_trace(&[0, 4, 9, 30, 31]), 12.0, 7.0),
+            (ArrivalCurve::token_bucket(1.0, 0.125), 40.0, 1.0),
+        ];
+        let mut sum = ConcaveSum::default();
+        for (curve, shift, weight) in &curves {
+            sum.push(curve.buckets(), *shift, *weight);
+        }
+        let mut out = Vec::new();
+        sum.envelope_into(&mut out);
+        assert_canonical(&out);
+        let composed = curves
+            .iter()
+            .map(|(curve, shift, weight)| curve.deconvolve_delay(*shift).scale(*weight))
+            .reduce(|acc, c| acc.add(&c))
+            .unwrap();
+        assert_curves_eq(&ArrivalCurve { buckets: out }, &composed);
+        for i in 0..400 {
+            let t = i as f64 * 0.11;
+            let direct: f64 = curves.iter().map(|(c, d, w)| w * c.eval(t + d)).sum();
+            assert!((composed.eval(t) - direct).abs() < 1e-9 * direct);
+        }
+    }
+
+    #[test]
+    fn sum_survives_slope_drops_lost_to_rounding() {
+        // The second drop is below the rate's rounding step and the last
+        // overshoots zero by a hair: no repeated rate, no negative rate.
+        let mut sum = ConcaveSum::default();
+        sum.push(&[TokenBucket::new(1.0, 1e3)], 0.0, 1.0);
+        sum.events = vec![(1.0, 1e-14), (2.0, 999.0), (3.0, 1.0 + 1e-13)];
+        let mut out = Vec::new();
+        sum.envelope_into(&mut out);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[2].rate, 0.0);
+        assert_canonical(&out);
     }
 
     #[test]

@@ -67,17 +67,18 @@ pub struct TraceFlows {
 pub fn flows_from_specs(specs: &[MessageSpec]) -> TraceFlows {
     let mut flows: Vec<Flow> = Vec::new();
     let mut releases: Vec<Vec<u64>> = Vec::new();
-    let mut index: std::collections::HashMap<(Vec<EdgeId>, u32), usize> =
+    // Keyed by the specs' own path slices: only a flow's first message
+    // copies its path.
+    let mut index: std::collections::HashMap<(&[EdgeId], u32), usize> =
         std::collections::HashMap::new();
     let mut spec_flow = Vec::with_capacity(specs.len());
     for spec in specs {
-        let edges = spec.path.edges().to_vec();
+        let edges = spec.path.edges();
         assert!(!edges.is_empty(), "a flow needs a route");
-        let key = (edges, spec.length);
-        let fi = *index.entry(key).or_insert_with_key(|(edges, len)| {
+        let fi = *index.entry((edges, spec.length)).or_insert_with(|| {
             flows.push(Flow {
-                edges: edges.clone(),
-                len_flits: *len,
+                edges: edges.to_vec(),
+                len_flits: spec.length,
                 // Placeholder; replaced once all releases are collected.
                 arrival: ArrivalCurve::token_bucket(0.0, 0.0),
             });
