@@ -166,9 +166,7 @@ pub enum Engine {
     /// contention-free stretches fast-forward. The default.
     EventDriven,
     /// The original per-step rescanning stepper, kept as the differential
-    /// oracle (and what [`crate::wormhole::run_traced`] always drives,
-    /// whatever this knob says: its per-step `Blocked` events are
-    /// inherently step-enumerated).
+    /// oracle.
     Legacy,
     /// Partitioned parallel engine: the network is decomposed into
     /// regions ([`SimConfig::regions`], or a default contiguous cut),

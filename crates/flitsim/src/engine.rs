@@ -1,35 +1,40 @@
-//! The event-driven full-bandwidth engine.
+//! The event driver: one window routine under two engines.
 //!
-//! Drives the same simulation state as the legacy stepper in
-//! [`crate::wormhole`] but does per-step work proportional to the worms
-//! that can actually *do* something this step:
+//! [`run_window`] advances a [`Core`] — the worms in flight and their VC
+//! ledger — through a stretch of steps in which nothing enters from
+//! outside, doing per-step work proportional to the worms that can
+//! actually *do* something:
 //!
 //! * **Wait-queue wakeups** — a worm that loses arbitration parks on the
 //!   [`WaitQueue`] under the wait key of every edge it could want next
 //!   (one for a frozen route; every candidate plus the escape hop for a
 //!   pending adaptive head) and is reconsidered only when one of them
 //!   releases a VC. While parked it costs nothing; its stalls are
-//!   settled arithmetically on wakeup (`stalls += wake − park`), because
-//!   those edges provably stay full for the whole interval (see the
-//!   [`crate::wormhole`] module docs), so the legacy stepper would have
-//!   lost the same arbitration at every one of those steps.
+//!   settled arithmetically on wakeup (`stalls += wake − park`). Why
+//!   that is exactly what the legacy stepper counts is invariant 1 of
+//!   the [`crate::wormhole`] module docs.
 //! * **Contention-free fast-forward** — when nothing is parked and the
-//!   runnable set provably cannot interact before the next release —
+//!   runnable set provably cannot interact before the window ends —
 //!   either every worm is draining into its delivery buffer (drains only
 //!   ever *decrement* holder counts, which commutes), or the worms'
 //!   paths are pairwise edge- and source-router-disjoint (checked with
 //!   epoch-stamped per-edge/per-router scratch and memoized until the
 //!   membership changes; router-disjointness keeps the per-router
 //!   occupancy samples behind `max_pool_in_use` engine-exact) — each
-//!   worm free-runs independently to `min(next release, step cap, its
-//!   finish)`: header steps in a tight `O(1)`-per-advance loop, and the
+//!   worm free-runs independently to `min(window end, its finish)`:
+//!   header steps in a tight `O(1)`-per-advance loop, and the
 //!   deterministic drain phase (`finish at advance = hops + L − 1`)
-//!   collapsed to a closed form by [`Sim::fast_drain`]
-//!   ([`crate::kernel::Worm::drain`]). A fully idle
-//!   network jumps straight to the next message release. Fast-forwards
-//!   never cross a release time or the step cap, so every arbitration
-//!   decision — and every release-at-`t`-visible-at-`t+1` boundary —
-//!   still happens at its exact legacy step.
+//!   collapsed to a closed form by [`Core::fast_drain`]
+//!   ([`crate::kernel::Worm::drain`]).
+//!
+//! A window never crosses an admission, a fault kill or the step cap,
+//! so every arbitration decision — and every
+//! release-at-`t`-visible-at-`t+1` boundary — still happens at its
+//! exact legacy step. Two callers: [`drive`], the sequential
+//! [`crate::config::Engine::EventDriven`] loop over [`Sim`]'s single
+//! core (admission, kills and the idle-network jump happen between its
+//! windows), and every region of the [`crate::parallel`] engine, whose
+//! windows the coordinator grants.
 //!
 //! Near saturation this turns the `O(active)` per-step rescan (where
 //! `active` includes the entire source-queued backlog) into
@@ -40,17 +45,19 @@
 use crate::config::BlockedPolicy;
 use crate::events::DeadlockReport;
 use crate::kernel::WaitQueue;
-use crate::stats::Outcome;
-use crate::wormhole::Sim;
+use crate::stats::{DiscardReason, Outcome};
+use crate::wormhole::{Core, Sim};
 
-struct EventState {
-    /// Parked worms, by message id, under the
+/// The event driver's bookkeeping over one [`Core`]: which of its worms
+/// are parked and which are runnable.
+pub(crate) struct EventState {
+    /// Parked worms, by handle, under the
     /// [`crate::kernel::VcRules::wait_key`]s of the edges they watch.
-    waiting: WaitQueue,
-    /// Wait-key scratch for [`Sim::wait_keys`].
+    pub(crate) waiting: WaitQueue,
+    /// Wait-key scratch for [`Core::wait_keys`].
     keys: Vec<usize>,
     /// Released, unretired, unparked worms — the per-step working set.
-    runnable: Vec<u32>,
+    pub(crate) runnable: Vec<u32>,
     /// Memoized "runnable paths are pairwise edge- and
     /// source-router-disjoint" verdict; invalidated whenever the
     /// runnable membership changes.
@@ -65,25 +72,57 @@ struct EventState {
 }
 
 impl EventState {
-    /// Released-and-unretired message count (the legacy `active` size).
+    pub(crate) fn new(core: &Core) -> Self {
+        let (nodes, edges) = (core.ledger.pool_used.len(), core.ledger.holders.len());
+        Self {
+            waiting: WaitQueue::new(core.rules.num_wait_keys()),
+            keys: Vec::new(),
+            runnable: Vec::new(),
+            indep_cached: Some(true), // empty set is trivially disjoint
+            edge_mark: vec![0; edges],
+            node_mark: vec![0; nodes],
+            mark_epoch: 0,
+        }
+    }
+
+    /// Worms in flight: the legacy `active` size.
     #[inline]
-    fn n_active(&self) -> usize {
+    pub(crate) fn n_active(&self) -> usize {
         self.runnable.len() + self.waiting.len()
     }
+
+    /// Makes a worm just installed in the core runnable.
+    #[inline]
+    pub(crate) fn admit(&mut self, h: u32) {
+        self.runnable.push(h);
+        self.indep_cached = None;
+    }
+
+    /// Drops the runnable worms `keep` rejects.
+    pub(crate) fn retain_runnable(&mut self, keep: impl FnMut(&u32) -> bool) {
+        let before = self.runnable.len();
+        self.runnable.retain(keep);
+        if self.runnable.len() != before {
+            self.indep_cached = None;
+        }
+    }
+}
+
+/// What [`run_window`] reports back.
+pub(crate) struct Window {
+    /// The step at which the core froze — nothing moved under
+    /// [`BlockedPolicy::Stall`] with worms left, so nothing will until a
+    /// release arrives from outside — or `u64::MAX`. The whole network
+    /// freezing is the deadlock verdict.
+    pub(crate) frozen_at: u64,
+    /// `1 +` the last step of the window that moved a worm (0 = none).
+    pub(crate) last_move_plus1: u64,
 }
 
 /// Runs the event-driven loop to completion. Returns `(outcome, final
 /// step, deadlock report)` exactly as the legacy driver would.
 pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
-    let mut st = EventState {
-        waiting: WaitQueue::new(sim.rules.num_wait_keys(sim.graph)),
-        keys: Vec::new(),
-        runnable: Vec::new(),
-        indep_cached: Some(true), // empty set is trivially disjoint
-        edge_mark: vec![0; sim.num_edges],
-        node_mark: vec![0; sim.graph.num_nodes()],
-        mark_epoch: 0,
-    };
+    let mut st = EventState::new(&sim.core);
     let mut t: u64 = 0;
     loop {
         // With worms in flight, the cap ends the run early — settling
@@ -92,7 +131,8 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         let idle = st.n_active() == 0;
         if let Some(outcome) = sim.loop_head(&mut t, idle) {
             if !idle {
-                settle_parked(sim, &mut st, sim.config.max_steps.saturating_sub(1));
+                let last = sim.core.config.max_steps.saturating_sub(1);
+                settle_parked(&mut sim.core, &mut st, last);
             }
             return (outcome, t, None);
         }
@@ -106,61 +146,96 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         // wake their wait keys so unblocked worms contend at `t` itself —
         // they land at step start, like releases during `t − 1`.
         if sim.faulted() && sim.next_kill_time() <= t {
-            sim.released.clear();
             sim.apply_kills(t);
+            let core = &mut sim.core;
             if !st.waiting.is_empty() {
-                for m in 0..sim.worms.len() as u32 {
+                for m in 0..core.worms.len() as u32 {
                     let mi = m as usize;
-                    let severed = sim.outcomes[mi].discarded.is_some();
-                    if st.waiting.is_parked(m) && (severed || sim.worms[mi].pending_route) {
-                        sim.outcomes[mi].stalls += (t - 1) - st.waiting.unpark(m);
+                    let severed = core.outcomes[mi].discarded.is_some();
+                    if st.waiting.is_parked(m) && (severed || core.worms[mi].pending_route) {
+                        core.outcomes[mi].stalls += (t - 1) - st.waiting.unpark(m);
                         if !severed {
-                            st.runnable.push(m);
-                            st.indep_cached = None;
+                            st.admit(m);
                         }
                     }
                 }
-                for i in 0..sim.released.len() {
-                    let key = sim.rules.wait_key(sim.released[i] as usize);
-                    wake(sim, &mut st, key, t, t - 1);
-                }
-                sim.track_releases = !st.waiting.is_empty();
+                wake_released(core, &mut st, t, t - 1);
+                core.track_releases = !st.waiting.is_empty();
             }
-            let before = st.runnable.len();
-            let outcomes = &sim.outcomes;
-            st.runnable
-                .retain(|&m| outcomes[m as usize].discarded.is_none());
-            if st.runnable.len() != before {
-                st.indep_cached = None;
-            }
+            let outcomes = &core.outcomes;
+            st.retain_runnable(|&m| outcomes[m as usize].discarded.is_none());
         }
         let new = sim.admit_ready(t);
-        if !new.is_empty() {
-            for i in new {
-                let m = sim.admitted_id(i);
-                // Skip messages discarded at admission (dead-on-arrival).
-                if sim.outcomes[m as usize].discarded.is_none() {
-                    st.runnable.push(m);
-                }
+        for i in new {
+            let m = sim.admitted_id(i);
+            // Skip messages discarded at admission (dead-on-arrival).
+            if sim.core.outcomes[m as usize].discarded.is_none() {
+                st.admit(m);
             }
-            st.indep_cached = None;
         }
-        if st.runnable.is_empty() {
-            if st.waiting.is_empty() {
-                // Kills (or dead-on-arrival admissions) emptied the
-                // network; the next iteration's idle handling jumps to
-                // the next release or ends the run — the legacy stepper
-                // burns a movement-free step here, which no reported
-                // field observes.
-                continue;
-            }
-            // Every released worm is parked on full edges; releases only
+        if st.n_active() == 0 {
+            // Kills (or dead-on-arrival admissions) emptied the network;
+            // the next iteration's idle handling jumps to the next
+            // release or ends the run — the legacy stepper burns a
+            // movement-free step here, which no reported field observes.
+            continue;
+        }
+        // One window: up to the next admission (a new contender), the
+        // next scheduled fault kill (the dead set changes) or the step
+        // cap. A non-reactive source's next release cannot move before
+        // it is reached; a reactive one may answer a delivery with a
+        // release at the very next step, so its windows are one step.
+        let stop = if sim.reactive {
+            t + 1
+        } else {
+            let next_rel = sim.peek_next_release(t).unwrap_or(u64::MAX);
+            let cap = sim.core.config.max_steps;
+            cap.min(next_rel).min(sim.next_kill_time()).max(t + 1)
+        };
+        let win = run_window(&mut sim.core, &mut st, t, stop);
+        sim.core.ledger.settle_max(&sim.core.rules);
+        if win.frozen_at != u64::MAX {
+            // Every released worm is blocked on full edges; releases only
             // come from moves, so nothing will ever move again. This is
-            // the same step at which the legacy stepper's no-movement test
-            // fires (parking is impossible under Discard, so the policy is
-            // necessarily Stall here).
-            debug_assert_eq!(sim.config.blocked, BlockedPolicy::Stall);
-            return deadlock(sim, &mut st, t);
+            // the same step at which the legacy stepper's no-movement
+            // test fires, and it counted a stall for every blocked worm
+            // during that step.
+            t = win.frozen_at;
+            settle_parked(&mut sim.core, &mut st, t);
+            sim.rebuild_active();
+            let report = sim.build_deadlock_report();
+            return (Outcome::Deadlock(sim.core.active.clone()), t, Some(report));
+        }
+        t = stop;
+    }
+}
+
+/// Advances `core` from step `t0` to at most `stop` with nothing
+/// entering from outside in between — no admission, no kill, no release
+/// from another region: the one driver under the sequential event engine
+/// (a window ends at the next admission) and under every parallel region
+/// (at the coordinator's grant). Steps while worms can interact,
+/// fast-forwards when they provably cannot, and stops early once the
+/// core is empty or frozen.
+///
+/// The occupancy sample of the window's last step is left to the caller
+/// ([`crate::kernel::VcLedger::settle_max`]): in a one-step window of a
+/// parallel region, releases by other regions' worms land first.
+pub(crate) fn run_window(core: &mut Core, st: &mut EventState, t0: u64, stop: u64) -> Window {
+    let mut win = Window {
+        frozen_at: u64::MAX,
+        last_move_plus1: 0,
+    };
+    let mut t = t0;
+    while t < stop {
+        core.ledger.settle_max(&core.rules); // the previous step's sample
+        if st.runnable.is_empty() {
+            // Every worm left is parked on full edges, and releases only
+            // come from moves — none can happen.
+            if !st.waiting.is_empty() {
+                win.frozen_at = t;
+            }
+            break;
         }
         // Contention-free fast-forward. Only sound while nothing is
         // parked: parked worms observe releases, and a free-running worm
@@ -172,40 +247,41 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         // longer implies non-interaction. Pooled runs drop it for the
         // analogous reason — edge-disjoint worms still compete for a
         // shared router pool — while the all-draining jump stays exact
-        // (drains only return capacity, which commutes). Reactive
-        // sources drop batching entirely: a delivery inside the batch
-        // could spawn a release before the precomputed stop point.
-        if st.waiting.is_empty()
-            && !sim.reactive
-            && (all_draining(sim, &st)
-                || (sim.adaptive.is_none() && !sim.rules.pooled && independent(sim, &mut st)))
-            && ff_batch(sim, &mut st, &mut t)
+        // (drains only return capacity, which commutes). A one-step
+        // window has nothing to batch.
+        if stop - t > 1
+            && st.waiting.is_empty()
+            && (all_draining(core, st)
+                || (core.adaptive.is_none() && !core.rules.pooled && independent(core, st)))
         {
-            continue;
+            ff_batch(core, st, t, stop, &mut win);
+            break;
         }
-        let moved = step(sim, &mut st, t);
-        if !moved && st.n_active() > 0 && sim.config.blocked == BlockedPolicy::Stall {
-            return deadlock(sim, &mut st, t);
+        if step(core, st, t) {
+            win.last_move_plus1 = t + 1;
+        } else if st.n_active() > 0 && core.config.blocked == BlockedPolicy::Stall {
+            win.frozen_at = t;
+            break;
         }
-        if sim.config.check_invariants {
-            validate(sim, &mut st);
+        if core.config.check_invariants {
+            validate(core, st);
         }
         t += 1;
     }
+    win
 }
 
 /// One full-bandwidth step over the runnable set. Mirrors the legacy
 /// stepper's classify → arbitrate → apply phases, then parks losers and
 /// wakes the waiters of every wait key that released capacity.
-fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
-    sim.released.clear();
+fn step(core: &mut Core, st: &mut EventState, t: u64) -> bool {
     // Classify, arbitrate, advance the winners. Parked worms are exactly
     // the contenders of non-acquirable edges, so leaving them out changes
     // no arbitration outcome (such an edge blocks every contender
     // regardless). Runnable pending adaptive worms select their wanted
     // hop inside classify, exactly like the legacy stepper. Doomed
     // worms' discards release mid-step and wake waiters below.
-    let progressed = sim.step_winners(t, &st.runnable);
+    let progressed = core.step_winners(t, &st.runnable);
     // Losers stall, then discard or park. Parking checks the *end-of-step*
     // acquirability: if this step's releases already freed capacity on
     // an edge the worm could want, it stays runnable and re-contends at
@@ -215,32 +291,21 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
     // *pending* adaptive worm re-selects every step, so it parks only
     // once every candidate and the escape hop are full, on all their
     // keys: the first release is the first step its choice can change.
-    for i in 0..sim.blocked.len() {
-        let m = sim.blocked[i];
-        sim.outcomes[m as usize].stalls += 1;
-        if sim.config.blocked == BlockedPolicy::Discard {
-            sim.discard(m, t, crate::stats::DiscardReason::Delay);
-        } else if sim.wait_keys(m, &mut st.keys) {
+    for i in 0..core.blocked.len() {
+        let m = core.blocked[i];
+        core.outcomes[m as usize].stalls += 1;
+        if core.config.blocked == BlockedPolicy::Discard {
+            core.discard(m, t, DiscardReason::Delay);
+        } else if core.wait_keys(m, &mut st.keys) {
             st.waiting.park(m, &st.keys, t);
             st.indep_cached = None;
-            sim.track_releases = true;
+            core.track_releases = true;
         }
     }
-    // Wake the waiters of every wait key that released capacity this
-    // step — the edge itself, or under pooling its source router (a
-    // sibling edge's release can return shared credit to every edge of
-    // the router). Woken worms contend from `t+1` (release at `t` is
-    // visible at `t+1`); a waiter whose edge is still blocked just loses
-    // again and re-parks, exactly as the legacy stepper would count it.
-    for i in 0..sim.released.len() {
-        let key = sim.rules.wait_key(sim.released[i] as usize);
-        wake(sim, st, key, t, t);
-    }
+    wake_released(core, st, t, t);
     // Retire finished, discarded, and freshly parked worms.
+    let (worms, outcomes, waiting) = (&core.worms, &core.outcomes, &st.waiting);
     let before = st.runnable.len();
-    let worms = &sim.worms;
-    let outcomes = &sim.outcomes;
-    let waiting = &st.waiting;
     st.runnable.retain(|&m| {
         !worms[m as usize].done()
             && outcomes[m as usize].discarded.is_none()
@@ -249,62 +314,55 @@ fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
     if st.runnable.len() != before {
         st.indep_cached = None;
     }
-    sim.ledger.settle_max(&sim.rules);
     progressed
 }
 
-/// Unparks every waiter of wait key `key` (an edge, or a router under
-/// pooling) at step `t`, settling their arithmetic stalls through step
+/// Wakes the waiters of every wait key that released capacity since the
+/// last pass — the edge itself, or under pooling its source router (a
+/// sibling edge's release can return shared credit to every edge of the
+/// router) — at step `t`, settling their arithmetic stalls through step
 /// `settle_through`: `t` at the end of step `t` (the waiter lost every
-/// arbitration up to and including `t`, and contends again from
-/// `t + 1`), `t − 1` from the kill hook at the start of step `t` (a kill
-/// discard's releases behave like releases during `t − 1`). A worm
+/// arbitration up to and including `t`, and contends again from `t + 1`:
+/// release at `t` is visible at `t + 1`), `t − 1` at the start of step
+/// `t` — from the kill hook (a kill discard's releases behave like
+/// releases during `t − 1`) and from the parallel coordinator landing
+/// another region's releases of step `t − 1` between windows. A waiter
+/// whose edge is still blocked just loses again
+/// and re-parks, exactly as the legacy stepper would count it. A worm
 /// parked earlier this same step is still in `runnable` and is only
 /// unparked (never at step start: every parked worm parked earlier).
-fn wake(sim: &mut Sim, st: &mut EventState, key: usize, t: u64, settle_through: u64) {
-    let before = st.waiting.len();
-    st.waiting.wake(key, |m, parked_at| {
-        sim.outcomes[m as usize].stalls += settle_through - parked_at;
-        if parked_at < t {
-            st.runnable.push(m);
+pub(crate) fn wake_released(core: &mut Core, st: &mut EventState, t: u64, settle_through: u64) {
+    for i in 0..core.released.len() {
+        let key = core.rules.wait_key(core.released[i] as usize);
+        let before = st.waiting.len();
+        st.waiting.wake(key, |m, parked_at| {
+            core.outcomes[m as usize].stalls += settle_through - parked_at;
+            if parked_at < t {
+                st.runnable.push(m);
+            }
+        });
+        if st.waiting.len() != before {
+            st.indep_cached = None;
+            core.track_releases = !st.waiting.is_empty();
         }
-    });
-    if st.waiting.len() != before {
-        st.indep_cached = None;
-        sim.track_releases = !st.waiting.is_empty();
     }
+    core.released.clear();
 }
 
-/// The run is over: settles the per-step stalls the legacy stepper would
-/// have counted for every still-parked worm through step `through`.
-fn settle_parked(sim: &mut Sim, st: &mut EventState, through: u64) {
+/// The run is over (deadlock or step cap): settles the per-step stalls
+/// the legacy stepper would have counted for every still-parked worm
+/// through step `through`, and returns them to `runnable`.
+pub(crate) fn settle_parked(core: &mut Core, st: &mut EventState, through: u64) {
     st.waiting.settle_all(through, |m, skipped| {
-        sim.outcomes[m as usize].stalls += skipped
+        core.outcomes[m as usize].stalls += skipped;
+        st.runnable.push(m);
     });
 }
 
-fn deadlock(sim: &mut Sim, st: &mut EventState, t: u64) -> (Outcome, u64, Option<DeadlockReport>) {
-    // Legacy counted a stall for every blocked worm during step `t`.
-    settle_parked(sim, st, t);
-    sim.rebuild_active();
-    let report = sim.build_deadlock_report();
-    (Outcome::Deadlock(sim.active.clone()), t, Some(report))
-}
-
-/// Exclusive upper bound on fast-forwarded time: the next release (new
-/// contender), the next scheduled fault kill (dead set about to change),
-/// or the step cap, whichever is first. Only meaningful for non-reactive
-/// sources (the caller never batches otherwise), whose next release
-/// cannot move before it is reached.
-fn ff_stop(sim: &mut Sim, t: u64) -> u64 {
-    let next_rel = sim.peek_next_release(t).unwrap_or(u64::MAX);
-    sim.config.max_steps.min(next_rel).min(sim.next_kill_time())
-}
-
-fn all_draining(sim: &Sim, st: &EventState) -> bool {
+fn all_draining(core: &Core, st: &EventState) -> bool {
     st.runnable
         .iter()
-        .all(|&m| sim.worms[m as usize].draining())
+        .all(|&m| core.worms[m as usize].draining())
 }
 
 /// Whether the runnable worms' paths are pairwise edge-disjoint **and**
@@ -320,21 +378,21 @@ fn all_draining(sim: &Sim, st: &EventState) -> bool {
 /// legacy lock-step never produces. (Under pooling they additionally
 /// compete for shared credits, which is why the caller disables this
 /// fast-forward outright there.)
-fn independent(sim: &Sim, st: &mut EventState) -> bool {
+fn independent(core: &Core, st: &mut EventState) -> bool {
     if let Some(v) = st.indep_cached {
         return v;
     }
     st.mark_epoch += 1;
     let mut ok = true;
     'scan: for &m in &st.runnable {
-        for e in sim.specs[m as usize].path.edges() {
+        for e in core.specs[m as usize].path.edges() {
             let mark = &mut st.edge_mark[e.idx()];
             if *mark == st.mark_epoch {
                 ok = false;
                 break 'scan;
             }
             *mark = st.mark_epoch;
-            let nmark = &mut st.node_mark[sim.rules.edge_src[e.idx()] as usize];
+            let nmark = &mut st.node_mark[core.rules.edge_src[e.idx()] as usize];
             if *nmark == st.mark_epoch {
                 ok = false;
                 break 'scan;
@@ -347,73 +405,68 @@ fn independent(sim: &Sim, st: &mut EventState) -> bool {
 }
 
 /// Fast-forwards a non-interacting runnable set (all draining, or
-/// pairwise disjoint — the caller guarantees one of the two and that
-/// nothing is parked): each worm independently free-runs to
-/// `min(next release, cap, finish)` — header advances in an `O(1)`
-/// per-step loop, drain phases collapsed by [`Sim::fast_drain`] — then
-/// simulated time jumps to the stop point. Returns whether time moved.
-fn ff_batch(sim: &mut Sim, st: &mut EventState, t: &mut u64) -> bool {
-    let stop = ff_stop(sim, *t);
-    if *t >= stop {
-        return false;
-    }
+/// pairwise disjoint — the caller guarantees one of the two, that
+/// nothing is parked, and more than one step to run): each worm
+/// independently free-runs to `min(stop, finish)` — header advances in
+/// an `O(1)` per-step loop, drain phases collapsed by
+/// [`Core::fast_drain`].
+fn ff_batch(core: &mut Core, st: &mut EventState, t: u64, stop: u64, win: &mut Window) {
     for i in 0..st.runnable.len() {
         let m = st.runnable[i];
         let mi = m as usize;
-        let mut ti = *t;
+        let mut ti = t;
         loop {
-            let w = &sim.worms[mi];
+            let w = &core.worms[mi];
             if w.done() || ti >= stop {
                 break;
             }
             if w.advance >= w.hops {
-                sim.fast_drain(m, &mut ti, stop);
+                core.fast_drain(m, &mut ti, stop);
             } else {
-                sim.apply_advance(m, ti);
-                sim.ledger.settle_max(&sim.rules);
+                core.apply_advance(m, ti);
+                core.ledger.settle_max(&core.rules);
                 ti += 1;
             }
         }
+        win.last_move_plus1 = win.last_move_plus1.max(ti);
     }
-    let before = st.runnable.len();
-    let worms = &sim.worms;
-    st.runnable.retain(|&m| !worms[m as usize].done());
-    if st.runnable.len() != before {
-        st.indep_cached = None;
+    let worms = &core.worms;
+    st.retain_runnable(|&m| !worms[m as usize].done());
+    if core.config.check_invariants {
+        validate(core, st);
     }
-    if sim.config.check_invariants {
-        validate(sim, st);
-    }
-    *t = stop;
-    true
 }
 
-/// Full state validation (shared invariants plus the engine's own): the
-/// wait queue must partition the active set with `runnable`, and every
-/// edge a parked worm watches must be non-acquirable (full, or starved
-/// of shared pool credit) — what makes arithmetic stall accounting exact
-/// — with the queue's live entries exactly those watch sets.
-fn validate(sim: &mut Sim, st: &mut EventState) {
-    sim.rebuild_active();
-    sim.validate();
+/// Full state validation (the core's invariants plus the driver's own):
+/// the wait queue and `runnable` must partition the worms in flight, and
+/// every edge a parked worm watches must be non-acquirable (full, or
+/// starved of shared pool credit) — what makes arithmetic stall
+/// accounting exact — with the queue's live entries exactly those watch
+/// sets.
+pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
+    assert_eq!(
+        st.n_active(),
+        core.unfinished,
+        "runnable/parked must partition the worms in flight"
+    );
+    core.active.clear();
+    core.active.extend_from_slice(&st.runnable);
     let mut expect = Vec::new();
-    for m in 0..sim.worms.len() as u32 {
+    for m in 0..core.worms.len() as u32 {
         if st.waiting.is_parked(m) {
+            core.active.push(m);
             assert!(
-                sim.wait_keys(m, &mut st.keys),
-                "parked worm {m} watches an acquirable edge"
+                core.wait_keys(m, &mut st.keys),
+                "parked worm {} watches an acquirable edge",
+                core.ids[m as usize]
             );
             expect.extend(st.keys.iter().map(|&key| (m, key)));
         }
     }
+    core.validate();
     assert_eq!(
         expect,
         st.waiting.parked_keys(),
         "wait queue out of sync with the parked worms' watch sets"
-    );
-    assert_eq!(
-        st.n_active(),
-        sim.active.len(),
-        "runnable/parked must partition the active set"
     );
 }

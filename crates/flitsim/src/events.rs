@@ -1,44 +1,5 @@
-//! Optional event tracing and deadlock post-mortems for the wormhole
-//! simulator — the observability a user debugging a routing algorithm
-//! needs.
-
-/// One simulator event. Times are flit-step indices (start of step).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Message acquired a VC on an edge (its header crossed it).
-    Acquire {
-        /// Flit step.
-        t: u64,
-        /// Message id.
-        msg: u32,
-        /// Edge id.
-        edge: u32,
-    },
-    /// Message wanted an edge but found no free VC this step.
-    Blocked {
-        /// Flit step.
-        t: u64,
-        /// Message id.
-        msg: u32,
-        /// Edge id.
-        edge: u32,
-    },
-    /// Message delivered its last flit (end-of-step time).
-    Finish {
-        /// Flit step (end of step).
-        t: u64,
-        /// Message id.
-        msg: u32,
-    },
-    /// Message was discarded after a delay
-    /// ([`crate::config::BlockedPolicy::Discard`]).
-    Discard {
-        /// Flit step.
-        t: u64,
-        /// Message id.
-        msg: u32,
-    },
-}
+//! Deadlock post-mortems for the wormhole simulator — what a user
+//! debugging a routing algorithm needs to see.
 
 /// A message waiting on an edge whose VCs are all held.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,19 +1,20 @@
 //! The §1.1 full-bandwidth model, stated once.
 //!
 //! Every rule of the wormhole model lives here as plain structs and
-//! functions over borrowed state; the three drivers — the legacy stepper
-//! and the event engine over [`crate::wormhole`]'s `Sim`, and the
-//! parallel engine's per-region state — only decide *which* worms to
-//! step and *when*, and call in here for everything else:
+//! functions over borrowed state; [`crate::wormhole`]'s `Core` holds the
+//! worms and calls in here for every rule, and the drivers — the legacy
+//! stepper and the event driver, the latter under both the sequential
+//! and the parallel engine — only decide *which* worms to step and
+//! *when*:
 //!
 //! * the **VC ledger** — an immutable rule half ([`VcRules`], built once
 //!   per run from the VC policy) and a mutable count half ([`VcLedger`],
-//!   one per `Sim` and one per region): acquirability, acquire/release
+//!   one per `Core`): acquirability, acquire/release
 //!   accounting, park/wake keying, capacity checks, the end-of-step
 //!   occupancy maxima, and per-edge arbitration including the pooled
 //!   ascending-edge-id shared-credit grants;
-//! * the **wait queue** ([`WaitQueue`]) — where the event engine and each
-//!   region park blocked worms, on one key or a whole candidate set;
+//! * the **wait queue** ([`WaitQueue`]) — where the event driver parks
+//!   blocked worms, on one key or a whole candidate set;
 //! * **worm kinematics** ([`Worm`]) — the rigid-worm advance count, what
 //!   one advance acquires and releases, and the closed-form drain;
 //! * **routing and ordering** — adaptive hop selection and route
@@ -291,19 +292,20 @@ impl VcRules {
     }
 
     /// How many distinct [`Self::wait_key`]s there are.
-    pub(crate) fn num_wait_keys(&self, graph: &Graph) -> usize {
+    pub(crate) fn num_wait_keys(&self) -> usize {
         if self.pooled {
-            graph.num_nodes()
+            self.shared_cap.len()
         } else {
-            graph.num_edges()
+            self.edge_src.len()
         }
     }
 }
 
 /// The mutable half of the VC ledger: who holds what, indexed by global
-/// edge / router id. `Sim` owns one for the whole network; each parallel
-/// region owns one for the edges and routers it owns (foreign entries
-/// stay zero, so ascending local edge order is ascending global order).
+/// edge / router id. `Sim`'s core owns one for the whole network; each
+/// parallel region's owns one for the edges and routers it owns (foreign
+/// entries stay zero, so ascending local edge order is ascending global
+/// order).
 pub(crate) struct VcLedger {
     /// VCs currently held per edge.
     pub(crate) holders: Vec<u16>,
@@ -567,8 +569,7 @@ struct WaitNode {
     next: u32,
 }
 
-/// The park/wake queue both event-style drivers keep their blocked worms
-/// on. A worm that lost arbitration and whose whole *watch set* — the one
+/// The park/wake queue the event driver keeps its blocked worms on. A worm that lost arbitration and whose whole *watch set* — the one
 /// edge a frozen route wants next, or every candidate plus the escape
 /// hop of a pending adaptive head ([`pending_wait_keys`]) — is still
 /// non-acquirable at end of step parks on the [`VcRules::wait_key`] of
@@ -578,8 +579,8 @@ struct WaitNode {
 /// lost the same arbitration every step: the skipped stalls settle
 /// arithmetically from the park step this queue records.
 ///
-/// Handles are the caller's (message ids for `Sim`, parked-slab slots for
-/// a parallel region). Per key the queue holds a newest-first chain of
+/// Handles are the caller's (message ids in `Sim`'s core, recycled slots
+/// in a parallel region's). Per key the queue holds a newest-first chain of
 /// `(handle, ticket)` nodes in an arena. The ticket is the handle's
 /// stamp, which changes on every park and unpark, so the nodes a
 /// multi-key park left on its other keys go stale the moment one key
@@ -738,8 +739,8 @@ pub(crate) fn arb_rng(seed: u64, t: u64, e: usize) -> StdRng {
 /// Orders `contenders` so the first `free` entries win edge `e` at step
 /// `t`. Every policy is canonical in the contender *set* (the engines
 /// discover contenders in different orders). Contenders are opaque
-/// handles — message ids for `Sim`, resident indices for a parallel
-/// region — that `key` maps to the message's `(release, priority, id)`.
+/// handles — message ids in `Sim`'s core, recycled slots in a parallel
+/// region's — that `key` maps to the message's `(release, priority, id)`.
 /// Every sort key ends with (or is) the unique message id, so sorted
 /// handles correspond position for position to sorted ids, including
 /// under `Random`, whose Fisher–Yates shuffle permutes positions and is

@@ -22,15 +22,16 @@
 //! measurement windows, latency percentiles, accepted throughput, and
 //! saturation detection).
 //!
-//! The wormhole model has three bit-identical cores behind
+//! The wormhole model has three bit-identical engines behind
 //! [`config::Engine`]: the default event-driven engine (wait-queue
 //! wakeups, contention-free fast-forward), the legacy per-step stepper
 //! kept as its differential oracle, and a partitioned parallel engine
-//! ([`config::Engine::Parallel`]) that shards the network into regions
-//! advanced on worker threads under conservative lookahead windows —
-//! see the [`wormhole`] module docs for the equivalence invariants and
-//! [`stats::EngineFallback`] for the one configuration (fault plans) the
-//! parallel engine explicitly hands back to a sequential core.
+//! ([`config::Engine::Parallel`]) that shards the network into regions,
+//! each advanced by the event engine's own driver on a worker thread
+//! under conservative lookahead windows — see the [`wormhole`] module
+//! docs for the equivalence invariants and [`stats::EngineFallback`]
+//! for the one configuration (fault plans) the parallel engine
+//! explicitly hands back to the sequential one.
 //!
 //! Routes are fixed at injection under
 //! [`config::RouteSelection::Oblivious`]; the adaptive policies
@@ -70,7 +71,7 @@ pub mod store_forward;
 pub mod wormhole;
 
 pub use config::{Arbitration, BlockedPolicy, Engine, FinalEdgePolicy, RouteSelection, SimConfig};
-pub use events::{DeadlockReport, TraceEvent, WaitFor};
+pub use events::{DeadlockReport, WaitFor};
 pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec};
 pub use open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
 pub use source::{ReplaySource, TrafficSource};

@@ -22,17 +22,48 @@
 //! regions through the whole window without any synchronization — a
 //! null-message-style window grant.
 //!
+//! # One driver, N residencies
+//!
+//! A region owns a [`Core`] — the same resident-worm state the
+//! sequential engines run, its ledger counting only the region's own
+//! edges and routers — and an [`EventState`], and advances them with the
+//! event engine's own [`engine::run_window`]: stepping, parking, waking,
+//! the drain and disjoint-paths fast-forwards and the stall arithmetic
+//! are that module's, argued there and in the [`crate::wormhole`] docs.
+//! What this module owns is what is parallel:
+//!
+//! * **Residency and hand-off.** A worm resides in the region owning its
+//!   next wanted edge (draining worms stay where they finished
+//!   acquiring; a pending adaptive worm resides in its head node's
+//!   region), under a recycled local handle. At the end of a window the
+//!   region moves out — as [`Resident`] values, nothing is copied — the
+//!   worms that finished or were discarded (to the coordinator, which
+//!   records them in the run's id-keyed core and flushes their
+//!   completion callbacks in canonical `(time, id)` order, as always)
+//!   and the movers whose next wanted edge now lies across the cut (to
+//!   that edge's region). A parked worm never migrates: it did not move.
+//! * **The one hook.** A release on an edge another region owns goes to
+//!   the core's outbox ([`Core::release_vc`]) and lands on its owner
+//!   between windows — before the owner, entering its next window,
+//!   samples that step into the occupancy maxima and wakes the edge's
+//!   waiters — so it is visible from `t + 1` like any sequential
+//!   mid-step release.
+//! * **The window grant** ([`worm_bound`]), below.
+//! * **Frozen regions.** A region in which a step moves nothing stops
+//!   stepping — it is provably identical until the window ends
+//!   (releases only come from moves, and nothing external arrives
+//!   mid-window) — and the coordinator tops up the stall counts its
+//!   skipped steps would have recorded. An all-regions-frozen window
+//!   reproduces the sequential deadlock verdict at the exact step the
+//!   last region froze.
+//!
 //! # Why a window is exactly the sequential steps it replaces
 //!
-//! Within a window each region runs the same classify → arbitrate →
-//! apply phases as the sequential steppers — the same [`crate::kernel`]
-//! functions over its own [`VcLedger`] — one step at a time, over the
-//! worms *resident* in it (a worm resides in the region owning
-//! its next wanted edge; draining worms stay where they finished
-//! acquiring; a pending adaptive worm resides in its head node's
-//! region). The grant construction guarantees that for every step of
-//! the window strictly before the last, every acquire, release, and
-//! candidate/arbitration read touches only region-owned state:
+//! The grant construction guarantees that for every step of the window
+//! strictly before the last, every acquire, release, and
+//! candidate/arbitration read touches only region-owned state — so the
+//! region's core *is* the sequential core restricted to the worms that
+//! can interact with each other:
 //!
 //! * **Held edges**: a worm holding a foreign edge caps its bound at 1,
 //!   so multi-step windows only ever contain worms whose held — and
@@ -43,81 +74,44 @@
 //!   `j − 1`-step window, where crossing it is exactly the handoff the
 //!   coordinator applies at the boundary.
 //! * **Pending adaptive worms** contend only for out-edges of their
-//!   head node, all owned by the head's region; by
-//!   [`RegionPlan::distance_to_cut`] the head cannot reach a foreign
-//!   node in fewer steps than the granted window, and any escape tail
-//!   committed mid-window is itself a walk from the head, so its
-//!   in-window prefix stays local too.
+//!   head node, all owned by the head's region (so their whole watch
+//!   set is, too); by [`RegionPlan::distance_to_cut`] the head cannot
+//!   reach a foreign node in fewer steps than the granted window, and
+//!   any escape tail committed mid-window is itself a walk from the
+//!   head, so its in-window prefix stays local too.
 //!
-//! Because regions are mutually invisible inside a window, the
-//! sequential engines' accelerations apply verbatim *per region*.
-//! Each region keeps a **per-region event queue** (the event engine's
-//! [`WaitQueue`]): a worm that loses arbitration under
-//! [`BlockedPolicy::Stall`] and whose watch set — the next edge of a
-//! frozen route, or every candidate plus the escape hop of a pending
-//! head, all out-edges of the head node and hence region-owned — is
-//! still full at the end of the step *parks* on those edges' wait keys
-//! (the edge, or the source router under pooling). A parked worm is
-//! skipped by the step loop — its edges provably stay full until a
-//! release on one of its keys, so skipping is behavior-free — and its
-//! stalls settle arithmetically at wake (`t − parked_at`), making the
-//! per-step cost proportional to movers and wakeups, not residents.
-//! When every runnable resident is draining and the queue is empty,
-//! the region batch-advances them with [`Worm::drain`]'s closed-form
-//! release/flit-hop formulas; and when a step moves
-//! nothing the region is *frozen* — provably identical until the
-//! window ends (releases only come from moves, and nothing external
-//! arrives mid-window) — so it stops stepping and the coordinator tops
-//! up the skipped stall counts afterwards. A region whose worms all
-//! retire simply stops. An all-regions-frozen window reproduces the
-//! sequential deadlock verdict at the exact step the last region
-//! froze.
-//!
-//! Between windows the coordinator merges outboxes in region-index
-//! order: remote releases (possible only in one-step windows, where a
-//! worm may hold a foreign edge) land before the occupancy maxima are
-//! sampled, finished/discarded worms retire into the per-id outcome
-//! table (their completion callbacks flushed in canonical `(time, id)`
-//! order, as always), and worms whose next wanted edge crossed the cut
-//! migrate. Admissions happen at window starts only — the grant never
-//! extends past the source's next release, and a reactive source pins
-//! the window to one step. Every cross-region effect is therefore
-//! either commutative or canonically ordered, and the result is
-//! byte-identical for every worker count and every valid plan.
+//! Admissions happen at window starts only — the grant never extends
+//! past the source's next release, and a reactive source pins the
+//! window to one step. Outboxes are merged in region-index order; every
+//! cross-region effect is either commutative or canonically ordered,
+//! and the result is byte-identical for every worker count and every
+//! valid plan.
 //!
 //! # Accepted configurations and the explicit fallback
 //!
 //! The engine accepts static and pooled VC policies, every arbitration
 //! and blocked policy, oblivious *and* adaptive (`MinimalAdaptive` /
-//! `FullyAdaptive`) routing. Adaptive
-//! hop selection is region-local by construction: candidates are
-//! out-edges of the pending head, whose occupancies the resident region
-//! owns. The one remaining fallback is a fault plan (kills apply
-//! globally at start-of-step): it runs on the event engine instead,
-//! reported in
+//! `FullyAdaptive`) routing. The one remaining fallback is a fault plan
+//! (kills apply globally at start-of-step): it runs on the event engine
+//! instead, reported in
 //! [`SimResult::engine_fallback`](crate::stats::SimResult); see
 //! [`EngineFallback`](crate::stats::EngineFallback). The dispatch
-//! never falls back silently. (`run_traced` is not a fallback: it never
-//! consults the engine knob.)
+//! never falls back silently.
 //!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
-use wormhole_topology::adaptive::AdaptiveRouter;
-use wormhole_topology::graph::{EdgeId, Graph, NodeId};
+use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
 
-use crate::config::{BlockedPolicy, RouteSelection, SimConfig};
+use crate::config::BlockedPolicy;
+use crate::engine::{self, EventState};
 use crate::events::DeadlockReport;
-use crate::kernel::{
-    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, WaitQueue,
-    Worm,
-};
-use crate::stats::{DiscardReason, MessageOutcome, Outcome};
-use crate::wormhole::Sim;
+use crate::stats::Outcome;
+use crate::wormhole::{Core, Resident, Sim};
 
 /// Default region count when [`SimConfig::regions`] is `None`
 /// (clamped to the node count by [`RegionPlan::contiguous`]).
@@ -125,19 +119,9 @@ use crate::wormhole::Sim;
 /// [`SimConfig::regions`]: crate::config::SimConfig::regions
 const DEFAULT_REGIONS: u32 = 8;
 
-/// Immutable per-run lookup state shared by the coordinator and every
-/// worker: the configuration, the region layout, the lookahead matrix,
-/// and the VC ledger's rule half. Borrowing this never conflicts with
-/// the coordinator's `&mut Sim` — everything is copied out of the
-/// [`Sim`] or borrows run-outliving state (config, graph, router).
-struct Ctx<'a> {
-    config: &'a SimConfig,
-    graph: &'a Graph,
-    /// The VC ledger's rule half — a copy of the [`Sim`]'s (fault plans
-    /// never reach this engine, so no kill ever changes it mid-run).
-    rules: VcRules,
-    /// Edge → destination-node index.
-    edge_dst: Vec<u32>,
+/// The region layout, shared read-only by the coordinator and every
+/// worker.
+struct Ctx {
     /// Edge → owning region (= region of the source router).
     edge_region: Vec<u32>,
     /// Node → owning region ([`RegionPlan::node_regions`] copy).
@@ -145,92 +129,57 @@ struct Ctx<'a> {
     /// Node → minimum flit steps before a header there can traverse a
     /// cross-region edge ([`RegionPlan::distance_to_cut`]).
     dist_to_cut: Vec<u64>,
-    /// Adaptive routing only: the shared hop-selection router.
-    router: Option<&'a dyn AdaptiveRouter>,
-    /// Adaptive routing only: `FullyAdaptive` (misroutes allowed).
-    fully: bool,
 }
 
-impl<'a> Ctx<'a> {
-    fn new(sim: &Sim<'a>, plan: &RegionPlan) -> Ctx<'a> {
-        let graph = sim.graph;
-        let config = sim.config;
-        let node_region = plan.node_regions().to_vec();
-        let edge_region = graph
-            .edge_sources()
-            .iter()
-            .map(|&s| node_region[s as usize])
-            .collect();
+impl Ctx {
+    /// The layout of `plan`; an empty graph has no plan and no regions.
+    fn new(graph: &Graph, plan: Option<&RegionPlan>) -> Ctx {
+        let node_region = plan.map_or(Vec::new(), |p| p.node_regions().to_vec());
         Ctx {
-            config,
-            graph,
-            rules: sim.rules.clone(),
-            edge_dst: graph.edges().map(|e| graph.dst(e).0).collect(),
-            edge_region,
+            edge_region: graph
+                .edge_sources()
+                .iter()
+                .map(|&s| node_region[s as usize])
+                .collect(),
             node_region,
-            dist_to_cut: plan.distance_to_cut(graph),
-            router: sim.adaptive.as_ref().map(|ad| ad.router),
-            fully: config.route_selection == RouteSelection::FullyAdaptive,
+            dist_to_cut: plan.map_or(Vec::new(), |p| p.distance_to_cut(graph)),
         }
     }
-}
 
-/// A worm resident in a region: the rigid-worm kinematics plus
-/// everything the region needs to arbitrate, route, and retire it
-/// without touching shared per-id tables (those are written once, at
-/// retirement or write-back, by the coordinator).
-struct RWorm {
-    /// Message id.
-    id: u32,
-    worm: Worm,
-    /// Spec release time (the `OldestFirst` arbitration key).
-    release: u64,
-    /// Spec priority (the `PriorityRank` arbitration key).
-    priority: u32,
-    /// The route as global edge ids (copied at admission — worms
-    /// migrate between regions, specs don't). Grows hop by hop while
-    /// `pending_route` is set.
-    path: Vec<EdgeId>,
-    /// Injection node (adaptive head position at `advance == 0`).
-    src: NodeId,
-    /// Destination node (adaptive arrival test).
-    dst: NodeId,
-    /// Remaining misroute budget (`FullyAdaptive`).
-    budget: u32,
-    /// This step's wanted-hop selection (pending worms only).
-    selected: SelectedHop,
-    /// The per-message outcome, carried with the worm and written back
-    /// to `Sim::outcomes` at retirement / run end.
-    out: MessageOutcome,
-    /// Retired (finished or discarded) this step; dropped by the sweep.
-    gone: bool,
-    /// Lost arbitration this step under [`BlockedPolicy::Stall`]; the
-    /// sweep parks it if its watch set is still full ([`Region::wait_keys`]).
-    park: bool,
-    /// Cached "[`worm_bound`] is `u64::MAX`": set by the coordinator at
-    /// admission/handoff for a non-pending worm whose held and future
-    /// path edges are all region-local. Absorbing while resident — held
-    /// edges only march forward along the (fixed, all-local) path — so
-    /// the hot park/window-end paths skip the O(path) rescan.
-    local_path: bool,
-}
-
-impl RWorm {
-    /// The head's current node (pending worms: where selection runs).
-    #[inline]
-    fn head_node(&self, ctx: &Ctx) -> usize {
-        if self.worm.advance == 0 {
-            self.src.idx()
+    /// The region worm `h` of `core` belongs in: its head node's while
+    /// the route is pending, the owner of its next wanted edge otherwise.
+    fn home(&self, core: &Core, h: u32) -> u32 {
+        let w = &core.worms[h as usize];
+        if w.pending_route {
+            self.node_region[core.head_node(h).idx()]
         } else {
-            ctx.edge_dst[self.path[self.worm.advance as usize - 1].idx()] as usize
+            self.edge_region[core.path_edge(h, w.advance + 1)]
         }
     }
 }
 
-/// How many steps worm `rw`, resident in region `home`, can run before
-/// it could first touch (acquire, release, or contend for) an edge
-/// owned by another region — the per-worm refinement of the plan's
-/// lookahead, and the quantity the window grant minimizes over.
+/// Where worm `h`'s route leaves region `home`, as 1-based route
+/// indices `(behind, ahead)`: the last foreign edge it still holds
+/// (0 = none) and the first foreign edge past its header (`u32::MAX` =
+/// none). Constant while a frozen-route worm stays resident — it only
+/// marches forward through the local stretch in between, and leaves
+/// when the edge it wants next is `ahead` — so [`Region`] computes it
+/// once, on arrival.
+fn cuts(ctx: &Ctx, core: &Core, h: u32, home: u32) -> (u32, u32) {
+    let (w, route) = (&core.worms[h as usize], core.route(h));
+    let foreign = |j: &u32| ctx.edge_region[route[*j as usize - 1].idx()] != home;
+    let (lo, hi) = w.held_range();
+    (
+        (lo..=hi).rev().find(foreign).unwrap_or(0),
+        (w.advance + 1..=w.hops).find(foreign).unwrap_or(u32::MAX),
+    )
+}
+
+/// How many steps worm `h`, whose route leaves its region at
+/// `(behind, ahead)` ([`cuts`]), can run before it could first touch
+/// (acquire, release, or contend for) an edge owned by another region —
+/// the per-worm refinement of the plan's lookahead, and the quantity the
+/// window grant minimizes over.
 ///
 /// * Any *held* foreign edge caps the bound at 1: its release may need
 ///   to cross the cut on the very next step.
@@ -242,558 +191,154 @@ impl RWorm {
 /// * An in-flight oblivious worm advances one hop per step, so its
 ///   first foreign path edge at 1-based index `j` cannot be contended
 ///   before relative step `j − 1 − advance`.
-fn worm_bound(ctx: &Ctx, rw: &RWorm, home: u32) -> u64 {
-    let w = &rw.worm;
-    for j in w.held_vcs(ctx.rules.final_vc) {
-        if ctx.edge_region[rw.path[j as usize - 1].idx()] != home {
-            return 1;
-        }
+fn worm_bound(ctx: &Ctx, core: &Core, h: u32, (behind, ahead): (u32, u32)) -> u64 {
+    let w = &core.worms[h as usize];
+    if behind >= w.held_range().0 {
+        1
+    } else if w.pending_route {
+        ctx.dist_to_cut[core.head_node(h).idx()].max(1)
+    } else if w.draining() || ahead == u32::MAX {
+        u64::MAX
+    } else {
+        (ahead - 1 - w.advance) as u64
     }
-    if w.pending_route {
-        return ctx.dist_to_cut[rw.head_node(ctx)].max(1);
-    }
-    if w.advance >= w.hops {
-        return u64::MAX;
-    }
-    debug_assert_eq!(
-        ctx.edge_region[rw.path[w.advance as usize].idx()],
-        home,
-        "resident worm's next wanted edge is foreign"
-    );
-    for j in (w.advance + 2)..=w.hops {
-        if ctx.edge_region[rw.path[j as usize - 1].idx()] != home {
-            return (j - 1 - w.advance) as u64;
-        }
-    }
-    u64::MAX
 }
 
-/// A completed or discarded worm, handed to the coordinator.
-struct Retired {
-    id: u32,
-    /// Final kinematics (makes `Worm::done` true for delivered worms
-    /// once written back; adaptive worms also carry their final `hops`
-    /// and cleared `pending_route`).
-    worm: Worm,
-    /// Completion time: `t + 1` for deliveries, `t` for discards —
-    /// the same stamps the sequential engines record.
-    time: u64,
-    delivered: bool,
-    out: MessageOutcome,
-}
-
-/// One region's owned state: the VC ledger's count half for its edges
-/// and routers (full-size arrays indexed by *global* ids — foreign
-/// entries stay zero), its resident worms, per-step scratch, and the
-/// outboxes the coordinator drains between windows.
-struct Region {
+/// One region: the [`Core`] holding its resident worms and the ledger
+/// of the edges and routers it owns (full-size arrays indexed by
+/// *global* ids — foreign entries stay zero), the event driver's state
+/// over it, the window-grant bookkeeping, and the outboxes the
+/// coordinator drains between windows.
+struct Region<'a> {
     idx: u32,
-    ledger: VcLedger,
-    buckets: FlatBuckets,
-    worms: Vec<RWorm>,
-    /// Swap buffer for the retire/handoff sweep (keeps capacity).
-    scratch: Vec<RWorm>,
-    /// Winner indices into `worms` this step.
-    movers: Vec<u32>,
-    /// Loser indices into `worms` this step.
-    blocked: Vec<u32>,
-    /// Candidate scratch for adaptive hop selection.
-    cand: Vec<(EdgeId, bool)>,
-    /// Outbox: releases targeting edges owned by other regions (only
-    /// possible in one-step windows).
-    remote_releases: Vec<u32>,
-    /// Outbox: worms whose next wanted edge crossed the cut.
-    handoffs: Vec<(u32, RWorm)>,
-    /// Outbox: worms that finished or were discarded this window.
-    retired: Vec<Retired>,
-    /// The per-region event queue: worms blocked on full edges under
-    /// [`BlockedPolicy::Stall`] park here instead of re-contending
-    /// every step, exactly as in the sequential event engine. Handles
-    /// are `parked` slots; keys are global edge (static) or router
-    /// (pooled) ids, always region-owned.
-    waiting: WaitQueue,
-    /// The parked worms, by wait-queue handle (`None` = free slot).
-    parked: Vec<Option<RWorm>>,
-    /// Free slots in `parked`.
-    free_slots: Vec<u32>,
-    /// Wait-key scratch for [`Self::wait_keys`].
-    keys: Vec<usize>,
-    /// Wait keys released since the last wake pass.
-    released_keys: Vec<u32>,
-    /// Running minimum [`worm_bound`] over the parked population
-    /// (monotone while any worm stays parked; reset when the queue
-    /// empties). Folding this into `safe` keeps the window grant sound
-    /// without rescanning parked worms — conservative after wakes.
+    core: Core<'a>,
+    st: EventState,
+    /// Handles whose worm left (retired or emigrated), for reuse.
+    free: Vec<u32>,
+    /// Per handle: the worm's [`cuts`], cached on arrival unless its
+    /// route was still pending then (its escape tail may yet leave the
+    /// region), so the window-end pass skips the O(path) rescan.
+    cuts: Vec<Option<(u32, u32)>>,
+    /// The handles runnable when the window opened: the ones that can
+    /// have parked during it.
+    opened_with: Vec<u32>,
+    /// Outbox: worms whose next wanted edge crossed the cut, with the
+    /// region owning it.
+    handoffs: Vec<(u32, Resident)>,
+    /// Outbox: worms that finished or were discarded this window, as
+    /// `(time, delivered, worm)` — `t + 1` for deliveries, `t` for
+    /// discards, the same stamps the sequential engines record.
+    retired: Vec<(u64, bool, Resident)>,
+    /// Running minimum [`worm_bound`] over the parked population (a
+    /// parked worm's bound is constant; reset when a window ends with
+    /// the queue empty). Folding this into `safe` keeps the window grant
+    /// sound without rescanning parked worms — conservative after wakes.
     parked_safe: u64,
-    /// Whether any resident worm advanced this step.
-    moved: bool,
-    /// `1 + `the last in-window step that moved a resident (0 = none).
-    last_move_plus1: u64,
-    /// First in-window step at which the region froze (nothing moved
-    /// under [`BlockedPolicy::Stall`] with residents left); `u64::MAX`
-    /// when it did not freeze. Frozen steps skip their stall counting —
-    /// the coordinator tops it up from this mark.
-    static_from: u64,
     /// Window grant: how far the residents can run before touching a
     /// cross edge (minimum [`worm_bound`]; refreshed at window end and
-    /// tightened by the coordinator on every handoff/admission).
+    /// tightened on every arrival).
     safe: u64,
-    flit_hops: u64,
-    route_stats: RouteStats,
+    /// The last window's [`engine::Window`] report. Frozen steps skip
+    /// their stall counting — the coordinator tops it up from
+    /// `frozen_at`.
+    win: engine::Window,
 }
 
-impl Region {
-    fn new(idx: u32, ctx: &Ctx) -> Region {
+impl<'a> Region<'a> {
+    fn new(idx: u32, ctx: &Ctx, sim: &Sim<'a>) -> Region<'a> {
+        let router = sim.core.adaptive.as_ref().map(|ad| ad.router);
+        // Fault plans never reach this engine, so no kill ever changes
+        // the rules mid-run: a copy per region stays exact.
+        let mut core = Core::new(sim.graph, router, sim.core.config, sim.core.rules.clone());
+        core.foreign = ctx.edge_region.iter().map(|&r| r != idx).collect();
         Region {
             idx,
-            ledger: VcLedger::new(ctx.graph, &ctx.rules),
-            buckets: FlatBuckets::with_edges(ctx.graph.num_edges()),
-            worms: Vec::new(),
-            scratch: Vec::new(),
-            movers: Vec::new(),
-            blocked: Vec::new(),
-            cand: Vec::new(),
-            remote_releases: Vec::new(),
+            st: EventState::new(&core),
+            core,
+            free: Vec::new(),
+            cuts: Vec::new(),
+            opened_with: Vec::new(),
             handoffs: Vec::new(),
             retired: Vec::new(),
-            waiting: WaitQueue::new(ctx.rules.num_wait_keys(ctx.graph)),
-            parked: Vec::new(),
-            free_slots: Vec::new(),
-            keys: Vec::new(),
-            released_keys: Vec::new(),
             parked_safe: u64::MAX,
-            moved: false,
-            last_move_plus1: 0,
-            static_from: u64::MAX,
             safe: u64::MAX,
-            flit_hops: 0,
-            route_stats: RouteStats::default(),
+            win: engine::Window {
+                frozen_at: u64::MAX,
+                last_move_plus1: 0,
+            },
         }
     }
 
-    /// Releases one VC on `e`: locally if this region owns the edge,
-    /// otherwise via the outbox (applied between windows — the `t + 1`
-    /// visibility every sequential mid-step release has). Foreign
-    /// releases imply a held foreign edge, whose 1-step [`worm_bound`]
-    /// guarantees the window was a single step.
-    #[inline]
-    fn release(&mut self, ctx: &Ctx, e: usize) {
-        if ctx.edge_region[e] == self.idx {
-            self.release_local(ctx, e);
-        } else {
-            self.remote_releases.push(e as u32);
+    /// Takes in a worm — freshly admitted, or handed off by another
+    /// region — under a free handle, and tightens the window grant.
+    fn arrive(&mut self, ctx: &Ctx, r: Resident) {
+        let h = self.free.pop().unwrap_or(self.core.worms.len() as u32);
+        self.core.put(h, r);
+        self.core.unfinished += 1;
+        let at = cuts(ctx, &self.core, h, self.idx);
+        if self.cuts.len() <= h as usize {
+            self.cuts.resize(h as usize + 1, None);
         }
-    }
-
-    /// Releases a VC on an owned edge (also the coordinator's entry
-    /// point for applying another region's outbox entry). Records the
-    /// wait key so the next [`Self::wake_parked`] pass can unpark the
-    /// waiters the release may have unblocked.
-    #[inline]
-    fn release_local(&mut self, ctx: &Ctx, e: usize) {
-        self.ledger.release(&ctx.rules, e);
-        self.released_keys.push(ctx.rules.wait_key(e) as u32);
-    }
-
-    /// Marks resident `wi` retired (the sweep drops it) and hands its
-    /// final state to the coordinator. `time` is `t + 1` for deliveries
-    /// and `t` for discards.
-    fn retire(&mut self, wi: usize, time: u64, delivered: bool) {
-        let w = &mut self.worms[wi];
-        w.gone = true;
-        if delivered {
-            w.out.finished = Some(time);
-        }
-        self.retired.push(Retired {
-            id: w.id,
-            worm: w.worm,
-            time,
-            delivered,
-            out: w.out,
-        });
-    }
-
-    /// Whether any worm still lives in this region — runnable or
-    /// parked. Parked worms are invisible to the step loop but fully
-    /// resident: they hold VCs, pin the window grant, and count as
-    /// active for termination.
-    #[inline]
-    fn has_residents(&self) -> bool {
-        !self.worms.is_empty() || !self.waiting.is_empty()
-    }
-
-    /// Whether `rw`, blocked this step, can park: every edge it could
-    /// want next is still full now that the step's moves and releases
-    /// have landed. If so, fills `keys` with the wait keys to park on —
-    /// a frozen route's next edge's, or a pending head's whole watch
-    /// set's ([`kernel::pending_wait_keys`]), pinning its selection.
-    fn wait_keys(&mut self, ctx: &Ctx, rw: &mut RWorm) -> bool {
-        if !rw.worm.pending_route {
-            let e = rw.path[rw.worm.advance as usize].idx();
-            self.keys.clear();
-            self.keys.push(ctx.rules.wait_key(e));
-            return self.ledger.free_vcs(&ctx.rules, e) == 0;
-        }
-        let (head, _) = kernel::header_at(ctx.graph, rw.src, &rw.path);
-        let escape = kernel::pending_wait_keys(
-            ctx.router.expect("pending worm without a router"),
-            &ctx.rules,
-            &self.ledger,
-            head,
-            rw.dst,
-            ctx.fully && rw.budget > 0,
-            &mut self.cand,
-            &mut self.keys,
-        );
-        escape.is_some_and(|edge| {
-            rw.selected = SelectedHop::Escape { edge: edge.0 };
-            true
-        })
-    }
-
-    /// Moves `rw`, blocked at step `t` with its watch set provably
-    /// full, onto the wait queue under `keys`. Its stall for step `t` is
-    /// already counted; the skipped steps settle arithmetically at wake.
-    fn park_worm(&mut self, ctx: &Ctx, rw: RWorm, t: u64) {
-        if !rw.local_path {
-            self.parked_safe = self.parked_safe.min(worm_bound(ctx, &rw, self.idx));
-        }
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.parked.push(None);
-            (self.parked.len() - 1) as u32
-        });
-        self.parked[slot as usize] = Some(rw);
-        self.waiting.park(slot, &self.keys, t);
-    }
-
-    /// Wakes every waiter of every key released during step `t` (or,
-    /// on the coordinator's call in one-step windows, released by a
-    /// remote worm during that window's step). A woken worm's skipped
-    /// stalls settle as `t - parked_at` — it was provably blocked at
-    /// every one of those steps, its watch set being full throughout —
-    /// and it re-contends at `t + 1`, exactly when the release becomes
-    /// visible sequentially. Waking is conservative: a still-blocked
-    /// worm re-parks after its next (stall-counted) step.
-    fn wake_parked(&mut self, t: u64) {
-        if self.waiting.is_empty() {
-            self.released_keys.clear();
-            return;
-        }
-        while let Some(k) = self.released_keys.pop() {
-            self.waiting.wake(k as usize, |slot, parked_at| {
-                let mut rw = self.parked[slot as usize]
-                    .take()
-                    .expect("woken handle holds a worm");
-                rw.out.stalls += t - parked_at;
-                self.free_slots.push(slot);
-                self.worms.push(rw);
-            });
-        }
-        if self.waiting.is_empty() {
-            self.parked_safe = u64::MAX;
-        }
-    }
-
-    /// Returns every parked worm to the runnable list with its stalls
-    /// settled through step `through` — the run is ending (deadlock or
-    /// step cap) and the sequential engines count a stall for each of
-    /// those steps.
-    fn settle_parked(&mut self, through: u64) {
-        self.waiting.settle_all(through, |slot, skipped| {
-            let mut rw = self.parked[slot as usize]
-                .take()
-                .expect("parked handle holds a worm");
-            rw.out.stalls += skipped;
-            self.worms.push(rw);
-        });
-        self.parked.clear();
-        self.free_slots.clear();
-        self.parked_safe = u64::MAX;
-    }
-
-    /// The event engine's invariant check, region-side: every edge a
-    /// parked worm watches is non-acquirable, and the queue's live
-    /// entries are exactly the watch sets, recomputed from scratch.
-    fn validate_parked(&mut self, ctx: &Ctx) {
-        let mut expect = Vec::new();
-        for slot in 0..self.parked.len() {
-            if let Some(mut rw) = self.parked[slot].take() {
-                assert!(
-                    self.wait_keys(ctx, &mut rw),
-                    "parked worm {} watches an acquirable edge",
-                    rw.id
-                );
-                expect.extend(self.keys.iter().map(|&key| (slot as u32, key)));
-                self.parked[slot] = Some(rw);
-            }
-        }
-        assert_eq!(
-            expect,
-            self.waiting.parked_keys(),
-            "region {}: wait queue out of sync with the parked worms' watch sets",
-            self.idx
-        );
-    }
-
-    /// Whether every resident is draining (`advance ≥ hops`, route
-    /// frozen) — the trigger for the closed-form fast-forward.
-    fn all_draining(&self) -> bool {
-        self.worms.iter().all(|w| w.worm.draining())
+        self.cuts[h as usize] = (!self.core.worms[h as usize].pending_route).then_some(at);
+        let bound = worm_bound(ctx, &self.core, h, at);
+        self.safe = self.safe.min(bound);
+        self.st.admit(h);
     }
 
     /// Runs this region through the window `[t0, end)` without touching
-    /// any other region's state: per-step classify → arbitrate → apply
-    /// while interaction is possible, the all-draining closed form when
-    /// it is not, and an early stop once the region is provably static
-    /// (frozen) or empty. Refreshes the `safe` grant for the next
-    /// window on the way out.
+    /// any other region's state ([`engine::run_window`]), then empties
+    /// it of the worms that no longer belong here and refreshes the
+    /// `safe` grant for the next window.
     fn run_window(&mut self, ctx: &Ctx, t0: u64, end: u64) {
-        self.static_from = u64::MAX;
-        self.last_move_plus1 = 0;
-        // Multi-step windows are interaction-free, so the end-of-step
-        // occupancy sample is exact locally; one-step windows keep the
-        // coordinator's settle (remote releases may still land).
-        let local_settle = end - t0 > 1;
-        let mut t = t0;
-        while t < end {
-            if self.worms.is_empty() {
-                // Runnable empty with worms still parked: every parked
-                // worm waits on full edges, and local releases only
-                // come from local moves — none can happen. Static from
-                // here (only a cross-region release could wake anyone,
-                // and that is a between-windows event).
-                if !self.waiting.is_empty() {
-                    self.static_from = t;
-                }
-                break;
-            }
-            if local_settle && self.waiting.is_empty() && self.all_draining() {
-                self.fast_drain_all(ctx, t, end);
-                break;
-            }
-            self.step(ctx, t);
-            if self.moved {
-                self.last_move_plus1 = t + 1;
-            }
-            if local_settle {
-                self.ledger.settle_max(&ctx.rules);
-            }
-            if !self.moved && ctx.config.blocked == BlockedPolicy::Stall && self.has_residents() {
-                // Frozen: releases only come from moves and nothing
-                // external arrives mid-window, so every remaining step
-                // of the window repeats this one exactly. Stop stepping;
-                // the coordinator tops up the skipped stall counts (the
-                // runnable residents'; parked worms settle at wake).
-                self.static_from = t;
-                break;
-            }
-            t += 1;
+        // Releases other regions' worms made on this region's edges
+        // during step `t0 − 1` have landed: their waiters re-contend now.
+        engine::wake_released(&mut self.core, &mut self.st, t0, t0.saturating_sub(1));
+        self.opened_with.clone_from(&self.st.runnable);
+        self.win = engine::run_window(&mut self.core, &mut self.st, t0, end);
+        let (core, idx) = (&mut self.core, self.idx);
+        let mut done = std::mem::take(&mut core.done);
+        for (time, h, delivered) in done.drain(..) {
+            self.retired.push((time, delivered, core.take(h)));
+            self.free.push(h);
         }
-        let mut safe = self.parked_safe;
-        for w in &self.worms {
-            if !w.local_path {
-                safe = safe.min(worm_bound(ctx, w, self.idx));
-            }
-        }
-        self.safe = safe;
-    }
-
-    /// Batch-advances an all-draining population from `t` to `end` (or
-    /// each worm's finish, whichever is first) with [`Worm::drain`]'s
-    /// closed form. Safe because drains acquire nothing and only
-    /// release held edges, which the window grant proved local (except
-    /// in one-step windows, where `release` falls back to the outbox).
-    fn fast_drain_all(&mut self, ctx: &Ctx, t: u64, end: u64) {
-        debug_assert!(t < end);
-        debug_assert!(self.waiting.is_empty(), "fast drain with parked worms");
-        for wi in 0..self.worms.len() {
-            let d = self.worms[wi].worm.drain(end - t, ctx.rules.final_vc);
-            debug_assert!(d.steps > 0, "a finished worm survived the sweep");
-            self.flit_hops += d.flit_hops;
-            for j in d.released {
-                let e = self.worms[wi].path[j as usize - 1];
-                self.release(ctx, e.idx());
-            }
-            let fin_t = t + d.steps; // the last advance ran at fin_t − 1
-            self.last_move_plus1 = self.last_move_plus1.max(fin_t);
-            if d.finished {
-                self.retire(wi, fin_t, true);
-            }
-        }
-        self.sweep(ctx, t);
-        // Nobody is waiting (asserted above) — drop the release keys
-        // the drain recorded so they cannot wake a later parkee.
-        self.released_keys.clear();
-    }
-
-    /// One step over the resident worms: the classify → arbitrate →
-    /// apply phases of the sequential steppers, ending with the
-    /// retire/handoff sweep. Reads and writes only region-owned
-    /// state; cross-region effects go to the outboxes.
-    fn step(&mut self, ctx: &Ctx, t: u64) {
-        self.movers.clear();
-        self.blocked.clear();
-        self.buckets.clear();
-        // Phase 1: classify (drains and VC-free final hops move freely;
-        // pending worms select their wanted hop; everything else
-        // contends for its next edge).
-        for i in 0..self.worms.len() {
-            let rw = &self.worms[i];
-            let mut selected = None;
-            if rw.worm.pending_route {
-                // All candidates are out-edges of the head node, which
-                // this region owns — so the local counters are the
-                // global truth and every engine makes the same choice.
-                debug_assert_eq!(
-                    ctx.node_region[rw.head_node(ctx)],
-                    self.idx,
-                    "pending worm resident outside its head's region"
-                );
-                let sel = kernel::select_hop(
-                    ctx.router.expect("pending worm without a router"),
-                    &ctx.rules,
-                    &self.ledger,
-                    kernel::header_at(ctx.graph, rw.src, &rw.path),
-                    rw.dst,
-                    ctx.fully && rw.budget > 0,
-                    &mut self.cand,
-                );
-                let edge = sel.edge().expect("selection always yields a hop");
-                selected = Some((edge, ctx.edge_dst[edge as usize] == rw.dst.0));
-                self.worms[i].selected = sel;
-            }
-            let rw = &self.worms[i];
-            kernel::classify(
-                &rw.worm,
-                ctx.rules.final_vc,
-                i as u32,
-                selected,
-                |j| rw.path[j as usize - 1].idx(),
-                &mut self.buckets,
-                &mut self.movers,
+        core.done = done;
+        let at = |core: &Core, h: u32| {
+            let at = self.cuts[h as usize].unwrap_or_else(|| cuts(ctx, core, h, idx));
+            debug_assert_eq!(
+                worm_bound(ctx, core, h, at),
+                worm_bound(ctx, core, h, cuts(ctx, core, h, idx)),
+                "stale cached cuts"
             );
-        }
-        // Phase 2: arbitration from start-of-step holder counts.
-        // Contenders are indices into `worms`; bucket edges are global
-        // ids, so the pooled grant order is the canonical global one.
-        let (config, worms) = (ctx.config, &self.worms);
-        self.ledger.arbitrate(
-            &ctx.rules,
-            &mut self.buckets,
-            &mut self.movers,
-            &mut self.blocked,
-            |e, group| {
-                order_contenders(config, t, e, group, |i| {
-                    let w = &worms[i as usize];
-                    (w.release, w.priority, w.id)
-                })
-            },
-        );
-        self.moved = !self.movers.is_empty();
-        // Phase 3: apply.
-        for i in 0..self.movers.len() {
-            let m = self.movers[i];
-            self.advance_worm(ctx, m, t);
-        }
-        for i in 0..self.blocked.len() {
-            let m = self.blocked[i];
-            self.worms[m as usize].out.stalls += 1;
-            if ctx.config.blocked == BlockedPolicy::Discard {
-                self.discard_worm(ctx, m, t);
+            at
+        };
+        // Movers whose next wanted edge is owned elsewhere emigrate;
+        // draining worms have none and stay put.
+        let mut safe = u64::MAX;
+        self.st.retain_runnable(|&h| {
+            let (w, at) = (&core.worms[h as usize], at(core, h));
+            // A pending head may have stepped over the cut; a frozen
+            // route leaves exactly when it wants its first foreign edge.
+            let may_leave = w.pending_route || (!w.draining() && at.1 == w.advance + 1);
+            let target = if may_leave { ctx.home(core, h) } else { idx };
+            if target != idx {
+                core.unfinished -= 1;
+                self.handoffs.push((target, core.take(h)));
+                self.free.push(h);
             } else {
-                // The sweep parks a loser whose watch set is still full
-                // after every move and release of this step landed: it
-                // stalls until a release on one of its wait keys, so the
-                // step loop can skip it entirely.
-                self.worms[m as usize].park = true;
+                safe = safe.min(worm_bound(ctx, core, h, at));
+            }
+            target == idx
+        });
+        if self.st.waiting.is_empty() {
+            self.parked_safe = u64::MAX;
+        }
+        for &h in &self.opened_with {
+            if self.st.waiting.is_parked(h) {
+                let bound = worm_bound(ctx, core, h, at(core, h));
+                self.parked_safe = self.parked_safe.min(bound);
             }
         }
-        self.sweep(ctx, t);
-        self.wake_parked(t);
-    }
-
-    /// Advances winner index `i` one flit step ([`Worm::advance`];
-    /// pending worms commit their selected hop first, exactly like the
-    /// sequential apply phase) and applies what it acquired and
-    /// released.
-    fn advance_worm(&mut self, ctx: &Ctx, i: u32, t: u64) {
-        let wi = i as usize;
-        let rw = &mut self.worms[wi];
-        if rw.worm.pending_route {
-            kernel::extend_route(
-                &mut rw.worm,
-                &mut rw.path,
-                &mut rw.budget,
-                rw.selected,
-                ctx.router.expect("pending worm without a router"),
-                rw.dst,
-                &mut self.route_stats,
-            );
-        }
-        let step = rw.worm.advance(ctx.rules.final_vc);
-        self.flit_hops += step.flit_hops;
-        if rw.out.first_move.is_none() {
-            rw.out.first_move = Some(t);
-        }
-        // The newly crossed edge is always owned: winners acquire
-        // locally, their wanted edge defines their residency.
-        if let Some(j) = step.acquire {
-            let e = rw.path[j as usize - 1].idx();
-            debug_assert_eq!(ctx.edge_region[e], self.idx, "acquire on a foreign edge");
-            self.ledger.acquire(&ctx.rules, e);
-        }
-        // The edge the tail just left and, on completion, the final
-        // edge — either possibly foreign.
-        for j in step.released {
-            let e = self.worms[wi].path[j as usize - 1];
-            self.release(ctx, e.idx());
-        }
-        if step.finished {
-            self.retire(wi, t + 1, true);
-        }
-    }
-
-    /// Discards blocked resident index `i`, releasing everything it
-    /// holds ([`BlockedPolicy::Discard`] only — no faults here).
-    fn discard_worm(&mut self, ctx: &Ctx, i: u32, t: u64) {
-        let wi = i as usize;
-        for j in self.worms[wi].worm.held_vcs(ctx.rules.final_vc) {
-            let e = self.worms[wi].path[j as usize - 1];
-            self.release(ctx, e.idx());
-        }
-        self.worms[wi].out.discarded = Some(DiscardReason::Delay);
-        self.retire(wi, t, false);
-    }
-
-    /// End-of-step sweep: drop retired worms, park this step's losers
-    /// that can park ([`Self::wait_keys`]), keep residents, and emigrate
-    /// worms whose next wanted edge is owned elsewhere. Draining worms
-    /// have none and stay put; a pending worm's residency follows its head.
-    /// A parked worm never migrates — it did not move, so its wanted
-    /// edge (and with it its residency) is unchanged.
-    fn sweep(&mut self, ctx: &Ctx, t: u64) {
-        std::mem::swap(&mut self.worms, &mut self.scratch);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for mut w in scratch.drain(..) {
-            if w.gone {
-                continue;
-            }
-            if std::mem::take(&mut w.park) && self.wait_keys(ctx, &mut w) {
-                self.park_worm(ctx, w, t);
-                continue;
-            }
-            let target = if w.worm.draining() {
-                self.idx
-            } else {
-                rworm_home(ctx, &w) as u32
-            };
-            if target == self.idx {
-                self.worms.push(w);
-            } else {
-                self.handoffs.push((target, w));
-            }
-        }
-        self.scratch = scratch;
+        self.safe = safe.min(self.parked_safe);
     }
 }
 
@@ -801,7 +346,7 @@ impl Region {
 /// own mutex — workers step disjoint index sets, so locks are always
 /// uncontended), the window barriers, and the broadcast clock/grant.
 struct Shared<'a> {
-    regions: Vec<Mutex<Region>>,
+    regions: Vec<Mutex<Region<'a>>>,
     /// Opens a window (workers wait here between windows).
     start: Barrier,
     /// Closes a window (the coordinator merges after this).
@@ -813,7 +358,25 @@ struct Shared<'a> {
     w_now: AtomicU64,
     /// Set by the coordinator before the final `start` wave.
     stop: AtomicBool,
-    ctx: Ctx<'a>,
+    ctx: Ctx,
+}
+
+/// The coordinator's way into the regions between windows: keeps the
+/// last one locked, since consecutive outbox entries mostly share a
+/// target.
+struct Held<'s, 'a> {
+    shared: &'s Shared<'a>,
+    at: Option<(usize, MutexGuard<'s, Region<'a>>)>,
+}
+
+impl<'a> Held<'_, 'a> {
+    fn region(&mut self, i: usize) -> &mut Region<'a> {
+        if self.at.as_ref().map(|(at, _)| *at) != Some(i) {
+            self.at = None; // unlock first
+            self.at = Some((i, self.shared.regions[i].lock().unwrap()));
+        }
+        &mut self.at.as_mut().unwrap().1
+    }
 }
 
 /// Worker `w` of `nthreads`: run regions `w, w + nthreads, …` through
@@ -852,96 +415,51 @@ fn step_window(shared: &Shared<'_>, nthreads: usize, t: u64, w: u64) {
     shared.end.wait();
 }
 
-/// Builds the region-resident copy of freshly admitted message `m`.
-fn make_rworm(sim: &Sim<'_>, m: u32) -> RWorm {
-    let mi = m as usize;
-    let spec = &sim.specs[mi];
-    let (path, src, dst, budget) = match sim.adaptive.as_ref() {
-        Some(ad) => (ad.routes[mi].clone(), ad.src[mi], ad.dst[mi], ad.budget[mi]),
-        None => (spec.path.edges().to_vec(), NodeId(0), NodeId(0), 0),
-    };
-    RWorm {
-        id: m,
-        worm: sim.worms[mi],
-        release: spec.release,
-        priority: spec.priority,
-        path,
-        src,
-        dst,
-        budget,
-        selected: SelectedHop::None,
-        out: sim.outcomes[mi],
-        gone: false,
-        park: false,
-        local_path: false,
-    }
-}
-
-/// The region a fresh or migrating worm belongs to: its head node's
-/// region while the route is pending, the owner of its next wanted
-/// edge otherwise.
-fn rworm_home(ctx: &Ctx, w: &RWorm) -> usize {
-    if w.worm.pending_route {
-        ctx.node_region[w.head_node(ctx)] as usize
-    } else {
-        ctx.edge_region[w.path[w.worm.advance as usize].idx()] as usize
-    }
-}
-
-/// Copies every in-flight resident worm's kinematics, outcome, and
-/// route state back into the per-id tables (retired worms were written
-/// at retirement). Parked worms are residents too; the run-end paths
-/// settle their stalls first, the mid-run invariant check reads them
-/// as-is (kinematics are exact while parked, only stalls are deferred).
-fn write_back(sim: &mut Sim<'_>, shared: &Shared<'_>) {
+/// Cross-region invariant check between windows: every region's own
+/// ([`engine::validate`]), plus the one comparison no region can make
+/// alone — a worm may hold VCs on another region's edges, so the held
+/// counts recomputed from the worms and the ledgers' holder counts
+/// agree only summed over regions.
+fn validate(shared: &Shared<'_>, num_edges: usize, t: u64) {
+    let (mut held, mut holders) = (vec![0u16; num_edges], vec![0u16; num_edges]);
     for cell in &shared.regions {
-        let reg = cell.lock().unwrap();
-        for w in reg.worms.iter().chain(reg.parked.iter().flatten()) {
-            let mi = w.id as usize;
-            sim.worms[mi] = w.worm;
-            sim.outcomes[mi] = w.out;
-            if let Some(ad) = sim.adaptive.as_mut() {
-                ad.routes[mi].clone_from(&w.path);
-                ad.budget[mi] = w.budget;
-                ad.selected[mi] = w.selected;
-            }
+        let reg = &mut *cell.lock().unwrap();
+        // The wake pass the region would run on entering step `t`: a
+        // worm still parked on an edge a landed release freed would
+        // fail the parked-set check.
+        engine::wake_released(&mut reg.core, &mut reg.st, t, t - 1);
+        engine::validate(&mut reg.core, &mut reg.st);
+        for (sum, h) in held.iter_mut().zip(reg.core.held_counts()) {
+            *sum += h;
+        }
+        for (sum, h) in holders.iter_mut().zip(&reg.core.ledger.holders) {
+            *sum += h;
         }
     }
+    assert_eq!(held, holders, "VC accounting mismatch");
 }
 
-/// Scatters the region-owned holder/pool counters back into the
-/// [`Sim`] arrays (each global index is owned by exactly one region).
-fn sync_counters(sim: &mut Sim<'_>, shared: &Shared<'_>) {
-    let ctx = &shared.ctx;
-    for (r, cell) in shared.regions.iter().enumerate() {
-        let reg = cell.lock().unwrap();
-        for (e, &owner) in ctx.edge_region.iter().enumerate() {
-            if owner as usize == r {
-                sim.ledger.holders[e] = reg.ledger.holders[e];
-            }
-        }
-        for (v, &owner) in ctx.node_region.iter().enumerate() {
-            if owner as usize == r {
-                sim.ledger.pool_used[v] = reg.ledger.pool_used[v];
-                if ctx.rules.pooled {
-                    sim.ledger.shared_used[v] = reg.ledger.shared_used[v];
-                }
-            }
-        }
-    }
-}
-
-/// Folds the per-region accumulators into the run totals (exactly
-/// once, at run end).
-fn fold_stats(sim: &mut Sim<'_>, shared: &Shared<'_>) {
+/// The run is over: settles the still-parked worms' stalls through step
+/// `through`, moves every resident back into the run's id-keyed core
+/// (for the result, and for the deadlock report), and folds the
+/// per-region accumulators into the run totals.
+fn write_back(sim: &mut Sim<'_>, shared: &Shared<'_>, through: u64) {
+    let total = &mut sim.core;
     for cell in &shared.regions {
-        let reg = cell.lock().unwrap();
-        sim.flit_hops += reg.flit_hops;
-        sim.ledger.max_vcs = sim.ledger.max_vcs.max(reg.ledger.max_vcs);
-        sim.ledger.max_pool = sim.ledger.max_pool.max(reg.ledger.max_pool);
-        if let Some(ad) = sim.adaptive.as_mut() {
-            ad.stats.escape_fallbacks += reg.route_stats.escape_fallbacks;
-            ad.stats.misroute_hops += reg.route_stats.misroute_hops;
+        let reg = &mut *cell.lock().unwrap();
+        engine::settle_parked(&mut reg.core, &mut reg.st, through);
+        for h in reg.st.runnable.drain(..) {
+            let r = reg.core.take(h);
+            total.put(r.id, r);
+        }
+        reg.core.ledger.settle_max(&reg.core.rules);
+        total.flit_hops += reg.core.flit_hops;
+        total.last_finish = total.last_finish.max(reg.core.last_finish);
+        total.ledger.max_vcs = total.ledger.max_vcs.max(reg.core.ledger.max_vcs);
+        total.ledger.max_pool = total.ledger.max_pool.max(reg.core.ledger.max_pool);
+        if let (Some(ad), Some(reg_ad)) = (total.adaptive.as_mut(), reg.core.adaptive.as_ref()) {
+            ad.stats.escape_fallbacks += reg_ad.stats.escape_fallbacks;
+            ad.stats.misroute_hops += reg_ad.stats.misroute_hops;
         }
     }
 }
@@ -954,31 +472,32 @@ fn run_loop(
     shared: &Shared<'_>,
     nthreads: usize,
 ) -> (Outcome, u64, Option<DeadlockReport>) {
+    let ctx = &shared.ctx;
     let mut t: u64 = 0;
     let mut n_active: usize = 0;
-    let mut deadlock_report = None;
     let mut rel_buf: Vec<u32> = Vec::new();
-    let mut handoff_buf: Vec<(u32, RWorm)> = Vec::new();
-    let mut retired_buf: Vec<Retired> = Vec::new();
-    let outcome = loop {
+    let mut handoff_buf: Vec<(u32, Resident)> = Vec::new();
+    let mut retired_buf: Vec<(u64, bool, Resident)> = Vec::new();
+    loop {
         if let Some(outcome) = sim.loop_head(&mut t, n_active == 0) {
-            break outcome;
+            // The cap may end the run with worms still parked; the
+            // sequential engines count their stalls through the last
+            // step that ran.
+            write_back(sim, shared, sim.core.config.max_steps.saturating_sub(1));
+            return (outcome, t, None);
         }
+        let mut held = Held { shared, at: None };
         let new = sim.admit_ready(t);
         for i in new {
             let m = sim.admitted_id(i);
-            if sim.outcomes[m as usize].discarded.is_none() {
-                let mut w = make_rworm(sim, m);
-                let target = rworm_home(&shared.ctx, &w);
-                let bound = worm_bound(&shared.ctx, &w, target as u32);
-                w.local_path = bound == u64::MAX && !w.worm.pending_route;
-                let mut reg = shared.regions[target].lock().unwrap();
-                reg.safe = reg.safe.min(bound);
-                reg.worms.push(w);
-                drop(reg);
+            if sim.core.outcomes[m as usize].discarded.is_none() {
+                let target = ctx.home(&sim.core, m) as usize;
+                sim.core.unfinished -= 1;
+                held.region(target).arrive(ctx, sim.core.take(m));
                 n_active += 1;
             }
         }
+        drop(held);
 
         // The window grant: the minimum per-region `safe` bound over
         // populated regions, capped at the next admission and the step
@@ -990,14 +509,14 @@ fn run_loop(
         let mut grant = u64::MAX;
         for cell in &shared.regions {
             let reg = cell.lock().unwrap();
-            if reg.has_residents() {
+            if reg.st.n_active() > 0 {
                 grant = grant.min(reg.safe);
             }
         }
         let w = if sim.reactive || grant <= 1 {
             1
         } else {
-            let mut horizon = sim.config.max_steps.saturating_sub(t).max(1);
+            let mut horizon = sim.core.config.max_steps.saturating_sub(t).max(1);
             if let Some(r) = sim.peek_next_release(t) {
                 horizon = horizon.min(r.saturating_sub(t).max(1));
             }
@@ -1015,17 +534,17 @@ fn run_loop(
         let mut any_frozen = false;
         for cell in &shared.regions {
             let mut reg = cell.lock().unwrap();
-            t_dead = t_dead.max(reg.last_move_plus1);
-            if reg.has_residents() {
+            t_dead = t_dead.max(reg.win.last_move_plus1);
+            if reg.st.n_active() > 0 {
                 any_worms = true;
-                if reg.static_from == u64::MAX {
+                if reg.win.frozen_at == u64::MAX {
                     all_static = false;
                 } else {
-                    t_dead = t_dead.max(reg.static_from);
+                    t_dead = t_dead.max(reg.win.frozen_at);
                 }
             }
-            any_frozen |= reg.static_from != u64::MAX;
-            rel_buf.append(&mut reg.remote_releases);
+            any_frozen |= reg.win.frozen_at != u64::MAX;
+            rel_buf.append(&mut reg.core.remote_releases);
             handoff_buf.append(&mut reg.handoffs);
             retired_buf.append(&mut reg.retired);
         }
@@ -1035,107 +554,71 @@ fn run_loop(
         );
         // Cross-region releases land now — visible to step `t + 1`,
         // like any sequential mid-step release...
-        for &e in &rel_buf {
-            let e = e as usize;
-            let owner = shared.ctx.edge_region[e] as usize;
-            shared.regions[owner]
-                .lock()
-                .unwrap()
-                .release_local(&shared.ctx, e);
+        let mut held = Held { shared, at: None };
+        for e in rel_buf.drain(..) {
+            let owner = ctx.edge_region[e as usize] as usize;
+            held.region(owner).core.release_vc(e as usize);
         }
-        rel_buf.clear();
-        // ...and *before* the occupancy maxima are sampled, so the
-        // sample is the end-of-step state, as in the sequential
-        // engines. (Multi-step windows already settled in-region.)
-        // The wake pass runs here too: a remote release during step
-        // `t` unblocks its local waiters exactly like a local one —
-        // skipped stalls settle through `t`, re-contention at `t + 1`.
-        if w == 1 {
-            for cell in &shared.regions {
-                let mut reg = cell.lock().unwrap();
-                reg.wake_parked(t);
-                reg.ledger.settle_max(&shared.ctx.rules);
-            }
-        }
+        drop(held);
+        // ...and *before* the owner samples the window's last step into
+        // its occupancy maxima and wakes the waiters, both of which it
+        // does on entering its next window: the sample is the
+        // end-of-step state and the waiters' skipped stalls settle
+        // through that step, as in the sequential engines.
         // A frozen region repeats its freeze step verbatim until the
         // window ends (or until the deadlock instant, below): top up
         // the stall counts its skipped steps would have recorded. At
         // the freeze step every resident was blocked — a mover would
-        // have unfrozen it — so the top-up is uniform.
-        let deadlocked =
-            sim.config.blocked == BlockedPolicy::Stall && any_worms && all_static && t_dead < t + w;
+        // have unfrozen it — so the top-up is uniform over the runnable
+        // ones (parked worms settle at wake).
+        let deadlocked = sim.core.config.blocked == BlockedPolicy::Stall
+            && any_worms
+            && all_static
+            && t_dead < t + w;
         if any_frozen {
             let end_count = if deadlocked { t_dead } else { t + w - 1 };
             for cell in &shared.regions {
-                let mut reg = cell.lock().unwrap();
-                if reg.static_from != u64::MAX {
-                    let extra = end_count - reg.static_from;
-                    if extra > 0 {
-                        for wm in &mut reg.worms {
-                            wm.out.stalls += extra;
-                        }
+                let reg = &mut *cell.lock().unwrap();
+                if reg.win.frozen_at != u64::MAX {
+                    let extra = end_count - reg.win.frozen_at;
+                    for &h in &reg.st.runnable {
+                        reg.core.outcomes[h as usize].stalls += extra;
                     }
                 }
             }
         }
-        for rt in retired_buf.drain(..) {
-            let mi = rt.id as usize;
-            sim.worms[mi] = rt.worm;
-            sim.outcomes[mi] = rt.out;
-            sim.record_done(rt.id, rt.time, rt.delivered);
-            if rt.delivered {
-                sim.last_finish = sim.last_finish.max(rt.time);
-            }
-            sim.unfinished -= 1;
+        for (time, delivered, r) in retired_buf.drain(..) {
+            let mi = r.id as usize;
+            sim.core.worms[mi] = r.worm;
+            sim.core.outcomes[mi] = r.out;
+            sim.core.done.push((time, r.id, delivered));
             n_active -= 1;
         }
-        for (target, mut w) in handoff_buf.drain(..) {
-            let bound = worm_bound(&shared.ctx, &w, target);
-            w.local_path = bound == u64::MAX && !w.worm.pending_route;
-            let mut reg = shared.regions[target as usize].lock().unwrap();
-            reg.safe = reg.safe.min(bound);
-            reg.worms.push(w);
+        let mut held = Held { shared, at: None };
+        for (target, r) in handoff_buf.drain(..) {
+            held.region(target as usize).arrive(ctx, r);
         }
+        drop(held);
 
         if deadlocked {
             // Static state, nothing can ever move again: deadlock at
             // the first globally move-free step, with the same report
             // the sequential engines build. Parked worms were blocked
-            // at every step up to the verdict — settle them first.
-            t = t_dead;
-            for cell in &shared.regions {
-                cell.lock().unwrap().settle_parked(t_dead);
-            }
-            write_back(sim, shared);
+            // at every step up to the verdict.
+            write_back(sim, shared, t_dead);
             sim.rebuild_active();
-            deadlock_report = Some(sim.build_deadlock_report());
-            break Outcome::Deadlock(sim.active.clone());
+            let report = sim.build_deadlock_report();
+            return (
+                Outcome::Deadlock(sim.core.active.clone()),
+                t_dead,
+                Some(report),
+            );
         }
-        if sim.config.check_invariants {
-            write_back(sim, shared);
-            sync_counters(sim, shared);
-            sim.rebuild_active();
-            sim.validate();
-            for cell in &shared.regions {
-                cell.lock().unwrap().validate_parked(&shared.ctx);
-            }
+        if sim.core.config.check_invariants {
+            validate(shared, sim.graph.num_edges(), t + w);
         }
         t += w;
-    };
-    if matches!(outcome, Outcome::MaxSteps) {
-        // The cap ended the run with worms possibly still parked; the
-        // sequential engines count their stalls through the last step
-        // that ran (`max_steps - 1`).
-        let last = sim.config.max_steps.saturating_sub(1);
-        for cell in &shared.regions {
-            cell.lock().unwrap().settle_parked(last);
-        }
     }
-    write_back(sim, shared);
-    sync_counters(sim, shared);
-    fold_stats(sim, shared);
-    sim.rebuild_active();
-    (outcome, t, deadlock_report)
 }
 
 /// Entry point from the engine dispatch: runs `sim` to its outcome on
@@ -1145,22 +628,20 @@ fn run_loop(
 /// explicit-fallback path and never reach this function.
 pub(crate) fn drive(sim: &mut Sim<'_>, threads: u32) -> (Outcome, u64, Option<DeadlockReport>) {
     let graph = sim.graph;
-    if graph.num_nodes() == 0 {
-        // Nothing to partition (and no message can have a valid path);
-        // the legacy driver resolves the source bookkeeping.
-        return sim.drive_legacy();
-    }
-    let plan = match &sim.config.regions {
+    let plan = match &sim.core.config.regions {
         Some(p) => {
             assert!(
                 p.matches(graph),
                 "region plan does not match the simulated graph"
             );
-            p.clone()
+            Some(p.clone())
         }
-        None => RegionPlan::contiguous(graph, DEFAULT_REGIONS),
+        // Nothing to partition: zero regions, and the coordinator alone
+        // resolves the source bookkeeping.
+        None if graph.num_nodes() == 0 => None,
+        None => Some(RegionPlan::contiguous(graph, DEFAULT_REGIONS)),
     };
-    let k = plan.num_regions() as usize;
+    let k = plan.as_ref().map_or(0, |p| p.num_regions() as usize);
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     let req = if threads == 0 {
         avail
@@ -1168,9 +649,9 @@ pub(crate) fn drive(sim: &mut Sim<'_>, threads: u32) -> (Outcome, u64, Option<De
         threads as usize
     };
     let nthreads = req.min(k).max(1);
-    let ctx = Ctx::new(sim, &plan);
+    let ctx = Ctx::new(graph, plan.as_ref());
     let regions = (0..k)
-        .map(|r| Mutex::new(Region::new(r as u32, &ctx)))
+        .map(|r| Mutex::new(Region::new(r as u32, &ctx, sim)))
         .collect();
     let shared = Shared {
         regions,

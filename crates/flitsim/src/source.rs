@@ -17,8 +17,11 @@
 //! loop interacts with the source under these rules, identical for both
 //! engines:
 //!
-//! * [`take_ready`](TrafficSource::take_ready)`(now)` is called once per
-//!   simulated step (and after every idle jump) and must emit every
+//! * [`take_ready`](TrafficSource::take_ready)`(now)` is called before
+//!   any step a message could join — every step under a
+//!   [`reactive`](TrafficSource::reactive) source or the legacy stepper,
+//!   otherwise at least at every time `next_release` announced (and
+//!   after every idle jump) — and must emit every
 //!   message with `release ≤ now` that has not been emitted yet, in
 //!   ascending `(release, id)` order — the admission order the legacy
 //!   stepper has always used, and part of the bit-identity contract.
@@ -37,10 +40,10 @@
 //!   engine-independent — a reactive source fed by the event-driven
 //!   engine sees exactly the sequence the legacy stepper would produce.
 //! * [`reactive`](TrafficSource::reactive) must return `true` if
-//!   deliveries can spawn new releases. The event engine then disables
-//!   its batched fast-forwards (a batch could run past a release spawned
-//!   mid-batch) while keeping park/wake and the idle-network jump, both
-//!   of which remain exact.
+//!   deliveries can spawn new releases. The event-style engines then
+//!   pin their windows to one step (a longer one could run past a
+//!   release spawned inside it) while keeping park/wake and the
+//!   idle-network jump, both of which remain exact.
 //!
 //! # Replay equivalence
 //!
@@ -75,9 +78,9 @@ pub trait TrafficSource {
     /// (under [`crate::config::BlockedPolicy::Discard`]).
     fn on_discarded(&mut self, _id: u32, _t: u64) {}
 
-    /// Whether deliveries can spawn new releases. `true` disables the
-    /// event engine's batched fast-forwards (park/wake and idle jumps
-    /// stay on). Defaults to `false` (open-loop).
+    /// Whether deliveries can spawn new releases. `true` pins the
+    /// event-style engines' windows to one step (park/wake and idle
+    /// jumps stay on). Defaults to `false` (open-loop).
     fn reactive(&self) -> bool {
         false
     }

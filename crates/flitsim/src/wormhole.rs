@@ -33,11 +33,12 @@
 //! # Engines
 //!
 //! The model itself — VC ledger, worm kinematics, arbitration, hop
-//! selection — is stated once, in the crate-private `kernel` module.
-//! Three drivers ([`crate::config::Engine`]) decide which worms it steps
-//! and when, and are required to produce **bit-identical [`SimResult`]s**
-//! — the proptest differential suite and the unit fixtures compare them
-//! field for field, deadlock reports included:
+//! selection — is stated once, in the crate-private `kernel` module,
+//! and the worms in flight with the step phases that move them once, in
+//! `Core`. Three engines ([`crate::config::Engine`]) decide which
+//! worms it steps and when, and are required to produce **bit-identical
+//! [`SimResult`]s** — the proptest differential suite and the unit
+//! fixtures compare them field for field, deadlock reports included:
 //!
 //! * the **legacy** stepper rescans every active worm each flit step (the
 //!   original implementation, kept as the differential oracle);
@@ -52,12 +53,13 @@
 //!   closed form, and a fully idle network jumps straight to the next
 //!   message release;
 //! * the **partitioned parallel** engine (`parallel` module) cuts the
-//!   network into regions and runs each through conservative time
-//!   windows on its own worker, with the event engine's parking and
-//!   drain fast-forward applied per region.
+//!   network into regions, gives each a `Core` of its own, and runs
+//!   the event engine's driver over each through conservative time
+//!   windows on worker threads.
 //!
-//! The sequential engines' equivalence rests on three invariants (the
-//! `parallel` module docs add the window argument):
+//! The event driver's equivalence with the legacy stepper rests on
+//! three invariants, argued here and nowhere else (the `parallel`
+//! module docs add the window argument):
 //!
 //! 1. **Parked ⇒ full.** A worm parks only if every edge it could want
 //!    next — the one next edge of a frozen route; every candidate and
@@ -88,10 +90,6 @@
 //!    `max_vcs_in_use` samples holder counts at end of step rather than
 //!    at each acquisition instant (which would depend on the interleaving
 //!    of same-step acquires and releases).
-//!
-//! [`run_traced`] always uses the legacy stepper: its per-step `Blocked`
-//! events are inherently step-enumerated, which is exactly what the event
-//! engine avoids materializing.
 //!
 //! # VC capacity policies
 //!
@@ -148,8 +146,8 @@
 //! winners extend their route and advance, losers stall and re-select
 //! next step (occupancies have changed). Because selection reads only
 //! start-of-step holder counts — the same convention arbitration already
-//! uses — the engines stay bit-identical. The event engine and the
-//! parallel regions park a blocked *pending* worm once its whole watch
+//! uses — the engines stay bit-identical. The event driver parks a
+//! blocked *pending* worm once its whole watch
 //! set — every candidate the router offers plus the escape hop — is
 //! full at end of step, on the wait key of each of those edges: until
 //! one of them sees a release, acquirability being monotone, selection
@@ -169,7 +167,7 @@ use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 use wormhole_topology::path::Path;
 
 use crate::config::{BlockedPolicy, Engine, RouteSelection, SimConfig};
-use crate::events::{DeadlockReport, TraceEvent, WaitFor};
+use crate::events::{DeadlockReport, WaitFor};
 use crate::kernel::{
     self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, Worm,
 };
@@ -255,44 +253,20 @@ pub fn run_source_adaptive(
     simulate(router.graph(), Some(router), source, config)
 }
 
-/// Runs with event tracing: every VC acquisition, blocked attempt,
-/// delivery, and discard is recorded. Traces grow with
-/// `O(steps · messages)` in the worst case — use on instances you intend
-/// to inspect. Always driven by the legacy stepper, whatever
-/// [`SimConfig::engine`] says (per-step `Blocked` events are what the
-/// other engines exist to not enumerate); the [`SimResult`] is
-/// bit-identical either way.
-pub fn run_traced(
-    graph: &Graph,
-    specs: &[MessageSpec],
-    config: &SimConfig,
-) -> (SimResult, Vec<TraceEvent>) {
-    assert_eq!(
-        config.route_selection,
-        RouteSelection::Oblivious,
-        "adaptive route selection needs run_adaptive (tracing is oblivious-only)"
-    );
-    validate_specs(graph, specs);
-    let mut source = ReplaySource::from_slice(specs);
-    let mut sim = Sim::new(graph, None, &mut source, config, true);
-    let driven = sim.drive_legacy();
-    sim.into_result(driven, None)
-}
-
-/// The one untraced core behind every `run*` entry point: builds the
-/// simulation (`router` is only consulted under an adaptive
-/// [`RouteSelection`]) and hands it to the configured [`Engine`]. The
-/// parallel engine reproduces every configuration but one bit for bit;
-/// fault plans (kills apply network-wide at start-of-step, which the
-/// windowed scheme cannot yet reproduce) run on the event engine with an
-/// explicit note in [`SimResult::engine_fallback`] — never silently.
+/// The one core behind every `run*` entry point: builds the simulation
+/// (`router` is only consulted under an adaptive [`RouteSelection`]) and
+/// hands it to the configured [`Engine`]. The parallel engine reproduces
+/// every configuration but one bit for bit; fault plans (kills apply
+/// network-wide at start-of-step, which the windowed scheme cannot yet
+/// reproduce) run on the event engine with an explicit note in
+/// [`SimResult::engine_fallback`] — never silently.
 fn simulate(
     graph: &Graph,
     router: Option<&dyn AdaptiveRouter>,
     source: &mut dyn TrafficSource,
     config: &SimConfig,
 ) -> SimResult {
-    let mut sim = Sim::new(graph, router, source, config, false);
+    let mut sim = Sim::new(graph, router, source, config);
     let (driven, engine_fallback) = match config.engine {
         Engine::Legacy => (sim.drive_legacy(), None),
         Engine::EventDriven => (crate::engine::drive(&mut sim), None),
@@ -305,25 +279,25 @@ fn simulate(
             }
         }
     };
-    sim.into_result(driven, engine_fallback).0
+    sim.into_result(driven, engine_fallback)
 }
 
-/// Per-run adaptive routing state (present iff the config asks for a
+/// Per-core adaptive routing state (present iff the config asks for a
 /// non-oblivious [`RouteSelection`]).
 pub(crate) struct AdaptiveState<'a> {
     /// Candidate enumeration and escape continuations.
     pub(crate) router: &'a dyn AdaptiveRouter,
-    /// Incrementally built route per message: the adaptive prefix plus,
+    /// Incrementally built route per handle: the adaptive prefix plus,
     /// after a fallback, the escape tail. Replaces `spec.path` as the
-    /// source of truth for [`Sim::path_edge`].
+    /// source of truth for [`Core::path_edge`].
     pub(crate) routes: Vec<Vec<EdgeId>>,
-    /// Injection node per message (head position at `advance == 0`).
+    /// Injection node per handle (head position at `advance == 0`).
     pub(crate) src: Vec<NodeId>,
-    /// Destination node per message.
+    /// Destination node per handle.
     pub(crate) dst: Vec<NodeId>,
-    /// Remaining misroute budget per message (`FullyAdaptive`).
+    /// Remaining misroute budget per handle (`FullyAdaptive`).
     pub(crate) budget: Vec<u32>,
-    /// Wanted-hop selection per message (see [`SelectedHop`]).
+    /// Wanted-hop selection per handle (see [`SelectedHop`]).
     pub(crate) selected: Vec<SelectedHop>,
     /// Candidate scratch for [`AdaptiveRouter::candidates`].
     cand: Vec<(EdgeId, bool)>,
@@ -331,19 +305,17 @@ pub(crate) struct AdaptiveState<'a> {
     pub(crate) stats: RouteStats,
 }
 
-/// Global id of the `edge_1based`-th edge of message `msg`'s route: the
-/// incrementally built route under adaptive selection, the spec's path
-/// otherwise.
+/// Worm `h`'s route so far: the incrementally built route under
+/// adaptive selection, the spec's path otherwise.
 #[inline]
-fn route_edge(
-    adaptive: &Option<AdaptiveState>,
-    specs: &[MessageSpec],
-    msg: u32,
-    edge_1based: u32,
-) -> usize {
+fn route_of<'r>(
+    adaptive: &'r Option<AdaptiveState>,
+    specs: &'r [MessageSpec],
+    h: u32,
+) -> &'r [EdgeId] {
     match adaptive {
-        Some(ad) => ad.routes[msg as usize][edge_1based as usize - 1].idx(),
-        None => specs[msg as usize].path.edges()[edge_1based as usize - 1].idx(),
+        Some(ad) => &ad.routes[h as usize],
+        None => specs[h as usize].path.edges(),
     }
 }
 
@@ -358,91 +330,105 @@ fn escape_severed(rules: &VcRules, router: &dyn AdaptiveRouter, head: NodeId, ds
             .any(|&e| rules.dead[e.idx()])
 }
 
-pub(crate) struct Sim<'a> {
-    /// Per-id specs, grown as the source emits messages (placeholder
-    /// slots for ids not yet seen — never activated, so never stepped).
-    pub(crate) specs: Vec<MessageSpec>,
+/// The spec of a handle that holds no worm: never activated, so never
+/// stepped.
+fn vacant_spec() -> MessageSpec {
+    MessageSpec {
+        path: Path::new(Vec::new()),
+        length: 1,
+        release: 0,
+        priority: 0,
+    }
+}
+
+/// One worm's whole state as a value: what admission installs in a
+/// [`Core`], and what the parallel engine moves — never copies — from
+/// core to core when a worm crosses a cut, retires, or is written back
+/// at the end of the run. The adaptive fields are inert under oblivious
+/// routing.
+pub(crate) struct Resident {
+    pub(crate) id: u32,
+    pub(crate) spec: MessageSpec,
+    pub(crate) worm: Worm,
+    pub(crate) out: MessageOutcome,
+    route: Vec<EdgeId>,
+    src: NodeId,
+    dst: NodeId,
+    budget: u32,
+    selected: SelectedHop,
+}
+
+/// The resident-worm half of a simulation: the worms in flight, the VC
+/// ledger they hold VCs in, and the step phases that move them. Worms
+/// are keyed by *handle* — the message id in the sequential engines'
+/// single core, a recycled slot in a parallel region's — and nothing in
+/// here knows which; the run-level half (source, admission, kill
+/// schedule, verdicts) is [`Sim`].
+pub(crate) struct Core<'a> {
     pub(crate) config: &'a SimConfig,
-    /// The simulated graph (admission-time validation, adaptive
-    /// endpoint lookup, and the parallel engine's region layout).
-    pub(crate) graph: &'a Graph,
-    /// The message stream driving the run (see [`TrafficSource`]).
-    source: &'a mut dyn TrafficSource,
-    pub(crate) worms: Vec<Worm>,
-    pub(crate) outcomes: Vec<MessageOutcome>,
     /// The VC ledger's immutable half: capacities per edge and router,
     /// and the dead flags applied fault kills set.
     pub(crate) rules: VcRules,
-    /// The VC ledger's mutable half: who holds what, network-wide.
+    /// The VC ledger's mutable half: who holds what.
     pub(crate) ledger: VcLedger,
     /// Per-step contender scratch (see [`FlatBuckets`]).
-    pub(crate) buckets: FlatBuckets,
-    /// Released-and-unretired message ids in admission order. The
-    /// legacy stepper maintains it each step; the event engine rebuilds it
-    /// on demand ([`Sim::rebuild_active`]) for cold paths only.
+    buckets: FlatBuckets,
+    /// Message id per handle (the identity in [`Sim`]'s core).
+    pub(crate) ids: Vec<u32>,
+    /// Spec per handle ([`vacant_spec`] where no worm lives).
+    pub(crate) specs: Vec<MessageSpec>,
+    pub(crate) worms: Vec<Worm>,
+    pub(crate) outcomes: Vec<MessageOutcome>,
+    /// Adaptive routing state; `Some` iff `config.route_selection` is
+    /// non-oblivious.
+    pub(crate) adaptive: Option<AdaptiveState<'a>>,
+    /// The worms in flight. The legacy stepper maintains it each step;
+    /// the event-style drivers rebuild it for cold paths only
+    /// (deadlock report, invariant checks).
     pub(crate) active: Vec<u32>,
-    /// Every admitted id, in admission order — the source's `(release,
-    /// id)` emission order, which is exactly the order the old
-    /// release-sorted scan produced. [`Sim::rebuild_active`] iterates it.
-    admitted: Vec<u32>,
-    /// Per-id: `true` once the slot holds a real (admitted) spec.
-    admitted_flag: Vec<bool>,
-    /// Scratch for [`TrafficSource::take_ready`].
-    ready_buf: Vec<(u32, MessageSpec)>,
-    /// Completions awaiting flush to the source: `(time, id, delivered)`,
-    /// sorted before dispatch so callback order is canonical.
-    delivery_buf: Vec<(u64, u32, bool)>,
-    /// Cached [`TrafficSource::reactive`] — `true` disables the event
-    /// engine's batched fast-forwards.
-    pub(crate) reactive: bool,
-    pub(crate) movers: Vec<u32>,
+    movers: Vec<u32>,
     pub(crate) blocked: Vec<u32>,
-    pub(crate) flit_hops: u64,
-    pub(crate) last_finish: u64,
-    pub(crate) unfinished: usize,
-    /// Edges whose holder count dropped this step. Only populated while
-    /// `track_releases` (the event engine sets it exactly while any worm
-    /// is parked); the legacy stepper never reads it.
-    pub(crate) released: Vec<u32>,
-    pub(crate) track_releases: bool,
-    pub(crate) num_edges: usize,
-    /// Expanded per-edge kill schedule from [`SimConfig::faults`]:
-    /// ascending `(at, edge)`, router kills expanded to their incident
-    /// edges, earliest kill time kept per edge
-    /// ([`wormhole_topology::fault::FaultPlan::edge_schedule`]).
-    kill_schedule: Vec<(u64, u32)>,
-    /// Cursor into `kill_schedule`: entries before it are applied.
-    next_kill: usize,
-    /// Worms discarded because a kill severed them
-    /// ([`DiscardReason::LinkDown`]).
-    fault_discards: u64,
-    /// Misroute hops taken after the first applied kill.
-    fault_detour_hops: u64,
     /// Pending adaptive worms whose only remaining option this step — the
     /// escape continuation — crosses a dead edge. Classification parks
     /// them here and the apply phase discards them, so mid-step holder
     /// counts (which selection reads) stay identical across engines.
-    pub(crate) doomed: Vec<u32>,
-    /// Adaptive routing state; `Some` iff `config.route_selection` is
-    /// non-oblivious.
-    pub(crate) adaptive: Option<AdaptiveState<'a>>,
-    tracing: bool,
-    trace: Vec<TraceEvent>,
+    doomed: Vec<u32>,
+    /// Edges whose holder count dropped since the last wake pass. Only
+    /// populated while `track_releases` (the event driver sets it exactly
+    /// while any worm is parked); the legacy stepper never reads it.
+    pub(crate) released: Vec<u32>,
+    pub(crate) track_releases: bool,
+    /// Parallel regions only: the edges whose VCs another region's
+    /// ledger counts. Empty in the sequential engines' core, so the
+    /// hot-path guard is a single `is_empty` (like [`VcRules::dead`]).
+    pub(crate) foreign: Vec<bool>,
+    /// Outbox for releases on `foreign` edges; the coordinator lands
+    /// them on their owners between windows.
+    pub(crate) remote_releases: Vec<u32>,
+    /// Completions not yet reported: `(time, handle, delivered)`.
+    pub(crate) done: Vec<(u64, u32, bool)>,
+    pub(crate) flit_hops: u64,
+    pub(crate) last_finish: u64,
+    /// Worms installed and neither finished, discarded nor moved out.
+    pub(crate) unfinished: usize,
+    /// Worms discarded because a kill severed them
+    /// ([`DiscardReason::LinkDown`]).
+    fault_discards: u64,
+    /// Misroute hops taken after the first applied kill (`after_kill`).
+    fault_detour_hops: u64,
+    after_kill: bool,
 }
 
-impl<'a> Sim<'a> {
-    fn new(
-        graph: &'a Graph,
+impl<'a> Core<'a> {
+    pub(crate) fn new(
+        graph: &Graph,
         router: Option<&'a dyn AdaptiveRouter>,
-        source: &'a mut dyn TrafficSource,
         config: &'a SimConfig,
-        tracing: bool,
+        rules: VcRules,
     ) -> Self {
-        let adaptive_mode = config.route_selection != RouteSelection::Oblivious;
-        let adaptive = if adaptive_mode {
-            let router = router.expect("adaptive route selection needs a router");
-            Some(AdaptiveState {
-                router,
+        let adaptive =
+            (config.route_selection != RouteSelection::Oblivious).then(|| AdaptiveState {
+                router: router.expect("adaptive route selection needs a router"),
                 routes: Vec::new(),
                 src: Vec::new(),
                 dst: Vec::new(),
@@ -450,144 +436,42 @@ impl<'a> Sim<'a> {
                 selected: Vec::new(),
                 cand: Vec::new(),
                 stats: RouteStats::default(),
-            })
-        } else {
-            None
-        };
-        let kill_schedule = match &config.faults {
-            Some(plan) if !plan.is_empty() => {
-                if let Err(e) = plan.validate(graph) {
-                    panic!("invalid fault plan: {e}");
-                }
-                plan.edge_schedule(graph)
-            }
-            _ => Vec::new(),
-        };
-        let rules = VcRules::new(graph, config, !kill_schedule.is_empty());
-        let ledger = VcLedger::new(graph, &rules);
-        let reactive = source.reactive();
+            });
         Self {
-            specs: Vec::new(),
             config,
-            graph,
-            source,
+            ledger: VcLedger::new(graph, &rules),
+            rules,
+            buckets: FlatBuckets::with_edges(graph.num_edges()),
+            ids: Vec::new(),
+            specs: Vec::new(),
             worms: Vec::new(),
             outcomes: Vec::new(),
-            rules,
-            ledger,
-            buckets: FlatBuckets::with_edges(graph.num_edges()),
+            adaptive,
             active: Vec::new(),
-            admitted: Vec::new(),
-            admitted_flag: Vec::new(),
-            ready_buf: Vec::new(),
-            delivery_buf: Vec::new(),
-            reactive,
             movers: Vec::new(),
             blocked: Vec::new(),
+            doomed: Vec::new(),
+            released: Vec::new(),
+            track_releases: false,
+            foreign: Vec::new(),
+            remote_releases: Vec::new(),
+            done: Vec::new(),
             flit_hops: 0,
             last_finish: 0,
             unfinished: 0,
-            released: Vec::new(),
-            track_releases: false,
-            num_edges: graph.num_edges(),
-            kill_schedule,
-            next_kill: 0,
             fault_discards: 0,
             fault_detour_hops: 0,
-            doomed: Vec::new(),
-            adaptive,
-            tracing,
-            trace: Vec::new(),
+            after_kill: false,
         }
     }
 
-    /// Whether fault injection is active for this run.
-    #[inline]
-    pub(crate) fn faulted(&self) -> bool {
-        !self.rules.dead.is_empty()
-    }
-
-    /// Earliest unapplied kill time (`u64::MAX` when exhausted) — the
-    /// event engine's fast-forwards must never cross it, exactly as they
-    /// never cross a message release.
-    #[inline]
-    pub(crate) fn next_kill_time(&self) -> u64 {
-        self.kill_schedule
-            .get(self.next_kill)
-            .map_or(u64::MAX, |&(at, _)| at)
-    }
-
-    /// Applies every scheduled kill with `at ≤ t`: marks the edges dead,
-    /// then discards each severed in-flight worm with
-    /// [`DiscardReason::LinkDown`]. Runs at the **start** of step `t` in
-    /// both engines, before admissions, so the discards' released VCs
-    /// are visible to this step's arbitration — the same convention as a
-    /// release during step `t − 1`. Returns whether any kill applied
-    /// (the caller then drops the discarded worms from its active set).
-    pub(crate) fn apply_kills(&mut self, t: u64) -> bool {
-        if self.next_kill_time() > t {
-            return false;
-        }
-        while let Some(&(at, e)) = self.kill_schedule.get(self.next_kill) {
-            if at > t {
-                break;
-            }
-            self.rules.dead[e as usize] = true;
-            self.next_kill += 1;
-        }
-        // Severed scan in admission order — the canonical order shared
-        // by both engines (discard order only matters through the
-        // already-sorted completion flush, but keeping it canonical
-        // costs nothing).
-        for i in 0..self.admitted.len() {
-            let m = self.admitted[i];
-            let mi = m as usize;
-            if self.worms[mi].done() || self.outcomes[mi].discarded.is_some() {
-                continue;
-            }
-            if self.worm_severed(m) {
-                self.discard(m, t, DiscardReason::LinkDown);
-            }
-        }
-        true
-    }
-
-    /// Whether a kill cut worm `m`: its flits currently occupy a dead
-    /// edge, or its frozen route still has a dead edge ahead of the
-    /// header. A pending (adaptive) worm has no committed continuation,
-    /// so only its held span can sever it — its future hops re-route
-    /// around the dead edges instead.
-    fn worm_severed(&self, m: u32) -> bool {
-        let w = &self.worms[m as usize];
-        let (lo, hi) = w.held_range();
-        for j in lo..=hi {
-            if self.rules.is_dead(self.path_edge(m, j)) {
-                return true;
-            }
-        }
-        if !w.pending_route {
-            for j in (w.advance + 1)..=w.hops {
-                if self.rules.is_dead(self.path_edge(m, j)) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Installs `spec` as message `id`, growing every per-message array
-    /// to cover it (ids below `id` not yet seen get inert placeholder
-    /// slots — never activated, so never stepped; a later emission fills
-    /// them in). Validates the spec the way the old eager loop did.
-    fn admit(&mut self, id: u32, spec: MessageSpec, now: u64) {
-        let mi = id as usize;
-        while self.specs.len() <= mi {
-            self.specs.push(MessageSpec {
-                path: Path::new(Vec::new()),
-                length: 1,
-                release: 0,
-                priority: 0,
-            });
+    /// Installs `r` under handle `h`, growing every per-handle table to
+    /// cover it (handles below `h` not yet seen get vacant slots).
+    pub(crate) fn put(&mut self, h: u32, r: Resident) {
+        let hi = h as usize;
+        while self.specs.len() <= hi {
+            self.ids.push(self.specs.len() as u32);
+            self.specs.push(vacant_spec());
             self.worms.push(Worm {
                 advance: 0,
                 hops: 0,
@@ -595,7 +479,6 @@ impl<'a> Sim<'a> {
                 pending_route: false,
             });
             self.outcomes.push(MessageOutcome::default());
-            self.admitted_flag.push(false);
             if let Some(ad) = &mut self.adaptive {
                 ad.routes.push(Vec::new());
                 ad.src.push(NodeId(0));
@@ -604,115 +487,81 @@ impl<'a> Sim<'a> {
                 ad.selected.push(SelectedHop::None);
             }
         }
-        assert!(!self.admitted_flag[mi], "source re-emitted message id {id}");
-        assert!(!spec.path.is_empty(), "message {id} has an empty path");
-        for &e in spec.path.edges() {
-            assert!(e.idx() < self.num_edges, "message {id}: bad edge id");
-        }
-        assert!(spec.length >= 1, "message {id} has zero length");
-        assert!(
-            spec.release <= now,
-            "message {id} emitted before its release ({} > {now})",
-            spec.release
-        );
-        let adaptive_mode = self.adaptive.is_some();
-        self.worms[mi] = Worm {
-            advance: 0,
-            hops: if adaptive_mode { 0 } else { spec.hops() },
-            length: spec.length,
-            pending_route: adaptive_mode,
-        };
+        self.ids[hi] = r.id;
+        self.specs[hi] = r.spec;
+        self.worms[hi] = r.worm;
+        self.outcomes[hi] = r.out;
         if let Some(ad) = &mut self.adaptive {
-            ad.routes[mi] = Vec::with_capacity(spec.hops() as usize);
-            ad.src[mi] = spec.path.src(self.graph);
-            ad.dst[mi] = spec.path.dst(self.graph);
-            ad.budget[mi] = self.config.misroute_quota;
-            ad.selected[mi] = SelectedHop::None;
-        }
-        self.admitted_flag[mi] = true;
-        self.specs[mi] = spec;
-        self.unfinished += 1;
-        self.admitted.push(id);
-        // A frozen-route message released onto an already-dead edge is
-        // undeliverable: discard it on the spot (it holds nothing yet) so
-        // the source's `on_discarded` fires and closed-loop sources can
-        // reissue. Adaptive messages stay: they route around dead edges.
-        if self.faulted()
-            && !adaptive_mode
-            && self.specs[mi]
-                .path
-                .edges()
-                .iter()
-                .any(|&e| self.rules.dead[e.idx()])
-        {
-            self.discard(id, now, DiscardReason::LinkDown);
+            ad.routes[hi] = r.route;
+            ad.src[hi] = r.src;
+            ad.dst[hi] = r.dst;
+            ad.budget[hi] = r.budget;
+            ad.selected[hi] = r.selected;
         }
     }
 
-    /// Buffers a completion for the next source flush. `delivered` is
-    /// `false` for discards.
-    #[inline]
-    pub(crate) fn record_done(&mut self, m: u32, t: u64, delivered: bool) {
-        self.delivery_buf.push((t, m, delivered));
-    }
-
-    /// Dispatches buffered completions to the source in ascending
-    /// `(time, id)` order — the canonical, engine-independent callback
-    /// sequence of the [`crate::source`] contract.
-    fn flush_deliveries(&mut self) {
-        if self.delivery_buf.is_empty() {
-            return;
+    /// Moves worm `h` out, leaving its slot vacant (the kinematics and
+    /// the outcome stay readable; the path and route go with the worm).
+    pub(crate) fn take(&mut self, h: u32) -> Resident {
+        let hi = h as usize;
+        let (route, src, dst, budget, selected) = match &mut self.adaptive {
+            Some(ad) => (
+                std::mem::take(&mut ad.routes[hi]),
+                ad.src[hi],
+                ad.dst[hi],
+                ad.budget[hi],
+                ad.selected[hi],
+            ),
+            None => (Vec::new(), NodeId(0), NodeId(0), 0, SelectedHop::None),
+        };
+        Resident {
+            id: self.ids[hi],
+            spec: std::mem::replace(&mut self.specs[hi], vacant_spec()),
+            worm: self.worms[hi],
+            out: self.outcomes[hi],
+            route,
+            src,
+            dst,
+            budget,
+            selected,
         }
-        let mut buf = std::mem::take(&mut self.delivery_buf);
-        buf.sort_unstable();
-        for (t, id, delivered) in buf.drain(..) {
-            if delivered {
-                self.source.on_delivered(id, t);
-            } else {
-                self.source.on_discarded(id, t);
-            }
-        }
-        self.delivery_buf = buf;
-    }
-
-    /// Flushes completions, then peeks the source's next release time.
-    pub(crate) fn peek_next_release(&mut self, now: u64) -> Option<u64> {
-        self.flush_deliveries();
-        self.source.next_release(now)
-    }
-
-    /// Flushes completions, then pulls and admits every message released
-    /// by `now`. Returns the `self.admitted` index range of the new ids.
-    pub(crate) fn admit_ready(&mut self, now: u64) -> std::ops::Range<usize> {
-        self.flush_deliveries();
-        let start = self.admitted.len();
-        let mut buf = std::mem::take(&mut self.ready_buf);
-        buf.clear();
-        self.source.take_ready(now, &mut buf);
-        for (id, spec) in buf.drain(..) {
-            self.admit(id, spec, now);
-        }
-        self.ready_buf = buf;
-        start..self.admitted.len()
-    }
-
-    /// Id of the `i`-th admitted message (admission order).
-    #[inline]
-    pub(crate) fn admitted_id(&self, i: usize) -> u32 {
-        self.admitted[i]
     }
 
     #[inline]
-    pub(crate) fn path_edge(&self, msg: u32, edge_1based: u32) -> usize {
-        route_edge(&self.adaptive, &self.specs, msg, edge_1based)
+    pub(crate) fn route(&self, h: u32) -> &[EdgeId] {
+        route_of(&self.adaptive, &self.specs, h)
     }
 
-    /// Whether edge `e` could grant at least one VC right now
-    /// ([`VcLedger::free_vcs`], which documents the monotonicity the
-    /// event engine's park/wake keying relies on).
+    /// Global id of the `edge_1based`-th edge of worm `h`'s route.
     #[inline]
-    pub(crate) fn edge_acquirable(&self, e: usize) -> bool {
-        self.ledger.free_vcs(&self.rules, e) > 0
+    pub(crate) fn path_edge(&self, h: u32, edge_1based: u32) -> usize {
+        self.route(h)[edge_1based as usize - 1].idx()
+    }
+
+    /// The node pending worm `h`'s header stands on, where its next hop
+    /// is selected.
+    pub(crate) fn head_node(&self, h: u32) -> NodeId {
+        let ad = self.adaptive.as_ref().expect("pending worm without state");
+        kernel::header_at(
+            ad.router.graph(),
+            ad.src[h as usize],
+            &ad.routes[h as usize],
+        )
+        .0
+    }
+
+    /// Whether a kill cut worm `h`: its flits currently occupy a dead
+    /// edge, or its frozen route still has a dead edge ahead of the
+    /// header. A pending (adaptive) worm has no committed continuation,
+    /// so only its held span can sever it — its future hops re-route
+    /// around the dead edges instead.
+    fn worm_severed(&self, h: u32) -> bool {
+        let w = &self.worms[h as usize];
+        let (lo, hi) = w.held_range();
+        let ahead = if w.pending_route { hi } else { w.hops };
+        (lo..=hi)
+            .chain(w.advance + 1..=ahead)
+            .any(|j| self.rules.is_dead(self.path_edge(h, j)))
     }
 
     /// Classifies one active worm for this step ([`kernel::classify`]):
@@ -766,24 +615,10 @@ impl<'a> Sim<'a> {
             self.rules.final_vc,
             m,
             selected,
-            |j| route_edge(adaptive, specs, m, j),
+            |j| route_of(adaptive, specs, m)[j as usize - 1].idx(),
             &mut self.buckets,
             &mut self.movers,
         );
-    }
-
-    /// The edge a blocked worm wanted this step (for traces and the
-    /// deadlock report): the freshly selected hop for pending worms, the
-    /// next path edge otherwise.
-    pub(crate) fn blocked_edge(&self, m: u32) -> u32 {
-        let w = &self.worms[m as usize];
-        if w.pending_route {
-            self.adaptive.as_ref().unwrap().selected[m as usize]
-                .edge()
-                .expect("blocked pending worm was classified")
-        } else {
-            self.path_edge(m, w.advance + 1) as u32
-        }
     }
 
     /// Whether worm `m`, blocked this step, can park
@@ -803,7 +638,7 @@ impl<'a> Sim<'a> {
             let e = self.path_edge(m, w.advance + 1);
             keys.clear();
             keys.push(self.rules.wait_key(e));
-            return !self.edge_acquirable(e);
+            return self.ledger.free_vcs(&self.rules, e) == 0;
         }
         let ad = self
             .adaptive
@@ -829,10 +664,10 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// The phases of a full-bandwidth step both sequential engines share,
-    /// over the worms `stepping` (they only differ in which list that
-    /// is): classify, arbitrate, advance the winners. Leaves the losers
-    /// in `blocked` for the caller to stall, discard or park. Returns
+    /// The phases of a full-bandwidth step every driver shares, over the
+    /// worms `stepping` (they only differ in which list that is):
+    /// classify, arbitrate, advance the winners. Leaves the losers in
+    /// `blocked` for the caller to stall, discard or park. Returns
     /// whether anything progressed.
     pub(crate) fn step_winners(&mut self, t: u64, stepping: &[u32]) -> bool {
         self.movers.clear();
@@ -845,20 +680,17 @@ impl<'a> Sim<'a> {
             self.classify(m);
         }
         // Phase 2: per-edge arbitration using start-of-step holder
-        // counts ([`VcLedger::arbitrate`]), contenders keyed by message id.
-        let (config, specs) = (self.config, &self.specs);
-        self.ledger.arbitrate(
-            &self.rules,
-            &mut self.buckets,
-            &mut self.movers,
-            &mut self.blocked,
-            |e, group| {
-                order_contenders(config, t, e, group, |m| {
-                    let s = &specs[m as usize];
-                    (s.release, s.priority, m)
-                })
-            },
-        );
+        // counts, contenders ordered by message id. Where handles are
+        // the ids (every core but a parallel region's) the handle
+        // itself is the key: sorting through `ids` costs ~15 % of this
+        // phase at saturation.
+        if self.foreign.is_empty() {
+            self.arbitrate(t, |m| m);
+        } else {
+            let ids = std::mem::take(&mut self.ids);
+            self.arbitrate(t, |m| ids[m as usize]);
+            self.ids = ids;
+        }
         // Phase 3: apply. Doomed worms (severed escape continuation) are
         // discarded here rather than during classification so their VC
         // releases land mid-step — visible at `t+1`, like any release.
@@ -875,260 +707,49 @@ impl<'a> Sim<'a> {
         !self.movers.is_empty() || !self.doomed.is_empty()
     }
 
-    /// Folds what a driver returned — how the run ended, the step it
-    /// stopped at, the deadlock post-mortem — and the accumulated state
-    /// into the [`SimResult`] (plus the trace, empty unless tracing).
-    fn into_result(
-        mut self,
-        (outcome, t, deadlock_report): (Outcome, u64, Option<DeadlockReport>),
-        engine_fallback: Option<EngineFallback>,
-    ) -> (SimResult, Vec<TraceEvent>) {
-        let total_steps = match outcome {
-            Outcome::Completed => self.last_finish,
-            _ => t,
-        };
-        let total_stalls = self.outcomes.iter().map(|o| o.stalls).sum();
-        let (escape_fallbacks, misroute_hops) = self.adaptive.as_ref().map_or((0, 0), |a| {
-            (a.stats.escape_fallbacks, a.stats.misroute_hops)
-        });
-        // Fault stats. The applied-kill cursor is engine-identical: the
-        // event engine's fast-forwards stop at kill times exactly as they
-        // stop at message releases, so both engines apply every schedule
-        // entry at the same simulated step. Recovery time is the gap from
-        // the last applied kill to the first delivery at or after it.
-        let kills_applied = self.next_kill as u64;
-        let fault_recovery_steps = if self.next_kill > 0 {
-            let last_kill_at = self.kill_schedule[self.next_kill - 1].0;
-            self.outcomes
-                .iter()
-                .filter_map(|o| o.finished)
-                .filter(|&f| f >= last_kill_at)
-                .min()
-                .map_or(0, |f| f - last_kill_at)
-        } else {
-            0
-        };
-        // A capped run may end before the source emitted every message it
-        // knows about; pad to the declared id bound so e.g. a replayed
-        // slice still reports one (default) outcome per input spec.
-        if let Some(bound) = self.source.id_bound() {
-            if self.outcomes.len() < bound as usize {
-                self.outcomes
-                    .resize(bound as usize, MessageOutcome::default());
-            }
-        }
-        (
-            SimResult {
-                outcome,
-                total_steps,
-                messages: self.outcomes,
-                max_vcs_in_use: self.ledger.max_vcs as u32,
-                max_pool_in_use: self.ledger.max_pool,
-                total_stalls,
-                flit_hops: self.flit_hops,
-                escape_fallbacks,
-                misroute_hops,
-                kills_applied,
-                fault_discards: self.fault_discards,
-                fault_detour_hops: self.fault_detour_hops,
-                fault_recovery_steps,
-                deadlock: deadlock_report,
-                open_loop: None,
-                closed_loop: None,
-                engine_fallback,
+    /// Splits this step's contenders into `movers` and `blocked`
+    /// ([`VcLedger::arbitrate`]); `id` maps a handle to its message id.
+    #[inline]
+    fn arbitrate(&mut self, t: u64, id: impl Fn(u32) -> u32) {
+        let (config, specs) = (self.config, &self.specs);
+        self.ledger.arbitrate(
+            &self.rules,
+            &mut self.buckets,
+            &mut self.movers,
+            &mut self.blocked,
+            |e, group| {
+                order_contenders(config, t, e, group, |m| {
+                    let s = &specs[m as usize];
+                    (s.release, s.priority, id(m))
+                })
             },
-            self.trace,
-        )
-    }
-
-    /// The loop head every driver shares. With worms in flight only the
-    /// step cap ends the run. With nothing in flight (`idle`) the run is
-    /// over iff the source is dry (a reactive source with an idle network
-    /// has flushed every completion, so its answer is final); otherwise
-    /// `t` fast-forwards over the idle gap — but never past the step
-    /// cap: a release at or beyond `max_steps` cannot run inside the
-    /// cap, so the run ends at exactly the cap instead of silently
-    /// simulating (and reporting) beyond it.
-    pub(crate) fn loop_head(&mut self, t: &mut u64, idle: bool) -> Option<Outcome> {
-        let cap = self.config.max_steps;
-        if !idle {
-            return (*t >= cap).then_some(Outcome::MaxSteps);
-        }
-        match self.peek_next_release(*t) {
-            None => Some(Outcome::Completed),
-            Some(_) if *t >= cap => Some(Outcome::MaxSteps),
-            Some(r) if r >= cap => {
-                *t = cap;
-                Some(Outcome::MaxSteps)
-            }
-            Some(r) => {
-                *t = (*t).max(r);
-                None
-            }
-        }
-    }
-
-    /// The original per-step driver: rescans every active worm each step.
-    pub(crate) fn drive_legacy(&mut self) -> (Outcome, u64, Option<DeadlockReport>) {
-        let mut t: u64 = 0;
-        let mut deadlock_report = None;
-        let outcome = loop {
-            if let Some(outcome) = self.loop_head(&mut t, self.active.is_empty()) {
-                break outcome;
-            }
-            // Kills scheduled at `t` take effect at the start of the step:
-            // severed worms are discarded (their VCs released, visible to
-            // this step's arbitration) before admissions, so messages
-            // released at `t` already see the updated dead set.
-            if self.faulted() && self.apply_kills(t) {
-                let outcomes = &self.outcomes;
-                self.active
-                    .retain(|&m| outcomes[m as usize].discarded.is_none());
-            }
-            let new = self.admit_ready(t);
-            for i in new {
-                let m = self.admitted_id(i);
-                // Skip messages discarded at admission (dead-on-arrival).
-                if self.outcomes[m as usize].discarded.is_none() {
-                    self.active.push(m);
-                }
-            }
-
-            let moved = self.step_full_bandwidth(t);
-
-            if !moved && !self.active.is_empty() && self.config.blocked == BlockedPolicy::Stall {
-                // Static state: every active worm is blocked on a held VC
-                // and releases only come from moves. Future arrivals cannot
-                // free anything. Deadlock.
-                deadlock_report = Some(self.build_deadlock_report());
-                break Outcome::Deadlock(self.active.clone());
-            }
-            if self.config.check_invariants {
-                self.validate();
-            }
-            t += 1;
-        };
-        (outcome, t, deadlock_report)
-    }
-
-    /// Rebuilds `active` (admitted, unretired, in admission order) —
-    /// the event engine calls this on cold paths (deadlock, invariant
-    /// checks) instead of paying an `O(active)` retire scan every step.
-    pub(crate) fn rebuild_active(&mut self) {
-        self.active.clear();
-        for i in 0..self.admitted.len() {
-            let m = self.admitted[i];
-            let mi = m as usize;
-            if !self.worms[mi].done() && self.outcomes[mi].discarded.is_none() {
-                self.active.push(m);
-            }
-        }
-    }
-
-    /// Reconstructs the wait-for relation at the moment of deadlock: per
-    /// blocked worm, the edge it wants and that edge's current holders.
-    /// Holder lists are CSR over a dense per-edge index (a deadlocked
-    /// near-saturation run holds a large fraction of all edges; the old
-    /// `HashMap` paid a hash per held edge).
-    pub(crate) fn build_deadlock_report(&self) -> DeadlockReport {
-        let mut start = vec![0u32; self.num_edges + 1];
-        for &m in &self.active {
-            let w = &self.worms[m as usize];
-            let (lo, hi) = w.held_range();
-            for j in lo..=hi {
-                if w.needs_vc(self.rules.final_vc, j) {
-                    start[self.path_edge(m, j) + 1] += 1;
-                }
-            }
-        }
-        for e in 0..self.num_edges {
-            start[e + 1] += start[e];
-        }
-        let mut cursor = start.clone();
-        let mut hold = vec![0u32; start[self.num_edges] as usize];
-        for &m in &self.active {
-            let w = &self.worms[m as usize];
-            let (lo, hi) = w.held_range();
-            for j in lo..=hi {
-                if w.needs_vc(self.rules.final_vc, j) {
-                    let e = self.path_edge(m, j);
-                    hold[cursor[e] as usize] = m;
-                    cursor[e] += 1;
-                }
-            }
-        }
-        let mut waits = Vec::new();
-        for &m in &self.active {
-            let mi = m as usize;
-            let w = &self.worms[mi];
-            if w.pending_route {
-                // A pending worm waits on the hop it selected during the
-                // (movement-free) step that detected the deadlock.
-                let e = self.blocked_edge(m) as usize;
-                waits.push(WaitFor {
-                    message: m,
-                    edge: e as u32,
-                    holders: hold[start[e] as usize..start[e + 1] as usize].to_vec(),
-                });
-                continue;
-            }
-            let wanted = w.advance + 1;
-            if wanted > w.hops {
-                continue;
-            }
-            let e = self.path_edge(m, wanted);
-            waits.push(WaitFor {
-                message: m,
-                edge: e as u32,
-                holders: hold[start[e] as usize..start[e + 1] as usize].to_vec(),
-            });
-        }
-        waits.sort_by_key(|w| w.message);
-        DeadlockReport::from_waits(waits)
-    }
-
-    /// One step under the paper's primary model: every VC moves one flit.
-    /// Returns whether any worm advanced.
-    fn step_full_bandwidth(&mut self, t: u64) -> bool {
-        let active = std::mem::take(&mut self.active);
-        let progressed = self.step_winners(t, &active);
-        self.active = active;
-        for i in 0..self.blocked.len() {
-            let m = self.blocked[i];
-            self.outcomes[m as usize].stalls += 1;
-            if self.tracing {
-                let edge = self.blocked_edge(m);
-                self.trace.push(TraceEvent::Blocked { t, msg: m, edge });
-            }
-            if self.config.blocked == BlockedPolicy::Discard {
-                self.discard(m, t, DiscardReason::Delay);
-            }
-        }
-        self.ledger.settle_max(&self.rules);
-        self.retire_finished();
-        progressed
+        );
     }
 
     /// Releases one VC on `e` ([`VcLedger::release`]), recording it for
-    /// the event engine's wake pass when any worm is parked.
+    /// the event driver's wake pass when any worm is parked. In a
+    /// parallel region a release on an edge another region owns goes to
+    /// the outbox instead; it lands between windows — the `t + 1`
+    /// visibility every mid-step release has.
     #[inline]
-    fn release_vc(&mut self, e: usize) {
+    pub(crate) fn release_vc(&mut self, e: usize) {
+        if !self.foreign.is_empty() && self.foreign[e] {
+            self.remote_releases.push(e as u32);
+            return;
+        }
         self.ledger.release(&self.rules, e);
         if self.track_releases {
             self.released.push(e as u32);
         }
     }
 
-    /// Delivery bookkeeping for message `m`, whose last flit arrived
+    /// Delivery bookkeeping for worm `m`, whose last flit arrived
     /// during step `at − 1`.
     fn finish(&mut self, m: u32, at: u64) {
         self.outcomes[m as usize].finished = Some(at);
         self.last_finish = self.last_finish.max(at);
         self.unfinished -= 1;
-        self.record_done(m, at, true);
-        if self.tracing {
-            self.trace.push(TraceEvent::Finish { t: at, msg: m });
-        }
+        self.done.push((at, m, true));
     }
 
     /// Advances winner `m` one flit step ([`Worm::advance`]) and applies
@@ -1151,7 +772,7 @@ impl<'a> Sim<'a> {
                 &mut ad.stats,
             );
             // A misroute taken after the first applied kill is a detour.
-            if self.next_kill > 0 && matches!(sel, SelectedHop::Adaptive { misroute: true, .. }) {
+            if self.after_kill && matches!(sel, SelectedHop::Adaptive { misroute: true, .. }) {
                 self.fault_detour_hops += 1;
             }
         }
@@ -1164,13 +785,6 @@ impl<'a> Sim<'a> {
         if let Some(j) = step.acquire {
             let e = self.path_edge(m, j);
             self.ledger.acquire(&self.rules, e);
-            if self.tracing {
-                self.trace.push(TraceEvent::Acquire {
-                    t,
-                    msg: m,
-                    edge: e as u32,
-                });
-            }
         }
         for j in step.released {
             let e = self.path_edge(m, j);
@@ -1183,7 +797,7 @@ impl<'a> Sim<'a> {
 
     /// Batch-advances a draining worm from virtual time `*t` to
     /// `min(stop, finish)` with [`Worm::drain`]'s closed form. Only
-    /// called by the event engine, in the contexts that method's docs
+    /// called by the event driver, in the contexts that method's docs
     /// allow.
     pub(crate) fn fast_drain(&mut self, m: u32, t: &mut u64, stop: u64) {
         debug_assert!(*t < stop);
@@ -1209,31 +823,33 @@ impl<'a> Sim<'a> {
             self.fault_discards += 1;
         }
         self.unfinished -= 1;
-        self.record_done(m, t, false);
-        if self.tracing {
-            self.trace.push(TraceEvent::Discard { t, msg: m });
-        }
-        // Removal from the active list happens in retire_finished via the
-        // discarded flag.
+        self.done.push((t, m, false));
     }
 
-    fn retire_finished(&mut self) {
-        let outcomes = &self.outcomes;
-        let worms = &self.worms;
-        self.active
-            .retain(|&m| !worms[m as usize].done() && outcomes[m as usize].discarded.is_none());
-    }
-
-    /// Recomputes VC holder counts from scratch and checks all invariants.
-    /// The event engine rebuilds `active` before calling this.
-    pub(crate) fn validate(&self) {
-        let mut expect = vec![0u16; self.num_edges];
+    /// VCs the `active` worms hold, per edge.
+    pub(crate) fn held_counts(&self) -> Vec<u16> {
+        let mut held = vec![0u16; self.ledger.holders.len()];
         for &m in &self.active {
             for j in self.worms[m as usize].held_vcs(self.rules.final_vc) {
-                expect[self.path_edge(m, j)] += 1;
+                held[self.path_edge(m, j)] += 1;
             }
         }
-        assert_eq!(expect, self.ledger.holders, "VC accounting mismatch");
+        held
+    }
+
+    /// Recomputes VC holder counts from scratch and checks all
+    /// invariants over the `active` worms (the caller makes that list
+    /// current first). A parallel region's worms may hold VCs another
+    /// region's ledger counts, so there the holder comparison is the
+    /// coordinator's, summed over regions.
+    pub(crate) fn validate(&self) {
+        if self.foreign.is_empty() {
+            assert_eq!(
+                self.held_counts(),
+                self.ledger.holders,
+                "VC accounting mismatch"
+            );
+        }
         self.ledger.validate(&self.rules);
         // Flit conservation per worm: injected − delivered == in-network.
         for &m in &self.active {
@@ -1258,7 +874,8 @@ impl<'a> Sim<'a> {
             let expected = injected - delivered;
             assert!(
                 in_net == expected + slack,
-                "flit conservation violated for message {m}: in_net={in_net} injected={injected} delivered={delivered}"
+                "flit conservation violated for message {}: in_net={in_net} injected={injected} delivered={delivered}",
+                self.ids[m as usize]
             );
         }
         // Adaptive bookkeeping: routes and worm state agree.
@@ -1269,7 +886,8 @@ impl<'a> Sim<'a> {
                 assert_eq!(
                     ad.routes[mi].len() as u32,
                     w.hops,
-                    "route length out of sync for message {m}"
+                    "route length out of sync for message {}",
+                    self.ids[mi]
                 );
                 if w.pending_route {
                     assert_eq!(w.advance, w.hops, "pending worm ahead of its route");
@@ -1280,6 +898,471 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+    }
+}
+
+/// The run-level half of a simulation: the message source and
+/// admission, the fault kill schedule, the loop head and verdicts every
+/// driver shares, and the legacy per-step driver. Its [`Core`] is keyed
+/// by message id; the sequential engines run every worm in it, the
+/// parallel engine uses it as the table worms are admitted into and
+/// retire back to.
+pub(crate) struct Sim<'a> {
+    pub(crate) core: Core<'a>,
+    /// The simulated graph (admission-time validation, adaptive
+    /// endpoint lookup, and the parallel engine's region layout).
+    pub(crate) graph: &'a Graph,
+    /// The message stream driving the run (see [`TrafficSource`]).
+    source: &'a mut dyn TrafficSource,
+    /// Every admitted id, in admission order — the source's `(release,
+    /// id)` emission order, which is exactly the order the old
+    /// release-sorted scan produced. [`Sim::rebuild_active`] iterates it.
+    admitted: Vec<u32>,
+    /// Per-id: `true` once the slot holds a real (admitted) spec.
+    admitted_flag: Vec<bool>,
+    /// Scratch for [`TrafficSource::take_ready`].
+    ready_buf: Vec<(u32, MessageSpec)>,
+    /// Cached [`TrafficSource::reactive`] — `true` pins the event
+    /// drivers' windows to one step.
+    pub(crate) reactive: bool,
+    /// Expanded per-edge kill schedule from [`SimConfig::faults`]:
+    /// ascending `(at, edge)`, router kills expanded to their incident
+    /// edges, earliest kill time kept per edge
+    /// ([`wormhole_topology::fault::FaultPlan::edge_schedule`]).
+    kill_schedule: Vec<(u64, u32)>,
+    /// Cursor into `kill_schedule`: entries before it are applied.
+    next_kill: usize,
+}
+
+impl<'a> Sim<'a> {
+    fn new(
+        graph: &'a Graph,
+        router: Option<&'a dyn AdaptiveRouter>,
+        source: &'a mut dyn TrafficSource,
+        config: &'a SimConfig,
+    ) -> Self {
+        let kill_schedule = match &config.faults {
+            Some(plan) if !plan.is_empty() => {
+                if let Err(e) = plan.validate(graph) {
+                    panic!("invalid fault plan: {e}");
+                }
+                plan.edge_schedule(graph)
+            }
+            _ => Vec::new(),
+        };
+        let rules = VcRules::new(graph, config, !kill_schedule.is_empty());
+        let reactive = source.reactive();
+        Self {
+            core: Core::new(graph, router, config, rules),
+            graph,
+            source,
+            admitted: Vec::new(),
+            admitted_flag: Vec::new(),
+            ready_buf: Vec::new(),
+            reactive,
+            kill_schedule,
+            next_kill: 0,
+        }
+    }
+
+    /// Whether fault injection is active for this run.
+    #[inline]
+    pub(crate) fn faulted(&self) -> bool {
+        !self.core.rules.dead.is_empty()
+    }
+
+    /// Earliest unapplied kill time (`u64::MAX` when exhausted) — the
+    /// event engine's windows must never cross it, exactly as they never
+    /// cross a message release.
+    #[inline]
+    pub(crate) fn next_kill_time(&self) -> u64 {
+        self.kill_schedule
+            .get(self.next_kill)
+            .map_or(u64::MAX, |&(at, _)| at)
+    }
+
+    /// Applies every scheduled kill with `at ≤ t`: marks the edges dead,
+    /// then discards each severed in-flight worm with
+    /// [`DiscardReason::LinkDown`]. Runs at the **start** of step `t` in
+    /// both engines, before admissions, so the discards' released VCs
+    /// are visible to this step's arbitration — the same convention as a
+    /// release during step `t − 1`. Returns whether any kill applied
+    /// (the caller then drops the discarded worms from its active set).
+    pub(crate) fn apply_kills(&mut self, t: u64) -> bool {
+        if self.next_kill_time() > t {
+            return false;
+        }
+        while let Some(&(at, e)) = self.kill_schedule.get(self.next_kill) {
+            if at > t {
+                break;
+            }
+            self.core.rules.dead[e as usize] = true;
+            self.next_kill += 1;
+        }
+        self.core.after_kill = true;
+        // Severed scan in admission order — the canonical order shared
+        // by both engines (discard order only matters through the
+        // already-sorted completion flush, but keeping it canonical
+        // costs nothing).
+        for i in 0..self.admitted.len() {
+            let m = self.admitted[i];
+            let mi = m as usize;
+            if self.core.worms[mi].done() || self.core.outcomes[mi].discarded.is_some() {
+                continue;
+            }
+            if self.core.worm_severed(m) {
+                self.core.discard(m, t, DiscardReason::LinkDown);
+            }
+        }
+        true
+    }
+
+    /// Installs `spec` as message `id` in the id-keyed core (ids below
+    /// `id` not yet seen get vacant slots; a later emission fills them
+    /// in). Validates the spec the way the old eager loop did.
+    fn admit(&mut self, id: u32, spec: MessageSpec, now: u64) {
+        let mi = id as usize;
+        if self.admitted_flag.len() <= mi {
+            self.admitted_flag.resize(mi + 1, false);
+        }
+        assert!(!self.admitted_flag[mi], "source re-emitted message id {id}");
+        assert!(!spec.path.is_empty(), "message {id} has an empty path");
+        for &e in spec.path.edges() {
+            assert!(
+                e.idx() < self.graph.num_edges(),
+                "message {id}: bad edge id"
+            );
+        }
+        assert!(spec.length >= 1, "message {id} has zero length");
+        assert!(
+            spec.release <= now,
+            "message {id} emitted before its release ({} > {now})",
+            spec.release
+        );
+        let adaptive_mode = self.core.adaptive.is_some();
+        // A frozen-route message released onto an already-dead edge is
+        // undeliverable: discarded on the spot, below.
+        let dead_on_arrival = self.faulted()
+            && !adaptive_mode
+            && spec
+                .path
+                .edges()
+                .iter()
+                .any(|&e| self.core.rules.dead[e.idx()]);
+        let (route, src, dst) = if adaptive_mode {
+            (
+                Vec::with_capacity(spec.hops() as usize),
+                spec.path.src(self.graph),
+                spec.path.dst(self.graph),
+            )
+        } else {
+            (Vec::new(), NodeId(0), NodeId(0))
+        };
+        let resident = Resident {
+            id,
+            worm: Worm {
+                advance: 0,
+                hops: if adaptive_mode { 0 } else { spec.hops() },
+                length: spec.length,
+                pending_route: adaptive_mode,
+            },
+            spec,
+            out: MessageOutcome::default(),
+            route,
+            src,
+            dst,
+            budget: self.core.config.misroute_quota,
+            selected: SelectedHop::None,
+        };
+        self.core.put(id, resident);
+        self.admitted_flag[mi] = true;
+        self.core.unfinished += 1;
+        self.admitted.push(id);
+        // It holds nothing yet; discarding it here fires the source's
+        // `on_discarded` so closed-loop sources can reissue. Adaptive
+        // messages stay: they route around dead edges.
+        if dead_on_arrival {
+            self.core.discard(id, now, DiscardReason::LinkDown);
+        }
+    }
+
+    /// Dispatches buffered completions to the source in ascending
+    /// `(time, id)` order — the canonical, engine-independent callback
+    /// sequence of the [`crate::source`] contract.
+    fn flush_deliveries(&mut self) {
+        if self.core.done.is_empty() {
+            return;
+        }
+        let mut buf = std::mem::take(&mut self.core.done);
+        buf.sort_unstable();
+        for (t, id, delivered) in buf.drain(..) {
+            if delivered {
+                self.source.on_delivered(id, t);
+            } else {
+                self.source.on_discarded(id, t);
+            }
+        }
+        self.core.done = buf;
+    }
+
+    /// Flushes completions, then peeks the source's next release time.
+    pub(crate) fn peek_next_release(&mut self, now: u64) -> Option<u64> {
+        self.flush_deliveries();
+        self.source.next_release(now)
+    }
+
+    /// Flushes completions, then pulls and admits every message released
+    /// by `now`. Returns the `self.admitted` index range of the new ids.
+    pub(crate) fn admit_ready(&mut self, now: u64) -> std::ops::Range<usize> {
+        self.flush_deliveries();
+        let start = self.admitted.len();
+        let mut buf = std::mem::take(&mut self.ready_buf);
+        buf.clear();
+        self.source.take_ready(now, &mut buf);
+        for (id, spec) in buf.drain(..) {
+            self.admit(id, spec, now);
+        }
+        self.ready_buf = buf;
+        start..self.admitted.len()
+    }
+
+    /// Id of the `i`-th admitted message (admission order).
+    #[inline]
+    pub(crate) fn admitted_id(&self, i: usize) -> u32 {
+        self.admitted[i]
+    }
+
+    /// Folds what a driver returned — how the run ended, the step it
+    /// stopped at, the deadlock post-mortem — and the accumulated state
+    /// into the [`SimResult`].
+    fn into_result(
+        self,
+        (outcome, t, deadlock_report): (Outcome, u64, Option<DeadlockReport>),
+        engine_fallback: Option<EngineFallback>,
+    ) -> SimResult {
+        let mut core = self.core;
+        let total_steps = match outcome {
+            Outcome::Completed => core.last_finish,
+            _ => t,
+        };
+        let total_stalls = core.outcomes.iter().map(|o| o.stalls).sum();
+        let (escape_fallbacks, misroute_hops) = core.adaptive.as_ref().map_or((0, 0), |a| {
+            (a.stats.escape_fallbacks, a.stats.misroute_hops)
+        });
+        // Fault stats. The applied-kill cursor is engine-identical: the
+        // event engine's windows stop at kill times exactly as they stop
+        // at message releases, so both engines apply every schedule
+        // entry at the same simulated step. Recovery time is the gap from
+        // the last applied kill to the first delivery at or after it.
+        let kills_applied = self.next_kill as u64;
+        let fault_recovery_steps = if self.next_kill > 0 {
+            let last_kill_at = self.kill_schedule[self.next_kill - 1].0;
+            core.outcomes
+                .iter()
+                .filter_map(|o| o.finished)
+                .filter(|&f| f >= last_kill_at)
+                .min()
+                .map_or(0, |f| f - last_kill_at)
+        } else {
+            0
+        };
+        // A capped run may end before the source emitted every message it
+        // knows about; pad to the declared id bound so e.g. a replayed
+        // slice still reports one (default) outcome per input spec.
+        if let Some(bound) = self.source.id_bound() {
+            if core.outcomes.len() < bound as usize {
+                core.outcomes
+                    .resize(bound as usize, MessageOutcome::default());
+            }
+        }
+        SimResult {
+            outcome,
+            total_steps,
+            messages: core.outcomes,
+            max_vcs_in_use: core.ledger.max_vcs as u32,
+            max_pool_in_use: core.ledger.max_pool,
+            total_stalls,
+            flit_hops: core.flit_hops,
+            escape_fallbacks,
+            misroute_hops,
+            kills_applied,
+            fault_discards: core.fault_discards,
+            fault_detour_hops: core.fault_detour_hops,
+            fault_recovery_steps,
+            deadlock: deadlock_report,
+            open_loop: None,
+            closed_loop: None,
+            engine_fallback,
+        }
+    }
+
+    /// The loop head every driver shares. With worms in flight only the
+    /// step cap ends the run. With nothing in flight (`idle`) the run is
+    /// over iff the source is dry (a reactive source with an idle network
+    /// has flushed every completion, so its answer is final); otherwise
+    /// `t` fast-forwards over the idle gap — but never past the step
+    /// cap: a release at or beyond `max_steps` cannot run inside the
+    /// cap, so the run ends at exactly the cap instead of silently
+    /// simulating (and reporting) beyond it.
+    pub(crate) fn loop_head(&mut self, t: &mut u64, idle: bool) -> Option<Outcome> {
+        let cap = self.core.config.max_steps;
+        if !idle {
+            return (*t >= cap).then_some(Outcome::MaxSteps);
+        }
+        match self.peek_next_release(*t) {
+            None => Some(Outcome::Completed),
+            Some(_) if *t >= cap => Some(Outcome::MaxSteps),
+            Some(r) if r >= cap => {
+                *t = cap;
+                Some(Outcome::MaxSteps)
+            }
+            Some(r) => {
+                *t = (*t).max(r);
+                None
+            }
+        }
+    }
+
+    /// The original per-step driver: rescans every active worm each step.
+    pub(crate) fn drive_legacy(&mut self) -> (Outcome, u64, Option<DeadlockReport>) {
+        let mut t: u64 = 0;
+        let mut deadlock_report = None;
+        let outcome = loop {
+            if let Some(outcome) = self.loop_head(&mut t, self.core.active.is_empty()) {
+                break outcome;
+            }
+            // Kills scheduled at `t` take effect at the start of the step:
+            // severed worms are discarded (their VCs released, visible to
+            // this step's arbitration) before admissions, so messages
+            // released at `t` already see the updated dead set.
+            if self.faulted() && self.apply_kills(t) {
+                self.retire_finished();
+            }
+            let new = self.admit_ready(t);
+            for i in new {
+                let m = self.admitted_id(i);
+                // Skip messages discarded at admission (dead-on-arrival).
+                if self.core.outcomes[m as usize].discarded.is_none() {
+                    self.core.active.push(m);
+                }
+            }
+
+            let moved = self.step_full_bandwidth(t);
+
+            if !moved
+                && !self.core.active.is_empty()
+                && self.core.config.blocked == BlockedPolicy::Stall
+            {
+                // Static state: every active worm is blocked on a held VC
+                // and releases only come from moves. Future arrivals cannot
+                // free anything. Deadlock.
+                deadlock_report = Some(self.build_deadlock_report());
+                break Outcome::Deadlock(self.core.active.clone());
+            }
+            if self.core.config.check_invariants {
+                self.core.validate();
+            }
+            t += 1;
+        };
+        (outcome, t, deadlock_report)
+    }
+
+    /// Rebuilds the core's `active` list (admitted, unretired, in
+    /// admission order) — the event-style drivers call this for the
+    /// deadlock verdict instead of paying an `O(active)` retire scan
+    /// every step.
+    pub(crate) fn rebuild_active(&mut self) {
+        let core = &mut self.core;
+        core.active.clear();
+        for &m in &self.admitted {
+            let mi = m as usize;
+            if !core.worms[mi].done() && core.outcomes[mi].discarded.is_none() {
+                core.active.push(m);
+            }
+        }
+    }
+
+    /// Reconstructs the wait-for relation at the moment of deadlock: per
+    /// blocked worm, the edge it wants and that edge's current holders.
+    /// Holder lists are CSR over a dense per-edge index (a deadlocked
+    /// near-saturation run holds a large fraction of all edges; the old
+    /// `HashMap` paid a hash per held edge).
+    pub(crate) fn build_deadlock_report(&self) -> DeadlockReport {
+        let core = &self.core;
+        let num_edges = self.graph.num_edges();
+        let held = |m: u32| {
+            let w = core.worms[m as usize];
+            w.held_vcs(core.rules.final_vc)
+                .map(move |j| core.path_edge(m, j))
+        };
+        let mut start = vec![0u32; num_edges + 1];
+        for &m in &core.active {
+            for e in held(m) {
+                start[e + 1] += 1;
+            }
+        }
+        for e in 0..num_edges {
+            start[e + 1] += start[e];
+        }
+        let mut cursor = start.clone();
+        let mut hold = vec![0u32; start[num_edges] as usize];
+        for &m in &core.active {
+            for e in held(m) {
+                hold[cursor[e] as usize] = m;
+                cursor[e] += 1;
+            }
+        }
+        let mut waits = Vec::new();
+        for &m in &core.active {
+            let w = &core.worms[m as usize];
+            let e = if w.pending_route {
+                // A pending worm waits on the hop it selected during the
+                // (movement-free) step that detected the deadlock.
+                let ad = core.adaptive.as_ref().expect("pending worm without state");
+                ad.selected[m as usize]
+                    .edge()
+                    .expect("blocked pending worm was classified") as usize
+            } else if w.advance < w.hops {
+                core.path_edge(m, w.advance + 1)
+            } else {
+                continue;
+            };
+            waits.push(WaitFor {
+                message: m,
+                edge: e as u32,
+                holders: hold[start[e] as usize..start[e + 1] as usize].to_vec(),
+            });
+        }
+        waits.sort_by_key(|w| w.message);
+        DeadlockReport::from_waits(waits)
+    }
+
+    /// One step under the paper's primary model: every VC moves one flit.
+    /// Returns whether any worm advanced.
+    fn step_full_bandwidth(&mut self, t: u64) -> bool {
+        let core = &mut self.core;
+        let active = std::mem::take(&mut core.active);
+        let progressed = core.step_winners(t, &active);
+        core.active = active;
+        for i in 0..core.blocked.len() {
+            let m = core.blocked[i];
+            core.outcomes[m as usize].stalls += 1;
+            if core.config.blocked == BlockedPolicy::Discard {
+                core.discard(m, t, DiscardReason::Delay);
+            }
+        }
+        core.ledger.settle_max(&core.rules);
+        self.retire_finished();
+        progressed
+    }
+
+    /// Drops delivered and discarded worms from the legacy stepper's
+    /// `active` list.
+    fn retire_finished(&mut self) {
+        let core = &mut self.core;
+        let (outcomes, worms) = (&core.outcomes, &core.worms);
+        core.active
+            .retain(|&m| !worms[m as usize].done() && outcomes[m as usize].discarded.is_none());
     }
 }
 #[cfg(test)]
@@ -1567,56 +1650,6 @@ mod tests {
         for (i, m) in r.messages.iter().enumerate() {
             let lb = specs[i].unblocked_time();
             assert!(m.finished.unwrap() >= lb);
-        }
-    }
-
-    #[test]
-    fn trace_records_acquisitions_and_finish() {
-        let (g, edges) = chain(5);
-        let spec = MessageSpec::new(Path::new(edges), 3);
-        let (r, trace) = run_traced(&g, &[spec], &cfg(1));
-        assert_eq!(r.outcome, Outcome::Completed);
-        let acquires = trace
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Acquire { .. }))
-            .count();
-        assert_eq!(acquires, 4, "one acquisition per path edge");
-        assert!(matches!(
-            trace.last(),
-            Some(TraceEvent::Finish { t: 6, msg: 0 })
-        ));
-    }
-
-    #[test]
-    fn trace_records_blocks_and_discards() {
-        let (g, ps) = shared_chain_instance(2, 4);
-        let specs = specs_from_paths(&ps, 3);
-        let config = cfg(1).blocked(BlockedPolicy::Discard);
-        let (r, trace) = run_traced(&g, &specs, &config);
-        assert_eq!(r.discarded(), 1);
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Blocked { t: 0, msg: 1, .. })));
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Discard { t: 0, msg: 1 })));
-    }
-
-    #[test]
-    fn run_traced_ignores_the_engine_knob() {
-        // Tracing is legacy-driven whatever engine the config names: same
-        // result, same trace, and nothing to report as a fallback.
-        let (g, ps) = shared_chain_instance(3, 5);
-        let specs = specs_from_paths(&ps, 4);
-        let (legacy, legacy_trace) = run_traced(&g, &specs, &cfg(1).engine(Engine::Legacy));
-        assert!(legacy_trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Blocked { .. })));
-        for engine in [Engine::EventDriven, Engine::Parallel { threads: 2 }] {
-            let (r, trace) = run_traced(&g, &specs, &cfg(1).engine(engine));
-            assert!(r.same_execution(&legacy));
-            assert_eq!(r.engine_fallback, None);
-            assert_eq!(trace, legacy_trace);
         }
     }
 

@@ -21,7 +21,11 @@
 //!   reports the same `Outcome::MaxSteps` verdict and the same
 //!   `in_flight` survivor count as the sequential engines;
 //! * a deadlock fixture asserting the parallel run wedges on the same
-//!   step with the same cycle report.
+//!   step with the same cycle report;
+//! * a handle-recycling fixture (a worm parks on both sides of a cut
+//!   while a later worm parks under its old local handle), the corners
+//!   of the worker/region/step-cap space, a reactive source on a
+//!   multi-region plan, and the empty graph / empty source.
 
 use proptest::prelude::*;
 
@@ -34,7 +38,10 @@ use wormhole_topology::graph::{Graph, GraphBuilder, NodeId};
 use wormhole_topology::path::Path;
 use wormhole_topology::random_nets::shared_chain_instance;
 use wormhole_topology::region::RegionPlan;
-use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
+use wormhole_workloads::{
+    ArrivalProcess, ClosedLoopConfig, ClosedLoopSource, RoutingDiscipline, Substrate,
+    TrafficPattern, Workload,
+};
 
 fn vcs(i: u32) -> u32 {
     [1u32, 2, 4][i as usize % 3]
@@ -49,21 +56,16 @@ fn arbitration(i: u32) -> Arbitration {
     }
 }
 
-/// Runs the parallel engine at 1, 2, and 8 workers plus the legacy
-/// oracle, and asserts the four results are identical executions with
-/// no fallback. Returns the legacy result for extra assertions.
-fn assert_worker_count_invariant(
-    graph: &Graph,
-    specs: &[MessageSpec],
+/// Runs `run` under the parallel engine at 1, 2, and 8 workers plus the
+/// legacy oracle, and asserts the four results are identical executions
+/// with no fallback. Returns the legacy result for extra assertions.
+fn assert_runs_worker_count_invariant(
+    run: impl Fn(&SimConfig) -> SimResult,
     config: &SimConfig,
 ) -> SimResult {
-    let lg = wormhole::run(graph, specs, &config.clone().engine(Engine::Legacy));
+    let lg = run(&config.clone().engine(Engine::Legacy));
     for threads in [1u32, 2, 8] {
-        let par = wormhole::run(
-            graph,
-            specs,
-            &config.clone().engine(Engine::Parallel { threads }),
-        );
+        let par = run(&config.clone().engine(Engine::Parallel { threads }));
         assert!(
             par.engine_fallback.is_none(),
             "supported config fell back at {threads} workers: {:?}",
@@ -80,6 +82,15 @@ fn assert_worker_count_invariant(
     lg
 }
 
+/// [`assert_runs_worker_count_invariant`] over a spec slice.
+fn assert_worker_count_invariant(
+    graph: &Graph,
+    specs: &[MessageSpec],
+    config: &SimConfig,
+) -> SimResult {
+    assert_runs_worker_count_invariant(|cfg| wormhole::run(graph, specs, cfg), config)
+}
+
 /// [`assert_worker_count_invariant`] for adaptive route selection:
 /// same sweep, driven through [`wormhole::run_adaptive`].
 fn assert_adaptive_worker_count_invariant(
@@ -87,25 +98,7 @@ fn assert_adaptive_worker_count_invariant(
     specs: &[MessageSpec],
     config: &SimConfig,
 ) -> SimResult {
-    let lg = wormhole::run_adaptive(router, specs, &config.clone().engine(Engine::Legacy));
-    for threads in [1u32, 2, 8] {
-        let par = wormhole::run_adaptive(
-            router,
-            specs,
-            &config.clone().engine(Engine::Parallel { threads }),
-        );
-        assert!(
-            par.engine_fallback.is_none(),
-            "adaptive config fell back at {threads} workers: {:?}",
-            par.engine_fallback
-        );
-        assert!(
-            par.same_execution(&lg),
-            "adaptive parallel({threads} workers) diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
-        );
-        assert_eq!(par.messages, lg.messages);
-    }
-    lg
+    assert_runs_worker_count_invariant(|cfg| wormhole::run_adaptive(router, specs, cfg), config)
 }
 
 /// A worm longer than the region it starts in: with nodes `0..=2` in
@@ -179,6 +172,129 @@ fn deadlock_verdict_matches_sequential() {
         other => panic!("fixture must wedge, got {other:?}"),
     }
     assert!(lg.deadlock.is_some(), "wedged runs carry a cycle report");
+}
+
+/// Handle recycling under migration. An 8-node chain cut in the middle
+/// (edges `e0..e3` in region A, `e4..e6` in region B), one VC per edge:
+///
+/// * worm 0 sits on `e1, e2` through step 6, so worm 1 — A's second
+///   resident — parks behind it at step 1, wakes at 6, crosses `e1..e3`
+///   and leaves A at step 9 wanting `e4`;
+/// * worm 2 holds `e4` from step 8 to 20, so worm 1 parks again, now in
+///   B, still holding `e2, e3` — A's edges;
+/// * worms 3 and 4 are admitted into A at step 12, into the handles
+///   worms 1 and 0 left behind, and park in their turn: one loses `e0`
+///   to the other, and whoever runs ahead stops behind worm 1 on `e2`
+///   until its tail crosses the cut at step 21 — a remote release.
+///
+/// A stale wait-queue entry of a handle's previous occupant, a stall
+/// settled from the wrong park step, or a window grant that forgot the
+/// re-parked worm all show up as a diverging `SimResult`.
+#[test]
+fn recycled_handles_park_again_on_both_sides_of_the_cut() {
+    let mut bld = GraphBuilder::new(8);
+    let e: Vec<_> = (0..7)
+        .map(|i| bld.add_edge(NodeId(i), NodeId(i + 1)))
+        .collect();
+    let g = bld.build();
+    let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    let specs = [
+        MessageSpec::new(Path::new(e[1..3].to_vec()), 6),
+        MessageSpec::new(Path::new(e[0..6].to_vec()), 2),
+        MessageSpec::new(Path::new(e[4..7].to_vec()), 12).release_at(8),
+        MessageSpec::new(Path::new(e[0..4].to_vec()), 3).release_at(12),
+        MessageSpec::new(Path::new(e[0..2].to_vec()), 2).release_at(12),
+    ];
+    for arb in [Arbitration::OldestFirst, Arbitration::Random] {
+        let cfg = SimConfig::new(1)
+            .arbitration(arb)
+            .regions(plan.clone())
+            .check_invariants(true)
+            .seed(3);
+        let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+        assert_eq!(lg.outcome, Outcome::Completed);
+        // Parked in A over steps 1..=6, in B over 10..=20.
+        assert_eq!(lg.messages[1].stalls, 6 + 11);
+        assert!(lg.messages[3].stalls > 0 && lg.messages[4].stalls > 0);
+        assert_eq!(lg.max_vcs_in_use, 1);
+    }
+}
+
+/// The corners of the worker/region/step-cap space: more workers than
+/// regions, more regions requested than nodes (clamped to one node
+/// each), and a step cap of `u64::MAX`, which the window arithmetic
+/// (`t + w`, `cap − t`) must survive.
+#[test]
+fn worker_region_and_cap_corners() {
+    let (g, ps) = shared_chain_instance(4, 6);
+    let specs: Vec<MessageSpec> = specs_from_paths(&ps, 3)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| s.release_at(2 * i as u64))
+        .collect();
+    let base = SimConfig::new(1).check_invariants(true);
+    let many = RegionPlan::contiguous(&g, 10 * g.num_nodes() as u32);
+    assert_eq!(many.num_regions() as usize, g.num_nodes());
+    for cfg in [
+        base.clone().regions(RegionPlan::contiguous(&g, 2)), // 8 workers, 2 regions
+        base.clone().regions(many),
+        base.clone().max_steps(u64::MAX),
+        base.clone()
+            .max_steps(u64::MAX)
+            .regions(RegionPlan::contiguous(&g, 3)),
+    ] {
+        let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+        assert_eq!(lg.outcome, Outcome::Completed);
+    }
+}
+
+/// A reactive (closed-loop) source on a multi-region plan: every window
+/// is one step, and each delivery the coordinator merges can release the
+/// next message of its chain.
+#[test]
+fn reactive_source_on_a_multi_region_plan() {
+    let sub = Substrate::butterfly(3);
+    let cl = ClosedLoopConfig {
+        clients: 4,
+        servers: 4,
+        window: 2,
+        req_len: 2,
+        reply_len: 4,
+        think: (2, 6),
+        server_delay: (1, 3),
+        start_spread: 8,
+        horizon: 300,
+        seed: 11,
+    };
+    let cfg = SimConfig::new(1)
+        .regions(sub.region_plan(3))
+        .max_steps(2_000)
+        .check_invariants(true);
+    let run = |cfg: &SimConfig| {
+        let mut source = ClosedLoopSource::new(&sub, &cl);
+        wormhole::run_source(sub.graph(), &mut source, cfg)
+    };
+    let lg = assert_runs_worker_count_invariant(run, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    assert!(lg.total_stalls > 0, "the fixture must contend");
+}
+
+/// No engine substitutes for another, even when there is nothing to
+/// simulate: an empty graph (nothing to partition — the parallel
+/// coordinator runs with zero regions) and an empty source give the same
+/// result on all three.
+#[test]
+fn empty_graph_and_empty_source_agree_on_every_engine() {
+    let empty = GraphBuilder::new(0).build();
+    let (chain, _) = shared_chain_instance(2, 3);
+    for g in [&empty, &chain] {
+        let cfg = SimConfig::new(1).check_invariants(true);
+        let lg = assert_worker_count_invariant(g, &[], &cfg);
+        let ev = wormhole::run(g, &[], &cfg.clone().engine(Engine::EventDriven));
+        assert!(ev.same_execution(&lg) && ev.engine_fallback.is_none());
+        assert_eq!(lg.outcome, Outcome::Completed);
+        assert_eq!((lg.total_steps, lg.messages.len()), (0, 0));
+    }
 }
 
 proptest! {
