@@ -192,7 +192,7 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
             let cap = sim.core.config.max_steps;
             cap.min(next_rel).min(sim.next_kill_time()).max(t + 1)
         };
-        let win = run_window(&mut sim.core, &mut st, t, stop);
+        let win = run_window(&mut sim.core, &mut st, t, stop, &mut |_, _| {});
         sim.core.ledger.settle_max(&sim.core.rules);
         if win.frozen_at != u64::MAX {
             // Every released worm is blocked on full edges; releases only
@@ -221,7 +221,18 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
 /// The occupancy sample of the window's last step is left to the caller
 /// ([`crate::kernel::VcLedger::settle_max`]): in a one-step window of a
 /// parallel region, releases by other regions' worms land first.
-pub(crate) fn run_window(core: &mut Core, st: &mut EventState, t0: u64, stop: u64) -> Window {
+///
+/// `on_park` sees every worm as it parks. A parallel region's next window
+/// grant depends on where its parked worms stand, and one that wakes,
+/// moves and parks again mid-window is on no list the region could read
+/// afterwards; the sequential engine passes a no-op.
+pub(crate) fn run_window(
+    core: &mut Core,
+    st: &mut EventState,
+    t0: u64,
+    stop: u64,
+    on_park: &mut impl FnMut(&Core, u32),
+) -> Window {
     let mut win = Window {
         frozen_at: u64::MAX,
         last_move_plus1: 0,
@@ -257,7 +268,7 @@ pub(crate) fn run_window(core: &mut Core, st: &mut EventState, t0: u64, stop: u6
             ff_batch(core, st, t, stop, &mut win);
             break;
         }
-        if step(core, st, t) {
+        if step(core, st, t, on_park) {
             win.last_move_plus1 = t + 1;
         } else if st.n_active() > 0 && core.config.blocked == BlockedPolicy::Stall {
             win.frozen_at = t;
@@ -274,7 +285,12 @@ pub(crate) fn run_window(core: &mut Core, st: &mut EventState, t0: u64, stop: u6
 /// One full-bandwidth step over the runnable set. Mirrors the legacy
 /// stepper's classify → arbitrate → apply phases, then parks losers and
 /// wakes the waiters of every wait key that released capacity.
-fn step(core: &mut Core, st: &mut EventState, t: u64) -> bool {
+fn step(
+    core: &mut Core,
+    st: &mut EventState,
+    t: u64,
+    on_park: &mut impl FnMut(&Core, u32),
+) -> bool {
     // Classify, arbitrate, advance the winners. Parked worms are exactly
     // the contenders of non-acquirable edges, so leaving them out changes
     // no arbitration outcome (such an edge blocks every contender
@@ -300,6 +316,7 @@ fn step(core: &mut Core, st: &mut EventState, t: u64) -> bool {
             st.waiting.park(m, &st.keys, t);
             st.indep_cached = None;
             core.track_releases = true;
+            on_park(core, m);
         }
     }
     wake_released(core, st, t, t);

@@ -48,7 +48,10 @@
 //!   samples that step into the occupancy maxima and wakes the edge's
 //!   waiters — so it is visible from `t + 1` like any sequential
 //!   mid-step release.
-//! * **The window grant** ([`worm_bound`]), below.
+//! * **The window grant** ([`worm_bound`]), below — refreshed for the
+//!   runnable worms when a window ends, and folded for a parked one the
+//!   moment it parks ([`engine::run_window`]'s `on_park`): it may have
+//!   woken, moved and parked again since the window opened.
 //! * **Frozen regions.** A region in which a step moves nothing stops
 //!   stepping — it is provably identical until the window ends
 //!   (releases only come from moves, and nothing external arrives
@@ -219,9 +222,6 @@ struct Region<'a> {
     /// route was still pending then (its escape tail may yet leave the
     /// region), so the window-end pass skips the O(path) rescan.
     cuts: Vec<Option<(u32, u32)>>,
-    /// The handles runnable when the window opened: the ones that can
-    /// have parked during it.
-    opened_with: Vec<u32>,
     /// Outbox: worms whose next wanted edge crossed the cut, with the
     /// region owning it.
     handoffs: Vec<(u32, Resident)>,
@@ -229,10 +229,11 @@ struct Region<'a> {
     /// `(time, delivered, worm)` — `t + 1` for deliveries, `t` for
     /// discards, the same stamps the sequential engines record.
     retired: Vec<(u64, bool, Resident)>,
-    /// Running minimum [`worm_bound`] over the parked population (a
-    /// parked worm's bound is constant; reset when a window ends with
-    /// the queue empty). Folding this into `safe` keeps the window grant
-    /// sound without rescanning parked worms — conservative after wakes.
+    /// Running minimum [`worm_bound`] over the parked population, folded
+    /// in as each worm parks (a parked worm's bound is constant; reset
+    /// when a window ends with the queue empty). Folding this into `safe`
+    /// keeps the window grant sound without rescanning parked worms —
+    /// conservative after wakes.
     parked_safe: u64,
     /// Window grant: how far the residents can run before touching a
     /// cross edge (minimum [`worm_bound`]; refreshed at window end and
@@ -249,7 +250,13 @@ impl<'a> Region<'a> {
         let router = sim.core.adaptive.as_ref().map(|ad| ad.router);
         // Fault plans never reach this engine, so no kill ever changes
         // the rules mid-run: a copy per region stays exact.
-        let mut core = Core::new(sim.graph, router, sim.core.config, sim.core.rules.clone());
+        let mut core = Core::new(
+            sim.graph,
+            router,
+            sim.core.config,
+            sim.core.rules.clone(),
+            false,
+        );
         core.foreign = ctx.edge_region.iter().map(|&r| r != idx).collect();
         Region {
             idx,
@@ -257,7 +264,6 @@ impl<'a> Region<'a> {
             core,
             free: Vec::new(),
             cuts: Vec::new(),
-            opened_with: Vec::new(),
             handoffs: Vec::new(),
             retired: Vec::new(),
             parked_safe: u64::MAX,
@@ -293,17 +299,9 @@ impl<'a> Region<'a> {
         // Releases other regions' worms made on this region's edges
         // during step `t0 − 1` have landed: their waiters re-contend now.
         engine::wake_released(&mut self.core, &mut self.st, t0, t0.saturating_sub(1));
-        self.opened_with.clone_from(&self.st.runnable);
-        self.win = engine::run_window(&mut self.core, &mut self.st, t0, end);
-        let (core, idx) = (&mut self.core, self.idx);
-        let mut done = std::mem::take(&mut core.done);
-        for (time, h, delivered) in done.drain(..) {
-            self.retired.push((time, delivered, core.take(h)));
-            self.free.push(h);
-        }
-        core.done = done;
+        let (idx, cached) = (self.idx, &self.cuts);
         let at = |core: &Core, h: u32| {
-            let at = self.cuts[h as usize].unwrap_or_else(|| cuts(ctx, core, h, idx));
+            let at = cached[h as usize].unwrap_or_else(|| cuts(ctx, core, h, idx));
             debug_assert_eq!(
                 worm_bound(ctx, core, h, at),
                 worm_bound(ctx, core, h, cuts(ctx, core, h, idx)),
@@ -311,6 +309,20 @@ impl<'a> Region<'a> {
             );
             at
         };
+        // Every park counts, not only the last: a worm woken mid-window
+        // may move and park again closer to the cut.
+        let parked_safe = &mut self.parked_safe;
+        let mut on_park = |core: &Core, h: u32| {
+            *parked_safe = (*parked_safe).min(worm_bound(ctx, core, h, at(core, h)));
+        };
+        self.win = engine::run_window(&mut self.core, &mut self.st, t0, end, &mut on_park);
+        let core = &mut self.core;
+        let mut done = std::mem::take(&mut core.done);
+        for (time, h, delivered) in done.drain(..) {
+            self.retired.push((time, delivered, core.take(h)));
+            self.free.push(h);
+        }
+        core.done = done;
         // Movers whose next wanted edge is owned elsewhere emigrate;
         // draining worms have none and stay put.
         let mut safe = u64::MAX;
@@ -332,19 +344,14 @@ impl<'a> Region<'a> {
         if self.st.waiting.is_empty() {
             self.parked_safe = u64::MAX;
         }
-        for &h in &self.opened_with {
-            if self.st.waiting.is_parked(h) {
-                let bound = worm_bound(ctx, core, h, at(core, h));
-                self.parked_safe = self.parked_safe.min(bound);
-            }
-        }
         self.safe = safe.min(self.parked_safe);
     }
 }
 
 /// Everything the worker threads can see: the regions (each behind its
-/// own mutex — workers step disjoint index sets, so locks are always
-/// uncontended), the window barriers, and the broadcast clock/grant.
+/// own mutex — workers step disjoint index sets inside a window and the
+/// coordinator holds all of them between windows, so locks are never
+/// contended), the window barriers, and the broadcast clock/grant.
 struct Shared<'a> {
     regions: Vec<Mutex<Region<'a>>>,
     /// Opens a window (workers wait here between windows).
@@ -359,24 +366,6 @@ struct Shared<'a> {
     /// Set by the coordinator before the final `start` wave.
     stop: AtomicBool,
     ctx: Ctx,
-}
-
-/// The coordinator's way into the regions between windows: keeps the
-/// last one locked, since consecutive outbox entries mostly share a
-/// target.
-struct Held<'s, 'a> {
-    shared: &'s Shared<'a>,
-    at: Option<(usize, MutexGuard<'s, Region<'a>>)>,
-}
-
-impl<'a> Held<'_, 'a> {
-    fn region(&mut self, i: usize) -> &mut Region<'a> {
-        if self.at.as_ref().map(|(at, _)| *at) != Some(i) {
-            self.at = None; // unlock first
-            self.at = Some((i, self.shared.regions[i].lock().unwrap()));
-        }
-        &mut self.at.as_mut().unwrap().1
-    }
 }
 
 /// Worker `w` of `nthreads`: run regions `w, w + nthreads, …` through
@@ -420,10 +409,10 @@ fn step_window(shared: &Shared<'_>, nthreads: usize, t: u64, w: u64) {
 /// alone — a worm may hold VCs on another region's edges, so the held
 /// counts recomputed from the worms and the ledgers' holder counts
 /// agree only summed over regions.
-fn validate(shared: &Shared<'_>, num_edges: usize, t: u64) {
+fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize, t: u64) {
     let (mut held, mut holders) = (vec![0u16; num_edges], vec![0u16; num_edges]);
-    for cell in &shared.regions {
-        let reg = &mut *cell.lock().unwrap();
+    for reg in regs {
+        let reg = &mut **reg;
         // The wake pass the region would run on entering step `t`: a
         // worm still parked on an edge a landed release freed would
         // fail the parked-set check.
@@ -443,10 +432,10 @@ fn validate(shared: &Shared<'_>, num_edges: usize, t: u64) {
 /// `through`, moves every resident back into the run's id-keyed core
 /// (for the result, and for the deadlock report), and folds the
 /// per-region accumulators into the run totals.
-fn write_back(sim: &mut Sim<'_>, shared: &Shared<'_>, through: u64) {
+fn write_back(sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>], through: u64) {
     let total = &mut sim.core;
-    for cell in &shared.regions {
-        let reg = &mut *cell.lock().unwrap();
+    for reg in regs {
+        let reg = &mut **reg;
         engine::settle_parked(&mut reg.core, &mut reg.st, through);
         for h in reg.st.runnable.drain(..) {
             let r = reg.core.take(h);
@@ -478,26 +467,29 @@ fn run_loop(
     let mut rel_buf: Vec<u32> = Vec::new();
     let mut handoff_buf: Vec<(u32, Resident)> = Vec::new();
     let mut retired_buf: Vec<(u64, bool, Resident)> = Vec::new();
+    // Between windows every region is the coordinator's: one lock each
+    // per window, not one per outbox entry.
+    let lock_all = || shared.regions.iter().map(|cell| cell.lock().unwrap());
+    let mut regs: Vec<MutexGuard<'_, Region<'_>>> = lock_all().collect();
     loop {
         if let Some(outcome) = sim.loop_head(&mut t, n_active == 0) {
             // The cap may end the run with worms still parked; the
             // sequential engines count their stalls through the last
             // step that ran.
-            write_back(sim, shared, sim.core.config.max_steps.saturating_sub(1));
+            let last = sim.core.config.max_steps.saturating_sub(1);
+            write_back(sim, &mut regs, last);
             return (outcome, t, None);
         }
-        let mut held = Held { shared, at: None };
         let new = sim.admit_ready(t);
         for i in new {
             let m = sim.admitted_id(i);
             if sim.core.outcomes[m as usize].discarded.is_none() {
                 let target = ctx.home(&sim.core, m) as usize;
                 sim.core.unfinished -= 1;
-                held.region(target).arrive(ctx, sim.core.take(m));
+                regs[target].arrive(ctx, sim.core.take(m));
                 n_active += 1;
             }
         }
-        drop(held);
 
         // The window grant: the minimum per-region `safe` bound over
         // populated regions, capped at the next admission and the step
@@ -507,8 +499,7 @@ fn run_loop(
         // non-reactive sources, so consulting it every window leaves
         // the admission sequence untouched.
         let mut grant = u64::MAX;
-        for cell in &shared.regions {
-            let reg = cell.lock().unwrap();
+        for reg in &regs {
             if reg.st.n_active() > 0 {
                 grant = grant.min(reg.safe);
             }
@@ -523,7 +514,9 @@ fn run_loop(
             grant.min(horizon)
         };
 
+        regs.clear(); // unlock
         step_window(shared, nthreads, t, w);
+        regs.extend(lock_all());
 
         // Merge, in region-index order (the effects are commutative or
         // canonically re-sorted downstream; fixing the order makes the
@@ -532,8 +525,7 @@ fn run_loop(
         let mut all_static = true;
         let mut any_worms = false;
         let mut any_frozen = false;
-        for cell in &shared.regions {
-            let mut reg = cell.lock().unwrap();
+        for reg in &mut regs {
             t_dead = t_dead.max(reg.win.last_move_plus1);
             if reg.st.n_active() > 0 {
                 any_worms = true;
@@ -554,12 +546,10 @@ fn run_loop(
         );
         // Cross-region releases land now — visible to step `t + 1`,
         // like any sequential mid-step release...
-        let mut held = Held { shared, at: None };
         for e in rel_buf.drain(..) {
             let owner = ctx.edge_region[e as usize] as usize;
-            held.region(owner).core.release_vc(e as usize);
+            regs[owner].core.release_vc(e as usize);
         }
-        drop(held);
         // ...and *before* the owner samples the window's last step into
         // its occupancy maxima and wakes the waiters, both of which it
         // does on entering its next window: the sample is the
@@ -577,8 +567,8 @@ fn run_loop(
             && t_dead < t + w;
         if any_frozen {
             let end_count = if deadlocked { t_dead } else { t + w - 1 };
-            for cell in &shared.regions {
-                let reg = &mut *cell.lock().unwrap();
+            for reg in &mut regs {
+                let reg = &mut **reg;
                 if reg.win.frozen_at != u64::MAX {
                     let extra = end_count - reg.win.frozen_at;
                     for &h in &reg.st.runnable {
@@ -594,18 +584,16 @@ fn run_loop(
             sim.core.done.push((time, r.id, delivered));
             n_active -= 1;
         }
-        let mut held = Held { shared, at: None };
         for (target, r) in handoff_buf.drain(..) {
-            held.region(target as usize).arrive(ctx, r);
+            regs[target as usize].arrive(ctx, r);
         }
-        drop(held);
 
         if deadlocked {
             // Static state, nothing can ever move again: deadlock at
             // the first globally move-free step, with the same report
             // the sequential engines build. Parked worms were blocked
             // at every step up to the verdict.
-            write_back(sim, shared, t_dead);
+            write_back(sim, &mut regs, t_dead);
             sim.rebuild_active();
             let report = sim.build_deadlock_report();
             return (
@@ -615,7 +603,7 @@ fn run_loop(
             );
         }
         if sim.core.config.check_invariants {
-            validate(shared, sim.graph.num_edges(), t + w);
+            validate(&mut regs, sim.graph.num_edges(), t + w);
         }
         t += w;
     }

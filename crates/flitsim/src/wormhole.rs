@@ -373,8 +373,12 @@ pub(crate) struct Core<'a> {
     pub(crate) ledger: VcLedger,
     /// Per-step contender scratch (see [`FlatBuckets`]).
     buckets: FlatBuckets,
-    /// Message id per handle (the identity in [`Sim`]'s core).
+    /// Message id per handle.
     pub(crate) ids: Vec<u32>,
+    /// Whether every handle *is* its message id — true of [`Sim`]'s core,
+    /// false of a parallel region's recycled slots. Arbitration orders
+    /// contenders by message id, and reads it off the handle when it can.
+    handles_are_ids: bool,
     /// Spec per handle ([`vacant_spec`] where no worm lives).
     pub(crate) specs: Vec<MessageSpec>,
     pub(crate) worms: Vec<Worm>,
@@ -425,6 +429,7 @@ impl<'a> Core<'a> {
         router: Option<&'a dyn AdaptiveRouter>,
         config: &'a SimConfig,
         rules: VcRules,
+        handles_are_ids: bool,
     ) -> Self {
         let adaptive =
             (config.route_selection != RouteSelection::Oblivious).then(|| AdaptiveState {
@@ -443,6 +448,7 @@ impl<'a> Core<'a> {
             rules,
             buckets: FlatBuckets::with_edges(graph.num_edges()),
             ids: Vec::new(),
+            handles_are_ids,
             specs: Vec::new(),
             worms: Vec::new(),
             outcomes: Vec::new(),
@@ -681,10 +687,9 @@ impl<'a> Core<'a> {
         }
         // Phase 2: per-edge arbitration using start-of-step holder
         // counts, contenders ordered by message id. Where handles are
-        // the ids (every core but a parallel region's) the handle
-        // itself is the key: sorting through `ids` costs ~15 % of this
-        // phase at saturation.
-        if self.foreign.is_empty() {
+        // the ids the handle itself is the key: sorting through `ids`
+        // costs ~15 % of this phase at saturation.
+        if self.handles_are_ids {
             self.arbitrate(t, |m| m);
         } else {
             let ids = std::mem::take(&mut self.ids);
@@ -953,7 +958,7 @@ impl<'a> Sim<'a> {
         let rules = VcRules::new(graph, config, !kill_schedule.is_empty());
         let reactive = source.reactive();
         Self {
-            core: Core::new(graph, router, config, rules),
+            core: Core::new(graph, router, config, rules, true),
             graph,
             source,
             admitted: Vec::new(),

@@ -23,7 +23,9 @@
 //! * a deadlock fixture asserting the parallel run wedges on the same
 //!   step with the same cycle report;
 //! * a handle-recycling fixture (a worm parks on both sides of a cut
-//!   while a later worm parks under its old local handle), the corners
+//!   while a later worm parks under its old local handle), a window-grant
+//!   fixture (a worm wakes, moves and parks again inside one multi-step
+//!   window, so the next grant must shrink), the corners
 //!   of the worker/region/step-cap space, a reactive source on a
 //!   multi-region plan, and the empty graph / empty source.
 
@@ -218,6 +220,45 @@ fn recycled_handles_park_again_on_both_sides_of_the_cut() {
         assert!(lg.messages[3].stalls > 0 && lg.messages[4].stalls > 0);
         assert_eq!(lg.max_vcs_in_use, 1);
     }
+}
+
+/// A worm that wakes, moves and parks again inside one multi-step window.
+/// A 12-node chain whose cut is far from the action (`e0..e7` in region
+/// A, `e8..e10` in region B), one VC per edge, everything released at
+/// step 0 so no admission shortens a window:
+///
+/// * worm 0 runs the whole chain; worms 1 and 2 sit on `e2` (through
+///   step 9) and `e5` (through step 14), worm 3 on B's `e8` through 39;
+/// * the first window is `[0, 8)` — worm 0's distance to the cut — and it
+///   parks behind worm 1 at step 2, six hops short of `e8`: window
+///   `[8, 14)`;
+/// * inside that window `e2` frees at step 9, worm 0 takes `e2, e3, e4`
+///   and parks again at step 13 behind worm 2 — now three hops short.
+///
+/// The next grant has to see that second park: a window wider than
+/// `[14, 17)` lets worm 0 reach `e8` while still resident in A, whose
+/// ledger knows nothing of worm 3.
+#[test]
+fn a_worm_reparked_mid_window_tightens_the_next_grant() {
+    let mut bld = GraphBuilder::new(12);
+    let e: Vec<_> = (0..11)
+        .map(|i| bld.add_edge(NodeId(i), NodeId(i + 1)))
+        .collect();
+    let g = bld.build();
+    let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]);
+    let specs = [
+        MessageSpec::new(Path::new(e.clone()), 3),
+        MessageSpec::new(Path::new(vec![e[2]]), 10),
+        MessageSpec::new(Path::new(vec![e[5]]), 15),
+        MessageSpec::new(Path::new(vec![e[8]]), 40),
+    ];
+    let cfg = SimConfig::new(1).regions(plan).check_invariants(true);
+    let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    // Blocked on e2 over steps 2..=9, on e5 over 13..=14, on e8 over
+    // 18..=39.
+    assert_eq!(lg.messages[0].stalls, 8 + 2 + 22);
+    assert_eq!(lg.max_vcs_in_use, 1);
 }
 
 /// The corners of the worker/region/step-cap space: more workers than
