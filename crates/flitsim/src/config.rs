@@ -140,25 +140,10 @@ pub enum Arbitration {
     PriorityRank,
 }
 
-/// Whether crossing a message's final edge requires a virtual channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FinalEdgePolicy {
-    /// Physical (Dally-style) behaviour: the last edge is an edge like any
-    /// other; its flits are removed into the delivery buffer immediately
-    /// after crossing, but a VC must still be held while the worm streams.
-    RequiresVc,
-    /// Idealized reading of §1.1 ("as soon as a flit reaches its destination
-    /// node, the flit is removed"): delivery absorbs flits without consuming
-    /// a VC on the final edge.
-    Unlimited,
-}
-
-/// Which stepper drives a run. All engines are required to produce
-/// bit-identical [`crate::stats::SimResult`]s on every configuration
-/// (the proptest differential suite enforces it); they differ only in
-/// cost. The one configuration [`Engine::Parallel`] does not run itself
-/// — a fault plan — falls back to the event engine and says so in
-/// [`crate::stats::SimResult::engine_fallback`] — never silently.
+/// Which stepper drives a run. Every engine runs every configuration,
+/// and all are required to produce bit-identical
+/// [`crate::stats::SimResult`]s (the proptest differential suite
+/// enforces it); they differ only in cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// Event-driven core: worms that lose arbitration park on a per-edge
@@ -172,10 +157,10 @@ pub enum Engine {
     /// regions ([`SimConfig::regions`], or a default contiguous cut),
     /// each advanced on its own worker; workers synchronize on
     /// conservative windows granted from how soon each worm can reach a
-    /// cross-region edge (`RegionPlan::distance_to_cut`). Supports
-    /// static and pooled VC policies under oblivious **and adaptive**
-    /// routing; faulted configs fall back to the event engine with an
-    /// explicit [`crate::stats::EngineFallback`] note.
+    /// cross-region edge (`RegionPlan::distance_to_cut`), and never
+    /// past the next admission or fault kill. Runs static and pooled VC
+    /// policies, oblivious **and adaptive** routing, with or without a
+    /// fault plan.
     ///
     /// ```
     /// use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig};
@@ -193,7 +178,6 @@ pub enum Engine {
     /// let default_engine = run_adaptive(&t, &specs, &config);
     /// let parallel = config.engine(Engine::Parallel { threads: 2 });
     /// let parallel = run_adaptive(&t, &specs, &parallel);
-    /// assert!(parallel.engine_fallback.is_none()); // adaptive runs natively
     /// assert!(parallel.same_execution(&default_engine));
     /// ```
     Parallel {
@@ -269,9 +253,8 @@ pub enum BlockedPolicy {
 /// # Which knob combinations are differential-tested
 ///
 /// Every field below is honoured by every [`Engine`], and the three are
-/// required to be bit-identical on every configuration
-/// ([`Engine::Parallel`] hands fault plans to the event engine, with an
-/// explicit fallback note). `tests/proptest_engine_diff.rs` sweeps, on random chain / butterfly /
+/// required to be bit-identical on every configuration.
+/// `tests/proptest_engine_diff.rs` sweeps, on random chain / butterfly /
 /// torus workloads:
 ///
 /// * all four [`Arbitration`] policies (including the stateless
@@ -288,7 +271,13 @@ pub enum BlockedPolicy {
 ///   dateline tori, and adaptive tori, plus a policy-equivalence suite
 ///   asserting `Static(B)` ≡ the degenerate
 ///   `RouterPooled { pool: B·fanout, per_edge_min: B, per_edge_max: B }`
-///   field for field on every engine.
+///   field for field on every engine, and
+/// * fault plans ([`SimConfig::faults`]) on all three engines: timed link
+///   kills on butterflies, seeded channel kills on dateline tori (static
+///   and pooled) and on adaptive tori routed by a fault-aware router —
+///   kills landing mid-window, under tight step caps, and severing worms
+///   that straddle a region cut (`tests/parallel_determinism.rs` pins
+///   those corners at 1, 2 and 8 workers).
 ///
 /// The §1.4 comparison models — one flit per channel per step, virtual
 /// cut-through, store-and-forward — are not knobs here: each is its own
@@ -315,8 +304,6 @@ pub struct SimConfig {
     /// this is what lets the event-driven engine skip blocked steps and
     /// still reproduce the legacy stepper bit for bit.
     pub arbitration: Arbitration,
-    /// Final-edge VC policy.
-    pub final_edge: FinalEdgePolicy,
     /// Blocked-worm policy.
     pub blocked: BlockedPolicy,
     /// Stepper (see [`Engine`]): the event-driven core (default), the
@@ -348,7 +335,7 @@ pub struct SimConfig {
     /// Timed link/router kills applied during the run (validated against
     /// the graph at simulation start; see
     /// `wormhole_topology::fault::FaultPlan`). A kill scheduled at step
-    /// `t` takes effect at the start of step `t`, in **both** engines
+    /// `t` takes effect at the start of step `t`, in **every** engine
     /// identically: the dead edges stop granting VCs, and every worm
     /// holding one — or obliviously committed to crossing one — is
     /// discarded with [`crate::stats::DiscardReason::LinkDown`] (the
@@ -369,7 +356,6 @@ impl SimConfig {
         Self {
             vc_policy,
             arbitration: Arbitration::FifoById,
-            final_edge: FinalEdgePolicy::RequiresVc,
             blocked: BlockedPolicy::Stall,
             engine: Engine::EventDriven,
             route_selection: RouteSelection::Oblivious,
@@ -392,12 +378,6 @@ impl SimConfig {
     /// Sets the arbitration policy.
     pub fn arbitration(mut self, a: Arbitration) -> Self {
         self.arbitration = a;
-        self
-    }
-
-    /// Sets the final-edge policy.
-    pub fn final_edge(mut self, p: FinalEdgePolicy) -> Self {
-        self.final_edge = p;
         self
     }
 
@@ -466,7 +446,6 @@ mod tests {
     fn builder_chain() {
         let c = SimConfig::new(3)
             .arbitration(Arbitration::Random)
-            .final_edge(FinalEdgePolicy::Unlimited)
             .blocked(BlockedPolicy::Discard)
             .engine(Engine::Legacy)
             .route_selection(RouteSelection::FullyAdaptive)
@@ -476,7 +455,6 @@ mod tests {
             .check_invariants(true);
         assert_eq!(c.vc_policy, VcPolicy::Static(3));
         assert_eq!(c.arbitration, Arbitration::Random);
-        assert_eq!(c.final_edge, FinalEdgePolicy::Unlimited);
         assert_eq!(c.blocked, BlockedPolicy::Discard);
         assert_eq!(c.engine, Engine::Legacy);
         assert_eq!(c.route_selection, RouteSelection::FullyAdaptive);

@@ -1,4 +1,5 @@
-//! The event driver: one window routine under two engines.
+//! The event driver: one window routine and one kill step under two
+//! engines.
 //!
 //! [`run_window`] advances a [`Core`] — the worms in flight and their VC
 //! ledger — through a stretch of steps in which nothing enters from
@@ -30,11 +31,13 @@
 //! A window never crosses an admission, a fault kill or the step cap,
 //! so every arbitration decision — and every
 //! release-at-`t`-visible-at-`t+1` boundary — still happens at its
-//! exact legacy step. Two callers: [`drive`], the sequential
+//! exact legacy step. What a kill does at such a boundary to a core
+//! with parked worms is [`kill`], stated once beside the window. Two
+//! callers of both: [`drive`], the sequential
 //! [`crate::config::Engine::EventDriven`] loop over [`Sim`]'s single
 //! core (admission, kills and the idle-network jump happen between its
 //! windows), and every region of the [`crate::parallel`] engine, whose
-//! windows the coordinator grants.
+//! windows the coordinator grants and whose kills it coordinates.
 //!
 //! Near saturation this turns the `O(active)` per-step rescan (where
 //! `active` includes the entire source-queued backlog) into
@@ -136,34 +139,11 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
             }
             return (outcome, t, None);
         }
-        // Kills scheduled at `t` take effect at the start of the step,
-        // before admissions — exactly as in the legacy driver. A severed
-        // parked worm is discarded in place: unpark it, settling the
-        // stalls the legacy stepper counted through `t − 1`. Every parked
-        // *pending* worm goes back to `runnable` the same way: the kill
-        // may have severed its escape continuation, which the legacy
-        // stepper dooms at this very step. The discards' VC releases then
-        // wake their wait keys so unblocked worms contend at `t` itself —
-        // they land at step start, like releases during `t − 1`.
-        if sim.faulted() && sim.next_kill_time() <= t {
-            sim.apply_kills(t);
-            let core = &mut sim.core;
-            if !st.waiting.is_empty() {
-                for m in 0..core.worms.len() as u32 {
-                    let mi = m as usize;
-                    let severed = core.outcomes[mi].discarded.is_some();
-                    if st.waiting.is_parked(m) && (severed || core.worms[mi].pending_route) {
-                        core.outcomes[mi].stalls += (t - 1) - st.waiting.unpark(m);
-                        if !severed {
-                            st.admit(m);
-                        }
-                    }
-                }
-                wake_released(core, &mut st, t, t - 1);
-                core.track_releases = !st.waiting.is_empty();
-            }
-            let outcomes = &core.outcomes;
-            st.retain_runnable(|&m| outcomes[m as usize].discarded.is_none());
+        // Kills scheduled by `t` take effect at the start of the step,
+        // before admissions — exactly as in the legacy driver.
+        if sim.next_kill_time() <= t {
+            let (core, due) = sim.due_kills(t);
+            kill(core, &mut st, due, t);
         }
         let new = sim.admit_ready(t);
         for i in new {
@@ -208,6 +188,48 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         }
         t = stop;
     }
+}
+
+/// A fault kill at the start of step `t` — a window boundary, like an
+/// admission — over one core and its parked worms: the one kill step of
+/// the sequential event engine and of every parallel region.
+/// [`Core::kill`] marks the `due` edges dead and discards the severed
+/// worms, parked ones in place; those are unparked, settling the stalls
+/// the legacy stepper counted through `t − 1`. Every parked *pending*
+/// worm goes back to `runnable` the same way: the kill may have severed
+/// its escape continuation, which the legacy stepper dooms at this very
+/// step. The discards' VC releases then wake their wait keys so
+/// unblocked worms contend at `t` itself — they land at step start, like
+/// releases during `t − 1` — and the discarded leave `runnable`.
+pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: u64) {
+    let first_parked = list_in_flight(core, st);
+    core.kill(due, t);
+    if !st.waiting.is_empty() {
+        for i in first_parked..core.active.len() {
+            let m = core.active[i];
+            let severed = core.outcomes[m as usize].discarded.is_some();
+            if severed || core.worms[m as usize].pending_route {
+                core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m);
+                if !severed {
+                    st.admit(m);
+                }
+            }
+        }
+        wake_released(core, st, t, t - 1);
+        core.track_releases = !st.waiting.is_empty();
+    }
+    let outcomes = &core.outcomes;
+    st.retain_runnable(|&m| outcomes[m as usize].discarded.is_none());
+}
+
+/// Makes `core.active` current for a cold path — the runnable worms,
+/// then the parked ones in ascending handle order — and returns where
+/// the parked ones start.
+fn list_in_flight(core: &mut Core, st: &EventState) -> usize {
+    core.active.clear();
+    core.active.extend_from_slice(&st.runnable);
+    core.active.extend(st.waiting.parked());
+    st.runnable.len()
 }
 
 /// Advances `core` from step `t0` to at most `stop` with nothing
@@ -466,19 +488,15 @@ pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
         core.unfinished,
         "runnable/parked must partition the worms in flight"
     );
-    core.active.clear();
-    core.active.extend_from_slice(&st.runnable);
     let mut expect = Vec::new();
-    for m in 0..core.worms.len() as u32 {
-        if st.waiting.is_parked(m) {
-            core.active.push(m);
-            assert!(
-                core.wait_keys(m, &mut st.keys),
-                "parked worm {} watches an acquirable edge",
-                core.ids[m as usize]
-            );
-            expect.extend(st.keys.iter().map(|&key| (m, key)));
-        }
+    for i in list_in_flight(core, st)..core.active.len() {
+        let m = core.active[i];
+        assert!(
+            core.wait_keys(m, &mut st.keys),
+            "parked worm {} watches an acquirable edge",
+            core.ids[m as usize]
+        );
+        expect.extend(st.keys.iter().map(|&key| (m, key)));
     }
     core.validate();
     assert_eq!(

@@ -16,7 +16,8 @@
 //! * the **wait queue** ([`WaitQueue`]) — where the event driver parks
 //!   blocked worms, on one key or a whole candidate set;
 //! * **worm kinematics** ([`Worm`]) — the rigid-worm advance count, what
-//!   one advance acquires and releases, and the closed-form drain;
+//!   one advance acquires and releases (every edge a flit occupies holds
+//!   a VC, the final one included), and the closed-form drain;
 //! * **routing and ordering** — adaptive hop selection and route
 //!   extension, the mover-vs-contender classification, and the canonical
 //!   contender order with its stateless arbitration RNG.
@@ -30,7 +31,7 @@ use rand::rngs::StdRng;
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 
-use crate::config::{Arbitration, FinalEdgePolicy, SimConfig, VcPolicy};
+use crate::config::{Arbitration, SimConfig, VcPolicy};
 
 /// The rigid worm: its whole configuration is the advance count (see the
 /// [`crate::wormhole`] module docs).
@@ -59,10 +60,11 @@ pub(crate) struct Moved {
     pub(crate) steps: u64,
     /// Flits × edges crossed.
     pub(crate) flit_hops: u64,
-    /// The newly crossed edge, if it takes a VC (drains acquire nothing).
+    /// The newly crossed edge, whose VC the worm now holds (drains
+    /// acquire nothing).
     pub(crate) acquire: Option<u32>,
     /// Edges whose VCs were released, in release order: those the tail
-    /// left and, on finishing, the final edge if it held one.
+    /// left and, on finishing, the final edge.
     pub(crate) released: std::ops::Range<u32>,
     /// The last flit was delivered, by the last of the `steps`.
     pub(crate) finished: bool,
@@ -96,13 +98,14 @@ impl Worm {
         (lo, hi)
     }
 
-    /// The 1-based path edges on which this worm holds a VC right now:
-    /// [`Self::held_range`] minus a VC-free final edge.
+    /// [`Self::held_range`] as an iterable range: every edge the worm's
+    /// flits occupy holds a VC, the final edge included (a physical,
+    /// Dally-style sink: its flits leave for the delivery buffer at once,
+    /// but the VC stays held while the worm streams).
     #[inline]
-    pub(crate) fn held_vcs(&self, final_vc: bool) -> std::ops::Range<u32> {
+    pub(crate) fn held_vcs(&self) -> std::ops::Range<u32> {
         let (lo, hi) = self.held_range();
-        let vc_free_end = hi == self.hops && !self.needs_vc(final_vc, hi);
-        lo..hi + 1 - u32::from(vc_free_end)
+        lo..hi + 1
     }
 
     /// Number of flits that cross an edge when the worm advances once.
@@ -114,34 +117,21 @@ impl Worm {
         hi - lo + 1
     }
 
-    /// Whether crossing 1-based path edge `edge_1based` requires holding
-    /// a VC. An edge strictly before the end of the path always does; so
-    /// does the newest edge of a still-growing route (`pending_route` —
-    /// nothing marks it final yet, and `hops` only grows, so the answer
-    /// is stable from acquisition to release); the true final edge
-    /// follows [`FinalEdgePolicy`] (`final_vc`, see [`VcRules::final_vc`]).
-    #[inline]
-    pub(crate) fn needs_vc(&self, final_vc: bool, edge_1based: u32) -> bool {
-        edge_1based < self.hops || self.pending_route || final_vc
-    }
-
     /// The 1-based path edges whose VCs advancing from `a0` to the
     /// current advance count released. The tail left edges
-    /// `(a0+1−L ..= advance−L) ∩ [1, hops−1]` — all before the path's
-    /// end, so each held a VC — and finishing releases the final edge's
-    /// VC if it held one (index `hops`, the next one up).
+    /// `(a0+1−L ..= advance−L) ∩ [1, hops−1]`, and finishing releases
+    /// the final edge's VC (index `hops`, the next one up).
     #[inline]
-    fn released_since(&self, a0: u32, finished: bool, final_vc: bool) -> std::ops::Range<u32> {
+    fn released_since(&self, a0: u32, finished: bool) -> std::ops::Range<u32> {
         let lo = (a0 + 1).saturating_sub(self.length).max(1);
-        let hi = self.advance.saturating_sub(self.length)
-            + u32::from(finished && self.needs_vc(final_vc, self.hops));
+        let hi = self.advance.saturating_sub(self.length) + u32::from(finished);
         lo..hi + 1
     }
 
     /// Advances the worm by one flit step (a pending worm's route was
     /// extended first, so `hops` already covers the hop it takes).
     #[inline]
-    pub(crate) fn advance(&mut self, final_vc: bool) -> Moved {
+    pub(crate) fn advance(&mut self) -> Moved {
         let flit_hops = self.crossing_width() as u64;
         self.advance += 1;
         let a = self.advance;
@@ -149,8 +139,8 @@ impl Worm {
         Moved {
             steps: 1,
             flit_hops,
-            acquire: (a <= self.hops && self.needs_vc(final_vc, a)).then_some(a),
-            released: self.released_since(a - 1, finished, final_vc),
+            acquire: (a <= self.hops).then_some(a),
+            released: self.released_since(a - 1, finished),
             finished,
         }
     }
@@ -165,7 +155,7 @@ impl Worm {
     /// holder counts, which commutes); the legacy stepper never does —
     /// it advances drains one [`Self::advance`] at a time, which is what
     /// differentially checks this closed form.
-    pub(crate) fn drain(&mut self, k: u64, final_vc: bool) -> Moved {
+    pub(crate) fn drain(&mut self, k: u64) -> Moved {
         debug_assert!(self.draining());
         let (hops, length, a0) = (self.hops, self.length, self.advance);
         let fin_a = hops + length - 1;
@@ -193,7 +183,7 @@ impl Worm {
             steps,
             flit_hops,
             acquire: None,
-            released: self.released_since(a0, finished, final_vc),
+            released: self.released_since(a0, finished),
             finished,
         }
     }
@@ -201,9 +191,10 @@ impl Worm {
 
 /// The immutable half of the VC ledger: what capacity every edge and
 /// router has. Built once per run — the one place
-/// [`SimConfig::vc_policy`] is decomposed — and shared read-only by every
-/// count half ([`VcLedger`]); only a fault kill, at a start-of-step
-/// barrier, ever changes it (`dead`).
+/// [`SimConfig::vc_policy`] is decomposed — and read by every count half
+/// ([`VcLedger`]; a parallel region keeps a copy beside its own). Only a
+/// fault kill ever changes it (`dead`), at a start-of-step boundary
+/// every core reaches at the same step.
 #[derive(Clone)]
 pub(crate) struct VcRules {
     /// Edge → source-router index (`graph.edge_sources()` copy): the
@@ -221,9 +212,6 @@ pub(crate) struct VcRules {
     per_edge_max: u32,
     /// Pool size per router (0 under the static policy — unused).
     pool: u32,
-    /// Whether a path's final edge holds a VC
-    /// ([`FinalEdgePolicy::RequiresVc`]).
-    pub(crate) final_vc: bool,
     /// Per-edge dead flags from applied fault kills. Empty when the run
     /// has no fault plan, so the hot-path guard is a single `is_empty`.
     pub(crate) dead: Vec<bool>,
@@ -267,7 +255,6 @@ impl VcRules {
             per_edge_min,
             per_edge_max,
             pool,
-            final_vc: config.final_edge == FinalEdgePolicy::RequiresVc,
             dead: vec![false; if faulted { graph.num_edges() } else { 0 }],
         }
     }
@@ -627,6 +614,11 @@ impl WaitQueue {
             .is_some_and(|&stamp| stamp & 1 == 1)
     }
 
+    /// The parked handles, ascending.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.stamps.len() as u32).filter(|&h| self.is_parked(h))
+    }
+
     /// Parks `handle`, blocked at step `t`, on every key of `keys`. A
     /// handle parks at most once per step — `t` is past its previous
     /// park step — which is what keeps stamps unique.
@@ -853,31 +845,23 @@ impl FlatBuckets {
     }
 }
 
-/// Sorts worm `m` into this step's `movers` — draining worms and
-/// VC-free final hops, which advance unconditionally — or into the
-/// contender `buckets` of the edge its header wants: `next_edge(j)`, the
-/// `j`-th edge of a frozen route, or `selected`, the hop a pending worm
-/// just chose with whether it lands on the destination (delivery absorbs
-/// flits without a VC under [`FinalEdgePolicy::Unlimited`]).
+/// Sorts worm `m` into this step's `movers` — draining worms, which
+/// advance unconditionally — or into the contender `buckets` of the edge
+/// its header wants: `selected`, the hop a pending worm just chose, or
+/// `next_edge(j)`, the `j`-th edge of a frozen route.
 #[inline]
 pub(crate) fn classify(
     worm: &Worm,
-    final_vc: bool,
     m: u32,
-    selected: Option<(u32, bool)>,
+    selected: Option<u32>,
     next_edge: impl FnOnce(u32) -> usize,
     buckets: &mut FlatBuckets,
     movers: &mut Vec<u32>,
 ) {
-    let next = worm.advance + 1;
-    let wanted = match selected {
-        Some((edge, lands_final)) => (!lands_final || final_vc).then_some(edge as usize),
-        None if worm.draining() => None,
-        None => worm.needs_vc(final_vc, next).then(|| next_edge(next)),
-    };
-    match wanted {
-        Some(e) => buckets.push(e, m),
-        None => movers.push(m),
+    match selected {
+        Some(edge) => buckets.push(edge as usize, m),
+        None if worm.draining() => movers.push(m),
+        None => buckets.push(next_edge(worm.advance + 1), m),
     }
 }
 
@@ -991,8 +975,7 @@ pub(crate) fn select_hop(
 /// only changes when the worm moves) and the hop keeps granting nothing,
 /// so the caller pins the selection to it. `None` — stay runnable — when
 /// a watched edge is acquirable (a u-turn [`select_hop`] would skip
-/// included, conservatively) or the escape hop lands on `dst` VC-free
-/// (`!final_vc`) and so moves unconditionally next step.
+/// included, conservatively).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pending_wait_keys(
     router: &dyn AdaptiveRouter,
@@ -1011,8 +994,7 @@ pub(crate) fn pending_wait_keys(
         return None;
     }
     let escape = router.escape_hop(head, dst);
-    let takes_vc = rules.final_vc || router.graph().dst(escape) != dst;
-    if !(takes_vc && full(escape)) {
+    if !full(escape) {
         return None;
     }
     keys.clear();
@@ -1071,19 +1053,18 @@ mod tests {
     /// release the edge the tail left, release the final edge on
     /// completion) — the oracle [`Worm::advance`] and [`Worm::drain`] are
     /// checked against. Returns `(width, acquire, released, finished)`.
-    fn reference_advance(w: &mut Worm, final_vc: bool) -> (u32, Option<u32>, Vec<u32>, bool) {
-        let needs_vc = |w: &Worm, j: u32| j < w.hops || w.pending_route || final_vc;
+    fn reference_advance(w: &mut Worm) -> (u32, Option<u32>, Vec<u32>, bool) {
         let width =
             (w.advance + 1).min(w.hops) - (w.advance + 2).saturating_sub(w.length).max(1) + 1;
         w.advance += 1;
         let a = w.advance;
-        let acquire = (a <= w.hops && needs_vc(w, a)).then_some(a);
+        let acquire = (a <= w.hops).then_some(a);
         let mut released = Vec::new();
-        if a > w.length && needs_vc(w, a - w.length) {
+        if a > w.length {
             released.push(a - w.length);
         }
         let finished = !w.pending_route && a == w.hops + w.length - 1;
-        if finished && needs_vc(w, w.hops) {
+        if finished {
             released.push(w.hops);
         }
         (width, acquire, released, finished)
@@ -1092,30 +1073,33 @@ mod tests {
     #[test]
     fn advance_matches_the_written_out_step() {
         for (hops, length) in (1..=5).flat_map(|d| (1..=6).map(move |l| (d, l))) {
-            for final_vc in [false, true] {
-                let fresh = Worm {
-                    advance: 0,
-                    hops,
-                    length,
-                    pending_route: false,
-                };
-                let (mut w, mut r) = (fresh, fresh);
-                let mut total = 0;
-                while !w.done() {
-                    let step = w.advance(final_vc);
-                    let (width, acquire, released, finished) = reference_advance(&mut r, final_vc);
-                    assert_eq!((step.steps, step.flit_hops), (1, width as u64));
-                    assert_eq!(step.acquire, acquire);
-                    assert_eq!(step.released.collect::<Vec<_>>(), released);
-                    assert_eq!(step.finished, finished);
-                    assert_eq!(w.advance, r.advance);
-                    let (lo, hi) = w.held_range();
-                    let held: Vec<u32> = (lo..=hi).filter(|&j| w.needs_vc(final_vc, j)).collect();
-                    assert_eq!(w.held_vcs(final_vc).collect::<Vec<_>>(), held);
-                    total += width;
+            let fresh = Worm {
+                advance: 0,
+                hops,
+                length,
+                pending_route: false,
+            };
+            let (mut w, mut r) = (fresh, fresh);
+            let (mut total, mut held) = (0, Vec::new());
+            while !w.done() {
+                let step = w.advance();
+                let (width, acquire, released, finished) = reference_advance(&mut r);
+                assert_eq!((step.steps, step.flit_hops), (1, width as u64));
+                assert_eq!(step.acquire, acquire);
+                assert_eq!(step.released.collect::<Vec<_>>(), released);
+                assert_eq!(step.finished, finished);
+                assert_eq!(w.advance, r.advance);
+                // In flight, it holds what it acquired and has not
+                // released (nobody asks a delivered worm).
+                held.extend(acquire);
+                held.retain(|j| !released.contains(j));
+                if !finished {
+                    assert_eq!(w.held_vcs().collect::<Vec<_>>(), held);
                 }
-                assert_eq!(total, hops * length, "every flit crosses every edge");
+                total += width;
             }
+            assert_eq!(total, hops * length, "every flit crosses every edge");
+            assert!(held.is_empty(), "a finished worm holds nothing");
         }
     }
 
@@ -1126,7 +1110,7 @@ mod tests {
             // a0 ranges over every draining state, so `hops ≤ a0 < L ≤ a1`
             // (the tail finishes injecting mid-drain) is covered whenever
             // `hops < L`; k runs two past the finish.
-            for (a0, final_vc) in (hops..=fin_a).flat_map(|a| [(a, false), (a, true)]) {
+            for a0 in hops..=fin_a {
                 for k in 0..=(fin_a - a0 + 2) as u64 {
                     let start = Worm {
                         advance: a0,
@@ -1140,15 +1124,15 @@ mod tests {
                         if stepped.done() {
                             break;
                         }
-                        let (width, acquire, rel, fin) = reference_advance(&mut stepped, final_vc);
+                        let (width, acquire, rel, fin) = reference_advance(&mut stepped);
                         assert_eq!(acquire, None, "drains acquire nothing");
                         flit_hops += width as u64;
                         released.extend(rel);
                         finished |= fin;
                     }
                     let mut drained = start;
-                    let d = drained.drain(k, final_vc);
-                    let case = format!("hops={hops} L={length} a0={a0} k={k} final_vc={final_vc}");
+                    let d = drained.drain(k);
+                    let case = format!("hops={hops} L={length} a0={a0} k={k}");
                     assert_eq!(d.steps, (stepped.advance - a0) as u64, "{case}");
                     assert_eq!(d.flit_hops, flit_hops, "{case}");
                     assert_eq!(d.released.collect::<Vec<_>>(), released, "{case}");

@@ -28,10 +28,10 @@
 //! kept as its differential oracle, and a partitioned parallel engine
 //! ([`config::Engine::Parallel`]) that shards the network into regions,
 //! each advanced by the event engine's own driver on a worker thread
-//! under conservative lookahead windows — see the [`wormhole`] module
-//! docs for the equivalence invariants and [`stats::EngineFallback`]
-//! for the one configuration (fault plans) the parallel engine
-//! explicitly hands back to the sequential one.
+//! under conservative lookahead windows. Every engine runs every
+//! configuration — adaptive routing, pooled VCs, reactive sources and
+//! fault plans included; see the [`wormhole`] module docs for the
+//! equivalence invariants.
 //!
 //! Routes are fixed at injection under
 //! [`config::RouteSelection::Oblivious`]; the adaptive policies
@@ -70,12 +70,11 @@ pub mod stats;
 pub mod store_forward;
 pub mod wormhole;
 
-pub use config::{Arbitration, BlockedPolicy, Engine, FinalEdgePolicy, RouteSelection, SimConfig};
+pub use config::{Arbitration, BlockedPolicy, Engine, RouteSelection, SimConfig};
 pub use events::{DeadlockReport, WaitFor};
 pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec};
 pub use open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
 pub use source::{ReplaySource, TrafficSource};
 pub use stats::{
-    ClosedLoopStats, DiscardReason, EngineFallback, LatencyStats, MessageOutcome, OpenLoopStats,
-    Outcome, SimResult,
+    ClosedLoopStats, DiscardReason, LatencyStats, MessageOutcome, OpenLoopStats, Outcome, SimResult,
 };

@@ -17,10 +17,10 @@
 //! never influence another region again; an in-flight worm whose
 //! remaining path stays inside its region is bounded only by the next
 //! admission). The coordinator takes the minimum over the populated
-//! regions, caps it at the next message release and the step cap, and
-//! broadcasts one *window* `[t, t + w)`; each worker then runs its
-//! regions through the whole window without any synchronization — a
-//! null-message-style window grant.
+//! regions, caps it at the next message release, the next fault kill and
+//! the step cap, and broadcasts one *window* `[t, t + w)`; each worker
+//! then runs its regions through the whole window without any
+//! synchronization — a null-message-style window grant.
 //!
 //! # One driver, N residencies
 //!
@@ -59,6 +59,13 @@
 //!   skipped steps would have recorded. An all-regions-frozen window
 //!   reproduces the sequential deadlock verdict at the exact step the
 //!   last region froze.
+//! * **Kills as a boundary all regions share.** A fault kill caps every
+//!   grant, so at its step the coordinator holds every region. It runs
+//!   [`engine::kill`] — the event engine's own kill step — on each
+//!   region's core and copy of the rules, then lands the outboxes as
+//!   after a window: a discard's release of another region's edge
+//!   reaches its owner before the window opens, and the discarded worms
+//!   retire before the step's admissions are pulled.
 //!
 //! # Why a window is exactly the sequential steps it replaces
 //!
@@ -83,23 +90,15 @@
 //!   any escape tail committed mid-window is itself a walk from the
 //!   head, so its in-window prefix stays local too.
 //!
-//! Admissions happen at window starts only — the grant never extends
-//! past the source's next release, and a reactive source pins the
-//! window to one step. Outboxes are merged in region-index order; every
-//! cross-region effect is either commutative or canonically ordered,
-//! and the result is byte-identical for every worker count and every
-//! valid plan.
-//!
-//! # Accepted configurations and the explicit fallback
-//!
-//! The engine accepts static and pooled VC policies, every arbitration
-//! and blocked policy, oblivious *and* adaptive (`MinimalAdaptive` /
-//! `FullyAdaptive`) routing. The one remaining fallback is a fault plan
-//! (kills apply globally at start-of-step): it runs on the event engine
-//! instead, reported in
-//! [`SimResult::engine_fallback`](crate::stats::SimResult); see
-//! [`EngineFallback`](crate::stats::EngineFallback). The dispatch
-//! never falls back silently.
+//! Admissions and fault kills happen at window starts only — the grant
+//! never extends past the source's next release or the next scheduled
+//! kill, and a reactive source pins the window to one step. Outboxes
+//! are merged in region-index order; every cross-region effect is
+//! either commutative or canonically ordered, and the result is
+//! byte-identical for every worker count and every valid plan, on every
+//! configuration the sequential engines run: static and pooled VC
+//! policies, every arbitration and blocked policy, oblivious and
+//! adaptive routing, reactive sources, fault plans.
 //!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
@@ -248,8 +247,8 @@ struct Region<'a> {
 impl<'a> Region<'a> {
     fn new(idx: u32, ctx: &Ctx, sim: &Sim<'a>) -> Region<'a> {
         let router = sim.core.adaptive.as_ref().map(|ad| ad.router);
-        // Fault plans never reach this engine, so no kill ever changes
-        // the rules mid-run: a copy per region stays exact.
+        // Each region keeps its own copy of the rules: a fault kill sets
+        // the same dead flags in every copy, at the same boundary.
         let mut core = Core::new(
             sim.graph,
             router,
@@ -291,6 +290,17 @@ impl<'a> Region<'a> {
         self.st.admit(h);
     }
 
+    /// Moves the worms that finished or were discarded since the last
+    /// call to the `retired` outbox and recycles their handles.
+    fn retire(&mut self) {
+        let mut done = std::mem::take(&mut self.core.done);
+        for (time, h, delivered) in done.drain(..) {
+            self.retired.push((time, delivered, self.core.take(h)));
+            self.free.push(h);
+        }
+        self.core.done = done;
+    }
+
     /// Runs this region through the window `[t0, end)` without touching
     /// any other region's state ([`engine::run_window`]), then empties
     /// it of the worms that no longer belong here and refreshes the
@@ -317,12 +327,6 @@ impl<'a> Region<'a> {
         };
         self.win = engine::run_window(&mut self.core, &mut self.st, t0, end, &mut on_park);
         let core = &mut self.core;
-        let mut done = std::mem::take(&mut core.done);
-        for (time, h, delivered) in done.drain(..) {
-            self.retired.push((time, delivered, core.take(h)));
-            self.free.push(h);
-        }
-        core.done = done;
         // Movers whose next wanted edge is owned elsewhere emigrate;
         // draining worms have none and stay put.
         let mut safe = u64::MAX;
@@ -341,6 +345,7 @@ impl<'a> Region<'a> {
             }
             target == idx
         });
+        self.retire();
         if self.st.waiting.is_empty() {
             self.parked_safe = u64::MAX;
         }
@@ -446,6 +451,8 @@ fn write_back(sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>], throug
         total.last_finish = total.last_finish.max(reg.core.last_finish);
         total.ledger.max_vcs = total.ledger.max_vcs.max(reg.core.ledger.max_vcs);
         total.ledger.max_pool = total.ledger.max_pool.max(reg.core.ledger.max_pool);
+        total.fault_discards += reg.core.fault_discards;
+        total.fault_detour_hops += reg.core.fault_detour_hops;
         if let (Some(ad), Some(reg_ad)) = (total.adaptive.as_mut(), reg.core.adaptive.as_ref()) {
             ad.stats.escape_fallbacks += reg_ad.stats.escape_fallbacks;
             ad.stats.misroute_hops += reg_ad.stats.misroute_hops;
@@ -453,9 +460,41 @@ fn write_back(sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>], throug
     }
 }
 
+/// Lands the regions' outboxes, in region-index order (the effects are
+/// commutative or canonically re-sorted downstream; fixing the order
+/// makes the run reproducible by inspection, not just by argument):
+/// cross-region releases on the edges' owners, retired worms in the run's
+/// id-keyed core — whose next completion flush reports them to the
+/// source — and emigrants in their new regions. Returns how many worms
+/// retired.
+fn land(ctx: &Ctx, sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>]) -> usize {
+    let mut n_retired = 0;
+    for i in 0..regs.len() {
+        let mut releases = std::mem::take(&mut regs[i].core.remote_releases);
+        for e in releases.drain(..) {
+            let owner = ctx.edge_region[e as usize] as usize;
+            regs[owner].core.release_vc(e as usize);
+        }
+        regs[i].core.remote_releases = releases;
+        n_retired += regs[i].retired.len();
+        for (time, delivered, r) in regs[i].retired.drain(..) {
+            let mi = r.id as usize;
+            sim.core.worms[mi] = r.worm;
+            sim.core.outcomes[mi] = r.out;
+            sim.core.done.push((time, r.id, delivered));
+        }
+        let mut handoffs = std::mem::take(&mut regs[i].handoffs);
+        for (target, r) in handoffs.drain(..) {
+            regs[target as usize].arrive(ctx, r);
+        }
+        regs[i].handoffs = handoffs;
+    }
+    n_retired
+}
+
 /// The coordinator: mirrors [`Sim::drive_legacy`]'s loop head (idle
-/// fast-forward, step-cap accounting, admissions) around the window
-/// grant, then merges outboxes in region-index order.
+/// fast-forward, step-cap accounting, kills, admissions) around the
+/// window grant, then merges the regions' outboxes.
 fn run_loop(
     sim: &mut Sim<'_>,
     shared: &Shared<'_>,
@@ -464,9 +503,6 @@ fn run_loop(
     let ctx = &shared.ctx;
     let mut t: u64 = 0;
     let mut n_active: usize = 0;
-    let mut rel_buf: Vec<u32> = Vec::new();
-    let mut handoff_buf: Vec<(u32, Resident)> = Vec::new();
-    let mut retired_buf: Vec<(u64, bool, Resident)> = Vec::new();
     // Between windows every region is the coordinator's: one lock each
     // per window, not one per outbox entry.
     let lock_all = || shared.regions.iter().map(|cell| cell.lock().unwrap());
@@ -480,6 +516,25 @@ fn run_loop(
             write_back(sim, &mut regs, last);
             return (outcome, t, None);
         }
+        // A fault kill is a window boundary too, and one every region
+        // reaches together: each applies it to its own residents and its
+        // own copy of the rules ([`engine::kill`] — the id-keyed core
+        // holds no worm here, only the dead flags admission reads). The
+        // discards' releases on other regions' edges land before the
+        // window opens, where the owners wake the waiters to contend at
+        // `t` itself, and the discarded retire before admission flushes
+        // completions: the source hears `on_discarded(id, t)` ahead of
+        // `take_ready(t)`, as under the sequential engines.
+        if sim.next_kill_time() <= t {
+            let (total, due) = sim.due_kills(t);
+            total.kill(due, t);
+            for reg in &mut regs {
+                let reg = &mut **reg;
+                engine::kill(&mut reg.core, &mut reg.st, due, t);
+                reg.retire();
+            }
+            n_active -= land(ctx, sim, &mut regs);
+        }
         let new = sim.admit_ready(t);
         for i in new {
             let m = sim.admitted_id(i);
@@ -492,10 +547,10 @@ fn run_loop(
         }
 
         // The window grant: the minimum per-region `safe` bound over
-        // populated regions, capped at the next admission and the step
-        // cap. Reactive sources pin the window to one step (a delivery
-        // may spawn a release mid-window otherwise); so does any worm
-        // near a cut. `peek_next_release` is an idempotent peek for
+        // populated regions, capped at the next admission, the next
+        // fault kill and the step cap. Reactive sources pin the window
+        // to one step (a delivery may spawn a release mid-window
+        // otherwise); so does any worm near a cut. `peek_next_release` is an idempotent peek for
         // non-reactive sources, so consulting it every window leaves
         // the admission sequence untouched.
         let mut grant = u64::MAX;
@@ -507,20 +562,16 @@ fn run_loop(
         let w = if sim.reactive || grant <= 1 {
             1
         } else {
-            let mut horizon = sim.core.config.max_steps.saturating_sub(t).max(1);
-            if let Some(r) = sim.peek_next_release(t) {
-                horizon = horizon.min(r.saturating_sub(t).max(1));
-            }
-            grant.min(horizon)
+            let next_rel = sim.peek_next_release(t).unwrap_or(u64::MAX);
+            let cap = sim.core.config.max_steps;
+            let stop = cap.min(next_rel).min(sim.next_kill_time());
+            grant.min(stop.saturating_sub(t).max(1))
         };
 
         regs.clear(); // unlock
         step_window(shared, nthreads, t, w);
         regs.extend(lock_all());
 
-        // Merge, in region-index order (the effects are commutative or
-        // canonically re-sorted downstream; fixing the order makes the
-        // run reproducible by inspection, not just by argument).
         let mut t_dead: u64 = 0;
         let mut all_static = true;
         let mut any_worms = false;
@@ -536,25 +587,11 @@ fn run_loop(
                 }
             }
             any_frozen |= reg.win.frozen_at != u64::MAX;
-            rel_buf.append(&mut reg.core.remote_releases);
-            handoff_buf.append(&mut reg.handoffs);
-            retired_buf.append(&mut reg.retired);
+            debug_assert!(
+                w == 1 || reg.core.remote_releases.is_empty(),
+                "remote release inside a multi-step window"
+            );
         }
-        debug_assert!(
-            w == 1 || rel_buf.is_empty(),
-            "remote release inside a multi-step window"
-        );
-        // Cross-region releases land now — visible to step `t + 1`,
-        // like any sequential mid-step release...
-        for e in rel_buf.drain(..) {
-            let owner = ctx.edge_region[e as usize] as usize;
-            regs[owner].core.release_vc(e as usize);
-        }
-        // ...and *before* the owner samples the window's last step into
-        // its occupancy maxima and wakes the waiters, both of which it
-        // does on entering its next window: the sample is the
-        // end-of-step state and the waiters' skipped stalls settle
-        // through that step, as in the sequential engines.
         // A frozen region repeats its freeze step verbatim until the
         // window ends (or until the deadlock instant, below): top up
         // the stall counts its skipped steps would have recorded. At
@@ -577,16 +614,15 @@ fn run_loop(
                 }
             }
         }
-        for (time, delivered, r) in retired_buf.drain(..) {
-            let mi = r.id as usize;
-            sim.core.worms[mi] = r.worm;
-            sim.core.outcomes[mi] = r.out;
-            sim.core.done.push((time, r.id, delivered));
-            n_active -= 1;
-        }
-        for (target, r) in handoff_buf.drain(..) {
-            regs[target as usize].arrive(ctx, r);
-        }
+        // Cross-region releases land now — visible to step `t + w`,
+        // like any sequential mid-step release — and *before* the owner
+        // samples the window's last step into its occupancy maxima and
+        // wakes the waiters, both of which it does on entering its next
+        // window (or at a kill): the sample is the end-of-step state and
+        // the waiters' skipped stalls settle through that step, as in
+        // the sequential engines. Emigrants arrive after the top-up
+        // above, which is for the worms that sat the window out.
+        n_active -= land(ctx, sim, &mut regs);
 
         if deadlocked {
             // Static state, nothing can ever move again: deadlock at
@@ -611,9 +647,7 @@ fn run_loop(
 
 /// Entry point from the engine dispatch: runs `sim` to its outcome on
 /// the partitioned engine with `threads` workers (0 = all available;
-/// always clamped to the region count). The caller has already
-/// verified the run carries no fault plan — faulted ones take the
-/// explicit-fallback path and never reach this function.
+/// always clamped to the region count).
 pub(crate) fn drive(sim: &mut Sim<'_>, threads: u32) -> (Outcome, u64, Option<DeadlockReport>) {
     let graph = sim.graph;
     let plan = match &sim.core.config.regions {

@@ -15,25 +15,18 @@ pub enum Outcome {
     MaxSteps,
 }
 
-/// Why a run requested under [`crate::config::Engine::Parallel`] was
-/// executed by a sequential engine instead. The parallel engine's
-/// contract is *bit-identical or explicit fallback*: for every
-/// configuration it accepts it must reproduce the sequential engines'
-/// [`SimResult`] exactly, and for the one kind it does not accept it
-/// must say so here — never silently degrade.
+/// Why a run requested under one [`crate::config::Engine`] was executed
+/// by another. No such reason is left — every engine runs every
+/// configuration — so the type has no variants and no value of it can
+/// exist; it stays, with [`SimResult::engine_fallback`], only until the
+/// benchmark package that still reads them can drop them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineFallback {
-    /// A fault plan is installed: kills apply network-wide at the start
-    /// of a step and discard worms in several regions at once.
-    FaultInjection,
-}
+pub enum EngineFallback {}
 
 impl EngineFallback {
     /// Short lowercase name for tables.
     pub fn name(self) -> &'static str {
-        match self {
-            EngineFallback::FaultInjection => "faults",
-        }
+        match self {}
     }
 }
 
@@ -251,13 +244,8 @@ pub struct SimResult {
     /// [`SimResult::open_loop`] — excluded from
     /// [`SimResult::same_execution`]).
     pub closed_loop: Option<ClosedLoopStats>,
-    /// `Some(reason)` when [`crate::config::Engine::Parallel`] was
-    /// requested but the run was executed by a sequential engine (see
-    /// [`EngineFallback`]). `None` for sequential-engine runs and for
-    /// parallel runs that were actually partitioned. Excluded from
-    /// [`SimResult::same_execution`] — it describes *which machinery
-    /// ran*, not what the simulation computed, and the fallback contract
-    /// is precisely that the computation is unchanged.
+    /// Always `None`: the configured engine runs every configuration
+    /// itself (see [`EngineFallback`]).
     pub engine_fallback: Option<EngineFallback>,
 }
 
@@ -303,9 +291,7 @@ impl SimResult {
 
     /// Field-for-field execution equality over everything the simulator
     /// computes (`open_loop` and `closed_loop` excluded — both are
-    /// derived windowing, attached after the run — and
-    /// [`SimResult::engine_fallback`] excluded, because it records which
-    /// machinery executed the run, not what the run computed). This is
+    /// derived windowing, attached after the run). This is
     /// the differential-oracle relation all engines
     /// ([`crate::config::Engine`]) must satisfy on every workload.
     pub fn same_execution(&self, other: &SimResult) -> bool {

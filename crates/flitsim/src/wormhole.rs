@@ -36,9 +36,10 @@
 //! selection — is stated once, in the crate-private `kernel` module,
 //! and the worms in flight with the step phases that move them once, in
 //! `Core`. Three engines ([`crate::config::Engine`]) decide which
-//! worms it steps and when, and are required to produce **bit-identical
-//! [`SimResult`]s** — the proptest differential suite and the unit
-//! fixtures compare them field for field, deadlock reports included:
+//! worms it steps and when; each runs every configuration, and they are
+//! required to produce **bit-identical [`SimResult`]s** — the proptest
+//! differential suite and the unit fixtures compare them field for
+//! field, deadlock reports included:
 //!
 //! * the **legacy** stepper rescans every active worm each flit step (the
 //!   original implementation, kept as the differential oracle);
@@ -56,6 +57,16 @@
 //!   network into regions, gives each a `Core` of its own, and runs
 //!   the event engine's driver over each through conservative time
 //!   windows on worker threads.
+//!
+//! What reaches the worms from outside — a message release, a fault
+//! kill ([`crate::config::SimConfig::faults`]) — does so at the start
+//! of a step, and is a *window boundary* for the event-style drivers:
+//! no window of the sequential event engine, and no grant of the
+//! parallel coordinator, crosses the next release or the next kill. A
+//! kill marks its edges dead and discards the severed worms before the
+//! step's admissions; the VCs they held are free for that step's
+//! arbitration, like releases during the step before (`Core::kill`,
+//! and `engine::kill` around it where worms park).
 //!
 //! The event driver's equivalence with the legacy stepper rests on
 //! three invariants, argued here and nowhere else (the `parallel`
@@ -173,7 +184,7 @@ use crate::kernel::{
 };
 use crate::message::MessageSpec;
 use crate::source::{ReplaySource, TrafficSource};
-use crate::stats::{DiscardReason, EngineFallback, MessageOutcome, Outcome, SimResult};
+use crate::stats::{DiscardReason, MessageOutcome, Outcome, SimResult};
 
 /// Eagerly validates a spec slice against `graph` — the historical
 /// entry-point behavior (a bad spec panics before any simulation work),
@@ -255,11 +266,8 @@ pub fn run_source_adaptive(
 
 /// The one core behind every `run*` entry point: builds the simulation
 /// (`router` is only consulted under an adaptive [`RouteSelection`]) and
-/// hands it to the configured [`Engine`]. The parallel engine reproduces
-/// every configuration but one bit for bit; fault plans (kills apply
-/// network-wide at start-of-step, which the windowed scheme cannot yet
-/// reproduce) run on the event engine with an explicit note in
-/// [`SimResult::engine_fallback`] — never silently.
+/// hands it to the configured [`Engine`] — every engine runs every
+/// configuration.
 fn simulate(
     graph: &Graph,
     router: Option<&dyn AdaptiveRouter>,
@@ -267,19 +275,12 @@ fn simulate(
     config: &SimConfig,
 ) -> SimResult {
     let mut sim = Sim::new(graph, router, source, config);
-    let (driven, engine_fallback) = match config.engine {
-        Engine::Legacy => (sim.drive_legacy(), None),
-        Engine::EventDriven => (crate::engine::drive(&mut sim), None),
-        Engine::Parallel { threads } => {
-            if sim.faulted() {
-                let fallback = Some(EngineFallback::FaultInjection);
-                (crate::engine::drive(&mut sim), fallback)
-            } else {
-                (crate::parallel::drive(&mut sim, threads), None)
-            }
-        }
+    let driven = match config.engine {
+        Engine::Legacy => sim.drive_legacy(),
+        Engine::EventDriven => crate::engine::drive(&mut sim),
+        Engine::Parallel { threads } => crate::parallel::drive(&mut sim, threads),
     };
-    sim.into_result(driven, engine_fallback)
+    sim.into_result(driven)
 }
 
 /// Per-core adaptive routing state (present iff the config asks for a
@@ -417,9 +418,9 @@ pub(crate) struct Core<'a> {
     pub(crate) unfinished: usize,
     /// Worms discarded because a kill severed them
     /// ([`DiscardReason::LinkDown`]).
-    fault_discards: u64,
+    pub(crate) fault_discards: u64,
     /// Misroute hops taken after the first applied kill (`after_kill`).
-    fault_detour_hops: u64,
+    pub(crate) fault_detour_hops: u64,
     after_kill: bool,
 }
 
@@ -570,11 +571,34 @@ impl<'a> Core<'a> {
             .any(|j| self.rules.is_dead(self.path_edge(h, j)))
     }
 
+    /// The resident-worm half of a fault kill at the **start** of step
+    /// `t`, the same in every driver: marks the `due` schedule entries'
+    /// edges dead, then discards each severed worm among `active` (the
+    /// caller makes that list current first) with
+    /// [`DiscardReason::LinkDown`]. The discards' VCs are free for this
+    /// step's arbitration — the convention of a release during step
+    /// `t − 1` — so that step's occupancy sample, which a parallel region
+    /// still owes, is taken before they land. The discard order is the
+    /// caller's: everything a discard writes is commutative or sorted
+    /// downstream.
+    pub(crate) fn kill(&mut self, due: &[(u64, u32)], t: u64) {
+        self.ledger.settle_max(&self.rules);
+        for &(_, e) in due {
+            self.rules.dead[e as usize] = true;
+        }
+        self.after_kill = true;
+        for i in 0..self.active.len() {
+            let m = self.active[i];
+            if self.worm_severed(m) {
+                self.discard(m, t, DiscardReason::LinkDown);
+            }
+        }
+    }
+
     /// Classifies one active worm for this step ([`kernel::classify`]):
-    /// draining worms and VC-free final hops go to `movers`, everything
-    /// else contends in `buckets` for its wanted edge — which a pending
-    /// adaptive worm first selects ([`kernel::select_hop`]) from
-    /// start-of-step state.
+    /// draining worms go to `movers`, everything else contends in
+    /// `buckets` for its wanted edge — which a pending adaptive worm
+    /// first selects ([`kernel::select_hop`]) from start-of-step state.
     fn classify(&mut self, m: u32) {
         let mi = m as usize;
         let w = self.worms[mi];
@@ -612,13 +636,11 @@ impl<'a> Core<'a> {
                     return;
                 }
             }
-            let edge = sel.edge().expect("selection always yields a hop");
-            selected = Some((edge, g.dst(EdgeId(edge)) == ad.dst[mi]));
+            selected = Some(sel.edge().expect("selection always yields a hop"));
         }
         let (adaptive, specs) = (&self.adaptive, &self.specs);
         kernel::classify(
             &w,
-            self.rules.final_vc,
             m,
             selected,
             |j| route_of(adaptive, specs, m)[j as usize - 1].idx(),
@@ -762,8 +784,7 @@ impl<'a> Core<'a> {
     pub(crate) fn apply_advance(&mut self, m: u32, t: u64) {
         let mi = m as usize;
         // A pending worm that won its wanted edge extends its route
-        // first, so the acquisition below sees the updated path/hops
-        // (and the possibly-final edge under its final-edge policy).
+        // first, so the acquisition below sees the updated path/hops.
         if self.worms[mi].pending_route {
             let ad = self.adaptive.as_mut().expect("pending worm without state");
             let sel = ad.selected[mi];
@@ -781,7 +802,7 @@ impl<'a> Core<'a> {
                 self.fault_detour_hops += 1;
             }
         }
-        let step = self.worms[mi].advance(self.rules.final_vc);
+        let step = self.worms[mi].advance();
         self.flit_hops += step.flit_hops;
         let out = &mut self.outcomes[mi];
         if out.first_move.is_none() {
@@ -806,7 +827,7 @@ impl<'a> Core<'a> {
     /// allow.
     pub(crate) fn fast_drain(&mut self, m: u32, t: &mut u64, stop: u64) {
         debug_assert!(*t < stop);
-        let d = self.worms[m as usize].drain(stop - *t, self.rules.final_vc);
+        let d = self.worms[m as usize].drain(stop - *t);
         self.flit_hops += d.flit_hops;
         for j in d.released {
             let e = self.path_edge(m, j);
@@ -819,7 +840,7 @@ impl<'a> Core<'a> {
     }
 
     pub(crate) fn discard(&mut self, m: u32, t: u64, reason: DiscardReason) {
-        for j in self.worms[m as usize].held_vcs(self.rules.final_vc) {
+        for j in self.worms[m as usize].held_vcs() {
             let e = self.path_edge(m, j);
             self.release_vc(e);
         }
@@ -835,7 +856,7 @@ impl<'a> Core<'a> {
     pub(crate) fn held_counts(&self) -> Vec<u16> {
         let mut held = vec![0u16; self.ledger.holders.len()];
         for &m in &self.active {
-            for j in self.worms[m as usize].held_vcs(self.rules.final_vc) {
+            for j in self.worms[m as usize].held_vcs() {
                 held[self.path_edge(m, j)] += 1;
             }
         }
@@ -921,7 +942,8 @@ pub(crate) struct Sim<'a> {
     source: &'a mut dyn TrafficSource,
     /// Every admitted id, in admission order — the source's `(release,
     /// id)` emission order, which is exactly the order the old
-    /// release-sorted scan produced. [`Sim::rebuild_active`] iterates it.
+    /// release-sorted scan produced. Only [`Sim::rebuild_active`], at a
+    /// deadlock verdict, iterates it.
     admitted: Vec<u32>,
     /// Per-id: `true` once the slot holds a real (admitted) spec.
     admitted_flag: Vec<bool>,
@@ -970,15 +992,9 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Whether fault injection is active for this run.
-    #[inline]
-    pub(crate) fn faulted(&self) -> bool {
-        !self.core.rules.dead.is_empty()
-    }
-
-    /// Earliest unapplied kill time (`u64::MAX` when exhausted) — the
-    /// event engine's windows must never cross it, exactly as they never
-    /// cross a message release.
+    /// Earliest unapplied kill time (`u64::MAX` when exhausted). Like a
+    /// message release it is a window boundary: no event-style window —
+    /// the sequential engine's or a parallel grant — ever crosses it.
     #[inline]
     pub(crate) fn next_kill_time(&self) -> u64 {
         self.kill_schedule
@@ -986,40 +1002,18 @@ impl<'a> Sim<'a> {
             .map_or(u64::MAX, |&(at, _)| at)
     }
 
-    /// Applies every scheduled kill with `at ≤ t`: marks the edges dead,
-    /// then discards each severed in-flight worm with
-    /// [`DiscardReason::LinkDown`]. Runs at the **start** of step `t` in
-    /// both engines, before admissions, so the discards' released VCs
-    /// are visible to this step's arbitration — the same convention as a
-    /// release during step `t − 1`. Returns whether any kill applied
-    /// (the caller then drops the discarded worms from its active set).
-    pub(crate) fn apply_kills(&mut self, t: u64) -> bool {
-        if self.next_kill_time() > t {
-            return false;
-        }
-        while let Some(&(at, e)) = self.kill_schedule.get(self.next_kill) {
-            if at > t {
-                break;
-            }
-            self.core.rules.dead[e as usize] = true;
-            self.next_kill += 1;
-        }
-        self.core.after_kill = true;
-        // Severed scan in admission order — the canonical order shared
-        // by both engines (discard order only matters through the
-        // already-sorted completion flush, but keeping it canonical
-        // costs nothing).
-        for i in 0..self.admitted.len() {
-            let m = self.admitted[i];
-            let mi = m as usize;
-            if self.core.worms[mi].done() || self.core.outcomes[mi].discarded.is_some() {
-                continue;
-            }
-            if self.core.worm_severed(m) {
-                self.core.discard(m, t, DiscardReason::LinkDown);
-            }
-        }
-        true
+    /// Moves the cursor past every schedule entry with `at ≤ t` and
+    /// hands them out with the id-keyed core. Each driver applies them
+    /// at the start of step `t`, before admissions, to every core it
+    /// runs ([`Core::kill`]; [`crate::engine::kill`] around it where
+    /// worms park), so messages released at `t` see the new dead set.
+    pub(crate) fn due_kills(&mut self, t: u64) -> (&mut Core<'a>, &[(u64, u32)]) {
+        let from = self.next_kill;
+        let due = self.kill_schedule[from..]
+            .iter()
+            .take_while(|&&(at, _)| at <= t);
+        self.next_kill += due.count();
+        (&mut self.core, &self.kill_schedule[from..self.next_kill])
     }
 
     /// Installs `spec` as message `id` in the id-keyed core (ids below
@@ -1047,13 +1041,9 @@ impl<'a> Sim<'a> {
         let adaptive_mode = self.core.adaptive.is_some();
         // A frozen-route message released onto an already-dead edge is
         // undeliverable: discarded on the spot, below.
-        let dead_on_arrival = self.faulted()
-            && !adaptive_mode
-            && spec
-                .path
-                .edges()
-                .iter()
-                .any(|&e| self.core.rules.dead[e.idx()]);
+        let dead = &self.core.rules.dead;
+        let dead_on_arrival =
+            !dead.is_empty() && !adaptive_mode && spec.path.edges().iter().any(|&e| dead[e.idx()]);
         let (route, src, dst) = if adaptive_mode {
             (
                 Vec::with_capacity(spec.hops() as usize),
@@ -1143,7 +1133,6 @@ impl<'a> Sim<'a> {
     fn into_result(
         self,
         (outcome, t, deadlock_report): (Outcome, u64, Option<DeadlockReport>),
-        engine_fallback: Option<EngineFallback>,
     ) -> SimResult {
         let mut core = self.core;
         let total_steps = match outcome {
@@ -1154,11 +1143,11 @@ impl<'a> Sim<'a> {
         let (escape_fallbacks, misroute_hops) = core.adaptive.as_ref().map_or((0, 0), |a| {
             (a.stats.escape_fallbacks, a.stats.misroute_hops)
         });
-        // Fault stats. The applied-kill cursor is engine-identical: the
-        // event engine's windows stop at kill times exactly as they stop
-        // at message releases, so both engines apply every schedule
-        // entry at the same simulated step. Recovery time is the gap from
-        // the last applied kill to the first delivery at or after it.
+        // Fault stats. The applied-kill cursor is engine-identical: every
+        // event-style window stops at kill times exactly as it stops at
+        // message releases, so all engines apply every schedule entry at
+        // the same simulated step. Recovery time is the gap from the
+        // last applied kill to the first delivery at or after it.
         let kills_applied = self.next_kill as u64;
         let fault_recovery_steps = if self.next_kill > 0 {
             let last_kill_at = self.kill_schedule[self.next_kill - 1].0;
@@ -1197,7 +1186,7 @@ impl<'a> Sim<'a> {
             deadlock: deadlock_report,
             open_loop: None,
             closed_loop: None,
-            engine_fallback,
+            engine_fallback: None,
         }
     }
 
@@ -1236,11 +1225,13 @@ impl<'a> Sim<'a> {
             if let Some(outcome) = self.loop_head(&mut t, self.core.active.is_empty()) {
                 break outcome;
             }
-            // Kills scheduled at `t` take effect at the start of the step:
+            // Kills scheduled by `t` take effect at the start of the step:
             // severed worms are discarded (their VCs released, visible to
             // this step's arbitration) before admissions, so messages
             // released at `t` already see the updated dead set.
-            if self.faulted() && self.apply_kills(t) {
+            if self.next_kill_time() <= t {
+                let (core, due) = self.due_kills(t);
+                core.kill(due, t);
                 self.retire_finished();
             }
             let new = self.admit_ready(t);
@@ -1297,8 +1288,7 @@ impl<'a> Sim<'a> {
         let num_edges = self.graph.num_edges();
         let held = |m: u32| {
             let w = core.worms[m as usize];
-            w.held_vcs(core.rules.final_vc)
-                .map(move |j| core.path_edge(m, j))
+            w.held_vcs().map(move |j| core.path_edge(m, j))
         };
         let mut start = vec![0u32; num_edges + 1];
         for &m in &core.active {
@@ -1373,7 +1363,7 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Arbitration, FinalEdgePolicy};
+    use crate::config::Arbitration;
     use crate::message::specs_from_paths;
     use crate::restricted::{self, RestrictedConfig};
     use wormhole_topology::graph::{GraphBuilder, NodeId};
@@ -1591,22 +1581,6 @@ mod tests {
             full.total_steps
         );
         assert!(restricted.total_steps >= full.total_steps);
-    }
-
-    #[test]
-    fn unlimited_final_edge_allows_oversubscription_at_sink() {
-        // Many single-edge messages into one sink: with Unlimited they all
-        // finish in L steps (no VC constraint on the final edge).
-        let (g, edges) = chain(2);
-        let specs: Vec<_> = (0..5)
-            .map(|_| MessageSpec::new(Path::new(edges.clone()), 3))
-            .collect();
-        let config = cfg(1).final_edge(FinalEdgePolicy::Unlimited);
-        let r = run_to_completion(&g, &specs, &config);
-        assert_eq!(r.total_steps, 1 + 3 - 1);
-        // Whereas under RequiresVc they serialize.
-        let r2 = run_to_completion(&g, &specs, &cfg(1));
-        assert!(r2.total_steps > r.total_steps);
     }
 
     #[test]
@@ -2008,22 +1982,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn adaptive_routes_respect_the_unlimited_final_edge() {
-        // Many single-hop messages into one sink under Unlimited: the
-        // selected hop lands on the destination, so no VC is needed and
-        // they all finish together — mirroring the oblivious semantics.
-        let t = adaptive_torus(4, 1);
-        let pairs = [(0u32, 1u32), (0, 1), (0, 1), (0, 1), (0, 1)];
-        let specs = adaptive_specs(&t, &pairs, 3);
-        let config = cfg(1)
-            .route_selection(RouteSelection::MinimalAdaptive)
-            .final_edge(FinalEdgePolicy::Unlimited);
-        let r = run_adaptive_to_completion(&t, &specs, &config);
-        assert_eq!(r.total_steps, 1 + 3 - 1);
-        assert_eq!(r.total_stalls, 0);
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //!   the butterfly cannot.
 //!
 //! Every point reports the [`SimResult`] fault counters (kills applied,
-//! fault discards, detour hops, recovery steps), and both simulator
-//! engines produce bit-identical results on all three arms.
+//! fault discards, detour hops, recovery steps), and all three
+//! simulator engines — legacy, event-driven and the partitioned parallel
+//! one, for which a kill is one more window boundary — produce
+//! bit-identical results on all three arms.
 
 use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::stats::{Outcome, SimResult};
@@ -557,48 +559,42 @@ mod tests {
 
     #[test]
     fn x12_engines_agree_pointwise() {
-        // The kill hooks are new engine surface: every measured point of
-        // all three arms must match the legacy oracle, fault counters
+        // Every measured point of all three arms — static and pooled,
+        // oblivious and adaptive — must match the legacy oracle on the
+        // event engine and on the parallel engine, fault counters
         // included.
-        let check = |ev: &Point, lg: &Point, ctx: &str| {
-            assert_eq!(ev.outcome, lg.outcome, "{ctx}");
-            assert_eq!(ev.delivered, lg.delivered, "{ctx}");
-            assert_eq!(ev.mean_latency, lg.mean_latency, "{ctx}");
-            assert_eq!(ev.kills, lg.kills, "{ctx}");
-            assert_eq!(ev.fault_discards, lg.fault_discards, "{ctx}");
-            assert_eq!(ev.fault_detours, lg.fault_detours, "{ctx}");
-            assert_eq!(ev.escapes, lg.escapes, "{ctx}");
-            assert_eq!(ev.recovery, lg.recovery, "{ctx}");
+        let check = |a: &Point, lg: &Point, ctx: &str| {
+            assert_eq!(a.outcome, lg.outcome, "{ctx}");
+            assert_eq!(a.delivered, lg.delivered, "{ctx}");
+            assert_eq!(a.mean_latency, lg.mean_latency, "{ctx}");
+            assert_eq!(a.kills, lg.kills, "{ctx}");
+            assert_eq!(a.fault_discards, lg.fault_discards, "{ctx}");
+            assert_eq!(a.fault_detours, lg.fault_detours, "{ctx}");
+            assert_eq!(a.escapes, lg.escapes, "{ctx}");
+            assert_eq!(a.recovery, lg.recovery, "{ctx}");
         };
-        let ev = sweep_points_with(true, Engine::EventDriven);
-        let lg = sweep_points_with(true, Engine::Legacy);
-        assert_eq!(ev.len(), lg.len());
-        for (a, b) in ev.iter().zip(&lg) {
-            check(
-                a,
-                b,
-                &format!(
-                    "sweep {} {} p={}",
-                    a.selection.name(),
-                    a.vc_arm,
-                    a.fault_rate
-                ),
-            );
-        }
-        let ev = blackout_points_with(true, Engine::EventDriven);
-        let lg = blackout_points_with(true, Engine::Legacy);
-        for (a, b) in ev.iter().zip(&lg) {
-            check(
-                a,
-                b,
-                &format!("blackout {} {}", a.selection.name(), a.vc_arm),
-            );
-        }
-        let ev = diversity_points_with(true, Engine::EventDriven);
-        let lg = diversity_points_with(true, Engine::Legacy);
-        for ((na, a), (nb, b)) in ev.iter().zip(&lg) {
-            assert_eq!(na, nb);
-            check(a, b, &format!("diversity {na}"));
+        let sweep = sweep_points_with(true, Engine::Legacy);
+        let blackout = blackout_points_with(true, Engine::Legacy);
+        let diversity = diversity_points_with(true, Engine::Legacy);
+        for engine in [Engine::EventDriven, Engine::Parallel { threads: 2 }] {
+            let points = sweep_points_with(true, engine);
+            assert_eq!(points.len(), sweep.len());
+            for (a, lg) in points.iter().zip(&sweep) {
+                let (sel, arm, rate) = (a.selection.name(), a.vc_arm, a.fault_rate);
+                check(a, lg, &format!("{engine:?}: sweep {sel} {arm} p={rate}"));
+            }
+            let points = blackout_points_with(true, engine);
+            assert_eq!(points.len(), blackout.len());
+            for (a, lg) in points.iter().zip(&blackout) {
+                let (sel, arm) = (a.selection.name(), a.vc_arm);
+                check(a, lg, &format!("{engine:?}: blackout {sel} {arm}"));
+            }
+            let points = diversity_points_with(true, engine);
+            assert_eq!(points.len(), diversity.len());
+            for ((name, a), (lg_name, lg)) in points.iter().zip(&diversity) {
+                assert_eq!(name, lg_name);
+                check(a, lg, &format!("{engine:?}: diversity {name}"));
+            }
         }
     }
 

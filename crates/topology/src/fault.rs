@@ -42,11 +42,10 @@
 //!    (both directions of one physical link — the ring splits into one
 //!    arc, still traversable around the long way in either direction).
 //!
-//! The seeded generators ([`FaultPlan::bernoulli_channels`],
-//! [`FaultPlan::exponential_channels`]) only emit plans satisfying both,
-//! so acyclicity — and with it deadlock freedom — holds on every faulted
-//! topology they can produce (re-proved over random tori by
-//! `proptest_invariants`).
+//! The seeded generator ([`FaultPlan::bernoulli_channels`]) only emits
+//! plans satisfying both, so acyclicity — and with it deadlock freedom —
+//! holds on every faulted topology it can produce (re-proved over random
+//! tori by `proptest_invariants`).
 
 use std::error::Error;
 use std::fmt;
@@ -422,93 +421,25 @@ impl FaultPlan {
         sched
     }
 
-    /// Seeded Bernoulli failure process over the directed edges of an
-    /// arbitrary graph: each edge independently dies with probability
-    /// `p`, at a uniform time in `1..=horizon`. No connectivity or
-    /// deadlock-freedom guarantee — use the `_channels` generators for
-    /// meshes whose escape network must survive.
-    pub fn bernoulli_links(graph: &Graph, p: f64, horizon: u64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        assert!(horizon >= 1, "horizon must be at least 1");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut plan = Self::new();
-        for e in graph.edges() {
-            if rng.random_bool(p) {
-                let at = rng.random_range(1..=horizon);
-                plan = plan.kill_link(at, e);
-            }
-        }
-        plan
-    }
-
-    /// Seeded exponential-lifetime failure process over directed edges:
-    /// each edge draws an i.i.d. `Exp(rate)` lifetime and dies if it
-    /// expires within `horizon` steps. Same caveat as
-    /// [`FaultPlan::bernoulli_links`].
-    pub fn exponential_links(graph: &Graph, rate: f64, horizon: u64, seed: u64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        assert!(horizon >= 1, "horizon must be at least 1");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut plan = Self::new();
-        for e in graph.edges() {
-            if let Some(at) = exp_lifetime(&mut rng, rate, horizon) {
-                plan = plan.kill_link(at, e);
-            }
-        }
-        plan
-    }
-
     /// Ring-safe Bernoulli channel failures on a wrap mesh: each
     /// physical channel (a `(node, dim, ±)` link bundle — **all** VC
     /// classes) proposes death with probability `p` at a uniform time in
     /// `1..=horizon`, then per ring only the earliest proposal survives
-    /// (plus, if proposed, the opposite direction of the *same* physical
-    /// link). Every emitted plan therefore satisfies [`FaultedMesh`]'s
+    /// (breaking ties toward lower position, `+` before `−`) — plus, if
+    /// proposed, the opposite direction of the *same* physical link.
+    /// Every emitted plan therefore satisfies [`FaultedMesh`]'s
     /// whole-channel and ring-connectivity rules by construction: the
     /// faulted escape network is deadlock-free.
     pub fn bernoulli_channels(mesh: &Mesh, p: f64, horizon: u64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         assert!(horizon >= 1, "horizon must be at least 1");
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::ring_safe_channels(
-            mesh,
-            |rng| {
-                if rng.random_bool(p) {
-                    Some(rng.random_range(1..=horizon))
-                } else {
-                    None
-                }
-            },
-            &mut rng,
-        )
-    }
-
-    /// Ring-safe exponential-lifetime channel failures on a wrap mesh:
-    /// like [`FaultPlan::bernoulli_channels`] but each channel draws an
-    /// `Exp(rate)` lifetime and proposes death if it expires within
-    /// `horizon`.
-    pub fn exponential_channels(mesh: &Mesh, rate: f64, horizon: u64, seed: u64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        assert!(horizon >= 1, "horizon must be at least 1");
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self::ring_safe_channels(mesh, |rng| exp_lifetime(rng, rate, horizon), &mut rng)
-    }
-
-    /// Shared body of the ring-safe channel generators: `propose` draws
-    /// an optional kill time per physical channel; per ring, only the
-    /// earliest proposal (breaking ties toward lower position, `+`
-    /// before `−`) is kept — plus the opposite direction of the same
-    /// physical link if it also proposed.
-    fn ring_safe_channels(
-        mesh: &Mesh,
-        mut propose: impl FnMut(&mut StdRng) -> Option<u64>,
-        rng: &mut StdRng,
-    ) -> Self {
         assert!(
             mesh.wraps(),
             "ring-safe channel faults need a wrap mesh: a dead channel on a \
              non-wrap line always severs dimension-order routes"
         );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut propose = || rng.random_bool(p).then(|| rng.random_range(1..=horizon));
         let radix = mesh.radix();
         let mut plan = Self::new();
         for d in 0..mesh.dims() {
@@ -519,10 +450,10 @@ impl FaultPlan {
                 // coord b+1.
                 let mut proposals: Vec<(u64, u32, bool)> = Vec::new(); // (at, boundary, minus)
                 for c in 0..radix {
-                    if let Some(at) = propose(rng) {
+                    if let Some(at) = propose() {
                         proposals.push((at, c, false)); // + channel leaving c = boundary c
                     }
-                    if let Some(at) = propose(rng) {
+                    if let Some(at) = propose() {
                         // − channel leaving coord c covers boundary c−1.
                         proposals.push((at, (c + radix - 1) % radix, true));
                     }
@@ -551,14 +482,6 @@ impl FaultPlan {
         }
         plan
     }
-}
-
-/// Draws an `Exp(rate)` lifetime, returning the (clamped-to-`1`) kill
-/// step if it lands within `horizon`.
-fn exp_lifetime(rng: &mut StdRng, rate: f64, horizon: u64) -> Option<u64> {
-    let u: f64 = rng.random_range(0.0..1.0);
-    let life = -(1.0 - u).ln() / rate;
-    (life < horizon as f64).then(|| (life.floor() as u64).max(1))
 }
 
 /// The base nodes (coordinate 0 in dimension `d`) of every ring along
@@ -966,14 +889,9 @@ mod tests {
         for seed in 0..20u64 {
             for (radix, dims) in [(4u32, 1u32), (4, 2), (3, 3)] {
                 let m = torus(radix, dims);
-                let b = FaultPlan::bernoulli_channels(&m, 0.3, 100, seed);
-                let x = FaultPlan::exponential_channels(&m, 0.02, 100, seed);
-                for plan in [b, x] {
-                    let fm = FaultedMesh::new(&m, &plan)
-                        .unwrap_or_else(|e| panic!("seed {seed} {radix}^{dims}: {e}"));
-                    // Deterministic for a fixed seed.
-                    let _ = fm;
-                }
+                let plan = FaultPlan::bernoulli_channels(&m, 0.3, 100, seed);
+                FaultedMesh::new(&m, &plan)
+                    .unwrap_or_else(|e| panic!("seed {seed} {radix}^{dims}: {e}"));
             }
         }
         // And reproducible: same seed, same plan.
@@ -982,18 +900,6 @@ mod tests {
             FaultPlan::bernoulli_channels(&m, 0.3, 50, 9),
             FaultPlan::bernoulli_channels(&m, 0.3, 50, 9)
         );
-    }
-
-    #[test]
-    fn generic_generators_cover_edges() {
-        let m = torus(4, 2);
-        let g = m.graph();
-        let plan = FaultPlan::bernoulli_links(g, 0.5, 10, 3);
-        assert!(!plan.is_empty());
-        plan.validate(g).unwrap();
-        assert!(plan.events().iter().all(|ev| (1..=10).contains(&ev.at)));
-        let exp = FaultPlan::exponential_links(g, 0.05, 10, 3);
-        exp.validate(g).unwrap();
     }
 
     #[test]

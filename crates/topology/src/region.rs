@@ -8,15 +8,13 @@
 //! worker and synchronizes on conservative time windows bounded by the
 //! plan's lookahead: the minimum number of flit steps before an event
 //! in one region can influence another. A header crosses one edge per
-//! flit step in this model, so the global bound
-//! ([`RegionPlan::lookahead`]) is 1 whenever any edge crosses a cut —
-//! but the *plan-aware* bound is much better: a worm whose header sits
-//! `d` hops away from the nearest cross edge cannot touch the cut for
-//! `d` steps. [`RegionPlan::distance_to_cut`] computes that per-node
-//! distance matrix (and [`RegionPlan::region_lookahead`] its per-region
-//! minimum), which is what lets the parallel engine grant multi-step
-//! windows and fast-forward inside a region instead of running lockstep
-//! supersteps.
+//! flit step in this model, so the global bound is 1 whenever any edge
+//! crosses a cut — but the *plan-aware* bound is much better: a worm
+//! whose header sits `d` hops away from the nearest cross edge cannot
+//! touch the cut for `d` steps. [`RegionPlan::distance_to_cut`] computes
+//! that per-node distance matrix, which is what lets the parallel engine
+//! grant multi-step windows and fast-forward inside a region instead of
+//! running lockstep supersteps.
 //!
 //! Plans are built either directly ([`RegionPlan::contiguous`],
 //! [`RegionPlan::contiguous_aligned`], [`RegionPlan::from_node_regions`])
@@ -128,20 +126,6 @@ impl RegionPlan {
         self.cross_edges
     }
 
-    /// Conservative lookahead in flit steps: the minimum time before an
-    /// event in one region can be observed by another. Every edge
-    /// crossing costs exactly one flit step in this model, so the bound
-    /// is 1 whenever any edge crosses the cut; with no cross edges the
-    /// regions are causally independent and the bound is `u64::MAX`.
-    #[inline]
-    pub fn lookahead(&self) -> u64 {
-        if self.cross_edges == 0 {
-            u64::MAX
-        } else {
-            1
-        }
-    }
-
     /// Whether this plan was built for a graph of the same shape.
     #[inline]
     pub fn matches(&self, graph: &Graph) -> bool {
@@ -210,21 +194,6 @@ impl RegionPlan {
         }
         dist
     }
-
-    /// Per-region lookahead: the minimum [`RegionPlan::distance_to_cut`]
-    /// over each region's nodes — how many steps the region can run
-    /// before *any* locally-headed worm could first touch a cross edge.
-    /// `u64::MAX` marks a region from which no cut is reachable (it can
-    /// run to completion without synchronizing).
-    pub fn region_lookahead(&self, graph: &Graph) -> Vec<u64> {
-        let dist = self.distance_to_cut(graph);
-        let mut la = vec![u64::MAX; self.num_regions as usize];
-        for (v, &d) in dist.iter().enumerate() {
-            let r = self.node_region[v] as usize;
-            la[r] = la[r].min(d);
-        }
-        la
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +218,6 @@ mod tests {
         assert_eq!(p.node_regions(), &[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
         // Exactly the two edges 3->4 and 6->7 cross the cut.
         assert_eq!(p.cross_edges(), 2);
-        assert_eq!(p.lookahead(), 1);
         assert!(p.matches(&g));
     }
 
@@ -280,7 +248,6 @@ mod tests {
         let g = b.build();
         let p = RegionPlan::from_node_regions(&g, vec![0, 0, 1, 1]);
         assert_eq!(p.cross_edges(), 0);
-        assert_eq!(p.lookahead(), u64::MAX);
     }
 
     #[test]
@@ -294,7 +261,6 @@ mod tests {
         // The last region has no outgoing cut edge: its nodes can never
         // influence another region.
         assert_eq!(d[7..], [u64::MAX, u64::MAX, u64::MAX]);
-        assert_eq!(p.region_lookahead(&g), vec![1, 1, u64::MAX]);
     }
 
     #[test]
@@ -311,7 +277,6 @@ mod tests {
         let p = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 1, 1, 1, 1]);
         let d = p.distance_to_cut(&g);
         assert_eq!(d, vec![1, 2, 2, 1, 1, 2, 2, 1]);
-        assert_eq!(p.region_lookahead(&g), vec![1, 1]);
     }
 
     #[test]
@@ -322,7 +287,6 @@ mod tests {
         let g = b.build();
         let p = RegionPlan::from_node_regions(&g, vec![0, 0, 1, 1]);
         assert_eq!(p.distance_to_cut(&g), vec![u64::MAX; 4]);
-        assert_eq!(p.region_lookahead(&g), vec![u64::MAX, u64::MAX]);
     }
 
     #[test]

@@ -580,9 +580,14 @@ mod tests {
         assert!(r.fault_discards > 0, "kills should sever in-flight worms");
         assert_eq!(open, 0, "every severed chain reissued and completed");
         assert!(cl.chains_completed > 0, "{cl:?}");
-        let (rl, cll, _) = run(Engine::Legacy);
-        assert!(r.same_execution(&rl), "engines diverged on faulted Benes");
-        assert_eq!(cl, cll);
+        for engine in [Engine::Legacy, Engine::Parallel { threads: 2 }] {
+            let (other, stats, _) = run(engine);
+            assert!(
+                r.same_execution(&other),
+                "{engine:?} diverged on faulted Benes"
+            );
+            assert_eq!(cl, stats);
+        }
     }
 
     #[test]
@@ -612,12 +617,14 @@ mod tests {
         // The retry loop is bounded: reissues run right up to the
         // horizon and no further.
         assert!(r.total_steps + 1 >= cfg.horizon, "{}", r.total_steps);
-        let (rl, cll, _) = run(Engine::Legacy);
-        assert!(
-            r.same_execution(&rl),
-            "engines diverged on wedged butterfly"
-        );
-        assert_eq!(cl, cll);
+        for engine in [Engine::Legacy, Engine::Parallel { threads: 2 }] {
+            let (other, stats, _) = run(engine);
+            assert!(
+                r.same_execution(&other),
+                "{engine:?} diverged on wedged butterfly"
+            );
+            assert_eq!(cl, stats);
+        }
     }
 
     #[test]

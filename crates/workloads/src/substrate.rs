@@ -282,7 +282,6 @@ mod tests {
         let bf = Substrate::butterfly(2);
         let p = bf.region_plan(2);
         assert_eq!(p.num_regions(), 2);
-        assert_eq!(p.lookahead(), 1);
         assert_eq!(p.cross_edges(), 2 * bf.endpoints() as u64);
         // Torus slabs: 4x4 with k=4 → one row per region; every edge in
         // the first dimension stays inside its slab.

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use wormhole_core::pipeline::{adaptive_min_colors, run_pipeline, RFactor};
     pub use wormhole_core::schedule::ColorSchedule;
     pub use wormhole_flitsim::config::{
-        Arbitration, BlockedPolicy, Engine, FinalEdgePolicy, RouteSelection, SimConfig, VcPolicy,
+        Arbitration, BlockedPolicy, Engine, RouteSelection, SimConfig, VcPolicy,
     };
     pub use wormhole_flitsim::message::{specs_from_path_slice, specs_from_paths, MessageSpec};
     pub use wormhole_flitsim::open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};

@@ -1,7 +1,7 @@
 //! Determinism and fixture tests for the partitioned parallel engine.
 //!
 //! The parallel engine's contract is *bit-identity*: for every config
-//! it accepts, the [`SimResult`] must equal the sequential engines'
+//! the [`SimResult`] must equal the sequential engines'
 //! field for field — and that equality must be independent of the
 //! worker count, because worker threads only decide *who* advances a
 //! region inside a superstep, never *what* the superstep computes.
@@ -27,16 +27,25 @@
 //!   fixture (a worm wakes, moves and parks again inside one multi-step
 //!   window, so the next grant must shrink), the corners
 //!   of the worker/region/step-cap space, a reactive source on a
-//!   multi-region plan, and the empty graph / empty source.
+//!   multi-region plan, and the empty graph / empty source;
+//! * fault-kill fixtures — a kill is a window boundary every region
+//!   reaches together: a worm severed while it holds VCs on both sides
+//!   of a cut, a kill cutting a multi-step grant short (the occupancy
+//!   sample of the step before it must not see its releases), a kill
+//!   under a reactive source (the source hears the discards before that
+//!   step's admissions), and a kill discarding a parked worm of a frozen
+//!   region in place.
 
 use proptest::prelude::*;
 
 use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
 use wormhole_flitsim::message::specs_from_paths;
-use wormhole_flitsim::stats::{Outcome, SimResult};
+use wormhole_flitsim::source::TrafficSource;
+use wormhole_flitsim::stats::{DiscardReason, Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_flitsim::MessageSpec;
-use wormhole_topology::graph::{Graph, GraphBuilder, NodeId};
+use wormhole_topology::fault::FaultPlan;
+use wormhole_topology::graph::{EdgeId, Graph, GraphBuilder, NodeId};
 use wormhole_topology::path::Path;
 use wormhole_topology::random_nets::shared_chain_instance;
 use wormhole_topology::region::RegionPlan;
@@ -59,8 +68,8 @@ fn arbitration(i: u32) -> Arbitration {
 }
 
 /// Runs `run` under the parallel engine at 1, 2, and 8 workers plus the
-/// legacy oracle, and asserts the four results are identical executions
-/// with no fallback. Returns the legacy result for extra assertions.
+/// legacy oracle, and asserts the four results are identical executions.
+/// Returns the legacy result for extra assertions.
 fn assert_runs_worker_count_invariant(
     run: impl Fn(&SimConfig) -> SimResult,
     config: &SimConfig,
@@ -68,11 +77,6 @@ fn assert_runs_worker_count_invariant(
     let lg = run(&config.clone().engine(Engine::Legacy));
     for threads in [1u32, 2, 8] {
         let par = run(&config.clone().engine(Engine::Parallel { threads }));
-        assert!(
-            par.engine_fallback.is_none(),
-            "supported config fell back at {threads} workers: {:?}",
-            par.engine_fallback
-        );
         assert!(
             par.same_execution(&lg),
             "parallel({threads} workers) diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
@@ -103,6 +107,16 @@ fn assert_adaptive_worker_count_invariant(
     assert_runs_worker_count_invariant(|cfg| wormhole::run_adaptive(router, specs, cfg), config)
 }
 
+/// The directed chain `0 → 1 → … → n − 1` and its edges in order (`e[i]`
+/// leaves node `i`, so it belongs to node `i`'s region).
+fn chain(n: u32) -> (Graph, Vec<EdgeId>) {
+    let mut bld = GraphBuilder::new(n as usize);
+    let edges = (0..n - 1)
+        .map(|i| bld.add_edge(NodeId(i), NodeId(i + 1)))
+        .collect();
+    (bld.build(), edges)
+}
+
 /// A worm longer than the region it starts in: with nodes `0..=2` in
 /// region 0 and `3..=5` in region 1, an L=4 worm on the 5-edge chain
 /// holds VCs on both sides of the cut for several supersteps, so its
@@ -111,14 +125,9 @@ fn assert_adaptive_worker_count_invariant(
 /// release timing observable.
 #[test]
 fn worm_crosses_region_boundary_mid_flit() {
-    let mut bld = GraphBuilder::new(6);
-    let edges: Vec<_> = (0..5)
-        .map(|i| bld.add_edge(NodeId(i), NodeId(i + 1)))
-        .collect();
-    let g = bld.build();
+    let (g, edges) = chain(6);
     let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 1, 1, 1]);
     assert!(plan.cross_edges() > 0, "the cut must sever the chain");
-    assert_eq!(plan.lookahead(), 1);
 
     let lead = MessageSpec::new(Path::new(edges.clone()), 4);
     let trail = MessageSpec::new(Path::new(edges.clone()), 3).release_at(1);
@@ -135,8 +144,7 @@ fn worm_crosses_region_boundary_mid_flit() {
 
 /// A step cap that lands while both worms are still in flight: the
 /// parallel engine must stop on the same step with the same
-/// `Outcome::MaxSteps` and the same survivor count — capped windows
-/// are part of the supported set, not a fallback.
+/// `Outcome::MaxSteps` and the same survivor count.
 #[test]
 fn capped_run_reports_same_in_flight() {
     let (g, ps) = shared_chain_instance(4, 6);
@@ -194,11 +202,7 @@ fn deadlock_verdict_matches_sequential() {
 /// re-parked worm all show up as a diverging `SimResult`.
 #[test]
 fn recycled_handles_park_again_on_both_sides_of_the_cut() {
-    let mut bld = GraphBuilder::new(8);
-    let e: Vec<_> = (0..7)
-        .map(|i| bld.add_edge(NodeId(i), NodeId(i + 1)))
-        .collect();
-    let g = bld.build();
+    let (g, e) = chain(8);
     let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 1, 1, 1, 1]);
     let specs = [
         MessageSpec::new(Path::new(e[1..3].to_vec()), 6),
@@ -240,11 +244,7 @@ fn recycled_handles_park_again_on_both_sides_of_the_cut() {
 /// ledger knows nothing of worm 3.
 #[test]
 fn a_worm_reparked_mid_window_tightens_the_next_grant() {
-    let mut bld = GraphBuilder::new(12);
-    let e: Vec<_> = (0..11)
-        .map(|i| bld.add_edge(NodeId(i), NodeId(i + 1)))
-        .collect();
-    let g = bld.build();
+    let (g, e) = chain(12);
     let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]);
     let specs = [
         MessageSpec::new(Path::new(e.clone()), 3),
@@ -332,10 +332,234 @@ fn empty_graph_and_empty_source_agree_on_every_engine() {
         let cfg = SimConfig::new(1).check_invariants(true);
         let lg = assert_worker_count_invariant(g, &[], &cfg);
         let ev = wormhole::run(g, &[], &cfg.clone().engine(Engine::EventDriven));
-        assert!(ev.same_execution(&lg) && ev.engine_fallback.is_none());
+        assert!(ev.same_execution(&lg));
         assert_eq!(lg.outcome, Outcome::Completed);
         assert_eq!((lg.total_steps, lg.messages.len()), (0, 0));
     }
+}
+
+/// A kill severs a worm that holds VCs on both sides of a cut while a
+/// worm parked in the *other* region waits on one of them. An 8-node
+/// chain cut in the middle (`e0..e3` in region A, `e4..e6` in region B),
+/// one VC per edge:
+///
+/// * worm 0 sits on `e6` through step 29; worm 1 (4 flits) runs `e1..e5`
+///   and parks behind it at step 5 — resident in B, holding `e2, e3` in A
+///   and `e4, e5` in B;
+/// * worm 2 follows on `e0, e1` and parks at step 6 in A, alone there,
+///   wanting `e2`;
+/// * at step 12 `e3` dies. Worm 1 is discarded where it resides, in B;
+///   its release of `e2` crosses the cut, and worm 2 must take `e2` at
+///   step 12 itself — one step later and it counts an eighth stall.
+#[test]
+fn a_kill_severs_a_worm_straddling_a_cut() {
+    let (g, e) = chain(8);
+    let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    let specs = [
+        MessageSpec::new(Path::new(vec![e[6]]), 30),
+        MessageSpec::new(Path::new(e[1..7].to_vec()), 4),
+        MessageSpec::new(Path::new(e[0..3].to_vec()), 2).release_at(3),
+    ];
+    let cfg = SimConfig::new(1)
+        .regions(plan)
+        .faults(FaultPlan::new().kill_link(12, e[3]))
+        .check_invariants(true);
+    let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    assert_eq!((lg.kills_applied, lg.fault_discards), (1, 1));
+    // Blocked behind worm 0 over steps 5..=11, then discarded.
+    assert_eq!(lg.messages[1].discarded, Some(DiscardReason::LinkDown));
+    assert_eq!(lg.messages[1].stalls, 7);
+    // Blocked at step 4 (e1 frees that step) and over 6..=11.
+    assert_eq!(lg.messages[2].stalls, 1 + 6);
+    assert_eq!(lg.messages[2].finished, Some(14));
+    assert_eq!(lg.max_vcs_in_use, 1);
+}
+
+/// A kill cuts a multi-step grant short, and the last step before it
+/// holds the run's occupancy maximum. Two approach chains meet at a
+/// router `H` with two exits; everything lives in one region (a second
+/// one owns a lone spare node), both worms are released at step 0, so
+/// without the kill the first grant would run to completion:
+///
+/// * worm 0 (6 flits) takes `0 → 1 → H → 4 → 5`, holding `H → 4` over
+///   steps 2..=8;
+/// * worm 1 (3 flits) takes `6 → 7 → 8 → 9 → H` and then an exit of `H`,
+///   acquired at step 4 — the last step of the window `[0, 5)`;
+/// * at step 5 the edge `9 → H`, which worm 1 still holds, dies.
+///
+/// The occupancy sample of step 4 is the region's to take on entering
+/// its next window, and it must be taken before the kill's releases
+/// land. With `B = 1` and worm 1 leaving by `H → 10`, that sample is the
+/// only one with two of `H`'s VCs in use (`max_pool_in_use`); with
+/// `B = 2` and worm 1 following worm 0 into `H → 4`, the only one with
+/// two VCs in use on one edge (`max_vcs_in_use`).
+#[test]
+fn a_kill_mid_grant_keeps_the_occupancy_sample_of_the_step_before() {
+    let mut bld = GraphBuilder::new(13);
+    let mut walk = |nodes: &[u32]| -> Vec<EdgeId> {
+        nodes
+            .windows(2)
+            .map(|w| bld.add_edge(NodeId(w[0]), NodeId(w[1])))
+            .collect()
+    };
+    let h = 2;
+    let first = walk(&[0, 1, h, 4, 5]);
+    let approach = walk(&[6, 7, 8, 9, h]);
+    let own_exit = walk(&[h, 10, 11]);
+    let g = bld.build();
+    let mut regions = vec![0; 13];
+    regions[12] = 1;
+    let plan = RegionPlan::from_node_regions(&g, regions);
+    for (b, exit, max_vcs) in [(1, &own_exit[..], 1), (2, &first[2..], 2)] {
+        let specs = [
+            MessageSpec::new(Path::new(first.clone()), 6),
+            MessageSpec::new(Path::new([&approach[..], exit].concat()), 3),
+        ];
+        let cfg = SimConfig::new(b)
+            .regions(plan.clone())
+            .faults(FaultPlan::new().kill_link(5, approach[3]))
+            .check_invariants(true);
+        let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+        assert_eq!(lg.outcome, Outcome::Completed);
+        assert_eq!((lg.kills_applied, lg.fault_discards), (1, 1));
+        assert_eq!(lg.messages[0].finished, Some(4 + 6 - 1));
+        assert_eq!(lg.messages[1].first_move, Some(0));
+        assert_eq!(lg.total_stalls, 0);
+        assert_eq!((lg.max_vcs_in_use, lg.max_pool_in_use), (max_vcs, 2));
+    }
+}
+
+/// Forwards to a closed-loop source and logs, for every discard it is
+/// told of, how many messages it had emitted by then: a discard at the
+/// start of step `t` must be heard before `take_ready(t)` emits.
+struct DiscardProbe<'a> {
+    inner: ClosedLoopSource<'a>,
+    heard: Vec<(u32, u64, usize)>,
+}
+
+impl TrafficSource for DiscardProbe<'_> {
+    fn next_release(&mut self, now: u64) -> Option<u64> {
+        self.inner.next_release(now)
+    }
+    fn take_ready(&mut self, now: u64, out: &mut Vec<(u32, MessageSpec)>) {
+        self.inner.take_ready(now, out)
+    }
+    fn on_delivered(&mut self, id: u32, finished: u64) {
+        self.inner.on_delivered(id, finished)
+    }
+    fn on_discarded(&mut self, id: u32, t: u64) {
+        self.heard.push((id, t, self.inner.emitted()));
+        self.inner.on_discarded(id, t)
+    }
+    fn reactive(&self) -> bool {
+        self.inner.reactive()
+    }
+}
+
+/// A kill under a reactive source on a three-region butterfly plan:
+/// every window is one step, the kill's discards retire through the
+/// coordinator before that step's admissions, and the fault-aware source
+/// reissues each severed half-chain — the reissue is admitted at the
+/// step Legacy admits it, and the source hears every discard at the same
+/// point of its own emission sequence.
+#[test]
+fn a_kill_under_a_reactive_source_reissues_on_schedule() {
+    let sub = Substrate::butterfly(3);
+    let cl = ClosedLoopConfig {
+        clients: 4,
+        servers: 4,
+        window: 2,
+        req_len: 6,
+        reply_len: 8,
+        think: (0, 1),
+        server_delay: (0, 1),
+        start_spread: 4,
+        horizon: 120,
+        seed: 11,
+    };
+    // The first hop of two clients' routes to their aligned servers dies
+    // mid-run, under a request in flight; the butterfly has no second
+    // route, so the retries are discarded on arrival until the horizon.
+    let kill_at = 28;
+    let plan = (0..2).fold(FaultPlan::new(), |plan, c| {
+        plan.kill_link(kill_at, sub.route(c, c + 4).edges()[0])
+    });
+    let regions = sub.region_plan(3);
+    assert_eq!(regions.num_regions(), 3);
+    let cfg = SimConfig::new(1)
+        .regions(regions)
+        .faults(plan.clone())
+        .max_steps(2_000)
+        .check_invariants(true);
+    let heard = std::cell::RefCell::new(Vec::new());
+    let run = |cfg: &SimConfig| {
+        let mut source = DiscardProbe {
+            inner: ClosedLoopSource::new(&sub, &cl).with_faults(&plan, sub.graph()),
+            heard: Vec::new(),
+        };
+        let r = wormhole::run_source(sub.graph(), &mut source, cfg);
+        // The fixture's bite: a worm in flight is severed at a step that
+        // also admits — the next message out, when the source hears of
+        // the discard, is one released at the kill step itself.
+        assert!(
+            source.heard.iter().any(|&(_, t, emitted)| t == kill_at
+                && emitted < source.inner.emitted()
+                && source.inner.released(emitted).0 == kill_at),
+            "no in-flight discard heard ahead of the kill step's admissions: {:?}",
+            source.heard
+        );
+        heard.borrow_mut().push(source.heard);
+        r
+    };
+    let lg = assert_runs_worker_count_invariant(run, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    assert_eq!(lg.kills_applied, 2);
+    assert_eq!((lg.fault_discards, lg.total_stalls), (348, 86));
+    let heard = heard.into_inner();
+    for log in &heard[1..] {
+        assert_eq!(log, &heard[0], "discards heard at a different point");
+    }
+}
+
+/// A kill at a step where one region is frozen, discarding one of its
+/// parked worms in place. The 8-node chain cut in the middle again, one
+/// VC per edge:
+///
+/// * worm 0 streams 40 flits over `e4` — region B never freezes;
+/// * worm 1 runs `e1..e4`, stops behind it at step 3 and parks in B
+///   holding `e2, e3`;
+/// * worm 2 follows on `e0..e2` and parks at step 4 wanting `e2`; worm 3,
+///   released at 5 onto `e0, e1`, parks at once behind worm 2 — region A
+///   holds two parked worms and nothing else: frozen from step 5 on;
+/// * at step 12 `e2` dies. Worm 1 holds it and worm 2's route crosses it:
+///   both are discarded, worm 2 in place in the frozen region, and worm 3
+///   wakes on its release of `e0` to move at step 12 itself.
+#[test]
+fn a_kill_discards_a_parked_worm_of_a_frozen_region() {
+    let (g, e) = chain(8);
+    let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    let specs = [
+        MessageSpec::new(Path::new(vec![e[4]]), 40),
+        MessageSpec::new(Path::new(e[1..5].to_vec()), 2),
+        MessageSpec::new(Path::new(e[0..3].to_vec()), 2).release_at(1),
+        MessageSpec::new(Path::new(e[0..2].to_vec()), 2).release_at(5),
+    ];
+    let cfg = SimConfig::new(1)
+        .regions(plan)
+        .faults(FaultPlan::new().kill_link(12, e[2]))
+        .check_invariants(true);
+    let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    assert_eq!((lg.kills_applied, lg.fault_discards), (1, 2));
+    // Worm 1: blocked over 3..=11. Worm 2: at step 2 (e1 frees that
+    // step) and over 4..=11. Worm 3: over 5..=11, then two clear hops.
+    assert_eq!(lg.messages[1].stalls, 9);
+    assert_eq!(lg.messages[2].stalls, 1 + 8);
+    assert_eq!(lg.messages[3].stalls, 7);
+    assert_eq!(lg.messages[3].first_move, Some(12));
+    assert_eq!(lg.messages[3].finished, Some(12 + 2 + 2 - 1));
+    assert_eq!(lg.max_vcs_in_use, 1);
 }
 
 proptest! {
@@ -498,7 +722,6 @@ proptest! {
                     .regions(RegionPlan::contiguous(substrate.graph(), regions))
                     .engine(Engine::Parallel { threads: 2 }),
             );
-            prop_assert!(par.engine_fallback.is_none());
             prop_assert!(
                 par.same_execution(&lg),
                 "parallel({regions} regions) diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"

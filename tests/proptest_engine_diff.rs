@@ -12,18 +12,15 @@
 //! selection on three-class escape tori (where route choice itself
 //! depends on VC occupancy).
 //!
-//! Adaptive routing runs natively in the parallel engine and is part
-//! of the three-way matrix. Configurations it deliberately does not
-//! accept (fault injection, restricted bandwidth, tracing) must take
-//! the *documented* fallback: a sequential run flagged in
-//! `SimResult::engine_fallback`, still field-for-field identical to
-//! the sequential engines apart from that note.
+//! Every engine comparison is three-way: adaptive routing, pooled VCs
+//! and fault plans all run on the parallel engine itself — a fault kill
+//! is a window boundary its regions reach together.
 
 use proptest::prelude::*;
 
 use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
 use wormhole_flitsim::message::specs_from_paths;
-use wormhole_flitsim::stats::{EngineFallback, Outcome, SimResult};
+use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_flitsim::MessageSpec;
 use wormhole_topology::graph::Graph;
@@ -65,24 +62,18 @@ fn degenerate_pooled(b: u32, max_fanout: u32) -> VcPolicy {
     VcPolicy::pooled(b * max_fanout.max(1), b, b)
 }
 
-/// Runs all three engines and checks the full matrix: EventDriven ≡
-/// Legacy ≡ Parallel, field for field. The parallel arm must run
-/// natively (no fallback) — every config routed through here is in its
-/// supported set — and is exercised at 2 workers (the 1/2/8-worker
-/// sweep lives in `parallel_determinism.rs`).
-fn run_all(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> (SimResult, SimResult) {
-    let ev = wormhole::run(graph, specs, &config.clone().engine(Engine::EventDriven));
-    let lg = wormhole::run(graph, specs, &config.clone().engine(Engine::Legacy));
-    let par = wormhole::run(
-        graph,
-        specs,
-        &config.clone().engine(Engine::Parallel { threads: 2 }),
-    );
-    assert!(
-        par.engine_fallback.is_none(),
-        "supported config unexpectedly fell back: {:?}",
-        par.engine_fallback
-    );
+/// Runs `run` on all three engines and checks the full matrix:
+/// EventDriven ≡ Legacy ≡ Parallel, field for field. The parallel arm is
+/// asserted here, at 2 workers (the 1/2/8-worker sweep lives in
+/// `parallel_determinism.rs`); the event and legacy results go back to
+/// the caller, which compares them with its own context in the message.
+fn run_all_with(
+    run: impl Fn(&SimConfig) -> SimResult,
+    config: &SimConfig,
+) -> (SimResult, SimResult) {
+    let ev = run(&config.clone().engine(Engine::EventDriven));
+    let lg = run(&config.clone().engine(Engine::Legacy));
+    let par = run(&config.clone().engine(Engine::Parallel { threads: 2 }));
     assert!(
         par.same_execution(&lg),
         "parallel diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
@@ -90,19 +81,9 @@ fn run_all(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> (SimResu
     (ev, lg)
 }
 
-/// Runs the parallel engine on a config it must *not* accept and
-/// checks the documented contract: an explicit `engine_fallback` note
-/// and an otherwise field-for-field sequential result.
-fn assert_fallback(result: &SimResult, oracle: &SimResult, expect: EngineFallback) {
-    assert_eq!(
-        result.engine_fallback,
-        Some(expect),
-        "unsupported config must fall back explicitly, never silently"
-    );
-    assert!(
-        result.same_execution(oracle),
-        "fallback run diverged from its sequential oracle:\nfallback: {result:?}\n  oracle: {oracle:?}"
-    );
+/// [`run_all_with`] over a fixed-route spec slice.
+fn run_all(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> (SimResult, SimResult) {
+    run_all_with(|cfg| wormhole::run(graph, specs, cfg), config)
 }
 
 proptest! {
@@ -277,26 +258,10 @@ proptest! {
         if cap_small {
             cfg = cfg.max_steps((l + radix) as u64);
         }
-        let ev = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(Engine::EventDriven));
-        let lg = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(Engine::Legacy));
+        let (ev, lg) = run_all_with(|cfg| wormhole::run_adaptive(mesh, &specs, cfg), &cfg);
         prop_assert!(
             ev.same_execution(&lg),
             "adaptive ({sel:?}) diverged:\n event: {:?}\nlegacy: {:?}", ev, lg
-        );
-        // Adaptive routing runs natively in the parallel engine: the
-        // full three-way matrix must agree with no fallback note.
-        let par = wormhole::run_adaptive(
-            mesh,
-            &specs,
-            &cfg.clone().engine(Engine::Parallel { threads: 2 }),
-        );
-        prop_assert!(
-            par.engine_fallback.is_none(),
-            "adaptive config unexpectedly fell back: {:?}", par.engine_fallback
-        );
-        prop_assert!(
-            par.same_execution(&ev),
-            "adaptive ({sel:?}) parallel diverged:\nparallel: {:?}\n   event: {:?}", par, ev
         );
         // Adaptive-escape runs can stall but never wedge.
         prop_assert!(!matches!(ev.outcome, Outcome::Deadlock(_)));
@@ -370,10 +335,6 @@ proptest! {
         );
         for engine in [Engine::EventDriven, Engine::Parallel { threads: 2 }] {
             let r = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(engine));
-            prop_assert!(
-                r.engine_fallback.is_none(),
-                "saturated adaptive config unexpectedly fell back: {:?}", r.engine_fallback
-            );
             prop_assert!(
                 r.same_execution(&lg),
                 "saturated adaptive ({sel:?}, tornado={tornado}, pooled={pooled}) diverged:\n{engine:?}: {:?}\nlegacy: {:?}",
@@ -527,26 +488,11 @@ proptest! {
             .misroute_quota(quota)
             .max_steps(2_000)
             .check_invariants(true);
-        let ev = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(Engine::EventDriven));
-        let lg = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(Engine::Legacy));
+        let (ev, lg) = run_all_with(|cfg| wormhole::run_adaptive(mesh, &specs, cfg), &cfg);
         prop_assert!(
             ev.same_execution(&lg),
             "pooled adaptive ({sel:?}, {policy:?}) diverged:\n event: {:?}\nlegacy: {:?}",
             ev, lg
-        );
-        let par = wormhole::run_adaptive(
-            mesh,
-            &specs,
-            &cfg.clone().engine(Engine::Parallel { threads: 2 }),
-        );
-        prop_assert!(
-            par.engine_fallback.is_none(),
-            "pooled adaptive config unexpectedly fell back: {:?}", par.engine_fallback
-        );
-        prop_assert!(
-            par.same_execution(&ev),
-            "pooled adaptive ({sel:?}, {policy:?}) parallel diverged:\nparallel: {:?}\n   event: {:?}",
-            par, ev
         );
         // Escape floors ≥ 1 keep pooled adaptive runs wedge-free.
         prop_assert!(!matches!(ev.outcome, Outcome::Deadlock(_)));
@@ -629,7 +575,7 @@ proptest! {
     }
 
     /// Timed link kills on open-loop butterfly traffic: the kill phase
-    /// runs at the start of the step in both engines, so severed worms,
+    /// runs at the start of the step in every engine, so severed worms,
     /// dead-on-arrival admissions, and every fault counter
     /// (`kills_applied`, `fault_discards`, `fault_recovery_steps`) must
     /// land bit-identically — including when a tight step cap lands
@@ -680,20 +626,11 @@ proptest! {
         if cap_small {
             cfg = cfg.max_steps(kill_at + 3);
         }
-        let ev = wormhole::run(substrate.graph(), &specs, &cfg.clone().engine(Engine::EventDriven));
-        let lg = wormhole::run(substrate.graph(), &specs, &cfg.clone().engine(Engine::Legacy));
+        let (ev, lg) = run_all(substrate.graph(), &specs, &cfg);
         prop_assert!(
             ev.same_execution(&lg),
             "faulted butterfly diverged:\n event: {:?}\nlegacy: {:?}", ev, lg
         );
-        // Fault injection is outside the parallel engine's supported
-        // set: explicit fallback, same execution as the oracle.
-        let par = wormhole::run(
-            substrate.graph(),
-            &specs,
-            &cfg.clone().engine(Engine::Parallel { threads: 2 }),
-        );
-        assert_fallback(&par, &ev, EngineFallback::FaultInjection);
         // A discarded worm frees everything it held; nothing may both
         // finish and be discarded.
         prop_assert_eq!(
@@ -731,7 +668,6 @@ proptest! {
         );
         let specs = w.generate(100);
         let plan = FaultPlan::bernoulli_channels(mesh, fault_pct as f64 / 100.0, 80, seed ^ 0xdead);
-        let plan_empty = plan.is_empty();
         let mut cfg = SimConfig::new(2)
             .arbitration(arbitration(seed as u32))
             .seed(seed)
@@ -746,26 +682,11 @@ proptest! {
                 cap_idx,
             ));
         }
-        let ev = wormhole::run(substrate.graph(), &specs, &cfg.clone().engine(Engine::EventDriven));
-        let lg = wormhole::run(substrate.graph(), &specs, &cfg.clone().engine(Engine::Legacy));
+        let (ev, lg) = run_all(substrate.graph(), &specs, &cfg);
         prop_assert!(
             ev.same_execution(&lg),
             "faulted torus diverged (pooled={pooled}):\n event: {:?}\nlegacy: {:?}", ev, lg
         );
-        // A Bernoulli draw can come up empty; an empty plan is a supported
-        // config, so the parallel engine runs it natively — otherwise it
-        // must name the fault-injection fallback.
-        let par = wormhole::run(
-            substrate.graph(),
-            &specs,
-            &cfg.clone().engine(Engine::Parallel { threads: 2 }),
-        );
-        if plan_empty {
-            prop_assert!(par.engine_fallback.is_none());
-            prop_assert!(par.same_execution(&lg));
-        } else {
-            assert_fallback(&par, &ev, EngineFallback::FaultInjection);
-        }
         // Kills only remove wait-for dependencies; the dateline argument
         // still covers every survivor.
         prop_assert!(
@@ -804,7 +725,6 @@ proptest! {
         );
         let specs = w.generate(100);
         let plan = FaultPlan::bernoulli_channels(mesh, fault_pct as f64 / 100.0, 80, seed ^ 0xfa17);
-        let plan_empty = plan.is_empty();
         let fm = FaultedMesh::new(mesh, &plan).expect("generator emits valid plans");
         let sel = if fully {
             RouteSelection::FullyAdaptive
@@ -819,30 +739,11 @@ proptest! {
             .max_steps(2_000)
             .faults(plan)
             .check_invariants(true);
-        let ev = wormhole::run_adaptive(&fm, &specs, &cfg.clone().engine(Engine::EventDriven));
-        let lg = wormhole::run_adaptive(&fm, &specs, &cfg.clone().engine(Engine::Legacy));
+        let (ev, lg) = run_all_with(|cfg| wormhole::run_adaptive(&fm, &specs, cfg), &cfg);
         prop_assert!(
             ev.same_execution(&lg),
             "faulted adaptive ({sel:?}) diverged:\n event: {:?}\nlegacy: {:?}", ev, lg
         );
-        // Adaptive routing now runs natively in the parallel engine, so
-        // the fault plan is what triggers the documented fallback here.
-        // An empty Bernoulli draw is a supported (purely adaptive)
-        // config and must run natively instead.
-        let par = wormhole::run_adaptive(
-            &fm,
-            &specs,
-            &cfg.clone().engine(Engine::Parallel { threads: 2 }),
-        );
-        if plan_empty {
-            prop_assert!(par.engine_fallback.is_none());
-            prop_assert!(
-                par.same_execution(&ev),
-                "fault-free adaptive parallel diverged:\nparallel: {:?}\n   event: {:?}", par, ev
-            );
-        } else {
-            assert_fallback(&par, &ev, EngineFallback::FaultInjection);
-        }
         // The faulted escape subnetwork is still acyclic, so adaptive
         // traffic on the broken torus must never wedge.
         prop_assert!(

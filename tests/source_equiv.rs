@@ -223,7 +223,11 @@ proptest! {
         if cap_small {
             cfg = cfg.max_steps(kill_at + 5);
         }
-        for engine in [Engine::EventDriven, Engine::Legacy] {
+        for engine in [
+            Engine::EventDriven,
+            Engine::Legacy,
+            Engine::Parallel { threads: 2 },
+        ] {
             let cfg = cfg.clone().engine(engine);
             let slice = wormhole::run(substrate.graph(), &specs, &cfg);
             let mut src = ReplaySource::new(specs.clone());
