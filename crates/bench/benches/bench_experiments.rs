@@ -1,5 +1,5 @@
 //! One fast representative point per experiment id, so every table and
-//! figure in EXPERIMENTS.md has a criterion bench target.
+//! figure in the README catalog has a criterion bench target.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

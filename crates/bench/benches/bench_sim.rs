@@ -54,11 +54,12 @@ fn bench_restricted_model(c: &mut Criterion) {
 }
 
 /// Open-loop low offered load on a butterfly with long worms (the classic
-/// wormhole regime: L ≫ D): long uncontended flights and idle gaps — the
-/// territory of the event engine's disjoint-path fast-forward and
-/// closed-form drain jump. The legacy stepper pays `O(active)` machinery
-/// on each of a flight's `D + L − 1` steps; the event engine pays one
-/// `O(1)` update per header advance plus `O(D)` per drain.
+/// wormhole regime: L ≫ D): long uncontended flights and idle gaps — what
+/// the event engine's idle-network jump and closed-form drain jump are
+/// worth. The legacy stepper pays `O(active)` machinery on each of a
+/// flight's `D + L − 1` steps; the event engine steps the `D` header hops
+/// and pays `O(D)` once for the `L`-long drain, whenever every worm in
+/// flight is draining.
 fn bench_open_loop_low_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("open_loop_low_load");
     group.sample_size(10);

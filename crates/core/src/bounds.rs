@@ -1,7 +1,7 @@
 //! The paper's bound formulas, evaluated numerically (constant = 1 unless
 //! the paper fixes one). The experiment harness reports these next to
 //! measured values; only *shapes* (exponents, orderings, crossovers) are
-//! claimed, per DESIGN.md.
+//! claimed (README, "Reproducing the paper").
 
 /// Natural log clamped below at 1 so `log D`-style factors never vanish on
 /// tiny instances.

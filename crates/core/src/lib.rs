@@ -35,7 +35,6 @@ pub mod bounds;
 pub mod butterfly;
 pub mod chernoff;
 pub mod coloring;
-pub mod continuous;
 pub mod firstfit;
 pub mod lower_bound;
 pub mod pipeline;

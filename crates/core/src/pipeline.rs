@@ -2,7 +2,7 @@
 //! down to `B` through the staged application of Lemma 2.1.5, yielding a
 //! schedule of `O(C(D log D)^{1/B}/B)` color classes.
 //!
-//! Two ways to pick the per-stage split factor `r` (DESIGN.md §4.2):
+//! Two ways to pick the per-stage split factor `r`:
 //!
 //! * [`RFactor::Paper`] — the paper's exact formulas (`3e(D·ms)^{1/B}ms/B`
 //!   etc.). These certify the LLL condition, so Moser–Tardos converges

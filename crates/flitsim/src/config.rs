@@ -148,7 +148,7 @@ pub enum Arbitration {
 pub enum Engine {
     /// Event-driven core: worms that lose arbitration park on a per-edge
     /// wait queue and are only reconsidered when that edge releases a VC;
-    /// contention-free stretches fast-forward. The default.
+    /// all-draining stretches fast-forward. The default.
     EventDriven,
     /// The original per-step rescanning stepper, kept as the differential
     /// oracle.

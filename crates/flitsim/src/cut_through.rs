@@ -95,14 +95,15 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
         if unfinished == 0 {
             break Outcome::Completed;
         }
-        if t >= config.max_steps {
-            break Outcome::MaxSteps;
-        }
         if active.is_empty() {
+            // Idle: jump to the next release — never past the cap.
             match order.get(next_pending) {
-                Some(&m) => t = t.max(specs[m as usize].release),
+                Some(&m) => t = t.max(specs[m as usize].release.min(config.max_steps)),
                 None => break Outcome::Completed,
             }
+        }
+        if t >= config.max_steps {
+            break Outcome::MaxSteps;
         }
         while let Some(&m) = order.get(next_pending) {
             if specs[m as usize].release <= t {
@@ -330,6 +331,24 @@ mod tests {
         specs[0].release = 7;
         let r = run(&g, &specs, &VctConfig::new(2));
         assert!(r.messages[0].finished.unwrap() >= 7 + 3);
+    }
+
+    #[test]
+    fn idle_gaps_jump_to_the_next_release_and_stop_at_the_cap() {
+        let (g, ps) = shared_chain_instance(2, 4);
+        let mut specs = specs_from_paths(&ps, 3);
+        specs[1].release = 1_000;
+        let r = run(&g, &specs, &VctConfig::new(2));
+        assert_eq!(r.outcome, Outcome::Completed);
+        assert_eq!(r.messages[1].first_move, Some(1_000));
+
+        let mut capped = VctConfig::new(2);
+        capped.max_steps = 500;
+        let r = run(&g, &specs, &capped);
+        assert_eq!(r.outcome, Outcome::MaxSteps);
+        assert_eq!(r.total_steps, 500);
+        assert_eq!(r.delivered(), 1);
+        assert_eq!(r.messages[1].first_move, None, "never injected");
     }
 
     #[test]

@@ -14,19 +14,13 @@
 //!   settled arithmetically on wakeup (`stalls += wake − park`). Why
 //!   that is exactly what the legacy stepper counts is invariant 1 of
 //!   the [`crate::wormhole`] module docs.
-//! * **Contention-free fast-forward** — when nothing is parked and the
-//!   runnable set provably cannot interact before the window ends —
-//!   either every worm is draining into its delivery buffer (drains only
-//!   ever *decrement* holder counts, which commutes), or the worms'
-//!   paths are pairwise edge- and source-router-disjoint (checked with
-//!   epoch-stamped per-edge/per-router scratch and memoized until the
-//!   membership changes; router-disjointness keeps the per-router
-//!   occupancy samples behind `max_pool_in_use` engine-exact) — each
-//!   worm free-runs independently to `min(window end, its finish)`:
-//!   header steps in a tight `O(1)`-per-advance loop, and the
-//!   deterministic drain phase (`finish at advance = hops + L − 1`)
-//!   collapsed to a closed form by [`Core::fast_drain`]
-//!   ([`crate::kernel::Worm::drain`]).
+//! * **All-draining fast-forward** — when nothing is parked and every
+//!   runnable worm is draining into its delivery buffer, the set cannot
+//!   interact before the window ends (drains only ever *decrement*
+//!   holder counts, which commutes), so each worm jumps to
+//!   `min(window end, its finish)`: the deterministic drain phase
+//!   (`finish at advance = hops + L − 1`) collapsed to a closed form by
+//!   [`Core::fast_drain`] ([`crate::kernel::Worm::drain`]).
 //!
 //! A window never crosses an admission, a fault kill or the step cap,
 //! so every arbitration decision — and every
@@ -41,9 +35,8 @@
 //!
 //! Near saturation this turns the `O(active)` per-step rescan (where
 //! `active` includes the entire source-queued backlog) into
-//! `O(runnable + wakeups)`; at low load it replaces per-step stepping
-//! with per-*event* work (one `O(1)` update per flit advance, `O(path)`
-//! per drain).
+//! `O(runnable + wakeups)`; at low load header hops are stepped and the
+//! `L`-long drain that follows is one `O(path)` jump.
 
 use crate::config::BlockedPolicy;
 use crate::events::DeadlockReport;
@@ -61,30 +54,14 @@ pub(crate) struct EventState {
     keys: Vec<usize>,
     /// Released, unretired, unparked worms — the per-step working set.
     pub(crate) runnable: Vec<u32>,
-    /// Memoized "runnable paths are pairwise edge- and
-    /// source-router-disjoint" verdict; invalidated whenever the
-    /// runnable membership changes.
-    indep_cached: Option<bool>,
-    /// Epoch-stamped per-edge scratch for the disjointness check.
-    edge_mark: Vec<u64>,
-    /// Epoch-stamped per-router scratch for the disjointness check
-    /// (edge-disjoint worms can still share a source router's pool
-    /// counters).
-    node_mark: Vec<u64>,
-    mark_epoch: u64,
 }
 
 impl EventState {
     pub(crate) fn new(core: &Core) -> Self {
-        let (nodes, edges) = (core.ledger.pool_used.len(), core.ledger.holders.len());
         Self {
             waiting: WaitQueue::new(core.rules.num_wait_keys()),
             keys: Vec::new(),
             runnable: Vec::new(),
-            indep_cached: Some(true), // empty set is trivially disjoint
-            edge_mark: vec![0; edges],
-            node_mark: vec![0; nodes],
-            mark_epoch: 0,
         }
     }
 
@@ -92,22 +69,6 @@ impl EventState {
     #[inline]
     pub(crate) fn n_active(&self) -> usize {
         self.runnable.len() + self.waiting.len()
-    }
-
-    /// Makes a worm just installed in the core runnable.
-    #[inline]
-    pub(crate) fn admit(&mut self, h: u32) {
-        self.runnable.push(h);
-        self.indep_cached = None;
-    }
-
-    /// Drops the runnable worms `keep` rejects.
-    pub(crate) fn retain_runnable(&mut self, keep: impl FnMut(&u32) -> bool) {
-        let before = self.runnable.len();
-        self.runnable.retain(keep);
-        if self.runnable.len() != before {
-            self.indep_cached = None;
-        }
     }
 }
 
@@ -150,7 +111,7 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
             let m = sim.admitted_id(i);
             // Skip messages discarded at admission (dead-on-arrival).
             if sim.core.outcomes[m as usize].discarded.is_none() {
-                st.admit(m);
+                st.runnable.push(m);
             }
         }
         if st.n_active() == 0 {
@@ -211,7 +172,7 @@ pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: 
             if severed || core.worms[m as usize].pending_route {
                 core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m);
                 if !severed {
-                    st.admit(m);
+                    st.runnable.push(m);
                 }
             }
         }
@@ -219,7 +180,8 @@ pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: 
         core.track_releases = !st.waiting.is_empty();
     }
     let outcomes = &core.outcomes;
-    st.retain_runnable(|&m| outcomes[m as usize].discarded.is_none());
+    st.runnable
+        .retain(|&m| outcomes[m as usize].discarded.is_none());
 }
 
 /// Makes `core.active` current for a cold path — the runnable worms,
@@ -236,9 +198,9 @@ fn list_in_flight(core: &mut Core, st: &EventState) -> usize {
 /// entering from outside in between — no admission, no kill, no release
 /// from another region: the one driver under the sequential event engine
 /// (a window ends at the next admission) and under every parallel region
-/// (at the coordinator's grant). Steps while worms can interact,
-/// fast-forwards when they provably cannot, and stops early once the
-/// core is empty or frozen.
+/// (at the coordinator's grant). Steps while a header can still move,
+/// jumps once every worm is draining, and stops early once the core is
+/// empty or frozen.
 ///
 /// The occupancy sample of the window's last step is left to the caller
 /// ([`crate::kernel::VcLedger::settle_max`]): in a one-step window of a
@@ -270,23 +232,12 @@ pub(crate) fn run_window(
             }
             break;
         }
-        // Contention-free fast-forward. Only sound while nothing is
-        // parked: parked worms observe releases, and a free-running worm
-        // could otherwise collide with a parked worm's held edges.
-        // Adaptive runs keep the all-draining jump (arrived worms make
-        // no further route decisions, and drains only decrement holder
-        // counts) but drop the disjoint-paths one: a pending worm's next
-        // hop reads *other* worms' occupancies, so path disjointness no
-        // longer implies non-interaction. Pooled runs drop it for the
-        // analogous reason — edge-disjoint worms still compete for a
-        // shared router pool — while the all-draining jump stays exact
-        // (drains only return capacity, which commutes). A one-step
-        // window has nothing to batch.
-        if stop - t > 1
-            && st.waiting.is_empty()
-            && (all_draining(core, st)
-                || (core.adaptive.is_none() && !core.rules.pooled && independent(core, st)))
-        {
+        // The all-draining jump. Only sound while nothing is parked:
+        // parked worms observe releases. Exact under every policy —
+        // arrived worms make no further route decisions, and drains only
+        // return capacity, which commutes. A one-step window has nothing
+        // to batch.
+        if stop - t > 1 && st.waiting.is_empty() && all_draining(core, st) {
             ff_batch(core, st, t, stop, &mut win);
             break;
         }
@@ -336,7 +287,6 @@ fn step(
             core.discard(m, t, DiscardReason::Delay);
         } else if core.wait_keys(m, &mut st.keys) {
             st.waiting.park(m, &st.keys, t);
-            st.indep_cached = None;
             core.track_releases = true;
             on_park(core, m);
         }
@@ -344,15 +294,11 @@ fn step(
     wake_released(core, st, t, t);
     // Retire finished, discarded, and freshly parked worms.
     let (worms, outcomes, waiting) = (&core.worms, &core.outcomes, &st.waiting);
-    let before = st.runnable.len();
     st.runnable.retain(|&m| {
         !worms[m as usize].done()
             && outcomes[m as usize].discarded.is_none()
             && !waiting.is_parked(m)
     });
-    if st.runnable.len() != before {
-        st.indep_cached = None;
-    }
     progressed
 }
 
@@ -381,7 +327,6 @@ pub(crate) fn wake_released(core: &mut Core, st: &mut EventState, t: u64, settle
             }
         });
         if st.waiting.len() != before {
-            st.indep_cached = None;
             core.track_releases = !st.waiting.is_empty();
         }
     }
@@ -404,73 +349,16 @@ fn all_draining(core: &Core, st: &EventState) -> bool {
         .all(|&m| core.worms[m as usize].draining())
 }
 
-/// Whether the runnable worms' paths are pairwise edge-disjoint **and**
-/// source-router-disjoint (repeats within one path count as a collision
-/// — conservative), memoized until the runnable membership changes.
-/// Disjoint worms can never contend, block, or observe each other's
-/// holder counts, so each one free-runs exactly as it would alone.
-///
-/// The router half matters even under the static policy: edge-disjoint
-/// worms whose edges leave a common router touch the same `pool_used`
-/// counter, and `max_pool_in_use` samples it at end of step — serially
-/// free-running such worms would visit per-router occupancies the
-/// legacy lock-step never produces. (Under pooling they additionally
-/// compete for shared credits, which is why the caller disables this
-/// fast-forward outright there.)
-fn independent(core: &Core, st: &mut EventState) -> bool {
-    if let Some(v) = st.indep_cached {
-        return v;
-    }
-    st.mark_epoch += 1;
-    let mut ok = true;
-    'scan: for &m in &st.runnable {
-        for e in core.specs[m as usize].path.edges() {
-            let mark = &mut st.edge_mark[e.idx()];
-            if *mark == st.mark_epoch {
-                ok = false;
-                break 'scan;
-            }
-            *mark = st.mark_epoch;
-            let nmark = &mut st.node_mark[core.rules.edge_src[e.idx()] as usize];
-            if *nmark == st.mark_epoch {
-                ok = false;
-                break 'scan;
-            }
-            *nmark = st.mark_epoch;
-        }
-    }
-    st.indep_cached = Some(ok);
-    ok
-}
-
-/// Fast-forwards a non-interacting runnable set (all draining, or
-/// pairwise disjoint — the caller guarantees one of the two, that
-/// nothing is parked, and more than one step to run): each worm
-/// independently free-runs to `min(stop, finish)` — header advances in
-/// an `O(1)` per-step loop, drain phases collapsed by
-/// [`Core::fast_drain`].
+/// Fast-forwards an all-draining runnable set (the caller guarantees
+/// that, that nothing is parked, and more than one step to run): each
+/// worm jumps to `min(stop, finish)` by [`Core::fast_drain`]. Occupancy
+/// only falls, so there is no sample to take on the way.
 fn ff_batch(core: &mut Core, st: &mut EventState, t: u64, stop: u64, win: &mut Window) {
-    for i in 0..st.runnable.len() {
-        let m = st.runnable[i];
-        let mi = m as usize;
-        let mut ti = t;
-        loop {
-            let w = &core.worms[mi];
-            if w.done() || ti >= stop {
-                break;
-            }
-            if w.advance >= w.hops {
-                core.fast_drain(m, &mut ti, stop);
-            } else {
-                core.apply_advance(m, ti);
-                core.ledger.settle_max(&core.rules);
-                ti += 1;
-            }
-        }
-        win.last_move_plus1 = win.last_move_plus1.max(ti);
+    for &m in &st.runnable {
+        win.last_move_plus1 = win.last_move_plus1.max(core.fast_drain(m, t, stop));
     }
     let worms = &core.worms;
-    st.retain_runnable(|&m| !worms[m as usize].done());
+    st.runnable.retain(|&m| !worms[m as usize].done());
     if core.config.check_invariants {
         validate(core, st);
     }

@@ -24,7 +24,7 @@
 //!
 //! The wormhole model has three bit-identical engines behind
 //! [`config::Engine`]: the default event-driven engine (wait-queue
-//! wakeups, contention-free fast-forward), the legacy per-step stepper
+//! wakeups, all-draining fast-forward), the legacy per-step stepper
 //! kept as its differential oracle, and a partitioned parallel engine
 //! ([`config::Engine::Parallel`]) that shards the network into regions,
 //! each advanced by the event engine's own driver on a worker thread

@@ -28,8 +28,8 @@
 //! sequential engines run, its ledger counting only the region's own
 //! edges and routers — and an [`EventState`], and advances them with the
 //! event engine's own [`engine::run_window`]: stepping, parking, waking,
-//! the drain and disjoint-paths fast-forwards and the stall arithmetic
-//! are that module's, argued there and in the [`crate::wormhole`] docs.
+//! the all-draining fast-forward and the stall arithmetic are that
+//! module's, argued there and in the [`crate::wormhole`] docs.
 //! What this module owns is what is parallel:
 //!
 //! * **Residency and hand-off.** A worm resides in the region owning its
@@ -287,7 +287,7 @@ impl<'a> Region<'a> {
         self.cuts[h as usize] = (!self.core.worms[h as usize].pending_route).then_some(at);
         let bound = worm_bound(ctx, &self.core, h, at);
         self.safe = self.safe.min(bound);
-        self.st.admit(h);
+        self.st.runnable.push(h);
     }
 
     /// Moves the worms that finished or were discarded since the last
@@ -330,7 +330,7 @@ impl<'a> Region<'a> {
         // Movers whose next wanted edge is owned elsewhere emigrate;
         // draining worms have none and stay put.
         let mut safe = u64::MAX;
-        self.st.retain_runnable(|&h| {
+        self.st.runnable.retain(|&h| {
             let (w, at) = (&core.worms[h as usize], at(core, h));
             // A pending head may have stepped over the cut; a frozen
             // route leaves exactly when it wants its first foreign edge.

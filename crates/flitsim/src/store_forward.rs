@@ -123,14 +123,15 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
         if unfinished == 0 {
             break Outcome::Completed;
         }
-        if t >= config.max_steps {
-            break Outcome::MaxSteps;
-        }
         if active.is_empty() {
+            // Idle: jump to the next release — never past the cap.
             match order.get(next_pending) {
-                Some(&m) => t = t.max(rel(m as usize)),
+                Some(&m) => t = t.max(rel(m as usize).min(config.max_steps)),
                 None => break Outcome::Completed,
             }
+        }
+        if t >= config.max_steps {
+            break Outcome::MaxSteps;
         }
         while let Some(&m) = order.get(next_pending) {
             if rel(m as usize) <= t {
@@ -312,6 +313,22 @@ mod tests {
         };
         let r = run(&g, &ps, &[], &config);
         assert_eq!(r.outcome, Outcome::MaxSteps);
+    }
+
+    #[test]
+    fn idle_gaps_jump_to_the_next_release_and_stop_at_the_cap() {
+        let (g, ps) = shared_chain_instance(2, 4);
+        let r = run(&g, &ps, &[0, 1_000], &SfConfig::default());
+        assert_eq!(r.finished, [Some(4), Some(1_004)]);
+
+        let capped = SfConfig {
+            max_steps: 500,
+            ..SfConfig::default()
+        };
+        let r = run(&g, &ps, &[0, 1_000], &capped);
+        assert_eq!(r.outcome, Outcome::MaxSteps);
+        assert_eq!(r.message_steps, 500);
+        assert_eq!(r.finished, [Some(4), None], "second never injected");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The flit-level wormhole simulator with virtual channels.
 //!
-//! Implements the model of §1.1 exactly (see DESIGN.md §3):
+//! Implements the model of §1.1 exactly (ARCHITECTURE.md, "One kernel,
+//! three drivers", walks through the code):
 //!
 //! * each directed edge carries `B` virtual channels, each owning a one-flit
 //!   buffer at the head of the edge — or, under
@@ -46,12 +47,9 @@
 //! * the **event-driven** engine (the default, `engine` module) parks a
 //!   worm that loses arbitration on the wait queues of the edges it
 //!   could want next and reconsiders it only when one of them releases a
-//!   VC; contention-free
-//!   stretches — nothing parked and the in-flight worms provably unable
-//!   to interact (all draining, or pairwise edge- and
-//!   source-router-disjoint paths) —
-//!   fast-forward to the next release with drain phases collapsed to
-//!   closed form, and a fully idle network jumps straight to the next
+//!   VC; a stretch with nothing parked and every in-flight worm
+//!   draining jumps to the next release with the drain phases collapsed
+//!   to closed form, and a fully idle network jumps straight to the next
 //!   message release;
 //! * the **partitioned parallel** engine (`parallel` module) cuts the
 //!   network into regions, gives each a `Core` of its own, and runs
@@ -84,11 +82,11 @@
 //! 2. **Release at `t` is visible at `t+1`.** Wakeups fire at the end of
 //!    the step whose releases produced them, so a woken worm contends at
 //!    `t+1` using start-of-step holder counts — the same convention the
-//!    legacy stepper gets by reading start-of-step state. Fast-forwards
-//!    only batch steps in which no worm contends for anything and no
-//!    parked worm exists to observe a release (they stop at the next
-//!    message release and the step cap), so no arbitration, and no
-//!    release visibility boundary, is ever skipped.
+//!    legacy stepper gets by reading start-of-step state. The
+//!    all-draining jump only batches steps in which no worm wants an
+//!    edge and no parked worm exists to observe a release (it stops at
+//!    the next message release, the next kill and the step cap), so no
+//!    arbitration, and no release visibility boundary, is ever skipped.
 //! 3. **Order-free outcomes.** Everything a step writes is either
 //!    per-worm (finish times, `first_move`, stalls) or a commutative
 //!    update (`flit_hops`, holder increments/decrements), except the two
@@ -169,9 +167,8 @@
 //! report reads). A frozen-route worm wants one fixed edge and is the
 //! one-key case of the same queue. A fault kill, which can sever a
 //! parked worm's escape continuation, wakes every parked pending worm.
-//! Fast-forwarding is restricted to the still-exact all-draining and
-//! idle-network jumps (route choice observes other worms' occupancies,
-//! so the edge-disjointness argument no longer applies).
+//! The all-draining and idle-network jumps stay exact: an arrived worm
+//! makes no further route decision.
 
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
@@ -821,22 +818,23 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Batch-advances a draining worm from virtual time `*t` to
-    /// `min(stop, finish)` with [`Worm::drain`]'s closed form. Only
-    /// called by the event driver, in the contexts that method's docs
-    /// allow.
-    pub(crate) fn fast_drain(&mut self, m: u32, t: &mut u64, stop: u64) {
-        debug_assert!(*t < stop);
-        let d = self.worms[m as usize].drain(stop - *t);
+    /// Batch-advances a draining worm from step `t` to `min(stop,
+    /// finish)` with [`Worm::drain`]'s closed form and returns that
+    /// step. Only called by the event driver, in the contexts that
+    /// method's docs allow.
+    pub(crate) fn fast_drain(&mut self, m: u32, t: u64, stop: u64) -> u64 {
+        debug_assert!(t < stop);
+        let d = self.worms[m as usize].drain(stop - t);
         self.flit_hops += d.flit_hops;
         for j in d.released {
             let e = self.path_edge(m, j);
             self.release_vc(e);
         }
-        *t += d.steps;
+        let end = t + d.steps;
         if d.finished {
-            self.finish(m, *t); // the finishing advance ran at step t − 1
+            self.finish(m, end); // the finishing advance ran at step end − 1
         }
+        end
     }
 
     pub(crate) fn discard(&mut self, m: u32, t: u64, reason: DiscardReason) {
@@ -2111,13 +2109,11 @@ mod tests {
 
     #[test]
     fn engines_agree_on_edge_disjoint_router_sharing_paths() {
-        // Regression: two worms with edge-disjoint paths that both leave
-        // router 0. The disjoint-paths fast-forward must NOT serialize
-        // them — they share router 0's `pool_used` counter, and the
-        // legacy lock-step sees both VCs at the router simultaneously
-        // (`max_pool_in_use = 2`), a state a serial free-run would never
-        // visit. The independence check therefore requires source-router
-        // disjointness too, under both policies.
+        // Two worms with edge-disjoint paths that both leave router 0:
+        // they share its `pool_used` counter, and lock-step sees both
+        // VCs at the router simultaneously (`max_pool_in_use = 2`) — a
+        // state an engine that ran one worm ahead of the other would
+        // never visit. Under both policies.
         let (g, e01, e02) = star();
         let e13 = Graph::find_edge(&g, NodeId(1), NodeId(3)).unwrap();
         let e24 = Graph::find_edge(&g, NodeId(2), NodeId(4)).unwrap();
@@ -2132,9 +2128,9 @@ mod tests {
     }
 
     #[test]
-    fn truly_disjoint_worms_still_fast_forward_exactly() {
-        // Control: worms on fully node- and edge-disjoint chains keep
-        // the fast-forward path and stay engine-identical.
+    fn engines_agree_on_fully_disjoint_chains() {
+        // Control: worms on fully node- and edge-disjoint chains never
+        // meet, and the engines agree on them too.
         let mut b = GraphBuilder::new(6);
         let a0 = b.add_edge(NodeId(0), NodeId(1));
         let a1 = b.add_edge(NodeId(1), NodeId(2));

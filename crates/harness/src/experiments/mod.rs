@@ -1,4 +1,4 @@
-//! The per-experiment runners (see DESIGN.md §5 for the index).
+//! The per-experiment runners (the README catalog is the index).
 
 pub mod e1_upper_bound;
 pub mod e2_superlinear;

@@ -37,6 +37,7 @@ use wormhole_netcalc::{delay_bounds, flows_from_specs, BoundConfig, Flow};
 use wormhole_topology::butterfly::Butterfly;
 use wormhole_workloads::{ArrivalProcess, Substrate, TrafficPattern, Workload};
 
+use crate::open_loop_grid::outcome_cell;
 use crate::sweep::{default_threads, parallel_map};
 use crate::table::{fnum, Table};
 
@@ -257,11 +258,6 @@ pub fn run(fast: bool) -> Vec<Table> {
         ],
     );
     for p in &sim {
-        let outcome = match &p.outcome {
-            Outcome::Completed => "ok",
-            Outcome::MaxSteps => "cap",
-            Outcome::Deadlock(_) => "DEADLOCK",
-        };
         t.row_opt(&[
             Some(p.substrate.clone()),
             Some(p.pattern.into()),
@@ -276,7 +272,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             } else {
                 None
             },
-            Some(outcome.into()),
+            Some(outcome_cell(&p.outcome).into()),
             Some(p.iterations.to_string()),
             p.bound
                 .is_finite()

@@ -28,7 +28,7 @@
 //! The tests assert the divergence headline on both topologies and both
 //! VC policies, and hold every measured point to engine equality.
 
-use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
 use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
 use wormhole_flitsim::stats::{ClosedLoopStats, OpenLoopStats, Outcome};
 use wormhole_workloads::{
@@ -36,6 +36,7 @@ use wormhole_workloads::{
 };
 
 use crate::cells;
+use crate::open_loop_grid::{equal_budget_policy, outcome_cell};
 use crate::sweep::{default_threads, parallel_map};
 use crate::table::{fnum, Table};
 
@@ -103,17 +104,9 @@ fn topologies(fast: bool) -> Vec<(&'static str, Substrate)> {
 
 const POLICIES: [&str; 2] = ["static", "pooled"];
 
-/// Budget factor shared by both policy arms (x9's equal-storage pairing:
-/// `Static(b)` vs a router pool of `b · fanout` with floor 1).
+/// Budget factor shared by both policy arms (x9's equal-storage pairing,
+/// [`equal_budget_policy`]).
 const BUDGET: u32 = 2;
-
-fn policy_for(policy: &str, fanout: u32) -> VcPolicy {
-    match policy {
-        "static" => VcPolicy::Static(BUDGET),
-        "pooled" => VcPolicy::pooled(BUDGET * fanout, 1, BUDGET * fanout),
-        _ => unreachable!("unknown policy {policy}"),
-    }
-}
 
 /// The service-traffic description both arms share: clients (first half
 /// of the endpoints) send fixed-length messages to uniformly drawn
@@ -179,7 +172,7 @@ pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
         let seed = 0xb0b ^ ((*ti as u64) << 6);
         let ol = OpenLoopConfig::new(warmup, measure);
         let cfg = SimConfig::new(1)
-            .vc_policy(policy_for(policy, fanout))
+            .vc_policy(equal_budget_policy(policy, BUDGET, fanout))
             .arbitration(Arbitration::Random)
             .seed(0x5eed ^ (*ti as u64))
             .engine(engine);
@@ -239,11 +232,6 @@ pub fn run(fast: bool) -> Vec<Table> {
         ],
     );
     for p in &points {
-        let outcome = match &p.outcome {
-            Outcome::Completed => "ok",
-            Outcome::MaxSteps => "cap",
-            Outcome::Deadlock(_) => "DEADLOCK",
-        };
         let (chains, chain_p50) = match &p.closed {
             Some(cl) => (
                 cl.chains_completed.to_string(),
@@ -264,7 +252,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             chains,
             chain_p50,
             if p.stats.saturated { "yes" } else { "-" },
-            outcome
+            outcome_cell(&p.outcome)
         ));
     }
     curves.note(

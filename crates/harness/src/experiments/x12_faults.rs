@@ -31,7 +31,7 @@
 //! one, for which a kill is one more window boundary — produce
 //! bit-identical results on all three arms.
 
-use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig, VcPolicy};
+use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig};
 use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole::{run as sim_run, run_adaptive};
 use wormhole_topology::fault::{FaultPlan, FaultedMesh};
@@ -39,6 +39,7 @@ use wormhole_topology::mesh::Mesh;
 use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
 
 use crate::cells;
+use crate::open_loop_grid::{equal_budget_policy, outcome_cell};
 use crate::sweep::{default_threads, parallel_map};
 use crate::table::{fnum, Table};
 
@@ -105,17 +106,6 @@ const SELECTIONS: [RouteSelection; 3] = [
 ];
 
 const VC_ARMS: [&str; 2] = ["static", "pooled"];
-
-/// The two capacity policies at the shared per-lane budget `b`:
-/// `Static(b)` and the equal-storage router pool with the floor-1
-/// deadlock-freedom guarantee.
-fn arm_policy(arm: &str, b: u32, fanout: u32) -> VcPolicy {
-    match arm {
-        "static" => VcPolicy::Static(b),
-        "pooled" => VcPolicy::pooled(b * fanout, 1, b * fanout),
-        _ => unreachable!("unknown arm {arm}"),
-    }
-}
 
 /// Runs one faulted batch: the oblivious arm replays the fixed routes
 /// through the plain simulator; the adaptive arms route per hop through
@@ -197,7 +187,11 @@ pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
         // same network break the same way at the same times.
         let plan = FaultPlan::bernoulli_channels(mesh, *rate, window, 0xdead ^ *ri as u64);
         let cfg = SimConfig::new(2)
-            .vc_policy(arm_policy(arm, 2, mesh.graph().max_out_degree() as u32))
+            .vc_policy(equal_budget_policy(
+                arm,
+                2,
+                mesh.graph().max_out_degree() as u32,
+            ))
             .arbitration(Arbitration::Random)
             .seed(0x5eed)
             .max_steps(window + 4000)
@@ -246,7 +240,11 @@ pub fn blackout_points_with(fast: bool, engine: Engine) -> Vec<Point> {
             plan = plan.kill_channel(kill_at, mesh, &coords, 0, false);
         }
         let cfg = SimConfig::new(2)
-            .vc_policy(arm_policy(arm, 2, mesh.graph().max_out_degree() as u32))
+            .vc_policy(equal_budget_policy(
+                arm,
+                2,
+                mesh.graph().max_out_degree() as u32,
+            ))
             .arbitration(Arbitration::Random)
             .seed(0x5eed)
             .max_steps(window + 4000)
@@ -331,14 +329,6 @@ pub fn diversity_points_with(fast: bool, engine: Engine) -> Vec<(&'static str, P
     })
 }
 
-fn outcome_str(o: &Outcome) -> &'static str {
-    match o {
-        Outcome::Completed => "ok",
-        Outcome::MaxSteps => "cap",
-        Outcome::Deadlock(_) => "DEADLOCK",
-    }
-}
-
 fn point_row(t: &mut Table, label: &str, p: &Point) {
     t.row(&cells!(
         label,
@@ -353,7 +343,7 @@ fn point_row(t: &mut Table, label: &str, p: &Point) {
         p.fault_detours,
         p.escapes,
         p.recovery,
-        outcome_str(&p.outcome)
+        outcome_cell(&p.outcome)
     ));
 }
 
@@ -399,7 +389,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             p.fault_detours,
             p.escapes,
             p.recovery,
-            outcome_str(&p.outcome)
+            outcome_cell(&p.outcome)
         ));
     }
     sweep.note(

@@ -18,54 +18,22 @@
 //! construction and keeps accepting traffic at every `B`.
 
 use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
-use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
-use wormhole_flitsim::stats::{OpenLoopStats, Outcome};
-use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
+use wormhole_workloads::{RoutingDiscipline, Substrate, TrafficPattern};
 
 use crate::cells;
-use crate::sweep::{default_threads, parallel_map};
+use crate::open_loop_grid::{outcome_cell, run_grid, saturation_throughputs, Case, Grid, Point};
 use crate::table::{fnum, Table};
 
-/// One measured point of the sweep.
-pub struct Point {
-    /// Pattern name.
-    pub pattern: &'static str,
-    /// Substrate name.
-    pub substrate: String,
-    /// Endpoint count of the substrate (for per-endpoint normalization).
-    pub endpoints: f64,
-    /// Offered load, messages per endpoint per step.
-    pub rate: f64,
-    /// Virtual channels.
-    pub b: u32,
-    /// How the underlying simulation ended (a deadlocked point is the
-    /// torus headline the dateline discipline exists to remove).
-    pub outcome: Outcome,
-    /// Windowed measurement.
-    pub stats: OpenLoopStats,
-}
-
-impl Point {
-    /// Accepted throughput in flits per endpoint per step.
-    pub fn accepted_per_endpoint(&self) -> f64 {
-        self.stats.accepted_flits_per_step / self.endpoints
-    }
-
-    /// Whether the simulation wedged into a deadlock.
-    pub fn deadlocked(&self) -> bool {
-        matches!(self.outcome, Outcome::Deadlock(_))
-    }
-}
-
-fn patterns(fast: bool) -> Vec<(TrafficPattern, Substrate)> {
+fn cases(fast: bool) -> Vec<Case> {
     let k = if fast { 5 } else { 6 };
+    let case = |pattern, substrate| Case { substrate, pattern };
     let bf = || Substrate::butterfly(k);
     let mut v = vec![
-        (TrafficPattern::UniformRandom, bf()),
-        (TrafficPattern::Permutation, bf()),
-        (TrafficPattern::BitReversal, bf()),
-        (TrafficPattern::Shuffle, bf()),
-        (
+        case(TrafficPattern::UniformRandom, bf()),
+        case(TrafficPattern::Permutation, bf()),
+        case(TrafficPattern::BitReversal, bf()),
+        case(TrafficPattern::Shuffle, bf()),
+        case(
             TrafficPattern::Hotspot {
                 fraction: 0.2,
                 hotspots: vec![0, 1 << (k - 1)],
@@ -77,103 +45,42 @@ fn patterns(fast: bool) -> Vec<(TrafficPattern, Substrate)> {
     // show the B=1 tornado deadlock and its removal side by side.
     let (tr, td) = if fast { (8, 1) } else { (8, 2) };
     for discipline in [RoutingDiscipline::Naive, RoutingDiscipline::DatelineClasses] {
-        v.push((
-            TrafficPattern::Tornado,
-            Substrate::torus_with(tr, td, discipline),
-        ));
-        v.push((
-            TrafficPattern::UniformRandom,
-            Substrate::torus_with(tr, td, discipline),
-        ));
+        let torus = || Substrate::torus_with(tr, td, discipline);
+        v.push(case(TrafficPattern::Tornado, torus()));
+        v.push(case(TrafficPattern::UniformRandom, torus()));
     }
     if !fast {
-        v.push((TrafficPattern::Transpose, bf()));
-        v.push((TrafficPattern::UniformRandom, Substrate::hypercube(6)));
+        v.push(case(TrafficPattern::Transpose, bf()));
+        v.push(case(TrafficPattern::UniformRandom, Substrate::hypercube(6)));
     }
     v
 }
 
-/// Sweep parameters per mode: (message length, warmup, measure window).
-fn params(fast: bool) -> (u32, u64, u64) {
-    if fast {
-        (4, 150, 400)
-    } else {
-        (8, 500, 1500)
-    }
-}
-
-/// Runs the full measurement sweep, in input order: for each pattern,
-/// each offered rate × VC count.
-pub fn sweep_points(fast: bool) -> Vec<Point> {
-    sweep_points_with(fast, Engine::EventDriven)
-}
-
-/// [`sweep_points`] on an explicit simulator engine — the differential
-/// hook used by the tests (the engines are bit-identical; only their
-/// cost differs, which `crates/perfbench` measures).
-pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
-    let (l, warmup, measure) = params(fast);
-    let rates: &[f64] = if fast {
-        &[0.02, 0.10, 0.25, 0.45]
-    } else {
-        &[0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.55]
-    };
-    let bs: &[u32] = if fast { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-
-    let mut jobs = Vec::new();
-    for (pi, (pattern, substrate)) in patterns(fast).into_iter().enumerate() {
-        for &rate in rates {
-            for &b in bs {
-                jobs.push((pi, pattern.clone(), substrate.clone(), rate, b));
-            }
-        }
-    }
-    parallel_map(
-        jobs,
-        default_threads(),
-        |(pi, pattern, substrate, rate, b)| {
-            let w = Workload::new(
-                substrate.clone(),
-                pattern.clone(),
-                ArrivalProcess::bernoulli(*rate),
-                l,
-                0xa11ce ^ (*pi as u64) << 4,
-            );
-            let specs = w.generate(warmup + measure);
-            let ol = OpenLoopConfig::new(warmup, measure);
-            let cfg = SimConfig::new(*b)
-                .arbitration(Arbitration::Random)
-                .seed(0x5eed ^ *b as u64)
-                .engine(engine);
-            let r = run_open_loop(substrate.graph(), &specs, &cfg, &ol);
-            Point {
-                pattern: pattern.name(),
-                substrate: substrate.name(),
-                endpoints: substrate.endpoints() as f64,
-                rate: *rate,
-                b: *b,
-                outcome: r.outcome.clone(),
-                stats: r.open_loop.expect("open-loop run carries stats"),
-            }
+/// The sweep per mode: every (pattern, substrate) case × offered rate ×
+/// `B`, one arm.
+fn grid(fast: bool) -> Grid {
+    let (msg_len, warmup, measure) = if fast { (4, 150, 400) } else { (8, 500, 1500) };
+    Grid {
+        cases: cases(fast),
+        seed: 0xa11ce,
+        rates: if fast {
+            &[0.02, 0.10, 0.25, 0.45]
+        } else {
+            &[0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.55]
         },
-    )
+        bs: if fast { &[1, 2, 4] } else { &[1, 2, 4, 8] },
+        arms: &["static"],
+        msg_len,
+        warmup,
+        measure,
+    }
 }
 
-/// Saturation throughput (max accepted flit rate over the rate sweep)
-/// per `(substrate, pattern, B)`, in first-appearance order.
-pub fn saturation_throughputs(points: &[Point]) -> Vec<(String, &'static str, u32, f64)> {
-    let mut out: Vec<(String, &'static str, u32, f64)> = Vec::new();
-    for p in points {
-        let v = p.accepted_per_endpoint();
-        match out
-            .iter_mut()
-            .find(|(s, pat, b, _)| *s == p.substrate && *pat == p.pattern && *b == p.b)
-        {
-            Some(entry) => entry.3 = entry.3.max(v),
-            None => out.push((p.substrate.clone(), p.pattern, p.b, v)),
-        }
-    }
-    out
+/// `B` static VCs per edge under random arbitration (x3 runs the same).
+pub(crate) fn config(_: &Case, _: &str, b: u32) -> SimConfig {
+    SimConfig::new(b)
+        .arbitration(Arbitration::Random)
+        .seed(0x5eed ^ b as u64)
 }
 
 /// Saturation throughputs for uniform-random butterfly traffic keyed by
@@ -182,8 +89,8 @@ pub fn saturation_throughputs(points: &[Point]) -> Vec<(String, &'static str, u3
 pub fn uniform_saturation_curve(points: &[Point]) -> Vec<(u32, f64)> {
     let mut out: Vec<(u32, f64)> = saturation_throughputs(points)
         .into_iter()
-        .filter(|(s, pat, _, _)| s.starts_with("butterfly") && *pat == "uniform")
-        .map(|(_, _, b, v)| (b, v))
+        .filter(|(p, _)| p.substrate.starts_with("butterfly") && p.pattern == "uniform")
+        .map(|(p, v)| (p.b, v))
         .collect();
     out.sort_by_key(|&(b, _)| b);
     out
@@ -191,13 +98,14 @@ pub fn uniform_saturation_curve(points: &[Point]) -> Vec<(u32, f64)> {
 
 /// Runs X2.
 pub fn run(fast: bool) -> Vec<Table> {
-    let (l, warmup, measure) = params(fast);
-    let points = sweep_points(fast);
+    let grid = grid(fast);
+    let points = run_grid(&grid, Engine::EventDriven, config);
 
     let mut tables = Vec::new();
     let mut curves = Table::new(
         format!(
-            "X2 — open-loop latency vs offered load (L = {l}, warmup {warmup}, window {measure})"
+            "X2 — open-loop latency vs offered load (L = {}, warmup {}, window {})",
+            grid.msg_len, grid.warmup, grid.measure
         ),
         &[
             "substrate",
@@ -214,11 +122,6 @@ pub fn run(fast: bool) -> Vec<Table> {
         ],
     );
     for p in &points {
-        let outcome = match &p.outcome {
-            Outcome::Completed => "ok",
-            Outcome::MaxSteps => "cap",
-            Outcome::Deadlock(_) => "DEADLOCK",
-        };
         curves.row(&cells!(
             p.substrate,
             p.pattern,
@@ -230,7 +133,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             p.stats.latency.p99,
             fnum(p.accepted_per_endpoint()),
             if p.stats.saturated { "yes" } else { "-" },
-            outcome
+            outcome_cell(&p.outcome)
         ));
     }
     curves.note(
@@ -250,8 +153,8 @@ pub fn run(fast: bool) -> Vec<Table> {
             "sat. throughput (flit/ep/step)",
         ],
     );
-    for (sub, pat, b, best) in saturation_throughputs(&points) {
-        sat.row(&cells!(sub, pat, b, fnum(best)));
+    for (p, best) in saturation_throughputs(&points) {
+        sat.row(&cells!(p.substrate, p.pattern, p.b, fnum(best)));
     }
     sat.note(
         "On uniform-random butterfly traffic the saturation throughput increases monotonically \
@@ -265,11 +168,12 @@ pub fn run(fast: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::open_loop_grid::assert_engines_agree_pointwise;
 
     /// One shared fast sweep: the measurement is deterministic, so every
     /// assertion can read the same points.
     fn fast_points() -> Vec<Point> {
-        sweep_points(true)
+        run_grid(&grid(true), Engine::EventDriven, config)
     }
 
     #[test]
@@ -345,9 +249,9 @@ mod tests {
         // And at B=1 it carries real traffic: nonzero measured saturation
         // throughput (the acceptance headline).
         let sat = saturation_throughputs(&points);
-        let (_, _, _, dl_b1) = sat
+        let (_, dl_b1) = sat
             .iter()
-            .find(|(s, pat, b, _)| s.contains("dateline") && *pat == "tornado" && *b == 1)
+            .find(|(p, _)| p.substrate.contains("dateline") && p.pattern == "tornado" && p.b == 1)
             .expect("dateline tornado B=1 swept");
         assert!(
             *dl_b1 > 0.0,
@@ -359,19 +263,8 @@ mod tests {
     fn x2_engines_agree_pointwise() {
         // The sweep is the engine's production workload: every measured
         // point must be identical under the legacy differential oracle.
-        let ev = sweep_points_with(true, Engine::EventDriven);
-        let lg = sweep_points_with(true, Engine::Legacy);
-        assert_eq!(ev.len(), lg.len());
-        for (a, b) in ev.iter().zip(&lg) {
-            let ctx = format!("{} {} rate={} B={}", a.substrate, a.pattern, a.rate, a.b);
-            assert_eq!(a.outcome, b.outcome, "{ctx}");
-            assert_eq!(a.stats.latency, b.stats.latency, "{ctx}");
-            assert_eq!(a.stats.offered_msgs, b.stats.offered_msgs, "{ctx}");
-            assert_eq!(a.stats.delivered_msgs, b.stats.delivered_msgs, "{ctx}");
-            assert_eq!(a.stats.accepted_msgs, b.stats.accepted_msgs, "{ctx}");
-            assert_eq!(a.stats.backlog, b.stats.backlog, "{ctx}");
-            assert_eq!(a.stats.saturated, b.stats.saturated, "{ctx}");
-        }
+        let legacy = run_grid(&grid(true), Engine::Legacy, config);
+        assert_engines_agree_pointwise(&fast_points(), &legacy);
     }
 
     #[test]

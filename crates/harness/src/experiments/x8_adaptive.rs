@@ -23,161 +23,78 @@
 //! measured saturation throughput is at least the oblivious arm's at
 //! equal `B` — the acceptance headline, asserted by this module's tests.
 
-use wormhole_flitsim::config::{Arbitration, RouteSelection, SimConfig};
-use wormhole_flitsim::open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
-use wormhole_flitsim::stats::{OpenLoopStats, Outcome};
-use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
+use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig};
+use wormhole_workloads::{RoutingDiscipline, Substrate, TrafficPattern};
 
 use crate::cells;
-use crate::sweep::{default_threads, parallel_map};
+use crate::open_loop_grid::{outcome_cell, run_grid, saturation_throughputs, Case, Grid};
 use crate::table::{fnum, Table};
 
-/// One measured point of the sweep.
-pub struct Point {
-    /// Pattern name.
-    pub pattern: &'static str,
-    /// Route-selection arm.
-    pub selection: RouteSelection,
-    /// Offered load, messages per endpoint per step.
-    pub rate: f64,
-    /// Virtual channels per lane.
-    pub b: u32,
-    /// Endpoint count (for per-endpoint normalization).
-    pub endpoints: f64,
-    /// How the underlying simulation ended.
-    pub outcome: Outcome,
-    /// Worms that fell back onto the escape network.
-    pub escape_fallbacks: u64,
-    /// Non-minimal hops taken (fully-adaptive only).
-    pub misroute_hops: u64,
-    /// Windowed measurement.
-    pub stats: OpenLoopStats,
-}
-
-impl Point {
-    /// Accepted throughput in flits per endpoint per step.
-    pub fn accepted_per_endpoint(&self) -> f64 {
-        self.stats.accepted_flits_per_step / self.endpoints
-    }
-}
-
-/// Sweep geometry per mode: (radix, dims, message length, warmup,
-/// measurement window).
-fn params(fast: bool) -> (u32, u32, u32, u64, u64) {
-    if fast {
-        (4, 2, 4, 150, 400)
+/// The sweep per mode: three patterns on one `AdaptiveEscape` torus ×
+/// offered rate × VCs per lane × route-selection arm.
+fn grid(fast: bool) -> Grid {
+    let (radix, dims, msg_len, warmup, measure) = if fast {
+        (4u32, 2, 4, 150, 400)
     } else {
         (8, 2, 8, 500, 1500)
-    }
-}
-
-fn patterns(fast: bool) -> Vec<TrafficPattern> {
-    let n = {
-        let (radix, dims, ..) = params(fast);
-        radix.pow(dims)
     };
-    vec![
+    let patterns = [
         TrafficPattern::Tornado,
         TrafficPattern::Transpose,
         TrafficPattern::Hotspot {
             fraction: 0.2,
-            hotspots: vec![0, n / 2],
+            hotspots: vec![0, radix.pow(dims) / 2],
         },
-    ]
+    ];
+    Grid {
+        cases: patterns
+            .map(|pattern| Case {
+                substrate: Substrate::torus_with(radix, dims, RoutingDiscipline::AdaptiveEscape),
+                pattern,
+            })
+            .into(),
+        seed: 0xada9,
+        rates: if fast {
+            &[0.02, 0.10, 0.25, 0.45]
+        } else {
+            &[0.02, 0.05, 0.10, 0.20, 0.30, 0.45]
+        },
+        bs: if fast { &[2, 4] } else { &[2, 4, 8] },
+        arms: &["oblivious", "minimal", "fully"],
+        msg_len,
+        warmup,
+        measure,
+    }
 }
 
-const ARMS: [RouteSelection; 3] = [
-    RouteSelection::Oblivious,
-    RouteSelection::MinimalAdaptive,
-    RouteSelection::FullyAdaptive,
-];
-
-/// Runs the full measurement sweep, in input order: per pattern, per
-/// offered rate × VC count × route-selection arm. All three arms of a
-/// point share the same workload (substrate, traffic, seed) — only the
-/// route selection differs.
-pub fn sweep_points(fast: bool) -> Vec<Point> {
-    let (radix, dims, l, warmup, measure) = params(fast);
-    let rates: &[f64] = if fast {
-        &[0.02, 0.10, 0.25, 0.45]
-    } else {
-        &[0.02, 0.05, 0.10, 0.20, 0.30, 0.45]
+/// All three arms of a point share the workload and the hardware — only
+/// the route selection differs.
+fn config(_: &Case, arm: &str, b: u32) -> SimConfig {
+    let selection = match arm {
+        "oblivious" => RouteSelection::Oblivious,
+        "minimal" => RouteSelection::MinimalAdaptive,
+        "fully" => RouteSelection::FullyAdaptive,
+        _ => unreachable!("unknown route-selection arm {arm}"),
     };
-    let bs: &[u32] = if fast { &[2, 4] } else { &[2, 4, 8] };
-
-    let mut jobs = Vec::new();
-    for (pi, pattern) in patterns(fast).into_iter().enumerate() {
-        for &rate in rates {
-            for &b in bs {
-                for sel in ARMS {
-                    jobs.push((pi, pattern.clone(), rate, b, sel));
-                }
-            }
-        }
-    }
-    parallel_map(jobs, default_threads(), |(pi, pattern, rate, b, sel)| {
-        let substrate = Substrate::torus_with(radix, dims, RoutingDiscipline::AdaptiveEscape);
-        let w = Workload::new(
-            substrate.clone(),
-            pattern.clone(),
-            ArrivalProcess::bernoulli(*rate),
-            l,
-            0xada9 ^ ((*pi as u64) << 4),
-        );
-        let specs = w.generate(warmup + measure);
-        let ol = OpenLoopConfig::new(warmup, measure);
-        let cfg = SimConfig::new(*b)
-            .arbitration(Arbitration::Random)
-            .seed(0x5eed ^ *b as u64)
-            .route_selection(*sel);
-        let r = match sel {
-            RouteSelection::Oblivious => run_open_loop(substrate.graph(), &specs, &cfg, &ol),
-            _ => {
-                let mesh = substrate.as_mesh().expect("adaptive torus is mesh-based");
-                run_open_loop_adaptive(mesh, &specs, &cfg, &ol)
-            }
-        };
-        Point {
-            pattern: pattern.name(),
-            selection: *sel,
-            rate: *rate,
-            b: *b,
-            endpoints: substrate.endpoints() as f64,
-            outcome: r.outcome.clone(),
-            escape_fallbacks: r.escape_fallbacks,
-            misroute_hops: r.misroute_hops,
-            stats: r.open_loop.expect("open-loop run carries stats"),
-        }
-    })
-}
-
-/// Saturation throughput (max accepted flit rate over the rate sweep)
-/// per `(pattern, selection, B)`, in first-appearance order.
-pub fn saturation_throughputs(points: &[Point]) -> Vec<(&'static str, RouteSelection, u32, f64)> {
-    let mut out: Vec<(&'static str, RouteSelection, u32, f64)> = Vec::new();
-    for p in points {
-        let v = p.accepted_per_endpoint();
-        match out
-            .iter_mut()
-            .find(|(pat, sel, b, _)| *pat == p.pattern && *sel == p.selection && *b == p.b)
-        {
-            Some(entry) => entry.3 = entry.3.max(v),
-            None => out.push((p.pattern, p.selection, p.b, v)),
-        }
-    }
-    out
+    SimConfig::new(b)
+        .arbitration(Arbitration::Random)
+        .seed(0x5eed ^ b as u64)
+        .route_selection(selection)
 }
 
 /// Runs X8.
 pub fn run(fast: bool) -> Vec<Table> {
-    let (radix, dims, l, warmup, measure) = params(fast);
-    let points = sweep_points(fast);
+    let grid = grid(fast);
+    let points = run_grid(&grid, Engine::EventDriven, config);
 
     let mut tables = Vec::new();
     let mut curves = Table::new(
         format!(
-            "X8 — adaptive routing on escape VCs: torus({radix}^{dims},adaptive), \
-             L = {l}, warmup {warmup}, window {measure}"
+            "X8 — adaptive routing on escape VCs: {}, L = {}, warmup {}, window {}",
+            grid.cases[0].substrate.name(),
+            grid.msg_len,
+            grid.warmup,
+            grid.measure
         ),
         &[
             "pattern",
@@ -195,14 +112,9 @@ pub fn run(fast: bool) -> Vec<Table> {
         ],
     );
     for p in &points {
-        let outcome = match &p.outcome {
-            Outcome::Completed => "ok",
-            Outcome::MaxSteps => "cap",
-            Outcome::Deadlock(_) => "DEADLOCK",
-        };
         curves.row(&cells!(
             p.pattern,
-            p.selection.name(),
+            p.arm,
             fnum(p.rate),
             p.b,
             fnum(p.stats.latency.mean),
@@ -212,7 +124,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             p.escape_fallbacks,
             p.misroute_hops,
             if p.stats.saturated { "yes" } else { "-" },
-            outcome
+            outcome_cell(&p.outcome)
         ));
     }
     curves.note(
@@ -232,8 +144,8 @@ pub fn run(fast: bool) -> Vec<Table> {
             "sat. throughput (flit/ep/step)",
         ],
     );
-    for (pat, sel, b, best) in saturation_throughputs(&points) {
-        sat.row(&cells!(pat, sel.name(), b, fnum(best)));
+    for (p, best) in saturation_throughputs(&points) {
+        sat.row(&cells!(p.pattern, p.arm, p.b, fnum(best)));
     }
     sat.note(
         "On tornado traffic the adaptive arms' saturation throughput is ≥ the oblivious arm's at \
@@ -248,11 +160,12 @@ pub fn run(fast: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::open_loop_grid::{assert_engines_agree_pointwise, Point};
 
     /// One shared fast sweep (deterministic, so every assertion can read
     /// the same points).
     fn fast_points() -> Vec<Point> {
-        sweep_points(true)
+        run_grid(&grid(true), Engine::EventDriven, config)
     }
 
     #[test]
@@ -263,10 +176,10 @@ mod tests {
         // arms have the escape network. (This is the whole design.)
         for p in &points {
             assert!(
-                !matches!(p.outcome, Outcome::Deadlock(_)),
+                !p.deadlocked(),
                 "{} {} B={} rate={} deadlocked",
                 p.pattern,
-                p.selection.name(),
+                p.arm,
                 p.b,
                 p.rate
             );
@@ -275,23 +188,19 @@ mod tests {
         // Acceptance: on torus tornado, each adaptive arm's saturation
         // throughput >= the oblivious arm's at equal B.
         let sat = saturation_throughputs(&points);
-        let lookup = |sel: RouteSelection, b: u32| {
+        let lookup = |pattern: &str, arm: &str, b: u32| {
             sat.iter()
-                .find(|(pat, s, bb, _)| *pat == "tornado" && *s == sel && *bb == b)
-                .map(|(_, _, _, v)| *v)
-                .expect("tornado arm swept")
+                .find(|(p, _)| p.pattern == pattern && p.arm == arm && p.b == b)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("{pattern}/{arm}/B={b} swept"))
         };
         for &b in &[2u32, 4] {
-            let obl = lookup(RouteSelection::Oblivious, b);
-            for sel in [
-                RouteSelection::MinimalAdaptive,
-                RouteSelection::FullyAdaptive,
-            ] {
-                let adp = lookup(sel, b);
+            let obl = lookup("tornado", "oblivious", b);
+            for arm in ["minimal", "fully"] {
+                let adp = lookup("tornado", arm, b);
                 assert!(
                     adp >= obl,
-                    "B={b}: {} saturation {adp} < oblivious {obl}",
-                    sel.name()
+                    "B={b}: {arm} saturation {adp} < oblivious {obl}"
                 );
             }
             assert!(obl > 0.0, "oblivious arm must carry traffic at B={b}");
@@ -301,17 +210,12 @@ mod tests {
         // transpose at B=2 the minimal arm clears the oblivious knee by
         // a wide margin (≈0.79 → ≈1.32 flit/ep/step in fast mode; the
         // sweep is deterministic, so this is a stable regression line).
-        let transpose = |sel: RouteSelection| {
-            sat.iter()
-                .find(|(pat, s, b, _)| *pat == "transpose" && *s == sel && *b == 2)
-                .map(|(_, _, _, v)| *v)
-                .expect("transpose arm swept")
-        };
+        let transpose = |arm: &str| lookup("transpose", arm, 2);
         assert!(
-            transpose(RouteSelection::MinimalAdaptive) > 1.2 * transpose(RouteSelection::Oblivious),
+            transpose("minimal") > 1.2 * transpose("oblivious"),
             "minimal-adaptive transpose win collapsed: {} vs {}",
-            transpose(RouteSelection::MinimalAdaptive),
-            transpose(RouteSelection::Oblivious)
+            transpose("minimal"),
+            transpose("oblivious")
         );
 
         // The escape network is actually exercised somewhere in the
@@ -320,23 +224,31 @@ mod tests {
         assert!(
             points
                 .iter()
-                .any(|p| p.selection != RouteSelection::Oblivious && p.escape_fallbacks > 0),
+                .any(|p| p.arm != "oblivious" && p.escape_fallbacks > 0),
             "no adaptive point ever used the escape network"
         );
         // And the fully-adaptive arm misroutes somewhere.
         assert!(
             points
                 .iter()
-                .any(|p| p.selection == RouteSelection::FullyAdaptive && p.misroute_hops > 0),
+                .any(|p| p.arm == "fully" && p.misroute_hops > 0),
             "fully-adaptive arm never misrouted"
         );
         // Oblivious arms never touch the adaptive machinery.
         for p in &points {
-            if p.selection == RouteSelection::Oblivious {
+            if p.arm == "oblivious" {
                 assert_eq!(p.escape_fallbacks, 0);
                 assert_eq!(p.misroute_hops, 0);
             }
         }
+    }
+
+    #[test]
+    fn x8_engines_agree_pointwise() {
+        // Pending-route parking is event-engine surface: every point of
+        // all three route selections must match the legacy oracle.
+        let legacy = run_grid(&grid(true), Engine::Legacy, config);
+        assert_engines_agree_pointwise(&fast_points(), &legacy);
     }
 
     #[test]

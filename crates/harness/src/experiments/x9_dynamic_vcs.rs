@@ -8,11 +8,12 @@
 //! partitioning at the same aggregate storage, because real traffic is
 //! asymmetric: hot output channels starve while cold ones idle their
 //! dedicated VCs. This experiment re-runs the x2-style open-loop
-//! latency-vs-load sweep with both arms on the **same budget**:
+//! latency-vs-load sweep with both arms on the **same budget**
+//! ([`equal_budget_policy`]):
 //!
-//! * **static** — [`VcPolicy::Static`]`(B)`: every routing edge owns `B`
+//! * **static** — `VcPolicy::Static(B)`: every routing edge owns `B`
 //!   VCs, `B · fanout` per router;
-//! * **pooled** — [`VcPolicy::RouterPooled`] with `pool = B · fanout`,
+//! * **pooled** — `VcPolicy::RouterPooled` with `pool = B · fanout`,
 //!   `per_edge_min = 1` (the floor the deadlock-freedom arguments
 //!   need), `per_edge_max = pool`: identical aggregate storage, freely
 //!   shiftable toward whichever output channels the pattern loads.
@@ -27,188 +28,90 @@
 //! rides along as the symmetric control where pooling has the least to
 //! offer.
 
-use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
-use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
-use wormhole_flitsim::stats::{OpenLoopStats, Outcome};
-use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
+use wormhole_workloads::{RoutingDiscipline, Substrate, TrafficPattern};
 
 use crate::cells;
-use crate::sweep::{default_threads, parallel_map};
+use crate::open_loop_grid::{
+    equal_budget_policy, outcome_cell, run_grid, saturation_throughputs, Case, Grid,
+};
 use crate::table::{fnum, Table};
 
-/// One measured point of the sweep.
-pub struct Point {
-    /// Pattern name.
-    pub pattern: &'static str,
-    /// Capacity arm (`"static"` or `"pooled"`).
-    pub arm: &'static str,
-    /// Offered load, messages per endpoint per step.
-    pub rate: f64,
-    /// Budget factor: the per-edge VC count whose aggregate storage
-    /// (`b · fanout` per router) both arms share.
-    pub b: u32,
-    /// Endpoint count (for per-endpoint normalization).
-    pub endpoints: f64,
-    /// How the underlying simulation ended.
-    pub outcome: Outcome,
-    /// Peak per-router VC occupancy observed (≤ the shared budget).
-    pub max_pool_in_use: u32,
-    /// Windowed measurement.
-    pub stats: OpenLoopStats,
-}
-
-impl Point {
-    /// Accepted throughput in flits per endpoint per step.
-    pub fn accepted_per_endpoint(&self) -> f64 {
-        self.stats.accepted_flits_per_step / self.endpoints
-    }
-}
-
-/// Sweep geometry per mode: (radix, dims, message length, warmup,
-/// measurement window).
-fn params(fast: bool) -> (u32, u32, u32, u64, u64) {
-    if fast {
-        (8, 1, 4, 150, 400)
+/// The sweep per mode: three patterns on one dateline torus × offered
+/// rate × budget factor (the per-edge VC count whose aggregate storage,
+/// `B · fanout` per router, both arms share) × capacity arm.
+fn grid(fast: bool) -> Grid {
+    let (radix, dims, msg_len, warmup, measure) = if fast {
+        (8u32, 1, 4, 150, 400)
     } else {
         (8, 2, 8, 500, 1500)
-    }
-}
-
-fn patterns(fast: bool) -> Vec<TrafficPattern> {
-    let n = {
-        let (radix, dims, ..) = params(fast);
-        radix.pow(dims)
     };
-    vec![
+    let patterns = [
         TrafficPattern::Tornado,
         TrafficPattern::Hotspot {
             fraction: 0.3,
-            hotspots: vec![0, n / 2],
+            hotspots: vec![0, radix.pow(dims) / 2],
         },
         TrafficPattern::UniformRandom,
-    ]
-}
-
-const ARMS: [&str; 2] = ["static", "pooled"];
-
-/// The two capacity policies of one budget step: `Static(b)` and the
-/// equal-storage pooling (`pool = b · fanout`, floor 1, cap = pool).
-fn arm_policy(arm: &str, b: u32, fanout: u32) -> VcPolicy {
-    match arm {
-        "static" => VcPolicy::Static(b),
-        "pooled" => VcPolicy::pooled(b * fanout, 1, b * fanout),
-        _ => unreachable!("unknown arm {arm}"),
+    ];
+    Grid {
+        cases: patterns
+            .map(|pattern| Case {
+                substrate: Substrate::torus_with(radix, dims, RoutingDiscipline::DatelineClasses),
+                pattern,
+            })
+            .into(),
+        seed: 0xd9c,
+        rates: if fast {
+            &[0.02, 0.10, 0.25, 0.45]
+        } else {
+            &[0.02, 0.05, 0.10, 0.20, 0.30, 0.45]
+        },
+        bs: if fast { &[2, 4] } else { &[2, 4, 8] },
+        arms: &["static", "pooled"],
+        msg_len,
+        warmup,
+        measure,
     }
 }
 
-/// Runs the full measurement sweep, in input order: per pattern, per
-/// offered rate × budget factor × capacity arm. Both arms of a point
-/// share the same workload (substrate, traffic, seed) — only the VC
-/// policy differs.
-pub fn sweep_points(fast: bool) -> Vec<Point> {
-    sweep_points_with(fast, Engine::EventDriven)
-}
-
-/// [`sweep_points`] on an explicit simulator engine — the differential
-/// hook used by the tests.
-pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
-    let (radix, dims, l, warmup, measure) = params(fast);
-    let rates: &[f64] = if fast {
-        &[0.02, 0.10, 0.25, 0.45]
-    } else {
-        &[0.02, 0.05, 0.10, 0.20, 0.30, 0.45]
-    };
-    let bs: &[u32] = if fast { &[2, 4] } else { &[2, 4, 8] };
-
-    let mut jobs = Vec::new();
-    for (pi, pattern) in patterns(fast).into_iter().enumerate() {
-        for &rate in rates {
-            for &b in bs {
-                for arm in ARMS {
-                    jobs.push((pi, pattern.clone(), rate, b, arm));
-                }
-            }
-        }
-    }
-    parallel_map(jobs, default_threads(), |(pi, pattern, rate, b, arm)| {
-        let substrate = Substrate::torus_with(radix, dims, RoutingDiscipline::DatelineClasses);
-        let fanout = substrate.graph().max_out_degree() as u32;
-        let w = Workload::new(
-            substrate.clone(),
-            pattern.clone(),
-            ArrivalProcess::bernoulli(*rate),
-            l,
-            0xd9c ^ ((*pi as u64) << 4),
-        );
-        let specs = w.generate(warmup + measure);
-        let ol = OpenLoopConfig::new(warmup, measure);
-        let cfg = SimConfig::new(1)
-            .vc_policy(arm_policy(arm, *b, fanout))
-            .arbitration(Arbitration::Random)
-            .seed(0x5eed ^ *b as u64)
-            .engine(engine);
-        let r = run_open_loop(substrate.graph(), &specs, &cfg, &ol);
-        Point {
-            pattern: pattern.name(),
-            arm,
-            rate: *rate,
-            b: *b,
-            endpoints: substrate.endpoints() as f64,
-            outcome: r.outcome.clone(),
-            max_pool_in_use: r.max_pool_in_use,
-            stats: r.open_loop.expect("open-loop run carries stats"),
-        }
-    })
-}
-
-/// Saturation throughput (max accepted flit rate over the rate sweep)
-/// per `(pattern, arm, B)`, in first-appearance order.
-pub fn saturation_throughputs(points: &[Point]) -> Vec<(&'static str, &'static str, u32, f64)> {
-    let mut out: Vec<(&'static str, &'static str, u32, f64)> = Vec::new();
-    for p in points {
-        let v = p.accepted_per_endpoint();
-        match out
-            .iter_mut()
-            .find(|(pat, arm, b, _)| *pat == p.pattern && *arm == p.arm && *b == p.b)
-        {
-            Some(entry) => entry.3 = entry.3.max(v),
-            None => out.push((p.pattern, p.arm, p.b, v)),
-        }
-    }
-    out
+/// Both arms of a point share the workload — only the VC policy
+/// differs, at one aggregate budget.
+fn config(case: &Case, arm: &str, b: u32) -> SimConfig {
+    let fanout = case.substrate.graph().max_out_degree() as u32;
+    SimConfig::new(1)
+        .vc_policy(equal_budget_policy(arm, b, fanout))
+        .arbitration(Arbitration::Random)
+        .seed(0x5eed ^ b as u64)
 }
 
 /// Runs X9.
 pub fn run(fast: bool) -> Vec<Table> {
-    let (radix, dims, l, warmup, measure) = params(fast);
-    let points = sweep_points(fast);
+    let grid = grid(fast);
+    let points = run_grid(&grid, Engine::EventDriven, config);
 
     let mut tables = Vec::new();
-    let mut curves = Table::new(
-        format!(
-            "X9 — dynamic VC allocation at equal buffer budget: torus({radix}^{dims},dateline), \
-             L = {l}, warmup {warmup}, window {measure}"
+    let mut curves =
+        Table::new(
+            format!(
+            "X9 — dynamic VC allocation at equal buffer budget: {}, L = {}, warmup {}, window {}",
+            grid.cases[0].substrate.name(), grid.msg_len, grid.warmup, grid.measure
         ),
-        &[
-            "pattern",
-            "arm",
-            "offered (msg/ep/step)",
-            "budget B",
-            "mean lat",
-            "p50",
-            "p99",
-            "accepted (flit/ep/step)",
-            "peak pool",
-            "saturated",
-            "outcome",
-        ],
-    );
+            &[
+                "pattern",
+                "arm",
+                "offered (msg/ep/step)",
+                "budget B",
+                "mean lat",
+                "p50",
+                "p99",
+                "accepted (flit/ep/step)",
+                "peak pool",
+                "saturated",
+                "outcome",
+            ],
+        );
     for p in &points {
-        let outcome = match &p.outcome {
-            Outcome::Completed => "ok",
-            Outcome::MaxSteps => "cap",
-            Outcome::Deadlock(_) => "DEADLOCK",
-        };
         curves.row(&cells!(
             p.pattern,
             p.arm,
@@ -220,7 +123,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             fnum(p.accepted_per_endpoint()),
             p.max_pool_in_use,
             if p.stats.saturated { "yes" } else { "-" },
-            outcome
+            outcome_cell(&p.outcome)
         ));
     }
     curves.note(
@@ -241,8 +144,8 @@ pub fn run(fast: bool) -> Vec<Table> {
             "sat. throughput (flit/ep/step)",
         ],
     );
-    for (pat, arm, b, best) in saturation_throughputs(&points) {
-        sat.row(&cells!(pat, arm, b, fnum(best)));
+    for (p, best) in saturation_throughputs(&points) {
+        sat.row(&cells!(p.pattern, p.arm, p.b, fnum(best)));
     }
     sat.note(
         "On the asymmetric patterns (tornado, hotspot) the pooled arm's saturation throughput \
@@ -258,11 +161,12 @@ pub fn run(fast: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::open_loop_grid::{assert_engines_agree_pointwise, Point};
 
     /// One shared fast sweep (deterministic, so every assertion can read
     /// the same points).
     fn fast_points() -> Vec<Point> {
-        sweep_points(true)
+        run_grid(&grid(true), Engine::EventDriven, config)
     }
 
     #[test]
@@ -273,7 +177,7 @@ mod tests {
         // included.
         for p in &points {
             assert!(
-                !matches!(p.outcome, Outcome::Deadlock(_)),
+                !p.deadlocked(),
                 "{} {} B={} rate={} deadlocked",
                 p.pattern,
                 p.arm,
@@ -285,8 +189,8 @@ mod tests {
         let sat = saturation_throughputs(&points);
         let lookup = |pat: &str, arm: &str, b: u32| {
             sat.iter()
-                .find(|(p, a, bb, _)| *p == pat && *a == arm && *bb == b)
-                .map(|(_, _, _, v)| *v)
+                .find(|(p, _)| p.pattern == pat && p.arm == arm && p.b == b)
+                .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("{pat}/{arm}/B={b} swept"))
         };
 
@@ -336,18 +240,8 @@ mod tests {
     fn x9_engines_agree_pointwise() {
         // Pooled arbitration and router-keyed wakeups are new engine
         // surface: every measured point must match the legacy oracle.
-        let ev = sweep_points_with(true, Engine::EventDriven);
-        let lg = sweep_points_with(true, Engine::Legacy);
-        assert_eq!(ev.len(), lg.len());
-        for (a, b) in ev.iter().zip(&lg) {
-            let ctx = format!("{} {} rate={} B={}", a.pattern, a.arm, a.rate, a.b);
-            assert_eq!(a.outcome, b.outcome, "{ctx}");
-            assert_eq!(a.max_pool_in_use, b.max_pool_in_use, "{ctx}");
-            assert_eq!(a.stats.latency, b.stats.latency, "{ctx}");
-            assert_eq!(a.stats.accepted_msgs, b.stats.accepted_msgs, "{ctx}");
-            assert_eq!(a.stats.backlog, b.stats.backlog, "{ctx}");
-            assert_eq!(a.stats.saturated, b.stats.saturated, "{ctx}");
-        }
+        let legacy = run_grid(&grid(true), Engine::Legacy, config);
+        assert_engines_agree_pointwise(&fast_points(), &legacy);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The *two-pass* variant concatenates two butterflies (`2k` edge levels):
 //! the §3.1 algorithm routes each message to a random column at level `k`,
 //! then onward to its true destination. First-pass and second-pass edges are
-//! distinct, matching the analysis in Lemma 3.1.3 (see DESIGN.md §4.6).
+//! distinct, matching the analysis in Lemma 3.1.3.
 
 use crate::graph::{EdgeId, Graph, GraphBuilder, NodeId};
 use crate::path::Path;

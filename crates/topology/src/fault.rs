@@ -696,32 +696,17 @@ impl AdaptiveRouter for FaultedMesh<'_> {
     /// every validated fault pattern (module docs).
     fn escape_route(&self, at: NodeId, dst: NodeId) -> Path {
         let m = self.mesh;
-        let g = m.graph();
-        let dateline = m.classes() >= 2 && m.wraps();
-        let mut edges = Vec::new();
-        let mut cur = at;
-        for d in 0..m.dims() {
-            let mut have = m.coord(cur, d);
-            let want = m.coord(dst, d);
-            if have == want {
-                continue;
-            }
-            let minus = self.surviving_direction(cur, d, have, want);
-            let dateline_coord = if minus { 0 } else { m.radix() - 1 };
-            let mut class = 0u32;
-            while have != want {
-                let e = m.step_edge(cur, d, minus, class);
-                debug_assert!(!self.dead[e.idx()], "escape route crossed a dead edge");
-                edges.push(e);
-                if dateline && have == dateline_coord {
-                    class = 1; // crossed this ring's dateline
-                }
-                cur = g.dst(e);
-                have = m.coord(cur, d);
-            }
-        }
-        debug_assert_eq!(cur, dst);
-        Path::new(edges)
+        let path = m.ring_walk(
+            at,
+            dst,
+            m.classes() >= 2 && m.wraps(),
+            |cur, d, have, want| self.surviving_direction(cur, d, have, want),
+        );
+        debug_assert!(
+            path.edges().iter().all(|e| !self.dead[e.idx()]),
+            "escape route crossed a dead edge"
+        );
+        path
     }
 
     fn is_escape(&self, e: EdgeId) -> bool {

@@ -297,6 +297,44 @@ impl Mesh {
         }
     }
 
+    /// The one per-dimension ring walk under every dimension-order route:
+    /// dimensions corrected in ascending order, each in the direction
+    /// `travels_minus(cur, d, have, want)` picks on entering it (no rule
+    /// used here reverses inside a dimension), on class 0 — moving to
+    /// class 1, when `dateline` is set, after the hop leaving that
+    /// direction's dateline coordinate (`radix − 1` going `+`, `0` going
+    /// `−`).
+    pub(crate) fn ring_walk(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        dateline: bool,
+        travels_minus: impl Fn(NodeId, u32, u32, u32) -> bool,
+    ) -> Path {
+        let mut edges = Vec::new();
+        let mut cur = src;
+        for d in 0..self.dims {
+            let (mut have, want) = (self.coord(cur, d), self.coord(dst, d));
+            if have == want {
+                continue;
+            }
+            let minus = travels_minus(cur, d, have, want);
+            let dateline_coord = if minus { 0 } else { self.radix - 1 };
+            let mut class = 0u32;
+            while have != want {
+                let e = self.step_edge(cur, d, minus, class);
+                edges.push(e);
+                if dateline && have == dateline_coord {
+                    class = 1; // crossed the dateline
+                }
+                cur = self.graph.dst(e);
+                have = self.coord(cur, d);
+            }
+        }
+        debug_assert_eq!(cur, dst);
+        Path::new(edges)
+    }
+
     /// Dimension-order (e-cube) path from `src` to `dst`: correct dimension
     /// 0 first, then 1, etc. On a torus the shorter wrap direction is taken
     /// (ties broken toward +). Always routes on class 0 — on a
@@ -304,23 +342,9 @@ impl Mesh {
     /// (deadlock-prone) control arm; use [`Mesh::dateline_path`] or
     /// [`Mesh::route`] for the disciplined route.
     pub fn dimension_order_path(&self, src: NodeId, dst: NodeId) -> Path {
-        let sc = self.coords(src);
-        let dc = self.coords(dst);
-        let mut edges = Vec::new();
-        let mut cur = src;
-        for d in 0..self.dims {
-            let mut have = sc[d as usize];
-            let want = dc[d as usize];
-            while have != want {
-                let minus = self.travels_minus(have, want);
-                let e = self.step_edge(cur, d, minus, 0);
-                edges.push(e);
-                cur = self.graph.dst(e);
-                have = self.coords(cur)[d as usize];
-            }
-        }
-        debug_assert_eq!(cur, dst);
-        Path::new(edges)
+        self.ring_walk(src, dst, false, |_, _, have, want| {
+            self.travels_minus(have, want)
+        })
     }
 
     /// Dimension-order path with the per-dimension Dally–Seitz dateline
@@ -338,33 +362,9 @@ impl Mesh {
             self.classes >= 2,
             "dateline_path needs a mesh with escape classes"
         );
-        let sc = self.coords(src);
-        let dc = self.coords(dst);
-        let mut edges = Vec::new();
-        let mut cur = src;
-        for d in 0..self.dims {
-            let mut have = sc[d as usize];
-            let want = dc[d as usize];
-            if have == want {
-                continue;
-            }
-            // Minimal routing never reverses inside a dimension, so the
-            // direction (and hence this dimension's dateline) is fixed.
-            let minus = self.travels_minus(have, want);
-            let dateline_coord = if minus { 0 } else { self.radix - 1 };
-            let mut class = 0u32;
-            while have != want {
-                let e = self.step_edge(cur, d, minus, class);
-                edges.push(e);
-                if have == dateline_coord {
-                    class = 1; // crossed the dateline
-                }
-                cur = self.graph.dst(e);
-                have = self.coords(cur)[d as usize];
-            }
-        }
-        debug_assert_eq!(cur, dst);
-        Path::new(edges)
+        self.ring_walk(src, dst, true, |_, _, have, want| {
+            self.travels_minus(have, want)
+        })
     }
 
     /// The canonical **oblivious** route under this mesh's discipline:

@@ -1,6 +1,6 @@
 //! Differential test matrix for the three wormhole simulator engines.
 //!
-//! The event-driven engine (wait-queue wakeups, contention-free
+//! The event-driven engine (wait-queue wakeups, all-draining
 //! fast-forward, arithmetic stall accounting) and the partitioned
 //! parallel engine (per-region workers under conservative lookahead
 //! windows) must produce **bit-identical** [`SimResult`]s to the legacy
