@@ -28,7 +28,8 @@
 //! kept as its differential oracle, and a partitioned parallel engine
 //! ([`config::Engine::Parallel`]) that shards the network into regions,
 //! each advanced by the event engine's own driver on a worker thread
-//! under conservative lookahead windows. Every engine runs every
+//! under conservative lookahead windows (and fused, one region per
+//! worker, once traffic reaches a cut). Every engine runs every
 //! configuration — adaptive routing, pooled VCs, reactive sources and
 //! fault plans included; see the [`wormhole`] module docs for the
 //! equivalence invariants.
@@ -76,5 +77,6 @@ pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec};
 pub use open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
 pub use source::{ReplaySource, TrafficSource};
 pub use stats::{
-    ClosedLoopStats, DiscardReason, LatencyStats, MessageOutcome, OpenLoopStats, Outcome, SimResult,
+    ClosedLoopStats, DiscardReason, EngineStats, LatencyStats, MessageOutcome, OpenLoopStats,
+    Outcome, SimResult,
 };

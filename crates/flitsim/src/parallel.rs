@@ -4,7 +4,8 @@
 //! [`RegionPlan`] (from [`SimConfig::regions`], or a default contiguous
 //! cut): every node — and with it every outgoing edge, i.e. the VC
 //! holder state that lives at the sending router — is owned by exactly
-//! one region, and each region is advanced on its own worker thread.
+//! one region, and every worker thread advances a contiguous block of
+//! regions (one each when there are as many workers as regions).
 //! Workers synchronize on conservative time windows in the
 //! Chandy–Misra style: a region may run ahead only as far as the
 //! earliest instant it could influence (or be influenced by) a
@@ -22,6 +23,9 @@
 //! then runs its regions through the whole window without any
 //! synchronization — a null-message-style window grant.
 //!
+//! The plan is the *finest* decomposition, not the one the run ends on:
+//! regions stay apart only while no worm can reach a cut (see *Fusing*).
+//!
 //! # One driver, N residencies
 //!
 //! A region owns a [`Core`] — the same resident-worm state the
@@ -36,12 +40,13 @@
 //!   next wanted edge (draining worms stay where they finished
 //!   acquiring; a pending adaptive worm resides in its head node's
 //!   region), under a recycled local handle. At the end of a window the
-//!   region moves out — as [`Resident`] values, nothing is copied — the
-//!   worms that finished or were discarded (to the coordinator, which
-//!   records them in the run's id-keyed core and flushes their
-//!   completion callbacks in canonical `(time, id)` order, as always)
-//!   and the movers whose next wanted edge now lies across the cut (to
-//!   that edge's region). A parked worm never migrates: it did not move.
+//!   region moves out the worms that finished or were discarded (to the
+//!   coordinator, as the few fields it records in the run's id-keyed
+//!   core — [`Retired`]; the spec and route are dropped on the spot — and
+//!   whose completion callbacks it flushes in canonical `(time, id)`
+//!   order, as always) and the movers whose next wanted edge now lies
+//!   across the cut (to that edge's region, as [`Resident`] values:
+//!   nothing is copied). A parked worm never migrates: it did not move.
 //! * **The one hook.** A release on an edge another region owns goes to
 //!   the core's outbox ([`Core::release_vc`]) and lands on its owner
 //!   between windows — before the owner, entering its next window,
@@ -100,11 +105,71 @@
 //! policies, every arbitration and blocked policy, oblivious and
 //! adaptive routing, reactive sources, fault plans.
 //!
+//! # Fusing
+//!
+//! Decomposition finer than the worker count pays in exactly one regime:
+//! while *no* resident can ever reach a cut, each region drains through
+//! long windows of its own, hot in cache, and nothing crosses. The grant
+//! is one global minimum, so the moment any worm's bound is finite
+//! *every* region is in short windows, and a cut between two regions
+//! the same thread steps is pure overhead — a window entry per region
+//! per step, a [`worm_bound`] pass over every runnable worm, a hand-off
+//! each time a worm crosses. That moment is something the coordinator
+//! observes: the first time the cut-bound grant (the minimum `safe` over
+//! populated regions, before the release / kill / cap clamp) is finite —
+//! checked where the grant is computed, every region held, after the
+//! previous window's outboxes have landed and the step's admissions are
+//! in — each worker's block of regions fuses into its first, once, and
+//! stays fused. With as many workers as regions the blocks are single
+//! regions and nothing ever fuses.
+//!
+//! Fusing `b` into `a` before step `t` ([`fuse`], [`Region::relabel`],
+//! [`Region::absorb`]), and why each step is exact:
+//!
+//! 1. **`b` takes the occupancy sample it owes for `t − 1`.** Every
+//!    release of that step has landed, so the sample is the end-of-step
+//!    state; its maxima, like its accumulators, fold into `a`'s as a
+//!    region's fold into the run's when it ends (maxima by `max`, counts
+//!    by `+`). `a`'s own sample reads only `a`'s rows, which the fold
+//!    leaves alone, and is taken on entering its next window as always.
+//! 2. **`b`'s parked worms are settled through `t − 1` and made
+//!    runnable**, its pending wakes dropped. A worm whose edge is still
+//!    full loses again at `t`, counts that stall and parks again —
+//!    parked ⇒ full, so that is what waking it would have found — the
+//!    argument [`engine::kill`] already makes for the pending worms it
+//!    wakes.
+//! 3. **`b`'s `holders` / `pool_used` / `shared_used` rows are added
+//!    into `a`'s.** A region's ledger counts only the edges and routers
+//!    it owns: the supports are disjoint, so the sum is the ledger of
+//!    the union.
+//! 4. **The layout relabels `b → a`** — a second [`Ctx`] with one region
+//!    per worker, published once and read by the workers after the next
+//!    `start` barrier. Every *other* region's view is unchanged: `a`'s
+//!    and `b`'s edges were foreign to it and still are. `a` recomputes
+//!    what it cached of the old layout: its [`Core::foreign`] flags and
+//!    its residents' [`cuts`], `safe` and `parked_safe`. `a`'s parked
+//!    worms stay parked — wait keys are global edge and router ids.
+//! 5. **`b`'s residents move over** with the same [`Core::take`] /
+//!    [`Region::arrive`] as any hand-off, and `b` is never stepped again
+//!    (an empty region is left in its place; its tables are freed).
+//!
+//! **A region no cross edge touches** — after a one-worker fuse, the
+//! whole graph — keeps no cut state at all: [`Region::arrive`] does not
+//! scan the path, its window is [`engine::run_window`] with the
+//! sequential engine's no-op `on_park`, and the window-end emigration /
+//! [`worm_bound`] pass is skipped: its `safe` is infinite for good.
+//! What one worker still pays over the event engine is the coordinator:
+//! a worm is copied into the region at admission and out of it at
+//! retirement, and arbitration sorts by `ids[handle]`.
+//!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
 
+use std::any::Any;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
 
 use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
@@ -112,7 +177,8 @@ use wormhole_topology::region::RegionPlan;
 use crate::config::BlockedPolicy;
 use crate::engine::{self, EventState};
 use crate::events::DeadlockReport;
-use crate::stats::Outcome;
+use crate::kernel::Worm;
+use crate::stats::{EngineStats, MessageOutcome, Outcome};
 use crate::wormhole::{Core, Resident, Sim};
 
 /// Default region count when [`SimConfig::regions`] is `None`
@@ -121,8 +187,9 @@ use crate::wormhole::{Core, Resident, Sim};
 /// [`SimConfig::regions`]: crate::config::SimConfig::regions
 const DEFAULT_REGIONS: u32 = 8;
 
-/// The region layout, shared read-only by the coordinator and every
-/// worker.
+/// A region layout, shared read-only by the coordinator and every
+/// worker: the plan's until the fuse, one region per worker after it
+/// ([`Shared::layout`]).
 struct Ctx {
     /// Edge → owning region (= region of the source router).
     edge_region: Vec<u32>,
@@ -131,12 +198,28 @@ struct Ctx {
     /// Node → minimum flit steps before a header there can traverse a
     /// cross-region edge ([`RegionPlan::distance_to_cut`]).
     dist_to_cut: Vec<u64>,
+    /// Region → whether any edge crosses its boundary, in either
+    /// direction. A region none does is closed: no worm enters or leaves
+    /// it, none of its residents holds or wants a foreign edge, and it
+    /// keeps no cut state at all.
+    has_cut: Vec<bool>,
 }
 
 impl Ctx {
     /// The layout of `plan`; an empty graph has no plan and no regions.
     fn new(graph: &Graph, plan: Option<&RegionPlan>) -> Ctx {
         let node_region = plan.map_or(Vec::new(), |p| p.node_regions().to_vec());
+        let mut has_cut = vec![false; plan.map_or(0, |p| p.num_regions() as usize)];
+        for e in graph.edges() {
+            let (s, d) = (
+                node_region[graph.src(e).idx()],
+                node_region[graph.dst(e).idx()],
+            );
+            if s != d {
+                has_cut[s as usize] = true;
+                has_cut[d as usize] = true;
+            }
+        }
         Ctx {
             edge_region: graph
                 .edge_sources()
@@ -145,6 +228,18 @@ impl Ctx {
                 .collect(),
             node_region,
             dist_to_cut: plan.map_or(Vec::new(), |p| p.distance_to_cut(graph)),
+            has_cut,
+        }
+    }
+
+    /// Region `idx`'s [`Core::foreign`] flags; none for a region no cross
+    /// edge touches, whose core then runs the sequential engines'
+    /// unguarded release path.
+    fn foreign(&self, idx: u32) -> Vec<bool> {
+        if self.has_cut[idx as usize] {
+            self.edge_region.iter().map(|&r| r != idx).collect()
+        } else {
+            Vec::new()
         }
     }
 
@@ -166,7 +261,8 @@ impl Ctx {
 /// none). Constant while a frozen-route worm stays resident — it only
 /// marches forward through the local stretch in between, and leaves
 /// when the edge it wants next is `ahead` — so [`Region`] computes it
-/// once, on arrival.
+/// on arrival, and again only if the layout changes under the worm
+/// ([`Region::relabel`]).
 fn cuts(ctx: &Ctx, core: &Core, h: u32, home: u32) -> (u32, u32) {
     let (w, route) = (&core.worms[h as usize], core.route(h));
     let foreign = |j: &u32| ctx.edge_region[route[*j as usize - 1].idx()] != home;
@@ -206,6 +302,27 @@ fn worm_bound(ctx: &Ctx, core: &Core, h: u32, (behind, ahead): (u32, u32)) -> u6
     }
 }
 
+/// Adds `from` into `into`, entry by entry: per-edge or per-router
+/// counts of two regions, whose supports are disjoint.
+fn add_rows<T: Copy + std::ops::AddAssign>(into: &mut [T], from: &[T]) {
+    for (sum, &x) in into.iter_mut().zip(from) {
+        *sum += x;
+    }
+}
+
+/// What [`land`] reads of a worm that finished or was discarded: its
+/// spec and route are dropped where it retires, not buffered — one long
+/// window of a saturated run retires thousands.
+struct Retired {
+    /// `t + 1` for a delivery, `t` for a discard: the stamps the
+    /// sequential engines record.
+    time: u64,
+    delivered: bool,
+    id: u32,
+    worm: Worm,
+    out: MessageOutcome,
+}
+
 /// One region: the [`Core`] holding its resident worms and the ledger
 /// of the edges and routers it owns (full-size arrays indexed by
 /// *global* ids — foreign entries stay zero), the event driver's state
@@ -224,10 +341,8 @@ struct Region<'a> {
     /// Outbox: worms whose next wanted edge crossed the cut, with the
     /// region owning it.
     handoffs: Vec<(u32, Resident)>,
-    /// Outbox: worms that finished or were discarded this window, as
-    /// `(time, delivered, worm)` — `t + 1` for deliveries, `t` for
-    /// discards, the same stamps the sequential engines record.
-    retired: Vec<(u64, bool, Resident)>,
+    /// Outbox: worms that finished or were discarded this window.
+    retired: Vec<Retired>,
     /// Running minimum [`worm_bound`] over the parked population, folded
     /// in as each worm parks (a parked worm's bound is constant; reset
     /// when a window ends with the queue empty). Folding this into `safe`
@@ -256,7 +371,7 @@ impl<'a> Region<'a> {
             sim.core.rules.clone(),
             false,
         );
-        core.foreign = ctx.edge_region.iter().map(|&r| r != idx).collect();
+        core.foreign = ctx.foreign(idx);
         Region {
             idx,
             st: EventState::new(&core),
@@ -274,19 +389,26 @@ impl<'a> Region<'a> {
         }
     }
 
+    /// Caches resident `h`'s [`cuts`] under `ctx` and returns its
+    /// [`worm_bound`].
+    fn scan(&mut self, ctx: &Ctx, h: u32) -> u64 {
+        let at = cuts(ctx, &self.core, h, self.idx);
+        if self.cuts.len() <= h as usize {
+            self.cuts.resize(h as usize + 1, None);
+        }
+        self.cuts[h as usize] = (!self.core.worms[h as usize].pending_route).then_some(at);
+        worm_bound(ctx, &self.core, h, at)
+    }
+
     /// Takes in a worm — freshly admitted, or handed off by another
     /// region — under a free handle, and tightens the window grant.
     fn arrive(&mut self, ctx: &Ctx, r: Resident) {
         let h = self.free.pop().unwrap_or(self.core.worms.len() as u32);
         self.core.put(h, r);
         self.core.unfinished += 1;
-        let at = cuts(ctx, &self.core, h, self.idx);
-        if self.cuts.len() <= h as usize {
-            self.cuts.resize(h as usize + 1, None);
+        if ctx.has_cut[self.idx as usize] {
+            self.safe = self.safe.min(self.scan(ctx, h));
         }
-        self.cuts[h as usize] = (!self.core.worms[h as usize].pending_route).then_some(at);
-        let bound = worm_bound(ctx, &self.core, h, at);
-        self.safe = self.safe.min(bound);
         self.st.runnable.push(h);
     }
 
@@ -295,7 +417,14 @@ impl<'a> Region<'a> {
     fn retire(&mut self) {
         let mut done = std::mem::take(&mut self.core.done);
         for (time, h, delivered) in done.drain(..) {
-            self.retired.push((time, delivered, self.core.take(h)));
+            let Resident { id, worm, out, .. } = self.core.take(h);
+            self.retired.push(Retired {
+                time,
+                delivered,
+                id,
+                worm,
+                out,
+            });
             self.free.push(h);
         }
         self.core.done = done;
@@ -309,6 +438,13 @@ impl<'a> Region<'a> {
         // Releases other regions' worms made on this region's edges
         // during step `t0 − 1` have landed: their waiters re-contend now.
         engine::wake_released(&mut self.core, &mut self.st, t0, t0.saturating_sub(1));
+        if !ctx.has_cut[self.idx as usize] {
+            // Nobody can leave and nothing bounds the next grant: the
+            // event engine's window, and its `on_park`.
+            self.win = engine::run_window(&mut self.core, &mut self.st, t0, end, &mut |_, _| {});
+            self.retire();
+            return;
+        }
         let (idx, cached) = (self.idx, &self.cuts);
         let at = |core: &Core, h: u32| {
             let at = cached[h as usize].unwrap_or_else(|| cuts(ctx, core, h, idx));
@@ -351,14 +487,68 @@ impl<'a> Region<'a> {
         }
         self.safe = safe.min(self.parked_safe);
     }
+
+    /// This region becomes region `idx` of `ctx`, the layout after the
+    /// fuse: everything it caches of the old layout — which edges are
+    /// foreign, every resident's [`cuts`], the two running bounds — is
+    /// recomputed. Its parked worms stay parked: wait keys are global
+    /// edge and router ids, and the edges they watch were this region's
+    /// and still are.
+    fn relabel(&mut self, idx: u32, ctx: &Ctx) {
+        self.idx = idx;
+        self.core.foreign = ctx.foreign(idx);
+        (self.safe, self.parked_safe) = (u64::MAX, u64::MAX);
+        if !ctx.has_cut[idx as usize] {
+            self.cuts = Vec::new();
+            return;
+        }
+        for i in 0..self.st.runnable.len() {
+            self.safe = self.safe.min(self.scan(ctx, self.st.runnable[i]));
+        }
+        let parked: Vec<u32> = self.st.waiting.parked().collect();
+        for h in parked {
+            self.parked_safe = self.parked_safe.min(self.scan(ctx, h));
+        }
+        self.safe = self.safe.min(self.parked_safe);
+    }
+
+    /// Folds region `b` into this one — already relabelled to the region
+    /// of `ctx` both become — before step `t`, and leaves `b` empty:
+    /// steps 1, 2, 3 and 5 of the module docs' *Fusing*, argued there.
+    fn absorb(&mut self, ctx: &Ctx, b: &mut Region<'a>, t: u64) {
+        debug_assert!(
+            b.handoffs.is_empty() && b.retired.is_empty() && b.core.remote_releases.is_empty(),
+            "the fuse follows a landing"
+        );
+        b.core.ledger.settle_max(&b.core.rules);
+        engine::settle_parked(&mut b.core, &mut b.st, t.saturating_sub(1));
+        let (mine, theirs) = (&mut self.core.ledger, &b.core.ledger);
+        add_rows(&mut mine.holders, &theirs.holders);
+        add_rows(&mut mine.pool_used, &theirs.pool_used);
+        add_rows(&mut mine.shared_used, &theirs.shared_used);
+        for h in std::mem::take(&mut b.st.runnable) {
+            self.arrive(ctx, b.core.take(h));
+        }
+        fold_totals(&mut self.core, &b.core);
+    }
 }
 
 /// Everything the worker threads can see: the regions (each behind its
-/// own mutex — workers step disjoint index sets inside a window and the
-/// coordinator holds all of them between windows, so locks are never
-/// contended), the window barriers, and the broadcast clock/grant.
+/// own mutex — workers step disjoint blocks inside a window and the
+/// coordinator holds every live one between windows, so locks are never
+/// contended), the two layouts, the window barriers, and the broadcast
+/// clock/grant.
 struct Shared<'a> {
     regions: Vec<Mutex<Region<'a>>>,
+    /// Threads stepping regions, the coordinator included
+    /// (`1 ..= regions.len()`).
+    nthreads: usize,
+    /// The plan's layout: the finest decomposition.
+    plan: Ctx,
+    /// The layout after the fuse, one region per worker. Set once, by
+    /// the coordinator, between windows (the `start` barrier publishes
+    /// it).
+    fused: OnceLock<Ctx>,
     /// Opens a window (workers wait here between windows).
     start: Barrier,
     /// Closes a window (the coordinator merges after this).
@@ -370,12 +560,69 @@ struct Shared<'a> {
     w_now: AtomicU64,
     /// Set by the coordinator before the final `start` wave.
     stop: AtomicBool,
-    ctx: Ctx,
+    /// The first panic caught inside a window, on any thread
+    /// ([`Shared::contain`]).
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// Worker `w` of `nthreads`: run regions `w, w + nthreads, …` through
-/// each window until the coordinator raises `stop`.
-fn worker_loop(shared: &Shared<'_>, w: usize, nthreads: usize) {
+impl<'a> Shared<'a> {
+    /// The layout in force.
+    fn layout(&self) -> &Ctx {
+        self.fused.get().unwrap_or(&self.plan)
+    }
+
+    /// Worker `w`'s block of the plan's regions — region `r` is worker
+    /// `r · nthreads / k`'s. Contiguous, because every plan constructor
+    /// numbers adjacent regions adjacently and only regions one worker
+    /// steps may fuse.
+    fn block(&self, w: usize) -> Range<usize> {
+        let (k, n) = (self.regions.len(), self.nthreads);
+        (w * k).div_ceil(n)..((w + 1) * k).div_ceil(n)
+    }
+
+    /// The regions worker `w` steps: its block until the fuse, then the
+    /// block's first region alone, which absorbed the others.
+    fn live(&self, w: usize) -> Range<usize> {
+        let block = self.block(w);
+        if self.fused.get().is_some() {
+            block.start..block.start + 1
+        } else {
+            block
+        }
+    }
+
+    fn lock(&self, i: usize) -> MutexGuard<'_, Region<'a>> {
+        self.regions[i]
+            .lock()
+            .expect("a panic that poisons a region ends the run")
+    }
+
+    /// Runs worker `w`'s regions through the window `[t, t + win)`.
+    fn run_block(&self, w: usize, t: u64, win: u64) {
+        let ctx = self.layout();
+        for i in self.live(w) {
+            self.lock(i).run_window(ctx, t, t + win);
+        }
+    }
+
+    /// Runs `f`, keeping a panic's payload instead of unwinding: inside
+    /// a window every thread must still reach the `end` barrier —
+    /// [`Barrier`] has no poisoning, the others would wait there forever.
+    fn contain(&self, f: impl FnOnce()) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+            self.caught().get_or_insert(payload);
+        }
+    }
+
+    /// The first panic [`Shared::contain`] caught, if any.
+    fn caught(&self) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
+        self.panic.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Worker `w`: run its regions through each window until the
+/// coordinator raises `stop`.
+fn worker_loop(shared: &Shared<'_>, w: usize) {
     loop {
         shared.start.wait();
         if shared.stop.load(Ordering::Relaxed) {
@@ -383,30 +630,28 @@ fn worker_loop(shared: &Shared<'_>, w: usize, nthreads: usize) {
         }
         let t = shared.t_now.load(Ordering::Relaxed);
         let win = shared.w_now.load(Ordering::Relaxed);
-        run_stripe(shared, w, nthreads, t, win);
+        shared.contain(|| shared.run_block(w, t, win));
         shared.end.wait();
     }
 }
 
-/// Runs worker `w`'s regions (`w, w + nthreads, …`) through the window
-/// `[t, t + win)`.
-fn run_stripe(shared: &Shared<'_>, w: usize, nthreads: usize, t: u64, win: u64) {
-    for reg in shared.regions.iter().skip(w).step_by(nthreads) {
-        reg.lock().unwrap().run_window(&shared.ctx, t, t + win);
-    }
-}
-
-/// Advances every region through the window `[t, t + w)` — on the
-/// worker pool when there is one, inline otherwise.
-fn step_window(shared: &Shared<'_>, nthreads: usize, t: u64, w: u64) {
-    if nthreads == 1 {
-        return run_stripe(shared, 0, 1, t, w);
+/// Advances every live region through the window `[t, t + w)` — on the
+/// worker pool when there is one, inline otherwise. A panic on any
+/// thread of the pool resumes here, on the coordinator's, once all of
+/// them are past the `end` barrier.
+fn step_window(shared: &Shared<'_>, t: u64, w: u64) {
+    if shared.nthreads == 1 {
+        return shared.run_block(0, t, w);
     }
     shared.t_now.store(t, Ordering::Relaxed);
     shared.w_now.store(w, Ordering::Relaxed);
     shared.start.wait();
-    run_stripe(shared, 0, nthreads, t, w); // the coordinator doubles as worker 0
+    shared.contain(|| shared.run_block(0, t, w)); // the coordinator doubles as worker 0
     shared.end.wait();
+    let caught = shared.caught().take();
+    if let Some(payload) = caught {
+        resume_unwind(payload);
+    }
 }
 
 /// Cross-region invariant check between windows: every region's own
@@ -423,14 +668,26 @@ fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize, t: u64) {
         // fail the parked-set check.
         engine::wake_released(&mut reg.core, &mut reg.st, t, t - 1);
         engine::validate(&mut reg.core, &mut reg.st);
-        for (sum, h) in held.iter_mut().zip(reg.core.held_counts()) {
-            *sum += h;
-        }
-        for (sum, h) in holders.iter_mut().zip(&reg.core.ledger.holders) {
-            *sum += h;
-        }
+        add_rows(&mut held, &reg.core.held_counts());
+        add_rows(&mut holders, &reg.core.ledger.holders);
     }
     assert_eq!(held, holders, "VC accounting mismatch");
+}
+
+/// Adds `from`'s run accumulators and occupancy maxima into `into`'s: a
+/// region's into the run's id-keyed core when the run ends, an absorbed
+/// region's into its absorber's at the fuse.
+fn fold_totals(into: &mut Core, from: &Core) {
+    into.flit_hops += from.flit_hops;
+    into.last_finish = into.last_finish.max(from.last_finish);
+    into.ledger.max_vcs = into.ledger.max_vcs.max(from.ledger.max_vcs);
+    into.ledger.max_pool = into.ledger.max_pool.max(from.ledger.max_pool);
+    into.fault_discards += from.fault_discards;
+    into.fault_detour_hops += from.fault_detour_hops;
+    if let (Some(ad), Some(from_ad)) = (into.adaptive.as_mut(), from.adaptive.as_ref()) {
+        ad.stats.escape_fallbacks += from_ad.stats.escape_fallbacks;
+        ad.stats.misroute_hops += from_ad.stats.misroute_hops;
+    }
 }
 
 /// The run is over: settles the still-parked worms' stalls through step
@@ -447,16 +704,7 @@ fn write_back(sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>], throug
             total.put(r.id, r);
         }
         reg.core.ledger.settle_max(&reg.core.rules);
-        total.flit_hops += reg.core.flit_hops;
-        total.last_finish = total.last_finish.max(reg.core.last_finish);
-        total.ledger.max_vcs = total.ledger.max_vcs.max(reg.core.ledger.max_vcs);
-        total.ledger.max_pool = total.ledger.max_pool.max(reg.core.ledger.max_pool);
-        total.fault_discards += reg.core.fault_discards;
-        total.fault_detour_hops += reg.core.fault_detour_hops;
-        if let (Some(ad), Some(reg_ad)) = (total.adaptive.as_mut(), reg.core.adaptive.as_ref()) {
-            ad.stats.escape_fallbacks += reg_ad.stats.escape_fallbacks;
-            ad.stats.misroute_hops += reg_ad.stats.misroute_hops;
-        }
+        fold_totals(total, &reg.core);
     }
 }
 
@@ -465,9 +713,14 @@ fn write_back(sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>], throug
 /// makes the run reproducible by inspection, not just by argument):
 /// cross-region releases on the edges' owners, retired worms in the run's
 /// id-keyed core — whose next completion flush reports them to the
-/// source — and emigrants in their new regions. Returns how many worms
-/// retired.
-fn land(ctx: &Ctx, sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>]) -> usize {
+/// source — and emigrants in their new regions, counted in
+/// `stats.handoffs`. Returns how many worms retired.
+fn land(
+    ctx: &Ctx,
+    sim: &mut Sim<'_>,
+    regs: &mut [MutexGuard<'_, Region<'_>>],
+    stats: &mut EngineStats,
+) -> usize {
     let mut n_retired = 0;
     for i in 0..regs.len() {
         let mut releases = std::mem::take(&mut regs[i].core.remote_releases);
@@ -477,13 +730,14 @@ fn land(ctx: &Ctx, sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>]) -
         }
         regs[i].core.remote_releases = releases;
         n_retired += regs[i].retired.len();
-        for (time, delivered, r) in regs[i].retired.drain(..) {
+        for r in regs[i].retired.drain(..) {
             let mi = r.id as usize;
             sim.core.worms[mi] = r.worm;
             sim.core.outcomes[mi] = r.out;
-            sim.core.done.push((time, r.id, delivered));
+            sim.core.done.push((r.time, r.id, r.delivered));
         }
         let mut handoffs = std::mem::take(&mut regs[i].handoffs);
+        stats.handoffs += handoffs.len() as u64;
         for (target, r) in handoffs.drain(..) {
             regs[target as usize].arrive(ctx, r);
         }
@@ -492,20 +746,58 @@ fn land(ctx: &Ctx, sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>]) -
     n_retired
 }
 
+/// The fuse, before step `t`: every worker's block of regions becomes
+/// one region — the block's first absorbs the rest
+/// ([`Region::relabel`], [`Region::absorb`]) — under a layout with one
+/// region per worker, which this publishes and returns. `regs` holds
+/// every region of the plan on entry, in index order, and the fused ones
+/// on return: `regs[i].idx == i` either way.
+fn fuse<'s, 'a>(
+    shared: &'s Shared<'a>,
+    sim: &Sim<'a>,
+    regs: &mut Vec<MutexGuard<'s, Region<'a>>>,
+    t: u64,
+) -> &'s Ctx {
+    let (k, n) = (regs.len(), shared.nthreads);
+    let worker = |&r: &u32| (r as usize * n / k) as u32;
+    let coarse = shared.plan.node_region.iter().map(worker).collect();
+    let coarse = RegionPlan::from_node_regions(sim.graph, coarse);
+    let ctx = shared
+        .fused
+        .get_or_init(|| Ctx::new(sim.graph, Some(&coarse)));
+    let mut rest = std::mem::take(regs).into_iter();
+    for w in 0..n {
+        let mut a = rest.next().expect("a worker's block is never empty");
+        a.relabel(w as u32, ctx);
+        for mut b in rest.by_ref().take(shared.block(w).len() - 1) {
+            a.absorb(ctx, &mut b, t);
+            // Never stepped again: an empty region in its place frees
+            // the tables its peak population sized.
+            *b = Region::new(b.idx, &shared.plan, sim);
+        }
+        regs.push(a);
+    }
+    ctx
+}
+
 /// The coordinator: mirrors [`Sim::drive_legacy`]'s loop head (idle
 /// fast-forward, step-cap accounting, kills, admissions) around the
 /// window grant, then merges the regions' outboxes.
-fn run_loop(
-    sim: &mut Sim<'_>,
-    shared: &Shared<'_>,
-    nthreads: usize,
+fn run_loop<'a>(
+    sim: &mut Sim<'a>,
+    shared: &Shared<'a>,
+    stats: &mut EngineStats,
 ) -> (Outcome, u64, Option<DeadlockReport>) {
-    let ctx = &shared.ctx;
+    let mut ctx = &shared.plan;
     let mut t: u64 = 0;
     let mut n_active: usize = 0;
-    // Between windows every region is the coordinator's: one lock each
-    // per window, not one per outbox entry.
-    let lock_all = || shared.regions.iter().map(|cell| cell.lock().unwrap());
+    // Between windows every live region is the coordinator's: one lock
+    // each per window, not one per outbox entry.
+    let lock_all = || {
+        (0..shared.nthreads)
+            .flat_map(|w| shared.live(w))
+            .map(|i| shared.lock(i))
+    };
     let mut regs: Vec<MutexGuard<'_, Region<'_>>> = lock_all().collect();
     loop {
         if let Some(outcome) = sim.loop_head(&mut t, n_active == 0) {
@@ -533,7 +825,7 @@ fn run_loop(
                 engine::kill(&mut reg.core, &mut reg.st, due, t);
                 reg.retire();
             }
-            n_active -= land(ctx, sim, &mut regs);
+            n_active -= land(ctx, sim, &mut regs, stats);
         }
         let new = sim.admit_ready(t);
         for i in new {
@@ -546,19 +838,31 @@ fn run_loop(
             }
         }
 
-        // The window grant: the minimum per-region `safe` bound over
-        // populated regions, capped at the next admission, the next
-        // fault kill and the step cap. Reactive sources pin the window
-        // to one step (a delivery may spawn a release mid-window
-        // otherwise); so does any worm near a cut. `peek_next_release` is an idempotent peek for
-        // non-reactive sources, so consulting it every window leaves
-        // the admission sequence untouched.
-        let mut grant = u64::MAX;
-        for reg in &regs {
-            if reg.st.n_active() > 0 {
-                grant = grant.min(reg.safe);
-            }
+        // The cut-bound grant: the minimum per-region `safe` bound over
+        // populated regions. While it is infinite no resident can ever
+        // reach a cut, and regions finer than the worker count pay:
+        // each drains through long windows, hot in cache. The first time
+        // it is finite the grant — one global minimum — puts *every*
+        // region in short windows, where a cut between two regions of
+        // one worker is pure overhead: fuse, once, for good. Every
+        // release of step `t − 1` has landed and the step's admissions
+        // are in, so the regions are exactly the state step `t` starts
+        // from.
+        let cut_bound = |regs: &[MutexGuard<'_, Region<'_>>]| {
+            let populated = regs.iter().filter(|reg| reg.st.n_active() > 0);
+            populated.map(|reg| reg.safe).min().unwrap_or(u64::MAX)
+        };
+        let mut grant = cut_bound(&regs);
+        if grant != u64::MAX && shared.nthreads < regs.len() {
+            ctx = fuse(shared, sim, &mut regs, t);
+            grant = cut_bound(&regs);
         }
+        // The window: that grant capped at the next admission, the next
+        // fault kill and the step cap. Reactive sources pin it to one
+        // step (a delivery may spawn a release mid-window otherwise); so
+        // does any worm near a cut. `peek_next_release` is an idempotent
+        // peek for non-reactive sources, so consulting it every window
+        // leaves the admission sequence untouched.
         let w = if sim.reactive || grant <= 1 {
             1
         } else {
@@ -569,14 +873,18 @@ fn run_loop(
         };
 
         regs.clear(); // unlock
-        step_window(shared, nthreads, t, w);
+        step_window(shared, t, w);
         regs.extend(lock_all());
 
         let mut t_dead: u64 = 0;
         let mut all_static = true;
         let mut any_worms = false;
         let mut any_frozen = false;
+        // A window covers at least its first step, and an open-ended
+        // grant no more than the steps that moved a worm.
+        let mut moved_to = t + 1;
         for reg in &mut regs {
+            moved_to = moved_to.max(reg.win.last_move_plus1);
             t_dead = t_dead.max(reg.win.last_move_plus1);
             if reg.st.n_active() > 0 {
                 any_worms = true;
@@ -592,6 +900,9 @@ fn run_loop(
                 "remote release inside a multi-step window"
             );
         }
+        stats.windows += 1;
+        stats.one_step_windows += u64::from(w == 1);
+        stats.window_steps += moved_to - t;
         // A frozen region repeats its freeze step verbatim until the
         // window ends (or until the deadlock instant, below): top up
         // the stall counts its skipped steps would have recorded. At
@@ -618,11 +929,12 @@ fn run_loop(
         // like any sequential mid-step release — and *before* the owner
         // samples the window's last step into its occupancy maxima and
         // wakes the waiters, both of which it does on entering its next
-        // window (or at a kill): the sample is the end-of-step state and
-        // the waiters' skipped stalls settle through that step, as in
-        // the sequential engines. Emigrants arrive after the top-up
-        // above, which is for the worms that sat the window out.
-        n_active -= land(ctx, sim, &mut regs);
+        // window (or at a kill, or at the fuse): the sample is the
+        // end-of-step state and the waiters' skipped stalls settle
+        // through that step, as in the sequential engines. Emigrants
+        // arrive after the top-up above, which is for the worms that sat
+        // the window out.
+        n_active -= land(ctx, sim, &mut regs, stats);
 
         if deadlocked {
             // Static state, nothing can ever move again: deadlock at
@@ -647,8 +959,9 @@ fn run_loop(
 
 /// Entry point from the engine dispatch: runs `sim` to its outcome on
 /// the partitioned engine with `threads` workers (0 = all available;
-/// always clamped to the region count).
-pub(crate) fn drive(sim: &mut Sim<'_>, threads: u32) -> (Outcome, u64, Option<DeadlockReport>) {
+/// always clamped to the region count) and leaves its counters in
+/// [`Sim::engine_stats`].
+pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> (Outcome, u64, Option<DeadlockReport>) {
     let graph = sim.graph;
     let plan = match &sim.core.config.regions {
         Some(p) => {
@@ -677,25 +990,44 @@ pub(crate) fn drive(sim: &mut Sim<'_>, threads: u32) -> (Outcome, u64, Option<De
         .collect();
     let shared = Shared {
         regions,
+        nthreads,
+        plan: ctx,
+        fused: OnceLock::new(),
         start: Barrier::new(nthreads),
         end: Barrier::new(nthreads),
         t_now: AtomicU64::new(0),
         w_now: AtomicU64::new(1),
         stop: AtomicBool::new(false),
-        ctx,
+        panic: Mutex::new(None),
     };
-    if nthreads == 1 {
-        run_loop(sim, &shared, 1)
+    let mut stats = EngineStats {
+        regions_at_start: k as u32,
+        ..EngineStats::default()
+    };
+    let out = if nthreads == 1 {
+        run_loop(sim, &shared, &mut stats)
     } else {
         std::thread::scope(|s| {
             let sh = &shared;
             for w in 1..nthreads {
-                s.spawn(move || worker_loop(sh, w, nthreads));
+                s.spawn(move || worker_loop(sh, w));
             }
-            let out = run_loop(sim, sh, nthreads);
+            // However the loop ends — a verdict, a panic of the
+            // coordinator's own (a failed invariant check, a source that
+            // panics), one resumed from inside a window — the workers
+            // are parked on `start`: release them before unwinding any
+            // further, or the scope joins them forever.
+            let out = catch_unwind(AssertUnwindSafe(|| run_loop(sim, sh, &mut stats)));
             sh.stop.store(true, Ordering::Relaxed);
             sh.start.wait();
-            out
+            out.unwrap_or_else(|payload| resume_unwind(payload))
         })
-    }
+    };
+    stats.regions_at_end = if shared.fused.get().is_some() {
+        nthreads as u32
+    } else {
+        k as u32
+    };
+    sim.engine_stats = Some(stats);
+    out
 }

@@ -30,6 +30,34 @@ impl EngineFallback {
     }
 }
 
+/// What the engine did to produce a result, as opposed to what it
+/// simulated: attached as [`SimResult::engine_stats`] and excluded from
+/// [`SimResult::same_execution`]. Every count is deterministic for fixed
+/// inputs, region plan and worker count. Today only the partitioned
+/// engine ([`crate::config::Engine::Parallel`]) fills it, with what its
+/// coordinator sees.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Windows the coordinator granted: each is one pass over every live
+    /// region and, with more than one worker, two barrier waits.
+    pub windows: u64,
+    /// Flit steps those windows covered, each counted up to the last
+    /// step that moved a worm (so the open-ended grant of a final drain
+    /// counts what it simulated); `window_steps / windows` is the mean
+    /// window length.
+    pub window_steps: u64,
+    /// Of `windows`, those granted a single step: a worm near a cut, or
+    /// a reactive source.
+    pub one_step_windows: u64,
+    /// Worms moved from one region to another between windows.
+    pub handoffs: u64,
+    /// Regions of the plan the run started on.
+    pub regions_at_start: u32,
+    /// Regions left when it ended: fewer once the first worm that can
+    /// reach a cut made each worker's block of regions fuse into one.
+    pub regions_at_end: u32,
+}
+
 /// Why a message was discarded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiscardReason {
@@ -247,6 +275,10 @@ pub struct SimResult {
     /// Always `None`: the configured engine runs every configuration
     /// itself (see [`EngineFallback`]).
     pub engine_fallback: Option<EngineFallback>,
+    /// The engine's own counters (see [`EngineStats`]); `Some` only
+    /// under [`crate::config::Engine::Parallel`]. Not part of the
+    /// execution — excluded from [`SimResult::same_execution`].
+    pub engine_stats: Option<EngineStats>,
 }
 
 impl SimResult {
@@ -286,12 +318,14 @@ impl SimResult {
             open_loop: None,
             closed_loop: None,
             engine_fallback: None,
+            engine_stats: None,
         }
     }
 
     /// Field-for-field execution equality over everything the simulator
     /// computes (`open_loop` and `closed_loop` excluded — both are
-    /// derived windowing, attached after the run). This is
+    /// derived windowing, attached after the run — and `engine_stats`,
+    /// which counts the engine's work, not the network's). This is
     /// the differential-oracle relation all engines
     /// ([`crate::config::Engine`]) must satisfy on every workload.
     pub fn same_execution(&self, other: &SimResult) -> bool {
@@ -401,6 +435,7 @@ mod tests {
             open_loop: None,
             closed_loop: None,
             engine_fallback: None,
+            engine_stats: None,
         };
         assert_eq!(r.delivered(), 2);
         assert_eq!(r.discarded(), 1);

@@ -181,7 +181,7 @@ use crate::kernel::{
 };
 use crate::message::MessageSpec;
 use crate::source::{ReplaySource, TrafficSource};
-use crate::stats::{DiscardReason, MessageOutcome, Outcome, SimResult};
+use crate::stats::{DiscardReason, EngineStats, MessageOutcome, Outcome, SimResult};
 
 /// Eagerly validates a spec slice against `graph` — the historical
 /// entry-point behavior (a bad spec panics before any simulation work),
@@ -957,6 +957,9 @@ pub(crate) struct Sim<'a> {
     kill_schedule: Vec<(u64, u32)>,
     /// Cursor into `kill_schedule`: entries before it are applied.
     next_kill: usize,
+    /// The driving engine's own counters, for
+    /// [`SimResult::engine_stats`]; the parallel coordinator fills it.
+    pub(crate) engine_stats: Option<EngineStats>,
 }
 
 impl<'a> Sim<'a> {
@@ -987,6 +990,7 @@ impl<'a> Sim<'a> {
             reactive,
             kill_schedule,
             next_kill: 0,
+            engine_stats: None,
         }
     }
 
@@ -1185,6 +1189,7 @@ impl<'a> Sim<'a> {
             open_loop: None,
             closed_loop: None,
             engine_fallback: None,
+            engine_stats: self.engine_stats,
         }
     }
 

@@ -34,18 +34,30 @@
 //!   sample of the step before it must not see its releases), a kill
 //!   under a reactive source (the source hears the discards before that
 //!   step's admissions), and a kill discarding a parked worm of a frozen
-//!   region in place.
+//!   region in place;
+//! * fuse fixtures — with fewer workers than regions, the first worm that
+//!   can reach a cut fuses each worker's block of regions into one: worms
+//!   parked in a region being absorbed (static and pooled VCs, the pooled
+//!   ones starved of shared credit), a fuse at a kill step, a pending
+//!   adaptive head as the trigger, and tornado traffic that never fuses;
+//!   each asserts exact stall counts and the regions the run started and
+//!   ended on at 1 / 2 / 8 workers (`SimResult::engine_stats`);
+//! * two panic fixtures — a source that panics between windows and a
+//!   router that panics inside a worker's window must fail a two-worker
+//!   run, not hang it on the window barrier.
 
 use proptest::prelude::*;
 
-use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
 use wormhole_flitsim::message::specs_from_paths;
-use wormhole_flitsim::source::TrafficSource;
+use wormhole_flitsim::source::{ReplaySource, TrafficSource};
 use wormhole_flitsim::stats::{DiscardReason, Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_flitsim::MessageSpec;
+use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::fault::FaultPlan;
 use wormhole_topology::graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use wormhole_topology::mesh::Mesh;
 use wormhole_topology::path::Path;
 use wormhole_topology::random_nets::shared_chain_instance;
 use wormhole_topology::region::RegionPlan;
@@ -560,6 +572,290 @@ fn a_kill_discards_a_parked_worm_of_a_frozen_region() {
     assert_eq!(lg.messages[3].first_move, Some(12));
     assert_eq!(lg.messages[3].finished, Some(12 + 2 + 2 - 1));
     assert_eq!(lg.max_vcs_in_use, 1);
+}
+
+/// `(regions at start, regions at end)` of the parallel engine's run at
+/// 1, 2 and 8 workers ([`SimResult::engine_stats`]).
+fn regions_start_to_end(
+    run: impl Fn(&SimConfig) -> SimResult,
+    config: &SimConfig,
+) -> [(u32, u32); 3] {
+    [1u32, 2, 8].map(|threads| {
+        let par = run(&config.clone().engine(Engine::Parallel { threads }));
+        let stats = par.engine_stats.expect("the parallel engine counts");
+        (stats.regions_at_start, stats.regions_at_end)
+    })
+}
+
+/// The fuse fixtures' network: the 16-node chain in four regions of four
+/// (`e[i]` leaves node `i`; `e[3]`, `e[7]`, `e[11]` cross the cuts) plus a
+/// spur `5 → 16` inside region 1, so that router 5 has two exits.
+fn chain_with_spur() -> (Graph, Vec<EdgeId>, EdgeId, RegionPlan) {
+    let mut bld = GraphBuilder::new(17);
+    let e: Vec<EdgeId> = (0..15)
+        .map(|i| bld.add_edge(NodeId(i), NodeId(i + 1)))
+        .collect();
+    let spur = bld.add_edge(NodeId(5), NodeId(16));
+    let g = bld.build();
+    let mut regions: Vec<u32> = (0..16).map(|v| v / 4).collect();
+    regions.push(1);
+    let plan = RegionPlan::from_node_regions(&g, regions);
+    (g, e, spur, plan)
+}
+
+/// The traffic of the fuse fixtures, one VC per edge. Until step 10 no
+/// route touches a cut — every grant is unbounded and the four regions
+/// stay apart — and everything happens in region 1, which one and two
+/// workers absorb into region 0:
+///
+/// * worm 0 streams 30 flits over `e6`, through step 29;
+/// * worm 1 takes `e4, e5` and parks behind it at step 2; worm 2,
+///   released at 1 onto `e4, e5`, parks at once behind worm 1; worm 3,
+///   released at 2 onto `e6`, behind worm 0 — three worms parked in the
+///   region about to be absorbed;
+/// * worm 4 crosses the spur over steps 9 and 10 while worm 1 holds
+///   `e5`: the end of step 9 is the only instant two of router 5's VCs
+///   are in use (`max_pool_in_use`), and the sample of step 9 is region
+///   1's to take on entering its next window — which never comes;
+/// * worm 5, released at 10 onto `e2, e3, e4`, is the first whose route
+///   crosses a cut: the fuse happens before step 10, with worm 5 already
+///   resident in region 0 (its cached `cuts` name `e4` as foreign).
+fn fuse_fixture_specs(e: &[EdgeId], spur: EdgeId) -> Vec<MessageSpec> {
+    vec![
+        MessageSpec::new(Path::new(vec![e[6]]), 30),
+        MessageSpec::new(Path::new(e[4..7].to_vec()), 2),
+        MessageSpec::new(Path::new(e[4..6].to_vec()), 2).release_at(1),
+        MessageSpec::new(Path::new(vec![e[6]]), 2).release_at(2),
+        MessageSpec::new(Path::new(vec![spur]), 2).release_at(9),
+        MessageSpec::new(Path::new(e[2..5].to_vec()), 2).release_at(10),
+    ]
+}
+
+/// The fuse with worms parked in a region being absorbed: their stalls
+/// settle through step 9, they lose again at step 10 in their new region
+/// and park there, and every count equals Legacy's. One worker ends on
+/// one region, two on two, eight on the plan's four.
+#[test]
+fn the_fuse_settles_the_parked_worms_of_an_absorbed_region() {
+    let (g, e, spur, plan) = chain_with_spur();
+    let specs = fuse_fixture_specs(&e, spur);
+    let cfg = SimConfig::new(1).regions(plan).check_invariants(true);
+    let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    // Worm 1 is blocked over steps 2..=29; worm 2 over 1..=30, until
+    // worm 1's tail leaves `e4`; worm 3 over 2..=31, behind worm 0 and
+    // then worm 1; worm 5 over 12..=33, behind worms 1 and 2 on `e4`.
+    let stalls: Vec<u64> = lg.messages.iter().map(|m| m.stalls).collect();
+    assert_eq!(stalls, [0, 28, 30, 30, 0, 22]);
+    assert_eq!((lg.max_vcs_in_use, lg.max_pool_in_use), (1, 2));
+    let run = |cfg: &SimConfig| wormhole::run(&g, &specs, cfg);
+    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+}
+
+/// The same fuse under a pooled VC policy, with the parked worms starved
+/// of *shared* credit. Router 5's two exits share `pool = 3` VCs — a
+/// floor of one each and one shared credit — and the other routers'
+/// single exits may hold two:
+///
+/// * worms 0 and 1 stream 30 flits each over `e5`: the second draws
+///   router 5's one shared credit; worm 2 streams 60 over the spur, on
+///   its floor;
+/// * worm 3 takes `e4` and wants the spur at step 1 — one VC held of a
+///   cap of two, but no shared credit left: it parks on router 5; worm 4
+///   follows a step later and parks behind it;
+/// * worm 5, released at 10 onto `e2, e3, e4`, triggers the fuse, then
+///   finds `e4` full (worms 3 and 4 sit on it).
+///
+/// Region 0 absorbs region 1's `pool_used` and `shared_used` rows with
+/// its holder counts: without them the starved worms would find credit at
+/// step 10. The credit returns at step 29; worm 3 takes it at 30 and
+/// worm 4 after it.
+#[test]
+fn the_fuse_folds_the_pool_rows_of_an_absorbed_region() {
+    let (g, e, spur, plan) = chain_with_spur();
+    let via_spur = || Path::new(vec![e[4], spur]);
+    let specs = [
+        MessageSpec::new(Path::new(vec![e[5]]), 30),
+        MessageSpec::new(Path::new(vec![e[5]]), 30),
+        MessageSpec::new(Path::new(vec![spur]), 60),
+        MessageSpec::new(via_spur(), 2),
+        MessageSpec::new(via_spur(), 2).release_at(1),
+        MessageSpec::new(Path::new(e[2..5].to_vec()), 2).release_at(10),
+    ];
+    let cfg = SimConfig::new(1)
+        .vc_policy(VcPolicy::pooled(3, 1, 2))
+        .regions(plan)
+        .check_invariants(true);
+    let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    // Starved over steps 1..=29 and 2..=31; worm 5 is blocked on `e4`
+    // over 12..=31.
+    let stalls: Vec<u64> = lg.messages.iter().map(|m| m.stalls).collect();
+    assert_eq!(stalls, [0, 0, 0, 29, 30, 20]);
+    assert_eq!((lg.max_vcs_in_use, lg.max_pool_in_use), (2, 3));
+    let run = |cfg: &SimConfig| wormhole::run(&g, &specs, cfg);
+    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+}
+
+/// The fuse at a kill step. [`fuse_fixture_specs`] again, and at step 10
+/// — the step worm 5's release triggers the fuse — `e5` dies: worm 1
+/// holds it and worm 2's route crosses it, so both are discarded where
+/// they are parked, in region 1, before the step's admissions; worm 3,
+/// parked behind worm 0, survives the kill and is absorbed parked.
+#[test]
+fn the_fuse_at_a_kill_step() {
+    let (g, e, spur, plan) = chain_with_spur();
+    let specs = fuse_fixture_specs(&e, spur);
+    let cfg = SimConfig::new(1)
+        .regions(plan)
+        .faults(FaultPlan::new().kill_link(10, e[5]))
+        .check_invariants(true);
+    let lg = assert_worker_count_invariant(&g, &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    assert_eq!((lg.kills_applied, lg.fault_discards), (1, 2));
+    // Worms 1 and 2 are blocked over 2..=9 and 1..=9, then discarded;
+    // worm 3 over 2..=29, behind worm 0 alone; worm 5 finds `e4` free.
+    let stalls: Vec<u64> = lg.messages.iter().map(|m| m.stalls).collect();
+    assert_eq!(stalls, [0, 8, 9, 28, 0, 0]);
+    assert_eq!(lg.messages[5].finished, Some(10 + 3 + 2 - 1));
+    assert_eq!((lg.max_vcs_in_use, lg.max_pool_in_use), (1, 2));
+    let run = |cfg: &SimConfig| wormhole::run(&g, &specs, cfg);
+    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+}
+
+/// A pending adaptive head as the trigger: its bound is its node's
+/// distance to the nearest cut, finite everywhere on a torus, so the
+/// first admission — at step 3, after an idle jump — fuses the four slabs
+/// of a 4 × 4 adaptive-escape torus. Everything after it (selection by
+/// occupancy, escape fallbacks, parks on whole candidate sets) runs in
+/// the fused regions.
+#[test]
+fn a_pending_adaptive_head_triggers_the_fuse() {
+    use wormhole_flitsim::config::RouteSelection;
+    let sub = Substrate::torus_with(4, 2, RoutingDiscipline::AdaptiveEscape);
+    let mesh = sub.as_mesh().expect("torus is mesh-based");
+    // Every node sends half-way round its dimension-0 ring and one row
+    // up at step 3, and the other way about at step 4: the second wave
+    // finds the first on every slab face.
+    let specs: Vec<MessageSpec> = (0..32u32)
+        .map(|i| (i % 4, i / 4 % 4, i / 16))
+        .map(|(x, y, wave)| {
+            let (dx, dy) = [(2, 1), (1, 2)][wave as usize];
+            let (src, dst) = (mesh.node(&[x, y]), mesh.node(&[(x + dx) % 4, (y + dy) % 4]));
+            MessageSpec::new(mesh.route(src, dst), 6).release_at(3 + wave as u64)
+        })
+        .collect();
+    let cfg = SimConfig::new(1)
+        .route_selection(RouteSelection::MinimalAdaptive)
+        .regions(sub.region_plan(4))
+        .check_invariants(true);
+    let lg = assert_adaptive_worker_count_invariant(mesh, &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    assert_eq!((lg.total_stalls, lg.escape_fallbacks), (80, 32));
+    assert_eq!(lg.total_steps, 17);
+    let run = |cfg: &SimConfig| wormhole::run_adaptive(mesh, &specs, cfg);
+    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+}
+
+/// Tornado traffic travels in dimension 0 only and the slabs cut the
+/// last dimension: no worm can ever reach a cut, every grant is
+/// unbounded, and the plan's decomposition — which pays here, each slab
+/// draining its rings through long windows — is kept at every worker
+/// count.
+#[test]
+fn tornado_traffic_never_fuses() {
+    let sub = Substrate::torus_with(6, 2, RoutingDiscipline::DatelineClasses);
+    let w = Workload::new(
+        sub.clone(),
+        TrafficPattern::Tornado,
+        ArrivalProcess::bernoulli(0.3),
+        4,
+        5,
+    );
+    let specs = w.generate(60);
+    let cfg = SimConfig::new(2)
+        .regions(sub.region_plan(6))
+        .check_invariants(true);
+    let lg = assert_worker_count_invariant(sub.graph(), &specs, &cfg);
+    assert_eq!(lg.outcome, Outcome::Completed);
+    assert!(lg.total_stalls > 0, "the fixture must contend");
+    let run = |cfg: &SimConfig| wormhole::run(sub.graph(), &specs, cfg);
+    assert_eq!(regions_start_to_end(run, &cfg), [(6, 6); 3]);
+}
+
+/// Emits like the slice it replays until step 3, where it panics.
+struct PanicsAtStepThree(ReplaySource);
+
+impl TrafficSource for PanicsAtStepThree {
+    fn next_release(&mut self, now: u64) -> Option<u64> {
+        self.0.next_release(now)
+    }
+    fn take_ready(&mut self, now: u64, out: &mut Vec<(u32, MessageSpec)>) {
+        assert!(now < 3, "the source gave up at step {now}");
+        self.0.take_ready(now, out)
+    }
+}
+
+/// A panic on the coordinator's thread between two windows — here the
+/// source's, a failed `check_invariants` assertion is another — must
+/// fail the run, not hang it: the second worker is parked on the window
+/// barrier, which nobody would open again.
+#[test]
+#[should_panic(expected = "the source gave up at step 3")]
+fn a_panicking_source_fails_a_two_worker_run() {
+    let (g, e) = chain(8);
+    let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    let specs = (0..6)
+        .map(|i| MessageSpec::new(Path::new(e[1..7].to_vec()), 3).release_at(i))
+        .collect();
+    let mut source = PanicsAtStepThree(ReplaySource::new(specs));
+    let cfg = SimConfig::new(1)
+        .regions(plan)
+        .engine(Engine::Parallel { threads: 2 });
+    wormhole::run_source(&g, &mut source, &cfg);
+}
+
+/// A torus router that panics when asked for candidates at `poison`.
+struct PoisonedRouter<'a> {
+    mesh: &'a Mesh,
+    poison: NodeId,
+}
+
+impl AdaptiveRouter for PoisonedRouter<'_> {
+    fn graph(&self) -> &Graph {
+        self.mesh.graph()
+    }
+    fn candidates(&self, at: NodeId, dst: NodeId, misroutes: bool, out: &mut Vec<(EdgeId, bool)>) {
+        assert!(at != self.poison, "no candidates at the poisoned router");
+        self.mesh.candidates(at, dst, misroutes, out)
+    }
+    fn escape_route(&self, at: NodeId, dst: NodeId) -> Path {
+        self.mesh.escape_route(at, dst)
+    }
+    fn is_escape(&self, e: EdgeId) -> bool {
+        self.mesh.is_escape(e)
+    }
+}
+
+/// A panic inside a window on the second worker's thread — its region's
+/// header asks the router for candidates — must resurface on the
+/// caller's: the coordinator is waiting for that worker on the barrier
+/// that closes the window.
+#[test]
+#[should_panic(expected = "no candidates at the poisoned router")]
+fn a_panic_inside_a_workers_window_fails_the_run() {
+    use wormhole_flitsim::config::RouteSelection;
+    let sub = Substrate::torus_with(4, 2, RoutingDiscipline::AdaptiveEscape);
+    let mesh = sub.as_mesh().expect("torus is mesh-based");
+    // Rows 2 and 3 are the second worker's; the worm starts in row 3.
+    let (src, dst) = (mesh.node(&[0, 3]), mesh.node(&[2, 3]));
+    let router = PoisonedRouter { mesh, poison: src };
+    let specs = [MessageSpec::new(mesh.route(src, dst), 4)];
+    let cfg = SimConfig::new(1)
+        .route_selection(RouteSelection::MinimalAdaptive)
+        .regions(sub.region_plan(4))
+        .engine(Engine::Parallel { threads: 2 });
+    wormhole::run_adaptive(&router, &specs, &cfg);
 }
 
 proptest! {

@@ -64,20 +64,24 @@ fn degenerate_pooled(b: u32, max_fanout: u32) -> VcPolicy {
 
 /// Runs `run` on all three engines and checks the full matrix:
 /// EventDriven ≡ Legacy ≡ Parallel, field for field. The parallel arm is
-/// asserted here, at 2 workers (the 1/2/8-worker sweep lives in
-/// `parallel_determinism.rs`); the event and legacy results go back to
-/// the caller, which compares them with its own context in the message.
+/// asserted here, at 1 worker — where every region of the plan fuses into
+/// one as soon as a worm can reach a cut — and at 2 (the 1/2/8-worker
+/// sweep lives in `parallel_determinism.rs`); the event and legacy
+/// results go back to the caller, which compares them with its own
+/// context in the message.
 fn run_all_with(
     run: impl Fn(&SimConfig) -> SimResult,
     config: &SimConfig,
 ) -> (SimResult, SimResult) {
     let ev = run(&config.clone().engine(Engine::EventDriven));
     let lg = run(&config.clone().engine(Engine::Legacy));
-    let par = run(&config.clone().engine(Engine::Parallel { threads: 2 }));
-    assert!(
-        par.same_execution(&lg),
-        "parallel diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
-    );
+    for threads in [1, 2] {
+        let par = run(&config.clone().engine(Engine::Parallel { threads }));
+        assert!(
+            par.same_execution(&lg),
+            "parallel({threads} workers) diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
+        );
+    }
     (ev, lg)
 }
 
