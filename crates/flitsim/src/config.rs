@@ -147,8 +147,9 @@ pub enum Arbitration {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// Event-driven core: worms that lose arbitration park on a per-edge
-    /// wait queue and are only reconsidered when that edge releases a VC;
-    /// all-draining stretches fast-forward. The default.
+    /// wait queue and contend again, from where they wait, only at a step
+    /// after that edge released a VC — a winner leaves the queue, a loser
+    /// is not touched; all-draining stretches fast-forward. The default.
     EventDriven,
     /// The original per-step rescanning stepper, kept as the differential
     /// oracle.

@@ -10,9 +10,10 @@
 //! * the **VC ledger** — an immutable rule half ([`VcRules`], built once
 //!   per run from the VC policy) and a mutable count half ([`VcLedger`],
 //!   one per `Core`): acquirability, acquire/release
-//!   accounting, park/wake keying, capacity checks, the end-of-step
+//!   accounting, wait keying, capacity checks, the end-of-step
 //!   occupancy maxima, and per-edge arbitration including the pooled
-//!   ascending-edge-id shared-credit grants;
+//!   ascending-edge-id shared-credit grants (sorted only at a router
+//!   short of credit);
 //! * the **wait queue** ([`WaitQueue`]) — where the event driver parks
 //!   blocked worms, on one key or a whole candidate set;
 //! * **worm kinematics** ([`Worm`]) — the rigid-worm advance count, what
@@ -265,10 +266,11 @@ impl VcRules {
         !self.dead.is_empty() && self.dead[e]
     }
 
-    /// The park/wake key for a worm blocked on edge `e`: the edge itself
-    /// under the static policy (only a release there can unblock it),
-    /// the source router under pooling (a release on *any* sibling edge
-    /// can return shared credit — the pool-release wakeup rule).
+    /// The key a worm blocked on edge `e` waits under, and a release on
+    /// `e` turns hot: the edge itself under the static policy (only a
+    /// release there can unblock it), the source router under pooling (a
+    /// release on *any* sibling edge can return shared credit — the
+    /// pool-release rule).
     #[inline]
     pub(crate) fn wait_key(&self, e: usize) -> usize {
         if self.pooled {
@@ -345,7 +347,7 @@ impl VcLedger {
     /// Whether this is nonzero is **monotone** under either policy:
     /// acquisitions by other worms only reduce it, and it recovers only
     /// when a release lands on `e`'s [`VcRules::wait_key`] — the
-    /// property park/wake keying relies on.
+    /// property wait keying relies on.
     #[inline]
     pub(crate) fn free_vcs(&self, rules: &VcRules, e: usize) -> u32 {
         self.free_after(rules, e, 0)
@@ -388,7 +390,8 @@ impl VcLedger {
 
     /// Releases one VC on `e`, returning per-router pool accounting.
     /// Visible to other worms from the next step (arbitration reads
-    /// start-of-step state); the caller records it for its wake pass.
+    /// start-of-step state); the caller records it, to turn the edge's
+    /// wait key hot.
     #[inline]
     pub(crate) fn release(&mut self, rules: &VcRules, e: usize) {
         let h = self.holders[e];
@@ -474,7 +477,9 @@ impl VcLedger {
     /// winners (`movers`) and losers (`blocked`) from start-of-step
     /// holder counts; `order(edge, group)` puts an oversubscribed group
     /// into the canonical [`order_contenders`] order (the first `free`
-    /// entries win).
+    /// entries win). A contender entered from the wait queue
+    /// ([`FlatBuckets::push_parked`]) that loses is left out of
+    /// `blocked`: it stays where it waits, untouched.
     ///
     /// Under [`VcPolicy::RouterPooled`] sibling edges of one router can
     /// compete for the same shared credits within a single step, so the
@@ -482,8 +487,18 @@ impl VcLedger {
     /// order** (tracked in `planned_shared`): a canonical rule that
     /// depends only on start-of-step state and the contender *sets* —
     /// both engine-independent — never on the order the caller
-    /// discovered the groups in. The static policy needs no such
-    /// cross-edge accounting and keeps the plain per-edge split.
+    /// discovered the groups in. The order only matters at a router
+    /// **short of credit**. A first pass, in discovery order, sums per
+    /// router what its groups need from the shared portion if each is
+    /// granted all it wants — `want = min(len, cap_free)`, 0 on a dead
+    /// edge, `need = want − floor_free`. Where that sum fits the
+    /// router's free shared credit, the ascending sweep grants every
+    /// group exactly `want` (by induction: the credit planned before
+    /// group `i` is at most `free − need_i`, so what is left covers
+    /// `want_i`), and so does any other order; only the groups of
+    /// routers whose sum does not fit are sorted by edge id and swept.
+    /// The static policy needs no cross-edge accounting and keeps the
+    /// plain per-edge split.
     pub(crate) fn arbitrate(
         &mut self,
         rules: &VcRules,
@@ -493,19 +508,8 @@ impl VcLedger {
         mut order: impl FnMut(usize, &mut [u32]),
     ) {
         let groups = buckets.group();
-        // The first `free` of a group win (all of it when it fits);
-        // returns how many did.
         let mut split = |e: usize, group: &mut [u32], free: usize| {
-            if group.len() <= free {
-                movers.extend_from_slice(group);
-                return group.len() as u32;
-            }
-            if free > 0 {
-                order(e, group);
-                movers.extend_from_slice(&group[..free]);
-            }
-            blocked.extend_from_slice(&group[free..]);
-            free as u32
+            split_group(e, group, free, movers, blocked, &mut order)
         };
         if !rules.pooled {
             for gi in 0..groups {
@@ -514,11 +518,48 @@ impl VcLedger {
             }
             return;
         }
+        // What group `gi` takes if credit is no object, and how much of
+        // it comes out of the router's shared portion.
+        let want = |ledger: &Self, buckets: &FlatBuckets, gi: usize| {
+            let e = buckets.edge(gi);
+            if rules.is_dead(e) {
+                return (0, 0);
+            }
+            let h = ledger.holders[e] as u32;
+            let want = buckets
+                .group_len(gi)
+                .min(rules.per_edge_max.saturating_sub(h));
+            (
+                want,
+                want.saturating_sub(rules.per_edge_min.saturating_sub(h)),
+            )
+        };
+        for gi in 0..groups {
+            let (_, need) = want(self, buckets, gi);
+            if need > 0 {
+                self.plan_shared(rules.edge_src[buckets.edge(gi)] as usize, need);
+            }
+        }
         self.group_order.clear();
-        self.group_order.extend(0..groups as u32);
+        for gi in 0..groups {
+            let e = buckets.edge(gi);
+            let r = rules.edge_src[e] as usize;
+            if self.planned_shared[r] > rules.shared_cap[r] - self.shared_used[r] {
+                self.group_order.push(gi as u32);
+            } else {
+                let (want, _) = want(self, buckets, gi);
+                split(e, buckets.group_mut(gi), want as usize);
+            }
+        }
+        self.reset_planned();
+        if self.group_order.is_empty() {
+            return;
+        }
+        // The routers short of credit: their groups in ascending edge-id
+        // order, each granted what the earlier ones left.
         self.group_order
             .sort_unstable_by_key(|&gi| buckets.edge(gi as usize));
-        for i in 0..groups {
+        for i in 0..self.group_order.len() {
             let gi = self.group_order[i] as usize;
             let e = buckets.edge(gi);
             let r = rules.edge_src[e] as usize;
@@ -527,12 +568,23 @@ impl VcLedger {
             let granted = split(e, buckets.group_mut(gi), free);
             let shared_taken = granted.saturating_sub(floor_free);
             if shared_taken > 0 {
-                if self.planned_shared[r] == 0 {
-                    self.touched_routers.push(r as u32);
-                }
-                self.planned_shared[r] += shared_taken;
+                self.plan_shared(r, shared_taken);
             }
         }
+        self.reset_planned();
+    }
+
+    /// Promises `credits` of router `r`'s shared portion within this
+    /// step's arbitration.
+    #[inline]
+    fn plan_shared(&mut self, r: usize, credits: u32) {
+        if self.planned_shared[r] == 0 {
+            self.touched_routers.push(r as u32);
+        }
+        self.planned_shared[r] += credits;
+    }
+
+    fn reset_planned(&mut self) {
         for &r in &self.touched_routers {
             self.planned_shared[r as usize] = 0;
         }
@@ -540,39 +592,88 @@ impl VcLedger {
     }
 }
 
+/// Splits one edge's contenders: the first `free` of `group` win — all
+/// of it when it fits, else after `order` put it into canonical order —
+/// and the rest lose; returns how many won. Losers entered from the wait
+/// queue ([`PARKED`]) are not reported.
+#[inline]
+fn split_group(
+    e: usize,
+    group: &mut [u32],
+    free: usize,
+    movers: &mut Vec<u32>,
+    blocked: &mut Vec<u32>,
+    order: &mut impl FnMut(usize, &mut [u32]),
+) -> u32 {
+    if group.len() <= free {
+        movers.extend_from_slice(group);
+        return group.len() as u32;
+    }
+    if free > 0 {
+        order(e, group);
+        movers.extend_from_slice(&group[..free]);
+    }
+    blocked.extend(group[free..].iter().filter(|&&c| c & PARKED == 0));
+    free as u32
+}
+
 /// No node — the chain and free-list terminator of a [`WaitQueue`].
 const NONE: u32 = u32::MAX;
 
+/// The wanted edge a [`WaitQueue`] node of a pending adaptive head
+/// records: none — it selects afresh when it is woken.
+pub(crate) const NO_EDGE: u32 = u32::MAX;
+
+/// Tags a contender slot of [`FlatBuckets`] as entered from the wait
+/// queue ([`FlatBuckets::push_parked`]) rather than classified from the
+/// runnable set. Handles index per-worm tables, so they stay far below
+/// it.
+pub(crate) const PARKED: u32 = 1 << 31;
+
 /// One entry on a wait key's chain.
+#[derive(Clone, Copy)]
 struct WaitNode {
     handle: u32,
     /// The low half of the handle's stamp when it parked; the node is
     /// live while the handle's current stamp still matches it. (Half a
-    /// stamp keeps the node at 12 bytes; an alias needs the same handle
-    /// to re-park exactly 2³¹ steps later on a chain not taken since,
-    /// and costs one early — conservative, hence harmless — wake.)
+    /// stamp keeps the node at 16 bytes; an alias needs the same handle
+    /// to park again exactly 2³¹ steps later while a chain it left by
+    /// another way — a win, a kill, another key's wake — has not been
+    /// walked since.)
     ticket: u32,
     /// Next node on the same key's chain (or on the free list).
     next: u32,
+    /// The edge a frozen-route waiter wants — what it contends for, where
+    /// it waits, when its key turns hot — or [`NO_EDGE`].
+    edge: u32,
 }
 
-/// The park/wake queue the event driver keeps its blocked worms on. A worm that lost arbitration and whose whole *watch set* — the one
-/// edge a frozen route wants next, or every candidate plus the escape
-/// hop of a pending adaptive head ([`pending_wait_keys`]) — is still
+/// The park queue the event driver keeps its blocked worms on. A worm
+/// that lost arbitration and whose whole *watch set* — the one edge a
+/// frozen route wants next, or every candidate plus the escape hop of a
+/// pending adaptive head ([`pending_wait_keys`]) — is still
 /// non-acquirable at end of step parks on the [`VcRules::wait_key`] of
-/// each of those edges and is woken by the first release on any of them.
-/// Acquirability is monotone between releases on a key
-/// ([`VcLedger::free_vcs`]), so until then the legacy stepper would have
-/// lost the same arbitration every step: the skipped stalls settle
-/// arithmetically from the park step this queue records.
+/// each of those edges. Acquirability is monotone between releases on a
+/// key ([`VcLedger::free_vcs`]), so until one lands the legacy stepper
+/// would have lost the same arbitration every step: the skipped stalls
+/// settle arithmetically from the park step this queue records.
+///
+/// A release does not wake anybody. It marks its key **hot**
+/// ([`Self::mark_hot`], one flag per key), and the next executed step
+/// walks every hot chain once, in place ([`Self::scan_hot`]): a
+/// frozen-route waiter is shown with the edge its node records, so the
+/// driver can enter it into that step's arbitration without reading the
+/// worm, and leaves the queue only when it wins ([`Self::unpark`]); a
+/// pending adaptive head, which must select afresh, is unparked by the
+/// walk.
 ///
 /// Handles are the caller's (message ids in `Sim`'s core, recycled slots
 /// in a parallel region's). Per key the queue holds a newest-first chain of
-/// `(handle, ticket)` nodes in an arena. The ticket is the handle's
-/// stamp, which changes on every park and unpark, so the nodes a
-/// multi-key park left on its other keys go stale the moment one key
-/// wakes it. Stale nodes are skipped and reclaimed when their chain is
-/// next taken.
+/// `(handle, ticket, edge)` nodes in an arena. The ticket is the handle's
+/// stamp, which changes on every park and unpark, so the node a winner
+/// leaves behind — and those a multi-key park left on its other keys —
+/// go stale the moment the handle unparks. Stale nodes are unlinked and
+/// reclaimed when their chain is next walked.
 pub(crate) struct WaitQueue {
     /// First node of each wait key's chain.
     heads: Vec<u32>,
@@ -583,6 +684,11 @@ pub(crate) struct WaitQueue {
     /// that step is already counted), `2t + 2` once unparked again.
     stamps: Vec<u64>,
     n_parked: usize,
+    /// Keys that saw a release since their chain was last walked.
+    hot: Vec<u32>,
+    /// Per key: whether it is on `hot`, so a step's many releases on one
+    /// key walk its chain once.
+    is_hot: Vec<bool>,
 }
 
 impl WaitQueue {
@@ -593,6 +699,8 @@ impl WaitQueue {
             free: NONE,
             stamps: Vec::new(),
             n_parked: 0,
+            hot: Vec::new(),
+            is_hot: vec![false; num_keys],
         }
     }
 
@@ -619,15 +727,17 @@ impl WaitQueue {
         (0..self.stamps.len() as u32).filter(|&h| self.is_parked(h))
     }
 
-    /// Parks `handle`, blocked at step `t`, on every key of `keys`. A
-    /// handle parks at most once per step — `t` is past its previous
-    /// park step — which is what keeps stamps unique.
-    pub(crate) fn park(&mut self, handle: u32, keys: &[usize], t: u64) {
+    /// Parks `handle`, blocked at step `t`, on every key of `keys`,
+    /// recording `edge` — the one edge a frozen route wants, [`NO_EDGE`]
+    /// for a pending head. A handle parks at most once per step — `t` is
+    /// past its previous park step — which is what keeps stamps unique.
+    pub(crate) fn park(&mut self, handle: u32, keys: &[usize], edge: u32, t: u64) {
         let (h, stamp) = (handle as usize, 2 * t + 1);
         if self.stamps.len() <= h {
             self.stamps.resize(h + 1, 0);
         }
         debug_assert!(!keys.is_empty() && self.stamps[h] & 1 == 0 && self.stamps[h] < stamp);
+        debug_assert!(edge == NO_EDGE || keys.len() == 1);
         self.stamps[h] = stamp;
         self.n_parked += 1;
         for &key in keys {
@@ -635,6 +745,7 @@ impl WaitQueue {
                 handle,
                 ticket: stamp as u32,
                 next: self.heads[key],
+                edge,
             };
             self.heads[key] = if self.free == NONE {
                 self.nodes.push(node);
@@ -647,9 +758,9 @@ impl WaitQueue {
         }
     }
 
-    /// Unparks `handle` without a release on any of its keys (a fault
-    /// kill discarded it, or changed what it may select) and returns the
-    /// step it parked at. Its nodes go stale.
+    /// Unparks `handle` — it won the edge it waited for, or a fault kill
+    /// discarded it or changed what it may select — and returns the step
+    /// it parked at. Its nodes go stale.
     pub(crate) fn unpark(&mut self, handle: u32) -> u64 {
         debug_assert!(self.is_parked(handle));
         let stamp = &mut self.stamps[handle as usize];
@@ -659,27 +770,81 @@ impl WaitQueue {
         parked_at
     }
 
-    /// Takes `key`'s chain and unparks every handle still parked on it,
-    /// newest park first, passing each with the step it parked at.
-    /// Repeated calls for one key are cheap no-ops (the chain is taken).
-    pub(crate) fn wake(&mut self, key: usize, mut woken: impl FnMut(u32, u64)) {
-        let mut n = std::mem::replace(&mut self.heads[key], NONE);
+    /// A VC was released under `key`: its waiters contend at the next
+    /// executed step. Cheap to repeat, and a no-op on a key nobody waits
+    /// on.
+    #[inline]
+    pub(crate) fn mark_hot(&mut self, key: usize) {
+        if self.heads[key] != NONE && !self.is_hot[key] {
+            self.is_hot[key] = true;
+            self.hot.push(key as u32);
+        }
+    }
+
+    /// Whether `key` is marked hot.
+    pub(crate) fn is_hot(&self, key: usize) -> bool {
+        self.is_hot[key]
+    }
+
+    /// Whether a parked handle may be waiting on a hot key: the next step
+    /// must run its contest even if nothing else can move.
+    #[inline]
+    pub(crate) fn contest_due(&self) -> bool {
+        self.n_parked > 0 && !self.hot.is_empty()
+    }
+
+    /// Walks every hot key's chain once ([`Self::scan`]) and cools it;
+    /// returns how many keys that was.
+    pub(crate) fn scan_hot(&mut self, mut keep: impl FnMut(u32, u32, u64) -> bool) -> usize {
+        let mut hot = std::mem::take(&mut self.hot);
+        for &key in &hot {
+            self.is_hot[key as usize] = false;
+            self.scan(key as usize, &mut keep);
+        }
+        let walked = hot.len();
+        hot.clear();
+        self.hot = hot;
+        walked
+    }
+
+    /// Walks `key`'s chain in place, newest park first, showing each
+    /// handle still parked on it to `keep(handle, edge, parked_at)` with
+    /// the edge its node records. One `keep` declines is unparked; its
+    /// node, like every stale one on the way, is unlinked and reclaimed.
+    fn scan(&mut self, key: usize, mut keep: impl FnMut(u32, u32, u64) -> bool) {
+        let mut last_kept = NONE;
+        let mut n = self.heads[key];
         while n != NONE {
-            let node = &mut self.nodes[n as usize];
-            let (handle, ticket) = (node.handle, node.ticket);
-            let next = std::mem::replace(&mut node.next, self.free);
-            self.free = n;
-            if self.stamps[handle as usize] as u32 == ticket {
-                woken(handle, self.unpark(handle));
+            let WaitNode {
+                handle,
+                ticket,
+                next,
+                edge,
+            } = self.nodes[n as usize];
+            let stamp = self.stamps[handle as usize];
+            let live = stamp as u32 == ticket;
+            if live && keep(handle, edge, stamp / 2) {
+                last_kept = n;
+            } else {
+                if live {
+                    self.unpark(handle);
+                }
+                match last_kept {
+                    NONE => self.heads[key] = next,
+                    kept => self.nodes[kept as usize].next = next,
+                }
+                self.nodes[n as usize].next = self.free;
+                self.free = n;
             }
             n = next;
         }
     }
 
     /// Empties the queue because the run is ending (deadlock or step
-    /// cap), passing each parked handle, in ascending order, with the
-    /// stalls the legacy stepper counted for it after its park step
-    /// through step `through`.
+    /// cap) or the driver's state is being folded into another's,
+    /// passing each parked handle, in ascending order, with the stalls
+    /// the legacy stepper counted for it after its park step through
+    /// step `through`. No key stays hot.
     pub(crate) fn settle_all(&mut self, through: u64, mut settled: impl FnMut(u32, u64)) {
         for h in 0..self.stamps.len() as u32 {
             if self.is_parked(h) {
@@ -689,24 +854,43 @@ impl WaitQueue {
         self.heads.fill(NONE);
         self.nodes.clear();
         self.free = NONE;
+        for key in self.hot.drain(..) {
+            self.is_hot[key as usize] = false;
+        }
     }
 
-    /// Every live `(handle, key)` pair, sorted — what the invariant
+    /// Every live `(handle, key, edge)` node, sorted — what the invariant
     /// checks compare against the watch sets recomputed from scratch.
-    pub(crate) fn parked_keys(&self) -> Vec<(u32, usize)> {
+    pub(crate) fn parked_keys(&self) -> Vec<(u32, usize, u32)> {
         let mut live = Vec::new();
         for (key, &head) in self.heads.iter().enumerate() {
             let mut n = head;
             while n != NONE {
                 let node = &self.nodes[n as usize];
                 if self.stamps[node.handle as usize] as u32 == node.ticket {
-                    live.push((node.handle, key));
+                    live.push((node.handle, key, node.edge));
                 }
                 n = node.next;
             }
         }
         live.sort_unstable();
         live
+    }
+
+    /// Checks that a key's hot flag is set iff the key is on the hot
+    /// list, once.
+    pub(crate) fn validate(&self) {
+        let mut listed = vec![false; self.is_hot.len()];
+        for &key in &self.hot {
+            assert!(
+                !std::mem::replace(&mut listed[key as usize], true),
+                "wait key {key} is on the hot list twice"
+            );
+        }
+        assert_eq!(
+            listed, self.is_hot,
+            "hot flags out of sync with the hot list"
+        );
     }
 }
 
@@ -730,7 +914,9 @@ pub(crate) fn arb_rng(seed: u64, t: u64, e: usize) -> StdRng {
 
 /// Orders `contenders` so the first `free` entries win edge `e` at step
 /// `t`. Every policy is canonical in the contender *set* (the engines
-/// discover contenders in different orders). Contenders are opaque
+/// discover contenders in different orders, and the event driver enters
+/// some from the wait queue — the [`PARKED`] tag is not part of the
+/// handle). Contenders are opaque
 /// handles — message ids in `Sim`'s core, recycled slots in a parallel
 /// region's — that `key` maps to the message's `(release, priority, id)`.
 /// Every sort key ends with (or is) the unique message id, so sorted
@@ -744,6 +930,7 @@ pub(crate) fn order_contenders(
     contenders: &mut [u32],
     key: impl Fn(u32) -> (u64, u32, u32),
 ) {
+    let key = |c: u32| key(c & !PARKED);
     match config.arbitration {
         Arbitration::FifoById => contenders.sort_unstable_by_key(|&c| key(c).2),
         Arbitration::OldestFirst => contenders.sort_unstable_by_key(|&c| (key(c).0, key(c).2)),
@@ -808,6 +995,15 @@ impl FlatBuckets {
         self.pairs.push((e as u32, m));
     }
 
+    /// Records parked worm `m`, whose wait key turned hot, contending for
+    /// edge `e` from where it waits: its slot carries the [`PARKED`] tag
+    /// through arbitration.
+    #[inline]
+    pub(crate) fn push_parked(&mut self, e: usize, m: u32) {
+        debug_assert_eq!(m & PARKED, 0, "handle {m} collides with the tag bit");
+        self.push(e, m | PARKED);
+    }
+
     /// Groups the pushed pairs into contiguous per-edge slices (first-touch
     /// edge order; discovery order within an edge) and returns the group
     /// count. Leaves `count` holding end offsets; `clear` resets it.
@@ -835,6 +1031,12 @@ impl FlatBuckets {
     #[inline]
     pub(crate) fn edge(&self, i: usize) -> usize {
         self.touched[i] as usize
+    }
+
+    /// How many contenders group `i` has (valid after `group`).
+    #[inline]
+    pub(crate) fn group_len(&self, i: usize) -> u32 {
+        self.starts[i + 1] - self.starts[i]
     }
 
     /// The contenders of group `i` (valid after `group`).
@@ -1143,10 +1345,14 @@ mod tests {
         }
     }
 
-    /// Wakes `key` and collects what woke, in order.
+    /// Walks `key`'s chain keeping nobody — every waiter on it is
+    /// unparked — and collects who that was, in order.
     fn woken(q: &mut WaitQueue, key: usize) -> Vec<(u32, u64)> {
         let mut out = Vec::new();
-        q.wake(key, |h, at| out.push((h, at)));
+        q.scan(key, |h, _, at| {
+            out.push((h, at));
+            false
+        });
         out
     }
 
@@ -1156,51 +1362,122 @@ mod tests {
         const KEYS: usize = 6;
         let mut rng = StdRng::seed_from_u64(0x9A2C);
         let mut q = WaitQueue::new(KEYS);
-        // The model: `(handle, keys, parked_at)` in park order, plus how
-        // many nodes (live or stale) each key's chain holds.
+        // The model: `(handle, keys, parked_at)` in park order, how many
+        // nodes (live or stale) each key's chain holds, and the hot keys
+        // in the order they were marked.
         let mut model: Vec<(u32, Vec<usize>, u64)> = Vec::new();
         let mut chain_len = [0usize; KEYS];
+        let mut hot: Vec<usize> = Vec::new();
+        // The edge a park records: one per key for a one-key park, none
+        // for a watch set.
+        let edge_of = |keys: &[usize]| match keys {
+            [key] => 100 + *key as u32,
+            _ => NO_EDGE,
+        };
+        // What walking `key` must show, given the handles `drop` names
+        // are declined (newest park first; a declined handle's later
+        // nodes on the chain are stale by then), and the model after it.
+        let walk = |model: &mut Vec<(u32, Vec<usize>, u64)>,
+                    chain_len: &mut [usize; KEYS],
+                    key: usize,
+                    drop: u32| {
+            let mut shown = Vec::new();
+            chain_len[key] = 0;
+            for p in model.iter().rev() {
+                let nodes = p.1.iter().filter(|&&k| k == key).count();
+                let dropped = drop & (1 << p.0) != 0;
+                let visits = if dropped { nodes.min(1) } else { nodes };
+                shown.extend(std::iter::repeat_n((p.0, edge_of(&p.1), p.2), visits));
+                if !dropped {
+                    chain_len[key] += nodes;
+                }
+            }
+            model.retain(|p| !(p.1.contains(&key) && drop & (1 << p.0) != 0));
+            shown
+        };
         let (mut high_water, mut multi_key_wakes, mut settles) = (0, 0, 0);
-        for t in 0..6_000u64 {
-            match rng.random_range(0..10u32) {
+        let (mut partial_scans, mut hot_walks) = (0, 0);
+        for t in 0..8_000u64 {
+            match rng.random_range(0..12u32) {
                 0..=4 => {
                     let h = rng.random_range(0..HANDLES);
                     if model.iter().any(|p| p.0 == h) {
                         continue;
                     }
                     // 1–3 keys, repeats allowed: a repeated key must not
-                    // wake the handle twice.
+                    // unpark the handle twice.
                     let keys: Vec<usize> = (0..rng.random_range(1..4u32))
                         .map(|_| rng.random_range(0..KEYS))
                         .collect();
-                    q.park(h, &keys, t);
+                    q.park(h, &keys, edge_of(&keys), t);
                     for &k in &keys {
                         chain_len[k] += 1;
                     }
                     model.push((h, keys, t));
                 }
                 5..=7 => {
+                    // A walk that keeps a random subset parked.
                     let key = rng.random_range(0..KEYS);
-                    let expect: Vec<(u32, u64)> = model
-                        .iter()
-                        .rev()
-                        .filter(|p| p.1.contains(&key))
-                        .map(|p| (p.0, p.2))
-                        .collect();
+                    let drop =
+                        rng.random_range(0..1u32 << HANDLES) & rng.random_range(0..1u32 << HANDLES);
+                    let on_chain = |p: &&(u32, Vec<usize>, u64)| p.1.contains(&key);
+                    let dropped = |p: &&(u32, Vec<usize>, u64)| drop & (1 << p.0) != 0;
                     multi_key_wakes += model
                         .iter()
-                        .filter(|p| p.1.contains(&key) && p.1.len() > 1)
+                        .filter(on_chain)
+                        .filter(dropped)
+                        .filter(|p| p.1.len() > 1)
                         .count();
-                    model.retain(|p| !p.1.contains(&key));
-                    chain_len[key] = 0;
-                    assert_eq!(woken(&mut q, key), expect, "wake({key}) at op {t}");
-                    assert_eq!(woken(&mut q, key), [], "the chain was taken");
+                    let (kept, all) = (
+                        model
+                            .iter()
+                            .filter(on_chain)
+                            .filter(|p| !dropped(p))
+                            .count(),
+                        model.iter().filter(on_chain).count(),
+                    );
+                    partial_scans += usize::from(0 < kept && kept < all);
+                    let expect = walk(&mut model, &mut chain_len, key, drop);
+                    let mut shown = Vec::new();
+                    q.scan(key, |h, edge, at| {
+                        shown.push((h, edge, at));
+                        drop & (1 << h) == 0
+                    });
+                    assert_eq!(shown, expect, "scan({key}) at op {t}");
                 }
                 8 => {
                     if let Some(i) = (!model.is_empty()).then(|| rng.random_range(0..model.len())) {
                         let (h, _, at) = model.remove(i);
                         assert_eq!(q.unpark(h), at);
                     }
+                }
+                9 => {
+                    // A release: hot only where a chain exists, and once.
+                    let key = rng.random_range(0..KEYS);
+                    q.mark_hot(key);
+                    if chain_len[key] > 0 && !hot.contains(&key) {
+                        hot.push(key);
+                    }
+                }
+                10 => {
+                    // The contest: every hot chain walked once, in the
+                    // order the keys turned hot, keeping the waiters that
+                    // record an edge.
+                    let mut expect = Vec::new();
+                    for &key in &hot {
+                        let pending = model.iter().filter(|p| p.1.len() > 1);
+                        let drop = pending.fold(0, |set, p| set | 1 << p.0);
+                        expect.extend(walk(&mut model, &mut chain_len, key, drop));
+                    }
+                    let mut shown = Vec::new();
+                    let walked = q.scan_hot(|h, edge, at| {
+                        shown.push((h, edge, at));
+                        edge != NO_EDGE
+                    });
+                    assert_eq!(walked, hot.len());
+                    assert_eq!(shown, expect, "scan_hot at op {t}");
+                    hot_walks += hot.len();
+                    hot.clear();
                 }
                 _ if rng.random_bool(0.1) => {
                     let mut expect: Vec<(u32, u64)> =
@@ -1210,27 +1487,31 @@ mod tests {
                     q.settle_all(t, |h, skipped| got.push((h, skipped)));
                     assert_eq!(got, expect, "settle_all at op {t}");
                     chain_len = [0; KEYS];
+                    hot.clear();
                     settles += 1;
                 }
                 _ => {}
             }
             assert_eq!(q.len(), model.len());
             assert_eq!(q.is_empty(), model.is_empty());
+            assert_eq!(q.contest_due(), !model.is_empty() && !hot.is_empty());
             for h in 0..HANDLES + 2 {
                 assert_eq!(q.is_parked(h), model.iter().any(|p| p.0 == h));
             }
-            let mut expect: Vec<(u32, usize)> = model
+            for key in 0..KEYS {
+                assert_eq!(q.is_hot(key), hot.contains(&key));
+            }
+            q.validate();
+            let mut expect: Vec<(u32, usize, u32)> = model
                 .iter()
-                .flat_map(|p| p.1.iter().map(|&k| (p.0, k)))
+                .flat_map(|p| p.1.iter().map(|&k| (p.0, k, edge_of(&p.1))))
                 .collect();
             expect.sort_unstable();
-            expect.dedup();
-            let mut live = q.parked_keys();
-            live.dedup();
-            assert_eq!(live, expect);
+            assert_eq!(q.parked_keys(), expect);
             // Arena slots are reused: the nodes in use are exactly the
-            // chains' (live parks plus not-yet-taken stale nodes), and
-            // the arena never outgrew their high-water mark.
+            // chains' — the live `(handle, key)` pairs plus the stale
+            // nodes of chains not walked since — and the arena never
+            // outgrew their high-water mark.
             let in_chains: usize = chain_len.iter().sum();
             let mut free = 0;
             let mut n = q.free;
@@ -1243,29 +1524,30 @@ mod tests {
             assert!(q.nodes.len() <= high_water);
         }
         assert!(
-            multi_key_wakes > 200 && settles > 5,
-            "{multi_key_wakes} multi-key wakes, {settles} settles"
+            multi_key_wakes > 200 && settles > 5 && partial_scans > 200 && hot_walks > 200,
+            "{multi_key_wakes} multi-key wakes, {settles} settles, {partial_scans} partial \
+             scans, {hot_walks} hot chains walked"
         );
     }
 
     #[test]
     fn a_multi_key_park_wakes_once_and_its_stale_nodes_wake_no_later_park() {
         let mut q = WaitQueue::new(5);
-        q.park(7, &[1, 2, 3], 5);
-        assert_eq!(woken(&mut q, 2), [(7, 5)], "the first release wakes it");
+        q.park(7, &[1, 2, 3], NO_EDGE, 5);
+        assert_eq!(woken(&mut q, 2), [(7, 5)], "the first walk unparks it");
         assert!(!q.is_parked(7));
         // Re-parked elsewhere: the stale nodes on keys 1 and 3 are not
         // the new park's.
-        q.park(7, &[4], 9);
+        q.park(7, &[4], 40, 9);
         assert_eq!(woken(&mut q, 1), []);
         assert_eq!(woken(&mut q, 3), []);
         assert!(q.is_parked(7));
         assert_eq!(woken(&mut q, 4), [(7, 9)]);
         // Re-parked on a key that still carries one of its stale nodes:
         // the chain holds both, and only the live one wakes it.
-        q.park(7, &[0, 1], 11);
+        q.park(7, &[0, 1], NO_EDGE, 11);
         assert_eq!(woken(&mut q, 0), [(7, 11)]);
-        q.park(7, &[1], 13);
+        q.park(7, &[1], 10, 13);
         assert_eq!(woken(&mut q, 1), [(7, 13)]);
         assert!(q.is_empty());
     }
@@ -1274,8 +1556,8 @@ mod tests {
     fn one_key_parking_wakes_in_the_old_intrusive_list_order() {
         // The per-key intrusive list the event engine used to keep
         // (`waiter_head` / `next_waiter` through the parked set, stale
-        // entries of kill-discarded worms skipped by flag): wake order
-        // feeds `runnable` order, so the one-key case must reproduce it.
+        // entries of kill-discarded worms skipped by flag): a walk shows
+        // a chain's waiters in that order, newest park first.
         const HANDLES: usize = 16;
         const KEYS: usize = 4;
         let mut head = [NONE; KEYS];
@@ -1296,7 +1578,7 @@ mod tests {
                 0..=3 if !linked[h] => {
                     next[h] = std::mem::replace(&mut head[key], h as u32);
                     (parked[h], linked[h], parked_at[h]) = (true, true, t);
-                    q.park(h as u32, &[key], t);
+                    q.park(h as u32, &[key], key as u32, t);
                 }
                 4..=6 => {
                     let mut expect = Vec::new();
@@ -1433,5 +1715,147 @@ mod tests {
                 );
             }
         }
+    }
+    /// The pooled sweep [`VcLedger::arbitrate`] runs only where credit is
+    /// short, run over *every* group: all of them sorted by edge id, each
+    /// granted what the lower-id edges of its router left. The reference
+    /// the two-pass version is held against.
+    fn arbitrate_sorting_every_group(
+        ledger: &VcLedger,
+        rules: &VcRules,
+        buckets: &mut FlatBuckets,
+        movers: &mut Vec<u32>,
+        blocked: &mut Vec<u32>,
+        mut order: impl FnMut(usize, &mut [u32]),
+    ) {
+        let mut by_edge: Vec<usize> = (0..buckets.group()).collect();
+        by_edge.sort_unstable_by_key(|&gi| buckets.edge(gi));
+        let mut planned = vec![0u32; ledger.shared_used.len()];
+        for gi in by_edge {
+            let e = buckets.edge(gi);
+            let r = rules.edge_src[e] as usize;
+            let floor_free = rules.per_edge_min.saturating_sub(ledger.holders[e] as u32);
+            let free = ledger.free_after(rules, e, planned[r]) as usize;
+            let group = buckets.group_mut(gi);
+            let granted = split_group(e, group, free, movers, blocked, &mut order);
+            planned[r] += granted.saturating_sub(floor_free);
+        }
+    }
+
+    #[test]
+    fn pooled_arbitration_matches_the_sort_every_group_sweep() {
+        let mut rng = StdRng::seed_from_u64(0xA5B17);
+        let config = SimConfig::new(1);
+        let (mut short_routers, mut flush_routers, mut dead_groups, mut parked_losers) =
+            (0, 0, 0, 0);
+        for case in 0..2_000 {
+            // Routers with random fanouts, every edge into one sink.
+            let routers = rng.random_range(1..6usize);
+            let mut b = GraphBuilder::new(routers + 1);
+            let mut max_fanout = 0;
+            for r in 0..routers {
+                let fanout = rng.random_range(1..5u32);
+                max_fanout = max_fanout.max(fanout);
+                for _ in 0..fanout {
+                    b.add_edge(NodeId(r as u32), NodeId(routers as u32));
+                }
+            }
+            let g = b.build();
+            let min = rng.random_range(1..3u32);
+            let max = min + rng.random_range(0..4u32);
+            let pool = min * max_fanout + rng.random_range(0..7u32);
+            let config_pooled = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
+            let mut rules = VcRules::new(&g, &config_pooled, true);
+            let mut ledger = VcLedger::new(&g, &rules);
+            // Random holders, then random dead edges (a dead edge may
+            // still be held).
+            for _ in 0..rng.random_range(0..4 * g.num_edges()) {
+                let e = rng.random_range(0..g.num_edges());
+                if ledger.free_vcs(&rules, e) > 0 {
+                    ledger.acquire(&rules, e);
+                }
+            }
+            for e in 0..g.num_edges() {
+                rules.dead[e] = rng.random_bool(0.1);
+            }
+            // Random contender sets — some entered from the wait queue —
+            // discovered in random order.
+            let mut pairs = Vec::new();
+            let mut edge_of = Vec::new();
+            for e in 0..g.num_edges() {
+                for _ in 0..rng.random_range(0..6u32) {
+                    let m = edge_of.len() as u32;
+                    edge_of.push(e);
+                    let tag = if rng.random_bool(0.4) { PARKED } else { 0 };
+                    pairs.push((e, m | tag));
+                }
+            }
+            pairs.shuffle(&mut rng);
+            let run = |reference: bool, ledger: &mut VcLedger| {
+                let mut buckets = FlatBuckets::with_edges(g.num_edges());
+                for &(e, m) in &pairs {
+                    buckets.push(e, m);
+                }
+                let (mut movers, mut blocked) = (Vec::new(), Vec::new());
+                let order = |e: usize, group: &mut [u32]| {
+                    order_contenders(&config, 7, e, group, |m| (0, 0, m))
+                };
+                if reference {
+                    arbitrate_sorting_every_group(
+                        ledger,
+                        &rules,
+                        &mut buckets,
+                        &mut movers,
+                        &mut blocked,
+                        order,
+                    );
+                } else {
+                    ledger.arbitrate(&rules, &mut buckets, &mut movers, &mut blocked, order);
+                }
+                let mut grants = vec![0u32; g.num_edges()];
+                for &m in &movers {
+                    grants[edge_of[(m & !PARKED) as usize]] += 1;
+                }
+                movers.sort_unstable();
+                blocked.sort_unstable();
+                (grants, movers, blocked)
+            };
+            let expect = run(true, &mut ledger);
+            let got = run(false, &mut ledger);
+            assert_eq!(got, expect, "case {case}: pool {pool} min {min} max {max}");
+            assert!(
+                ledger.planned_shared.iter().all(|&p| p == 0) && ledger.touched_routers.is_empty(),
+                "case {case}: arbitration scratch left dirty"
+            );
+            // Which regimes the case exercised, recomputed from scratch.
+            let (grants, movers, blocked) = got;
+            for r in 0..routers {
+                let out = (0..g.num_edges()).filter(|&e| rules.edge_src[e] as usize == r);
+                let need: u32 = out
+                    .map(|e| {
+                        let len = pairs.iter().filter(|p| p.0 == e).count() as u32;
+                        let h = ledger.holders[e] as u32;
+                        let want = if rules.dead[e] { 0 } else { len.min(max - h) };
+                        want.saturating_sub(min.saturating_sub(h))
+                    })
+                    .sum();
+                if need > rules.shared_cap[r] - ledger.shared_used[r] {
+                    short_routers += 1;
+                } else if need > 0 {
+                    flush_routers += 1;
+                }
+            }
+            dead_groups += (0..g.num_edges())
+                .filter(|&e| rules.dead[e] && pairs.iter().any(|p| p.0 == e))
+                .inspect(|&e| assert_eq!(grants[e], 0, "case {case}: dead edge {e} granted"))
+                .count();
+            parked_losers += pairs.len() - movers.len() - blocked.len();
+            assert!(blocked.iter().all(|&m| m & PARKED == 0));
+        }
+        assert!(
+            short_routers > 300 && flush_routers > 300 && dead_groups > 300 && parked_losers > 300,
+            "{short_routers} routers short of credit, {flush_routers} flush, {dead_groups} \
+             dead groups, {parked_losers} parked losers"
+        );
     }
 }

@@ -23,9 +23,9 @@
 //! saturation detection).
 //!
 //! The wormhole model has three bit-identical engines behind
-//! [`config::Engine`]: the default event-driven engine (wait-queue
-//! wakeups, all-draining fast-forward), the legacy per-step stepper
-//! kept as its differential oracle, and a partitioned parallel engine
+//! [`config::Engine`]: the default event-driven engine (parked losers
+//! contending in place, all-draining fast-forward), the legacy per-step
+//! stepper kept as its differential oracle, and a partitioned parallel engine
 //! ([`config::Engine::Parallel`]) that shards the network into regions,
 //! each advanced by the event engine's own driver on a worker thread
 //! under conservative lookahead windows (and fused, one region per

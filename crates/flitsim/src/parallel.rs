@@ -50,13 +50,15 @@
 //! * **The one hook.** A release on an edge another region owns goes to
 //!   the core's outbox ([`Core::release_vc`]) and lands on its owner
 //!   between windows — before the owner, entering its next window,
-//!   samples that step into the occupancy maxima and wakes the edge's
-//!   waiters — so it is visible from `t + 1` like any sequential
-//!   mid-step release.
+//!   samples that step into the occupancy maxima and turns the edge's
+//!   wait key hot ([`engine::wake_released`]), so that its waiters
+//!   contend on the window's first step — so it is visible from `t + 1`
+//!   like any sequential mid-step release.
 //! * **The window grant** ([`worm_bound`]), below — refreshed for the
 //!   runnable worms when a window ends, and folded for a parked one the
 //!   moment it parks ([`engine::run_window`]'s `on_park`): it may have
-//!   woken, moved and parked again since the window opened.
+//!   won, moved and parked again since the window opened. A waiter that
+//!   loses a contest stays parked where it was, so its bound stands.
 //! * **Frozen regions.** A region in which a step moves nothing stops
 //!   stepping — it is provably identical until the window ends
 //!   (releases only come from moves, and nothing external arrives
@@ -133,11 +135,13 @@
 //!    by `+`). `a`'s own sample reads only `a`'s rows, which the fold
 //!    leaves alone, and is taken on entering its next window as always.
 //! 2. **`b`'s parked worms are settled through `t − 1` and made
-//!    runnable**, its pending wakes dropped. A worm whose edge is still
-//!    full loses again at `t`, counts that stall and parks again —
-//!    parked ⇒ full, so that is what waking it would have found — the
-//!    argument [`engine::kill`] already makes for the pending worms it
-//!    wakes.
+//!    runnable**, its hot keys cooled. A worm whose edge is still
+//!    full loses again at `t`, counts that stall and parks again; one
+//!    whose key was hot contends at `t`, as it was about to — every step
+//!    it sat parked it lost or would have lost (invariant 1 of the
+//!    [`crate::wormhole`] docs), so the settlement is what the legacy
+//!    stepper counted: the argument [`engine::kill`] already makes for
+//!    the pending worms it wakes.
 //! 3. **`b`'s `holders` / `pool_used` / `shared_used` rows are added
 //!    into `a`'s.** A region's ledger counts only the edges and routers
 //!    it owns: the supports are disjoint, so the sum is the ledger of
@@ -347,7 +351,7 @@ struct Region<'a> {
     /// in as each worm parks (a parked worm's bound is constant; reset
     /// when a window ends with the queue empty). Folding this into `safe`
     /// keeps the window grant sound without rescanning parked worms —
-    /// conservative after wakes.
+    /// conservative once some have won and left.
     parked_safe: u64,
     /// Window grant: how far the residents can run before touching a
     /// cross edge (minimum [`worm_bound`]; refreshed at window end and
@@ -436,8 +440,8 @@ impl<'a> Region<'a> {
     /// `safe` grant for the next window.
     fn run_window(&mut self, ctx: &Ctx, t0: u64, end: u64) {
         // Releases other regions' worms made on this region's edges
-        // during step `t0 − 1` have landed: their waiters re-contend now.
-        engine::wake_released(&mut self.core, &mut self.st, t0, t0.saturating_sub(1));
+        // during step `t0 − 1` have landed: their waiters contend now.
+        engine::wake_released(&mut self.core, &mut self.st);
         if !ctx.has_cut[self.idx as usize] {
             // Nobody can leave and nothing bounds the next grant: the
             // event engine's window, and its `on_park`.
@@ -455,8 +459,8 @@ impl<'a> Region<'a> {
             );
             at
         };
-        // Every park counts, not only the last: a worm woken mid-window
-        // may move and park again closer to the cut.
+        // Every park counts, not only the last: a waiter that wins
+        // mid-window may move and park again closer to the cut.
         let parked_safe = &mut self.parked_safe;
         let mut on_park = |core: &Core, h: u32| {
             *parked_safe = (*parked_safe).min(worm_bound(ctx, core, h, at(core, h)));
@@ -530,6 +534,7 @@ impl<'a> Region<'a> {
             self.arrive(ctx, b.core.take(h));
         }
         fold_totals(&mut self.core, &b.core);
+        self.st.stats.add_driver_counts(&b.st.stats);
     }
 }
 
@@ -659,14 +664,14 @@ fn step_window(shared: &Shared<'_>, t: u64, w: u64) {
 /// alone — a worm may hold VCs on another region's edges, so the held
 /// counts recomputed from the worms and the ledgers' holder counts
 /// agree only summed over regions.
-fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize, t: u64) {
+fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize) {
     let (mut held, mut holders) = (vec![0u16; num_edges], vec![0u16; num_edges]);
     for reg in regs {
         let reg = &mut **reg;
-        // The wake pass the region would run on entering step `t`: a
-        // worm still parked on an edge a landed release freed would
-        // fail the parked-set check.
-        engine::wake_released(&mut reg.core, &mut reg.st, t, t - 1);
+        // The pass the region would run on entering its next window: a
+        // worm still parked on an edge a landed release freed, its key
+        // not yet hot, would fail the parked-set check.
+        engine::wake_released(&mut reg.core, &mut reg.st);
         engine::validate(&mut reg.core, &mut reg.st);
         add_rows(&mut held, &reg.core.held_counts());
         add_rows(&mut holders, &reg.core.ledger.holders);
@@ -693,11 +698,18 @@ fn fold_totals(into: &mut Core, from: &Core) {
 /// The run is over: settles the still-parked worms' stalls through step
 /// `through`, moves every resident back into the run's id-keyed core
 /// (for the result, and for the deadlock report), and folds the
-/// per-region accumulators into the run totals.
-fn write_back(sim: &mut Sim<'_>, regs: &mut [MutexGuard<'_, Region<'_>>], through: u64) {
+/// per-region accumulators into the run totals — the event driver's
+/// counters into `stats`.
+fn write_back(
+    sim: &mut Sim<'_>,
+    regs: &mut [MutexGuard<'_, Region<'_>>],
+    through: u64,
+    stats: &mut EngineStats,
+) {
     let total = &mut sim.core;
     for reg in regs {
         let reg = &mut **reg;
+        stats.add_driver_counts(&reg.st.stats);
         engine::settle_parked(&mut reg.core, &mut reg.st, through);
         for h in reg.st.runnable.drain(..) {
             let r = reg.core.take(h);
@@ -805,7 +817,7 @@ fn run_loop<'a>(
             // sequential engines count their stalls through the last
             // step that ran.
             let last = sim.core.config.max_steps.saturating_sub(1);
-            write_back(sim, &mut regs, last);
+            write_back(sim, &mut regs, last, stats);
             return (outcome, t, None);
         }
         // A fault kill is a window boundary too, and one every region
@@ -813,8 +825,9 @@ fn run_loop<'a>(
         // own copy of the rules ([`engine::kill`] — the id-keyed core
         // holds no worm here, only the dead flags admission reads). The
         // discards' releases on other regions' edges land before the
-        // window opens, where the owners wake the waiters to contend at
-        // `t` itself, and the discarded retire before admission flushes
+        // window opens, where the owners turn their wait keys hot for the
+        // waiters to contend at `t` itself, and the discarded retire
+        // before admission flushes
         // completions: the source hears `on_discarded(id, t)` ahead of
         // `take_ready(t)`, as under the sequential engines.
         if sim.next_kill_time() <= t {
@@ -908,7 +921,7 @@ fn run_loop<'a>(
         // the stall counts its skipped steps would have recorded. At
         // the freeze step every resident was blocked — a mover would
         // have unfrozen it — so the top-up is uniform over the runnable
-        // ones (parked worms settle at wake).
+        // ones (parked worms settle when they leave the queue).
         let deadlocked = sim.core.config.blocked == BlockedPolicy::Stall
             && any_worms
             && all_static
@@ -928,10 +941,10 @@ fn run_loop<'a>(
         // Cross-region releases land now — visible to step `t + w`,
         // like any sequential mid-step release — and *before* the owner
         // samples the window's last step into its occupancy maxima and
-        // wakes the waiters, both of which it does on entering its next
-        // window (or at a kill, or at the fuse): the sample is the
-        // end-of-step state and the waiters' skipped stalls settle
-        // through that step, as in the sequential engines. Emigrants
+        // turns the wait keys hot, both of which it does on entering its
+        // next window (or at a kill, or at the fuse): the sample is the
+        // end-of-step state and the waiters contend from the step after,
+        // as in the sequential engines. Emigrants
         // arrive after the top-up above, which is for the worms that sat
         // the window out.
         n_active -= land(ctx, sim, &mut regs, stats);
@@ -941,7 +954,7 @@ fn run_loop<'a>(
             // the first globally move-free step, with the same report
             // the sequential engines build. Parked worms were blocked
             // at every step up to the verdict.
-            write_back(sim, &mut regs, t_dead);
+            write_back(sim, &mut regs, t_dead, stats);
             sim.rebuild_active();
             let report = sim.build_deadlock_report();
             return (
@@ -951,7 +964,7 @@ fn run_loop<'a>(
             );
         }
         if sim.core.config.check_invariants {
-            validate(&mut regs, sim.graph.num_edges(), t + w);
+            validate(&mut regs, sim.graph.num_edges());
         }
         t += w;
     }

@@ -33,9 +33,12 @@ impl EngineFallback {
 /// What the engine did to produce a result, as opposed to what it
 /// simulated: attached as [`SimResult::engine_stats`] and excluded from
 /// [`SimResult::same_execution`]. Every count is deterministic for fixed
-/// inputs, region plan and worker count. Today only the partitioned
-/// engine ([`crate::config::Engine::Parallel`]) fills it, with what its
-/// coordinator sees.
+/// inputs, region plan and worker count. The event driver fills the
+/// step / park / contest counters — under
+/// [`crate::config::Engine::EventDriven`] for the run's one core, under
+/// [`crate::config::Engine::Parallel`] summed over the regions — and the
+/// partitioned engine's coordinator the window / region ones, which stay
+/// zero under the sequential engine. The legacy stepper reports none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Windows the coordinator granted: each is one pass over every live
@@ -56,6 +59,37 @@ pub struct EngineStats {
     /// Regions left when it ended: fewer once the first worm that can
     /// reach a cut made each worker's block of regions fuse into one.
     pub regions_at_end: u32,
+    /// Steps the event driver stepped worm by worm — those it did not
+    /// jump (all worms draining, an idle network) or sit out frozen.
+    pub steps_executed: u64,
+    /// Times a blocked worm was parked on the wait queue. A worm parks
+    /// once per edge it finds full: losing a contest does not re-park it.
+    pub parks: u64,
+    /// Wait keys arbitrated in place: a release made the key hot, and
+    /// the next executed step walked its chain of waiters.
+    pub contests: u64,
+    /// Frozen-route waiters those walks entered into a step's
+    /// arbitration from where they wait.
+    pub waiters_entered: u64,
+    /// Of `waiters_entered`, those that won their edge and left the
+    /// queue; the rest (`waiters_entered − waiters_won`) lost and were
+    /// not touched.
+    pub waiters_won: u64,
+    /// Parked pending adaptive heads those walks woke to select afresh.
+    pub pending_wakes: u64,
+}
+
+impl EngineStats {
+    /// Adds the event driver's counters of `from` — one region's, at the
+    /// fuse or when the run ends.
+    pub(crate) fn add_driver_counts(&mut self, from: &EngineStats) {
+        self.steps_executed += from.steps_executed;
+        self.parks += from.parks;
+        self.contests += from.contests;
+        self.waiters_entered += from.waiters_entered;
+        self.waiters_won += from.waiters_won;
+        self.pending_wakes += from.pending_wakes;
+    }
 }
 
 /// Why a message was discarded.
@@ -275,9 +309,10 @@ pub struct SimResult {
     /// Always `None`: the configured engine runs every configuration
     /// itself (see [`EngineFallback`]).
     pub engine_fallback: Option<EngineFallback>,
-    /// The engine's own counters (see [`EngineStats`]); `Some` only
-    /// under [`crate::config::Engine::Parallel`]. Not part of the
-    /// execution — excluded from [`SimResult::same_execution`].
+    /// The engine's own counters (see [`EngineStats`]); `None` only
+    /// under [`crate::config::Engine::Legacy`], which keeps none. Not
+    /// part of the execution — excluded from
+    /// [`SimResult::same_execution`].
     pub engine_stats: Option<EngineStats>,
 }
 

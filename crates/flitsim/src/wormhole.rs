@@ -46,8 +46,10 @@
 //!   original implementation, kept as the differential oracle);
 //! * the **event-driven** engine (the default, `engine` module) parks a
 //!   worm that loses arbitration on the wait queues of the edges it
-//!   could want next and reconsiders it only when one of them releases a
-//!   VC; a stretch with nothing parked and every in-flight worm
+//!   could want next and lets it contend again only at a step after one
+//!   of them released a VC — from where it waits: it leaves the queue
+//!   when it wins, and losing costs it nothing; a stretch with nothing
+//!   parked and every in-flight worm
 //!   draining jumps to the next release with the drain phases collapsed
 //!   to closed form, and a fully idle network jumps straight to the next
 //!   message release;
@@ -70,22 +72,43 @@
 //! three invariants, argued here and nowhere else (the `parallel`
 //! module docs add the window argument):
 //!
-//! 1. **Parked ⇒ full.** A worm parks only if every edge it could want
-//!    next — the one next edge of a frozen route; every candidate and
-//!    the escape hop of a still-routing adaptive header — still has all
-//!    `B` VCs held *after* the step's releases land. Since holder
-//!    counts only ever drop on a release, those edges stay full for the
-//!    whole parked interval, so the legacy stepper would have re-run and
-//!    lost the same arbitration every step — which is why stalls can be
-//!    settled arithmetically (`stalls += parked duration`) on wakeup,
-//!    deadlock, or step-cap exit instead of counted one step at a time.
-//! 2. **Release at `t` is visible at `t+1`.** Wakeups fire at the end of
-//!    the step whose releases produced them, so a woken worm contends at
+//! 1. **Parked ⇒ every watched edge is full, or its key is hot and its
+//!    waiters contend at the next executed step.** A worm parks only if
+//!    every edge it could want next — the one next edge of a frozen
+//!    route; every candidate and the escape hop of a still-routing
+//!    adaptive header — still has all `B` VCs held *after* the step's
+//!    releases land. Holder counts only ever drop on a release, and a
+//!    release marks the wait key of its edge *hot*: at the next executed
+//!    step every waiter on a hot key is a contender again. A frozen-route
+//!    waiter is entered into that step's arbitration under the edge its
+//!    wait node records, so every arbitration sees exactly the contender
+//!    *set* the legacy stepper's does — its waiters and the runnable
+//!    contenders — and every policy orders canonically in the set. While
+//!    no key of a parked worm is hot its edges stay full and the legacy
+//!    stepper re-runs and loses the same arbitration every step; at a
+//!    contest it loses the legacy stepper loses too, and if any contender
+//!    lost, the edge's free VCs were all granted — it is full again
+//!    unless that step released on the key, which is then hot once more.
+//!    Either way a worm parked at `p` that first wins at `s` stalled at
+//!    every step in between, which is why stalls can be settled
+//!    arithmetically (`stalls += s − 1 − p` when it wins; `stalls +=
+//!    parked duration` on deadlock, step-cap exit, or when a kill or the
+//!    parallel fuse unparks it) instead of counted one step at a time —
+//!    and why a waiter that loses a contest is not touched at all. A
+//!    pending adaptive waiter selects afresh each step it contends, so a
+//!    hot key wakes it (settled through the step before) to be
+//!    classified like any runnable worm.
+//! 2. **Release at `t` is visible at `t+1`.** Keys turn hot at the end of
+//!    the step whose releases produced them, so their waiters contend at
 //!    `t+1` using start-of-step holder counts — the same convention the
-//!    legacy stepper gets by reading start-of-step state. The
+//!    legacy stepper gets by reading start-of-step state. Releases that
+//!    land at the start of a step (a kill's discards; in a parallel
+//!    region, another region's releases of the step before) turn their
+//!    keys hot before that step's contest. The
 //!    all-draining jump only batches steps in which no worm wants an
 //!    edge and no parked worm exists to observe a release (it stops at
-//!    the next message release, the next kill and the step cap), so no
+//!    the next message release, the next kill and the step cap), and a
+//!    core with a hot key is never called frozen, so no
 //!    arbitration, and no release visibility boundary, is ever skipped.
 //! 3. **Order-free outcomes.** Everything a step writes is either
 //!    per-worm (finish times, `first_move`, stalls) or a commutative
@@ -115,13 +138,16 @@
 //!   order**, a canonical rule that reads only start-of-step state and
 //!   the (engine-independent) contender sets, so the engines cannot
 //!   diverge;
-//! * **park/wake keying** (`VcRules::wait_key`) — a blocked worm's edge
+//! * **wait keying** (`VcRules::wait_key`) — a blocked worm's edge
 //!   can become acquirable when a VC releases on the edge itself
 //!   (static) or on *any* outgoing edge of its source router (pooled:
-//!   the release may return shared credit). Acquirability is monotone
+//!   the release may return shared credit), so that is the key it parks
+//!   under and the key a release turns hot. Acquirability is monotone
 //!   non-increasing between releases on that key under both policies,
 //!   which is what keeps the event engine's parked-interval stall
-//!   arithmetic exact.
+//!   arithmetic exact. A pooled sibling's release can turn a key hot
+//!   while the waiters' own edge is still at its cap: they contend, the
+//!   edge grants nothing, and nobody is touched.
 //!
 //! `Static(B)` is the degenerate pooling `pool = B · fanout,
 //! per_edge_min = per_edge_max = B` — asserted bit-identical by the
@@ -164,9 +190,11 @@
 //! the legacy stepper counts exactly one stall per step and the parked
 //! interval settles arithmetically like any other (the worm's selection
 //! is pinned to the escape hop meanwhile, which is what a deadlock
-//! report reads). A frozen-route worm wants one fixed edge and is the
-//! one-key case of the same queue. A fault kill, which can sever a
-//! parked worm's escape continuation, wakes every parked pending worm.
+//! report reads). Its wait nodes record no edge: the first hot key wakes
+//! it to select again. A frozen-route worm wants one fixed edge and is
+//! the one-key case of the same queue, contending in place. A fault
+//! kill, which can sever a parked worm's escape continuation, wakes
+//! every parked pending worm.
 //! The all-draining and idle-network jumps stay exact: an arrived worm
 //! makes no further route decision.
 
@@ -390,14 +418,18 @@ pub(crate) struct Core<'a> {
     pub(crate) active: Vec<u32>,
     movers: Vec<u32>,
     pub(crate) blocked: Vec<u32>,
+    /// This step's winners among the parked worms the event driver
+    /// entered ([`Core::step_winners`]).
+    pub(crate) won: Vec<u32>,
     /// Pending adaptive worms whose only remaining option this step — the
     /// escape continuation — crosses a dead edge. Classification parks
     /// them here and the apply phase discards them, so mid-step holder
     /// counts (which selection reads) stay identical across engines.
     doomed: Vec<u32>,
-    /// Edges whose holder count dropped since the last wake pass. Only
-    /// populated while `track_releases` (the event driver sets it exactly
-    /// while any worm is parked); the legacy stepper never reads it.
+    /// Edges whose holder count dropped since the event driver last
+    /// turned their wait keys hot. Only populated while `track_releases`
+    /// (the driver sets it exactly while any worm is parked); the legacy
+    /// stepper never reads it.
     pub(crate) released: Vec<u32>,
     pub(crate) track_releases: bool,
     /// Parallel regions only: the edges whose VCs another region's
@@ -454,6 +486,7 @@ impl<'a> Core<'a> {
             active: Vec::new(),
             movers: Vec::new(),
             blocked: Vec::new(),
+            won: Vec::new(),
             doomed: Vec::new(),
             released: Vec::new(),
             track_releases: false,
@@ -649,21 +682,22 @@ impl<'a> Core<'a> {
     /// Whether worm `m`, blocked this step, can park
     /// ([`kernel::WaitQueue`]): every edge it could want next is still
     /// non-acquirable now that the step's releases have landed. If so,
-    /// fills `keys` with the wait keys to park on — the next path edge's
-    /// for a frozen route, the whole watch set's for a pending one
-    /// ([`kernel::pending_wait_keys`]), whose selection is pinned to the
-    /// escape hop the legacy stepper re-selects every step it stays
-    /// blocked (what the deadlock report reads). A pending worm whose
-    /// escape continuation a kill severed stays runnable instead: the
-    /// next classification dooms it.
-    pub(crate) fn wait_keys(&mut self, m: u32, keys: &mut Vec<usize>) -> bool {
+    /// fills `keys` with the wait keys to park on and returns the edge
+    /// its wait nodes record — the next path edge, and its key, for a
+    /// frozen route; [`kernel::NO_EDGE`] and the whole watch set's keys
+    /// for a pending one ([`kernel::pending_wait_keys`]), whose selection
+    /// is pinned to the escape hop the legacy stepper re-selects every
+    /// step it stays blocked (what the deadlock report reads). A pending
+    /// worm whose escape continuation a kill severed stays runnable
+    /// instead: the next classification dooms it.
+    pub(crate) fn wait_keys(&mut self, m: u32, keys: &mut Vec<usize>) -> Option<u32> {
         let mi = m as usize;
         let w = self.worms[mi];
         if !w.pending_route {
             let e = self.path_edge(m, w.advance + 1);
             keys.clear();
             keys.push(self.rules.wait_key(e));
-            return self.ledger.free_vcs(&self.rules, e) == 0;
+            return (self.ledger.free_vcs(&self.rules, e) == 0).then_some(e as u32);
         }
         let ad = self
             .adaptive
@@ -683,26 +717,41 @@ impl<'a> Core<'a> {
         ) {
             Some(escape) if !escape_severed(&self.rules, ad.router, head, ad.dst[mi]) => {
                 ad.selected[mi] = SelectedHop::Escape { edge: escape.0 };
-                true
+                Some(kernel::NO_EDGE)
             }
-            _ => false,
+            _ => None,
         }
     }
 
     /// The phases of a full-bandwidth step every driver shares, over the
-    /// worms `stepping` (they only differ in which list that is):
-    /// classify, arbitrate, advance the winners. Leaves the losers in
-    /// `blocked` for the caller to stall, discard or park. Returns
-    /// whether anything progressed.
-    pub(crate) fn step_winners(&mut self, t: u64, stepping: &[u32]) -> bool {
+    /// worms `stepping` (they only differ in which list that is) and the
+    /// parked worms `entered` as `(wanted edge, handle)` — the event
+    /// driver's waiters of this step's hot keys; none under the legacy
+    /// stepper: classify, arbitrate, advance the winners. Leaves the
+    /// `stepping` losers in `blocked` for the caller to stall, discard or
+    /// park, and the `entered` winners in `won` for it to unpark; an
+    /// `entered` loser is on neither list. Returns whether anything
+    /// progressed.
+    pub(crate) fn step_winners(
+        &mut self,
+        t: u64,
+        stepping: &[u32],
+        entered: &[(u32, u32)],
+    ) -> bool {
         self.movers.clear();
         self.blocked.clear();
+        self.won.clear();
         self.buckets.clear();
         self.doomed.clear();
         // Phase 1: classify worms into drains, contenders, free movers
-        // (pending adaptive worms select their wanted hop here).
+        // (pending adaptive worms select their wanted hop here). A parked
+        // worm contends for the edge its wait node records: nothing of
+        // the worm is read.
         for &m in stepping {
             self.classify(m);
+        }
+        for &(e, m) in entered {
+            self.buckets.push_parked(e as usize, m);
         }
         // Phase 2: per-edge arbitration using start-of-step holder
         // counts, contenders ordered by message id. Where handles are
@@ -719,7 +768,10 @@ impl<'a> Core<'a> {
         // discarded here rather than during classification so their VC
         // releases land mid-step — visible at `t+1`, like any release.
         for i in 0..self.movers.len() {
-            let m = self.movers[i];
+            let m = self.movers[i] & !kernel::PARKED;
+            if m != self.movers[i] {
+                self.won.push(m);
+            }
             self.apply_advance(m, t);
         }
         for i in 0..self.doomed.len() {
@@ -751,7 +803,8 @@ impl<'a> Core<'a> {
     }
 
     /// Releases one VC on `e` ([`VcLedger::release`]), recording it for
-    /// the event driver's wake pass when any worm is parked. In a
+    /// the event driver — the edge's wait key turns hot — when any worm
+    /// is parked. In a
     /// parallel region a release on an edge another region owns goes to
     /// the outbox instead; it lands between windows — the `t + 1`
     /// visibility every mid-step release has.
@@ -1340,7 +1393,7 @@ impl<'a> Sim<'a> {
     fn step_full_bandwidth(&mut self, t: u64) -> bool {
         let core = &mut self.core;
         let active = std::mem::take(&mut core.active);
-        let progressed = core.step_winners(t, &active);
+        let progressed = core.step_winners(t, &active, &[]);
         core.active = active;
         for i in 0..core.blocked.len() {
             let m = core.blocked[i];

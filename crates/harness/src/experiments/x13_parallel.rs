@@ -130,7 +130,12 @@ pub fn sweep_points_with(fast: bool, ladder: &[u32]) -> Vec<ScalePoint> {
                 engine,
                 workers,
                 regions,
-                regions_at_end: r.engine_stats.map(|s| s.regions_at_end),
+                // The sequential engine reports counters too, but runs on
+                // no regions.
+                regions_at_end: r
+                    .engine_stats
+                    .map(|s| s.regions_at_end)
+                    .filter(|&regions| regions > 0),
                 msgs: specs.len(),
                 total_steps: r.total_steps,
                 wall_ms,

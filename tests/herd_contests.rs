@@ -1,0 +1,350 @@
+//! Herd fixtures for the event driver's contests in place.
+//!
+//! A worm that loses arbitration parks, and a release on its wait key
+//! does not wake it: the key turns *hot*, the next executed step enters
+//! the key's waiters into arbitration from where they wait, and only a
+//! winner leaves the queue (`flitsim/src/engine.rs`). These fixtures pin
+//! what that must — and must not — change:
+//!
+//! * nothing a user can see: every fixture runs on Legacy, EventDriven
+//!   and Parallel at 1 and 2 workers with `check_invariants` on, and the
+//!   four results are the same execution;
+//! * the herd is gone *as a count*: `SimResult::engine_stats` shows every
+//!   blocked worm parking once per edge it finds full, however many
+//!   contests it loses there — closed forms on small herds, and a golden
+//!   on a saturated torus point that fails on any machine if losers start
+//!   re-parking again;
+//! * the corners of a hot key: a pooled sibling's release nobody can use,
+//!   a kill severing a waiter the step its key is hot, a release landed
+//!   from another region between two windows, and a run that ends — step
+//!   cap, deadlock — around a release nobody got to contest.
+
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
+use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
+use wormhole_flitsim::stats::{DiscardReason, EngineStats, Outcome, SimResult};
+use wormhole_flitsim::wormhole;
+use wormhole_flitsim::MessageSpec;
+use wormhole_topology::fault::FaultPlan;
+use wormhole_topology::graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use wormhole_topology::path::Path;
+use wormhole_topology::region::RegionPlan;
+use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
+
+const ARBITRATIONS: [Arbitration; 4] = [
+    Arbitration::FifoById,
+    Arbitration::OldestFirst,
+    Arbitration::PriorityRank,
+    Arbitration::Random,
+];
+
+/// What the event-style engines counted on one fixture.
+struct Counted {
+    /// The legacy oracle's result (what every other run equals).
+    legacy: SimResult,
+    /// [`Engine::EventDriven`]'s counters.
+    event: EngineStats,
+    /// [`Engine::Parallel`]'s at 1 and at 2 workers.
+    parallel: [EngineStats; 2],
+}
+
+/// Runs `specs` on all three engines — the parallel one at 1 and 2
+/// workers — with every invariant check on, asserts the four results are
+/// the same execution, and returns the oracle's with the counters.
+fn run_everywhere(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> Counted {
+    let run = |engine| {
+        let config = config.clone().check_invariants(true).engine(engine);
+        wormhole::run(graph, specs, &config)
+    };
+    let legacy = run(Engine::Legacy);
+    assert_eq!(
+        legacy.engine_stats, None,
+        "the legacy stepper counts nothing"
+    );
+    let counters = |engine| {
+        let r = run(engine);
+        assert!(
+            r.same_execution(&legacy),
+            "{engine:?} diverged from legacy:\n{r:?}\n{legacy:?}"
+        );
+        r.engine_stats.expect("the event driver counts")
+    };
+    Counted {
+        event: counters(Engine::EventDriven),
+        parallel: [1, 2].map(|threads| counters(Engine::Parallel { threads })),
+        legacy,
+    }
+}
+
+/// `(parks, contests, waiters_entered, waiters_won)`.
+fn herd_counts(s: &EngineStats) -> (u64, u64, u64, u64) {
+    (s.parks, s.contests, s.waiters_entered, s.waiters_won)
+}
+
+fn graph_of(nodes: u32, edges: &[(u32, u32)]) -> (Graph, Vec<EdgeId>) {
+    let mut b = GraphBuilder::new(nodes as usize);
+    let ids = edges
+        .iter()
+        .map(|&(s, d)| b.add_edge(NodeId(s), NodeId(d)))
+        .collect();
+    (b.build(), ids)
+}
+
+fn worm(path: &[EdgeId], length: u32) -> MessageSpec {
+    MessageSpec::new(Path::new(path.to_vec()), length)
+}
+
+/// `K` one-hop worms released together on one edge: the deepest herd a
+/// single release can meet. Whatever the arbitration policy and the VC
+/// policy, each of the `K − B` worms the first step blocks parks exactly
+/// once and wins exactly once — `B` at a time, every `L` steps — and the
+/// contests they lose in between touch nobody: entered once per contest
+/// while still waiting, `Σ (K − B·j)` in all.
+#[test]
+fn a_herd_on_one_edge_parks_once_per_worm_under_every_policy() {
+    const K: u64 = 24;
+    const L: u64 = 3;
+    let (g, e) = graph_of(2, &[(0, 1)]);
+    // Priorities run against the ids, so `PriorityRank` serves the herd
+    // in the opposite order to `FifoById`.
+    let specs: Vec<MessageSpec> = (0..K)
+        .map(|i| worm(&e, L as u32).with_priority((K - i) as u32))
+        .collect();
+    for b in [1u64, 2] {
+        let pooled = VcPolicy::pooled(b as u32, 1, b as u32);
+        for policy in [VcPolicy::Static(b as u32), pooled] {
+            for arbitration in ARBITRATIONS {
+                let config = SimConfig::new(1)
+                    .vc_policy(policy)
+                    .arbitration(arbitration)
+                    .seed(20);
+                let got = run_everywhere(&g, &specs, &config);
+                let case = format!("B = {b}, {policy:?}, {arbitration:?}");
+                assert_eq!(got.legacy.outcome, Outcome::Completed, "{case}");
+                assert_eq!(got.legacy.total_steps, K / b * L, "{case}");
+                // Waves of `B` every `L` steps: wave `j` stalled `j·L`.
+                let waves = K / b;
+                assert_eq!(
+                    got.legacy.total_stalls,
+                    b * L * waves * (waves - 1) / 2,
+                    "{case}"
+                );
+                let entered: u64 = (1..waves).map(|j| K - b * j).sum();
+                // One region holds the edge and every worm on it, so the
+                // parallel engine counts what the sequential one does.
+                for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+                    assert_eq!(
+                        herd_counts(stats),
+                        (K - b, waves - 1, entered, K - b),
+                        "{case}"
+                    );
+                    assert_eq!(stats.pending_wakes, 0, "{case}");
+                    // The last wave's drain, nothing parked behind it,
+                    // is one jump.
+                    assert_eq!(stats.steps_executed, (waves - 1) * L + 1, "{case}");
+                }
+                if b == 1 && arbitration == Arbitration::FifoById {
+                    for (i, m) in got.legacy.messages.iter().enumerate() {
+                        let i = i as u64;
+                        assert_eq!((m.finished, m.stalls), (Some((i + 1) * L), i * L));
+                    }
+                }
+                if b == 1 && arbitration == Arbitration::PriorityRank {
+                    for (i, m) in got.legacy.messages.iter().enumerate() {
+                        assert_eq!(m.finished, Some((K - i as u64) * L));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Under pooling a wait key is the *router*: a sibling edge's release
+/// turns it hot although the waiters' own edge is still at its cap. They
+/// contend, nobody wins, nobody is touched, the key goes cold — and the
+/// release that matters still frees them.
+///
+/// Router 0 has two out-edges and `pooled(3, 1, 2)`: one shared credit,
+/// cap 2. Worms 0 and 1 (L = 10) take `a` to its cap; worm 2 (L = 3)
+/// takes `b` within its floor; worms 3 and 4 want `a` and park at step 0.
+/// Worm 2 finishes during step 2: contest at step 3, no winner. Worms 0
+/// and 1 finish during step 9: contest at step 10, both win.
+#[test]
+fn a_pooled_siblings_release_is_contested_and_lost_without_touching_the_waiters() {
+    let (g, e) = graph_of(3, &[(0, 1), (0, 2)]);
+    let (a, b) = (&e[0..1], &e[1..2]);
+    let specs = [worm(a, 10), worm(a, 10), worm(b, 3), worm(a, 2), worm(a, 2)];
+    let config = SimConfig::new(1).vc_policy(VcPolicy::pooled(3, 1, 2));
+    let got = run_everywhere(&g, &specs, &config);
+    assert_eq!(got.legacy.outcome, Outcome::Completed);
+    let finished: Vec<_> = got.legacy.messages.iter().map(|m| m.finished).collect();
+    assert_eq!(finished, [Some(10), Some(10), Some(3), Some(12), Some(12)]);
+    let stalls: Vec<_> = got.legacy.messages.iter().map(|m| m.stalls).collect();
+    assert_eq!(stalls, [0, 0, 0, 10, 10]);
+    assert_eq!(got.legacy.max_pool_in_use, 3);
+    for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+        // Two parks, two contests of two waiters each; only the second
+        // had anything to win.
+        assert_eq!(herd_counts(stats), (2, 2, 4, 2));
+    }
+}
+
+/// A fault kill severs a waiter at the very step its key is hot: the
+/// release of step 3 made edge 0's key hot, and the kill at the start of
+/// step 4 — before the contest — discards worm 1, parked there since
+/// step 0 with a dead edge ahead. It settles four stalls like the legacy
+/// stepper's, its wait node goes stale, and the contest at step 4 is
+/// between whoever is left: worm 2 wins.
+#[test]
+fn a_kill_severs_a_waiter_the_step_its_key_is_hot() {
+    let (g, e) = graph_of(3, &[(0, 1), (1, 2)]);
+    let specs = [worm(&e[0..1], 4), worm(&e, 2), worm(&e[0..1], 2)];
+    let config = SimConfig::new(1).faults(FaultPlan::new().kill_link(4, e[1]));
+    let got = run_everywhere(&g, &specs, &config);
+    assert_eq!(got.legacy.outcome, Outcome::Completed);
+    let m = &got.legacy.messages;
+    assert_eq!((m[0].finished, m[0].stalls), (Some(4), 0));
+    assert_eq!(m[1].discarded, Some(DiscardReason::LinkDown));
+    assert_eq!((m[1].finished, m[1].stalls), (None, 4));
+    assert_eq!((m[2].finished, m[2].stalls), (Some(6), 4));
+    assert_eq!(got.legacy.fault_discards, 1);
+    for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+        // The severed waiter never enters the contest.
+        assert_eq!(herd_counts(stats), (2, 1, 1, 1));
+    }
+}
+
+/// A release made by *another region's* worm lands between two windows
+/// and is contested on the next window's first step. On the 6-chain cut
+/// `{0, 1, 2} | {3, 4, 5}`, worm 0 (L = 4, the whole chain) takes edge 2
+/// — region 0's — during step 2 and is resident in region 1 by the time
+/// its tail leaves it, during step 6. Worms 1–3 (one hop, on edge 2,
+/// released at 3) have parked on it in region 0. With two workers the
+/// regions stay apart: the release crosses the cut through the outbox,
+/// and the herd is served from step 7, one every L = 2 steps.
+#[test]
+fn a_foreign_release_landed_between_windows_is_contested_on_the_next_first_step() {
+    let (g, e) = graph_of(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+    let mut specs = vec![worm(&e, 4)];
+    specs.extend((0..3).map(|_| worm(&e[2..3], 2).release_at(3)));
+    let plan = RegionPlan::from_node_regions(&g, vec![0, 0, 0, 1, 1, 1]);
+    let config = SimConfig::new(1).regions(plan);
+    let got = run_everywhere(&g, &specs, &config);
+    assert_eq!(got.legacy.outcome, Outcome::Completed);
+    let served: Vec<_> = got.legacy.messages[1..]
+        .iter()
+        .map(|m| (m.first_move, m.finished, m.stalls))
+        .collect();
+    assert_eq!(
+        served,
+        [
+            (Some(7), Some(9), 4),
+            (Some(9), Some(11), 6),
+            (Some(11), Some(13), 8)
+        ]
+    );
+    let two_workers = &got.parallel[1];
+    assert_eq!(
+        (two_workers.regions_at_start, two_workers.regions_at_end),
+        (2, 2),
+        "two workers keep the cut"
+    );
+    assert!(two_workers.handoffs >= 1, "worm 0 crossed it");
+    for stats in [&got.event, two_workers] {
+        assert_eq!(herd_counts(stats), (3, 3, 6, 3));
+    }
+}
+
+/// The step cap ends the run right after a release nobody got to
+/// contest: the herd's first winner finishes during step `L − 1`, the
+/// key is hot, and the cap is `L`. Every waiter settles `L` stalls, as
+/// the legacy stepper counted them.
+#[test]
+fn the_step_cap_with_a_key_still_hot_settles_every_waiter() {
+    const K: u64 = 24;
+    const L: u64 = 3;
+    let (g, e) = graph_of(2, &[(0, 1)]);
+    let specs: Vec<MessageSpec> = (0..K).map(|_| worm(&e, L as u32)).collect();
+    let got = run_everywhere(&g, &specs, &SimConfig::new(1).max_steps(L));
+    assert_eq!(got.legacy.outcome, Outcome::MaxSteps);
+    assert_eq!(got.legacy.total_steps, L);
+    assert_eq!(got.legacy.messages[0].finished, Some(L));
+    assert_eq!(got.legacy.total_stalls, (K - 1) * L);
+    for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+        assert_eq!(herd_counts(stats), (K - 1, 0, 0, 0));
+    }
+}
+
+/// A deadlock verdict reached through a hot key. On the 4-cycle with
+/// B = 1 worms 0 and 1 block each other from step 2 on and park; a spur
+/// `2 → 4` shares router 2's pool with the edge worm 0 waits for, and
+/// worm 2 streams six flits over it. Its finish during step 5 is the
+/// run's last move — and turns router 2's key hot, so step 6 is not
+/// frozen on sight: worm 0 contends, its edge is still at its cap, nobody
+/// moves, and *that* is the deadlock step, as in the legacy stepper.
+#[test]
+fn a_deadlock_verdict_through_a_hot_key_counts_the_legacy_stalls() {
+    let (g, e) = graph_of(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)]);
+    let specs = [
+        worm(&[e[0], e[1], e[2]], 8),
+        worm(&[e[2], e[3], e[0]], 8),
+        worm(&e[4..5], 6),
+    ];
+    let config = SimConfig::new(1).vc_policy(VcPolicy::pooled(2, 1, 1));
+    let got = run_everywhere(&g, &specs, &config);
+    assert_eq!(got.legacy.outcome, Outcome::Deadlock(vec![0, 1]));
+    assert_eq!(got.legacy.total_steps, 6);
+    let stalls: Vec<_> = got.legacy.messages.iter().map(|m| m.stalls).collect();
+    assert_eq!(stalls, [5, 5, 0]);
+    assert!(got.legacy.deadlock.is_some());
+    // Two parks; one contest, entered by worm 0 alone, lost.
+    assert_eq!(herd_counts(&got.event), (2, 1, 1, 0));
+}
+
+/// The counter golden: fast x2's saturated torus point — its message
+/// length, window, heaviest rate, `B = 1`, random arbitration and seed
+/// rule — on a 6×6 dateline torus. The counts are exact and the same on
+/// any machine, so a change that brings the herd back (a loser re-parked
+/// per contest lost would add `waiters_entered − waiters_won` parks)
+/// fails here. Under the parallel engine they depend on the plan and the
+/// fuse: there, two runs must agree.
+#[test]
+fn counter_golden_on_the_saturated_torus_point_of_fast_x2() {
+    let substrate = Substrate::torus_with(6, 2, RoutingDiscipline::DatelineClasses);
+    let workload = Workload::new(
+        substrate.clone(),
+        TrafficPattern::UniformRandom,
+        ArrivalProcess::bernoulli(0.45),
+        4,
+        0xa11ce,
+    );
+    let (warmup, measure) = (150, 400);
+    let specs = workload.generate(warmup + measure);
+    let run = |engine| {
+        let config = SimConfig::new(1)
+            .arbitration(Arbitration::Random)
+            .seed(0x5eed ^ 1)
+            .check_invariants(true)
+            .engine(engine);
+        let ol = OpenLoopConfig::new(warmup, measure);
+        run_open_loop(substrate.graph(), &specs, &config, &ol)
+    };
+    let legacy = run(Engine::Legacy);
+    assert_eq!(legacy.outcome, Outcome::MaxSteps, "the point is saturated");
+    assert_eq!(legacy.engine_stats, None);
+    let event = run(Engine::EventDriven);
+    assert!(event.same_execution(&legacy));
+    let stats = event.engine_stats.expect("the event driver counts");
+    assert_eq!(
+        herd_counts(&stats),
+        (8_752, 3_934, 76_080, 3_215),
+        "parks are first blocks only; {} contests lost touched nobody",
+        stats.waiters_entered - stats.waiters_won
+    );
+    for threads in [1, 2] {
+        let par = run(Engine::Parallel { threads });
+        assert!(par.same_execution(&legacy));
+        let again = run(Engine::Parallel { threads });
+        assert_eq!(par.engine_stats, again.engine_stats);
+        assert!(par.engine_stats.expect("the event driver counts").parks > 0);
+    }
+}
