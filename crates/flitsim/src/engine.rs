@@ -43,10 +43,9 @@
 //! `L`-long drain that follows is one `O(path)` jump.
 
 use crate::config::BlockedPolicy;
-use crate::events::DeadlockReport;
 use crate::kernel::{WaitQueue, NO_EDGE};
 use crate::stats::{DiscardReason, EngineStats, Outcome};
-use crate::wormhole::{Core, Sim};
+use crate::wormhole::{Core, Driven, Sim, SimError};
 
 /// The event driver's bookkeeping over one [`Core`]: which of its worms
 /// are parked and which are runnable.
@@ -95,16 +94,17 @@ pub(crate) struct Window {
 }
 
 /// Runs the event-driven loop to completion. Returns `(outcome, final
-/// step, deadlock report)` exactly as the legacy driver would, and
-/// leaves the driver's counters in [`Sim::engine_stats`].
-pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
+/// step, deadlock report)` — or the bad spec a live source emitted —
+/// exactly as the legacy driver would, and leaves the driver's counters
+/// in [`Sim::engine_stats`].
+pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
     let mut st = EventState::new(&sim.core);
     let driven = drive_windows(sim, &mut st);
     sim.engine_stats = Some(st.stats);
     driven
 }
 
-fn drive_windows(sim: &mut Sim, st: &mut EventState) -> (Outcome, u64, Option<DeadlockReport>) {
+fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError> {
     let mut t: u64 = 0;
     loop {
         // With worms in flight, the cap ends the run early — settling
@@ -116,7 +116,7 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> (Outcome, u64, Option<De
                 let last = sim.core.config.max_steps.saturating_sub(1);
                 settle_parked(&mut sim.core, st, last);
             }
-            return (outcome, t, None);
+            return Ok((outcome, t, None));
         }
         // Kills scheduled by `t` take effect at the start of the step,
         // before admissions — exactly as in the legacy driver.
@@ -124,7 +124,7 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> (Outcome, u64, Option<De
             let (core, due) = sim.due_kills(t);
             kill(core, st, due, t);
         }
-        let new = sim.admit_ready(t);
+        let new = sim.admit_ready(t)?;
         for i in new {
             let m = sim.admitted_id(i);
             // Skip messages discarded at admission (dead-on-arrival).
@@ -163,7 +163,7 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> (Outcome, u64, Option<De
             settle_parked(&mut sim.core, st, t);
             sim.rebuild_active();
             let report = sim.build_deadlock_report();
-            return (Outcome::Deadlock(sim.core.active.clone()), t, Some(report));
+            return Ok((Outcome::Deadlock(sim.core.active.clone()), t, Some(report)));
         }
         t = stop;
     }

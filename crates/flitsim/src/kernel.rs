@@ -33,6 +33,7 @@ use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 
 use crate::config::{Arbitration, SimConfig, VcPolicy};
+use crate::wormhole::SimError;
 
 /// The rigid worm: its whole configuration is the advance count (see the
 /// [`crate::wormhole`] module docs).
@@ -221,7 +222,7 @@ pub(crate) struct VcRules {
 impl VcRules {
     /// Validates `config.vc_policy` against `graph` and decomposes it.
     /// `faulted` allocates the dead flags.
-    pub(crate) fn new(graph: &Graph, config: &SimConfig, faulted: bool) -> Self {
+    pub(crate) fn new(graph: &Graph, config: &SimConfig, faulted: bool) -> Result<Self, SimError> {
         config.vc_policy.validate();
         let (pooled, per_edge_min, per_edge_max, pool) = match config.vc_policy {
             VcPolicy::Static(b) => (false, b, b, 0),
@@ -238,18 +239,19 @@ impl VcRules {
                 .nodes()
                 .map(|v| {
                     let fanout = graph.out_degree(v) as u32;
-                    pool.checked_sub(per_edge_min * fanout).unwrap_or_else(|| {
-                        panic!(
-                            "router {v:?}: per_edge_min {per_edge_min} x fanout {fanout} \
-                             exceeds pool {pool}"
-                        )
-                    })
+                    pool.checked_sub(per_edge_min * fanout)
+                        .ok_or(SimError::PoolFloor {
+                            router: v.0,
+                            per_edge_min,
+                            fanout,
+                            pool,
+                        })
                 })
-                .collect()
+                .collect::<Result<_, _>>()?
         } else {
             Vec::new()
         };
-        Self {
+        Ok(Self {
             edge_src: graph.edge_sources().to_vec(),
             shared_cap,
             pooled,
@@ -257,7 +259,7 @@ impl VcRules {
             per_edge_max,
             pool,
             dead: vec![false; if faulted { graph.num_edges() } else { 0 }],
-        }
+        })
     }
 
     /// Whether edge `e` has been killed by an applied fault.
@@ -1616,7 +1618,7 @@ mod tests {
 
     fn pooled(g: &Graph, pool: u32, min: u32, max: u32) -> (VcRules, VcLedger) {
         let config = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
-        let rules = VcRules::new(g, &config, false);
+        let rules = VcRules::new(g, &config, false).unwrap();
         let ledger = VcLedger::new(g, &rules);
         (rules, ledger)
     }
@@ -1765,7 +1767,7 @@ mod tests {
             let max = min + rng.random_range(0..4u32);
             let pool = min * max_fanout + rng.random_range(0..7u32);
             let config_pooled = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
-            let mut rules = VcRules::new(&g, &config_pooled, true);
+            let mut rules = VcRules::new(&g, &config_pooled, true).unwrap();
             let mut ledger = VcLedger::new(&g, &rules);
             // Random holders, then random dead edges (a dead edge may
             // still be held).

@@ -73,10 +73,11 @@ pub mod wormhole;
 
 pub use config::{Arbitration, BlockedPolicy, Engine, RouteSelection, SimConfig};
 pub use events::{DeadlockReport, WaitFor};
-pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec};
+pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec, SpecError};
 pub use open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
-pub use source::{ReplaySource, TrafficSource};
+pub use source::{ReplaySource, Traffic, TrafficSource};
 pub use stats::{
     ClosedLoopStats, DiscardReason, EngineStats, LatencyStats, MessageOutcome, OpenLoopStats,
     Outcome, SimResult,
 };
+pub use wormhole::SimError;

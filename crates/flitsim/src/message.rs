@@ -1,5 +1,8 @@
 //! Message descriptions handed to the simulators.
 
+use std::fmt;
+
+use wormhole_topology::graph::Graph;
 use wormhole_topology::path::{Path, PathSet};
 
 /// One message (worm) to route: a path, a length in flits, a release time,
@@ -53,6 +56,59 @@ impl MessageSpec {
     pub fn unblocked_time(&self) -> u64 {
         self.hops() as u64 + self.length as u64 - 1
     }
+}
+
+/// Why the simulator refused a [`MessageSpec`] (which one is the `id`
+/// of the [`crate::wormhole::SimError::Spec`] around it).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpecError {
+    /// The path has no edge.
+    EmptyPath,
+    /// The path names an edge id the graph does not have.
+    BadEdge,
+    /// `length` is 0: a message has at least its header flit.
+    ZeroLength,
+    /// A live source emitted this id before.
+    DuplicateId,
+    /// A live source emitted the spec at step `now`, before its release.
+    ReleasedEarly {
+        /// The spec's release step.
+        release: u64,
+        /// The step of the `take_ready` call that emitted it.
+        now: u64,
+    },
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::EmptyPath => write!(f, "empty path"),
+            SpecError::BadEdge => write!(f, "bad edge id"),
+            SpecError::ZeroLength => write!(f, "zero length"),
+            SpecError::DuplicateId => write!(f, "id emitted twice"),
+            SpecError::ReleasedEarly { release, now } => {
+                write!(f, "emitted before its release ({release} > {now})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// The checks a spec passes once, where it enters a simulator: a
+/// nonempty path over edges `graph` has, and at least the header flit.
+pub fn check_spec(graph: &Graph, spec: &MessageSpec) -> Result<(), SpecError> {
+    let (edges, num_edges) = (spec.path.edges(), graph.num_edges());
+    if edges.is_empty() {
+        return Err(SpecError::EmptyPath);
+    }
+    if edges.iter().any(|e| e.idx() >= num_edges) {
+        return Err(SpecError::BadEdge);
+    }
+    if spec.length == 0 {
+        return Err(SpecError::ZeroLength);
+    }
+    Ok(())
 }
 
 /// Converts a [`PathSet`] into uniform-length messages, all released at 0.

@@ -180,10 +180,9 @@ use wormhole_topology::region::RegionPlan;
 
 use crate::config::BlockedPolicy;
 use crate::engine::{self, EventState};
-use crate::events::DeadlockReport;
 use crate::kernel::Worm;
 use crate::stats::{EngineStats, MessageOutcome, Outcome};
-use crate::wormhole::{Core, Resident, Sim};
+use crate::wormhole::{Core, Driven, Resident, Sim, SimError};
 
 /// Default region count when [`SimConfig::regions`] is `None`
 /// (clamped to the node count by [`RegionPlan::contiguous`]).
@@ -344,7 +343,7 @@ struct Region<'a> {
     cuts: Vec<Option<(u32, u32)>>,
     /// Outbox: worms whose next wanted edge crossed the cut, with the
     /// region owning it.
-    handoffs: Vec<(u32, Resident)>,
+    handoffs: Vec<(u32, Resident<'a>)>,
     /// Outbox: worms that finished or were discarded this window.
     retired: Vec<Retired>,
     /// Running minimum [`worm_bound`] over the parked population, folded
@@ -406,7 +405,7 @@ impl<'a> Region<'a> {
 
     /// Takes in a worm — freshly admitted, or handed off by another
     /// region — under a free handle, and tightens the window grant.
-    fn arrive(&mut self, ctx: &Ctx, r: Resident) {
+    fn arrive(&mut self, ctx: &Ctx, r: Resident<'a>) {
         let h = self.free.pop().unwrap_or(self.core.worms.len() as u32);
         self.core.put(h, r);
         self.core.unfinished += 1;
@@ -700,9 +699,9 @@ fn fold_totals(into: &mut Core, from: &Core) {
 /// (for the result, and for the deadlock report), and folds the
 /// per-region accumulators into the run totals — the event driver's
 /// counters into `stats`.
-fn write_back(
-    sim: &mut Sim<'_>,
-    regs: &mut [MutexGuard<'_, Region<'_>>],
+fn write_back<'a>(
+    sim: &mut Sim<'a>,
+    regs: &mut [MutexGuard<'_, Region<'a>>],
     through: u64,
     stats: &mut EngineStats,
 ) {
@@ -727,10 +726,10 @@ fn write_back(
 /// id-keyed core — whose next completion flush reports them to the
 /// source — and emigrants in their new regions, counted in
 /// `stats.handoffs`. Returns how many worms retired.
-fn land(
+fn land<'a>(
     ctx: &Ctx,
-    sim: &mut Sim<'_>,
-    regs: &mut [MutexGuard<'_, Region<'_>>],
+    sim: &mut Sim<'a>,
+    regs: &mut [MutexGuard<'_, Region<'a>>],
     stats: &mut EngineStats,
 ) -> usize {
     let mut n_retired = 0;
@@ -794,12 +793,13 @@ fn fuse<'s, 'a>(
 
 /// The coordinator: mirrors [`Sim::drive_legacy`]'s loop head (idle
 /// fast-forward, step-cap accounting, kills, admissions) around the
-/// window grant, then merges the regions' outboxes.
+/// window grant, then merges the regions' outboxes. A live source's bad
+/// spec leaves like a verdict: between windows, every worker parked.
 fn run_loop<'a>(
     sim: &mut Sim<'a>,
     shared: &Shared<'a>,
     stats: &mut EngineStats,
-) -> (Outcome, u64, Option<DeadlockReport>) {
+) -> Result<Driven, SimError> {
     let mut ctx = &shared.plan;
     let mut t: u64 = 0;
     let mut n_active: usize = 0;
@@ -810,7 +810,7 @@ fn run_loop<'a>(
             .flat_map(|w| shared.live(w))
             .map(|i| shared.lock(i))
     };
-    let mut regs: Vec<MutexGuard<'_, Region<'_>>> = lock_all().collect();
+    let mut regs: Vec<MutexGuard<'_, Region<'a>>> = lock_all().collect();
     loop {
         if let Some(outcome) = sim.loop_head(&mut t, n_active == 0) {
             // The cap may end the run with worms still parked; the
@@ -818,7 +818,7 @@ fn run_loop<'a>(
             // step that ran.
             let last = sim.core.config.max_steps.saturating_sub(1);
             write_back(sim, &mut regs, last, stats);
-            return (outcome, t, None);
+            return Ok((outcome, t, None));
         }
         // A fault kill is a window boundary too, and one every region
         // reaches together: each applies it to its own residents and its
@@ -840,7 +840,7 @@ fn run_loop<'a>(
             }
             n_active -= land(ctx, sim, &mut regs, stats);
         }
-        let new = sim.admit_ready(t);
+        let new = sim.admit_ready(t)?;
         for i in new {
             let m = sim.admitted_id(i);
             if sim.core.outcomes[m as usize].discarded.is_none() {
@@ -957,11 +957,11 @@ fn run_loop<'a>(
             write_back(sim, &mut regs, t_dead, stats);
             sim.rebuild_active();
             let report = sim.build_deadlock_report();
-            return (
+            return Ok((
                 Outcome::Deadlock(sim.core.active.clone()),
                 t_dead,
                 Some(report),
-            );
+            ));
         }
         if sim.core.config.check_invariants {
             validate(&mut regs, sim.graph.num_edges());
@@ -974,7 +974,7 @@ fn run_loop<'a>(
 /// the partitioned engine with `threads` workers (0 = all available;
 /// always clamped to the region count) and leaves its counters in
 /// [`Sim::engine_stats`].
-pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> (Outcome, u64, Option<DeadlockReport>) {
+pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimError> {
     let graph = sim.graph;
     let plan = match &sim.core.config.regions {
         Some(p) => {
@@ -1025,7 +1025,7 @@ pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> (Outcome, u64, Optio
             for w in 1..nthreads {
                 s.spawn(move || worker_loop(sh, w));
             }
-            // However the loop ends — a verdict, a panic of the
+            // However the loop ends — a verdict, a bad spec, a panic of the
             // coordinator's own (a failed invariant check, a source that
             // panics), one resumed from inside a window — the workers
             // are parked on `start`: release them before unwinding any

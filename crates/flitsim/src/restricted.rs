@@ -75,10 +75,7 @@ const DELIVERED: u32 = u32::MAX;
 /// the stuck messages in [`Outcome::Deadlock`] but carries no wait-for
 /// report.
 pub fn run(graph: &Graph, specs: &[MessageSpec], config: &RestrictedConfig) -> SimResult {
-    crate::wormhole::validate_specs(graph, specs);
-    for (i, s) in specs.iter().enumerate() {
-        assert!(s.length >= 1, "message {i} has zero length");
-    }
+    crate::wormhole::check_specs(graph, specs).unwrap_or_else(|e| panic!("{e}"));
     let n = specs.len();
     let mut pos: Vec<Vec<u32>> = specs
         .iter()
@@ -95,8 +92,7 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &RestrictedConfig) -> S
     let mut max_vcs = 0u32;
     let mut flit_hops = 0u64;
 
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&i| (specs[i as usize].release, i));
+    let order = crate::source::release_order(specs);
     let mut next_pending = 0usize;
     let mut active: Vec<u32> = Vec::new();
 

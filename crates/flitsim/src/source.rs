@@ -13,9 +13,10 @@
 //! A source hands out messages tagged with **source-assigned ids**. Ids
 //! index the [`SimResult::messages`](crate::stats::SimResult::messages)
 //! vector, must be unique over the run, and should be dense (the
-//! simulator sizes per-message state by the largest id seen). The driver
-//! loop interacts with the source under these rules, identical for both
-//! engines:
+//! simulator sizes per-message state by the largest id seen, or once by
+//! [`id_bound`](TrafficSource::id_bound) when the source declares one).
+//! The driver loop interacts with the source under these rules,
+//! identical for all three engines:
 //!
 //! * [`take_ready`](TrafficSource::take_ready)`(now)` is called before
 //!   any step a message could join — every step under a
@@ -45,15 +46,24 @@
 //!   release spawned inside it) while keeping park/wake and the
 //!   idle-network jump, both of which remain exact.
 //!
-//! # Replay equivalence
+//! Every spec a source emits is checked once, in the drain of
+//! `take_ready` ([`crate::message::check_spec`], plus duplicate id and
+//! `release ≤ now`); a bad one ends the run with the
+//! [`SimError::Spec`](crate::wormhole::SimError::Spec) naming it.
 //!
-//! [`ReplaySource`] adapts any `Vec<MessageSpec>` to the pull interface.
-//! Ids are the original vector indices and emission follows `(release,
-//! id)` order, so `run(graph, &specs, cfg)` — which routes through a
-//! `ReplaySource` internally — is **bit-identical** to the historical
-//! slice path: same admissions, same arbitration tie-breaks, same
-//! `SimResult`, message for message. The differential proptests in
-//! `tests/source_equiv.rs` enforce this on both sequential engines.
+//! # Slices and replay
+//!
+//! A pre-generated batch needs no source: [`Traffic::Specs`] *lends* the
+//! caller's slice to the run — ids are the slice indices, admission
+//! follows `(release, id)` order, nothing is cloned and there is nobody
+//! to notify — and that is what `run(graph, &specs, cfg)` does.
+//! [`ReplaySource`] is the owned adapter of a `Vec<MessageSpec>` to the
+//! pull interface, with the same ids and the same order
+//! (one `release_order`, written once): the two are separate
+//! implementations required **bit-identical** — same admissions, same
+//! arbitration tie-breaks, same `SimResult`, message for message — and
+//! the differential proptests in `tests/source_equiv.rs` hold the slice
+//! arm against the replayed one on all three engines.
 
 use crate::message::MessageSpec;
 
@@ -94,10 +104,26 @@ pub trait TrafficSource {
     }
 }
 
-/// Adapts a pre-generated spec vector to the [`TrafficSource`] pull
-/// interface: the open-loop path, required bit-identical to the
-/// historical slice API (ids are the vector indices; emission follows
-/// `(release, id)` order).
+/// What drives a run ([`crate::wormhole::simulate`]).
+pub enum Traffic<'a> {
+    /// A pre-generated batch, lent to the run: ids are the slice indices
+    /// and admission follows `(release, id)` order.
+    Specs(&'a [MessageSpec]),
+    /// A live source, polled and notified as the module docs lay out.
+    Source(&'a mut dyn TrafficSource),
+}
+
+/// The ids of `specs` — their indices — in ascending `(release, id)`
+/// order: the admission order of every path that replays a batch.
+pub(crate) fn release_order(specs: &[MessageSpec]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..specs.len() as u32).collect();
+    order.sort_by_key(|&i| (specs[i as usize].release, i));
+    order
+}
+
+/// Adapts an owned spec vector to the [`TrafficSource`] pull interface
+/// (ids are the vector indices; emission follows `(release, id)` order):
+/// the reference the lent-slice path is held bit-identical to.
 pub struct ReplaySource {
     /// Spec per id; taken (moved out) on emission.
     slots: Vec<Option<MessageSpec>>,
@@ -109,21 +135,11 @@ pub struct ReplaySource {
 impl ReplaySource {
     /// Wraps an owned spec vector. Ids are the vector indices.
     pub fn new(specs: Vec<MessageSpec>) -> Self {
-        let mut order: Vec<u32> = (0..specs.len() as u32).collect();
-        order.sort_by_key(|&i| (specs[i as usize].release, i));
         Self {
+            order: release_order(&specs),
             slots: specs.into_iter().map(Some).collect(),
-            order,
             cursor: 0,
         }
-    }
-
-    /// Wraps a borrowed slice, cloning every spec — paths included. Not
-    /// free on a light load: on the benchmark's `torus_uniform_light`
-    /// (107 k messages that seldom block) the clone is about 5 % of an
-    /// event-driven run; [`Self::new`] takes the specs by value.
-    pub fn from_slice(specs: &[MessageSpec]) -> Self {
-        Self::new(specs.to_vec())
     }
 
     /// Number of messages this source replays.

@@ -198,7 +198,11 @@
 //! The all-draining and idle-network jumps stay exact: an arrived worm
 //! makes no further route decision.
 
+use std::borrow::Cow;
+use std::fmt;
+
 use wormhole_topology::adaptive::AdaptiveRouter;
+use wormhole_topology::fault::FaultError;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 use wormhole_topology::path::Path;
 
@@ -207,50 +211,123 @@ use crate::events::{DeadlockReport, WaitFor};
 use crate::kernel::{
     self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, Worm,
 };
-use crate::message::MessageSpec;
-use crate::source::{ReplaySource, TrafficSource};
+use crate::message::{check_spec, MessageSpec, SpecError};
+use crate::source::{release_order, Traffic, TrafficSource};
 use crate::stats::{DiscardReason, EngineStats, MessageOutcome, Outcome, SimResult};
 
-/// Eagerly validates a spec slice against `graph` — the historical
-/// entry-point behavior (a bad spec panics before any simulation work),
-/// preserved by the slice runners on top of the per-admission checks.
-pub(crate) fn validate_specs(graph: &Graph, specs: &[MessageSpec]) {
-    for (i, s) in specs.iter().enumerate() {
-        assert!(!s.path.is_empty(), "message {i} has an empty path");
-        for &e in s.path.edges() {
-            assert!(e.idx() < graph.num_edges(), "message {i}: bad edge id");
+/// Why [`simulate`] refused a run, or ended one early.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SimError {
+    /// Message `id` is malformed: a slice's spec (found before step 0,
+    /// wherever in the slice it sits), or one a live source emitted
+    /// mid-run.
+    Spec {
+        /// The slice index, or the id the source assigned.
+        id: u32,
+        /// What is wrong with it.
+        error: SpecError,
+    },
+    /// [`SimConfig::faults`] does not fit the graph.
+    Faults(FaultError),
+    /// The config asks for adaptive route selection and no router was
+    /// given to enumerate the per-hop candidates.
+    RouterMissing,
+    /// Under [`crate::config::VcPolicy::RouterPooled`], `router` cannot
+    /// honor the per-edge floors of its `fanout` outgoing edges out of
+    /// its pool.
+    PoolFloor {
+        /// The node id of the router.
+        router: u32,
+        /// The policy's `per_edge_min`.
+        per_edge_min: u32,
+        /// Outgoing edges of `router`.
+        fanout: u32,
+        /// The policy's `pool`.
+        pool: u32,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Spec { id, error } => match error {
+                SpecError::EmptyPath => write!(f, "message {id} has an empty path"),
+                SpecError::BadEdge => write!(f, "message {id}: bad edge id"),
+                SpecError::ZeroLength => write!(f, "message {id} has zero length"),
+                SpecError::DuplicateId => write!(f, "source re-emitted message id {id}"),
+                SpecError::ReleasedEarly { .. } => write!(f, "message {id} {error}"),
+            },
+            SimError::Faults(e) => write!(f, "invalid fault plan: {e}"),
+            SimError::RouterMissing => write!(
+                f,
+                "adaptive route selection needs run_adaptive \
+                 (per-hop candidates come from a router)"
+            ),
+            SimError::PoolFloor {
+                router,
+                per_edge_min,
+                fanout,
+                pool,
+            } => write!(
+                f,
+                "router {router}: per_edge_min {per_edge_min} x fanout {fanout} \
+                 exceeds pool {pool}"
+            ),
         }
     }
 }
 
+impl std::error::Error for SimError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SimError::Spec { error, .. } => Some(error),
+            SimError::Faults(e) => Some(e),
+            SimError::RouterMissing | SimError::PoolFloor { .. } => None,
+        }
+    }
+}
+
+/// [`check_spec`] over a whole slice, ids being the indices: the door
+/// every batch enters by, here and in [`crate::restricted`].
+pub(crate) fn check_specs(graph: &Graph, specs: &[MessageSpec]) -> Result<(), SimError> {
+    specs.iter().enumerate().try_for_each(|(i, s)| {
+        check_spec(graph, s).map_err(|error| SimError::Spec {
+            id: i as u32,
+            error,
+        })
+    })
+}
+
 /// Runs the wormhole simulation of `specs` over `graph` under `config`,
-/// following each spec's precomputed path verbatim.
+/// following each spec's precomputed path verbatim. The slice is lent to
+/// the run ([`Traffic::Specs`]), not cloned.
 ///
-/// Internally routes through a [`ReplaySource`] — bit-identical to the
-/// historical slice path (see [`crate::source`]).
+/// # Panics
 ///
-/// Panics if any spec has an empty path or an invalid edge id, or if
-/// `config` asks for adaptive route selection (which needs a router to
-/// enumerate per-hop candidates — use [`run_adaptive`]).
+/// With the [`SimError`] [`simulate`] returns, as its message: any spec
+/// of the slice with an empty path, an edge id `graph` lacks or zero
+/// length ([`SimError::Spec`], checked over the whole slice before step
+/// 0), a `config` asking for adaptive route selection
+/// ([`SimError::RouterMissing`] — use [`run_adaptive`]), an invalid
+/// fault plan or pool floor.
 pub fn run(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> SimResult {
-    validate_specs(graph, specs);
-    let mut source = ReplaySource::from_slice(specs);
-    run_source(graph, &mut source, config)
+    simulate(graph, None, Traffic::Specs(specs), config).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the wormhole simulation pulling messages from `source` (see
 /// [`TrafficSource`] for the polling/notification contract).
 ///
-/// Panics if the source emits an invalid spec (empty path, bad edge id,
-/// duplicate id, zero length) or if `config` asks for adaptive route
-/// selection (use [`run_source_adaptive`]).
+/// # Panics
+///
+/// With the [`SimError`] [`simulate`] returns, as its message: a spec
+/// the source emits with an empty path, a bad edge id, zero length, an
+/// id it emitted before or a release still ahead ([`SimError::Spec`],
+/// checked as each is drained from `take_ready`, so possibly mid-run), a
+/// `config` asking for adaptive route selection
+/// ([`SimError::RouterMissing`] — use [`run_source_adaptive`]), an
+/// invalid fault plan or pool floor.
 pub fn run_source(graph: &Graph, source: &mut dyn TrafficSource, config: &SimConfig) -> SimResult {
-    assert_eq!(
-        config.route_selection,
-        RouteSelection::Oblivious,
-        "adaptive route selection needs run_adaptive (per-hop candidates come from a router)"
-    );
-    simulate(graph, None, source, config)
+    simulate(graph, None, Traffic::Source(source), config).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs and asserts the routing completed (no deadlock / step-cap abort).
@@ -268,45 +345,76 @@ pub fn run_to_completion(graph: &Graph, specs: &[MessageSpec], config: &SimConfi
 /// under an adaptive policy the actual route is built hop by hop at the
 /// header. With [`RouteSelection::Oblivious`] this is exactly [`run`].
 ///
-/// Panics on empty paths or on a path not belonging to `router`'s graph.
+/// # Panics
+///
+/// As [`run`], the specs being checked against `router`'s graph (there
+/// is a router, so never [`SimError::RouterMissing`]).
 pub fn run_adaptive(
     router: &dyn AdaptiveRouter,
     specs: &[MessageSpec],
     config: &SimConfig,
 ) -> SimResult {
-    validate_specs(router.graph(), specs);
-    let mut source = ReplaySource::from_slice(specs);
-    run_source_adaptive(router, &mut source, config)
+    simulate(router.graph(), Some(router), Traffic::Specs(specs), config)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_adaptive`] pulling messages from `source` instead of a slice
-/// (see [`TrafficSource`]).
+/// (see [`TrafficSource`]); panics as [`run_source`] does.
 pub fn run_source_adaptive(
     router: &dyn AdaptiveRouter,
     source: &mut dyn TrafficSource,
     config: &SimConfig,
 ) -> SimResult {
-    simulate(router.graph(), Some(router), source, config)
+    simulate(
+        router.graph(),
+        Some(router),
+        Traffic::Source(source),
+        config,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The one core behind every `run*` entry point: builds the simulation
-/// (`router` is only consulted under an adaptive [`RouteSelection`]) and
-/// hands it to the configured [`Engine`] — every engine runs every
-/// configuration.
-fn simulate(
-    graph: &Graph,
-    router: Option<&dyn AdaptiveRouter>,
-    source: &mut dyn TrafficSource,
-    config: &SimConfig,
-) -> SimResult {
-    let mut sim = Sim::new(graph, router, source, config);
+/// The one door into the simulator, behind every `run*` entry point:
+/// builds the simulation of `traffic` over `graph` (`router` is only
+/// consulted under an adaptive [`RouteSelection`]) and hands it to the
+/// configured [`Engine`] — every engine runs every configuration.
+///
+/// # Errors
+///
+/// Everything wrong with the input that the `run*` shims panic on comes
+/// back as a value, the same one from every engine:
+///
+/// * before step 0 — [`SimError::RouterMissing`],
+///   [`SimError::Faults`], [`SimError::PoolFloor`], and
+///   [`SimError::Spec`] for the first bad spec of a [`Traffic::Specs`]
+///   slice (the whole slice is checked, however late a spec's release);
+/// * mid-run — [`SimError::Spec`] for a spec a [`Traffic::Source`]
+///   emits, checked as it is drained from `take_ready`: the steps before
+///   it ran, and the source has heard of every completion before that
+///   poll.
+///
+/// What is left to panic is [`SimConfig`]'s own range checks
+/// ([`crate::config::VcPolicy::validate`]), a region plan that does not
+/// match `graph`, and whatever `traffic`'s source or `router` panics
+/// with — under [`Engine::Parallel`] resumed on the calling thread.
+pub fn simulate<'a>(
+    graph: &'a Graph,
+    router: Option<&'a dyn AdaptiveRouter>,
+    traffic: Traffic<'a>,
+    config: &'a SimConfig,
+) -> Result<SimResult, SimError> {
+    let mut sim = Sim::new(graph, router, traffic, config)?;
     let driven = match config.engine {
         Engine::Legacy => sim.drive_legacy(),
         Engine::EventDriven => crate::engine::drive(&mut sim),
         Engine::Parallel { threads } => crate::parallel::drive(&mut sim, threads),
-    };
-    sim.into_result(driven)
+    }?;
+    Ok(sim.into_result(driven))
 }
+
+/// What a driver hands back: how the run ended, the step it stopped at,
+/// the deadlock post-mortem.
+pub(crate) type Driven = (Outcome, u64, Option<DeadlockReport>);
 
 /// Per-core adaptive routing state (present iff the config asks for a
 /// non-oblivious [`RouteSelection`]).
@@ -336,7 +444,7 @@ pub(crate) struct AdaptiveState<'a> {
 #[inline]
 fn route_of<'r>(
     adaptive: &'r Option<AdaptiveState>,
-    specs: &'r [MessageSpec],
+    specs: &'r [Cow<MessageSpec>],
     h: u32,
 ) -> &'r [EdgeId] {
     match adaptive {
@@ -357,24 +465,25 @@ fn escape_severed(rules: &VcRules, router: &dyn AdaptiveRouter, head: NodeId, ds
 }
 
 /// The spec of a handle that holds no worm: never activated, so never
-/// stepped.
-fn vacant_spec() -> MessageSpec {
-    MessageSpec {
+/// stepped (an empty path owns no allocation).
+fn vacant_spec<'a>() -> Cow<'a, MessageSpec> {
+    Cow::Owned(MessageSpec {
         path: Path::new(Vec::new()),
         length: 1,
         release: 0,
         priority: 0,
-    }
+    })
 }
 
 /// One worm's whole state as a value: what admission installs in a
 /// [`Core`], and what the parallel engine moves — never copies — from
 /// core to core when a worm crosses a cut, retires, or is written back
-/// at the end of the run. The adaptive fields are inert under oblivious
-/// routing.
-pub(crate) struct Resident {
+/// at the end of the run. The spec is the caller's own when the run was
+/// lent a slice, owned when a live source made it. The adaptive fields
+/// are inert under oblivious routing.
+pub(crate) struct Resident<'a> {
     pub(crate) id: u32,
-    pub(crate) spec: MessageSpec,
+    pub(crate) spec: Cow<'a, MessageSpec>,
     pub(crate) worm: Worm,
     pub(crate) out: MessageOutcome,
     route: Vec<EdgeId>,
@@ -405,8 +514,9 @@ pub(crate) struct Core<'a> {
     /// false of a parallel region's recycled slots. Arbitration orders
     /// contenders by message id, and reads it off the handle when it can.
     handles_are_ids: bool,
-    /// Spec per handle ([`vacant_spec`] where no worm lives).
-    pub(crate) specs: Vec<MessageSpec>,
+    /// Spec per handle ([`vacant_spec`] where no worm lives), borrowed
+    /// from the slice the run was lent or owned.
+    pub(crate) specs: Vec<Cow<'a, MessageSpec>>,
     pub(crate) worms: Vec<Worm>,
     pub(crate) outcomes: Vec<MessageOutcome>,
     /// Adaptive routing state; `Some` iff `config.route_selection` is
@@ -454,6 +564,8 @@ pub(crate) struct Core<'a> {
 }
 
 impl<'a> Core<'a> {
+    /// An empty core; `router` is the substrate of per-hop route
+    /// selection, `None` under [`RouteSelection::Oblivious`].
     pub(crate) fn new(
         graph: &Graph,
         router: Option<&'a dyn AdaptiveRouter>,
@@ -461,17 +573,16 @@ impl<'a> Core<'a> {
         rules: VcRules,
         handles_are_ids: bool,
     ) -> Self {
-        let adaptive =
-            (config.route_selection != RouteSelection::Oblivious).then(|| AdaptiveState {
-                router: router.expect("adaptive route selection needs a router"),
-                routes: Vec::new(),
-                src: Vec::new(),
-                dst: Vec::new(),
-                budget: Vec::new(),
-                selected: Vec::new(),
-                cand: Vec::new(),
-                stats: RouteStats::default(),
-            });
+        let adaptive = router.map(|router| AdaptiveState {
+            router,
+            routes: Vec::new(),
+            src: Vec::new(),
+            dst: Vec::new(),
+            budget: Vec::new(),
+            selected: Vec::new(),
+            cand: Vec::new(),
+            stats: RouteStats::default(),
+        });
         Self {
             config,
             ledger: VcLedger::new(graph, &rules),
@@ -502,9 +613,25 @@ impl<'a> Core<'a> {
         }
     }
 
+    /// Sizes every per-handle table for handles `0..n` in one allocation
+    /// each, so that [`Core::put`] never grows them.
+    fn reserve(&mut self, n: usize) {
+        self.ids.reserve_exact(n);
+        self.specs.reserve_exact(n);
+        self.worms.reserve_exact(n);
+        self.outcomes.reserve_exact(n);
+        if let Some(ad) = &mut self.adaptive {
+            ad.routes.reserve_exact(n);
+            ad.src.reserve_exact(n);
+            ad.dst.reserve_exact(n);
+            ad.budget.reserve_exact(n);
+            ad.selected.reserve_exact(n);
+        }
+    }
+
     /// Installs `r` under handle `h`, growing every per-handle table to
     /// cover it (handles below `h` not yet seen get vacant slots).
-    pub(crate) fn put(&mut self, h: u32, r: Resident) {
+    pub(crate) fn put(&mut self, h: u32, r: Resident<'a>) {
         let hi = h as usize;
         while self.specs.len() <= hi {
             self.ids.push(self.specs.len() as u32);
@@ -539,7 +666,7 @@ impl<'a> Core<'a> {
 
     /// Moves worm `h` out, leaving its slot vacant (the kinematics and
     /// the outcome stay readable; the path and route go with the worm).
-    pub(crate) fn take(&mut self, h: u32) -> Resident {
+    pub(crate) fn take(&mut self, h: u32) -> Resident<'a> {
         let hi = h as usize;
         let (route, src, dst, budget, selected) = match &mut self.adaptive {
             Some(ad) => (
@@ -986,20 +1113,16 @@ impl<'a> Core<'a> {
 /// retire back to.
 pub(crate) struct Sim<'a> {
     pub(crate) core: Core<'a>,
-    /// The simulated graph (admission-time validation, adaptive
+    /// The simulated graph (a live source's spec checks, adaptive
     /// endpoint lookup, and the parallel engine's region layout).
     pub(crate) graph: &'a Graph,
-    /// The message stream driving the run (see [`TrafficSource`]).
-    source: &'a mut dyn TrafficSource,
-    /// Every admitted id, in admission order — the source's `(release,
+    /// Where the run's messages come from.
+    feed: Feed<'a>,
+    /// Every admitted id, in admission order — the feed's `(release,
     /// id)` emission order, which is exactly the order the old
     /// release-sorted scan produced. Only [`Sim::rebuild_active`], at a
     /// deadlock verdict, iterates it.
     admitted: Vec<u32>,
-    /// Per-id: `true` once the slot holds a real (admitted) spec.
-    admitted_flag: Vec<bool>,
-    /// Scratch for [`TrafficSource::take_ready`].
-    ready_buf: Vec<(u32, MessageSpec)>,
     /// Cached [`TrafficSource::reactive`] — `true` pins the event
     /// drivers' windows to one step.
     pub(crate) reactive: bool,
@@ -1015,36 +1138,131 @@ pub(crate) struct Sim<'a> {
     pub(crate) engine_stats: Option<EngineStats>,
 }
 
+/// Installs `spec` — checked where it entered, see [`Feed`] — as message
+/// `id` in the id-keyed `core` at step `now` (ids below `id` not yet seen
+/// get vacant slots; a later emission fills them in). One body, out of
+/// line under both arms' loops: inlined into each, `torus_uniform_light`
+/// read 2–3 % slower on both engines (PR 21, 7 of 8 pairs).
+#[inline(never)]
+fn admit<'a>(core: &mut Core<'a>, graph: &Graph, id: u32, spec: Cow<'a, MessageSpec>, now: u64) {
+    let adaptive_mode = core.adaptive.is_some();
+    // A frozen-route message released onto an already-dead edge is
+    // undeliverable: discarded on the spot, below.
+    let dead = &core.rules.dead;
+    let dead_on_arrival =
+        !dead.is_empty() && !adaptive_mode && spec.path.edges().iter().any(|&e| dead[e.idx()]);
+    let (route, src, dst) = if adaptive_mode {
+        (
+            Vec::with_capacity(spec.hops() as usize),
+            spec.path.src(graph),
+            spec.path.dst(graph),
+        )
+    } else {
+        (Vec::new(), NodeId(0), NodeId(0))
+    };
+    let resident = Resident {
+        id,
+        worm: Worm {
+            advance: 0,
+            hops: if adaptive_mode { 0 } else { spec.hops() },
+            length: spec.length,
+            pending_route: adaptive_mode,
+        },
+        spec,
+        out: MessageOutcome::default(),
+        route,
+        src,
+        dst,
+        budget: core.config.misroute_quota,
+        selected: SelectedHop::None,
+    };
+    core.put(id, resident);
+    core.unfinished += 1;
+    // It holds nothing yet; discarding it here fires the source's
+    // `on_discarded` so closed-loop sources can reissue. Adaptive
+    // messages stay: they route around dead edges.
+    if dead_on_arrival {
+        core.discard(id, now, DiscardReason::LinkDown);
+    }
+}
+
+/// The two arms [`Sim`] pulls messages from. Either is the door its
+/// specs are checked at, once: a slice's all together before step 0
+/// ([`check_specs`]), a live source's as [`Sim::admit_ready`] drains
+/// them — [`admit`] trusts what it is handed.
+enum Feed<'a> {
+    /// The caller's slice, lent to the run: ids are the indices, walked
+    /// in `order` ([`release_order`]); nobody to notify.
+    Slice {
+        specs: &'a [MessageSpec],
+        order: Vec<u32>,
+        /// Entries of `order` before it are admitted.
+        cursor: usize,
+    },
+    /// A live source, polled and notified per the [`crate::source`]
+    /// contract.
+    Live {
+        source: &'a mut dyn TrafficSource,
+        /// Per id: `true` once the source has emitted it.
+        emitted: Vec<bool>,
+        /// Scratch for [`TrafficSource::take_ready`].
+        ready: Vec<(u32, MessageSpec)>,
+    },
+}
+
 impl<'a> Sim<'a> {
     fn new(
         graph: &'a Graph,
         router: Option<&'a dyn AdaptiveRouter>,
-        source: &'a mut dyn TrafficSource,
+        traffic: Traffic<'a>,
         config: &'a SimConfig,
-    ) -> Self {
+    ) -> Result<Self, SimError> {
+        let router = match config.route_selection {
+            RouteSelection::Oblivious => None,
+            _ => Some(router.ok_or(SimError::RouterMissing)?),
+        };
         let kill_schedule = match &config.faults {
             Some(plan) if !plan.is_empty() => {
-                if let Err(e) = plan.validate(graph) {
-                    panic!("invalid fault plan: {e}");
-                }
+                plan.validate(graph).map_err(SimError::Faults)?;
                 plan.edge_schedule(graph)
             }
             _ => Vec::new(),
         };
-        let rules = VcRules::new(graph, config, !kill_schedule.is_empty());
-        let reactive = source.reactive();
-        Self {
-            core: Core::new(graph, router, config, rules, true),
+        let rules = VcRules::new(graph, config, !kill_schedule.is_empty())?;
+        let (feed, reactive, id_bound) = match traffic {
+            Traffic::Specs(specs) => {
+                check_specs(graph, specs)?;
+                let feed = Feed::Slice {
+                    specs,
+                    order: release_order(specs),
+                    cursor: 0,
+                };
+                (feed, false, specs.len())
+            }
+            Traffic::Source(source) => {
+                let (reactive, n) = (source.reactive(), source.id_bound().unwrap_or(0) as usize);
+                let feed = Feed::Live {
+                    source,
+                    emitted: vec![false; n],
+                    ready: Vec::new(),
+                };
+                (feed, reactive, n)
+            }
+        };
+        // A feed that declares how many ids it holds has every table
+        // sized here, once; one that does not grows them as ids appear.
+        let mut core = Core::new(graph, router, config, rules, true);
+        core.reserve(id_bound);
+        Ok(Self {
+            core,
             graph,
-            source,
-            admitted: Vec::new(),
-            admitted_flag: Vec::new(),
-            ready_buf: Vec::new(),
+            feed,
+            admitted: Vec::with_capacity(id_bound),
             reactive,
             kill_schedule,
             next_kill: 0,
             engine_stats: None,
-        }
+        })
     }
 
     /// Earliest unapplied kill time (`u64::MAX` when exhausted). Like a
@@ -1071,109 +1289,87 @@ impl<'a> Sim<'a> {
         (&mut self.core, &self.kill_schedule[from..self.next_kill])
     }
 
-    /// Installs `spec` as message `id` in the id-keyed core (ids below
-    /// `id` not yet seen get vacant slots; a later emission fills them
-    /// in). Validates the spec the way the old eager loop did.
-    fn admit(&mut self, id: u32, spec: MessageSpec, now: u64) {
-        let mi = id as usize;
-        if self.admitted_flag.len() <= mi {
-            self.admitted_flag.resize(mi + 1, false);
-        }
-        assert!(!self.admitted_flag[mi], "source re-emitted message id {id}");
-        assert!(!spec.path.is_empty(), "message {id} has an empty path");
-        for &e in spec.path.edges() {
-            assert!(
-                e.idx() < self.graph.num_edges(),
-                "message {id}: bad edge id"
-            );
-        }
-        assert!(spec.length >= 1, "message {id} has zero length");
-        assert!(
-            spec.release <= now,
-            "message {id} emitted before its release ({} > {now})",
-            spec.release
-        );
-        let adaptive_mode = self.core.adaptive.is_some();
-        // A frozen-route message released onto an already-dead edge is
-        // undeliverable: discarded on the spot, below.
-        let dead = &self.core.rules.dead;
-        let dead_on_arrival =
-            !dead.is_empty() && !adaptive_mode && spec.path.edges().iter().any(|&e| dead[e.idx()]);
-        let (route, src, dst) = if adaptive_mode {
-            (
-                Vec::with_capacity(spec.hops() as usize),
-                spec.path.src(self.graph),
-                spec.path.dst(self.graph),
-            )
-        } else {
-            (Vec::new(), NodeId(0), NodeId(0))
-        };
-        let resident = Resident {
-            id,
-            worm: Worm {
-                advance: 0,
-                hops: if adaptive_mode { 0 } else { spec.hops() },
-                length: spec.length,
-                pending_route: adaptive_mode,
-            },
-            spec,
-            out: MessageOutcome::default(),
-            route,
-            src,
-            dst,
-            budget: self.core.config.misroute_quota,
-            selected: SelectedHop::None,
-        };
-        self.core.put(id, resident);
-        self.admitted_flag[mi] = true;
-        self.core.unfinished += 1;
-        self.admitted.push(id);
-        // It holds nothing yet; discarding it here fires the source's
-        // `on_discarded` so closed-loop sources can reissue. Adaptive
-        // messages stay: they route around dead edges.
-        if dead_on_arrival {
-            self.core.discard(id, now, DiscardReason::LinkDown);
-        }
-    }
-
     /// Dispatches buffered completions to the source in ascending
     /// `(time, id)` order — the canonical, engine-independent callback
-    /// sequence of the [`crate::source`] contract.
+    /// sequence of the [`crate::source`] contract. A lent slice has
+    /// nobody to tell.
     fn flush_deliveries(&mut self) {
-        if self.core.done.is_empty() {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.core.done);
-        buf.sort_unstable();
-        for (t, id, delivered) in buf.drain(..) {
-            if delivered {
-                self.source.on_delivered(id, t);
-            } else {
-                self.source.on_discarded(id, t);
+        let done = &mut self.core.done;
+        if let Feed::Live { source, .. } = &mut self.feed {
+            done.sort_unstable();
+            for &(t, id, delivered) in done.iter() {
+                if delivered {
+                    source.on_delivered(id, t);
+                } else {
+                    source.on_discarded(id, t);
+                }
             }
         }
-        self.core.done = buf;
+        done.clear();
     }
 
-    /// Flushes completions, then peeks the source's next release time.
+    /// Flushes completions, then peeks the feed's next release time.
     pub(crate) fn peek_next_release(&mut self, now: u64) -> Option<u64> {
         self.flush_deliveries();
-        self.source.next_release(now)
+        match &mut self.feed {
+            Feed::Slice {
+                specs,
+                order,
+                cursor,
+            } => order.get(*cursor).map(|&i| specs[i as usize].release),
+            Feed::Live { source, .. } => source.next_release(now),
+        }
     }
 
     /// Flushes completions, then pulls and admits every message released
-    /// by `now`. Returns the `self.admitted` index range of the new ids.
-    pub(crate) fn admit_ready(&mut self, now: u64) -> std::ops::Range<usize> {
+    /// by `now`. Returns the `self.admitted` index range of the new ids,
+    /// or the first spec of a live source that fails its entry check.
+    pub(crate) fn admit_ready(&mut self, now: u64) -> Result<std::ops::Range<usize>, SimError> {
         self.flush_deliveries();
         let start = self.admitted.len();
-        let mut buf = std::mem::take(&mut self.ready_buf);
-        buf.clear();
-        self.source.take_ready(now, &mut buf);
-        for (id, spec) in buf.drain(..) {
-            self.admit(id, spec, now);
+        let (core, graph, admitted) = (&mut self.core, self.graph, &mut self.admitted);
+        match &mut self.feed {
+            Feed::Slice {
+                specs,
+                order,
+                cursor,
+            } => {
+                let specs = *specs; // the `&'a` slice itself: admitted specs outlive this borrow
+                while let Some(&id) = order.get(*cursor) {
+                    let spec = &specs[id as usize];
+                    if spec.release > now {
+                        break;
+                    }
+                    *cursor += 1;
+                    admit(core, graph, id, Cow::Borrowed(spec), now);
+                    admitted.push(id);
+                }
+            }
+            Feed::Live {
+                source,
+                emitted,
+                ready,
+            } => {
+                source.take_ready(now, ready);
+                for (id, spec) in ready.drain(..) {
+                    let mi = id as usize;
+                    if emitted.len() <= mi {
+                        emitted.resize(mi + 1, false);
+                    }
+                    let release = spec.release;
+                    let entry = match check_spec(graph, &spec) {
+                        _ if emitted[mi] => Err(SpecError::DuplicateId),
+                        Ok(()) if release > now => Err(SpecError::ReleasedEarly { release, now }),
+                        checked => checked,
+                    };
+                    entry.map_err(|error| SimError::Spec { id, error })?;
+                    emitted[mi] = true;
+                    admit(core, graph, id, Cow::Owned(spec), now);
+                    admitted.push(id);
+                }
+            }
         }
-        self.ready_buf = buf;
-        start..self.admitted.len()
+        Ok(start..self.admitted.len())
     }
 
     /// Id of the `i`-th admitted message (admission order).
@@ -1185,10 +1381,7 @@ impl<'a> Sim<'a> {
     /// Folds what a driver returned — how the run ended, the step it
     /// stopped at, the deadlock post-mortem — and the accumulated state
     /// into the [`SimResult`].
-    fn into_result(
-        self,
-        (outcome, t, deadlock_report): (Outcome, u64, Option<DeadlockReport>),
-    ) -> SimResult {
+    fn into_result(self, (outcome, t, deadlock_report): Driven) -> SimResult {
         let mut core = self.core;
         let total_steps = match outcome {
             Outcome::Completed => core.last_finish,
@@ -1218,11 +1411,12 @@ impl<'a> Sim<'a> {
         // A capped run may end before the source emitted every message it
         // knows about; pad to the declared id bound so e.g. a replayed
         // slice still reports one (default) outcome per input spec.
-        if let Some(bound) = self.source.id_bound() {
-            if core.outcomes.len() < bound as usize {
-                core.outcomes
-                    .resize(bound as usize, MessageOutcome::default());
-            }
+        let id_bound = match &self.feed {
+            Feed::Slice { specs, .. } => specs.len(),
+            Feed::Live { source, .. } => source.id_bound().unwrap_or(0) as usize,
+        };
+        if core.outcomes.len() < id_bound {
+            core.outcomes.resize(id_bound, MessageOutcome::default());
         }
         SimResult {
             outcome,
@@ -1274,7 +1468,7 @@ impl<'a> Sim<'a> {
     }
 
     /// The original per-step driver: rescans every active worm each step.
-    pub(crate) fn drive_legacy(&mut self) -> (Outcome, u64, Option<DeadlockReport>) {
+    pub(crate) fn drive_legacy(&mut self) -> Result<Driven, SimError> {
         let mut t: u64 = 0;
         let mut deadlock_report = None;
         let outcome = loop {
@@ -1290,7 +1484,7 @@ impl<'a> Sim<'a> {
                 core.kill(due, t);
                 self.retire_finished();
             }
-            let new = self.admit_ready(t);
+            let new = self.admit_ready(t)?;
             for i in new {
                 let m = self.admitted_id(i);
                 // Skip messages discarded at admission (dead-on-arrival).
@@ -1316,7 +1510,7 @@ impl<'a> Sim<'a> {
             }
             t += 1;
         };
-        (outcome, t, deadlock_report)
+        Ok((outcome, t, deadlock_report))
     }
 
     /// Rebuilds the core's `active` list (admitted, unretired, in

@@ -55,15 +55,18 @@ pub mod prelude {
     pub use wormhole_flitsim::config::{
         Arbitration, BlockedPolicy, Engine, RouteSelection, SimConfig, VcPolicy,
     };
-    pub use wormhole_flitsim::message::{specs_from_path_slice, specs_from_paths, MessageSpec};
+    pub use wormhole_flitsim::message::{
+        specs_from_path_slice, specs_from_paths, MessageSpec, SpecError,
+    };
     pub use wormhole_flitsim::open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
-    pub use wormhole_flitsim::source::{ReplaySource, TrafficSource};
+    pub use wormhole_flitsim::source::{ReplaySource, Traffic, TrafficSource};
     pub use wormhole_flitsim::stats::{
         ClosedLoopStats, DiscardReason, LatencyStats, OpenLoopStats, Outcome, SimResult,
     };
     pub use wormhole_flitsim::wormhole::run as wormhole_run;
     pub use wormhole_flitsim::wormhole::run_adaptive as wormhole_run_adaptive;
     pub use wormhole_flitsim::wormhole::run_source as wormhole_run_source;
+    pub use wormhole_flitsim::wormhole::{simulate as wormhole_simulate, SimError};
     pub use wormhole_netcalc::{
         delay_bounds, flows_from_specs, ArrivalCurve, BoundConfig, BoundReport, Flow, ServiceCurve,
         TokenBucket, TraceFlows,

@@ -311,7 +311,7 @@ fn a_kill_severing_a_parked_pending_worms_escape_route_dooms_it_that_step() {
             .engine(engine)
             .check_invariants(check_invariants);
         let mut source = DiscardLog {
-            inner: ReplaySource::from_slice(&specs),
+            inner: ReplaySource::new(specs.to_vec()),
             discards: Vec::new(),
         };
         let r = run_source_adaptive(&router, &mut source, &cfg);

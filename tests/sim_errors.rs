@@ -1,0 +1,221 @@
+//! Bad input comes back from `wormhole::simulate` as a value — the same
+//! one from every engine — where the `run*` shims panic with its
+//! message: a malformed spec at the door it enters by (a slice's before
+//! step 0, however late its release; a live source's as `take_ready` is
+//! drained, mid-run), a fault plan that does not fit the graph, a
+//! missing router, a pool that cannot honor its floors.
+
+use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig, VcPolicy};
+use wormhole_flitsim::message::{MessageSpec, SpecError};
+use wormhole_flitsim::source::{Traffic, TrafficSource};
+use wormhole_flitsim::stats::Outcome;
+use wormhole_flitsim::wormhole::{simulate, SimError};
+use wormhole_topology::fault::{FaultError, FaultPlan};
+use wormhole_topology::graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use wormhole_topology::path::Path;
+
+const ENGINES: [Engine; 3] = [
+    Engine::Legacy,
+    Engine::EventDriven,
+    Engine::Parallel { threads: 2 },
+];
+
+fn chain(n: u32) -> (Graph, Vec<EdgeId>) {
+    let mut b = GraphBuilder::new(n as usize);
+    let edges = (0..n - 1)
+        .map(|i| b.add_edge(NodeId(i), NodeId(i + 1)))
+        .collect();
+    (b.build(), edges)
+}
+
+/// A spec no constructor would build (`MessageSpec::new` refuses zero
+/// length on its own).
+fn raw(edges: Vec<EdgeId>, length: u32, release: u64) -> MessageSpec {
+    MessageSpec {
+        path: Path::new(edges),
+        length,
+        release,
+        priority: 0,
+    }
+}
+
+/// The three ways a spec itself can be malformed.
+fn malformed(edges: &[EdgeId], release: u64) -> [(MessageSpec, SpecError); 3] {
+    [
+        (raw(Vec::new(), 2, release), SpecError::EmptyPath),
+        (
+            raw(vec![edges[0], EdgeId(999)], 2, release),
+            SpecError::BadEdge,
+        ),
+        (raw(edges.to_vec(), 0, release), SpecError::ZeroLength),
+    ]
+}
+
+/// A live source that emits `script`'s `(at, id, spec)` entries — `at`
+/// ascending — at the step it says, whatever the spec's own release, and
+/// logs every delivery it hears of.
+struct Script {
+    script: Vec<(u64, u32, MessageSpec)>,
+    cursor: usize,
+    delivered: Vec<(u32, u64)>,
+}
+
+impl Script {
+    fn new(script: Vec<(u64, u32, MessageSpec)>) -> Self {
+        Script {
+            script,
+            cursor: 0,
+            delivered: Vec::new(),
+        }
+    }
+}
+
+impl TrafficSource for Script {
+    fn next_release(&mut self, _now: u64) -> Option<u64> {
+        self.script.get(self.cursor).map(|&(at, ..)| at)
+    }
+
+    fn take_ready(&mut self, now: u64, out: &mut Vec<(u32, MessageSpec)>) {
+        while let Some((at, id, spec)) = self.script.get(self.cursor) {
+            if *at > now {
+                break;
+            }
+            out.push((*id, spec.clone()));
+            self.cursor += 1;
+        }
+    }
+
+    fn on_delivered(&mut self, id: u32, finished: u64) {
+        self.delivered.push((id, finished));
+    }
+}
+
+#[test]
+fn a_slice_is_checked_whole_before_step_zero() {
+    // The bad spec is the last of the slice and released far beyond the
+    // step cap: a run that checked specs as it admitted them would end
+    // `MaxSteps` without ever looking at it.
+    let (g, edges) = chain(5);
+    let cfg = SimConfig::new(1).max_steps(50);
+    for (bad, error) in malformed(&edges, 10_000) {
+        let mut specs = vec![raw(edges.clone(), 3, 0), raw(edges.clone(), 3, 4)];
+        for engine in ENGINES {
+            let cfg = cfg.clone().engine(engine);
+            let ok = simulate(&g, None, Traffic::Specs(&specs), &cfg).expect("two good specs");
+            assert_eq!(ok.outcome, Outcome::Completed, "{engine:?}");
+        }
+        specs.push(bad);
+        for engine in ENGINES {
+            let cfg = cfg.clone().engine(engine);
+            let got = simulate(&g, None, Traffic::Specs(&specs), &cfg);
+            assert_eq!(
+                got.unwrap_err(),
+                SimError::Spec { id: 2, error },
+                "{engine:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_live_sources_bad_spec_ends_the_run_where_it_is_drained() {
+    // Two good worms at step 0 (the second waits for the first: B = 1),
+    // the bad emission at step 40, long after both arrived: every engine
+    // returns the same error, having run the steps before it — the
+    // source heard of both deliveries — and nothing after.
+    let (g, edges) = chain(5);
+    let good = |id: u32| (0, id, raw(edges.clone(), 3, 0));
+    let mut cases: Vec<((u64, u32, MessageSpec), SpecError)> = malformed(&edges, 40)
+        .into_iter()
+        .map(|(spec, error)| ((40, 2, spec), error))
+        .collect();
+    cases.push(((40, 1, raw(edges.clone(), 3, 40)), SpecError::DuplicateId));
+    let early = SpecError::ReleasedEarly {
+        release: 41,
+        now: 40,
+    };
+    cases.push(((40, 2, raw(edges.clone(), 3, 41)), early));
+    for ((at, id, spec), error) in cases {
+        let mut heard = Vec::new();
+        for engine in ENGINES {
+            let cfg = SimConfig::new(1).engine(engine).check_invariants(true);
+            let mut source = Script::new(vec![good(0), good(1), (at, id, spec.clone())]);
+            let got = simulate(&g, None, Traffic::Source(&mut source), &cfg);
+            assert_eq!(got.unwrap_err(), SimError::Spec { id, error }, "{engine:?}");
+            assert_eq!(source.cursor, 3, "{engine:?}: drained at step 40");
+            heard.push(source.delivered);
+        }
+        // 4 hops + 3 flits − 1, then the second worm one VC release behind.
+        assert_eq!(heard[0].len(), 2, "{error:?}: {heard:?}");
+        assert_eq!(heard[0][0], (0, 6), "{error:?}");
+        assert!(heard.iter().all(|h| *h == heard[0]), "{error:?}: {heard:?}");
+    }
+}
+
+#[test]
+fn a_bad_spec_reads_the_same_through_display_as_the_shims_panic() {
+    let spec = |error| SimError::Spec { id: 7, error }.to_string();
+    assert_eq!(spec(SpecError::EmptyPath), "message 7 has an empty path");
+    assert_eq!(spec(SpecError::BadEdge), "message 7: bad edge id");
+    assert_eq!(spec(SpecError::ZeroLength), "message 7 has zero length");
+    assert_eq!(
+        spec(SpecError::DuplicateId),
+        "source re-emitted message id 7"
+    );
+    assert_eq!(
+        spec(SpecError::ReleasedEarly { release: 9, now: 3 }),
+        "message 7 emitted before its release (9 > 3)"
+    );
+}
+
+#[test]
+fn config_errors_come_back_as_values() {
+    let (g, edges) = chain(4);
+    let specs = [raw(edges.clone(), 2, 0)];
+    for engine in ENGINES {
+        let base = SimConfig::new(1).engine(engine);
+        let run = |cfg: &SimConfig| simulate(&g, None, Traffic::Specs(&specs), cfg).unwrap_err();
+
+        let plan = FaultPlan::new().kill_link(3, EdgeId(999));
+        let expected = plan.validate(&g).unwrap_err();
+        assert!(matches!(
+            expected,
+            FaultError::UnknownLink { edge: 999, .. }
+        ));
+        let got = run(&base.clone().faults(plan));
+        assert_eq!(got, SimError::Faults(expected), "{engine:?}");
+        assert!(got.to_string().starts_with("invalid fault plan: "));
+
+        let adaptive = base
+            .clone()
+            .route_selection(RouteSelection::MinimalAdaptive);
+        assert_eq!(run(&adaptive), SimError::RouterMissing, "{engine:?}");
+        assert!(SimError::RouterMissing
+            .to_string()
+            .contains("needs run_adaptive"));
+    }
+}
+
+#[test]
+fn a_pool_below_its_routers_floors_comes_back_as_a_value() {
+    // Router 0 has two outgoing edges: floors of 2 each need a pool of 4.
+    let mut b = GraphBuilder::new(3);
+    let e01 = b.add_edge(NodeId(0), NodeId(1));
+    b.add_edge(NodeId(0), NodeId(2));
+    let g = b.build();
+    let specs = [raw(vec![e01], 2, 0)];
+    for engine in ENGINES {
+        let cfg = SimConfig::new(1)
+            .vc_policy(VcPolicy::pooled(3, 2, 3))
+            .engine(engine);
+        let got = simulate(&g, None, Traffic::Specs(&specs), &cfg).unwrap_err();
+        let floor = SimError::PoolFloor {
+            router: 0,
+            per_edge_min: 2,
+            fanout: 2,
+            pool: 3,
+        };
+        assert_eq!(got, floor, "{engine:?}");
+        assert!(got.to_string().contains("exceeds pool 3"));
+    }
+}

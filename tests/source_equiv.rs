@@ -1,11 +1,12 @@
-//! Replay-equivalence oracle for the pull-based traffic-source refactor.
+//! Replay-equivalence oracle: the lent slice against the replayed vector.
 //!
-//! `wormhole::run` (the slice API every caller used before the refactor)
-//! is now a thin wrapper that validates the specs and drives a
-//! [`ReplaySource`] through `wormhole::run_source`. That rewrite is only
-//! safe if it is invisible: this suite holds the source path to
-//! **field-for-field [`SimResult`] identity** with direct slice runs on
-//! both engines, across the workload families the rest of the test tree
+//! `wormhole::run` lends its slice to the run (`Traffic::Specs`: the
+//! simulator walks the caller's specs in `(release, id)` order, clones
+//! nothing and has nobody to notify); `wormhole::run_source` over a
+//! [`ReplaySource`] pulls owned copies of the same specs through the
+//! `TrafficSource` interface. Two implementations of one contract: this
+//! suite holds them to **field-for-field [`SimResult`] identity** on all
+//! three engines, across the workload families the rest of the test tree
 //! leans on — and holds the streaming trace format to full round-trip
 //! fidelity (write → stream back → the same rows, specs, and execution).
 
@@ -14,15 +15,22 @@ use std::io::BufReader;
 use proptest::prelude::*;
 
 use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
-use wormhole_flitsim::message::specs_from_paths;
+use wormhole_flitsim::message::{specs_from_paths, MessageSpec};
 use wormhole_flitsim::open_loop::{windowed_stats, windowed_stats_from, OpenLoopConfig};
 use wormhole_flitsim::source::ReplaySource;
+use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_topology::random_nets::shared_chain_instance;
 use wormhole_workloads::{
     read_trace, write_trace, ArrivalProcess, RoutingDiscipline, Substrate, TraceSource,
     TrafficPattern, Workload,
 };
+
+const ENGINES: [Engine; 3] = [
+    Engine::EventDriven,
+    Engine::Legacy,
+    Engine::Parallel { threads: 2 },
+];
 
 fn arbitration(i: u32) -> Arbitration {
     match i % 4 {
@@ -38,8 +46,8 @@ proptest! {
 
     /// The replay-equivalence invariant on open-loop butterfly traffic:
     /// `run(specs)` ≡ `run_source(ReplaySource::new(specs))`, bit for
-    /// bit, on both engines — including MaxSteps aborts, where the
-    /// source path must pad undelivered ids to the same outcome table.
+    /// bit, on every engine — including MaxSteps aborts, where both
+    /// paths must pad undelivered ids to the same outcome table.
     #[test]
     fn replay_source_is_bit_identical_on_butterflies(
         k in 2u32..6,
@@ -66,7 +74,7 @@ proptest! {
         if cap_small {
             cfg = cfg.max_steps(60);
         }
-        for engine in [Engine::EventDriven, Engine::Legacy] {
+        for engine in ENGINES {
             let cfg = cfg.clone().engine(engine);
             let slice = wormhole::run(substrate.graph(), &specs, &cfg);
             let mut src = ReplaySource::new(specs.clone());
@@ -114,7 +122,7 @@ proptest! {
             .seed(seed)
             .max_steps(2_000)
             .check_invariants(true);
-        for engine in [Engine::EventDriven, Engine::Legacy] {
+        for engine in ENGINES {
             let cfg = cfg.clone().engine(engine);
             let slice = wormhole::run(substrate.graph(), &specs, &cfg);
             let mut src = ReplaySource::new(specs.clone());
@@ -163,7 +171,7 @@ proptest! {
             .misroute_quota(quota)
             .max_steps(2_000)
             .check_invariants(true);
-        for engine in [Engine::EventDriven, Engine::Legacy] {
+        for engine in ENGINES {
             let cfg = cfg.clone().engine(engine);
             let slice = wormhole::run_adaptive(mesh, &specs, &cfg);
             let mut src = ReplaySource::new(specs.clone());
@@ -223,11 +231,7 @@ proptest! {
         if cap_small {
             cfg = cfg.max_steps(kill_at + 5);
         }
-        for engine in [
-            Engine::EventDriven,
-            Engine::Legacy,
-            Engine::Parallel { threads: 2 },
-        ] {
+        for engine in ENGINES {
             let cfg = cfg.clone().engine(engine);
             let slice = wormhole::run(substrate.graph(), &specs, &cfg);
             let mut src = ReplaySource::new(specs.clone());
@@ -244,7 +248,7 @@ proptest! {
 
     /// Trace-format round trip: a generated workload written as a trace
     /// and streamed back through [`TraceSource`] reproduces (a) the rows,
-    /// (b) the routed specs, and (c) the execution — on both engines —
+    /// (b) the routed specs, and (c) the execution — on every engine —
     /// plus the windowed stats computed from the source's own metadata.
     #[test]
     fn trace_round_trip_is_bit_identical(
@@ -281,7 +285,7 @@ proptest! {
             .arbitration(arbitration(arb))
             .seed(seed ^ 0x7ace)
             .check_invariants(true);
-        for engine in [Engine::EventDriven, Engine::Legacy] {
+        for engine in ENGINES {
             let cfg = cfg.clone().engine(engine);
             let slice = wormhole::run(substrate.graph(), &specs, &cfg);
             let mut src = TraceSource::new(&substrate, BufReader::new(&buf[..]));
@@ -309,26 +313,79 @@ proptest! {
     }
 }
 
+/// Both paths of one spec list on every engine, compared field for
+/// field; returns the slice path's result under the first.
+fn assert_replay_matches(
+    g: &wormhole_topology::graph::Graph,
+    specs: &[MessageSpec],
+    cfg: &SimConfig,
+) -> SimResult {
+    let mut first = None;
+    for engine in ENGINES {
+        let cfg = cfg.clone().engine(engine);
+        let slice = wormhole::run(g, specs, &cfg);
+        let mut src = ReplaySource::new(specs.to_vec());
+        let replay = wormhole::run_source(g, &mut src, &cfg);
+        assert!(
+            slice.same_execution(&replay),
+            "{engine:?}: replay diverged:\n slice: {slice:?}\nreplay: {replay:?}"
+        );
+        assert_eq!(slice.messages.len(), specs.len(), "{engine:?}");
+        assert_eq!(replay.messages.len(), specs.len(), "padded to id_bound");
+        let first = first.get_or_insert(slice.clone());
+        assert!(slice.same_execution(first), "{engine:?} against the first");
+    }
+    first.expect("at least one engine")
+}
+
 /// A release far past a tight step cap: the source is never polled dry,
 /// the sim aborts at the cap, and the padded outcome table still matches
-/// the slice path (which knew about every spec up front).
+/// the slice path (which knew about every spec up front) — also when
+/// several of the slice's last releases lie beyond the cap.
 #[test]
 fn capped_run_pads_unreleased_ids_like_the_slice_path() {
     let (g, ps) = shared_chain_instance(3, 5);
     let mut specs = specs_from_paths(&ps, 4);
-    let far = specs[0].clone().release_at(10_000);
-    specs.push(far);
-    let cfg = SimConfig::new(1).max_steps(50).check_invariants(true);
-    for engine in [Engine::EventDriven, Engine::Legacy] {
-        let cfg = cfg.clone().engine(engine);
-        let slice = wormhole::run(&g, &specs, &cfg);
-        let mut src = ReplaySource::new(specs.clone());
-        let replay = wormhole::run_source(&g, &mut src, &cfg);
-        assert!(
-            slice.same_execution(&replay),
-            "{engine:?}: capped replay diverged:\n slice: {slice:?}\nreplay: {replay:?}"
-        );
-        assert_eq!(replay.messages.len(), specs.len(), "padded to id_bound");
-        assert!(replay.messages.last().unwrap().finished.is_none());
+    for release in [10_000, 60, 50] {
+        specs.push(specs[0].clone().release_at(release));
     }
+    let cfg = SimConfig::new(1).max_steps(50).check_invariants(true);
+    let r = assert_replay_matches(&g, &specs, &cfg);
+    assert_eq!(r.outcome, Outcome::MaxSteps);
+    assert_eq!(r.delivered(), 3);
+    assert!(r.messages[3..].iter().all(|m| m.finished.is_none()));
+}
+
+/// The slice is walked in `(release, id)` order, not in slice order:
+/// under `FifoById` on one VC the three worms released together at step
+/// 2 go by id, behind the one released at 0 that sits last in the slice.
+#[test]
+fn an_unsorted_slice_with_release_ties_is_admitted_in_release_id_order() {
+    let (g, ps) = shared_chain_instance(5, 4);
+    let mut specs = specs_from_paths(&ps, 3);
+    for (spec, release) in specs.iter_mut().zip([2, 30, 2, 2, 0]) {
+        spec.release = release;
+    }
+    let cfg = SimConfig::new(1)
+        .arbitration(Arbitration::FifoById)
+        .check_invariants(true);
+    let r = assert_replay_matches(&g, &specs, &cfg);
+    assert_eq!(r.outcome, Outcome::Completed);
+    let finished = |i: usize| r.messages[i].finished.expect("completed");
+    let by_finish = [4, 0, 2, 3, 1];
+    assert!(
+        by_finish
+            .windows(2)
+            .all(|w| finished(w[0]) < finished(w[1])),
+        "{:?}",
+        r.messages
+    );
+}
+
+#[test]
+fn an_empty_slice_completes_at_step_zero_on_both_paths() {
+    let (g, _) = shared_chain_instance(1, 3);
+    let r = assert_replay_matches(&g, &[], &SimConfig::new(1).check_invariants(true));
+    assert_eq!((r.outcome, r.total_steps), (Outcome::Completed, 0));
+    assert!(r.messages.is_empty());
 }
