@@ -17,7 +17,7 @@ fn bench_models(c: &mut Criterion) {
     let l = 16u32;
     let specs = specs_from_paths(&paths, l);
     group.bench_function("wormhole_b2", |bch| {
-        bch.iter(|| wormhole::run_to_completion(bf.graph(), &specs, &SimConfig::new(2)))
+        bch.iter(|| wormhole::run(bf.graph(), &specs, &SimConfig::new(2)))
     });
     group.bench_function("cut_through_f2", |bch| {
         bch.iter(|| vct(bf.graph(), &paths, l, 2, 1))

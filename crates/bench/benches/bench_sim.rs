@@ -20,7 +20,7 @@ fn bench_wormhole_scaling(c: &mut Criterion) {
         let (bf, paths) = butterfly_permutation(k, 7);
         let specs = specs_from_paths(&paths, 16);
         group.bench_with_input(BenchmarkId::new("n", 1u32 << k), &k, |bch, _| {
-            bch.iter(|| wormhole::run_to_completion(bf.graph(), &specs, &SimConfig::new(2)))
+            bch.iter(|| wormhole::run(bf.graph(), &specs, &SimConfig::new(2)))
         });
     }
     group.finish();
@@ -33,7 +33,7 @@ fn bench_wormhole_vcs(c: &mut Criterion) {
     let specs = specs_from_paths(&paths, 16);
     for b in [1u32, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("B", b), &b, |bch, &b| {
-            bch.iter(|| wormhole::run_to_completion(bf.graph(), &specs, &SimConfig::new(b)))
+            bch.iter(|| wormhole::run(bf.graph(), &specs, &SimConfig::new(b)))
         });
     }
     group.finish();
@@ -79,7 +79,7 @@ fn bench_open_loop_low_load(c: &mut Criterion) {
             .seed(1)
             .engine(engine);
         group.bench_function(name, |b| {
-            b.iter(|| run_open_loop(substrate.graph(), &specs, &cfg, &ol))
+            b.iter(|| run_open_loop(substrate.graph(), None, &specs, &cfg, &ol))
         });
     }
     group.finish();
@@ -108,7 +108,7 @@ fn bench_dateline_torus(c: &mut Criterion) {
             .seed(2)
             .engine(engine);
         group.bench_function(name, |b| {
-            b.iter(|| run_open_loop(substrate.graph(), &specs, &cfg, &ol))
+            b.iter(|| run_open_loop(substrate.graph(), None, &specs, &cfg, &ol))
         });
     }
     group.finish();
@@ -145,7 +145,7 @@ fn bench_pooled_vcs(c: &mut Criterion) {
                 .seed(3)
                 .engine(engine);
             group.bench_function(format!("{aname}/{ename}"), |b| {
-                b.iter(|| run_open_loop(substrate.graph(), &specs, &cfg, &ol))
+                b.iter(|| run_open_loop(substrate.graph(), None, &specs, &cfg, &ol))
             });
         }
     }

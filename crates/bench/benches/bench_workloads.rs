@@ -58,7 +58,7 @@ fn bench_open_loop_run(c: &mut Criterion) {
     for b in [1u32, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("B", b), &b, |bch, &b| {
             let cfg = SimConfig::new(b).arbitration(Arbitration::Random).seed(3);
-            bch.iter(|| run_open_loop(w.substrate.graph(), &specs, &cfg, &ol))
+            bch.iter(|| run_open_loop(w.substrate.graph(), None, &specs, &cfg, &ol))
         });
     }
     group.finish();

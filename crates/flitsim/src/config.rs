@@ -1,7 +1,14 @@
-//! Wormhole simulator configuration: the model knobs of §1.1.
+//! Wormhole simulator configuration: the model knobs of §1.1, and the
+//! one function that judges them ([`SimConfig::check`]).
 
-use wormhole_topology::fault::FaultPlan;
+use std::fmt;
+
+use wormhole_topology::adaptive::AdaptiveRouter;
+use wormhole_topology::fault::{FaultError, FaultPlan};
+use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
+
+use crate::wormhole::SimError;
 
 /// How each router's virtual-channel capacity is provisioned across its
 /// outgoing routing edges — the knob the dynamic-VC-allocation studies
@@ -34,8 +41,8 @@ use wormhole_topology::region::RegionPlan;
 /// each routing edge eventually serves its holders — which needs at
 /// least one VC that pooling can never take away. The floor guarantees
 /// exactly that: escape-class edges always retain a dedicated VC, so the
-/// proofs survive pooling unchanged. Validation therefore rejects
-/// `per_edge_min == 0`.
+/// proofs survive pooling unchanged. [`SimConfig::check`] therefore
+/// rejects `per_edge_min == 0`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VcPolicy {
     /// `B` dedicated virtual channels on every routing edge (`B ≥ 1`) —
@@ -49,9 +56,9 @@ pub enum VcPolicy {
         /// outgoing routing edges.
         pool: u32,
         /// Guaranteed (reserved) VCs per outgoing edge. Must be ≥ 1 so
-        /// the escape-channel deadlock-freedom arguments survive; the
-        /// simulator additionally checks `per_edge_min · fanout ≤ pool`
-        /// for every router of the actual graph at run start.
+        /// the escape-channel deadlock-freedom arguments survive;
+        /// [`SimConfig::check`] additionally wants `per_edge_min ·
+        /// fanout ≤ pool` of every router of the actual graph.
         per_edge_min: u32,
         /// Hard cap on VCs any single edge may hold simultaneously.
         per_edge_max: u32,
@@ -59,46 +66,44 @@ pub enum VcPolicy {
 }
 
 impl VcPolicy {
-    /// A validated [`VcPolicy::RouterPooled`]. Panics on `pool == 0`,
-    /// `per_edge_min == 0`, or `per_edge_min > per_edge_max` (the
-    /// graph-dependent `per_edge_min · fanout ≤ pool` check runs at
-    /// simulation start, when the fanout is known).
+    /// A [`VcPolicy::RouterPooled`], range-checked: panics, with the
+    /// [`ConfigError`]'s message, on `pool == 0`, `per_edge_min == 0`,
+    /// `per_edge_min > per_edge_max` or a cap above `u16::MAX` (the
+    /// graph-dependent `per_edge_min · fanout ≤ pool` is
+    /// [`SimConfig::check`]'s, when the fanout is known).
     pub fn pooled(pool: u32, per_edge_min: u32, per_edge_max: u32) -> Self {
-        let p = VcPolicy::RouterPooled {
+        VcPolicy::RouterPooled {
             pool,
             per_edge_min,
             per_edge_max,
-        };
-        p.validate();
-        p
+        }
+        .in_range_or_panic()
     }
 
-    /// Panics unless the policy's graph-independent invariants hold (the
-    /// same contract [`SimConfig::new`] enforces for the static scalar).
-    pub fn validate(&self) {
+    /// The policy's graph-independent ranges: the part of
+    /// [`SimConfig::check`] the builders can run, and panic on.
+    fn in_range(&self) -> Result<(), ConfigError> {
+        let cap = self.max_per_edge();
         match *self {
-            VcPolicy::Static(b) => assert!(b >= 1, "need at least one virtual channel"),
+            VcPolicy::Static(0) => Err(ConfigError::NoVcs),
+            VcPolicy::RouterPooled { pool: 0, .. } => Err(ConfigError::EmptyPool),
             VcPolicy::RouterPooled {
-                pool,
-                per_edge_min,
-                per_edge_max,
-            } => {
-                assert!(pool >= 1, "pooled VC policy needs a nonempty pool");
-                assert!(
-                    per_edge_min >= 1,
-                    "per_edge_min must be >= 1: a zero floor lets pooling starve an \
-                     escape channel and voids the deadlock-freedom arguments"
-                );
-                assert!(
-                    per_edge_min <= per_edge_max,
-                    "per_edge_min {per_edge_min} exceeds per_edge_max {per_edge_max}"
-                );
-                assert!(
-                    per_edge_max <= u16::MAX as u32,
-                    "per_edge_max exceeds the simulator's u16 holder counters"
-                );
+                per_edge_min: 0, ..
+            } => Err(ConfigError::ZeroFloor),
+            VcPolicy::RouterPooled { per_edge_min, .. } if per_edge_min > cap => {
+                Err(ConfigError::FloorAboveCap {
+                    floor: per_edge_min,
+                    cap,
+                })
             }
+            _ if cap > u16::MAX as u32 => Err(ConfigError::CapAboveCounters { cap }),
+            _ => Ok(()),
         }
+    }
+
+    fn in_range_or_panic(self) -> Self {
+        self.in_range().unwrap_or_else(|e| panic!("{e}"));
+        self
     }
 
     /// The hard per-edge VC cap (`B`, or `per_edge_max`).
@@ -363,10 +368,8 @@ impl SimConfig {
     /// A config with `b` static virtual channels per edge and defaults
     /// matching the paper's primary model.
     pub fn new(b: u32) -> Self {
-        let vc_policy = VcPolicy::Static(b);
-        vc_policy.validate();
         Self {
-            vc_policy,
+            vc_policy: VcPolicy::Static(b).in_range_or_panic(),
             arbitration: Arbitration::FifoById,
             blocked: BlockedPolicy::Stall,
             engine: Engine::EventDriven,
@@ -380,10 +383,10 @@ impl SimConfig {
         }
     }
 
-    /// Sets the VC capacity policy (validated; see [`VcPolicy`]).
+    /// Sets the VC capacity policy (range-checked like
+    /// [`VcPolicy::pooled`]; see [`VcPolicy`]).
     pub fn vc_policy(mut self, p: VcPolicy) -> Self {
-        p.validate();
-        self.vc_policy = p;
+        self.vc_policy = p.in_range_or_panic();
         self
     }
 
@@ -448,7 +451,142 @@ impl SimConfig {
         self.check_invariants = on;
         self
     }
+
+    /// Judges this config against the graph it is about to run on, and
+    /// the router it was given — the only place a config is judged, and
+    /// the first thing [`crate::wormhole::simulate`] does: the VC
+    /// policy's ranges, a router — over this very graph — where route
+    /// selection consults one, a fault plan that fits the graph, pool
+    /// floors every router can honor, and under [`Engine::Parallel`] a
+    /// region plan built for this graph. Every field is `pub`, so a
+    /// struct literal reaches here unchecked; the builders panic early
+    /// on the graph-independent part, with the same error's message.
+    pub fn check(
+        &self,
+        graph: &Graph,
+        router: Option<&dyn AdaptiveRouter>,
+    ) -> Result<(), ConfigError> {
+        if self.route_selection != RouteSelection::Oblivious {
+            let shape = |g: &Graph| (g.num_nodes(), g.num_edges());
+            let router = shape(router.ok_or(ConfigError::RouterMissing)?.graph());
+            if router != shape(graph) {
+                let graph = shape(graph);
+                return Err(ConfigError::RouterGraph { router, graph });
+            }
+        }
+        if let Some(plan) = &self.faults {
+            plan.validate(graph).map_err(ConfigError::Faults)?;
+        }
+        self.vc_policy.in_range()?;
+        if let VcPolicy::RouterPooled {
+            pool, per_edge_min, ..
+        } = self.vc_policy
+        {
+            for v in graph.nodes() {
+                let (router, fanout) = (v.0, graph.out_degree(v) as u32);
+                if per_edge_min as u64 * fanout as u64 > pool as u64 {
+                    return Err(ConfigError::PoolFloor {
+                        router,
+                        per_edge_min,
+                        fanout,
+                        pool,
+                    });
+                }
+            }
+        }
+        let parallel = matches!(self.engine, Engine::Parallel { .. });
+        match &self.regions {
+            Some(plan) if parallel && !plan.matches(graph) => Err(ConfigError::RegionPlan),
+            _ => Ok(()),
+        }
+    }
 }
+
+/// Why [`SimConfig::check`] refused a config.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// [`VcPolicy::Static`]`(0)`: an edge needs at least one VC.
+    NoVcs,
+    /// [`VcPolicy::RouterPooled`] with `pool == 0`.
+    EmptyPool,
+    /// `per_edge_min == 0`, which would let pooling starve an escape
+    /// channel (see [`VcPolicy`]).
+    ZeroFloor,
+    /// `per_edge_min > per_edge_max`.
+    FloorAboveCap {
+        /// The policy's `per_edge_min`.
+        floor: u32,
+        /// The policy's `per_edge_max`.
+        cap: u32,
+    },
+    /// The per-edge cap — `B`, or `per_edge_max` — is above `u16::MAX`,
+    /// the width of the simulator's holder counters.
+    CapAboveCounters {
+        /// The cap asked for.
+        cap: u32,
+    },
+    /// `router` cannot honor the floors of its `fanout` outgoing edges
+    /// out of its pool.
+    PoolFloor {
+        /// The node id of the router.
+        router: u32,
+        /// The policy's `per_edge_min`.
+        per_edge_min: u32,
+        /// Outgoing edges of `router`.
+        fanout: u32,
+        /// The policy's `pool`.
+        pool: u32,
+    },
+    /// Adaptive route selection, and no router to enumerate the per-hop
+    /// candidates.
+    RouterMissing,
+    /// The router routes over another graph than the simulated one; both
+    /// as `(nodes, edges)`.
+    RouterGraph {
+        /// The router's graph.
+        router: (usize, usize),
+        /// The simulated graph.
+        graph: (usize, usize),
+    },
+    /// [`SimConfig::faults`] does not fit the graph.
+    Faults(FaultError),
+    /// [`SimConfig::regions`] was built for a graph of another shape
+    /// (judged under [`Engine::Parallel`], the one engine that reads it).
+    RegionPlan,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NoVcs => write!(f, "need at least one virtual channel"),
+            ConfigError::EmptyPool => write!(f, "pooled VC policy needs a nonempty pool"),
+            ConfigError::ZeroFloor => write!(
+                f,
+                "per_edge_min must be >= 1: a zero floor lets pooling starve an \
+                 escape channel and voids the deadlock-freedom arguments"
+            ),
+            ConfigError::FloorAboveCap { floor, cap } => {
+                write!(f, "per_edge_min {floor} exceeds per_edge_max {cap}")
+            }
+            ConfigError::CapAboveCounters { cap } => write!(
+                f,
+                "{cap} VCs on one edge exceed the simulator's u16 holder counters"
+            ),
+            ConfigError::RouterGraph { router, graph } => write!(
+                f,
+                "the router's graph has {router:?} (nodes, edges), the simulated one {graph:?}"
+            ),
+            ConfigError::RegionPlan => {
+                write!(f, "region plan does not match the simulated graph")
+            }
+            // The three that were `SimError` variants first read as they
+            // always have, from the one place that wording is kept.
+            earlier => SimError::from(earlier.clone()).fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {

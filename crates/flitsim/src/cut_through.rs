@@ -22,7 +22,8 @@ use rand::rngs::StdRng;
 
 use wormhole_topology::graph::Graph;
 
-use crate::message::MessageSpec;
+use crate::message::{check_specs, MessageSpec};
+use crate::source::ReleaseClock;
 use crate::stats::{MessageOutcome, Outcome, SimResult};
 
 /// Virtual cut-through configuration.
@@ -54,9 +55,7 @@ const NO_OWNER: u32 = u32::MAX;
 /// wormhole result type: `max_vcs_in_use` reports the maximum flits resident
 /// in any single buffer.
 pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResult {
-    for (i, s) in specs.iter().enumerate() {
-        assert!(!s.path.is_empty(), "message {i} has an empty path");
-    }
+    check_specs(graph, specs).unwrap_or_else(|e| panic!("{e}"));
     let n = specs.len();
     let f = config.buffer_flits;
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -79,9 +78,7 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
     let mut max_occ = 0u32;
     let mut flit_hops = 0u64;
 
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&i| (specs[i as usize].release, i));
-    let mut next_pending = 0usize;
+    let mut clock = ReleaseClock::new(n, |i| specs[i as usize].release);
     let mut active: Vec<u32> = Vec::new();
 
     // Claim contenders per edge (scratch).
@@ -89,29 +86,10 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
     let mut claim_touched: Vec<u32> = Vec::new();
 
     let mut t: u64 = 0;
-    let mut unfinished = n;
     let mut last_finish = 0u64;
     let outcome = loop {
-        if unfinished == 0 {
-            break Outcome::Completed;
-        }
-        if active.is_empty() {
-            // Idle: jump to the next release — never past the cap.
-            match order.get(next_pending) {
-                Some(&m) => t = t.max(specs[m as usize].release.min(config.max_steps)),
-                None => break Outcome::Completed,
-            }
-        }
-        if t >= config.max_steps {
-            break Outcome::MaxSteps;
-        }
-        while let Some(&m) = order.get(next_pending) {
-            if specs[m as usize].release <= t {
-                active.push(m);
-                next_pending += 1;
-            } else {
-                break;
-            }
+        if let Some(outcome) = clock.tick(&mut t, config.max_steps, &mut active) {
+            break outcome;
         }
 
         // Snapshot of start-of-step counts (copy only for active worms'
@@ -129,13 +107,8 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
             let mi = m as usize;
             let d = specs[mi].path.len();
             for j in 1..=d {
-                let src_has = if j == 1 {
-                    buf[mi][0] > 0
-                } else {
-                    buf[mi][j - 1] > 0
-                };
-                if !src_has {
-                    continue;
+                if buf[mi][j - 1] == 0 {
+                    continue; // no flit behind this edge (slot 0: none left to inject)
                 }
                 let e = specs[mi].path.edges()[j - 1].idx();
                 if owner_start[e] == NO_OWNER && count_start[e] == 0 {
@@ -192,10 +165,7 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
                     continue;
                 }
                 let e = specs[mi].path.edges()[j - 1].idx();
-                if owner[e] != m {
-                    continue;
-                }
-                if count_start[e] >= f {
+                if owner[e] != m || count_start[e] >= f {
                     continue;
                 }
                 // Bandwidth: one flit per edge per step. Track via a
@@ -204,12 +174,9 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
                 // edge is guaranteed by construction of this loop (each j
                 // is visited once).
                 // Apply.
-                if j == 1 {
-                    buf[mi][0] -= 1;
-                } else {
-                    buf[mi][j - 1] -= 1;
-                    let e_prev = specs[mi].path.edges()[j - 2].idx();
-                    count[e_prev] -= 1;
+                buf[mi][j - 1] -= 1;
+                if j > 1 {
+                    count[specs[mi].path.edges()[j - 2].idx()] -= 1;
                 }
                 buf[mi][j] += 1;
                 count[e] += 1;
@@ -228,7 +195,6 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
             if delivered[mi] == specs[mi].length {
                 outcomes[mi].finished = Some(t + 1);
                 last_finish = last_finish.max(t + 1);
-                unfinished -= 1;
             }
         }
         // Phase 3: ownership cleanup for drained buffers.
@@ -349,6 +315,28 @@ mod tests {
         assert_eq!(r.total_steps, 500);
         assert_eq!(r.delivered(), 1);
         assert_eq!(r.messages[1].first_move, None, "never injected");
+    }
+
+    #[test]
+    #[should_panic(expected = "message 1: bad edge id")]
+    fn an_edge_the_graph_lacks_is_refused_at_the_door() {
+        // Used to index-panic mid-loop, at the step the flit reached it.
+        let (g, ps) = shared_chain_instance(2, 3);
+        let mut specs = specs_from_paths(&ps, 2);
+        let mut edges = specs[1].path.edges().to_vec();
+        edges.push(wormhole_topology::graph::EdgeId(999));
+        specs[1].path = wormhole_topology::path::Path::new(edges);
+        run(&g, &specs, &VctConfig::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "message 0 has zero length")]
+    fn a_zero_length_spec_is_refused_at_the_door() {
+        // Used to "finish" at step 1 without ever moving a flit.
+        let (g, ps) = shared_chain_instance(1, 3);
+        let mut specs = specs_from_paths(&ps, 2);
+        specs[0].length = 0;
+        run(&g, &specs, &VctConfig::new(2));
     }
 
     #[test]

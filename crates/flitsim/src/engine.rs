@@ -44,8 +44,10 @@
 
 use crate::config::BlockedPolicy;
 use crate::kernel::{WaitQueue, NO_EDGE};
-use crate::stats::{DiscardReason, EngineStats, Outcome};
-use crate::wormhole::{Core, Driven, Sim, SimError};
+use crate::resident::Core;
+use crate::sim::{Driven, Sim};
+use crate::stats::{DiscardReason, EngineStats};
+use crate::wormhole::SimError;
 
 /// The event driver's bookkeeping over one [`Core`]: which of its worms
 /// are parked and which are runnable.
@@ -124,14 +126,8 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
             let (core, due) = sim.due_kills(t);
             kill(core, st, due, t);
         }
-        let new = sim.admit_ready(t)?;
-        for i in new {
-            let m = sim.admitted_id(i);
-            // Skip messages discarded at admission (dead-on-arrival).
-            if sim.core.outcomes[m as usize].discarded.is_none() {
-                st.runnable.push(m);
-            }
-        }
+        let (_, new) = sim.admit_ready(t)?;
+        st.runnable.extend_from_slice(new);
         if st.n_active() == 0 {
             // Kills (or dead-on-arrival admissions) emptied the network;
             // the next iteration's idle handling jumps to the next
@@ -159,11 +155,8 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
             // the same step at which the legacy stepper's no-movement
             // test fires, and it counted a stall for every blocked worm
             // during that step.
-            t = win.frozen_at;
-            settle_parked(&mut sim.core, st, t);
-            sim.rebuild_active();
-            let report = sim.build_deadlock_report();
-            return Ok((Outcome::Deadlock(sim.core.active.clone()), t, Some(report)));
+            settle_parked(&mut sim.core, st, win.frozen_at);
+            return Ok(sim.deadlock(win.frozen_at));
         }
         t = stop;
     }

@@ -33,7 +33,6 @@ use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 
 use crate::config::{Arbitration, SimConfig, VcPolicy};
-use crate::wormhole::SimError;
 
 /// The rigid worm: its whole configuration is the advance count (see the
 /// [`crate::wormhole`] module docs).
@@ -220,10 +219,10 @@ pub(crate) struct VcRules {
 }
 
 impl VcRules {
-    /// Validates `config.vc_policy` against `graph` and decomposes it.
+    /// Decomposes `config.vc_policy` — one [`SimConfig::check`] passed
+    /// against `graph`, so every router's floors fit its pool.
     /// `faulted` allocates the dead flags.
-    pub(crate) fn new(graph: &Graph, config: &SimConfig, faulted: bool) -> Result<Self, SimError> {
-        config.vc_policy.validate();
+    pub(crate) fn new(graph: &Graph, config: &SimConfig, faulted: bool) -> Self {
         let (pooled, per_edge_min, per_edge_max, pool) = match config.vc_policy {
             VcPolicy::Static(b) => (false, b, b, 0),
             VcPolicy::RouterPooled {
@@ -233,25 +232,12 @@ impl VcRules {
             } => (true, per_edge_min, per_edge_max, pool),
         };
         let shared_cap = if pooled {
-            // Graph-dependent validation: every router must be able to
-            // honor its floors out of the pool.
-            graph
-                .nodes()
-                .map(|v| {
-                    let fanout = graph.out_degree(v) as u32;
-                    pool.checked_sub(per_edge_min * fanout)
-                        .ok_or(SimError::PoolFloor {
-                            router: v.0,
-                            per_edge_min,
-                            fanout,
-                            pool,
-                        })
-                })
-                .collect::<Result<_, _>>()?
+            let shared = |v| pool - per_edge_min * graph.out_degree(v) as u32;
+            graph.nodes().map(shared).collect()
         } else {
             Vec::new()
         };
-        Ok(Self {
+        Self {
             edge_src: graph.edge_sources().to_vec(),
             shared_cap,
             pooled,
@@ -259,7 +245,7 @@ impl VcRules {
             per_edge_max,
             pool,
             dead: vec![false; if faulted { graph.num_edges() } else { 0 }],
-        })
+        }
     }
 
     /// Whether edge `e` has been killed by an applied fault.
@@ -1618,7 +1604,7 @@ mod tests {
 
     fn pooled(g: &Graph, pool: u32, min: u32, max: u32) -> (VcRules, VcLedger) {
         let config = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
-        let rules = VcRules::new(g, &config, false).unwrap();
+        let rules = VcRules::new(g, &config, false);
         let ledger = VcLedger::new(g, &rules);
         (rules, ledger)
     }
@@ -1767,7 +1753,7 @@ mod tests {
             let max = min + rng.random_range(0..4u32);
             let pool = min * max_fanout + rng.random_range(0..7u32);
             let config_pooled = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
-            let mut rules = VcRules::new(&g, &config_pooled, true).unwrap();
+            let mut rules = VcRules::new(&g, &config_pooled, true);
             let mut ledger = VcLedger::new(&g, &rules);
             // Random holders, then random dead edges (a dead edge may
             // still be held).
@@ -1859,5 +1845,27 @@ mod tests {
             "{short_routers} routers short of credit, {flush_routers} flush, {dead_groups} \
              dead groups, {parked_losers} parked losers"
         );
+    }
+
+    #[test]
+    fn flat_buckets_group_reset_roundtrip() {
+        let mut b = FlatBuckets::with_edges(8);
+        for round in 0..3 {
+            b.clear();
+            b.push(5, 10 + round);
+            b.push(2, 20);
+            b.push(5, 30);
+            b.push(7, 40);
+            b.push(2, 50);
+            let groups = b.group();
+            assert_eq!(groups, 3);
+            // First-touch edge order, discovery order within an edge.
+            assert_eq!(b.edge(0), 5);
+            assert_eq!(b.group_mut(0), &[10 + round, 30]);
+            assert_eq!(b.edge(1), 2);
+            assert_eq!(b.group_mut(1), &[20, 50]);
+            assert_eq!(b.edge(2), 7);
+            assert_eq!(b.group_mut(2), &[40]);
+        }
     }
 }

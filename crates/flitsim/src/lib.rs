@@ -16,11 +16,18 @@
 //!   buffers per edge (worms can compress behind a blocked header), used by
 //!   the §1.4 fixed-buffer comparison.
 //!
-//! Two driving modes: batch ([`wormhole::run_to_completion`] — a fixed
-//! message set routed to completion, the paper's setting) and open-loop
-//! ([`open_loop::run_open_loop`] — continuous injection with warmup /
-//! measurement windows, latency percentiles, accepted throughput, and
-//! saturation detection).
+//! One door, [`wormhole::simulate`]: a graph, an optional router for
+//! per-hop route selection, the traffic (a lent slice of
+//! [`message::MessageSpec`]s, or a live [`source::TrafficSource`]) and a
+//! [`config::SimConfig`], judged once by [`config::SimConfig::check`];
+//! everything wrong with the input comes back as a
+//! [`wormhole::SimError`]. Around it, the conveniences that panic with
+//! the error's message instead: [`wormhole::run`] /
+//! [`wormhole::run_adaptive`] for a slice — a fixed message set routed
+//! to completion is the paper's *batch* setting — [`wormhole::run_source`]
+//! for a source, and [`open_loop::run_open_loop`] for the *open-loop*
+//! setting (continuous injection with warmup / measurement windows,
+//! latency percentiles, accepted throughput, and saturation detection).
 //!
 //! The wormhole model has three bit-identical engines behind
 //! [`config::Engine`]: the default event-driven engine (parked losers
@@ -43,16 +50,23 @@
 //! # Example
 //!
 //! ```
-//! use wormhole_flitsim::{config::SimConfig, wormhole};
-//! use wormhole_topology::random_nets::shared_chain_instance;
 //! use wormhole_flitsim::message::specs_from_paths;
+//! use wormhole_flitsim::{wormhole, Outcome, SimConfig, Traffic};
+//! use wormhole_topology::random_nets::shared_chain_instance;
 //!
 //! // Two messages share a 5-edge chain; with B = 2 VCs both fit and the
 //! // routing takes exactly D + L − 1 flit steps.
 //! let (graph, paths) = shared_chain_instance(2, 5);
 //! let specs = specs_from_paths(&paths, 4);
-//! let result = wormhole::run_to_completion(&graph, &specs, &SimConfig::new(2));
+//! let result = wormhole::run(&graph, &specs, &SimConfig::new(2));
+//! assert_eq!(result.outcome, Outcome::Completed);
 //! assert_eq!(result.total_steps, 5 + 4 - 1);
+//!
+//! // The same run through the door, which hands bad input back as a value.
+//! let config = SimConfig::new(2);
+//! let same = wormhole::simulate(&graph, None, Traffic::Specs(&specs), &config)?;
+//! assert!(same.same_execution(&result));
+//! # Ok::<(), wormhole::SimError>(())
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,19 +76,22 @@ pub mod cut_through;
 mod engine;
 pub mod events;
 mod kernel;
+mod legacy;
 pub mod message;
 pub mod open_loop;
 mod parallel;
+mod resident;
 pub mod restricted;
+mod sim;
 pub mod source;
 pub mod stats;
 pub mod store_forward;
 pub mod wormhole;
 
-pub use config::{Arbitration, BlockedPolicy, Engine, RouteSelection, SimConfig};
+pub use config::{Arbitration, BlockedPolicy, ConfigError, Engine, RouteSelection, SimConfig};
 pub use events::{DeadlockReport, WaitFor};
 pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec, SpecError};
-pub use open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
+pub use open_loop::{run_open_loop, OpenLoopConfig};
 pub use source::{ReplaySource, Traffic, TrafficSource};
 pub use stats::{
     ClosedLoopStats, DiscardReason, EngineStats, LatencyStats, MessageOutcome, OpenLoopStats,

@@ -5,6 +5,8 @@ use std::fmt;
 use wormhole_topology::graph::Graph;
 use wormhole_topology::path::{Path, PathSet};
 
+use crate::wormhole::SimError;
+
 /// One message (worm) to route: a path, a length in flits, a release time,
 /// and an arbitration priority.
 #[derive(Clone, Debug)]
@@ -107,6 +109,16 @@ pub fn check_spec(graph: &Graph, spec: &MessageSpec) -> Result<(), SpecError> {
     }
     if spec.length == 0 {
         return Err(SpecError::ZeroLength);
+    }
+    Ok(())
+}
+
+/// [`check_spec`] over a whole slice, ids being the indices: the door
+/// every batch enters by — [`crate::wormhole::simulate`]'s, and the
+/// standalone baselines' ([`crate::restricted`], [`crate::cut_through`]).
+pub(crate) fn check_specs(graph: &Graph, specs: &[MessageSpec]) -> Result<(), SimError> {
+    for (id, spec) in (0..).zip(specs) {
+        check_spec(graph, spec).map_err(|error| SimError::Spec { id, error })?;
     }
     Ok(())
 }

@@ -1,12 +1,13 @@
 //! Open-loop simulation mode: warmup / measurement windows, accepted
 //! throughput, and saturation detection over a timed injection trace.
 //!
-//! [`super::wormhole::run_to_completion`] answers the paper's *batch*
-//! question — how long does a fixed message set take? Open-loop
+//! [`crate::wormhole::run`] on a fixed message set answers the paper's
+//! *batch* question — how long does it take to route? Open-loop
 //! evaluation answers the *service* question — what latency does the
 //! network deliver while traffic keeps arriving at a given rate? The
 //! caller supplies a timed [`MessageSpec`] stream (typically from
-//! `wormhole-workloads`); this module:
+//! `wormhole-workloads`); this module's one entry point,
+//! [`run_open_loop`] (oblivious or, given a router, adaptive):
 //!
 //! 1. runs the wormhole simulator with a hard step cap of
 //!    `warmup + measure + drain` (a saturated network never drains, so
@@ -25,10 +26,12 @@
 //! `active` set) without occupying network resources, which is exactly
 //! the open-loop source model.
 
+use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::Graph;
 
 use crate::config::SimConfig;
 use crate::message::MessageSpec;
+use crate::source::Traffic;
 use crate::stats::{LatencyStats, OpenLoopStats, SimResult};
 use crate::wormhole;
 
@@ -87,36 +90,25 @@ impl OpenLoopConfig {
 }
 
 /// Runs `specs` open-loop under `config`, returning the simulator result
-/// with [`SimResult::open_loop`] populated. The run never panics on
-/// saturation: an [`Outcome::MaxSteps`](crate::stats::Outcome::MaxSteps)
-/// end simply means traffic was still in flight at the cap.
+/// with [`SimResult::open_loop`] populated. `router` is the substrate of
+/// per-hop route selection, consulted only under an adaptive
+/// [`crate::config::RouteSelection`] (the specs then supply endpoints
+/// and timing, and the routes are chosen hop by hop under load — see
+/// [`wormhole::run_adaptive`]); an oblivious run may pass `None`. The run
+/// never panics on saturation: an
+/// [`Outcome::MaxSteps`](crate::stats::Outcome::MaxSteps) end simply
+/// means traffic was still in flight at the cap. On a bad spec or config
+/// it panics as [`wormhole::run`] does.
 pub fn run_open_loop(
     graph: &Graph,
+    router: Option<&dyn AdaptiveRouter>,
     specs: &[MessageSpec],
     config: &SimConfig,
     ol: &OpenLoopConfig,
 ) -> SimResult {
     let mut capped = config.clone();
     capped.max_steps = capped.max_steps.min(ol.step_cap());
-    let mut result = wormhole::run(graph, specs, &capped);
-    result.open_loop = Some(windowed_stats(specs, &result, ol));
-    result
-}
-
-/// [`run_open_loop`] with per-hop adaptive route selection over
-/// `router`'s substrate (see
-/// [`crate::config::RouteSelection`] and [`wormhole::run_adaptive`]):
-/// the specs supply endpoints and timing, the routes are chosen hop by
-/// hop under load. The windowing/saturation bookkeeping is identical.
-pub fn run_open_loop_adaptive(
-    router: &dyn wormhole_topology::adaptive::AdaptiveRouter,
-    specs: &[MessageSpec],
-    config: &SimConfig,
-    ol: &OpenLoopConfig,
-) -> SimResult {
-    let mut capped = config.clone();
-    capped.max_steps = capped.max_steps.min(ol.step_cap());
-    let mut result = wormhole::run_adaptive(router, specs, &capped);
+    let mut result = wormhole::simulate_or_panic(graph, router, Traffic::Specs(specs), &capped);
     result.open_loop = Some(windowed_stats(specs, &result, ol));
     result
 }
@@ -248,7 +240,7 @@ mod tests {
         let (g, edges) = chain(5);
         let specs = periodic(&edges, 3, 50, 1000);
         let ol = OpenLoopConfig::new(100, 800);
-        let r = run_open_loop(&g, &specs, &SimConfig::new(2), &ol);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(2), &ol);
         assert_eq!(r.outcome, Outcome::Completed);
         let s = r.open_loop.unwrap();
         assert!(s.offered_msgs > 0);
@@ -265,7 +257,7 @@ mod tests {
         let (g, edges) = chain(5);
         let specs = periodic(&edges, 4, 1, 600);
         let ol = OpenLoopConfig::new(100, 400).drain(100);
-        let r = run_open_loop(&g, &specs, &SimConfig::new(1), &ol);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
         assert_eq!(r.outcome, Outcome::MaxSteps);
         let s = r.open_loop.unwrap();
         assert!(s.saturated, "overload must be flagged: {s:?}");
@@ -281,7 +273,7 @@ mod tests {
         let l = 3u32;
         let specs = periodic(&edges, l, (l + 1) as u64, 2000);
         let ol = OpenLoopConfig::new(200, 1600);
-        let r = run_open_loop(&g, &specs, &SimConfig::new(1), &ol);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
         let s = r.open_loop.unwrap();
         assert!(!s.saturated, "{s:?}");
         let per_step = s.accepted_flits_per_step;
@@ -304,7 +296,7 @@ mod tests {
             m.release_at(r + 100)
         }));
         let ol = OpenLoopConfig::new(100, 400);
-        let r = run_open_loop(&g, &specs, &SimConfig::new(1), &ol);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
         let s = r.open_loop.unwrap();
         // The burst's queueing latency never shows: measured worms are alone.
         assert_eq!(s.latency.max, (2 + 2 - 1) as u64);
@@ -318,7 +310,7 @@ mod tests {
         let (g, edges) = chain(5); // d = 4
         let specs = vec![MessageSpec::new(Path::new(edges), 3).release_at(10)];
         let ol = OpenLoopConfig::new(10, 50);
-        let r = run_open_loop(&g, &specs, &SimConfig::new(1), &ol);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
         let s = r.open_loop.unwrap();
         assert_eq!(s.offered_msgs, 1);
         assert_eq!(s.delivered_msgs, 1);
@@ -335,7 +327,7 @@ mod tests {
         let (g, edges) = chain(3);
         let specs = vec![MessageSpec::new(Path::new(edges), 2).release_at(12)];
         let ol = OpenLoopConfig::new(5, 10);
-        let r = run_open_loop(&g, &specs, &SimConfig::new(1), &ol);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
         assert_eq!(r.messages[0].finished, Some(15));
         let s = r.open_loop.unwrap();
         assert_eq!(s.offered_msgs, 1);
@@ -352,7 +344,7 @@ mod tests {
         let (g, edges) = chain(3);
         let specs = vec![MessageSpec::new(Path::new(edges), 2).release_at(2)]; // finish 5
         let ol = OpenLoopConfig::new(5, 10);
-        let r = run_open_loop(&g, &specs, &SimConfig::new(1), &ol);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
         assert_eq!(r.messages[0].finished, Some(5));
         let s = r.open_loop.unwrap();
         assert_eq!(s.offered_msgs, 0, "released in warmup");
@@ -364,7 +356,7 @@ mod tests {
     fn empty_trace_is_a_clean_zero() {
         let (g, _) = chain(3);
         let ol = OpenLoopConfig::new(10, 50);
-        let r = run_open_loop(&g, &[], &SimConfig::new(1), &ol);
+        let r = run_open_loop(&g, None, &[], &SimConfig::new(1), &ol);
         let s = r.open_loop.unwrap();
         assert_eq!(s.offered_msgs, 0);
         assert_eq!(s.accepted_msgs, 0);
@@ -384,8 +376,14 @@ mod tests {
         for (l, gap) in [(4u32, 1u64), (3, 2), (2, 25)] {
             let specs = periodic(&edges, l, gap, 600);
             let ol = OpenLoopConfig::new(100, 400).drain(100);
-            let ev = run_open_loop(&g, &specs, &SimConfig::new(1), &ol);
-            let lg = run_open_loop(&g, &specs, &SimConfig::new(1).engine(Engine::Legacy), &ol);
+            let ev = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
+            let lg = run_open_loop(
+                &g,
+                None,
+                &specs,
+                &SimConfig::new(1).engine(Engine::Legacy),
+                &ol,
+            );
             assert!(
                 ev.same_execution(&lg),
                 "engines diverged at L={l} gap={gap}"
@@ -404,8 +402,8 @@ mod tests {
             let specs = periodic(&edges, 4, 1, 600);
             let ol = OpenLoopConfig::new(100, 400).drain(100);
             let cfg = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
-            let ev = run_open_loop(&g, &specs, &cfg, &ol);
-            let lg = run_open_loop(&g, &specs, &cfg.clone().engine(Engine::Legacy), &ol);
+            let ev = run_open_loop(&g, None, &specs, &cfg, &ol);
+            let lg = run_open_loop(&g, None, &specs, &cfg.clone().engine(Engine::Legacy), &ol);
             assert!(
                 ev.same_execution(&lg),
                 "pooled engines diverged at pool={pool} min={min} max={max}"

@@ -181,8 +181,10 @@ use wormhole_topology::region::RegionPlan;
 use crate::config::BlockedPolicy;
 use crate::engine::{self, EventState};
 use crate::kernel::Worm;
-use crate::stats::{EngineStats, MessageOutcome, Outcome};
-use crate::wormhole::{Core, Driven, Resident, Sim, SimError};
+use crate::resident::{Core, Resident};
+use crate::sim::{Driven, Sim};
+use crate::stats::{EngineStats, MessageOutcome};
+use crate::wormhole::SimError;
 
 /// Default region count when [`SimConfig::regions`] is `None`
 /// (clamped to the node count by [`RegionPlan::contiguous`]).
@@ -791,7 +793,7 @@ fn fuse<'s, 'a>(
     ctx
 }
 
-/// The coordinator: mirrors [`Sim::drive_legacy`]'s loop head (idle
+/// The coordinator: mirrors [`crate::legacy::drive`]'s loop head (idle
 /// fast-forward, step-cap accounting, kills, admissions) around the
 /// window grant, then merges the regions' outboxes. A live source's bad
 /// spec leaves like a verdict: between windows, every worker parked.
@@ -840,16 +842,13 @@ fn run_loop<'a>(
             }
             n_active -= land(ctx, sim, &mut regs, stats);
         }
-        let new = sim.admit_ready(t)?;
-        for i in new {
-            let m = sim.admitted_id(i);
-            if sim.core.outcomes[m as usize].discarded.is_none() {
-                let target = ctx.home(&sim.core, m) as usize;
-                sim.core.unfinished -= 1;
-                regs[target].arrive(ctx, sim.core.take(m));
-                n_active += 1;
-            }
+        let (total, new) = sim.admit_ready(t)?;
+        for &m in new {
+            let target = ctx.home(total, m) as usize;
+            total.unfinished -= 1;
+            regs[target].arrive(ctx, total.take(m));
         }
+        n_active += new.len();
 
         // The cut-bound grant: the minimum per-region `safe` bound over
         // populated regions. While it is infinite no resident can ever
@@ -955,13 +954,7 @@ fn run_loop<'a>(
             // the sequential engines build. Parked worms were blocked
             // at every step up to the verdict.
             write_back(sim, &mut regs, t_dead, stats);
-            sim.rebuild_active();
-            let report = sim.build_deadlock_report();
-            return Ok((
-                Outcome::Deadlock(sim.core.active.clone()),
-                t_dead,
-                Some(report),
-            ));
+            return Ok(sim.deadlock(t_dead));
         }
         if sim.core.config.check_invariants {
             validate(&mut regs, sim.graph.num_edges());
@@ -977,13 +970,7 @@ fn run_loop<'a>(
 pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimError> {
     let graph = sim.graph;
     let plan = match &sim.core.config.regions {
-        Some(p) => {
-            assert!(
-                p.matches(graph),
-                "region plan does not match the simulated graph"
-            );
-            Some(p.clone())
-        }
+        Some(p) => Some(p.clone()), // built for `graph`: `SimConfig::check`
         // Nothing to partition: zero regions, and the coordinator alone
         // resolves the source bookkeeping.
         None if graph.num_nodes() == 0 => None,

@@ -41,7 +41,8 @@
 
 use wormhole_topology::graph::Graph;
 
-use crate::message::MessageSpec;
+use crate::message::{check_specs, MessageSpec};
+use crate::source::ReleaseClock;
 use crate::stats::{MessageOutcome, Outcome, SimResult};
 
 /// Restricted-model configuration.
@@ -75,7 +76,7 @@ const DELIVERED: u32 = u32::MAX;
 /// the stuck messages in [`Outcome::Deadlock`] but carries no wait-for
 /// report.
 pub fn run(graph: &Graph, specs: &[MessageSpec], config: &RestrictedConfig) -> SimResult {
-    crate::wormhole::check_specs(graph, specs).unwrap_or_else(|e| panic!("{e}"));
+    check_specs(graph, specs).unwrap_or_else(|e| panic!("{e}"));
     let n = specs.len();
     let mut pos: Vec<Vec<u32>> = specs
         .iter()
@@ -92,29 +93,14 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &RestrictedConfig) -> S
     let mut max_vcs = 0u32;
     let mut flit_hops = 0u64;
 
-    let order = crate::source::release_order(specs);
-    let mut next_pending = 0usize;
+    let mut clock = ReleaseClock::new(n, |i| specs[i as usize].release);
     let mut active: Vec<u32> = Vec::new();
 
     let mut t: u64 = 0;
     let mut last_finish = 0u64;
     let outcome = loop {
-        if active.is_empty() {
-            // Idle: done, or jump to the next release — never past the cap.
-            match order.get(next_pending) {
-                None => break Outcome::Completed,
-                Some(&m) => t = t.max(specs[m as usize].release.min(config.max_steps)),
-            }
-        }
-        if t >= config.max_steps {
-            break Outcome::MaxSteps;
-        }
-        while let Some(&m) = order.get(next_pending) {
-            if specs[m as usize].release > t {
-                break;
-            }
-            active.push(m);
-            next_pending += 1;
+        if let Some(outcome) = clock.tick(&mut t, config.max_steps, &mut active) {
+            break outcome;
         }
 
         for e in token_touched.drain(..) {
@@ -231,6 +217,7 @@ fn check_invariants(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
     use crate::message::specs_from_paths;
     use wormhole_topology::graph::{GraphBuilder, NodeId};
     use wormhole_topology::path::Path;
@@ -308,5 +295,36 @@ mod tests {
         assert_eq!(r.delivered(), 0);
         let r = run(&g, &specs, &RestrictedConfig::new(2));
         assert_eq!(r.outcome, Outcome::Completed);
+    }
+
+    #[test]
+    fn restricted_model_single_worm_is_unslowed() {
+        // One worm alone: it crosses ≤ min(L, d) edges per step but that
+        // needs only its own tokens, so it still advances every step.
+        let (g, ps) = shared_chain_instance(1, 5);
+        let r = run(&g, &specs_from_paths(&ps, 4), &RestrictedConfig::new(2));
+        assert_eq!(r.outcome, Outcome::Completed);
+        assert_eq!(r.total_steps, 5 + 4 - 1);
+    }
+
+    #[test]
+    fn restricted_model_b_worms_timeshare() {
+        // B worms on one chain under the restricted model: the shared edges
+        // have 1 flit/step of bandwidth, so B worms take ≈ B times longer
+        // than under the full-bandwidth model.
+        let b = 3u32;
+        let (g, ps) = shared_chain_instance(b, 8);
+        let specs = specs_from_paths(&ps, 6);
+        let full = crate::wormhole::run(&g, &specs, &SimConfig::new(b).check_invariants(true));
+        let restricted = run(&g, &specs, &RestrictedConfig::new(b));
+        assert_eq!(full.outcome, Outcome::Completed);
+        assert_eq!(restricted.outcome, Outcome::Completed);
+        assert!(
+            restricted.total_steps >= (b as u64 - 1) * full.total_steps / 2,
+            "restricted {} vs full {}",
+            restricted.total_steps,
+            full.total_steps
+        );
+        assert!(restricted.total_steps >= full.total_steps);
     }
 }

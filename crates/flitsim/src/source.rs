@@ -66,6 +66,7 @@
 //! arm against the replayed one on all three engines.
 
 use crate::message::MessageSpec;
+use crate::stats::Outcome;
 
 /// A pull-based message stream driving a simulation run. See the module
 /// docs for the full contract.
@@ -113,12 +114,53 @@ pub enum Traffic<'a> {
     Source(&'a mut dyn TrafficSource),
 }
 
-/// The ids of `specs` — their indices — in ascending `(release, id)`
-/// order: the admission order of every path that replays a batch.
-pub(crate) fn release_order(specs: &[MessageSpec]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..specs.len() as u32).collect();
-    order.sort_by_key(|&i| (specs[i as usize].release, i));
+/// The ids `0..n` in ascending `(release, id)` order: the admission
+/// order of every path that replays a batch.
+pub(crate) fn release_order(n: usize, release: impl Fn(u32) -> u64) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by_key(|&i| (release(i), i));
     order
+}
+
+/// The loop head the three standalone baselines share
+/// ([`crate::restricted`], [`crate::cut_through`],
+/// [`crate::store_forward`]): a batch's `(release, id)` pairs in
+/// [`release_order`], and how far into them the run has admitted.
+pub(crate) struct ReleaseClock {
+    due: Vec<(u64, u32)>,
+    next: usize,
+}
+
+impl ReleaseClock {
+    pub(crate) fn new(n: usize, release: impl Fn(u32) -> u64) -> Self {
+        let order = release_order(n, &release);
+        ReleaseClock {
+            due: order.into_iter().map(|i| (release(i), i)).collect(),
+            next: 0,
+        }
+    }
+
+    /// The start of step `*t`, with `active` in flight and a cap of
+    /// `cap` steps: how the run ends here, if it does — nothing in flight
+    /// and nothing left to release, or the cap reached, an idle network
+    /// having first jumped to its next release but never past the cap —
+    /// or else `None`, with every id released by `*t` pushed on `active`.
+    pub(crate) fn tick(&mut self, t: &mut u64, cap: u64, active: &mut Vec<u32>) -> Option<Outcome> {
+        if active.is_empty() {
+            let Some(&(release, _)) = self.due.get(self.next) else {
+                return Some(Outcome::Completed);
+            };
+            *t = (*t).max(release.min(cap));
+        }
+        if *t >= cap {
+            return Some(Outcome::MaxSteps);
+        }
+        while let Some(&(_, id)) = self.due.get(self.next).filter(|due| due.0 <= *t) {
+            active.push(id);
+            self.next += 1;
+        }
+        None
+    }
 }
 
 /// Adapts an owned spec vector to the [`TrafficSource`] pull interface
@@ -136,7 +178,7 @@ impl ReplaySource {
     /// Wraps an owned spec vector. Ids are the vector indices.
     pub fn new(specs: Vec<MessageSpec>) -> Self {
         Self {
-            order: release_order(&specs),
+            order: release_order(specs.len(), |i| specs[i as usize].release),
             slots: specs.into_iter().map(Some).collect(),
             cursor: 0,
         }

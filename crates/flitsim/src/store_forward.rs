@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use wormhole_topology::graph::Graph;
 use wormhole_topology::path::PathSet;
 
+use crate::source::ReleaseClock;
 use crate::stats::Outcome;
 
 /// Priority rule when several messages want the same edge in one step.
@@ -91,13 +92,6 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
         "releases must be empty or one per message"
     );
     let n = paths.len();
-    let rel = |i: usize| -> u64 {
-        if releases.is_empty() {
-            0
-        } else {
-            releases[i]
-        }
-    };
     // Position of each message: number of edges crossed so far; `u32::MAX`
     // marks finished. A message that has crossed `j ≥ 1` edges occupies the
     // buffer at the head of its `j`-th path edge.
@@ -106,9 +100,7 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
     let mut buffer_count = vec![0u32; graph.num_edges()];
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&i| (rel(i as usize), i));
-    let mut next_pending = 0usize;
+    let mut clock = ReleaseClock::new(n, |i| releases.get(i as usize).map_or(0, |&r| r));
     let mut active: Vec<u32> = Vec::new();
 
     // Scratch: contenders per edge.
@@ -118,28 +110,9 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
     let mut t: u64 = 0;
     let mut total_stalls = 0u64;
     let mut max_occ = 0u32;
-    let mut unfinished = n;
     let outcome = loop {
-        if unfinished == 0 {
-            break Outcome::Completed;
-        }
-        if active.is_empty() {
-            // Idle: jump to the next release — never past the cap.
-            match order.get(next_pending) {
-                Some(&m) => t = t.max(rel(m as usize).min(config.max_steps)),
-                None => break Outcome::Completed,
-            }
-        }
-        if t >= config.max_steps {
-            break Outcome::MaxSteps;
-        }
-        while let Some(&m) = order.get(next_pending) {
-            if rel(m as usize) <= t {
-                active.push(m);
-                next_pending += 1;
-            } else {
-                break;
-            }
+        if let Some(outcome) = clock.tick(&mut t, config.max_steps, &mut active) {
+            break outcome;
         }
 
         // Phase 1: every active message wants to cross its next edge.
@@ -195,7 +168,6 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
             pos[mi] += 1;
             if pos[mi] as usize == p.len() {
                 finished[mi] = Some(t + 1);
-                unfinished -= 1;
                 pos[mi] = u32::MAX;
                 // Delivered: leaves the network immediately (delivery
                 // buffers are external and unbounded).

@@ -180,7 +180,7 @@ pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
         let (knob, r) = match job {
             Job::Open(rate) => {
                 let specs = scenario(sub, *rate, seed).generate(ol.window_end());
-                (*rate, run_open_loop(sub.graph(), &specs, &cfg, &ol))
+                (*rate, run_open_loop(sub.graph(), None, &specs, &cfg, &ol))
             }
             Job::Closed(w) => {
                 let ccfg = closed_cfg(sub, *w, ol.window_end(), seed);

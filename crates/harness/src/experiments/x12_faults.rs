@@ -119,13 +119,9 @@ fn run_arm(
     sel: RouteSelection,
     cfg: &SimConfig,
 ) -> SimResult {
-    match sel {
-        RouteSelection::Oblivious => sim_run(mesh.graph(), specs, cfg),
-        _ => {
-            let fm = FaultedMesh::new(mesh, plan).expect("generated plans keep rings connected");
-            run_adaptive(&fm, specs, &cfg.clone().route_selection(sel))
-        }
-    }
+    // The fault-aware router; an oblivious arm never consults it.
+    let fm = FaultedMesh::new(mesh, plan).expect("generated plans keep rings connected");
+    run_adaptive(&fm, specs, &cfg.clone().route_selection(sel))
 }
 
 fn point_from(

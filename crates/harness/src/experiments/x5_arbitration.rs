@@ -45,7 +45,7 @@ pub fn run(fast: bool) -> Vec<Table> {
         for (name, pol) in policies {
             let specs = specs_from_paths(&ps, l);
             let config = SimConfig::new(b).arbitration(pol).seed(5);
-            let r = wormhole::run_to_completion(net.graph(), &specs, &config);
+            let r = wormhole::run(net.graph(), &specs, &config);
             let lat: Vec<f64> = r
                 .messages
                 .iter()

@@ -10,6 +10,7 @@ use wormhole_core::butterfly::algorithm::{route_q_relation, AlgoParams};
 use wormhole_core::butterfly::relation::QRelation;
 use wormhole_flitsim::config::SimConfig;
 use wormhole_flitsim::message::specs_from_paths;
+use wormhole_flitsim::stats::Outcome;
 use wormhole_flitsim::wormhole;
 use wormhole_topology::benes::BenesNetwork;
 use wormhole_topology::butterfly::Butterfly;
@@ -42,7 +43,8 @@ pub fn run(fast: bool) -> Vec<Table> {
         let paths = net.route(&perm);
         assert_eq!(paths.congestion(net.graph()), 1);
         let specs = specs_from_paths(&paths, l);
-        let wak = wormhole::run_to_completion(net.graph(), &specs, &SimConfig::new(1));
+        let wak = wormhole::run(net.graph(), &specs, &SimConfig::new(1));
+        assert_eq!(wak.outcome, Outcome::Completed);
 
         // Online arms on the plain butterfly.
         let rel = QRelation {

@@ -10,9 +10,10 @@
 //! outcome cell from here. x10 / x11 / x12 run other sweeps and share
 //! only [`outcome_cell`] and [`equal_budget_policy`].
 
-use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig, VcPolicy};
-use wormhole_flitsim::open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
+use wormhole_flitsim::config::{Engine, SimConfig, VcPolicy};
+use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
 use wormhole_flitsim::stats::{OpenLoopStats, Outcome};
+use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_workloads::{ArrivalProcess, Substrate, TrafficPattern, Workload};
 
 use crate::sweep::{default_threads, parallel_map};
@@ -138,13 +139,9 @@ pub fn run_grid(
         let specs = w.generate(grid.warmup + grid.measure);
         let ol = OpenLoopConfig::new(grid.warmup, grid.measure);
         let cfg = config(case, arm, b).engine(engine);
-        let r = match cfg.route_selection {
-            RouteSelection::Oblivious => run_open_loop(case.substrate.graph(), &specs, &cfg, &ol),
-            _ => {
-                let mesh = case.substrate.as_mesh().expect("adaptive arms need a mesh");
-                run_open_loop_adaptive(mesh, &specs, &cfg, &ol)
-            }
-        };
+        // Adaptive arms need a mesh to route over; oblivious ones ignore it.
+        let router = case.substrate.as_mesh().map(|m| m as &dyn AdaptiveRouter);
+        let r = run_open_loop(case.substrate.graph(), router, &specs, &cfg, &ol);
         Point {
             substrate: case.substrate.name(),
             pattern: case.pattern.name(),

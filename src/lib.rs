@@ -53,12 +53,12 @@ pub mod prelude {
     pub use wormhole_core::pipeline::{adaptive_min_colors, run_pipeline, RFactor};
     pub use wormhole_core::schedule::ColorSchedule;
     pub use wormhole_flitsim::config::{
-        Arbitration, BlockedPolicy, Engine, RouteSelection, SimConfig, VcPolicy,
+        Arbitration, BlockedPolicy, ConfigError, Engine, RouteSelection, SimConfig, VcPolicy,
     };
     pub use wormhole_flitsim::message::{
         specs_from_path_slice, specs_from_paths, MessageSpec, SpecError,
     };
-    pub use wormhole_flitsim::open_loop::{run_open_loop, run_open_loop_adaptive, OpenLoopConfig};
+    pub use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
     pub use wormhole_flitsim::source::{ReplaySource, Traffic, TrafficSource};
     pub use wormhole_flitsim::stats::{
         ClosedLoopStats, DiscardReason, LatencyStats, OpenLoopStats, Outcome, SimResult,

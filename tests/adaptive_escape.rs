@@ -8,7 +8,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wormhole_flitsim::wormhole::run_source_adaptive;
 use wormhole_routing::prelude::*;
 use wormhole_topology::mesh::ADAPTIVE_CLASS;
 
@@ -141,7 +140,7 @@ fn open_loop_adaptive_rotation_never_deadlocks_under_overload() {
     let specs = w.generate(400);
     let ol = OpenLoopConfig::new(100, 300).drain(100);
     let cfg = SimConfig::new(1).route_selection(RouteSelection::MinimalAdaptive);
-    let r = run_open_loop_adaptive(mesh, &specs, &cfg, &ol);
+    let r = run_open_loop(mesh.graph(), Some(mesh), &specs, &cfg, &ol);
     assert!(
         !matches!(r.outcome, Outcome::Deadlock(_)),
         "escape-backed adaptive routing must not wedge: {r:?}"
@@ -314,7 +313,8 @@ fn a_kill_severing_a_parked_pending_worms_escape_route_dooms_it_that_step() {
             inner: ReplaySource::new(specs.to_vec()),
             discards: Vec::new(),
         };
-        let r = run_source_adaptive(&router, &mut source, &cfg);
+        let traffic = Traffic::Source(&mut source);
+        let r = wormhole_simulate(router.graph(), Some(&router), traffic, &cfg).unwrap();
         (r, source.discards, router.take_calls())
     };
     let mut runs = Vec::new();

@@ -326,7 +326,7 @@ fn counter_golden_on_the_saturated_torus_point_of_fast_x2() {
             .check_invariants(true)
             .engine(engine);
         let ol = OpenLoopConfig::new(warmup, measure);
-        run_open_loop(substrate.graph(), &specs, &config, &ol)
+        run_open_loop(substrate.graph(), None, &specs, &config, &ol)
     };
     let legacy = run(Engine::Legacy);
     assert_eq!(legacy.outcome, Outcome::MaxSteps, "the point is saturated");

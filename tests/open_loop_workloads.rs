@@ -6,7 +6,7 @@ use wormhole_routing::prelude::*;
 
 /// At near-zero injection rate every worm travels alone, so open-loop
 /// latency collapses to the unblocked floor `D + L − 1` — and the batch
-/// simulator (`run_to_completion` on the same timed specs) reports the
+/// simulator (`wormhole_run` on the same timed specs) reports the
 /// identical per-message finish times.
 #[test]
 fn open_and_closed_loop_agree_at_near_zero_rate() {
@@ -25,7 +25,7 @@ fn open_and_closed_loop_agree_at_near_zero_rate() {
 
     // Open loop: generous drain so everything lands.
     let ol = OpenLoopConfig::new(0, window);
-    let open = run_open_loop(w.substrate.graph(), &specs, &SimConfig::new(2), &ol);
+    let open = run_open_loop(w.substrate.graph(), None, &specs, &SimConfig::new(2), &ol);
     let stats = open.open_loop.clone().unwrap();
     assert!(!stats.saturated);
     assert_eq!(stats.delivered_msgs, stats.offered_msgs);
@@ -60,7 +60,7 @@ fn more_vcs_help_under_heavy_open_loop_load() {
     let specs = w.generate(600);
     let ol = OpenLoopConfig::new(100, 500);
     let measure = |b: u32| {
-        run_open_loop(w.substrate.graph(), &specs, &SimConfig::new(b), &ol)
+        run_open_loop(w.substrate.graph(), None, &specs, &SimConfig::new(b), &ol)
             .open_loop
             .unwrap()
     };
@@ -96,7 +96,13 @@ fn bursty_hypercube_bit_reversal_is_deterministic() {
         assert_eq!(x.path.edges(), y.path.edges());
     }
     let ol = OpenLoopConfig::new(50, 450);
-    let r = run_open_loop(Substrate::hypercube(4).graph(), &a, &SimConfig::new(2), &ol);
+    let r = run_open_loop(
+        Substrate::hypercube(4).graph(),
+        None,
+        &a,
+        &SimConfig::new(2),
+        &ol,
+    );
     assert_eq!(r.outcome, Outcome::Completed);
 }
 
@@ -116,7 +122,7 @@ fn dateline_discipline_removes_the_tornado_torus_deadlock() {
         );
         let specs = w.generate(800);
         let ol = OpenLoopConfig::new(200, 600);
-        run_open_loop(w.substrate.graph(), &specs, &SimConfig::new(1), &ol)
+        run_open_loop(w.substrate.graph(), None, &specs, &SimConfig::new(1), &ol)
     };
 
     let naive = run_arm(RoutingDiscipline::Naive);

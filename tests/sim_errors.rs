@@ -2,17 +2,21 @@
 //! one from every engine — where the `run*` shims panic with its
 //! message: a malformed spec at the door it enters by (a slice's before
 //! step 0, however late its release; a live source's as `take_ready` is
-//! drained, mid-run), a fault plan that does not fit the graph, a
-//! missing router, a pool that cannot honor its floors.
+//! drained, mid-run), and everything `SimConfig::check` refuses: a fault
+//! plan that does not fit the graph, a missing router or one over
+//! another graph, a pool that cannot honor its floors, policy values no
+//! builder would accept, a region plan built for another graph.
 
-use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig, VcPolicy};
+use wormhole_flitsim::config::{ConfigError, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::message::{MessageSpec, SpecError};
 use wormhole_flitsim::source::{Traffic, TrafficSource};
 use wormhole_flitsim::stats::Outcome;
 use wormhole_flitsim::wormhole::{simulate, SimError};
 use wormhole_topology::fault::{FaultError, FaultPlan};
 use wormhole_topology::graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use wormhole_topology::mesh::{Mesh, RoutingDiscipline};
 use wormhole_topology::path::Path;
+use wormhole_topology::region::RegionPlan;
 
 const ENGINES: [Engine; 3] = [
     Engine::Legacy,
@@ -217,5 +221,95 @@ fn a_pool_below_its_routers_floors_comes_back_as_a_value() {
         };
         assert_eq!(got, floor, "{engine:?}");
         assert!(got.to_string().contains("exceeds pool 3"));
+    }
+}
+
+#[test]
+fn a_router_over_another_graph_is_refused_before_step_zero() {
+    // The larger mesh as router over the smaller one's graph and specs
+    // used to die on an edge index mid-run; the reverse routed, silently,
+    // on the wrong graph.
+    let mesh = |radix| Mesh::new_disciplined(radix, 2, false, RoutingDiscipline::AdaptiveEscape);
+    let (small, large) = (mesh(3), mesh(4));
+    let shape = |m: &Mesh| (m.graph().num_nodes(), m.graph().num_edges());
+    for (sim, router) in [(&small, &large), (&large, &small)] {
+        let specs = [MessageSpec::new(sim.route(NodeId(0), NodeId(8)), 3)];
+        for engine in ENGINES {
+            let cfg = SimConfig::new(1)
+                .route_selection(RouteSelection::MinimalAdaptive)
+                .engine(engine);
+            let got = simulate(sim.graph(), Some(router), Traffic::Specs(&specs), &cfg);
+            let wrong = ConfigError::RouterGraph {
+                router: shape(router),
+                graph: shape(sim),
+            };
+            assert_eq!(got.unwrap_err(), SimError::Config(wrong), "{engine:?}");
+            // An oblivious run never consults the router it was handed.
+            let cfg = SimConfig::new(1).engine(engine);
+            let ok = simulate(sim.graph(), Some(router), Traffic::Specs(&specs), &cfg);
+            assert_eq!(ok.unwrap().outcome, Outcome::Completed, "{engine:?}");
+        }
+    }
+}
+
+#[test]
+fn policy_values_no_builder_accepts_come_back_as_values() {
+    // Every field of `SimConfig` is public: a struct literal carries what
+    // `SimConfig::new` / `vc_policy` / `VcPolicy::pooled` panic on.
+    let (g, edges) = chain(4);
+    let specs = [raw(edges.clone(), 2, 0)];
+    let pooled = |pool, per_edge_min, per_edge_max| VcPolicy::RouterPooled {
+        pool,
+        per_edge_min,
+        per_edge_max,
+    };
+    let above = u16::MAX as u32 + 1;
+    let cases = [
+        (VcPolicy::Static(0), ConfigError::NoVcs),
+        (pooled(0, 1, 1), ConfigError::EmptyPool),
+        (pooled(8, 0, 4), ConfigError::ZeroFloor),
+        (
+            pooled(8, 3, 2),
+            ConfigError::FloorAboveCap { floor: 3, cap: 2 },
+        ),
+        (
+            VcPolicy::Static(above),
+            ConfigError::CapAboveCounters { cap: above },
+        ),
+        (
+            pooled(8, 1, above),
+            ConfigError::CapAboveCounters { cap: above },
+        ),
+    ];
+    for (vc_policy, error) in cases {
+        for engine in ENGINES {
+            let cfg = SimConfig {
+                vc_policy,
+                ..SimConfig::new(1).engine(engine)
+            };
+            let got = simulate(&g, None, Traffic::Specs(&specs), &cfg).unwrap_err();
+            assert_eq!(got, SimError::Config(error.clone()), "{engine:?}");
+            assert_eq!(got.to_string(), error.to_string());
+        }
+    }
+}
+
+#[test]
+fn a_region_plan_for_another_graph_is_refused_by_the_engine_that_reads_it() {
+    let (g, edges) = chain(6);
+    let (other, _) = chain(9);
+    let specs = [raw(edges.clone(), 2, 0)];
+    let plan = RegionPlan::contiguous(&other, 2);
+    for engine in ENGINES {
+        let cfg = SimConfig::new(1).engine(engine).regions(plan.clone());
+        let got = simulate(&g, None, Traffic::Specs(&specs), &cfg);
+        match engine {
+            Engine::Parallel { .. } => {
+                let error = SimError::Config(ConfigError::RegionPlan);
+                assert_eq!(got.unwrap_err(), error, "{engine:?}");
+            }
+            // The sequential engines ignore the field.
+            _ => assert_eq!(got.unwrap().outcome, Outcome::Completed, "{engine:?}"),
+        }
     }
 }

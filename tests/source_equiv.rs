@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
 use wormhole_flitsim::message::{specs_from_paths, MessageSpec};
 use wormhole_flitsim::open_loop::{windowed_stats, windowed_stats_from, OpenLoopConfig};
-use wormhole_flitsim::source::ReplaySource;
+use wormhole_flitsim::source::{ReplaySource, Traffic};
 use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_topology::random_nets::shared_chain_instance;
@@ -136,7 +136,8 @@ proptest! {
 
     /// Adaptive route selection reads VC occupancy at admission-visible
     /// times, so the source path must also be invisible under
-    /// `run_source_adaptive` (escape tori, both selection modes).
+    /// `simulate` with a router beside the source (escape tori, both
+    /// selection modes).
     #[test]
     fn replay_source_is_bit_identical_on_adaptive_tori(
         radix in 3u32..7,
@@ -175,7 +176,8 @@ proptest! {
             let cfg = cfg.clone().engine(engine);
             let slice = wormhole::run_adaptive(mesh, &specs, &cfg);
             let mut src = ReplaySource::new(specs.clone());
-            let replay = wormhole::run_source_adaptive(mesh, &mut src, &cfg);
+            let replay = wormhole::simulate(mesh.graph(), Some(mesh), Traffic::Source(&mut src), &cfg)
+                .unwrap();
             prop_assert!(
                 slice.same_execution(&replay),
                 "{engine:?} ({sel:?}): adaptive replay diverged:\n slice: {slice:?}\nreplay: {replay:?}"
