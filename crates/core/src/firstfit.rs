@@ -10,7 +10,7 @@
 use wormhole_topology::graph::Graph;
 use wormhole_topology::path::PathSet;
 
-use crate::coloring::Coloring;
+use crate::coloring::{ClassLoads, Coloring};
 
 /// Message-ordering heuristics for first-fit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,30 +47,14 @@ pub fn first_fit(paths: &PathSet, graph: &Graph, b: u32, order: FirstFitOrder) -
         }
     }
 
-    // counts[c] is a per-edge load vector for color c, allocated lazily.
-    let mut counts: Vec<Vec<u16>> = Vec::new();
+    let mut loads = ClassLoads::new(graph.num_edges());
     let mut colors = vec![0u32; n];
     let mut num_colors = 0u32;
     for &i in &idx {
         let p = paths.path(i as usize);
-        let mut chosen = None;
-        'colors: for (c, load) in counts.iter().enumerate() {
-            for &e in p.edges() {
-                if load[e.idx()] as u32 >= b {
-                    continue 'colors;
-                }
-            }
-            chosen = Some(c as u32);
-            break;
-        }
-        let c = chosen.unwrap_or_else(|| {
-            counts.push(vec![0u16; graph.num_edges()]);
-            num_colors += 1;
-            num_colors - 1
-        });
-        for &e in p.edges() {
-            counts[c as usize][e.idx()] += 1;
-        }
+        let c = loads.first_fit(p, b, num_colors).unwrap_or(num_colors);
+        num_colors = num_colors.max(c + 1);
+        loads.add(c, p);
         colors[i as usize] = c;
     }
     Coloring::new(colors, num_colors.max(1))
@@ -88,48 +72,24 @@ pub fn compact_coloring(
     b: u32,
     max_passes: u32,
 ) -> Coloring {
-    let n = paths.len();
-    assert_eq!(coloring.len(), n);
-    let k = coloring.num_colors() as usize;
-    let mut counts: Vec<Vec<u16>> = vec![vec![0u16; graph.num_edges()]; k];
     let mut colors: Vec<u32> = coloring.colors().to_vec();
-    for (i, p) in paths.paths().iter().enumerate() {
-        for &e in p.edges() {
-            counts[colors[i] as usize][e.idx()] += 1;
-        }
-    }
+    let mut loads = ClassLoads::of(paths, &colors, graph.num_edges());
     for _ in 0..max_passes {
         let mut moved = false;
-        for (i, color) in colors.iter_mut().enumerate() {
-            let cur = *color as usize;
-            let p = paths.path(i);
+        for (color, p) in colors.iter_mut().zip(paths.paths()) {
             // Take the message out, then first-fit it back.
-            for &e in p.edges() {
-                counts[cur][e.idx()] -= 1;
-            }
-            let mut dest = cur;
-            'classes: for (c, class_counts) in counts.iter().enumerate().take(cur) {
-                for &e in p.edges() {
-                    if class_counts[e.idx()] as u32 >= b {
-                        continue 'classes;
-                    }
-                }
-                dest = c;
-                break;
-            }
-            for &e in p.edges() {
-                counts[dest][e.idx()] += 1;
-            }
-            if dest != cur {
-                *color = dest as u32;
-                moved = true;
-            }
+            let cur = *color;
+            loads.remove(cur, p);
+            let dest = loads.first_fit(p, b, cur).unwrap_or(cur);
+            loads.add(dest, p);
+            moved |= dest != cur;
+            *color = dest;
         }
         if !moved {
             break;
         }
     }
-    Coloring::new(colors, k as u32).compact()
+    Coloring::new(colors, coloring.num_colors()).compact()
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 
 use wormhole_topology::path::PathSet;
 
-use crate::coloring::Coloring;
+use crate::coloring::{ClassLoads, Coloring};
 
 /// Which case of Lemma 2.1.5 a refinement stage instantiates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,9 +93,10 @@ pub struct RefineExhausted {
 /// Splits each class of `coloring` into `split` classes and resamples until
 /// the multiplex size is at most `target`, or `max_rounds` sweeps elapse.
 ///
-/// Each sweep recomputes all violated `(edge, class)` events and re-colors
-/// every message involved in at least one of them (a parallel Moser–Tardos
-/// sweep, valid under the same condition).
+/// Each sweep re-colors every message involved in at least one violated
+/// `(edge, class)` event (a parallel Moser–Tardos sweep, valid under the
+/// same condition): the messages [`ClassLoads::over`] names, found before
+/// any of them moves and re-colored in ascending index.
 pub fn refine(
     paths: &PathSet,
     coloring: &Coloring,
@@ -105,40 +106,33 @@ pub fn refine(
     max_rounds: u64,
 ) -> Result<RefineOutcome, RefineExhausted> {
     assert!(split >= 1);
-    let n = coloring.len();
     // New color = old * split + pick.
-    let mut colors: Vec<u32> = (0..n)
-        .map(|i| coloring.color(i) * split + rng.random_range(0..split))
-        .collect();
-    let num_colors = coloring.num_colors() * split;
+    let mut draw = |i: usize| coloring.color(i) * split + rng.random_range(0..split);
+    let mut colors: Vec<u32> = (0..coloring.len()).map(&mut draw).collect();
+    let edges = paths.paths().iter().flat_map(|p| p.edges());
+    let num_edges = edges.map(|e| e.idx() + 1).max().unwrap_or(0);
+    let mut loads = ClassLoads::of(paths, &colors, num_edges);
+    let mut dirty: Vec<usize> = Vec::new();
     let mut rounds = 0u64;
     loop {
-        let current = Coloring::new(std::mem::take(&mut colors), num_colors);
-        let violations = current.violations(paths, target);
-        if violations.is_empty() {
+        dirty.clear();
+        dirty.extend((0..colors.len()).filter(|&i| loads.over(colors[i], paths.path(i), target)));
+        if dirty.is_empty() {
             return Ok(RefineOutcome {
-                coloring: current.compact(),
+                coloring: Coloring::new(colors, coloring.num_colors() * split).compact(),
                 resamples: rounds,
             });
         }
         if rounds >= max_rounds {
             return Err(RefineExhausted {
                 rounds,
-                remaining_violations: violations.len(),
+                remaining_violations: loads.cells_over(target),
             });
         }
-        colors = current.colors().to_vec();
-        // Re-color every message participating in a violation, once.
-        let mut dirty = vec![false; n];
-        for (_, msgs) in &violations {
-            for &m in msgs {
-                dirty[m as usize] = true;
-            }
-        }
-        for (i, flag) in dirty.iter().enumerate() {
-            if *flag {
-                colors[i] = coloring.color(i) * split + rng.random_range(0..split);
-            }
+        for &i in &dirty {
+            loads.remove(colors[i], paths.path(i));
+            colors[i] = draw(i);
+            loads.add(colors[i], paths.path(i));
         }
         rounds += 1;
     }
@@ -147,7 +141,7 @@ pub fn refine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormhole_topology::random_nets::{shared_chain_instance, staggered_instance};
+    use wormhole_topology::random_nets::{shared_chain_instance, staggered_instance, LeveledNet};
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -212,6 +206,96 @@ mod tests {
         let b = refine(&ps, &start, 6, 3, &mut rng(9), 10_000).unwrap();
         assert_eq!(a.coloring, b.coloring);
         assert_eq!(a.resamples, b.resamples);
+    }
+
+    /// The sweep as it was before [`ClassLoads`]: rebuild the coloring,
+    /// sort out every violated event, re-color their members in index
+    /// order. Kept as the reference [`refine`] must reproduce draw for draw.
+    fn refine_by_sorting(
+        paths: &PathSet,
+        coloring: &Coloring,
+        split: u32,
+        target: u32,
+        rng: &mut StdRng,
+        max_rounds: u64,
+    ) -> Result<RefineOutcome, RefineExhausted> {
+        let n = coloring.len();
+        let mut colors: Vec<u32> = (0..n)
+            .map(|i| coloring.color(i) * split + rng.random_range(0..split))
+            .collect();
+        let num_colors = coloring.num_colors() * split;
+        let mut rounds = 0u64;
+        loop {
+            let current = Coloring::new(std::mem::take(&mut colors), num_colors);
+            let violations = current.violations(paths, target);
+            if violations.is_empty() {
+                return Ok(RefineOutcome {
+                    coloring: current.compact(),
+                    resamples: rounds,
+                });
+            }
+            if rounds >= max_rounds {
+                return Err(RefineExhausted {
+                    rounds,
+                    remaining_violations: violations.len(),
+                });
+            }
+            colors = current.colors().to_vec();
+            let mut dirty = vec![false; n];
+            for (_, msgs) in &violations {
+                for &m in msgs {
+                    dirty[m as usize] = true;
+                }
+            }
+            for (i, flag) in dirty.iter().enumerate() {
+                if *flag {
+                    colors[i] = coloring.color(i) * split + rng.random_range(0..split);
+                }
+            }
+            rounds += 1;
+        }
+    }
+
+    #[test]
+    fn refine_draws_and_returns_what_the_sorting_sweep_did() {
+        let net = LeveledNet::random(8, 5, 2, 17);
+        let two_classes = |n: usize| Coloring::new((0..n as u32).map(|i| i % 2).collect(), 2);
+        let instances = [
+            staggered_instance(8, 32, 64).1,
+            shared_chain_instance(16, 6).1,
+            net.random_walk_paths(70, 18),
+        ];
+        let (mut converged, mut exhausted) = (0, 0);
+        for (which, ps) in instances.iter().enumerate() {
+            for start in [Coloring::uniform(ps.len()), two_classes(ps.len())] {
+                for (split, target, budget) in [(2, 1, 6), (6, 2, 64), (12, 3, 64), (24, 2, 200)] {
+                    for seed in 0..4 {
+                        let (mut a, mut b) = (rng(seed), rng(seed));
+                        let got = refine(ps, &start, split, target, &mut a, budget);
+                        let want = refine_by_sorting(ps, &start, split, target, &mut b, budget);
+                        let at = format!("instance {which} r={split} mf={target} seed {seed}");
+                        match (got, want) {
+                            (Ok(got), Ok(want)) => {
+                                assert_eq!(got.coloring, want.coloring, "{at}");
+                                assert_eq!(got.resamples, want.resamples, "{at}");
+                                converged += 1;
+                            }
+                            (Err(got), Err(want)) => {
+                                assert_eq!(got, want, "{at}");
+                                exhausted += 1;
+                            }
+                            (got, want) => panic!("{at}: {got:?} against {want:?}"),
+                        }
+                        // Both left the generator in the same state.
+                        assert_eq!(a.random_range(0..u32::MAX), b.random_range(0..u32::MAX));
+                    }
+                }
+            }
+        }
+        assert!(
+            converged >= 24 && exhausted >= 24,
+            "{converged} / {exhausted}"
+        );
     }
 
     #[test]

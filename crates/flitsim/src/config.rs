@@ -8,8 +8,6 @@ use wormhole_topology::fault::{FaultError, FaultPlan};
 use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
 
-use crate::wormhole::SimError;
-
 /// How each router's virtual-channel capacity is provisioned across its
 /// outgoing routing edges — the knob the dynamic-VC-allocation studies
 /// (Onsori–Safaei; Stergiou's multi-lane storage comparison) turn while
@@ -579,9 +577,22 @@ impl fmt::Display for ConfigError {
             ConfigError::RegionPlan => {
                 write!(f, "region plan does not match the simulated graph")
             }
-            // The three that were `SimError` variants first read as they
-            // always have, from the one place that wording is kept.
-            earlier => SimError::from(earlier.clone()).fmt(f),
+            ConfigError::Faults(e) => write!(f, "invalid fault plan: {e}"),
+            ConfigError::RouterMissing => write!(
+                f,
+                "adaptive route selection needs run_adaptive \
+                 (per-hop candidates come from a router)"
+            ),
+            ConfigError::PoolFloor {
+                router,
+                per_edge_min,
+                fanout,
+                pool,
+            } => write!(
+                f,
+                "router {router}: per_edge_min {per_edge_min} x fanout {fanout} \
+                 exceeds pool {pool}"
+            ),
         }
     }
 }

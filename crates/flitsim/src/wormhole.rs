@@ -205,7 +205,6 @@
 use std::fmt;
 
 use wormhole_topology::adaptive::AdaptiveRouter;
-use wormhole_topology::fault::FaultError;
 use wormhole_topology::graph::Graph;
 
 use crate::config::{ConfigError, Engine, SimConfig};
@@ -226,49 +225,13 @@ pub enum SimError {
         /// What is wrong with it.
         error: SpecError,
     },
-    /// [`SimConfig::check`] refused the config — for any reason but the
-    /// three below, which it reports as [`ConfigError::Faults`],
-    /// [`ConfigError::RouterMissing`] and [`ConfigError::PoolFloor`] and
-    /// which keep the variants they had here before it.
+    /// [`SimConfig::check`] refused the config.
     Config(ConfigError),
-    /// [`SimConfig::faults`] does not fit the graph.
-    Faults(FaultError),
-    /// The config asks for adaptive route selection and no router was
-    /// given to enumerate the per-hop candidates.
-    RouterMissing,
-    /// Under [`crate::config::VcPolicy::RouterPooled`], `router` cannot
-    /// honor the per-edge floors of its `fanout` outgoing edges out of
-    /// its pool.
-    PoolFloor {
-        /// The node id of the router.
-        router: u32,
-        /// The policy's `per_edge_min`.
-        per_edge_min: u32,
-        /// Outgoing edges of `router`.
-        fanout: u32,
-        /// The policy's `pool`.
-        pool: u32,
-    },
 }
 
 impl From<ConfigError> for SimError {
     fn from(e: ConfigError) -> Self {
-        match e {
-            ConfigError::Faults(e) => SimError::Faults(e),
-            ConfigError::RouterMissing => SimError::RouterMissing,
-            ConfigError::PoolFloor {
-                router,
-                per_edge_min,
-                fanout,
-                pool,
-            } => SimError::PoolFloor {
-                router,
-                per_edge_min,
-                fanout,
-                pool,
-            },
-            e => SimError::Config(e),
-        }
+        SimError::Config(e)
     }
 }
 
@@ -283,22 +246,6 @@ impl fmt::Display for SimError {
                 SpecError::ReleasedEarly { .. } => write!(f, "message {id} {error}"),
             },
             SimError::Config(e) => e.fmt(f),
-            SimError::Faults(e) => write!(f, "invalid fault plan: {e}"),
-            SimError::RouterMissing => write!(
-                f,
-                "adaptive route selection needs run_adaptive \
-                 (per-hop candidates come from a router)"
-            ),
-            SimError::PoolFloor {
-                router,
-                per_edge_min,
-                fanout,
-                pool,
-            } => write!(
-                f,
-                "router {router}: per_edge_min {per_edge_min} x fanout {fanout} \
-                 exceeds pool {pool}"
-            ),
         }
     }
 }
@@ -318,11 +265,10 @@ impl std::error::Error for SimError {}
 /// from every engine, and nothing a caller can put in a [`SimConfig`]
 /// panics:
 ///
-/// * before step 0 — whatever [`SimConfig::check`] refuses (as
-///   [`SimError::Config`], or as [`SimError::Faults`],
-///   [`SimError::RouterMissing`], [`SimError::PoolFloor`]), then
-///   [`SimError::Spec`] for the first bad spec of a [`Traffic::Specs`]
-///   slice (the whole slice is checked, however late a spec's release);
+/// * before step 0 — whatever [`SimConfig::check`] refuses
+///   ([`SimError::Config`]), then [`SimError::Spec`] for the first bad
+///   spec of a [`Traffic::Specs`] slice (the whole slice is checked,
+///   however late a spec's release);
 /// * mid-run — [`SimError::Spec`] for a spec a [`Traffic::Source`]
 ///   emits, checked as it is drained from `take_ready`: the steps before
 ///   it ran, and the source has heard of every completion before that
@@ -369,7 +315,7 @@ pub(crate) fn simulate_or_panic<'a>(
 /// of the slice with an empty path, an edge id `graph` lacks or zero
 /// length ([`SimError::Spec`], checked over the whole slice before step
 /// 0), a `config` asking for adaptive route selection
-/// ([`SimError::RouterMissing`] — use [`run_adaptive`]), or one
+/// ([`ConfigError::RouterMissing`] — use [`run_adaptive`]), or one
 /// [`SimConfig::check`] refuses for another reason.
 pub fn run(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> SimResult {
     simulate_or_panic(graph, None, Traffic::Specs(specs), config)
@@ -385,7 +331,7 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> SimResul
 /// id it emitted before or a release still ahead ([`SimError::Spec`],
 /// checked as each is drained from `take_ready`, so possibly mid-run), a
 /// `config` asking for adaptive route selection
-/// ([`SimError::RouterMissing`] — [`simulate`] takes a router beside a
+/// ([`ConfigError::RouterMissing`] — [`simulate`] takes a router beside a
 /// source), or one [`SimConfig::check`] refuses for another reason.
 pub fn run_source(graph: &Graph, source: &mut dyn TrafficSource, config: &SimConfig) -> SimResult {
     simulate_or_panic(graph, None, Traffic::Source(source), config)
@@ -404,7 +350,7 @@ pub fn run_source(graph: &Graph, source: &mut dyn TrafficSource, config: &SimCon
 /// # Panics
 ///
 /// As [`run`], the specs being checked against `router`'s graph (there
-/// is a router, so never [`SimError::RouterMissing`]).
+/// is a router, so never [`ConfigError::RouterMissing`]).
 pub fn run_adaptive(
     router: &dyn AdaptiveRouter,
     specs: &[MessageSpec],

@@ -164,12 +164,18 @@ mod tests {
         assert_eq!(tables[0].num_rows(), 3);
         // Every schedule executed with zero stalls (last column).
         let s = tables[0].render();
+        let mut kappas = Vec::new();
         for row in s.lines().filter(|l| l.starts_with('|')).skip(2) {
             let cols: Vec<&str> = row.split('|').map(str::trim).collect();
             if cols.len() >= 8 && cols[1].parse::<u32>().is_ok() {
                 assert_eq!(cols[7], "0", "stall-free execution expected: {row}");
+                kappas.push((cols[1], cols[2], cols[3]));
             }
         }
+        // E1a's κ columns (B, first-fit, LLL-adaptive), the figures the
+        // ROADMAP quotes: a change of RNG draw order moves the last one.
+        let pinned = [("1", "8", "11"), ("2", "4", "5"), ("4", "2", "3")];
+        assert_eq!(kappas, pinned);
         // E1c exponents land in (0, 1/B].
         let s3 = tables[2].render();
         for row in s3.lines().filter(|l| l.starts_with('|')).skip(2) {

@@ -1,0 +1,32 @@
+//! The paper's own pipeline, as its tables: `e1`, `e2` and `e9` in fast
+//! mode against committed renderings. Every cell is a deterministic count
+//! — class counts κ, makespans, fitted exponents of seeded runs — so a
+//! drift in RNG draw order or in a coloring fails here on any host, with
+//! no timing involved. The files under `tests/golden/` were written by
+//! the binary of the commit before `coloring::ClassLoads`; regenerate one
+//! only for a change that means to move its table
+//! (`experiments --fast e1`, from the first `###` line on).
+
+use wormhole_routing::harness::run_by_id;
+
+/// What `experiments --fast <id>` prints under the experiment's heading.
+fn rendered(id: &str) -> String {
+    let (preamble, tables) = run_by_id(id, true).expect("known id");
+    assert!(preamble.is_empty(), "{id} has no preamble");
+    tables.iter().map(|t| t.render() + "\n").collect()
+}
+
+#[test]
+fn e1_fast_matches_its_golden() {
+    assert_eq!(rendered("e1"), include_str!("golden/e1.fast.md"));
+}
+
+#[test]
+fn e2_fast_matches_its_golden() {
+    assert_eq!(rendered("e2"), include_str!("golden/e2.fast.md"));
+}
+
+#[test]
+fn e9_fast_matches_its_golden() {
+    assert_eq!(rendered("e9"), include_str!("golden/e9.fast.md"));
+}

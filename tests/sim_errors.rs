@@ -187,16 +187,16 @@ fn config_errors_come_back_as_values() {
             FaultError::UnknownLink { edge: 999, .. }
         ));
         let got = run(&base.clone().faults(plan));
-        assert_eq!(got, SimError::Faults(expected), "{engine:?}");
+        let faults = SimError::Config(ConfigError::Faults(expected));
+        assert_eq!(got, faults, "{engine:?}");
         assert!(got.to_string().starts_with("invalid fault plan: "));
 
         let adaptive = base
             .clone()
             .route_selection(RouteSelection::MinimalAdaptive);
-        assert_eq!(run(&adaptive), SimError::RouterMissing, "{engine:?}");
-        assert!(SimError::RouterMissing
-            .to_string()
-            .contains("needs run_adaptive"));
+        let missing = SimError::Config(ConfigError::RouterMissing);
+        assert_eq!(run(&adaptive), missing, "{engine:?}");
+        assert!(missing.to_string().contains("needs run_adaptive"));
     }
 }
 
@@ -213,12 +213,12 @@ fn a_pool_below_its_routers_floors_comes_back_as_a_value() {
             .vc_policy(VcPolicy::pooled(3, 2, 3))
             .engine(engine);
         let got = simulate(&g, None, Traffic::Specs(&specs), &cfg).unwrap_err();
-        let floor = SimError::PoolFloor {
+        let floor = SimError::Config(ConfigError::PoolFloor {
             router: 0,
             per_edge_min: 2,
             fanout: 2,
             pool: 3,
-        };
+        });
         assert_eq!(got, floor, "{engine:?}");
         assert!(got.to_string().contains("exceeds pool 3"));
     }
