@@ -11,13 +11,19 @@
 //!   want next (one for a frozen route; every candidate plus the escape
 //!   hop for a pending adaptive head) and costs nothing while none of
 //!   them releases a VC. A release marks its key *hot*; the next executed
-//!   step walks each hot chain once and enters every frozen-route waiter
-//!   into that step's arbitration under the edge its wait node records —
-//!   no worm, spec or route is read. Only a **winner** leaves the queue,
-//!   its stalls settled arithmetically (`stalls += win − 1 − park`); a
-//!   loser is not touched at all. A pending head selects afresh, so the
-//!   walk wakes it instead. Why that is exactly what the legacy stepper
-//!   counts is invariant 1 of the [`crate::wormhole`] module docs.
+//!   step walks each hot chain once and enters every waiter into that
+//!   step's arbitration from where it waits: a frozen-route waiter under
+//!   the edge its wait node records — no worm, spec or route is read — a
+//!   pending head under the hop it selects, on start-of-step occupancy,
+//!   from the watch row it parked with ([`Core::contend_parked`]; no
+//!   router is asked). Only a **winner** leaves the queue, its stalls
+//!   settled arithmetically (`stalls += win − 1 − park`). A frozen-route
+//!   loser is not touched at all; a pending loser has its selection
+//!   pinned back to the escape hop and, if another edge it watches is
+//!   acquirable at end of step, its key marked hot again so that it
+//!   contends at the next step ([`Core::lost_in_place`]). Why that is
+//!   exactly what the legacy stepper counts is invariant 1 of the
+//!   [`crate::wormhole`] module docs.
 //! * **All-draining fast-forward** — when nothing is parked and every
 //!   runnable worm is draining into its delivery buffer, the set cannot
 //!   interact before the window ends (drains only ever *decrement*
@@ -62,6 +68,8 @@ pub(crate) struct EventState {
     /// Scratch: the waiters of this step's hot keys, as `(wanted edge,
     /// handle)`.
     entered: Vec<(u32, u32)>,
+    /// Scratch: of `entered`, the pending heads.
+    pending: Vec<u32>,
     /// The step / park / contest counters of [`EngineStats`].
     pub(crate) stats: EngineStats,
 }
@@ -73,6 +81,7 @@ impl EventState {
             keys: Vec::new(),
             runnable: Vec::new(),
             entered: Vec::new(),
+            pending: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -170,7 +179,8 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
 /// the legacy stepper counted through `t − 1`. Every parked *pending*
 /// worm goes back to `runnable` the same way: the kill may have severed
 /// its escape continuation, which the legacy stepper dooms at this very
-/// step. The discards' VC releases then turn their wait keys hot, so
+/// step — and which only classification judges, a contest in place does
+/// not. The discards' VC releases then turn their wait keys hot, so
 /// the waiters contend at `t` itself — they land at step start, like
 /// releases during `t − 1` — and the discarded leave `runnable`.
 pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: u64) {
@@ -280,21 +290,20 @@ fn step(
     // The contest: the waiters of every key that saw a release since its
     // chain was last walked — during step `t − 1`, or landed at the start
     // of `t` by a kill or by the parallel coordinator — contend at `t`,
-    // release at `t − 1` being visible at `t`. A frozen-route waiter does
-    // so from where it waits. A pending adaptive head re-selects every
-    // step it contends, so it is woken — its stalls settled through
-    // `t − 1` — and classified like any runnable worm.
+    // release at `t − 1` being visible at `t`. Each does so from where it
+    // waits: a frozen-route waiter for the edge its node records, a
+    // pending adaptive head — once, however many of its keys are hot —
+    // for the hop it selects from its watch row.
     st.entered.clear();
-    let (entered, runnable, stats) = (&mut st.entered, &mut st.runnable, &mut st.stats);
-    stats.contests += st.waiting.scan_hot(|m, edge, parked_at| {
-        if edge == NO_EDGE {
-            core.outcomes[m as usize].stalls += (t - 1) - parked_at;
-            runnable.push(m);
-            stats.pending_wakes += 1;
-        } else {
+    st.pending.clear();
+    let (entered, pending) = (&mut st.entered, &mut st.pending);
+    st.stats.contests += st.waiting.scan_hot(|m, edge| {
+        if edge != NO_EDGE {
             entered.push((edge, m));
+        } else if let Some(edge) = core.contend_parked(m) {
+            entered.push((edge, m));
+            pending.push(m);
         }
-        edge != NO_EDGE
     }) as u64;
     // Classify, arbitrate, advance the winners. The parked worms left
     // out are exactly the contenders of non-acquirable edges, so leaving
@@ -302,14 +311,16 @@ fn step(
     // contender regardless); with the entered ones, every arbitration
     // sees the contender set the legacy stepper's does, which is all any
     // policy orders by. Runnable pending adaptive worms select their
-    // wanted hop inside classify, exactly like the legacy stepper.
+    // wanted hop inside classify, exactly like the legacy stepper; the
+    // entered ones just did, from the same start-of-step state.
     // Doomed worms' discards release mid-step and turn keys hot below.
     let progressed = core.step_winners(t, &st.runnable, &st.entered);
     // An entered waiter that won leaves the queue having stalled at
-    // every step since it parked. One that lost is not touched: parked
-    // from `p`, it accrues `s − 1 − p` whenever it wins at `s`, whether
-    // or not it was woken, lost and re-parked in between.
+    // every step since it parked. One that lost stays: parked from `p`,
+    // it accrues `s − 1 − p` whenever it wins at `s`, whether or not it
+    // was woken, lost and re-parked in between.
     st.stats.waiters_entered += st.entered.len() as u64;
+    st.stats.pending_entered += st.pending.len() as u64;
     st.stats.waiters_won += core.won.len() as u64;
     for &m in &core.won {
         core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m);
@@ -321,10 +332,10 @@ fn step(
     // re-contends at `t+1`, exactly as the legacy stepper would. A
     // frozen-route worm (oblivious, or adaptive once arrived or on its
     // escape tail) wants one fixed edge and parks on its key
-    // (`VcRules::wait_key`). A *pending* adaptive worm re-selects every
-    // step, so it parks only once every candidate and the escape hop are
-    // full, on all their keys: the first release is the first step its
-    // choice can change.
+    // (`VcRules::wait_key`). A *pending* adaptive worm selects every
+    // step it contends, so it parks only once every candidate and the
+    // escape hop are full, on all their keys: the first release is the
+    // first step its choice can change.
     for i in 0..core.blocked.len() {
         let m = core.blocked[i];
         core.outcomes[m as usize].stalls += 1;
@@ -334,6 +345,14 @@ fn step(
             st.waiting.park(m, &st.keys, edge, t);
             st.stats.parks += 1;
             on_park(core, m);
+        }
+    }
+    // A pending head that lost in place keeps waiting. It may have lost
+    // one edge while another it watches is open — no release will say so,
+    // and a runnable loser would re-select at `t + 1`: so does it.
+    for &m in &st.pending {
+        if let Some(key) = core.lost_in_place(m) {
+            st.waiting.mark_hot(key);
         }
     }
     wake_released(core, st);
@@ -403,8 +422,10 @@ fn ff_batch(core: &mut Core, st: &mut EventState, t: u64, stop: u64, win: &mut W
 /// accounting exact — unless one of its wait keys is hot, in which case
 /// it contends at the next executed step; the queue's live nodes of
 /// every other parked worm must be exactly its watch set; the edge a
-/// frozen-route waiter's node records must be the edge it wants; and the
-/// hot flags must match the hot list.
+/// frozen-route waiter's node records must be the edge it wants, and a
+/// parked pending head's selection must be pinned to its row's escape hop
+/// (the row itself is held against the router by [`Core::validate`]); and
+/// the hot flags must match the hot list.
 pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
     assert_eq!(
         st.n_active(),
@@ -420,6 +441,11 @@ pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
         rest = others;
         let w = core.worms[m as usize];
         let wanted = if w.pending_route {
+            assert!(
+                core.pinned_to_escape(m),
+                "parked pending worm {} is not pinned to its escape hop",
+                core.ids[m as usize]
+            );
             NO_EDGE
         } else {
             core.path_edge(m, w.advance + 1) as u32

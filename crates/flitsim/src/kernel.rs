@@ -609,7 +609,8 @@ fn split_group(
 const NONE: u32 = u32::MAX;
 
 /// The wanted edge a [`WaitQueue`] node of a pending adaptive head
-/// records: none — it selects afresh when it is woken.
+/// records: none — it selects one from its [`WatchRow`] each step it
+/// contends.
 pub(crate) const NO_EDGE: u32 = u32::MAX;
 
 /// Tags a contender slot of [`FlatBuckets`] as entered from the wait
@@ -651,9 +652,10 @@ struct WaitNode {
 /// walks every hot chain once, in place ([`Self::scan_hot`]): a
 /// frozen-route waiter is shown with the edge its node records, so the
 /// driver can enter it into that step's arbitration without reading the
-/// worm, and leaves the queue only when it wins ([`Self::unpark`]); a
-/// pending adaptive head, which must select afresh, is unparked by the
-/// walk.
+/// worm; a pending adaptive head is shown with [`NO_EDGE`], once per hot
+/// key it waits on, and the driver enters it under the hop it selects
+/// from its [`WatchRow`]. Either leaves the queue only when it wins
+/// ([`Self::unpark`]).
 ///
 /// Handles are the caller's (message ids in `Sim`'s core, recycled slots
 /// in a parallel region's). Per key the queue holds a newest-first chain of
@@ -783,11 +785,11 @@ impl WaitQueue {
 
     /// Walks every hot key's chain once ([`Self::scan`]) and cools it;
     /// returns how many keys that was.
-    pub(crate) fn scan_hot(&mut self, mut keep: impl FnMut(u32, u32, u64) -> bool) -> usize {
+    pub(crate) fn scan_hot(&mut self, mut show: impl FnMut(u32, u32)) -> usize {
         let mut hot = std::mem::take(&mut self.hot);
         for &key in &hot {
             self.is_hot[key as usize] = false;
-            self.scan(key as usize, &mut keep);
+            self.scan(key as usize, &mut show);
         }
         let walked = hot.len();
         hot.clear();
@@ -796,10 +798,11 @@ impl WaitQueue {
     }
 
     /// Walks `key`'s chain in place, newest park first, showing each
-    /// handle still parked on it to `keep(handle, edge, parked_at)` with
-    /// the edge its node records. One `keep` declines is unparked; its
-    /// node, like every stale one on the way, is unlinked and reclaimed.
-    fn scan(&mut self, key: usize, mut keep: impl FnMut(u32, u32, u64) -> bool) {
+    /// handle still parked on it as `show(handle, edge)` with the edge
+    /// its node records — once per node, so a handle parked on several
+    /// hot keys is shown under each. Nobody is unparked; the stale nodes
+    /// on the way are unlinked and reclaimed.
+    fn scan(&mut self, key: usize, mut show: impl FnMut(u32, u32)) {
         let mut last_kept = NONE;
         let mut n = self.heads[key];
         while n != NONE {
@@ -809,14 +812,10 @@ impl WaitQueue {
                 next,
                 edge,
             } = self.nodes[n as usize];
-            let stamp = self.stamps[handle as usize];
-            let live = stamp as u32 == ticket;
-            if live && keep(handle, edge, stamp / 2) {
+            if self.stamps[handle as usize] as u32 == ticket {
+                show(handle, edge);
                 last_kept = n;
             } else {
-                if live {
-                    self.unpark(handle);
-                }
                 match last_kept {
                     NONE => self.heads[key] = next,
                     kept => self.nodes[kept as usize].next = next,
@@ -1056,8 +1055,9 @@ pub(crate) fn classify(
 }
 
 /// The wanted-hop decision of a pending adaptive worm, refreshed every
-/// step it classifies (occupancies change, so yesterday's choice is
-/// stale). Read back by the apply phase (route extension) and by the
+/// step it contends — classified from the runnable set, or entered from
+/// the wait queue — because occupancies change, so yesterday's choice is
+/// stale. Read back by the apply phase (route extension) and by the
 /// deadlock report / blocked tracing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum SelectedHop {
@@ -1101,10 +1101,34 @@ pub(crate) fn header_at(g: &Graph, src: NodeId, route: &[EdgeId]) -> (NodeId, Op
         .map_or((src, None), |&e| (g.dst(e), Some(g.src(e))))
 }
 
-/// Selects the wanted hop of a pending worm whose header stands at
-/// `at` ([`header_at`]) from start-of-step state. Pure in the sense that
-/// every engine evaluating it at the same step with the same holder
-/// counts makes the same choice:
+/// A pending head's *watch set* at the node it stands on: every
+/// adaptive-lane candidate [`AdaptiveRouter::candidates`] offers there —
+/// the profitable ones and the rest, each in the router's order — the
+/// first escape hop, and the node the head came from (`None` before the
+/// first hop; a misroute never turns straight back to it). The router is
+/// pure for the whole run and
+/// `misroutes_ok` only changes when the worm moves, so the resident core
+/// asks once per head position and keeps the answer in a row per handle;
+/// selection and parking read the row.
+#[derive(Clone, Copy)]
+pub(crate) struct WatchRow<'r> {
+    pub(crate) profitable: &'r [EdgeId],
+    pub(crate) misroutes: &'r [EdgeId],
+    pub(crate) escape: EdgeId,
+    pub(crate) prev: Option<NodeId>,
+}
+
+impl<'r> WatchRow<'r> {
+    /// Every watched edge: the candidates, then the escape hop.
+    pub(crate) fn edges(self) -> impl Iterator<Item = EdgeId> + 'r {
+        let cands = self.profitable.iter().chain(self.misroutes);
+        cands.copied().chain([self.escape])
+    }
+}
+
+/// Selects the wanted hop of a pending worm from its watch `row` and
+/// start-of-step state. Pure in the sense that every engine evaluating it at
+/// the same step with the same holder counts makes the same choice:
 ///
 /// 1. profitable adaptive candidate with a free VC, minimizing
 ///    `(holder count, edge id)`;
@@ -1116,83 +1140,63 @@ pub(crate) fn header_at(g: &Graph, src: NodeId, route: &[EdgeId]) -> (NodeId, Op
 /// phase runs ([`VcLedger::free_vcs`] — one implementation for
 /// arbitration, parking, and candidate filtering), and the tie-break
 /// key is engine-independent, which is what keeps adaptive runs inside
-/// the differential-oracle relation. `cand` is scratch.
+/// the differential-oracle relation.
 #[inline]
 pub(crate) fn select_hop(
-    router: &dyn AdaptiveRouter,
+    g: &Graph,
     rules: &VcRules,
     ledger: &VcLedger,
-    (head, prev): (NodeId, Option<NodeId>),
-    dst: NodeId,
+    row: WatchRow,
     misroutes_ok: bool,
-    cand: &mut Vec<(EdgeId, bool)>,
 ) -> SelectedHop {
-    debug_assert_ne!(head, dst, "pending worm already at its destination");
-    let g = router.graph();
-    cand.clear();
-    router.candidates(head, dst, misroutes_ok, cand);
-    let best = |want_profitable: bool, skip: Option<NodeId>| {
-        cand.iter()
-            .filter(|&&(e, p)| p == want_profitable && ledger.free_vcs(rules, e.idx()) > 0)
-            .filter(|&&(e, _)| skip != Some(g.dst(e)))
-            .map(|&(e, _)| (ledger.holders[e.idx()], e.0))
+    let best = |cands: &[EdgeId], skip: Option<NodeId>| {
+        cands
+            .iter()
+            .filter(|&&e| ledger.free_vcs(rules, e.idx()) > 0)
+            .filter(|&&e| skip != Some(g.dst(e)))
+            .map(|&e| (ledger.holders[e.idx()], e.0))
             .min()
     };
-    if let Some((_, edge)) = best(true, None) {
+    if let Some((_, edge)) = best(row.profitable, None) {
         SelectedHop::Adaptive {
             edge,
             misroute: false,
         }
-    } else if let Some((_, edge)) = misroutes_ok.then(|| best(false, prev)).flatten() {
+    } else if let Some((_, edge)) = misroutes_ok
+        .then(|| best(row.misroutes, row.prev))
+        .flatten()
+    {
         SelectedHop::Adaptive {
             edge,
             misroute: true,
         }
     } else {
-        SelectedHop::Escape {
-            edge: router.escape_hop(head, dst).0,
-        }
+        SelectedHop::Escape { edge: row.escape.0 }
     }
 }
 
-/// Whether a pending worm with its header at `head`, blocked this step,
-/// can park: its whole watch set — every edge
-/// [`AdaptiveRouter::candidates`] offers plus the escape hop — is
-/// non-acquirable now that the step's releases have landed. If so, fills
-/// `keys` with the set's distinct [`VcRules::wait_key`]s and returns the
-/// escape hop: until a release lands on one of them [`select_hop`] keeps
-/// answering `Escape` with that hop (the router is pure, `misroutes_ok`
-/// only changes when the worm moves) and the hop keeps granting nothing,
-/// so the caller pins the selection to it. `None` — stay runnable — when
-/// a watched edge is acquirable (a u-turn [`select_hop`] would skip
+/// Whether a pending worm, blocked this step, can park: its whole watch
+/// `row` is non-acquirable now that the step's releases have landed. If
+/// so, fills `keys` with the row's distinct [`VcRules::wait_key`]s: until
+/// a release lands on one of them [`select_hop`] keeps answering `Escape`
+/// with the row's escape hop and the hop keeps granting nothing, so the
+/// caller pins the selection to it. `false` — stay runnable — when a
+/// watched edge is acquirable (a u-turn [`select_hop`] would skip
 /// included, conservatively).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn pending_wait_keys(
-    router: &dyn AdaptiveRouter,
     rules: &VcRules,
     ledger: &VcLedger,
-    head: NodeId,
-    dst: NodeId,
-    misroutes_ok: bool,
-    cand: &mut Vec<(EdgeId, bool)>,
+    row: WatchRow,
     keys: &mut Vec<usize>,
-) -> Option<EdgeId> {
-    let full = |e: EdgeId| ledger.free_vcs(rules, e.idx()) == 0;
-    cand.clear();
-    router.candidates(head, dst, misroutes_ok, cand);
-    if !cand.iter().all(|&(e, _)| full(e)) {
-        return None;
-    }
-    let escape = router.escape_hop(head, dst);
-    if !full(escape) {
-        return None;
+) -> bool {
+    if row.edges().any(|e| ledger.free_vcs(rules, e.idx()) > 0) {
+        return false;
     }
     keys.clear();
-    let watched = cand.iter().map(|&(e, _)| e).chain([escape]);
-    keys.extend(watched.map(|e| rules.wait_key(e.idx())));
+    keys.extend(row.edges().map(|e| rules.wait_key(e.idx())));
     keys.sort_unstable();
     keys.dedup();
-    Some(escape)
+    true
 }
 
 /// Commits a pending worm's `selected` hop just before it advances: one
@@ -1333,15 +1337,13 @@ mod tests {
         }
     }
 
-    /// Walks `key`'s chain keeping nobody — every waiter on it is
-    /// unparked — and collects who that was, in order.
+    /// Walks `key`'s chain and unparks every waiter shown; collects who
+    /// that was, in order, with the step it had parked at.
     fn woken(q: &mut WaitQueue, key: usize) -> Vec<(u32, u64)> {
-        let mut out = Vec::new();
-        q.scan(key, |h, _, at| {
-            out.push((h, at));
-            false
-        });
-        out
+        let mut shown = Vec::new();
+        q.scan(key, |h, _| shown.push(h));
+        shown.dedup();
+        shown.into_iter().map(|h| (h, q.unpark(h))).collect()
     }
 
     #[test]
@@ -1362,25 +1364,16 @@ mod tests {
             [key] => 100 + *key as u32,
             _ => NO_EDGE,
         };
-        // What walking `key` must show, given the handles `drop` names
-        // are declined (newest park first; a declined handle's later
-        // nodes on the chain are stale by then), and the model after it.
-        let walk = |model: &mut Vec<(u32, Vec<usize>, u64)>,
-                    chain_len: &mut [usize; KEYS],
-                    key: usize,
-                    drop: u32| {
+        // What walking `key` must show — every node of a handle still
+        // parked, newest park first — and the chain it leaves: those
+        // nodes, the stale ones reclaimed.
+        let walk = |model: &[(u32, Vec<usize>, u64)], chain_len: &mut [usize; KEYS], key: usize| {
             let mut shown = Vec::new();
-            chain_len[key] = 0;
             for p in model.iter().rev() {
                 let nodes = p.1.iter().filter(|&&k| k == key).count();
-                let dropped = drop & (1 << p.0) != 0;
-                let visits = if dropped { nodes.min(1) } else { nodes };
-                shown.extend(std::iter::repeat_n((p.0, edge_of(&p.1), p.2), visits));
-                if !dropped {
-                    chain_len[key] += nodes;
-                }
+                shown.extend(std::iter::repeat_n((p.0, edge_of(&p.1)), nodes));
             }
-            model.retain(|p| !(p.1.contains(&key) && drop & (1 << p.0) != 0));
+            chain_len[key] = shown.len();
             shown
         };
         let (mut high_water, mut multi_key_wakes, mut settles) = (0, 0, 0);
@@ -1404,34 +1397,29 @@ mod tests {
                     model.push((h, keys, t));
                 }
                 5..=7 => {
-                    // A walk that keeps a random subset parked.
+                    // A walk, after which a random subset of the waiters
+                    // it showed — the winners — leaves the queue: their
+                    // nodes stay on every chain they parked on, stale,
+                    // until it is next walked.
                     let key = rng.random_range(0..KEYS);
                     let drop =
                         rng.random_range(0..1u32 << HANDLES) & rng.random_range(0..1u32 << HANDLES);
-                    let on_chain = |p: &&(u32, Vec<usize>, u64)| p.1.contains(&key);
-                    let dropped = |p: &&(u32, Vec<usize>, u64)| drop & (1 << p.0) != 0;
-                    multi_key_wakes += model
-                        .iter()
-                        .filter(on_chain)
-                        .filter(dropped)
-                        .filter(|p| p.1.len() > 1)
-                        .count();
-                    let (kept, all) = (
-                        model
-                            .iter()
-                            .filter(on_chain)
-                            .filter(|p| !dropped(p))
-                            .count(),
-                        model.iter().filter(on_chain).count(),
-                    );
-                    partial_scans += usize::from(0 < kept && kept < all);
-                    let expect = walk(&mut model, &mut chain_len, key, drop);
+                    let expect = walk(&model, &mut chain_len, key);
                     let mut shown = Vec::new();
-                    q.scan(key, |h, edge, at| {
-                        shown.push((h, edge, at));
-                        drop & (1 << h) == 0
-                    });
+                    q.scan(key, |h, edge| shown.push((h, edge)));
                     assert_eq!(shown, expect, "scan({key}) at op {t}");
+                    let all = model.iter().filter(|p| p.1.contains(&key)).count();
+                    let mut kept = all;
+                    model.retain(|p| {
+                        let wins = p.1.contains(&key) && drop & (1 << p.0) != 0;
+                        if wins {
+                            assert_eq!(q.unpark(p.0), p.2);
+                            multi_key_wakes += usize::from(p.1.len() > 1);
+                            kept -= 1;
+                        }
+                        !wins
+                    });
+                    partial_scans += usize::from(0 < kept && kept < all);
                 }
                 8 => {
                     if let Some(i) = (!model.is_empty()).then(|| rng.random_range(0..model.len())) {
@@ -1449,19 +1437,14 @@ mod tests {
                 }
                 10 => {
                     // The contest: every hot chain walked once, in the
-                    // order the keys turned hot, keeping the waiters that
-                    // record an edge.
+                    // order the keys turned hot; a handle parked on
+                    // several of them is shown under each.
                     let mut expect = Vec::new();
                     for &key in &hot {
-                        let pending = model.iter().filter(|p| p.1.len() > 1);
-                        let drop = pending.fold(0, |set, p| set | 1 << p.0);
-                        expect.extend(walk(&mut model, &mut chain_len, key, drop));
+                        expect.extend(walk(&model, &mut chain_len, key));
                     }
                     let mut shown = Vec::new();
-                    let walked = q.scan_hot(|h, edge, at| {
-                        shown.push((h, edge, at));
-                        edge != NO_EDGE
-                    });
+                    let walked = q.scan_hot(|h, edge| shown.push((h, edge)));
                     assert_eq!(walked, hot.len());
                     assert_eq!(shown, expect, "scan_hot at op {t}");
                     hot_walks += hot.len();

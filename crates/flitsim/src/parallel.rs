@@ -366,12 +366,12 @@ struct Region<'a> {
 
 impl<'a> Region<'a> {
     fn new(idx: u32, ctx: &Ctx, sim: &Sim<'a>) -> Region<'a> {
-        let router = sim.core.adaptive.as_ref().map(|ad| ad.router);
+        let adaptive = sim.core.adaptive.as_ref().map(|ad| ad.sibling());
         // Each region keeps its own copy of the rules: a fault kill sets
         // the same dead flags in every copy, at the same boundary.
         let mut core = Core::new(
             sim.graph,
-            router,
+            adaptive,
             sim.core.config,
             sim.core.rules.clone(),
             false,

@@ -14,7 +14,7 @@ use wormhole_topology::path::Path;
 
 use crate::config::{RouteSelection, SimConfig};
 use crate::kernel::{
-    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, Worm,
+    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, WatchRow, Worm,
 };
 use crate::message::MessageSpec;
 use crate::stats::{DiscardReason, MessageOutcome};
@@ -36,10 +36,153 @@ pub(crate) struct AdaptiveState<'a> {
     pub(crate) budget: Vec<u32>,
     /// Wanted-hop selection per handle (see [`SelectedHop`]).
     pub(crate) selected: Vec<SelectedHop>,
+    /// Watch-row header per handle ([`AdaptiveState::watch`]). Like
+    /// `row_cands`, grown — inside what [`Core::reserve`] sized — as rows
+    /// are first filled: a core that only passes worms on (the parallel
+    /// engine's id-keyed one) never touches either.
+    row_heads: Vec<WatchHead>,
+    /// The rows' candidates, `stride` slots per handle, the profitable
+    /// ones first.
+    row_cands: Vec<EdgeId>,
+    /// The most edges that leave one node of the routing graph: what a
+    /// row may have to hold, read once per run.
+    stride: usize,
     /// Candidate scratch for [`AdaptiveRouter::candidates`].
     cand: Vec<(EdgeId, bool)>,
     /// Escape fallbacks and misroute hops so far.
     pub(crate) stats: RouteStats,
+}
+
+/// The fixed-size part of one handle's watch row.
+#[derive(Clone, Copy)]
+struct WatchHead {
+    /// `1 +` the route length the row was filled at — the head position
+    /// it answers for — or 0: no row.
+    filled_at: u32,
+    escape: EdgeId,
+    /// The node the head came from; [`AT_SOURCE`] before the first hop.
+    prev: NodeId,
+    /// Candidates in the row, and how many of them — its first — are
+    /// profitable.
+    len: u16,
+    profitable: u16,
+    /// Whether the worm, parked, was entered into the current step's
+    /// arbitration: it waits on several keys and enters once.
+    contending: bool,
+}
+
+/// The candidates of `cands` flagged `profitable` (or those not), in the
+/// router's order: a watch row keeps the two kinds apart.
+fn lane(cands: &[(EdgeId, bool)], profitable: bool) -> impl Iterator<Item = EdgeId> + '_ {
+    let of_kind = move |c: &&(EdgeId, bool)| c.1 == profitable;
+    cands.iter().filter(of_kind).map(|c| c.0)
+}
+
+/// [`WatchHead::prev`] of a head that has not moved yet.
+const AT_SOURCE: NodeId = NodeId(u32::MAX);
+
+const NO_ROW: WatchHead = WatchHead {
+    filled_at: 0,
+    escape: EdgeId(0),
+    prev: AT_SOURCE,
+    len: 0,
+    profitable: 0,
+    contending: false,
+};
+
+impl<'a> AdaptiveState<'a> {
+    /// Empty state for a run over `router`.
+    pub(crate) fn new(router: &'a dyn AdaptiveRouter) -> Self {
+        Self::with_stride(router, router.graph().max_out_degree())
+    }
+
+    /// Empty state for another core of the same run (a parallel
+    /// region's): same router, same row size.
+    pub(crate) fn sibling(&self) -> Self {
+        Self::with_stride(self.router, self.stride)
+    }
+
+    fn with_stride(router: &'a dyn AdaptiveRouter, stride: usize) -> Self {
+        Self {
+            router,
+            routes: Vec::new(),
+            src: Vec::new(),
+            dst: Vec::new(),
+            budget: Vec::new(),
+            selected: Vec::new(),
+            row_heads: Vec::new(),
+            row_cands: Vec::new(),
+            stride,
+            cand: Vec::new(),
+            stats: RouteStats::default(),
+        }
+    }
+
+    /// Where pending worm `h`'s header stands ([`kernel::header_at`]).
+    fn header(&self, h: usize) -> (NodeId, Option<NodeId>) {
+        kernel::header_at(self.router.graph(), self.src[h], &self.routes[h])
+    }
+
+    /// Pending worm `h`'s watch row if it answers for where the head
+    /// stands now.
+    fn row(&self, h: usize) -> Option<WatchRow<'_>> {
+        let head = self.row_heads.get(h)?;
+        (head.filled_at == self.routes[h].len() as u32 + 1).then(|| {
+            let cands = &self.row_cands[h * self.stride..][..head.len as usize];
+            let (profitable, misroutes) = cands.split_at(head.profitable as usize);
+            WatchRow {
+                profitable,
+                misroutes,
+                escape: head.escape,
+                prev: Some(head.prev).filter(|&v| v != AT_SOURCE),
+            }
+        })
+    }
+
+    /// Asks the router for pending worm `h`'s watch row where its head
+    /// stands now.
+    fn fill_row(&mut self, h: usize, misroutes_ok: bool) {
+        let ((at, prev), dst) = (self.header(h), self.dst[h]);
+        debug_assert_ne!(at, dst, "pending worm already at its destination");
+        self.cand.clear();
+        self.router
+            .candidates(at, dst, misroutes_ok, &mut self.cand);
+        assert!(
+            self.cand.len() <= self.stride.min(u16::MAX as usize),
+            "router offered {} candidates at {at:?}; no node has more than {} out-edges",
+            self.cand.len(),
+            self.stride
+        );
+        let lo = h * self.stride;
+        if self.row_heads.len() <= h {
+            self.row_heads.resize(h + 1, NO_ROW);
+            self.row_cands.resize(lo + self.stride, EdgeId(0));
+        }
+        let row = &mut self.row_cands[lo..lo + self.cand.len()];
+        let by_kind = lane(&self.cand, true).chain(lane(&self.cand, false));
+        for (slot, e) in row.iter_mut().zip(by_kind) {
+            *slot = e;
+        }
+        self.row_heads[h] = WatchHead {
+            filled_at: self.routes[h].len() as u32 + 1,
+            escape: self.router.escape_hop(at, dst),
+            prev: prev.unwrap_or(AT_SOURCE),
+            len: self.cand.len() as u16,
+            profitable: lane(&self.cand, true).count() as u16,
+            contending: false,
+        };
+    }
+
+    /// Pending worm `h`'s watch row, asked of the router the first time
+    /// the worm selects at a head position and kept until the head moves:
+    /// the router is pure for the whole run, and `misroutes_ok` — budget
+    /// left under `FullyAdaptive` — only changes with a move.
+    fn watch(&mut self, h: usize, misroutes_ok: bool) -> WatchRow<'_> {
+        if self.row(h).is_none() {
+            self.fill_row(h, misroutes_ok);
+        }
+        self.row(h).expect("just filled")
+    }
 }
 
 /// Worm `h`'s route so far: the incrementally built route under
@@ -56,12 +199,14 @@ fn route_of<'r>(
     }
 }
 
-/// Whether an applied fault kill cut the escape continuation from `head`
-/// to `dst` — a pending worm left with only that option is doomed.
-fn escape_severed(rules: &VcRules, router: &dyn AdaptiveRouter, head: NodeId, dst: NodeId) -> bool {
+/// Whether an applied fault kill cut pending worm `h`'s escape
+/// continuation from where its head stands — a pending worm left with
+/// only that option is doomed.
+fn escape_severed(rules: &VcRules, ad: &AdaptiveState, h: usize) -> bool {
     !rules.dead.is_empty()
-        && router
-            .escape_route(head, dst)
+        && ad
+            .router
+            .escape_route(ad.header(h).0, ad.dst[h])
             .edges()
             .iter()
             .any(|&e| rules.dead[e.idx()])
@@ -168,25 +313,15 @@ pub(crate) struct Core<'a> {
 }
 
 impl<'a> Core<'a> {
-    /// An empty core; `router` is the substrate of per-hop route
+    /// An empty core; `adaptive` is the (empty) state of per-hop route
     /// selection, `None` under [`RouteSelection::Oblivious`].
     pub(crate) fn new(
         graph: &Graph,
-        router: Option<&'a dyn AdaptiveRouter>,
+        adaptive: Option<AdaptiveState<'a>>,
         config: &'a SimConfig,
         rules: VcRules,
         handles_are_ids: bool,
     ) -> Self {
-        let adaptive = router.map(|router| AdaptiveState {
-            router,
-            routes: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            budget: Vec::new(),
-            selected: Vec::new(),
-            cand: Vec::new(),
-            stats: RouteStats::default(),
-        });
         Self {
             config,
             ledger: VcLedger::new(graph, &rules),
@@ -230,11 +365,15 @@ impl<'a> Core<'a> {
             ad.dst.reserve_exact(n);
             ad.budget.reserve_exact(n);
             ad.selected.reserve_exact(n);
+            ad.row_heads.reserve_exact(n);
+            ad.row_cands.reserve_exact(n * ad.stride);
         }
     }
 
     /// Installs `r` under handle `h`, growing every per-handle table to
-    /// cover it (handles below `h` not yet seen get vacant slots).
+    /// cover it (handles below `h` not yet seen get vacant slots). The
+    /// worm arrives without a watch row and asks the router again where
+    /// it stands.
     pub(crate) fn put(&mut self, h: u32, r: Resident<'a>) {
         let hi = h as usize;
         while self.specs.len() <= hi {
@@ -265,6 +404,11 @@ impl<'a> Core<'a> {
             ad.dst[hi] = r.dst;
             ad.budget[hi] = r.budget;
             ad.selected[hi] = r.selected;
+            // The row stays behind: a recycled slot or a migrated worm
+            // must never read another's.
+            if let Some(head) = ad.row_heads.get_mut(hi) {
+                *head = NO_ROW;
+            }
         }
     }
 
@@ -310,12 +454,7 @@ impl<'a> Core<'a> {
     /// is selected.
     pub(crate) fn head_node(&self, h: u32) -> NodeId {
         let ad = self.adaptive.as_ref().expect("pending worm without state");
-        kernel::header_at(
-            ad.router.graph(),
-            ad.src[h as usize],
-            &ad.routes[h as usize],
-        )
-        .0
+        ad.header(h as usize).0
     }
 
     /// Whether a kill cut worm `h`: its flits currently occupy a dead
@@ -356,32 +495,89 @@ impl<'a> Core<'a> {
         }
     }
 
+    /// Whether pending worm `m` may take a non-minimal hop from where it
+    /// stands: fully adaptive selection with misroute budget left.
+    fn misroutes_ok(&self, m: u32) -> bool {
+        self.config.route_selection == RouteSelection::FullyAdaptive
+            && self
+                .adaptive
+                .as_ref()
+                .is_some_and(|ad| ad.budget[m as usize] > 0)
+    }
+
+    /// Selects pending worm `m`'s wanted hop ([`kernel::select_hop`]) from
+    /// its watch row and start-of-step state, and records it.
+    fn select(&mut self, m: u32) -> SelectedHop {
+        let (mi, misroutes_ok) = (m as usize, self.misroutes_ok(m));
+        let ad = self
+            .adaptive
+            .as_mut()
+            .expect("pending worm without a router");
+        let g = ad.router.graph();
+        let row = ad.watch(mi, misroutes_ok);
+        let sel = kernel::select_hop(g, &self.rules, &self.ledger, row, misroutes_ok);
+        ad.selected[mi] = sel;
+        sel
+    }
+
+    /// Parked pending worm `m` waits on a key that turned hot: selects
+    /// its wanted hop like a runnable one and returns the edge it enters
+    /// this step's arbitration under ([`Core::step_winners`]'s `entered`)
+    /// — or `None`, if another of its keys already entered it this step.
+    /// Nothing asks whether a kill severed its escape continuation:
+    /// [`crate::engine::kill`] unparks every pending worm, so a parked one
+    /// was judged at its classification after the last kill.
+    pub(crate) fn contend_parked(&mut self, m: u32) -> Option<u32> {
+        let ad = self.adaptive.as_mut().expect("pending worm without state");
+        if std::mem::replace(&mut ad.row_heads[m as usize].contending, true) {
+            return None;
+        }
+        self.select(m).edge()
+    }
+
+    /// Settles pending worm `m` after the contest [`Core::contend_parked`]
+    /// entered it into. A winner has moved on — its row is outdated — and
+    /// there is nothing to do. A loser stays where it waits: its selection
+    /// is pinned back to the escape hop — what the legacy stepper selects
+    /// at a step that moves nothing, which the deadlock report reads.
+    /// Returns the wait key of a watched edge that is acquirable now that
+    /// the step's releases have landed, if there is one: the loser must
+    /// contend again at the next step, as a runnable one would.
+    pub(crate) fn lost_in_place(&mut self, m: u32) -> Option<usize> {
+        let mi = m as usize;
+        let ad = self.adaptive.as_mut().expect("pending worm without state");
+        ad.row_heads[mi].contending = false;
+        let row = ad.row(mi)?;
+        let (rules, ledger) = (&self.rules, &self.ledger);
+        let open = row
+            .edges()
+            .find(|e| ledger.free_vcs(rules, e.idx()) > 0)
+            .map(|e| rules.wait_key(e.idx()));
+        ad.selected[mi] = SelectedHop::Escape { edge: row.escape.0 };
+        open
+    }
+
+    /// Whether pending worm `m`'s selection is the escape hop of its
+    /// watch row: what a parked one's must read between steps.
+    pub(crate) fn pinned_to_escape(&self, m: u32) -> bool {
+        let ad = self.adaptive.as_ref().expect("pending worm without state");
+        ad.row(m as usize).is_some_and(|row| {
+            ad.selected[m as usize] == SelectedHop::Escape { edge: row.escape.0 }
+        })
+    }
+
     /// Classifies one active worm for this step ([`kernel::classify`]):
     /// draining worms go to `movers`, everything else contends in
     /// `buckets` for its wanted edge — which a pending adaptive worm
-    /// first selects ([`kernel::select_hop`]) from start-of-step state.
+    /// first selects ([`Core::select`]).
     fn classify(&mut self, m: u32) {
         let mi = m as usize;
         let w = self.worms[mi];
         let mut selected = None;
         if w.pending_route {
             // Header at the end of the known path: select the next hop.
-            let ad = self
-                .adaptive
-                .as_mut()
-                .expect("pending worm without a router");
-            let g = ad.router.graph();
-            let fully = self.config.route_selection == RouteSelection::FullyAdaptive;
-            let sel = kernel::select_hop(
-                ad.router,
-                &self.rules,
-                &self.ledger,
-                kernel::header_at(g, ad.src[mi], &ad.routes[mi]),
-                ad.dst[mi],
-                fully && ad.budget[mi] > 0,
-                &mut ad.cand,
-            );
-            ad.selected[mi] = sel;
+            let sel = self.select(m);
+            let ad = self.adaptive.as_ref().expect("just selected");
             // Under faults, falling back to a severed escape continuation
             // means the worm has nowhere left to go: the adaptive
             // candidates are already filtered to live edges, and the
@@ -391,11 +587,9 @@ impl<'a> Core<'a> {
             // still reads unchanged start-of-step holder counts. (A
             // fault-aware router's escape routes avoid dead edges, so
             // this only fires for fault-oblivious escape routing.)
-            if let SelectedHop::Escape { edge } = sel {
-                if escape_severed(&self.rules, ad.router, g.src(EdgeId(edge)), ad.dst[mi]) {
-                    self.doomed.push(m);
-                    return;
-                }
+            if matches!(sel, SelectedHop::Escape { .. }) && escape_severed(&self.rules, ad, mi) {
+                self.doomed.push(m);
+                return;
             }
             selected = Some(sel.edge().expect("selection always yields a hop"));
         }
@@ -430,28 +624,19 @@ impl<'a> Core<'a> {
             keys.push(self.rules.wait_key(e));
             return (self.ledger.free_vcs(&self.rules, e) == 0).then_some(e as u32);
         }
+        let misroutes_ok = self.misroutes_ok(m);
         let ad = self
             .adaptive
             .as_mut()
             .expect("pending worm without a router");
-        let (head, _) = kernel::header_at(ad.router.graph(), ad.src[mi], &ad.routes[mi]);
-        let fully = self.config.route_selection == RouteSelection::FullyAdaptive;
-        match kernel::pending_wait_keys(
-            ad.router,
-            &self.rules,
-            &self.ledger,
-            head,
-            ad.dst[mi],
-            fully && ad.budget[mi] > 0,
-            &mut ad.cand,
-            keys,
-        ) {
-            Some(escape) if !escape_severed(&self.rules, ad.router, head, ad.dst[mi]) => {
-                ad.selected[mi] = SelectedHop::Escape { edge: escape.0 };
-                Some(kernel::NO_EDGE)
-            }
-            _ => None,
-        }
+        let row = ad.watch(mi, misroutes_ok);
+        let escape = row.escape;
+        let parks = kernel::pending_wait_keys(&self.rules, &self.ledger, row, keys)
+            && !escape_severed(&self.rules, ad, mi);
+        parks.then(|| {
+            ad.selected[mi] = SelectedHop::Escape { edge: escape.0 };
+            kernel::NO_EDGE
+        })
     }
 
     /// The phases of a full-bandwidth step every driver shares, over the
@@ -688,6 +873,7 @@ impl<'a> Core<'a> {
         }
         // Adaptive bookkeeping: routes and worm state agree.
         if let Some(ad) = &self.adaptive {
+            let mut cands = Vec::new();
             for &m in &self.active {
                 let mi = m as usize;
                 let w = &self.worms[mi];
@@ -699,6 +885,21 @@ impl<'a> Core<'a> {
                 );
                 if w.pending_route {
                     assert_eq!(w.advance, w.hops, "pending worm ahead of its route");
+                    // A row must not vouch for itself: ask the router
+                    // again what it was filled from.
+                    if let Some(row) = ad.row(mi) {
+                        let (at, dst) = (ad.header(mi).0, ad.dst[mi]);
+                        cands.clear();
+                        ad.router
+                            .candidates(at, dst, self.misroutes_ok(m), &mut cands);
+                        assert!(
+                            lane(&cands, true).eq(row.profitable.iter().copied())
+                                && lane(&cands, false).eq(row.misroutes.iter().copied())
+                                && row.escape == ad.router.escape_hop(at, dst),
+                            "watch row of message {} is not the router's answer at {at:?}",
+                            self.ids[mi]
+                        );
+                    }
                 } else {
                     let g = ad.router.graph();
                     let last = *ad.routes[mi].last().expect("fixed route is nonempty");
@@ -706,5 +907,346 @@ impl<'a> Core<'a> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::VcPolicy;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+    use wormhole_topology::fault::{FaultPlan, FaultedMesh};
+    use wormhole_topology::mesh::{Mesh, RoutingDiscipline};
+
+    /// `select_hop` as it read before the watch rows: asks the router.
+    fn oracle_select_hop(
+        router: &dyn AdaptiveRouter,
+        rules: &VcRules,
+        ledger: &VcLedger,
+        (head, prev): (NodeId, Option<NodeId>),
+        dst: NodeId,
+        misroutes_ok: bool,
+    ) -> SelectedHop {
+        let g = router.graph();
+        let mut cand = Vec::new();
+        router.candidates(head, dst, misroutes_ok, &mut cand);
+        let best = |want_profitable: bool, skip: Option<NodeId>| {
+            cand.iter()
+                .filter(|&&(e, p)| p == want_profitable && ledger.free_vcs(rules, e.idx()) > 0)
+                .filter(|&&(e, _)| skip != Some(g.dst(e)))
+                .map(|&(e, _)| (ledger.holders[e.idx()], e.0))
+                .min()
+        };
+        if let Some((_, edge)) = best(true, None) {
+            SelectedHop::Adaptive {
+                edge,
+                misroute: false,
+            }
+        } else if let Some((_, edge)) = misroutes_ok.then(|| best(false, prev)).flatten() {
+            SelectedHop::Adaptive {
+                edge,
+                misroute: true,
+            }
+        } else {
+            SelectedHop::Escape {
+                edge: router.escape_hop(head, dst).0,
+            }
+        }
+    }
+
+    /// `pending_wait_keys` as it read before the watch rows.
+    fn oracle_wait_keys(
+        router: &dyn AdaptiveRouter,
+        rules: &VcRules,
+        ledger: &VcLedger,
+        head: NodeId,
+        dst: NodeId,
+        misroutes_ok: bool,
+        keys: &mut Vec<usize>,
+    ) -> Option<EdgeId> {
+        let full = |e: EdgeId| ledger.free_vcs(rules, e.idx()) == 0;
+        let mut cand = Vec::new();
+        router.candidates(head, dst, misroutes_ok, &mut cand);
+        if !cand.iter().all(|&(e, _)| full(e)) {
+            return None;
+        }
+        let escape = router.escape_hop(head, dst);
+        if !full(escape) {
+            return None;
+        }
+        keys.clear();
+        let watched = cand.iter().map(|&(e, _)| e).chain([escape]);
+        keys.extend(watched.map(|e| rules.wait_key(e.idx())));
+        keys.sort_unstable();
+        keys.dedup();
+        Some(escape)
+    }
+
+    /// A pending worm of `length` whose head stands at the end of `route`
+    /// from `src` (at `src` itself when the route is empty), bound for
+    /// `dst`, with `budget` misroutes left.
+    fn standing<'a>(
+        src: NodeId,
+        route: Vec<EdgeId>,
+        dst: NodeId,
+        budget: u32,
+        length: u32,
+    ) -> Resident<'a> {
+        Resident {
+            id: 0,
+            spec: vacant_spec(),
+            worm: Worm {
+                advance: route.len() as u32,
+                hops: route.len() as u32,
+                length,
+                pending_route: true,
+            },
+            out: MessageOutcome::default(),
+            route,
+            src,
+            dst,
+            budget,
+            selected: SelectedHop::None,
+        }
+    }
+
+    fn torus(radix: u32, dims: u32) -> Mesh {
+        Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+    }
+
+    /// Random `(at, dst, prev, misroutes_ok)` under random static and
+    /// pooled occupancy on `router`: what a core selects and parks on
+    /// from the row it fills equals what the router-querying bodies
+    /// answer — at the first ask, and again from the kept row. Returns how
+    /// many cases parked, misrouted and selected the escape hop.
+    fn rows_agree_with_the_router(
+        router: &dyn AdaptiveRouter,
+        faulted: bool,
+        rng: &mut StdRng,
+    ) -> [u32; 3] {
+        let g = router.graph();
+        let fanout = g.max_out_degree() as u32;
+        let (mut parked, mut misrouted, mut escaped) = (0, 0, 0);
+        for case in 0..300 {
+            let b = rng.random_range(1..4u32);
+            let policy = if rng.random_bool(0.5) {
+                VcPolicy::Static(b)
+            } else {
+                VcPolicy::pooled(fanout + rng.random_range(0..fanout * b), 1, b + 1)
+            };
+            let selection = if rng.random_bool(0.5) {
+                RouteSelection::FullyAdaptive
+            } else {
+                RouteSelection::MinimalAdaptive
+            };
+            let config = SimConfig::new(b)
+                .vc_policy(policy)
+                .route_selection(selection);
+            let rules = VcRules::new(g, &config, faulted);
+            let ad = AdaptiveState::new(router);
+            let mut core = Core::new(g, Some(ad), &config, rules, true);
+            // Occupancy: acquire at random until a good share is full.
+            for _ in 0..rng.random_range(0..3 * g.num_edges()) {
+                let e = rng.random_range(0..g.num_edges());
+                if core.ledger.free_vcs(&core.rules, e) > 0 {
+                    core.ledger.acquire(&core.rules, e);
+                }
+            }
+            let at = NodeId(rng.random_range(0..g.num_nodes() as u32));
+            let dst = loop {
+                let d = NodeId(rng.random_range(0..g.num_nodes() as u32));
+                if d != at {
+                    break d;
+                }
+            };
+            // Arrived over a random in-edge, or still at the source.
+            let into: Vec<EdgeId> = g.edges().filter(|&e| g.dst(e) == at).collect();
+            let (src, route) = if !into.is_empty() && rng.random_bool(0.7) {
+                let e = into[rng.random_range(0..into.len())];
+                (g.src(e), vec![e])
+            } else {
+                (at, Vec::new())
+            };
+            let prev = route.first().map(|&e| g.src(e));
+            let budget = rng.random_range(0..3u32);
+            let misroutes_ok = selection == RouteSelection::FullyAdaptive && budget > 0;
+            let h = rng.random_range(0..5u32);
+            core.put(h, standing(src, route, dst, budget, 4));
+            let mut keys = Vec::new();
+            for ask in ["first", "kept"] {
+                let want = oracle_select_hop(
+                    router,
+                    &core.rules,
+                    &core.ledger,
+                    (at, prev),
+                    dst,
+                    misroutes_ok,
+                );
+                assert_eq!(core.select(h), want, "case {case}, {ask} ask");
+                let want = oracle_wait_keys(
+                    router,
+                    &core.rules,
+                    &core.ledger,
+                    at,
+                    dst,
+                    misroutes_ok,
+                    &mut keys,
+                );
+                let want_keys = keys.clone();
+                let edge = core.wait_keys(h, &mut keys);
+                assert_eq!(
+                    edge,
+                    want.map(|_| kernel::NO_EDGE),
+                    "case {case}, {ask} ask"
+                );
+                if let Some(escape) = want {
+                    assert_eq!(keys, want_keys, "case {case}, {ask} ask");
+                    assert!(core.pinned_to_escape(h));
+                    let pinned = SelectedHop::Escape { edge: escape.0 };
+                    assert_eq!(core.adaptive.as_ref().unwrap().selected[h as usize], pinned);
+                    parked += 1;
+                }
+            }
+            match core.select(h) {
+                SelectedHop::Adaptive { misroute: true, .. } => misrouted += 1,
+                SelectedHop::Escape { .. } => escaped += 1,
+                _ => {}
+            }
+            assert_eq!(row_of(&core, h), Some(asked_afresh(&core, h)));
+        }
+        [parked, misrouted, escaped]
+    }
+
+    #[test]
+    fn selection_and_wait_keys_from_the_row_equal_the_router_querying_bodies() {
+        let mut rng = StdRng::seed_from_u64(0x20A7);
+        let mut seen = [0; 3];
+        let mut add = |counts: [u32; 3]| (0..3).for_each(|i| seen[i] += counts[i]);
+        for (radix, dims) in [(6u32, 1u32), (4, 2), (5, 2), (3, 3)] {
+            add(rows_agree_with_the_router(
+                &torus(radix, dims),
+                false,
+                &mut rng,
+            ));
+        }
+        let mesh = torus(5, 2);
+        let plan = FaultPlan::bernoulli_channels(&mesh, 0.08, 50, 7);
+        let faulted = FaultedMesh::new(&mesh, &plan).expect("the plan fits the mesh");
+        add(rows_agree_with_the_router(&faulted, true, &mut rng));
+        let [parked, misrouted, escaped] = seen;
+        assert!(
+            parked > 100 && misrouted > 40 && escaped > 100,
+            "{parked} parks, {misrouted} misroutes, {escaped} escape selections"
+        );
+    }
+
+    /// A core over `router` holding one worm, handle 0, admitted at `src`
+    /// for `dst`.
+    fn core_with_worm<'a>(
+        router: &'a dyn AdaptiveRouter,
+        config: &'a SimConfig,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Core<'a> {
+        let rules = VcRules::new(router.graph(), config, false);
+        let mut core = Core::new(
+            router.graph(),
+            Some(AdaptiveState::new(router)),
+            config,
+            rules,
+            true,
+        );
+        core.put(0, standing(src, Vec::new(), dst, config.misroute_quota, 3));
+        core.unfinished = 1;
+        core.active = vec![0];
+        core
+    }
+
+    /// The router's own answer at pending worm `h`'s head, in row order.
+    fn asked_afresh(core: &Core, h: u32) -> (Vec<EdgeId>, Vec<EdgeId>, EdgeId) {
+        let ad = core.adaptive.as_ref().unwrap();
+        let (at, dst) = (ad.header(h as usize).0, ad.dst[h as usize]);
+        let mut cands = Vec::new();
+        ad.router
+            .candidates(at, dst, core.misroutes_ok(h), &mut cands);
+        (
+            lane(&cands, true).collect(),
+            lane(&cands, false).collect(),
+            ad.router.escape_hop(at, dst),
+        )
+    }
+
+    fn row_of(core: &Core, h: u32) -> Option<(Vec<EdgeId>, Vec<EdgeId>, EdgeId)> {
+        let row = core.adaptive.as_ref().unwrap().row(h as usize)?;
+        Some((row.profitable.to_vec(), row.misroutes.to_vec(), row.escape))
+    }
+
+    #[test]
+    fn the_row_is_refilled_after_an_adaptive_hop() {
+        let t = torus(5, 2);
+        let config = SimConfig::new(1).route_selection(RouteSelection::MinimalAdaptive);
+        let mut core = core_with_worm(&t, &config, t.node(&[0, 0]), t.node(&[2, 2]));
+        assert_eq!(row_of(&core, 0), None, "no row before the first selection");
+        let first = core.select(0);
+        assert!(matches!(first, SelectedHop::Adaptive { .. }));
+        let at_source = row_of(&core, 0).expect("selection fills the row");
+        assert_eq!(at_source, asked_afresh(&core, 0));
+        core.apply_advance(0, 0);
+        assert_eq!(
+            row_of(&core, 0),
+            None,
+            "the head moved: the row is outdated"
+        );
+        core.select(0);
+        let after = row_of(&core, 0).expect("refilled");
+        assert_eq!(after, asked_afresh(&core, 0));
+        assert_ne!(after, at_source);
+        core.validate();
+    }
+
+    #[test]
+    fn the_row_is_refilled_after_a_misroute_spends_the_last_budget_unit() {
+        let t = torus(5, 2);
+        let config = SimConfig::new(1)
+            .route_selection(RouteSelection::FullyAdaptive)
+            .misroute_quota(1);
+        let (src, dst) = (t.node(&[0, 0]), t.node(&[2, 0]));
+        let mut core = core_with_worm(&t, &config, src, dst);
+        // Fill every profitable candidate: the worm must misroute.
+        let mut cands = Vec::new();
+        t.candidates(src, dst, true, &mut cands);
+        for &(e, profitable) in &cands {
+            if profitable {
+                core.ledger.acquire(&core.rules, e.idx());
+            }
+        }
+        let sel = core.select(0);
+        assert!(matches!(sel, SelectedHop::Adaptive { misroute: true, .. }));
+        let (_, misroutes, _) = row_of(&core, 0).expect("filled");
+        assert!(!misroutes.is_empty(), "budget left: misroutes are watched");
+        core.apply_advance(0, 0);
+        assert_eq!(core.adaptive.as_ref().unwrap().budget[0], 0);
+        core.select(0);
+        let (profitable, misroutes, escape) = row_of(&core, 0).expect("refilled");
+        assert_eq!(
+            (profitable, misroutes.clone(), escape),
+            asked_afresh(&core, 0)
+        );
+        assert!(misroutes.is_empty(), "no budget left: none are offered");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the router's answer")]
+    fn validate_asks_the_router_again_and_catches_a_row_that_is_not_its_answer() {
+        let t = torus(5, 2);
+        let config = SimConfig::new(1).route_selection(RouteSelection::MinimalAdaptive);
+        let mut core = core_with_worm(&t, &config, t.node(&[0, 0]), t.node(&[2, 2]));
+        core.select(0);
+        core.validate();
+        // Another head position's answer under this one's key.
+        let ad = core.adaptive.as_mut().unwrap();
+        ad.row_heads[0].escape = t.escape_hop(t.node(&[1, 1]), t.node(&[2, 2]));
+        core.validate();
     }
 }

@@ -15,7 +15,7 @@ use crate::config::{RouteSelection, SimConfig};
 use crate::events::{DeadlockReport, WaitFor};
 use crate::kernel::{SelectedHop, VcRules, Worm};
 use crate::message::{check_spec, check_specs, MessageSpec, SpecError};
-use crate::resident::{Core, Resident};
+use crate::resident::{AdaptiveState, Core, Resident};
 use crate::source::{release_order, Traffic, TrafficSource};
 use crate::stats::{DiscardReason, EngineStats, MessageOutcome, Outcome, SimResult};
 use crate::wormhole::SimError;
@@ -174,7 +174,8 @@ impl<'a> Sim<'a> {
         };
         // A feed that declares how many ids it holds has every table
         // sized here, once; one that does not grows them as ids appear.
-        let mut core = Core::new(graph, router, config, rules, true);
+        let adaptive = router.map(AdaptiveState::new);
+        let mut core = Core::new(graph, adaptive, config, rules, true);
         core.reserve(id_bound);
         Ok(Self {
             core,

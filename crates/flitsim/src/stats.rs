@@ -68,15 +68,17 @@ pub struct EngineStats {
     /// Wait keys arbitrated in place: a release made the key hot, and
     /// the next executed step walked its chain of waiters.
     pub contests: u64,
-    /// Frozen-route waiters those walks entered into a step's
-    /// arbitration from where they wait.
+    /// Waiters those walks entered into a step's arbitration from where
+    /// they wait — frozen-route worms for the edge they parked on,
+    /// pending adaptive heads for the hop they select from their watch
+    /// row — each at most once a step.
     pub waiters_entered: u64,
     /// Of `waiters_entered`, those that won their edge and left the
-    /// queue; the rest (`waiters_entered − waiters_won`) lost and were
-    /// not touched.
+    /// queue; the rest (`waiters_entered − waiters_won`) lost and stayed
+    /// parked.
     pub waiters_won: u64,
-    /// Parked pending adaptive heads those walks woke to select afresh.
-    pub pending_wakes: u64,
+    /// Of `waiters_entered`, the pending adaptive heads.
+    pub pending_entered: u64,
 }
 
 impl EngineStats {
@@ -88,7 +90,7 @@ impl EngineStats {
         self.contests += from.contests;
         self.waiters_entered += from.waiters_entered;
         self.waiters_won += from.waiters_won;
-        self.pending_wakes += from.pending_wakes;
+        self.pending_entered += from.pending_entered;
     }
 }
 

@@ -98,10 +98,16 @@
 //!    arithmetically (`stalls += s − 1 − p` when it wins; `stalls +=
 //!    parked duration` on deadlock, step-cap exit, or when a kill or the
 //!    parallel fuse unparks it) instead of counted one step at a time —
-//!    and why a waiter that loses a contest is not touched at all. A
-//!    pending adaptive waiter selects afresh each step it contends, so a
-//!    hot key wakes it (settled through the step before) to be
-//!    classified like any runnable worm.
+//!    and why a waiter that loses a contest stays where it waits. A
+//!    pending adaptive waiter selects each step it contends, and does so
+//!    in place too: a hot key enters it — once a step, however many of
+//!    its keys are hot — under the hop it selects from the watch row it
+//!    parked with, on the same start-of-step occupancy a runnable worm
+//!    reads. It differs from a frozen-route loser in one way: it may
+//!    lose the edge it chose while *another* edge it watches is open, and
+//!    no release will say so. Such a loser has its key marked hot again
+//!    and contends at the next step, as the legacy stepper's would;
+//!    every other loser's whole watch set is full again, as above.
 //! 2. **Release at `t` is visible at `t+1`.** Keys turn hot at the end of
 //!    the step whose releases produced them, so their waiters contend at
 //!    `t+1` using start-of-step holder counts — the same convention the
@@ -185,20 +191,24 @@
 //! winners extend their route and advance, losers stall and re-select
 //! next step (occupancies have changed). Because selection reads only
 //! start-of-step holder counts — the same convention arbitration already
-//! uses — the engines stay bit-identical. The event driver parks a
-//! blocked *pending* worm once its whole watch
-//! set — every candidate the router offers plus the escape hop — is
-//! full at end of step, on the wait key of each of those edges: until
+//! uses — the engines stay bit-identical. What the router offers at a
+//! node — its candidates and the escape hop, the worm's *watch row* — is
+//! pure for the whole run, so every engine asks once per head position
+//! and selects from the kept row until the head moves. The event driver
+//! parks a blocked *pending* worm once its whole watch set — every
+//! candidate the router offers plus the escape hop — is full at end of
+//! step, on the wait key of each of those edges: until
 //! one of them sees a release, acquirability being monotone, selection
 //! keeps answering "escape hop" and that hop keeps granting nothing, so
 //! the legacy stepper counts exactly one stall per step and the parked
 //! interval settles arithmetically like any other (the worm's selection
 //! is pinned to the escape hop meanwhile, which is what a deadlock
-//! report reads). Its wait nodes record no edge: the first hot key wakes
-//! it to select again. A frozen-route worm wants one fixed edge and is
-//! the one-key case of the same queue, contending in place. A fault
-//! kill, which can sever a parked worm's escape continuation, wakes
-//! every parked pending worm.
+//! report reads). Its wait nodes record no edge: when a key of its turns
+//! hot it selects again from its row and contends from where it waits
+//! (invariant 1), and only a win takes it off the queue. A frozen-route
+//! worm wants one fixed edge and is the one-key case of the same queue.
+//! A fault kill, which can sever a parked worm's escape continuation —
+//! something only classification judges — unparks every pending worm.
 //! The all-draining and idle-network jumps stay exact: an arrived worm
 //! makes no further route decision.
 

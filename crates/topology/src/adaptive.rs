@@ -76,12 +76,17 @@ use crate::path::Path;
 /// Every query must also be **pure for the whole run**:
 /// [`candidates`](Self::candidates) and
 /// [`escape_hop`](Self::escape_hop) depend on nothing but
-/// `(at, dst, misroutes)`. The simulator's event and parallel engines
-/// rely on it — a blocked header whose candidates and escape hop are all
-/// full is not asked again until one of those edges releases a VC, on
-/// the grounds that the answer cannot have changed. (`Mesh` computes
-/// both from coordinates; `FaultedMesh` filters by the *whole* fault
-/// plan from step 0, not by the kills applied so far.)
+/// `(at, dst, misroutes)`. All three of the simulator's engines rely on
+/// it: a worm asks both **once per head position** — the first time it
+/// selects where its header stands — and every later selection there,
+/// every decision to park and every contest it enters while parked reads
+/// the kept answer, on the grounds that it cannot have changed; so a
+/// router is asked about as many times as headers move, not as many
+/// times as they wait. A kept answer holds one slot per out-edge of the
+/// node, so [`candidates`](Self::candidates) must offer each edge out of
+/// `at` at most once. (`Mesh` computes both from coordinates;
+/// `FaultedMesh` filters by the *whole* fault plan from step 0, not by
+/// the kills applied so far.)
 ///
 /// `Sync` is a supertrait because the parallel engine's workers share
 /// one router across threads; every query takes `&self`, so routers are

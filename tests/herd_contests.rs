@@ -17,15 +17,21 @@
 //! * the corners of a hot key: a pooled sibling's release nobody can use,
 //!   a kill severing a waiter the step its key is hot, a release landed
 //!   from another region between two windows, and a run that ends — step
-//!   cap, deadlock — around a release nobody got to contest.
+//!   cap, deadlock — around a release nobody got to contest;
+//! * the adaptive herd: a pending head waits on its whole watch set and
+//!   contends from there too, under the hop it selects from its watch row
+//!   — parked once however many contests it loses, entered once a step
+//!   however many of its keys are hot, and back in the next step's
+//!   contest when it lost one edge while another it watches stayed open.
 
-use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
+use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
 use wormhole_flitsim::stats::{DiscardReason, EngineStats, Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_flitsim::MessageSpec;
 use wormhole_topology::fault::FaultPlan;
 use wormhole_topology::graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use wormhole_topology::mesh::Mesh;
 use wormhole_topology::path::Path;
 use wormhole_topology::region::RegionPlan;
 use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
@@ -51,10 +57,16 @@ struct Counted {
 /// workers — with every invariant check on, asserts the four results are
 /// the same execution, and returns the oracle's with the counters.
 fn run_everywhere(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> Counted {
-    let run = |engine| {
-        let config = config.clone().check_invariants(true).engine(engine);
-        wormhole::run(graph, specs, &config)
-    };
+    run_everywhere_with(|config| wormhole::run(graph, specs, config), config)
+}
+
+/// [`run_everywhere`] under per-hop route selection on `mesh`.
+fn run_adaptive_everywhere(mesh: &Mesh, specs: &[MessageSpec], config: &SimConfig) -> Counted {
+    run_everywhere_with(|config| wormhole::run_adaptive(mesh, specs, config), config)
+}
+
+fn run_everywhere_with(simulate: impl Fn(&SimConfig) -> SimResult, config: &SimConfig) -> Counted {
+    let run = |engine| simulate(&config.clone().check_invariants(true).engine(engine));
     let legacy = run(Engine::Legacy);
     assert_eq!(
         legacy.engine_stats, None,
@@ -78,6 +90,10 @@ fn run_everywhere(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> C
 /// `(parks, contests, waiters_entered, waiters_won)`.
 fn herd_counts(s: &EngineStats) -> (u64, u64, u64, u64) {
     (s.parks, s.contests, s.waiters_entered, s.waiters_won)
+}
+
+fn adaptive_torus(radix: u32, dims: u32) -> Mesh {
+    Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
 }
 
 fn graph_of(nodes: u32, edges: &[(u32, u32)]) -> (Graph, Vec<EdgeId>) {
@@ -137,7 +153,7 @@ fn a_herd_on_one_edge_parks_once_per_worm_under_every_policy() {
                         (K - b, waves - 1, entered, K - b),
                         "{case}"
                     );
-                    assert_eq!(stats.pending_wakes, 0, "{case}");
+                    assert_eq!(stats.pending_entered, 0, "{case}");
                     // The last wave's drain, nothing parked behind it,
                     // is one jump.
                     assert_eq!(stats.steps_executed, (waves - 1) * L + 1, "{case}");
@@ -300,6 +316,100 @@ fn a_deadlock_verdict_through_a_hot_key_counts_the_legacy_stalls() {
     assert_eq!(herd_counts(&got.event), (2, 1, 1, 0));
 }
 
+/// The adaptive herd: `K` pending heads queued at one source, every exit
+/// taken. On the 8-ring at `B = 1` node 0 reaches node 1 over one
+/// adaptive-lane edge and one escape edge. Worms 0 and 1 take one each —
+/// the loser of step 0 falls back to the escape hop at step 1 — and one
+/// of them, `L = 5`, is followed through its edge by the herd, while the
+/// other, `L = 60`, outlasts it. The herd (`L = 3`, released at step 2)
+/// finds both full: each worm parks, once, on both keys. Every release
+/// is then a contest among the worms still waiting, each entered under
+/// the hop it selects from its row — whichever edge it was that opened —
+/// and only the winner leaves the queue: `K` parks, `K` contests,
+/// `K + (K − 1) + … + 1` pending heads entered, under every policy.
+#[test]
+fn an_adaptive_herd_at_one_source_parks_once_per_worm_under_every_policy() {
+    const K: u64 = 12;
+    const L: u64 = 3;
+    let ring = adaptive_torus(8, 1);
+    let hop = || ring.route(NodeId(0), NodeId(1));
+    let mut specs = vec![
+        MessageSpec::new(hop(), 5),
+        MessageSpec::new(hop(), 60).with_priority(1),
+    ];
+    specs.extend((0..K).map(|i| {
+        MessageSpec::new(hop(), L as u32)
+            .release_at(2)
+            .with_priority((2 + K - i) as u32)
+    }));
+    for arbitration in ARBITRATIONS {
+        let config = SimConfig::new(1)
+            .route_selection(RouteSelection::MinimalAdaptive)
+            .arbitration(arbitration)
+            .seed(7);
+        let got = run_adaptive_everywhere(&ring, &specs, &config);
+        let case = format!("{arbitration:?}");
+        assert_eq!(got.legacy.outcome, Outcome::Completed, "{case}");
+        // Through the lane — or, where the long worm won it at step 0,
+        // through the escape hop, one fallback a worm.
+        let fallbacks = got.legacy.escape_fallbacks;
+        assert!(fallbacks == 1 || fallbacks == K + 1, "{case}: {fallbacks}");
+        let herd = &got.legacy.messages[2..];
+        assert!(herd.iter().all(|m| m.finished.is_some()), "{case}");
+        // Served one at a time, `L` steps apart, through one edge.
+        let mut moves: Vec<u64> = herd.iter().map(|m| m.first_move.unwrap()).collect();
+        moves.sort_unstable();
+        assert!(
+            moves.windows(2).all(|w| w[1] - w[0] == L),
+            "{case}: {moves:?}"
+        );
+        for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+            let entered = K * (K + 1) / 2;
+            assert_eq!(herd_counts(stats), (K, K, entered, K), "{case}");
+            assert_eq!(stats.pending_entered, entered, "{case}");
+        }
+    }
+}
+
+/// A pending head that loses one edge while another it watches is open
+/// contends again at the very next step — no release tells it to. On the
+/// 5 × 5 torus at `B = 1`, worms 0 and 1 (`L = 6`) take the two adaptive
+/// edges out of `(0, 0)` at step 0 and worm 2 its escape hop at step 1;
+/// worms 3 and 4, bound for `(1, 1)` from step 2, watch all three and
+/// park. Both adaptive edges open during step 5. At step 6 each waiter
+/// is entered once, though two of its keys are hot, and both select the
+/// same edge — equal occupancy, lower id: worm 3 wins it, worm 4 loses
+/// with its other candidate still free. It moves at step 7, as under the
+/// legacy stepper, not at worm 3's release some steps later.
+#[test]
+fn a_pending_loser_whose_other_candidate_is_open_contends_again_the_next_step() {
+    let t = adaptive_torus(5, 2);
+    let at = |x, y| t.node(&[x, y]);
+    let spec = |dst, l| MessageSpec::new(t.route(at(0, 0), dst), l);
+    let specs = [
+        spec(at(1, 0), 6),
+        spec(at(0, 1), 6),
+        spec(at(1, 0), 30),
+        spec(at(1, 1), 4).release_at(2),
+        spec(at(1, 1), 4).release_at(2),
+    ];
+    let config = SimConfig::new(1).route_selection(RouteSelection::MinimalAdaptive);
+    let got = run_adaptive_everywhere(&t, &specs, &config);
+    assert_eq!(got.legacy.outcome, Outcome::Completed);
+    let m = &got.legacy.messages;
+    assert_eq!((m[0].first_move, m[1].first_move), (Some(0), Some(0)));
+    assert_eq!((m[2].first_move, m[2].stalls), (Some(1), 1));
+    assert_eq!((m[3].first_move, m[3].stalls), (Some(6), 4));
+    assert_eq!((m[4].first_move, m[4].stalls), (Some(7), 5));
+    assert_eq!(got.legacy.escape_fallbacks, 1, "worm 2 alone fell back");
+    for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+        // Two parks. Step 6: two hot keys, two waiters entered once each,
+        // one winner. Step 7: the loser's key, hot again, and the loser.
+        assert_eq!(herd_counts(stats), (2, 3, 3, 2));
+        assert_eq!(stats.pending_entered, 3);
+    }
+}
+
 /// The counter golden: fast x2's saturated torus point — its message
 /// length, window, heaviest rate, `B = 1`, random arbitration and seed
 /// rule — on a 6×6 dateline torus. The counts are exact and the same on
@@ -347,4 +457,41 @@ fn counter_golden_on_the_saturated_torus_point_of_fast_x2() {
         assert_eq!(par.engine_stats, again.engine_stats);
         assert!(par.engine_stats.expect("the event driver counts").parks > 0);
     }
+}
+
+/// The adaptive counter golden: a minimal-adaptive tornado on the 8 × 8
+/// adaptive-escape torus far past saturation — every source's queue of
+/// pending heads wants the same two or three injection edges. Exact on
+/// any host: if pending losers start re-parking again, `parks` grows by
+/// what `pending_entered − waiters_won` counts today.
+#[test]
+fn counter_golden_on_a_saturated_minimal_adaptive_tornado_point() {
+    let substrate = Substrate::torus_with(8, 2, RoutingDiscipline::AdaptiveEscape);
+    let mesh = substrate.as_mesh().expect("a torus routes adaptively");
+    let workload = Workload::new(
+        substrate.clone(),
+        TrafficPattern::Tornado,
+        ArrivalProcess::bernoulli(0.3),
+        8,
+        5,
+    );
+    let specs = workload.generate(300);
+    let config = SimConfig::new(1)
+        .route_selection(RouteSelection::MinimalAdaptive)
+        .arbitration(Arbitration::Random)
+        .max_steps(400);
+    let got = run_adaptive_everywhere(mesh, &specs, &config);
+    assert_eq!(
+        got.legacy.outcome,
+        Outcome::MaxSteps,
+        "the point is saturated"
+    );
+    assert_eq!(herd_counts(&got.event), (5_844, 441, 13_859, 414));
+    assert_eq!(got.event.pending_entered, 13_499);
+    // One worker fuses the plan into one region, which then counts what
+    // the event engine does.
+    let one_worker = &got.parallel[0];
+    assert_eq!(one_worker.regions_at_end, 1);
+    assert_eq!(herd_counts(one_worker), herd_counts(&got.event));
+    assert_eq!(one_worker.pending_entered, got.event.pending_entered);
 }

@@ -757,6 +757,47 @@ fn a_pending_adaptive_head_triggers_the_fuse() {
     assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
 }
 
+/// A handle a region recycles must not serve its previous occupant's
+/// watch row. On the 8-ring, one region a node, every node sends six
+/// waves — one hop clockwise, one counter-clockwise, then two and three
+/// either way — each released after the one before has drained. A worm
+/// asks the router where it is admitted (route length 0) and leaves for
+/// the next region with its first hop, so in every region the next
+/// wave's worm takes over a handle whose row was filled at the same
+/// route length for another destination: the candidates of the wrong
+/// direction, were the row still there. The invariant checks hold every
+/// filled row against the router; the results are the oracle's.
+#[test]
+fn a_recycled_handle_never_serves_its_previous_occupants_watch_row() {
+    use wormhole_flitsim::config::RouteSelection;
+    let sub = Substrate::torus_with(8, 1, RoutingDiscipline::AdaptiveEscape);
+    let mesh = sub.as_mesh().expect("torus is mesh-based");
+    let specs: Vec<MessageSpec> = [1u32, 7, 2, 6, 3, 5]
+        .iter()
+        .zip(0u64..)
+        .flat_map(|(&k, wave)| {
+            (0..8u32).map(move |i| {
+                let route = mesh.route(NodeId(i), NodeId((i + k) % 8));
+                MessageSpec::new(route, 2).release_at(8 * wave)
+            })
+        })
+        .collect();
+    for selection in [
+        RouteSelection::MinimalAdaptive,
+        RouteSelection::FullyAdaptive,
+    ] {
+        let cfg = SimConfig::new(1)
+            .route_selection(selection)
+            .regions(sub.region_plan(8))
+            .check_invariants(true);
+        let lg = assert_adaptive_worker_count_invariant(mesh, &specs, &cfg);
+        assert_eq!(lg.outcome, Outcome::Completed, "{selection:?}");
+        let run = |cfg: &SimConfig| wormhole::run_adaptive(mesh, &specs, cfg);
+        let regions = regions_start_to_end(run, &cfg);
+        assert_eq!(regions[2], (8, 8), "eight workers keep the eight regions");
+    }
+}
+
 /// Tornado traffic travels in dimension 0 only and the slabs cut the
 /// last dimension: no worm can ever reach a cut, every grant is
 /// unbounded, and the plan's decomposition — which pays here, each slab
