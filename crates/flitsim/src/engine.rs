@@ -50,6 +50,7 @@
 
 use crate::config::BlockedPolicy;
 use crate::kernel::{WaitQueue, NO_EDGE};
+use crate::probe::{self, Phase};
 use crate::resident::Core;
 use crate::sim::{Driven, Sim};
 use crate::stats::{DiscardReason, EngineStats};
@@ -260,6 +261,7 @@ pub(crate) fn run_window(
         // to batch.
         if stop - t > 1 && st.waiting.is_empty() && all_draining(core, st) {
             ff_batch(core, st, t, stop, &mut win);
+            probe::lap(Phase::Apply);
             break;
         }
         if step(core, st, t, on_park) {
@@ -305,6 +307,7 @@ fn step(
             pending.push(m);
         }
     }) as u64;
+    probe::lap(Phase::Contest);
     // Classify, arbitrate, advance the winners. The parked worms left
     // out are exactly the contenders of non-acquirable edges, so leaving
     // them out changes no arbitration outcome (such an edge blocks every
@@ -347,6 +350,7 @@ fn step(
             on_park(core, m);
         }
     }
+    probe::lap(Phase::Park);
     // A pending head that lost in place keeps waiting. It may have lost
     // one edge while another it watches is open — no release will say so,
     // and a runnable loser would re-select at `t + 1`: so does it.
@@ -356,6 +360,7 @@ fn step(
         }
     }
     wake_released(core, st);
+    probe::lap(Phase::Wake);
     // Retire finished, discarded, and freshly parked worms.
     let (worms, outcomes, waiting) = (&core.worms, &core.outcomes, &st.waiting);
     st.runnable.retain(|&m| {
@@ -363,6 +368,7 @@ fn step(
             && outcomes[m as usize].discarded.is_none()
             && !waiting.is_parked(m)
     });
+    probe::lap(Phase::Retain);
     progressed
 }
 

@@ -8,6 +8,7 @@
 //! and the verdicts ([`Sim`]), and nothing else.
 
 use crate::config::BlockedPolicy;
+use crate::probe::{self, Phase};
 use crate::resident::Core;
 use crate::sim::{Driven, Sim};
 use crate::stats::DiscardReason;
@@ -62,8 +63,10 @@ fn step_full_bandwidth(core: &mut Core, t: u64) -> bool {
             core.discard(m, t, DiscardReason::Delay);
         }
     }
+    probe::lap(Phase::Park);
     core.ledger.settle_max(&core.rules);
     retire_finished(core);
+    probe::lap(Phase::Retain);
     progressed
 }
 

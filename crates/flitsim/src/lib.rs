@@ -80,6 +80,7 @@ mod legacy;
 pub mod message;
 pub mod open_loop;
 mod parallel;
+pub mod probe;
 mod resident;
 pub mod restricted;
 mod sim;

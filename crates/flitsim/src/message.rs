@@ -79,6 +79,13 @@ pub enum SpecError {
         /// The step of the `take_ready` call that emitted it.
         now: u64,
     },
+    /// A live source that declared
+    /// [`id_bound`](crate::source::TrafficSource::id_bound)` = Some(bound)`
+    /// emitted an id at or above it.
+    IdBeyondBound {
+        /// The declared bound.
+        bound: u32,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -90,6 +97,9 @@ impl fmt::Display for SpecError {
             SpecError::DuplicateId => write!(f, "id emitted twice"),
             SpecError::ReleasedEarly { release, now } => {
                 write!(f, "emitted before its release ({release} > {now})")
+            }
+            SpecError::IdBeyondBound { bound } => {
+                write!(f, "id beyond the declared bound {bound}")
             }
         }
     }

@@ -17,6 +17,7 @@ use crate::kernel::{
     self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, WatchRow, Worm,
 };
 use crate::message::MessageSpec;
+use crate::probe::{self, Phase};
 use crate::stats::{DiscardReason, MessageOutcome};
 
 /// Per-core adaptive routing state (present iff the config asks for a
@@ -669,6 +670,7 @@ impl<'a> Core<'a> {
         for &(e, m) in entered {
             self.buckets.push_parked(e as usize, m);
         }
+        probe::lap(Phase::Classify);
         // Phase 2: per-edge arbitration using start-of-step holder
         // counts, contenders ordered by message id. Where handles are
         // the ids the handle itself is the key: sorting through `ids`
@@ -680,6 +682,7 @@ impl<'a> Core<'a> {
             self.arbitrate(t, |m| ids[m as usize]);
             self.ids = ids;
         }
+        probe::lap(Phase::Arbitrate);
         // Phase 3: apply. Doomed worms (severed escape continuation) are
         // discarded here rather than during classification so their VC
         // releases land mid-step — visible at `t+1`, like any release.
@@ -694,6 +697,7 @@ impl<'a> Core<'a> {
             let m = self.doomed[i];
             self.discard(m, t, DiscardReason::LinkDown);
         }
+        probe::lap(Phase::Apply);
         // A fault discard is progress for the deadlock test: it released
         // VCs mid-step, so blocked worms may advance at `t+1`.
         !self.movers.is_empty() || !self.doomed.is_empty()

@@ -15,6 +15,7 @@ use crate::config::{RouteSelection, SimConfig};
 use crate::events::{DeadlockReport, WaitFor};
 use crate::kernel::{SelectedHop, VcRules, Worm};
 use crate::message::{check_spec, check_specs, MessageSpec, SpecError};
+use crate::probe::{self, Phase};
 use crate::resident::{AdaptiveState, Core, Resident};
 use crate::source::{release_order, Traffic, TrafficSource};
 use crate::stats::{DiscardReason, EngineStats, MessageOutcome, Outcome, SimResult};
@@ -129,6 +130,9 @@ enum Feed<'a> {
     /// contract.
     Live {
         source: &'a mut dyn TrafficSource,
+        /// [`TrafficSource::id_bound`], asked once: the tables are sized
+        /// to it and an id at or past it is refused.
+        id_bound: Option<u32>,
         /// Per id: `true` once the source has emitted it.
         emitted: Vec<bool>,
         /// Scratch for [`TrafficSource::take_ready`].
@@ -163,9 +167,11 @@ impl<'a> Sim<'a> {
                 (feed, false, specs.len())
             }
             Traffic::Source(source) => {
-                let (reactive, n) = (source.reactive(), source.id_bound().unwrap_or(0) as usize);
+                let (reactive, id_bound) = (source.reactive(), source.id_bound());
+                let n = id_bound.unwrap_or(0) as usize;
                 let feed = Feed::Live {
                     source,
+                    id_bound,
                     emitted: vec![false; n],
                     ready: Vec::new(),
                 };
@@ -230,19 +236,22 @@ impl<'a> Sim<'a> {
             }
         }
         done.clear();
+        probe::lap(Phase::Flush);
     }
 
     /// Flushes completions, then peeks the feed's next release time.
     pub(crate) fn peek_next_release(&mut self, now: u64) -> Option<u64> {
         self.flush_deliveries();
-        match &mut self.feed {
+        let next = match &mut self.feed {
             Feed::Slice {
                 specs,
                 order,
                 cursor,
             } => order.get(*cursor).map(|&i| specs[i as usize].release),
             Feed::Live { source, .. } => source.next_release(now),
-        }
+        };
+        probe::lap(Phase::LoopHead);
+        next
     }
 
     /// Flushes completions, then pulls and admits every message released
@@ -274,11 +283,17 @@ impl<'a> Sim<'a> {
             }
             Feed::Live {
                 source,
+                id_bound,
                 emitted,
                 ready,
             } => {
                 source.take_ready(now, ready);
+                probe::lap(Phase::Take);
                 for (id, spec) in ready.drain(..) {
+                    if let Some(bound) = id_bound.filter(|&bound| id >= bound) {
+                        let error = SpecError::IdBeyondBound { bound };
+                        return Err(SimError::Spec { id, error });
+                    }
                     let mi = id as usize;
                     if emitted.len() <= mi {
                         emitted.resize(mi + 1, false);
@@ -297,6 +312,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+        probe::lap(Phase::Admit);
         Ok((core, &admitted[start..]))
     }
 
@@ -329,12 +345,12 @@ impl<'a> Sim<'a> {
         // slice still reports one (default) outcome per input spec.
         let id_bound = match &self.feed {
             Feed::Slice { specs, .. } => specs.len(),
-            Feed::Live { source, .. } => source.id_bound().unwrap_or(0) as usize,
+            Feed::Live { id_bound, .. } => id_bound.unwrap_or(0) as usize,
         };
         if core.outcomes.len() < id_bound {
             core.outcomes.resize(id_bound, MessageOutcome::default());
         }
-        SimResult {
+        let result = SimResult {
             outcome,
             total_steps,
             messages: core.outcomes,
@@ -353,7 +369,9 @@ impl<'a> Sim<'a> {
             closed_loop: None,
             engine_fallback: None,
             engine_stats: self.engine_stats,
-        }
+        };
+        probe::lap(Phase::IntoResult);
+        result
     }
 
     /// The loop head every driver shares. With worms in flight only the

@@ -47,8 +47,9 @@
 //!   idle-network jump, both of which remain exact.
 //!
 //! Every spec a source emits is checked once, in the drain of
-//! `take_ready` ([`crate::message::check_spec`], plus duplicate id and
-//! `release ≤ now`); a bad one ends the run with the
+//! `take_ready` ([`crate::message::check_spec`], plus duplicate id, an id
+//! below a declared `id_bound` and `release ≤ now`); a bad one ends the
+//! run with the
 //! [`SimError::Spec`](crate::wormhole::SimError::Spec) naming it.
 //!
 //! # Slices and replay
@@ -99,7 +100,9 @@ pub trait TrafficSource {
     /// If `Some(n)`, the run's `SimResult::messages` is padded with
     /// default outcomes to length `n` — so a capped replay still reports
     /// one outcome per input spec, released or not, exactly like the
-    /// historical slice path.
+    /// historical slice path — and every id the source emits must be
+    /// below `n`: one at or past it ends the run with
+    /// [`SpecError::IdBeyondBound`](crate::message::SpecError::IdBeyondBound).
     fn id_bound(&self) -> Option<u32> {
         None
     }

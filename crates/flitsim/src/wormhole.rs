@@ -254,6 +254,12 @@ impl fmt::Display for SimError {
                 SpecError::ZeroLength => write!(f, "message {id} has zero length"),
                 SpecError::DuplicateId => write!(f, "source re-emitted message id {id}"),
                 SpecError::ReleasedEarly { .. } => write!(f, "message {id} {error}"),
+                SpecError::IdBeyondBound { bound } => {
+                    write!(
+                        f,
+                        "source emitted message id {id}, beyond its id bound {bound}"
+                    )
+                }
             },
             SimError::Config(e) => e.fmt(f),
         }
@@ -280,7 +286,9 @@ impl std::error::Error for SimError {}
 ///   spec of a [`Traffic::Specs`] slice (the whole slice is checked,
 ///   however late a spec's release);
 /// * mid-run — [`SimError::Spec`] for a spec a [`Traffic::Source`]
-///   emits, checked as it is drained from `take_ready`: the steps before
+///   emits, checked as it is drained from `take_ready` (its id too: new,
+///   and below the source's declared
+///   [`TrafficSource::id_bound`], if it declares one): the steps before
 ///   it ran, and the source has heard of every completion before that
 ///   poll.
 ///
@@ -295,6 +303,7 @@ pub fn simulate<'a>(
 ) -> Result<SimResult, SimError> {
     config.check(graph, router)?;
     let mut sim = Sim::new(graph, router, traffic, config)?;
+    crate::probe::start();
     let driven = match config.engine {
         Engine::Legacy => crate::legacy::drive(&mut sim),
         Engine::EventDriven => crate::engine::drive(&mut sim),
@@ -338,7 +347,8 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> SimResul
 ///
 /// With the [`SimError`] [`simulate`] returns, as its message: a spec
 /// the source emits with an empty path, a bad edge id, zero length, an
-/// id it emitted before or a release still ahead ([`SimError::Spec`],
+/// id it emitted before or one beyond its declared id bound, or a
+/// release still ahead ([`SimError::Spec`],
 /// checked as each is drained from `take_ready`, so possibly mid-run), a
 /// `config` asking for adaptive route selection
 /// ([`ConfigError::RouterMissing`] — [`simulate`] takes a router beside a

@@ -19,8 +19,13 @@
 //! flushes deliveries in canonical `(time, id)` order before any poll
 //! (see `wormhole_flitsim::source`), the whole run is deterministic per
 //! seed and bit-identical across engines.
-
-use std::collections::BTreeMap;
+//!
+//! The schedule — what is due when — is a timing wheel of
+//! `clients × window` buckets (rounded up to a power of two), one per
+//! step of a lap. A chain slot has at most one message scheduled at any
+//! time, so the wheel holds at most one entry a bucket on average, its
+//! buckets are reused for the whole run, and a message costs the source
+//! one allocation: its route.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -34,6 +39,7 @@ use wormhole_flitsim::wormhole;
 
 use crate::mix;
 use crate::substrate::Substrate;
+use crate::wheel::TimingWheel;
 
 /// Salt separating slot RNG streams from the open-loop endpoint streams.
 const SLOT_STREAM_SALT: u64 = 0x636c_6f73_6564_6c70;
@@ -151,12 +157,10 @@ pub struct ClosedLoopSource<'a> {
     cfg: ClosedLoopConfig,
     /// Slot states, indexed `client * window + slot`.
     slots: Vec<SlotState>,
-    /// Scheduled emissions keyed by `(release, schedule seq)` — the
-    /// BTreeMap order is the emission order, and ids are assigned in
-    /// pop order, so `(release, id)` emission order holds by
-    /// construction.
-    sched: BTreeMap<(u64, u64), Scheduled>,
-    seq: u64,
+    /// Scheduled emissions by release step; they leave in `(release,
+    /// scheduling order)` and ids are assigned in that order, so
+    /// `(release, id)` emission order holds by construction.
+    sched: TimingWheel<Scheduled>,
     next_id: u32,
     meta: Vec<MsgMeta>,
     requests_issued: u64,
@@ -178,8 +182,7 @@ impl<'a> ClosedLoopSource<'a> {
             sub,
             cfg: cfg.clone(),
             slots: Vec::new(),
-            sched: BTreeMap::new(),
-            seq: 0,
+            sched: TimingWheel::new(cfg.clients as usize * cfg.window as usize),
             next_id: 0,
             meta: Vec::new(),
             requests_issued: 0,
@@ -257,8 +260,8 @@ impl<'a> ClosedLoopSource<'a> {
         let k = self.slots[si].rng.random_range(0..self.cfg.servers);
         let server = self.server_endpoint(k);
         debug_assert!(self.sub.injects(client, server), "partitions overlap");
-        self.sched.insert(
-            (release, self.seq),
+        self.sched.push(
+            release,
             Scheduled {
                 client,
                 slot,
@@ -266,7 +269,6 @@ impl<'a> ClosedLoopSource<'a> {
                 kind: Kind::Request,
             },
         );
-        self.seq += 1;
     }
 
     /// Finalizes the run's chain statistics, charging chains still in
@@ -322,15 +324,11 @@ impl<'a> ClosedLoopSource<'a> {
 
 impl TrafficSource for ClosedLoopSource<'_> {
     fn next_release(&mut self, _now: u64) -> Option<u64> {
-        self.sched.keys().next().map(|&(r, _)| r)
+        self.sched.peek()
     }
 
     fn take_ready(&mut self, now: u64, out: &mut Vec<(u32, MessageSpec)>) {
-        while let Some((&(release, seq), &sched)) = self.sched.iter().next() {
-            if release > now {
-                break;
-            }
-            self.sched.remove(&(release, seq));
+        while let Some((release, sched)) = self.sched.pop_due(now) {
             let (src, dst, length) = match sched.kind {
                 Kind::Request => (sched.client, sched.server, self.cfg.req_len),
                 Kind::Reply => (sched.server, sched.client, self.cfg.reply_len),
@@ -366,14 +364,13 @@ impl TrafficSource for ClosedLoopSource<'_> {
                 // step the delivery is flushed (never in the past).
                 let (lo, hi) = self.cfg.server_delay;
                 let delay = self.slots[si].rng.random_range(lo..=hi);
-                self.sched.insert(
-                    (finished + delay, self.seq),
+                self.sched.push(
+                    finished + delay,
                     Scheduled {
                         kind: Kind::Reply,
                         ..m.sched
                     },
                 );
-                self.seq += 1;
             }
             Kind::Reply => {
                 let start = match self.slots[si].phase {
@@ -403,8 +400,7 @@ impl TrafficSource for ClosedLoopSource<'_> {
         if t + 1 >= self.cfg.horizon {
             return;
         }
-        self.sched.insert((t + 1, self.seq), m.sched);
-        self.seq += 1;
+        self.sched.push(t + 1, m.sched);
     }
 
     fn reactive(&self) -> bool {
@@ -438,6 +434,9 @@ pub fn run_closed_loop(
     result.closed_loop = Some(source.stats(end));
     result
 }
+
+#[cfg(test)]
+mod btree_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -40,6 +40,7 @@ pub mod patterns;
 pub mod service;
 pub mod substrate;
 pub mod trace;
+mod wheel;
 
 pub use arrivals::ArrivalProcess;
 pub use closed_loop::{run_closed_loop, ClosedLoopConfig, ClosedLoopSource};

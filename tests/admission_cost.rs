@@ -9,17 +9,27 @@
 //! them in a `ReplaySource` — costs one allocation a message and fails
 //! the gate by a factor of eight.
 //!
-//! One `#[test]` on purpose, and the counters are per thread: nothing
-//! else in this binary can allocate into a measurement.
+//! A live source makes its messages as the run goes, and each needs one
+//! allocation of its own: its route. The closed-loop source's schedule
+//! reuses its buckets, so that is all a message costs; a schedule that
+//! allocates as it goes (a `BTreeMap` splitting nodes: 1.12 a message)
+//! fails the gate.
+//!
+//! The counters are per thread: no other test can allocate into a
+//! measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use wormhole_flitsim::config::VcPolicy;
 use wormhole_flitsim::config::{Engine, SimConfig};
 use wormhole_flitsim::message::MessageSpec;
 use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
-use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
+use wormhole_workloads::{
+    ArrivalProcess, ClosedLoopConfig, ClosedLoopSource, RoutingDiscipline, Substrate,
+    TrafficPattern, Workload,
+};
 
 thread_local! {
     /// `(allocations, frees)` made by this thread (a growth in place
@@ -128,6 +138,49 @@ fn admitting_a_message_allocates_nothing() {
     assert!(
         large.saturating_sub(small) <= (N / 8) as u64,
         "one worker: {N} more messages cost {} more allocations",
+        large - small
+    );
+}
+
+/// Allocations inside building a closed-loop source with request horizon
+/// `horizon` and running it to completion, and the messages it made.
+fn live_cost(substrate: &Substrate, horizon: u64) -> (u64, u64) {
+    let cfg = ClosedLoopConfig {
+        clients: 32,
+        servers: 32,
+        window: 4,
+        req_len: 2,
+        reply_len: 8,
+        think: (4, 32),
+        server_delay: (2, 10),
+        start_spread: 32,
+        horizon,
+        seed: 0x11fe,
+    };
+    let sim = SimConfig::new(2).vc_policy(VcPolicy::pooled(4, 1, 4));
+    let (result, allocs, _) = counted(|| {
+        let mut source = ClosedLoopSource::new(substrate, &cfg);
+        wormhole::run_source(substrate.graph(), &mut source, &sim)
+    });
+    assert_eq!(result.outcome, Outcome::Completed);
+    assert_eq!(result.delivered(), result.messages.len());
+    (allocs, result.messages.len() as u64)
+}
+
+#[test]
+fn a_live_message_allocates_its_route_and_nothing_else() {
+    const H: u64 = 4_000;
+    // 32 clients and 32 servers on the 64-input butterfly, four chains a
+    // client: the benchmark's closed loop at a quarter of its size.
+    let substrate = Substrate::butterfly(6);
+    let (small, small_msgs) = live_cost(&substrate, H);
+    let (large, large_msgs) = live_cost(&substrate, 2 * H);
+    let extra = large_msgs - small_msgs;
+    println!("live: allocs({small_msgs}) = {small}, allocs({large_msgs}) = {large}");
+    assert!(extra >= 10_000, "only {extra} more messages");
+    assert!(
+        large.saturating_sub(small) <= extra + extra / 16,
+        "{extra} more messages cost {} more allocations",
         large - small
     );
 }

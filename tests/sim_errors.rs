@@ -2,7 +2,8 @@
 //! one from every engine — where the `run*` shims panic with its
 //! message: a malformed spec at the door it enters by (a slice's before
 //! step 0, however late its release; a live source's as `take_ready` is
-//! drained, mid-run), and everything `SimConfig::check` refuses: a fault
+//! drained, mid-run — an id past the bound the source declared among
+//! them), and everything `SimConfig::check` refuses: a fault
 //! plan that does not fit the graph, a missing router or one over
 //! another graph, a pool that cannot honor its floors, policy values no
 //! builder would accept, a region plan built for another graph.
@@ -56,12 +57,14 @@ fn malformed(edges: &[EdgeId], release: u64) -> [(MessageSpec, SpecError); 3] {
 }
 
 /// A live source that emits `script`'s `(at, id, spec)` entries — `at`
-/// ascending — at the step it says, whatever the spec's own release, and
-/// logs every delivery it hears of.
+/// ascending — at the step it says, whatever the spec's own release,
+/// logs every delivery it hears of, and declares `bound` as its id
+/// bound.
 struct Script {
     script: Vec<(u64, u32, MessageSpec)>,
     cursor: usize,
     delivered: Vec<(u32, u64)>,
+    bound: Option<u32>,
 }
 
 impl Script {
@@ -70,6 +73,7 @@ impl Script {
             script,
             cursor: 0,
             delivered: Vec::new(),
+            bound: None,
         }
     }
 }
@@ -91,6 +95,10 @@ impl TrafficSource for Script {
 
     fn on_delivered(&mut self, id: u32, finished: u64) {
         self.delivered.push((id, finished));
+    }
+
+    fn id_bound(&self) -> Option<u32> {
+        self.bound
     }
 }
 
@@ -157,6 +165,43 @@ fn a_live_sources_bad_spec_ends_the_run_where_it_is_drained() {
 }
 
 #[test]
+fn a_live_source_emitting_past_its_declared_id_bound_is_refused() {
+    // The source declares two ids and emits a third, well-formed, at step
+    // 40: the tables sized to the bound are not grown behind its back and
+    // the result is not longer than the bound — the run ends with the
+    // same error on every engine, having run (and reported) the steps
+    // before it.
+    let (g, edges) = chain(5);
+    let spec = |release| raw(edges.clone(), 3, release);
+    let error = SpecError::IdBeyondBound { bound: 2 };
+    let mut heard = Vec::new();
+    for engine in ENGINES {
+        let cfg = SimConfig::new(1).engine(engine).check_invariants(true);
+        let mut source = Script::new(vec![(0, 0, spec(0)), (0, 1, spec(0)), (40, 2, spec(40))]);
+        source.bound = Some(2);
+        let got = simulate(&g, None, Traffic::Source(&mut source), &cfg);
+        assert_eq!(
+            got.unwrap_err(),
+            SimError::Spec { id: 2, error },
+            "{engine:?}"
+        );
+        assert_eq!(source.cursor, 3, "{engine:?}: drained at step 40");
+        heard.push(source.delivered);
+    }
+    assert_eq!(heard[0], [(0, 6), (1, 10)]);
+    assert!(heard.iter().all(|h| *h == heard[0]), "{heard:?}");
+    // Within the bound the same source runs to completion.
+    for engine in ENGINES {
+        let cfg = SimConfig::new(1).engine(engine);
+        let mut source = Script::new(vec![(0, 0, spec(0)), (0, 1, spec(0)), (40, 2, spec(40))]);
+        source.bound = Some(3);
+        let ok = simulate(&g, None, Traffic::Source(&mut source), &cfg).expect("three ids");
+        assert_eq!(ok.messages.len(), 3, "{engine:?}");
+        assert_eq!(ok.delivered(), 3, "{engine:?}");
+    }
+}
+
+#[test]
 fn a_bad_spec_reads_the_same_through_display_as_the_shims_panic() {
     let spec = |error| SimError::Spec { id: 7, error }.to_string();
     assert_eq!(spec(SpecError::EmptyPath), "message 7 has an empty path");
@@ -169,6 +214,10 @@ fn a_bad_spec_reads_the_same_through_display_as_the_shims_panic() {
     assert_eq!(
         spec(SpecError::ReleasedEarly { release: 9, now: 3 }),
         "message 7 emitted before its release (9 > 3)"
+    );
+    assert_eq!(
+        spec(SpecError::IdBeyondBound { bound: 5 }),
+        "source emitted message id 7, beyond its id bound 5"
     );
 }
 
