@@ -11,18 +11,23 @@
 //!   want next (one for a frozen route; every candidate plus the escape
 //!   hop for a pending adaptive head) and costs nothing while none of
 //!   them releases a VC. A release marks its key *hot*; the next executed
-//!   step walks each hot chain once and enters every waiter into that
-//!   step's arbitration from where it waits: a frozen-route waiter under
-//!   the edge its wait node records — no worm, spec or route is read — a
-//!   pending head under the hop it selects, on start-of-step occupancy,
-//!   from the watch row it parked with ([`Core::contend_parked`]; no
-//!   router is asked). Only a **winner** leaves the queue, its stalls
-//!   settled arithmetically (`stalls += win − 1 − park`). A frozen-route
-//!   loser is not touched at all; a pending loser has its selection
-//!   pinned back to the escape hop and, if another edge it watches is
-//!   acquirable at end of step, its key marked hot again so that it
-//!   contends at the next step ([`Core::lost_in_place`]). Why that is
-//!   exactly what the legacy stepper counts is invariant 1 of the
+//!   step holds one contest per hot key and enters its waiters into that
+//!   step's arbitration from where they wait. The frozen-route waiters of
+//!   a key wait in a run kept in canonical arbitration order, and each run
+//!   is entered whole under the edge it wants: arbitration reads only the
+//!   winning places of its merge with the runnable contenders
+//!   ([`crate::kernel::Split`]), so a herd costs its winners, not its size
+//!   — no worm, spec or route of a loser is read. A pending head is
+//!   entered one by one, under the hop it selects, on start-of-step
+//!   occupancy, from the watch row it parked with
+//!   ([`Core::contend_parked`]; no router is asked). Only a **winner**
+//!   leaves the queue — every key it waited on, a run's by index — its
+//!   stalls settled arithmetically (`stalls += win − 1 − park`). A
+//!   frozen-route loser is not touched at all; a pending loser has its
+//!   selection pinned back to the escape hop and, if another edge it
+//!   watches is acquirable at end of step, its key marked hot again so
+//!   that it contends at the next step ([`Core::lost_in_place`]). Why
+//!   that is exactly what the legacy stepper counts is invariant 1 of the
 //!   [`crate::wormhole`] module docs.
 //! * **All-draining fast-forward** — when nothing is parked and every
 //!   runnable worm is draining into its delivery buffer, the set cannot
@@ -45,8 +50,9 @@
 //!
 //! Near saturation this turns the `O(active)` per-step rescan (where
 //! `active` includes the entire source-queued backlog) into
-//! `O(runnable + waiters of hot keys)`; at low load header hops are stepped and the
-//! `L`-long drain that follows is one `O(path)` jump.
+//! `O(runnable + winners + pending heads of hot keys)`: a run of waiters
+//! costs its winners, not its length. At low load header hops are stepped
+//! and the `L`-long drain that follows is one `O(path)` jump.
 
 use crate::config::BlockedPolicy;
 use crate::kernel::{WaitQueue, NO_EDGE};
@@ -66,11 +72,6 @@ pub(crate) struct EventState {
     keys: Vec<usize>,
     /// Released, unretired, unparked worms — the per-step working set.
     pub(crate) runnable: Vec<u32>,
-    /// Scratch: the waiters of this step's hot keys, as `(wanted edge,
-    /// handle)`.
-    entered: Vec<(u32, u32)>,
-    /// Scratch: of `entered`, the pending heads.
-    pending: Vec<u32>,
     /// The step / park / contest counters of [`EngineStats`].
     pub(crate) stats: EngineStats,
 }
@@ -81,8 +82,6 @@ impl EventState {
             waiting: WaitQueue::new(core.rules.num_wait_keys()),
             keys: Vec::new(),
             runnable: Vec::new(),
-            entered: Vec::new(),
-            pending: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -176,8 +175,9 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
 /// admission — over one core and its parked worms: the one kill step of
 /// the sequential event engine and of every parallel region.
 /// [`Core::kill`] marks the `due` edges dead and discards the severed
-/// worms, parked ones in place; those are unparked, settling the stalls
-/// the legacy stepper counted through `t − 1`. Every parked *pending*
+/// worms, parked ones in place; those are unparked — out of their runs,
+/// in one sweep — settling the stalls the legacy stepper counted through
+/// `t − 1`. Every parked *pending*
 /// worm goes back to `runnable` the same way: the kill may have severed
 /// its escape continuation, which the legacy stepper dooms at this very
 /// step — and which only classification judges, a contest in place does
@@ -185,19 +185,22 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
 /// the waiters contend at `t` itself — they land at step start, like
 /// releases during `t − 1` — and the discarded leave `runnable`.
 pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: u64) {
-    let first_parked = list_in_flight(core, st);
+    list_in_flight(core, st);
     core.kill(due, t);
     if !st.waiting.is_empty() {
-        for i in first_parked..core.active.len() {
-            let m = core.active[i];
-            let severed = core.outcomes[m as usize].discarded.is_some();
-            if severed || core.worms[m as usize].pending_route {
-                core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m);
+        let (worms, outcomes, runnable) = (&core.worms, &mut core.outcomes, &mut st.runnable);
+        st.waiting.unpark_where(|m, parked_at| {
+            let out = &mut outcomes[m as usize];
+            let severed = out.discarded.is_some();
+            let leaves = severed || worms[m as usize].pending_route;
+            if leaves {
+                out.stalls += (t - 1) - parked_at;
                 if !severed {
-                    st.runnable.push(m);
+                    runnable.push(m);
                 }
             }
-        }
+            leaves
+        });
         wake_released(core, st);
     }
     let outcomes = &core.outcomes;
@@ -290,23 +293,13 @@ fn step(
 ) -> bool {
     st.stats.steps_executed += 1;
     // The contest: the waiters of every key that saw a release since its
-    // chain was last walked — during step `t − 1`, or landed at the start
-    // of `t` by a kill or by the parallel coordinator — contend at `t`,
-    // release at `t − 1` being visible at `t`. Each does so from where it
-    // waits: a frozen-route waiter for the edge its node records, a
-    // pending adaptive head — once, however many of its keys are hot —
-    // for the hop it selects from its watch row.
-    st.entered.clear();
-    st.pending.clear();
-    let (entered, pending) = (&mut st.entered, &mut st.pending);
-    st.stats.contests += st.waiting.scan_hot(|m, edge| {
-        if edge != NO_EDGE {
-            entered.push((edge, m));
-        } else if let Some(edge) = core.contend_parked(m) {
-            entered.push((edge, m));
-            pending.push(m);
-        }
-    }) as u64;
+    // last contest — during step `t − 1`, or landed at the start of `t` by
+    // a kill or by the parallel coordinator — contend at `t`, release at
+    // `t − 1` being visible at `t`. Each does so from where it waits: the
+    // frozen-route waiters in their runs, whole, a pending adaptive head —
+    // once, however many of its keys are hot — for the hop it selects
+    // from its watch row.
+    st.stats.contests += st.waiting.scan_hot(|m| core.contend_parked(m)) as u64;
     probe::lap(Phase::Contest);
     // Classify, arbitrate, advance the winners. The parked worms left
     // out are exactly the contenders of non-acquirable edges, so leaving
@@ -317,14 +310,15 @@ fn step(
     // wanted hop inside classify, exactly like the legacy stepper; the
     // entered ones just did, from the same start-of-step state.
     // Doomed worms' discards release mid-step and turn keys hot below.
-    let progressed = core.step_winners(t, &st.runnable, &st.entered);
-    // An entered waiter that won leaves the queue having stalled at
-    // every step since it parked. One that lost stays: parked from `p`,
-    // it accrues `s − 1 − p` whenever it wins at `s`, whether or not it
-    // was woken, lost and re-parked in between.
-    st.stats.waiters_entered += st.entered.len() as u64;
-    st.stats.pending_entered += st.pending.len() as u64;
+    let progressed = core.step_winners(t, &st.runnable, Some(&st.waiting));
+    // An entered waiter that won leaves the queue — a run's by index —
+    // having stalled at every step since it parked. One that lost stays:
+    // parked from `p`, it accrues `s − 1 − p` whenever it wins at `s`,
+    // however many contests it lost in between.
+    st.stats.waiters_entered += st.waiting.entered() as u64;
+    st.stats.pending_entered += st.waiting.entered_heads().len() as u64;
     st.stats.waiters_won += core.won.len() as u64;
+    st.waiting.leave_runs(&mut core.split.run_won);
     for &m in &core.won {
         core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m);
         st.runnable.push(m);
@@ -339,13 +333,13 @@ fn step(
     // step it contends, so it parks only once every candidate and the
     // escape hop are full, on all their keys: the first release is the
     // first step its choice can change.
-    for i in 0..core.blocked.len() {
-        let m = core.blocked[i];
+    for i in 0..core.split.blocked.len() {
+        let m = core.split.blocked[i];
         core.outcomes[m as usize].stalls += 1;
         if core.config.blocked == BlockedPolicy::Discard {
             core.discard(m, t, DiscardReason::Delay);
         } else if let Some(edge) = core.wait_keys(m, &mut st.keys) {
-            st.waiting.park(m, &st.keys, edge, t);
+            st.waiting.park(m, &st.keys, edge, core.rank(m), t);
             st.stats.parks += 1;
             on_park(core, m);
         }
@@ -354,7 +348,8 @@ fn step(
     // A pending head that lost in place keeps waiting. It may have lost
     // one edge while another it watches is open — no release will say so,
     // and a runnable loser would re-select at `t + 1`: so does it.
-    for &m in &st.pending {
+    for i in 0..st.waiting.entered_heads().len() {
+        let (_, m) = st.waiting.entered_heads()[i];
         if let Some(key) = core.lost_in_place(m) {
             st.waiting.mark_hot(key);
         }
@@ -422,23 +417,25 @@ fn ff_batch(core: &mut Core, st: &mut EventState, t: u64, stop: u64, win: &mut W
 }
 
 /// Full state validation (the core's invariants plus the driver's own):
-/// the wait queue and `runnable` must partition the worms in flight;
-/// every edge a parked worm watches must be non-acquirable (full, or
-/// starved of shared pool credit) — what makes arithmetic stall
-/// accounting exact — unless one of its wait keys is hot, in which case
-/// it contends at the next executed step; the queue's live nodes of
-/// every other parked worm must be exactly its watch set; the edge a
-/// frozen-route waiter's node records must be the edge it wants, and a
-/// parked pending head's selection must be pinned to its row's escape hop
-/// (the row itself is held against the router by [`Core::validate`]); and
-/// the hot flags must match the hot list.
+/// the wait queue must hold together — runs in rank order under the
+/// ranks the core gives now, no stale entry, hot flags matching the hot
+/// list ([`WaitQueue::validate`]) — and with `runnable` partition the
+/// worms in flight; every edge a parked worm watches must be
+/// non-acquirable (full, or starved of shared pool credit) — what makes
+/// arithmetic stall accounting exact — unless one of its wait keys is
+/// hot, in which case it contends at the next executed step; the queue's
+/// entries of every other parked worm must be exactly its watch set; the
+/// edge a frozen-route waiter's run entry records must be the edge it
+/// wants, and a parked pending head's selection must be pinned to its
+/// row's escape hop (the row itself is held against the router by
+/// [`Core::validate`]).
 pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
     assert_eq!(
         st.n_active(),
         core.unfinished,
         "runnable/parked must partition the worms in flight"
     );
-    st.waiting.validate();
+    st.waiting.validate(|m| core.rank(m));
     let live = st.waiting.parked_keys();
     let mut rest = live.as_slice();
     for i in list_in_flight(core, st)..core.active.len() {
@@ -477,6 +474,6 @@ pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
             );
         }
     }
-    assert!(rest.is_empty(), "live wait nodes of unparked worms");
+    assert!(rest.is_empty(), "wait queue entries of unparked worms");
     core.validate();
 }

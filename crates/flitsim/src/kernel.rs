@@ -15,13 +15,15 @@
 //!   ascending-edge-id shared-credit grants (sorted only at a router
 //!   short of credit);
 //! * the **wait queue** ([`WaitQueue`]) — where the event driver parks
-//!   blocked worms, on one key or a whole candidate set;
+//!   blocked worms: a frozen route in its key's run, kept in arbitration
+//!   order, a pending head on its whole watch set;
 //! * **worm kinematics** ([`Worm`]) — the rigid-worm advance count, what
 //!   one advance acquires and releases (every edge a flit occupies holds
 //!   a VC, the final one included), and the closed-form drain;
 //! * **routing and ordering** — adaptive hop selection and route
 //!   extension, the mover-vs-contender classification, and the canonical
-//!   contender order with its stateless arbitration RNG.
+//!   contender order ([`Rank`], [`Split`]) with its stateless arbitration
+//!   RNG.
 //!
 //! See the [`crate::wormhole`] module docs for why these rules keep the
 //! engines bit-identical.
@@ -33,6 +35,7 @@ use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 
 use crate::config::{Arbitration, SimConfig, VcPolicy};
+use crate::message::MessageSpec;
 
 /// The rigid worm: its whole configuration is the advance count (see the
 /// [`crate::wormhole`] module docs).
@@ -461,13 +464,11 @@ impl VcLedger {
     }
 
     /// Phase-2 arbitration: groups this step's contenders
-    /// ([`FlatBuckets::group`]) and splits each edge's group into
-    /// winners (`movers`) and losers (`blocked`) from start-of-step
-    /// holder counts; `order(edge, group)` puts an oversubscribed group
-    /// into the canonical [`order_contenders`] order (the first `free`
-    /// entries win). A contender entered from the wait queue
-    /// ([`FlatBuckets::push_parked`]) that loses is left out of
-    /// `blocked`: it stays where it waits, untouched.
+    /// ([`FlatBuckets::group`]) and grants each edge's group — its
+    /// classified contenders and the run of waiters entered whole for it
+    /// — its free VCs from start-of-step holder counts: `split(edge, run,
+    /// contenders, free)` picks the winners ([`Split::group`]) and returns
+    /// how many won.
     ///
     /// Under [`VcPolicy::RouterPooled`] sibling edges of one router can
     /// compete for the same shared credits within a single step, so the
@@ -491,23 +492,22 @@ impl VcLedger {
         &mut self,
         rules: &VcRules,
         buckets: &mut FlatBuckets,
-        movers: &mut Vec<u32>,
-        blocked: &mut Vec<u32>,
-        mut order: impl FnMut(usize, &mut [u32]),
+        mut split: impl FnMut(usize, Option<u32>, &mut [u32], usize) -> u32,
     ) {
         let groups = buckets.group();
-        let mut split = |e: usize, group: &mut [u32], free: usize| {
-            split_group(e, group, free, movers, blocked, &mut order)
+        let mut split = |buckets: &mut FlatBuckets, gi: usize, free: usize| {
+            let (e, run) = (buckets.edge(gi), buckets.run(gi));
+            split(e, run, buckets.group_mut(gi), free)
         };
         if !rules.pooled {
             for gi in 0..groups {
-                let e = buckets.edge(gi);
-                split(e, buckets.group_mut(gi), self.free_vcs(rules, e) as usize);
+                let free = self.free_vcs(rules, buckets.edge(gi)) as usize;
+                split(buckets, gi, free);
             }
             return;
         }
         // What group `gi` takes if credit is no object, and how much of
-        // it comes out of the router's shared portion.
+        // it comes out of the router's shared portion — its run counted.
         let want = |ledger: &Self, buckets: &FlatBuckets, gi: usize| {
             let e = buckets.edge(gi);
             if rules.is_dead(e) {
@@ -536,7 +536,7 @@ impl VcLedger {
                 self.group_order.push(gi as u32);
             } else {
                 let (want, _) = want(self, buckets, gi);
-                split(e, buckets.group_mut(gi), want as usize);
+                split(buckets, gi, want as usize);
             }
         }
         self.reset_planned();
@@ -553,7 +553,7 @@ impl VcLedger {
             let r = rules.edge_src[e] as usize;
             let floor_free = rules.per_edge_min.saturating_sub(self.holders[e] as u32);
             let free = self.free_after(rules, e, self.planned_shared[r]) as usize;
-            let granted = split(e, buckets.group_mut(gi), free);
+            let granted = split(buckets, gi, free);
             let shared_taken = granted.saturating_sub(floor_free);
             if shared_taken > 0 {
                 self.plan_shared(r, shared_taken);
@@ -580,304 +580,25 @@ impl VcLedger {
     }
 }
 
-/// Splits one edge's contenders: the first `free` of `group` win — all
-/// of it when it fits, else after `order` put it into canonical order —
-/// and the rest lose; returns how many won. Losers entered from the wait
-/// queue ([`PARKED`]) are not reported.
+/// A contender's place in the canonical order of [`Arbitration`]:
+/// `(release, id)` under `OldestFirst`, `(priority, id)` under
+/// `PriorityRank`, the id alone under `FifoById` and `Random` (whose
+/// shuffle starts from id order). Ids are unique, so ranks are; a parallel
+/// region reads the id of a recycled slot through its `ids` table.
+pub(crate) type Rank = (u64, u32);
+
+/// The [`Rank`] of message `id`, whose spec `spec` gives — read only by
+/// the policies that order by more than the id.
 #[inline]
-fn split_group(
-    e: usize,
-    group: &mut [u32],
-    free: usize,
-    movers: &mut Vec<u32>,
-    blocked: &mut Vec<u32>,
-    order: &mut impl FnMut(usize, &mut [u32]),
-) -> u32 {
-    if group.len() <= free {
-        movers.extend_from_slice(group);
-        return group.len() as u32;
-    }
-    if free > 0 {
-        order(e, group);
-        movers.extend_from_slice(&group[..free]);
-    }
-    blocked.extend(group[free..].iter().filter(|&&c| c & PARKED == 0));
-    free as u32
-}
-
-/// No node — the chain and free-list terminator of a [`WaitQueue`].
-const NONE: u32 = u32::MAX;
-
-/// The wanted edge a [`WaitQueue`] node of a pending adaptive head
-/// records: none — it selects one from its [`WatchRow`] each step it
-/// contends.
-pub(crate) const NO_EDGE: u32 = u32::MAX;
-
-/// Tags a contender slot of [`FlatBuckets`] as entered from the wait
-/// queue ([`FlatBuckets::push_parked`]) rather than classified from the
-/// runnable set. Handles index per-worm tables, so they stay far below
-/// it.
-pub(crate) const PARKED: u32 = 1 << 31;
-
-/// One entry on a wait key's chain.
-#[derive(Clone, Copy)]
-struct WaitNode {
-    handle: u32,
-    /// The low half of the handle's stamp when it parked; the node is
-    /// live while the handle's current stamp still matches it. (Half a
-    /// stamp keeps the node at 16 bytes; an alias needs the same handle
-    /// to park again exactly 2³¹ steps later while a chain it left by
-    /// another way — a win, a kill, another key's wake — has not been
-    /// walked since.)
-    ticket: u32,
-    /// Next node on the same key's chain (or on the free list).
-    next: u32,
-    /// The edge a frozen-route waiter wants — what it contends for, where
-    /// it waits, when its key turns hot — or [`NO_EDGE`].
-    edge: u32,
-}
-
-/// The park queue the event driver keeps its blocked worms on. A worm
-/// that lost arbitration and whose whole *watch set* — the one edge a
-/// frozen route wants next, or every candidate plus the escape hop of a
-/// pending adaptive head ([`pending_wait_keys`]) — is still
-/// non-acquirable at end of step parks on the [`VcRules::wait_key`] of
-/// each of those edges. Acquirability is monotone between releases on a
-/// key ([`VcLedger::free_vcs`]), so until one lands the legacy stepper
-/// would have lost the same arbitration every step: the skipped stalls
-/// settle arithmetically from the park step this queue records.
-///
-/// A release does not wake anybody. It marks its key **hot**
-/// ([`Self::mark_hot`], one flag per key), and the next executed step
-/// walks every hot chain once, in place ([`Self::scan_hot`]): a
-/// frozen-route waiter is shown with the edge its node records, so the
-/// driver can enter it into that step's arbitration without reading the
-/// worm; a pending adaptive head is shown with [`NO_EDGE`], once per hot
-/// key it waits on, and the driver enters it under the hop it selects
-/// from its [`WatchRow`]. Either leaves the queue only when it wins
-/// ([`Self::unpark`]).
-///
-/// Handles are the caller's (message ids in `Sim`'s core, recycled slots
-/// in a parallel region's). Per key the queue holds a newest-first chain of
-/// `(handle, ticket, edge)` nodes in an arena. The ticket is the handle's
-/// stamp, which changes on every park and unpark, so the node a winner
-/// leaves behind — and those a multi-key park left on its other keys —
-/// go stale the moment the handle unparks. Stale nodes are unlinked and
-/// reclaimed when their chain is next walked.
-pub(crate) struct WaitQueue {
-    /// First node of each wait key's chain.
-    heads: Vec<u32>,
-    nodes: Vec<WaitNode>,
-    /// Free-node list, threaded through [`WaitNode::next`].
-    free: u32,
-    /// Per handle: `2t + 1` while parked since step `t` (its stall for
-    /// that step is already counted), `2t + 2` once unparked again.
-    stamps: Vec<u64>,
-    n_parked: usize,
-    /// Keys that saw a release since their chain was last walked.
-    hot: Vec<u32>,
-    /// Per key: whether it is on `hot`, so a step's many releases on one
-    /// key walk its chain once.
-    is_hot: Vec<bool>,
-}
-
-impl WaitQueue {
-    pub(crate) fn new(num_keys: usize) -> Self {
-        Self {
-            heads: vec![NONE; num_keys],
-            nodes: Vec::new(),
-            free: NONE,
-            stamps: Vec::new(),
-            n_parked: 0,
-            hot: Vec::new(),
-            is_hot: vec![false; num_keys],
-        }
-    }
-
-    /// How many handles are parked.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.n_parked
-    }
-
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.n_parked == 0
-    }
-
-    #[inline]
-    pub(crate) fn is_parked(&self, handle: u32) -> bool {
-        self.stamps
-            .get(handle as usize)
-            .is_some_and(|&stamp| stamp & 1 == 1)
-    }
-
-    /// The parked handles, ascending.
-    pub(crate) fn parked(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.stamps.len() as u32).filter(|&h| self.is_parked(h))
-    }
-
-    /// Parks `handle`, blocked at step `t`, on every key of `keys`,
-    /// recording `edge` — the one edge a frozen route wants, [`NO_EDGE`]
-    /// for a pending head. A handle parks at most once per step — `t` is
-    /// past its previous park step — which is what keeps stamps unique.
-    pub(crate) fn park(&mut self, handle: u32, keys: &[usize], edge: u32, t: u64) {
-        let (h, stamp) = (handle as usize, 2 * t + 1);
-        if self.stamps.len() <= h {
-            self.stamps.resize(h + 1, 0);
-        }
-        debug_assert!(!keys.is_empty() && self.stamps[h] & 1 == 0 && self.stamps[h] < stamp);
-        debug_assert!(edge == NO_EDGE || keys.len() == 1);
-        self.stamps[h] = stamp;
-        self.n_parked += 1;
-        for &key in keys {
-            let node = WaitNode {
-                handle,
-                ticket: stamp as u32,
-                next: self.heads[key],
-                edge,
-            };
-            self.heads[key] = if self.free == NONE {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            } else {
-                let slot = self.free;
-                self.free = std::mem::replace(&mut self.nodes[slot as usize], node).next;
-                slot
-            };
-        }
-    }
-
-    /// Unparks `handle` — it won the edge it waited for, or a fault kill
-    /// discarded it or changed what it may select — and returns the step
-    /// it parked at. Its nodes go stale.
-    pub(crate) fn unpark(&mut self, handle: u32) -> u64 {
-        debug_assert!(self.is_parked(handle));
-        let stamp = &mut self.stamps[handle as usize];
-        let parked_at = *stamp / 2;
-        *stamp += 1;
-        self.n_parked -= 1;
-        parked_at
-    }
-
-    /// A VC was released under `key`: its waiters contend at the next
-    /// executed step. Cheap to repeat, and a no-op on a key nobody waits
-    /// on.
-    #[inline]
-    pub(crate) fn mark_hot(&mut self, key: usize) {
-        if self.heads[key] != NONE && !self.is_hot[key] {
-            self.is_hot[key] = true;
-            self.hot.push(key as u32);
-        }
-    }
-
-    /// Whether `key` is marked hot.
-    pub(crate) fn is_hot(&self, key: usize) -> bool {
-        self.is_hot[key]
-    }
-
-    /// Whether a parked handle may be waiting on a hot key: the next step
-    /// must run its contest even if nothing else can move.
-    #[inline]
-    pub(crate) fn contest_due(&self) -> bool {
-        self.n_parked > 0 && !self.hot.is_empty()
-    }
-
-    /// Walks every hot key's chain once ([`Self::scan`]) and cools it;
-    /// returns how many keys that was.
-    pub(crate) fn scan_hot(&mut self, mut show: impl FnMut(u32, u32)) -> usize {
-        let mut hot = std::mem::take(&mut self.hot);
-        for &key in &hot {
-            self.is_hot[key as usize] = false;
-            self.scan(key as usize, &mut show);
-        }
-        let walked = hot.len();
-        hot.clear();
-        self.hot = hot;
-        walked
-    }
-
-    /// Walks `key`'s chain in place, newest park first, showing each
-    /// handle still parked on it as `show(handle, edge)` with the edge
-    /// its node records — once per node, so a handle parked on several
-    /// hot keys is shown under each. Nobody is unparked; the stale nodes
-    /// on the way are unlinked and reclaimed.
-    fn scan(&mut self, key: usize, mut show: impl FnMut(u32, u32)) {
-        let mut last_kept = NONE;
-        let mut n = self.heads[key];
-        while n != NONE {
-            let WaitNode {
-                handle,
-                ticket,
-                next,
-                edge,
-            } = self.nodes[n as usize];
-            if self.stamps[handle as usize] as u32 == ticket {
-                show(handle, edge);
-                last_kept = n;
-            } else {
-                match last_kept {
-                    NONE => self.heads[key] = next,
-                    kept => self.nodes[kept as usize].next = next,
-                }
-                self.nodes[n as usize].next = self.free;
-                self.free = n;
-            }
-            n = next;
-        }
-    }
-
-    /// Empties the queue because the run is ending (deadlock or step
-    /// cap) or the driver's state is being folded into another's,
-    /// passing each parked handle, in ascending order, with the stalls
-    /// the legacy stepper counted for it after its park step through
-    /// step `through`. No key stays hot.
-    pub(crate) fn settle_all(&mut self, through: u64, mut settled: impl FnMut(u32, u64)) {
-        for h in 0..self.stamps.len() as u32 {
-            if self.is_parked(h) {
-                settled(h, through - self.unpark(h));
-            }
-        }
-        self.heads.fill(NONE);
-        self.nodes.clear();
-        self.free = NONE;
-        for key in self.hot.drain(..) {
-            self.is_hot[key as usize] = false;
-        }
-    }
-
-    /// Every live `(handle, key, edge)` node, sorted — what the invariant
-    /// checks compare against the watch sets recomputed from scratch.
-    pub(crate) fn parked_keys(&self) -> Vec<(u32, usize, u32)> {
-        let mut live = Vec::new();
-        for (key, &head) in self.heads.iter().enumerate() {
-            let mut n = head;
-            while n != NONE {
-                let node = &self.nodes[n as usize];
-                if self.stamps[node.handle as usize] as u32 == node.ticket {
-                    live.push((node.handle, key, node.edge));
-                }
-                n = node.next;
-            }
-        }
-        live.sort_unstable();
-        live
-    }
-
-    /// Checks that a key's hot flag is set iff the key is on the hot
-    /// list, once.
-    pub(crate) fn validate(&self) {
-        let mut listed = vec![false; self.is_hot.len()];
-        for &key in &self.hot {
-            assert!(
-                !std::mem::replace(&mut listed[key as usize], true),
-                "wait key {key} is on the hot list twice"
-            );
-        }
-        assert_eq!(
-            listed, self.is_hot,
-            "hot flags out of sync with the hot list"
-        );
+pub(crate) fn rank<'s>(
+    arbitration: Arbitration,
+    id: u32,
+    spec: impl FnOnce() -> &'s MessageSpec,
+) -> Rank {
+    match arbitration {
+        Arbitration::FifoById | Arbitration::Random => (0, id),
+        Arbitration::OldestFirst => (spec().release, id),
+        Arbitration::PriorityRank => (u64::from(spec().priority), id),
     }
 }
 
@@ -899,33 +620,701 @@ pub(crate) fn arb_rng(seed: u64, t: u64, e: usize) -> StdRng {
     StdRng::seed_from_u64(x)
 }
 
-/// Orders `contenders` so the first `free` entries win edge `e` at step
-/// `t`. Every policy is canonical in the contender *set* (the engines
-/// discover contenders in different orders, and the event driver enters
-/// some from the wait queue — the [`PARKED`] tag is not part of the
-/// handle). Contenders are opaque
-/// handles — message ids in `Sim`'s core, recycled slots in a parallel
-/// region's — that `key` maps to the message's `(release, priority, id)`.
-/// Every sort key ends with (or is) the unique message id, so sorted
-/// handles correspond position for position to sorted ids, including
-/// under `Random`, whose Fisher–Yates shuffle permutes positions and is
-/// keyed by the global `(seed, step, edge)` tuple, never by the caller.
-pub(crate) fn order_contenders(
-    config: &SimConfig,
+/// One step's arbitration verdicts, filled edge by edge ([`Self::group`]),
+/// and the scratch behind them.
+pub(crate) struct Split {
+    arbitration: Arbitration,
+    seed: u64,
+    /// The step being arbitrated.
     t: u64,
-    e: usize,
-    contenders: &mut [u32],
-    key: impl Fn(u32) -> (u64, u32, u32),
-) {
-    let key = |c: u32| key(c & !PARKED);
-    match config.arbitration {
-        Arbitration::FifoById => contenders.sort_unstable_by_key(|&c| key(c).2),
-        Arbitration::OldestFirst => contenders.sort_unstable_by_key(|&c| (key(c).0, key(c).2)),
-        Arbitration::PriorityRank => contenders.sort_unstable_by_key(|&c| (key(c).1, key(c).2)),
-        Arbitration::Random => {
-            contenders.sort_unstable_by_key(|&c| key(c).2);
-            contenders.shuffle(&mut arb_rng(config.seed, t, e));
+    /// The winners: runnable contenders as classified, contenders entered
+    /// from the wait queue tagged [`PARKED`].
+    pub(crate) movers: Vec<u32>,
+    /// The runnable losers. A waiter that loses is reported nowhere: it
+    /// stays where it waits, untouched.
+    pub(crate) blocked: Vec<u32>,
+    /// The run winners as `(entered run, index in it)`: they leave their
+    /// runs by index ([`WaitQueue::leave_runs`]).
+    pub(crate) run_won: Vec<(u32, u32)>,
+    /// [`Arbitration::Random`]'s index permutation.
+    perm: Vec<u32>,
+}
+
+impl Split {
+    pub(crate) fn new(config: &SimConfig) -> Self {
+        Self {
+            arbitration: config.arbitration,
+            seed: config.seed,
+            t: 0,
+            movers: Vec::new(),
+            blocked: Vec::new(),
+            run_won: Vec::new(),
+            perm: Vec::new(),
         }
+    }
+
+    /// Empties the verdicts for step `t`.
+    pub(crate) fn start(&mut self, t: u64) {
+        self.t = t;
+        self.movers.clear();
+        self.blocked.clear();
+        self.run_won.clear();
+    }
+
+    /// Splits the contenders of edge `e`: `group`, classified this step
+    /// (in any order; a pending head entered from the wait queue tagged
+    /// [`PARKED`]), and `run`, the edge's frozen-route waiters entered
+    /// whole — `(its index among the contest's runs, its waiters in rank
+    /// order)`, empty for none; `rank` ranks a contender of `group`
+    /// ([`rank`] under this step's policy). The first `free` of their
+    /// merged canonical order win — everyone, when they fit — and the
+    /// rest lose; returns how many won.
+    ///
+    /// The canonical order is the [`Rank`] order, under
+    /// [`Arbitration::Random`] shuffled by the Fisher–Yates draws of
+    /// [`arb_rng`]`(seed, t, e)`. Without a run `group` is ordered where
+    /// it stands; with one, [`Self::merge`] reads only the winning places.
+    /// (Always inlined: it runs once per contended edge per step, where a
+    /// call of its own shows in light-load arbitration.)
+    #[inline(always)]
+    pub(crate) fn group(
+        &mut self,
+        e: usize,
+        group: &mut [u32],
+        run: (u32, &[Waiter]),
+        free: usize,
+        rank: impl Fn(u32) -> Rank,
+    ) -> u32 {
+        let rank = |c: u32| rank(c & !PARKED);
+        if !run.1.is_empty() {
+            return self.merge(e, group, run, free, rank);
+        }
+        if group.len() <= free {
+            self.movers.extend_from_slice(group);
+            return group.len() as u32;
+        }
+        if free > 0 {
+            group.sort_unstable_by_key(|&c| rank(c));
+            if self.arbitration == Arbitration::Random {
+                group.shuffle(&mut arb_rng(self.seed, self.t, e));
+            }
+            self.movers.extend_from_slice(&group[..free]);
+        }
+        let lost = group[free..].iter().filter(|&&c| c & PARKED == 0);
+        self.blocked.extend(lost);
+        free as u32
+    }
+
+    /// [`Self::group`] with a run: `group` is sorted and merged with the
+    /// run, which is in rank order already. Under
+    /// [`Arbitration::Random`] the `n − 1` draws are applied to merged
+    /// places, not to contenders: the winning places are sorted and the
+    /// merge walked to them, so a run waiter is located by its index and
+    /// a losing waiter is never read.
+    fn merge(
+        &mut self,
+        e: usize,
+        group: &mut [u32],
+        (run_no, run): (u32, &[Waiter]),
+        free: usize,
+        rank: impl Fn(u32) -> Rank,
+    ) -> u32 {
+        let (r, n) = (group.len(), group.len() + run.len());
+        let Self {
+            arbitration,
+            seed,
+            t,
+            movers,
+            blocked,
+            run_won,
+            perm,
+        } = self;
+        let mut win_run = |movers: &mut Vec<u32>, i: usize| {
+            movers.push(run[i].handle | PARKED);
+            run_won.push((run_no, i as u32));
+        };
+        if n <= free {
+            movers.extend_from_slice(group);
+            (0..run.len()).for_each(|i| win_run(movers, i));
+            return n as u32;
+        }
+        // Contenders of `group` decided so far, in rank order.
+        let mut g = 0;
+        if free > 0 {
+            group.sort_unstable_by_key(|&c| rank(c));
+            if *arbitration == Arbitration::Random {
+                perm.clear();
+                perm.extend(0..n as u32);
+                perm.shuffle(&mut arb_rng(*seed, *t, e));
+                let won = &mut perm[..free];
+                won.sort_unstable();
+                // Where `group[g]` stands in the merge: behind `g` of its
+                // own and every waiter of lower rank.
+                let place = |g: usize| match group.get(g) {
+                    Some(&c) => {
+                        let rank = rank(c);
+                        g + run.partition_point(|w| w.rank < rank)
+                    }
+                    None => usize::MAX,
+                };
+                let mut next = place(0);
+                for &k in won.iter() {
+                    let k = k as usize;
+                    while next < k {
+                        blocked.extend(Some(group[g]).filter(|&c| c & PARKED == 0));
+                        g += 1;
+                        next = place(g);
+                    }
+                    if next == k {
+                        movers.push(group[g]);
+                        g += 1;
+                        next = place(g);
+                    } else {
+                        win_run(movers, k - g);
+                    }
+                }
+            } else {
+                let mut j = 0;
+                for _ in 0..free {
+                    if g < r && run.get(j).is_none_or(|w| rank(group[g]) < w.rank) {
+                        movers.push(group[g]);
+                        g += 1;
+                    } else {
+                        win_run(movers, j);
+                        j += 1;
+                    }
+                }
+            }
+        }
+        blocked.extend(group[g..].iter().filter(|&&c| c & PARKED == 0));
+        free as u32
+    }
+}
+
+/// No slot: the end of a [`WaitQueue`] chain.
+const NONE: u32 = u32::MAX;
+
+/// The wanted edge a pending adaptive head parks with: none — it
+/// selects one from its [`WatchRow`] each step it contends.
+pub(crate) const NO_EDGE: u32 = u32::MAX;
+
+/// Tags a contender entered from the wait queue rather than classified
+/// from the runnable set — a [`FlatBuckets`] slot
+/// ([`FlatBuckets::push_parked`]) and a winner in [`Split::movers`].
+/// Handles index per-worm tables, so they stay far below it.
+pub(crate) const PARKED: u32 = 1 << 31;
+
+/// A frozen-route waiter in its key's run. Ordered by the edge it wants,
+/// then by [`Rank`]: a run is contiguous per wanted edge (one edge under
+/// the static policy, a router's out-edges under pooling) and in
+/// canonical order within it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Waiter {
+    pub(crate) edge: u32,
+    pub(crate) rank: Rank,
+    pub(crate) handle: u32,
+}
+
+/// The park queue the event driver keeps its blocked worms on. A worm
+/// that lost arbitration and whose whole *watch set* — the one edge a
+/// frozen route wants next, or every candidate plus the escape hop of a
+/// pending adaptive head ([`pending_wait_keys`]) — is still
+/// non-acquirable at end of step parks on the [`VcRules::wait_key`] of
+/// each of those edges. Acquirability is monotone between releases on a
+/// key ([`VcLedger::free_vcs`]), so until one lands the legacy stepper
+/// would have lost the same arbitration every step: the skipped stalls
+/// settle arithmetically from the park step this queue records.
+///
+/// A release does not wake anybody. It marks its key **hot**
+/// ([`Self::mark_hot`], one flag per key), and the next executed step
+/// holds the contest ([`Self::scan_hot`]): every hot key once, in place.
+/// A frozen-route waiter waits in its key's **run** — the key's
+/// frozen-route waiters in [`Waiter`] order, so per wanted edge in
+/// canonical arbitration order — and a hot key hands its runs to
+/// arbitration whole, one per wanted edge ([`Self::entered_runs`]): the
+/// arbitration reads only the winning positions ([`Split::group`]), and a
+/// winner leaves its run by index ([`Self::leave_runs`]). A pending
+/// adaptive head holds a slot on the chain of each of its keys and is
+/// shown one by one, once per hot key it waits on: the driver enters it
+/// under the hop it selects from its [`WatchRow`]
+/// ([`Self::entered_heads`]).
+///
+/// Either kind leaves the queue — every key it waited on — when it wins
+/// ([`Self::unpark`]) or a kill or the end of the run takes it
+/// ([`Self::unpark_where`], [`Self::settle_all`]): no stale entry exists.
+/// Handles are the caller's (message ids in `Sim`'s core, recycled slots
+/// in a parallel region's). Run buffers and slots are reused, last freed
+/// first, so a park allocates nothing in steady state and touches memory
+/// a recent park or win touched.
+#[derive(Default)]
+pub(crate) struct WaitQueue {
+    /// How many keys there are. `keys` is sized at the first park: a
+    /// parallel region that never parks keeps none.
+    num_keys: usize,
+    /// Per key, what a park, a release and a contest read of it, in one
+    /// place.
+    keys: Vec<Key>,
+    /// Run buffers, each a key's while its run is not empty; frozen-route
+    /// waiters in [`Waiter`] order.
+    runs: Vec<Vec<Waiter>>,
+    /// Buffers no key holds — last freed first, so a park reuses a warm
+    /// one.
+    free_runs: Vec<u32>,
+    /// The pending heads' slots, one per key a parked head waits on.
+    slots: Vec<HeadSlot>,
+    /// Slots no parked head holds.
+    free_slots: Vec<u32>,
+    /// Per handle parked as a pending head: its first slot; [`NONE`]
+    /// otherwise.
+    first_slot: Vec<u32>,
+    /// Per handle: `1 +` the step it parked at, 0 while it is not parked.
+    since: Vec<u64>,
+    n_parked: usize,
+    /// Keys that saw a release since their last contest.
+    hot: Vec<u32>,
+    /// The last contest's runs, as `(key, start, len, wanted edge)`: a
+    /// stretch of the key's run.
+    entered_runs: Vec<(u32, u32, u32, u32)>,
+    /// The last contest's pending heads, as `(wanted edge, handle)`.
+    entered_heads: Vec<(u32, u32)>,
+    /// How many waiters the last contest's runs hold.
+    entered_in_runs: usize,
+}
+
+/// One wait key.
+#[derive(Clone, Copy)]
+struct Key {
+    /// `1 +` the index of its run buffer in `runs`, 0 while it has none.
+    run: u32,
+    /// The first slot of its chain of pending heads, or [`NONE`].
+    chain: u32,
+    /// How many wait on it: what a release asks ([`WaitQueue::mark_hot`]).
+    waiters: u32,
+    /// Whether it is on the hot list, so a step's many releases on it
+    /// hold one contest.
+    hot: bool,
+}
+
+const NO_KEY: Key = Key {
+    run: 0,
+    chain: NONE,
+    waiters: 0,
+    hot: false,
+};
+
+/// A pending head's place on the chain of one key it waits on.
+#[derive(Clone, Copy)]
+struct HeadSlot {
+    handle: u32,
+    key: u32,
+    /// The neighbouring slots on the key's chain, or [`NONE`] at its ends.
+    prev: u32,
+    next: u32,
+    /// The head's slot on its next key, or [`NONE`].
+    sibling: u32,
+}
+
+impl WaitQueue {
+    /// An empty queue over `num_keys` keys.
+    pub(crate) fn new(num_keys: usize) -> Self {
+        Self {
+            num_keys,
+            ..Self::default()
+        }
+    }
+
+    /// How many handles are parked.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.n_parked
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.n_parked == 0
+    }
+
+    #[inline]
+    pub(crate) fn is_parked(&self, handle: u32) -> bool {
+        self.since.get(handle as usize).is_some_and(|&s| s > 0)
+    }
+
+    /// The parked handles, ascending.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.since.len() as u32).filter(|&h| self.is_parked(h))
+    }
+
+    /// Whether `handle` is parked as a pending head.
+    fn is_pending(&self, handle: u32) -> bool {
+        self.first_slot
+            .get(handle as usize)
+            .is_some_and(|&s| s != NONE)
+    }
+
+    /// `key`'s run; empty if it has none.
+    fn run(&self, key: usize) -> &[Waiter] {
+        match self.keys[key].run {
+            0 => &[],
+            i => &self.runs[i as usize - 1],
+        }
+    }
+
+    /// Parks `handle`, blocked at step `t`, on every key of `keys`: a
+    /// frozen-route waiter — `edge` is the one edge it wants, `keys` its
+    /// key — into that key's run under `rank`; a pending head
+    /// ([`NO_EDGE`]) on the chain of each.
+    pub(crate) fn park(&mut self, handle: u32, keys: &[usize], edge: u32, rank: Rank, t: u64) {
+        let h = handle as usize;
+        if self.since.len() <= h {
+            self.since.resize(h + 1, 0);
+        }
+        debug_assert!(!keys.is_empty() && self.since[h] == 0);
+        self.since[h] = t + 1;
+        self.n_parked += 1;
+        if self.keys.is_empty() {
+            self.keys = vec![NO_KEY; self.num_keys];
+        }
+        for &key in keys {
+            self.keys[key].waiters += 1;
+        }
+        if edge != NO_EDGE {
+            debug_assert_eq!(keys.len(), 1);
+            let key = &mut self.keys[keys[0]];
+            if key.run == 0 {
+                key.run = 1 + self.free_runs.pop().unwrap_or_else(|| {
+                    self.runs.push(Vec::with_capacity(1));
+                    self.runs.len() as u32 - 1
+                });
+            }
+            let run = &mut self.runs[key.run as usize - 1];
+            let waiter = Waiter { edge, rank, handle };
+            run.insert(run.partition_point(|w| *w < waiter), waiter);
+            return;
+        }
+        let mut sibling = NONE;
+        for &key in keys {
+            let next = self.keys[key].chain;
+            let slot = HeadSlot {
+                handle,
+                key: key as u32,
+                prev: NONE,
+                next,
+                sibling,
+            };
+            let s = match self.free_slots.pop() {
+                Some(s) => {
+                    self.slots[s as usize] = slot;
+                    s
+                }
+                None => {
+                    self.slots.push(slot);
+                    self.slots.len() as u32 - 1
+                }
+            };
+            if next != NONE {
+                self.slots[next as usize].prev = s;
+            }
+            (self.keys[key].chain, sibling) = (s, s);
+        }
+        if self.first_slot.len() <= h {
+            self.first_slot.resize(h + 1, NONE);
+        }
+        self.first_slot[h] = sibling;
+    }
+
+    /// Unparks `handle` — it won the edge it waited for, or a fault kill
+    /// discarded it or changed what it may select — and returns the step
+    /// it parked at. A pending head leaves the chain of every key it
+    /// waited on; a frozen-route winner left its run by index first
+    /// ([`Self::leave_runs`]).
+    pub(crate) fn unpark(&mut self, handle: u32) -> u64 {
+        debug_assert!(self.is_parked(handle));
+        let parked_at = std::mem::take(&mut self.since[handle as usize]) - 1;
+        self.n_parked -= 1;
+        if let Some(first) = self.first_slot.get_mut(handle as usize) {
+            let mut s = std::mem::replace(first, NONE);
+            while s != NONE {
+                let HeadSlot {
+                    key,
+                    prev,
+                    next,
+                    sibling,
+                    ..
+                } = self.slots[s as usize];
+                let key = &mut self.keys[key as usize];
+                match prev {
+                    NONE => key.chain = next,
+                    prev => self.slots[prev as usize].next = next,
+                }
+                key.waiters -= 1;
+                if next != NONE {
+                    self.slots[next as usize].prev = prev;
+                }
+                self.free_slots.push(s);
+                s = sibling;
+            }
+        }
+        parked_at
+    }
+
+    /// Takes the `i`-th waiter out of `key`'s run, handing the buffer
+    /// back once the run is empty.
+    fn leave_run(&mut self, key: usize, i: usize) {
+        let k = &mut self.keys[key];
+        let run = &mut self.runs[k.run as usize - 1];
+        run.remove(i);
+        k.waiters -= 1;
+        if run.is_empty() {
+            self.free_runs.push(k.run - 1);
+            k.run = 0;
+        }
+    }
+
+    /// Unparks, in ascending order, every parked handle that
+    /// `leaves(handle, parked_at)` picks — a fault kill's severed and
+    /// pending waiters — and takes those out of the runs.
+    pub(crate) fn unpark_where(&mut self, mut leaves: impl FnMut(u32, u64) -> bool) {
+        let mut frozen_left = false;
+        for h in 0..self.since.len() as u32 {
+            if self.is_parked(h) && leaves(h, self.since[h as usize] - 1) {
+                frozen_left |= !self.is_pending(h);
+                self.unpark(h);
+            }
+        }
+        if frozen_left {
+            for key in 0..self.keys.len() {
+                for i in (0..self.run(key).len()).rev() {
+                    if !self.is_parked(self.run(key)[i].handle) {
+                        self.leave_run(key, i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A VC was released under `key`: its waiters contend at the next
+    /// executed step. Cheap to repeat, and a no-op on a key nobody waits
+    /// on.
+    #[inline]
+    pub(crate) fn mark_hot(&mut self, key: usize) {
+        if let Some(k) = self.keys.get_mut(key).filter(|k| k.waiters > 0 && !k.hot) {
+            k.hot = true;
+            self.hot.push(key as u32);
+        }
+    }
+
+    /// Whether `key` is marked hot.
+    pub(crate) fn is_hot(&self, key: usize) -> bool {
+        self.keys.get(key).is_some_and(|k| k.hot)
+    }
+
+    /// Whether a parked handle may be waiting on a hot key: the next step
+    /// must run its contest even if nothing else can move.
+    #[inline]
+    pub(crate) fn contest_due(&self) -> bool {
+        self.n_parked > 0 && !self.hot.is_empty()
+    }
+
+    /// The contest: takes every hot key once and cools it. Each pending
+    /// head on its chain is asked, by `enter(handle)`, for the edge it
+    /// contends for — once per hot key it waits on, so `None` when
+    /// another key entered it already ([`Self::entered_heads`]); each run
+    /// of it is entered whole ([`Self::entered_runs`]). Returns how many
+    /// contests that was: keys with a waiter (a kill may have emptied a
+    /// hot one, which is cooled without a contest).
+    pub(crate) fn scan_hot(&mut self, mut enter: impl FnMut(u32) -> Option<u32>) -> usize {
+        self.entered_runs.clear();
+        self.entered_heads.clear();
+        self.entered_in_runs = 0;
+        let mut contests = 0;
+        for &key in &self.hot {
+            let k = &mut self.keys[key as usize];
+            k.hot = false;
+            if k.waiters == 0 {
+                continue;
+            }
+            contests += 1;
+            let mut s = k.chain;
+            while s != NONE {
+                let slot = self.slots[s as usize];
+                if let Some(edge) = enter(slot.handle) {
+                    self.entered_heads.push((edge, slot.handle));
+                }
+                s = slot.next;
+            }
+            let run = match k.run {
+                0 => &[][..],
+                i => &self.runs[i as usize - 1][..],
+            };
+            self.entered_in_runs += run.len();
+            let mut start = 0;
+            while let Some(w) = run.get(start) {
+                // A static key's run is one edge's: no search for its end.
+                let rest = &run[start..];
+                let len = if rest[rest.len() - 1].edge == w.edge {
+                    rest.len()
+                } else {
+                    rest.partition_point(|x| x.edge == w.edge)
+                };
+                self.entered_runs
+                    .push((key, start as u32, len as u32, w.edge));
+                start += len;
+            }
+        }
+        self.hot.clear();
+        contests
+    }
+
+    /// The runs the last contest entered, as `(wanted edge, length)`,
+    /// indexed as [`Split::run_won`] names them ([`Self::entered_run`]).
+    /// Valid until a waiter leaves or parks.
+    pub(crate) fn entered_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let runs = self.entered_runs.iter();
+        runs.map(|&(_, _, len, edge)| (edge as usize, len as usize))
+    }
+
+    /// The `i`-th run the last contest entered.
+    #[inline]
+    pub(crate) fn entered_run(&self, i: u32) -> &[Waiter] {
+        let (key, start, len, _) = self.entered_runs[i as usize];
+        &self.run(key as usize)[start as usize..][..len as usize]
+    }
+
+    /// The pending heads the last contest entered, as `(wanted edge,
+    /// handle)`.
+    pub(crate) fn entered_heads(&self) -> &[(u32, u32)] {
+        &self.entered_heads
+    }
+
+    /// How many waiters the last contest entered.
+    pub(crate) fn entered(&self) -> usize {
+        self.entered_in_runs + self.entered_heads.len()
+    }
+
+    /// The run winners of the last contest leave their runs, by index:
+    /// `won` holds `(entered run, index in it)` ([`Split::run_won`]), taken
+    /// in descending order so that each removal leaves the places still
+    /// to come where they were (a run that empties had none left). They
+    /// stay parked until [`Self::unpark`].
+    pub(crate) fn leave_runs(&mut self, won: &mut [(u32, u32)]) {
+        if won.len() > 1 {
+            won.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        for &(entered, i) in won.iter() {
+            let (key, start, ..) = self.entered_runs[entered as usize];
+            self.leave_run(key as usize, (start + i) as usize);
+        }
+    }
+
+    /// Empties the queue because the run is ending (deadlock or step
+    /// cap) or the driver's state is being folded into another's,
+    /// passing each parked handle, in ascending order, with the stalls
+    /// the legacy stepper counted for it after its park step through
+    /// step `through`. No key stays hot.
+    pub(crate) fn settle_all(&mut self, through: u64, mut settled: impl FnMut(u32, u64)) {
+        for (h, since) in self.since.iter_mut().enumerate() {
+            if *since > 0 {
+                settled(h as u32, through + 1 - std::mem::take(since));
+            }
+        }
+        self.n_parked = 0;
+        self.keys.fill(NO_KEY);
+        self.runs.iter_mut().for_each(Vec::clear);
+        self.free_runs.clear();
+        self.free_runs.extend(0..self.runs.len() as u32);
+        self.slots.clear();
+        self.free_slots.clear();
+        self.first_slot.fill(NONE);
+        self.hot.clear();
+    }
+
+    /// `key`'s chain of pending heads, as slot indices.
+    fn chained(&self, key: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut s = self.keys[key].chain;
+        std::iter::from_fn(move || {
+            let at = (s != NONE).then_some(s as usize)?;
+            s = self.slots[at].next;
+            Some(at)
+        })
+    }
+
+    /// Every `(handle, key, wanted edge)` entry, sorted — what the
+    /// invariant checks compare against the watch sets recomputed from
+    /// scratch.
+    pub(crate) fn parked_keys(&self) -> Vec<(u32, usize, u32)> {
+        let mut live = Vec::new();
+        for key in 0..self.keys.len() {
+            live.extend(self.run(key).iter().map(|w| (w.handle, key, w.edge)));
+            live.extend(
+                self.chained(key)
+                    .map(|s| (self.slots[s].handle, key, NO_EDGE)),
+            );
+        }
+        live.sort_unstable();
+        live
+    }
+
+    /// Checks the queue against itself — what the engine's check of each
+    /// parked worm's entries against its watch set cannot see: every run
+    /// strictly in [`Waiter`] order under the ranks `rank` gives, every
+    /// entry a parked handle's (a run's a frozen route's, a chain's a
+    /// pending head's, on its own key), every chain linked both ways,
+    /// every key's waiter count, every run buffer held by one key or free,
+    /// and a key's hot flag set iff the key is on the hot list, once.
+    pub(crate) fn validate(&self, rank: impl Fn(u32) -> Rank) {
+        let mut listed = vec![false; self.keys.len()];
+        for &key in &self.hot {
+            let twice = std::mem::replace(&mut listed[key as usize], true);
+            assert!(!twice, "wait key {key} is on the hot list twice");
+        }
+        let hot = self.keys.iter().map(|k| k.hot);
+        assert!(hot.eq(listed), "hot flags out of sync with the hot list");
+        let mut holders = vec![0; self.runs.len()];
+        for &b in &self.free_runs {
+            holders[b as usize] += 1;
+            assert!(
+                self.runs[b as usize].is_empty(),
+                "free run buffer {b} in use"
+            );
+        }
+        for key in 0..self.keys.len() {
+            let run = self.run(key);
+            if let Some(b) = self.keys[key].run.checked_sub(1) {
+                holders[b as usize] += 1;
+                assert!(!run.is_empty(), "wait key {key} holds an empty run");
+            }
+            let ordered = run.windows(2).all(|p| p[0] < p[1]);
+            assert!(ordered, "the run of wait key {key} is out of order");
+            for w in run {
+                let h = w.handle;
+                let frozen = self.is_parked(h) && !self.is_pending(h);
+                assert!(
+                    frozen,
+                    "the run of wait key {key} holds {h}, not a parked frozen route"
+                );
+                assert_eq!(w.rank, rank(h), "handle {h} ranked stale");
+            }
+            let mut prev = NONE;
+            for (n, s) in self.chained(key).enumerate() {
+                let slot = self.slots[s];
+                assert!(n < self.slots.len(), "the chain of wait key {key} cycles");
+                assert_eq!(slot.prev, prev, "the chain of wait key {key} is torn");
+                let pending = self.is_parked(slot.handle) && self.is_pending(slot.handle);
+                assert!(
+                    slot.key as usize == key && pending,
+                    "wait key {key} chains slot {s}, not one of a pending head parked on it"
+                );
+                prev = s as u32;
+            }
+            let held = run.len() + self.chained(key).count();
+            let waiters = self.keys[key].waiters as usize;
+            assert_eq!(waiters, held, "wait key {key} miscounted");
+        }
+        assert!(
+            holders.iter().all(|&n| n == 1),
+            "a run buffer lost or shared"
+        );
+        assert_eq!(self.parked().count(), self.n_parked);
     }
 }
 
@@ -935,17 +1324,23 @@ pub(crate) fn order_contenders(
 /// again on dateline-class graphs, where every physical channel is two
 /// parallel edges).
 ///
-/// Usage per step: [`clear`](Self::clear), [`push`](Self::push) each
+/// Usage per step: [`clear`](Self::clear), [`push_run`](Self::push_run)
+/// each run of waiters entered whole, then [`push`](Self::push) each
 /// contender, [`group`](Self::group) once, then iterate groups by index.
-/// Steady-state it never allocates.
+/// A run opens its edge's group, so group `i` holds run `i` if there is
+/// one; a group may be a run alone. Steady-state it never allocates.
 pub(crate) struct FlatBuckets {
     /// `(edge, msg)` pairs in discovery order.
     pairs: Vec<(u32, u32)>,
-    /// Distinct edges touched this step, in first-touch order.
+    /// Distinct edges touched this step, in first-touch order: the runs'
+    /// edges first.
     touched: Vec<u32>,
-    /// Per-edge contender count, then scatter cursor (dense, reset via
+    /// Per-edge contender count — `1 +` it on a run's edge, so that a
+    /// touched edge never reads 0 — then scatter cursor (dense, reset via
     /// `touched`).
     count: Vec<u32>,
+    /// Per run entered, in order: its length.
+    runs: Vec<u32>,
     /// Contenders grouped contiguously per touched edge.
     slots: Vec<u32>,
     /// Group boundaries into `slots`, aligned with `touched` (+1 tail).
@@ -958,6 +1353,7 @@ impl FlatBuckets {
             pairs: Vec::new(),
             touched: Vec::new(),
             count: vec![0; num_edges],
+            runs: Vec::new(),
             slots: Vec::new(),
             starts: Vec::new(),
         }
@@ -970,6 +1366,21 @@ impl FlatBuckets {
         }
         self.pairs.clear();
         self.touched.clear();
+        self.runs.clear();
+    }
+
+    /// Records the contest's next run — `len` waiters contending for edge
+    /// `e`, entered whole. Before every contender's `push`; an edge has
+    /// one run at most.
+    #[inline]
+    pub(crate) fn push_run(&mut self, e: usize, len: usize) {
+        debug_assert!(
+            self.count[e] == 0 && self.pairs.is_empty(),
+            "edge {e} entered late"
+        );
+        self.touched.push(e as u32);
+        self.count[e] = 1;
+        self.runs.push(len as u32);
     }
 
     /// Records `m` contending for edge `e`. Only valid before `group`.
@@ -1000,8 +1411,8 @@ impl FlatBuckets {
         self.slots.resize(self.pairs.len(), 0);
         let mut off = 0u32;
         self.starts.push(0);
-        for &e in &self.touched {
-            let c = self.count[e as usize];
+        for (i, &e) in self.touched.iter().enumerate() {
+            let c = self.count[e as usize] - u32::from(i < self.runs.len());
             self.count[e as usize] = off; // becomes the scatter cursor
             off += c;
             self.starts.push(off);
@@ -1020,17 +1431,26 @@ impl FlatBuckets {
         self.touched[i] as usize
     }
 
-    /// How many contenders group `i` has (valid after `group`).
+    /// How many contenders group `i` has, its run's included (valid after
+    /// `group`).
     #[inline]
     pub(crate) fn group_len(&self, i: usize) -> u32 {
-        self.starts[i + 1] - self.starts[i]
+        let run = self.runs.get(i).copied().unwrap_or(0);
+        self.starts[i + 1] - self.starts[i] + run
     }
 
-    /// The contenders of group `i` (valid after `group`).
+    /// The contenders of group `i` pushed one by one (valid after
+    /// `group`).
     #[inline]
     pub(crate) fn group_mut(&mut self, i: usize) -> &mut [u32] {
         let (s, e) = (self.starts[i] as usize, self.starts[i + 1] as usize);
         &mut self.slots[s..e]
+    }
+
+    /// The run entered whole for group `i`, if any: run `i`.
+    #[inline]
+    pub(crate) fn run(&self, i: usize) -> Option<u32> {
+        (i < self.runs.len()).then_some(i as u32)
     }
 }
 
@@ -1337,127 +1757,307 @@ mod tests {
         }
     }
 
-    /// Walks `key`'s chain and unparks every waiter shown; collects who
-    /// that was, in order, with the step it had parked at.
-    fn woken(q: &mut WaitQueue, key: usize) -> Vec<(u32, u64)> {
+    /// The canonical order as it was stated before runs: the edge's whole
+    /// contender set in one slice, sorted by `(release, priority, id)`'s
+    /// policy key and, under `Random`, shuffled whole — the reference
+    /// [`Split::group`] is held against.
+    fn order_contenders(
+        config: &SimConfig,
+        t: u64,
+        e: usize,
+        contenders: &mut [u32],
+        key: impl Fn(u32) -> (u64, u32, u32),
+    ) {
+        let key = |c: u32| key(c & !PARKED);
+        match config.arbitration {
+            Arbitration::FifoById => contenders.sort_unstable_by_key(|&c| key(c).2),
+            Arbitration::OldestFirst => contenders.sort_unstable_by_key(|&c| (key(c).0, key(c).2)),
+            Arbitration::PriorityRank => contenders.sort_unstable_by_key(|&c| (key(c).1, key(c).2)),
+            Arbitration::Random => {
+                contenders.sort_unstable_by_key(|&c| key(c).2);
+                contenders.shuffle(&mut arb_rng(config.seed, t, e));
+            }
+        }
+    }
+
+    /// The split as it read before runs: the first `free` of the ordered
+    /// set win, and the untagged rest is reported lost.
+    fn split_merged(
+        e: usize,
+        group: &mut [u32],
+        free: usize,
+        movers: &mut Vec<u32>,
+        blocked: &mut Vec<u32>,
+        mut order: impl FnMut(usize, &mut [u32]),
+    ) -> u32 {
+        if group.len() <= free {
+            movers.extend_from_slice(group);
+            return group.len() as u32;
+        }
+        if free > 0 {
+            order(e, group);
+            movers.extend_from_slice(&group[..free]);
+        }
+        blocked.extend(group[free..].iter().filter(|&&c| c & PARKED == 0));
+        free as u32
+    }
+
+    const POLICIES: [Arbitration; 4] = [
+        Arbitration::FifoById,
+        Arbitration::OldestFirst,
+        Arbitration::PriorityRank,
+        Arbitration::Random,
+    ];
+
+    #[test]
+    fn selection_from_a_sorted_run_equals_ordering_the_merged_set() {
+        let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+        // Contested splits in which both the run and the classified
+        // contenders won something, per policy.
+        let mut mixed = [0u32; 4];
+        for case in 0..1_600 {
+            let p = case % 4;
+            let arbitration = POLICIES[p];
+            let config = SimConfig::new(1)
+                .arbitration(arbitration)
+                .seed(rng.next_u64());
+            let (t, e) = (rng.random_range(0..1u64 << 40), rng.random_range(0..4_096));
+            let n = rng.random_range(0..=64u32);
+            // Handle `h` is message `ids[h]` (distinct, in no order), with
+            // releases and priorities drawn from few values, so that the
+            // id breaks many ties.
+            let mut ids: Vec<u32> = (0..n)
+                .map(|i| 97 * i + rng.random_range(0..97u32))
+                .collect();
+            ids.shuffle(&mut rng);
+            let specs: Vec<MessageSpec> = (0..n)
+                .map(|_| MessageSpec {
+                    path: wormhole_topology::path::Path::new(Vec::new()),
+                    length: 1,
+                    release: rng.random_range(0..4),
+                    priority: rng.random_range(0..4),
+                })
+                .collect();
+            let rank_of = |h: u32| rank(arbitration, ids[h as usize], || &specs[h as usize]);
+            // Some wait in the run; the rest were classified, a few of
+            // them pending heads entered from the queue.
+            let in_run = f64::from(rng.random_range(0..=8u32)) / 8.0;
+            let (mut run, mut group) = (Vec::new(), Vec::new());
+            for h in 0..n {
+                if rng.random_bool(in_run) {
+                    let (edge, rank) = (e as u32, rank_of(h));
+                    run.push(Waiter {
+                        edge,
+                        rank,
+                        handle: h,
+                    });
+                } else {
+                    group.push(h | if rng.random_bool(0.3) { PARKED } else { 0 });
+                }
+            }
+            run.sort_unstable();
+            group.shuffle(&mut rng);
+            let key = |h: u32| {
+                let s = &specs[h as usize];
+                (s.release, s.priority, ids[h as usize])
+            };
+            for free in 0..=n as usize + 1 {
+                let mut merged = group.to_vec();
+                merged.extend(run.iter().map(|w| w.handle | PARKED));
+                let (mut movers, mut blocked) = (Vec::new(), Vec::new());
+                let want = split_merged(e, &mut merged, free, &mut movers, &mut blocked, |e, g| {
+                    order_contenders(&config, t, e, g, key)
+                });
+                let mut split = Split::new(&config);
+                split.start(t);
+                let got = split.group(e, &mut group.clone(), (3, &run), free, rank_of);
+                let case = format!("case {case}: {arbitration:?}, n = {n}, free = {free}");
+                assert_eq!(got, want, "{case}");
+                // A run winner is named by its index, and only a winner is.
+                let mut from_run: Vec<u32> = split
+                    .run_won
+                    .iter()
+                    .map(|&(no, i)| {
+                        assert_eq!(no, 3, "{case}");
+                        run[i as usize].handle | PARKED
+                    })
+                    .collect();
+                let mut got_movers = split.movers.clone();
+                got_movers.sort_unstable();
+                movers.sort_unstable();
+                assert_eq!(got_movers, movers, "{case}");
+                from_run.sort_unstable();
+                let run_movers: Vec<u32> = movers
+                    .iter()
+                    .copied()
+                    .filter(|&m| run.iter().any(|w| w.handle | PARKED == m))
+                    .collect();
+                assert_eq!(from_run, run_movers, "{case}");
+                split.blocked.sort_unstable();
+                blocked.sort_unstable();
+                assert_eq!(split.blocked, blocked, "{case}");
+                let contested = (free as u32) < n;
+                if contested && !from_run.is_empty() && from_run.len() < movers.len() {
+                    mixed[p] += 1;
+                }
+            }
+        }
+        assert!(mixed.iter().all(|&m| m > 300), "{mixed:?}");
+    }
+
+    /// Runs `q`'s contest and returns it: the pending heads shown, with
+    /// the first showing of each entered (under edge `1000 + handle`),
+    /// and the runs entered as `(edge, handles)`.
+    #[allow(clippy::type_complexity)]
+    fn contest(q: &mut WaitQueue) -> (usize, Vec<u32>, Vec<(usize, Vec<u32>)>) {
         let mut shown = Vec::new();
-        q.scan(key, |h, _| shown.push(h));
-        shown.dedup();
-        shown.into_iter().map(|h| (h, q.unpark(h))).collect()
+        let contests = q.scan_hot(|h| {
+            let first = !shown.contains(&h);
+            shown.push(h);
+            first.then_some(1000 + h)
+        });
+        let runs = (0..q.entered_runs().count() as u32).map(|i| {
+            let run = q.entered_run(i);
+            assert_eq!(
+                q.entered_runs().nth(i as usize),
+                Some((run[0].edge as usize, run.len()))
+            );
+            (run[0].edge as usize, run.iter().map(|w| w.handle).collect())
+        });
+        let runs = runs.collect();
+        assert_eq!(q.entered_heads().len(), {
+            let mut once = shown.clone();
+            once.sort_unstable();
+            once.dedup();
+            once.len()
+        });
+        (contests, shown, runs)
     }
 
     #[test]
     fn wait_queue_matches_a_naive_model_under_random_ops() {
-        const HANDLES: u32 = 12;
-        const KEYS: usize = 6;
+        const HANDLES: u32 = 18;
+        const KEYS: usize = 5;
+        // Two edges a key — a pooled router's — so a key's run has a
+        // sub-run per wanted edge.
+        let key_of = |edge: u32| edge as usize % KEYS;
         let mut rng = StdRng::seed_from_u64(0x9A2C);
         let mut q = WaitQueue::new(KEYS);
-        // The model: `(handle, keys, parked_at)` in park order, how many
-        // nodes (live or stale) each key's chain holds, and the hot keys
-        // in the order they were marked.
-        let mut model: Vec<(u32, Vec<usize>, u64)> = Vec::new();
-        let mut chain_len = [0usize; KEYS];
+        // The model: per parked handle its keys, its wanted edge
+        // (`NO_EDGE` for a pending head) and its park step; per handle the
+        // rank it parked with; the hot keys in the order they turned hot.
+        let mut model: Vec<(u32, Vec<usize>, u32, u64)> = Vec::new();
+        let mut ranks = [(0u64, 0u32); HANDLES as usize];
         let mut hot: Vec<usize> = Vec::new();
-        // The edge a park records: one per key for a one-key park, none
-        // for a watch set.
-        let edge_of = |keys: &[usize]| match keys {
-            [key] => 100 + *key as u32,
-            _ => NO_EDGE,
+        let waits_on = |model: &[(u32, Vec<usize>, u32, u64)], key: usize| {
+            model.iter().any(|p| p.1.contains(&key))
         };
-        // What walking `key` must show — every node of a handle still
-        // parked, newest park first — and the chain it leaves: those
-        // nodes, the stale ones reclaimed.
-        let walk = |model: &[(u32, Vec<usize>, u64)], chain_len: &mut [usize; KEYS], key: usize| {
-            let mut shown = Vec::new();
-            for p in model.iter().rev() {
-                let nodes = p.1.iter().filter(|&&k| k == key).count();
-                shown.extend(std::iter::repeat_n((p.0, edge_of(&p.1)), nodes));
-            }
-            chain_len[key] = shown.len();
-            shown
-        };
-        let (mut high_water, mut multi_key_wakes, mut settles) = (0, 0, 0);
-        let (mut partial_scans, mut hot_walks) = (0, 0);
-        for t in 0..8_000u64 {
+        let (mut multi_key_wins, mut partial_contests, mut split_runs) = (0, 0, 0);
+        let (mut kills, mut settles) = (0, 0);
+        for t in 1..8_000u64 {
             match rng.random_range(0..12u32) {
                 0..=4 => {
                     let h = rng.random_range(0..HANDLES);
                     if model.iter().any(|p| p.0 == h) {
                         continue;
                     }
-                    // 1–3 keys, repeats allowed: a repeated key must not
-                    // unpark the handle twice.
-                    let keys: Vec<usize> = (0..rng.random_range(1..4u32))
-                        .map(|_| rng.random_range(0..KEYS))
-                        .collect();
-                    q.park(h, &keys, edge_of(&keys), t);
-                    for &k in &keys {
-                        chain_len[k] += 1;
-                    }
-                    model.push((h, keys, t));
-                }
-                5..=7 => {
-                    // A walk, after which a random subset of the waiters
-                    // it showed — the winners — leaves the queue: their
-                    // nodes stay on every chain they parked on, stale,
-                    // until it is next walked.
-                    let key = rng.random_range(0..KEYS);
-                    let drop =
-                        rng.random_range(0..1u32 << HANDLES) & rng.random_range(0..1u32 << HANDLES);
-                    let expect = walk(&model, &mut chain_len, key);
-                    let mut shown = Vec::new();
-                    q.scan(key, |h, edge| shown.push((h, edge)));
-                    assert_eq!(shown, expect, "scan({key}) at op {t}");
-                    let all = model.iter().filter(|p| p.1.contains(&key)).count();
-                    let mut kept = all;
-                    model.retain(|p| {
-                        let wins = p.1.contains(&key) && drop & (1 << p.0) != 0;
-                        if wins {
-                            assert_eq!(q.unpark(p.0), p.2);
-                            multi_key_wakes += usize::from(p.1.len() > 1);
-                            kept -= 1;
-                        }
-                        !wins
-                    });
-                    partial_scans += usize::from(0 < kept && kept < all);
-                }
-                8 => {
-                    if let Some(i) = (!model.is_empty()).then(|| rng.random_range(0..model.len())) {
-                        let (h, _, at) = model.remove(i);
-                        assert_eq!(q.unpark(h), at);
+                    ranks[h as usize] = (rng.random_range(0..3), h);
+                    if rng.random_bool(0.6) {
+                        let edge = rng.random_range(0..2 * KEYS as u32);
+                        q.park(h, &[key_of(edge)], edge, ranks[h as usize], t);
+                        model.push((h, vec![key_of(edge)], edge, t));
+                    } else {
+                        let mut keys: Vec<usize> = (0..rng.random_range(1..4u32))
+                            .map(|_| rng.random_range(0..KEYS))
+                            .collect();
+                        keys.sort_unstable();
+                        keys.dedup();
+                        q.park(h, &keys, NO_EDGE, ranks[h as usize], t);
+                        model.push((h, keys, NO_EDGE, t));
                     }
                 }
-                9 => {
-                    // A release: hot only where a chain exists, and once.
+                5..=6 => {
+                    // A release: hot only where somebody waits, and once.
                     let key = rng.random_range(0..KEYS);
                     q.mark_hot(key);
-                    if chain_len[key] > 0 && !hot.contains(&key) {
+                    if waits_on(&model, key) && !hot.contains(&key) {
                         hot.push(key);
                     }
                 }
-                10 => {
-                    // The contest: every hot chain walked once, in the
-                    // order the keys turned hot; a handle parked on
-                    // several of them is shown under each.
-                    let mut expect = Vec::new();
+                7..=9 => {
+                    // The contest: every hot key once, in the order they
+                    // turned hot; a pending head shown under each, a run
+                    // per wanted edge in rank order. Then a random subset
+                    // of the entered wins and leaves.
+                    let (contests, mut shown, runs) = contest(&mut q);
+                    let held = hot.iter().filter(|&&key| waits_on(&model, key)).count();
+                    assert_eq!(contests, held, "contests at op {t}");
+                    let mut want_shown = Vec::new();
+                    let mut want_runs = Vec::new();
                     for &key in &hot {
-                        expect.extend(walk(&model, &mut chain_len, key));
+                        let on_key = model.iter().filter(|p| p.1.contains(&key));
+                        want_shown.extend(on_key.clone().filter(|p| p.2 == NO_EDGE).map(|p| p.0));
+                        let mut frozen: Vec<(u32, Rank, u32)> = on_key
+                            .filter(|p| p.2 != NO_EDGE)
+                            .map(|p| (p.2, ranks[p.0 as usize], p.0))
+                            .collect();
+                        frozen.sort_unstable();
+                        for chunk in frozen.chunk_by(|a, b| a.0 == b.0) {
+                            let handles = chunk.iter().map(|f| f.2).collect();
+                            want_runs.push((chunk[0].0 as usize, handles));
+                        }
+                        split_runs += usize::from(frozen.chunk_by(|a, b| a.0 == b.0).count() > 1);
                     }
-                    let mut shown = Vec::new();
-                    let walked = q.scan_hot(|h, edge| shown.push((h, edge)));
-                    assert_eq!(walked, hot.len());
-                    assert_eq!(shown, expect, "scan_hot at op {t}");
-                    hot_walks += hot.len();
+                    shown.sort_unstable();
+                    want_shown.sort_unstable();
+                    assert_eq!(shown, want_shown, "heads shown at op {t}");
+                    assert_eq!(runs, want_runs, "runs entered at op {t}");
                     hot.clear();
+                    let mut won = Vec::new();
+                    let mut run_won = Vec::new();
+                    for (no, (_, run)) in runs.iter().enumerate() {
+                        for (i, &h) in run.iter().enumerate() {
+                            if rng.random_bool(0.3) {
+                                run_won.push((no as u32, i as u32));
+                                won.push(h);
+                            }
+                        }
+                    }
+                    let entered = q.entered_heads().to_vec();
+                    won.extend(entered.iter().map(|e| e.1).filter(|_| rng.random_bool(0.3)));
+                    let all = runs.iter().map(|r| r.1.len()).sum::<usize>() + entered.len();
+                    partial_contests += usize::from(!won.is_empty() && won.len() < all);
+                    q.leave_runs(&mut run_won);
+                    for h in won {
+                        let i = model.iter().position(|p| p.0 == h).unwrap();
+                        let (_, keys, _, at) = model.remove(i);
+                        assert_eq!(q.unpark(h), at);
+                        multi_key_wins += usize::from(keys.len() > 1);
+                    }
                 }
-                _ if rng.random_bool(0.1) => {
+                10 => {
+                    // A kill: a random subset leaves, pending or frozen.
+                    let mut left = Vec::new();
+                    q.unpark_where(|h, at| {
+                        let p = model.iter().find(|p| p.0 == h).expect("parked");
+                        assert_eq!(at, p.3);
+                        let leaves = rng.random_bool(0.15);
+                        if leaves {
+                            left.push(h);
+                        }
+                        leaves
+                    });
+                    assert!(left.is_sorted());
+                    kills += left.len();
+                    model.retain(|p| !left.contains(&p.0));
+                }
+                _ if rng.random_bool(0.04) => {
                     let mut expect: Vec<(u32, u64)> =
-                        model.drain(..).map(|p| (p.0, t - p.2)).collect();
+                        model.drain(..).map(|p| (p.0, t - p.3)).collect();
                     expect.sort_unstable();
                     let mut got = Vec::new();
                     q.settle_all(t, |h, skipped| got.push((h, skipped)));
                     assert_eq!(got, expect, "settle_all at op {t}");
-                    chain_len = [0; KEYS];
                     hot.clear();
                     settles += 1;
                 }
@@ -1470,109 +2070,58 @@ mod tests {
                 assert_eq!(q.is_parked(h), model.iter().any(|p| p.0 == h));
             }
             for key in 0..KEYS {
+                // A kill may empty a hot key: it stays hot until the next
+                // contest, which holds none there.
                 assert_eq!(q.is_hot(key), hot.contains(&key));
             }
-            q.validate();
+            // Runs in order under the ranks parked with, every entry a
+            // parked handle's, each waiter on exactly its keys.
+            q.validate(|h| ranks[h as usize]);
             let mut expect: Vec<(u32, usize, u32)> = model
                 .iter()
-                .flat_map(|p| p.1.iter().map(|&k| (p.0, k, edge_of(&p.1))))
+                .flat_map(|p| p.1.iter().map(|&k| (p.0, k, p.2)))
                 .collect();
             expect.sort_unstable();
             assert_eq!(q.parked_keys(), expect);
-            // Arena slots are reused: the nodes in use are exactly the
-            // chains' — the live `(handle, key)` pairs plus the stale
-            // nodes of chains not walked since — and the arena never
-            // outgrew their high-water mark.
-            let in_chains: usize = chain_len.iter().sum();
-            let mut free = 0;
-            let mut n = q.free;
-            while n != NONE {
-                free += 1;
-                n = q.nodes[n as usize].next;
-            }
-            assert_eq!(q.nodes.len() - free, in_chains);
-            high_water = high_water.max(in_chains);
-            assert!(q.nodes.len() <= high_water);
         }
         assert!(
-            multi_key_wakes > 200 && settles > 5 && partial_scans > 200 && hot_walks > 200,
-            "{multi_key_wakes} multi-key wakes, {settles} settles, {partial_scans} partial \
-             scans, {hot_walks} hot chains walked"
+            multi_key_wins > 100
+                && partial_contests > 200
+                && split_runs > 200
+                && kills > 200
+                && settles > 5,
+            "{multi_key_wins} multi-key wins, {partial_contests} partial contests, {split_runs} \
+             keys with two runs, {kills} killed, {settles} settles"
         );
     }
 
     #[test]
-    fn a_multi_key_park_wakes_once_and_its_stale_nodes_wake_no_later_park() {
+    fn a_multi_key_park_leaves_every_key_and_no_later_park_sees_it() {
         let mut q = WaitQueue::new(5);
-        q.park(7, &[1, 2, 3], NO_EDGE, 5);
-        assert_eq!(woken(&mut q, 2), [(7, 5)], "the first walk unparks it");
+        q.park(7, &[1, 2, 3], NO_EDGE, (0, 7), 5);
+        q.mark_hot(2);
+        assert_eq!(contest(&mut q), (1, vec![7], vec![]));
+        assert_eq!(q.unpark(7), 5, "the head won");
         assert!(!q.is_parked(7));
-        // Re-parked elsewhere: the stale nodes on keys 1 and 3 are not
-        // the new park's.
-        q.park(7, &[4], 40, 9);
-        assert_eq!(woken(&mut q, 1), []);
-        assert_eq!(woken(&mut q, 3), []);
-        assert!(q.is_parked(7));
-        assert_eq!(woken(&mut q, 4), [(7, 9)]);
-        // Re-parked on a key that still carries one of its stale nodes:
-        // the chain holds both, and only the live one wakes it.
-        q.park(7, &[0, 1], NO_EDGE, 11);
-        assert_eq!(woken(&mut q, 0), [(7, 11)]);
-        q.park(7, &[1], 10, 13);
-        assert_eq!(woken(&mut q, 1), [(7, 13)]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn one_key_parking_wakes_in_the_old_intrusive_list_order() {
-        // The per-key intrusive list the event engine used to keep
-        // (`waiter_head` / `next_waiter` through the parked set, stale
-        // entries of kill-discarded worms skipped by flag): a walk shows
-        // a chain's waiters in that order, newest park first.
-        const HANDLES: usize = 16;
-        const KEYS: usize = 4;
-        let mut head = [NONE; KEYS];
-        let mut next = [NONE; HANDLES];
-        let mut parked = [false; HANDLES];
-        let mut parked_at = [0u64; HANDLES];
-        // The old list could not re-park a handle whose stale entry was
-        // still linked (one `next` per handle), and never had to: only
-        // discarded worms went stale.
-        let mut linked = [false; HANDLES];
-        let mut q = WaitQueue::new(KEYS);
-        let mut rng = StdRng::seed_from_u64(0x01D);
-        let mut wakes = 0;
-        for t in 0..4_000u64 {
-            let h = rng.random_range(0..HANDLES);
-            let key = rng.random_range(0..KEYS);
-            match rng.random_range(0..8u32) {
-                0..=3 if !linked[h] => {
-                    next[h] = std::mem::replace(&mut head[key], h as u32);
-                    (parked[h], linked[h], parked_at[h]) = (true, true, t);
-                    q.park(h as u32, &[key], key as u32, t);
-                }
-                4..=6 => {
-                    let mut expect = Vec::new();
-                    let mut m = std::mem::replace(&mut head[key], NONE);
-                    while m != NONE {
-                        let mi = m as usize;
-                        linked[mi] = false;
-                        if std::mem::take(&mut parked[mi]) {
-                            expect.push((m, parked_at[mi]));
-                        }
-                        m = std::mem::replace(&mut next[mi], NONE);
-                    }
-                    wakes += expect.len();
-                    assert_eq!(woken(&mut q, key), expect, "wake({key}) at op {t}");
-                }
-                7 if parked[h] => {
-                    parked[h] = false;
-                    assert_eq!(q.unpark(h as u32), parked_at[h]);
-                }
-                _ => {}
-            }
-        }
-        assert!(wakes > 500, "{wakes} wakes");
+        // Re-parked elsewhere: it left keys 1 and 3, whose releases now
+        // hold no contest.
+        q.park(7, &[4], 40, (0, 7), 9);
+        q.mark_hot(1);
+        q.mark_hot(3);
+        assert!(!q.is_hot(1) && !q.is_hot(3) && !q.contest_due());
+        q.mark_hot(4);
+        assert_eq!(contest(&mut q), (1, vec![], vec![(40, vec![7])]));
+        q.leave_runs(&mut [(0, 0)]);
+        assert_eq!(q.unpark(7), 9);
+        // Re-parked on a key it waited on before: only the new park is
+        // there.
+        q.park(7, &[0, 1], NO_EDGE, (0, 7), 11);
+        q.mark_hot(1);
+        assert_eq!(contest(&mut q), (1, vec![7], vec![]));
+        assert_eq!(q.unpark(7), 11);
+        q.park(7, &[1], 10, (0, 7), 13);
+        assert_eq!(q.parked_keys(), [(7, 1, 10)]);
+        q.validate(|h| (0, h));
     }
 
     /// Three routers, fanouts 3 / 2 / 1 (edges 0–2 leave router 0, 3–4
@@ -1640,6 +2189,18 @@ mod tests {
         );
     }
 
+    /// [`Split::group`] under `FifoById` over contenders ranked by handle,
+    /// with the entered runs `runs`: how the pooled tests split a group.
+    fn split_by_handle<'r>(
+        split: &'r mut Split,
+        runs: &'r [Vec<Waiter>],
+    ) -> impl FnMut(usize, Option<u32>, &mut [u32], usize) -> u32 + 'r {
+        move |e, run, group, free| {
+            let run = run.map_or((0, &[][..]), |i| (i, &runs[i as usize][..]));
+            split.group(e, group, run, free, |m| (0, m))
+        }
+    }
+
     #[test]
     fn arbitrate_grants_shared_credits_in_ascending_edge_order() {
         let g = fan_graph();
@@ -1664,29 +2225,25 @@ mod tests {
                 for e in push_order {
                     buckets.push(e, 10 + e as u32);
                 }
-                let (mut movers, mut blocked) = (Vec::new(), Vec::new());
-                ledger.arbitrate(
-                    &rules,
-                    &mut buckets,
-                    &mut movers,
-                    &mut blocked,
-                    |e, group| order_contenders(&config, 0, e, group, |m| (0, 0, m)),
-                );
+                let mut split = Split::new(&config);
+                split.start(0);
+                ledger.arbitrate(&rules, &mut buckets, split_by_handle(&mut split, &[]));
                 let expect: Vec<u32> = (0..3).map(|e| 10 + e).collect();
                 assert_eq!(
-                    movers,
+                    split.movers,
                     expect[..shared as usize],
                     "pushed as {push_order:?}"
                 );
-                blocked.sort_unstable();
+                split.blocked.sort_unstable();
                 assert_eq!(
-                    blocked,
+                    split.blocked,
                     expect[shared as usize..],
                     "pushed as {push_order:?}"
                 );
             }
         }
     }
+
     /// The pooled sweep [`VcLedger::arbitrate`] runs only where credit is
     /// short, run over *every* group: all of them sorted by edge id, each
     /// granted what the lower-id edges of its router left. The reference
@@ -1695,9 +2252,7 @@ mod tests {
         ledger: &VcLedger,
         rules: &VcRules,
         buckets: &mut FlatBuckets,
-        movers: &mut Vec<u32>,
-        blocked: &mut Vec<u32>,
-        mut order: impl FnMut(usize, &mut [u32]),
+        mut split: impl FnMut(usize, Option<u32>, &mut [u32], usize) -> u32,
     ) {
         let mut by_edge: Vec<usize> = (0..buckets.group()).collect();
         by_edge.sort_unstable_by_key(|&gi| buckets.edge(gi));
@@ -1707,8 +2262,8 @@ mod tests {
             let r = rules.edge_src[e] as usize;
             let floor_free = rules.per_edge_min.saturating_sub(ledger.holders[e] as u32);
             let free = ledger.free_after(rules, e, planned[r]) as usize;
-            let group = buckets.group_mut(gi);
-            let granted = split_group(e, group, free, movers, blocked, &mut order);
+            let run = buckets.run(gi);
+            let granted = split(e, run, buckets.group_mut(gi), free);
             planned[r] += granted.saturating_sub(floor_free);
         }
     }
@@ -1719,6 +2274,7 @@ mod tests {
         let config = SimConfig::new(1);
         let (mut short_routers, mut flush_routers, mut dead_groups, mut parked_losers) =
             (0, 0, 0, 0);
+        let (mut run_groups, mut runs_alone) = (0, 0);
         for case in 0..2_000 {
             // Routers with random fanouts, every edge into one sink.
             let routers = rng.random_range(1..6usize);
@@ -1749,9 +2305,11 @@ mod tests {
             for e in 0..g.num_edges() {
                 rules.dead[e] = rng.random_bool(0.1);
             }
-            // Random contender sets — some entered from the wait queue —
-            // discovered in random order.
+            // Random contender sets, discovered in random order — some
+            // pending heads entered from the wait queue — and, for some
+            // edges, a run of waiters entered whole.
             let mut pairs = Vec::new();
+            let mut runs: Vec<(usize, Vec<Waiter>)> = Vec::new();
             let mut edge_of = Vec::new();
             for e in 0..g.num_edges() {
                 for _ in 0..rng.random_range(0..6u32) {
@@ -1760,36 +2318,51 @@ mod tests {
                     let tag = if rng.random_bool(0.4) { PARKED } else { 0 };
                     pairs.push((e, m | tag));
                 }
+                if rng.random_bool(0.4) {
+                    let run = (0..rng.random_range(1..5u32)).map(|_| {
+                        let handle = edge_of.len() as u32;
+                        edge_of.push(e);
+                        Waiter {
+                            edge: e as u32,
+                            rank: (0, handle),
+                            handle,
+                        }
+                    });
+                    runs.push((e, run.collect()));
+                }
             }
             pairs.shuffle(&mut rng);
+            runs.shuffle(&mut rng);
+            let waiters: Vec<Vec<Waiter>> = runs.iter().map(|r| r.1.clone()).collect();
             let run = |reference: bool, ledger: &mut VcLedger| {
                 let mut buckets = FlatBuckets::with_edges(g.num_edges());
+                for (e, run) in &runs {
+                    buckets.push_run(*e, run.len());
+                }
                 for &(e, m) in &pairs {
                     buckets.push(e, m);
                 }
-                let (mut movers, mut blocked) = (Vec::new(), Vec::new());
-                let order = |e: usize, group: &mut [u32]| {
-                    order_contenders(&config, 7, e, group, |m| (0, 0, m))
-                };
+                let mut split = Split::new(&config);
+                split.start(7);
+                let by_handle = split_by_handle(&mut split, &waiters);
                 if reference {
-                    arbitrate_sorting_every_group(
-                        ledger,
-                        &rules,
-                        &mut buckets,
-                        &mut movers,
-                        &mut blocked,
-                        order,
-                    );
+                    arbitrate_sorting_every_group(ledger, &rules, &mut buckets, by_handle);
                 } else {
-                    ledger.arbitrate(&rules, &mut buckets, &mut movers, &mut blocked, order);
+                    ledger.arbitrate(&rules, &mut buckets, by_handle);
                 }
                 let mut grants = vec![0u32; g.num_edges()];
-                for &m in &movers {
+                for &m in &split.movers {
                     grants[edge_of[(m & !PARKED) as usize]] += 1;
                 }
-                movers.sort_unstable();
-                blocked.sort_unstable();
-                (grants, movers, blocked)
+                // A run winner is named by its index, and only a winner is.
+                for &(i, j) in &split.run_won {
+                    let m = waiters[i as usize][j as usize].handle | PARKED;
+                    assert!(split.movers.contains(&m), "case {case}: {m} not moving");
+                }
+                split.movers.sort_unstable();
+                split.blocked.sort_unstable();
+                split.run_won.sort_unstable();
+                (grants, split.movers, split.blocked, split.run_won)
             };
             let expect = run(true, &mut ledger);
             let got = run(false, &mut ledger);
@@ -1799,14 +2372,18 @@ mod tests {
                 "case {case}: arbitration scratch left dirty"
             );
             // Which regimes the case exercised, recomputed from scratch.
-            let (grants, movers, blocked) = got;
+            let (grants, movers, blocked, _) = got;
+            let contenders = |e: usize| edge_of.iter().filter(|&&x| x == e).count() as u32;
             for r in 0..routers {
                 let out = (0..g.num_edges()).filter(|&e| rules.edge_src[e] as usize == r);
                 let need: u32 = out
                     .map(|e| {
-                        let len = pairs.iter().filter(|p| p.0 == e).count() as u32;
                         let h = ledger.holders[e] as u32;
-                        let want = if rules.dead[e] { 0 } else { len.min(max - h) };
+                        let want = if rules.dead[e] {
+                            0
+                        } else {
+                            contenders(e).min(max - h)
+                        };
                         want.saturating_sub(min.saturating_sub(h))
                     })
                     .sum();
@@ -1817,38 +2394,56 @@ mod tests {
                 }
             }
             dead_groups += (0..g.num_edges())
-                .filter(|&e| rules.dead[e] && pairs.iter().any(|p| p.0 == e))
+                .filter(|&e| rules.dead[e] && contenders(e) > 0)
                 .inspect(|&e| assert_eq!(grants[e], 0, "case {case}: dead edge {e} granted"))
                 .count();
-            parked_losers += pairs.len() - movers.len() - blocked.len();
+            parked_losers += edge_of.len() - movers.len() - blocked.len();
+            run_groups += runs.len();
+            runs_alone += runs
+                .iter()
+                .filter(|r| pairs.iter().all(|p| p.0 != r.0))
+                .count();
             assert!(blocked.iter().all(|&m| m & PARKED == 0));
         }
         assert!(
-            short_routers > 300 && flush_routers > 300 && dead_groups > 300 && parked_losers > 300,
+            short_routers > 300
+                && flush_routers > 300
+                && dead_groups > 300
+                && parked_losers > 300
+                && runs_alone > 300,
             "{short_routers} routers short of credit, {flush_routers} flush, {dead_groups} \
-             dead groups, {parked_losers} parked losers"
+             dead groups, {parked_losers} parked losers, {run_groups} runs, {runs_alone} alone"
         );
     }
 
     #[test]
     fn flat_buckets_group_reset_roundtrip() {
-        let mut b = FlatBuckets::with_edges(8);
+        let mut b = FlatBuckets::with_edges(10);
         for round in 0..3 {
             b.clear();
+            b.push_run(9, 3);
+            b.push_run(2, 2);
             b.push(5, 10 + round);
             b.push(2, 20);
             b.push(5, 30);
             b.push(7, 40);
             b.push(2, 50);
             let groups = b.group();
-            assert_eq!(groups, 3);
-            // First-touch edge order, discovery order within an edge.
-            assert_eq!(b.edge(0), 5);
-            assert_eq!(b.group_mut(0), &[10 + round, 30]);
+            assert_eq!(groups, 4);
+            // First-touch edge order — the runs' first — discovery order
+            // within an edge; a run counts in its group's length, and may
+            // be a group alone.
+            assert_eq!(b.edge(0), 9);
+            assert_eq!((b.group_len(0), b.run(0)), (3, Some(0)));
+            assert!(b.group_mut(0).is_empty());
             assert_eq!(b.edge(1), 2);
+            assert_eq!((b.group_len(1), b.run(1)), (4, Some(1)));
             assert_eq!(b.group_mut(1), &[20, 50]);
-            assert_eq!(b.edge(2), 7);
-            assert_eq!(b.group_mut(2), &[40]);
+            assert_eq!(b.edge(2), 5);
+            assert_eq!(b.run(2), None);
+            assert_eq!(b.group_mut(2), &[10 + round, 30]);
+            assert_eq!(b.edge(3), 7);
+            assert_eq!(b.group_mut(3), &[40]);
         }
     }
 }

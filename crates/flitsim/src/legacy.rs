@@ -54,10 +54,10 @@ pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
 /// Returns whether any worm advanced.
 fn step_full_bandwidth(core: &mut Core, t: u64) -> bool {
     let active = std::mem::take(&mut core.active);
-    let progressed = core.step_winners(t, &active, &[]);
+    let progressed = core.step_winners(t, &active, None);
     core.active = active;
-    for i in 0..core.blocked.len() {
-        let m = core.blocked[i];
+    for i in 0..core.split.blocked.len() {
+        let m = core.split.blocked[i];
         core.outcomes[m as usize].stalls += 1;
         if core.config.blocked == BlockedPolicy::Discard {
             core.discard(m, t, DiscardReason::Delay);

@@ -12,9 +12,10 @@ use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{EdgeId, Graph, NodeId};
 use wormhole_topology::path::Path;
 
-use crate::config::{RouteSelection, SimConfig};
+use crate::config::{Arbitration, RouteSelection, SimConfig};
 use crate::kernel::{
-    self, order_contenders, FlatBuckets, RouteStats, SelectedHop, VcLedger, VcRules, WatchRow, Worm,
+    self, FlatBuckets, Rank, RouteStats, SelectedHop, Split, VcLedger, VcRules, WaitQueue,
+    WatchRow, Worm,
 };
 use crate::message::MessageSpec;
 use crate::probe::{self, Phase};
@@ -186,6 +187,30 @@ impl<'a> AdaptiveState<'a> {
     }
 }
 
+/// Splits every group of `buckets` ([`VcLedger::arbitrate`]) — those
+/// with a run that `contest` entered included — under `rank`
+/// ([`Split::group`]).
+fn split_groups(
+    ledger: &mut VcLedger,
+    rules: &VcRules,
+    buckets: &mut FlatBuckets,
+    split: &mut Split,
+    contest: Option<&WaitQueue>,
+    rank: impl Fn(u32) -> Rank,
+) {
+    ledger.arbitrate(rules, buckets, |e, run, group, free| {
+        let run = run.map_or((0, &[][..]), |i| {
+            (
+                i,
+                contest
+                    .expect("a run is entered by a contest")
+                    .entered_run(i),
+            )
+        });
+        split.group(e, group, run, free, &rank)
+    });
+}
+
 /// Worm `h`'s route so far: the incrementally built route under
 /// adaptive selection, the spec's path otherwise.
 #[inline]
@@ -276,8 +301,9 @@ pub(crate) struct Core<'a> {
     /// the event-style drivers rebuild it for cold paths only
     /// (deadlock report, invariant checks).
     pub(crate) active: Vec<u32>,
-    movers: Vec<u32>,
-    pub(crate) blocked: Vec<u32>,
+    /// This step's arbitration verdicts: its movers, and the losers the
+    /// caller stalls, discards or parks (`split.blocked`).
+    pub(crate) split: Split,
     /// This step's winners among the parked worms the event driver
     /// entered ([`Core::step_winners`]).
     pub(crate) won: Vec<u32>,
@@ -335,8 +361,7 @@ impl<'a> Core<'a> {
             outcomes: Vec::new(),
             adaptive,
             active: Vec::new(),
-            movers: Vec::new(),
-            blocked: Vec::new(),
+            split: Split::new(config),
             won: Vec::new(),
             doomed: Vec::new(),
             released: Vec::new(),
@@ -601,16 +626,16 @@ impl<'a> Core<'a> {
             selected,
             |j| route_of(adaptive, specs, m)[j as usize - 1].idx(),
             &mut self.buckets,
-            &mut self.movers,
+            &mut self.split.movers,
         );
     }
 
     /// Whether worm `m`, blocked this step, can park
     /// ([`kernel::WaitQueue`]): every edge it could want next is still
     /// non-acquirable now that the step's releases have landed. If so,
-    /// fills `keys` with the wait keys to park on and returns the edge
-    /// its wait nodes record — the next path edge, and its key, for a
-    /// frozen route; [`kernel::NO_EDGE`] and the whole watch set's keys
+    /// fills `keys` with the wait keys to park on and returns the edge it
+    /// waits for — the next path edge, and its key, for a frozen route,
+    /// whose run it joins; [`kernel::NO_EDGE`] and the whole watch set's keys
     /// for a pending one ([`kernel::pending_wait_keys`]), whose selection
     /// is pinned to the escape hop the legacy stepper re-selects every
     /// step it stays blocked (what the deadlock report reads). A pending
@@ -640,55 +665,76 @@ impl<'a> Core<'a> {
         })
     }
 
+    /// Worm `m`'s place in the canonical arbitration order
+    /// ([`kernel::rank`]).
+    #[inline]
+    pub(crate) fn rank(&self, m: u32) -> Rank {
+        let mi = m as usize;
+        let id = if self.handles_are_ids {
+            m
+        } else {
+            self.ids[mi]
+        };
+        kernel::rank(self.config.arbitration, id, || &self.specs[mi])
+    }
+
     /// The phases of a full-bandwidth step every driver shares, over the
     /// worms `stepping` (they only differ in which list that is) and the
-    /// parked worms `entered` as `(wanted edge, handle)` — the event
-    /// driver's waiters of this step's hot keys; none under the legacy
-    /// stepper: classify, arbitrate, advance the winners. Leaves the
-    /// `stepping` losers in `blocked` for the caller to stall, discard or
-    /// park, and the `entered` winners in `won` for it to unpark; an
-    /// `entered` loser is on neither list. Returns whether anything
-    /// progressed.
+    /// waiters the event driver's `contest` entered from its wait queue —
+    /// pending heads one by one under the hop each selected, frozen-route
+    /// waiters in whole runs ([`WaitQueue::scan_hot`]); none under the
+    /// legacy stepper: classify, arbitrate, advance the winners. Leaves
+    /// the `stepping` losers in `split.blocked` for the caller to stall,
+    /// discard or park, and the entered winners in `won` for it to unpark
+    /// — those of a run also in `split.run_won`, by index; an entered
+    /// loser is on neither list, and a run loser is never read. Returns
+    /// whether anything progressed.
     pub(crate) fn step_winners(
         &mut self,
         t: u64,
         stepping: &[u32],
-        entered: &[(u32, u32)],
+        contest: Option<&WaitQueue>,
     ) -> bool {
-        self.movers.clear();
-        self.blocked.clear();
+        self.split.start(t);
         self.won.clear();
         self.buckets.clear();
         self.doomed.clear();
         // Phase 1: classify worms into drains, contenders, free movers
-        // (pending adaptive worms select their wanted hop here). A parked
-        // worm contends for the edge its wait node records: nothing of
-        // the worm is read.
+        // (pending adaptive worms select their wanted hop here). A run of
+        // waiters contends for the edge it waits for as a whole: nothing
+        // of its worms is read.
+        if let Some(queue) = contest {
+            for (e, len) in queue.entered_runs() {
+                self.buckets.push_run(e, len);
+            }
+        }
         for &m in stepping {
             self.classify(m);
         }
-        for &(e, m) in entered {
-            self.buckets.push_parked(e as usize, m);
+        if let Some(queue) = contest {
+            for &(e, m) in queue.entered_heads() {
+                self.buckets.push_parked(e as usize, m);
+            }
         }
         probe::lap(Phase::Classify);
         // Phase 2: per-edge arbitration using start-of-step holder
-        // counts, contenders ordered by message id. Where handles are
-        // the ids the handle itself is the key: sorting through `ids`
-        // costs ~15 % of this phase at saturation.
+        // counts, contenders in rank order. Where handles are the ids the
+        // handle itself is the id: ranking through `ids` costs ~15 % of
+        // this phase at saturation.
         if self.handles_are_ids {
-            self.arbitrate(t, |m| m);
+            self.arbitrate(contest, |m| m);
         } else {
             let ids = std::mem::take(&mut self.ids);
-            self.arbitrate(t, |m| ids[m as usize]);
+            self.arbitrate(contest, |m| ids[m as usize]);
             self.ids = ids;
         }
         probe::lap(Phase::Arbitrate);
         // Phase 3: apply. Doomed worms (severed escape continuation) are
         // discarded here rather than during classification so their VC
         // releases land mid-step — visible at `t+1`, like any release.
-        for i in 0..self.movers.len() {
-            let m = self.movers[i] & !kernel::PARKED;
-            if m != self.movers[i] {
+        for i in 0..self.split.movers.len() {
+            let m = self.split.movers[i] & !kernel::PARKED;
+            if m != self.split.movers[i] {
                 self.won.push(m);
             }
             self.apply_advance(m, t);
@@ -700,26 +746,41 @@ impl<'a> Core<'a> {
         probe::lap(Phase::Apply);
         // A fault discard is progress for the deadlock test: it released
         // VCs mid-step, so blocked worms may advance at `t+1`.
-        !self.movers.is_empty() || !self.doomed.is_empty()
+        !self.split.movers.is_empty() || !self.doomed.is_empty()
     }
 
-    /// Splits this step's contenders into `movers` and `blocked`
-    /// ([`VcLedger::arbitrate`]); `id` maps a handle to its message id.
+    /// Splits this step's contenders — the runs `contest` entered among
+    /// them — into winners and losers ([`VcLedger::arbitrate`],
+    /// [`Split::group`]); `id` maps a handle to its message id. The policy
+    /// is matched here, once: each arm ranks under a constant one, so
+    /// [`kernel::rank`] folds to what that policy reads.
     #[inline]
-    fn arbitrate(&mut self, t: u64, id: impl Fn(u32) -> u32) {
-        let (config, specs) = (self.config, &self.specs);
-        self.ledger.arbitrate(
-            &self.rules,
-            &mut self.buckets,
-            &mut self.movers,
-            &mut self.blocked,
-            |e, group| {
-                order_contenders(config, t, e, group, |m| {
-                    let s = &specs[m as usize];
-                    (s.release, s.priority, id(m))
-                })
-            },
-        );
+    fn arbitrate(&mut self, contest: Option<&WaitQueue>, id: impl Fn(u32) -> u32) {
+        let Self {
+            config,
+            ledger,
+            rules,
+            buckets,
+            split,
+            specs,
+            ..
+        } = self;
+        let spec = |m: u32| &*specs[m as usize];
+        match config.arbitration {
+            // `Random` shuffles from `FifoById`'s order.
+            Arbitration::FifoById | Arbitration::Random => {
+                let rank = |m| kernel::rank(Arbitration::FifoById, id(m), || spec(m));
+                split_groups(ledger, rules, buckets, split, contest, rank)
+            }
+            Arbitration::OldestFirst => {
+                let rank = |m| kernel::rank(Arbitration::OldestFirst, id(m), || spec(m));
+                split_groups(ledger, rules, buckets, split, contest, rank)
+            }
+            Arbitration::PriorityRank => {
+                let rank = |m| kernel::rank(Arbitration::PriorityRank, id(m), || spec(m));
+                split_groups(ledger, rules, buckets, split, contest, rank)
+            }
+        }
     }
 
     /// Releases one VC on `e` ([`VcLedger::release`]), recording it for

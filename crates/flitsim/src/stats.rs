@@ -66,12 +66,15 @@ pub struct EngineStats {
     /// once per edge it finds full: losing a contest does not re-park it.
     pub parks: u64,
     /// Wait keys arbitrated in place: a release made the key hot, and
-    /// the next executed step walked its chain of waiters.
+    /// the next executed step entered its waiters. A waiter leaves every
+    /// key it waited on when it wins or is killed, so a contest is held
+    /// only where somebody waits — a key a kill emptied after it turned
+    /// hot is cooled without one.
     pub contests: u64,
-    /// Waiters those walks entered into a step's arbitration from where
-    /// they wait — frozen-route worms for the edge they parked on,
-    /// pending adaptive heads for the hop they select from their watch
-    /// row — each at most once a step.
+    /// Waiters those contests entered into a step's arbitration from
+    /// where they wait — frozen-route worms in the runs of their keys,
+    /// whole, pending adaptive heads one by one for the hop they select
+    /// from their watch row — each at most once a step.
     pub waiters_entered: u64,
     /// Of `waiters_entered`, those that won their edge and left the
     /// queue; the rest (`waiters_entered − waiters_won`) lost and stayed

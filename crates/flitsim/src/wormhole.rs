@@ -83,11 +83,13 @@
 //!    adaptive header — still has all `B` VCs held *after* the step's
 //!    releases land. Holder counts only ever drop on a release, and a
 //!    release marks the wait key of its edge *hot*: at the next executed
-//!    step every waiter on a hot key is a contender again. A frozen-route
-//!    waiter is entered into that step's arbitration under the edge its
-//!    wait node records, so every arbitration sees exactly the contender
-//!    *set* the legacy stepper's does — its waiters and the runnable
-//!    contenders — and every policy orders canonically in the set. While
+//!    step every waiter on a hot key is a contender again. The
+//!    frozen-route waiters of a key are entered into that step's
+//!    arbitration as runs, whole, under the edge each wants, so every
+//!    arbitration sees exactly the contender *set* the legacy stepper's
+//!    does — its waiters and the runnable contenders — and every policy
+//!    orders canonically in the set (a run is kept in that order, so
+//!    only the winning places are read). While
 //!    no key of a parked worm is hot its edges stay full and the legacy
 //!    stepper re-runs and loses the same arbitration every step; at a
 //!    contest it loses the legacy stepper loses too, and if any contender
@@ -203,10 +205,10 @@
 //! the legacy stepper counts exactly one stall per step and the parked
 //! interval settles arithmetically like any other (the worm's selection
 //! is pinned to the escape hop meanwhile, which is what a deadlock
-//! report reads). Its wait nodes record no edge: when a key of its turns
-//! hot it selects again from its row and contends from where it waits
-//! (invariant 1), and only a win takes it off the queue. A frozen-route
-//! worm wants one fixed edge and is the one-key case of the same queue.
+//! report reads). It wants no fixed edge: when a key of its turns hot it
+//! selects again from its row and contends from where it waits
+//! (invariant 1), and only a win takes it off the queue — off every key.
+//! A frozen-route worm wants one fixed edge and waits in that edge's run.
 //! A fault kill, which can sever a parked worm's escape continuation —
 //! something only classification judges — unparks every pending worm.
 //! The all-draining and idle-network jumps stay exact: an arrived worm

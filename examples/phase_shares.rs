@@ -4,7 +4,11 @@
 //! for `butterfly_closed_loop`, `torus_uniform_light`,
 //! `torus_uniform_saturated` and `torus_adaptive_saturated`, built from
 //! their constants and the benchmark's seed derivation (`--seed 1` by
-//! default), each run `REPS` times (5 by default) and summed.
+//! default), each run `REPS` times (5 by default) and summed. Under the
+//! table it prints each workload's [`EngineStats`] — exact counts, the
+//! same on any host, so a before / after needs no quiet machine: steps
+//! executed, parks, contests, waiters entered and won, pending heads
+//! entered.
 //!
 //! ```text
 //! cargo run --release --features phase-probe --example phase_shares [-- SEED [REPS]]
@@ -14,7 +18,12 @@
 //! and compare them between two builds probed alike.
 
 use wormhole_routing::flitsim::probe::{self, Phase, PhaseTimes};
+use wormhole_routing::flitsim::stats::EngineStats;
 use wormhole_routing::prelude::*;
+
+/// One workload's probed phases, summed over its runs, and the event
+/// engine's counters of one of them.
+type Probed = (PhaseTimes, EngineStats);
 
 /// The benchmark's seed derivation: stream `salt` of `seed`.
 fn derive(seed: u64, salt: u64) -> u64 {
@@ -47,7 +56,7 @@ fn config(substrate: &Substrate, seed: u64, ol: &OpenLoopConfig) -> SimConfig {
 
 /// `butterfly_closed_loop`: 128 clients and 128 servers on butterfly(8),
 /// pooled VCs, horizon 5 000.
-fn closed_loop(seed: u64, reps: u64) -> PhaseTimes {
+fn closed_loop(seed: u64, reps: u64) -> Probed {
     let substrate = Substrate::butterfly(8);
     let cl = ClosedLoopConfig {
         clients: 128,
@@ -63,17 +72,36 @@ fn closed_loop(seed: u64, reps: u64) -> PhaseTimes {
     };
     let ol = OpenLoopConfig::new(1_250, 3_750);
     let cfg = config(&substrate, seed, &ol).vc_policy(VcPolicy::pooled(4, 1, 4));
-    let mut times = PhaseTimes::default();
+    let mut probed = Probed::default();
     for _ in 0..reps {
         let mut source = ClosedLoopSource::new(&substrate, &cl);
-        wormhole_run_source(substrate.graph(), &mut source, &cfg);
-        times += probe::take();
+        let result = wormhole_run_source(substrate.graph(), &mut source, &cfg);
+        add(&mut probed, &result);
     }
-    times
+    probed
+}
+
+/// The counters the table shows, in its row order.
+fn counts(s: &EngineStats) -> [(&'static str, u64); 6] {
+    [
+        ("steps executed", s.steps_executed),
+        ("parks", s.parks),
+        ("contests", s.contests),
+        ("waiters entered", s.waiters_entered),
+        ("waiters won", s.waiters_won),
+        ("pending entered", s.pending_entered),
+    ]
+}
+
+/// Adds the laps of the run that produced `result` to `probed`, and
+/// keeps its counters.
+fn add(probed: &mut Probed, result: &SimResult) {
+    probed.0 += probe::take();
+    probed.1 = result.engine_stats.expect("the event engine counts");
 }
 
 /// A windowed torus workload: 16×16, `L` = 8, random arbitration.
-fn torus(seed: u64, reps: u64, pattern: TrafficPattern, rate: f64, window: u64) -> PhaseTimes {
+fn torus(seed: u64, reps: u64, pattern: TrafficPattern, rate: f64, window: u64) -> Probed {
     let adaptive = pattern == TrafficPattern::Tornado;
     let discipline = if adaptive {
         RoutingDiscipline::AdaptiveEscape
@@ -91,13 +119,13 @@ fn torus(seed: u64, reps: u64, pattern: TrafficPattern, rate: f64, window: u64) 
         cfg = cfg.route_selection(RouteSelection::MinimalAdaptive);
         router = Some(substrate.as_mesh().expect("a torus routes adaptively") as _);
     }
-    let mut times = PhaseTimes::default();
+    let mut probed = Probed::default();
     for _ in 0..reps {
-        wormhole_simulate(substrate.graph(), router, Traffic::Specs(&specs), &cfg)
+        let result = wormhole_simulate(substrate.graph(), router, Traffic::Specs(&specs), &cfg)
             .expect("the benchmark's inputs are well formed");
-        times += probe::take();
+        add(&mut probed, &result);
     }
-    times
+    probed
 }
 
 fn main() {
@@ -126,14 +154,28 @@ fn main() {
     println!("{}", "---:|".repeat(runs.len()));
     for phase in Phase::ALL {
         print!("| {} |", phase.name());
-        for (_, times) in &runs {
+        for (_, (times, _)) in &runs {
             print!(" {:.1} |", 100.0 * times.share(phase));
         }
         println!();
     }
     print!("| probed ms a run |");
-    for (_, times) in &runs {
+    for (_, (times, _)) in &runs {
         print!(" {:.2} |", times.total().as_secs_f64() * 1e3 / reps as f64);
     }
-    println!();
+    println!("\n\nevent engine counters, one run each\n");
+    print!("| counter |");
+    for (name, _) in &runs {
+        print!(" {name} |");
+    }
+    print!("\n|---|");
+    println!("{}", "---:|".repeat(runs.len()));
+    let counts: Vec<[(&str, u64); 6]> = runs.iter().map(|(_, (_, s))| counts(s)).collect();
+    for row in 0..6 {
+        print!("| {} |", counts[0][row].0);
+        for run in &counts {
+            print!(" {} |", run[row].1);
+        }
+        println!();
+    }
 }

@@ -2,9 +2,10 @@
 //!
 //! A worm that loses arbitration parks, and a release on its wait key
 //! does not wake it: the key turns *hot*, the next executed step enters
-//! the key's waiters into arbitration from where they wait, and only a
-//! winner leaves the queue (`flitsim/src/engine.rs`). These fixtures pin
-//! what that must — and must not — change:
+//! the key's waiters into arbitration from where they wait — a
+//! fixed-route key's as a run kept in arbitration order, whole — and only
+//! a winner leaves the queue (`flitsim/src/engine.rs`). These fixtures
+//! pin what that must — and must not — change:
 //!
 //! * nothing a user can see: every fixture runs on Legacy, EventDriven
 //!   and Parallel at 1 and 2 workers with `check_invariants` on, and the
@@ -208,7 +209,7 @@ fn a_pooled_siblings_release_is_contested_and_lost_without_touching_the_waiters(
 /// release of step 3 made edge 0's key hot, and the kill at the start of
 /// step 4 — before the contest — discards worm 1, parked there since
 /// step 0 with a dead edge ahead. It settles four stalls like the legacy
-/// stepper's, its wait node goes stale, and the contest at step 4 is
+/// stepper's, it leaves its key's run, and the contest at step 4 is
 /// between whoever is left: worm 2 wins.
 #[test]
 fn a_kill_severs_a_waiter_the_step_its_key_is_hot() {
@@ -415,8 +416,10 @@ fn a_pending_loser_whose_other_candidate_is_open_contends_again_the_next_step() 
 /// rule — on a 6×6 dateline torus. The counts are exact and the same on
 /// any machine, so a change that brings the herd back (a loser re-parked
 /// per contest lost would add `waiters_entered − waiters_won` parks)
-/// fails here. Under the parallel engine they depend on the plan and the
-/// fuse: there, two runs must agree.
+/// fails here. A winner leaves every key it waited on, so a contest is
+/// held only where somebody waits: never more contests than waiters
+/// entered. Under the parallel engine the counts depend on the plan and
+/// the fuse: there, two runs must agree.
 #[test]
 fn counter_golden_on_the_saturated_torus_point_of_fast_x2() {
     let substrate = Substrate::torus_with(6, 2, RoutingDiscipline::DatelineClasses);
@@ -446,10 +449,11 @@ fn counter_golden_on_the_saturated_torus_point_of_fast_x2() {
     let stats = event.engine_stats.expect("the event driver counts");
     assert_eq!(
         herd_counts(&stats),
-        (8_752, 3_934, 76_080, 3_215),
+        (8_752, 3_354, 76_080, 3_215),
         "parks are first blocks only; {} contests lost touched nobody",
         stats.waiters_entered - stats.waiters_won
     );
+    assert!(stats.contests <= stats.waiters_entered);
     for threads in [1, 2] {
         let par = run(Engine::Parallel { threads });
         assert!(par.same_execution(&legacy));
@@ -486,7 +490,7 @@ fn counter_golden_on_a_saturated_minimal_adaptive_tornado_point() {
         Outcome::MaxSteps,
         "the point is saturated"
     );
-    assert_eq!(herd_counts(&got.event), (5_844, 441, 13_859, 414));
+    assert_eq!(herd_counts(&got.event), (5_844, 440, 13_859, 414));
     assert_eq!(got.event.pending_entered, 13_499);
     // One worker fuses the plan into one region, which then counts what
     // the event engine does.
