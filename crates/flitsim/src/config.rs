@@ -159,16 +159,15 @@ pub enum Engine {
     Legacy,
     /// Partitioned parallel engine: the network is decomposed into
     /// regions ([`SimConfig::regions`], or a default contiguous cut),
-    /// each worker advancing a contiguous block of them; workers
-    /// synchronize on conservative windows granted from how soon each
-    /// worm can reach a cross-region edge
-    /// (`RegionPlan::distance_to_cut`), and never past the next
-    /// admission or fault kill. Regions stay apart only while no worm
-    /// can reach a cut: the first time one can, each worker's block
-    /// fuses into a single region for the rest of the run
-    /// ([`crate::stats::EngineStats::regions_at_end`]). Runs static and
-    /// pooled VC policies, oblivious **and adaptive** routing, with or
-    /// without a fault plan.
+    /// each worker advancing one of them; workers synchronize on
+    /// conservative windows granted from how soon each worm can reach a
+    /// cross-region edge (`RegionPlan::distance_to_cut`), and never past
+    /// the next admission or fault kill. With fewer workers than the plan
+    /// has regions, each worker's block of adjacent regions is merged
+    /// into one before step 0
+    /// ([`crate::stats::EngineStats::regions`]). Runs static and pooled
+    /// VC policies, oblivious **and adaptive** routing, with or without a
+    /// fault plan.
     ///
     /// ```
     /// use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig};
@@ -191,11 +190,10 @@ pub enum Engine {
     Parallel {
         /// Worker thread count; `0` means use all available parallelism.
         /// More workers than regions are not started. Fewer means each
-        /// steps several regions — every one of them while traffic
-        /// stays clear of the cuts, one fused region once it does not,
-        /// so `threads: 1` ends up stepping the whole network as one
-        /// region, much like [`Engine::EventDriven`]. The result is
-        /// byte-identical for every thread count, including 1.
+        /// steps a block of adjacent regions merged into one, so
+        /// `threads: 1` steps the whole network as one region, much like
+        /// [`Engine::EventDriven`]. The result is byte-identical for
+        /// every thread count, including 1.
         threads: u32,
     },
 }
@@ -341,11 +339,11 @@ pub struct SimConfig {
     /// contiguous cut over the graph's node-id order
     /// (`RegionPlan::contiguous`); substrate-aware plans come from
     /// `wormhole_workloads::Substrate::region_plan`. The plan is the
-    /// *finest* decomposition the engine will use: with fewer workers
-    /// than regions it steps adjacent regions (numbered adjacently by
-    /// every plan constructor) on one worker, and fuses them once
-    /// traffic reaches a cut. It only affects cost — the `SimResult` is
-    /// bit-identical for every valid plan and thread count.
+    /// finest decomposition the engine uses: with fewer workers than
+    /// regions it merges each worker's block of adjacent regions
+    /// (numbered adjacently by every plan constructor) into one before
+    /// step 0. It only affects cost — the `SimResult` is bit-identical
+    /// for every valid plan and thread count.
     pub regions: Option<RegionPlan>,
     /// Timed link/router kills applied during the run (validated against
     /// the graph at simulation start; see

@@ -34,9 +34,8 @@
 //! contending in place, all-draining fast-forward), the legacy per-step
 //! stepper kept as its differential oracle, and a partitioned parallel engine
 //! ([`config::Engine::Parallel`]) that shards the network into regions,
-//! each advanced by the event engine's own driver on a worker thread
-//! under conservative lookahead windows (and fused, one region per
-//! worker, once traffic reaches a cut). Every engine runs every
+//! one per worker thread, each advanced by the event engine's own driver
+//! under conservative lookahead windows. Every engine runs every
 //! configuration — adaptive routing, pooled VCs, reactive sources and
 //! fault plans included; see the [`wormhole`] module docs for the
 //! equivalence invariants.

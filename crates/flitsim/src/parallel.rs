@@ -4,8 +4,7 @@
 //! [`RegionPlan`] (from [`SimConfig::regions`], or a default contiguous
 //! cut): every node — and with it every outgoing edge, i.e. the VC
 //! holder state that lives at the sending router — is owned by exactly
-//! one region, and every worker thread advances a contiguous block of
-//! regions (one each when there are as many workers as regions).
+//! one region, and every worker thread advances one region.
 //! Workers synchronize on conservative time windows in the
 //! Chandy–Misra style: a region may run ahead only as far as the
 //! earliest instant it could influence (or be influenced by) a
@@ -20,11 +19,8 @@
 //! admission). The coordinator takes the minimum over the populated
 //! regions, caps it at the next message release, the next fault kill and
 //! the step cap, and broadcasts one *window* `[t, t + w)`; each worker
-//! then runs its regions through the whole window without any
+//! then runs its region through the whole window without any
 //! synchronization — a null-message-style window grant.
-//!
-//! The plan is the *finest* decomposition, not the one the run ends on:
-//! regions stay apart only while no worm can reach a cut (see *Fusing*).
 //!
 //! # One driver, N residencies
 //!
@@ -34,6 +30,17 @@
 //! event engine's own [`engine::run_window`]: stepping, parking, waking,
 //! the all-draining fast-forward and the stall arithmetic are that
 //! module's, argued there and in the [`crate::wormhole`] docs.
+//!
+//! With `n` workers and a plan of `k > n` regions, [`drive`] first merges
+//! plan region `r` into region `r · n / k` — adjacent regions, as every
+//! plan constructor numbers them — so each worker steps one region under
+//! one layout for the whole run. At one worker that region is the whole
+//! graph and no edge crosses its boundary: it keeps no cut state (no path
+//! scan on arrival, the event engine's no-op `on_park`, no window-end
+//! emigration or [`worm_bound`] pass), and what it pays over the event
+//! engine is the coordinator's copy of a worm into it at admission and
+//! out of it at retirement.
+//!
 //! What this module owns is what is parallel:
 //!
 //! * **Residency and hand-off.** A worm resides in the region owning its
@@ -107,73 +114,13 @@
 //! policies, every arbitration and blocked policy, oblivious and
 //! adaptive routing, reactive sources, fault plans.
 //!
-//! # Fusing
-//!
-//! Decomposition finer than the worker count pays in exactly one regime:
-//! while *no* resident can ever reach a cut, each region drains through
-//! long windows of its own, hot in cache, and nothing crosses. The grant
-//! is one global minimum, so the moment any worm's bound is finite
-//! *every* region is in short windows, and a cut between two regions
-//! the same thread steps is pure overhead — a window entry per region
-//! per step, a [`worm_bound`] pass over every runnable worm, a hand-off
-//! each time a worm crosses. That moment is something the coordinator
-//! observes: the first time the cut-bound grant (the minimum `safe` over
-//! populated regions, before the release / kill / cap clamp) is finite —
-//! checked where the grant is computed, every region held, after the
-//! previous window's outboxes have landed and the step's admissions are
-//! in — each worker's block of regions fuses into its first, once, and
-//! stays fused. With as many workers as regions the blocks are single
-//! regions and nothing ever fuses.
-//!
-//! Fusing `b` into `a` before step `t` ([`fuse`], [`Region::relabel`],
-//! [`Region::absorb`]), and why each step is exact:
-//!
-//! 1. **`b` takes the occupancy sample it owes for `t − 1`.** Every
-//!    release of that step has landed, so the sample is the end-of-step
-//!    state; its maxima, like its accumulators, fold into `a`'s as a
-//!    region's fold into the run's when it ends (maxima by `max`, counts
-//!    by `+`). `a`'s own sample reads only `a`'s rows, which the fold
-//!    leaves alone, and is taken on entering its next window as always.
-//! 2. **`b`'s parked worms are settled through `t − 1` and made
-//!    runnable**, its hot keys cooled. A worm whose edge is still
-//!    full loses again at `t`, counts that stall and parks again; one
-//!    whose key was hot contends at `t`, as it was about to — every step
-//!    it sat parked it lost or would have lost (invariant 1 of the
-//!    [`crate::wormhole`] docs), so the settlement is what the legacy
-//!    stepper counted: the argument [`engine::kill`] already makes for
-//!    the pending worms it wakes.
-//! 3. **`b`'s `holders` / `pool_used` / `shared_used` rows are added
-//!    into `a`'s.** A region's ledger counts only the edges and routers
-//!    it owns: the supports are disjoint, so the sum is the ledger of
-//!    the union.
-//! 4. **The layout relabels `b → a`** — a second [`Ctx`] with one region
-//!    per worker, published once and read by the workers after the next
-//!    `start` barrier. Every *other* region's view is unchanged: `a`'s
-//!    and `b`'s edges were foreign to it and still are. `a` recomputes
-//!    what it cached of the old layout: its [`Core::foreign`] flags and
-//!    its residents' [`cuts`], `safe` and `parked_safe`. `a`'s parked
-//!    worms stay parked — wait keys are global edge and router ids.
-//! 5. **`b`'s residents move over** with the same [`Core::take`] /
-//!    [`Region::arrive`] as any hand-off, and `b` is never stepped again
-//!    (an empty region is left in its place; its tables are freed).
-//!
-//! **A region no cross edge touches** — after a one-worker fuse, the
-//! whole graph — keeps no cut state at all: [`Region::arrive`] does not
-//! scan the path, its window is [`engine::run_window`] with the
-//! sequential engine's no-op `on_park`, and the window-end emigration /
-//! [`worm_bound`] pass is skipped: its `safe` is infinite for good.
-//! What one worker still pays over the event engine is the coordinator:
-//! a worm is copied into the region at admission and out of it at
-//! retirement, and arbitration sorts by `ids[handle]`.
-//!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
 
 use std::any::Any;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
@@ -192,9 +139,8 @@ use crate::wormhole::SimError;
 /// [`SimConfig::regions`]: crate::config::SimConfig::regions
 const DEFAULT_REGIONS: u32 = 8;
 
-/// A region layout, shared read-only by the coordinator and every
-/// worker: the plan's until the fuse, one region per worker after it
-/// ([`Shared::layout`]).
+/// The run's region layout — the plan, merged down to one region per
+/// worker — shared read-only by the coordinator and every worker.
 struct Ctx {
     /// Edge → owning region (= region of the source router).
     edge_region: Vec<u32>,
@@ -266,8 +212,7 @@ impl Ctx {
 /// none). Constant while a frozen-route worm stays resident — it only
 /// marches forward through the local stretch in between, and leaves
 /// when the edge it wants next is `ahead` — so [`Region`] computes it
-/// on arrival, and again only if the layout changes under the worm
-/// ([`Region::relabel`]).
+/// once, on arrival.
 fn cuts(ctx: &Ctx, core: &Core, h: u32, home: u32) -> (u32, u32) {
     let (w, route) = (&core.worms[h as usize], core.route(h));
     let foreign = |j: &u32| ctx.edge_region[route[*j as usize - 1].idx()] != home;
@@ -394,25 +339,20 @@ impl<'a> Region<'a> {
         }
     }
 
-    /// Caches resident `h`'s [`cuts`] under `ctx` and returns its
-    /// [`worm_bound`].
-    fn scan(&mut self, ctx: &Ctx, h: u32) -> u64 {
-        let at = cuts(ctx, &self.core, h, self.idx);
-        if self.cuts.len() <= h as usize {
-            self.cuts.resize(h as usize + 1, None);
-        }
-        self.cuts[h as usize] = (!self.core.worms[h as usize].pending_route).then_some(at);
-        worm_bound(ctx, &self.core, h, at)
-    }
-
     /// Takes in a worm — freshly admitted, or handed off by another
-    /// region — under a free handle, and tightens the window grant.
+    /// region — under a free handle, caches its [`cuts`] and tightens the
+    /// window grant.
     fn arrive(&mut self, ctx: &Ctx, r: Resident<'a>) {
         let h = self.free.pop().unwrap_or(self.core.worms.len() as u32);
         self.core.put(h, r);
         self.core.unfinished += 1;
         if ctx.has_cut[self.idx as usize] {
-            self.safe = self.safe.min(self.scan(ctx, h));
+            let at = cuts(ctx, &self.core, h, self.idx);
+            if self.cuts.len() <= h as usize {
+                self.cuts.resize(h as usize + 1, None);
+            }
+            self.cuts[h as usize] = (!self.core.worms[h as usize].pending_route).then_some(at);
+            self.safe = self.safe.min(worm_bound(ctx, &self.core, h, at));
         }
         self.st.runnable.push(h);
     }
@@ -492,69 +432,16 @@ impl<'a> Region<'a> {
         }
         self.safe = safe.min(self.parked_safe);
     }
-
-    /// This region becomes region `idx` of `ctx`, the layout after the
-    /// fuse: everything it caches of the old layout — which edges are
-    /// foreign, every resident's [`cuts`], the two running bounds — is
-    /// recomputed. Its parked worms stay parked: wait keys are global
-    /// edge and router ids, and the edges they watch were this region's
-    /// and still are.
-    fn relabel(&mut self, idx: u32, ctx: &Ctx) {
-        self.idx = idx;
-        self.core.foreign = ctx.foreign(idx);
-        (self.safe, self.parked_safe) = (u64::MAX, u64::MAX);
-        if !ctx.has_cut[idx as usize] {
-            self.cuts = Vec::new();
-            return;
-        }
-        for i in 0..self.st.runnable.len() {
-            self.safe = self.safe.min(self.scan(ctx, self.st.runnable[i]));
-        }
-        let parked: Vec<u32> = self.st.waiting.parked().collect();
-        for h in parked {
-            self.parked_safe = self.parked_safe.min(self.scan(ctx, h));
-        }
-        self.safe = self.safe.min(self.parked_safe);
-    }
-
-    /// Folds region `b` into this one — already relabelled to the region
-    /// of `ctx` both become — before step `t`, and leaves `b` empty:
-    /// steps 1, 2, 3 and 5 of the module docs' *Fusing*, argued there.
-    fn absorb(&mut self, ctx: &Ctx, b: &mut Region<'a>, t: u64) {
-        debug_assert!(
-            b.handoffs.is_empty() && b.retired.is_empty() && b.core.remote_releases.is_empty(),
-            "the fuse follows a landing"
-        );
-        b.core.ledger.settle_max(&b.core.rules);
-        engine::settle_parked(&mut b.core, &mut b.st, t.saturating_sub(1));
-        let (mine, theirs) = (&mut self.core.ledger, &b.core.ledger);
-        add_rows(&mut mine.holders, &theirs.holders);
-        add_rows(&mut mine.pool_used, &theirs.pool_used);
-        add_rows(&mut mine.shared_used, &theirs.shared_used);
-        for h in std::mem::take(&mut b.st.runnable) {
-            self.arrive(ctx, b.core.take(h));
-        }
-        fold_totals(&mut self.core, &b.core);
-        self.st.stats.add_driver_counts(&b.st.stats);
-    }
 }
 
-/// Everything the worker threads can see: the regions (each behind its
-/// own mutex — workers step disjoint blocks inside a window and the
-/// coordinator holds every live one between windows, so locks are never
-/// contended), the two layouts, the window barriers, and the broadcast
-/// clock/grant.
+/// Everything the worker threads can see: the regions, one a worker
+/// (each behind its own mutex — a worker steps its own inside a window
+/// and the coordinator holds every one between windows, so locks are
+/// never contended), their layout, the window barriers, and the
+/// broadcast clock/grant.
 struct Shared<'a> {
     regions: Vec<Mutex<Region<'a>>>,
-    /// Threads stepping regions, the coordinator included
-    /// (`1 ..= regions.len()`).
-    nthreads: usize,
-    /// The plan's layout: the finest decomposition.
-    plan: Ctx,
-    /// The layout after the fuse, one region per worker. Set once, by
-    /// the coordinator, between windows (the `start` barrier publishes
-    /// it).
-    fused: OnceLock<Ctx>,
+    ctx: Ctx,
     /// Opens a window (workers wait here between windows).
     start: Barrier,
     /// Closes a window (the coordinator merges after this).
@@ -572,42 +459,17 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// The layout in force.
-    fn layout(&self) -> &Ctx {
-        self.fused.get().unwrap_or(&self.plan)
-    }
-
-    /// Worker `w`'s block of the plan's regions — region `r` is worker
-    /// `r · nthreads / k`'s. Contiguous, because every plan constructor
-    /// numbers adjacent regions adjacently and only regions one worker
-    /// steps may fuse.
-    fn block(&self, w: usize) -> Range<usize> {
-        let (k, n) = (self.regions.len(), self.nthreads);
-        (w * k).div_ceil(n)..((w + 1) * k).div_ceil(n)
-    }
-
-    /// The regions worker `w` steps: its block until the fuse, then the
-    /// block's first region alone, which absorbed the others.
-    fn live(&self, w: usize) -> Range<usize> {
-        let block = self.block(w);
-        if self.fused.get().is_some() {
-            block.start..block.start + 1
-        } else {
-            block
-        }
-    }
-
     fn lock(&self, i: usize) -> MutexGuard<'_, Region<'a>> {
         self.regions[i]
             .lock()
             .expect("a panic that poisons a region ends the run")
     }
 
-    /// Runs worker `w`'s regions through the window `[t, t + win)`.
-    fn run_block(&self, w: usize, t: u64, win: u64) {
-        let ctx = self.layout();
-        for i in self.live(w) {
-            self.lock(i).run_window(ctx, t, t + win);
+    /// Runs region `w` — worker `w`'s — through the window `[t, t + win)`.
+    /// An empty graph has no region to run.
+    fn run_region(&self, w: usize, t: u64, win: u64) {
+        if w < self.regions.len() {
+            self.lock(w).run_window(&self.ctx, t, t + win);
         }
     }
 
@@ -626,7 +488,7 @@ impl<'a> Shared<'a> {
     }
 }
 
-/// Worker `w`: run its regions through each window until the
+/// Worker `w`: run its region through each window until the
 /// coordinator raises `stop`.
 fn worker_loop(shared: &Shared<'_>, w: usize) {
     loop {
@@ -636,23 +498,23 @@ fn worker_loop(shared: &Shared<'_>, w: usize) {
         }
         let t = shared.t_now.load(Ordering::Relaxed);
         let win = shared.w_now.load(Ordering::Relaxed);
-        shared.contain(|| shared.run_block(w, t, win));
+        shared.contain(|| shared.run_region(w, t, win));
         shared.end.wait();
     }
 }
 
-/// Advances every live region through the window `[t, t + w)` — on the
+/// Advances every region through the window `[t, t + w)` — on the
 /// worker pool when there is one, inline otherwise. A panic on any
 /// thread of the pool resumes here, on the coordinator's, once all of
 /// them are past the `end` barrier.
 fn step_window(shared: &Shared<'_>, t: u64, w: u64) {
-    if shared.nthreads == 1 {
-        return shared.run_block(0, t, w);
+    if shared.regions.len() <= 1 {
+        return shared.run_region(0, t, w);
     }
     shared.t_now.store(t, Ordering::Relaxed);
     shared.w_now.store(w, Ordering::Relaxed);
     shared.start.wait();
-    shared.contain(|| shared.run_block(0, t, w)); // the coordinator doubles as worker 0
+    shared.contain(|| shared.run_region(0, t, w)); // the coordinator doubles as worker 0
     shared.end.wait();
     let caught = shared.caught().take();
     if let Some(payload) = caught {
@@ -681,8 +543,7 @@ fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize) {
 }
 
 /// Adds `from`'s run accumulators and occupancy maxima into `into`'s: a
-/// region's into the run's id-keyed core when the run ends, an absorbed
-/// region's into its absorber's at the fuse.
+/// region's into the run's id-keyed core when the run ends.
 fn fold_totals(into: &mut Core, from: &Core) {
     into.flit_hops += from.flit_hops;
     into.last_finish = into.last_finish.max(from.last_finish);
@@ -759,40 +620,6 @@ fn land<'a>(
     n_retired
 }
 
-/// The fuse, before step `t`: every worker's block of regions becomes
-/// one region — the block's first absorbs the rest
-/// ([`Region::relabel`], [`Region::absorb`]) — under a layout with one
-/// region per worker, which this publishes and returns. `regs` holds
-/// every region of the plan on entry, in index order, and the fused ones
-/// on return: `regs[i].idx == i` either way.
-fn fuse<'s, 'a>(
-    shared: &'s Shared<'a>,
-    sim: &Sim<'a>,
-    regs: &mut Vec<MutexGuard<'s, Region<'a>>>,
-    t: u64,
-) -> &'s Ctx {
-    let (k, n) = (regs.len(), shared.nthreads);
-    let worker = |&r: &u32| (r as usize * n / k) as u32;
-    let coarse = shared.plan.node_region.iter().map(worker).collect();
-    let coarse = RegionPlan::from_node_regions(sim.graph, coarse);
-    let ctx = shared
-        .fused
-        .get_or_init(|| Ctx::new(sim.graph, Some(&coarse)));
-    let mut rest = std::mem::take(regs).into_iter();
-    for w in 0..n {
-        let mut a = rest.next().expect("a worker's block is never empty");
-        a.relabel(w as u32, ctx);
-        for mut b in rest.by_ref().take(shared.block(w).len() - 1) {
-            a.absorb(ctx, &mut b, t);
-            // Never stepped again: an empty region in its place frees
-            // the tables its peak population sized.
-            *b = Region::new(b.idx, &shared.plan, sim);
-        }
-        regs.push(a);
-    }
-    ctx
-}
-
 /// The coordinator: mirrors [`crate::legacy::drive`]'s loop head (idle
 /// fast-forward, step-cap accounting, kills, admissions) around the
 /// window grant, then merges the regions' outboxes. A live source's bad
@@ -802,16 +629,12 @@ fn run_loop<'a>(
     shared: &Shared<'a>,
     stats: &mut EngineStats,
 ) -> Result<Driven, SimError> {
-    let mut ctx = &shared.plan;
+    let ctx = &shared.ctx;
     let mut t: u64 = 0;
     let mut n_active: usize = 0;
-    // Between windows every live region is the coordinator's: one lock
-    // each per window, not one per outbox entry.
-    let lock_all = || {
-        (0..shared.nthreads)
-            .flat_map(|w| shared.live(w))
-            .map(|i| shared.lock(i))
-    };
+    // Between windows every region is the coordinator's: one lock each
+    // per window, not one per outbox entry.
+    let lock_all = || (0..shared.regions.len()).map(|i| shared.lock(i));
     let mut regs: Vec<MutexGuard<'_, Region<'a>>> = lock_all().collect();
     loop {
         if let Some(outcome) = sim.loop_head(&mut t, n_active == 0) {
@@ -851,24 +674,9 @@ fn run_loop<'a>(
         n_active += new.len();
 
         // The cut-bound grant: the minimum per-region `safe` bound over
-        // populated regions. While it is infinite no resident can ever
-        // reach a cut, and regions finer than the worker count pay:
-        // each drains through long windows, hot in cache. The first time
-        // it is finite the grant — one global minimum — puts *every*
-        // region in short windows, where a cut between two regions of
-        // one worker is pure overhead: fuse, once, for good. Every
-        // release of step `t − 1` has landed and the step's admissions
-        // are in, so the regions are exactly the state step `t` starts
-        // from.
-        let cut_bound = |regs: &[MutexGuard<'_, Region<'_>>]| {
-            let populated = regs.iter().filter(|reg| reg.st.n_active() > 0);
-            populated.map(|reg| reg.safe).min().unwrap_or(u64::MAX)
-        };
-        let mut grant = cut_bound(&regs);
-        if grant != u64::MAX && shared.nthreads < regs.len() {
-            ctx = fuse(shared, sim, &mut regs, t);
-            grant = cut_bound(&regs);
-        }
+        // populated regions (infinite while no resident can reach a cut).
+        let populated = regs.iter().filter(|reg| reg.st.n_active() > 0);
+        let grant = populated.map(|reg| reg.safe).min().unwrap_or(u64::MAX);
         // The window: that grant capped at the next admission, the next
         // fault kill and the step cap. Reactive sources pin it to one
         // step (a delivery may spawn a release mid-window otherwise); so
@@ -941,11 +749,10 @@ fn run_loop<'a>(
         // like any sequential mid-step release — and *before* the owner
         // samples the window's last step into its occupancy maxima and
         // turns the wait keys hot, both of which it does on entering its
-        // next window (or at a kill, or at the fuse): the sample is the
-        // end-of-step state and the waiters contend from the step after,
-        // as in the sequential engines. Emigrants
-        // arrive after the top-up above, which is for the worms that sat
-        // the window out.
+        // next window (or at a kill): the sample is the end-of-step state
+        // and the waiters contend from the step after, as in the
+        // sequential engines. Emigrants arrive after the top-up above,
+        // which is for the worms that sat the window out.
         n_active -= land(ctx, sim, &mut regs, stats);
 
         if deadlocked {
@@ -965,8 +772,8 @@ fn run_loop<'a>(
 
 /// Entry point from the engine dispatch: runs `sim` to its outcome on
 /// the partitioned engine with `threads` workers (0 = all available;
-/// always clamped to the region count) and leaves its counters in
-/// [`Sim::engine_stats`].
+/// always clamped to the region count), one region each, and leaves its
+/// counters in [`Sim::engine_stats`].
 pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimError> {
     let graph = sim.graph;
     let plan = match &sim.core.config.regions {
@@ -983,33 +790,43 @@ pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimEr
     } else {
         threads as usize
     };
-    let nthreads = req.min(k).max(1);
+    let n = req.min(k);
+    // Fewer workers than regions: plan region `r` joins worker
+    // `r · n / k`'s region, a block of adjacent regions each.
+    let plan = plan.map(|p| {
+        if n == k {
+            return p;
+        }
+        let worker = p
+            .node_regions()
+            .iter()
+            .map(|&r| (r as usize * n / k) as u32);
+        RegionPlan::from_node_regions(graph, worker.collect())
+    });
     let ctx = Ctx::new(graph, plan.as_ref());
-    let regions = (0..k)
+    let regions = (0..n)
         .map(|r| Mutex::new(Region::new(r as u32, &ctx, sim)))
         .collect();
     let shared = Shared {
         regions,
-        nthreads,
-        plan: ctx,
-        fused: OnceLock::new(),
-        start: Barrier::new(nthreads),
-        end: Barrier::new(nthreads),
+        ctx,
+        start: Barrier::new(n),
+        end: Barrier::new(n),
         t_now: AtomicU64::new(0),
         w_now: AtomicU64::new(1),
         stop: AtomicBool::new(false),
         panic: Mutex::new(None),
     };
     let mut stats = EngineStats {
-        regions_at_start: k as u32,
+        regions: n as u32,
         ..EngineStats::default()
     };
-    let out = if nthreads == 1 {
+    let out = if n <= 1 {
         run_loop(sim, &shared, &mut stats)
     } else {
         std::thread::scope(|s| {
             let sh = &shared;
-            for w in 1..nthreads {
+            for w in 1..n {
                 s.spawn(move || worker_loop(sh, w));
             }
             // However the loop ends — a verdict, a bad spec, a panic of the
@@ -1022,11 +839,6 @@ pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimEr
             sh.start.wait();
             out.unwrap_or_else(|payload| resume_unwind(payload))
         })
-    };
-    stats.regions_at_end = if shared.fused.get().is_some() {
-        nthreads as u32
-    } else {
-        k as u32
     };
     sim.engine_stats = Some(stats);
     out

@@ -41,7 +41,7 @@ impl EngineFallback {
 /// zero under the sequential engine. The legacy stepper reports none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Windows the coordinator granted: each is one pass over every live
+    /// Windows the coordinator granted: each is one pass over every
     /// region and, with more than one worker, two barrier waits.
     pub windows: u64,
     /// Flit steps those windows covered, each counted up to the last
@@ -54,11 +54,11 @@ pub struct EngineStats {
     pub one_step_windows: u64,
     /// Worms moved from one region to another between windows.
     pub handoffs: u64,
-    /// Regions of the plan the run started on.
-    pub regions_at_start: u32,
-    /// Regions left when it ended: fewer once the first worm that can
-    /// reach a cut made each worker's block of regions fuse into one.
-    pub regions_at_end: u32,
+    /// Regions the run stepped, one a worker: `min(workers, plan
+    /// regions)`. With fewer workers than the plan has regions, each
+    /// steps a block of adjacent plan regions merged into one before
+    /// step 0.
+    pub regions: u32,
     /// Steps the event driver stepped worm by worm — those it did not
     /// jump (all worms draining, an idle network) or sit out frozen.
     pub steps_executed: u64,
@@ -85,8 +85,8 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Adds the event driver's counters of `from` — one region's, at the
-    /// fuse or when the run ends.
+    /// Adds the event driver's counters of `from` — one region's, when
+    /// the run ends.
     pub(crate) fn add_driver_counts(&mut self, from: &EngineStats) {
         self.steps_executed += from.steps_executed;
         self.parks += from.parks;

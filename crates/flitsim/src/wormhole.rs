@@ -98,8 +98,8 @@
 //!    Either way a worm parked at `p` that first wins at `s` stalled at
 //!    every step in between, which is why stalls can be settled
 //!    arithmetically (`stalls += s − 1 − p` when it wins; `stalls +=
-//!    parked duration` on deadlock, step-cap exit, or when a kill or the
-//!    parallel fuse unparks it) instead of counted one step at a time —
+//!    parked duration` on deadlock, step-cap exit, or when a kill
+//!    unparks it) instead of counted one step at a time —
 //!    and why a waiter that loses a contest stays where it waits. A
 //!    pending adaptive waiter selects each step it contends, and does so
 //!    in place too: a hot key enters it — once a step, however many of

@@ -1,29 +1,28 @@
 //! X13 (extension) — the partitioned parallel engine on dateline tori:
-//! where its decomposition pays, and where it is fused away.
+//! where its decomposition pays, and where it does not.
 //!
 //! The partitioned engine
 //! ([`wormhole_flitsim::config::Engine::Parallel`]) shards the torus
 //! into coordinate-plane slabs ([`Substrate::region_plan`]) and
 //! advances them under conservative, plan-aware lookahead windows: the
-//! grant is the minimum distance-to-cut over the resident worms. The
-//! sweep runs two arms over the same tori, the same plan and the same
-//! worker ladder, because the engine treats them oppositely:
+//! grant is the minimum distance-to-cut over the resident worms. With
+//! fewer workers than slabs, each worker steps a block of adjacent slabs
+//! merged into one region before step 0; one worker steps the whole
+//! torus as one region and runs like the event engine plus the
+//! coordinator's admission / retirement copies. The sweep runs two arms
+//! over the same tori, the same plan and the same worker ladder, because
+//! the engine treats them oppositely:
 //!
 //! * **tornado** traffic travels only in dimension 0 and the slabs cut
 //!   the last dimension, so no worm can ever reach a cut: every grant is
-//!   unbounded, each region runs whole drain phases barrier-free, and
-//!   the plan's eight regions are kept at every worker count;
+//!   unbounded and each region runs whole drain phases barrier-free;
 //! * **uniform** traffic crosses the slab faces at once: the grant
-//!   drops to single steps, and the engine fuses each worker's block of
-//!   regions into one — a cut between two regions of one worker buys
-//!   nothing in lockstep. One worker ends on one region and runs like
-//!   the event engine plus the coordinator's admission / retirement
-//!   copies.
+//!   drops to single steps, and every window costs two barrier waits.
 //!
 //! The contract is *bit-identity*: every point re-runs the same batch
 //! on the sequential event-driven engine and asserts the [`SimResult`]s
-//! field-for-field equal — pattern, worker count and the fuse may only
-//! ever change the wall-clock column. `regions at end` comes from
+//! field-for-field equal — pattern and worker count may only ever change
+//! the wall-clock column. `regions` comes from
 //! [`SimResult::engine_stats`].
 //!
 //! The table reads as a strong-scaling curve per arm: one substrate,
@@ -32,7 +31,7 @@
 //! on the largest tornado point (24², the strong-scaling arm) and fails
 //! when they do not. Fast mode asserts no timing — on its largest torus
 //! (16²) a second worker does not pay — so CI gates on bit-identity and
-//! `regions at end` alone. The uniform arm carries no floor: its note
+//! `regions` alone. The uniform arm carries no floor: its note
 //! states the measured 1-worker / event ratio instead of implying a
 //! speed-up.
 
@@ -68,10 +67,10 @@ pub struct ScalePoint {
     /// Worker threads (0 on the sequential baseline row).
     pub workers: u32,
     /// Regions in the plan the parallel runs share.
-    pub regions: u32,
-    /// Regions the parallel run ended on (`None` on the baseline row):
-    /// fewer than `regions` once a worm could reach a cut.
-    pub regions_at_end: Option<u32>,
+    pub plan_regions: u32,
+    /// Regions the parallel run stepped (`None` on the baseline row):
+    /// `min(workers, plan_regions)`.
+    pub regions: Option<u32>,
     /// Messages in the batch.
     pub msgs: usize,
     /// Total simulated flit steps.
@@ -122,19 +121,19 @@ pub fn sweep_points_with(fast: bool, ladder: &[u32]) -> Vec<ScalePoint> {
             );
             let specs = w.generate(window);
             let plan = substrate.region_plan(REGIONS);
-            let regions = plan.num_regions();
+            let plan_regions = plan.num_regions();
             let cfg = SimConfig::new(2).seed(13).regions(plan);
             let point = |engine, workers, r: &SimResult, wall_ms, speedup| ScalePoint {
                 substrate: substrate.name(),
                 pattern: pattern_name,
                 engine,
                 workers,
-                regions,
+                plan_regions,
                 // The sequential engine reports counters too, but runs on
                 // no regions.
-                regions_at_end: r
+                regions: r
                     .engine_stats
-                    .map(|s| s.regions_at_end)
+                    .map(|s| s.regions)
                     .filter(|&regions| regions > 0),
                 msgs: specs.len(),
                 total_steps: r.total_steps,
@@ -235,7 +234,6 @@ pub fn run_with(fast: bool, ladder: &[u32]) -> Vec<Table> {
             "engine",
             "workers",
             "regions",
-            "regions at end",
             "msgs",
             "flit steps",
             "wall ms",
@@ -249,8 +247,7 @@ pub fn run_with(fast: bool, ladder: &[u32]) -> Vec<Table> {
             p.pattern,
             p.engine,
             or_dash((p.workers > 0).then(|| p.workers.to_string())),
-            p.regions,
-            or_dash(p.regions_at_end.map(|r| r.to_string())),
+            or_dash(p.regions.map(|r| r.to_string())),
             p.msgs,
             p.total_steps,
             format!("{:.3}", p.wall_ms),
@@ -259,14 +256,15 @@ pub fn run_with(fast: bool, ladder: &[u32]) -> Vec<Table> {
     }
     t.note(
         "Every parallel row is field-for-field identical to its sequential baseline row \
-         (same SimResult; asserted before the table is rendered) — pattern, workers and the \
-         fuse only move the wall-clock column. The region plan cuts the torus into whole \
-         coordinate-plane slabs of the last dimension. Tornado traffic travels only in \
-         dimension 0, so no route crosses a cut: every grant is unbounded, the drain phase \
-         runs barrier-free with in-region fast-forwards, and the plan's regions are kept at \
-         every worker count. Uniform traffic crosses the slab faces from the first step: the \
-         grant drops to one step and each worker's block of regions fuses into one \
-         (`regions at end`), so one worker steps a single region, like the event engine.",
+         (same SimResult; asserted before the table is rendered) — pattern and workers only \
+         move the wall-clock column. The region plan cuts the torus into whole \
+         coordinate-plane slabs of the last dimension, at most one per ring position (six on \
+         6^2); with fewer workers than slabs each worker steps a block of adjacent slabs \
+         merged into one region before step 0 (`regions`), so one worker steps the whole \
+         torus, like the event engine. Tornado traffic travels only in dimension 0, so no \
+         route crosses a cut: every grant is unbounded and the drain phase runs barrier-free \
+         with in-region fast-forwards. Uniform traffic crosses the slab faces from the first \
+         step: the grant drops to one step.",
     );
     // The honest headline per arm: what one parallel worker costs next
     // to the sequential engine, on the largest torus of this run.
@@ -283,8 +281,7 @@ pub fn run_with(fast: bool, ladder: &[u32]) -> Vec<Table> {
             t.note(format!(
                 "Measured on this host, one parallel worker takes this multiple of the \
                  sequential event engine's wall time on {largest}: {}. Above 1.00x it is a \
-                 cost, not a speed-up — the coordinator's admission and retirement copies, \
-                 and per-region windows where nothing fused.",
+                 cost, not a speed-up — the coordinator's admission and retirement copies.",
                 ratios.join(", ")
             ));
         }
@@ -312,15 +309,9 @@ mod tests {
         assert_eq!(points.len(), ARMS.len() * radii(true).len() * 4);
         for p in &points {
             assert!(p.msgs > 0, "sweep points must carry traffic");
-            // Tornado keeps the plan's regions at every worker count;
-            // uniform fuses each worker's block into one region.
-            let fused = p.regions.min(p.workers);
-            let expect = match (p.engine, p.pattern) {
-                ("event", _) => None,
-                (_, "tornado") => Some(p.regions),
-                _ => Some(fused),
-            };
-            assert_eq!(p.regions_at_end, expect, "{} {}", p.substrate, p.pattern);
+            // One region a worker, whatever the traffic.
+            let expect = (p.engine == "parallel").then(|| p.plan_regions.min(p.workers));
+            assert_eq!(p.regions, expect, "{} {}", p.substrate, p.pattern);
         }
     }
 

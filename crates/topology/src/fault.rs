@@ -343,19 +343,8 @@ impl FaultPlan {
         self.validate(graph)?;
         // Map each dead edge to the (first) kill that took it down.
         let mut killed_by: Vec<Option<usize>> = vec![None; graph.num_edges()];
-        for (i, ev) in self.events.iter().enumerate() {
-            match ev.target {
-                FaultTarget::Link(e) => {
-                    killed_by[e.idx()].get_or_insert(i);
-                }
-                FaultTarget::Router(v) => {
-                    for e in graph.edges() {
-                        if graph.src(e) == v || graph.dst(e) == v {
-                            killed_by[e.idx()].get_or_insert(i);
-                        }
-                    }
-                }
-            }
+        for (i, _, e) in self.edge_kills(graph) {
+            killed_by[e.idx()].get_or_insert(i);
         }
         for (flow, p) in routes.iter().enumerate() {
             for &e in p.edges() {
@@ -376,17 +365,8 @@ impl FaultPlan {
     /// endpoint). The plan must already be valid for `graph`.
     pub fn dead_edges(&self, graph: &Graph) -> Vec<bool> {
         let mut dead = vec![false; graph.num_edges()];
-        for ev in &self.events {
-            match ev.target {
-                FaultTarget::Link(e) => dead[e.idx()] = true,
-                FaultTarget::Router(v) => {
-                    for e in graph.edges() {
-                        if graph.src(e) == v || graph.dst(e) == v {
-                            dead[e.idx()] = true;
-                        }
-                    }
-                }
-            }
+        for (_, _, e) in self.edge_kills(graph) {
+            dead[e.idx()] = true;
         }
         dead
     }
@@ -397,20 +377,8 @@ impl FaultPlan {
     /// keeps its earliest time.
     pub fn edge_schedule(&self, graph: &Graph) -> Vec<(u64, u32)> {
         let mut at: Vec<Option<u64>> = vec![None; graph.num_edges()];
-        let mut note = |e: usize, t: u64| {
-            at[e] = Some(at[e].map_or(t, |p: u64| p.min(t)));
-        };
-        for ev in &self.events {
-            match ev.target {
-                FaultTarget::Link(e) => note(e.idx(), ev.at),
-                FaultTarget::Router(v) => {
-                    for e in graph.edges() {
-                        if graph.src(e) == v || graph.dst(e) == v {
-                            note(e.idx(), ev.at);
-                        }
-                    }
-                }
-            }
+        for (_, t, e) in self.edge_kills(graph) {
+            at[e.idx()] = Some(at[e.idx()].map_or(t, |p: u64| p.min(t)));
         }
         let mut sched: Vec<(u64, u32)> = at
             .iter()
@@ -419,6 +387,26 @@ impl FaultPlan {
             .collect();
         sched.sort_unstable();
         sched
+    }
+
+    /// Every edge kill the plan makes, as `(event index, at, edge)` in
+    /// plan order: a link kill is its edge, a router kill every edge
+    /// incident to the router, in edge-id order.
+    fn edge_kills<'p>(
+        &'p self,
+        graph: &'p Graph,
+    ) -> impl Iterator<Item = (usize, u64, EdgeId)> + 'p {
+        self.events.iter().enumerate().flat_map(move |(i, ev)| {
+            let edges: Box<dyn Iterator<Item = EdgeId>> = match ev.target {
+                FaultTarget::Link(e) => Box::new(std::iter::once(e)),
+                FaultTarget::Router(v) => Box::new(
+                    graph
+                        .edges()
+                        .filter(move |&e| graph.src(e) == v || graph.dst(e) == v),
+                ),
+            };
+            edges.map(move |e| (i, ev.at, e))
+        })
     }
 
     /// Ring-safe Bernoulli channel failures on a wrap mesh: each

@@ -4,11 +4,12 @@
 //! *regions*. A routing edge belongs to the region of its **source**
 //! node, so the VC holders of an edge — state that lives at the sending
 //! router — are owned by exactly one region. The parallel engine
-//! (`flitsim`'s `Engine::Parallel`) gives each worker a contiguous block
-//! of regions — the plan is the finest decomposition it uses, so number
-//! adjacent regions adjacently — and synchronizes on conservative time
-//! windows bounded by the plan's lookahead: the minimum number of flit
-//! steps before an event in one region can influence another. A header crosses one edge per
+//! (`flitsim`'s `Engine::Parallel`) gives each worker one region — with
+//! fewer workers than regions, a contiguous block of them merged into
+//! one, so number adjacent regions adjacently — and synchronizes on
+//! conservative time windows bounded by the plan's lookahead: the
+//! minimum number of flit steps before an event in one region can
+//! influence another. A header crosses one edge per
 //! flit step in this model, so the global bound is 1 whenever any edge
 //! crosses a cut — but the *plan-aware* bound is much better: a worm
 //! whose header sits `d` hops away from the nearest cross edge cannot

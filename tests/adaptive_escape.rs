@@ -282,8 +282,8 @@ fn parked_pending_worms_cut_router_calls_on_a_saturated_tornado() {
     assert_eq!(router.take_calls(), legacy_calls, "EventDriven");
     // A watch row does not travel with its worm: a region asks again for
     // a pending worm it takes in. A hand-off follows a move, which
-    // outdates the row anyway, so that only costs at the fuse — once per
-    // worm in flight then.
+    // outdates the row anyway, and one worker steps one region, which
+    // hands nothing off.
     let r = wormhole_run_adaptive(
         &router,
         &specs,

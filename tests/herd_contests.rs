@@ -10,6 +10,11 @@
 //! * nothing a user can see: every fixture runs on Legacy, EventDriven
 //!   and Parallel at 1 and 2 workers with `check_invariants` on, and the
 //!   four results are the same execution;
+//! * one worker is the event engine plus a coordinator: it steps one
+//!   region, the whole graph, whatever the plan, and counts exactly the
+//!   steps, parks and contests the event engine counts — on a six-region
+//!   tornado plan too, which a worker stepping six regions would count
+//!   six times over;
 //! * the herd is gone *as a count*: `SimResult::engine_stats` shows every
 //!   blocked worm parking once per edge it finds full, however many
 //!   contests it loses there — closed forms on small herds, and a golden
@@ -56,7 +61,8 @@ struct Counted {
 
 /// Runs `specs` on all three engines — the parallel one at 1 and 2
 /// workers — with every invariant check on, asserts the four results are
-/// the same execution, and returns the oracle's with the counters.
+/// the same execution and that one worker, on one region, counts what
+/// the event engine counts, and returns the oracle's with the counters.
 fn run_everywhere(graph: &Graph, specs: &[MessageSpec], config: &SimConfig) -> Counted {
     run_everywhere_with(|config| wormhole::run(graph, specs, config), config)
 }
@@ -81,16 +87,30 @@ fn run_everywhere_with(simulate: impl Fn(&SimConfig) -> SimResult, config: &SimC
         );
         r.engine_stats.expect("the event driver counts")
     };
-    Counted {
+    let got = Counted {
         event: counters(Engine::EventDriven),
         parallel: [1, 2].map(|threads| counters(Engine::Parallel { threads })),
         legacy,
-    }
+    };
+    let one_worker = &got.parallel[0];
+    assert_eq!(
+        driver_counts(one_worker),
+        driver_counts(&got.event),
+        "one worker counts what the event engine counts"
+    );
+    assert_eq!(one_worker.regions, 1, "one worker steps one region");
+    got
 }
 
 /// `(parks, contests, waiters_entered, waiters_won)`.
 fn herd_counts(s: &EngineStats) -> (u64, u64, u64, u64) {
     (s.parks, s.contests, s.waiters_entered, s.waiters_won)
+}
+
+/// The event driver's counters: `steps_executed`, the
+/// [`herd_counts`] and `pending_entered`.
+fn driver_counts(s: &EngineStats) -> (u64, (u64, u64, u64, u64), u64) {
+    (s.steps_executed, herd_counts(s), s.pending_entered)
 }
 
 fn adaptive_torus(radix: u32, dims: u32) -> Mesh {
@@ -260,11 +280,7 @@ fn a_foreign_release_landed_between_windows_is_contested_on_the_next_first_step(
         ]
     );
     let two_workers = &got.parallel[1];
-    assert_eq!(
-        (two_workers.regions_at_start, two_workers.regions_at_end),
-        (2, 2),
-        "two workers keep the cut"
-    );
+    assert_eq!(two_workers.regions, 2, "two workers keep the cut");
     assert!(two_workers.handoffs >= 1, "worm 0 crossed it");
     for stats in [&got.event, two_workers] {
         assert_eq!(herd_counts(stats), (3, 3, 6, 3));
@@ -418,8 +434,8 @@ fn a_pending_loser_whose_other_candidate_is_open_contends_again_the_next_step() 
 /// per contest lost would add `waiters_entered − waiters_won` parks)
 /// fails here. A winner leaves every key it waited on, so a contest is
 /// held only where somebody waits: never more contests than waiters
-/// entered. Under the parallel engine the counts depend on the plan and
-/// the fuse: there, two runs must agree.
+/// entered. One parallel worker counts what the event engine counts; at
+/// two the counts depend on the plan, and two runs must agree.
 #[test]
 fn counter_golden_on_the_saturated_torus_point_of_fast_x2() {
     let substrate = Substrate::torus_with(6, 2, RoutingDiscipline::DatelineClasses);
@@ -459,7 +475,11 @@ fn counter_golden_on_the_saturated_torus_point_of_fast_x2() {
         assert!(par.same_execution(&legacy));
         let again = run(Engine::Parallel { threads });
         assert_eq!(par.engine_stats, again.engine_stats);
-        assert!(par.engine_stats.expect("the event driver counts").parks > 0);
+        let counted = par.engine_stats.expect("the event driver counts");
+        assert!(counted.parks > 0);
+        if threads == 1 {
+            assert_eq!(driver_counts(&counted), driver_counts(&stats));
+        }
     }
 }
 
@@ -492,10 +512,29 @@ fn counter_golden_on_a_saturated_minimal_adaptive_tornado_point() {
     );
     assert_eq!(herd_counts(&got.event), (5_844, 440, 13_859, 414));
     assert_eq!(got.event.pending_entered, 13_499);
-    // One worker fuses the plan into one region, which then counts what
-    // the event engine does.
-    let one_worker = &got.parallel[0];
-    assert_eq!(one_worker.regions_at_end, 1);
-    assert_eq!(herd_counts(one_worker), herd_counts(&got.event));
-    assert_eq!(one_worker.pending_entered, got.event.pending_entered);
+}
+
+/// Tornado traffic on a 6 × 6 dateline torus cut into six slabs: it
+/// travels in dimension 0 only, the slabs cut the last dimension, so no
+/// worm ever reaches a cut and every grant is unbounded. A worker stepping
+/// the six slabs apart would execute each step once per busy slab; one
+/// worker steps one region, the whole torus, and counts what the event
+/// engine counts ([`run_everywhere`]).
+#[test]
+fn one_worker_on_a_six_slab_tornado_plan_counts_what_the_event_engine_counts() {
+    let sub = Substrate::torus_with(6, 2, RoutingDiscipline::DatelineClasses);
+    let w = Workload::new(
+        sub.clone(),
+        TrafficPattern::Tornado,
+        ArrivalProcess::bernoulli(0.3),
+        4,
+        5,
+    );
+    let specs = w.generate(60);
+    let plan = sub.region_plan(6);
+    assert_eq!(plan.num_regions(), 6);
+    let got = run_everywhere(sub.graph(), &specs, &SimConfig::new(2).regions(plan));
+    assert_eq!(got.legacy.outcome, Outcome::Completed);
+    assert!(got.legacy.total_stalls > 0, "the fixture must contend");
+    assert_eq!(got.parallel[1].regions, 2);
 }

@@ -12,8 +12,8 @@
 //!   asserting all three runs (and the legacy oracle) are identical;
 //! * a window-boundary proptest: the same workload under region plans
 //!   with very different lookahead windows (one giant region vs many
-//!   small ones, plus a step cap landing mid-window) must be
-//!   unobservable in the result;
+//!   small ones, each stepped by one worker a region and by two, plus a
+//!   step cap landing mid-window) must be unobservable in the result;
 //! * a unit fixture where a worm straddles a region boundary mid-flit,
 //!   so the tail release and the header acquisition happen in
 //!   different regions of the same superstep;
@@ -35,13 +35,13 @@
 //!   under a reactive source (the source hears the discards before that
 //!   step's admissions), and a kill discarding a parked worm of a frozen
 //!   region in place;
-//! * fuse fixtures — with fewer workers than regions, the first worm that
-//!   can reach a cut fuses each worker's block of regions into one: worms
-//!   parked in a region being absorbed (static and pooled VCs, the pooled
-//!   ones starved of shared credit), a fuse at a kill step, a pending
-//!   adaptive head as the trigger, and tornado traffic that never fuses;
-//!   each asserts exact stall counts and the regions the run started and
-//!   ended on at 1 / 2 / 8 workers (`SimResult::engine_stats`);
+//! * cut-crossing fixtures on a four-region plan — a worm crossing a cut
+//!   queues behind waiters parked beyond it (static VCs, and pooled ones
+//!   starved of shared credit), a kill at the step such a worm is
+//!   admitted, pending adaptive heads on slab faces, and tornado traffic
+//!   that never reaches a cut; each asserts exact stall counts and the
+//!   regions stepped at 1 / 2 / 8 workers, `min(workers, plan regions)`
+//!   (`SimResult::engine_stats`);
 //! * two panic fixtures — a source that panics between windows and a
 //!   router that panics inside a worker's window must fail a two-worker
 //!   run, not hang it on the window barrier.
@@ -574,22 +574,22 @@ fn a_kill_discards_a_parked_worm_of_a_frozen_region() {
     assert_eq!(lg.max_vcs_in_use, 1);
 }
 
-/// `(regions at start, regions at end)` of the parallel engine's run at
-/// 1, 2 and 8 workers ([`SimResult::engine_stats`]).
-fn regions_start_to_end(
-    run: impl Fn(&SimConfig) -> SimResult,
-    config: &SimConfig,
-) -> [(u32, u32); 3] {
+/// The regions the parallel engine stepped at 1, 2 and 8 workers
+/// ([`SimResult::engine_stats`]).
+fn regions_stepped(run: impl Fn(&SimConfig) -> SimResult, config: &SimConfig) -> [u32; 3] {
     [1u32, 2, 8].map(|threads| {
         let par = run(&config.clone().engine(Engine::Parallel { threads }));
-        let stats = par.engine_stats.expect("the parallel engine counts");
-        (stats.regions_at_start, stats.regions_at_end)
+        par.engine_stats
+            .expect("the parallel engine counts")
+            .regions
     })
 }
 
-/// The fuse fixtures' network: the 16-node chain in four regions of four
-/// (`e[i]` leaves node `i`; `e[3]`, `e[7]`, `e[11]` cross the cuts) plus a
-/// spur `5 → 16` inside region 1, so that router 5 has two exits.
+/// The cut-crossing fixtures' network: the 16-node chain in four regions
+/// of four (`e[i]` leaves node `i`; `e[3]`, `e[7]`, `e[11]` cross the
+/// cuts) plus a spur `5 → 16` inside region 1, so that router 5 has two
+/// exits. Two workers step regions 0 and 1 as one, and 2 and 3 as
+/// another; one steps the whole chain.
 fn chain_with_spur() -> (Graph, Vec<EdgeId>, EdgeId, RegionPlan) {
     let mut bld = GraphBuilder::new(17);
     let e: Vec<EdgeId> = (0..15)
@@ -603,24 +603,23 @@ fn chain_with_spur() -> (Graph, Vec<EdgeId>, EdgeId, RegionPlan) {
     (g, e, spur, plan)
 }
 
-/// The traffic of the fuse fixtures, one VC per edge. Until step 10 no
-/// route touches a cut — every grant is unbounded and the four regions
-/// stay apart — and everything happens in region 1, which one and two
-/// workers absorb into region 0:
+/// The traffic of the cut-crossing fixtures, one VC per edge. Until step
+/// 10 no route touches a cut — every grant is unbounded — and everything
+/// happens in region 1:
 ///
 /// * worm 0 streams 30 flits over `e6`, through step 29;
 /// * worm 1 takes `e4, e5` and parks behind it at step 2; worm 2,
 ///   released at 1 onto `e4, e5`, parks at once behind worm 1; worm 3,
-///   released at 2 onto `e6`, behind worm 0 — three worms parked in the
-///   region about to be absorbed;
+///   released at 2 onto `e6`, behind worm 0 — three worms parked in
+///   region 1;
 /// * worm 4 crosses the spur over steps 9 and 10 while worm 1 holds
 ///   `e5`: the end of step 9 is the only instant two of router 5's VCs
-///   are in use (`max_pool_in_use`), and the sample of step 9 is region
-///   1's to take on entering its next window — which never comes;
+///   are in use (`max_pool_in_use`), a sample region 1 takes on entering
+///   the window that step 10 opens;
 /// * worm 5, released at 10 onto `e2, e3, e4`, is the first whose route
-///   crosses a cut: the fuse happens before step 10, with worm 5 already
-///   resident in region 0 (its cached `cuts` name `e4` as foreign).
-fn fuse_fixture_specs(e: &[EdgeId], spur: EdgeId) -> Vec<MessageSpec> {
+///   crosses a cut: admitted into region 0, it is handed off to region 1
+///   wanting `e4`, where the parked worms wait.
+fn cut_fixture_specs(e: &[EdgeId], spur: EdgeId) -> Vec<MessageSpec> {
     vec![
         MessageSpec::new(Path::new(vec![e[6]]), 30),
         MessageSpec::new(Path::new(e[4..7].to_vec()), 2),
@@ -631,14 +630,14 @@ fn fuse_fixture_specs(e: &[EdgeId], spur: EdgeId) -> Vec<MessageSpec> {
     ]
 }
 
-/// The fuse with worms parked in a region being absorbed: their stalls
-/// settle through step 9, they lose again at step 10 in their new region
-/// and park there, and every count equals Legacy's. One worker ends on
-/// one region, two on two, eight on the plan's four.
+/// A worm crossing a cut queues behind the waiters parked beyond it:
+/// worm 5 arrives in region 1 wanting `e4`, which worms 1 and 2 hold in
+/// turn, and every stall count equals Legacy's. One worker steps one
+/// region, two step two, eight the plan's four.
 #[test]
-fn the_fuse_settles_the_parked_worms_of_an_absorbed_region() {
+fn a_worm_crossing_a_cut_queues_behind_the_waiters_parked_beyond_it() {
     let (g, e, spur, plan) = chain_with_spur();
-    let specs = fuse_fixture_specs(&e, spur);
+    let specs = cut_fixture_specs(&e, spur);
     let cfg = SimConfig::new(1).regions(plan).check_invariants(true);
     let lg = assert_worker_count_invariant(&g, &specs, &cfg);
     assert_eq!(lg.outcome, Outcome::Completed);
@@ -649,12 +648,12 @@ fn the_fuse_settles_the_parked_worms_of_an_absorbed_region() {
     assert_eq!(stalls, [0, 28, 30, 30, 0, 22]);
     assert_eq!((lg.max_vcs_in_use, lg.max_pool_in_use), (1, 2));
     let run = |cfg: &SimConfig| wormhole::run(&g, &specs, cfg);
-    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+    assert_eq!(regions_stepped(run, &cfg), [1, 2, 4]);
 }
 
-/// The same fuse under a pooled VC policy, with the parked worms starved
-/// of *shared* credit. Router 5's two exits share `pool = 3` VCs — a
-/// floor of one each and one shared credit — and the other routers'
+/// The same crossing under a pooled VC policy, with the parked worms
+/// starved of *shared* credit. Router 5's two exits share `pool = 3` VCs
+/// — a floor of one each and one shared credit — and the other routers'
 /// single exits may hold two:
 ///
 /// * worms 0 and 1 stream 30 flits each over `e5`: the second draws
@@ -663,15 +662,13 @@ fn the_fuse_settles_the_parked_worms_of_an_absorbed_region() {
 /// * worm 3 takes `e4` and wants the spur at step 1 — one VC held of a
 ///   cap of two, but no shared credit left: it parks on router 5; worm 4
 ///   follows a step later and parks behind it;
-/// * worm 5, released at 10 onto `e2, e3, e4`, triggers the fuse, then
+/// * worm 5, released at 10 onto `e2, e3, e4`, crosses the cut and
 ///   finds `e4` full (worms 3 and 4 sit on it).
 ///
-/// Region 0 absorbs region 1's `pool_used` and `shared_used` rows with
-/// its holder counts: without them the starved worms would find credit at
-/// step 10. The credit returns at step 29; worm 3 takes it at 30 and
-/// worm 4 after it.
+/// The credit returns at step 29; worm 3 takes it at 30 and worm 4
+/// after it.
 #[test]
-fn the_fuse_folds_the_pool_rows_of_an_absorbed_region() {
+fn a_worm_crossing_a_cut_meets_waiters_starved_of_shared_credit() {
     let (g, e, spur, plan) = chain_with_spur();
     let via_spur = || Path::new(vec![e[4], spur]);
     let specs = [
@@ -694,18 +691,18 @@ fn the_fuse_folds_the_pool_rows_of_an_absorbed_region() {
     assert_eq!(stalls, [0, 0, 0, 29, 30, 20]);
     assert_eq!((lg.max_vcs_in_use, lg.max_pool_in_use), (2, 3));
     let run = |cfg: &SimConfig| wormhole::run(&g, &specs, cfg);
-    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+    assert_eq!(regions_stepped(run, &cfg), [1, 2, 4]);
 }
 
-/// The fuse at a kill step. [`fuse_fixture_specs`] again, and at step 10
-/// — the step worm 5's release triggers the fuse — `e5` dies: worm 1
-/// holds it and worm 2's route crosses it, so both are discarded where
-/// they are parked, in region 1, before the step's admissions; worm 3,
-/// parked behind worm 0, survives the kill and is absorbed parked.
+/// A kill at the step a cut-crossing worm is admitted.
+/// [`cut_fixture_specs`] again, and at step 10 — worm 5's release — `e5`
+/// dies: worm 1 holds it and worm 2's route crosses it, so both are
+/// discarded where they are parked, in region 1, before the step's
+/// admissions; worm 3, parked behind worm 0, survives the kill parked.
 #[test]
-fn the_fuse_at_a_kill_step() {
+fn a_kill_at_the_step_a_cut_crossing_worm_is_admitted() {
     let (g, e, spur, plan) = chain_with_spur();
-    let specs = fuse_fixture_specs(&e, spur);
+    let specs = cut_fixture_specs(&e, spur);
     let cfg = SimConfig::new(1)
         .regions(plan)
         .faults(FaultPlan::new().kill_link(10, e[5]))
@@ -720,17 +717,17 @@ fn the_fuse_at_a_kill_step() {
     assert_eq!(lg.messages[5].finished, Some(10 + 3 + 2 - 1));
     assert_eq!((lg.max_vcs_in_use, lg.max_pool_in_use), (1, 2));
     let run = |cfg: &SimConfig| wormhole::run(&g, &specs, cfg);
-    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+    assert_eq!(regions_stepped(run, &cfg), [1, 2, 4]);
 }
 
-/// A pending adaptive head as the trigger: its bound is its node's
-/// distance to the nearest cut, finite everywhere on a torus, so the
-/// first admission — at step 3, after an idle jump — fuses the four slabs
-/// of a 4 × 4 adaptive-escape torus. Everything after it (selection by
-/// occupancy, escape fallbacks, parks on whole candidate sets) runs in
-/// the fused regions.
+/// Pending adaptive heads on the slab faces of a 4 × 4 adaptive-escape
+/// torus cut into four slabs: a pending head's bound is its node's
+/// distance to the nearest cut, finite everywhere on a torus, so from the
+/// first admission — at step 3, after an idle jump — every grant is
+/// short, and selection by occupancy, escape fallbacks and parks on whole
+/// candidate sets all meet the cuts.
 #[test]
-fn a_pending_adaptive_head_triggers_the_fuse() {
+fn pending_adaptive_heads_on_slab_faces() {
     use wormhole_flitsim::config::RouteSelection;
     let sub = Substrate::torus_with(4, 2, RoutingDiscipline::AdaptiveEscape);
     let mesh = sub.as_mesh().expect("torus is mesh-based");
@@ -754,7 +751,7 @@ fn a_pending_adaptive_head_triggers_the_fuse() {
     assert_eq!((lg.total_stalls, lg.escape_fallbacks), (80, 32));
     assert_eq!(lg.total_steps, 17);
     let run = |cfg: &SimConfig| wormhole::run_adaptive(mesh, &specs, cfg);
-    assert_eq!(regions_start_to_end(run, &cfg), [(4, 1), (4, 2), (4, 4)]);
+    assert_eq!(regions_stepped(run, &cfg), [1, 2, 4]);
 }
 
 /// A handle a region recycles must not serve its previous occupant's
@@ -793,18 +790,17 @@ fn a_recycled_handle_never_serves_its_previous_occupants_watch_row() {
         let lg = assert_adaptive_worker_count_invariant(mesh, &specs, &cfg);
         assert_eq!(lg.outcome, Outcome::Completed, "{selection:?}");
         let run = |cfg: &SimConfig| wormhole::run_adaptive(mesh, &specs, cfg);
-        let regions = regions_start_to_end(run, &cfg);
-        assert_eq!(regions[2], (8, 8), "eight workers keep the eight regions");
+        let regions = regions_stepped(run, &cfg);
+        assert_eq!(regions[2], 8, "eight workers step the eight regions");
     }
 }
 
 /// Tornado traffic travels in dimension 0 only and the slabs cut the
-/// last dimension: no worm can ever reach a cut, every grant is
-/// unbounded, and the plan's decomposition — which pays here, each slab
-/// draining its rings through long windows — is kept at every worker
-/// count.
+/// last dimension: no worm can ever reach a cut, and every grant is
+/// unbounded — each slab drains its rings through long windows of its
+/// own.
 #[test]
-fn tornado_traffic_never_fuses() {
+fn tornado_traffic_never_reaches_a_cut() {
     let sub = Substrate::torus_with(6, 2, RoutingDiscipline::DatelineClasses);
     let w = Workload::new(
         sub.clone(),
@@ -821,7 +817,7 @@ fn tornado_traffic_never_fuses() {
     assert_eq!(lg.outcome, Outcome::Completed);
     assert!(lg.total_stalls > 0, "the fixture must contend");
     let run = |cfg: &SimConfig| wormhole::run(sub.graph(), &specs, cfg);
-    assert_eq!(regions_start_to_end(run, &cfg), [(6, 6); 3]);
+    assert_eq!(regions_stepped(run, &cfg), [1, 2, 6]);
 }
 
 /// Emits like the slice it replays until step 3, where it panics.
@@ -1018,7 +1014,9 @@ proptest! {
     /// post-injection window can cover the whole drain) and many small
     /// regions (lookahead forced down to 1 near every cut) must yield
     /// the same execution as the per-step legacy oracle — including
-    /// when a step cap lands inside a granted window.
+    /// when a step cap lands inside a granted window. Each plan runs at
+    /// two workers, which merge it into two regions, and at one worker a
+    /// region, which step it as it is.
     #[test]
     fn window_boundaries_are_unobservable(
         radix in 4u32..8,
@@ -1051,17 +1049,17 @@ proptest! {
             &specs,
             &cfg.clone().engine(Engine::Legacy),
         );
-        for regions in [1u32, 2, 5, 16] {
+        for (regions, threads) in [(1u32, 1), (1, 2), (2, 2), (5, 2), (5, 5), (16, 2), (16, 16)] {
             let par = wormhole::run(
                 substrate.graph(),
                 &specs,
                 &cfg.clone()
                     .regions(RegionPlan::contiguous(substrate.graph(), regions))
-                    .engine(Engine::Parallel { threads: 2 }),
+                    .engine(Engine::Parallel { threads }),
             );
             prop_assert!(
                 par.same_execution(&lg),
-                "parallel({regions} regions) diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
+                "parallel({regions} regions, {threads} workers) diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
             );
         }
     }

@@ -64,8 +64,8 @@ fn degenerate_pooled(b: u32, max_fanout: u32) -> VcPolicy {
 
 /// Runs `run` on all three engines and checks the full matrix:
 /// EventDriven ≡ Legacy ≡ Parallel, field for field. The parallel arm is
-/// asserted here, at 1 worker — where every region of the plan fuses into
-/// one as soon as a worm can reach a cut — and at 2 (the 1/2/8-worker
+/// asserted here, at 1 worker — one region, the whole graph, whatever the
+/// plan — and at 2 (the 1/2/8-worker
 /// sweep lives in `parallel_determinism.rs`); the event and legacy
 /// results go back to the caller, which compares them with its own
 /// context in the message.
