@@ -842,6 +842,35 @@ mod tests {
         }
     }
 
+    /// A ring whose minimal arc is dead sends the escape walk the long way
+    /// around: past the minimal length the walk's path is sized for, still
+    /// contiguous, on the right endpoints and clear of the dead channel.
+    #[test]
+    fn a_long_way_escape_route_outgrows_the_minimal_walk_and_avoids_the_dead_channel() {
+        for (radix, dims) in [(6u32, 1u32), (5, 2), (7, 3)] {
+            let m = torus(radix, dims);
+            let g = m.graph();
+            // The `+` channel leaving coordinate 1 on dimension 0's ring.
+            let mut from = vec![0u32; dims as usize];
+            from[0] = 1;
+            let plan = kill_channel(FaultPlan::new(), &m, 1, &from, 0, false);
+            let fm = FaultedMesh::new(&m, &plan).unwrap();
+            // 1 → 3 in dimension 0 is two hops `+`, across the dead
+            // channel; every other dimension moves 0 → 2.
+            let mut to = vec![2u32; dims as usize];
+            to[0] = 3;
+            let (s, t) = (m.node(&from), m.node(&to));
+            let p = fm.escape_route(s, t);
+            p.validate(g).unwrap();
+            assert_eq!((p.src(g), p.dst(g)), (s, t));
+            assert!(p.edges().iter().all(|&e| !fm.dead()[e.idx()]));
+            let minimal = m.route(s, t).len();
+            assert_eq!(minimal, 2 * dims as usize);
+            assert_eq!(p.len(), minimal + (radix as usize - 4), "{radix}^{dims}");
+            assert!(p.len() > minimal, "{radix}^{dims}");
+        }
+    }
+
     #[test]
     fn candidates_filter_dead_edges() {
         let m = torus(4, 2);

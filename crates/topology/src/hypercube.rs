@@ -91,7 +91,13 @@ impl Hypercube {
     /// E-cube path on VC class `class`: correct differing bits from bit 0
     /// upward. Length equals the Hamming distance.
     pub fn ecube_path_cls(&self, src: NodeId, dst: NodeId, class: u32) -> Path {
-        let mut edges = Vec::new();
+        let mut edges = Vec::with_capacity((src.0 ^ dst.0).count_ones() as usize);
+        self.push_ecube(&mut edges, src, dst, class);
+        Path::new(edges)
+    }
+
+    /// Appends the e-cube hops from `src` to `dst` on `class` to `edges`.
+    fn push_ecube(&self, edges: &mut Vec<EdgeId>, src: NodeId, dst: NodeId, class: u32) {
         let mut cur = src.0;
         for d in 0..self.dim {
             let bit = 1u32 << d;
@@ -101,7 +107,6 @@ impl Hypercube {
             }
         }
         debug_assert_eq!(cur, dst.0);
-        Path::new(edges)
     }
 
     /// E-cube path on class 0.
@@ -123,10 +128,10 @@ impl Hypercube {
     /// is empty — callers re-draw the intermediate.
     pub fn valiant_path(&self, src: NodeId, dst: NodeId, intermediate: NodeId) -> Option<Path> {
         let phase2_class = if self.classes >= 2 { 1 } else { 0 };
-        let p1 = self.ecube_path_cls(src, intermediate, 0);
-        let p2 = self.ecube_path_cls(intermediate, dst, phase2_class);
-        let mut edges = p1.edges().to_vec();
-        edges.extend_from_slice(p2.edges());
+        let hops = (src.0 ^ intermediate.0).count_ones() + (intermediate.0 ^ dst.0).count_ones();
+        let mut edges = Vec::with_capacity(hops as usize);
+        self.push_ecube(&mut edges, src, intermediate, 0);
+        self.push_ecube(&mut edges, intermediate, dst, phase2_class);
         if edges.is_empty() {
             return None;
         }

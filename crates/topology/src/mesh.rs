@@ -26,6 +26,17 @@
 //! flit simulator needs no special support — its per-edge VC count `B`
 //! applies *per class*, so a physical channel with 2 classes and `b` VCs
 //! per class models a `2b`-VC Dally–Seitz router.
+//!
+//! # Geometry without division
+//!
+//! Every route, adaptive candidate set and escape hop reads node
+//! coordinates, so a [`Mesh`] keeps them in one table built with the
+//! graph: `n · dims` `u32`s, `4 · n · dims` bytes — `1 / (2 · classes)` of
+//! the edge lookup table beside it, 2 KiB on a 16 × 16 torus. A
+//! coordinate is one load, ring distances are a compare and a subtract,
+//! and a route walks its rings stepping the coordinate by one per hop
+//! into a path allocated once at its minimal length. Routing divides
+//! nothing.
 
 use crate::graph::{EdgeId, Graph, GraphBuilder, NodeId};
 use crate::path::Path;
@@ -94,6 +105,8 @@ pub struct Mesh {
     edge_lookup: Vec<u32>,
     /// VC class of each edge, indexed by `EdgeId`.
     edge_class: Vec<u8>,
+    /// `coord_table[node * dims + dim]` = the node's coordinate in `dim`.
+    coord_table: Vec<u32>,
 }
 
 impl Mesh {
@@ -130,6 +143,7 @@ impl Mesh {
         let mut b = GraphBuilder::new(n as usize);
         let mut lookup = vec![u32::MAX; (n as usize) * 2 * dims as usize * classes as usize];
         let mut edge_class = Vec::new();
+        let mut coord_table = Vec::with_capacity(n as usize * dims as usize);
         let stride = |d: u32| (radix as u64).pow(d) as u32;
         let link = |b: &mut GraphBuilder,
                     edge_class: &mut Vec<u8>,
@@ -150,6 +164,7 @@ impl Mesh {
         for v in 0..n {
             for d in 0..dims {
                 let coord = (v / stride(d)) % radix;
+                coord_table.push(coord);
                 // +1 direction
                 if coord + 1 < radix || wrap {
                     let w = if coord + 1 < radix {
@@ -182,6 +197,7 @@ impl Mesh {
             graph: b.build(),
             edge_lookup: lookup,
             edge_class,
+            coord_table,
         }
     }
 
@@ -261,22 +277,18 @@ impl Mesh {
         NodeId(v)
     }
 
-    /// Coordinate of `v` in dimension `d` (allocation-free; used by the
-    /// per-hop hot paths instead of [`Mesh::coords`]).
+    /// Coordinate of `v` in dimension `d`: one load from the coordinate
+    /// table (allocation-free; used by the per-hop hot paths instead of
+    /// [`Mesh::coords`]).
     #[inline]
     pub(crate) fn coord(&self, v: NodeId, d: u32) -> u32 {
-        (v.0 / self.radix.pow(d)) % self.radix
+        self.coord_table[v.idx() * self.dims as usize + d as usize]
     }
 
     /// Coordinates of a node.
     pub fn coords(&self, v: NodeId) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.dims as usize);
-        let mut rest = v.0;
-        for _ in 0..self.dims {
-            out.push(rest % self.radix);
-            rest /= self.radix;
-        }
-        out
+        let at = v.idx() * self.dims as usize;
+        self.coord_table[at..at + self.dims as usize].to_vec()
     }
 
     pub(crate) fn step_edge(&self, v: NodeId, dim: u32, minus: bool, class: u32) -> EdgeId {
@@ -291,9 +303,22 @@ impl Mesh {
             have > want
         } else {
             // Shorter way around the ring; ties to plus.
-            let fwd = (want + self.radix - have) % self.radix;
-            let bwd = (have + self.radix - want) % self.radix;
+            let (fwd, bwd) = self.ring_gaps(have, want);
             bwd < fwd
+        }
+    }
+
+    /// Hops from `have` to `want` around a wrap ring going `+` and going
+    /// `−`: `((want − have) mod radix, (have − want) mod radix)`, by
+    /// compare and subtract.
+    #[inline]
+    fn ring_gaps(&self, have: u32, want: u32) -> (u32, u32) {
+        if have == want {
+            (0, 0)
+        } else if have < want {
+            (want - have, self.radix - (want - have))
+        } else {
+            (self.radix - (have - want), have - want)
         }
     }
 
@@ -304,6 +329,11 @@ impl Mesh {
     /// class 1, when `dateline` is set, after the hop leaving that
     /// direction's dateline coordinate (`radix − 1` going `+`, `0` going
     /// `−`).
+    ///
+    /// The path is allocated once, sized to the sum of the minimal ring
+    /// distances; only a walk sent the long way around a ring (a faulted
+    /// escape route) outgrows it. The coordinate steps by one per hop,
+    /// wrapping by comparison.
     pub(crate) fn ring_walk(
         &self,
         src: NodeId,
@@ -311,7 +341,18 @@ impl Mesh {
         dateline: bool,
         travels_minus: impl Fn(NodeId, u32, u32, u32) -> bool,
     ) -> Path {
-        let mut edges = Vec::new();
+        let hops: u32 = (0..self.dims)
+            .map(|d| {
+                let (have, want) = (self.coord(src, d), self.coord(dst, d));
+                if self.wrap {
+                    let (fwd, bwd) = self.ring_gaps(have, want);
+                    fwd.min(bwd)
+                } else {
+                    have.abs_diff(want)
+                }
+            })
+            .sum();
+        let mut edges = Vec::with_capacity(hops as usize);
         let mut cur = src;
         for d in 0..self.dims {
             let (mut have, want) = (self.coord(cur, d), self.coord(dst, d));
@@ -328,7 +369,12 @@ impl Mesh {
                     class = 1; // crossed the dateline
                 }
                 cur = self.graph.dst(e);
-                have = self.coord(cur, d);
+                have = match (minus, have) {
+                    (true, 0) => self.radix - 1,
+                    (true, _) => have - 1,
+                    (false, _) if have + 1 == self.radix => 0,
+                    (false, _) => have + 1,
+                };
             }
         }
         debug_assert_eq!(cur, dst);
@@ -411,8 +457,7 @@ impl Mesh {
         if !self.wrap {
             return minus == (have > want);
         }
-        let fwd = (want + self.radix - have) % self.radix;
-        let bwd = (have + self.radix - want) % self.radix;
+        let (fwd, bwd) = self.ring_gaps(have, want);
         if minus {
             bwd <= fwd
         } else {
@@ -505,6 +550,9 @@ impl Mesh {
 pub fn linear_array(n: u32) -> Mesh {
     Mesh::new(n, 1, false)
 }
+
+#[cfg(test)]
+mod division_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -12,9 +12,18 @@
 //!   `on → off` and `off → on` happen with the given per-step
 //!   probabilities. Mean offered load is `rate_on · π_on` where
 //!   `π_on = p_off_to_on / (p_on_to_off + p_off_to_on)`.
+//!
+//! Each process runs as a stepper (`ArrivalStepper`): one endpoint's state,
+//! advanced one step at a time over that endpoint's own RNG stream. A
+//! generator steps every endpoint once per step, so a window of arrivals
+//! comes out in release order with nothing to sort, and per step an
+//! endpoint costs one draw (Bernoulli) or two (on/off: injection while
+//! *on*, then the transition) — a [`Bernoulli`] coin, one shift and one
+//! integer compare. A coin of probability zero draws no word at all.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use rand::Bernoulli;
 
 /// A per-endpoint arrival process.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,21 +86,13 @@ impl ArrivalProcess {
         }
     }
 
-    /// Generates the arrival step times for one endpoint over
-    /// `0..window`, driven by `rng`. The on/off chain starts in its
-    /// stationary distribution so the window is statistically uniform.
-    pub fn arrival_times(&self, window: u64, rng: &mut StdRng) -> Vec<u64> {
-        let mut out = Vec::new();
+    /// One endpoint's process from step 0, drawing from `rng` (the on/off
+    /// chain's initial state is drawn here, from its stationary
+    /// distribution, so the window is statistically uniform).
+    pub(crate) fn stepper(&self, rng: &mut StdRng) -> ArrivalStepper {
         match *self {
             ArrivalProcess::Bernoulli { rate } => {
-                if rate == 0.0 {
-                    return out;
-                }
-                for t in 0..window {
-                    if rng.random_bool(rate) {
-                        out.push(t);
-                    }
-                }
+                ArrivalStepper::Bernoulli((rate != 0.0).then(|| Bernoulli::new(rate)))
             }
             ArrivalProcess::OnOff {
                 rate_on,
@@ -99,19 +100,72 @@ impl ArrivalProcess {
                 p_off_to_on,
             } => {
                 let pi_on = p_off_to_on / (p_on_to_off + p_off_to_on);
-                let mut on = rng.random_bool(pi_on);
-                for t in 0..window {
-                    if on && rate_on > 0.0 && rng.random_bool(rate_on) {
-                        out.push(t);
-                    }
-                    let flip = if on { p_on_to_off } else { p_off_to_on };
-                    if flip > 0.0 && rng.random_bool(flip) {
-                        on = !on;
-                    }
+                ArrivalStepper::OnOff {
+                    on: rng.random_bool(pi_on),
+                    fire: coin(rate_on),
+                    to_off: coin(p_on_to_off),
+                    to_on: coin(p_off_to_on),
                 }
             }
         }
-        out
+    }
+
+    /// The arrival step times of one endpoint over `0..window`, driven by
+    /// `rng`: its stepper (module docs) stepped `window` times.
+    pub fn arrival_times(&self, window: u64, rng: &mut StdRng) -> Vec<u64> {
+        let mut stepper = self.stepper(rng);
+        (0..window).filter(|_| stepper.step(rng)).collect()
+    }
+}
+
+/// The on/off chain's coin for `p`, or `None` when `p` is not positive:
+/// that coin is never tossed and draws no word.
+fn coin(p: f64) -> Option<Bernoulli> {
+    (p > 0.0).then(|| Bernoulli::new(p))
+}
+
+/// One endpoint's [`ArrivalProcess`], advanced one flit step at a time —
+/// the one implementation of each process. `None` coins have probability
+/// zero and draw nothing.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ArrivalStepper {
+    /// Independent injection each step.
+    Bernoulli(Option<Bernoulli>),
+    /// The on/off chain in its current state.
+    OnOff {
+        /// Whether the endpoint is *on*.
+        on: bool,
+        /// Injection coin while *on*.
+        fire: Option<Bernoulli>,
+        /// `on → off` transition coin.
+        to_off: Option<Bernoulli>,
+        /// `off → on` transition coin.
+        to_on: Option<Bernoulli>,
+    },
+}
+
+impl ArrivalStepper {
+    /// Whether the endpoint injects at the current step; then moves to
+    /// the next one. Draws from `rng` in the process's fixed order: the
+    /// injection coin (only while *on*), then the transition coin.
+    #[inline]
+    pub(crate) fn step(&mut self, rng: &mut StdRng) -> bool {
+        match self {
+            ArrivalStepper::Bernoulli(fire) => fire.is_some_and(|c| c.sample(rng)),
+            ArrivalStepper::OnOff {
+                on,
+                fire,
+                to_off,
+                to_on,
+            } => {
+                let fired = *on && fire.is_some_and(|c| c.sample(rng));
+                let flip = if *on { to_off } else { to_on };
+                if flip.is_some_and(|c| c.sample(rng)) {
+                    *on = !*on;
+                }
+                fired
+            }
+        }
     }
 }
 

@@ -15,6 +15,21 @@
 //! and a seed. Generation is deterministic per seed, with independent
 //! per-endpoint streams.
 //!
+//! # Generation order and cost
+//!
+//! [`Workload::generate_rows`] (and [`ServiceScenario::generate_rows`])
+//! loop over steps outside and endpoints inside, so rows are produced in
+//! `(release, src)` order — the order the simulator expects — and nothing
+//! is sorted. Each endpoint keeps its own two streams (arrivals,
+//! destinations), seeded from `(seed, endpoint)`, and each stream draws in
+//! the same order as a per-endpoint loop would: interleaving the endpoints
+//! changes no draw. A step costs each endpoint one step of its arrival
+//! process ([`arrivals`]) — one coin (Bernoulli) or two
+//! (on/off), each a word, a shift and an integer compare against a
+//! threshold computed once — and an arrival one destination draw. The
+//! working set is one stepper and two generators per endpoint, plus the
+//! rows.
+//!
 //! # Example
 //!
 //! ```
@@ -54,6 +69,8 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use wormhole_flitsim::message::MessageSpec;
+
+use crate::arrivals::ArrivalStepper;
 
 /// A complete open-loop workload description.
 #[derive(Clone, Debug)]
@@ -120,31 +137,49 @@ impl Workload {
     /// workload. `generate` is exactly `generate_rows` + routing, so a
     /// written trace replayed through [`trace::TraceSource`] reproduces
     /// the direct simulation bit for bit.
+    ///
+    /// Steps outside, endpoints inside: the rows come out in `(release,
+    /// src)` order as they are drawn, and each endpoint's two streams
+    /// see exactly the draws a per-endpoint loop would make.
     pub fn generate_rows(&self, window: u64) -> Vec<TraceRow> {
         let sampler = PatternSampler::new(self.pattern.clone(), &self.substrate, self.seed);
-        let n = self.substrate.endpoints();
-        // (release, src) sort keys keep the stream deterministic and
-        // release-ordered, as the simulator expects of open-loop input.
-        let mut stamped: Vec<TraceRow> = Vec::new();
-        for src in 0..n {
-            let mut arrival_rng = StdRng::seed_from_u64(mix(self.seed, src));
-            let mut dst_rng = StdRng::seed_from_u64(mix(self.seed ^ DST_STREAM_SALT, src));
-            for t in self.arrivals.arrival_times(window, &mut arrival_rng) {
-                let dst = sampler.draw(src, &mut dst_rng);
-                if !self.substrate.injects(src, dst) {
+        let mut endpoints: Vec<Endpoint> = (0..self.substrate.endpoints())
+            .map(|src| {
+                let mut arrival_rng = StdRng::seed_from_u64(mix(self.seed, src));
+                Endpoint {
+                    stepper: self.arrivals.stepper(&mut arrival_rng),
+                    arrival_rng,
+                    dst_rng: StdRng::seed_from_u64(mix(self.seed ^ DST_STREAM_SALT, src)),
+                }
+            })
+            .collect();
+        let mut rows = Vec::new();
+        for release in 0..window {
+            for (src, e) in (0..).zip(&mut endpoints) {
+                if !e.stepper.step(&mut e.arrival_rng) {
                     continue;
                 }
-                stamped.push(TraceRow {
-                    src,
-                    dst,
-                    release: t,
-                    length: self.msg_len,
-                });
+                let dst = sampler.draw(src, &mut e.dst_rng);
+                if self.substrate.injects(src, dst) {
+                    rows.push(TraceRow {
+                        src,
+                        dst,
+                        release,
+                        length: self.msg_len,
+                    });
+                }
             }
         }
-        stamped.sort_by_key(|r| (r.release, r.src));
-        stamped
+        rows
     }
+}
+
+/// One endpoint's generator state: its arrival process and the two
+/// streams derived from `(seed, endpoint)`.
+struct Endpoint {
+    stepper: ArrivalStepper,
+    arrival_rng: StdRng,
+    dst_rng: StdRng,
 }
 
 /// Separates each endpoint's destination stream from its arrival stream.
@@ -158,6 +193,9 @@ pub(crate) fn mix(seed: u64, endpoint: u32) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+#[cfg(test)]
+mod sort_oracle;
 
 #[cfg(test)]
 mod tests {

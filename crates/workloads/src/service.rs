@@ -20,6 +20,7 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use rand::Bernoulli;
 
 use wormhole_flitsim::message::MessageSpec;
 
@@ -174,31 +175,42 @@ impl ServiceScenario {
     /// by `(release, src)`. Deterministic per seed; each client owns two
     /// decorrelated streams (arrivals vs destinations/lengths), so one
     /// client's trace is independent of the others and of the window.
+    ///
+    /// Steps outside, clients inside, so the rows come out in order as
+    /// they are drawn. The rate depends on the step alone: one coin a step
+    /// serves every client, and every client draws one arrival word a
+    /// step (also at rate zero).
     pub fn generate_rows(&self, window: u64) -> Vec<TraceRow> {
-        let mut stamped: Vec<TraceRow> = Vec::new();
-        for src in 0..self.clients {
-            let mut arrival_rng = StdRng::seed_from_u64(mix(self.seed, src));
-            let mut draw_rng = StdRng::seed_from_u64(mix(self.seed ^ DST_STREAM_SALT, src));
-            for t in 0..window {
-                if !arrival_rng.random_bool(self.rate_at(t)) {
+        let mut streams: Vec<(StdRng, StdRng)> = (0..self.clients)
+            .map(|src| {
+                (
+                    StdRng::seed_from_u64(mix(self.seed, src)),
+                    StdRng::seed_from_u64(mix(self.seed ^ DST_STREAM_SALT, src)),
+                )
+            })
+            .collect();
+        let hot = Bernoulli::new(self.hot_fraction);
+        let mut rows = Vec::new();
+        for release in 0..window {
+            let arrives = Bernoulli::new(self.rate_at(release));
+            for (src, (arrival_rng, draw_rng)) in (0..).zip(&mut streams) {
+                if !arrives.sample(arrival_rng) {
                     continue;
                 }
-                let hot = self.hot_servers > 0 && draw_rng.random_bool(self.hot_fraction);
-                let k = if hot {
+                let k = if self.hot_servers > 0 && hot.sample(draw_rng) {
                     draw_rng.random_range(0..self.hot_servers)
                 } else {
                     draw_rng.random_range(0..self.servers)
                 };
-                stamped.push(TraceRow {
+                rows.push(TraceRow {
                     src,
                     dst: self.server_endpoint(k),
-                    release: t,
-                    length: self.draw_length(&mut draw_rng),
+                    release,
+                    length: self.draw_length(draw_rng),
                 });
             }
         }
-        stamped.sort_by_key(|r| (r.release, r.src));
-        stamped
+        rows
     }
 
     /// Generates and routes the scenario into simulator-ready specs.
