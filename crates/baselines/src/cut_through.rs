@@ -14,14 +14,23 @@
 use wormhole_flitsim::config::SimConfig;
 use wormhole_flitsim::cut_through::{self, VctConfig};
 use wormhole_flitsim::message::specs_from_paths;
+use wormhole_flitsim::source::Traffic;
 use wormhole_flitsim::stats::SimResult;
-use wormhole_flitsim::wormhole;
+use wormhole_flitsim::wormhole::{self, SimError};
 
 use wormhole_topology::graph::Graph;
 use wormhole_topology::path::PathSet;
 
 /// Direct VCT simulation: `f`-flit single-message buffers, release 0.
-pub fn vct(graph: &Graph, paths: &PathSet, l: u32, f: u32, seed: u64) -> SimResult {
+/// A path that is empty or leaves `graph` comes back as the
+/// [`SimError::Spec`] of [`cut_through::run`].
+pub fn vct(
+    graph: &Graph,
+    paths: &PathSet,
+    l: u32,
+    f: u32,
+    seed: u64,
+) -> Result<SimResult, SimError> {
     let mut config = VctConfig::new(f);
     config.seed = seed;
     let specs = specs_from_paths(paths, l);
@@ -32,17 +41,19 @@ pub fn vct(graph: &Graph, paths: &PathSet, l: u32, f: u32, seed: u64) -> SimResu
 /// with **no** VCs and message length `⌈L/B⌉`. Returns that wormhole run;
 /// time is in *flit steps of the emulated system* — multiply by `b` (each
 /// emulated "superflit" is `b` flits wide) via
-/// [`emulation_flit_steps`] to compare against direct runs.
+/// [`emulation_flit_steps`] to compare against direct runs. A bad path
+/// comes back as the [`SimError`] of [`wormhole::simulate`].
 pub fn vct_as_short_wormhole(
     graph: &Graph,
     paths: &PathSet,
     l: u32,
     b: u32,
     seed: u64,
-) -> SimResult {
+) -> Result<SimResult, SimError> {
     let short = l.div_ceil(b).max(1);
     let specs = specs_from_paths(paths, short);
-    wormhole::run(graph, &specs, &SimConfig::new(1).seed(seed))
+    let config = SimConfig::new(1).seed(seed);
+    wormhole::simulate(graph, None, Traffic::Specs(&specs), &config)
 }
 
 /// Converts the `vct_as_short_wormhole` makespan to flit steps of the real
@@ -62,9 +73,9 @@ mod tests {
         // A contended chain: C=4 worms, D=16, L=16, buffer B=4.
         let (g, ps) = shared_chain_instance(4, 16);
         let (l, b) = (16u32, 4u32);
-        let direct = vct(&g, &ps, l, b, 1);
+        let direct = vct(&g, &ps, l, b, 1).unwrap();
         assert_eq!(direct.outcome, Outcome::Completed);
-        let emu = vct_as_short_wormhole(&g, &ps, l, b, 1);
+        let emu = vct_as_short_wormhole(&g, &ps, l, b, 1).unwrap();
         assert_eq!(emu.outcome, Outcome::Completed);
         let emu_steps = emulation_flit_steps(emu.total_steps, b);
         // "Roughly equivalent": within a small constant factor.
@@ -84,17 +95,36 @@ mod tests {
         // wormhole-VC speedup measured in E7.
         let (g, ps) = shared_chain_instance(6, 24);
         let l = 24u32;
-        let t1 = vct(&g, &ps, l, 1, 2).total_steps;
-        let t4 = vct(&g, &ps, l, 4, 2).total_steps;
+        let t1 = vct(&g, &ps, l, 1, 2).unwrap().total_steps;
+        let t4 = vct(&g, &ps, l, 4, 2).unwrap().total_steps;
         assert!(t4 <= t1);
         let speedup = t1 as f64 / t4 as f64;
         assert!(speedup <= 8.0, "VCT speedup {speedup} suspiciously high");
     }
 
     #[test]
+    fn a_bad_path_comes_back_as_a_value() {
+        use wormhole_flitsim::message::SpecError;
+        use wormhole_topology::graph::EdgeId;
+        use wormhole_topology::path::Path;
+        let (g, ps) = shared_chain_instance(2, 4);
+        for (bad, error) in [
+            (Vec::new(), SpecError::EmptyPath),
+            (vec![EdgeId(999)], SpecError::BadEdge),
+        ] {
+            let mut paths = ps.paths().to_vec();
+            paths.push(Path::new(bad));
+            let ps = PathSet::new(paths);
+            let want = SimError::Spec { id: 2, error };
+            assert_eq!(vct(&g, &ps, 3, 2, 0).unwrap_err(), want);
+            assert_eq!(vct_as_short_wormhole(&g, &ps, 3, 2, 0).unwrap_err(), want);
+        }
+    }
+
+    #[test]
     fn emulation_of_b1_is_identity() {
         let (g, ps) = shared_chain_instance(3, 8);
-        let direct = vct_as_short_wormhole(&g, &ps, 12, 1, 0);
+        let direct = vct_as_short_wormhole(&g, &ps, 12, 1, 0).unwrap();
         assert_eq!(
             emulation_flit_steps(direct.total_steps, 1),
             direct.total_steps

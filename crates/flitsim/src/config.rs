@@ -113,12 +113,6 @@ impl VcPolicy {
         }
     }
 
-    /// Whether this policy shares capacity across a router's edges.
-    #[inline]
-    pub fn is_pooled(&self) -> bool {
-        matches!(self, VcPolicy::RouterPooled { .. })
-    }
-
     /// Short lowercase name for tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -247,17 +241,6 @@ impl RouteSelection {
     }
 }
 
-/// What happens to a worm whose header cannot advance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockedPolicy {
-    /// Stall in place holding all acquired VCs (ordinary wormhole routing).
-    Stall,
-    /// Discard the message immediately, releasing its VCs — the semantics of
-    /// step 4 of the §3.1 butterfly algorithm ("if a message is delayed at a
-    /// switch, then the message is discarded").
-    Discard,
-}
-
 /// Full simulator configuration.
 ///
 /// # Which knob combinations are differential-tested
@@ -271,8 +254,8 @@ pub enum BlockedPolicy {
 ///   `(seed, step, edge)`-keyed [`Arbitration::Random`] stream),
 /// * `B ∈ {1, 2, 4}`, staggered releases, priorities, tight
 ///   [`SimConfig::max_steps`] caps (partial state at an abort must
-///   match), [`BlockedPolicy::Discard`], deadlocking naive-torus arms
-///   (reports compared field for field), and
+///   match), deadlocking naive-torus arms (reports compared field for
+///   field), and
 /// * all three [`RouteSelection`] policies on `AdaptiveEscape` tori —
 ///   adaptive runs are where the equality is subtlest, because route
 ///   choice reads VC occupancy; see [`crate::wormhole`] for why the
@@ -289,9 +272,15 @@ pub enum BlockedPolicy {
 ///   that straddle a region cut (`tests/parallel_determinism.rs` pins
 ///   those corners at 1, 2 and 8 workers).
 ///
+/// A worm whose header cannot advance stalls in place holding the VCs it
+/// has acquired (ordinary wormhole routing); the only discard is a fault
+/// kill's ([`crate::stats::DiscardReason::LinkDown`]). The §3.1 rule
+/// "if a message is delayed at a switch, then the message is discarded"
+/// is `wormhole_core::butterfly::fast_sim`'s, not a knob here.
+///
 /// The §1.4 comparison models — one flit per channel per step, virtual
-/// cut-through, store-and-forward — are not knobs here: each is its own
-/// small stepper ([`crate::restricted`], [`crate::cut_through`],
+/// cut-through, store-and-forward — are not knobs here either: each is its
+/// own small stepper ([`crate::restricted`], [`crate::cut_through`],
 /// [`crate::store_forward`]).
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -314,8 +303,6 @@ pub struct SimConfig {
     /// this is what lets the event-driven engine skip blocked steps and
     /// still reproduce the legacy stepper bit for bit.
     pub arbitration: Arbitration,
-    /// Blocked-worm policy.
-    pub blocked: BlockedPolicy,
     /// Stepper (see [`Engine`]): the event-driven core (default), the
     /// legacy per-step rescanner kept as its differential oracle, or the
     /// partitioned parallel engine. All produce bit-identical
@@ -367,7 +354,6 @@ impl SimConfig {
         Self {
             vc_policy: VcPolicy::Static(b).in_range_or_panic(),
             arbitration: Arbitration::FifoById,
-            blocked: BlockedPolicy::Stall,
             engine: Engine::EventDriven,
             route_selection: RouteSelection::Oblivious,
             misroute_quota: 4,
@@ -389,12 +375,6 @@ impl SimConfig {
     /// Sets the arbitration policy.
     pub fn arbitration(mut self, a: Arbitration) -> Self {
         self.arbitration = a;
-        self
-    }
-
-    /// Sets the blocked-worm policy.
-    pub fn blocked(mut self, p: BlockedPolicy) -> Self {
-        self.blocked = p;
         self
     }
 
@@ -605,7 +585,6 @@ mod tests {
     fn builder_chain() {
         let c = SimConfig::new(3)
             .arbitration(Arbitration::Random)
-            .blocked(BlockedPolicy::Discard)
             .engine(Engine::Legacy)
             .route_selection(RouteSelection::FullyAdaptive)
             .misroute_quota(9)
@@ -614,7 +593,6 @@ mod tests {
             .check_invariants(true);
         assert_eq!(c.vc_policy, VcPolicy::Static(3));
         assert_eq!(c.arbitration, Arbitration::Random);
-        assert_eq!(c.blocked, BlockedPolicy::Discard);
         assert_eq!(c.engine, Engine::Legacy);
         assert_eq!(c.route_selection, RouteSelection::FullyAdaptive);
         assert_eq!(c.misroute_quota, 9);
@@ -651,10 +629,8 @@ mod tests {
         let p = VcPolicy::pooled(16, 1, 6);
         let c = SimConfig::new(2).vc_policy(p);
         assert_eq!(c.vc_policy, p);
-        assert!(p.is_pooled());
         assert_eq!(p.max_per_edge(), 6);
         assert_eq!(p.name(), "pooled");
-        assert!(!VcPolicy::Static(2).is_pooled());
         assert_eq!(VcPolicy::Static(2).max_per_edge(), 2);
         assert_eq!(VcPolicy::Static(2).name(), "static");
     }

@@ -25,6 +25,7 @@ use wormhole_topology::graph::Graph;
 use crate::message::{check_specs, MessageSpec};
 use crate::source::ReleaseClock;
 use crate::stats::{MessageOutcome, Outcome, SimResult};
+use crate::wormhole::SimError;
 
 /// Virtual cut-through configuration.
 #[derive(Clone, Debug)]
@@ -54,8 +55,17 @@ const NO_OWNER: u32 = u32::MAX;
 /// Runs virtual cut-through routing. The returned [`SimResult`] reuses the
 /// wormhole result type: `max_vcs_in_use` reports the maximum flits resident
 /// in any single buffer.
-pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResult {
-    check_specs(graph, specs).unwrap_or_else(|e| panic!("{e}"));
+///
+/// # Errors
+///
+/// [`SimError::Spec`] for the first spec of the slice with an empty
+/// path, an edge id `graph` lacks or zero length, before step 0.
+pub fn run(
+    graph: &Graph,
+    specs: &[MessageSpec],
+    config: &VctConfig,
+) -> Result<SimResult, SimError> {
+    check_specs(graph, specs)?;
     let n = specs.len();
     let f = config.buffer_flits;
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -214,13 +224,20 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &VctConfig) -> SimResul
         t += 1;
     };
 
-    SimResult::baseline(outcome, t, last_finish, outcomes, max_occ, flit_hops)
+    Ok(SimResult::baseline(
+        outcome,
+        t,
+        last_finish,
+        outcomes,
+        max_occ,
+        flit_hops,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::specs_from_paths;
+    use crate::message::{specs_from_paths, SpecError};
     use wormhole_topology::random_nets::shared_chain_instance;
 
     #[test]
@@ -229,7 +246,7 @@ mod tests {
         // one flit per step once the header arrives: D + L total.
         let (g, ps) = shared_chain_instance(1, 6);
         let specs = specs_from_paths(&ps, 4);
-        let r = run(&g, &specs, &VctConfig::new(2));
+        let r = run(&g, &specs, &VctConfig::new(2)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert!(
             (6 + 4 - 1..=6 + 4 + 1).contains(&r.total_steps),
@@ -245,7 +262,7 @@ mod tests {
         // under start-of-step credit: ≈ D + 2L.
         let (g, ps) = shared_chain_instance(1, 6);
         let specs = specs_from_paths(&ps, 4);
-        let r = run(&g, &specs, &VctConfig::new(1));
+        let r = run(&g, &specs, &VctConfig::new(1)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert!(r.total_steps >= 6 + 4 - 1);
         assert!(r.total_steps <= 6 + 2 * 4 + 2, "got {}", r.total_steps);
@@ -258,8 +275,8 @@ mod tests {
         // one worm alone.
         let (g, ps) = shared_chain_instance(2, 6);
         let specs = specs_from_paths(&ps, 4);
-        let solo = run(&g, &specs[..1], &VctConfig::new(2));
-        let both = run(&g, &specs, &VctConfig::new(2));
+        let solo = run(&g, &specs[..1], &VctConfig::new(2)).unwrap();
+        let both = run(&g, &specs, &VctConfig::new(2)).unwrap();
         assert_eq!(both.outcome, Outcome::Completed);
         assert!(both.total_steps > solo.total_steps);
         assert_eq!(both.delivered(), 2);
@@ -270,7 +287,7 @@ mod tests {
         let (g, ps) = shared_chain_instance(3, 5);
         let specs = specs_from_paths(&ps, 6);
         for f in 1..=4 {
-            let r = run(&g, &specs, &VctConfig::new(f));
+            let r = run(&g, &specs, &VctConfig::new(f)).unwrap();
             assert_eq!(r.outcome, Outcome::Completed);
             assert!(r.max_vcs_in_use <= f);
         }
@@ -284,7 +301,7 @@ mod tests {
         // buffer the whole worm can sit in one buffer.
         let (g, ps) = shared_chain_instance(1, 2);
         let specs = specs_from_paths(&ps, 5);
-        let r = run(&g, &specs, &VctConfig::new(8));
+        let r = run(&g, &specs, &VctConfig::new(8)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         // 2 hops, 5 flits: header arrives at step 2, drains 5 flits.
         assert!(r.total_steps <= 2 + 5 + 1);
@@ -295,7 +312,7 @@ mod tests {
         let (g, ps) = shared_chain_instance(1, 3);
         let mut specs = specs_from_paths(&ps, 2);
         specs[0].release = 7;
-        let r = run(&g, &specs, &VctConfig::new(2));
+        let r = run(&g, &specs, &VctConfig::new(2)).unwrap();
         assert!(r.messages[0].finished.unwrap() >= 7 + 3);
     }
 
@@ -304,13 +321,13 @@ mod tests {
         let (g, ps) = shared_chain_instance(2, 4);
         let mut specs = specs_from_paths(&ps, 3);
         specs[1].release = 1_000;
-        let r = run(&g, &specs, &VctConfig::new(2));
+        let r = run(&g, &specs, &VctConfig::new(2)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.messages[1].first_move, Some(1_000));
 
         let mut capped = VctConfig::new(2);
         capped.max_steps = 500;
-        let r = run(&g, &specs, &capped);
+        let r = run(&g, &specs, &capped).unwrap();
         assert_eq!(r.outcome, Outcome::MaxSteps);
         assert_eq!(r.total_steps, 500);
         assert_eq!(r.delivered(), 1);
@@ -318,7 +335,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "message 1: bad edge id")]
     fn an_edge_the_graph_lacks_is_refused_at_the_door() {
         // Used to index-panic mid-loop, at the step the flit reached it.
         let (g, ps) = shared_chain_instance(2, 3);
@@ -326,23 +342,26 @@ mod tests {
         let mut edges = specs[1].path.edges().to_vec();
         edges.push(wormhole_topology::graph::EdgeId(999));
         specs[1].path = wormhole_topology::path::Path::new(edges);
-        run(&g, &specs, &VctConfig::new(2));
+        let error = SpecError::BadEdge;
+        let got = run(&g, &specs, &VctConfig::new(2)).unwrap_err();
+        assert_eq!(got, SimError::Spec { id: 1, error });
     }
 
     #[test]
-    #[should_panic(expected = "message 0 has zero length")]
     fn a_zero_length_spec_is_refused_at_the_door() {
         // Used to "finish" at step 1 without ever moving a flit.
         let (g, ps) = shared_chain_instance(1, 3);
         let mut specs = specs_from_paths(&ps, 2);
         specs[0].length = 0;
-        run(&g, &specs, &VctConfig::new(2));
+        let error = SpecError::ZeroLength;
+        let got = run(&g, &specs, &VctConfig::new(2)).unwrap_err();
+        assert_eq!(got, SimError::Spec { id: 0, error });
     }
 
     #[test]
     fn empty_specs() {
         let (g, _) = shared_chain_instance(1, 2);
-        let r = run(&g, &[], &VctConfig::new(2));
+        let r = run(&g, &[], &VctConfig::new(2)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
     }
 }

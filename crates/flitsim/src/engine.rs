@@ -54,12 +54,11 @@
 //! costs its winners, not its length. At low load header hops are stepped
 //! and the `L`-long drain that follows is one `O(path)` jump.
 
-use crate::config::BlockedPolicy;
 use crate::kernel::{WaitQueue, NO_EDGE};
 use crate::probe::{self, Phase};
 use crate::resident::Core;
 use crate::sim::{Driven, Sim};
-use crate::stats::{DiscardReason, EngineStats};
+use crate::stats::EngineStats;
 use crate::wormhole::SimError;
 
 /// The event driver's bookkeeping over one [`Core`]: which of its worms
@@ -95,10 +94,9 @@ impl EventState {
 
 /// What [`run_window`] reports back.
 pub(crate) struct Window {
-    /// The step at which the core froze — nothing moved under
-    /// [`BlockedPolicy::Stall`] with worms left, so nothing will until a
-    /// release arrives from outside — or `u64::MAX`. The whole network
-    /// freezing is the deadlock verdict.
+    /// The step at which the core froze — nothing moved with worms left,
+    /// so nothing will until a release arrives from outside — or
+    /// `u64::MAX`. The whole network freezing is the deadlock verdict.
     pub(crate) frozen_at: u64,
     /// `1 +` the last step of the window that moved a worm (0 = none).
     pub(crate) last_move_plus1: u64,
@@ -269,7 +267,7 @@ pub(crate) fn run_window(
         }
         if step(core, st, t, on_park) {
             win.last_move_plus1 = t + 1;
-        } else if st.n_active() > 0 && core.config.blocked == BlockedPolicy::Stall {
+        } else if st.n_active() > 0 {
             win.frozen_at = t;
             break;
         }
@@ -323,7 +321,7 @@ fn step(
         core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m);
         st.runnable.push(m);
     }
-    // Runnable losers stall, then discard or park. Parking checks the
+    // Runnable losers stall, then park. Parking checks the
     // *end-of-step* acquirability: if this step's releases already freed
     // capacity on an edge the worm could want, it stays runnable and
     // re-contends at `t+1`, exactly as the legacy stepper would. A
@@ -336,9 +334,7 @@ fn step(
     for i in 0..core.split.blocked.len() {
         let m = core.split.blocked[i];
         core.outcomes[m as usize].stalls += 1;
-        if core.config.blocked == BlockedPolicy::Discard {
-            core.discard(m, t, DiscardReason::Delay);
-        } else if let Some(edge) = core.wait_keys(m, &mut st.keys) {
+        if let Some(edge) = core.wait_keys(m, &mut st.keys) {
             st.waiting.park(m, &st.keys, edge, core.rank(m), t);
             st.stats.parks += 1;
             on_park(core, m);

@@ -7,11 +7,9 @@
 //! with them the step phases ([`Core::step_winners`]), the loop head
 //! and the verdicts ([`Sim`]), and nothing else.
 
-use crate::config::BlockedPolicy;
 use crate::probe::{self, Phase};
 use crate::resident::Core;
 use crate::sim::{Driven, Sim};
-use crate::stats::DiscardReason;
 use crate::wormhole::SimError;
 
 /// Runs `sim` to its outcome one step at a time. Returns `(outcome,
@@ -36,7 +34,7 @@ pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
 
         let moved = step_full_bandwidth(core, t);
 
-        if !moved && !core.active.is_empty() && core.config.blocked == BlockedPolicy::Stall {
+        if !moved && !core.active.is_empty() {
             // Static state: every active worm is blocked on a held VC
             // and releases only come from moves. Future arrivals cannot
             // free anything. Deadlock.
@@ -56,12 +54,8 @@ fn step_full_bandwidth(core: &mut Core, t: u64) -> bool {
     let active = std::mem::take(&mut core.active);
     let progressed = core.step_winners(t, &active, None);
     core.active = active;
-    for i in 0..core.split.blocked.len() {
-        let m = core.split.blocked[i];
+    for &m in &core.split.blocked {
         core.outcomes[m as usize].stalls += 1;
-        if core.config.blocked == BlockedPolicy::Discard {
-            core.discard(m, t, DiscardReason::Delay);
-        }
     }
     probe::lap(Phase::Park);
     core.ledger.settle_max(&core.rules);

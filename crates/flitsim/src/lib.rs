@@ -5,7 +5,7 @@
 //!
 //! * [`wormhole`] — the paper's model (§1.1): `B` virtual channels per
 //!   physical channel each moving one flit per step, one-flit buffers,
-//!   rigid worms, arbitration and discard policies, deadlock detection;
+//!   rigid worms, arbitration policies, deadlock detection;
 //! * [`restricted`] — the §1.4 Remarks' restricted model: the same `B`
 //!   VC buffers per edge but one flit per *physical channel* per step,
 //!   so flits advance individually and lanes time-share the wire;
@@ -88,7 +88,7 @@ pub mod stats;
 pub mod store_forward;
 pub mod wormhole;
 
-pub use config::{Arbitration, BlockedPolicy, ConfigError, Engine, RouteSelection, SimConfig};
+pub use config::{Arbitration, ConfigError, Engine, RouteSelection, SimConfig};
 pub use events::{DeadlockReport, WaitFor};
 pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec, SpecError};
 pub use open_loop::{run_open_loop, OpenLoopConfig};

@@ -35,7 +35,11 @@ use crate::source::Traffic;
 use crate::stats::{LatencyStats, OpenLoopStats, SimResult};
 use crate::wormhole;
 
-/// Windowing and saturation knobs for an open-loop run.
+/// Accepted/offered ratio under which a measurement window counts as
+/// saturated.
+const SATURATION_RATIO: f64 = 0.95;
+
+/// Windowing knobs for an open-loop run.
 #[derive(Clone, Copy, Debug)]
 pub struct OpenLoopConfig {
     /// Warmup steps excluded from measurement (transient fill).
@@ -46,35 +50,23 @@ pub struct OpenLoopConfig {
     /// the run; saturated traffic will still be unfinished at the cap,
     /// which is expected and reported, not an error).
     pub drain: u64,
-    /// Accepted/offered ratio under which the window counts as
-    /// saturated (default 0.95).
-    pub saturation_ratio: f64,
 }
 
 impl OpenLoopConfig {
-    /// A config with the given warmup and measurement window, a drain
-    /// allowance equal to `warmup + measure`, and the default saturation
-    /// threshold.
+    /// A config with the given warmup and measurement window and a drain
+    /// allowance equal to `warmup + measure`.
     pub fn new(warmup: u64, measure: u64) -> Self {
         assert!(measure >= 1, "measurement window must be non-empty");
         Self {
             warmup,
             measure,
             drain: warmup + measure,
-            saturation_ratio: 0.95,
         }
     }
 
     /// Sets the drain allowance.
     pub fn drain(mut self, steps: u64) -> Self {
         self.drain = steps;
-        self
-    }
-
-    /// Sets the saturation threshold on accepted/offered.
-    pub fn saturation_ratio(mut self, r: f64) -> Self {
-        assert!((0.0..=1.0).contains(&r));
-        self.saturation_ratio = r;
         self
     }
 
@@ -189,7 +181,7 @@ pub fn windowed_stats_from(
     // effect, not saturation.
     let deficit = offered.saturating_sub(accepted_msgs);
     let saturated =
-        (offered > 0 && accepted_rate < ol.saturation_ratio * offered_rate && deficit >= 2)
+        (offered > 0 && accepted_rate < SATURATION_RATIO * offered_rate && deficit >= 2)
             || backlog_end > backlog_start.saturating_mul(2).max(offered / 4).max(1);
     OpenLoopStats {
         window_start: start,
@@ -414,9 +406,8 @@ mod tests {
 
     #[test]
     fn config_builder_and_cap() {
-        let ol = OpenLoopConfig::new(10, 20).drain(5).saturation_ratio(0.5);
+        let ol = OpenLoopConfig::new(10, 20).drain(5);
         assert_eq!(ol.window_end(), 30);
         assert_eq!(ol.step_cap(), 35);
-        assert!((ol.saturation_ratio - 0.5).abs() < 1e-12);
     }
 }

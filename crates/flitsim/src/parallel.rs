@@ -125,7 +125,6 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
 
-use crate::config::BlockedPolicy;
 use crate::engine::{self, EventState};
 use crate::kernel::Worm;
 use crate::resident::{Core, Resident};
@@ -729,10 +728,7 @@ fn run_loop<'a>(
         // the freeze step every resident was blocked — a mover would
         // have unfrozen it — so the top-up is uniform over the runnable
         // ones (parked worms settle when they leave the queue).
-        let deadlocked = sim.core.config.blocked == BlockedPolicy::Stall
-            && any_worms
-            && all_static
-            && t_dead < t + w;
+        let deadlocked = any_worms && all_static && t_dead < t + w;
         if any_frozen {
             let end_count = if deadlocked { t_dead } else { t + w - 1 };
             for reg in &mut regs {

@@ -302,7 +302,7 @@ pub(crate) struct Core<'a> {
     /// (deadlock report, invariant checks).
     pub(crate) active: Vec<u32>,
     /// This step's arbitration verdicts: its movers, and the losers the
-    /// caller stalls, discards or parks (`split.blocked`).
+    /// caller stalls or parks (`split.blocked`).
     pub(crate) split: Split,
     /// This step's winners among the parked worms the event driver
     /// entered ([`Core::step_winners`]).
@@ -516,7 +516,7 @@ impl<'a> Core<'a> {
         for i in 0..self.active.len() {
             let m = self.active[i];
             if self.worm_severed(m) {
-                self.discard(m, t, DiscardReason::LinkDown);
+                self.discard(m, t);
             }
         }
     }
@@ -684,8 +684,8 @@ impl<'a> Core<'a> {
     /// pending heads one by one under the hop each selected, frozen-route
     /// waiters in whole runs ([`WaitQueue::scan_hot`]); none under the
     /// legacy stepper: classify, arbitrate, advance the winners. Leaves
-    /// the `stepping` losers in `split.blocked` for the caller to stall,
-    /// discard or park, and the entered winners in `won` for it to unpark
+    /// the `stepping` losers in `split.blocked` for the caller to stall
+    /// or park, and the entered winners in `won` for it to unpark
     /// — those of a run also in `split.run_won`, by index; an entered
     /// loser is on neither list, and a run loser is never read. Returns
     /// whether anything progressed.
@@ -741,7 +741,7 @@ impl<'a> Core<'a> {
         }
         for i in 0..self.doomed.len() {
             let m = self.doomed[i];
-            self.discard(m, t, DiscardReason::LinkDown);
+            self.discard(m, t);
         }
         probe::lap(Phase::Apply);
         // A fault discard is progress for the deadlock test: it released
@@ -871,15 +871,15 @@ impl<'a> Core<'a> {
         end
     }
 
-    pub(crate) fn discard(&mut self, m: u32, t: u64, reason: DiscardReason) {
+    /// Discards `m` during step `t` — a fault kill severed it — releasing
+    /// every VC it holds.
+    pub(crate) fn discard(&mut self, m: u32, t: u64) {
         for j in self.worms[m as usize].held_vcs() {
             let e = self.path_edge(m, j);
             self.release_vc(e);
         }
-        self.outcomes[m as usize].discarded = Some(reason);
-        if reason == DiscardReason::LinkDown {
-            self.fault_discards += 1;
-        }
+        self.outcomes[m as usize].discarded = Some(DiscardReason::LinkDown);
+        self.fault_discards += 1;
         self.unfinished -= 1;
         self.done.push((t, m, false));
     }

@@ -29,14 +29,15 @@
 //!
 //! // A lone worm needs only its own tokens: d + L − 1, as at full bandwidth.
 //! let (g, ps) = shared_chain_instance(1, 8);
-//! let lone = restricted::run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3));
+//! let lone = restricted::run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3))?;
 //! assert_eq!(lone.total_steps, 8 + 6 - 1);
 //!
 //! // B = 3 worms on one chain all get a VC at once (at full bandwidth they
 //! // would finish together at 13) but time-share the one wire.
 //! let (g, ps) = shared_chain_instance(3, 8);
-//! let shared = restricted::run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3));
+//! let shared = restricted::run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3))?;
 //! assert_eq!((shared.max_vcs_in_use, shared.total_steps), (3, 25));
+//! # Ok::<(), wormhole_flitsim::wormhole::SimError>(())
 //! ```
 
 use wormhole_topology::graph::Graph;
@@ -44,6 +45,7 @@ use wormhole_topology::graph::Graph;
 use crate::message::{check_specs, MessageSpec};
 use crate::source::ReleaseClock;
 use crate::stats::{MessageOutcome, Outcome, SimResult};
+use crate::wormhole::SimError;
 
 /// Restricted-model configuration.
 #[derive(Clone, Debug)]
@@ -75,8 +77,17 @@ const DELIVERED: u32 = u32::MAX;
 /// [`SimResult`] reuses the wormhole result type; a deadlocked run names
 /// the stuck messages in [`Outcome::Deadlock`] but carries no wait-for
 /// report.
-pub fn run(graph: &Graph, specs: &[MessageSpec], config: &RestrictedConfig) -> SimResult {
-    check_specs(graph, specs).unwrap_or_else(|e| panic!("{e}"));
+///
+/// # Errors
+///
+/// [`SimError::Spec`] for the first spec of the slice with an empty
+/// path, an edge id `graph` lacks or zero length, before step 0.
+pub fn run(
+    graph: &Graph,
+    specs: &[MessageSpec],
+    config: &RestrictedConfig,
+) -> Result<SimResult, SimError> {
+    check_specs(graph, specs)?;
     let n = specs.len();
     let mut pos: Vec<Vec<u32>> = specs
         .iter()
@@ -176,7 +187,14 @@ pub fn run(graph: &Graph, specs: &[MessageSpec], config: &RestrictedConfig) -> S
         }
         t += 1;
     };
-    SimResult::baseline(outcome, t, last_finish, outcomes, max_vcs, flit_hops)
+    Ok(SimResult::baseline(
+        outcome,
+        t,
+        last_finish,
+        outcomes,
+        max_vcs,
+        flit_hops,
+    ))
 }
 
 /// Flit order, delivery counts and VC accounting, recomputed from the
@@ -229,7 +247,7 @@ mod tests {
     #[test]
     fn three_worms_on_a_shared_chain_golden() {
         let (g, ps) = shared_chain_instance(3, 8);
-        let r = run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3));
+        let r = run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(
             (r.total_steps, r.total_stalls, r.flit_hops, r.max_vcs_in_use),
@@ -244,7 +262,7 @@ mod tests {
         let (g, ps) = shared_chain_instance(5, 6);
         let specs = specs_from_paths(&ps, 4);
         for (b, steps, stalls) in [(1, 29, 50), (2, 25, 32), (4, 25, 20)] {
-            let r = run(&g, &specs, &RestrictedConfig::new(b));
+            let r = run(&g, &specs, &RestrictedConfig::new(b)).unwrap();
             assert_eq!(r.outcome, Outcome::Completed);
             assert_eq!(
                 (r.total_steps, r.total_stalls, r.flit_hops, r.max_vcs_in_use),
@@ -259,7 +277,7 @@ mod tests {
         let (g, ps) = shared_chain_instance(2, 4);
         let mut specs = specs_from_paths(&ps, 3);
         specs[1].release = 1_000;
-        let r = run(&g, &specs, &RestrictedConfig::new(1));
+        let r = run(&g, &specs, &RestrictedConfig::new(1)).unwrap();
         assert_eq!(r.messages[0].finished, Some(6));
         assert_eq!(r.messages[1].first_move, Some(1_000));
         assert_eq!(r.total_steps, 1_006);
@@ -267,12 +285,12 @@ mod tests {
 
         let mut capped = RestrictedConfig::new(1);
         capped.max_steps = 500;
-        let r = run(&g, &specs, &capped);
+        let r = run(&g, &specs, &capped).unwrap();
         assert_eq!(r.outcome, Outcome::MaxSteps);
         assert_eq!(r.total_steps, 500);
         assert_eq!(r.delivered(), 1);
         capped.max_steps = 4;
-        let r = run(&g, &specs, &capped);
+        let r = run(&g, &specs, &capped).unwrap();
         assert_eq!((&r.outcome, r.total_steps), (&Outcome::MaxSteps, 4));
         assert_eq!(r.delivered(), 0);
     }
@@ -290,10 +308,10 @@ mod tests {
             MessageSpec::new(Path::new(vec![e[0], e[1], e[2]]), 4),
             MessageSpec::new(Path::new(vec![e[2], e[3], e[0]]), 4),
         ];
-        let r = run(&g, &specs, &RestrictedConfig::new(1));
+        let r = run(&g, &specs, &RestrictedConfig::new(1)).unwrap();
         assert_eq!(r.outcome, Outcome::Deadlock(vec![0, 1]));
         assert_eq!(r.delivered(), 0);
-        let r = run(&g, &specs, &RestrictedConfig::new(2));
+        let r = run(&g, &specs, &RestrictedConfig::new(2)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
     }
 
@@ -302,7 +320,7 @@ mod tests {
         // One worm alone: it crosses ≤ min(L, d) edges per step but that
         // needs only its own tokens, so it still advances every step.
         let (g, ps) = shared_chain_instance(1, 5);
-        let r = run(&g, &specs_from_paths(&ps, 4), &RestrictedConfig::new(2));
+        let r = run(&g, &specs_from_paths(&ps, 4), &RestrictedConfig::new(2)).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.total_steps, 5 + 4 - 1);
     }
@@ -316,7 +334,7 @@ mod tests {
         let (g, ps) = shared_chain_instance(b, 8);
         let specs = specs_from_paths(&ps, 6);
         let full = crate::wormhole::run(&g, &specs, &SimConfig::new(b).check_invariants(true));
-        let restricted = run(&g, &specs, &RestrictedConfig::new(b));
+        let restricted = run(&g, &specs, &RestrictedConfig::new(b)).unwrap();
         assert_eq!(full.outcome, Outcome::Completed);
         assert_eq!(restricted.outcome, Outcome::Completed);
         assert!(

@@ -18,7 +18,7 @@ use crate::message::{check_spec, check_specs, MessageSpec, SpecError};
 use crate::probe::{self, Phase};
 use crate::resident::{AdaptiveState, Core, Resident};
 use crate::source::{release_order, Traffic, TrafficSource};
-use crate::stats::{DiscardReason, EngineStats, MessageOutcome, Outcome, SimResult};
+use crate::stats::{EngineStats, MessageOutcome, Outcome, SimResult};
 use crate::wormhole::SimError;
 
 /// What a driver hands back: how the run ended, the step it stopped at,
@@ -108,7 +108,7 @@ fn admit<'a>(
     // `on_discarded` so closed-loop sources can reissue. Adaptive
     // messages stay: they route around dead edges.
     if dead_on_arrival {
-        core.discard(id, now, DiscardReason::LinkDown);
+        core.discard(id, now);
     }
     !dead_on_arrival
 }

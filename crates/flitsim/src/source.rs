@@ -86,8 +86,8 @@ pub trait TrafficSource {
     /// `finished`. Flushed in canonical `(finished, id)` order.
     fn on_delivered(&mut self, _id: u32, _finished: u64) {}
 
-    /// Notification that message `id` was discarded during step `t`
-    /// (under [`crate::config::BlockedPolicy::Discard`]).
+    /// Notification that message `id` was discarded during step `t` — a
+    /// fault kill severed it ([`crate::stats::DiscardReason::LinkDown`]).
     fn on_discarded(&mut self, _id: u32, _t: u64) {}
 
     /// Whether deliveries can spawn new releases. `true` pins the

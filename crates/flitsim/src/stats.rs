@@ -5,8 +5,8 @@ use crate::events::DeadlockReport;
 /// How a simulation run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {
-    /// Every message finished (or was discarded, under
-    /// [`crate::config::BlockedPolicy::Discard`]).
+    /// Every message finished, or was discarded by a fault kill
+    /// ([`DiscardReason::LinkDown`]).
     Completed,
     /// No worm could move and none will ever move again: deadlock. Contains
     /// the ids of the blocked messages (a wait-for cycle exists among them).
@@ -97,12 +97,10 @@ impl EngineStats {
     }
 }
 
-/// Why a message was discarded.
+/// Why a message was discarded. A blocked worm stalls, so the one reason
+/// is a fault kill's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiscardReason {
-    /// Blocked past its deadline under
-    /// [`crate::config::BlockedPolicy::Discard`].
-    Delay,
     /// A link on the worm's path was killed by a fault
     /// (`SimConfig::faults`): it held a dead edge, its frozen remaining
     /// path crossed one, or its escape hop died with no alternative.
@@ -118,9 +116,8 @@ pub struct MessageOutcome {
     pub first_move: Option<u64>,
     /// Number of steps the worm was blocked wanting to move.
     pub stalls: u64,
-    /// `Some(reason)` if the message was discarded — after a delay under
-    /// [`crate::config::BlockedPolicy::Discard`], or because a fault
-    /// killed its path ([`DiscardReason::LinkDown`]).
+    /// `Some(reason)` if the message was discarded: a fault killed its
+    /// path ([`DiscardReason::LinkDown`]).
     pub discarded: Option<DiscardReason>,
 }
 
@@ -198,7 +195,8 @@ pub struct OpenLoopStats {
     /// end of the measurement window: a growing backlog is saturation.
     pub backlog: (usize, usize),
     /// Saturation verdict: the network failed to accept the offered load
-    /// over the window (see [`crate::open_loop::OpenLoopConfig`]).
+    /// over the window — it accepted under 0.95 of it, or the backlog
+    /// grew (see [`crate::open_loop`]).
     pub saturated: bool,
 }
 
@@ -452,7 +450,7 @@ mod tests {
                     finished: None,
                     first_move: None,
                     stalls: 0,
-                    discarded: Some(DiscardReason::Delay),
+                    discarded: Some(DiscardReason::LinkDown),
                 },
                 MessageOutcome {
                     finished: Some(30),

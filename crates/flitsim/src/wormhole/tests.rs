@@ -8,7 +8,7 @@
 //! always printed (`wormhole::tests::…`).
 
 use super::*;
-use crate::config::{Arbitration, BlockedPolicy, RouteSelection, VcPolicy};
+use crate::config::{Arbitration, RouteSelection, VcPolicy};
 use crate::events::WaitFor;
 use crate::message::specs_from_paths;
 use crate::stats::{DiscardReason, Outcome};
@@ -390,18 +390,6 @@ fn full_serialization_when_b_is_1() {
 }
 
 #[test]
-fn discard_policy_drops_blocked_worms() {
-    let (g, ps) = shared_chain_instance(3, 5);
-    let specs = specs_from_paths(&ps, 4);
-    let config = cfg(1).blocked(BlockedPolicy::Discard);
-    let r = run(&g, &specs, &config);
-    assert_eq!(r.outcome, Outcome::Completed);
-    assert_eq!(r.delivered(), 1, "only one worm fits; others discarded");
-    assert_eq!(r.discarded(), 2);
-    assert_eq!(r.total_steps, 5 + 4 - 1);
-}
-
-#[test]
 fn arbitration_priority_rank_orders_winners() {
     // Two worms contend for one VC; the one with lower priority value
     // must win regardless of id.
@@ -777,15 +765,6 @@ fn engines_agree_at_the_step_cap() {
             assert_eq!(r.outcome, Outcome::MaxSteps, "cap {cap}");
         }
     }
-}
-
-#[test]
-fn engines_agree_under_discard() {
-    let (g, ps) = shared_chain_instance(4, 5);
-    let specs = specs_from_paths(&ps, 4);
-    let r = assert_engines_agree(&g, &specs, &cfg(1).blocked(BlockedPolicy::Discard));
-    assert_eq!(r.outcome, Outcome::Completed);
-    assert_eq!(r.discarded(), 3);
 }
 
 #[test]

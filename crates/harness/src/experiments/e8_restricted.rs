@@ -15,6 +15,9 @@ use wormhole_topology::lowerbound::build;
 use crate::cells;
 use crate::table::{fnum, Table};
 
+/// Every instance here routes its own paths over its own graph.
+const ROUTED: &str = "the instance's paths run over its graph";
+
 /// Runs E8.
 pub fn run(fast: bool) -> Vec<Table> {
     let target_d = if fast { 21 } else { 41 };
@@ -59,7 +62,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             spacing: b as u64 * ColorSchedule::paper_spacing(l, d),
         };
         let specs = restricted_sched.to_specs(&net.paths, l);
-        let run = restricted::run(&net.graph, &specs, &RestrictedConfig::new(b));
+        let run = restricted::run(&net.graph, &specs, &RestrictedConfig::new(b)).expect(ROUTED);
         assert_eq!(
             run.outcome,
             wormhole_flitsim::stats::Outcome::Completed,
@@ -91,7 +94,8 @@ pub fn run(fast: bool) -> Vec<Table> {
         // restricted stepper serves worms in rotating token order —
         // deterministic, nothing to seed.
         let specs = wormhole_flitsim::message::specs_from_paths(&net.paths, l);
-        let restricted = restricted::run(&net.graph, &specs, &RestrictedConfig::new(b));
+        let restricted =
+            restricted::run(&net.graph, &specs, &RestrictedConfig::new(b)).expect(ROUTED);
         t2.row(&cells!(
             b,
             full,

@@ -44,7 +44,9 @@ fn main() {
             .total_steps;
         // ...or as one B-flit single-message buffer (VCT ≈ wormhole with
         // L/B superflits at the same channel rate).
-        let ct = vct_as_short_wormhole(&net.graph, &net.paths, l, b, 1).total_steps;
+        let ct = vct_as_short_wormhole(&net.graph, &net.paths, l, b, 1)
+            .expect("the instance's paths run over its graph")
+            .total_steps;
         println!(
             "{:>8} | {:>14} | {:>10.1} | {:>14} | {:>11.1} | {:>11.1}x",
             b,

@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
 # Non-test code lines, per crate and in total: every `.rs` file under a
-# crate's `src/`, read up to its first top-level `#[cfg(test)]`, with blank
+# crate's `src/` — the crates under `crates/`, then the vendored stubs under
+# `vendor/` — read up to its first top-level `#[cfg(test)]`, with blank
 # lines and `//` lines (comments, `///` and `//!` docs) left out. A file
 # declared by a `#[cfg(test)] mod name;` (a test module in a file of its
 # own) is test code and is left out whole. A report, not a gate.
 #
-#   scripts/code_lines.sh            # every crate under crates/, then the total
+#   scripts/code_lines.sh            # every crate under crates/ and vendor/,
+#                                    # then the total of both
 #   scripts/code_lines.sh FILE...    # the same count for single files,
 #                                    # given relative to the repository root
 set -eu
@@ -27,7 +29,7 @@ fi
 
 # The files `#[cfg(test)] mod name;` declarations point at: `name.rs` beside
 # a `lib.rs` / `main.rs` / `mod.rs`, under `stem/` beside any other file.
-test_files=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+test_files=$(find crates/*/src vendor/*/src -name '*.rs' | sort | while read -r f; do
     awk -v f="$f" '
         prev && match($0, /mod [A-Za-z0-9_]+;/) {
             dir = f; sub(/\/[^\/]*$/, "", dir)
@@ -39,7 +41,7 @@ test_files=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
 done)
 
 total=0
-for crate in crates/*/; do
+for crate in crates/*/ vendor/*/; do
     crate=${crate%/}
     n=0
     for f in $(find "$crate/src" -name '*.rs' | sort); do

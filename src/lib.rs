@@ -53,7 +53,7 @@ pub mod prelude {
     pub use wormhole_core::pipeline::{adaptive_min_colors, run_pipeline, RFactor};
     pub use wormhole_core::schedule::ColorSchedule;
     pub use wormhole_flitsim::config::{
-        Arbitration, BlockedPolicy, ConfigError, Engine, RouteSelection, SimConfig, VcPolicy,
+        Arbitration, ConfigError, Engine, RouteSelection, SimConfig, VcPolicy,
     };
     pub use wormhole_flitsim::message::{
         specs_from_path_slice, specs_from_paths, MessageSpec, SpecError,

@@ -550,27 +550,22 @@ proptest! {
     }
 
     /// Random leveled-net walks (the workload family the rest of the test
-    /// suite leans on) with the Discard policy mixed in.
+    /// suite leans on) under every arbitration policy.
     #[test]
     fn engines_agree_on_leveled_nets(
         seed in 0u64..1000,
         b_idx in 0u32..3,
         l in 1u32..10,
         msgs in 1usize..30,
-        discard in proptest::bool::ANY,
         arb in 0u32..4,
     ) {
-        use wormhole_flitsim::config::BlockedPolicy;
         let net = LeveledNet::random(6, 4, 2, seed);
         let ps = net.random_walk_paths(msgs, seed + 1);
         let specs = specs_from_paths(&ps, l);
-        let mut cfg = SimConfig::new(vcs(b_idx))
+        let cfg = SimConfig::new(vcs(b_idx))
             .arbitration(arbitration(arb))
             .seed(seed)
             .check_invariants(true);
-        if discard {
-            cfg = cfg.blocked(BlockedPolicy::Discard);
-        }
         let (ev, lg) = run_all(net.graph(), &specs, &cfg);
         prop_assert!(
             ev.same_execution(&lg),

@@ -6,12 +6,16 @@
 //! them), and everything `SimConfig::check` refuses: a fault
 //! plan that does not fit the graph, a missing router or one over
 //! another graph, a pool that cannot honor its floors, policy values no
-//! builder would accept, a region plan built for another graph.
+//! builder would accept, a region plan built for another graph. The
+//! standalone §1.4 baselines (`restricted`, `cut_through`) return a
+//! slice's malformed spec the same way.
 
 use wormhole_flitsim::config::{ConfigError, Engine, RouteSelection, SimConfig, VcPolicy};
+use wormhole_flitsim::cut_through::{self, VctConfig};
 use wormhole_flitsim::message::{MessageSpec, SpecError};
+use wormhole_flitsim::restricted::{self, RestrictedConfig};
 use wormhole_flitsim::source::{Traffic, TrafficSource};
-use wormhole_flitsim::stats::Outcome;
+use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole::{simulate, SimError};
 use wormhole_topology::fault::{FaultError, FaultPlan};
 use wormhole_topology::graph::{EdgeId, Graph, GraphBuilder, NodeId};
@@ -126,6 +130,40 @@ fn a_slice_is_checked_whole_before_step_zero() {
                 "{engine:?}"
             );
         }
+    }
+}
+
+#[test]
+fn the_standalone_baselines_return_the_first_bad_spec_as_a_value() {
+    // Each malformed spec sits behind two good ones and is released far
+    // beyond the step cap, so only a check before step 0 sees it; in the
+    // slice holding all three, the first one is named.
+    let (g, edges) = chain(5);
+    let mut slim = RestrictedConfig::new(1);
+    slim.max_steps = 50;
+    let mut vct = VctConfig::new(2);
+    vct.max_steps = 50;
+    type Baseline<'a> = &'a dyn Fn(&[MessageSpec]) -> Result<SimResult, SimError>;
+    let baselines: [(&str, Baseline); 2] = [
+        ("restricted", &|specs| restricted::run(&g, specs, &slim)),
+        ("cut_through", &|specs| cut_through::run(&g, specs, &vct)),
+    ];
+    let good = || vec![raw(edges.clone(), 3, 0), raw(edges.clone(), 3, 4)];
+    let bad = malformed(&edges, 10_000);
+    let mut all_three = good();
+    all_three.extend(bad.iter().map(|(spec, _)| spec.clone()));
+    for (name, run) in baselines {
+        let ok = run(&good()).expect("two good specs");
+        assert_eq!(ok.outcome, Outcome::Completed, "{name}");
+        for (spec, error) in bad.clone() {
+            let mut specs = good();
+            specs.push(spec);
+            let got = run(&specs).unwrap_err();
+            assert_eq!(got, SimError::Spec { id: 2, error }, "{name}");
+        }
+        let error = SpecError::EmptyPath;
+        let got = run(&all_three).unwrap_err();
+        assert_eq!(got, SimError::Spec { id: 2, error }, "{name}");
     }
 }
 
