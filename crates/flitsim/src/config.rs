@@ -224,10 +224,13 @@ pub enum RouteSelection {
     /// Like [`RouteSelection::MinimalAdaptive`], but when no profitable
     /// candidate has a free VC the worm may also *misroute* (take a
     /// non-minimal adaptive hop, never an immediate u-turn) while its
-    /// per-message budget [`SimConfig::misroute_quota`] lasts. With the
+    /// per-message budget of `misroute_quota` such hops lasts. With the
     /// budget spent it degrades to minimal-adaptive, so delivery stays
     /// guaranteed (no livelock).
-    FullyAdaptive,
+    FullyAdaptive {
+        /// Non-minimal adaptive hops a worm may take.
+        misroute_quota: u32,
+    },
 }
 
 impl RouteSelection {
@@ -236,7 +239,16 @@ impl RouteSelection {
         match self {
             RouteSelection::Oblivious => "oblivious",
             RouteSelection::MinimalAdaptive => "minimal",
-            RouteSelection::FullyAdaptive => "fully",
+            RouteSelection::FullyAdaptive { .. } => "fully",
+        }
+    }
+
+    /// The misroute budget a worm starts with: the quota under
+    /// [`RouteSelection::FullyAdaptive`], none under the others.
+    pub(crate) fn misroute_budget(self) -> u32 {
+        match self {
+            RouteSelection::FullyAdaptive { misroute_quota } => misroute_quota,
+            _ => 0,
         }
     }
 }
@@ -312,10 +324,6 @@ pub struct SimConfig {
     /// require [`crate::wormhole::run_adaptive`]; [`crate::wormhole::run`]
     /// rejects them because it has no router to enumerate candidates.
     pub route_selection: RouteSelection,
-    /// Per-message misroute budget for [`RouteSelection::FullyAdaptive`]
-    /// (non-minimal adaptive hops a worm may take before degrading to
-    /// minimal-adaptive). Ignored by the other policies.
-    pub misroute_quota: u32,
     /// Hard step cap: the run aborts with [`crate::stats::Outcome::MaxSteps`]
     /// if any message is still unfinished after this many flit steps.
     pub max_steps: u64,
@@ -356,7 +364,6 @@ impl SimConfig {
             arbitration: Arbitration::FifoById,
             engine: Engine::EventDriven,
             route_selection: RouteSelection::Oblivious,
-            misroute_quota: 4,
             max_steps: 100_000_000,
             seed: 0,
             regions: None,
@@ -387,12 +394,6 @@ impl SimConfig {
     /// Sets the route-selection policy.
     pub fn route_selection(mut self, r: RouteSelection) -> Self {
         self.route_selection = r;
-        self
-    }
-
-    /// Sets the fully-adaptive misroute budget.
-    pub fn misroute_quota(mut self, q: u32) -> Self {
-        self.misroute_quota = q;
         self
     }
 
@@ -586,16 +587,16 @@ mod tests {
         let c = SimConfig::new(3)
             .arbitration(Arbitration::Random)
             .engine(Engine::Legacy)
-            .route_selection(RouteSelection::FullyAdaptive)
-            .misroute_quota(9)
+            .route_selection(RouteSelection::FullyAdaptive { misroute_quota: 9 })
             .max_steps(10)
             .seed(7)
             .check_invariants(true);
         assert_eq!(c.vc_policy, VcPolicy::Static(3));
         assert_eq!(c.arbitration, Arbitration::Random);
         assert_eq!(c.engine, Engine::Legacy);
-        assert_eq!(c.route_selection, RouteSelection::FullyAdaptive);
-        assert_eq!(c.misroute_quota, 9);
+        let fully = RouteSelection::FullyAdaptive { misroute_quota: 9 };
+        assert_eq!(c.route_selection, fully);
+        assert_eq!(c.route_selection.misroute_budget(), 9);
         assert_eq!(c.max_steps, 10);
         assert_eq!(c.seed, 7);
         assert!(c.check_invariants);

@@ -11,9 +11,9 @@
 //!   per run from the VC policy) and a mutable count half ([`VcLedger`],
 //!   one per `Core`): acquirability, acquire/release
 //!   accounting, wait keying, capacity checks, the end-of-step
-//!   occupancy maxima, and per-edge arbitration including the pooled
-//!   ascending-edge-id shared-credit grants (sorted only at a router
-//!   short of credit);
+//!   occupancy maxima, and arbitration's first pass — how many VCs each
+//!   contended edge grants ([`VcLedger::grants`]; under pooling in
+//!   ascending edge-id order, sorted only at a router short of credit);
 //! * the **wait queue** ([`WaitQueue`]) — where the event driver parks
 //!   blocked worms: a frozen route in its key's run, kept in arbitration
 //!   order, a pending head on its whole watch set;
@@ -21,8 +21,9 @@
 //!   one advance acquires and releases (every edge a flit occupies holds
 //!   a VC, the final one included), and the closed-form drain;
 //! * **routing and ordering** — adaptive hop selection and route
-//!   extension, the mover-vs-contender classification, and the canonical
-//!   contender order ([`Rank`], [`Split`]) with its stateless arbitration
+//!   extension, the mover-vs-contender classification, and arbitration's
+//!   second pass — who gets an edge's grants, in the canonical contender
+//!   order ([`Rank`], [`Split::group`]) with its stateless arbitration
 //!   RNG.
 //!
 //! See the [`crate::wormhole`] module docs for why these rules keep the
@@ -463,52 +464,44 @@ impl VcLedger {
         self.acquired.clear();
     }
 
-    /// Phase-2 arbitration: groups this step's contenders
-    /// ([`FlatBuckets::group`]) and grants each edge's group — its
-    /// classified contenders and the run of waiters entered whole for it
-    /// — its free VCs from start-of-step holder counts: `split(edge, run,
-    /// contenders, free)` picks the winners ([`Split::group`]) and returns
-    /// how many won.
+    /// Arbitration's first pass: groups this step's contenders
+    /// ([`FlatBuckets::group`]) and writes, per group, how many VCs its
+    /// edge grants from start-of-step holder counts — `grants[gi]` for
+    /// group `gi`, its classified contenders and the run of waiters
+    /// entered whole for it. The second pass, [`Split::groups`], picks
+    /// who gets them. Static: the edge's free VCs.
     ///
     /// Under [`VcPolicy::RouterPooled`] sibling edges of one router can
-    /// compete for the same shared credits within a single step, so the
-    /// per-edge `free` counts are **allocated in ascending edge-id
-    /// order** (tracked in `planned_shared`): a canonical rule that
-    /// depends only on start-of-step state and the contender *sets* —
-    /// both engine-independent — never on the order the caller
-    /// discovered the groups in. The order only matters at a router
-    /// **short of credit**. A first pass, in discovery order, sums per
-    /// router what its groups need from the shared portion if each is
-    /// granted all it wants — `want = min(len, cap_free)`, 0 on a dead
-    /// edge, `need = want − floor_free`. Where that sum fits the
+    /// compete for the same shared credits within a single step, so a
+    /// group is granted `min(len, free)`, its `free` **allocated in
+    /// ascending edge-id order** (tracked in `planned_shared`): a
+    /// canonical rule that depends only on start-of-step state and the
+    /// contender *sets* — both engine-independent — never on the order
+    /// the caller discovered the groups in. The order only matters at a
+    /// router **short of credit**. A planning pass, in discovery order,
+    /// sums per router what its groups need from the shared portion if
+    /// each is granted all it wants — `want = min(len, cap_free)`, 0 on a
+    /// dead edge, `need = want − floor_free`. Where that sum fits the
     /// router's free shared credit, the ascending sweep grants every
     /// group exactly `want` (by induction: the credit planned before
     /// group `i` is at most `free − need_i`, so what is left covers
     /// `want_i`), and so does any other order; only the groups of
     /// routers whose sum does not fit are sorted by edge id and swept.
-    /// The static policy needs no cross-edge accounting and keeps the
-    /// plain per-edge split.
-    pub(crate) fn arbitrate(
+    pub(crate) fn grants(
         &mut self,
         rules: &VcRules,
         buckets: &mut FlatBuckets,
-        mut split: impl FnMut(usize, Option<u32>, &mut [u32], usize) -> u32,
+        grants: &mut Vec<u32>,
     ) {
         let groups = buckets.group();
-        let mut split = |buckets: &mut FlatBuckets, gi: usize, free: usize| {
-            let (e, run) = (buckets.edge(gi), buckets.run(gi));
-            split(e, run, buckets.group_mut(gi), free)
-        };
+        grants.clear();
         if !rules.pooled {
-            for gi in 0..groups {
-                let free = self.free_vcs(rules, buckets.edge(gi)) as usize;
-                split(buckets, gi, free);
-            }
+            grants.extend((0..groups).map(|gi| self.free_vcs(rules, buckets.edge(gi))));
             return;
         }
         // What group `gi` takes if credit is no object, and how much of
         // it comes out of the router's shared portion — its run counted.
-        let want = |ledger: &Self, buckets: &FlatBuckets, gi: usize| {
+        let want = |ledger: &Self, gi: usize| {
             let e = buckets.edge(gi);
             if rules.is_dead(e) {
                 return (0, 0);
@@ -523,26 +516,21 @@ impl VcLedger {
             )
         };
         for gi in 0..groups {
-            let (_, need) = want(self, buckets, gi);
+            let (_, need) = want(self, gi);
             if need > 0 {
                 self.plan_shared(rules.edge_src[buckets.edge(gi)] as usize, need);
             }
         }
         self.group_order.clear();
         for gi in 0..groups {
-            let e = buckets.edge(gi);
-            let r = rules.edge_src[e] as usize;
-            if self.planned_shared[r] > rules.shared_cap[r] - self.shared_used[r] {
+            let r = rules.edge_src[buckets.edge(gi)] as usize;
+            let short = self.planned_shared[r] > rules.shared_cap[r] - self.shared_used[r];
+            if short {
                 self.group_order.push(gi as u32);
-            } else {
-                let (want, _) = want(self, buckets, gi);
-                split(buckets, gi, want as usize);
             }
+            grants.push(if short { 0 } else { want(self, gi).0 });
         }
         self.reset_planned();
-        if self.group_order.is_empty() {
-            return;
-        }
         // The routers short of credit: their groups in ascending edge-id
         // order, each granted what the earlier ones left.
         self.group_order
@@ -551,10 +539,10 @@ impl VcLedger {
             let gi = self.group_order[i] as usize;
             let e = buckets.edge(gi);
             let r = rules.edge_src[e] as usize;
+            let free = self.free_after(rules, e, self.planned_shared[r]);
+            grants[gi] = buckets.group_len(gi).min(free);
             let floor_free = rules.per_edge_min.saturating_sub(self.holders[e] as u32);
-            let free = self.free_after(rules, e, self.planned_shared[r]) as usize;
-            let granted = split(buckets, gi, free);
-            let shared_taken = granted.saturating_sub(floor_free);
+            let shared_taken = grants[gi].saturating_sub(floor_free);
             if shared_taken > 0 {
                 self.plan_shared(r, shared_taken);
             }
@@ -636,7 +624,7 @@ pub(crate) struct Split {
     /// The run winners as `(entered run, index in it)`: they leave their
     /// runs by index ([`WaitQueue::leave_runs`]).
     pub(crate) run_won: Vec<(u32, u32)>,
-    /// [`Arbitration::Random`]'s index permutation.
+    /// The winning places of a contested merge.
     perm: Vec<u32>,
 }
 
@@ -661,65 +649,56 @@ impl Split {
         self.run_won.clear();
     }
 
-    /// Splits the contenders of edge `e`: `group`, classified this step
-    /// (in any order; a pending head entered from the wait queue tagged
-    /// [`PARKED`]), and `run`, the edge's frozen-route waiters entered
-    /// whole — `(its index among the contest's runs, its waiters in rank
-    /// order)`, empty for none; `rank` ranks a contender of `group`
-    /// ([`rank`] under this step's policy). The first `free` of their
-    /// merged canonical order win — everyone, when they fit — and the
-    /// rest lose; returns how many won.
+    /// Arbitration's second pass: group `gi` of `buckets` — with its
+    /// run, if `contest` entered one — gets the `grants[gi]` VCs its edge
+    /// grants ([`VcLedger::grants`]), split under `rank` ([`Self::group`]).
+    #[inline]
+    pub(crate) fn groups(
+        &mut self,
+        buckets: &mut FlatBuckets,
+        grants: &[u32],
+        contest: Option<&WaitQueue>,
+        rank: impl Fn(u32) -> Rank + Copy,
+    ) {
+        for (gi, &free) in grants.iter().enumerate() {
+            // Only a contest enters runs.
+            let run = match (buckets.run(gi), contest) {
+                (Some(i), Some(queue)) => (i, queue.entered_run(i)),
+                _ => (0, &[][..]),
+            };
+            let (e, group) = (buckets.edge(gi), buckets.group_mut(gi));
+            self.group(e, group, run, free as usize, rank);
+        }
+    }
+
+    /// The second pass over the contenders of edge `e`:
+    /// `group`, classified this step (in any order; a pending head
+    /// entered from the wait queue tagged [`PARKED`]), and `run`, the
+    /// edge's frozen-route waiters entered whole — `(its index among the
+    /// contest's runs, its waiters in rank order)`, empty for none; `rank`
+    /// ranks a contender of `group` ([`rank`] under this step's policy).
+    /// The first `free` ([`VcLedger::grants`]) of their merged canonical
+    /// order win — everyone, when they fit — and the rest lose.
     ///
     /// The canonical order is the [`Rank`] order, under
     /// [`Arbitration::Random`] shuffled by the Fisher–Yates draws of
-    /// [`arb_rng`]`(seed, t, e)`. Without a run `group` is ordered where
-    /// it stands; with one, [`Self::merge`] reads only the winning places.
-    /// (Always inlined: it runs once per contended edge per step, where a
-    /// call of its own shows in light-load arbitration.)
+    /// [`arb_rng`]`(seed, t, e)`. `group` is sorted and merged with the
+    /// run, which is in rank order already; the draws are applied to
+    /// merged places, not to contenders, and the merge is walked to the
+    /// winning places, so a run waiter is located by its index and a
+    /// losing waiter is never read. (Always inlined: it runs once per
+    /// contended edge per step, where a call of its own shows in
+    /// light-load arbitration.)
     #[inline(always)]
     pub(crate) fn group(
-        &mut self,
-        e: usize,
-        group: &mut [u32],
-        run: (u32, &[Waiter]),
-        free: usize,
-        rank: impl Fn(u32) -> Rank,
-    ) -> u32 {
-        let rank = |c: u32| rank(c & !PARKED);
-        if !run.1.is_empty() {
-            return self.merge(e, group, run, free, rank);
-        }
-        if group.len() <= free {
-            self.movers.extend_from_slice(group);
-            return group.len() as u32;
-        }
-        if free > 0 {
-            group.sort_unstable_by_key(|&c| rank(c));
-            if self.arbitration == Arbitration::Random {
-                group.shuffle(&mut arb_rng(self.seed, self.t, e));
-            }
-            self.movers.extend_from_slice(&group[..free]);
-        }
-        let lost = group[free..].iter().filter(|&&c| c & PARKED == 0);
-        self.blocked.extend(lost);
-        free as u32
-    }
-
-    /// [`Self::group`] with a run: `group` is sorted and merged with the
-    /// run, which is in rank order already. Under
-    /// [`Arbitration::Random`] the `n − 1` draws are applied to merged
-    /// places, not to contenders: the winning places are sorted and the
-    /// merge walked to them, so a run waiter is located by its index and
-    /// a losing waiter is never read.
-    fn merge(
         &mut self,
         e: usize,
         group: &mut [u32],
         (run_no, run): (u32, &[Waiter]),
         free: usize,
         rank: impl Fn(u32) -> Rank,
-    ) -> u32 {
-        let (r, n) = (group.len(), group.len() + run.len());
+    ) {
+        let rank = |c: u32| rank(c & !PARKED);
         let Self {
             arbitration,
             seed,
@@ -733,61 +712,53 @@ impl Split {
             movers.push(run[i].handle | PARKED);
             run_won.push((run_no, i as u32));
         };
+        let n = group.len() + run.len();
         if n <= free {
             movers.extend_from_slice(group);
             (0..run.len()).for_each(|i| win_run(movers, i));
-            return n as u32;
+            return;
         }
         // Contenders of `group` decided so far, in rank order.
         let mut g = 0;
         if free > 0 {
             group.sort_unstable_by_key(|&c| rank(c));
+            // The winning places of the merge, ascending.
+            perm.clear();
             if *arbitration == Arbitration::Random {
-                perm.clear();
                 perm.extend(0..n as u32);
                 perm.shuffle(&mut arb_rng(*seed, *t, e));
-                let won = &mut perm[..free];
-                won.sort_unstable();
-                // Where `group[g]` stands in the merge: behind `g` of its
-                // own and every waiter of lower rank.
-                let place = |g: usize| match group.get(g) {
-                    Some(&c) => {
-                        let rank = rank(c);
-                        g + run.partition_point(|w| w.rank < rank)
-                    }
-                    None => usize::MAX,
-                };
-                let mut next = place(0);
-                for &k in won.iter() {
-                    let k = k as usize;
-                    while next < k {
-                        blocked.extend(Some(group[g]).filter(|&c| c & PARKED == 0));
-                        g += 1;
-                        next = place(g);
-                    }
-                    if next == k {
-                        movers.push(group[g]);
-                        g += 1;
-                        next = place(g);
-                    } else {
-                        win_run(movers, k - g);
-                    }
-                }
+                perm.truncate(free);
+                perm.sort_unstable();
             } else {
-                let mut j = 0;
-                for _ in 0..free {
-                    if g < r && run.get(j).is_none_or(|w| rank(group[g]) < w.rank) {
-                        movers.push(group[g]);
-                        g += 1;
-                    } else {
-                        win_run(movers, j);
-                        j += 1;
-                    }
+                perm.extend(0..free as u32);
+            }
+            // Where `group[g]` stands in the merge: behind `g` of its own
+            // and every waiter of lower rank.
+            let place = |g: usize| match group.get(g) {
+                Some(&c) => {
+                    let rank = rank(c);
+                    g + run.partition_point(|w| w.rank < rank)
+                }
+                None => usize::MAX,
+            };
+            let mut next = place(0);
+            for &k in perm.iter() {
+                let k = k as usize;
+                while next < k {
+                    blocked.extend(Some(group[g]).filter(|&c| c & PARKED == 0));
+                    g += 1;
+                    next = place(g);
+                }
+                if next == k {
+                    movers.push(group[g]);
+                    g += 1;
+                    next = place(g);
+                } else {
+                    win_run(movers, k - g);
                 }
             }
         }
         blocked.extend(group[g..].iter().filter(|&&c| c & PARKED == 0));
-        free as u32
     }
 }
 
@@ -832,8 +803,11 @@ pub(crate) struct Waiter {
 /// frozen-route waiters in [`Waiter`] order, so per wanted edge in
 /// canonical arbitration order — and a hot key hands its runs to
 /// arbitration whole, one per wanted edge ([`Self::entered_runs`]): the
-/// arbitration reads only the winning positions ([`Split::group`]), and a
-/// winner leaves its run by index ([`Self::leave_runs`]). A pending
+/// first pass counts a run, by its length, in what its edge grants
+/// ([`VcLedger::grants`]), the second reads only its winning places
+/// ([`Split::group`]), and a winner leaves its run by index
+/// ([`Self::leave_runs`]). A key is waited on while its run or its chain
+/// is not empty; nothing counts its waiters. A pending
 /// adaptive head holds a slot on the chain of each of its keys and is
 /// shown one by one, once per hot key it waits on: the driver enters it
 /// under the hop it selects from its [`WatchRow`]
@@ -877,8 +851,6 @@ pub(crate) struct WaitQueue {
     entered_runs: Vec<(u32, u32, u32, u32)>,
     /// The last contest's pending heads, as `(wanted edge, handle)`.
     entered_heads: Vec<(u32, u32)>,
-    /// How many waiters the last contest's runs hold.
-    entered_in_runs: usize,
 }
 
 /// One wait key.
@@ -888,17 +860,23 @@ struct Key {
     run: u32,
     /// The first slot of its chain of pending heads, or [`NONE`].
     chain: u32,
-    /// How many wait on it: what a release asks ([`WaitQueue::mark_hot`]).
-    waiters: u32,
     /// Whether it is on the hot list, so a step's many releases on it
     /// hold one contest.
     hot: bool,
 }
 
+impl Key {
+    /// Whether anybody waits on it: what a release asks
+    /// ([`WaitQueue::mark_hot`]).
+    #[inline]
+    fn waited_on(&self) -> bool {
+        self.run != 0 || self.chain != NONE
+    }
+}
+
 const NO_KEY: Key = Key {
     run: 0,
     chain: NONE,
-    waiters: 0,
     hot: false,
 };
 
@@ -974,9 +952,6 @@ impl WaitQueue {
         if self.keys.is_empty() {
             self.keys = vec![NO_KEY; self.num_keys];
         }
-        for &key in keys {
-            self.keys[key].waiters += 1;
-        }
         if edge != NO_EDGE {
             debug_assert_eq!(keys.len(), 1);
             let key = &mut self.keys[keys[0]];
@@ -1046,7 +1021,6 @@ impl WaitQueue {
                     NONE => key.chain = next,
                     prev => self.slots[prev as usize].next = next,
                 }
-                key.waiters -= 1;
                 if next != NONE {
                     self.slots[next as usize].prev = prev;
                 }
@@ -1063,7 +1037,6 @@ impl WaitQueue {
         let k = &mut self.keys[key];
         let run = &mut self.runs[k.run as usize - 1];
         run.remove(i);
-        k.waiters -= 1;
         if run.is_empty() {
             self.free_runs.push(k.run - 1);
             k.run = 0;
@@ -1097,7 +1070,7 @@ impl WaitQueue {
     /// on.
     #[inline]
     pub(crate) fn mark_hot(&mut self, key: usize) {
-        if let Some(k) = self.keys.get_mut(key).filter(|k| k.waiters > 0 && !k.hot) {
+        if let Some(k) = self.keys.get_mut(key).filter(|k| k.waited_on() && !k.hot) {
             k.hot = true;
             self.hot.push(key as u32);
         }
@@ -1125,12 +1098,11 @@ impl WaitQueue {
     pub(crate) fn scan_hot(&mut self, mut enter: impl FnMut(u32) -> Option<u32>) -> usize {
         self.entered_runs.clear();
         self.entered_heads.clear();
-        self.entered_in_runs = 0;
         let mut contests = 0;
         for &key in &self.hot {
             let k = &mut self.keys[key as usize];
             k.hot = false;
-            if k.waiters == 0 {
+            if !k.waited_on() {
                 continue;
             }
             contests += 1;
@@ -1146,7 +1118,6 @@ impl WaitQueue {
                 0 => &[][..],
                 i => &self.runs[i as usize - 1][..],
             };
-            self.entered_in_runs += run.len();
             let mut start = 0;
             while let Some(w) = run.get(start) {
                 // A static key's run is one edge's: no search for its end.
@@ -1188,7 +1159,8 @@ impl WaitQueue {
 
     /// How many waiters the last contest entered.
     pub(crate) fn entered(&self) -> usize {
-        self.entered_in_runs + self.entered_heads.len()
+        let in_runs: u32 = self.entered_runs.iter().map(|r| r.2).sum();
+        in_runs as usize + self.entered_heads.len()
     }
 
     /// The run winners of the last contest leave their runs, by index:
@@ -1259,7 +1231,7 @@ impl WaitQueue {
     /// strictly in [`Waiter`] order under the ranks `rank` gives, every
     /// entry a parked handle's (a run's a frozen route's, a chain's a
     /// pending head's, on its own key), every chain linked both ways,
-    /// every key's waiter count, every run buffer held by one key or free,
+    /// every run buffer held by one key or free,
     /// and a key's hot flag set iff the key is on the hot list, once.
     pub(crate) fn validate(&self, rank: impl Fn(u32) -> Rank) {
         let mut listed = vec![false; self.keys.len()];
@@ -1306,9 +1278,6 @@ impl WaitQueue {
                 );
                 prev = s as u32;
             }
-            let held = run.len() + self.chained(key).count();
-            let waiters = self.keys[key].waiters as usize;
-            assert_eq!(waiters, held, "wait key {key} miscounted");
         }
         assert!(
             holders.iter().all(|&n| n == 1),
@@ -1484,7 +1453,8 @@ pub(crate) enum SelectedHop {
     /// Not yet classified this run (fresh worm before its first step).
     None,
     /// Extend by one adaptive-lane hop. `misroute` spends one unit of
-    /// the worm's [`SimConfig::misroute_quota`] when crossed.
+    /// the worm's misroute budget when crossed
+    /// ([`crate::config::RouteSelection::FullyAdaptive`]).
     Adaptive { edge: u32, misroute: bool },
     /// Fall back to the escape network: contend for `edge` (the first
     /// escape hop from the current node) and, on winning, append the
@@ -1870,9 +1840,9 @@ mod tests {
                 });
                 let mut split = Split::new(&config);
                 split.start(t);
-                let got = split.group(e, &mut group.clone(), (3, &run), free, rank_of);
+                split.group(e, &mut group.clone(), (3, &run), free, rank_of);
                 let case = format!("case {case}: {arbitration:?}, n = {n}, free = {free}");
-                assert_eq!(got, want, "{case}");
+                assert_eq!(split.movers.len() as u32, want, "{case}");
                 // A run winner is named by its index, and only a winner is.
                 let mut from_run: Vec<u32> = split
                     .run_won
@@ -2189,22 +2159,25 @@ mod tests {
         );
     }
 
-    /// [`Split::group`] under `FifoById` over contenders ranked by handle,
-    /// with the entered runs `runs`: how the pooled tests split a group.
-    fn split_by_handle<'r>(
-        split: &'r mut Split,
-        runs: &'r [Vec<Waiter>],
-    ) -> impl FnMut(usize, Option<u32>, &mut [u32], usize) -> u32 + 'r {
-        move |e, run, group, free| {
-            let run = run.map_or((0, &[][..]), |i| (i, &runs[i as usize][..]));
-            split.group(e, group, run, free, |m| (0, m))
+    /// [`VcLedger::grants`] over `buckets`, per edge (0 where nobody
+    /// contends).
+    fn grants_by_edge(
+        ledger: &mut VcLedger,
+        rules: &VcRules,
+        buckets: &mut FlatBuckets,
+    ) -> Vec<u32> {
+        let mut grants = Vec::new();
+        ledger.grants(rules, buckets, &mut grants);
+        let mut by_edge = vec![0; ledger.holders.len()];
+        for (gi, &n) in grants.iter().enumerate() {
+            by_edge[buckets.edge(gi)] = n;
         }
+        by_edge
     }
 
     #[test]
     fn arbitrate_grants_shared_credits_in_ascending_edge_order() {
         let g = fan_graph();
-        let config = SimConfig::new(1);
         for shared in 1..=2u32 {
             // Router 0's three edges sit at their floor; `shared` credits
             // are left for three contenders, one per edge (message id =
@@ -2225,55 +2198,35 @@ mod tests {
                 for e in push_order {
                     buckets.push(e, 10 + e as u32);
                 }
-                let mut split = Split::new(&config);
-                split.start(0);
-                ledger.arbitrate(&rules, &mut buckets, split_by_handle(&mut split, &[]));
-                let expect: Vec<u32> = (0..3).map(|e| 10 + e).collect();
-                assert_eq!(
-                    split.movers,
-                    expect[..shared as usize],
-                    "pushed as {push_order:?}"
-                );
-                split.blocked.sort_unstable();
-                assert_eq!(
-                    split.blocked,
-                    expect[shared as usize..],
-                    "pushed as {push_order:?}"
-                );
+                let mut grants = grants_by_edge(&mut ledger, &rules, &mut buckets);
+                grants.truncate(3);
+                let expect: Vec<u32> = (0..3).map(|e| u32::from(e < shared)).collect();
+                assert_eq!(grants, expect, "pushed as {push_order:?}");
             }
         }
     }
 
-    /// The pooled sweep [`VcLedger::arbitrate`] runs only where credit is
-    /// short, run over *every* group: all of them sorted by edge id, each
-    /// granted what the lower-id edges of its router left. The reference
-    /// the two-pass version is held against.
-    fn arbitrate_sorting_every_group(
-        ledger: &VcLedger,
-        rules: &VcRules,
-        buckets: &mut FlatBuckets,
-        mut split: impl FnMut(usize, Option<u32>, &mut [u32], usize) -> u32,
-    ) {
-        let mut by_edge: Vec<usize> = (0..buckets.group()).collect();
-        by_edge.sort_unstable_by_key(|&gi| buckets.edge(gi));
+    /// The pooled sweep [`VcLedger::grants`] runs only where credit is
+    /// short, run over *every* edge in ascending id order: each granted
+    /// what the lower-id edges of its router left, up to its `wants` —
+    /// its contenders, counted by the caller. The reference the two-pass
+    /// version is held against.
+    fn grants_sorting_every_group(ledger: &VcLedger, rules: &VcRules, wants: &[u32]) -> Vec<u32> {
         let mut planned = vec![0u32; ledger.shared_used.len()];
-        for gi in by_edge {
-            let e = buckets.edge(gi);
+        let grant = |(e, &want): (usize, &u32)| {
             let r = rules.edge_src[e] as usize;
             let floor_free = rules.per_edge_min.saturating_sub(ledger.holders[e] as u32);
-            let free = ledger.free_after(rules, e, planned[r]) as usize;
-            let run = buckets.run(gi);
-            let granted = split(e, run, buckets.group_mut(gi), free);
+            let granted = want.min(ledger.free_after(rules, e, planned[r]));
             planned[r] += granted.saturating_sub(floor_free);
-        }
+            granted
+        };
+        wants.iter().enumerate().map(grant).collect()
     }
 
     #[test]
     fn pooled_arbitration_matches_the_sort_every_group_sweep() {
         let mut rng = StdRng::seed_from_u64(0xA5B17);
-        let config = SimConfig::new(1);
-        let (mut short_routers, mut flush_routers, mut dead_groups, mut parked_losers) =
-            (0, 0, 0, 0);
+        let (mut short_routers, mut flush_routers, mut dead_groups) = (0, 0, 0);
         let (mut run_groups, mut runs_alone) = (0, 0);
         for case in 0..2_000 {
             // Routers with random fanouts, every edge into one sink.
@@ -2307,73 +2260,39 @@ mod tests {
             }
             // Random contender sets, discovered in random order — some
             // pending heads entered from the wait queue — and, for some
-            // edges, a run of waiters entered whole.
+            // edges, a run of waiters entered whole; `wants` counts them.
             let mut pairs = Vec::new();
-            let mut runs: Vec<(usize, Vec<Waiter>)> = Vec::new();
-            let mut edge_of = Vec::new();
-            for e in 0..g.num_edges() {
+            let mut runs = Vec::new();
+            let mut wants = vec![0u32; g.num_edges()];
+            for (e, want) in wants.iter_mut().enumerate() {
                 for _ in 0..rng.random_range(0..6u32) {
-                    let m = edge_of.len() as u32;
-                    edge_of.push(e);
                     let tag = if rng.random_bool(0.4) { PARKED } else { 0 };
-                    pairs.push((e, m | tag));
+                    pairs.push((e, *want | tag));
+                    *want += 1;
                 }
                 if rng.random_bool(0.4) {
-                    let run = (0..rng.random_range(1..5u32)).map(|_| {
-                        let handle = edge_of.len() as u32;
-                        edge_of.push(e);
-                        Waiter {
-                            edge: e as u32,
-                            rank: (0, handle),
-                            handle,
-                        }
-                    });
-                    runs.push((e, run.collect()));
+                    let len = rng.random_range(1..5u32);
+                    runs.push((e, len));
+                    *want += len;
                 }
             }
             pairs.shuffle(&mut rng);
             runs.shuffle(&mut rng);
-            let waiters: Vec<Vec<Waiter>> = runs.iter().map(|r| r.1.clone()).collect();
-            let run = |reference: bool, ledger: &mut VcLedger| {
-                let mut buckets = FlatBuckets::with_edges(g.num_edges());
-                for (e, run) in &runs {
-                    buckets.push_run(*e, run.len());
-                }
-                for &(e, m) in &pairs {
-                    buckets.push(e, m);
-                }
-                let mut split = Split::new(&config);
-                split.start(7);
-                let by_handle = split_by_handle(&mut split, &waiters);
-                if reference {
-                    arbitrate_sorting_every_group(ledger, &rules, &mut buckets, by_handle);
-                } else {
-                    ledger.arbitrate(&rules, &mut buckets, by_handle);
-                }
-                let mut grants = vec![0u32; g.num_edges()];
-                for &m in &split.movers {
-                    grants[edge_of[(m & !PARKED) as usize]] += 1;
-                }
-                // A run winner is named by its index, and only a winner is.
-                for &(i, j) in &split.run_won {
-                    let m = waiters[i as usize][j as usize].handle | PARKED;
-                    assert!(split.movers.contains(&m), "case {case}: {m} not moving");
-                }
-                split.movers.sort_unstable();
-                split.blocked.sort_unstable();
-                split.run_won.sort_unstable();
-                (grants, split.movers, split.blocked, split.run_won)
-            };
-            let expect = run(true, &mut ledger);
-            let got = run(false, &mut ledger);
+            let expect = grants_sorting_every_group(&ledger, &rules, &wants);
+            let mut buckets = FlatBuckets::with_edges(g.num_edges());
+            for &(e, len) in &runs {
+                buckets.push_run(e, len as usize);
+            }
+            for &(e, m) in &pairs {
+                buckets.push(e, m);
+            }
+            let got = grants_by_edge(&mut ledger, &rules, &mut buckets);
             assert_eq!(got, expect, "case {case}: pool {pool} min {min} max {max}");
             assert!(
                 ledger.planned_shared.iter().all(|&p| p == 0) && ledger.touched_routers.is_empty(),
                 "case {case}: arbitration scratch left dirty"
             );
             // Which regimes the case exercised, recomputed from scratch.
-            let (grants, movers, blocked, _) = got;
-            let contenders = |e: usize| edge_of.iter().filter(|&&x| x == e).count() as u32;
             for r in 0..routers {
                 let out = (0..g.num_edges()).filter(|&e| rules.edge_src[e] as usize == r);
                 let need: u32 = out
@@ -2382,7 +2301,7 @@ mod tests {
                         let want = if rules.dead[e] {
                             0
                         } else {
-                            contenders(e).min(max - h)
+                            wants[e].min(max - h)
                         };
                         want.saturating_sub(min.saturating_sub(h))
                     })
@@ -2394,25 +2313,19 @@ mod tests {
                 }
             }
             dead_groups += (0..g.num_edges())
-                .filter(|&e| rules.dead[e] && contenders(e) > 0)
-                .inspect(|&e| assert_eq!(grants[e], 0, "case {case}: dead edge {e} granted"))
+                .filter(|&e| rules.dead[e] && wants[e] > 0)
+                .inspect(|&e| assert_eq!(got[e], 0, "case {case}: dead edge {e} granted"))
                 .count();
-            parked_losers += edge_of.len() - movers.len() - blocked.len();
             run_groups += runs.len();
             runs_alone += runs
                 .iter()
                 .filter(|r| pairs.iter().all(|p| p.0 != r.0))
                 .count();
-            assert!(blocked.iter().all(|&m| m & PARKED == 0));
         }
         assert!(
-            short_routers > 300
-                && flush_routers > 300
-                && dead_groups > 300
-                && parked_losers > 300
-                && runs_alone > 300,
+            short_routers > 300 && flush_routers > 300 && dead_groups > 300 && runs_alone > 300,
             "{short_routers} routers short of credit, {flush_routers} flush, {dead_groups} \
-             dead groups, {parked_losers} parked losers, {run_groups} runs, {runs_alone} alone"
+             dead groups, {run_groups} runs, {runs_alone} alone"
         );
     }
 

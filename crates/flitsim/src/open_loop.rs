@@ -10,8 +10,9 @@
 //! [`run_open_loop`] (oblivious or, given a router, adaptive):
 //!
 //! 1. runs the wormhole simulator with a hard step cap of
-//!    `warmup + measure + drain` (a saturated network never drains, so
-//!    an open-loop run must be allowed to end with
+//!    `2 · (warmup + measure)`, or the config's own
+//!    [`SimConfig::max_steps`] if that is lower (a saturated network
+//!    never drains, so an open-loop run must be allowed to end with
 //!    [`Outcome::MaxSteps`](crate::stats::Outcome::MaxSteps) without that
 //!    being an error);
 //! 2. discards the warmup transient, and summarizes latency percentiles
@@ -46,28 +47,13 @@ pub struct OpenLoopConfig {
     pub warmup: u64,
     /// Measurement window length in steps.
     pub measure: u64,
-    /// Extra steps after the window for in-flight worms to finish (caps
-    /// the run; saturated traffic will still be unfinished at the cap,
-    /// which is expected and reported, not an error).
-    pub drain: u64,
 }
 
 impl OpenLoopConfig {
-    /// A config with the given warmup and measurement window and a drain
-    /// allowance equal to `warmup + measure`.
+    /// A config with the given warmup and measurement window.
     pub fn new(warmup: u64, measure: u64) -> Self {
         assert!(measure >= 1, "measurement window must be non-empty");
-        Self {
-            warmup,
-            measure,
-            drain: warmup + measure,
-        }
-    }
-
-    /// Sets the drain allowance.
-    pub fn drain(mut self, steps: u64) -> Self {
-        self.drain = steps;
-        self
+        Self { warmup, measure }
     }
 
     /// End of the measurement window.
@@ -75,9 +61,12 @@ impl OpenLoopConfig {
         self.warmup + self.measure
     }
 
-    /// The hard step cap of the run.
+    /// The hard step cap of the run: after the window, as many steps
+    /// again for in-flight worms to finish (saturated traffic will still
+    /// be unfinished at the cap, which is expected and reported, not an
+    /// error). A lower [`SimConfig::max_steps`] caps it sooner.
     pub fn step_cap(&self) -> u64 {
-        self.warmup + self.measure + self.drain
+        2 * self.window_end()
     }
 }
 
@@ -248,8 +237,8 @@ mod tests {
         // 1/(L+1) of them: saturated, and the run hits the cap.
         let (g, edges) = chain(5);
         let specs = periodic(&edges, 4, 1, 600);
-        let ol = OpenLoopConfig::new(100, 400).drain(100);
-        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
+        let ol = OpenLoopConfig::new(100, 400);
+        let r = run_open_loop(&g, None, &specs, &SimConfig::new(1).max_steps(600), &ol);
         assert_eq!(r.outcome, Outcome::MaxSteps);
         let s = r.open_loop.unwrap();
         assert!(s.saturated, "overload must be flagged: {s:?}");
@@ -367,15 +356,10 @@ mod tests {
         let (g, edges) = chain(5);
         for (l, gap) in [(4u32, 1u64), (3, 2), (2, 25)] {
             let specs = periodic(&edges, l, gap, 600);
-            let ol = OpenLoopConfig::new(100, 400).drain(100);
-            let ev = run_open_loop(&g, None, &specs, &SimConfig::new(1), &ol);
-            let lg = run_open_loop(
-                &g,
-                None,
-                &specs,
-                &SimConfig::new(1).engine(Engine::Legacy),
-                &ol,
-            );
+            let ol = OpenLoopConfig::new(100, 400);
+            let cfg = SimConfig::new(1).max_steps(600);
+            let ev = run_open_loop(&g, None, &specs, &cfg, &ol);
+            let lg = run_open_loop(&g, None, &specs, &cfg.clone().engine(Engine::Legacy), &ol);
             assert!(
                 ev.same_execution(&lg),
                 "engines diverged at L={l} gap={gap}"
@@ -392,8 +376,10 @@ mod tests {
         let (g, edges) = chain(5);
         for (pool, min, max) in [(2u32, 1u32, 2u32), (3, 1, 3), (4, 2, 3)] {
             let specs = periodic(&edges, 4, 1, 600);
-            let ol = OpenLoopConfig::new(100, 400).drain(100);
-            let cfg = SimConfig::new(1).vc_policy(VcPolicy::pooled(pool, min, max));
+            let ol = OpenLoopConfig::new(100, 400);
+            let cfg = SimConfig::new(1)
+                .vc_policy(VcPolicy::pooled(pool, min, max))
+                .max_steps(600);
             let ev = run_open_loop(&g, None, &specs, &cfg, &ol);
             let lg = run_open_loop(&g, None, &specs, &cfg.clone().engine(Engine::Legacy), &ol);
             assert!(
@@ -406,8 +392,8 @@ mod tests {
 
     #[test]
     fn config_builder_and_cap() {
-        let ol = OpenLoopConfig::new(10, 20).drain(5);
+        let ol = OpenLoopConfig::new(10, 20);
         assert_eq!(ol.window_end(), 30);
-        assert_eq!(ol.step_cap(), 35);
+        assert_eq!(ol.step_cap(), 60);
     }
 }

@@ -187,30 +187,6 @@ impl<'a> AdaptiveState<'a> {
     }
 }
 
-/// Splits every group of `buckets` ([`VcLedger::arbitrate`]) — those
-/// with a run that `contest` entered included — under `rank`
-/// ([`Split::group`]).
-fn split_groups(
-    ledger: &mut VcLedger,
-    rules: &VcRules,
-    buckets: &mut FlatBuckets,
-    split: &mut Split,
-    contest: Option<&WaitQueue>,
-    rank: impl Fn(u32) -> Rank,
-) {
-    ledger.arbitrate(rules, buckets, |e, run, group, free| {
-        let run = run.map_or((0, &[][..]), |i| {
-            (
-                i,
-                contest
-                    .expect("a run is entered by a contest")
-                    .entered_run(i),
-            )
-        });
-        split.group(e, group, run, free, &rank)
-    });
-}
-
 /// Worm `h`'s route so far: the incrementally built route under
 /// adaptive selection, the spec's path otherwise.
 #[inline]
@@ -282,6 +258,9 @@ pub(crate) struct Core<'a> {
     pub(crate) ledger: VcLedger,
     /// Per-step contender scratch (see [`FlatBuckets`]).
     buckets: FlatBuckets,
+    /// Per contended edge, how many VCs it grants this step
+    /// ([`VcLedger::grants`]).
+    grants: Vec<u32>,
     /// Message id per handle.
     pub(crate) ids: Vec<u32>,
     /// Whether every handle *is* its message id — true of
@@ -354,6 +333,7 @@ impl<'a> Core<'a> {
             ledger: VcLedger::new(graph, &rules),
             rules,
             buckets: FlatBuckets::with_edges(graph.num_edges()),
+            grants: Vec::new(),
             ids: Vec::new(),
             handles_are_ids,
             specs: Vec::new(),
@@ -524,11 +504,13 @@ impl<'a> Core<'a> {
     /// Whether pending worm `m` may take a non-minimal hop from where it
     /// stands: fully adaptive selection with misroute budget left.
     fn misroutes_ok(&self, m: u32) -> bool {
-        self.config.route_selection == RouteSelection::FullyAdaptive
-            && self
-                .adaptive
-                .as_ref()
-                .is_some_and(|ad| ad.budget[m as usize] > 0)
+        matches!(
+            self.config.route_selection,
+            RouteSelection::FullyAdaptive { .. }
+        ) && self
+            .adaptive
+            .as_ref()
+            .is_some_and(|ad| ad.budget[m as usize] > 0)
     }
 
     /// Selects pending worm `m`'s wanted hop ([`kernel::select_hop`]) from
@@ -718,16 +700,8 @@ impl<'a> Core<'a> {
         }
         probe::lap(Phase::Classify);
         // Phase 2: per-edge arbitration using start-of-step holder
-        // counts, contenders in rank order. Where handles are the ids the
-        // handle itself is the id: ranking through `ids` costs ~15 % of
-        // this phase at saturation.
-        if self.handles_are_ids {
-            self.arbitrate(contest, |m| m);
-        } else {
-            let ids = std::mem::take(&mut self.ids);
-            self.arbitrate(contest, |m| ids[m as usize]);
-            self.ids = ids;
-        }
+        // counts, contenders in rank order.
+        self.arbitrate(contest);
         probe::lap(Phase::Arbitrate);
         // Phase 3: apply. Doomed worms (severed escape continuation) are
         // discarded here rather than during classification so their VC
@@ -750,35 +724,44 @@ impl<'a> Core<'a> {
     }
 
     /// Splits this step's contenders — the runs `contest` entered among
-    /// them — into winners and losers ([`VcLedger::arbitrate`],
-    /// [`Split::group`]); `id` maps a handle to its message id. The policy
-    /// is matched here, once: each arm ranks under a constant one, so
-    /// [`kernel::rank`] folds to what that policy reads.
+    /// them — into winners and losers, in two passes: how many VCs each
+    /// contended edge grants ([`VcLedger::grants`]), then who gets them
+    /// ([`Split::groups`]), ranked as [`Core::rank`] ranks. The policy is
+    /// matched here, once a step, so each arm ranks under a constant one
+    /// and [`kernel::rank`] folds to what that policy reads: one rank
+    /// that matched it at every comparison made this phase ≈ 35 % slower
+    /// on a saturated adaptive torus.
     #[inline]
-    fn arbitrate(&mut self, contest: Option<&WaitQueue>, id: impl Fn(u32) -> u32) {
+    fn arbitrate(&mut self, contest: Option<&WaitQueue>) {
         let Self {
             config,
             ledger,
             rules,
             buckets,
+            grants,
             split,
+            ids,
+            handles_are_ids,
             specs,
             ..
         } = self;
-        let spec = |m: u32| &*specs[m as usize];
+        ledger.grants(rules, buckets, grants);
+        let (by_handle, ids, specs) = (*handles_are_ids, &ids[..], &specs[..]);
+        let id = move |m: u32| if by_handle { m } else { ids[m as usize] };
+        let spec = move |m: u32| &*specs[m as usize];
         match config.arbitration {
             // `Random` shuffles from `FifoById`'s order.
             Arbitration::FifoById | Arbitration::Random => {
-                let rank = |m| kernel::rank(Arbitration::FifoById, id(m), || spec(m));
-                split_groups(ledger, rules, buckets, split, contest, rank)
+                let rank = move |m| kernel::rank(Arbitration::FifoById, id(m), || spec(m));
+                split.groups(buckets, grants, contest, rank)
             }
             Arbitration::OldestFirst => {
-                let rank = |m| kernel::rank(Arbitration::OldestFirst, id(m), || spec(m));
-                split_groups(ledger, rules, buckets, split, contest, rank)
+                let rank = move |m| kernel::rank(Arbitration::OldestFirst, id(m), || spec(m));
+                split.groups(buckets, grants, contest, rank)
             }
             Arbitration::PriorityRank => {
-                let rank = |m| kernel::rank(Arbitration::PriorityRank, id(m), || spec(m));
-                split_groups(ledger, rules, buckets, split, contest, rank)
+                let rank = move |m| kernel::rank(Arbitration::PriorityRank, id(m), || spec(m));
+                split.groups(buckets, grants, contest, rank)
             }
         }
     }
@@ -1101,7 +1084,7 @@ mod tests {
                 VcPolicy::pooled(fanout + rng.random_range(0..fanout * b), 1, b + 1)
             };
             let selection = if rng.random_bool(0.5) {
-                RouteSelection::FullyAdaptive
+                RouteSelection::FullyAdaptive { misroute_quota: 4 }
             } else {
                 RouteSelection::MinimalAdaptive
             };
@@ -1135,7 +1118,8 @@ mod tests {
             };
             let prev = route.first().map(|&e| g.src(e));
             let budget = rng.random_range(0..3u32);
-            let misroutes_ok = selection == RouteSelection::FullyAdaptive && budget > 0;
+            let misroutes_ok =
+                matches!(selection, RouteSelection::FullyAdaptive { .. }) && budget > 0;
             let h = rng.random_range(0..5u32);
             core.put(h, standing(src, route, dst, budget, 4));
             let mut keys = Vec::new();
@@ -1222,7 +1206,8 @@ mod tests {
             rules,
             true,
         );
-        core.put(0, standing(src, Vec::new(), dst, config.misroute_quota, 3));
+        let budget = config.route_selection.misroute_budget();
+        core.put(0, standing(src, Vec::new(), dst, budget, 3));
         core.unfinished = 1;
         core.active = vec![0];
         core
@@ -1273,9 +1258,8 @@ mod tests {
     #[test]
     fn the_row_is_refilled_after_a_misroute_spends_the_last_budget_unit() {
         let t = torus(5, 2);
-        let config = SimConfig::new(1)
-            .route_selection(RouteSelection::FullyAdaptive)
-            .misroute_quota(1);
+        let config =
+            SimConfig::new(1).route_selection(RouteSelection::FullyAdaptive { misroute_quota: 1 });
         let (src, dst) = (t.node(&[0, 0]), t.node(&[2, 0]));
         let mut core = core_with_worm(&t, &config, src, dst);
         // Fill every profitable candidate: the worm must misroute.

@@ -99,7 +99,7 @@ fn admit<'a>(
         route,
         src,
         dst,
-        budget: core.config.misroute_quota,
+        budget: core.config.route_selection.misroute_budget(),
         selected: SelectedHop::None,
     };
     core.put(id, resident);

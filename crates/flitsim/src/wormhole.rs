@@ -144,12 +144,15 @@
 //! * **acquirability** (`VcLedger::free_vcs`) — static: `holders < B`;
 //!   pooled: below the per-edge floor, or below the per-edge cap with
 //!   shared credit left at the source router;
-//! * **arbitration** (`VcLedger::arbitrate`, shared by every engine) —
-//!   under pooling, sibling edges of one router competing for the same
-//!   shared credits within a step are granted in **ascending edge-id
-//!   order**, a canonical rule that reads only start-of-step state and
-//!   the (engine-independent) contender sets, so the engines cannot
-//!   diverge;
+//! * **arbitration**, shared by every engine, in two passes over a
+//!   step's contended edges (`Core::arbitrate`): the ledger says how many
+//!   VCs each edge grants (`VcLedger::grants`), the split says who gets
+//!   them (`Split::group`, the policy's canonical order). Only the first
+//!   pass reads the VC policy: static, an edge grants its free VCs;
+//!   pooled, sibling edges of one router competing for the same shared
+//!   credits within a step are granted in **ascending edge-id order**, a
+//!   canonical rule that reads only start-of-step state and the
+//!   (engine-independent) contender sets, so the engines cannot diverge;
 //! * **wait keying** (`VcRules::wait_key`) — a blocked worm's edge
 //!   can become acquirable when a VC releases on the edge itself
 //!   (static) or on *any* outgoing edge of its source router (pooled:

@@ -466,7 +466,7 @@ fn lone_adaptive_worm_is_minimal_and_unslowed() {
     let specs = adaptive_specs(&t, &[(0, 3)], 4);
     for sel in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive,
+        RouteSelection::FullyAdaptive { misroute_quota: 4 },
     ] {
         let cfg = cfg(2).route_selection(sel);
         let r = run_adaptive_to_completion(&t, &specs, &cfg);
@@ -535,9 +535,9 @@ fn misroute_budget_bounds_fully_adaptive_wandering() {
     let pairs: Vec<(u32, u32)> = (0..16).map(|i| (i, (i + 5) % 16)).collect();
     for quota in [0u32, 2, 4] {
         let specs = adaptive_specs(&t, &pairs, 6);
-        let cfg = cfg(1)
-            .route_selection(RouteSelection::FullyAdaptive)
-            .misroute_quota(quota);
+        let cfg = cfg(1).route_selection(RouteSelection::FullyAdaptive {
+            misroute_quota: quota,
+        });
         let r = run_adaptive_to_completion(&t, &specs, &cfg);
         assert_eq!(r.delivered(), 16);
         assert!(
@@ -824,7 +824,7 @@ fn engines_agree_on_fully_disjoint_chains() {
 fn adaptive_engines_agree_on_contended_tori() {
     for sel in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive,
+        RouteSelection::FullyAdaptive { misroute_quota: 4 },
     ] {
         for (radix, dims, b, l) in [(4u32, 2u32, 1u32, 6u32), (8, 1, 2, 4), (4, 2, 2, 3)] {
             let t = adaptive_torus(radix, dims);

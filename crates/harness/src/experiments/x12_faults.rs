@@ -102,7 +102,7 @@ fn fault_rates(fast: bool) -> &'static [f64] {
 const SELECTIONS: [RouteSelection; 3] = [
     RouteSelection::Oblivious,
     RouteSelection::MinimalAdaptive,
-    RouteSelection::FullyAdaptive,
+    RouteSelection::FullyAdaptive { misroute_quota: 4 },
 ];
 
 const VC_ARMS: [&str; 2] = ["static", "pooled"];
@@ -372,21 +372,7 @@ pub fn run(fast: bool) -> Vec<Table> {
         &POINT_COLS,
     );
     for p in &sweep_points(fast) {
-        sweep.row(&cells!(
-            format!("p={}", fnum(p.fault_rate)),
-            p.selection.name(),
-            p.vc_arm,
-            p.offered,
-            p.delivered,
-            fnum(p.delivered_fraction()),
-            p.mean_latency.map(fnum).unwrap_or_else(|| "-".into()),
-            p.kills,
-            p.fault_discards,
-            p.fault_detours,
-            p.escapes,
-            p.recovery,
-            outcome_cell(&p.outcome)
-        ));
+        point_row(&mut sweep, &format!("p={}", fnum(p.fault_rate)), p);
     }
     sweep.note(
         "All arms of a rate share one batch and one seeded Bernoulli channel-kill plan (which \
@@ -468,7 +454,7 @@ mod tests {
                 let obl = frac(RouteSelection::Oblivious, arm, rate);
                 for sel in [
                     RouteSelection::MinimalAdaptive,
-                    RouteSelection::FullyAdaptive,
+                    RouteSelection::FullyAdaptive { misroute_quota: 4 },
                 ] {
                     assert!(
                         frac(sel, arm, rate) >= obl,

@@ -463,8 +463,8 @@ mod tests {
     fn chains_complete_and_self_limit() {
         let sub = Substrate::butterfly(3); // 8 endpoints
         let cfg = small_cfg(2, 400);
-        let ol = OpenLoopConfig::new(50, 300).drain(200);
-        let r = run_closed_loop(&sub, &cfg, &SimConfig::new(2), &ol);
+        let ol = OpenLoopConfig::new(50, 300);
+        let r = run_closed_loop(&sub, &cfg, &SimConfig::new(2).max_steps(550), &ol);
         assert_eq!(r.outcome, Outcome::Completed, "{:?}", r.outcome);
         let cl = r.closed_loop.unwrap();
         assert!(cl.chains_completed > 0, "{cl:?}");
@@ -482,9 +482,10 @@ mod tests {
     fn deterministic_per_seed() {
         let sub = Substrate::butterfly(3);
         let cfg = small_cfg(2, 300);
-        let ol = OpenLoopConfig::new(50, 200).drain(200);
-        let a = run_closed_loop(&sub, &cfg, &SimConfig::new(2), &ol);
-        let b = run_closed_loop(&sub, &cfg, &SimConfig::new(2), &ol);
+        let ol = OpenLoopConfig::new(50, 200);
+        let sim = SimConfig::new(2).max_steps(450);
+        let a = run_closed_loop(&sub, &cfg, &sim, &ol);
+        let b = run_closed_loop(&sub, &cfg, &sim, &ol);
         assert!(a.same_execution(&b));
         assert_eq!(a.closed_loop.unwrap(), b.closed_loop.unwrap());
     }
@@ -499,10 +500,11 @@ mod tests {
         let mut cfg = small_cfg(2, 300);
         cfg.clients = 6;
         cfg.servers = 6;
-        let ol = OpenLoopConfig::new(50, 200).drain(200);
+        let ol = OpenLoopConfig::new(50, 200);
         for b in [1u32, 2] {
-            let ev = run_closed_loop(&sub, &cfg, &SimConfig::new(b), &ol);
-            let lg = run_closed_loop(&sub, &cfg, &SimConfig::new(b).engine(Engine::Legacy), &ol);
+            let sim = SimConfig::new(b).max_steps(450);
+            let ev = run_closed_loop(&sub, &cfg, &sim, &ol);
+            let lg = run_closed_loop(&sub, &cfg, &sim.clone().engine(Engine::Legacy), &ol);
             assert!(ev.same_execution(&lg), "engines diverged at B={b}");
             assert_eq!(ev.closed_loop.unwrap(), lg.closed_loop.unwrap());
         }
@@ -526,8 +528,8 @@ mod tests {
             horizon: 200,
             seed: 3,
         };
-        let ol = OpenLoopConfig::new(20, 180).drain(100);
-        let r = run_closed_loop(&sub, &cfg, &SimConfig::new(1), &ol);
+        let ol = OpenLoopConfig::new(20, 180);
+        let r = run_closed_loop(&sub, &cfg, &SimConfig::new(1).max_steps(300), &ol);
         let cl = r.closed_loop.clone().unwrap();
         assert!(cl.chains_completed > 10);
         // Backlog at any instant is bounded by the window structure.

@@ -38,7 +38,11 @@ fn saturating_rotation_drains_via_the_escape_class_without_deadlock() {
     // have used the escape classes.
     let t = adaptive_torus(8, 1);
     let specs = rotation_specs(&t, 4, 12);
-    for engine in [Engine::EventDriven, Engine::Legacy] {
+    for engine in [
+        Engine::EventDriven,
+        Engine::Legacy,
+        Engine::Parallel { threads: 2 },
+    ] {
         let cfg = SimConfig::new(1)
             .route_selection(RouteSelection::MinimalAdaptive)
             .engine(engine)
@@ -61,12 +65,16 @@ fn pooled_saturating_rotation_drains_via_the_escape_class_without_deadlock() {
     // is shared on demand, with the mandatory per-edge floor of 1. The
     // floors keep every escape channel serviceable, so the rotation
     // still wedges the adaptive lane, spills into the escape classes,
-    // and completes — on both engines, bit-identically.
+    // and completes — on every engine, bit-identically.
     let t = adaptive_torus(8, 1);
     let specs = rotation_specs(&t, 4, 12);
     let fanout = Mesh::graph(&t).max_out_degree() as u32;
     let mut results = Vec::new();
-    for engine in [Engine::EventDriven, Engine::Legacy] {
+    for engine in [
+        Engine::Legacy,
+        Engine::EventDriven,
+        Engine::Parallel { threads: 2 },
+    ] {
         let cfg = SimConfig::new(1)
             .vc_policy(VcPolicy::pooled(fanout, 1, fanout))
             .route_selection(RouteSelection::MinimalAdaptive)
@@ -83,14 +91,15 @@ fn pooled_saturating_rotation_drains_via_the_escape_class_without_deadlock() {
             r.max_pool_in_use <= fanout,
             "{engine:?}: pool oversubscribed"
         );
-        results.push(r);
+        results.push((engine, r));
     }
-    assert!(
-        results[0].same_execution(&results[1]),
-        "pooled engines diverged:\n event: {:?}\nlegacy: {:?}",
-        results[0],
-        results[1]
-    );
+    let (_, legacy) = &results[0];
+    for (engine, r) in &results[1..] {
+        assert!(
+            r.same_execution(legacy),
+            "pooled {engine:?} diverged from legacy:\n   run: {r:?}\nlegacy: {legacy:?}"
+        );
+    }
 }
 
 #[test]
@@ -112,7 +121,7 @@ fn rotation_on_2d_torus_completes_at_b1_under_both_adaptive_policies() {
     let specs = rotation_specs(&t, 2, 9);
     for sel in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive,
+        RouteSelection::FullyAdaptive { misroute_quota: 4 },
     ] {
         let cfg = SimConfig::new(1)
             .route_selection(sel)
@@ -138,8 +147,10 @@ fn open_loop_adaptive_rotation_never_deadlocks_under_overload() {
         11,
     );
     let specs = w.generate(400);
-    let ol = OpenLoopConfig::new(100, 300).drain(100);
-    let cfg = SimConfig::new(1).route_selection(RouteSelection::MinimalAdaptive);
+    let ol = OpenLoopConfig::new(100, 300);
+    let cfg = SimConfig::new(1)
+        .route_selection(RouteSelection::MinimalAdaptive)
+        .max_steps(500);
     let r = run_open_loop(mesh.graph(), Some(mesh), &specs, &cfg, &ol);
     assert!(
         !matches!(r.outcome, Outcome::Deadlock(_)),
@@ -359,7 +370,11 @@ fn a_kill_severing_a_parked_pending_worms_escape_route_dooms_it_that_step() {
         (r, source.discards, router.take_calls())
     };
     let mut runs = Vec::new();
-    for engine in [Engine::Legacy, Engine::EventDriven] {
+    for engine in [
+        Engine::Legacy,
+        Engine::EventDriven,
+        Engine::Parallel { threads: 2 },
+    ] {
         let (r, discards, _) = run(engine, true);
         assert_eq!(r.outcome, Outcome::Completed, "{engine:?}");
         assert_eq!(discards, [(2, KILL_AT)], "{engine:?}");
@@ -376,13 +391,12 @@ fn a_kill_severing_a_parked_pending_worms_escape_route_dooms_it_that_step() {
         // engine's own calls without them.
         runs.push((r, run(engine, false).2));
     }
-    let [(legacy, legacy_calls), (event, event_calls)] = &runs[..] else {
+    let [(legacy, legacy_calls), (event, event_calls), (parallel, _)] = &runs[..] else {
         unreachable!()
     };
-    assert!(
-        event.same_execution(legacy),
-        "event: {event:?}\nlegacy: {legacy:?}"
-    );
+    for r in [event, parallel] {
+        assert!(r.same_execution(legacy), "run: {r:?}\nlegacy: {legacy:?}");
+    }
     // Worm 2 really was parked — the run's one park, at step 1, held
     // until the kill: its ten stalls (asserted above) were settled, not
     // counted step by step. Both engines asked about the same four head

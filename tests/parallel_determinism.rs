@@ -79,23 +79,25 @@ fn arbitration(i: u32) -> Arbitration {
     }
 }
 
-/// Runs `run` under the parallel engine at 1, 2, and 8 workers plus the
-/// legacy oracle, and asserts the four results are identical executions.
-/// Returns the legacy result for extra assertions.
+/// Runs `run` under the event engine and the parallel engine at 1, 2,
+/// and 8 workers plus the legacy oracle, and asserts the five results
+/// are identical executions. Returns the legacy result for extra
+/// assertions.
 fn assert_runs_worker_count_invariant(
     run: impl Fn(&SimConfig) -> SimResult,
     config: &SimConfig,
 ) -> SimResult {
     let lg = run(&config.clone().engine(Engine::Legacy));
-    for threads in [1u32, 2, 8] {
-        let par = run(&config.clone().engine(Engine::Parallel { threads }));
+    let engines = [1u32, 2, 8].map(|threads| Engine::Parallel { threads });
+    for engine in [Engine::EventDriven].into_iter().chain(engines) {
+        let r = run(&config.clone().engine(engine));
         assert!(
-            par.same_execution(&lg),
-            "parallel({threads} workers) diverged from legacy:\nparallel: {par:?}\n  legacy: {lg:?}"
+            r.same_execution(&lg),
+            "{engine:?} diverged from legacy:\n  run: {r:?}\nlegacy: {lg:?}"
         );
         // Belt and braces on the strongest field: the per-message
         // records must be byte-identical, not merely aggregate-equal.
-        assert_eq!(par.messages, lg.messages);
+        assert_eq!(r.messages, lg.messages);
     }
     lg
 }
@@ -781,7 +783,7 @@ fn a_recycled_handle_never_serves_its_previous_occupants_watch_row() {
         .collect();
     for selection in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive,
+        RouteSelection::FullyAdaptive { misroute_quota: 4 },
     ] {
         let cfg = SimConfig::new(1)
             .route_selection(selection)
@@ -995,7 +997,7 @@ proptest! {
         );
         let specs = w.generate(80);
         let sel = if fully {
-            RouteSelection::FullyAdaptive
+            RouteSelection::FullyAdaptive { misroute_quota: quota }
         } else {
             RouteSelection::MinimalAdaptive
         };
@@ -1003,7 +1005,6 @@ proptest! {
             .arbitration(arbitration(arb))
             .seed(seed)
             .route_selection(sel)
-            .misroute_quota(quota)
             .regions(RegionPlan::contiguous(substrate.graph(), regions))
             .max_steps(2_000)
             .check_invariants(true);

@@ -248,7 +248,7 @@ proptest! {
         );
         let specs = w.generate(100);
         let sel = if fully {
-            RouteSelection::FullyAdaptive
+            RouteSelection::FullyAdaptive { misroute_quota: quota }
         } else {
             RouteSelection::MinimalAdaptive
         };
@@ -256,7 +256,6 @@ proptest! {
             .arbitration(arbitration(arb))
             .seed(seed)
             .route_selection(sel)
-            .misroute_quota(quota)
             .max_steps(2_000)
             .check_invariants(true);
         if cap_small {
@@ -310,7 +309,7 @@ proptest! {
         );
         let specs = w.generate(160);
         let sel = if fully {
-            RouteSelection::FullyAdaptive
+            RouteSelection::FullyAdaptive { misroute_quota: quota }
         } else {
             RouteSelection::MinimalAdaptive
         };
@@ -320,7 +319,6 @@ proptest! {
             .arbitration(arbitration(arb))
             .seed(seed)
             .route_selection(sel)
-            .misroute_quota(quota)
             .max_steps(160)
             .check_invariants(true);
         if pooled {
@@ -480,7 +478,7 @@ proptest! {
         );
         let specs = w.generate(80);
         let sel = if fully {
-            RouteSelection::FullyAdaptive
+            RouteSelection::FullyAdaptive { misroute_quota: quota }
         } else {
             RouteSelection::MinimalAdaptive
         };
@@ -489,7 +487,6 @@ proptest! {
             .arbitration(arbitration(arb))
             .seed(seed)
             .route_selection(sel)
-            .misroute_quota(quota)
             .max_steps(2_000)
             .check_invariants(true);
         let (ev, lg) = run_all_with(|cfg| wormhole::run_adaptive(mesh, &specs, cfg), &cfg);
@@ -726,7 +723,7 @@ proptest! {
         let plan = FaultPlan::bernoulli_channels(mesh, fault_pct as f64 / 100.0, 80, seed ^ 0xfa17);
         let fm = FaultedMesh::new(mesh, &plan).expect("generator emits valid plans");
         let sel = if fully {
-            RouteSelection::FullyAdaptive
+            RouteSelection::FullyAdaptive { misroute_quota: quota }
         } else {
             RouteSelection::MinimalAdaptive
         };
@@ -734,7 +731,6 @@ proptest! {
             .arbitration(arbitration(arb))
             .seed(seed)
             .route_selection(sel)
-            .misroute_quota(quota)
             .max_steps(2_000)
             .faults(plan)
             .check_invariants(true);

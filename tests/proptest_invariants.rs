@@ -392,7 +392,7 @@ proptest! {
         let fanout = Mesh::graph(&t).max_out_degree() as u32;
         let pool = min * fanout + extra;
         let sel = if fully {
-            RouteSelection::FullyAdaptive
+            RouteSelection::FullyAdaptive { misroute_quota: 4 }
         } else {
             RouteSelection::MinimalAdaptive
         };
@@ -458,7 +458,7 @@ proptest! {
     /// Pooled-VC conservation under mid-run router kills: kills release
     /// the severed worms' VCs, and the per-step conservation checks
     /// (`check_invariants`) plus the reported high-water marks must
-    /// still respect the pool bounds; both engines agree on the whole
+    /// still respect the pool bounds; every engine agrees on the whole
     /// execution, fault counters included.
     #[test]
     fn pooled_conservation_survives_router_kills(
@@ -494,9 +494,18 @@ proptest! {
             .check_invariants(true);
         let ev = wormhole_run(substrate.graph(), &specs, &cfg.clone().engine(Engine::EventDriven));
         let lg = wormhole_run(substrate.graph(), &specs, &cfg.clone().engine(Engine::Legacy));
+        let par = wormhole_run(
+            substrate.graph(),
+            &specs,
+            &cfg.clone().engine(Engine::Parallel { threads: 2 }),
+        );
         prop_assert!(
             ev.same_execution(&lg),
             "router-kill runs diverged:\n event: {:?}\nlegacy: {:?}", ev, lg
+        );
+        prop_assert!(
+            par.same_execution(&lg),
+            "router-kill runs diverged:\nparallel: {:?}\n  legacy: {:?}", par, lg
         );
         prop_assert!(ev.max_vcs_in_use <= pool);
         prop_assert!(ev.max_pool_in_use <= pool, "pool oversubscribed: {:?}", ev.max_pool_in_use);

@@ -161,7 +161,7 @@ proptest! {
         );
         let specs = w.generate(80);
         let sel = if fully {
-            RouteSelection::FullyAdaptive
+            RouteSelection::FullyAdaptive { misroute_quota: quota }
         } else {
             RouteSelection::MinimalAdaptive
         };
@@ -169,7 +169,6 @@ proptest! {
             .arbitration(arbitration(seed as u32))
             .seed(seed)
             .route_selection(sel)
-            .misroute_quota(quota)
             .max_steps(2_000)
             .check_invariants(true);
         for engine in ENGINES {
