@@ -4,8 +4,9 @@
 //! LMR \[27\] proved `O(C+D)` message-step schedules exist for any instance;
 //! their simple online algorithm gives `O(C + D·log n)` w.h.p. by delaying
 //! each message a uniformly random amount and then sending it at full speed.
-//! We use these as the store-and-forward side of experiment E4 (where they
-//! beat `B=1` wormhole on the Thm 2.2.1 instance) and as sanity baselines.
+//! Greedy and farthest-first are the store-and-forward side of experiment
+//! E4 (where they beat `B=1` wormhole on the Thm 2.2.1 instance); the
+//! random-delay schedule is a sanity baseline.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;

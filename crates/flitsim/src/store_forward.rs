@@ -8,14 +8,10 @@
 //! instance forces up to `Ω(LCD)` flit steps at `B = 1` (experiment E4).
 //!
 //! The simulator is cycle-accurate at message-step granularity: each edge
-//! forwards at most one message per step, and each edge's head-of-edge
-//! buffer holds at most `buffer_capacity` messages (`None` = unbounded, the
-//! setting of the classic analyses). Moves are decided from start-of-step
-//! state, so results are independent of iteration order; a buffer slot freed
-//! in step `t` is usable at `t+1`.
-
-use rand::prelude::*;
-use rand::rngs::StdRng;
+//! forwards at most one message per step into an unbounded head-of-edge
+//! buffer (the setting of the classic analyses), so every contended edge
+//! moves one message each step and no run deadlocks. Moves are decided from
+//! start-of-step state, so results are independent of iteration order.
 
 use wormhole_topology::graph::Graph;
 use wormhole_topology::path::PathSet;
@@ -28,8 +24,6 @@ use crate::stats::Outcome;
 pub enum SfArbitration {
     /// Lowest message id wins.
     Fifo,
-    /// Uniformly random winner (seeded).
-    Random,
     /// The message with the most remaining hops wins (a classic greedy
     /// heuristic that keeps long paths moving).
     FarthestFirst,
@@ -38,12 +32,8 @@ pub enum SfArbitration {
 /// Store-and-forward configuration.
 #[derive(Clone, Debug)]
 pub struct SfConfig {
-    /// Per-edge message buffer capacity; `None` = unbounded.
-    pub buffer_capacity: Option<u32>,
     /// Contention policy.
     pub arbitration: SfArbitration,
-    /// RNG seed (for [`SfArbitration::Random`]).
-    pub seed: u64,
     /// Step cap (message steps).
     pub max_steps: u64,
 }
@@ -51,9 +41,7 @@ pub struct SfConfig {
 impl Default for SfConfig {
     fn default() -> Self {
         Self {
-            buffer_capacity: None,
             arbitration: SfArbitration::Fifo,
-            seed: 0,
             max_steps: 50_000_000,
         }
     }
@@ -98,7 +86,6 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
     let mut pos = vec![0u32; n];
     let mut finished: Vec<Option<u64>> = vec![None; n];
     let mut buffer_count = vec![0u32; graph.num_edges()];
-    let mut rng = StdRng::seed_from_u64(config.seed);
 
     let mut clock = ReleaseClock::new(n, |i| releases.get(i as usize).map_or(0, |&r| r));
     let mut active: Vec<u32> = Vec::new();
@@ -124,38 +111,26 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
             }
             buckets[e].push(m);
         }
-        // Phase 2: per edge, one winner (bandwidth), subject to downstream
-        // buffer space at start of step.
+        // Phase 2: per edge, one winner (bandwidth).
         let mut movers: Vec<u32> = Vec::new();
         for &e in &touched {
             let contenders = &mut buckets[e as usize];
-            // Downstream space: the winner lands in the buffer of edge `e`
-            // itself (head-of-edge buffer).
-            let has_space = config
-                .buffer_capacity
-                .is_none_or(|cap| buffer_count[e as usize] < cap);
-            if has_space {
-                let winner = match config.arbitration {
-                    SfArbitration::Fifo => *contenders.iter().min().unwrap(),
-                    SfArbitration::Random => contenders[rng.random_range(0..contenders.len())],
-                    SfArbitration::FarthestFirst => *contenders
-                        .iter()
-                        .min_by_key(|&&m| {
-                            let remaining = paths.path(m as usize).len() as u32 - pos[m as usize];
-                            (u32::MAX - remaining, m)
-                        })
-                        .unwrap(),
-                };
-                movers.push(winner);
-                total_stalls += contenders.len() as u64 - 1;
-            } else {
-                total_stalls += contenders.len() as u64;
-            }
+            let winner = match config.arbitration {
+                SfArbitration::Fifo => *contenders.iter().min().unwrap(),
+                SfArbitration::FarthestFirst => *contenders
+                    .iter()
+                    .min_by_key(|&&m| {
+                        let remaining = paths.path(m as usize).len() as u32 - pos[m as usize];
+                        (u32::MAX - remaining, m)
+                    })
+                    .unwrap(),
+            };
+            movers.push(winner);
+            total_stalls += contenders.len() as u64 - 1;
             contenders.clear();
         }
         touched.clear();
         // Phase 3: apply moves.
-        let moved = !movers.is_empty();
         for m in movers {
             let mi = m as usize;
             let p = paths.path(mi);
@@ -177,9 +152,6 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
             }
         }
         active.retain(|&m| pos[m as usize] != u32::MAX);
-        if !moved && !active.is_empty() {
-            break Outcome::Deadlock(active.clone());
-        }
         t += 1;
     };
 
@@ -224,20 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_buffers_still_complete_on_acyclic_chain() {
-        let (g, ps) = shared_chain_instance(6, 5);
-        let config = SfConfig {
-            buffer_capacity: Some(1),
-            ..SfConfig::default()
-        };
-        let r = run(&g, &ps, &[], &config);
-        assert_eq!(r.outcome, Outcome::Completed);
-        assert!(r.max_buffer_occupancy <= 1);
-        // Slower than unbounded but still pipelined.
-        assert!(r.message_steps >= 10);
-    }
-
-    #[test]
     fn releases_delay_injection() {
         let (g, ps) = shared_chain_instance(1, 4);
         let r = run(&g, &ps, &[10], &SfConfig::default());
@@ -261,19 +219,6 @@ mod tests {
         let r = run(&g, &ps, &[], &config);
         assert_eq!(r.finished[1], Some(3), "long message goes first");
         assert_eq!(r.finished[0], Some(2), "short one follows");
-    }
-
-    #[test]
-    fn random_arbitration_deterministic_per_seed() {
-        let (g, ps) = shared_chain_instance(8, 6);
-        let config = SfConfig {
-            arbitration: SfArbitration::Random,
-            seed: 3,
-            ..SfConfig::default()
-        };
-        let a = run(&g, &ps, &[], &config);
-        let b = run(&g, &ps, &[], &config);
-        assert_eq!(a.finished, b.finished);
     }
 
     #[test]

@@ -60,10 +60,12 @@
 //! `Φ(S) ≤ S`, where `Φ` is the update map above. The solver runs Picard
 //! iteration from `S = 0`; on numerical convergence it inflates the
 //! iterate by a hair and *verifies* `Φ(S) ≤ S` componentwise — only a
-//! verified certificate is reported `bounded`. Divergence (no demand
-//! bucket under rate `B`, a wait past `wait_cap`, or no convergence
-//! within `max_iters`) is reported unbounded, which is always
-//! conservative. Trace-derived envelopes are eventually flat (zero
+//! verified certificate is reported `bounded`. The iteration has
+//! converged when no wait moves by more than `TOL` = 10⁻⁹ of the largest
+//! wait. Divergence (no demand bucket under rate `B`, a wait past
+//! `WAIT_CAP` = 10¹² steps, or no convergence within `MAX_ITERS` = 500
+//! Picard steps) is reported unbounded, which is always conservative.
+//! Trace-derived envelopes are eventually flat (zero
 //! long-run rate), so finite traces admit finite certificates whenever
 //! the iteration converges; synthetic leaky-bucket sets lose their
 //! certificate when some edge's occupancy-weighted long-run demand
@@ -101,48 +103,33 @@ use wormhole_topology::graph::Graph;
 use crate::curve::{ConcaveSum, ServiceCurve, TokenBucket};
 use crate::flow::Flow;
 
-/// Knobs of the fixed-point solver.
+/// Picard steps before the instance is reported unbounded.
+const MAX_ITERS: u32 = 500;
+/// Relative convergence tolerance on the wait vector.
+const TOL: f64 = 1e-9;
+/// Divergence guard: any per-hop wait above this is unbounded.
+const WAIT_CAP: f64 = 1e12;
+
+/// The bound's one parameter: the virtual channels per edge.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundConfig {
     /// Virtual channels per directed edge (`B ≥ 1`), matching
     /// `SimConfig::new(b)`.
     pub b: u32,
-    /// Iteration cap before the instance is reported unbounded.
-    pub max_iters: u32,
-    /// Relative convergence tolerance on the wait vector (finite, `> 0`).
-    pub tol: f64,
-    /// Divergence guard: any per-hop wait above this is unbounded
-    /// (finite, `> 0`).
-    pub wait_cap: f64,
 }
 
 impl BoundConfig {
-    /// Defaults for `b` VCs: 500 iterations, `1e-9` relative tolerance,
-    /// `1e12`-step divergence guard.
+    /// The bound for `b` VCs per edge.
     pub fn new(b: u32) -> Self {
         assert!(b >= 1, "at least one VC per edge");
-        Self {
-            b,
-            max_iters: 500,
-            tol: 1e-9,
-            wait_cap: 1e12,
-        }
+        Self { b }
     }
 
-    /// The fields are public, so a literal can hold values `new` never
-    /// produces; each would otherwise surface as a silent
-    /// `bounded: false`.
+    /// `b` is public, so a literal can hold the 0 `new` refuses; it
+    /// would otherwise surface as a silent `bounded: false`.
     fn validate(&self) -> Result<(), BoundError> {
         if self.b == 0 {
             return Err(BoundError::BadConfig("b must be at least 1"));
-        }
-        if !(self.tol.is_finite() && self.tol > 0.0) {
-            return Err(BoundError::BadConfig("tol must be finite and positive"));
-        }
-        if !(self.wait_cap.is_finite() && self.wait_cap > 0.0) {
-            return Err(BoundError::BadConfig(
-                "wait_cap must be finite and positive",
-            ));
         }
         Ok(())
     }
@@ -158,7 +145,7 @@ pub enum BoundError {
     BadPath(usize),
     /// A flow's messages have zero flits.
     ZeroLength(usize),
-    /// A [`BoundConfig`] field is out of range; the payload says which.
+    /// [`BoundConfig::b`] is out of range; the payload says why.
     BadConfig(&'static str),
 }
 
@@ -239,7 +226,6 @@ impl BoundReport {
 struct Closure<'a> {
     flows: &'a [Flow],
     b: f64,
-    wait_cap: f64,
     /// CSR over flows: flow `f`'s hops own wait slots
     /// `offsets[f]..offsets[f + 1]`, in path order.
     offsets: Vec<usize>,
@@ -300,7 +286,6 @@ impl<'a> Closure<'a> {
         Self {
             flows,
             b: cfg.b as f64,
-            wait_cap: cfg.wait_cap,
             offsets,
             edge_start: start,
             incidence,
@@ -355,7 +340,7 @@ impl<'a> Closure<'a> {
                     .filter(|tb| tb.rate < self.b)
                     .map(|tb| (tb.burst - h).max(0.0) / (self.b - tb.rate))
                     .fold(f64::INFINITY, f64::min);
-                if !wait.is_finite() || wait > self.wait_cap {
+                if !wait.is_finite() || wait > WAIT_CAP {
                     return false;
                 }
                 next[slot] = wait;
@@ -369,16 +354,12 @@ impl<'a> Closure<'a> {
 /// inflate-and-verify certificate (see the module docs): returns
 /// `(bounded, iterations, waits)`. `phi(cur, next)` is one step of the
 /// update map, `false` on divergence.
-fn picard(
-    cfg: &BoundConfig,
-    slots: usize,
-    mut phi: impl FnMut(&[f64], &mut [f64]) -> bool,
-) -> (bool, u32, Vec<f64>) {
+fn picard(slots: usize, mut phi: impl FnMut(&[f64], &mut [f64]) -> bool) -> (bool, u32, Vec<f64>) {
     let mut s = vec![0.0f64; slots];
     let mut next = vec![0.0f64; slots];
     let mut iterations = 0;
     let mut bounded = false;
-    while iterations < cfg.max_iters {
+    while iterations < MAX_ITERS {
         iterations += 1;
         if !phi(&s, &mut next) {
             break;
@@ -390,7 +371,7 @@ fn picard(
             scale = scale.max(*b);
         }
         std::mem::swap(&mut s, &mut next);
-        if delta <= cfg.tol * scale {
+        if delta <= TOL * scale {
             // Converged numerically; certify a post-fixed point by
             // inflating a hair and checking Φ(S) ≤ S componentwise up to
             // the numerical scale of the system. (The inflation is
@@ -444,7 +425,7 @@ pub fn delay_bounds(
 
     let mut closure = Closure::new(graph.num_edges(), flows, cfg);
     let slots = closure.incidence.len();
-    let (bounded, iterations, s) = picard(cfg, slots, |cur, next| closure.step(cur, next));
+    let (bounded, iterations, s) = picard(slots, |cur, next| closure.step(cur, next));
     let hop_wait: Vec<Vec<f64>> = closure
         .offsets
         .windows(2)
@@ -672,35 +653,8 @@ mod tests {
 
     #[test]
     fn zero_vcs_are_rejected() {
-        let cfg = BoundConfig {
-            b: 0,
-            ..BoundConfig::new(1)
-        };
+        let cfg = BoundConfig { b: 0 };
         assert!(bad_config(cfg).starts_with("b "));
-    }
-
-    #[test]
-    fn bad_tolerances_are_rejected() {
-        for tol in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
-            let cfg = BoundConfig {
-                tol,
-                ..BoundConfig::new(2)
-            };
-            assert!(bad_config(cfg).starts_with("tol "), "tol = {tol}");
-        }
-    }
-
-    #[test]
-    fn bad_wait_caps_are_rejected() {
-        // An infinite cap would let a slowly diverging instance run the
-        // waits up to overflow instead of stopping it.
-        for wait_cap in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
-            let cfg = BoundConfig {
-                wait_cap,
-                ..BoundConfig::new(2)
-            };
-            assert!(bad_config(cfg).starts_with("wait_cap "), "cap = {wait_cap}");
-        }
     }
 
     #[test]
@@ -860,7 +814,7 @@ mod tests {
                     .filter(|tb| tb.rate < b)
                     .map(|tb| (tb.burst - h).max(0.0) / (b - tb.rate))
                     .fold(f64::INFINITY, f64::min);
-                if !wait.is_finite() || wait > cfg.wait_cap {
+                if !wait.is_finite() || wait > WAIT_CAP {
                     return None;
                 }
                 next[fi][pos] = wait;
@@ -894,7 +848,7 @@ mod tests {
                 .collect()
         };
         let slots = flows.iter().map(|f| f.edges.len()).sum();
-        let (bounded, iterations, s) = picard(cfg, slots, |cur, next| {
+        let (bounded, iterations, s) = picard(slots, |cur, next| {
             match reference_phi(flows, &incident, cfg, &unflatten(cur)) {
                 Some(waits) => {
                     next.copy_from_slice(&waits.concat());

@@ -97,9 +97,8 @@ pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
 
-/// Errors reported by [`FaultPlan::validate`], [`FaultedMesh::new`], and
-/// [`FaultPlan::validate_oblivious_routes`]. Every variant names the
-/// offending kill by its index in the plan.
+/// Errors reported by [`FaultPlan::validate`] and [`FaultedMesh::new`].
+/// Every variant names the offending kill by its index in the plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultError {
     /// A kill names an edge id the graph does not have.
@@ -128,17 +127,6 @@ pub enum FaultError {
         first: usize,
         /// The doubly-killed target.
         target: FaultTarget,
-    },
-    /// A kill severs the only route of an oblivious flow: the flow's
-    /// fixed path crosses the killed edge, and oblivious routing has no
-    /// way around it.
-    SeversObliviousRoute {
-        /// Index of the event whose kill cuts the route.
-        kill: usize,
-        /// Index of the severed flow in the route set.
-        flow: usize,
-        /// The killed edge the flow's path crosses.
-        edge: u32,
     },
     /// On a mesh, a kill took some VC classes of a physical channel but
     /// not all of them. The faulted escape network's acyclicity proof
@@ -196,11 +184,6 @@ impl fmt::Display for FaultError {
             } => write!(
                 f,
                 "kill #{kill}: duplicate kill of {target} (first killed by kill #{first})"
-            ),
-            FaultError::SeversObliviousRoute { kill, flow, edge } => write!(
-                f,
-                "kill #{kill}: severs the only route of oblivious flow {flow} \
-                 (its path crosses killed link {edge})"
             ),
             FaultError::PartialChannelKill {
                 node,
@@ -330,42 +313,12 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// [`FaultPlan::validate`], plus: no kill may sever the only route
-    /// of an oblivious flow. `routes[f]` is flow `f`'s fixed path; a
-    /// path crossing any killed edge has nowhere else to go under
-    /// `Oblivious` routing, so such plans are rejected at config time
-    /// instead of silently discarding the flow forever.
-    pub fn validate_oblivious_routes(
-        &self,
-        graph: &Graph,
-        routes: &[Path],
-    ) -> Result<(), FaultError> {
-        self.validate(graph)?;
-        // Map each dead edge to the (first) kill that took it down.
-        let mut killed_by: Vec<Option<usize>> = vec![None; graph.num_edges()];
-        for (i, _, e) in self.edge_kills(graph) {
-            killed_by[e.idx()].get_or_insert(i);
-        }
-        for (flow, p) in routes.iter().enumerate() {
-            for &e in p.edges() {
-                if let Some(kill) = killed_by[e.idx()] {
-                    return Err(FaultError::SeversObliviousRoute {
-                        kill,
-                        flow,
-                        edge: e.0,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The end-of-plan dead set: `dead[e]` is `true` iff edge `e` is
     /// killed by some event (directly, or via a router kill of either
     /// endpoint). The plan must already be valid for `graph`.
     pub fn dead_edges(&self, graph: &Graph) -> Vec<bool> {
         let mut dead = vec![false; graph.num_edges()];
-        for (_, _, e) in self.edge_kills(graph) {
+        for (_, e) in self.edge_kills(graph) {
             dead[e.idx()] = true;
         }
         dead
@@ -377,7 +330,7 @@ impl FaultPlan {
     /// keeps its earliest time.
     pub fn edge_schedule(&self, graph: &Graph) -> Vec<(u64, u32)> {
         let mut at: Vec<Option<u64>> = vec![None; graph.num_edges()];
-        for (_, t, e) in self.edge_kills(graph) {
+        for (t, e) in self.edge_kills(graph) {
             at[e.idx()] = Some(at[e.idx()].map_or(t, |p: u64| p.min(t)));
         }
         let mut sched: Vec<(u64, u32)> = at
@@ -389,14 +342,11 @@ impl FaultPlan {
         sched
     }
 
-    /// Every edge kill the plan makes, as `(event index, at, edge)` in
-    /// plan order: a link kill is its edge, a router kill every edge
-    /// incident to the router, in edge-id order.
-    fn edge_kills<'p>(
-        &'p self,
-        graph: &'p Graph,
-    ) -> impl Iterator<Item = (usize, u64, EdgeId)> + 'p {
-        self.events.iter().enumerate().flat_map(move |(i, ev)| {
+    /// Every edge kill the plan makes, as `(at, edge)` in plan order: a
+    /// link kill is its edge, a router kill every edge incident to the
+    /// router, in edge-id order.
+    fn edge_kills<'p>(&'p self, graph: &'p Graph) -> impl Iterator<Item = (u64, EdgeId)> + 'p {
+        self.events.iter().flat_map(move |ev| {
             let edges: Box<dyn Iterator<Item = EdgeId>> = match ev.target {
                 FaultTarget::Link(e) => Box::new(std::iter::once(e)),
                 FaultTarget::Router(v) => Box::new(
@@ -405,7 +355,7 @@ impl FaultPlan {
                         .filter(move |&e| graph.src(e) == v || graph.dst(e) == v),
                 ),
             };
-            edges.map(move |e| (i, ev.at, e))
+            edges.map(move |e| (ev.at, e))
         })
     }
 
@@ -748,28 +698,6 @@ mod tests {
         assert!(msg.contains("kill #1"), "{msg}");
         assert!(msg.contains("duplicate kill of link 0"), "{msg}");
         assert!(msg.contains("kill #0"), "{msg}");
-    }
-
-    #[test]
-    fn oblivious_route_severing_is_named() {
-        let m = torus(4, 1);
-        let route = m.route(NodeId(0), NodeId(1));
-        let e = route.edges()[0];
-        let plan = FaultPlan::new().kill_link(7, e);
-        let err = plan
-            .validate_oblivious_routes(m.graph(), std::slice::from_ref(&route))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FaultError::SeversObliviousRoute {
-                kill: 0,
-                flow: 0,
-                edge: e.0
-            }
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("flow 0"), "{msg}");
-        assert!(msg.contains(&format!("link {}", e.0)), "{msg}");
     }
 
     #[test]

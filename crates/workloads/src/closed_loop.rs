@@ -85,7 +85,7 @@ impl ClosedLoopConfig {
     fn validate(&self, sub: &Substrate) {
         assert!(self.clients >= 1 && self.servers >= 1, "empty partition");
         assert!(
-            self.clients + self.servers <= sub.endpoints(),
+            self.clients as u64 + self.servers as u64 <= sub.endpoints() as u64,
             "client ({}) and server ({}) partitions overlap on {} endpoints",
             self.clients,
             self.servers,
@@ -635,6 +635,17 @@ mod tests {
         let mut cfg = small_cfg(1, 100);
         cfg.clients = 5;
         cfg.servers = 5;
+        let _ = ClosedLoopSource::new(&sub, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn partitions_summing_past_u32_are_rejected() {
+        // `u32::MAX + 2` wraps to 1 in a `u32` add; the sum is in `u64`.
+        let sub = Substrate::butterfly(3);
+        let mut cfg = small_cfg(1, 100);
+        cfg.clients = u32::MAX;
+        cfg.servers = 2;
         let _ = ClosedLoopSource::new(&sub, &cfg);
     }
 }

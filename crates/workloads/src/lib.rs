@@ -10,10 +10,9 @@
 //!
 //! A [`Workload`] is a [`Substrate`] (butterfly / mesh / torus /
 //! hypercube) × a [`TrafficPattern`] (uniform, permutation, transpose,
-//! bit-reversal, bit-complement, shuffle, hotspot, tornado, neighbor) ×
-//! an [`ArrivalProcess`] (Bernoulli or bursty on/off) × a message length
-//! and a seed. Generation is deterministic per seed, with independent
-//! per-endpoint streams.
+//! bit-reversal, shuffle, hotspot, tornado) × an [`ArrivalProcess`]
+//! (Bernoulli) × a message length and a seed. Generation is
+//! deterministic per seed, with independent per-endpoint streams.
 //!
 //! # Generation order and cost
 //!
@@ -24,11 +23,10 @@
 //! destinations), seeded from `(seed, endpoint)`, and each stream draws in
 //! the same order as a per-endpoint loop would: interleaving the endpoints
 //! changes no draw. A step costs each endpoint one step of its arrival
-//! process ([`arrivals`]) — one coin (Bernoulli) or two
-//! (on/off), each a word, a shift and an integer compare against a
-//! threshold computed once — and an arrival one destination draw. The
-//! working set is one stepper and two generators per endpoint, plus the
-//! rows.
+//! process ([`arrivals`]) — one coin, a word, a shift and an integer
+//! compare against a threshold computed once — and an arrival one
+//! destination draw. The working set is one coin, two generators per
+//! endpoint, and the rows.
 //!
 //! # Example
 //!
@@ -70,8 +68,6 @@ use rand::rngs::StdRng;
 
 use wormhole_flitsim::message::MessageSpec;
 
-use crate::arrivals::ArrivalStepper;
-
 /// A complete open-loop workload description.
 #[derive(Clone, Debug)]
 pub struct Workload {
@@ -109,11 +105,6 @@ impl Workload {
         }
     }
 
-    /// Mean offered load in flits per endpoint per flit step.
-    pub fn offered_flit_rate(&self) -> f64 {
-        self.arrivals.offered_rate() * self.msg_len as f64
-    }
-
     /// Generates the timed message stream for injection steps
     /// `0..window`, sorted by release time (ties by source endpoint).
     ///
@@ -142,24 +133,26 @@ impl Workload {
     /// src)` order as they are drawn, and each endpoint's two streams
     /// see exactly the draws a per-endpoint loop would make.
     pub fn generate_rows(&self, window: u64) -> Vec<TraceRow> {
+        let mut rows = Vec::new();
+        // Every endpoint steps the same coin; at rate zero it draws nothing.
+        let Some(arrives) = self.arrivals.stepper() else {
+            return rows;
+        };
         let sampler = PatternSampler::new(self.pattern.clone(), &self.substrate, self.seed);
-        let mut endpoints: Vec<Endpoint> = (0..self.substrate.endpoints())
+        let mut streams: Vec<(StdRng, StdRng)> = (0..self.substrate.endpoints())
             .map(|src| {
-                let mut arrival_rng = StdRng::seed_from_u64(mix(self.seed, src));
-                Endpoint {
-                    stepper: self.arrivals.stepper(&mut arrival_rng),
-                    arrival_rng,
-                    dst_rng: StdRng::seed_from_u64(mix(self.seed ^ DST_STREAM_SALT, src)),
-                }
+                (
+                    StdRng::seed_from_u64(mix(self.seed, src)),
+                    StdRng::seed_from_u64(mix(self.seed ^ DST_STREAM_SALT, src)),
+                )
             })
             .collect();
-        let mut rows = Vec::new();
         for release in 0..window {
-            for (src, e) in (0..).zip(&mut endpoints) {
-                if !e.stepper.step(&mut e.arrival_rng) {
+            for (src, (arrival_rng, dst_rng)) in (0..).zip(&mut streams) {
+                if !arrives.sample(arrival_rng) {
                     continue;
                 }
-                let dst = sampler.draw(src, &mut e.dst_rng);
+                let dst = sampler.draw(src, dst_rng);
                 if self.substrate.injects(src, dst) {
                     rows.push(TraceRow {
                         src,
@@ -172,14 +165,6 @@ impl Workload {
         }
         rows
     }
-}
-
-/// One endpoint's generator state: its arrival process and the two
-/// streams derived from `(seed, endpoint)`.
-struct Endpoint {
-    stepper: ArrivalStepper,
-    arrival_rng: StdRng,
-    dst_rng: StdRng,
 }
 
 /// Separates each endpoint's destination stream from its arrival stream.
@@ -252,7 +237,8 @@ mod tests {
             (got - expected).abs() < expected * 0.1,
             "injected {got}, expected ≈ {expected}"
         );
-        assert!((w.offered_flit_rate() - 0.4).abs() < 1e-12);
+        let ArrivalProcess::Bernoulli { rate } = w.arrivals;
+        assert!((rate * w.msg_len as f64 - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -302,20 +288,5 @@ mod tests {
             let dst_col = s.path.dst(g).0 % 16;
             assert_eq!(map[src as usize], dst_col);
         }
-    }
-
-    #[test]
-    fn bursty_workload_generates() {
-        let w = Workload::new(
-            Substrate::hypercube(4),
-            TrafficPattern::Permutation,
-            ArrivalProcess::bursty(0.1, 16.0),
-            5,
-            33,
-        );
-        let specs = w.generate(2000);
-        let rate = specs.len() as f64 / (2000.0 * 16.0);
-        // Permutation fixed points never inject; allow a generous band.
-        assert!(rate > 0.05 && rate < 0.15, "rate {rate}");
     }
 }

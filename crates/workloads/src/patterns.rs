@@ -1,9 +1,9 @@
 //! Synthetic traffic patterns over a dense endpoint space.
 //!
 //! The standard NoC evaluation suite: address-bit permutations
-//! (transpose, bit-reversal, bit-complement, shuffle), digit patterns for
-//! meshes/tori (tornado, neighbor), randomized patterns (uniform random,
-//! random permutation), and hotspot concentration. Deterministic patterns
+//! (transpose, bit-reversal, shuffle), a digit pattern for meshes/tori
+//! (tornado), randomized patterns (uniform random, random permutation),
+//! and hotspot concentration. Deterministic patterns
 //! map every source to a fixed destination; stochastic patterns draw a
 //! destination per message from a seeded stream.
 
@@ -24,8 +24,6 @@ pub enum TrafficPattern {
     Transpose,
     /// Reverse the address bits. Needs a power-of-two endpoint count.
     BitReversal,
-    /// Complement every address bit. Needs a power-of-two endpoint count.
-    BitComplement,
     /// Perfect shuffle: rotate the address bits left by one. Needs a
     /// power-of-two endpoint count.
     Shuffle,
@@ -41,9 +39,6 @@ pub enum TrafficPattern {
     /// in dimension 0; the endpoint ring elsewhere) — the classic
     /// worst case for minimal routing on rings.
     Tornado,
-    /// Nearest neighbor: `+1` in dimension 0 (the endpoint ring on
-    /// non-mesh substrates).
-    Neighbor,
 }
 
 impl TrafficPattern {
@@ -54,20 +49,10 @@ impl TrafficPattern {
             TrafficPattern::Permutation => "permutation",
             TrafficPattern::Transpose => "transpose",
             TrafficPattern::BitReversal => "bit-reversal",
-            TrafficPattern::BitComplement => "bit-complement",
             TrafficPattern::Shuffle => "shuffle",
             TrafficPattern::Hotspot { .. } => "hotspot",
             TrafficPattern::Tornado => "tornado",
-            TrafficPattern::Neighbor => "neighbor",
         }
-    }
-
-    /// Whether every source maps to one fixed destination.
-    pub fn is_deterministic(&self) -> bool {
-        !matches!(
-            self,
-            TrafficPattern::UniformRandom | TrafficPattern::Hotspot { .. }
-        )
     }
 }
 
@@ -129,10 +114,6 @@ impl PatternSampler {
                 assert!(is_pow2, "bit-reversal needs 2^m endpoints, got {n}");
                 Some((0..n).map(|s| s.reverse_bits() >> (32 - bits)).collect())
             }
-            TrafficPattern::BitComplement => {
-                assert!(is_pow2, "bit-complement needs 2^m endpoints, got {n}");
-                Some((0..n).map(|s| s ^ (n - 1)).collect())
-            }
             TrafficPattern::Shuffle => {
                 assert!(is_pow2, "shuffle needs 2^m endpoints, got {n}");
                 Some(
@@ -142,7 +123,6 @@ impl PatternSampler {
                 )
             }
             TrafficPattern::Tornado => Some(tornado_map(substrate)),
-            TrafficPattern::Neighbor => Some(neighbor_map(substrate)),
         };
         Self {
             pattern,
@@ -202,24 +182,6 @@ fn tornado_map(substrate: &Substrate) -> Vec<u32> {
     }
 }
 
-/// Neighbor offsets: `+1` in dimension 0 (wrapped on the digit ring for
-/// meshes/tori, the endpoint ring elsewhere).
-fn neighbor_map(substrate: &Substrate) -> Vec<u32> {
-    let n = substrate.endpoints();
-    match substrate {
-        Substrate::Mesh(m) => {
-            let radix = m.radix();
-            (0..n)
-                .map(|s| {
-                    let d0 = s % radix;
-                    (s - d0) + (d0 + 1) % radix
-                })
-                .collect()
-        }
-        _ => (0..n).map(|s| (s + 1) % n).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,10 +208,8 @@ mod tests {
             TrafficPattern::Permutation,
             TrafficPattern::Transpose,
             TrafficPattern::BitReversal,
-            TrafficPattern::BitComplement,
             TrafficPattern::Shuffle,
             TrafficPattern::Tornado,
-            TrafficPattern::Neighbor,
         ];
         for s in &subs {
             for p in &pats {
@@ -272,8 +232,6 @@ mod tests {
         assert_eq!(t.dest_map().unwrap()[0b0111], 0b1101); // (01,11) -> (11,01)
         let r = PatternSampler::new(TrafficPattern::BitReversal, &s, 0);
         assert_eq!(r.dest_map().unwrap()[0b0011], 0b1100);
-        let c = PatternSampler::new(TrafficPattern::BitComplement, &s, 0);
-        assert_eq!(c.dest_map().unwrap()[0b0101], 0b1010);
         let sh = PatternSampler::new(TrafficPattern::Shuffle, &s, 0);
         assert_eq!(sh.dest_map().unwrap()[0b1001], 0b0011);
     }
@@ -285,17 +243,6 @@ mod tests {
         let map = t.dest_map().unwrap();
         // Endpoint (x=1, y=2) = 1 + 2*8 = 17 goes to x = (1+3)%8 = 4, y = 2.
         assert_eq!(map[17], 4 + 2 * 8);
-    }
-
-    #[test]
-    fn neighbor_wraps_the_digit_ring() {
-        let s = Substrate::torus(4, 2);
-        let map = PatternSampler::new(TrafficPattern::Neighbor, &s, 0)
-            .dest_map()
-            .unwrap()
-            .to_vec();
-        assert_eq!(map[3], 0); // x: 3 -> 0, y unchanged
-        assert_eq!(map[4 + 3], 4); // same in row 1
     }
 
     #[test]
@@ -353,11 +300,7 @@ mod tests {
             Substrate::torus(7, 1),
             Substrate::mesh(5, 3),
         ] {
-            for p in [
-                TrafficPattern::Tornado,
-                TrafficPattern::Neighbor,
-                TrafficPattern::Permutation,
-            ] {
+            for p in [TrafficPattern::Tornado, TrafficPattern::Permutation] {
                 let map = PatternSampler::new(p.clone(), &s, 13)
                     .dest_map()
                     .unwrap()

@@ -1,22 +1,21 @@
 //! Service-style traffic scenarios: heavy-tailed message sizes,
-//! client/server endpoint partitions, incast (fan-in onto a few hot
-//! servers), and diurnal load ramps.
+//! client/server endpoint partitions, and incast (fan-in onto a few hot
+//! servers).
 //!
 //! The synthetic patterns in [`crate::patterns`] stress the *topology*
 //! (bit permutations, tornado, …); a [`ServiceScenario`] instead stresses
 //! the *traffic shape* datacenter-style services exhibit: request sizes
 //! drawn from a bounded Pareto (most messages short, rare multi-hundred
 //! flit worms holding channels for a long time — exactly the regime
-//! where virtual channels let short worms overtake), all traffic flowing
-//! from a client partition into a server partition with a configurable
-//! fraction concentrated on a few hot servers, and an injection rate
-//! that ramps sinusoidally so a single run crosses the saturation knee
-//! in both directions.
+//! where virtual channels let short worms overtake), and all traffic
+//! flowing from a client partition into a server partition with a
+//! configurable fraction concentrated on a few hot servers. Every client
+//! injects by the same Bernoulli rate at every step.
 //!
 //! A scenario generates [`TraceRow`]s (so it composes with the streaming
-//! trace format and [`crate::trace::TraceSource`]), routes them into
-//! `MessageSpec`s, or derives a matching [`ClosedLoopConfig`] for
-//! closed-loop runs over the same partitions.
+//! trace format and [`crate::trace::TraceSource`]) or routes them into
+//! `MessageSpec`s. A closed-loop run over the same partitions builds its
+//! own [`crate::ClosedLoopConfig`].
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -24,7 +23,6 @@ use rand::Bernoulli;
 
 use wormhole_flitsim::message::MessageSpec;
 
-use crate::closed_loop::ClosedLoopConfig;
 use crate::substrate::Substrate;
 use crate::trace::TraceRow;
 use crate::{mix, DST_STREAM_SALT};
@@ -51,14 +49,8 @@ pub struct ServiceScenario {
     pub min_len: u32,
     /// Maximum message length in flits (truncation bound).
     pub max_len: u32,
-    /// Mean per-client injection probability per step.
+    /// Per-client injection probability per step.
     pub base_rate: f64,
-    /// Diurnal modulation depth in `[0, 1]`: the instantaneous rate is
-    /// `base_rate · (1 + amplitude · sin(2πt / period))`, clamped to
-    /// `[0, 1]`.
-    pub diurnal_amplitude: f64,
-    /// Diurnal period in steps.
-    pub diurnal_period: u64,
     /// Master seed; per-client streams derive from it.
     pub seed: u64,
 }
@@ -83,8 +75,6 @@ impl ServiceScenario {
             min_len: 1,
             max_len: 64,
             base_rate,
-            diurnal_amplitude: 0.0,
-            diurnal_period: 1000,
             seed,
         };
         s.validate();
@@ -109,18 +99,10 @@ impl ServiceScenario {
         self
     }
 
-    /// Sets the diurnal ramp (depth in `[0, 1]`, period in steps).
-    pub fn diurnal(mut self, amplitude: f64, period: u64) -> Self {
-        self.diurnal_amplitude = amplitude;
-        self.diurnal_period = period;
-        self.validate();
-        self
-    }
-
     fn validate(&self) {
         assert!(self.clients >= 1 && self.servers >= 1, "empty partition");
         assert!(
-            self.clients + self.servers <= self.substrate.endpoints(),
+            self.clients as u64 + self.servers as u64 <= self.substrate.endpoints() as u64,
             "client ({}) and server ({}) partitions overlap on {} endpoints",
             self.clients,
             self.servers,
@@ -143,18 +125,6 @@ impl ServiceScenario {
             (0.0..=1.0).contains(&self.base_rate),
             "base_rate is a probability"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.diurnal_amplitude),
-            "diurnal amplitude in [0, 1]"
-        );
-        assert!(self.diurnal_period >= 1, "diurnal period must be positive");
-    }
-
-    /// Instantaneous per-client injection probability at step `t`.
-    pub fn rate_at(&self, t: u64) -> f64 {
-        let phase = 2.0 * std::f64::consts::PI * (t % self.diurnal_period) as f64
-            / self.diurnal_period as f64;
-        (self.base_rate * (1.0 + self.diurnal_amplitude * phase.sin())).clamp(0.0, 1.0)
     }
 
     /// Bounded-Pareto inverse CDF over `[min_len, max_len]`.
@@ -177,9 +147,8 @@ impl ServiceScenario {
     /// client's trace is independent of the others and of the window.
     ///
     /// Steps outside, clients inside, so the rows come out in order as
-    /// they are drawn. The rate depends on the step alone: one coin a step
-    /// serves every client, and every client draws one arrival word a
-    /// step (also at rate zero).
+    /// they are drawn. One coin serves every client at every step, and
+    /// every client draws one arrival word a step (also at rate zero).
     pub fn generate_rows(&self, window: u64) -> Vec<TraceRow> {
         let mut streams: Vec<(StdRng, StdRng)> = (0..self.clients)
             .map(|src| {
@@ -190,9 +159,9 @@ impl ServiceScenario {
             })
             .collect();
         let hot = Bernoulli::new(self.hot_fraction);
+        let arrives = Bernoulli::new(self.base_rate);
         let mut rows = Vec::new();
         for release in 0..window {
-            let arrives = Bernoulli::new(self.rate_at(release));
             for (src, (arrival_rng, draw_rng)) in (0..).zip(&mut streams) {
                 if !arrives.sample(arrival_rng) {
                     continue;
@@ -221,36 +190,6 @@ impl ServiceScenario {
                 MessageSpec::new(self.substrate.route(r.src, r.dst), r.length).release_at(r.release)
             })
             .collect()
-    }
-
-    /// Derives a closed-loop configuration over the same client/server
-    /// partitions: `window` outstanding chains per client, request
-    /// length `min_len`, reply length `max_len` (the heavy response is
-    /// what occupies the fabric), and think/service times scaled so the
-    /// open- and closed-loop offered loads are comparable at
-    /// `base_rate`.
-    pub fn closed_loop(&self, window: u32, horizon: u64, start_spread: u64) -> ClosedLoopConfig {
-        // A chain injects ~(min_len + max_len) flits per cycle of
-        // think + flight; pick a mean think that would offer base_rate
-        // flits/step per client if the network were infinitely fast.
-        let per_chain = (self.min_len + self.max_len) as f64;
-        let mean_think = if self.base_rate > 0.0 {
-            (window as f64 * per_chain / self.base_rate.min(1.0)).min(1e6) as u64
-        } else {
-            horizon
-        };
-        ClosedLoopConfig {
-            clients: self.clients,
-            servers: self.servers,
-            window,
-            req_len: self.min_len,
-            reply_len: self.max_len,
-            think: (mean_think / 2, mean_think + mean_think / 2),
-            server_delay: (1, (self.max_len as u64).max(2)),
-            start_spread,
-            horizon,
-            seed: self.seed,
-        }
     }
 }
 
@@ -304,30 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_ramp_modulates_rate() {
-        let s = ServiceScenario::new(Substrate::butterfly(4), 8, 8, 0.2, 5).diurnal(0.9, 400);
-        assert!(s.rate_at(100) > s.rate_at(0)); // peak of sin at period/4
-        assert!(s.rate_at(300) < s.rate_at(0)); // trough at 3·period/4
-        let rows = s.generate_rows(400);
-        let first_half = rows.iter().filter(|r| r.release < 200).count();
-        let second_half = rows.len() - first_half;
-        assert!(
-            first_half > second_half,
-            "ramp up then down: {first_half} vs {second_half}"
-        );
-    }
-
-    #[test]
     fn rows_route_and_derive_closed_loop() {
         let s = scenario();
         let specs = s.generate(200);
         assert!(specs.iter().all(|m| !m.path.is_empty()));
-        let cl = s.closed_loop(2, 1000, 16);
-        assert_eq!(cl.clients, 8);
-        assert_eq!(cl.servers, 8);
-        assert_eq!(cl.req_len, 2);
-        assert_eq!(cl.reply_len, 40);
-        assert!(cl.think.0 <= cl.think.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn partitions_summing_past_u32_are_rejected() {
+        // `u32::MAX + 2` wraps to 1 in a `u32` add; the sum is in `u64`.
+        ServiceScenario::new(Substrate::butterfly(4), u32::MAX, 2, 0.1, 1);
     }
 
     #[test]

@@ -2,9 +2,18 @@
 //! mode against committed renderings. Every cell is a deterministic count
 //! — class counts κ, makespans, fitted exponents of seeded runs — so a
 //! drift in RNG draw order or in a coloring fails here on any host, with
-//! no timing involved. The files under `tests/golden/` were written by
-//! the binary of the commit before `coloring::ClassLoads`; regenerate one
-//! only for a change that means to move its table
+//! no timing involved. The `e*` files under `tests/golden/` were written
+//! by the binary of the commit before `coloring::ClassLoads`.
+//!
+//! The traffic layer's consumers the same way: `x2` (open-loop Bernoulli
+//! arrivals over every pattern it runs, hotspot included) and `x11`
+//! (`ServiceScenario`'s open arm against its closed loop). A drift in an
+//! arrival coin, a pattern's map or a service draw fails here. Their files
+//! were written by the binary of the commit before the traffic layer's
+//! unused settings (on/off arrivals, diurnal ramps, bit-complement and
+//! neighbor) were deleted.
+//!
+//! Regenerate a file only for a change that means to move its table
 //! (`experiments --fast e1`, from the first `###` line on).
 
 use wormhole_routing::harness::run_by_id;
@@ -29,4 +38,14 @@ fn e2_fast_matches_its_golden() {
 #[test]
 fn e9_fast_matches_its_golden() {
     assert_eq!(rendered("e9"), include_str!("golden/e9.fast.md"));
+}
+
+#[test]
+fn x2_fast_matches_its_golden() {
+    assert_eq!(rendered("x2"), include_str!("golden/x2.fast.md"));
+}
+
+#[test]
+fn x11_fast_matches_its_golden() {
+    assert_eq!(rendered("x11"), include_str!("golden/x11.fast.md"));
 }

@@ -75,15 +75,15 @@ fn more_vcs_help_under_heavy_open_loop_load() {
     assert!(s1.saturated, "0.3 msg/ep/step saturates a B=1 butterfly");
 }
 
-/// Deterministic patterns ride the same machinery: a bursty bit-reversal
+/// Deterministic patterns ride the same machinery: a bit-reversal
 /// workload on the hypercube completes and stays seed-stable.
 #[test]
-fn bursty_hypercube_bit_reversal_is_deterministic() {
+fn hypercube_bit_reversal_is_deterministic() {
     let make = || {
         Workload::new(
             Substrate::hypercube(4),
             TrafficPattern::BitReversal,
-            ArrivalProcess::bursty(0.05, 8.0),
+            ArrivalProcess::bernoulli(0.05),
             3,
             77,
         )
