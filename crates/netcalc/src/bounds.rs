@@ -100,7 +100,7 @@
 
 use wormhole_topology::graph::Graph;
 
-use crate::curve::{ConcaveSum, ServiceCurve, TokenBucket};
+use crate::curve::{ConcaveSum, TokenBucket};
 use crate::flow::Flow;
 
 /// Picard steps before the instance is reported unbounded.
@@ -203,20 +203,6 @@ impl BoundReport {
     /// Total backlog bound: flits in flight network-wide.
     pub fn total_backlog(&self) -> f64 {
         self.flow_backlog.iter().sum()
-    }
-
-    /// The end-to-end pseudo-residual service curve of flow `fi`: the
-    /// min-plus convolution of its per-hop rate-latency residuals
-    /// `β_{B, S_{f,e}}` — rate `B` (the aggregate channel bandwidth),
-    /// total latency `Σ_i hop_wait[fi][i]`. Only the latency term
-    /// carries the per-hop guarantee (see the module docs); it is
-    /// exactly `flow_delay[fi] − pipeline_floor`.
-    pub fn end_to_end_service(&self, fi: usize, b: u32) -> ServiceCurve {
-        self.hop_wait[fi]
-            .iter()
-            .map(|&s| ServiceCurve::rate_latency(b as f64, s))
-            .reduce(|acc, s| acc.convolve(&s))
-            .expect("flows have non-empty paths")
     }
 }
 
@@ -476,6 +462,7 @@ mod tests {
     use wormhole_topology::butterfly::Butterfly;
     use wormhole_topology::graph::{GraphBuilder, NodeId};
     use wormhole_topology::mesh::Mesh;
+    use wormhole_topology::random_nets::shared_chain_instance;
 
     fn chain(n: u32) -> (Graph, Vec<wormhole_topology::graph::EdgeId>) {
         let mut b = GraphBuilder::new(n as usize);
@@ -502,6 +489,21 @@ mod tests {
         assert!((r.max_delay() - f.pipeline_floor()).abs() < 1e-3);
         assert!(r.hop_wait[0].iter().all(|&w| w < 1e-3));
         assert!(r.total_backlog() >= 3.0);
+    }
+
+    #[test]
+    fn the_pipeline_floor_holds_at_the_longest_length() {
+        // d + L − 1 exceeds u32::MAX: the floor must not wrap, or the
+        // certificate falls below the unblocked latency.
+        let (g, ps) = shared_chain_instance(1, 2);
+        let f = Flow {
+            edges: ps.paths()[0].edges().to_vec(),
+            len_flits: u32::MAX,
+            arrival: ArrivalCurve::from_trace(&[0]),
+        };
+        let r = delay_bounds(&g, &[f], &BoundConfig::new(1)).unwrap();
+        assert!(r.bounded);
+        assert_eq!(r.flow_delay[0], 2.0 + u32::MAX as f64 - 1.0);
     }
 
     #[test]
@@ -615,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_service_matches_the_wait_sum() {
+    fn flow_delay_and_edge_wait_read_the_hop_waits() {
         let (g, edges) = chain(4);
         let mk = || Flow {
             edges: edges.clone(),
@@ -623,10 +625,7 @@ mod tests {
             arrival: ArrivalCurve::from_trace(&[0, 1, 2, 3]),
         };
         let r = delay_bounds(&g, &[mk(), mk()], &BoundConfig::new(2)).unwrap();
-        let svc = r.end_to_end_service(0, 2);
-        assert!((svc.rate - 2.0).abs() < 1e-12);
         let wait_sum: f64 = r.hop_wait[0].iter().sum();
-        assert!((svc.latency - wait_sum).abs() < 1e-9);
         assert!((r.flow_delay[0] - (mk().pipeline_floor() + wait_sum)).abs() < 1e-9);
         // edge_wait aggregates the per-hop certificates.
         for (e, &w) in edges.iter().zip(r.hop_wait[0].iter()) {

@@ -1,24 +1,17 @@
-//! Min-plus curve algebra: piecewise-linear arrival curves (minima of
-//! leaky buckets `γ_{b,r}`) and rate-latency service curves (`β_{R,T}`).
+//! Piecewise-linear arrival curves: minima of leaky buckets `γ_{b,r}`.
 //!
 //! An [`ArrivalCurve`] `α` upper-bounds traffic: the number of messages
 //! released in any closed window of span `Δ` is at most `α(Δ)` (so
 //! `α(0)` covers a single step). It is stored as the lower envelope of
 //! finitely many affine token buckets, which is concave, nondecreasing,
-//! and closed under the operations the calculus needs: addition
-//! (aggregation), min-plus convolution `⊗` (both curves constrain the
-//! same flow), deconvolution `⊘` by a service curve (output
-//! characterization), and deconvolution by a pure delay (window
-//! widening).
-//!
-//! A [`ServiceCurve`] `β_{R,T}` lower-bounds service: at least
-//! `R·(t − T)⁺` work in any backlogged period of length `t`. Min-plus
-//! convolution of rate-latency curves (tandem traversal) stays
-//! rate-latency: `β_{R1,T1} ⊗ β_{R2,T2} = β_{min(R1,R2), T1+T2}`.
+//! and closed under the operations the bound engine needs: addition
+//! (aggregation), scaling (weighting by an occupancy), and deconvolution
+//! by a pure delay (window widening). The closure ([`crate::bounds`])
+//! reads nothing else: it intersects sums of these envelopes with the
+//! `B`-rate line, and no service curve enters it.
 //!
 //! All operations here are *exact* on the stored representations (no
-//! sampling): concavity reduces every sup/inf to a finite scan over
-//! segment endpoints.
+//! sampling).
 //!
 //! # The sum accumulator
 //!
@@ -60,20 +53,6 @@ impl TokenBucket {
     #[inline]
     pub fn eval(&self, t: f64) -> f64 {
         self.burst + self.rate * t
-    }
-
-    /// Min-plus deconvolution by a rate-latency service curve: the
-    /// classic closed form `γ_{b,r} ⊘ β_{R,T} = γ_{b + r·T, r}`, valid
-    /// when `r ≤ R`; `None` when the bucket's rate exceeds the service
-    /// rate (the backlog, and with it the output burst, diverges).
-    pub fn deconvolve(&self, beta: &ServiceCurve) -> Option<TokenBucket> {
-        if self.rate > beta.rate {
-            return None;
-        }
-        Some(TokenBucket::new(
-            self.burst + self.rate * beta.latency,
-            self.rate,
-        ))
     }
 }
 
@@ -166,19 +145,6 @@ impl ArrivalCurve {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Instantaneous burst `α(0)`.
-    pub fn burst(&self) -> f64 {
-        self.eval(0.0)
-    }
-
-    /// The long-run rate `lim α(t)/t` — the smallest bucket rate.
-    pub fn long_run_rate(&self) -> f64 {
-        self.buckets
-            .iter()
-            .map(|tb| tb.rate)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Pointwise sum (aggregation of independent flows) — exact on the
     /// merged segment breakpoints of both envelopes (a two-curve
     /// `ConcaveSum`).
@@ -205,26 +171,6 @@ impl ArrivalCurve {
         }
     }
 
-    /// Min-plus convolution `(α ⊗ γ)(t) = inf_{0≤s≤t} α(s) + γ(t−s)`.
-    /// For concave nondecreasing curves the infimum sits at an endpoint,
-    /// so `α ⊗ γ = min(α + γ(0), γ + α(0))` — exactly representable as
-    /// an envelope of shifted buckets.
-    pub fn convolve(&self, other: &ArrivalCurve) -> ArrivalCurve {
-        let (sa, sb) = (self.burst(), other.burst());
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|tb| TokenBucket::new(tb.burst + sb, tb.rate))
-            .chain(
-                other
-                    .buckets
-                    .iter()
-                    .map(|tb| TokenBucket::new(tb.burst + sa, tb.rate)),
-            )
-            .collect();
-        ArrivalCurve::from_buckets(buckets)
-    }
-
     /// Deconvolution by a pure delay `δ_d`: `(α ⊘ δ_d)(t) = α(t + d)` —
     /// each bucket's burst grows by `r·d`. Rates are untouched, so the
     /// buckets stay sorted and only the linear envelope pass runs; it
@@ -239,119 +185,6 @@ impl ArrivalCurve {
             ),
         }
     }
-
-    /// Min-plus deconvolution by a rate-latency service curve:
-    /// `(α ⊘ β_{R,T})(t) = sup_{u≥0} α(t+u) − β(u)` — the arrival curve
-    /// of a flow's *output* after crossing a `β_{R,T}` server. `None`
-    /// when `α`'s long-run rate exceeds `R` (the sup diverges). Exact:
-    /// buckets with `r ≤ R` shift by the latency (`γ_{b+rT, r}`), and if
-    /// any envelope segment is steeper than `R`, one extra rate-`R` line
-    /// through the crest `max_v α(v) − R·v` caps the early segments.
-    pub fn deconvolve(&self, beta: &ServiceCurve) -> Option<ArrivalCurve> {
-        if self.long_run_rate() > beta.rate {
-            return None;
-        }
-        let mut buckets: Vec<TokenBucket> = self
-            .buckets
-            .iter()
-            .filter(|tb| tb.rate <= beta.rate)
-            .map(|tb| tb.deconvolve(beta).expect("rate filtered ≤ R"))
-            .collect();
-        if self.buckets.iter().any(|tb| tb.rate > beta.rate) {
-            let crest = segments(&self.buckets)
-                .map(|(x, _)| self.eval(x) - beta.rate * x)
-                .fold(f64::NEG_INFINITY, f64::max);
-            buckets.push(TokenBucket::new(
-                crest + beta.rate * beta.latency,
-                beta.rate,
-            ));
-        }
-        Some(ArrivalCurve::from_buckets(buckets))
-    }
-}
-
-/// A rate-latency service curve `β_{R,T}(t) = R·(t − T)⁺`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ServiceCurve {
-    /// Guaranteed service rate `R > 0` once the latency has elapsed.
-    pub rate: f64,
-    /// Worst-case service latency `T ≥ 0`.
-    pub latency: f64,
-}
-
-impl ServiceCurve {
-    /// A `β_{R,T}` curve (`R > 0`, `T ≥ 0`, both finite).
-    pub fn rate_latency(rate: f64, latency: f64) -> Self {
-        assert!(rate.is_finite() && rate > 0.0, "service rate must be > 0");
-        assert!(latency.is_finite() && latency >= 0.0, "latency must be ≥ 0");
-        Self { rate, latency }
-    }
-
-    /// Evaluates `R·(t − T)⁺`.
-    pub fn eval(&self, t: f64) -> f64 {
-        self.rate * (t - self.latency).max(0.0)
-    }
-
-    /// Tandem composition: `β_{R1,T1} ⊗ β_{R2,T2} =
-    /// β_{min(R1,R2), T1+T2}` (rate-latency curves are closed under
-    /// min-plus convolution).
-    pub fn convolve(&self, other: &ServiceCurve) -> ServiceCurve {
-        ServiceCurve::rate_latency(self.rate.min(other.rate), self.latency + other.latency)
-    }
-
-    /// Residual service left to one flow after blind (arbitration-
-    /// agnostic) multiplexing with cross-traffic `cross` on this server:
-    /// a pseudo rate-latency curve whose **rate** is the long-run
-    /// leftover `R − ρ_∞(cross)` and whose **latency** is the first
-    /// instant `t` beyond which `R·t` exceeds some bucket of `cross`
-    /// (hence `cross` itself). `None` when the cross-traffic rate
-    /// consumes the server. In the wormhole bound engine only the
-    /// *latency* of this curve carries a per-edge guarantee (see
-    /// `bounds`); the rate is the standard capacity-planning reading.
-    pub fn residual(&self, cross: &ArrivalCurve) -> Option<ServiceCurve> {
-        let leftover = self.rate - cross.long_run_rate();
-        if leftover <= 0.0 {
-            return None;
-        }
-        let latency = cross
-            .buckets()
-            .iter()
-            .filter(|tb| tb.rate < self.rate)
-            .map(|tb| (tb.burst + self.rate * self.latency) / (self.rate - tb.rate))
-            .fold(f64::INFINITY, f64::min);
-        if !latency.is_finite() {
-            return None;
-        }
-        Some(ServiceCurve::rate_latency(leftover, latency))
-    }
-}
-
-/// Horizontal deviation `h(α, β)`: the classic delay bound for a flow
-/// with arrival curve `α` served at `β_{R,T}` — `T + sup_t (α(t)/R − t)`,
-/// scanned over `α`'s segment endpoints. `None` when `α`'s long-run rate
-/// exceeds `R`.
-pub fn hdev(alpha: &ArrivalCurve, beta: &ServiceCurve) -> Option<f64> {
-    if alpha.long_run_rate() > beta.rate {
-        return None;
-    }
-    let sup = segments(alpha.buckets())
-        .map(|(x, _)| alpha.eval(x) / beta.rate - x)
-        .fold(f64::NEG_INFINITY, f64::max);
-    Some(beta.latency + sup.max(0.0))
-}
-
-/// Vertical deviation `v(α, β) = sup_t α(t) − β(t)`: the classic backlog
-/// bound. `None` when `α`'s long-run rate exceeds `R`.
-pub fn vdev(alpha: &ArrivalCurve, beta: &ServiceCurve) -> Option<f64> {
-    if alpha.long_run_rate() > beta.rate {
-        return None;
-    }
-    let sup = segments(alpha.buckets())
-        .map(|(x, _)| x)
-        .chain(std::iter::once(beta.latency))
-        .map(|x| alpha.eval(x) - beta.eval(x))
-        .fold(f64::NEG_INFINITY, f64::max);
-    Some(sup.max(0.0))
 }
 
 /// A running pointwise sum of concave piecewise-linear curves, kept as
@@ -500,19 +333,6 @@ fn crossover(prev: TokenBucket, next: TokenBucket) -> f64 {
     (next.burst - prev.burst) / (prev.rate - next.rate)
 }
 
-/// Segment starts of a canonical envelope: `(x_i, bucket_i)` with the
-/// i-th bucket active on `[x_i, x_{i+1})` (last one to `∞`).
-fn segments(buckets: &[TokenBucket]) -> impl Iterator<Item = (f64, TokenBucket)> + '_ {
-    buckets.iter().enumerate().map(move |(i, &tb)| {
-        let x = if i == 0 {
-            0.0
-        } else {
-            crossover(buckets[i - 1], tb)
-        };
-        (x, tb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,7 +362,8 @@ mod tests {
         assert_eq!(a.eval(12.0), 16.0);
         assert_eq!(a.eval(100.0), 10.0 + 50.0);
         assert_eq!(a.eval(500.0), 50.0 + 200.0);
-        assert_eq!(a.long_run_rate(), 0.4);
+        // Canonical rates fall, so the last bucket's is the long-run rate.
+        assert_eq!(a.buckets().last().unwrap().rate, 0.4);
     }
 
     #[test]
@@ -572,7 +393,7 @@ mod tests {
             assert!(w[1].rate < w[0].rate, "rates must fall: {buckets:?}");
             assert!(w[1].burst > w[0].burst, "bursts must rise: {buckets:?}");
         }
-        let xs: Vec<f64> = segments(buckets).map(|(x, _)| x).collect();
+        let xs: Vec<f64> = buckets.windows(2).map(|w| crossover(w[0], w[1])).collect();
         assert!(xs.windows(2).all(|w| w[0] < w[1]), "breakpoints: {xs:?}");
     }
 
@@ -690,27 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn convolution_matches_brute_force() {
-        let a = ArrivalCurve::from_buckets(vec![
-            TokenBucket::new(3.0, 1.5),
-            TokenBucket::new(7.0, 0.5),
-        ]);
-        let b = ArrivalCurve::token_bucket(2.0, 1.0);
-        let conv = a.convolve(&b);
-        for i in 0..100 {
-            let t = i as f64 * 0.25;
-            // inf over a fine grid of split points.
-            let brute = (0..=400)
-                .map(|j| {
-                    let s = t * j as f64 / 400.0;
-                    a.eval(s) + b.eval(t - s)
-                })
-                .fold(f64::INFINITY, f64::min);
-            assert!((conv.eval(t) - brute).abs() < 1e-6, "t={t}");
-        }
-    }
-
-    #[test]
     fn deconvolve_delay_widens_windows() {
         let a = ArrivalCurve::token_bucket(2.0, 0.5);
         let d = a.deconvolve_delay(10.0);
@@ -718,34 +518,6 @@ mod tests {
             let t = i as f64;
             assert!((d.eval(t) - a.eval(t + 10.0)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn deconvolve_matches_brute_force_sup() {
-        let beta = ServiceCurve::rate_latency(1.0, 4.0);
-        // Mixed slopes: one steeper than R, one shallower.
-        let a = ArrivalCurve::from_buckets(vec![
-            TokenBucket::new(1.0, 3.0),
-            TokenBucket::new(9.0, 0.25),
-        ]);
-        let out = a.deconvolve(&beta).expect("long-run rate 0.25 ≤ 1");
-        for i in 0..120 {
-            let t = i as f64 * 0.2;
-            let brute = (0..=4000)
-                .map(|j| {
-                    let u = j as f64 * 0.05;
-                    a.eval(t + u) - beta.eval(u)
-                })
-                .fold(f64::NEG_INFINITY, f64::max);
-            assert!(
-                (out.eval(t) - brute).abs() < 1e-6,
-                "deconvolution wrong at t={t}: {} vs {brute}",
-                out.eval(t)
-            );
-        }
-        // Diverging case: long-run rate above the service rate.
-        let hot = ArrivalCurve::token_bucket(1.0, 2.0);
-        assert!(hot.deconvolve(&beta).is_none());
     }
 
     #[test]
@@ -769,7 +541,7 @@ mod tests {
         // Tightness anchors: single step holds up to 1 message here; the
         // whole trace is 6 messages with zero long-run rate.
         assert!((a.eval(0.0) - 1.0).abs() < 1e-9);
-        assert_eq!(a.long_run_rate(), 0.0);
+        assert_eq!(a.buckets().last().unwrap().rate, 0.0);
         assert!((a.eval(1e9) - 6.0).abs() < 1e-9);
         // Tightness at the 3-in-2-steps cluster.
         assert!(a.eval(2.0) <= 3.0 + 1e-9);
@@ -783,52 +555,6 @@ mod tests {
         let single = ArrivalCurve::from_trace(&[7]);
         assert!((single.eval(0.0) - 1.0).abs() < 1e-9);
         assert!((single.eval(100.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn convolution_of_zero_burst_is_min() {
-        // With f(0) = g(0) = 0, f ⊗ g = min(f, g): the textbook identity.
-        let f = ArrivalCurve::from_buckets(vec![
-            TokenBucket::new(0.0, 1.0),
-            TokenBucket::new(3.0, 0.4),
-        ]);
-        let g = ArrivalCurve::from_buckets(vec![
-            TokenBucket::new(0.0, 2.0),
-            TokenBucket::new(4.0, 0.5),
-        ]);
-        let conv = f.convolve(&g);
-        let min =
-            ArrivalCurve::from_buckets(f.buckets().iter().chain(g.buckets()).copied().collect());
-        assert_curves_eq(&conv, &min);
-    }
-
-    #[test]
-    fn service_convolution_and_residual() {
-        let b1 = ServiceCurve::rate_latency(4.0, 2.0);
-        let b2 = ServiceCurve::rate_latency(2.0, 3.0);
-        let tandem = b1.convolve(&b2);
-        assert_eq!(tandem.rate, 2.0);
-        assert_eq!(tandem.latency, 5.0);
-
-        let cross = ArrivalCurve::token_bucket(3.0, 1.0);
-        let res = b2.residual(&cross).expect("1 < 2");
-        assert!((res.rate - 1.0).abs() < 1e-12);
-        // Latency solves 2(t − 3) = 3 + t → t = 9.
-        assert!((res.latency - 9.0).abs() < 1e-9);
-        // Saturated server leaves nothing.
-        assert!(b2.residual(&ArrivalCurve::token_bucket(1.0, 2.5)).is_none());
-    }
-
-    #[test]
-    fn hdev_and_vdev_closed_forms() {
-        // Single bucket vs rate-latency: h = T + b/R, v = b + r·T.
-        let a = ArrivalCurve::token_bucket(6.0, 1.0);
-        let b = ServiceCurve::rate_latency(2.0, 5.0);
-        assert!((hdev(&a, &b).unwrap() - (5.0 + 3.0)).abs() < 1e-9);
-        assert!((vdev(&a, &b).unwrap() - (6.0 + 5.0)).abs() < 1e-9);
-        let hot = ArrivalCurve::token_bucket(1.0, 3.0);
-        assert!(hdev(&hot, &b).is_none());
-        assert!(vdev(&hot, &b).is_none());
     }
 
     #[test]

@@ -44,9 +44,10 @@ impl Flow {
         }
     }
 
-    /// Unblocked latency floor `d + L − 1` of one message of this flow.
+    /// Unblocked latency floor `d + L − 1` of one message of this flow,
+    /// summed in `u64` so no length overflows it.
     pub fn pipeline_floor(&self) -> f64 {
-        (self.edges.len() as u32 + self.len_flits - 1) as f64
+        (self.edges.len() as u64 + self.len_flits as u64 - 1) as f64
     }
 }
 

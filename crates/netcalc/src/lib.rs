@@ -5,14 +5,14 @@
 //! Following Farhi & Gaujal, *Performance bounds in wormhole routing, a
 //! network calculus approach* (arXiv 1007.4853), traffic is abstracted
 //! into piecewise-linear **arrival curves** (minima of leaky buckets
-//! `γ_{r,b}`) and channels into rate-latency **service curves**
-//! (`β_{R,T}`), composed with min-plus convolution/deconvolution
-//! ([`curve`]). On a *feedforward* routing set
+//! `γ_{r,b}`, [`curve`]). On a *feedforward* routing set
 //! ([`wormhole_topology::graph::Graph::is_feedforward`]) a per-edge
 //! fixed point then yields certified header-wait bounds under VC
 //! multiplexing — the physical channel's `B` flits/step of aggregate
 //! bandwidth split across the `B` virtual channels — which close into
-//! end-to-end delay and backlog bounds per flow ([`bounds`]).
+//! end-to-end delay and backlog bounds per flow ([`bounds`]). The
+//! closure needs no service curves: each wait is where the `B`-rate line
+//! clears an edge's summed, delay-shifted arrival envelopes.
 //!
 //! The contract against the simulator is exact and is enforced by a
 //! cross-validation property test: for every feedforward instance,
@@ -56,5 +56,5 @@ pub mod curve;
 pub mod flow;
 
 pub use bounds::{delay_bounds, BoundConfig, BoundError, BoundReport};
-pub use curve::{ArrivalCurve, ServiceCurve, TokenBucket};
+pub use curve::{ArrivalCurve, TokenBucket};
 pub use flow::{flows_from_specs, Flow, TraceFlows};

@@ -52,7 +52,6 @@ pub mod closed_loop;
 pub mod patterns;
 pub mod service;
 pub mod substrate;
-pub mod trace;
 mod wheel;
 
 pub use arrivals::ArrivalProcess;
@@ -60,7 +59,6 @@ pub use closed_loop::{run_closed_loop, ClosedLoopConfig, ClosedLoopSource};
 pub use patterns::{PatternSampler, TrafficPattern};
 pub use service::ServiceScenario;
 pub use substrate::Substrate;
-pub use trace::{read_trace, write_trace, TraceReader, TraceRow, TraceSource};
 pub use wormhole_topology::mesh::RoutingDiscipline;
 
 use rand::prelude::*;
@@ -124,10 +122,8 @@ impl Workload {
     }
 
     /// Generates the same stream as [`Workload::generate`], but as
-    /// routing-free [`TraceRow`]s — the trace-format view of the
-    /// workload. `generate` is exactly `generate_rows` + routing, so a
-    /// written trace replayed through [`trace::TraceSource`] reproduces
-    /// the direct simulation bit for bit.
+    /// routing-free [`TraceRow`]s. `generate` is exactly `generate_rows`
+    /// plus routing.
     ///
     /// Steps outside, endpoints inside: the rows come out in `(release,
     /// src)` order as they are drawn, and each endpoint's two streams
@@ -165,6 +161,20 @@ impl Workload {
         }
         rows
     }
+}
+
+/// One generated message before routing: endpoints, release step, and
+/// length in flits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceRow {
+    /// Source endpoint (dense substrate endpoint space).
+    pub src: u32,
+    /// Destination endpoint.
+    pub dst: u32,
+    /// Release (injection-availability) step.
+    pub release: u64,
+    /// Message length in flits (`≥ 1`).
+    pub length: u32,
 }
 
 /// Separates each endpoint's destination stream from its arrival stream.

@@ -12,8 +12,7 @@
 //! configurable fraction concentrated on a few hot servers. Every client
 //! injects by the same Bernoulli rate at every step.
 //!
-//! A scenario generates [`TraceRow`]s (so it composes with the streaming
-//! trace format and [`crate::trace::TraceSource`]) or routes them into
+//! A scenario generates routing-free [`TraceRow`]s or routes them into
 //! `MessageSpec`s. A closed-loop run over the same partitions builds its
 //! own [`crate::ClosedLoopConfig`].
 
@@ -24,8 +23,7 @@ use rand::Bernoulli;
 use wormhole_flitsim::message::MessageSpec;
 
 use crate::substrate::Substrate;
-use crate::trace::TraceRow;
-use crate::{mix, DST_STREAM_SALT};
+use crate::{mix, TraceRow, DST_STREAM_SALT};
 
 /// A client/server service workload description. See the module docs.
 #[derive(Clone, Debug)]

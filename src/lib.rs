@@ -16,7 +16,7 @@
 //! | [`flitsim`] | `wormhole-flitsim` | wormhole / store-and-forward / virtual-cut-through simulators |
 //! | [`core`] | `wormhole-core` | bounds, LLL color refinement, schedules, butterfly algorithms |
 //! | [`baselines`] | `wormhole-baselines` | naive coloring, S&F schedules, greedy wormhole, VCT, circuit switching |
-//! | [`workloads`] | `wormhole-workloads` | synthetic traffic: patterns × arrivals × substrates, closed-loop chains, trace replay |
+//! | [`workloads`] | `wormhole-workloads` | synthetic traffic: patterns × arrivals × substrates, closed-loop chains |
 //! | [`netcalc`] | `wormhole-netcalc` | network-calculus delay/backlog bounds for feedforward routing sets |
 //! | [`harness`] | `wormhole-harness` | experiment runners regenerating every table/figure |
 //!
@@ -68,8 +68,8 @@ pub mod prelude {
     pub use wormhole_flitsim::wormhole::run_source as wormhole_run_source;
     pub use wormhole_flitsim::wormhole::{simulate as wormhole_simulate, SimError};
     pub use wormhole_netcalc::{
-        delay_bounds, flows_from_specs, ArrivalCurve, BoundConfig, BoundReport, Flow, ServiceCurve,
-        TokenBucket, TraceFlows,
+        delay_bounds, flows_from_specs, ArrivalCurve, BoundConfig, BoundReport, Flow, TokenBucket,
+        TraceFlows,
     };
     pub use wormhole_topology::adaptive::AdaptiveRouter;
     pub use wormhole_topology::butterfly::Butterfly;
@@ -79,6 +79,6 @@ pub mod prelude {
     pub use wormhole_topology::path::{Path, PathSet};
     pub use wormhole_workloads::{
         run_closed_loop, ArrivalProcess, ClosedLoopConfig, ClosedLoopSource, ServiceScenario,
-        Substrate, TraceReader, TraceRow, TraceSource, TrafficPattern, Workload,
+        Substrate, TraceRow, TrafficPattern, Workload,
     };
 }

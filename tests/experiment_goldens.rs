@@ -13,6 +13,12 @@
 //! unused settings (on/off arrivals, diurnal ramps, bit-complement and
 //! neighbor) were deleted.
 //!
+//! The bound engine's consumer the same way: `x10` (`netcalc`'s closure
+//! over trace envelopes, the certified bound, the iteration count and
+//! the simulated worst case beside it). A drift in an envelope, a sweep
+//! or the certificate fails here. Its file was written by the binary of
+//! the commit before `netcalc`'s unused min-plus operators were deleted.
+//!
 //! Regenerate a file only for a change that means to move its table
 //! (`experiments --fast e1`, from the first `###` line on).
 
@@ -48,4 +54,9 @@ fn x2_fast_matches_its_golden() {
 #[test]
 fn x11_fast_matches_its_golden() {
     assert_eq!(rendered("x11"), include_str!("golden/x11.fast.md"));
+}
+
+#[test]
+fn x10_fast_matches_its_golden() {
+    assert_eq!(rendered("x10"), include_str!("golden/x10.fast.md"));
 }

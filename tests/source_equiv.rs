@@ -7,24 +7,17 @@
 //! `TrafficSource` interface. Two implementations of one contract: this
 //! suite holds them to **field-for-field [`SimResult`] identity** on all
 //! three engines, across the workload families the rest of the test tree
-//! leans on — and holds the streaming trace format to full round-trip
-//! fidelity (write → stream back → the same rows, specs, and execution).
-
-use std::io::BufReader;
+//! leans on.
 
 use proptest::prelude::*;
 
 use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
 use wormhole_flitsim::message::{specs_from_paths, MessageSpec};
-use wormhole_flitsim::open_loop::{windowed_stats, windowed_stats_from, OpenLoopConfig};
 use wormhole_flitsim::source::{ReplaySource, Traffic};
 use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_topology::random_nets::shared_chain_instance;
-use wormhole_workloads::{
-    read_trace, write_trace, ArrivalProcess, RoutingDiscipline, Substrate, TraceSource,
-    TrafficPattern, Workload,
-};
+use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
 
 const ENGINES: [Engine; 3] = [
     Engine::EventDriven,
@@ -244,72 +237,6 @@ proptest! {
             // Fault discards surface identically through both paths.
             prop_assert_eq!(slice.fault_discards, replay.fault_discards);
             prop_assert_eq!(slice.kills_applied, replay.kills_applied);
-        }
-    }
-
-    /// Trace-format round trip: a generated workload written as a trace
-    /// and streamed back through [`TraceSource`] reproduces (a) the rows,
-    /// (b) the routed specs, and (c) the execution — on every engine —
-    /// plus the windowed stats computed from the source's own metadata.
-    #[test]
-    fn trace_round_trip_is_bit_identical(
-        k in 2u32..6,
-        rate_pct in 1u32..50,
-        l in 1u32..8,
-        b in 1u32..4,
-        arb in 0u32..4,
-        seed in 0u64..1000,
-    ) {
-        let substrate = Substrate::butterfly(k);
-        let w = Workload::new(
-            substrate.clone(),
-            TrafficPattern::UniformRandom,
-            ArrivalProcess::bernoulli(rate_pct as f64 / 100.0),
-            l,
-            seed,
-        );
-        let window = 100u64;
-        let rows = w.generate_rows(window);
-        let specs = w.generate(window);
-        // generate is generate_rows + routing, so the counts agree.
-        prop_assert_eq!(rows.len(), specs.len());
-
-        // (a) the serialized rows survive the byte round trip;
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &rows).unwrap();
-        let back = read_trace(BufReader::new(&buf[..])).unwrap();
-        prop_assert_eq!(&rows, &back);
-
-        // (b) + (c): streaming the written bytes drives the simulator to
-        // the exact execution of the slice path.
-        let cfg = SimConfig::new(b)
-            .arbitration(arbitration(arb))
-            .seed(seed ^ 0x7ace)
-            .check_invariants(true);
-        for engine in ENGINES {
-            let cfg = cfg.clone().engine(engine);
-            let slice = wormhole::run(substrate.graph(), &specs, &cfg);
-            let mut src = TraceSource::new(&substrate, BufReader::new(&buf[..]));
-            let streamed = wormhole::run_source(substrate.graph(), &mut src, &cfg);
-            prop_assert!(
-                slice.same_execution(&streamed),
-                "{engine:?}: streamed trace diverged:\n slice: {slice:?}\nstream: {streamed:?}"
-            );
-            // Every row was released and emitted.
-            prop_assert_eq!(src.emitted(), specs.len());
-
-            // The source's (release, length) metadata stands in for the
-            // spec slice when attaching windowed stats.
-            let ol = OpenLoopConfig::new(20, 60);
-            let from_specs = windowed_stats(&specs, &slice, &ol);
-            let from_meta = windowed_stats_from(
-                src.meta()
-                    .iter()
-                    .zip(&streamed.messages)
-                    .map(|(&(rel, len), o)| (rel, len, o.finished)),
-                &ol,
-            );
-            prop_assert_eq!(from_specs, from_meta);
         }
     }
 }
