@@ -2,7 +2,7 @@
 //!
 //! * [`naive_coloring`] — the footnote-5 `D(C−1)+1`-class conflict-free
 //!   schedule (`O((L+D)·CD)` flit steps);
-//! * [`store_forward`] — greedy and LMR-style random-delay store-and-forward
+//! * [`store_forward`] — greedy and farthest-first store-and-forward
 //!   (`O(C+D)`-flavor message-step schedules);
 //! * [`greedy_wormhole`] — unscheduled online wormhole routing, including
 //!   the one-pass butterfly router of the §3.2 lower-bound setting;

@@ -83,33 +83,27 @@ impl QRelation {
         }
         cnt.into_iter().max().unwrap_or(0)
     }
-
-    /// Max messages destined to one output.
-    pub fn max_per_output(&self) -> u32 {
-        let mut cnt = vec![0u32; self.n as usize];
-        for &(_, o) in &self.pairs {
-            cnt[o as usize] += 1;
-        }
-        cnt.into_iter().max().unwrap_or(0)
-    }
-
-    /// `true` iff this is a genuine q-relation (≤ q per input AND output).
-    pub fn is_q_relation(&self) -> bool {
-        self.max_per_input() <= self.q && self.max_per_output() <= self.q
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Max messages destined to one output.
+    fn max_per_output(r: &QRelation) -> u32 {
+        let mut cnt = vec![0u32; r.n as usize];
+        for &(_, o) in &r.pairs {
+            cnt[o as usize] += 1;
+        }
+        cnt.into_iter().max().unwrap_or(0)
+    }
+
     #[test]
     fn random_relation_is_q_regular() {
         let r = QRelation::random_relation(16, 3, 7);
         assert_eq!(r.len(), 48);
-        assert!(r.is_q_relation());
         assert_eq!(r.max_per_input(), 3);
-        assert_eq!(r.max_per_output(), 3);
+        assert_eq!(max_per_output(&r), 3);
     }
 
     #[test]
@@ -123,12 +117,12 @@ mod tests {
     #[test]
     fn identity_and_bit_reverse() {
         let id = QRelation::identity(8);
-        assert!(id.is_q_relation());
+        assert_eq!((id.max_per_input(), max_per_output(&id)), (1, 1));
         assert_eq!(id.pairs[5], (5, 5));
         let br = QRelation::bit_reverse(3);
         assert_eq!(br.pairs[1], (1, 4)); // 001 -> 100
         assert_eq!(br.pairs[6], (6, 3)); // 110 -> 011
-        assert!(br.is_q_relation());
+        assert_eq!((br.max_per_input(), max_per_output(&br)), (1, 1));
     }
 
     #[test]

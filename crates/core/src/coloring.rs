@@ -169,11 +169,6 @@ impl Coloring {
         sizes
     }
 
-    /// Number of classes actually used (non-empty).
-    pub fn used_colors(&self) -> u32 {
-        self.class_sizes().iter().filter(|&&s| s > 0).count() as u32
-    }
-
     /// Renumbers classes densely (dropping empty ones), preserving order.
     pub fn compact(&self) -> Coloring {
         let sizes = self.class_sizes();
@@ -352,7 +347,6 @@ mod tests {
     fn class_sizes_and_compaction() {
         let c = Coloring::new(vec![0, 3, 3, 0, 3], 5);
         assert_eq!(c.class_sizes(), vec![2, 0, 0, 3, 0]);
-        assert_eq!(c.used_colors(), 2);
         let cc = c.compact();
         assert_eq!(cc.num_colors(), 2);
         assert_eq!(cc.colors(), &[0, 1, 1, 0, 1]);
@@ -362,7 +356,7 @@ mod tests {
     fn empty_coloring() {
         let c = Coloring::uniform(0);
         assert!(c.is_empty());
-        assert_eq!(c.used_colors(), 0);
+        assert!(c.class_sizes().iter().all(|&s| s == 0));
     }
 
     #[test]

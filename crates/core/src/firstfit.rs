@@ -12,51 +12,30 @@ use wormhole_topology::path::PathSet;
 
 use crate::coloring::{ClassLoads, Coloring};
 
-/// Message-ordering heuristics for first-fit.
+/// The order first-fit colors messages in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FirstFitOrder {
     /// Input order.
     Input,
-    /// Longest path first (helps pack long, conflict-heavy messages early).
-    LongestFirst,
-    /// Most-congested path first (sum of edge loads along the path).
-    MostConflictedFirst,
 }
 
-/// Greedy first-fit coloring with per-(edge, color) load capped at `b`.
+/// Greedy first-fit coloring with per-(edge, color) load capped at `b`,
+/// messages taken in `order`.
 pub fn first_fit(paths: &PathSet, graph: &Graph, b: u32, order: FirstFitOrder) -> Coloring {
     assert!(b >= 1);
-    let n = paths.len();
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    match order {
-        FirstFitOrder::Input => {}
-        FirstFitOrder::LongestFirst => {
-            idx.sort_by_key(|&i| std::cmp::Reverse(paths.path(i as usize).len()));
-        }
-        FirstFitOrder::MostConflictedFirst => {
-            let loads = paths.edge_loads(graph);
-            idx.sort_by_key(|&i| {
-                let s: u64 = paths
-                    .path(i as usize)
-                    .edges()
-                    .iter()
-                    .map(|e| loads[e.idx()] as u64)
-                    .sum();
-                std::cmp::Reverse(s)
-            });
-        }
-    }
-
+    let FirstFitOrder::Input = order;
     let mut loads = ClassLoads::new(graph.num_edges());
-    let mut colors = vec![0u32; n];
     let mut num_colors = 0u32;
-    for &i in &idx {
-        let p = paths.path(i as usize);
-        let c = loads.first_fit(p, b, num_colors).unwrap_or(num_colors);
-        num_colors = num_colors.max(c + 1);
-        loads.add(c, p);
-        colors[i as usize] = c;
-    }
+    let colors = paths
+        .paths()
+        .iter()
+        .map(|p| {
+            let c = loads.first_fit(p, b, num_colors).unwrap_or(num_colors);
+            num_colors = num_colors.max(c + 1);
+            loads.add(c, p);
+            c
+        })
+        .collect();
     Coloring::new(colors, num_colors.max(1))
 }
 
@@ -112,15 +91,9 @@ mod tests {
         let net = LeveledNet::random(12, 6, 2, 5);
         let ps = net.random_walk_paths(80, 6);
         for b in 1..=4 {
-            for order in [
-                FirstFitOrder::Input,
-                FirstFitOrder::LongestFirst,
-                FirstFitOrder::MostConflictedFirst,
-            ] {
-                let col = first_fit(&ps, net.graph(), b, order);
-                assert!(col.multiplex_size(&ps, net.graph()) <= b);
-                assert!(col.num_colors() >= ps.congestion(net.graph()).div_ceil(b));
-            }
+            let col = first_fit(&ps, net.graph(), b, FirstFitOrder::Input);
+            assert!(col.multiplex_size(&ps, net.graph()) <= b);
+            assert!(col.num_colors() >= ps.congestion(net.graph()).div_ceil(b));
         }
     }
 

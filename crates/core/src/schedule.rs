@@ -46,15 +46,6 @@ impl ColorSchedule {
         self.coloring.num_colors() as u64 * self.spacing
     }
 
-    /// Release time of each message.
-    pub fn release_times(&self) -> Vec<u64> {
-        self.coloring
-            .colors()
-            .iter()
-            .map(|&c| c as u64 * self.spacing)
-            .collect()
-    }
-
     /// Materializes simulator message specs (priority = color, so
     /// `Arbitration::PriorityRank` favors earlier classes if runs overlap).
     pub fn to_specs(&self, paths: &PathSet, l: u32) -> Vec<MessageSpec> {
@@ -158,7 +149,12 @@ mod tests {
             coloring: col,
             spacing: 10,
         };
-        assert_eq!(sched.release_times(), vec![0, 20, 10]);
+        let (_, ps) = shared_chain_instance(3, 2);
+        let specs = sched.to_specs(&ps, 4);
+        let releases: Vec<u64> = specs.iter().map(|s| s.release).collect();
+        let priorities: Vec<u32> = specs.iter().map(|s| s.priority).collect();
+        assert_eq!(releases, vec![0, 20, 10]);
+        assert_eq!(priorities, vec![0, 2, 1]);
         assert_eq!(sched.predicted_length(), 30);
     }
 }

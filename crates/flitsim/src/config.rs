@@ -170,7 +170,7 @@ pub enum Engine {
     /// use wormhole_topology::mesh::{Mesh, RoutingDiscipline};
     ///
     /// // Half-ring shifts on a 4x4 adaptive-escape torus, one VC per class.
-    /// let t = Mesh::new_disciplined(4, 2, true, RoutingDiscipline::AdaptiveEscape);
+    /// let t = Mesh::new_disciplined(4, 2, RoutingDiscipline::AdaptiveEscape);
     /// let specs: Vec<MessageSpec> = (0..16)
     ///     .map(|i| (t.node(&[i / 4, i % 4]), t.node(&[(i / 4 + 2) % 4, i % 4])))
     ///     .map(|(src, dst)| MessageSpec::new(t.route(src, dst), 4))
@@ -340,7 +340,7 @@ pub struct SimConfig {
     /// step 0. It only affects cost — the `SimResult` is bit-identical
     /// for every valid plan and thread count.
     pub regions: Option<RegionPlan>,
-    /// Timed link/router kills applied during the run (validated against
+    /// Timed edge kills applied during the run (validated against
     /// the graph at simulation start; see
     /// `wormhole_topology::fault::FaultPlan`). A kill scheduled at step
     /// `t` takes effect at the start of step `t`, in **every** engine
@@ -416,7 +416,7 @@ impl SimConfig {
         self
     }
 
-    /// Installs a fault plan (timed link/router kills; see
+    /// Installs a fault plan (timed edge kills; see
     /// [`SimConfig::faults`]).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);

@@ -32,8 +32,6 @@ use crate::wormhole::SimError;
 pub struct VctConfig {
     /// Per-edge buffer capacity in flits (`F ≥ 1`), all from one message.
     pub buffer_flits: u32,
-    /// Step cap.
-    pub max_steps: u64,
     /// Seed for claim arbitration.
     pub seed: u64,
 }
@@ -44,7 +42,6 @@ impl VctConfig {
         assert!(f >= 1, "buffer must hold at least one flit");
         Self {
             buffer_flits: f,
-            max_steps: 100_000_000,
             seed: 0,
         }
     }
@@ -98,7 +95,7 @@ pub fn run(
     let mut t: u64 = 0;
     let mut last_finish = 0u64;
     let outcome = loop {
-        if let Some(outcome) = clock.tick(&mut t, config.max_steps, &mut active) {
+        if let Some(outcome) = clock.tick(&mut t, &mut active) {
             break outcome;
         }
 
@@ -238,6 +235,7 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::message::{specs_from_paths, SpecError};
+    use crate::source::STEP_CAP;
     use wormhole_topology::random_nets::shared_chain_instance;
 
     #[test]
@@ -325,11 +323,11 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.messages[1].first_move, Some(1_000));
 
-        let mut capped = VctConfig::new(2);
-        capped.max_steps = 500;
-        let r = run(&g, &specs, &capped).unwrap();
+        // Released past the cap: the idle network stops at the cap.
+        specs[1].release = STEP_CAP + 1_000;
+        let r = run(&g, &specs, &VctConfig::new(2)).unwrap();
         assert_eq!(r.outcome, Outcome::MaxSteps);
-        assert_eq!(r.total_steps, 500);
+        assert_eq!(r.total_steps, STEP_CAP);
         assert_eq!(r.delivered(), 1);
         assert_eq!(r.messages[1].first_move, None, "never injected");
     }

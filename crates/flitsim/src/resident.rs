@@ -1060,7 +1060,7 @@ mod tests {
     }
 
     fn torus(radix: u32, dims: u32) -> Mesh {
-        Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+        Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape)
     }
 
     /// Random `(at, dst, prev, misroutes_ok)` under random static and

@@ -24,48 +24,29 @@
 //!
 //! ```
 //! use wormhole_flitsim::message::specs_from_paths;
-//! use wormhole_flitsim::restricted::{self, RestrictedConfig};
+//! use wormhole_flitsim::restricted;
 //! use wormhole_topology::random_nets::shared_chain_instance;
 //!
 //! // A lone worm needs only its own tokens: d + L − 1, as at full bandwidth.
 //! let (g, ps) = shared_chain_instance(1, 8);
-//! let lone = restricted::run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3))?;
+//! let lone = restricted::run(&g, &specs_from_paths(&ps, 6), 3)?;
 //! assert_eq!(lone.total_steps, 8 + 6 - 1);
 //!
 //! // B = 3 worms on one chain all get a VC at once (at full bandwidth they
 //! // would finish together at 13) but time-share the one wire.
 //! let (g, ps) = shared_chain_instance(3, 8);
-//! let shared = restricted::run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3))?;
+//! let shared = restricted::run(&g, &specs_from_paths(&ps, 6), 3)?;
 //! assert_eq!((shared.max_vcs_in_use, shared.total_steps), (3, 25));
 //! # Ok::<(), wormhole_flitsim::wormhole::SimError>(())
 //! ```
 
 use wormhole_topology::graph::Graph;
 
+use crate::config::ConfigError;
 use crate::message::{check_specs, MessageSpec};
 use crate::source::ReleaseClock;
 use crate::stats::{MessageOutcome, Outcome, SimResult};
 use crate::wormhole::SimError;
-
-/// Restricted-model configuration.
-#[derive(Clone, Debug)]
-pub struct RestrictedConfig {
-    /// Virtual channels (one-flit buffers) per edge, `B ≥ 1`.
-    pub vcs: u32,
-    /// Step cap.
-    pub max_steps: u64,
-}
-
-impl RestrictedConfig {
-    /// Config with `b` virtual channels per edge.
-    pub fn new(b: u32) -> Self {
-        assert!(b >= 1, "need at least one virtual channel");
-        Self {
-            vcs: b,
-            max_steps: 100_000_000,
-        }
-    }
-}
 
 /// Flit position: not yet injected.
 const UNINJECTED: u32 = 0;
@@ -73,20 +54,20 @@ const UNINJECTED: u32 = 0;
 /// head of path edge `p`" (`1 ≤ p < d`).
 const DELIVERED: u32 = u32::MAX;
 
-/// Runs the restricted model over precomputed paths. The returned
-/// [`SimResult`] reuses the wormhole result type; a deadlocked run names
-/// the stuck messages in [`Outcome::Deadlock`] but carries no wait-for
-/// report.
+/// Runs the restricted model over precomputed paths with `b` virtual
+/// channels (one-flit buffers) per edge. The returned [`SimResult`]
+/// reuses the wormhole result type; a deadlocked run names the stuck
+/// messages in [`Outcome::Deadlock`] but carries no wait-for report.
 ///
 /// # Errors
 ///
+/// Before step 0: [`ConfigError::NoVcs`] for `b = 0`, then
 /// [`SimError::Spec`] for the first spec of the slice with an empty
-/// path, an edge id `graph` lacks or zero length, before step 0.
-pub fn run(
-    graph: &Graph,
-    specs: &[MessageSpec],
-    config: &RestrictedConfig,
-) -> Result<SimResult, SimError> {
+/// path, an edge id `graph` lacks or zero length.
+pub fn run(graph: &Graph, specs: &[MessageSpec], b: u32) -> Result<SimResult, SimError> {
+    if b == 0 {
+        return Err(SimError::Config(ConfigError::NoVcs));
+    }
     check_specs(graph, specs)?;
     let n = specs.len();
     let mut pos: Vec<Vec<u32>> = specs
@@ -110,7 +91,7 @@ pub fn run(
     let mut t: u64 = 0;
     let mut last_finish = 0u64;
     let outcome = loop {
-        if let Some(outcome) = clock.tick(&mut t, config.max_steps, &mut active) {
+        if let Some(outcome) = clock.tick(&mut t, &mut active) {
             break outcome;
         }
 
@@ -138,7 +119,7 @@ pub fn run(
                     if pred != DELIVERED && pred <= target {
                         continue;
                     }
-                } else if holders[e] >= config.vcs {
+                } else if holders[e] >= b {
                     // Header: needs a VC on the edge it crosses.
                     continue;
                 }
@@ -237,6 +218,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::message::specs_from_paths;
+    use crate::source::STEP_CAP;
     use wormhole_topology::graph::{GraphBuilder, NodeId};
     use wormhole_topology::path::Path;
     use wormhole_topology::random_nets::shared_chain_instance;
@@ -247,7 +229,7 @@ mod tests {
     #[test]
     fn three_worms_on_a_shared_chain_golden() {
         let (g, ps) = shared_chain_instance(3, 8);
-        let r = run(&g, &specs_from_paths(&ps, 6), &RestrictedConfig::new(3)).unwrap();
+        let r = run(&g, &specs_from_paths(&ps, 6), 3).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(
             (r.total_steps, r.total_stalls, r.flit_hops, r.max_vcs_in_use),
@@ -262,7 +244,7 @@ mod tests {
         let (g, ps) = shared_chain_instance(5, 6);
         let specs = specs_from_paths(&ps, 4);
         for (b, steps, stalls) in [(1, 29, 50), (2, 25, 32), (4, 25, 20)] {
-            let r = run(&g, &specs, &RestrictedConfig::new(b)).unwrap();
+            let r = run(&g, &specs, b).unwrap();
             assert_eq!(r.outcome, Outcome::Completed);
             assert_eq!(
                 (r.total_steps, r.total_stalls, r.flit_hops, r.max_vcs_in_use),
@@ -277,22 +259,18 @@ mod tests {
         let (g, ps) = shared_chain_instance(2, 4);
         let mut specs = specs_from_paths(&ps, 3);
         specs[1].release = 1_000;
-        let r = run(&g, &specs, &RestrictedConfig::new(1)).unwrap();
+        let r = run(&g, &specs, 1).unwrap();
         assert_eq!(r.messages[0].finished, Some(6));
         assert_eq!(r.messages[1].first_move, Some(1_000));
         assert_eq!(r.total_steps, 1_006);
         assert_eq!(r.total_stalls, 0);
 
-        let mut capped = RestrictedConfig::new(1);
-        capped.max_steps = 500;
-        let r = run(&g, &specs, &capped).unwrap();
+        // Released past the cap: the idle network stops at the cap.
+        specs[1].release = STEP_CAP + 1_000;
+        let r = run(&g, &specs, 1).unwrap();
         assert_eq!(r.outcome, Outcome::MaxSteps);
-        assert_eq!(r.total_steps, 500);
+        assert_eq!(r.total_steps, STEP_CAP);
         assert_eq!(r.delivered(), 1);
-        capped.max_steps = 4;
-        let r = run(&g, &specs, &capped).unwrap();
-        assert_eq!((&r.outcome, r.total_steps), (&Outcome::MaxSteps, 4));
-        assert_eq!(r.delivered(), 0);
     }
 
     #[test]
@@ -308,10 +286,10 @@ mod tests {
             MessageSpec::new(Path::new(vec![e[0], e[1], e[2]]), 4),
             MessageSpec::new(Path::new(vec![e[2], e[3], e[0]]), 4),
         ];
-        let r = run(&g, &specs, &RestrictedConfig::new(1)).unwrap();
+        let r = run(&g, &specs, 1).unwrap();
         assert_eq!(r.outcome, Outcome::Deadlock(vec![0, 1]));
         assert_eq!(r.delivered(), 0);
-        let r = run(&g, &specs, &RestrictedConfig::new(2)).unwrap();
+        let r = run(&g, &specs, 2).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
     }
 
@@ -320,7 +298,7 @@ mod tests {
         // One worm alone: it crosses ≤ min(L, d) edges per step but that
         // needs only its own tokens, so it still advances every step.
         let (g, ps) = shared_chain_instance(1, 5);
-        let r = run(&g, &specs_from_paths(&ps, 4), &RestrictedConfig::new(2)).unwrap();
+        let r = run(&g, &specs_from_paths(&ps, 4), 2).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.total_steps, 5 + 4 - 1);
     }
@@ -334,7 +312,7 @@ mod tests {
         let (g, ps) = shared_chain_instance(b, 8);
         let specs = specs_from_paths(&ps, 6);
         let full = crate::wormhole::run(&g, &specs, &SimConfig::new(b).check_invariants(true));
-        let restricted = run(&g, &specs, &RestrictedConfig::new(b)).unwrap();
+        let restricted = run(&g, &specs, b).unwrap();
         assert_eq!(full.outcome, Outcome::Completed);
         assert_eq!(restricted.outcome, Outcome::Completed);
         assert!(

@@ -45,9 +45,7 @@ pub(crate) struct Sim<'a> {
     /// Cached [`TrafficSource::reactive`] — `true` pins the event
     /// drivers' windows to one step.
     pub(crate) reactive: bool,
-    /// Expanded per-edge kill schedule from [`SimConfig::faults`]:
-    /// ascending `(at, edge)`, router kills expanded to their incident
-    /// edges, earliest kill time kept per edge
+    /// The kill schedule of [`SimConfig::faults`], ascending `(at, edge)`
     /// ([`wormhole_topology::fault::FaultPlan::edge_schedule`]).
     kill_schedule: Vec<(u64, u32)>,
     /// Cursor into `kill_schedule`: entries before it are applied.
@@ -152,7 +150,7 @@ impl<'a> Sim<'a> {
     ) -> Result<Self, SimError> {
         let router = router.filter(|_| config.route_selection != RouteSelection::Oblivious);
         let kill_schedule = match &config.faults {
-            Some(plan) if !plan.is_empty() => plan.edge_schedule(graph),
+            Some(plan) if !plan.is_empty() => plan.edge_schedule(),
             _ => Vec::new(),
         };
         let rules = VcRules::new(graph, config, !kill_schedule.is_empty());

@@ -125,6 +125,11 @@ pub(crate) fn release_order(n: usize, release: impl Fn(u32) -> u64) -> Vec<u32> 
     order
 }
 
+/// The step cap of the three standalone baselines: flit steps in
+/// [`crate::restricted`] and [`crate::cut_through`], message steps in
+/// [`crate::store_forward`].
+pub(crate) const STEP_CAP: u64 = 100_000_000;
+
 /// The loop head the three standalone baselines share
 /// ([`crate::restricted`], [`crate::cut_through`],
 /// [`crate::store_forward`]): a batch's `(release, id)` pairs in
@@ -143,19 +148,19 @@ impl ReleaseClock {
         }
     }
 
-    /// The start of step `*t`, with `active` in flight and a cap of
-    /// `cap` steps: how the run ends here, if it does — nothing in flight
-    /// and nothing left to release, or the cap reached, an idle network
-    /// having first jumped to its next release but never past the cap —
-    /// or else `None`, with every id released by `*t` pushed on `active`.
-    pub(crate) fn tick(&mut self, t: &mut u64, cap: u64, active: &mut Vec<u32>) -> Option<Outcome> {
+    /// The start of step `*t`, with `active` in flight: how the run ends
+    /// here, if it does — nothing in flight and nothing left to release,
+    /// or [`STEP_CAP`] reached, an idle network having first jumped to its
+    /// next release but never past the cap — or else `None`, with every
+    /// id released by `*t` pushed on `active`.
+    pub(crate) fn tick(&mut self, t: &mut u64, active: &mut Vec<u32>) -> Option<Outcome> {
         if active.is_empty() {
             let Some(&(release, _)) = self.due.get(self.next) else {
                 return Some(Outcome::Completed);
             };
-            *t = (*t).max(release.min(cap));
+            *t = (*t).max(release.min(STEP_CAP));
         }
-        if *t >= cap {
+        if *t >= STEP_CAP {
             return Some(Outcome::MaxSteps);
         }
         while let Some(&(_, id)) = self.due.get(self.next).filter(|due| due.0 <= *t) {
@@ -263,6 +268,22 @@ mod tests {
         src.take_ready(9, &mut out);
         assert!(out.is_empty());
         assert_eq!(src.next_release(9), Some(10));
+    }
+
+    #[test]
+    fn the_release_clock_stops_at_the_cap_in_flight_and_idle() {
+        let mut clock = ReleaseClock::new(2, |i| [0, STEP_CAP + 5][i as usize]);
+        let (mut t, mut active) = (0, Vec::new());
+        assert_eq!(clock.tick(&mut t, &mut active), None);
+        assert_eq!((t, &active[..]), (0, &[0][..]));
+        // In flight at the cap: the run ends there.
+        t = STEP_CAP;
+        assert_eq!(clock.tick(&mut t, &mut active), Some(Outcome::MaxSteps));
+        // Idle, the next release past the cap: the jump stops at the cap.
+        active.clear();
+        t = 7;
+        assert_eq!(clock.tick(&mut t, &mut active), Some(Outcome::MaxSteps));
+        assert_eq!((t, active.len()), (STEP_CAP, 0));
     }
 
     #[test]

@@ -280,10 +280,8 @@ pub struct SimResult {
     /// over messages. Nonzero only under
     /// [`crate::config::RouteSelection::FullyAdaptive`].
     pub misroute_hops: u64,
-    /// Faulted runs: number of *edge* kills from `SimConfig::faults`
-    /// actually applied before the run ended (a router kill counts once
-    /// per edge it takes down; an edge killed by several events counts
-    /// at its earliest kill time only).
+    /// Faulted runs: number of edge kills from `SimConfig::faults`
+    /// actually applied before the run ended.
     pub kills_applied: u64,
     /// Faulted runs: messages discarded with
     /// [`DiscardReason::LinkDown`] — their path died under them.

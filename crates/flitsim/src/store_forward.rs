@@ -34,15 +34,12 @@ pub enum SfArbitration {
 pub struct SfConfig {
     /// Contention policy.
     pub arbitration: SfArbitration,
-    /// Step cap (message steps).
-    pub max_steps: u64,
 }
 
 impl Default for SfConfig {
     fn default() -> Self {
         Self {
             arbitration: SfArbitration::Fifo,
-            max_steps: 50_000_000,
         }
     }
 }
@@ -71,14 +68,9 @@ impl SfResult {
     }
 }
 
-/// Runs store-and-forward routing of `paths` over `graph`; `releases[i]`
-/// (message steps) gates injection of message `i` (pass an empty slice for
-/// all-at-zero).
-pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) -> SfResult {
-    assert!(
-        releases.is_empty() || releases.len() == paths.len(),
-        "releases must be empty or one per message"
-    );
+/// Runs store-and-forward routing of `paths` over `graph`, every message
+/// injected at step 0.
+pub fn run(graph: &Graph, paths: &PathSet, config: &SfConfig) -> SfResult {
     let n = paths.len();
     // Position of each message: number of edges crossed so far; `u32::MAX`
     // marks finished. A message that has crossed `j ≥ 1` edges occupies the
@@ -87,7 +79,7 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
     let mut finished: Vec<Option<u64>> = vec![None; n];
     let mut buffer_count = vec![0u32; graph.num_edges()];
 
-    let mut clock = ReleaseClock::new(n, |i| releases.get(i as usize).map_or(0, |&r| r));
+    let mut clock = ReleaseClock::new(n, |_| 0);
     let mut active: Vec<u32> = Vec::new();
 
     // Scratch: contenders per edge.
@@ -98,7 +90,7 @@ pub fn run(graph: &Graph, paths: &PathSet, releases: &[u64], config: &SfConfig) 
     let mut total_stalls = 0u64;
     let mut max_occ = 0u32;
     let outcome = loop {
-        if let Some(outcome) = clock.tick(&mut t, config.max_steps, &mut active) {
+        if let Some(outcome) = clock.tick(&mut t, &mut active) {
             break outcome;
         }
 
@@ -178,7 +170,7 @@ mod tests {
     #[test]
     fn lone_message_takes_d_message_steps() {
         let (g, ps) = shared_chain_instance(1, 7);
-        let r = run(&g, &ps, &[], &SfConfig::default());
+        let r = run(&g, &ps, &SfConfig::default());
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.message_steps, 7);
         assert_eq!(r.flit_steps(4), 28);
@@ -190,16 +182,9 @@ mod tests {
         // is a pipeline: makespan = C + D − 1 message steps.
         let (c, d) = (5u32, 9u32);
         let (g, ps) = shared_chain_instance(c, d);
-        let r = run(&g, &ps, &[], &SfConfig::default());
+        let r = run(&g, &ps, &SfConfig::default());
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.message_steps, (c + d - 1) as u64);
-    }
-
-    #[test]
-    fn releases_delay_injection() {
-        let (g, ps) = shared_chain_instance(1, 4);
-        let r = run(&g, &ps, &[10], &SfConfig::default());
-        assert_eq!(r.message_steps, 14);
     }
 
     #[test]
@@ -214,44 +199,16 @@ mod tests {
         let ps = PathSet::new(vec![Path::new(vec![e0]), Path::new(vec![e0, e1, e2])]);
         let config = SfConfig {
             arbitration: SfArbitration::FarthestFirst,
-            ..SfConfig::default()
         };
-        let r = run(&g, &ps, &[], &config);
+        let r = run(&g, &ps, &config);
         assert_eq!(r.finished[1], Some(3), "long message goes first");
         assert_eq!(r.finished[0], Some(2), "short one follows");
     }
 
     #[test]
-    fn max_steps_aborts() {
-        let (g, ps) = shared_chain_instance(100, 3);
-        let config = SfConfig {
-            max_steps: 2,
-            ..SfConfig::default()
-        };
-        let r = run(&g, &ps, &[], &config);
-        assert_eq!(r.outcome, Outcome::MaxSteps);
-    }
-
-    #[test]
-    fn idle_gaps_jump_to_the_next_release_and_stop_at_the_cap() {
-        let (g, ps) = shared_chain_instance(2, 4);
-        let r = run(&g, &ps, &[0, 1_000], &SfConfig::default());
-        assert_eq!(r.finished, [Some(4), Some(1_004)]);
-
-        let capped = SfConfig {
-            max_steps: 500,
-            ..SfConfig::default()
-        };
-        let r = run(&g, &ps, &[0, 1_000], &capped);
-        assert_eq!(r.outcome, Outcome::MaxSteps);
-        assert_eq!(r.message_steps, 500);
-        assert_eq!(r.finished, [Some(4), None], "second never injected");
-    }
-
-    #[test]
     fn empty_input() {
         let (g, _) = shared_chain_instance(1, 2);
-        let r = run(&g, &PathSet::new(vec![]), &[], &SfConfig::default());
+        let r = run(&g, &PathSet::new(vec![]), &SfConfig::default());
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.message_steps, 0);
     }

@@ -52,7 +52,7 @@ fn assert_engines_agree(g: &Graph, specs: &[MessageSpec], config: &SimConfig) ->
 }
 
 fn adaptive_torus(radix: u32, dims: u32) -> Mesh {
-    Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+    Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape)
 }
 
 fn run_adaptive_to_completion(t: &Mesh, specs: &[MessageSpec], config: &SimConfig) -> SimResult {

@@ -2,8 +2,11 @@
 //! color classes.
 //!
 //! Sweeps `B` on a fixed controlled-(C, D) instance and `D` at fixed `B`,
-//! reporting the class counts of the adaptive LLL pipeline and first-fit
+//! reporting the class counts of `adaptive_min_colors` and first-fit
 //! against the theorem's formula, plus the executed (zero-stall) makespan.
+//! `adaptive_min_colors` runs one Case-1 split search, from the trivial
+//! coloring straight to multiplex ≤ `B`, then a first-fit compaction: no
+//! staging. The staged Thm 2.1.6 `run_pipeline` is not what runs here.
 
 use wormhole_core::bounds::{general_upper_bound, general_upper_bound_colors};
 use wormhole_core::firstfit::{first_fit, FirstFitOrder};

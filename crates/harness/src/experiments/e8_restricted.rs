@@ -9,7 +9,7 @@ use wormhole_baselines::greedy_wormhole::greedy_wormhole;
 use wormhole_core::firstfit::{first_fit, FirstFitOrder};
 use wormhole_core::pipeline::adaptive_min_colors;
 use wormhole_core::schedule::ColorSchedule;
-use wormhole_flitsim::restricted::{self, RestrictedConfig};
+use wormhole_flitsim::restricted;
 use wormhole_topology::lowerbound::build;
 
 use crate::cells;
@@ -62,7 +62,7 @@ pub fn run(fast: bool) -> Vec<Table> {
             spacing: b as u64 * ColorSchedule::paper_spacing(l, d),
         };
         let specs = restricted_sched.to_specs(&net.paths, l);
-        let run = restricted::run(&net.graph, &specs, &RestrictedConfig::new(b)).expect(ROUTED);
+        let run = restricted::run(&net.graph, &specs, b).expect(ROUTED);
         assert_eq!(
             run.outcome,
             wormhole_flitsim::stats::Outcome::Completed,
@@ -94,8 +94,7 @@ pub fn run(fast: bool) -> Vec<Table> {
         // restricted stepper serves worms in rotating token order —
         // deterministic, nothing to seed.
         let specs = wormhole_flitsim::message::specs_from_paths(&net.paths, l);
-        let restricted =
-            restricted::run(&net.graph, &specs, &RestrictedConfig::new(b)).expect(ROUTED);
+        let restricted = restricted::run(&net.graph, &specs, b).expect(ROUTED);
         t2.row(&cells!(
             b,
             full,

@@ -1,7 +1,8 @@
 //! E9 — footnote 5: the naive conflict-free coloring (`≤ D(C−1)+1`
-//! classes, `O((L+D)CD)` flit steps) versus the Theorem 2.1.6 pipeline and
-//! first-fit. The naive schedule's class count grows with `D`; the
-//! B-bounded schedules' counts do not.
+//! classes, `O((L+D)CD)` flit steps) versus `adaptive_min_colors` (one
+//! Case-1 split search plus compaction, no staging) and first-fit. The
+//! naive schedule's class count grows with `D`; the B-bounded schedules'
+//! counts do not.
 
 use wormhole_baselines::naive_coloring::{naive_color_bound, naive_coloring};
 use wormhole_core::firstfit::{first_fit, FirstFitOrder};

@@ -21,7 +21,7 @@ use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
 use wormhole_workloads::{RoutingDiscipline, Substrate, TrafficPattern};
 
 use crate::cells;
-use crate::open_loop_grid::{outcome_cell, run_grid, saturation_throughputs, Case, Grid, Point};
+use crate::open_loop_grid::{outcome_cell, run_grid, saturation_throughputs, Case, Grid};
 use crate::table::{fnum, Table};
 
 fn cases(fast: bool) -> Vec<Case> {
@@ -81,19 +81,6 @@ pub(crate) fn config(_: &Case, _: &str, b: u32) -> SimConfig {
     SimConfig::new(b)
         .arbitration(Arbitration::Random)
         .seed(0x5eed ^ b as u64)
-}
-
-/// Saturation throughputs for uniform-random butterfly traffic keyed by
-/// `B` — the monotonicity headline, computed from the structured sweep
-/// (no table parsing).
-pub fn uniform_saturation_curve(points: &[Point]) -> Vec<(u32, f64)> {
-    let mut out: Vec<(u32, f64)> = saturation_throughputs(points)
-        .into_iter()
-        .filter(|(p, _)| p.substrate.starts_with("butterfly") && p.pattern == "uniform")
-        .map(|(p, v)| (p.b, v))
-        .collect();
-    out.sort_by_key(|&(b, _)| b);
-    out
 }
 
 /// Runs X2.
@@ -168,7 +155,20 @@ pub fn run(fast: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::open_loop_grid::assert_engines_agree_pointwise;
+    use crate::open_loop_grid::{assert_engines_agree_pointwise, Point};
+
+    /// Saturation throughputs for uniform-random butterfly traffic keyed by
+    /// `B` — the monotonicity headline, computed from the structured sweep
+    /// (no table parsing).
+    fn uniform_saturation_curve(points: &[Point]) -> Vec<(u32, f64)> {
+        let mut out: Vec<(u32, f64)> = saturation_throughputs(points)
+            .into_iter()
+            .filter(|(p, _)| p.substrate.starts_with("butterfly") && p.pattern == "uniform")
+            .map(|(p, v)| (p.b, v))
+            .collect();
+        out.sort_by_key(|&(b, _)| b);
+        out
+    }
 
     /// One shared fast sweep: the measurement is deterministic, so every
     /// assertion can read the same points.

@@ -105,7 +105,7 @@ pub fn run_with(fast: bool, engine: Engine) -> Vec<Table> {
     );
     for &(radix, dims) in tori {
         for discipline in [RoutingDiscipline::Naive, RoutingDiscipline::DatelineClasses] {
-            let mesh = Mesh::new_disciplined(radix, dims, true, discipline);
+            let mesh = Mesh::new_disciplined(radix, dims, discipline);
             let paths = tornado_paths(&mesh);
             let acyclic = channel_dependency_graph(mesh.graph(), &paths).is_acyclic();
             let specs = specs_from_path_slice(&paths, l);
@@ -160,7 +160,7 @@ mod tests {
     fn x7_torus_batch_matches_x2_wiring() {
         // The batch tornado paths are exactly the routes the open-loop
         // substrate serves: same hop counts, same class structure.
-        let mesh = Mesh::new_disciplined(5, 2, true, RoutingDiscipline::DatelineClasses);
+        let mesh = Mesh::new_disciplined(5, 2, RoutingDiscipline::DatelineClasses);
         let paths = tornado_paths(&mesh);
         assert_eq!(paths.len() as u32, mesh.num_nodes());
         for p in &paths {

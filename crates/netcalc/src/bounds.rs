@@ -579,7 +579,7 @@ mod tests {
 
     #[test]
     fn cyclic_graphs_are_rejected() {
-        let torus = Mesh::new(4, 2, true);
+        let torus = Mesh::new(4, 2);
         let p = torus.route(NodeId(0), NodeId(3));
         let f = Flow {
             edges: p.edges().to_vec(),

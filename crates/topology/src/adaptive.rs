@@ -36,7 +36,7 @@
 //! use wormhole_topology::graph::NodeId;
 //! use wormhole_topology::mesh::{Mesh, RoutingDiscipline};
 //!
-//! let t = Mesh::new_disciplined(4, 2, true, RoutingDiscipline::AdaptiveEscape);
+//! let t = Mesh::new_disciplined(4, 2, RoutingDiscipline::AdaptiveEscape);
 //! let (at, dst) = (t.node(&[0, 0]), t.node(&[2, 1]));
 //! let mut cand = Vec::new();
 //! t.adaptive_candidates(at, dst, false, &mut cand);
@@ -150,7 +150,7 @@ mod tests {
     use crate::mesh::RoutingDiscipline;
 
     fn torus(radix: u32, dims: u32) -> Mesh {
-        Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+        Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape)
     }
 
     #[test]
@@ -233,19 +233,5 @@ mod tests {
                 "escape routes on {radix}^{dims} must be acyclic"
             );
         }
-    }
-
-    #[test]
-    fn mesh_without_wrap_supports_adaptive_escape() {
-        let m = Mesh::new_disciplined(3, 2, false, RoutingDiscipline::AdaptiveEscape);
-        assert_eq!(m.discipline(), RoutingDiscipline::AdaptiveEscape);
-        let p = m.escape_route(NodeId(0), NodeId(8));
-        p.validate(Mesh::graph(&m)).unwrap();
-        assert!(p.edges().iter().all(|&e| m.is_escape_edge(e)));
-        let mut cand = Vec::new();
-        m.candidates(NodeId(0), NodeId(8), true, &mut cand);
-        // Corner node: two profitable directions exist, no minus links.
-        assert_eq!(cand.len(), 2);
-        assert!(cand.iter().all(|&(_, p)| p));
     }
 }

@@ -171,13 +171,6 @@ impl Butterfly {
         Path::new(edges)
     }
 
-    /// The level crossed by the `j`-th edge of any path starting at level 0
-    /// (paths here are level-aligned: edge `j` spans levels `j → j+1`).
-    #[inline]
-    pub fn edge_level(&self, e: EdgeId) -> u32 {
-        e.0 / (2 * self.n_inputs())
-    }
-
     /// ASCII rendering of a small single-pass butterfly (Fig. 1 for `k=3`).
     /// Columns run left to right, levels top to bottom; `|` marks straight
     /// edges and the `\ /` pairs mark cross pairs within each block.
@@ -293,12 +286,13 @@ mod tests {
     fn two_pass_passes_are_disjoint_edge_sets() {
         let bf = Butterfly::two_pass(3);
         let p = bf.two_pass_path(0, 7, 0);
+        let level = |e: &EdgeId| bf.level_of(bf.graph().src(*e));
         let (first, second) = p.edges().split_at(3);
         for e in first {
-            assert!(bf.edge_level(*e) < 3);
+            assert!(level(e) < 3);
         }
         for e in second {
-            assert!(bf.edge_level(*e) >= 3);
+            assert!(level(e) >= 3);
         }
     }
 
@@ -306,15 +300,6 @@ mod tests {
     fn butterfly_is_leveled_and_acyclic() {
         assert!(Butterfly::new(5).graph().is_acyclic());
         assert!(Butterfly::two_pass(4).graph().is_acyclic());
-    }
-
-    #[test]
-    fn edge_level_matches_src_level() {
-        let bf = Butterfly::two_pass(3);
-        let g = bf.graph();
-        for e in g.edges() {
-            assert_eq!(bf.edge_level(e), bf.level_of(g.src(e)));
-        }
     }
 
     #[test]

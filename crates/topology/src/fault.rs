@@ -1,7 +1,7 @@
-//! Fault plans and fault-aware routing: timed link/router kills with a
+//! Fault plans and fault-aware routing: timed edge kills with a
 //! deadlock-free escape network on the surviving topology.
 //!
-//! A [`FaultPlan`] is a validated list of timed kill events. The
+//! A [`FaultPlan`] is a validated list of timed edge kills. The
 //! simulator (`wormhole-flitsim`) applies them as discrete events — a
 //! killed channel stops accepting new virtual channels and every worm
 //! holding or committed to it is discarded — while this module answers
@@ -58,33 +58,15 @@ use crate::graph::{EdgeId, Graph, NodeId};
 use crate::mesh::Mesh;
 use crate::path::Path;
 
-/// What a single fault event kills.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FaultTarget {
-    /// One directed edge (a single physical link direction; on a
-    /// multi-class mesh, one VC class of it — use whole-channel kills
-    /// when the faulted escape network must stay deadlock-free).
-    Link(EdgeId),
-    /// A whole router: every edge into or out of the node dies.
-    Router(NodeId),
-}
-
-impl fmt::Display for FaultTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultTarget::Link(e) => write!(f, "link {}", e.0),
-            FaultTarget::Router(v) => write!(f, "router {}", v.0),
-        }
-    }
-}
-
-/// One timed kill: `target` dies at the start of step `at`.
+/// One timed kill: `edge` dies at the start of step `at`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Simulation step at which the kill takes effect.
     pub at: u64,
-    /// What dies.
-    pub target: FaultTarget,
+    /// The directed edge that dies (a single physical link direction; on
+    /// a multi-class mesh, one VC class of it — use whole-channel kills
+    /// when the faulted escape network must stay deadlock-free).
+    pub edge: EdgeId,
 }
 
 /// A validated schedule of kill events.
@@ -110,23 +92,14 @@ pub enum FaultError {
         /// Number of edges in the graph.
         num_edges: usize,
     },
-    /// A kill names a node id the graph does not have.
-    UnknownRouter {
-        /// Index of the offending event in the plan.
-        kill: usize,
-        /// The out-of-range node id.
-        router: u32,
-        /// Number of nodes in the graph.
-        num_nodes: usize,
-    },
-    /// The same target is killed twice.
+    /// The same edge is killed twice.
     DuplicateKill {
         /// Index of the later (offending) event.
         kill: usize,
-        /// Index of the earlier event with the same target.
+        /// Index of the earlier event with the same edge.
         first: usize,
-        /// The doubly-killed target.
-        target: FaultTarget,
+        /// The doubly-killed edge id.
+        edge: u32,
     },
     /// On a mesh, a kill took some VC classes of a physical channel but
     /// not all of them. The faulted escape network's acyclicity proof
@@ -169,21 +142,9 @@ impl fmt::Display for FaultError {
                 f,
                 "kill #{kill}: unknown link {edge} (graph has {num_edges} edges)"
             ),
-            FaultError::UnknownRouter {
-                kill,
-                router,
-                num_nodes,
-            } => write!(
+            FaultError::DuplicateKill { kill, first, edge } => write!(
                 f,
-                "kill #{kill}: unknown router {router} (graph has {num_nodes} routers)"
-            ),
-            FaultError::DuplicateKill {
-                kill,
-                first,
-                target,
-            } => write!(
-                f,
-                "kill #{kill}: duplicate kill of {target} (first killed by kill #{first})"
+                "kill #{kill}: duplicate kill of link {edge} (first killed by kill #{first})"
             ),
             FaultError::PartialChannelKill {
                 node,
@@ -223,10 +184,7 @@ impl FaultPlan {
 
     /// Adds a link kill at step `at`.
     pub fn kill_link(mut self, at: u64, edge: EdgeId) -> Self {
-        self.events.push(FaultEvent {
-            at,
-            target: FaultTarget::Link(edge),
-        });
+        self.events.push(FaultEvent { at, edge });
         self
     }
 
@@ -234,8 +192,6 @@ impl FaultPlan {
     /// `(coords, dim, ±)` of `mesh` at step `at` — the whole-channel
     /// granularity [`FaultedMesh`] requires ([partial-channel
     /// kills](FaultError::PartialChannelKill) are rejected there).
-    ///
-    /// Panics if the channel does not exist (a non-wrap boundary).
     pub fn kill_channel(
         mut self,
         at: u64,
@@ -246,20 +202,8 @@ impl FaultPlan {
     ) -> Self {
         let v = mesh.node(coords);
         for class in 0..mesh.classes() {
-            let e = mesh
-                .try_step_edge(v, dim, minus, class)
-                .expect("no channel at a non-wrap mesh boundary");
-            self = self.kill_link(at, e);
+            self = self.kill_link(at, mesh.step_edge(v, dim, minus, class));
         }
-        self
-    }
-
-    /// Adds a router kill at step `at` (all its in- and out-edges die).
-    pub fn kill_router(mut self, at: u64, router: NodeId) -> Self {
-        self.events.push(FaultEvent {
-            at,
-            target: FaultTarget::Router(router),
-        });
         self
     }
 
@@ -278,88 +222,47 @@ impl FaultPlan {
         self.events.iter().map(|e| e.at).min()
     }
 
-    /// Checks every event against `graph`: targets must exist and no
-    /// target may be killed twice.
+    /// Checks every event against `graph`: edges must exist and no edge
+    /// may be killed twice.
     pub fn validate(&self, graph: &Graph) -> Result<(), FaultError> {
         for (i, ev) in self.events.iter().enumerate() {
-            match ev.target {
-                FaultTarget::Link(e) => {
-                    if e.idx() >= graph.num_edges() {
-                        return Err(FaultError::UnknownLink {
-                            kill: i,
-                            edge: e.0,
-                            num_edges: graph.num_edges(),
-                        });
-                    }
-                }
-                FaultTarget::Router(v) => {
-                    if v.idx() >= graph.num_nodes() {
-                        return Err(FaultError::UnknownRouter {
-                            kill: i,
-                            router: v.0,
-                            num_nodes: graph.num_nodes(),
-                        });
-                    }
-                }
+            if ev.edge.idx() >= graph.num_edges() {
+                return Err(FaultError::UnknownLink {
+                    kill: i,
+                    edge: ev.edge.0,
+                    num_edges: graph.num_edges(),
+                });
             }
-            if let Some(first) = self.events[..i].iter().position(|p| p.target == ev.target) {
+            if let Some(first) = self.events[..i].iter().position(|p| p.edge == ev.edge) {
                 return Err(FaultError::DuplicateKill {
                     kill: i,
                     first,
-                    target: ev.target,
+                    edge: ev.edge.0,
                 });
             }
         }
         Ok(())
     }
 
-    /// The end-of-plan dead set: `dead[e]` is `true` iff edge `e` is
-    /// killed by some event (directly, or via a router kill of either
-    /// endpoint). The plan must already be valid for `graph`.
+    /// The end-of-plan dead set: `dead[e]` is `true` iff some event kills
+    /// edge `e`. The plan must already be valid for `graph`.
     pub fn dead_edges(&self, graph: &Graph) -> Vec<bool> {
         let mut dead = vec![false; graph.num_edges()];
-        for (_, e) in self.edge_kills(graph) {
-            dead[e.idx()] = true;
+        for ev in &self.events {
+            dead[ev.edge.idx()] = true;
         }
         dead
     }
 
-    /// Expands the plan to a per-edge kill schedule sorted by
-    /// `(time, edge)`: each entry is `(at, edge)` with router kills
-    /// expanded to all incident edges. An edge killed by several events
-    /// keeps its earliest time.
-    pub fn edge_schedule(&self, graph: &Graph) -> Vec<(u64, u32)> {
-        let mut at: Vec<Option<u64>> = vec![None; graph.num_edges()];
-        for (t, e) in self.edge_kills(graph) {
-            at[e.idx()] = Some(at[e.idx()].map_or(t, |p: u64| p.min(t)));
-        }
-        let mut sched: Vec<(u64, u32)> = at
-            .iter()
-            .enumerate()
-            .filter_map(|(e, t)| t.map(|t| (t, e as u32)))
-            .collect();
+    /// The plan as a kill schedule of `(at, edge)` sorted by time, then
+    /// edge. The plan must already be valid (no edge killed twice).
+    pub fn edge_schedule(&self) -> Vec<(u64, u32)> {
+        let mut sched: Vec<(u64, u32)> = self.events.iter().map(|ev| (ev.at, ev.edge.0)).collect();
         sched.sort_unstable();
         sched
     }
 
-    /// Every edge kill the plan makes, as `(at, edge)` in plan order: a
-    /// link kill is its edge, a router kill every edge incident to the
-    /// router, in edge-id order.
-    fn edge_kills<'p>(&'p self, graph: &'p Graph) -> impl Iterator<Item = (u64, EdgeId)> + 'p {
-        self.events.iter().flat_map(move |ev| {
-            let edges: Box<dyn Iterator<Item = EdgeId>> = match ev.target {
-                FaultTarget::Link(e) => Box::new(std::iter::once(e)),
-                FaultTarget::Router(v) => Box::new(
-                    graph
-                        .edges()
-                        .filter(move |&e| graph.src(e) == v || graph.dst(e) == v),
-                ),
-            };
-            edges.map(move |e| (ev.at, e))
-        })
-    }
-
-    /// Ring-safe Bernoulli channel failures on a wrap mesh: each
+    /// Ring-safe Bernoulli channel failures on a torus: each
     /// physical channel (a `(node, dim, ±)` link bundle — **all** VC
     /// classes) proposes death with probability `p` at a uniform time in
     /// `1..=horizon`, then per ring only the earliest proposal survives
@@ -371,11 +274,6 @@ impl FaultPlan {
     pub fn bernoulli_channels(mesh: &Mesh, p: f64, horizon: u64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         assert!(horizon >= 1, "horizon must be at least 1");
-        assert!(
-            mesh.wraps(),
-            "ring-safe channel faults need a wrap mesh: a dead channel on a \
-             non-wrap line always severs dimension-order routes"
-        );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut propose = || rng.random_bool(p).then(|| rng.random_range(1..=horizon));
         let radix = mesh.radix();
@@ -410,10 +308,7 @@ impl FaultPlan {
                     let coord = if minus { (b + 1) % radix } else { b };
                     let v = ring_node(mesh, base, d, coord);
                     for class in 0..mesh.classes() {
-                        let e = mesh
-                            .try_step_edge(v, d, minus, class)
-                            .expect("wrap ring channel must exist");
-                        plan = plan.kill_link(at, e);
+                        plan = plan.kill_link(at, mesh.step_edge(v, d, minus, class));
                     }
                 }
             }
@@ -479,10 +374,7 @@ impl<'a> FaultedMesh<'a> {
     /// Whether the whole physical channel `(v, d, ±)` is dead (classes
     /// share fate after validation, so class 0 is representative).
     fn channel_dead(&self, v: NodeId, d: u32, minus: bool) -> bool {
-        match self.mesh.try_step_edge(v, d, minus, 0) {
-            Some(e) => self.dead[e.idx()],
-            None => true, // non-wrap boundary: no channel there at all
-        }
+        self.dead[self.mesh.step_edge(v, d, minus, 0).idx()]
     }
 
     fn check_whole_channels(&self) -> Result<(), FaultError> {
@@ -493,12 +385,11 @@ impl<'a> FaultedMesh<'a> {
                     let mut dead_e = None;
                     let mut alive_e = None;
                     for class in 0..m.classes() {
-                        if let Some(e) = m.try_step_edge(v, d, minus, class) {
-                            if self.dead[e.idx()] {
-                                dead_e.get_or_insert(e);
-                            } else {
-                                alive_e.get_or_insert(e);
-                            }
+                        let e = m.step_edge(v, d, minus, class);
+                        if self.dead[e.idx()] {
+                            dead_e.get_or_insert(e);
+                        } else {
+                            alive_e.get_or_insert(e);
                         }
                     }
                     if let (Some(de), Some(ae)) = (dead_e, alive_e) {
@@ -529,49 +420,28 @@ impl<'a> FaultedMesh<'a> {
                 let mut minus: Vec<u32> = Vec::new();
                 for c in 0..radix {
                     let v = ring_node(m, base, d, c);
-                    // Skip boundaries a line does not have (the `+`
-                    // channel of the last coord, the `−` of the first).
-                    if (m.wraps() || c + 1 < radix) && self.channel_dead(v, d, false) {
+                    if self.channel_dead(v, d, false) {
                         plus.push(c);
                     }
-                    if (m.wraps() || c > 0) && self.channel_dead(v, d, true) {
+                    if self.channel_dead(v, d, true) {
                         minus.push((c + radix - 1) % radix);
                     }
                 }
-                let ok = if m.wraps() {
-                    // All-pairs single-direction reachability on a ring:
-                    // fine iff one direction is fully alive, or both dead
-                    // sets name the same single physical boundary.
-                    plus.is_empty()
-                        || minus.is_empty()
-                        || (plus.len() == 1 && minus.len() == 1 && plus[0] == minus[0])
-                } else {
-                    // A line has no long way around: any dead boundary in
-                    // either direction severs some pair.
-                    plus.is_empty() && minus.is_empty()
-                };
+                // All-pairs single-direction reachability on a ring: fine
+                // iff one direction is fully alive, or both dead sets name
+                // the same single physical boundary.
+                let ok = plus.is_empty()
+                    || minus.is_empty()
+                    || (plus.len() == 1 && minus.len() == 1 && plus[0] == minus[0]);
                 if !ok {
-                    let (p, mn) = if m.wraps() {
-                        // Name a witness pair of distinct boundaries.
-                        let p = *plus.first().unwrap_or(&0);
-                        let q = minus
-                            .iter()
-                            .copied()
-                            .find(|&b| b != p)
-                            .or_else(|| minus.first().copied())
-                            .unwrap_or(0);
-                        (p, q)
-                    } else {
-                        (
-                            plus.first().copied().unwrap_or(0),
-                            minus.first().copied().unwrap_or(0),
-                        )
-                    };
+                    // Name a witness pair of distinct boundaries.
+                    let p = plus[0];
+                    let q = minus.iter().copied().find(|&b| b != p).unwrap_or(minus[0]);
                     return Err(FaultError::RingSevered {
                         dim: d,
                         ring_node: base.0,
                         plus_at: p,
-                        minus_at: mn,
+                        minus_at: q,
                     });
                 }
             }
@@ -587,13 +457,12 @@ impl<'a> FaultedMesh<'a> {
         let mut cur = at;
         let mut c = have;
         while c != want {
-            match m.try_step_edge(cur, d, minus, 0) {
-                Some(e) if !self.dead[e.idx()] => {
-                    cur = m.graph().dst(e);
-                    c = m.coord(cur, d);
-                }
-                _ => return false,
+            let e = m.step_edge(cur, d, minus, 0);
+            if self.dead[e.idx()] {
+                return false;
             }
+            cur = m.graph().dst(e);
+            c = m.coord(cur, d);
         }
         true
     }
@@ -604,7 +473,7 @@ impl<'a> FaultedMesh<'a> {
     fn surviving_direction(&self, at: NodeId, d: u32, have: u32, want: u32) -> bool {
         let m = self.mesh;
         let minimal = m.travels_minus(have, want);
-        if !m.wraps() || self.arc_alive(at, d, have, want, minimal) {
+        if self.arc_alive(at, d, have, want, minimal) {
             minimal
         } else {
             debug_assert!(
@@ -634,12 +503,9 @@ impl AdaptiveRouter for FaultedMesh<'_> {
     /// every validated fault pattern (module docs).
     fn escape_route(&self, at: NodeId, dst: NodeId) -> Path {
         let m = self.mesh;
-        let path = m.ring_walk(
-            at,
-            dst,
-            m.classes() >= 2 && m.wraps(),
-            |cur, d, have, want| self.surviving_direction(cur, d, have, want),
-        );
+        let path = m.ring_walk(at, dst, m.classes() >= 2, |cur, d, have, want| {
+            self.surviving_direction(cur, d, have, want)
+        });
         debug_assert!(
             path.edges().iter().all(|e| !self.dead[e.idx()]),
             "escape route crossed a dead edge"
@@ -659,7 +525,7 @@ mod tests {
     use crate::mesh::RoutingDiscipline;
 
     fn torus(radix: u32, dims: u32) -> Mesh {
-        Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+        Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape)
     }
 
     /// Kills all classes of the physical channel `(coords, d, ±)`.
@@ -684,13 +550,6 @@ mod tests {
         assert!(msg.contains("kill #0"), "{msg}");
         assert!(msg.contains("unknown link"), "{msg}");
 
-        let bad = FaultPlan::new()
-            .kill_link(1, EdgeId(0))
-            .kill_router(2, NodeId(99));
-        let msg = bad.validate(g).unwrap_err().to_string();
-        assert!(msg.contains("kill #1"), "{msg}");
-        assert!(msg.contains("unknown router 99"), "{msg}");
-
         let dup = FaultPlan::new()
             .kill_link(1, EdgeId(0))
             .kill_link(5, EdgeId(0));
@@ -704,7 +563,7 @@ mod tests {
     fn partial_channel_kill_rejected() {
         let m = torus(4, 2);
         // Kill only class 0 of a channel: classes 1 and 2 survive.
-        let e0 = m.try_step_edge(NodeId(0), 0, false, 0).unwrap();
+        let e0 = m.step_edge(NodeId(0), 0, false, 0);
         let plan = FaultPlan::new().kill_link(2, e0);
         let err = FaultedMesh::new(&m, &plan).unwrap_err();
         assert!(
@@ -830,34 +689,5 @@ mod tests {
             FaultPlan::bernoulli_channels(&m, 0.3, 50, 9),
             FaultPlan::bernoulli_channels(&m, 0.3, 50, 9)
         );
-    }
-
-    #[test]
-    fn router_kill_expands_to_incident_edges() {
-        let m = torus(4, 1);
-        let g = m.graph();
-        let plan = FaultPlan::new().kill_router(4, NodeId(1));
-        let dead = plan.dead_edges(g);
-        for e in g.edges() {
-            let incident = g.src(e) == NodeId(1) || g.dst(e) == NodeId(1);
-            assert_eq!(dead[e.idx()], incident, "{e:?}");
-        }
-        let sched = plan.edge_schedule(g);
-        assert_eq!(sched.len(), dead.iter().filter(|&&d| d).count());
-        assert!(sched.iter().all(|&(at, _)| at == 4));
-        assert!(sched.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn edge_schedule_keeps_earliest_time() {
-        let m = torus(4, 1);
-        let g = m.graph();
-        let e = EdgeId(0);
-        let v = g.src(e);
-        // Link killed at 9, then its router at 3: the edge dies at 3.
-        let plan = FaultPlan::new().kill_link(9, e).kill_router(3, v);
-        let sched = plan.edge_schedule(g);
-        let (at, _) = sched.iter().find(|&&(_, id)| id == e.0).unwrap();
-        assert_eq!(*at, 3);
     }
 }

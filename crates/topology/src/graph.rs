@@ -468,16 +468,13 @@ mod tests {
     #[test]
     fn tori_are_not_feedforward_even_with_datelines() {
         use crate::mesh::{Mesh, RoutingDiscipline};
-        let naive = Mesh::new(4, 2, true);
+        let naive = Mesh::new(4, 2);
         assert!(!naive.graph().is_feedforward());
-        let dateline = Mesh::new_disciplined(4, 2, true, RoutingDiscipline::DatelineClasses);
+        let dateline = Mesh::new_disciplined(4, 2, RoutingDiscipline::DatelineClasses);
         assert!(
             !dateline.graph().is_feedforward(),
             "dateline classes break channel-dependency cycles, not graph cycles"
         );
-        // Even a plain mesh is not: opposite-direction channel pairs
-        // between neighbors form 2-cycles in the routing graph.
-        assert!(!Mesh::new(4, 2, false).graph().is_feedforward());
     }
 
     #[test]

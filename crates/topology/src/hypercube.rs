@@ -142,17 +142,6 @@ impl Hypercube {
         }
     }
 
-    /// The bit-complement permutation `v → !v`. Every message has full
-    /// dilation `dim`; under e-cube its paths are mutually edge-disjoint
-    /// (each message's position determines it uniquely), so it is a
-    /// *best*-case congestion workload — useful as a control.
-    pub fn bit_complement_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mask = self.num_nodes() - 1;
-        (0..self.num_nodes())
-            .map(|v| (NodeId(v), NodeId(v ^ mask)))
-            .collect()
-    }
-
     /// The transpose permutation `(a, b) → (b, a)` (swap the high and low
     /// halves of the address) — the classic **adversarial** pattern for
     /// oblivious e-cube routing: `Θ(√n)` messages funnel through single
@@ -278,7 +267,10 @@ mod tests {
     fn bit_complement_is_edge_disjoint_under_ecube() {
         // Full dilation but congestion exactly 1: a control workload.
         let h = Hypercube::new(6);
-        let pairs = h.bit_complement_pairs();
+        let mask = h.num_nodes() - 1;
+        let pairs: Vec<_> = (0..h.num_nodes())
+            .map(|v| (NodeId(v), NodeId(v ^ mask)))
+            .collect();
         let direct = h.ecube_paths(&pairs);
         assert_eq!(direct.dilation(), 6);
         assert_eq!(direct.congestion(h.graph()), 1);

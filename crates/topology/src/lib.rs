@@ -9,9 +9,9 @@
 //! * [`butterfly::Butterfly`] networks (Fig. 1) including the unrolled
 //!   two-pass variant used by the §3.1 algorithm (Fig. 2),
 //! * the [`lowerbound`] construction of Theorem 2.2.1,
-//! * [`mesh::Mesh`] / [`hypercube::Hypercube`] substrates from the related
-//!   work the paper compares against — tori optionally carry the two-class
-//!   Dally–Seitz dateline routing graph
+//! * [`mesh::Mesh`] tori and [`hypercube::Hypercube`]s from the related
+//!   work the paper compares against — a torus optionally carries the
+//!   two-class Dally–Seitz dateline routing graph
 //!   ([`mesh::RoutingDiscipline::DatelineClasses`]) whose
 //!   dimension-order routes are deadlock-free by construction,
 //! * [`adaptive`] — the [`adaptive::AdaptiveRouter`] abstraction for
@@ -49,7 +49,7 @@ pub mod subsets;
 
 pub use adaptive::AdaptiveRouter;
 pub use dateline::channel_dependency_graph;
-pub use fault::{FaultError, FaultEvent, FaultPlan, FaultTarget, FaultedMesh};
+pub use fault::{FaultError, FaultEvent, FaultPlan, FaultedMesh};
 pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use mesh::RoutingDiscipline;
 pub use path::{Path, PathError, PathSet};

@@ -1,10 +1,8 @@
-//! k-ary d-dimensional meshes and tori with dimension-order routing, and
-//! the torus-wide Dally–Seitz dateline discipline.
+//! k-ary d-dimensional tori with dimension-order routing, and the
+//! torus-wide Dally–Seitz dateline discipline.
 //!
-//! These are the "meshes with constant dimension" of the paper's related
-//! work (§1.3.4) and serve as long-dilation substrates for the fixed-buffer
-//! comparison experiment (E7): a `k`-ary 1-cube (linear array) realizes
-//! dilation up to `k−1` with trivially controllable congestion.
+//! These are the wrap-around "meshes with constant dimension" of the
+//! paper's related work (§1.3.4).
 //!
 //! # Deadlock freedom on tori
 //!
@@ -90,18 +88,17 @@ impl RoutingDiscipline {
 /// [`RoutingDiscipline::AdaptiveEscape`] (classes below it are escape).
 pub const ADAPTIVE_CLASS: u32 = 2;
 
-/// A `radix^dims`-node mesh (or torus) with bidirectional links represented
-/// as directed edge pairs — one parallel edge per VC class.
+/// A `radix^dims`-node torus with bidirectional links represented as
+/// directed edge pairs — one parallel edge per VC class. Every node has
+/// `2 · dims · classes` out-edges: one per direction and class.
 #[derive(Clone, Debug)]
 pub struct Mesh {
     radix: u32,
     dims: u32,
-    wrap: bool,
     classes: u32,
     graph: Graph,
     /// `edge_lookup[((node * dims + dim) * 2 + minus) * classes + class]`
-    /// = edge id leaving `node` in direction `(dim, ±)` on `class`, or
-    /// `u32::MAX` where the mesh has no such link.
+    /// = edge id leaving `node` in direction `(dim, ±)` on `class`.
     edge_lookup: Vec<u32>,
     /// VC class of each edge, indexed by `EdgeId`.
     edge_class: Vec<u8>,
@@ -110,30 +107,20 @@ pub struct Mesh {
 }
 
 impl Mesh {
-    /// Builds a `radix`-ary `dims`-dimensional mesh (`wrap = false`) or
-    /// torus (`wrap = true`) with a single VC class (naive routing graph).
-    pub fn new(radix: u32, dims: u32, wrap: bool) -> Self {
-        Self::new_disciplined(radix, dims, wrap, RoutingDiscipline::Naive)
+    /// Builds a `radix`-ary `dims`-dimensional torus with a single VC
+    /// class (naive routing graph).
+    pub fn new(radix: u32, dims: u32) -> Self {
+        Self::new_disciplined(radix, dims, RoutingDiscipline::Naive)
     }
 
-    /// Builds a mesh/torus whose routing graph carries the VC classes of
-    /// `discipline`. [`RoutingDiscipline::DatelineClasses`] requires
-    /// `wrap` (datelines are a property of wrap rings).
-    pub fn new_disciplined(
-        radix: u32,
-        dims: u32,
-        wrap: bool,
-        discipline: RoutingDiscipline,
-    ) -> Self {
+    /// Builds a torus whose routing graph carries the VC classes of
+    /// `discipline`.
+    pub fn new_disciplined(radix: u32, dims: u32, discipline: RoutingDiscipline) -> Self {
         assert!(radix >= 2 && dims >= 1, "mesh needs radix ≥ 2, dims ≥ 1");
         let classes = discipline.classes();
-        assert!(
-            discipline != RoutingDiscipline::DatelineClasses || wrap,
-            "dateline classes only apply to wrap-around (torus) meshes"
-        );
         let n = (radix as u64).checked_pow(dims).expect("mesh too large");
-        // Bound the full lookup-slot count (= maximum possible edge count):
-        // edge ids stay within u32 and every lookup index within the table.
+        // Bound the lookup-slot count (= the edge count): edge ids stay
+        // within u32 and every lookup index within the table.
         assert!(
             n.checked_mul(2 * dims as u64 * classes as u64)
                 .is_some_and(|slots| slots <= u32::MAX as u64),
@@ -141,7 +128,7 @@ impl Mesh {
         );
         let n = n as u32;
         let mut b = GraphBuilder::new(n as usize);
-        let mut lookup = vec![u32::MAX; (n as usize) * 2 * dims as usize * classes as usize];
+        let mut lookup = vec![0; (n as usize) * 2 * dims as usize * classes as usize];
         let mut edge_class = Vec::new();
         let mut coord_table = Vec::with_capacity(n as usize * dims as usize);
         let stride = |d: u32| (radix as u64).pow(d) as u32;
@@ -165,34 +152,23 @@ impl Mesh {
             for d in 0..dims {
                 let coord = (v / stride(d)) % radix;
                 coord_table.push(coord);
-                // +1 direction
-                if coord + 1 < radix || wrap {
-                    let w = if coord + 1 < radix {
-                        v + stride(d)
-                    } else {
-                        v - (radix - 1) * stride(d)
-                    };
-                    if w != v {
-                        link(&mut b, &mut edge_class, &mut lookup, v, w, d, false);
-                    }
-                }
-                // -1 direction
-                if coord > 0 || wrap {
-                    let w = if coord > 0 {
-                        v - stride(d)
-                    } else {
-                        v + (radix - 1) * stride(d)
-                    };
-                    if w != v {
-                        link(&mut b, &mut edge_class, &mut lookup, v, w, d, true);
-                    }
-                }
+                let plus = if coord + 1 < radix {
+                    v + stride(d)
+                } else {
+                    v - (radix - 1) * stride(d)
+                };
+                link(&mut b, &mut edge_class, &mut lookup, v, plus, d, false);
+                let minus = if coord > 0 {
+                    v - stride(d)
+                } else {
+                    v + (radix - 1) * stride(d)
+                };
+                link(&mut b, &mut edge_class, &mut lookup, v, minus, d, true);
             }
         }
         Self {
             radix,
             dims,
-            wrap,
             classes,
             graph: b.build(),
             edge_lookup: lookup,
@@ -217,12 +193,6 @@ impl Mesh {
     #[inline]
     pub fn dims(&self) -> u32 {
         self.dims
-    }
-
-    /// Whether links wrap (torus).
-    #[inline]
-    pub fn wraps(&self) -> bool {
-        self.wrap
     }
 
     /// Number of VC classes per physical channel (1 naive, 2 dateline,
@@ -291,24 +261,15 @@ impl Mesh {
         self.coord_table[at..at + self.dims as usize].to_vec()
     }
 
-    pub(crate) fn step_edge(&self, v: NodeId, dim: u32, minus: bool, class: u32) -> EdgeId {
-        self.try_step_edge(v, dim, minus, class)
-            .unwrap_or_else(|| panic!("no edge from {v:?} in dim {dim} minus={minus}"))
-    }
-
     /// Whether minimal routing travels the `−` direction in dimension `d`
-    /// from coordinate `have` to `want` (ties broken toward `+`).
+    /// from coordinate `have` to `want`: the shorter way around the ring,
+    /// ties broken toward `+`.
     pub(crate) fn travels_minus(&self, have: u32, want: u32) -> bool {
-        if !self.wrap {
-            have > want
-        } else {
-            // Shorter way around the ring; ties to plus.
-            let (fwd, bwd) = self.ring_gaps(have, want);
-            bwd < fwd
-        }
+        let (fwd, bwd) = self.ring_gaps(have, want);
+        bwd < fwd
     }
 
-    /// Hops from `have` to `want` around a wrap ring going `+` and going
+    /// Hops from `have` to `want` around a ring going `+` and going
     /// `−`: `((want − have) mod radix, (have − want) mod radix)`, by
     /// compare and subtract.
     #[inline]
@@ -343,13 +304,8 @@ impl Mesh {
     ) -> Path {
         let hops: u32 = (0..self.dims)
             .map(|d| {
-                let (have, want) = (self.coord(src, d), self.coord(dst, d));
-                if self.wrap {
-                    let (fwd, bwd) = self.ring_gaps(have, want);
-                    fwd.min(bwd)
-                } else {
-                    have.abs_diff(want)
-                }
+                let (fwd, bwd) = self.ring_gaps(self.coord(src, d), self.coord(dst, d));
+                fwd.min(bwd)
             })
             .sum();
         let mut edges = Vec::with_capacity(hops as usize);
@@ -382,8 +338,8 @@ impl Mesh {
     }
 
     /// Dimension-order (e-cube) path from `src` to `dst`: correct dimension
-    /// 0 first, then 1, etc. On a torus the shorter wrap direction is taken
-    /// (ties broken toward +). Always routes on class 0 — on a
+    /// 0 first, then 1, etc., each the shorter way around its ring (ties
+    /// broken toward +). Always routes on class 0 — on a
     /// [`RoutingDiscipline::DatelineClasses`] mesh this is the naive
     /// (deadlock-prone) control arm; use [`Mesh::dateline_path`] or
     /// [`Mesh::route`] for the disciplined route.
@@ -414,48 +370,37 @@ impl Mesh {
     }
 
     /// The canonical **oblivious** route under this mesh's discipline:
-    /// dateline-switched wherever escape classes exist on a torus
+    /// dateline-switched wherever escape classes exist
     /// ([`RoutingDiscipline::DatelineClasses`] and the escape pair of
     /// [`RoutingDiscipline::AdaptiveEscape`]), plain dimension-order
     /// otherwise. Adaptive route *selection* is performed per hop by the
     /// simulator (see [`crate::adaptive::AdaptiveRouter`]); this function
     /// is its escape-network continuation and the oblivious control arm.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Path {
-        if self.classes >= 2 && self.wrap {
+        if self.classes >= 2 {
             self.dateline_path(src, dst)
         } else {
             self.dimension_order_path(src, dst)
         }
     }
 
-    /// The edge leaving `v` in direction `(dim, ±)` on `class`, or `None`
-    /// where the mesh has no such link (non-wrap boundary).
-    pub(crate) fn try_step_edge(
-        &self,
-        v: NodeId,
-        dim: u32,
-        minus: bool,
-        class: u32,
-    ) -> Option<EdgeId> {
+    /// The edge leaving `v` in direction `(dim, ±)` on `class`.
+    pub(crate) fn step_edge(&self, v: NodeId, dim: u32, minus: bool, class: u32) -> EdgeId {
         debug_assert!(class < self.classes);
         let idx = ((v.idx() * self.dims as usize + dim as usize) * 2 + minus as usize)
             * self.classes as usize
             + class as usize;
-        let e = self.edge_lookup[idx];
-        (e != u32::MAX).then_some(EdgeId(e))
+        EdgeId(self.edge_lookup[idx])
     }
 
-    /// Whether one hop in direction `(d, ±)` strictly reduces the
-    /// (wrap-aware) distance from `have` to `want` in that dimension. On
-    /// a wrap ring at exactly half-ring distance **both** directions are
-    /// minimal (unlike the oblivious tie-break of
-    /// [`Mesh::dimension_order_path`], which must pick one).
+    /// Whether one hop in direction `(d, ±)` strictly reduces the ring
+    /// distance from `have` to `want` in that dimension. At exactly
+    /// half-ring distance **both** directions are minimal (unlike the
+    /// oblivious tie-break of [`Mesh::dimension_order_path`], which must
+    /// pick one).
     pub(crate) fn reduces_distance(&self, have: u32, want: u32, minus: bool) -> bool {
         if have == want {
             return false;
-        }
-        if !self.wrap {
-            return minus == (have > want);
         }
         let (fwd, bwd) = self.ring_gaps(have, want);
         if minus {
@@ -469,11 +414,11 @@ impl Mesh {
     /// lane: pushes `(edge, profitable)` pairs for every direction the
     /// header at `at` could take toward `dst`.
     ///
-    /// *Profitable* directions strictly reduce the (wrap-aware) distance
-    /// to `dst`: the minimal way around each unresolved dimension — both
-    /// ways on a wrap ring at exactly half-ring distance, where they are
-    /// equally minimal. With `misroutes` set, every other existing
-    /// direction is pushed too, flagged unprofitable — the
+    /// *Profitable* directions strictly reduce the ring distance to
+    /// `dst`: the minimal way around each unresolved dimension — both
+    /// ways at exactly half-ring distance, where they are equally
+    /// minimal. With `misroutes` set, every other direction is pushed
+    /// too, flagged unprofitable — the
     /// fully-adaptive candidate set; the caller is responsible for
     /// bounding misroutes (livelock) and for excluding u-turns if it
     /// wants them excluded.
@@ -501,28 +446,21 @@ impl Mesh {
                 if !profitable && !misroutes {
                     continue;
                 }
-                if let Some(e) = self.try_step_edge(at, d, minus, ADAPTIVE_CLASS) {
-                    out.push((e, profitable));
-                }
+                out.push((self.step_edge(at, d, minus, ADAPTIVE_CLASS), profitable));
             }
         }
     }
 
     /// The deadlock-free escape continuation from `at` to `dst`: the
     /// dateline-switched dimension-order path on the class-0/class-1
-    /// escape pair (plain class-0 dimension order on a non-wrap mesh,
-    /// where dimension order is already acyclic). A worm that falls back
+    /// escape pair. A worm that falls back
     /// onto the escape network follows this path to its destination and
     /// never returns to the adaptive lane, which is what keeps the
     /// escape-channel dependency graph acyclic regardless of how the
     /// adaptive prefix wandered.
     pub fn escape_route(&self, at: NodeId, dst: NodeId) -> Path {
         assert!(self.classes >= 2, "escape routes need escape classes");
-        if self.wrap {
-            self.dateline_path(at, dst)
-        } else {
-            self.dimension_order_path(at, dst)
-        }
+        self.dateline_path(at, dst)
     }
 
     /// First hop of [`Mesh::escape_route`] in O(dims): lowest unresolved
@@ -544,13 +482,6 @@ impl Mesh {
     }
 }
 
-/// A linear array of `n` nodes (directed both ways); the simplest
-/// long-dilation substrate. Forward path from node `a` to node `b > a` uses
-/// `b − a` edges.
-pub fn linear_array(n: u32) -> Mesh {
-    Mesh::new(n, 1, false)
-}
-
 #[cfg(test)]
 mod division_oracle;
 
@@ -561,18 +492,55 @@ mod tests {
 
     #[test]
     fn mesh_counts() {
-        let m = Mesh::new(4, 2, false);
-        assert_eq!(m.graph().num_nodes(), 16);
-        // 2 dims * 2 directions * (radix-1) * radix per dim pair:
-        // edges = dims * 2 * radix^(dims-1) * (radix-1) = 2*2*4*3 = 48
-        assert_eq!(m.graph().num_edges(), 48);
-        let t = Mesh::new(4, 2, true);
+        let t = Mesh::new(4, 2);
+        assert_eq!(t.graph().num_nodes(), 16);
         assert_eq!(t.graph().num_edges(), 2 * 2 * 16); // every node, every dir
+    }
+
+    /// Every lookup slot is filled: each node has one out-edge per
+    /// direction and class, `2 · dims · classes` in all, and the slot's
+    /// edge leaves the node on its class toward the neighbour one ring
+    /// step away — radix 2 included, where both directions of a ring
+    /// reach the same neighbour over distinct edges.
+    #[test]
+    fn every_node_has_one_out_edge_per_direction_and_class() {
+        use RoutingDiscipline::*;
+        for radix in 2u32..=5 {
+            for dims in 1u32..=3 {
+                for discipline in [Naive, DatelineClasses, AdaptiveEscape] {
+                    let m = Mesh::new_disciplined(radix, dims, discipline);
+                    let g = m.graph();
+                    let classes = discipline.classes();
+                    for v in g.nodes() {
+                        let at = format!("{radix}^{dims} {} {v:?}", discipline.name());
+                        assert_eq!(g.out_degree(v) as u32, 2 * dims * classes, "{at}");
+                        let mut slots = Vec::new();
+                        for d in 0..dims {
+                            for minus in [false, true] {
+                                let mut want = m.coords(v);
+                                let c = &mut want[d as usize];
+                                *c = (*c + if minus { radix - 1 } else { 1 }) % radix;
+                                for class in 0..classes {
+                                    let e = m.step_edge(v, d, minus, class);
+                                    assert_eq!(g.src(e), v, "{at}");
+                                    assert_eq!(g.dst(e), m.node(&want), "{at}");
+                                    assert_eq!(m.edge_vc_class(e), class, "{at}");
+                                    slots.push(e);
+                                }
+                            }
+                        }
+                        slots.sort_unstable();
+                        slots.dedup();
+                        assert_eq!(slots.len() as u32, 2 * dims * classes, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn dateline_torus_doubles_every_channel() {
-        let t = Mesh::new_disciplined(4, 2, true, RoutingDiscipline::DatelineClasses);
+        let t = Mesh::new_disciplined(4, 2, RoutingDiscipline::DatelineClasses);
         assert_eq!(t.classes(), 2);
         assert_eq!(t.discipline(), RoutingDiscipline::DatelineClasses);
         assert_eq!(t.graph().num_edges(), 2 * (2 * 2 * 16));
@@ -586,23 +554,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wrap-around")]
-    fn dateline_rejects_plain_mesh() {
-        Mesh::new_disciplined(4, 2, false, RoutingDiscipline::DatelineClasses);
-    }
-
-    #[test]
     #[should_panic(expected = "mesh too large")]
     fn oversized_mesh_is_rejected_before_indices_overflow() {
         // 1024^3 nodes fit u32, but the 2^30 · (3 dims · 2 dirs) lookup
         // slots do not — the size assert must fire instead of letting edge
         // ids or lookup indices wrap.
-        Mesh::new(1024, 3, false);
+        Mesh::new(1024, 3);
     }
 
     #[test]
     fn coords_roundtrip() {
-        let m = Mesh::new(5, 3, false);
+        let m = Mesh::new(5, 3);
         for v in 0..m.num_nodes() {
             let c = m.coords(NodeId(v));
             assert_eq!(m.node(&c), NodeId(v));
@@ -611,19 +573,19 @@ mod tests {
 
     #[test]
     fn dimension_order_path_is_valid_and_minimal_on_mesh() {
-        let m = Mesh::new(5, 2, false);
+        let m = Mesh::new(7, 2);
         let src = m.node(&[0, 0]);
-        let dst = m.node(&[4, 3]);
+        let dst = m.node(&[3, 2]);
         let p = m.dimension_order_path(src, dst);
         p.validate(m.graph()).unwrap();
-        assert_eq!(p.len(), 7); // |4-0| + |3-0|
+        assert_eq!(p.len(), 5); // |3-0| + |2-0|, neither the long way round
         assert_eq!(p.src(m.graph()), src);
         assert_eq!(p.dst(m.graph()), dst);
     }
 
     #[test]
     fn torus_takes_short_way_around() {
-        let t = Mesh::new(8, 1, true);
+        let t = Mesh::new(8, 1);
         let p = t.dimension_order_path(NodeId(0), NodeId(7));
         assert_eq!(p.len(), 1); // wrap backwards 0 -> 7
         let p2 = t.dimension_order_path(NodeId(0), NodeId(3));
@@ -635,8 +597,8 @@ mod tests {
         // Same physical hops, same length, same endpoints — only the class
         // assignment differs.
         for (radix, dims) in [(5u32, 1u32), (4, 2), (3, 3)] {
-            let naive = Mesh::new(radix, dims, true);
-            let dl = Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::DatelineClasses);
+            let naive = Mesh::new(radix, dims);
+            let dl = Mesh::new_disciplined(radix, dims, RoutingDiscipline::DatelineClasses);
             for s in 0..dl.num_nodes() {
                 for d in 0..dl.num_nodes() {
                     if s == d {
@@ -655,7 +617,7 @@ mod tests {
 
     #[test]
     fn dateline_class_switches_exactly_at_wrap() {
-        let t = Mesh::new_disciplined(8, 1, true, RoutingDiscipline::DatelineClasses);
+        let t = Mesh::new_disciplined(8, 1, RoutingDiscipline::DatelineClasses);
         // 6 -> 1 crosses the + dateline (edge leaving coord 7).
         let p = t.dateline_path(NodeId(6), NodeId(1));
         let classes: Vec<u32> = p.edges().iter().map(|&e| t.edge_vc_class(e)).collect();
@@ -672,7 +634,7 @@ mod tests {
 
     #[test]
     fn dateline_resets_class_per_dimension() {
-        let t = Mesh::new_disciplined(4, 2, true, RoutingDiscipline::DatelineClasses);
+        let t = Mesh::new_disciplined(4, 2, RoutingDiscipline::DatelineClasses);
         // (3,3) -> (1,1): wraps in x (3->0->1 forward, ties to plus) and in
         // y likewise; each dimension starts again on class 0.
         let p = t.dateline_path(t.node(&[3, 3]), t.node(&[1, 1]));
@@ -682,8 +644,8 @@ mod tests {
 
     #[test]
     fn route_dispatches_on_discipline() {
-        let naive = Mesh::new(5, 2, true);
-        let dl = Mesh::new_disciplined(5, 2, true, RoutingDiscipline::DatelineClasses);
+        let naive = Mesh::new(5, 2);
+        let dl = Mesh::new_disciplined(5, 2, RoutingDiscipline::DatelineClasses);
         let (s, d) = (NodeId(3), NodeId(21));
         assert_eq!(naive.route(s, d), naive.dimension_order_path(s, d));
         assert_eq!(dl.route(s, d), dl.dateline_path(s, d));
@@ -692,7 +654,7 @@ mod tests {
     #[test]
     fn dateline_all_pairs_dependency_graph_is_acyclic() {
         for (radix, dims) in [(8u32, 1u32), (4, 2), (3, 3)] {
-            let dl = Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::DatelineClasses);
+            let dl = Mesh::new_disciplined(radix, dims, RoutingDiscipline::DatelineClasses);
             let n = dl.num_nodes();
             let mut paths = Vec::new();
             for s in 0..n {
@@ -715,7 +677,7 @@ mod tests {
         // wrap ring (radix 3 routes are single hops per ring and the naive
         // arm is accidentally acyclic).
         for (radix, dims) in [(8u32, 1u32), (4, 2)] {
-            let m = Mesh::new(radix, dims, true);
+            let m = Mesh::new(radix, dims);
             let n = m.num_nodes();
             let mut paths = Vec::new();
             for s in 0..n {
@@ -733,21 +695,11 @@ mod tests {
     }
 
     #[test]
-    fn linear_array_paths() {
-        let a = linear_array(10);
-        let p = a.dimension_order_path(NodeId(1), NodeId(8));
-        assert_eq!(p.len(), 7);
-        p.validate(a.graph()).unwrap();
-        let back = a.dimension_order_path(NodeId(8), NodeId(1));
-        assert_eq!(back.len(), 7);
-    }
-
-    #[test]
     fn zero_length_path() {
-        let m = Mesh::new(3, 2, false);
+        let m = Mesh::new(3, 2);
         let p = m.dimension_order_path(NodeId(4), NodeId(4));
         assert!(p.is_empty());
-        let t = Mesh::new_disciplined(3, 2, true, RoutingDiscipline::DatelineClasses);
+        let t = Mesh::new_disciplined(3, 2, RoutingDiscipline::DatelineClasses);
         assert!(t.dateline_path(NodeId(4), NodeId(4)).is_empty());
     }
 
@@ -755,6 +707,6 @@ mod tests {
     fn mesh_is_cyclic_torus_is_cyclic() {
         // Bidirectional links always give 2-cycles in the channel graph, so
         // greedy wormhole *can* deadlock here — exercised in flitsim tests.
-        assert!(!Mesh::new(3, 2, false).graph().is_acyclic());
+        assert!(!Mesh::new(3, 2).graph().is_acyclic());
     }
 }

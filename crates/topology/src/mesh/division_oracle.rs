@@ -15,20 +15,13 @@ fn gaps(radix: u32, have: u32, want: u32) -> (u32, u32) {
 }
 
 fn travels_minus(m: &Mesh, have: u32, want: u32) -> bool {
-    if !m.wraps() {
-        have > want
-    } else {
-        let (fwd, bwd) = gaps(m.radix(), have, want);
-        bwd < fwd
-    }
+    let (fwd, bwd) = gaps(m.radix(), have, want);
+    bwd < fwd
 }
 
 fn reduces_distance(m: &Mesh, have: u32, want: u32, minus: bool) -> bool {
     if have == want {
         return false;
-    }
-    if !m.wraps() {
-        return minus == (have > want);
     }
     let (fwd, bwd) = gaps(m.radix(), have, want);
     if minus {
@@ -50,7 +43,7 @@ fn ring_walk(m: &Mesh, src: NodeId, dst: NodeId, dateline: bool) -> Path {
         let dateline_coord = if minus { 0 } else { m.radix() - 1 };
         let mut class = 0u32;
         while have != want {
-            let e = m.try_step_edge(cur, d, minus, class).unwrap();
+            let e = m.step_edge(cur, d, minus, class);
             edges.push(e);
             if dateline && have == dateline_coord {
                 class = 1;
@@ -67,10 +60,10 @@ fn dimension_order_path(m: &Mesh, src: NodeId, dst: NodeId) -> Path {
     ring_walk(m, src, dst, false)
 }
 
-/// `route` and `escape_route` alike: dateline-switched wherever a wrap
-/// mesh has escape classes, plain dimension order otherwise.
+/// `route` and `escape_route` alike: dateline-switched wherever the mesh
+/// has escape classes, plain dimension order otherwise.
 fn route(m: &Mesh, src: NodeId, dst: NodeId) -> Path {
-    ring_walk(m, src, dst, m.classes() >= 2 && m.wraps())
+    ring_walk(m, src, dst, m.classes() >= 2)
 }
 
 fn escape_first_hop(m: &Mesh, at: NodeId, dst: NodeId) -> EdgeId {
@@ -78,7 +71,7 @@ fn escape_first_hop(m: &Mesh, at: NodeId, dst: NodeId) -> EdgeId {
         .find(|&d| coord(m, at, d) != coord(m, dst, d))
         .unwrap();
     let minus = travels_minus(m, coord(m, at, d), coord(m, dst, d));
-    m.try_step_edge(at, d, minus, 0).unwrap()
+    m.step_edge(at, d, minus, 0)
 }
 
 fn adaptive_candidates(m: &Mesh, at: NodeId, dst: NodeId, misroutes: bool) -> Vec<(EdgeId, bool)> {
@@ -90,9 +83,7 @@ fn adaptive_candidates(m: &Mesh, at: NodeId, dst: NodeId, misroutes: bool) -> Ve
             if !profitable && !misroutes {
                 continue;
             }
-            if let Some(e) = m.try_step_edge(at, d, minus, ADAPTIVE_CLASS) {
-                out.push((e, profitable));
-            }
+            out.push((m.step_edge(at, d, minus, ADAPTIVE_CLASS), profitable));
         }
     }
     out
@@ -102,19 +93,17 @@ fn adaptive_candidates(m: &Mesh, at: NodeId, dst: NodeId, misroutes: bool) -> Ve
 fn the_coordinate_table_is_the_division() {
     for radix in 2u32..=7 {
         for dims in 1u32..=3 {
-            for wrap in [false, true] {
-                let m = Mesh::new(radix, dims, wrap);
-                for v in (0..m.num_nodes()).map(NodeId) {
-                    let by_division: Vec<u32> = (0..dims).map(|d| coord(&m, v, d)).collect();
-                    for d in 0..dims {
-                        assert_eq!(
-                            m.coord(v, d),
-                            by_division[d as usize],
-                            "{radix}^{dims} {v:?}"
-                        );
-                    }
-                    assert_eq!(m.coords(v), by_division, "{radix}^{dims} {v:?}");
+            let m = Mesh::new(radix, dims);
+            for v in (0..m.num_nodes()).map(NodeId) {
+                let by_division: Vec<u32> = (0..dims).map(|d| coord(&m, v, d)).collect();
+                for d in 0..dims {
+                    assert_eq!(
+                        m.coord(v, d),
+                        by_division[d as usize],
+                        "{radix}^{dims} {v:?}"
+                    );
                 }
+                assert_eq!(m.coords(v), by_division, "{radix}^{dims} {v:?}");
             }
         }
     }
@@ -123,7 +112,7 @@ fn the_coordinate_table_is_the_division() {
 #[test]
 fn the_ring_gaps_are_the_remainders() {
     for radix in 2u32..=9 {
-        let m = Mesh::new(radix, 1, true);
+        let m = Mesh::new(radix, 1);
         for have in 0..radix {
             for want in 0..radix {
                 assert_eq!(
@@ -144,20 +133,15 @@ fn the_ring_gaps_are_the_remainders() {
 }
 
 /// Every routing query on every ordered pair (a node to itself included)
-/// of a mesh and two tori, under each discipline the shape admits.
+/// of two tori, under each discipline.
 #[test]
 fn every_route_and_candidate_set_matches_the_division_based_mesh() {
     use RoutingDiscipline::*;
-    let shapes = [
-        (4u32, 2u32, false, &[Naive, AdaptiveEscape][..]),
-        (5, 2, true, &[Naive, DatelineClasses, AdaptiveEscape][..]),
-        (4, 3, true, &[Naive, DatelineClasses, AdaptiveEscape][..]),
-    ];
     let mut checked = 0usize;
-    for (radix, dims, wrap, disciplines) in shapes {
-        for &discipline in disciplines {
-            let m = Mesh::new_disciplined(radix, dims, wrap, discipline);
-            let name = format!("{radix}^{dims} wrap={wrap} {}", discipline.name());
+    for (radix, dims) in [(5u32, 2u32), (4, 3)] {
+        for discipline in [Naive, DatelineClasses, AdaptiveEscape] {
+            let m = Mesh::new_disciplined(radix, dims, discipline);
+            let name = format!("{radix}^{dims} {}", discipline.name());
             let mut cand = Vec::new();
             for s in (0..m.num_nodes()).map(NodeId) {
                 for t in (0..m.num_nodes()).map(NodeId) {
@@ -190,5 +174,5 @@ fn every_route_and_candidate_set_matches_the_division_based_mesh() {
             }
         }
     }
-    assert_eq!(checked, 2 * 16 * 16 + 3 * 25 * 25 + 3 * 64 * 64);
+    assert_eq!(checked, 3 * 25 * 25 + 3 * 64 * 64);
 }

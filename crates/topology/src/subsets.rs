@@ -72,11 +72,6 @@ pub fn subset_rank(n: u32, subset: &[u32]) -> u64 {
     rank
 }
 
-/// `true` if `sorted` is strictly increasing and within `0..n`.
-pub fn is_valid_subset(n: u32, sorted: &[u32]) -> bool {
-    sorted.windows(2).all(|w| w[0] < w[1]) && sorted.last().is_none_or(|&v| v < n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,14 +119,5 @@ mod tests {
                 assert_eq!(subset_rank(n, s), i as u64, "n={n} k={k} s={s:?}");
             }
         }
-    }
-
-    #[test]
-    fn validity_check() {
-        assert!(is_valid_subset(5, &[0, 2, 4]));
-        assert!(is_valid_subset(5, &[]));
-        assert!(!is_valid_subset(5, &[0, 0]));
-        assert!(!is_valid_subset(5, &[3, 5]));
-        assert!(!is_valid_subset(5, &[4, 2]));
     }
 }

@@ -8,7 +8,7 @@
 //! offered load locate the saturation knee. This crate generates those
 //! timed workloads; `wormhole_flitsim::open_loop` measures them.
 //!
-//! A [`Workload`] is a [`Substrate`] (butterfly / mesh / torus /
+//! A [`Workload`] is a [`Substrate`] (butterfly / Beneš / torus /
 //! hypercube) × a [`TrafficPattern`] (uniform, permutation, transpose,
 //! bit-reversal, shuffle, hotspot, tornado) × an [`ArrivalProcess`]
 //! (Bernoulli) × a message length and a seed. Generation is

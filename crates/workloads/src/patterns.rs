@@ -298,7 +298,7 @@ mod tests {
             Substrate::torus(5, 2),
             Substrate::torus(3, 3),
             Substrate::torus(7, 1),
-            Substrate::mesh(5, 3),
+            Substrate::torus(5, 3),
         ] {
             for p in [TrafficPattern::Tornado, TrafficPattern::Permutation] {
                 let map = PatternSampler::new(p.clone(), &s, 13)
@@ -344,7 +344,7 @@ mod tests {
     fn transpose_rejects_non_square_mesh() {
         // 2^3 = 8 endpoints: a power of two, but 3 bits do not split into
         // equal halves — no coordinate transpose exists.
-        PatternSampler::new(TrafficPattern::Transpose, &Substrate::mesh(2, 3), 0);
+        PatternSampler::new(TrafficPattern::Transpose, &Substrate::torus(2, 3), 0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Service-style traffic scenarios: heavy-tailed message sizes,
-//! client/server endpoint partitions, and incast (fan-in onto a few hot
-//! servers).
+//! client/server endpoint partitions, and a hot server.
 //!
 //! The synthetic patterns in [`crate::patterns`] stress the *topology*
 //! (bit permutations, tornado, …); a [`ServiceScenario`] instead stresses
@@ -8,9 +7,9 @@
 //! drawn from a bounded Pareto (most messages short, rare multi-hundred
 //! flit worms holding channels for a long time — exactly the regime
 //! where virtual channels let short worms overtake), and all traffic
-//! flowing from a client partition into a server partition with a
-//! configurable fraction concentrated on a few hot servers. Every client
-//! injects by the same Bernoulli rate at every step.
+//! flowing from a client partition into a server partition, a quarter of
+//! it aimed at one hot server. Every client injects by the same Bernoulli
+//! rate at every step.
 //!
 //! A scenario generates routing-free [`TraceRow`]s or routes them into
 //! `MessageSpec`s. A closed-loop run over the same partitions builds its
@@ -25,6 +24,12 @@ use wormhole_flitsim::message::MessageSpec;
 use crate::substrate::Substrate;
 use crate::{mix, TraceRow, DST_STREAM_SALT};
 
+/// How many servers are hot, counted from the start of the server
+/// partition.
+pub(crate) const HOT_SERVERS: u32 = 1;
+/// Probability a request targets a hot server.
+pub(crate) const HOT_FRACTION: f64 = 0.25;
+
 /// A client/server service workload description. See the module docs.
 #[derive(Clone, Debug)]
 pub struct ServiceScenario {
@@ -35,11 +40,6 @@ pub struct ServiceScenario {
     pub clients: u32,
     /// Number of server endpoints (the last `servers` endpoints).
     pub servers: u32,
-    /// How many of the servers are "hot" (the first `hot_servers` of the
-    /// server partition). `0` disables incast.
-    pub hot_servers: u32,
-    /// Probability a request targets a hot server (fan-in intensity).
-    pub hot_fraction: f64,
     /// Pareto tail index for message lengths (smaller ⇒ heavier tail;
     /// `1 < α ≤ 3` is the service-traffic regime).
     pub alpha: f64,
@@ -67,8 +67,6 @@ impl ServiceScenario {
             substrate,
             clients,
             servers,
-            hot_servers: 1,
-            hot_fraction: 0.25,
             alpha: 1.5,
             min_len: 1,
             max_len: 64,
@@ -77,15 +75,6 @@ impl ServiceScenario {
         };
         s.validate();
         s
-    }
-
-    /// Sets the incast shape: `hot` hot servers absorbing `fraction` of
-    /// the requests.
-    pub fn incast(mut self, hot: u32, fraction: f64) -> Self {
-        self.hot_servers = hot;
-        self.hot_fraction = fraction;
-        self.validate();
-        self
     }
 
     /// Sets the bounded-Pareto length distribution.
@@ -105,14 +94,6 @@ impl ServiceScenario {
             self.clients,
             self.servers,
             self.substrate.endpoints()
-        );
-        assert!(
-            self.hot_servers <= self.servers,
-            "more hot servers than servers"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.hot_fraction),
-            "hot_fraction is a probability"
         );
         assert!(self.alpha > 1.0, "Pareto tail index must exceed 1");
         assert!(
@@ -156,7 +137,7 @@ impl ServiceScenario {
                 )
             })
             .collect();
-        let hot = Bernoulli::new(self.hot_fraction);
+        let hot = Bernoulli::new(HOT_FRACTION);
         let arrives = Bernoulli::new(self.base_rate);
         let mut rows = Vec::new();
         for release in 0..window {
@@ -164,8 +145,8 @@ impl ServiceScenario {
                 if !arrives.sample(arrival_rng) {
                     continue;
                 }
-                let k = if self.hot_servers > 0 && hot.sample(draw_rng) {
-                    draw_rng.random_range(0..self.hot_servers)
+                let k = if hot.sample(draw_rng) {
+                    draw_rng.random_range(0..HOT_SERVERS)
                 } else {
                     draw_rng.random_range(0..self.servers)
                 };
@@ -196,9 +177,7 @@ mod tests {
     use super::*;
 
     fn scenario() -> ServiceScenario {
-        ServiceScenario::new(Substrate::butterfly(4), 8, 8, 0.2, 17)
-            .incast(2, 0.5)
-            .pareto_lengths(1.5, 2, 40)
+        ServiceScenario::new(Substrate::butterfly(4), 8, 8, 0.2, 17).pareto_lengths(1.5, 2, 40)
     }
 
     #[test]
@@ -234,10 +213,10 @@ mod tests {
         let s = scenario();
         let rows = s.generate_rows(4000);
         let n = s.substrate.endpoints();
-        let hot = rows.iter().filter(|r| r.dst < n - 8 + 2).count();
+        let hot = rows.iter().filter(|r| r.dst < n - 8 + HOT_SERVERS).count();
         let frac = hot as f64 / rows.len() as f64;
-        // 50% aimed at the hot pair + the uniform share landing there.
-        assert!(frac > 0.45, "hot fraction {frac}");
+        // 25% aimed at the hot server + its 1/8 of the uniform 75%.
+        assert!(frac > 0.3, "hot fraction {frac}");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use super::*;
+use crate::service::{HOT_FRACTION, HOT_SERVERS};
 
 /// `random_bool` as it was: one word, `(w >> 11) · 2⁻⁵³ < p`.
 fn float_coin(rng: &mut StdRng, p: f64) -> bool {
@@ -66,9 +67,8 @@ fn service_rows(s: &ServiceScenario, window: u64) -> Vec<TraceRow> {
             if !float_coin(&mut arrival_rng, s.base_rate) {
                 continue;
             }
-            let hot = s.hot_servers > 0 && float_coin(&mut draw_rng, s.hot_fraction);
-            let k = if hot {
-                draw_rng.random_range(0..s.hot_servers)
+            let k = if float_coin(&mut draw_rng, HOT_FRACTION) {
+                draw_rng.random_range(0..HOT_SERVERS)
             } else {
                 draw_rng.random_range(0..s.servers)
             };
@@ -155,13 +155,8 @@ fn service_rows_equal_the_sorted_per_client_rows() {
         for seed in [2u64, 11] {
             let scenarios = [
                 ("plain", base(rate, seed)),
-                ("incast", base(rate, seed).incast(2, 0.7)),
-                ("no hot servers", base(rate, seed).incast(0, 0.5)),
                 ("pareto", base(rate, seed).pareto_lengths(1.2, 2, 200)),
-                (
-                    "both",
-                    base(rate, seed).incast(3, 0.25).pareto_lengths(2.5, 1, 40),
-                ),
+                ("light tail", base(rate, seed).pareto_lengths(2.5, 1, 40)),
             ];
             for (name, s) in &scenarios {
                 for window in [0u64, 1, 2_000] {

@@ -10,8 +10,8 @@
 //! * **Beneš** — endpoints are the `n = 2^k` terminals; endpoint `s`
 //!   injects at level 0 and endpoint `d` receives at level `2k`, routed
 //!   through the canonical mid-column `s ^ d`;
-//! * **mesh / torus** — endpoints are the nodes, routed dimension-order
-//!   (e-cube); tori can opt into the Dally–Seitz dateline discipline
+//! * **torus** — endpoints are the nodes, routed dimension-order
+//!   (e-cube); a torus can opt into the Dally–Seitz dateline discipline
 //!   ([`Substrate::torus_with`]), which doubles every physical channel
 //!   into a class-0/class-1 edge pair and switches class at each
 //!   dimension's dateline, making the routes deadlock-free by
@@ -33,7 +33,7 @@ pub enum Substrate {
     Butterfly(Butterfly),
     /// Beneš network; endpoints are terminals (inputs ↦ outputs).
     Benes(BenesNetwork),
-    /// Mesh or torus; endpoints are nodes.
+    /// Torus; endpoints are nodes.
     Mesh(Mesh),
     /// Hypercube; endpoints are nodes.
     Hypercube(Hypercube),
@@ -56,11 +56,6 @@ impl Substrate {
         Substrate::Benes(BenesNetwork::new(k))
     }
 
-    /// A `radix`-ary `dims`-dimensional mesh.
-    pub fn mesh(radix: u32, dims: u32) -> Self {
-        Substrate::Mesh(Mesh::new(radix, dims, false))
-    }
-
     /// A `radix`-ary `dims`-dimensional torus with naive (single-class)
     /// dimension-order routing — deadlock-prone under wormhole switching.
     pub fn torus(radix: u32, dims: u32) -> Self {
@@ -78,10 +73,10 @@ impl Substrate {
     /// [`Substrate::route`] stays the oblivious dateline route either
     /// way — adaptive runs read only its endpoints.
     pub fn torus_with(radix: u32, dims: u32, discipline: RoutingDiscipline) -> Self {
-        Substrate::Mesh(Mesh::new_disciplined(radix, dims, true, discipline))
+        Substrate::Mesh(Mesh::new_disciplined(radix, dims, discipline))
     }
 
-    /// The underlying [`Mesh`], when this substrate is mesh-based — the
+    /// The underlying [`Mesh`], when this substrate is a torus — the
     /// [`wormhole_topology::adaptive::AdaptiveRouter`] implementation an
     /// adaptive simulation runs against.
     pub fn as_mesh(&self) -> Option<&Mesh> {
@@ -157,7 +152,7 @@ impl Substrate {
     /// tries the canonical mid-column `src ^ dst` first, then every
     /// other mid-column in ascending order, and returns the first fully
     /// alive route. The butterfly's input→output path is unique, and the
-    /// mesh/torus/hypercube canonical routes are fixed by their
+    /// torus/hypercube canonical routes are fixed by their
     /// discipline (adaptive runs route around faults per hop *inside*
     /// the simulator instead), so those substrates return the canonical
     /// route or nothing.
@@ -190,10 +185,10 @@ impl Substrate {
     /// this substrate's geometry, for the partitioned parallel engine
     /// (`wormhole_flitsim::config::Engine::Parallel`):
     ///
-    /// * **mesh / torus** — region boundaries fall on whole coordinate
-    ///   planes of the last (highest-stride) dimension, so each region
-    ///   is a slab and only the slab-face channels (plus wraparound on
-    ///   tori) cross the cut;
+    /// * **torus** — region boundaries fall on whole coordinate planes of
+    ///   the last (highest-stride) dimension, so each region is a slab
+    ///   and only the slab-face channels (wraparound included) cross the
+    ///   cut;
     /// * **butterfly / Beneš** — boundaries fall on whole levels
     ///   (node ids are level-major), so regions are stage groups and
     ///   only inter-stage channels cross;
@@ -219,7 +214,7 @@ impl Substrate {
         match self {
             Substrate::Butterfly(bf) => format!("butterfly(n={})", bf.n_inputs()),
             Substrate::Benes(bn) => format!("benes(n={})", bn.n()),
-            Substrate::Mesh(m) if m.wraps() && m.classes() > 1 => {
+            Substrate::Mesh(m) if m.classes() > 1 => {
                 format!(
                     "torus({}^{},{})",
                     m.radix(),
@@ -227,10 +222,7 @@ impl Substrate {
                     m.discipline().name()
                 )
             }
-            Substrate::Mesh(m) if m.wraps() => {
-                format!("torus({}^{})", m.radix(), m.dims())
-            }
-            Substrate::Mesh(m) => format!("mesh({}^{})", m.radix(), m.dims()),
+            Substrate::Mesh(m) => format!("torus({}^{})", m.radix(), m.dims()),
             Substrate::Hypercube(h) => format!("hypercube(2^{})", h.dim()),
         }
     }
@@ -244,7 +236,6 @@ mod tests {
     fn endpoint_counts() {
         assert_eq!(Substrate::butterfly(4).endpoints(), 16);
         assert_eq!(Substrate::benes(3).endpoints(), 8);
-        assert_eq!(Substrate::mesh(4, 2).endpoints(), 16);
         assert_eq!(Substrate::torus(3, 3).endpoints(), 27);
         assert_eq!(Substrate::hypercube(5).endpoints(), 32);
     }
@@ -254,7 +245,7 @@ mod tests {
         for s in [
             Substrate::butterfly(3),
             Substrate::benes(2),
-            Substrate::mesh(3, 2),
+            Substrate::torus(3, 2),
             Substrate::torus(4, 2),
             Substrate::torus_with(4, 2, RoutingDiscipline::DatelineClasses),
             Substrate::torus_with(4, 2, RoutingDiscipline::AdaptiveEscape),
@@ -303,7 +294,7 @@ mod tests {
         let bf = Substrate::butterfly(3);
         assert!(bf.injects(2, 2));
         assert_eq!(bf.route(2, 2).len(), 3);
-        let m = Substrate::mesh(3, 2);
+        let m = Substrate::torus(3, 2);
         assert!(!m.injects(4, 4));
     }
 
@@ -330,7 +321,6 @@ mod tests {
     fn names_render() {
         assert_eq!(Substrate::butterfly(3).name(), "butterfly(n=8)");
         assert_eq!(Substrate::benes(3).name(), "benes(n=8)");
-        assert_eq!(Substrate::mesh(4, 2).name(), "mesh(4^2)");
         assert_eq!(Substrate::torus(4, 2).name(), "torus(4^2)");
         assert_eq!(
             Substrate::torus_with(4, 2, RoutingDiscipline::DatelineClasses).name(),

@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`topology`] | `wormhole-topology` | graphs, paths, butterflies, meshes, hypercubes, the Thm 2.2.1 network |
+//! | [`topology`] | `wormhole-topology` | graphs, paths, butterflies, tori, hypercubes, the Thm 2.2.1 network |
 //! | [`flitsim`] | `wormhole-flitsim` | wormhole / store-and-forward / virtual-cut-through simulators |
 //! | [`core`] | `wormhole-core` | bounds, LLL color refinement, schedules, butterfly algorithms |
 //! | [`baselines`] | `wormhole-baselines` | naive coloring, S&F schedules, greedy wormhole, VCT, circuit switching |

@@ -12,7 +12,7 @@ use wormhole_routing::prelude::*;
 use wormhole_topology::mesh::ADAPTIVE_CLASS;
 
 fn adaptive_torus(radix: u32, dims: u32) -> Mesh {
-    Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+    Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape)
 }
 
 /// Rotation (tornado-style) batch: every node sends `stride` hops the
@@ -106,7 +106,7 @@ fn pooled_saturating_rotation_drains_via_the_escape_class_without_deadlock() {
 fn control_arm_same_rotation_deadlocks_without_escape_channels() {
     // The same rotation on the naive single-class torus wedges at B = 1:
     // this is the deadlock the escape classes exist to remove.
-    let naive = Mesh::new(8, 1, true);
+    let naive = Mesh::new(8, 1);
     let specs = rotation_specs(&naive, 4, 12);
     let r = wormhole_run(naive.graph(), &specs, &SimConfig::new(1));
     assert!(

@@ -19,6 +19,16 @@
 //! or the certificate fails here. Its file was written by the binary of
 //! the commit before `netcalc`'s unused min-plus operators were deleted.
 //!
+//! The §1.4 baselines, first-fit, the torus and its faults the same way:
+//! `e4` (store-and-forward against wormhole), `e7` (virtual cut-through),
+//! `e8` (the restricted model), each beside first-fit's schedules; `x7`
+//! (naive against dateline tori) and `x12` (channel kills, the faulted
+//! escape network, Beneš against butterfly). A drift in a baseline's
+//! stepper, a first-fit class, a torus edge id or a fault plan fails
+//! here. Their files were written by the binary of the commit before
+//! non-wrap meshes, router kills and the baselines' unused settings were
+//! deleted.
+//!
 //! Regenerate a file only for a change that means to move its table
 //! (`experiments --fast e1`, from the first `###` line on).
 
@@ -59,4 +69,29 @@ fn x11_fast_matches_its_golden() {
 #[test]
 fn x10_fast_matches_its_golden() {
     assert_eq!(rendered("x10"), include_str!("golden/x10.fast.md"));
+}
+
+#[test]
+fn e4_fast_matches_its_golden() {
+    assert_eq!(rendered("e4"), include_str!("golden/e4.fast.md"));
+}
+
+#[test]
+fn e7_fast_matches_its_golden() {
+    assert_eq!(rendered("e7"), include_str!("golden/e7.fast.md"));
+}
+
+#[test]
+fn e8_fast_matches_its_golden() {
+    assert_eq!(rendered("e8"), include_str!("golden/e8.fast.md"));
+}
+
+#[test]
+fn x7_fast_matches_its_golden() {
+    assert_eq!(rendered("x7"), include_str!("golden/x7.fast.md"));
+}
+
+#[test]
+fn x12_fast_matches_its_golden() {
+    assert_eq!(rendered("x12"), include_str!("golden/x12.fast.md"));
 }

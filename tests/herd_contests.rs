@@ -114,7 +114,7 @@ fn driver_counts(s: &EngineStats) -> (u64, (u64, u64, u64, u64), u64) {
 }
 
 fn adaptive_torus(radix: u32, dims: u32) -> Mesh {
-    Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape)
+    Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape)
 }
 
 fn graph_of(nodes: u32, edges: &[(u32, u32)]) -> (Graph, Vec<EdgeId>) {

@@ -100,7 +100,7 @@ fn schedule_respects_lower_bound_on_worst_case() {
 fn facade_prelude_covers_the_workflow() {
     // Compile-and-run check that the re-exports work together.
     let (g, paths) = wormhole_topology::random_nets::staggered_instance(4, 16, 32);
-    let col = first_fit(&paths, &g, 2, FirstFitOrder::LongestFirst);
+    let col = first_fit(&paths, &g, 2, FirstFitOrder::Input);
     let sched = ColorSchedule::new(col, 8, paths.dilation());
     let specs = sched.to_specs(&paths, 8);
     let run = wormhole_run(&g, &specs, &SimConfig::new(2));

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use wormhole_core::firstfit::{compact_coloring, first_fit, FirstFitOrder};
 use wormhole_core::refine::refine;
 use wormhole_core::Coloring;
-use wormhole_routing::flitsim::restricted::{self, RestrictedConfig};
+use wormhole_routing::flitsim::restricted;
 use wormhole_routing::prelude::*;
 use wormhole_topology::channel_dependency_graph;
 use wormhole_topology::lowerbound;
@@ -32,7 +32,7 @@ proptest! {
         let (g, ps) = wormhole_topology::random_nets::shared_chain_instance(1, d);
         let specs = specs_from_paths(&ps, l);
         let r = if restricted {
-            restricted::run(&g, &specs, &RestrictedConfig::new(b)).unwrap()
+            restricted::run(&g, &specs, b).unwrap()
         } else {
             wormhole_run(&g, &specs, &SimConfig::new(b).check_invariants(true))
         };
@@ -81,7 +81,7 @@ proptest! {
         let loads = ps.edge_loads(net.graph());
         let max_load = loads.iter().copied().max().unwrap_or(0) as u64;
         let specs = specs_from_paths(&ps, l);
-        let r = restricted::run(net.graph(), &specs, &RestrictedConfig::new(b)).unwrap();
+        let r = restricted::run(net.graph(), &specs, b).unwrap();
         prop_assert!(matches!(r.outcome, Outcome::Completed));
         prop_assert!(r.total_steps >= max_load * l as u64);
     }
@@ -107,7 +107,7 @@ proptest! {
                 specs.push(MessageSpec::new(p.clone(), l).release_at(i * stagger));
             }
         }
-        let slim = restricted::run(net.graph(), &specs, &RestrictedConfig::new(b)).unwrap();
+        let slim = restricted::run(net.graph(), &specs, b).unwrap();
         let full = wormhole_run(net.graph(), &specs, &SimConfig::new(b));
         prop_assert!(matches!(slim.outcome, Outcome::Completed));
         prop_assert_eq!(&slim.messages, &full.messages);
@@ -228,8 +228,8 @@ proptest! {
         radix in 3u32..7,
         dims in 1u32..4,
     ) {
-        let dl = Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::DatelineClasses);
-        let naive = Mesh::new(radix, dims, true);
+        let dl = Mesh::new_disciplined(radix, dims, RoutingDiscipline::DatelineClasses);
+        let naive = Mesh::new(radix, dims);
         let n = dl.num_nodes();
         let mut dl_paths = Vec::new();
         let mut naive_paths = Vec::new();
@@ -300,7 +300,7 @@ proptest! {
         dims in 1u32..4,
     ) {
         use wormhole_topology::adaptive::AdaptiveRouter;
-        let t = Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape);
+        let t = Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape);
         let g = Mesh::graph(&t);
         let n = t.num_nodes();
         let mut b = GraphBuilder::new(g.num_edges());
@@ -379,7 +379,7 @@ proptest! {
         l in 2u32..12,
         fully in proptest::bool::ANY,
     ) {
-        let t = Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape);
+        let t = Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape);
         let n = t.num_nodes();
         let stride = 1 + radix / 2;
         let specs: Vec<MessageSpec> = (0..n)
@@ -423,7 +423,7 @@ proptest! {
     ) {
         use wormhole_topology::adaptive::AdaptiveRouter;
         use wormhole_topology::fault::{FaultPlan, FaultedMesh};
-        let t = Mesh::new_disciplined(radix, dims, true, RoutingDiscipline::AdaptiveEscape);
+        let t = Mesh::new_disciplined(radix, dims, RoutingDiscipline::AdaptiveEscape);
         let plan = FaultPlan::bernoulli_channels(&t, p_pct as f64 / 100.0, 50, seed);
         let fm = FaultedMesh::new(&t, &plan).expect("generator emits valid plans");
         let dead = fm.dead().to_vec();
@@ -455,7 +455,8 @@ proptest! {
         );
     }
 
-    /// Pooled-VC conservation under mid-run router kills: kills release
+    /// Pooled-VC conservation under mid-run router kills (every edge into
+    /// or out of one victim node, killed at one step): kills release
     /// the severed worms' VCs, and the per-step conservation checks
     /// (`check_invariants`) plus the reported high-water marks must
     /// still respect the pool bounds; every engine agrees on the whole
@@ -483,8 +484,12 @@ proptest! {
             seed,
         );
         let specs = w.generate(60);
-        let n = substrate.graph().num_nodes() as u32;
-        let plan = FaultPlan::new().kill_router(kill_at, NodeId(victim % n));
+        let g = substrate.graph();
+        let victim = NodeId(victim % g.num_nodes() as u32);
+        let plan = g
+            .edges()
+            .filter(|&e| g.src(e) == victim || g.dst(e) == victim)
+            .fold(FaultPlan::new(), |plan, e| plan.kill_link(kill_at, e));
         let fanout = substrate.graph().max_out_degree() as u32;
         let pool = min * fanout + extra;
         let cfg = SimConfig::new(1)

@@ -8,12 +8,13 @@
 //! another graph, a pool that cannot honor its floors, policy values no
 //! builder would accept, a region plan built for another graph. The
 //! standalone §1.4 baselines (`restricted`, `cut_through`) return a
-//! slice's malformed spec the same way.
+//! slice's malformed spec the same way, and `restricted` its zero VC
+//! count.
 
 use wormhole_flitsim::config::{ConfigError, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::cut_through::{self, VctConfig};
 use wormhole_flitsim::message::{MessageSpec, SpecError};
-use wormhole_flitsim::restricted::{self, RestrictedConfig};
+use wormhole_flitsim::restricted;
 use wormhole_flitsim::source::{Traffic, TrafficSource};
 use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole::{simulate, SimError};
@@ -136,20 +137,18 @@ fn a_slice_is_checked_whole_before_step_zero() {
 #[test]
 fn the_standalone_baselines_return_the_first_bad_spec_as_a_value() {
     // Each malformed spec sits behind two good ones and is released far
-    // beyond the step cap, so only a check before step 0 sees it; in the
-    // slice holding all three, the first one is named.
+    // beyond the baselines' step cap (10^8 steps), so only a check before
+    // step 0 sees it; in the slice holding all three, the first one is
+    // named.
     let (g, edges) = chain(5);
-    let mut slim = RestrictedConfig::new(1);
-    slim.max_steps = 50;
-    let mut vct = VctConfig::new(2);
-    vct.max_steps = 50;
+    let vct = VctConfig::new(2);
     type Baseline<'a> = &'a dyn Fn(&[MessageSpec]) -> Result<SimResult, SimError>;
     let baselines: [(&str, Baseline); 2] = [
-        ("restricted", &|specs| restricted::run(&g, specs, &slim)),
+        ("restricted", &|specs| restricted::run(&g, specs, 1)),
         ("cut_through", &|specs| cut_through::run(&g, specs, &vct)),
     ];
     let good = || vec![raw(edges.clone(), 3, 0), raw(edges.clone(), 3, 4)];
-    let bad = malformed(&edges, 10_000);
+    let bad = malformed(&edges, 1 << 40);
     let mut all_three = good();
     all_three.extend(bad.iter().map(|(spec, _)| spec.clone()));
     for (name, run) in baselines {
@@ -165,6 +164,14 @@ fn the_standalone_baselines_return_the_first_bad_spec_as_a_value() {
         let got = run(&all_three).unwrap_err();
         assert_eq!(got, SimError::Spec { id: 2, error }, "{name}");
     }
+}
+
+#[test]
+fn the_restricted_baseline_refuses_zero_vcs_before_step_zero() {
+    // Used to run with every header refused a VC and report a deadlock.
+    let (g, edges) = chain(3);
+    let got = restricted::run(&g, &[raw(edges, 2, 0)], 0);
+    assert_eq!(got.unwrap_err(), SimError::Config(ConfigError::NoVcs));
 }
 
 #[test]
@@ -313,10 +320,10 @@ fn a_pool_below_its_routers_floors_comes_back_as_a_value() {
 
 #[test]
 fn a_router_over_another_graph_is_refused_before_step_zero() {
-    // The larger mesh as router over the smaller one's graph and specs
+    // The larger torus as router over the smaller one's graph and specs
     // used to die on an edge index mid-run; the reverse routed, silently,
     // on the wrong graph.
-    let mesh = |radix| Mesh::new_disciplined(radix, 2, false, RoutingDiscipline::AdaptiveEscape);
+    let mesh = |radix| Mesh::new_disciplined(radix, 2, RoutingDiscipline::AdaptiveEscape);
     let (small, large) = (mesh(3), mesh(4));
     let shape = |m: &Mesh| (m.graph().num_nodes(), m.graph().num_edges());
     for (sim, router) in [(&small, &large), (&large, &small)] {
