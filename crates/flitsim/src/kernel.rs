@@ -901,6 +901,16 @@ impl WaitQueue {
         }
     }
 
+    /// Sizes the per-handle tables for handles `0..n` — the pending
+    /// heads' only when `pending` heads can park — so that no park grows
+    /// them.
+    pub(crate) fn reserve(&mut self, n: usize, pending: bool) {
+        self.since.reserve_exact(n);
+        if pending {
+            self.first_slot.reserve_exact(n);
+        }
+    }
+
     /// How many handles are parked.
     #[inline]
     pub(crate) fn len(&self) -> usize {

@@ -28,7 +28,8 @@ pub(crate) struct AdaptiveState<'a> {
     pub(crate) router: &'a dyn AdaptiveRouter,
     /// Incrementally built route per handle: the adaptive prefix plus,
     /// after a fallback, the escape tail. Replaces `spec.path` as the
-    /// source of truth for [`Core::path_edge`].
+    /// source of truth for [`Core::path_edge`]. Allocated per message
+    /// at admission and freed when its worm leaves ([`Core::vacate`]).
     pub(crate) routes: Vec<Vec<EdgeId>>,
     /// Injection node per handle (head position at `advance == 0`).
     pub(crate) src: Vec<NodeId>,
@@ -269,7 +270,8 @@ pub(crate) struct Core<'a> {
     /// off the handle when it can.
     handles_are_ids: bool,
     /// Spec per handle ([`vacant_spec`] where no worm lives), borrowed
-    /// from the slice the run was lent or owned.
+    /// from the slice the run was lent or owned; an owned one goes when
+    /// its worm finishes or is discarded ([`Core::vacate`]).
     pub(crate) specs: Vec<Cow<'a, MessageSpec>>,
     pub(crate) worms: Vec<Worm>,
     pub(crate) outcomes: Vec<MessageOutcome>,
@@ -791,6 +793,22 @@ impl<'a> Core<'a> {
         self.last_finish = self.last_finish.max(at);
         self.unfinished -= 1;
         self.done.push((at, m, true));
+        self.vacate(m);
+    }
+
+    /// Gives back what worm `m`, which has left the network, owns: the
+    /// spec a live source made for it (its path) and its adaptive route
+    /// row. Nothing reads a finished or discarded worm's route, so only
+    /// its outcome and kinematics stay; a spec lent from the caller's
+    /// slice is not the run's to free and stays too.
+    fn vacate(&mut self, m: u32) {
+        let mi = m as usize;
+        if let Cow::Owned(_) = self.specs[mi] {
+            self.specs[mi] = vacant_spec();
+        }
+        if let Some(ad) = &mut self.adaptive {
+            ad.routes[mi] = Vec::new();
+        }
     }
 
     /// Advances winner `m` one flit step ([`Worm::advance`]) and applies
@@ -865,6 +883,7 @@ impl<'a> Core<'a> {
         self.fault_discards += 1;
         self.unfinished -= 1;
         self.done.push((t, m, false));
+        self.vacate(m);
     }
 
     /// VCs the `active` worms hold, per edge.

@@ -45,6 +45,8 @@ pub(crate) struct Sim<'a> {
     /// Cached [`TrafficSource::reactive`] — `true` pins the event
     /// drivers' windows to one step.
     pub(crate) reactive: bool,
+    /// Cached [`TrafficSource::id_hint`]; 0 for a slice.
+    pub(crate) id_hint: u32,
     /// The kill schedule of [`SimConfig::faults`], ascending `(at, edge)`
     /// ([`wormhole_topology::fault::FaultPlan::edge_schedule`]).
     kill_schedule: Vec<(u64, u32)>,
@@ -128,8 +130,8 @@ enum Feed<'a> {
     /// contract.
     Live {
         source: &'a mut dyn TrafficSource,
-        /// [`TrafficSource::id_bound`], asked once: the tables are sized
-        /// to it and an id at or past it is refused.
+        /// [`TrafficSource::id_bound`], asked once: an id at or past it
+        /// is refused and the result is padded to it.
         id_bound: Option<u32>,
         /// Per id: `true` once the source has emitted it.
         emitted: Vec<bool>,
@@ -154,7 +156,7 @@ impl<'a> Sim<'a> {
             _ => Vec::new(),
         };
         let rules = VcRules::new(graph, config, !kill_schedule.is_empty());
-        let (feed, reactive, id_bound) = match traffic {
+        let (feed, reactive, id_hint, reserved) = match traffic {
             Traffic::Specs(specs) => {
                 check_specs(graph, specs)?;
                 let feed = Feed::Slice {
@@ -162,31 +164,37 @@ impl<'a> Sim<'a> {
                     order: release_order(specs.len(), |i| specs[i as usize].release),
                     cursor: 0,
                 };
-                (feed, false, specs.len())
+                (feed, false, 0, specs.len())
             }
             Traffic::Source(source) => {
-                let (reactive, id_bound) = (source.reactive(), source.id_bound());
-                let n = id_bound.unwrap_or(0) as usize;
+                let (reactive, id_bound, id_hint) =
+                    (source.reactive(), source.id_bound(), source.id_hint());
+                let n = id_bound.unwrap_or(0).max(id_hint) as usize;
                 let feed = Feed::Live {
                     source,
                     id_bound,
-                    emitted: vec![false; n],
+                    emitted: Vec::with_capacity(n),
                     ready: Vec::new(),
                 };
-                (feed, reactive, n)
+                (feed, reactive, id_hint, n)
             }
         };
-        // A feed that declares how many ids it holds has every table
-        // sized here, once; one that does not grows them as ids appear.
+        // Every per-id table is sized here, once: to the slice, or to the
+        // larger of a live source's id bound and id hint. The hint only
+        // sizes — an id past it is admitted and the tables grow from
+        // there — and a reservation the run never reaches stays address
+        // space (no table is filled ahead of its ids). A feed that
+        // declares neither grows them as ids appear.
         let adaptive = router.map(AdaptiveState::new);
         let mut core = Core::new(graph, adaptive, config, rules, true);
-        core.reserve(id_bound);
+        core.reserve(reserved);
         Ok(Self {
             core,
             graph,
             feed,
-            admitted: Vec::with_capacity(id_bound),
+            admitted: Vec::with_capacity(reserved),
             reactive,
+            id_hint,
             kill_schedule,
             next_kill: 0,
             engine_stats: None,

@@ -12,9 +12,14 @@
 //!
 //! A source hands out messages tagged with **source-assigned ids**. Ids
 //! index the [`SimResult::messages`](crate::stats::SimResult::messages)
-//! vector, must be unique over the run, and should be dense (the
-//! simulator sizes per-message state by the largest id seen, or once by
-//! [`id_bound`](TrafficSource::id_bound) when the source declares one).
+//! vector, must be unique over the run, and should be dense. The
+//! simulator sizes its per-message tables once, up front, to the larger
+//! of [`id_bound`](TrafficSource::id_bound) and
+//! [`id_hint`](TrafficSource::id_hint), and past that grows them to the
+//! largest id seen. The hint only sizes: unlike the bound it neither
+//! refuses an id nor pads the result. A worm that finishes or is
+//! discarded gives back the route a live source made for it; only its
+//! outcome stays.
 //! The driver loop interacts with the source under these rules,
 //! identical for all three engines:
 //!
@@ -105,6 +110,17 @@ pub trait TrafficSource {
     /// [`SpecError::IdBeyondBound`](crate::message::SpecError::IdBeyondBound).
     fn id_bound(&self) -> Option<u32> {
         None
+    }
+
+    /// How many ids the source expects to emit: the simulator sizes its
+    /// per-message tables for this many before step 0, so a run that
+    /// stays inside it never grows them. A sizing only — an id at or past
+    /// it is accepted and the tables grow from there, and the result is
+    /// not padded to it (both of which [`id_bound`](Self::id_bound)
+    /// does). An untouched reservation costs address space, not memory.
+    /// Defaults to 0: no hint.
+    fn id_hint(&self) -> u32 {
+        0
     }
 }
 

@@ -280,6 +280,15 @@ impl std::error::Error for SimError {}
 /// [`crate::config::RouteSelection`]) and hands it to the configured
 /// [`Engine`] — every engine runs every configuration.
 ///
+/// The per-message tables are sized once, before step 0: to the slice,
+/// or to the larger of a source's [`TrafficSource::id_bound`] and
+/// [`TrafficSource::id_hint`]. The hint only sizes — it refuses no id
+/// and pads no result; a run that goes past it grows the tables from
+/// there. A message that finishes or is discarded gives back what the
+/// run owns of it (a live source's route, an adaptive route row) and
+/// keeps only its outcome, so a live run holds the routes of what is in
+/// flight, not of every message it made.
+///
 /// # Errors
 ///
 /// Everything wrong with the input comes back as a value, the same one

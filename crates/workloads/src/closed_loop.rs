@@ -26,6 +26,17 @@
 //! time, so the wheel holds at most one entry a bucket on average, its
 //! buckets are reused for the whole run, and a message costs the source
 //! one allocation: its route.
+//!
+//! The source tells the simulator how many ids to expect
+//! ([`TrafficSource::id_hint`], a bound on a fault-free run's messages
+//! derived from the config), so the simulator's per-message tables and
+//! the source's own are sized once instead of growing as messages
+//! appear. The hint only sizes: it refuses no id and pads no result, and
+//! a faulted run that reissues past it grows the tables from there. A
+//! message gives its route back when it is delivered or discarded and
+//! keeps only its outcome, so a run holds the routes of the at most
+//! `clients · window` messages in flight (a slot has one at a time), not
+//! of every message it made.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -43,6 +54,11 @@ use crate::wheel::TimingWheel;
 
 /// Salt separating slot RNG streams from the open-loop endpoint streams.
 const SLOT_STREAM_SALT: u64 = 0x636c_6f73_6564_6c70;
+
+/// The most ids [`ClosedLoopSource::id_hint`] announces (2²⁴), so that a
+/// huge horizon cannot make the simulator reserve more address space
+/// than a host grants; a run past it grows its tables as it goes.
+const ID_HINT_CAP: u64 = 1 << 24;
 
 /// A closed-loop client/server workload over a [`Substrate`].
 ///
@@ -175,7 +191,9 @@ pub struct ClosedLoopSource<'a> {
 }
 
 impl<'a> ClosedLoopSource<'a> {
-    /// Builds the source and schedules every slot's first request.
+    /// Builds the source and schedules every slot's first request. Its
+    /// per-message tables are sized once, to [`id_hint`](Self::id_hint)
+    /// messages and half as many chains.
     pub fn new(sub: &'a Substrate, cfg: &ClosedLoopConfig) -> Self {
         cfg.validate(sub);
         let mut s = Self {
@@ -191,6 +209,9 @@ impl<'a> ClosedLoopSource<'a> {
             backlog: vec![0; cfg.clients as usize],
             fault: None,
         };
+        let hint = s.id_hint() as usize;
+        s.meta.reserve_exact(hint);
+        s.chain_latencies.reserve_exact(hint / 2);
         for c in 0..cfg.clients {
             for slot in 0..cfg.window {
                 let mut rng = StdRng::seed_from_u64(mix(mix(cfg.seed ^ SLOT_STREAM_SALT, c), slot));
@@ -406,6 +427,30 @@ impl TrafficSource for ClosedLoopSource<'_> {
     fn reactive(&self) -> bool {
         true
     }
+
+    /// `clients · window · 2 · (horizon / chain + 1)` ids, where `chain =
+    /// req_len + reply_len + server_delay.0 + think.0`, capped at 2²⁴.
+    ///
+    /// Every message crosses at least one hop, so it finishes at least
+    /// its length after its release. A slot's reply is released at least
+    /// `req_len + server_delay.0` after its request, and its next request
+    /// at least `reply_len + think.0` after that: its requests are at
+    /// least `chain` steps apart. Requests are released in `0..horizon`,
+    /// so a slot issues at most `horizon / chain + 1` of them, each with
+    /// one reply. That bounds a fault-free run's ids. A faulted run's
+    /// reissues may go past it, and the simulator's tables then grow as
+    /// they would without a hint. The figure is computed in saturating
+    /// arithmetic and capped, so a huge horizon asks for no more than
+    /// 2²⁴ ids.
+    fn id_hint(&self) -> u32 {
+        let cfg = &self.cfg;
+        let chain = (cfg.req_len as u64 + cfg.reply_len as u64)
+            .saturating_add(cfg.server_delay.0)
+            .saturating_add(cfg.think.0);
+        let per_slot = (cfg.horizon / chain).saturating_add(1).saturating_mul(2);
+        let slots = cfg.clients as u64 * cfg.window as u64;
+        slots.saturating_mul(per_slot).min(ID_HINT_CAP) as u32
+    }
 }
 
 /// Runs a closed-loop workload to the open-loop step cap, attaching both
@@ -443,6 +488,7 @@ mod tests {
     use super::*;
     use wormhole_flitsim::config::Engine;
     use wormhole_flitsim::stats::Outcome;
+    use wormhole_topology::fault::FaultPlan;
 
     fn small_cfg(window: u32, horizon: u64) -> ClosedLoopConfig {
         ClosedLoopConfig {
@@ -538,13 +584,11 @@ mod tests {
         assert!(olstats.backlog.1 <= 2 * cl.outstanding_bound() as usize);
     }
 
-    #[test]
-    fn faulted_benes_chains_reissue_and_complete() {
-        use wormhole_topology::fault::FaultPlan;
-        // Kill a middle-stage edge of each client's canonical route to
-        // its aligned server while the loop is in full swing. The Benes
-        // has middle-column diversity, so every severed half-chain is
-        // reissued on a surviving route and the loop drains completely.
+    /// The faulted Beneš: a middle-stage edge of each client's canonical
+    /// route to its aligned server dies while the loop is in full swing.
+    /// The Beneš has middle-column diversity, so every severed half-chain
+    /// is reissued on a surviving route.
+    fn faulted_benes() -> (Substrate, ClosedLoopConfig, FaultPlan) {
         let sub = Substrate::benes(3); // 8 endpoints
         let cfg = ClosedLoopConfig {
             clients: 4,
@@ -568,64 +612,221 @@ mod tests {
                 plan = plan.kill_link(40, e);
             }
         }
-        let run = |engine| {
-            let sim = SimConfig::new(2).engine(engine).faults(plan.clone());
-            let mut src = ClosedLoopSource::new(&sub, &cfg).with_faults(&plan, sub.graph());
-            let r = wormhole::run_source(sub.graph(), &mut src, &sim);
-            let cl = src.stats(r.total_steps);
-            (r, cl, src.open_chains())
+        (sub, cfg, plan)
+    }
+
+    /// The wedged butterfly: exactly one route per pair, so a killed edge
+    /// wedges every chain crossing it for good, and its half-chains are
+    /// reissued (and discarded on arrival) every step up to the horizon.
+    fn wedged_butterfly() -> (Substrate, ClosedLoopConfig, FaultPlan) {
+        let sub = Substrate::butterfly(3);
+        let cfg = small_cfg(2, 200);
+        let p = sub.route(0, 4);
+        let plan = FaultPlan::new().kill_link(30, p.edges()[1]);
+        (sub, cfg, plan)
+    }
+
+    /// One run of `cfg` over `sub` on `engine`, fault-aware of `plan` if
+    /// any, with the source's id hint shown or hidden ([`Unhinted`]): the
+    /// result and the source it drained.
+    fn run_on<'s>(
+        sub: &'s Substrate,
+        cfg: &ClosedLoopConfig,
+        plan: Option<&FaultPlan>,
+        engine: Engine,
+        hinted: bool,
+    ) -> (SimResult, ClosedLoopSource<'s>) {
+        let mut sim = SimConfig::new(2).engine(engine);
+        let mut src = ClosedLoopSource::new(sub, cfg);
+        if let Some(plan) = plan {
+            sim = sim.faults(plan.clone());
+            src = src.with_faults(plan, sub.graph());
+        }
+        let r = if hinted {
+            wormhole::run_source(sub.graph(), &mut src, &sim)
+        } else {
+            wormhole::run_source(sub.graph(), &mut Unhinted(&mut src), &sim)
         };
-        let (r, cl, open) = run(Engine::EventDriven);
+        (r, src)
+    }
+
+    #[test]
+    fn faulted_benes_chains_reissue_and_complete() {
+        let (sub, cfg, plan) = faulted_benes();
+        let (r, src) = run_on(&sub, &cfg, Some(&plan), Engine::EventDriven, true);
+        let cl = src.stats(r.total_steps);
         assert_eq!(r.outcome, Outcome::Completed, "{:?}", r.outcome);
         assert!(r.kills_applied > 0);
         assert!(r.fault_discards > 0, "kills should sever in-flight worms");
-        assert_eq!(open, 0, "every severed chain reissued and completed");
+        assert_eq!(
+            src.open_chains(),
+            0,
+            "every severed chain reissued and completed"
+        );
         assert!(cl.chains_completed > 0, "{cl:?}");
         for engine in [Engine::Legacy, Engine::Parallel { threads: 2 }] {
-            let (other, stats, _) = run(engine);
+            let (other, other_src) = run_on(&sub, &cfg, Some(&plan), engine, true);
             assert!(
                 r.same_execution(&other),
                 "{engine:?} diverged on faulted Benes"
             );
-            assert_eq!(cl, stats);
+            assert_eq!(cl, other_src.stats(other.total_steps));
         }
     }
 
     #[test]
     fn faulted_butterfly_retries_stop_at_horizon() {
-        use wormhole_topology::fault::FaultPlan;
-        // The butterfly has exactly one route per pair: a killed edge
-        // permanently wedges every chain crossing it. Retries are
-        // reissued (and discarded dead-on-arrival) until the horizon,
-        // then stop; the run still drains, with the wedged chains left
-        // in flight as backlog rather than spinning forever.
-        let sub = Substrate::butterfly(3);
-        let cfg = small_cfg(2, 200);
-        let p = sub.route(0, 4);
-        let plan = FaultPlan::new().kill_link(30, p.edges()[1]);
-        let run = |engine| {
-            let sim = SimConfig::new(2).engine(engine).faults(plan.clone());
-            let mut src = ClosedLoopSource::new(&sub, &cfg).with_faults(&plan, sub.graph());
-            let r = wormhole::run_source(sub.graph(), &mut src, &sim);
-            let cl = src.stats(r.total_steps);
-            (r, cl, src.open_chains())
-        };
-        let (r, cl, open) = run(Engine::EventDriven);
+        // Retries are reissued until the horizon, then stop; the run
+        // still drains, with the wedged chains left in flight as backlog
+        // rather than spinning forever.
+        let (sub, cfg, plan) = wedged_butterfly();
+        let (r, src) = run_on(&sub, &cfg, Some(&plan), Engine::EventDriven, true);
+        let cl = src.stats(r.total_steps);
         assert_eq!(r.outcome, Outcome::Completed, "{:?}", r.outcome);
         assert!(r.fault_discards > 0, "{r:?}");
-        assert!(open > 0, "wedged chains never complete: {cl:?}");
+        assert!(
+            src.open_chains() > 0,
+            "wedged chains never complete: {cl:?}"
+        );
         assert!(cl.chains_completed > 0, "unaffected pairs keep looping");
         // The retry loop is bounded: reissues run right up to the
         // horizon and no further.
         assert!(r.total_steps + 1 >= cfg.horizon, "{}", r.total_steps);
         for engine in [Engine::Legacy, Engine::Parallel { threads: 2 }] {
-            let (other, stats, _) = run(engine);
+            let (other, other_src) = run_on(&sub, &cfg, Some(&plan), engine, true);
             assert!(
                 r.same_execution(&other),
                 "{engine:?} diverged on wedged butterfly"
             );
-            assert_eq!(cl, stats);
+            assert_eq!(cl, other_src.stats(other.total_steps));
         }
+    }
+
+    /// A source with its id hint hidden and everything else forwarded:
+    /// what the simulator saw before sources could hint.
+    struct Unhinted<'s, S>(&'s mut S);
+
+    impl<S: TrafficSource> TrafficSource for Unhinted<'_, S> {
+        fn next_release(&mut self, now: u64) -> Option<u64> {
+            self.0.next_release(now)
+        }
+
+        fn take_ready(&mut self, now: u64, out: &mut Vec<(u32, MessageSpec)>) {
+            self.0.take_ready(now, out)
+        }
+
+        fn on_delivered(&mut self, id: u32, finished: u64) {
+            self.0.on_delivered(id, finished)
+        }
+
+        fn on_discarded(&mut self, id: u32, t: u64) {
+            self.0.on_discarded(id, t)
+        }
+
+        fn reactive(&self) -> bool {
+            self.0.reactive()
+        }
+
+        fn id_bound(&self) -> Option<u32> {
+            self.0.id_bound()
+        }
+    }
+
+    #[test]
+    fn the_id_hint_changes_nothing_but_memory() {
+        // A plain run, one whose reissues go past the hint (the tables
+        // grow from there) and one whose discards give specs back.
+        let fixtures = [
+            (Substrate::butterfly(3), small_cfg(2, 300), None),
+            {
+                let (sub, cfg, plan) = wedged_butterfly();
+                (sub, cfg, Some(plan))
+            },
+            {
+                let (sub, cfg, plan) = faulted_benes();
+                (sub, cfg, Some(plan))
+            },
+        ];
+        let engines = [
+            Engine::EventDriven,
+            Engine::Legacy,
+            Engine::Parallel { threads: 1 },
+            Engine::Parallel { threads: 2 },
+        ];
+        let mut past_the_hint = false;
+        for (i, (sub, cfg, plan)) in fixtures.iter().enumerate() {
+            let ol = OpenLoopConfig::new(cfg.horizon / 4, cfg.horizon / 2);
+            for engine in engines {
+                let [hinted, bare] = [true, false].map(|hint| {
+                    let (r, src) = run_on(sub, cfg, plan.as_ref(), engine, hint);
+                    past_the_hint |= src.emitted() > src.id_hint() as usize;
+                    let msgs = src.meta.iter().zip(&r.messages);
+                    let windowed = windowed_stats_from(
+                        msgs.map(|(m, o)| (m.release, m.length, o.finished)),
+                        &ol,
+                    );
+                    (src.stats(r.total_steps), windowed, r)
+                });
+                assert!(
+                    hinted.2.same_execution(&bare.2),
+                    "fixture {i} on {engine:?}: the hint changed the run"
+                );
+                assert_eq!(hinted.0, bare.0, "fixture {i} on {engine:?}");
+                assert_eq!(hinted.1, bare.1, "fixture {i} on {engine:?}");
+            }
+        }
+        assert!(past_the_hint, "no fixture reissued past its hint");
+    }
+
+    #[test]
+    fn the_id_hint_bounds_a_fault_free_run() {
+        let subs = [
+            Substrate::butterfly(3),
+            Substrate::butterfly(4),
+            Substrate::butterfly(5),
+            Substrate::torus_with(4, 2, crate::RoutingDiscipline::DatelineClasses),
+        ];
+        for case in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let sub = &subs[case as usize % subs.len()];
+            let clients = rng.random_range(1..=sub.endpoints() / 2);
+            let think = rng.random_range(0u64..=6);
+            let delay = rng.random_range(0u64..=4);
+            // Every other case thinks a fixed time: its chains run close
+            // to the shortest the hint assumes.
+            let think_span: u64 = if case % 2 == 0 { 0 } else { 20 };
+            let cfg = ClosedLoopConfig {
+                clients,
+                servers: rng.random_range(1..=sub.endpoints() - clients),
+                window: rng.random_range(1u32..=4),
+                req_len: rng.random_range(1u32..=6),
+                reply_len: rng.random_range(1u32..=8),
+                think: (think, think + rng.random_range(0..=think_span)),
+                server_delay: (delay, delay + rng.random_range(0u64..=10)),
+                start_spread: rng.random_range(0..=40),
+                horizon: rng.random_range(1..=600),
+                seed: case,
+            };
+            let mut src = ClosedLoopSource::new(sub, &cfg);
+            let r = wormhole::run_source(sub.graph(), &mut src, &SimConfig::new(2));
+            assert_eq!(r.outcome, Outcome::Completed, "case {case}: {cfg:?}");
+            assert!(
+                src.emitted() <= src.id_hint() as usize,
+                "case {case}: {} messages past a hint of {} ({cfg:?})",
+                src.emitted(),
+                src.id_hint()
+            );
+        }
+        // A horizon no run reaches: the hint saturates at its cap, the
+        // simulator reserves that much address space and no more, and the
+        // step cap ends the run.
+        let sub = Substrate::butterfly(3);
+        let cfg = small_cfg(2, u64::MAX);
+        let mut src = ClosedLoopSource::new(&sub, &cfg);
+        assert_eq!(src.id_hint() as u64, ID_HINT_CAP);
+        let r = wormhole::run_source(sub.graph(), &mut src, &SimConfig::new(2).max_steps(200));
+        assert_eq!(r.outcome, Outcome::MaxSteps);
+        assert!(r.delivered() > 0);
     }
 
     #[test]

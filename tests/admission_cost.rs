@@ -13,7 +13,12 @@
 //! allocation of its own: its route. The closed-loop source's schedule
 //! reuses its buckets, so that is all a message costs; a schedule that
 //! allocates as it goes (a `BTreeMap` splitting nodes: 1.12 a message)
-//! fails the gate.
+//! fails the gate. Two more gates hold what a longer live run keeps:
+//! the source's id hint sizes every per-id table before step 0, so the
+//! bytes `realloc` moves do not grow with the run (tables grown push by
+//! push move about 220 bytes a message), and a delivered worm gives its
+//! route back, so the most blocks live at once do not grow either (a
+//! run that keeps every route holds one block more a message).
 //!
 //! The counters are per thread: no other test can allocate into a
 //! measurement.
@@ -32,18 +37,40 @@ use wormhole_workloads::{
 };
 
 thread_local! {
-    /// `(allocations, frees)` made by this thread (a growth in place
-    /// counts as an allocation).
-    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// What this thread did to the heap so far.
+    static COUNTS: Cell<Counts> = const {
+        Cell::new(Counts {
+            allocs: 0,
+            frees: 0,
+            moved: 0,
+            live: 0,
+            peak: 0,
+        })
+    };
+}
+
+/// A thread's heap traffic: blocks allocated (a growth in place counts
+/// as an allocation) and freed, the bytes `realloc` moved (the old
+/// block's size, whether or not it grew in place), and the blocks live
+/// now and at most since [`counted`] last reset the peak.
+#[derive(Clone, Copy)]
+struct Counts {
+    allocs: u64,
+    frees: u64,
+    moved: u64,
+    live: i64,
+    peak: i64,
 }
 
 struct Counting;
 
-fn count(allocs: u64, frees: u64) {
+fn count(f: impl FnOnce(&mut Counts)) {
     // A thread past its TLS teardown counts nothing; nobody reads it.
     let _ = COUNTS.try_with(|c| {
-        let (a, f) = c.get();
-        c.set((a + allocs, f + frees));
+        let mut counts = c.get();
+        f(&mut counts);
+        counts.peak = counts.peak.max(counts.live);
+        c.set(counts);
     });
 }
 
@@ -52,19 +79,28 @@ fn count(allocs: u64, frees: u64) {
 // `Cell` of plain integers and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, 0);
+        count(|c| {
+            c.allocs += 1;
+            c.live += 1;
+        });
         // SAFETY: the caller's `layout` obligations pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, 1);
+        count(|c| {
+            c.frees += 1;
+            c.live -= 1;
+        });
         // SAFETY: `ptr` came from `System` through `alloc` / `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, 0);
+        count(|c| {
+            c.allocs += 1;
+            c.moved += layout.size() as u64;
+        });
         // SAFETY: as `dealloc`; `new_size` is the caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -73,25 +109,45 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f` and returns its value with the `(allocations, frees)` this
-/// thread made inside it.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (a0, f0) = COUNTS.with(Cell::get);
+/// What `f` did to this thread's heap.
+struct Cost {
+    allocs: u64,
+    frees: u64,
+    /// Bytes `realloc` moved.
+    moved: u64,
+    /// The most blocks live at once above those live on entry.
+    peak: i64,
+}
+
+/// Runs `f` and returns its value with what it did to this thread's
+/// heap.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Cost) {
+    let c0 = COUNTS.with(|c| {
+        let mut counts = c.get();
+        counts.peak = counts.live;
+        c.set(counts);
+        counts
+    });
     let out = f();
-    let (a1, f1) = COUNTS.with(Cell::get);
-    (out, a1 - a0, f1 - f0)
+    let c1 = COUNTS.with(Cell::get);
+    let cost = Cost {
+        allocs: c1.allocs - c0.allocs,
+        frees: c1.frees - c0.frees,
+        moved: c1.moved - c0.moved,
+        peak: c1.peak - c0.live,
+    };
+    (out, cost)
 }
 
 /// Allocations inside one `wormhole::run`, and frees inside the drop of
 /// its result.
 fn run_cost(substrate: &Substrate, specs: &[MessageSpec], engine: Engine) -> (u64, u64) {
     let cfg = SimConfig::new(2).engine(engine);
-    let (result, allocs, _): (SimResult, _, _) =
-        counted(|| wormhole::run(substrate.graph(), specs, &cfg));
+    let (result, run): (SimResult, _) = counted(|| wormhole::run(substrate.graph(), specs, &cfg));
     assert_eq!(result.outcome, Outcome::Completed);
     assert_eq!(result.delivered(), specs.len());
-    let ((), _, frees) = counted(|| drop(result));
-    (allocs, frees)
+    let ((), dropped) = counted(|| drop(result));
+    (run.allocs, dropped.frees)
 }
 
 #[test]
@@ -142,9 +198,10 @@ fn admitting_a_message_allocates_nothing() {
     );
 }
 
-/// Allocations inside building a closed-loop source with request horizon
-/// `horizon` and running it to completion, and the messages it made.
-fn live_cost(substrate: &Substrate, horizon: u64) -> (u64, u64) {
+/// What building a closed-loop source with request horizon `horizon`
+/// and running it to completion did to the heap, and the messages it
+/// made.
+fn live_cost(substrate: &Substrate, horizon: u64) -> (Cost, u64) {
     let cfg = ClosedLoopConfig {
         clients: 32,
         servers: 32,
@@ -158,13 +215,13 @@ fn live_cost(substrate: &Substrate, horizon: u64) -> (u64, u64) {
         seed: 0x11fe,
     };
     let sim = SimConfig::new(2).vc_policy(VcPolicy::pooled(4, 1, 4));
-    let (result, allocs, _) = counted(|| {
+    let (result, cost) = counted(|| {
         let mut source = ClosedLoopSource::new(substrate, &cfg);
         wormhole::run_source(substrate.graph(), &mut source, &sim)
     });
     assert_eq!(result.outcome, Outcome::Completed);
     assert_eq!(result.delivered(), result.messages.len());
-    (allocs, result.messages.len() as u64)
+    (cost, result.messages.len() as u64)
 }
 
 #[test]
@@ -176,11 +233,32 @@ fn a_live_message_allocates_its_route_and_nothing_else() {
     let (small, small_msgs) = live_cost(&substrate, H);
     let (large, large_msgs) = live_cost(&substrate, 2 * H);
     let extra = large_msgs - small_msgs;
-    println!("live: allocs({small_msgs}) = {small}, allocs({large_msgs}) = {large}");
+    println!(
+        "live: allocs({small_msgs}) = {}, allocs({large_msgs}) = {}",
+        small.allocs, large.allocs
+    );
+    println!(
+        "live: bytes reallocated {} / {}, peak live blocks {} / {}",
+        small.moved, large.moved, small.peak, large.peak
+    );
     assert!(extra >= 10_000, "only {extra} more messages");
     assert!(
-        large.saturating_sub(small) <= extra + extra / 16,
+        large.allocs.saturating_sub(small.allocs) <= extra + extra / 16,
         "{extra} more messages cost {} more allocations",
-        large - small
+        large.allocs - small.allocs
+    );
+    // The per-id tables are sized once, from the source's id hint: a
+    // longer run copies none of them again.
+    assert!(
+        large.moved.saturating_sub(small.moved) <= 4 << 10,
+        "{extra} more messages cost {} more bytes reallocated",
+        large.moved - small.moved
+    );
+    // A delivered worm gives its route back: what is live at once is
+    // what is in flight, however long the run.
+    assert!(
+        large.peak - small.peak <= (extra / 16) as i64,
+        "{extra} more messages hold {} more blocks at the peak",
+        large.peak - small.peak
     );
 }
