@@ -107,6 +107,7 @@ pub(crate) struct Window {
 /// exactly as the legacy driver would, and leaves the driver's counters
 /// in [`Sim::engine_stats`].
 pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
+    sim.core.reserve(sim.reserved);
     let mut st = EventState::new(&sim.core);
     // A live source's id hint sizes the queue's per-handle tables like
     // the core's. A slice run's grow as its worms park: sized up front,

@@ -15,6 +15,7 @@ use crate::wormhole::SimError;
 /// Runs `sim` to its outcome one step at a time. Returns `(outcome,
 /// final step, deadlock report)`, or the bad spec a live source emitted.
 pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
+    sim.core.reserve(sim.reserved);
     let mut t: u64 = 0;
     let outcome = loop {
         if let Some(outcome) = sim.loop_head(&mut t, sim.core.active.is_empty()) {

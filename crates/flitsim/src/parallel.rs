@@ -37,23 +37,30 @@
 //! one layout for the whole run. At one worker that region is the whole
 //! graph and no edge crosses its boundary: it keeps no cut state (no path
 //! scan on arrival, the event engine's no-op `on_park`, no window-end
-//! emigration or [`worm_bound`] pass), and what it pays over the event
-//! engine is the coordinator's copy of a worm into it at admission and
-//! out of it at retirement.
+//! emigration or [`worm_bound`] pass). Its worms enter and leave it in
+//! place, below, and its per-handle tables — like every region's — are
+//! sized once before step 0, from the feed's declared size shared over
+//! the regions, so one worker allocates what the event engine
+//! allocates.
 //!
 //! What this module owns is what is parallel:
 //!
 //! * **Residency and hand-off.** A worm resides in the region owning its
 //!   next wanted edge (draining worms stay where they finished
 //!   acquiring; a pending adaptive worm resides in its head node's
-//!   region), under a recycled local handle. At the end of a window the
-//!   region moves out the worms that finished or were discarded (to the
-//!   coordinator, as the few fields it records in the run's id-keyed
-//!   core — [`Retired`]; the spec and route are dropped on the spot — and
-//!   whose completion callbacks it flushes in canonical `(time, id)`
-//!   order, as always) and the movers whose next wanted edge now lies
-//!   across the cut (to that edge's region, as [`Resident`] values:
-//!   nothing is copied). A parked worm never migrates: it did not move.
+//!   region), under a recycled local handle. Admission places it there
+//!   directly — a pending head in its source node's region, read off the
+//!   spec; only a discard on arrival lands in the run's id-keyed core.
+//!   At the end of a window a region hands back the worms that finished
+//!   or were discarded as [`Retired`] — `(time, id, delivered, outcome)`,
+//!   the handle recycled on the spot — whose outcomes the coordinator
+//!   records in the id-keyed core and whose completion callbacks it
+//!   flushes in canonical `(time, id)` order, as always; and it moves out
+//!   the movers whose next wanted edge now lies across the cut (to that
+//!   edge's region, as [`Resident`] values: nothing is copied). A parked
+//!   worm never migrates: it did not move. When the run ends, the
+//!   residents' outcomes are written back the same way; whole worms move
+//!   to the id-keyed core only for a deadlock report.
 //! * **The one hook.** A release on an edge another region owns goes to
 //!   the core's outbox ([`Core::release_vc`]) and lands on its owner
 //!   between windows — before the owner, entering its next window,
@@ -126,9 +133,9 @@ use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
 
 use crate::engine::{self, EventState};
-use crate::kernel::Worm;
+use crate::probe::{self, Phase};
 use crate::resident::{Core, Resident};
-use crate::sim::{Driven, Sim};
+use crate::sim::{self, Driven, Sim};
 use crate::stats::{EngineStats, MessageOutcome};
 use crate::wormhole::SimError;
 
@@ -191,6 +198,18 @@ impl Ctx {
         } else {
             Vec::new()
         }
+    }
+
+    /// The region a worm entering the network belongs in: its source
+    /// node's while the route is pending, the owner of its first edge
+    /// otherwise — [`Ctx::home`] at admission, read off the spec.
+    fn entry(&self, r: &Resident) -> usize {
+        let region = if r.worm.pending_route {
+            self.node_region[r.src.idx()]
+        } else {
+            self.edge_region[r.spec.path.edges()[0].idx()]
+        };
+        region as usize
     }
 
     /// The region worm `h` of `core` belongs in: its head node's while
@@ -259,18 +278,12 @@ fn add_rows<T: Copy + std::ops::AddAssign>(into: &mut [T], from: &[T]) {
     }
 }
 
-/// What [`land`] reads of a worm that finished or was discarded: its
-/// spec and route are dropped where it retires, not buffered — one long
-/// window of a saturated run retires thousands.
-struct Retired {
-    /// `t + 1` for a delivery, `t` for a discard: the stamps the
-    /// sequential engines record.
-    time: u64,
-    delivered: bool,
-    id: u32,
-    worm: Worm,
-    out: MessageOutcome,
-}
+/// What a region hands back of a worm that finished or was discarded,
+/// and all [`land`] records of it — `(time, id, delivered, outcome)`,
+/// the time `t + 1` for a delivery and `t` for a discard, the stamps the
+/// sequential engines record. The worm itself stays behind, its handle
+/// free for the next arrival.
+type Retired = (u64, u32, bool, MessageOutcome);
 
 /// One region: the [`Core`] holding its resident worms and the ledger
 /// of the edges and routers it owns (full-size arrays indexed by
@@ -309,7 +322,9 @@ struct Region<'a> {
 }
 
 impl<'a> Region<'a> {
-    fn new(idx: u32, ctx: &Ctx, sim: &Sim<'a>) -> Region<'a> {
+    /// Region `idx` of `n`, its per-handle tables sized for its share of
+    /// the feed's declared size.
+    fn new(idx: u32, ctx: &Ctx, sim: &Sim<'a>, n: usize) -> Region<'a> {
         let adaptive = sim.core.adaptive.as_ref().map(|ad| ad.sibling());
         // Each region keeps its own copy of the rules: a fault kill sets
         // the same dead flags in every copy, at the same boundary.
@@ -321,9 +336,13 @@ impl<'a> Region<'a> {
             false,
         );
         core.foreign = ctx.foreign(idx);
+        let share = sim.reserved.div_ceil(n);
+        core.reserve(share);
+        let mut st = EventState::new(&core);
+        st.waiting.reserve(share, core.adaptive.is_some());
         Region {
             idx,
-            st: EventState::new(&core),
+            st,
             core,
             free: Vec::new(),
             cuts: Vec::new(),
@@ -356,22 +375,17 @@ impl<'a> Region<'a> {
         self.st.runnable.push(h);
     }
 
-    /// Moves the worms that finished or were discarded since the last
-    /// call to the `retired` outbox and recycles their handles.
+    /// Hands the worms that finished or were discarded since the last
+    /// call to the `retired` outbox and recycles their handles on the
+    /// spot: a finished worm already gave back what it owned
+    /// ([`Core::vacate`]).
     fn retire(&mut self) {
-        let mut done = std::mem::take(&mut self.core.done);
-        for (time, h, delivered) in done.drain(..) {
-            let Resident { id, worm, out, .. } = self.core.take(h);
-            self.retired.push(Retired {
-                time,
-                delivered,
-                id,
-                worm,
-                out,
-            });
+        let core = &mut self.core;
+        for (time, h, delivered) in core.done.drain(..) {
+            let (id, out) = (core.ids[h as usize], core.outcomes[h as usize]);
+            self.retired.push((time, id, delivered, out));
             self.free.push(h);
         }
-        self.core.done = done;
     }
 
     /// Runs this region through the window `[t0, end)` without touching
@@ -557,14 +571,15 @@ fn fold_totals(into: &mut Core, from: &Core) {
 }
 
 /// The run is over: settles the still-parked worms' stalls through step
-/// `through`, moves every resident back into the run's id-keyed core
-/// (for the result, and for the deadlock report), and folds the
-/// per-region accumulators into the run totals — the event driver's
-/// counters into `stats`.
+/// `through`, records every resident's outcome in the run's id-keyed
+/// core — or, for the deadlock report, moves the whole worm there — and
+/// folds the per-region accumulators into the run totals, the event
+/// driver's counters into `stats`.
 fn write_back<'a>(
     sim: &mut Sim<'a>,
     regs: &mut [MutexGuard<'_, Region<'a>>],
     through: u64,
+    whole: bool,
     stats: &mut EngineStats,
 ) {
     let total = &mut sim.core;
@@ -573,21 +588,26 @@ fn write_back<'a>(
         stats.add_driver_counts(&reg.st.stats);
         engine::settle_parked(&mut reg.core, &mut reg.st, through);
         for h in reg.st.runnable.drain(..) {
-            let r = reg.core.take(h);
-            total.put(r.id, r);
+            if whole {
+                let r = reg.core.take(h);
+                total.put(r.id, r);
+            } else {
+                total.record(reg.core.ids[h as usize], reg.core.outcomes[h as usize]);
+            }
         }
         reg.core.ledger.settle_max(&reg.core.rules);
         fold_totals(total, &reg.core);
     }
+    probe::lap(Phase::Merge);
 }
 
 /// Lands the regions' outboxes, in region-index order (the effects are
 /// commutative or canonically re-sorted downstream; fixing the order
 /// makes the run reproducible by inspection, not just by argument):
-/// cross-region releases on the edges' owners, retired worms in the run's
-/// id-keyed core — whose next completion flush reports them to the
-/// source — and emigrants in their new regions, counted in
-/// `stats.handoffs`. Returns how many worms retired.
+/// cross-region releases on the edges' owners, the retired worms'
+/// outcomes in the run's id-keyed core — whose next completion flush
+/// reports them to the source — and emigrants in their new regions,
+/// counted in `stats.handoffs`. Returns how many worms retired.
 fn land<'a>(
     ctx: &Ctx,
     sim: &mut Sim<'a>,
@@ -603,11 +623,9 @@ fn land<'a>(
         }
         regs[i].core.remote_releases = releases;
         n_retired += regs[i].retired.len();
-        for r in regs[i].retired.drain(..) {
-            let mi = r.id as usize;
-            sim.core.worms[mi] = r.worm;
-            sim.core.outcomes[mi] = r.out;
-            sim.core.done.push((r.time, r.id, r.delivered));
+        for (time, id, delivered, out) in regs[i].retired.drain(..) {
+            sim.core.record(id, out);
+            sim.core.done.push((time, id, delivered));
         }
         let mut handoffs = std::mem::take(&mut regs[i].handoffs);
         stats.handoffs += handoffs.len() as u64;
@@ -616,6 +634,7 @@ fn land<'a>(
         }
         regs[i].handoffs = handoffs;
     }
+    probe::lap(Phase::Merge);
     n_retired
 }
 
@@ -641,7 +660,7 @@ fn run_loop<'a>(
             // sequential engines count their stalls through the last
             // step that ran.
             let last = sim.core.config.max_steps.saturating_sub(1);
-            write_back(sim, &mut regs, last, stats);
+            write_back(sim, &mut regs, last, false, stats);
             return Ok((outcome, t, None));
         }
         // A fault kill is a window boundary too, and one every region
@@ -664,12 +683,16 @@ fn run_loop<'a>(
             }
             n_active -= land(ctx, sim, &mut regs, stats);
         }
-        let (total, new) = sim.admit_ready(t)?;
-        for &m in new {
-            let target = ctx.home(total, m) as usize;
-            total.unfinished -= 1;
-            regs[target].arrive(ctx, total.take(m));
-        }
+        // Each worm goes straight into the region it belongs in; only a
+        // discard on arrival lands in the id-keyed core.
+        let (_, new) = sim.admit_with(t, |total, graph, id, spec, now| {
+            if sim::dead_on_arrival(total, &spec) {
+                return sim::admit(total, graph, id, spec, now);
+            }
+            let r = sim::arrival(total, graph, id, spec);
+            regs[ctx.entry(&r)].arrive(ctx, r);
+            true
+        })?;
         n_active += new.len();
 
         // The cut-bound grant: the minimum per-region `safe` bound over
@@ -756,7 +779,7 @@ fn run_loop<'a>(
             // the first globally move-free step, with the same report
             // the sequential engines build. Parked worms were blocked
             // at every step up to the verdict.
-            write_back(sim, &mut regs, t_dead, stats);
+            write_back(sim, &mut regs, t_dead, true, stats);
             return Ok(sim.deadlock(t_dead));
         }
         if sim.core.config.check_invariants {
@@ -800,8 +823,11 @@ pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimEr
         RegionPlan::from_node_regions(graph, worker.collect())
     });
     let ctx = Ctx::new(graph, plan.as_ref());
+    // The id-keyed core only records outcomes; the regions share the
+    // feed's size for their per-handle tables.
+    sim.core.outcomes.reserve_exact(sim.reserved);
     let regions = (0..n)
-        .map(|r| Mutex::new(Region::new(r as u32, &ctx, sim)))
+        .map(|r| Mutex::new(Region::new(r as u32, &ctx, sim, n)))
         .collect();
     let shared = Shared {
         regions,

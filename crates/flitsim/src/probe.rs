@@ -54,13 +54,17 @@ pub enum Phase {
     /// Dropping finished, discarded and parked worms from the stepping
     /// list.
     Retain,
+    /// The parallel coordinator's work between windows: the regions'
+    /// retirements, landing their outboxes, and the write-back at the
+    /// end of the run.
+    Merge,
     /// Folding the run into its [`crate::stats::SimResult`].
     IntoResult,
 }
 
 impl Phase {
     /// Every phase, in step order.
-    pub const ALL: [Phase; 12] = [
+    pub const ALL: [Phase; 13] = [
         Phase::LoopHead,
         Phase::Flush,
         Phase::Take,
@@ -72,6 +76,7 @@ impl Phase {
         Phase::Park,
         Phase::Wake,
         Phase::Retain,
+        Phase::Merge,
         Phase::IntoResult,
     ];
 
@@ -89,6 +94,7 @@ impl Phase {
             Phase::Park => "park",
             Phase::Wake => "wake",
             Phase::Retain => "retain",
+            Phase::Merge => "merge",
             Phase::IntoResult => "into_result",
         }
     }

@@ -41,8 +41,8 @@ pub(crate) struct AdaptiveState<'a> {
     pub(crate) selected: Vec<SelectedHop>,
     /// Watch-row header per handle ([`AdaptiveState::watch`]). Like
     /// `row_cands`, grown — inside what [`Core::reserve`] sized — as rows
-    /// are first filled: a core that only passes worms on (the parallel
-    /// engine's id-keyed one) never touches either.
+    /// are first filled: a core that never steps (the parallel engine's
+    /// id-keyed one) never touches either.
     row_heads: Vec<WatchHead>,
     /// The rows' candidates, `stride` slots per handle, the profitable
     /// ones first.
@@ -228,8 +228,8 @@ fn vacant_spec<'a>() -> Cow<'a, MessageSpec> {
 
 /// One worm's whole state as a value: what admission installs in a
 /// [`Core`], and what the parallel engine moves — never copies — from
-/// core to core when a worm crosses a cut, retires, or is written back
-/// at the end of the run. The spec is the caller's own when the run was
+/// core to core when a worm crosses a cut, or into the id-keyed core
+/// for a deadlock report. The spec is the caller's own when the run was
 /// lent a slice, owned when a live source made it. The adaptive fields
 /// are inert under oblivious routing.
 pub(crate) struct Resident<'a> {
@@ -379,9 +379,10 @@ impl<'a> Core<'a> {
     }
 
     /// Installs `r` under handle `h`, growing every per-handle table to
-    /// cover it (handles below `h` not yet seen get vacant slots). The
-    /// worm arrives without a watch row and asks the router again where
-    /// it stands.
+    /// cover it (handles below `h` not yet seen get vacant slots; the
+    /// outcomes may already reach further — the parallel engine's id-keyed
+    /// core records them alone, [`Core::record`]). The worm arrives
+    /// without a watch row and asks the router again where it stands.
     pub(crate) fn put(&mut self, h: u32, r: Resident<'a>) {
         let hi = h as usize;
         while self.specs.len() <= hi {
@@ -393,7 +394,6 @@ impl<'a> Core<'a> {
                 length: 1,
                 pending_route: false,
             });
-            self.outcomes.push(MessageOutcome::default());
             if let Some(ad) = &mut self.adaptive {
                 ad.routes.push(Vec::new());
                 ad.src.push(NodeId(0));
@@ -405,7 +405,7 @@ impl<'a> Core<'a> {
         self.ids[hi] = r.id;
         self.specs[hi] = r.spec;
         self.worms[hi] = r.worm;
-        self.outcomes[hi] = r.out;
+        self.record(h, r.out);
         if let Some(ad) = &mut self.adaptive {
             ad.routes[hi] = r.route;
             ad.src[hi] = r.src;
@@ -418,6 +418,17 @@ impl<'a> Core<'a> {
                 *head = NO_ROW;
             }
         }
+    }
+
+    /// Writes `out` as handle `h`'s outcome, growing the outcome table
+    /// alone to cover it: all the parallel engine's id-keyed core keeps of
+    /// a worm that retired, or was still in flight at the step cap.
+    pub(crate) fn record(&mut self, h: u32, out: MessageOutcome) {
+        let hi = h as usize;
+        if self.outcomes.len() <= hi {
+            self.outcomes.resize(hi + 1, MessageOutcome::default());
+        }
+        self.outcomes[hi] = out;
     }
 
     /// Moves worm `h` out, leaving its slot vacant (the kinematics and

@@ -27,9 +27,10 @@ pub(crate) type Driven = (Outcome, u64, Option<DeadlockReport>);
 
 /// The run-level half of a simulation: the message source and
 /// admission, the fault kill schedule, the loop head and verdicts every
-/// driver shares. Its [`Core`] is keyed by message id; the sequential engines run every worm in it, the
-/// parallel engine uses it as the table worms are admitted into and
-/// retire back to.
+/// driver shares. Its [`Core`] is keyed by message id; the sequential
+/// engines run every worm in it, the parallel engine only records
+/// outcomes in it (and, for a deadlock report, the worms still in
+/// flight).
 pub(crate) struct Sim<'a> {
     pub(crate) core: Core<'a>,
     /// The simulated graph (a live source's spec checks, adaptive
@@ -47,6 +48,14 @@ pub(crate) struct Sim<'a> {
     pub(crate) reactive: bool,
     /// Cached [`TrafficSource::id_hint`]; 0 for a slice.
     pub(crate) id_hint: u32,
+    /// The feed's declared size: the slice's length, or the larger of a
+    /// live source's id bound and id hint. Each driver sizes the tables
+    /// it fills from it, once, before step 0. The hint only sizes — an
+    /// id past it is admitted and the tables grow from there — and a
+    /// reservation the run never reaches stays address space (no table
+    /// is filled ahead of its ids). A feed that declares neither grows
+    /// them as ids appear.
+    pub(crate) reserved: usize,
     /// The kill schedule of [`SimConfig::faults`], ascending `(at, edge)`
     /// ([`wormhole_topology::fault::FaultPlan::edge_schedule`]).
     kill_schedule: Vec<(u64, u32)>,
@@ -57,26 +66,23 @@ pub(crate) struct Sim<'a> {
     pub(crate) engine_stats: Option<EngineStats>,
 }
 
-/// Installs `spec` — checked where it entered, see [`Feed`] — as message
-/// `id` in the id-keyed `core` at step `now` (ids below `id` not yet seen
-/// get vacant slots; a later emission fills them in). One body, out of
-/// line under both arms' loops: inlined into each, `torus_uniform_light`
-/// read 2–3 % slower on both engines (PR 21, 7 of 8 pairs). Returns
-/// whether the worm is in flight: not discarded on arrival.
-#[inline(never)]
-fn admit<'a>(
-    core: &mut Core<'a>,
+/// Whether a message of `spec` is dead on arrival at `core`: a frozen
+/// route released onto an already-dead edge is undeliverable. Adaptive
+/// messages never are: they route around dead edges.
+pub(crate) fn dead_on_arrival(core: &Core, spec: &MessageSpec) -> bool {
+    let dead = &core.rules.dead;
+    !dead.is_empty() && core.adaptive.is_none() && spec.path.edges().iter().any(|&e| dead[e.idx()])
+}
+
+/// Message `id`'s worm as admission makes it from `spec` — checked where
+/// it entered, see [`Feed`] — for a run over `core`'s rules.
+pub(crate) fn arrival<'a>(
+    core: &Core<'a>,
     graph: &Graph,
     id: u32,
     spec: Cow<'a, MessageSpec>,
-    now: u64,
-) -> bool {
+) -> Resident<'a> {
     let adaptive_mode = core.adaptive.is_some();
-    // A frozen-route message released onto an already-dead edge is
-    // undeliverable: discarded on the spot, below.
-    let dead = &core.rules.dead;
-    let dead_on_arrival =
-        !dead.is_empty() && !adaptive_mode && spec.path.edges().iter().any(|&e| dead[e.idx()]);
     let (route, src, dst) = if adaptive_mode {
         (
             Vec::with_capacity(spec.hops() as usize),
@@ -86,7 +92,7 @@ fn admit<'a>(
     } else {
         (Vec::new(), NodeId(0), NodeId(0))
     };
-    let resident = Resident {
+    Resident {
         id,
         worm: Worm {
             advance: 0,
@@ -101,16 +107,31 @@ fn admit<'a>(
         dst,
         budget: core.config.route_selection.misroute_budget(),
         selected: SelectedHop::None,
-    };
-    core.put(id, resident);
+    }
+}
+
+/// Installs message `id` in the id-keyed `core` at step `now`
+/// ([`arrival`]). It holds nothing yet: one [`dead_on_arrival`] is
+/// discarded on the spot, which fires the source's `on_discarded` so
+/// that closed-loop sources can reissue. Returns whether the worm is in
+/// flight. One body, out of line under both arms' loops: inlined into
+/// each, `torus_uniform_light` read 2–3 % slower on both engines (7 of 8
+/// alternated pairs).
+#[inline(never)]
+pub(crate) fn admit<'a>(
+    core: &mut Core<'a>,
+    graph: &Graph,
+    id: u32,
+    spec: Cow<'a, MessageSpec>,
+    now: u64,
+) -> bool {
+    let dead = dead_on_arrival(core, &spec);
+    core.put(id, arrival(core, graph, id, spec));
     core.unfinished += 1;
-    // It holds nothing yet; discarding it here fires the source's
-    // `on_discarded` so closed-loop sources can reissue. Adaptive
-    // messages stay: they route around dead edges.
-    if dead_on_arrival {
+    if dead {
         core.discard(id, now);
     }
-    !dead_on_arrival
+    !dead
 }
 
 /// The two arms [`Sim`] pulls messages from. Either is the door its
@@ -179,22 +200,15 @@ impl<'a> Sim<'a> {
                 (feed, reactive, id_hint, n)
             }
         };
-        // Every per-id table is sized here, once: to the slice, or to the
-        // larger of a live source's id bound and id hint. The hint only
-        // sizes — an id past it is admitted and the tables grow from
-        // there — and a reservation the run never reaches stays address
-        // space (no table is filled ahead of its ids). A feed that
-        // declares neither grows them as ids appear.
         let adaptive = router.map(AdaptiveState::new);
-        let mut core = Core::new(graph, adaptive, config, rules, true);
-        core.reserve(reserved);
         Ok(Self {
-            core,
+            core: Core::new(graph, adaptive, config, rules, true),
             graph,
             feed,
             admitted: Vec::with_capacity(reserved),
             reactive,
             id_hint,
+            reserved,
             kill_schedule,
             next_kill: 0,
             engine_stats: None,
@@ -261,11 +275,23 @@ impl<'a> Sim<'a> {
     }
 
     /// Flushes completions, then pulls and admits every message released
-    /// by `now`. Hands back the id-keyed core with the new ids in flight,
-    /// in admission order (one discarded on arrival is the core's
-    /// business alone), or the first spec of a live source that fails
-    /// its entry check.
+    /// by `now` into the id-keyed core. Hands back that core with the new
+    /// ids in flight, in admission order (one discarded on arrival is the
+    /// core's business alone), or the first spec of a live source that
+    /// fails its entry check.
     pub(crate) fn admit_ready(&mut self, now: u64) -> Result<(&mut Core<'a>, &[u32]), SimError> {
+        self.admit_with(now, admit)
+    }
+
+    /// [`Sim::admit_ready`] with `place` in the role of [`admit`]: it is
+    /// handed the id-keyed core and each checked message, places it, and
+    /// returns whether it is in flight. The parallel engine places a worm
+    /// straight into the region it belongs in.
+    pub(crate) fn admit_with(
+        &mut self,
+        now: u64,
+        mut place: impl FnMut(&mut Core<'a>, &Graph, u32, Cow<'a, MessageSpec>, u64) -> bool,
+    ) -> Result<(&mut Core<'a>, &[u32]), SimError> {
         self.flush_deliveries();
         let start = self.admitted.len();
         let (core, graph, admitted) = (&mut self.core, self.graph, &mut self.admitted);
@@ -282,7 +308,7 @@ impl<'a> Sim<'a> {
                         break;
                     }
                     *cursor += 1;
-                    if admit(core, graph, id, Cow::Borrowed(spec), now) {
+                    if place(core, graph, id, Cow::Borrowed(spec), now) {
                         admitted.push(id);
                     }
                 }
@@ -312,7 +338,7 @@ impl<'a> Sim<'a> {
                     };
                     entry.map_err(|error| SimError::Spec { id, error })?;
                     emitted[mi] = true;
-                    if admit(core, graph, id, Cow::Owned(spec), now) {
+                    if place(core, graph, id, Cow::Owned(spec), now) {
                         admitted.push(id);
                     }
                 }
@@ -408,9 +434,10 @@ impl<'a> Sim<'a> {
     }
 
     /// The deadlock verdict at step `t`, the same from every driver: the
-    /// worms in flight — `active`, rebuilt here (admitted, unretired, in
-    /// admission order: what the legacy stepper's retire scan keeps
-    /// current every step, and the event-style drivers never pay for) —
+    /// worms in flight — `active`, rebuilt here (admitted, with neither a
+    /// finish nor a discard on their outcome, in admission order: what
+    /// the legacy stepper's retire scan keeps current every step, and the
+    /// event-style drivers never pay for) —
     /// and the wait-for relation among them: per blocked worm, the edge
     /// it wants and that edge's current holders, looked up in one list
     /// of `(edge, holder)` pairs sorted by edge (a deadlocked
@@ -419,8 +446,8 @@ impl<'a> Sim<'a> {
         let core = &mut self.core;
         core.active.clear();
         for &m in &self.admitted {
-            let mi = m as usize;
-            if !core.worms[mi].done() && core.outcomes[mi].discarded.is_none() {
+            let out = &core.outcomes[m as usize];
+            if out.finished.is_none() && out.discarded.is_none() {
                 core.active.push(m);
             }
         }

@@ -8,10 +8,11 @@
 //! grant is the minimum distance-to-cut over the resident worms. With
 //! fewer workers than slabs, each worker steps a block of adjacent slabs
 //! merged into one region before step 0; one worker steps the whole
-//! torus as one region and runs like the event engine plus the
-//! coordinator's admission / retirement copies. The sweep runs two arms
-//! over the same tori, the same plan and the same worker ladder, because
-//! the engine treats them oppositely:
+//! torus as one region, its worms admitted into it and retired from it
+//! in place, and runs like the event engine plus the coordinator's
+//! window loop. The sweep runs two arms over the same tori, the same
+//! plan and the same worker ladder, because the engine treats them
+//! oppositely:
 //!
 //! * **tornado** traffic travels only in dimension 0 and the slabs cut
 //!   the last dimension, so no worm can ever reach a cut: every grant is
@@ -281,7 +282,8 @@ pub fn run_with(fast: bool, ladder: &[u32]) -> Vec<Table> {
             t.note(format!(
                 "Measured on this host, one parallel worker takes this multiple of the \
                  sequential event engine's wall time on {largest}: {}. Above 1.00x it is a \
-                 cost, not a speed-up — the coordinator's admission and retirement copies.",
+                 cost, not a speed-up — the coordinator's window loop and the merge between \
+                 windows.",
                 ratios.join(", ")
             ));
         }

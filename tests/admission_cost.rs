@@ -20,6 +20,14 @@
 //! route back, so the most blocks live at once do not grow either (a
 //! run that keeps every route holds one block more a message).
 //!
+//! One parallel worker pays what the event engine pays, on a capped
+//! batch whose worms are mostly still in flight: a worm enters its
+//! region and leaves it in place, and every region sizes its tables
+//! before step 0. A coordinator that installs each worm in an id-keyed
+//! table and copies it into the region, or a region whose tables grow
+//! push by push, moves about five times the event engine's bytes
+//! through `realloc`.
+//!
 //! The counters are per thread: no other test can allocate into a
 //! measurement.
 
@@ -27,8 +35,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wormhole_flitsim::config::VcPolicy;
-use wormhole_flitsim::config::{Engine, SimConfig};
+use wormhole_flitsim::config::{Engine, RouteSelection, SimConfig};
 use wormhole_flitsim::message::MessageSpec;
+use wormhole_flitsim::source::Traffic;
 use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_workloads::{
@@ -179,11 +188,9 @@ fn admitting_a_message_allocates_nothing() {
     // messages ran.
     assert_eq!((small_drop, large_drop), (1, 1));
 
-    // One parallel worker: the coordinator copies each worm into a
-    // region at admission and out of it at retirement — table growth in
-    // the regions' recycled slots, but still no allocation a message.
-    // ROADMAP item 5(c) (admission belongs to the region) starts from
-    // this figure.
+    // One parallel worker: each worm is admitted straight into its
+    // region and retires from it in place, under a recycled handle —
+    // no allocation a message either.
     let one_worker = Engine::Parallel { threads: 1 };
     let (small, _) = run_cost(&substrate, &specs[..N], one_worker);
     let (large, _) = run_cost(&substrate, &specs[..2 * N], one_worker);
@@ -260,5 +267,74 @@ fn a_live_message_allocates_its_route_and_nothing_else() {
         large.peak - small.peak <= (extra / 16) as i64,
         "{extra} more messages hold {} more blocks at the peak",
         large.peak - small.peak
+    );
+}
+
+/// What one run of `specs` on the adaptive `substrate` — one VC a
+/// channel, minimal-adaptive, capped at step `cap` — did to the heap
+/// under `engine`.
+fn capped_cost(
+    substrate: &Substrate,
+    specs: &[MessageSpec],
+    cap: u64,
+    engine: Engine,
+) -> (SimResult, Cost) {
+    let mesh = substrate.as_mesh().expect("a torus routes adaptively");
+    let cfg = SimConfig::new(1)
+        .route_selection(RouteSelection::MinimalAdaptive)
+        .max_steps(cap)
+        .engine(engine);
+    counted(|| {
+        wormhole::simulate(mesh.graph(), Some(mesh), Traffic::Specs(specs), &cfg)
+            .expect("a valid run")
+    })
+}
+
+#[test]
+fn one_worker_allocates_what_the_event_engine_does_on_a_batch_still_in_flight() {
+    // An 8×8 adaptive-escape torus under minimal-adaptive tornado traffic
+    // far past saturation, capped while most worms are still in flight.
+    let substrate = Substrate::torus_with(8, 2, RoutingDiscipline::AdaptiveEscape);
+    let workload = Workload::new(
+        substrate.clone(),
+        TrafficPattern::Tornado,
+        ArrivalProcess::bernoulli(0.30),
+        8,
+        0xad31,
+    );
+    let specs = workload.generate(300);
+    let (event, e) = capped_cost(&substrate, &specs, 300, Engine::EventDriven);
+    let one_worker = Engine::Parallel { threads: 1 };
+    let (one, p) = capped_cost(&substrate, &specs, 300, one_worker);
+    let in_flight = specs.len() - event.delivered();
+    println!(
+        "{} messages, {in_flight} in flight at the cap; event: {} allocs, {} bytes \
+         reallocated; parallel(1): {} allocs, {} bytes reallocated",
+        specs.len(),
+        e.allocs,
+        e.moved,
+        p.allocs,
+        p.moved
+    );
+    assert_eq!(event.outcome, Outcome::MaxSteps);
+    assert!(
+        in_flight * 4 > specs.len() * 3,
+        "only {in_flight} in flight"
+    );
+    assert_eq!(one.messages, event.messages);
+    // A worm enters its region and leaves it in place: the coordinator
+    // keeps no worm of its own, and a region's tables are sized before
+    // step 0, so one worker grows no table the event engine does not.
+    assert!(
+        p.moved <= e.moved + (4 << 10),
+        "one worker moved {} bytes through realloc, the event engine {}",
+        p.moved,
+        e.moved
+    );
+    assert!(
+        p.allocs <= e.allocs + 64,
+        "one worker allocated {} blocks, the event engine {}",
+        p.allocs,
+        e.allocs
     );
 }
