@@ -57,7 +57,7 @@
 use crate::kernel::{WaitQueue, NO_EDGE};
 use crate::probe::{self, Phase};
 use crate::resident::Core;
-use crate::sim::{Driven, Sim};
+use crate::sim::{self, Driven, Sim};
 use crate::stats::EngineStats;
 use crate::wormhole::SimError;
 
@@ -107,7 +107,6 @@ pub(crate) struct Window {
 /// exactly as the legacy driver would, and leaves the driver's counters
 /// in [`Sim::engine_stats`].
 pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
-    sim.core.reserve(sim.reserved);
     let mut st = EventState::new(&sim.core);
     // A live source's id hint sizes the queue's per-handle tables like
     // the core's. A slice run's grow as its worms park: sized up front,
@@ -141,7 +140,7 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
             let (core, due) = sim.due_kills(t);
             kill(core, st, due, t);
         }
-        let (_, new) = sim.admit_ready(t)?;
+        let (_, new) = sim.admit_with(t, sim::admit)?;
         st.runnable.extend_from_slice(new);
         if st.n_active() == 0 {
             // Kills (or dead-on-arrival admissions) emptied the network;

@@ -9,13 +9,12 @@
 
 use crate::probe::{self, Phase};
 use crate::resident::Core;
-use crate::sim::{Driven, Sim};
+use crate::sim::{self, Driven, Sim};
 use crate::wormhole::SimError;
 
 /// Runs `sim` to its outcome one step at a time. Returns `(outcome,
 /// final step, deadlock report)`, or the bad spec a live source emitted.
 pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
-    sim.core.reserve(sim.reserved);
     let mut t: u64 = 0;
     let outcome = loop {
         if let Some(outcome) = sim.loop_head(&mut t, sim.core.active.is_empty()) {
@@ -30,7 +29,7 @@ pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
             core.kill(due, t);
             retire_finished(core);
         }
-        let (core, new) = sim.admit_ready(t)?;
+        let (core, new) = sim.admit_with(t, sim::admit)?;
         core.active.extend_from_slice(new);
 
         let moved = step_full_bandwidth(core, t);

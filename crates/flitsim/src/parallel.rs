@@ -39,8 +39,8 @@
 //! scan on arrival, the event engine's no-op `on_park`, no window-end
 //! emigration or [`worm_bound`] pass). Its worms enter and leave it in
 //! place, below, and its per-handle tables — like every region's — are
-//! sized once before step 0, from the feed's declared size shared over
-//! the regions, so one worker allocates what the event engine
+//! sized once before step 0 as the event engine sizes its own, shared
+//! over the regions, so one worker allocates what the event engine
 //! allocates.
 //!
 //! What this module owns is what is parallel:
@@ -336,10 +336,12 @@ impl<'a> Region<'a> {
             false,
         );
         core.foreign = ctx.foreign(idx);
-        let share = sim.reserved.div_ceil(n);
-        core.reserve(share);
+        core.reserve(sim.reserved.div_ceil(n));
         let mut st = EventState::new(&core);
-        st.waiting.reserve(share, core.adaptive.is_some());
+        // The wait queue as in `engine::drive`: a live source's id hint
+        // sizes it, a slice run's grows as its worms park.
+        let hint = (sim.id_hint as usize).div_ceil(n);
+        st.waiting.reserve(hint, core.adaptive.is_some());
         Region {
             idx,
             st,
@@ -823,9 +825,7 @@ pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimEr
         RegionPlan::from_node_regions(graph, worker.collect())
     });
     let ctx = Ctx::new(graph, plan.as_ref());
-    // The id-keyed core only records outcomes; the regions share the
-    // feed's size for their per-handle tables.
-    sim.core.outcomes.reserve_exact(sim.reserved);
+    // The regions share the feed's size for their per-handle tables.
     let regions = (0..n)
         .map(|r| Mutex::new(Region::new(r as u32, &ctx, sim, n)))
         .collect();

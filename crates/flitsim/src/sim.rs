@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{Graph, NodeId};
 
-use crate::config::{RouteSelection, SimConfig};
+use crate::config::{Engine, RouteSelection, SimConfig};
 use crate::events::{DeadlockReport, WaitFor};
 use crate::kernel::{SelectedHop, VcRules, Worm};
 use crate::message::{check_spec, check_specs, MessageSpec, SpecError};
@@ -49,12 +49,12 @@ pub(crate) struct Sim<'a> {
     /// Cached [`TrafficSource::id_hint`]; 0 for a slice.
     pub(crate) id_hint: u32,
     /// The feed's declared size: the slice's length, or the larger of a
-    /// live source's id bound and id hint. Each driver sizes the tables
-    /// it fills from it, once, before step 0. The hint only sizes — an
-    /// id past it is admitted and the tables grow from there — and a
-    /// reservation the run never reaches stays address space (no table
-    /// is filled ahead of its ids). A feed that declares neither grows
-    /// them as ids appear.
+    /// live source's id bound and id hint. [`Sim::new`] sizes the
+    /// id-keyed core from it, each parallel region its share of it, once,
+    /// before step 0. The hint only sizes — an id past it is admitted and
+    /// the tables grow from there — and a reservation the run never
+    /// reaches stays address space (no table is filled ahead of its ids).
+    /// A feed that declares neither grows them as ids appear.
     pub(crate) reserved: usize,
     /// The kill schedule of [`SimConfig::faults`], ascending `(at, edge)`
     /// ([`wormhole_topology::fault::FaultPlan::edge_schedule`]).
@@ -75,7 +75,10 @@ pub(crate) fn dead_on_arrival(core: &Core, spec: &MessageSpec) -> bool {
 }
 
 /// Message `id`'s worm as admission makes it from `spec` — checked where
-/// it entered, see [`Feed`] — for a run over `core`'s rules.
+/// it entered, see [`Feed`] — for a run over `core`'s rules. Always
+/// inlined: out of line, the sequential engines' [`admit`] would build
+/// each worm through a call and a copy.
+#[inline(always)]
 pub(crate) fn arrival<'a>(
     core: &Core<'a>,
     graph: &Graph,
@@ -136,7 +139,7 @@ pub(crate) fn admit<'a>(
 
 /// The two arms [`Sim`] pulls messages from. Either is the door its
 /// specs are checked at, once: a slice's all together before step 0
-/// ([`check_specs`]), a live source's as [`Sim::admit_ready`] drains
+/// ([`check_specs`]), a live source's as [`Sim::admit_with`] drains
 /// them — [`admit`] trusts what it is handed.
 enum Feed<'a> {
     /// The caller's slice, lent to the run: ids are the indices, walked
@@ -201,8 +204,16 @@ impl<'a> Sim<'a> {
             }
         };
         let adaptive = router.map(AdaptiveState::new);
+        let mut core = Core::new(graph, adaptive, config, rules, true);
+        // The sequential engines run every worm in the id-keyed core; a
+        // parallel run's regions hold the worms, and its id-keyed core
+        // only records outcomes.
+        match config.engine {
+            Engine::Parallel { .. } => core.outcomes.reserve_exact(reserved),
+            _ => core.reserve(reserved),
+        }
         Ok(Self {
-            core: Core::new(graph, adaptive, config, rules, true),
+            core,
             graph,
             feed,
             admitted: Vec::with_capacity(reserved),
@@ -274,19 +285,14 @@ impl<'a> Sim<'a> {
         next
     }
 
-    /// Flushes completions, then pulls and admits every message released
-    /// by `now` into the id-keyed core. Hands back that core with the new
-    /// ids in flight, in admission order (one discarded on arrival is the
-    /// core's business alone), or the first spec of a live source that
-    /// fails its entry check.
-    pub(crate) fn admit_ready(&mut self, now: u64) -> Result<(&mut Core<'a>, &[u32]), SimError> {
-        self.admit_with(now, admit)
-    }
-
-    /// [`Sim::admit_ready`] with `place` in the role of [`admit`]: it is
-    /// handed the id-keyed core and each checked message, places it, and
-    /// returns whether it is in flight. The parallel engine places a worm
-    /// straight into the region it belongs in.
+    /// Flushes completions, then pulls every message released by `now`
+    /// and hands it to `place` with the id-keyed core, once its entry is
+    /// checked; `place` installs it and returns whether it is in flight.
+    /// The sequential drivers place with [`admit`], the parallel engine
+    /// straight into the region a worm belongs in. Hands back the core
+    /// with the new ids in flight, in admission order (one discarded on
+    /// arrival is the core's business alone), or the first spec of a live
+    /// source that fails its entry check.
     pub(crate) fn admit_with(
         &mut self,
         now: u64,

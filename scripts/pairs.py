@@ -10,13 +10,11 @@ q1-q3 spread. It also checks that every run is `correct` with no failed
 operation and that both sides print the same `digest=`.
 
     scripts/pairs.py PARENT_BIN CHANGE_BIN --workload W \\
-        [--pairs 10] [--seed 1] [--seconds 6] \\
-        [--parent-dir DIR] [--change-dir DIR] [--out DIR]
+        [--pairs 10] [--seed 1] [--seconds 6] [--out DIR]
 
-Each binary is copied first, so a rebuild cannot swap it mid-run, and run
-from its own checkout: `--parent-dir` / `--change-dir`, by default the
-checkout a binary at `<checkout>/crates/perfbench/target/release/bench`
-was built in. Every run's result line is kept in `--out` as
+Each binary must be `<checkout>/crates/perfbench/target/release/bench`.
+It is copied first, so a rebuild cannot swap it mid-run, and run from
+the checkout it was built in. Every run's result line is kept in `--out` as
 `parent.jsonl` / `change.jsonl`; line i of one pairs with line i of the
 other. Exits 1 when a run is incorrect or the digests differ.
 """
@@ -34,12 +32,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def checkout_of(binary):
-    """The checkout a bench binary was built in, or the current directory."""
+    """The checkout a bench binary was built in; exits if it is not one."""
     path = os.path.abspath(binary)
+    checkout = path
     for _ in range(5):
-        path = os.path.dirname(path)
-    built = os.path.join(path, "crates", "perfbench")
-    return path if os.path.isdir(built) else os.getcwd()
+        checkout = os.path.dirname(checkout)
+    if path != os.path.join(checkout, "crates", "perfbench", "target", "release", "bench"):
+        sys.exit(f"{binary}: not <checkout>/crates/perfbench/target/release/bench")
+    return checkout
 
 
 def run(binary, cwd, args, out):
@@ -75,21 +75,20 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=6)
-    ap.add_argument("--parent-dir")
-    ap.add_argument("--change-dir")
     ap.add_argument("--out")
     args = ap.parse_args()
+    bins = {"parent": args.parent_bin, "change": args.change_bin}
+    checkouts = {side: checkout_of(binary) for side, binary in bins.items()}
     args.out = args.out or tempfile.mkdtemp(prefix="pairs-")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
     os.makedirs(args.out, exist_ok=True)
     sides = {}
-    for side, binary, cwd in [("parent", args.parent_bin, args.parent_dir),
-                              ("change", args.change_bin, args.change_dir)]:
+    for side, binary in bins.items():
         copy = os.path.join(args.out, side)
         shutil.copy2(binary, copy)
-        sides[side] = (copy, os.path.abspath(cwd or checkout_of(binary)))
+        sides[side] = (copy, checkouts[side])
 
     results = {"parent": [], "change": []}
     digests = {"parent": set(), "change": set()}
