@@ -4,40 +4,23 @@
 //! experiments all            # every experiment, full-size sweeps
 //! experiments e1 e3          # selected experiments
 //! experiments --fast all     # reduced sweeps (CI-sized)
-//! experiments --threads 2 x13  # x13 with a single-entry worker ladder
 //! ```
+//!
+//! Each id prints [`wormhole_harness::render`] under its heading, on the
+//! default engine; `tests/experiment_goldens.rs` holds the fast output
+//! of every id to `tests/golden/` under every engine.
 //!
 //! Timing lives in `crates/perfbench`, not here.
 
 use std::time::Instant;
 
-use wormhole_harness::experiments::{all_ids, run_by_id, x13_parallel};
+use wormhole_flitsim::config::Engine;
+use wormhole_harness::{all_ids, render};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
-    // `--threads N` narrows x13's worker ladder to a single entry (the
-    // CI smoke run uses `--threads 4`); other experiments ignore it.
-    let threads: Option<u32> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"));
-    let mut skip_next = false;
-    let ids: Vec<String> = args
-        .into_iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if a == "--threads" {
-                skip_next = true;
-                return false;
-            }
-            a != "--fast"
-        })
-        .collect();
+    let ids: Vec<String> = args.into_iter().filter(|a| a != "--fast").collect();
     let ids: Vec<String> = if ids.is_empty() || ids.iter().any(|a| a == "all") {
         all_ids().iter().map(|s| s.to_string()).collect()
     } else {
@@ -52,19 +35,10 @@ fn main() {
     let t0 = Instant::now();
     for id in &ids {
         let started = Instant::now();
-        let result = match threads {
-            Some(n) if id == "x13" => Some((String::new(), x13_parallel::run_with(fast, &[n]))),
-            _ => run_by_id(id, fast),
-        };
-        match result {
-            Some((preamble, tables)) => {
+        match render(id, fast, Engine::EventDriven) {
+            Some(text) => {
                 println!("\n---\n\n## Experiment {}\n", id.to_uppercase());
-                if !preamble.is_empty() {
-                    println!("{preamble}");
-                }
-                for t in &tables {
-                    println!("{}", t.render());
-                }
+                print!("{text}");
                 eprintln!("[{id}] done in {:.1?}", started.elapsed());
             }
             None => {

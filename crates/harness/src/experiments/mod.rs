@@ -24,6 +24,8 @@ pub mod x7_dateline;
 pub mod x8_adaptive;
 pub mod x9_dynamic_vcs;
 
+use wormhole_flitsim::config::Engine;
+
 use crate::table::Table;
 
 /// All experiment ids in report order.
@@ -35,8 +37,10 @@ pub fn all_ids() -> &'static [&'static str] {
 }
 
 /// Runs one experiment by id; returns `(preamble text, tables)`.
-/// Unknown ids return `None`.
-pub fn run_by_id(id: &str, fast: bool) -> Option<(String, Vec<Table>)> {
+/// `engine` drives every simulation the harness configures itself (x2–x12);
+/// the other ids build no [`wormhole_flitsim::config::SimConfig`], and x13
+/// compares engines of its own choosing. Unknown ids return `None`.
+pub fn run_by_id(id: &str, fast: bool, engine: Engine) -> Option<(String, Vec<Table>)> {
     Some(match id {
         "e1" => (String::new(), e1_upper_bound::run(fast)),
         "e2" => (String::new(), e2_superlinear::run(fast)),
@@ -56,20 +60,37 @@ pub fn run_by_id(id: &str, fast: bool) -> Option<(String, Vec<Table>)> {
             (format!("```\n{trace}```\n"), tables)
         }
         "x1" => (String::new(), x1_circuit::run(fast)),
-        "x2" => (String::new(), x2_open_loop::run(fast)),
-        "x3" => (String::new(), x3_throughput::run(fast)),
-        "x4" => (String::new(), x4_valiant::run(fast)),
-        "x5" => (String::new(), x5_arbitration::run(fast)),
-        "x6" => (String::new(), x6_waksman::run(fast)),
-        "x7" => (String::new(), x7_dateline::run(fast)),
-        "x8" => (String::new(), x8_adaptive::run(fast)),
-        "x9" => (String::new(), x9_dynamic_vcs::run(fast)),
-        "x10" => (String::new(), x10_bounds::run(fast)),
-        "x11" => (String::new(), x11_closed_loop::run(fast)),
-        "x12" => (String::new(), x12_faults::run(fast)),
+        "x2" => (String::new(), x2_open_loop::run(fast, engine)),
+        "x3" => (String::new(), x3_throughput::run(fast, engine)),
+        "x4" => (String::new(), x4_valiant::run(fast, engine)),
+        "x5" => (String::new(), x5_arbitration::run(fast, engine)),
+        "x6" => (String::new(), x6_waksman::run(fast, engine)),
+        "x7" => (String::new(), x7_dateline::run(fast, engine)),
+        "x8" => (String::new(), x8_adaptive::run(fast, engine)),
+        "x9" => (String::new(), x9_dynamic_vcs::run(fast, engine)),
+        "x10" => (String::new(), x10_bounds::run(fast, engine)),
+        "x11" => (String::new(), x11_closed_loop::run(fast, engine)),
+        "x12" => (String::new(), x12_faults::run(fast, engine)),
         "x13" => (String::new(), x13_parallel::run(fast)),
         _ => return None,
     })
+}
+
+/// Exactly what `experiments [--fast] <id>` prints under the experiment's
+/// heading: the preamble, if any, then every table. Unknown ids return
+/// `None`.
+pub fn render(id: &str, fast: bool, engine: Engine) -> Option<String> {
+    let (preamble, tables) = run_by_id(id, fast, engine)?;
+    let mut out = String::new();
+    if !preamble.is_empty() {
+        out += &preamble;
+        out.push('\n');
+    }
+    for t in &tables {
+        out += &t.render();
+        out.push('\n');
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -79,8 +100,11 @@ mod tests {
     #[test]
     fn ids_round_trip() {
         for id in all_ids() {
-            assert!(run_by_id(id, true).is_some(), "id {id} must run");
+            assert!(
+                run_by_id(id, true, Engine::EventDriven).is_some(),
+                "id {id} must run"
+            );
         }
-        assert!(run_by_id("nope", true).is_none());
+        assert!(render("nope", true, Engine::EventDriven).is_none());
     }
 }

@@ -30,7 +30,7 @@
 //! `bound/p100`, the certificate's tightness against the simulated
 //! worst case.
 
-use wormhole_flitsim::config::SimConfig;
+use wormhole_flitsim::config::{Engine, SimConfig};
 use wormhole_flitsim::stats::Outcome;
 use wormhole_flitsim::wormhole::run as wormhole_run;
 use wormhole_netcalc::{delay_bounds, flows_from_specs, BoundConfig, Flow};
@@ -127,8 +127,8 @@ fn window(fast: bool) -> u64 {
 
 /// Runs the cross-validated sweep: per substrate × pattern × rate, one
 /// workload trace shared by all `B ∈ {1,2,4,8}`, each `B` solved
-/// analytically and simulated to completion.
-pub fn sweep_points(fast: bool) -> Vec<SimPoint> {
+/// analytically and simulated to completion on `engine`.
+pub fn sweep_points(fast: bool, engine: Engine) -> Vec<SimPoint> {
     let mut jobs = Vec::new();
     for (si, (substrate, pats)) in substrates(fast).into_iter().enumerate() {
         for pattern in pats {
@@ -162,7 +162,10 @@ pub fn sweep_points(fast: bool) -> Vec<SimPoint> {
             // finite, so the cap only guards a (would-be) soundness bug.
             let last_release = specs.last().map_or(0, |s| s.release);
             let cap = last_release + report.max_delay().min(1e9) as u64 + 10_000;
-            let cfg = SimConfig::new(*b).max_steps(cap).seed(seed ^ 0x51);
+            let cfg = SimConfig::new(*b)
+                .max_steps(cap)
+                .seed(seed ^ 0x51)
+                .engine(engine);
             let r = wormhole_run(substrate.graph(), &specs, &cfg);
 
             let mut sim_p100 = 0u64;
@@ -230,9 +233,9 @@ pub fn analytic_points(fast: bool) -> Vec<AnalyticPoint> {
     out
 }
 
-/// Runs X10.
-pub fn run(fast: bool) -> Vec<Table> {
-    let sim = sweep_points(fast);
+/// Runs X10, its simulations on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
+    let sim = sweep_points(fast, engine);
     let analytic = analytic_points(fast);
 
     let mut tables = Vec::new();
@@ -320,7 +323,7 @@ mod tests {
 
     #[test]
     fn x10_oracle_holds_on_every_simulated_point() {
-        let points = sweep_points(true);
+        let points = sweep_points(true, Engine::EventDriven);
         assert!(!points.is_empty());
         for p in &points {
             assert_eq!(
@@ -355,7 +358,7 @@ mod tests {
     fn x10_bounds_are_monotone_in_b() {
         // Workload seeds do not depend on B, so rows of one point bound
         // the identical flow set and must shrink (weakly) as B grows.
-        let points = sweep_points(true);
+        let points = sweep_points(true, Engine::EventDriven);
         for chunk in points.chunks(B_SWEEP.len()) {
             assert_eq!(chunk.len(), B_SWEEP.len());
             for w in chunk.windows(2) {
@@ -412,7 +415,7 @@ mod tests {
 
     #[test]
     fn x10_tables_render_mixed_rows() {
-        let tables = run(true);
+        let tables = run(true, Engine::EventDriven);
         assert_eq!(tables.len(), 1);
         let s = tables[0].render();
         for needle in ["butterfly", "benes", "bit-complement", "p100<=bound"] {

@@ -44,6 +44,7 @@ use crate::sweep::{default_threads, parallel_map};
 use crate::table::{fnum, Table};
 
 /// One measured point of a faulted batch run.
+#[derive(Debug, PartialEq)]
 pub struct Point {
     /// Route-selection arm.
     pub selection: RouteSelection,
@@ -151,13 +152,7 @@ fn point_from(
 /// route selection × capacity arm. All arms of a rate share the same
 /// batch workload and the same kill plan — only routing and VC policy
 /// differ.
-pub fn sweep_points(fast: bool) -> Vec<Point> {
-    sweep_points_with(fast, Engine::EventDriven)
-}
-
-/// [`sweep_points`] on an explicit simulator engine — the differential
-/// hook used by the tests.
-pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
+pub fn sweep_points(fast: bool, engine: Engine) -> Vec<Point> {
     let (radix, dims, l, window) = params(fast);
     let mut jobs = Vec::new();
     for (ri, &rate) in fault_rates(fast).iter().enumerate() {
@@ -203,12 +198,7 @@ pub fn sweep_points_with(fast: bool, engine: Engine) -> Vec<Point> {
 /// boundaries of every dim-0 ring in one direction — the other
 /// direction survives, so the ring-connectivity rule holds). Returns
 /// one point per route selection × capacity arm.
-pub fn blackout_points(fast: bool) -> Vec<Point> {
-    blackout_points_with(fast, Engine::EventDriven)
-}
-
-/// [`blackout_points`] on an explicit simulator engine.
-pub fn blackout_points_with(fast: bool, engine: Engine) -> Vec<Point> {
+pub fn blackout_points(fast: bool, engine: Engine) -> Vec<Point> {
     let (radix, dims, l, _) = params(fast);
     let window = if fast { 100 } else { 200 };
     let kill_at = 5u64;
@@ -258,12 +248,7 @@ pub fn blackout_points_with(fast: bool, engine: Engine) -> Vec<Point> {
 /// post-kill traffic via [`Substrate::route_avoiding`]. The butterfly
 /// has no second path, so its re-route falls back to the dead canonical
 /// route and the worm is discarded on admission.
-pub fn diversity_points(fast: bool) -> Vec<(&'static str, Point)> {
-    diversity_points_with(fast, Engine::EventDriven)
-}
-
-/// [`diversity_points`] on an explicit simulator engine.
-pub fn diversity_points_with(fast: bool, engine: Engine) -> Vec<(&'static str, Point)> {
+pub fn diversity_points(fast: bool, engine: Engine) -> Vec<(&'static str, Point)> {
     let k = if fast { 3 } else { 4 };
     let window = if fast { 150 } else { 300 };
     let kill_at = 30u64;
@@ -359,8 +344,8 @@ const POINT_COLS: [&str; 13] = [
     "outcome",
 ];
 
-/// Runs X12.
-pub fn run(fast: bool) -> Vec<Table> {
+/// Runs X12 on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     let (radix, dims, l, window) = params(fast);
     let mut tables = Vec::new();
 
@@ -371,7 +356,7 @@ pub fn run(fast: bool) -> Vec<Table> {
         ),
         &POINT_COLS,
     );
-    for p in &sweep_points(fast) {
+    for p in &sweep_points(fast, engine) {
         point_row(&mut sweep, &format!("p={}", fnum(p.fault_rate)), p);
     }
     sweep.note(
@@ -390,7 +375,7 @@ pub fn run(fast: bool) -> Vec<Table> {
         ),
         &POINT_COLS,
     );
-    for p in &blackout_points(fast) {
+    for p in &blackout_points(fast, engine) {
         point_row(&mut blackout, "blackout", p);
     }
     blackout.note(
@@ -405,7 +390,7 @@ pub fn run(fast: bool) -> Vec<Table> {
         "X12 — path diversity under a mid-run kill: identical offered rows, fault-aware re-routing",
         &POINT_COLS,
     );
-    for (name, p) in &diversity_points(fast) {
+    for (name, p) in &diversity_points(fast, engine) {
         point_row(&mut div, name, p);
     }
     div.note(
@@ -425,7 +410,7 @@ mod tests {
 
     #[test]
     fn x12_adaptive_survives_fault_rates_that_starve_oblivious() {
-        let points = sweep_points(true);
+        let points = sweep_points(true, Engine::EventDriven);
         // Deadlock freedom on every faulted topology, both VC arms.
         for p in &points {
             assert!(
@@ -481,7 +466,7 @@ mod tests {
         // oblivious arm's delivered fraction collapses, the adaptive
         // arms sustain most of the traffic — with static and with
         // pooled VCs.
-        for p in &blackout_points(true) {
+        for p in &blackout_points(true, Engine::EventDriven) {
             assert!(
                 !matches!(p.outcome, Outcome::Deadlock(_)),
                 "{} {} deadlocked under blackout",
@@ -507,7 +492,7 @@ mod tests {
 
     #[test]
     fn x12_benes_diversity_beats_butterfly_under_the_same_kill() {
-        let points = diversity_points(true);
+        let points = diversity_points(true, Engine::EventDriven);
         let frac = |name: &str| {
             points
                 .iter()
@@ -531,48 +516,25 @@ mod tests {
 
     #[test]
     fn x12_engines_agree_pointwise() {
-        // Every measured point of all three arms — static and pooled,
-        // oblivious and adaptive — must match the legacy oracle on the
-        // event engine and on the parallel engine, fault counters
-        // included.
-        let check = |a: &Point, lg: &Point, ctx: &str| {
-            assert_eq!(a.outcome, lg.outcome, "{ctx}");
-            assert_eq!(a.delivered, lg.delivered, "{ctx}");
-            assert_eq!(a.mean_latency, lg.mean_latency, "{ctx}");
-            assert_eq!(a.kills, lg.kills, "{ctx}");
-            assert_eq!(a.fault_discards, lg.fault_discards, "{ctx}");
-            assert_eq!(a.fault_detours, lg.fault_detours, "{ctx}");
-            assert_eq!(a.escapes, lg.escapes, "{ctx}");
-            assert_eq!(a.recovery, lg.recovery, "{ctx}");
+        // Every field of every point of the three arms — faulted adaptive
+        // runs under pooled VCs, which no other engine test reaches,
+        // included — on the event engine and on two parallel workers.
+        let points = |e| {
+            (
+                sweep_points(true, e),
+                blackout_points(true, e),
+                diversity_points(true, e),
+            )
         };
-        let sweep = sweep_points_with(true, Engine::Legacy);
-        let blackout = blackout_points_with(true, Engine::Legacy);
-        let diversity = diversity_points_with(true, Engine::Legacy);
+        let legacy = points(Engine::Legacy);
         for engine in [Engine::EventDriven, Engine::Parallel { threads: 2 }] {
-            let points = sweep_points_with(true, engine);
-            assert_eq!(points.len(), sweep.len());
-            for (a, lg) in points.iter().zip(&sweep) {
-                let (sel, arm, rate) = (a.selection.name(), a.vc_arm, a.fault_rate);
-                check(a, lg, &format!("{engine:?}: sweep {sel} {arm} p={rate}"));
-            }
-            let points = blackout_points_with(true, engine);
-            assert_eq!(points.len(), blackout.len());
-            for (a, lg) in points.iter().zip(&blackout) {
-                let (sel, arm) = (a.selection.name(), a.vc_arm);
-                check(a, lg, &format!("{engine:?}: blackout {sel} {arm}"));
-            }
-            let points = diversity_points_with(true, engine);
-            assert_eq!(points.len(), diversity.len());
-            for ((name, a), (lg_name, lg)) in points.iter().zip(&diversity) {
-                assert_eq!(name, lg_name);
-                check(a, lg, &format!("{engine:?}: diversity {name}"));
-            }
+            assert_eq!(points(engine), legacy, "{engine:?} against Legacy");
         }
     }
 
     #[test]
     fn x12_tables_render() {
-        let tables = run(true);
+        let tables = run(true, Engine::EventDriven);
         assert_eq!(tables.len(), 3);
         let s = tables[0].render();
         for needle in ["oblivious", "minimal", "fully", "static", "pooled"] {

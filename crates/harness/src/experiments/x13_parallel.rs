@@ -107,7 +107,7 @@ fn timed_run(
 /// [`Substrate::region_plan`]. Panics if any parallel run diverges from
 /// its baseline — bit-identity is the experiment's precondition, not
 /// one of its findings.
-pub fn sweep_points_with(fast: bool, ladder: &[u32]) -> Vec<ScalePoint> {
+pub fn sweep_points(fast: bool, ladder: &[u32]) -> Vec<ScalePoint> {
     let window = if fast { 150 } else { 400 };
     let mut out = Vec::new();
     for (pattern, pattern_name, rate) in ARMS {
@@ -209,15 +209,9 @@ fn assert_speedup_floor(points: &[ScalePoint]) -> Option<usize> {
     Some(cores)
 }
 
-/// Runs X13 with the default 1/2/4/8 worker ladder.
+/// Runs X13 on the 1/2/4/8 worker ladder.
 pub fn run(fast: bool) -> Vec<Table> {
-    run_with(fast, &[1, 2, 4, 8])
-}
-
-/// [`run`] on an explicit worker ladder — the hook behind the
-/// `experiments --threads N` flag and the CI smoke run.
-pub fn run_with(fast: bool, ladder: &[u32]) -> Vec<Table> {
-    let points = sweep_points_with(fast, ladder);
+    let points = sweep_points(fast, &[1, 2, 4, 8]);
     let floor_checked = if fast {
         None
     } else {
@@ -303,10 +297,10 @@ mod tests {
 
     #[test]
     fn x13_fast_sweep_is_bit_identical_and_floor_checked_when_possible() {
-        // sweep_points_with asserts identity internally; the floor is a
+        // sweep_points asserts identity internally; the floor is a
         // full-size assertion (no fast-mode torus is large enough for a
         // second worker to pay), so there is none to check here.
-        let points = sweep_points_with(true, &[1, 2, 4]);
+        let points = sweep_points(true, &[1, 2, 4]);
         // One baseline plus three ladder entries per arm and torus size.
         assert_eq!(points.len(), ARMS.len() * radii(true).len() * 4);
         for p in &points {
@@ -315,15 +309,5 @@ mod tests {
             let expect = (p.engine == "parallel").then(|| p.plan_regions.min(p.workers));
             assert_eq!(p.regions, expect, "{} {}", p.substrate, p.pattern);
         }
-    }
-
-    #[test]
-    fn x13_smoke_ladder_matches_ci_invocation() {
-        // The CI smoke run ladders a single worker count; the table must
-        // still render.
-        let tables = run_with(true, &[2]);
-        assert_eq!(tables.len(), 1);
-        let s = tables[0].render();
-        assert!(s.contains("parallel"), "{s}");
     }
 }

@@ -41,10 +41,10 @@ fn grid(fast: bool) -> Grid {
     }
 }
 
-/// Runs X3.
-pub fn run(fast: bool) -> Vec<Table> {
+/// Runs X3 on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     let grid = grid(fast);
-    let points = run_grid(&grid, Engine::EventDriven, config);
+    let points = run_grid(&grid, engine, config);
     let mut t = Table::new(
         format!(
             "X3 — open-loop latency vs offered load ({}, L = {}, warmup {}, window {})",

@@ -12,7 +12,7 @@
 //! * **Valiant, 2 classes** — phase 2 rides VC class 1: acyclic
 //!   dependencies, deadlock-free at every `B`, and fast.
 
-use wormhole_flitsim::config::{Arbitration, SimConfig};
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
 use wormhole_flitsim::message::specs_from_paths;
 use wormhole_flitsim::stats::Outcome;
 use wormhole_flitsim::wormhole;
@@ -22,12 +22,19 @@ use wormhole_topology::path::PathSet;
 use crate::cells;
 use crate::table::Table;
 
-fn route(ps: &PathSet, g: &wormhole_topology::graph::Graph, l: u32, b: u32) -> (String, u64) {
+fn route(
+    ps: &PathSet,
+    g: &wormhole_topology::graph::Graph,
+    l: u32,
+    b: u32,
+    engine: Engine,
+) -> (String, u64) {
     let specs = specs_from_paths(ps, l);
     let config = SimConfig::new(b)
         .arbitration(Arbitration::Random)
         .seed(31)
-        .max_steps(1_000_000);
+        .max_steps(1_000_000)
+        .engine(engine);
     let r = wormhole::run(g, &specs, &config);
     match r.outcome {
         Outcome::Completed => (r.total_steps.to_string(), r.total_steps),
@@ -36,8 +43,8 @@ fn route(ps: &PathSet, g: &wormhole_topology::graph::Graph, l: u32, b: u32) -> (
     }
 }
 
-/// Runs X4.
-pub fn run(fast: bool) -> Vec<Table> {
+/// Runs X4 on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     let dims: &[u32] = if fast { &[6] } else { &[6, 8, 10] };
     let l = 16u32;
     let mut t = Table::new(
@@ -57,9 +64,9 @@ pub fn run(fast: bool) -> Vec<Table> {
         for (name, h, ps) in arms {
             let c = ps.congestion(h.graph());
             let d = ps.dilation();
-            let b1 = route(&ps, h.graph(), l, 1);
-            let b2 = route(&ps, h.graph(), l, 2);
-            let b4 = route(&ps, h.graph(), l, 4);
+            let b1 = route(&ps, h.graph(), l, 1, engine);
+            let b2 = route(&ps, h.graph(), l, 2, engine);
+            let b4 = route(&ps, h.graph(), l, 4, engine);
             t.row(&cells!(
                 1u32 << dim,
                 name,
@@ -82,7 +89,7 @@ mod tests {
 
     #[test]
     fn x4_single_class_valiant_deadlocks_two_class_completes() {
-        let tables = run(true);
+        let tables = run(true, Engine::EventDriven);
         let s = tables[0].render();
         let mut saw_deadlock = false;
         let mut ecube_b1 = None;

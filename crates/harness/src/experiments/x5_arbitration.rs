@@ -3,7 +3,7 @@
 //! routing lives on arbitration. This ablation measures makespan and
 //! latency fairness across the four policies the simulator supports.
 
-use wormhole_flitsim::config::{Arbitration, SimConfig};
+use wormhole_flitsim::config::{Arbitration, Engine, SimConfig};
 use wormhole_flitsim::message::specs_from_paths;
 use wormhole_flitsim::wormhole;
 use wormhole_topology::random_nets::LeveledNet;
@@ -12,8 +12,8 @@ use crate::cells;
 use crate::stats::Summary;
 use crate::table::{fnum, Table};
 
-/// Runs X5.
-pub fn run(fast: bool) -> Vec<Table> {
+/// Runs X5 on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     let (depth, width, msgs) = if fast {
         (10u32, 6u32, 80usize)
     } else {
@@ -44,7 +44,7 @@ pub fn run(fast: bool) -> Vec<Table> {
     for &b in if fast { &[2u32][..] } else { &[1u32, 2, 4][..] } {
         for (name, pol) in policies {
             let specs = specs_from_paths(&ps, l);
-            let config = SimConfig::new(b).arbitration(pol).seed(5);
+            let config = SimConfig::new(b).arbitration(pol).seed(5).engine(engine);
             let r = wormhole::run(net.graph(), &specs, &config);
             let lat: Vec<f64> = r
                 .messages
@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn x5_policies_within_band() {
-        let tables = run(true);
+        let tables = run(true, Engine::EventDriven);
         let s = tables[0].render();
         let mut spans = Vec::new();
         for row in s.lines().filter(|r| r.starts_with('|')).skip(2) {

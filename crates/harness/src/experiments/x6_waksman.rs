@@ -8,7 +8,7 @@
 use wormhole_baselines::greedy_wormhole::one_pass_butterfly;
 use wormhole_core::butterfly::algorithm::{route_q_relation, AlgoParams};
 use wormhole_core::butterfly::relation::QRelation;
-use wormhole_flitsim::config::SimConfig;
+use wormhole_flitsim::config::{Engine, SimConfig};
 use wormhole_flitsim::message::specs_from_paths;
 use wormhole_flitsim::stats::Outcome;
 use wormhole_flitsim::wormhole;
@@ -19,8 +19,8 @@ use wormhole_topology::random_nets::random_permutation;
 use crate::cells;
 use crate::table::Table;
 
-/// Runs X6.
-pub fn run(fast: bool) -> Vec<Table> {
+/// Runs X6, its Waksman arm on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     let ks: &[u32] = if fast { &[5, 6] } else { &[6, 8, 10] };
     let mut t = Table::new(
         "X6 — offline Waksman/Beneš vs online algorithms on random permutations (L = log n)",
@@ -43,7 +43,7 @@ pub fn run(fast: bool) -> Vec<Table> {
         let paths = net.route(&perm);
         assert_eq!(paths.congestion(net.graph()), 1);
         let specs = specs_from_paths(&paths, l);
-        let wak = wormhole::run(net.graph(), &specs, &SimConfig::new(1));
+        let wak = wormhole::run(net.graph(), &specs, &SimConfig::new(1).engine(engine));
         assert_eq!(wak.outcome, Outcome::Completed);
 
         // Online arms on the plain butterfly.
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn x6_waksman_is_exact_and_stall_free() {
-        let tables = run(true);
+        let tables = run(true, Engine::EventDriven);
         let s = tables[0].render();
         for row in s.lines().filter(|r| r.starts_with('|')).skip(2) {
             let cols: Vec<&str> = row.split('|').map(str::trim).collect();

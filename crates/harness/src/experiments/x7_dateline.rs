@@ -48,14 +48,8 @@ fn outcome_cells(r: &wormhole_flitsim::stats::SimResult) -> (String, String) {
     }
 }
 
-/// Runs X7.
-pub fn run(fast: bool) -> Vec<Table> {
-    run_with(fast, Engine::EventDriven)
-}
-
-/// [`run`] on an explicit simulator engine (results are
-/// engine-independent).
-pub fn run_with(fast: bool, engine: Engine) -> Vec<Table> {
+/// Runs X7 on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     let l = 8u32;
     let mut tables = Vec::new();
 
@@ -132,7 +126,7 @@ mod tests {
 
     #[test]
     fn x7_naive_deadlocks_dateline_completes() {
-        let tables = run(true);
+        let tables = run(true, Engine::EventDriven);
         assert_eq!(tables.len(), 2, "ring + torus stages");
         for (stage, s) in tables.iter().map(|t| t.render()).enumerate() {
             let mut saw_deadlock = false;

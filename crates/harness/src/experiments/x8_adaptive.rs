@@ -82,10 +82,10 @@ fn config(_: &Case, arm: &str, b: u32) -> SimConfig {
         .route_selection(selection)
 }
 
-/// Runs X8.
-pub fn run(fast: bool) -> Vec<Table> {
+/// Runs X8 on `engine`.
+pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     let grid = grid(fast);
-    let points = run_grid(&grid, Engine::EventDriven, config);
+    let points = run_grid(&grid, engine, config);
 
     let mut tables = Vec::new();
     let mut curves = Table::new(
@@ -160,7 +160,7 @@ pub fn run(fast: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::open_loop_grid::{assert_engines_agree_pointwise, Point};
+    use crate::open_loop_grid::Point;
 
     /// One shared fast sweep (deterministic, so every assertion can read
     /// the same points).
@@ -244,16 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn x8_engines_agree_pointwise() {
-        // Pending-route parking is event-engine surface: every point of
-        // all three route selections must match the legacy oracle.
-        let legacy = run_grid(&grid(true), Engine::Legacy, config);
-        assert_engines_agree_pointwise(&fast_points(), &legacy);
-    }
-
-    #[test]
     fn x8_tables_render() {
-        let tables = run(true);
+        let tables = run(true, Engine::EventDriven);
         assert_eq!(tables.len(), 2);
         let s = tables[0].render();
         for needle in [

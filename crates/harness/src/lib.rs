@@ -17,5 +17,5 @@ pub mod stats;
 pub mod sweep;
 pub mod table;
 
-pub use experiments::{all_ids, run_by_id};
+pub use experiments::{all_ids, render, run_by_id};
 pub use table::Table;

@@ -176,16 +176,6 @@ pub fn saturation_throughputs(points: &[Point]) -> Vec<(&Point, f64)> {
     out
 }
 
-/// The engines are bit-identical, so two runs of one grid on different
-/// engines must agree point for point, every field.
-#[cfg(test)]
-pub(crate) fn assert_engines_agree_pointwise(a: &[Point], b: &[Point]) {
-    assert_eq!(a.len(), b.len());
-    for (a, b) in a.iter().zip(b) {
-        assert_eq!(a, b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,7 +269,8 @@ mod tests {
     #[test]
     fn saturation_is_the_max_over_rates_per_curve_in_first_appearance_order() {
         let points = run_tiny(Engine::Legacy);
-        assert_engines_agree_pointwise(&points, &run_tiny(Engine::EventDriven));
+        // The engines are bit-identical: every field of every point.
+        assert_eq!(points, run_tiny(Engine::EventDriven));
         let sat = saturation_throughputs(&points);
         // 2 cases × 2 Bs × 2 arms curves, each named by its first point
         // (the lowest rate), ordered as the grid ran them.
