@@ -3,8 +3,9 @@
 //!
 //! * [`bounds`] — every bound formula in the paper, evaluated numerically;
 //! * [`coloring`] / [`refine`] / [`pipeline`] — the Lemma 2.1.5 color
-//!   refinement (via Moser–Tardos resampling) and the Theorem 2.1.6 staged
-//!   pipeline producing `O(C(D log D)^{1/B}/B)` color classes;
+//!   refinement (Case 1, via Moser–Tardos resampling) and the Theorem 2.1.6
+//!   coloring [`adaptive_min_colors`], `O(C(D log D)^{1/B}/B)` color
+//!   classes;
 //! * [`firstfit`] — the practical greedy B-bounded coloring comparator;
 //! * [`schedule`] — color classes → release times → execution on the flit
 //!   simulator, with the paper's zero-blocking guarantee checked;
@@ -42,5 +43,5 @@ pub mod refine;
 pub mod schedule;
 
 pub use coloring::Coloring;
-pub use pipeline::{adaptive_min_colors, run_pipeline, PipelineReport, RFactor};
+pub use pipeline::{adaptive_min_colors, PipelineReport};
 pub use schedule::ColorSchedule;

@@ -9,6 +9,10 @@
 //! violated `(edge, class)` event until none remain. Under the same LLL
 //! condition the expected number of resamplings is linear in the number of
 //! events, and the refinement terminates with probability 1.
+//!
+//! Of the lemma's three cases, Case 1 is the one run: [`r_case1`] caps the
+//! split search of [`crate::pipeline::adaptive_min_colors`], and
+//! [`crate::pipeline`]'s module doc says why the other two are not.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -16,18 +20,6 @@ use rand::rngs::StdRng;
 use wormhole_topology::path::PathSet;
 
 use crate::coloring::{ClassLoads, Coloring};
-
-/// Which case of Lemma 2.1.5 a refinement stage instantiates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RefineCase {
-    /// `ms ≤ log D`, target `mf = B`, `r = ⌈3e(D·ms)^{1/B}·ms/B⌉`.
-    Case1,
-    /// `log D < ms ≤ D`, target `mf = log D`, `r = ⌈32e·ms/log D⌉`.
-    Case2,
-    /// `ms > D`, target `mf = max(D, 15·ln³ ms)`,
-    /// `r = ⌈ms/((1 − 1/ln ms)·mf)⌉`.
-    Case3,
-}
 
 /// One refinement stage: split every class into `split` new classes, then
 /// resample until the multiplex size is at most `target`.
@@ -39,34 +31,13 @@ pub struct Stage {
     pub target: u32,
     /// Number of new classes per old class (`r`).
     pub split: u32,
-    /// The Lemma 2.1.5 case the parameters came from.
-    pub case: RefineCase,
 }
 
-/// The paper's `r` for case 1: `3e(D·ms)^{1/B}·ms/B`.
+/// The paper's `r` for case 1 (`ms ≤ log D`, target `mf = B`):
+/// `3e(D·ms)^{1/B}·ms/B`.
 pub fn r_case1(ms: u32, d: u32, b: u32) -> u32 {
     let r = 3.0 * std::f64::consts::E * ((d as f64) * (ms as f64)).powf(1.0 / b as f64) * ms as f64
         / b as f64;
-    (r.ceil() as u32).max(2)
-}
-
-/// The paper's `r` for case 2: `32e·ms/log D`.
-pub fn r_case2(ms: u32, d: u32) -> u32 {
-    let logd = (d as f64).log2().max(1.0);
-    let r = 32.0 * std::f64::consts::E * ms as f64 / logd;
-    (r.ceil() as u32).max(2)
-}
-
-/// The paper's case-3 target `mf = max(D, 15 ln³ ms)`.
-pub fn mf_case3(ms: u32, d: u32) -> u32 {
-    let l = (ms as f64).ln();
-    d.max((15.0 * l * l * l).ceil() as u32)
-}
-
-/// The paper's `r` for case 3: `ms/((1 − 1/ln ms)·mf)`.
-pub fn r_case3(ms: u32, mf: u32) -> u32 {
-    let l = (ms as f64).ln().max(1.5);
-    let r = ms as f64 / ((1.0 - 1.0 / l) * mf as f64);
     (r.ceil() as u32).max(2)
 }
 
@@ -304,14 +275,6 @@ mod tests {
         // = 3e*128*2 ≈ 2088.
         let r = r_case1(4, 4096, 2);
         assert!((2080..=2095).contains(&r), "r={r}");
-        // Case 2: ms=100, D=1024: 32e*100/10 ≈ 870.
-        let r2 = r_case2(100, 1024);
-        assert!((865..=875).contains(&r2), "r2={r2}");
-        // Case 3 target: ms=10^6: 15 ln^3(10^6) ≈ 15*13.8^3 ≈ 39530.
-        let mf = mf_case3(1_000_000, 10);
-        assert!((39_000..=40_000).contains(&mf), "mf={mf}");
-        let r3 = r_case3(1_000_000, mf);
-        assert!(r3 >= 25, "r3={r3}");
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl ColorSchedule {
 mod tests {
     use super::*;
     use crate::firstfit::{first_fit, FirstFitOrder};
-    use crate::pipeline::{adaptive_min_colors, run_pipeline, RFactor};
+    use crate::pipeline::adaptive_min_colors;
     use wormhole_topology::random_nets::{shared_chain_instance, staggered_instance, LeveledNet};
 
     #[test]
@@ -113,7 +113,7 @@ mod tests {
         let (g, ps) = staggered_instance(6, 32, 48);
         let l = 8u32;
         let b = 2u32;
-        let rep = run_pipeline(&ps, &g, b, RFactor::Adaptive { sweep_budget: 64 }, 3).unwrap();
+        let rep = adaptive_min_colors(&ps, &g, b, 3, 64).unwrap();
         let sched = ColorSchedule::new(rep.coloring, l, ps.dilation());
         let r = sched.execute_checked(&g, &ps, l, b);
         assert_eq!(r.delivered(), ps.len());

@@ -5,8 +5,11 @@
 //! reporting the class counts of `adaptive_min_colors` and first-fit
 //! against the theorem's formula, plus the executed (zero-stall) makespan.
 //! `adaptive_min_colors` runs one Case-1 split search, from the trivial
-//! coloring straight to multiplex ≤ `B`, then a first-fit compaction: no
-//! staging. The staged Thm 2.1.6 `run_pipeline` is not what runs here.
+//! coloring straight to multiplex ≤ `B`, then a first-fit compaction. The
+//! paper's staged run (Case 3, Case 2, then Case 1) was measured against
+//! it, including at `C > D` where the staging is meant to help, and never
+//! gave fewer classes, so it was removed (ROADMAP, item 13 and *Measured,
+//! on file*).
 
 use wormhole_core::bounds::{general_upper_bound, general_upper_bound_colors};
 use wormhole_core::firstfit::{first_fit, FirstFitOrder};
@@ -46,7 +49,6 @@ pub fn run(fast: bool) -> Vec<Table> {
         let ff = first_fit(&paths, &graph, b, FirstFitOrder::Input);
         let lll = adaptive_min_colors(&paths, &graph, b, 1000 + b as u64, 64)
             .expect("adaptive refinement failed");
-        let kappa = ff.num_colors().min(lll.coloring.num_colors());
         let best = if ff.num_colors() <= lll.coloring.num_colors() {
             ff.clone()
         } else {
@@ -54,7 +56,6 @@ pub fn run(fast: bool) -> Vec<Table> {
         };
         let sched = ColorSchedule::new(best, l, d_meas);
         let run = sched.execute_checked(&graph, &paths, l, b);
-        let _ = kappa;
         t1.row(&cells!(
             b,
             ff.num_colors(),

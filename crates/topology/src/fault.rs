@@ -217,11 +217,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Earliest kill time, or `None` for an empty plan.
-    pub fn first_kill_at(&self) -> Option<u64> {
-        self.events.iter().map(|e| e.at).min()
-    }
-
     /// Checks every event against `graph`: edges must exist and no edge
     /// may be killed twice.
     pub fn validate(&self, graph: &Graph) -> Result<(), FaultError> {

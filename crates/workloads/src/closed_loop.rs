@@ -184,10 +184,6 @@ pub struct ClosedLoopSource<'a> {
     chain_latencies: Vec<u64>,
     /// Completed-chain busy steps per client.
     backlog: Vec<u64>,
-    /// Fault awareness ([`ClosedLoopSource::with_faults`]): from the
-    /// first kill time on, freshly issued messages route via
-    /// [`Substrate::route_avoiding`] against the end-of-plan dead set.
-    fault: Option<(u64, Vec<bool>)>,
 }
 
 impl<'a> ClosedLoopSource<'a> {
@@ -207,7 +203,6 @@ impl<'a> ClosedLoopSource<'a> {
             chains_completed: 0,
             chain_latencies: Vec::new(),
             backlog: vec![0; cfg.clients as usize],
-            fault: None,
         };
         let hint = s.id_hint() as usize;
         s.meta.reserve_exact(hint);
@@ -224,39 +219,6 @@ impl<'a> ClosedLoopSource<'a> {
             }
         }
         s
-    }
-
-    /// Makes the source fault-aware: once `plan`'s first kill time is
-    /// reached, newly issued requests and replies route via
-    /// [`Substrate::route_avoiding`] against the plan's **end-of-plan**
-    /// dead set (conservative: an edge that dies later is avoided from
-    /// the first kill on, so a rerouted message is never severed by a
-    /// subsequent kill of the same plan). Where the substrate has no
-    /// diversity the canonical route is kept — the message is discarded
-    /// on release and [`TrafficSource::on_discarded`] reissues it, which
-    /// is exactly the collapse the diversity-free control arms measure.
-    pub fn with_faults(
-        mut self,
-        plan: &wormhole_topology::fault::FaultPlan,
-        graph: &wormhole_topology::graph::Graph,
-    ) -> Self {
-        if let Some(at) = plan.first_kill_at() {
-            self.fault = Some((at, plan.dead_edges(graph)));
-        }
-        self
-    }
-
-    /// The route for a message released at `release` — canonical until
-    /// the first kill, fault-avoiding (where possible) afterwards.
-    fn route_for(&self, src: u32, dst: u32, release: u64) -> wormhole_topology::path::Path {
-        if let Some((first_kill, dead)) = &self.fault {
-            if release >= *first_kill {
-                if let Some(p) = self.sub.route_avoiding(src, dst, dead) {
-                    return p;
-                }
-            }
-        }
-        self.sub.route(src, dst)
     }
 
     #[inline]
@@ -334,7 +296,8 @@ impl<'a> ClosedLoopSource<'a> {
     /// Number of chain slots still in flight — chains that neither
     /// completed nor retired cleanly. Zero after a faulted run means
     /// every severed half-chain was reissued and completed; nonzero
-    /// counts chains wedged on dead edges with no route diversity left.
+    /// counts chains wedged on a dead edge (a reissue takes the same
+    /// canonical route).
     pub fn open_chains(&self) -> usize {
         self.slots
             .iter()
@@ -363,8 +326,7 @@ impl TrafficSource for ClosedLoopSource<'_> {
                 }
                 self.requests_issued += 1;
             }
-            let spec =
-                MessageSpec::new(self.route_for(src, dst, release), length).release_at(release);
+            let spec = MessageSpec::new(self.sub.route(src, dst), length).release_at(release);
             self.meta.push(MsgMeta {
                 release,
                 length,
@@ -415,8 +377,9 @@ impl TrafficSource for ClosedLoopSource<'_> {
         // start, so the retry cost shows up in the chain latency. At or
         // past the horizon nothing new is issued — the chain stays
         // in flight and is charged as backlog, matching the
-        // request-issue horizon rule (and bounding fault-retry loops on
-        // substrates with no route diversity left).
+        // request-issue horizon rule (and bounding the retry loop of a
+        // chain whose canonical route crosses a dead edge: every reissue
+        // takes that route again).
         let m = self.meta[id as usize];
         if t + 1 >= self.cfg.horizon {
             return;
@@ -585,9 +548,9 @@ mod tests {
     }
 
     /// The faulted Beneš: a middle-stage edge of each client's canonical
-    /// route to its aligned server dies while the loop is in full swing.
-    /// The Beneš has middle-column diversity, so every severed half-chain
-    /// is reissued on a surviving route.
+    /// route to its aligned server dies while the loop is in full swing,
+    /// severing several chains at once; their reissues take the canonical
+    /// route again and are discarded up to the horizon.
     fn faulted_benes() -> (Substrate, ClosedLoopConfig, FaultPlan) {
         let sub = Substrate::benes(3); // 8 endpoints
         let cfg = ClosedLoopConfig {
@@ -626,7 +589,7 @@ mod tests {
         (sub, cfg, plan)
     }
 
-    /// One run of `cfg` over `sub` on `engine`, fault-aware of `plan` if
+    /// One run of `cfg` over `sub` on `engine`, under `plan`'s kills if
     /// any, with the source's id hint shown or hidden ([`Unhinted`]): the
     /// result and the source it drained.
     fn run_on<'s>(
@@ -640,7 +603,6 @@ mod tests {
         let mut src = ClosedLoopSource::new(sub, cfg);
         if let Some(plan) = plan {
             sim = sim.faults(plan.clone());
-            src = src.with_faults(plan, sub.graph());
         }
         let r = if hinted {
             wormhole::run_source(sub.graph(), &mut src, &sim)
@@ -648,30 +610,6 @@ mod tests {
             wormhole::run_source(sub.graph(), &mut Unhinted(&mut src), &sim)
         };
         (r, src)
-    }
-
-    #[test]
-    fn faulted_benes_chains_reissue_and_complete() {
-        let (sub, cfg, plan) = faulted_benes();
-        let (r, src) = run_on(&sub, &cfg, Some(&plan), Engine::EventDriven, true);
-        let cl = src.stats(r.total_steps);
-        assert_eq!(r.outcome, Outcome::Completed, "{:?}", r.outcome);
-        assert!(r.kills_applied > 0);
-        assert!(r.fault_discards > 0, "kills should sever in-flight worms");
-        assert_eq!(
-            src.open_chains(),
-            0,
-            "every severed chain reissued and completed"
-        );
-        assert!(cl.chains_completed > 0, "{cl:?}");
-        for engine in [Engine::Legacy, Engine::Parallel { threads: 2 }] {
-            let (other, other_src) = run_on(&sub, &cfg, Some(&plan), engine, true);
-            assert!(
-                r.same_execution(&other),
-                "{engine:?} diverged on faulted Benes"
-            );
-            assert_eq!(cl, other_src.stats(other.total_steps));
-        }
     }
 
     #[test]

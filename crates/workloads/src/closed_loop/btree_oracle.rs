@@ -12,7 +12,6 @@ use rand::rngs::StdRng;
 use wormhole_flitsim::message::MessageSpec;
 use wormhole_flitsim::source::TrafficSource;
 use wormhole_flitsim::stats::{ClosedLoopStats, LatencyStats};
-use wormhole_topology::fault::FaultPlan;
 
 use super::*;
 
@@ -30,7 +29,6 @@ struct TreeSource<'a> {
     chains_completed: u64,
     chain_latencies: Vec<u64>,
     backlog: Vec<u64>,
-    fault: Option<(u64, Vec<bool>)>,
 }
 
 impl<'a> TreeSource<'a> {
@@ -47,7 +45,6 @@ impl<'a> TreeSource<'a> {
             chains_completed: 0,
             chain_latencies: Vec::new(),
             backlog: vec![0; cfg.clients as usize],
-            fault: None,
         };
         for c in 0..cfg.clients {
             for slot in 0..cfg.window {
@@ -61,24 +58,6 @@ impl<'a> TreeSource<'a> {
             }
         }
         s
-    }
-
-    fn with_faults(mut self, plan: &FaultPlan, graph: &wormhole_topology::graph::Graph) -> Self {
-        if let Some(at) = plan.first_kill_at() {
-            self.fault = Some((at, plan.dead_edges(graph)));
-        }
-        self
-    }
-
-    fn route_for(&self, src: u32, dst: u32, release: u64) -> wormhole_topology::path::Path {
-        if let Some((first_kill, dead)) = &self.fault {
-            if release >= *first_kill {
-                if let Some(p) = self.sub.route_avoiding(src, dst, dead) {
-                    return p;
-                }
-            }
-        }
-        self.sub.route(src, dst)
     }
 
     fn slot_idx(&self, client: u32, slot: u32) -> usize {
@@ -159,8 +138,7 @@ impl TrafficSource for TreeSource<'_> {
                 }
                 self.requests_issued += 1;
             }
-            let spec =
-                MessageSpec::new(self.route_for(src, dst, release), length).release_at(release);
+            let spec = MessageSpec::new(self.sub.route(src, dst), length).release_at(release);
             self.meta.push(MsgMeta {
                 release,
                 length,
@@ -232,8 +210,7 @@ fn emitted(out: &mut Vec<(u32, MessageSpec)>) -> Vec<Emitted> {
 /// later — then `next_release` and `take_ready`. An idle network jumps to
 /// the announced release; now and then the poll skips ahead several laps
 /// of the wheel with messages in flight. Think times and server delays
-/// may be zero, horizons cut chains mid-flight, and every third case is
-/// fault-aware on a Beneš network that can route around the kill.
+/// may be zero and horizons cut chains mid-flight.
 #[test]
 fn the_wheel_scheduled_source_emits_what_the_btree_scheduled_one_did() {
     let sub = Substrate::benes(3); // 8 endpoints
@@ -257,13 +234,6 @@ fn the_wheel_scheduled_source_emits_what_the_btree_scheduled_one_did() {
         };
         let mut wheel = ClosedLoopSource::new(&sub, &cfg);
         let mut tree = TreeSource::new(&sub, &cfg);
-        if case % 3 == 0 {
-            let p = sub.route(0, 7);
-            let kill = rng.random_range(0..=120);
-            let plan = FaultPlan::new().kill_link(kill, p.edges()[p.edges().len() / 2]);
-            wheel = wheel.with_faults(&plan, sub.graph());
-            tree = tree.with_faults(&plan, sub.graph());
-        }
         let lap = (cfg.clients * cfg.window) as u64;
         let (mut now, mut in_flight) = (0u64, Vec::<(u32, u64)>::new());
         let (mut out_w, mut out_t) = (Vec::new(), Vec::new());

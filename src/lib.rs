@@ -3,8 +3,8 @@
 //! A from-scratch reproduction of Cole, Maggs & Sitaraman, *On the Benefit
 //! of Supporting Virtual Channels in Wormhole Routers* (SPAA '96; JCSS 62,
 //! 2001): a flit-accurate wormhole simulator with `B` virtual channels per
-//! physical channel, the paper's Lovász-Local-Lemma scheduling pipeline
-//! (Thm 2.1.6), its worst-case network construction (Thm 2.2.1), the
+//! physical channel, the paper's Lovász-Local-Lemma scheduling (Thm 2.1.6,
+//! Lemma 2.1.5 under Moser–Tardos resampling), its worst-case network construction (Thm 2.2.1), the
 //! randomized two-pass butterfly algorithm (§3.1) with its one-pass lower
 //! bound machinery (§3.2), and every baseline the paper compares against.
 //!
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use wormhole_core::butterfly::relation::QRelation;
     pub use wormhole_core::coloring::Coloring;
     pub use wormhole_core::firstfit::{first_fit, FirstFitOrder};
-    pub use wormhole_core::pipeline::{adaptive_min_colors, run_pipeline, RFactor};
+    pub use wormhole_core::pipeline::adaptive_min_colors;
     pub use wormhole_core::schedule::ColorSchedule;
     pub use wormhole_flitsim::config::{
         Arbitration, ConfigError, Engine, RouteSelection, SimConfig, VcPolicy,

@@ -473,8 +473,8 @@ impl TrafficSource for DiscardProbe<'_> {
 
 /// A kill under a reactive source on a three-region butterfly plan:
 /// every window is one step, the kill's discards retire through the
-/// coordinator before that step's admissions, and the fault-aware source
-/// reissues each severed half-chain — the reissue is admitted at the
+/// coordinator before that step's admissions, and the source reissues
+/// each severed half-chain — the reissue is admitted at the
 /// step Legacy admits it, and the source hears every discard at the same
 /// point of its own emission sequence.
 #[test]
@@ -509,7 +509,7 @@ fn a_kill_under_a_reactive_source_reissues_on_schedule() {
     let heard = std::cell::RefCell::new(Vec::new());
     let run = |cfg: &SimConfig| {
         let mut source = DiscardProbe {
-            inner: ClosedLoopSource::new(&sub, &cl).with_faults(&plan, sub.graph()),
+            inner: ClosedLoopSource::new(&sub, &cl),
             heard: Vec::new(),
         };
         let r = wormhole::run_source(sub.graph(), &mut source, cfg);
