@@ -29,10 +29,6 @@ use crate::refine::{r_case1, refine, RefineOutcome, Stage};
 /// Report for one executed stage.
 #[derive(Clone, Debug)]
 pub struct StageReport {
-    /// The stage searched: its `split` is the cap of the search.
-    pub stage: Stage,
-    /// The smallest split factor the search found to converge.
-    pub used_split: u32,
     /// Moser–Tardos sweeps used by the final successful refinement.
     pub resamples: u64,
 }
@@ -59,32 +55,30 @@ impl PipelineReport {
 
 /// Doubling + binary search for the smallest split factor that refines
 /// `coloring` to `stage.target` within `sweep_budget` sweeps. Returns the
-/// best outcome and the split used.
+/// outcome at that split.
 fn search_min_split(
     paths: &PathSet,
     coloring: &Coloring,
     stage: Stage,
     rng: &mut StdRng,
     sweep_budget: u64,
-) -> Option<(RefineOutcome, u32)> {
+) -> Option<RefineOutcome> {
     let cap = stage.split.max(2) * 2;
     let attempt =
         |r: u32, rng: &mut StdRng| refine(paths, coloring, r, stage.target, rng, sweep_budget).ok();
-    // Doubling phase.
-    let mut lo = 1u32; // known-failing (r=1 can only work if already ≤ target)
-    let mut r = 2u32;
-    let mut best: Option<(RefineOutcome, u32)> = None;
-    while r <= cap {
-        if let Some(out) = attempt(r, rng) {
-            best = Some((out, r));
-            break;
+    // Doubling phase: `lo` is known to fail (r=1 can only work if already
+    // ≤ target), `hi` is the next split tried.
+    let mut lo = 1u32;
+    let mut hi = 2u32;
+    let mut best = loop {
+        if hi > cap {
+            return attempt(stage.split, rng);
         }
-        lo = r;
-        r *= 2;
-    }
-    let (_, mut hi) = match &best {
-        Some((_, r)) => ((), *r),
-        None => return attempt(stage.split, rng).map(|o| (o, stage.split)),
+        if let Some(out) = attempt(hi, rng) {
+            break out;
+        }
+        lo = hi;
+        hi *= 2;
     };
     // Binary search in (lo, hi).
     while hi - lo > 1 {
@@ -92,12 +86,12 @@ fn search_min_split(
         match attempt(mid, rng) {
             Some(out) => {
                 hi = mid;
-                best = Some((out, mid));
+                best = out;
             }
             None => lo = mid,
         }
     }
-    best
+    Some(best)
 }
 
 /// Colors `paths` with multiplex size ≤ `b` (Theorem 2.1.6): one Case-1
@@ -126,11 +120,10 @@ pub fn adaptive_min_colors(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let stage = Stage {
-        from: congestion,
         target: b,
         split: r_case1(congestion.min(64), dilation.max(2), b).max(congestion),
     };
-    let (out, used) = search_min_split(
+    let out = search_min_split(
         paths,
         &Coloring::uniform(paths.len()),
         stage,
@@ -142,8 +135,6 @@ pub fn adaptive_min_colors(
     Some(PipelineReport {
         coloring,
         stages: vec![StageReport {
-            stage,
-            used_split: used,
             resamples: out.resamples,
         }],
         congestion,

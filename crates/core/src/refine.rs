@@ -25,8 +25,6 @@ use crate::coloring::{ClassLoads, Coloring};
 /// resample until the multiplex size is at most `target`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stage {
-    /// Multiplex size the stage starts from (`ms`).
-    pub from: u32,
     /// Multiplex size the stage guarantees (`mf`).
     pub target: u32,
     /// Number of new classes per old class (`r`).

@@ -83,9 +83,10 @@
 //! buckets already canonical (rates strictly decreasing — see
 //! [`crate::curve`]), which is all the crossing-point formula needs. The
 //! wait vector is flat (one offset table over flows, two buffers swapped
-//! between iterations), the incidence is a CSR over the used edges, and
-//! the accumulator and its output are reused, so after set-up a step
-//! performs **no heap allocation**. Cost:
+//! between iterations), the incidence is a CSR over the used edges, what
+//! a sweep reads of a flow (`L_f + 1`, its first bucket, `D_f`) is packed
+//! in one per-flow array, and the accumulator and its output are reused,
+//! so after set-up a step performs **no heap allocation**. Cost:
 //!
 //! ```text
 //! iterations × Σ_e (incidence_e + events_e · log events_e)
@@ -95,6 +96,16 @@
 //! start after their flow's current delay bound (zero for one-message
 //! flows). [`BoundReport::edge_sweeps`] and
 //! [`BoundReport::events_merged`] count both factors exactly.
+//!
+//! **Flat edges.** Where every crossing flow's envelope is one flat
+//! bucket (rate 0 — the `γ_{1,0}` of every one-message trace flow, the
+//! bulk of a sparse trace), `W_e` is itself one flat bucket, and the
+//! step skips the accumulator: it sums the burst `Σ H(f,e) · α_f(D_f)`
+//! as one scalar, in incidence order, and writes each wait as
+//! `(burst − H(f,e))⁺ / B`. Those are the float operations
+//! `ConcaveSum::push`, its envelope and the `B`-line intersection
+//! perform on such an edge, in the same order, so the waits are the
+//! same bits, and the edge counts one sweep and no events as before.
 //!
 //! [`VcPolicy::Static`]: wormhole_flitsim::config::VcPolicy::Static
 
@@ -221,13 +232,31 @@ struct Closure<'a> {
     /// `(flow, wait slot)` pairs. A simple path in an acyclic graph
     /// visits an edge at most once, so a slot appears exactly once.
     incidence: Vec<(usize, usize)>,
-    /// `D_f` under the waits of the current step.
-    delay: Vec<f64>,
+    /// Per used edge: every crossing flow's envelope is one flat bucket
+    /// (rate 0), so the step takes the scalar path.
+    flat: Vec<bool>,
+    /// What a sweep reads of each flow, packed in one array.
+    state: Vec<FlowState>,
     /// The cross-demand accumulator and its envelope, reused per edge.
     demand: ConcaveSum,
     cross: Vec<TokenBucket>,
     edge_sweeps: u64,
     events_merged: u64,
+}
+
+/// What one Picard step reads of a flow, packed so that a sweep fetches
+/// it from one place: the sweeps visit flows in edge order, not flow
+/// order.
+#[derive(Clone, Copy)]
+struct FlowState {
+    /// `L_f + 1`: the occupancy `H(f,e)` without its downstream waits
+    /// (exact, so `lead + downstream` is the same float as
+    /// `L_f + 1 + downstream`).
+    lead: f64,
+    /// The envelope's first bucket — all of it on a flat edge.
+    first: TokenBucket,
+    /// `D_f` under the waits of the current step.
+    delay: f64,
 }
 
 impl<'a> Closure<'a> {
@@ -258,6 +287,14 @@ impl<'a> Closure<'a> {
         }
         // An edge no flow crosses repeats its predecessor's start.
         start.dedup();
+        let flat = start
+            .windows(2)
+            .map(|edge| {
+                incidence[edge[0]..edge[1]]
+                    .iter()
+                    .all(|&(fi, _)| matches!(flows[fi].arrival.buckets(), [tb] if tb.rate == 0.0))
+            })
+            .collect();
         // Breakpoint events one edge's sweep can see at most.
         let max_events = start
             .windows(2)
@@ -275,7 +312,15 @@ impl<'a> Closure<'a> {
             offsets,
             edge_start: start,
             incidence,
-            delay: vec![0.0; flows.len()],
+            flat,
+            state: flows
+                .iter()
+                .map(|f| FlowState {
+                    lead: f.len_flits as f64 + 1.0,
+                    first: f.arrival.buckets()[0],
+                    delay: 0.0,
+                })
+                .collect(),
             demand: ConcaveSum::with_capacity(max_events),
             cross: Vec::with_capacity(max_events + 1),
             edge_sweeps: 0,
@@ -298,34 +343,49 @@ impl<'a> Closure<'a> {
                 next[slot] = acc;
                 acc += cur[slot];
             }
-            self.delay[fi] = f.pipeline_floor() + acc;
+            self.state[fi].delay = f.pipeline_floor() + acc;
         }
-        let flows = self.flows;
-        let occupancy = |fi: usize, downstream: f64| flows[fi].len_flits as f64 + 1.0 + downstream;
-        for edge in self.edge_start.windows(2) {
+        let (flows, state) = (self.flows, &self.state);
+        let occupancy = |fi: usize, downstream: f64| state[fi].lead + downstream;
+        for (edge, &flat) in self.edge_start.windows(2).zip(&self.flat) {
             let crossing = &self.incidence[edge[0]..edge[1]];
             // Cross-demand on this edge from every flow crossing it:
-            // Σ H(f,e) · α_f(D_f + t).
-            self.demand.clear();
-            for &(fi, slot) in crossing {
-                self.demand.push(
-                    flows[fi].arrival.buckets(),
-                    self.delay[fi],
-                    occupancy(fi, next[slot]),
-                );
-            }
-            self.events_merged += self.demand.envelope_into(&mut self.cross) as u64;
+            // Σ H(f,e) · α_f(D_f + t). On a flat edge (module docs) it is
+            // one flat bucket, its burst summed by the general path's
+            // float operations in its order.
+            let flat_burst = if flat {
+                let mut burst = 0.0;
+                for &(fi, slot) in crossing {
+                    let FlowState { first, delay, .. } = state[fi];
+                    burst += occupancy(fi, next[slot]) * first.eval(delay);
+                }
+                Some(burst)
+            } else {
+                self.demand.clear();
+                for &(fi, slot) in crossing {
+                    self.demand.push(
+                        flows[fi].arrival.buckets(),
+                        state[fi].delay,
+                        occupancy(fi, next[slot]),
+                    );
+                }
+                self.events_merged += self.demand.envelope_into(&mut self.cross) as u64;
+                None
+            };
             self.edge_sweeps += 1;
             // Per crossing flow: deflate by its own charge and intersect
             // with the B-rate line.
             for &(fi, slot) in crossing {
                 let h = occupancy(fi, next[slot]);
-                let wait = self
-                    .cross
-                    .iter()
-                    .filter(|tb| tb.rate < self.b)
-                    .map(|tb| (tb.burst - h).max(0.0) / (self.b - tb.rate))
-                    .fold(f64::INFINITY, f64::min);
+                let wait = match flat_burst {
+                    Some(burst) => (burst - h).max(0.0) / self.b,
+                    None => self
+                        .cross
+                        .iter()
+                        .filter(|tb| tb.rate < self.b)
+                        .map(|tb| (tb.burst - h).max(0.0) / (self.b - tb.rate))
+                        .fold(f64::INFINITY, f64::min),
+                };
                 if !wait.is_finite() || wait > WAIT_CAP {
                     return false;
                 }
@@ -741,7 +801,8 @@ mod tests {
                 c.offsets.capacity(),
                 c.edge_start.capacity(),
                 c.incidence.capacity(),
-                c.delay.capacity(),
+                c.flat.capacity(),
+                c.state.capacity(),
                 c.demand.capacity(),
                 c.cross.capacity(),
             ]

@@ -94,6 +94,13 @@ impl ArrivalCurve {
             times.windows(2).all(|w| w[0] <= w[1]),
             "trace must be sorted"
         );
+        // A lone release: the general path below builds exactly this
+        // bucket, by way of a hull and a canonicalization.
+        if m == 1 {
+            return Self {
+                buckets: vec![TokenBucket::new(1.0, 0.0)],
+            };
+        }
         // Minimal span per count; spans are nondecreasing in c, so the
         // points are x-sorted. Equal spans keep only the largest count.
         let mut pts: Vec<(f64, f64)> = Vec::with_capacity(m);
@@ -555,6 +562,21 @@ mod tests {
         let single = ArrivalCurve::from_trace(&[7]);
         assert!((single.eval(0.0) - 1.0).abs() < 1e-9);
         assert!((single.eval(100.0) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_lone_release_is_the_flat_unit_bucket_bit_for_bit() {
+        let unit = ArrivalCurve::from_buckets(vec![TokenBucket::new(1.0, 0.0)]);
+        for t in [0u64, 1, 7, u64::MAX] {
+            let lone = ArrivalCurve::from_trace(&[t]);
+            assert_eq!(lone.buckets().len(), 1);
+            let (a, b) = (lone.buckets()[0], unit.buckets()[0]);
+            assert_eq!(
+                (a.burst.to_bits(), a.rate.to_bits()),
+                (b.burst.to_bits(), b.rate.to_bits()),
+                "release {t}"
+            );
+        }
     }
 
     #[test]
