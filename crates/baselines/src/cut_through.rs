@@ -40,9 +40,9 @@ pub fn vct(
 /// The paper's emulation: VCT with `B`-flit buffers behaves like wormhole
 /// with **no** VCs and message length `⌈L/B⌉`. Returns that wormhole run;
 /// time is in *flit steps of the emulated system* — multiply by `b` (each
-/// emulated "superflit" is `b` flits wide) via
-/// [`emulation_flit_steps`] to compare against direct runs. A bad path
-/// comes back as the [`SimError`] of [`wormhole::simulate`].
+/// emulated "superflit" is `b` flits wide) to compare against direct
+/// runs. A bad path comes back as the [`SimError`] of
+/// [`wormhole::simulate`].
 pub fn vct_as_short_wormhole(
     graph: &Graph,
     paths: &PathSet,
@@ -54,12 +54,6 @@ pub fn vct_as_short_wormhole(
     let specs = specs_from_paths(paths, short);
     let config = SimConfig::new(1).seed(seed);
     wormhole::simulate(graph, None, Traffic::Specs(&specs), &config)
-}
-
-/// Converts the `vct_as_short_wormhole` makespan to flit steps of the real
-/// system (each emulated step carries `b` flits over each link).
-pub fn emulation_flit_steps(emulated_steps: u64, b: u32) -> u64 {
-    emulated_steps * b as u64
 }
 
 #[cfg(test)]
@@ -77,7 +71,8 @@ mod tests {
         assert_eq!(direct.outcome, Outcome::Completed);
         let emu = vct_as_short_wormhole(&g, &ps, l, b, 1).unwrap();
         assert_eq!(emu.outcome, Outcome::Completed);
-        let emu_steps = emulation_flit_steps(emu.total_steps, b);
+        // Each emulated step carries `b` flits over each link.
+        let emu_steps = emu.total_steps * b as u64;
         // "Roughly equivalent": within a small constant factor.
         let ratio = direct.total_steps as f64 / emu_steps as f64;
         assert!(
@@ -123,11 +118,11 @@ mod tests {
 
     #[test]
     fn emulation_of_b1_is_identity() {
+        // At b = 1 the emulation is the plain one-VC wormhole run.
         let (g, ps) = shared_chain_instance(3, 8);
-        let direct = vct_as_short_wormhole(&g, &ps, 12, 1, 0).unwrap();
-        assert_eq!(
-            emulation_flit_steps(direct.total_steps, 1),
-            direct.total_steps
-        );
+        let emu = vct_as_short_wormhole(&g, &ps, 12, 1, 0).unwrap();
+        let specs = specs_from_paths(&ps, 12);
+        let plain = wormhole::simulate(&g, None, Traffic::Specs(&specs), &SimConfig::new(1));
+        assert!(emu.same_execution(&plain.unwrap()));
     }
 }

@@ -7,17 +7,20 @@
 //! instance).
 
 use wormhole_flitsim::store_forward::{run, SfArbitration, SfConfig, SfResult};
+use wormhole_flitsim::wormhole::SimError;
 use wormhole_topology::graph::Graph;
 use wormhole_topology::path::PathSet;
 
 /// Greedy online store-and-forward with unbounded buffers and FIFO
-/// contention — the plainest baseline.
-pub fn greedy_store_forward(graph: &Graph, paths: &PathSet) -> SfResult {
+/// contention — the plainest baseline. A path that is empty or leaves
+/// `graph` comes back as the [`SimError::Spec`] of [`run`].
+pub fn greedy_store_forward(graph: &Graph, paths: &PathSet) -> Result<SfResult, SimError> {
     run(graph, paths, &SfConfig::default())
 }
 
-/// Greedy with the farthest-first heuristic.
-pub fn farthest_first_store_forward(graph: &Graph, paths: &PathSet) -> SfResult {
+/// Greedy with the farthest-first heuristic, refusing what
+/// [`greedy_store_forward`] refuses.
+pub fn farthest_first_store_forward(graph: &Graph, paths: &PathSet) -> Result<SfResult, SimError> {
     let config = SfConfig {
         arbitration: SfArbitration::FarthestFirst,
     };
@@ -32,7 +35,7 @@ mod tests {
     #[test]
     fn greedy_achieves_pipeline_bound_on_chain() {
         let (g, ps) = shared_chain_instance(6, 8);
-        let r = greedy_store_forward(&g, &ps);
+        let r = greedy_store_forward(&g, &ps).unwrap();
         // C+D−1 is optimal here; greedy achieves it with unbounded buffers.
         assert_eq!(r.message_steps, 6 + 8 - 1);
     }
@@ -44,8 +47,8 @@ mod tests {
         let c = ps.congestion(net.graph()) as u64;
         let d = ps.dilation() as u64;
         for r in [
-            greedy_store_forward(net.graph(), &ps),
-            farthest_first_store_forward(net.graph(), &ps),
+            greedy_store_forward(net.graph(), &ps).unwrap(),
+            farthest_first_store_forward(net.graph(), &ps).unwrap(),
         ] {
             assert_eq!(r.outcome, wormhole_flitsim::stats::Outcome::Completed);
             assert!(r.message_steps >= d);

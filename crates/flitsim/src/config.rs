@@ -64,22 +64,20 @@ pub enum VcPolicy {
 }
 
 impl VcPolicy {
-    /// A [`VcPolicy::RouterPooled`], range-checked: panics, with the
-    /// [`ConfigError`]'s message, on `pool == 0`, `per_edge_min == 0`,
-    /// `per_edge_min > per_edge_max` or a cap above `u16::MAX` (the
-    /// graph-dependent `per_edge_min · fanout ≤ pool` is
-    /// [`SimConfig::check`]'s, when the fanout is known).
+    /// A [`VcPolicy::RouterPooled`]. Its ranges — `pool ≥ 1`, `1 ≤
+    /// per_edge_min ≤ per_edge_max ≤ u16::MAX` and every router's
+    /// `per_edge_min · fanout ≤ pool` — are [`SimConfig::check`]'s to
+    /// judge, against the graph the policy runs on.
     pub fn pooled(pool: u32, per_edge_min: u32, per_edge_max: u32) -> Self {
         VcPolicy::RouterPooled {
             pool,
             per_edge_min,
             per_edge_max,
         }
-        .in_range_or_panic()
     }
 
-    /// The policy's graph-independent ranges: the part of
-    /// [`SimConfig::check`] the builders can run, and panic on.
+    /// The policy's graph-independent ranges (part of
+    /// [`SimConfig::check`]).
     fn in_range(&self) -> Result<(), ConfigError> {
         let cap = self.max_per_edge();
         match *self {
@@ -97,11 +95,6 @@ impl VcPolicy {
             _ if cap > u16::MAX as u32 => Err(ConfigError::CapAboveCounters { cap }),
             _ => Ok(()),
         }
-    }
-
-    fn in_range_or_panic(self) -> Self {
-        self.in_range().unwrap_or_else(|e| panic!("{e}"));
-        self
     }
 
     /// The hard per-edge VC cap (`B`, or `per_edge_max`).
@@ -224,14 +217,15 @@ pub enum RouteSelection {
     /// Like [`RouteSelection::MinimalAdaptive`], but when no profitable
     /// candidate has a free VC the worm may also *misroute* (take a
     /// non-minimal adaptive hop, never an immediate u-turn) while its
-    /// per-message budget of `misroute_quota` such hops lasts. With the
-    /// budget spent it degrades to minimal-adaptive, so delivery stays
-    /// guaranteed (no livelock).
-    FullyAdaptive {
-        /// Non-minimal adaptive hops a worm may take.
-        misroute_quota: u32,
-    },
+    /// per-message budget of [`MISROUTE_BUDGET`] such hops lasts. With
+    /// the budget spent it degrades to minimal-adaptive, so delivery
+    /// stays guaranteed (no livelock).
+    FullyAdaptive,
 }
+
+/// Non-minimal adaptive hops a worm may take under
+/// [`RouteSelection::FullyAdaptive`].
+pub const MISROUTE_BUDGET: u32 = 4;
 
 impl RouteSelection {
     /// Short lowercase name for tables.
@@ -239,15 +233,15 @@ impl RouteSelection {
         match self {
             RouteSelection::Oblivious => "oblivious",
             RouteSelection::MinimalAdaptive => "minimal",
-            RouteSelection::FullyAdaptive { .. } => "fully",
+            RouteSelection::FullyAdaptive => "fully",
         }
     }
 
-    /// The misroute budget a worm starts with: the quota under
+    /// The misroute budget a worm starts with: [`MISROUTE_BUDGET`] under
     /// [`RouteSelection::FullyAdaptive`], none under the others.
     pub(crate) fn misroute_budget(self) -> u32 {
         match self {
-            RouteSelection::FullyAdaptive { misroute_quota } => misroute_quota,
+            RouteSelection::FullyAdaptive => MISROUTE_BUDGET,
             _ => 0,
         }
     }
@@ -286,7 +280,7 @@ impl RouteSelection {
 ///
 /// A worm whose header cannot advance stalls in place holding the VCs it
 /// has acquired (ordinary wormhole routing); the only discard is a fault
-/// kill's ([`crate::stats::DiscardReason::LinkDown`]). The §3.1 rule
+/// kill's ([`crate::stats::MessageOutcome::discarded`]). The §3.1 rule
 /// "if a message is delayed at a switch, then the message is discarded"
 /// is `wormhole_core::butterfly::fast_sim`'s, not a knob here.
 ///
@@ -346,9 +340,13 @@ pub struct SimConfig {
     /// `t` takes effect at the start of step `t`, in **every** engine
     /// identically: the dead edges stop granting VCs, and every worm
     /// holding one — or obliviously committed to crossing one — is
-    /// discarded with [`crate::stats::DiscardReason::LinkDown`] (the
+    /// discarded ([`crate::stats::MessageOutcome::discarded`]; the
     /// source's `on_discarded` hook fires, so closed-loop sources can
-    /// reissue).
+    /// reissue). Under adaptive route selection the router must avoid
+    /// every edge the plan kills
+    /// ([`AdaptiveRouter::avoids`], as `FaultedMesh` does), so that no
+    /// adaptive worm is ever severed: a kill then only closes edges no
+    /// worm holds, selects or waits on.
     pub faults: Option<FaultPlan>,
     /// When set, the simulator re-verifies VC accounting and flit
     /// conservation every step (slow; used by tests).
@@ -357,10 +355,11 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A config with `b` static virtual channels per edge and defaults
-    /// matching the paper's primary model.
+    /// matching the paper's primary model (`b ≥ 1`, judged by
+    /// [`SimConfig::check`]).
     pub fn new(b: u32) -> Self {
         Self {
-            vc_policy: VcPolicy::Static(b).in_range_or_panic(),
+            vc_policy: VcPolicy::Static(b),
             arbitration: Arbitration::FifoById,
             engine: Engine::EventDriven,
             route_selection: RouteSelection::Oblivious,
@@ -372,10 +371,9 @@ impl SimConfig {
         }
     }
 
-    /// Sets the VC capacity policy (range-checked like
-    /// [`VcPolicy::pooled`]; see [`VcPolicy`]).
+    /// Sets the VC capacity policy (see [`VcPolicy`]).
     pub fn vc_policy(mut self, p: VcPolicy) -> Self {
-        self.vc_policy = p.in_range_or_panic();
+        self.vc_policy = p;
         self
     }
 
@@ -433,17 +431,18 @@ impl SimConfig {
     /// the router it was given — the only place a config is judged, and
     /// the first thing [`crate::wormhole::simulate`] does: the VC
     /// policy's ranges, a router — over this very graph — where route
-    /// selection consults one, a fault plan that fits the graph, pool
-    /// floors every router can honor, and under [`Engine::Parallel`] a
-    /// region plan built for this graph. Every field is `pub`, so a
-    /// struct literal reaches here unchecked; the builders panic early
-    /// on the graph-independent part, with the same error's message.
+    /// selection consults one, a fault plan that fits the graph and,
+    /// under adaptive selection, one the router avoids, pool floors every
+    /// router can honor, and under [`Engine::Parallel`] a region plan
+    /// built for this graph. The builders judge nothing: a value is
+    /// judged once, here.
     pub fn check(
         &self,
         graph: &Graph,
         router: Option<&dyn AdaptiveRouter>,
     ) -> Result<(), ConfigError> {
-        if self.route_selection != RouteSelection::Oblivious {
+        let adaptive = self.route_selection != RouteSelection::Oblivious;
+        if adaptive {
             let shape = |g: &Graph| (g.num_nodes(), g.num_edges());
             let router = shape(router.ok_or(ConfigError::RouterMissing)?.graph());
             if router != shape(graph) {
@@ -453,6 +452,11 @@ impl SimConfig {
         }
         if let Some(plan) = &self.faults {
             plan.validate(graph).map_err(ConfigError::Faults)?;
+            if let Some(router) = router.filter(|_| adaptive) {
+                if let Some(ev) = plan.events().iter().find(|ev| !router.avoids(ev.edge)) {
+                    return Err(ConfigError::FaultBlindRouter { edge: ev.edge.0 });
+                }
+            }
         }
         self.vc_policy.in_range()?;
         if let VcPolicy::RouterPooled {
@@ -482,7 +486,8 @@ impl SimConfig {
 /// Why [`SimConfig::check`] refused a config.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// [`VcPolicy::Static`]`(0)`: an edge needs at least one VC.
+    /// An edge needs at least one VC: [`VcPolicy::Static`]`(0)`, the
+    /// restricted model's `b = 0`, or a cut-through buffer of zero flits.
     NoVcs,
     /// [`VcPolicy::RouterPooled`] with `pool == 0`.
     EmptyPool,
@@ -527,6 +532,14 @@ pub enum ConfigError {
     },
     /// [`SimConfig::faults`] does not fit the graph.
     Faults(FaultError),
+    /// Under adaptive route selection, the fault plan kills `edge` and
+    /// the router does not avoid it ([`AdaptiveRouter::avoids`]): build
+    /// the router from the plan (`FaultedMesh`).
+    FaultBlindRouter {
+        /// The first killed edge, in plan order, the router does not
+        /// avoid.
+        edge: u32,
+    },
     /// [`SimConfig::regions`] was built for a graph of another shape
     /// (judged under [`Engine::Parallel`], the one engine that reads it).
     RegionPlan,
@@ -557,6 +570,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "region plan does not match the simulated graph")
             }
             ConfigError::Faults(e) => write!(f, "invalid fault plan: {e}"),
+            ConfigError::FaultBlindRouter { edge } => write!(
+                f,
+                "the fault plan kills edge {edge}, which the adaptive router \
+                 does not avoid (route over a FaultedMesh of the plan)"
+            ),
             ConfigError::RouterMissing => write!(
                 f,
                 "adaptive route selection needs run_adaptive \
@@ -581,22 +599,30 @@ impl std::error::Error for ConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormhole_topology::graph::{GraphBuilder, NodeId};
+
+    /// Judges `c` on a one-edge graph, panicking with the refusal's
+    /// message: the builders take any value, and the door refuses it.
+    fn judged(c: SimConfig) {
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(NodeId(0), NodeId(1));
+        c.check(&b.build(), None).unwrap_or_else(|e| panic!("{e}"));
+    }
 
     #[test]
     fn builder_chain() {
         let c = SimConfig::new(3)
             .arbitration(Arbitration::Random)
             .engine(Engine::Legacy)
-            .route_selection(RouteSelection::FullyAdaptive { misroute_quota: 9 })
+            .route_selection(RouteSelection::FullyAdaptive)
             .max_steps(10)
             .seed(7)
             .check_invariants(true);
         assert_eq!(c.vc_policy, VcPolicy::Static(3));
         assert_eq!(c.arbitration, Arbitration::Random);
         assert_eq!(c.engine, Engine::Legacy);
-        let fully = RouteSelection::FullyAdaptive { misroute_quota: 9 };
-        assert_eq!(c.route_selection, fully);
-        assert_eq!(c.route_selection.misroute_budget(), 9);
+        assert_eq!(c.route_selection, RouteSelection::FullyAdaptive);
+        assert_eq!(c.route_selection.misroute_budget(), MISROUTE_BUDGET);
         assert_eq!(c.max_steps, 10);
         assert_eq!(c.seed, 7);
         assert!(c.check_invariants);
@@ -605,12 +631,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one virtual channel")]
     fn rejects_zero_vcs() {
-        SimConfig::new(0);
+        judged(SimConfig::new(0));
     }
 
     #[test]
     fn parallel_engine_builder() {
-        use wormhole_topology::graph::{GraphBuilder, NodeId};
         let mut b = GraphBuilder::new(4);
         for v in 0..3 {
             b.add_edge(NodeId(v), NodeId(v + 1));
@@ -639,28 +664,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonempty pool")]
     fn rejects_zero_pool() {
-        VcPolicy::pooled(0, 1, 1);
+        judged(SimConfig::new(1).vc_policy(VcPolicy::pooled(0, 1, 1)));
     }
 
     #[test]
     #[should_panic(expected = "per_edge_min must be >= 1")]
     fn rejects_zero_floor() {
-        VcPolicy::pooled(8, 0, 4);
+        judged(SimConfig::new(1).vc_policy(VcPolicy::pooled(8, 0, 4)));
     }
 
     #[test]
     #[should_panic(expected = "exceeds per_edge_max")]
     fn rejects_floor_above_cap() {
-        VcPolicy::pooled(8, 3, 2);
+        judged(SimConfig::new(1).vc_policy(VcPolicy::pooled(8, 3, 2)));
     }
 
     #[test]
     #[should_panic(expected = "nonempty pool")]
-    fn builder_validates_the_policy() {
-        let _ = SimConfig::new(1).vc_policy(VcPolicy::RouterPooled {
+    fn a_literal_policy_is_judged_at_the_door() {
+        judged(SimConfig::new(1).vc_policy(VcPolicy::RouterPooled {
             pool: 0,
             per_edge_min: 1,
             per_edge_max: 1,
-        });
+        }));
     }
 }

@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 
 use wormhole_topology::graph::Graph;
 
+use crate::config::ConfigError;
 use crate::message::{check_specs, MessageSpec};
 use crate::source::ReleaseClock;
 use crate::stats::{MessageOutcome, Outcome, SimResult};
@@ -30,7 +31,8 @@ use crate::wormhole::SimError;
 /// Virtual cut-through configuration.
 #[derive(Clone, Debug)]
 pub struct VctConfig {
-    /// Per-edge buffer capacity in flits (`F ≥ 1`), all from one message.
+    /// Per-edge buffer capacity in flits (`F ≥ 1`, judged by [`run`]),
+    /// all from one message.
     pub buffer_flits: u32,
     /// Seed for claim arbitration.
     pub seed: u64,
@@ -39,7 +41,6 @@ pub struct VctConfig {
 impl VctConfig {
     /// Config with an `f`-flit buffer per edge.
     pub fn new(f: u32) -> Self {
-        assert!(f >= 1, "buffer must hold at least one flit");
         Self {
             buffer_flits: f,
             seed: 0,
@@ -55,13 +56,18 @@ const NO_OWNER: u32 = u32::MAX;
 ///
 /// # Errors
 ///
-/// [`SimError::Spec`] for the first spec of the slice with an empty
-/// path, an edge id `graph` lacks or zero length, before step 0.
+/// Before step 0: [`ConfigError::NoVcs`] for a buffer of zero flits
+/// (no flit could ever cross an edge), then [`SimError::Spec`] for the
+/// first spec of the slice with an empty path, an edge id `graph` lacks
+/// or zero length.
 pub fn run(
     graph: &Graph,
     specs: &[MessageSpec],
     config: &VctConfig,
 ) -> Result<SimResult, SimError> {
+    if config.buffer_flits == 0 {
+        return Err(SimError::Config(ConfigError::NoVcs));
+    }
     check_specs(graph, specs)?;
     let n = specs.len();
     let f = config.buffer_flits;
@@ -354,6 +360,20 @@ mod tests {
         let error = SpecError::ZeroLength;
         let got = run(&g, &specs, &VctConfig::new(2)).unwrap_err();
         assert_eq!(got, SimError::Spec { id: 0, error });
+    }
+
+    #[test]
+    fn a_zero_flit_buffer_is_refused_before_step_zero() {
+        // `buffer_flits` is public, so a literal skips `new`; it used to
+        // come back `Ok`, every worm in `Outcome::Deadlock` after step 0.
+        let (g, ps) = shared_chain_instance(2, 3);
+        let specs = specs_from_paths(&ps, 2);
+        let config = VctConfig {
+            buffer_flits: 0,
+            seed: 0,
+        };
+        let got = run(&g, &specs, &config).unwrap_err();
+        assert_eq!(got, SimError::Config(ConfigError::NoVcs));
     }
 
     #[test]

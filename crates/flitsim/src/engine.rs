@@ -182,35 +182,28 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
 /// [`Core::kill`] marks the `due` edges dead and discards the severed
 /// worms, parked ones in place; those are unparked — out of their runs,
 /// in one sweep — settling the stalls the legacy stepper counted through
-/// `t − 1`. Every parked *pending*
-/// worm goes back to `runnable` the same way: the kill may have severed
-/// its escape continuation, which the legacy stepper dooms at this very
-/// step — and which only classification judges, a contest in place does
-/// not. The discards' VC releases then turn their wait keys hot, so
-/// the waiters contend at `t` itself — they land at step start, like
-/// releases during `t − 1` — and the discarded leave `runnable`.
+/// `t − 1`. A parked worm the kill did not sever waits on: a pending one
+/// watches only edges its router avoids the plan's kills on
+/// ([`crate::config::SimConfig::check`]), and a kill grants no VC. The
+/// discards' VC releases then turn their wait keys hot, so the waiters
+/// contend at `t` itself — they land at step start, like releases
+/// during `t − 1` — and the discarded leave `runnable`.
 pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: u64) {
     list_in_flight(core, st);
     core.kill(due, t);
     if !st.waiting.is_empty() {
-        let (worms, outcomes, runnable) = (&core.worms, &mut core.outcomes, &mut st.runnable);
+        let outcomes = &mut core.outcomes;
         st.waiting.unpark_where(|m, parked_at| {
             let out = &mut outcomes[m as usize];
-            let severed = out.discarded.is_some();
-            let leaves = severed || worms[m as usize].pending_route;
-            if leaves {
+            if out.discarded {
                 out.stalls += (t - 1) - parked_at;
-                if !severed {
-                    runnable.push(m);
-                }
             }
-            leaves
+            out.discarded
         });
         wake_released(core, st);
     }
     let outcomes = &core.outcomes;
-    st.runnable
-        .retain(|&m| outcomes[m as usize].discarded.is_none());
+    st.runnable.retain(|&m| !outcomes[m as usize].discarded);
 }
 
 /// Makes `core.active` current for a cold path — the runnable worms,
@@ -362,9 +355,7 @@ fn step(
     // Retire finished, discarded, and freshly parked worms.
     let (worms, outcomes, waiting) = (&core.worms, &core.outcomes, &st.waiting);
     st.runnable.retain(|&m| {
-        !worms[m as usize].done()
-            && outcomes[m as usize].discarded.is_none()
-            && !waiting.is_parked(m)
+        !worms[m as usize].done() && !outcomes[m as usize].discarded && !waiting.is_parked(m)
     });
     probe::lap(Phase::Retain);
     progressed

@@ -1008,7 +1008,7 @@ impl WaitQueue {
     }
 
     /// Unparks `handle` — it won the edge it waited for, or a fault kill
-    /// discarded it or changed what it may select — and returns the step
+    /// discarded it — and returns the step
     /// it parked at. A pending head leaves the chain of every key it
     /// waited on; a frozen-route winner left its run by index first
     /// ([`Self::leave_runs`]).
@@ -1054,8 +1054,8 @@ impl WaitQueue {
     }
 
     /// Unparks, in ascending order, every parked handle that
-    /// `leaves(handle, parked_at)` picks — a fault kill's severed and
-    /// pending waiters — and takes those out of the runs.
+    /// `leaves(handle, parked_at)` picks — a fault kill's severed
+    /// waiters — and takes those out of the runs.
     pub(crate) fn unpark_where(&mut self, mut leaves: impl FnMut(u32, u64) -> bool) {
         let mut frozen_left = false;
         for h in 0..self.since.len() as u32 {

@@ -68,5 +68,5 @@ fn step_full_bandwidth(core: &mut Core, t: u64) -> bool {
 fn retire_finished(core: &mut Core) {
     let (outcomes, worms) = (&core.outcomes, &core.worms);
     core.active
-        .retain(|&m| !worms[m as usize].done() && outcomes[m as usize].discarded.is_none());
+        .retain(|&m| !worms[m as usize].done() && !outcomes[m as usize].discarded);
 }

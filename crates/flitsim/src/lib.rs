@@ -94,7 +94,6 @@ pub use message::{specs_from_path_slice, specs_from_paths, MessageSpec, SpecErro
 pub use open_loop::{run_open_loop, OpenLoopConfig};
 pub use source::{ReplaySource, Traffic, TrafficSource};
 pub use stats::{
-    ClosedLoopStats, DiscardReason, EngineStats, LatencyStats, MessageOutcome, OpenLoopStats,
-    Outcome, SimResult,
+    ClosedLoopStats, EngineStats, LatencyStats, MessageOutcome, OpenLoopStats, Outcome, SimResult,
 };
 pub use wormhole::SimError;

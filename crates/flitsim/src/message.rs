@@ -110,22 +110,29 @@ impl std::error::Error for SpecError {}
 /// The checks a spec passes once, where it enters a simulator: a
 /// nonempty path over edges `graph` has, and at least the header flit.
 pub fn check_spec(graph: &Graph, spec: &MessageSpec) -> Result<(), SpecError> {
-    let (edges, num_edges) = (spec.path.edges(), graph.num_edges());
-    if edges.is_empty() {
-        return Err(SpecError::EmptyPath);
-    }
-    if edges.iter().any(|e| e.idx() >= num_edges) {
-        return Err(SpecError::BadEdge);
-    }
+    check_path(graph, &spec.path)?;
     if spec.length == 0 {
         return Err(SpecError::ZeroLength);
     }
     Ok(())
 }
 
+/// The path half of [`check_spec`]: nonempty, over edges `graph` has.
+pub(crate) fn check_path(graph: &Graph, path: &Path) -> Result<(), SpecError> {
+    let (edges, num_edges) = (path.edges(), graph.num_edges());
+    if edges.is_empty() {
+        return Err(SpecError::EmptyPath);
+    }
+    if edges.iter().any(|e| e.idx() >= num_edges) {
+        return Err(SpecError::BadEdge);
+    }
+    Ok(())
+}
+
 /// [`check_spec`] over a whole slice, ids being the indices: the door
 /// every batch enters by — [`crate::wormhole::simulate`]'s, and the
-/// standalone baselines' ([`crate::restricted`], [`crate::cut_through`]).
+/// standalone baselines' ([`crate::restricted`], [`crate::cut_through`];
+/// [`crate::store_forward`] checks its paths alone).
 pub(crate) fn check_specs(graph: &Graph, specs: &[MessageSpec]) -> Result<(), SimError> {
     for (id, spec) in (0..).zip(specs) {
         check_spec(graph, spec).map_err(|error| SimError::Spec { id, error })?;

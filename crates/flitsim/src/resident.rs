@@ -19,7 +19,7 @@ use crate::kernel::{
 };
 use crate::message::MessageSpec;
 use crate::probe::{self, Phase};
-use crate::stats::{DiscardReason, MessageOutcome};
+use crate::stats::MessageOutcome;
 
 /// Per-core adaptive routing state (present iff the config asks for a
 /// non-oblivious [`RouteSelection`]).
@@ -202,19 +202,6 @@ fn route_of<'r>(
     }
 }
 
-/// Whether an applied fault kill cut pending worm `h`'s escape
-/// continuation from where its head stands — a pending worm left with
-/// only that option is doomed.
-fn escape_severed(rules: &VcRules, ad: &AdaptiveState, h: usize) -> bool {
-    !rules.dead.is_empty()
-        && ad
-            .router
-            .escape_route(ad.header(h).0, ad.dst[h])
-            .edges()
-            .iter()
-            .any(|&e| rules.dead[e.idx()])
-}
-
 /// The spec of a handle that holds no worm: never activated, so never
 /// stepped (an empty path owns no allocation).
 fn vacant_spec<'a>() -> Cow<'a, MessageSpec> {
@@ -288,11 +275,6 @@ pub(crate) struct Core<'a> {
     /// This step's winners among the parked worms the event driver
     /// entered ([`Core::step_winners`]).
     pub(crate) won: Vec<u32>,
-    /// Pending adaptive worms whose only remaining option this step — the
-    /// escape continuation — crosses a dead edge. Classification parks
-    /// them here and the apply phase discards them, so mid-step holder
-    /// counts (which selection reads) stay identical across engines.
-    doomed: Vec<u32>,
     /// Edges whose holder count dropped since the event driver last
     /// turned their wait keys hot. Only populated while `track_releases`
     /// (the driver sets it exactly while any worm is parked); the legacy
@@ -313,7 +295,7 @@ pub(crate) struct Core<'a> {
     /// Worms installed and neither finished, discarded nor moved out.
     pub(crate) unfinished: usize,
     /// Worms discarded because a kill severed them
-    /// ([`DiscardReason::LinkDown`]).
+    /// ([`MessageOutcome::discarded`]).
     pub(crate) fault_discards: u64,
     /// Misroute hops taken after the first applied kill (`after_kill`).
     pub(crate) fault_detour_hops: u64,
@@ -345,7 +327,6 @@ impl<'a> Core<'a> {
             active: Vec::new(),
             split: Split::new(config),
             won: Vec::new(),
-            doomed: Vec::new(),
             released: Vec::new(),
             track_releases: false,
             foreign: Vec::new(),
@@ -477,25 +458,22 @@ impl<'a> Core<'a> {
     }
 
     /// Whether a kill cut worm `h`: its flits currently occupy a dead
-    /// edge, or its frozen route still has a dead edge ahead of the
-    /// header. A pending (adaptive) worm has no committed continuation,
-    /// so only its held span can sever it — its future hops re-route
-    /// around the dead edges instead.
+    /// edge, or its route still has a dead edge ahead of the header. (A
+    /// pending adaptive worm has nothing ahead, and its router avoids
+    /// every edge the plan kills, so none is ever cut.)
     fn worm_severed(&self, h: u32) -> bool {
         let w = &self.worms[h as usize];
         let (lo, hi) = w.held_range();
-        let ahead = if w.pending_route { hi } else { w.hops };
         (lo..=hi)
-            .chain(w.advance + 1..=ahead)
+            .chain(w.advance + 1..=w.hops)
             .any(|j| self.rules.is_dead(self.path_edge(h, j)))
     }
 
     /// The resident-worm half of a fault kill at the **start** of step
     /// `t`, the same in every driver: marks the `due` schedule entries'
     /// edges dead, then discards each severed worm among `active` (the
-    /// caller makes that list current first) with
-    /// [`DiscardReason::LinkDown`]. The discards' VCs are free for this
-    /// step's arbitration — the convention of a release during step
+    /// caller makes that list current first). The discards' VCs are free
+    /// for this step's arbitration — the convention of a release during step
     /// `t − 1` — so that step's occupancy sample, which a parallel region
     /// still owes, is taken before they land. The discard order is the
     /// caller's: everything a discard writes is commutative or sorted
@@ -517,13 +495,11 @@ impl<'a> Core<'a> {
     /// Whether pending worm `m` may take a non-minimal hop from where it
     /// stands: fully adaptive selection with misroute budget left.
     fn misroutes_ok(&self, m: u32) -> bool {
-        matches!(
-            self.config.route_selection,
-            RouteSelection::FullyAdaptive { .. }
-        ) && self
-            .adaptive
-            .as_ref()
-            .is_some_and(|ad| ad.budget[m as usize] > 0)
+        self.config.route_selection == RouteSelection::FullyAdaptive
+            && self
+                .adaptive
+                .as_ref()
+                .is_some_and(|ad| ad.budget[m as usize] > 0)
     }
 
     /// Selects pending worm `m`'s wanted hop ([`kernel::select_hop`]) from
@@ -545,9 +521,6 @@ impl<'a> Core<'a> {
     /// its wanted hop like a runnable one and returns the edge it enters
     /// this step's arbitration under ([`Core::step_winners`]'s `entered`)
     /// — or `None`, if another of its keys already entered it this step.
-    /// Nothing asks whether a kill severed its escape continuation:
-    /// [`crate::engine::kill`] unparks every pending worm, so a parked one
-    /// was judged at its classification after the last kill.
     pub(crate) fn contend_parked(&mut self, m: u32) -> Option<u32> {
         let ad = self.adaptive.as_mut().expect("pending worm without state");
         if std::mem::replace(&mut ad.row_heads[m as usize].contending, true) {
@@ -594,26 +567,12 @@ impl<'a> Core<'a> {
     fn classify(&mut self, m: u32) {
         let mi = m as usize;
         let w = self.worms[mi];
-        let mut selected = None;
-        if w.pending_route {
-            // Header at the end of the known path: select the next hop.
+        // A pending head stands at the end of its known path: it selects
+        // its next hop first.
+        let selected = w.pending_route.then(|| {
             let sel = self.select(m);
-            let ad = self.adaptive.as_ref().expect("just selected");
-            // Under faults, falling back to a severed escape continuation
-            // means the worm has nowhere left to go: the adaptive
-            // candidates are already filtered to live edges, and the
-            // escape route is the only guaranteed-progress fallback. Doom
-            // it — the apply phase discards it with `LinkDown`, after
-            // arbitration, so selection by other pending worms this step
-            // still reads unchanged start-of-step holder counts. (A
-            // fault-aware router's escape routes avoid dead edges, so
-            // this only fires for fault-oblivious escape routing.)
-            if matches!(sel, SelectedHop::Escape { .. }) && escape_severed(&self.rules, ad, mi) {
-                self.doomed.push(m);
-                return;
-            }
-            selected = Some(sel.edge().expect("selection always yields a hop"));
-        }
+            sel.edge().expect("selection always yields a hop")
+        });
         let (adaptive, specs) = (&self.adaptive, &self.specs);
         kernel::classify(
             &w,
@@ -633,9 +592,7 @@ impl<'a> Core<'a> {
     /// whose run it joins; [`kernel::NO_EDGE`] and the whole watch set's keys
     /// for a pending one ([`kernel::pending_wait_keys`]), whose selection
     /// is pinned to the escape hop the legacy stepper re-selects every
-    /// step it stays blocked (what the deadlock report reads). A pending
-    /// worm whose escape continuation a kill severed stays runnable
-    /// instead: the next classification dooms it.
+    /// step it stays blocked (what the deadlock report reads).
     pub(crate) fn wait_keys(&mut self, m: u32, keys: &mut Vec<usize>) -> Option<u32> {
         let mi = m as usize;
         let w = self.worms[mi];
@@ -652,9 +609,7 @@ impl<'a> Core<'a> {
             .expect("pending worm without a router");
         let row = ad.watch(mi, misroutes_ok);
         let escape = row.escape;
-        let parks = kernel::pending_wait_keys(&self.rules, &self.ledger, row, keys)
-            && !escape_severed(&self.rules, ad, mi);
-        parks.then(|| {
+        kernel::pending_wait_keys(&self.rules, &self.ledger, row, keys).then(|| {
             ad.selected[mi] = SelectedHop::Escape { edge: escape.0 };
             kernel::NO_EDGE
         })
@@ -693,7 +648,6 @@ impl<'a> Core<'a> {
         self.split.start(t);
         self.won.clear();
         self.buckets.clear();
-        self.doomed.clear();
         // Phase 1: classify worms into drains, contenders, free movers
         // (pending adaptive worms select their wanted hop here). A run of
         // waiters contends for the edge it waits for as a whole: nothing
@@ -716,9 +670,7 @@ impl<'a> Core<'a> {
         // counts, contenders in rank order.
         self.arbitrate(contest);
         probe::lap(Phase::Arbitrate);
-        // Phase 3: apply. Doomed worms (severed escape continuation) are
-        // discarded here rather than during classification so their VC
-        // releases land mid-step — visible at `t+1`, like any release.
+        // Phase 3: apply.
         for i in 0..self.split.movers.len() {
             let m = self.split.movers[i] & !kernel::PARKED;
             if m != self.split.movers[i] {
@@ -726,14 +678,8 @@ impl<'a> Core<'a> {
             }
             self.apply_advance(m, t);
         }
-        for i in 0..self.doomed.len() {
-            let m = self.doomed[i];
-            self.discard(m, t);
-        }
         probe::lap(Phase::Apply);
-        // A fault discard is progress for the deadlock test: it released
-        // VCs mid-step, so blocked worms may advance at `t+1`.
-        !self.split.movers.is_empty() || !self.doomed.is_empty()
+        !self.split.movers.is_empty()
     }
 
     /// Splits this step's contenders — the runs `contest` entered among
@@ -890,7 +836,7 @@ impl<'a> Core<'a> {
             let e = self.path_edge(m, j);
             self.release_vc(e);
         }
-        self.outcomes[m as usize].discarded = Some(DiscardReason::LinkDown);
+        self.outcomes[m as usize].discarded = true;
         self.fault_discards += 1;
         self.unfinished -= 1;
         self.done.push((t, m, false));
@@ -1114,7 +1060,7 @@ mod tests {
                 VcPolicy::pooled(fanout + rng.random_range(0..fanout * b), 1, b + 1)
             };
             let selection = if rng.random_bool(0.5) {
-                RouteSelection::FullyAdaptive { misroute_quota: 4 }
+                RouteSelection::FullyAdaptive
             } else {
                 RouteSelection::MinimalAdaptive
             };
@@ -1148,8 +1094,7 @@ mod tests {
             };
             let prev = route.first().map(|&e| g.src(e));
             let budget = rng.random_range(0..3u32);
-            let misroutes_ok =
-                matches!(selection, RouteSelection::FullyAdaptive { .. }) && budget > 0;
+            let misroutes_ok = selection == RouteSelection::FullyAdaptive && budget > 0;
             let h = rng.random_range(0..5u32);
             core.put(h, standing(src, route, dst, budget, 4));
             let mut keys = Vec::new();
@@ -1288,10 +1233,10 @@ mod tests {
     #[test]
     fn the_row_is_refilled_after_a_misroute_spends_the_last_budget_unit() {
         let t = torus(5, 2);
-        let config =
-            SimConfig::new(1).route_selection(RouteSelection::FullyAdaptive { misroute_quota: 1 });
+        let config = SimConfig::new(1).route_selection(RouteSelection::FullyAdaptive);
         let (src, dst) = (t.node(&[0, 0]), t.node(&[2, 0]));
         let mut core = core_with_worm(&t, &config, src, dst);
+        core.adaptive.as_mut().unwrap().budget[0] = 1;
         // Fill every profitable candidate: the worm must misroute.
         let mut cands = Vec::new();
         t.candidates(src, dst, true, &mut cands);

@@ -453,7 +453,7 @@ impl<'a> Sim<'a> {
         core.active.clear();
         for &m in &self.admitted {
             let out = &core.outcomes[m as usize];
-            if out.finished.is_none() && out.discarded.is_none() {
+            if out.finished.is_none() && !out.discarded {
                 core.active.push(m);
             }
         }

@@ -92,7 +92,7 @@ pub trait TrafficSource {
     fn on_delivered(&mut self, _id: u32, _finished: u64) {}
 
     /// Notification that message `id` was discarded during step `t` — a
-    /// fault kill severed it ([`crate::stats::DiscardReason::LinkDown`]).
+    /// fault kill severed it ([`crate::stats::MessageOutcome::discarded`]).
     fn on_discarded(&mut self, _id: u32, _t: u64) {}
 
     /// Whether deliveries can spawn new releases. `true` pins the

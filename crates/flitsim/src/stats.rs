@@ -6,7 +6,7 @@ use crate::events::DeadlockReport;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// Every message finished, or was discarded by a fault kill
-    /// ([`DiscardReason::LinkDown`]).
+    /// ([`MessageOutcome::discarded`]).
     Completed,
     /// No worm could move and none will ever move again: deadlock. Contains
     /// the ids of the blocked messages (a wait-for cycle exists among them).
@@ -97,16 +97,6 @@ impl EngineStats {
     }
 }
 
-/// Why a message was discarded. A blocked worm stalls, so the one reason
-/// is a fault kill's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiscardReason {
-    /// A link on the worm's path was killed by a fault
-    /// (`SimConfig::faults`): it held a dead edge, its frozen remaining
-    /// path crossed one, or its escape hop died with no alternative.
-    LinkDown,
-}
-
 /// Per-message result.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MessageOutcome {
@@ -116,9 +106,11 @@ pub struct MessageOutcome {
     pub first_move: Option<u64>,
     /// Number of steps the worm was blocked wanting to move.
     pub stalls: u64,
-    /// `Some(reason)` if the message was discarded: a fault killed its
-    /// path ([`DiscardReason::LinkDown`]).
-    pub discarded: Option<DiscardReason>,
+    /// Whether the message was discarded: a fault kill
+    /// (`SimConfig::faults`) hit an edge it held or its frozen path had
+    /// still to cross. A blocked worm stalls, so this is the one way a
+    /// message leaves undelivered.
+    pub discarded: bool,
 }
 
 impl MessageOutcome {
@@ -283,8 +275,8 @@ pub struct SimResult {
     /// Faulted runs: number of edge kills from `SimConfig::faults`
     /// actually applied before the run ended.
     pub kills_applied: u64,
-    /// Faulted runs: messages discarded with
-    /// [`DiscardReason::LinkDown`] — their path died under them.
+    /// Faulted runs: messages discarded
+    /// ([`MessageOutcome::discarded`]) — their path died under them.
     pub fault_discards: u64,
     /// Faulted runs: non-minimal hops taken *after* the first applied
     /// kill — the detour work faults induced (a sub-count of
@@ -389,12 +381,9 @@ impl SimResult {
             .count()
     }
 
-    /// Number of discarded messages (any [`DiscardReason`]).
+    /// Number of discarded messages.
     pub fn discarded(&self) -> usize {
-        self.messages
-            .iter()
-            .filter(|m| m.discarded.is_some())
-            .count()
+        self.messages.iter().filter(|m| m.discarded).count()
     }
 
     /// Messages neither delivered nor discarded — in flight (or never
@@ -405,7 +394,7 @@ impl SimResult {
     pub fn in_flight(&self) -> usize {
         self.messages
             .iter()
-            .filter(|m| m.finished.is_none() && m.discarded.is_none())
+            .filter(|m| m.finished.is_none() && !m.discarded)
             .count()
     }
 
@@ -442,19 +431,19 @@ mod tests {
                     finished: Some(10),
                     first_move: Some(1),
                     stalls: 2,
-                    discarded: None,
+                    discarded: false,
                 },
                 MessageOutcome {
                     finished: None,
                     first_move: None,
                     stalls: 0,
-                    discarded: Some(DiscardReason::LinkDown),
+                    discarded: true,
                 },
                 MessageOutcome {
                     finished: Some(30),
                     first_move: Some(0),
                     stalls: 0,
-                    discarded: None,
+                    discarded: false,
                 },
             ],
             max_vcs_in_use: 2,

@@ -16,8 +16,10 @@
 use wormhole_topology::graph::Graph;
 use wormhole_topology::path::PathSet;
 
+use crate::message::check_path;
 use crate::source::ReleaseClock;
 use crate::stats::Outcome;
+use crate::wormhole::SimError;
 
 /// Priority rule when several messages want the same edge in one step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +72,15 @@ impl SfResult {
 
 /// Runs store-and-forward routing of `paths` over `graph`, every message
 /// injected at step 0.
-pub fn run(graph: &Graph, paths: &PathSet, config: &SfConfig) -> SfResult {
+///
+/// # Errors
+///
+/// Before step 0, [`SimError::Spec`] for the first path that is empty
+/// or names an edge id `graph` lacks (`id` is its index).
+pub fn run(graph: &Graph, paths: &PathSet, config: &SfConfig) -> Result<SfResult, SimError> {
+    for (id, path) in (0..).zip(paths.paths()) {
+        check_path(graph, path).map_err(|error| SimError::Spec { id, error })?;
+    }
     let n = paths.len();
     // Position of each message: number of edges crossed so far; `u32::MAX`
     // marks finished. A message that has crossed `j ≥ 1` edges occupies the
@@ -151,13 +161,13 @@ pub fn run(graph: &Graph, paths: &PathSet, config: &SfConfig) -> SfResult {
         Outcome::Completed => finished.iter().filter_map(|&f| f).max().unwrap_or(0),
         _ => t,
     };
-    SfResult {
+    Ok(SfResult {
         outcome,
         message_steps,
         finished,
         total_stalls,
         max_buffer_occupancy: max_occ,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -170,7 +180,7 @@ mod tests {
     #[test]
     fn lone_message_takes_d_message_steps() {
         let (g, ps) = shared_chain_instance(1, 7);
-        let r = run(&g, &ps, &SfConfig::default());
+        let r = run(&g, &ps, &SfConfig::default()).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.message_steps, 7);
         assert_eq!(r.flit_steps(4), 28);
@@ -182,7 +192,7 @@ mod tests {
         // is a pipeline: makespan = C + D − 1 message steps.
         let (c, d) = (5u32, 9u32);
         let (g, ps) = shared_chain_instance(c, d);
-        let r = run(&g, &ps, &SfConfig::default());
+        let r = run(&g, &ps, &SfConfig::default()).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.message_steps, (c + d - 1) as u64);
     }
@@ -200,7 +210,7 @@ mod tests {
         let config = SfConfig {
             arbitration: SfArbitration::FarthestFirst,
         };
-        let r = run(&g, &ps, &config);
+        let r = run(&g, &ps, &config).unwrap();
         assert_eq!(r.finished[1], Some(3), "long message goes first");
         assert_eq!(r.finished[0], Some(2), "short one follows");
     }
@@ -208,7 +218,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let (g, _) = shared_chain_instance(1, 2);
-        let r = run(&g, &PathSet::new(vec![]), &SfConfig::default());
+        let r = run(&g, &PathSet::new(vec![]), &SfConfig::default()).unwrap();
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.message_steps, 0);
     }

@@ -212,9 +212,10 @@
 //! selects again from its row and contends from where it waits
 //! (invariant 1), and only a win takes it off the queue — off every key.
 //! A frozen-route worm wants one fixed edge and waits in that edge's run.
-//! A fault kill, which can sever a parked worm's escape continuation —
-//! something only classification judges — unparks every pending worm.
-//! The all-draining and idle-network jumps stay exact: an arrived worm
+//! A fault kill leaves a parked pending worm where it waits: under a
+//! fault plan the router avoids every edge the plan kills
+//! ([`crate::config::SimConfig::check`] refuses a router that does
+//! not), so no edge it watches dies. The all-draining and idle-network jumps stay exact: an arrived worm
 //! makes no further route decision.
 
 use std::fmt;

@@ -11,7 +11,7 @@ use super::*;
 use crate::config::{Arbitration, RouteSelection, VcPolicy};
 use crate::events::WaitFor;
 use crate::message::specs_from_paths;
-use crate::stats::{DiscardReason, Outcome};
+use crate::stats::Outcome;
 use wormhole_topology::fault::{FaultPlan, FaultedMesh};
 use wormhole_topology::graph::{EdgeId, GraphBuilder, NodeId};
 use wormhole_topology::mesh::{Mesh, RoutingDiscipline};
@@ -288,7 +288,7 @@ fn completed_runs_have_no_deadlock_report() {
 fn oblivious_admission_onto_a_dead_edge_is_discarded() {
     // Edge 1 dies before worm A is even released: its fixed route has
     // nowhere else to go, so admission discards it on the spot
-    // (LinkDown, never holds a VC). Worm B's route avoids the dead
+    // (never holds a VC). Worm B's route avoids the dead
     // edge and is unaffected.
     let (g, edges) = chain(6);
     let plan = FaultPlan::new().kill_link(1, edges[1]);
@@ -298,7 +298,7 @@ fn oblivious_admission_onto_a_dead_edge_is_discarded() {
     ];
     let r = assert_engines_agree(&g, &specs, &cfg(1).faults(plan));
     assert_eq!(r.outcome, Outcome::Completed);
-    assert_eq!(r.messages[0].discarded, Some(DiscardReason::LinkDown));
+    assert!(r.messages[0].discarded);
     assert_eq!(r.messages[0].first_move, None);
     assert_eq!(r.messages[1].finished, Some(5 + 3 + 4 - 1));
     assert_eq!(r.fault_discards, 1);
@@ -323,8 +323,8 @@ fn capped_faulted_run_separates_survivors_from_fault_discards() {
     assert_eq!(r.discarded(), 1);
     assert_eq!(r.in_flight(), 1, "the capped worm is not a fault casualty");
     assert_eq!(r.delivered(), 1);
-    assert_eq!(r.messages[0].discarded, Some(DiscardReason::LinkDown));
-    assert_eq!(r.messages[1].discarded, None);
+    assert!(r.messages[0].discarded);
+    assert!(!r.messages[1].discarded);
     assert_eq!(r.messages[1].finished, None);
 }
 
@@ -466,7 +466,7 @@ fn lone_adaptive_worm_is_minimal_and_unslowed() {
     let specs = adaptive_specs(&t, &[(0, 3)], 4);
     for sel in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive { misroute_quota: 4 },
+        RouteSelection::FullyAdaptive,
     ] {
         let cfg = cfg(2).route_selection(sel);
         let r = run_adaptive_to_completion(&t, &specs, &cfg);
@@ -533,21 +533,20 @@ fn saturated_adaptive_lane_drains_via_escape_channels() {
 fn misroute_budget_bounds_fully_adaptive_wandering() {
     let t = adaptive_torus(4, 2);
     let pairs: Vec<(u32, u32)> = (0..16).map(|i| (i, (i + 5) % 16)).collect();
-    for quota in [0u32, 2, 4] {
+    for sel in [
+        RouteSelection::MinimalAdaptive,
+        RouteSelection::FullyAdaptive,
+    ] {
         let specs = adaptive_specs(&t, &pairs, 6);
-        let cfg = cfg(1).route_selection(RouteSelection::FullyAdaptive {
-            misroute_quota: quota,
-        });
+        let cfg = cfg(1).route_selection(sel);
         let r = run_adaptive_to_completion(&t, &specs, &cfg);
         assert_eq!(r.delivered(), 16);
+        let budget = sel.misroute_budget() as u64;
         assert!(
-            r.misroute_hops <= (quota as u64) * 16,
-            "quota {quota}: {} misroutes",
+            r.misroute_hops <= budget * 16,
+            "{sel:?}: {} misroutes",
             r.misroute_hops
         );
-        if quota == 0 {
-            assert_eq!(r.misroute_hops, 0);
-        }
     }
 }
 
@@ -627,7 +626,7 @@ fn pooled_per_edge_max_caps_a_single_edge() {
 fn kill_severs_inflight_worm_and_later_traffic_recovers() {
     // Worm A spans the whole chain; edge 4 dies at step 3 while A is
     // mid-flight, so A's frozen remaining path is severed and it is
-    // discarded with LinkDown — releasing its VCs. Worm B, released
+    // discarded — releasing its VCs. Worm B, released
     // after the kill on the surviving prefix, completes untouched;
     // the recovery stat measures kill → B's delivery.
     let (g, edges) = chain(6);
@@ -640,7 +639,7 @@ fn kill_severs_inflight_worm_and_later_traffic_recovers() {
     assert_eq!(r.outcome, Outcome::Completed);
     assert_eq!(r.kills_applied, 1);
     assert_eq!(r.fault_discards, 1);
-    assert_eq!(r.messages[0].discarded, Some(DiscardReason::LinkDown));
+    assert!(r.messages[0].discarded);
     assert_eq!(r.messages[0].finished, None);
     // B: released 4, 2 hops + 3 flits ⇒ finished at 4 + 2 + 3 − 1.
     assert_eq!(r.messages[1].finished, Some(8));
@@ -824,7 +823,7 @@ fn engines_agree_on_fully_disjoint_chains() {
 fn adaptive_engines_agree_on_contended_tori() {
     for sel in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive { misroute_quota: 4 },
+        RouteSelection::FullyAdaptive,
     ] {
         for (radix, dims, b, l) in [(4u32, 2u32, 1u32, 6u32), (8, 1, 2, 4), (4, 2, 2, 3)] {
             let t = adaptive_torus(radix, dims);

@@ -11,6 +11,9 @@ use wormhole_topology::lowerbound::build;
 use crate::cells;
 use crate::table::{fnum, Table};
 
+/// The instance routes its own paths over its own graph.
+const ROUTED: &str = "the instance's paths run over its graph";
+
 /// Runs E4.
 pub fn run(fast: bool) -> Vec<Table> {
     // Large replication: the contrast LCD vs L(C+D) needs C ≫ 1 to show
@@ -35,8 +38,8 @@ pub fn run(fast: bool) -> Vec<Table> {
         let net = build(1, d, reps, false);
         let l = 2 * net.dilation;
         let worm = greedy_wormhole(&net.graph, &net.paths, l, 1, 3).total_steps;
-        let sf = greedy_store_forward(&net.graph, &net.paths);
-        let sf_ff = farthest_first_store_forward(&net.graph, &net.paths);
+        let sf = greedy_store_forward(&net.graph, &net.paths).expect(ROUTED);
+        let sf_ff = farthest_first_store_forward(&net.graph, &net.paths).expect(ROUTED);
         let sf_flits = sf.flit_steps(l);
         t.row(&cells!(
             net.dilation,

@@ -10,7 +10,7 @@
 //!   ([`FaultPlan::bernoulli_channels`], which never disconnects a
 //!   ring), oblivious vs minimal- vs fully-adaptive × static vs
 //!   router-pooled VCs. Oblivious worms whose fixed route dies are
-//!   discarded (`LinkDown`); adaptive worms route around through
+//!   discarded; adaptive worms route around through
 //!   [`FaultedMesh`]'s filtered candidates, falling back to the
 //!   fault-avoiding escape subnetwork — which stays acyclic on every
 //!   plan the generator emits, so no arm can deadlock.
@@ -60,7 +60,7 @@ pub struct Point {
     pub mean_latency: Option<f64>,
     /// Edge kills actually applied.
     pub kills: u64,
-    /// Worms discarded because their path died (`LinkDown`).
+    /// Worms discarded because their path died.
     pub fault_discards: u64,
     /// Non-minimal hops taken after the first kill.
     pub fault_detours: u64,
@@ -103,7 +103,7 @@ fn fault_rates(fast: bool) -> &'static [f64] {
 const SELECTIONS: [RouteSelection; 3] = [
     RouteSelection::Oblivious,
     RouteSelection::MinimalAdaptive,
-    RouteSelection::FullyAdaptive { misroute_quota: 4 },
+    RouteSelection::FullyAdaptive,
 ];
 
 const VC_ARMS: [&str; 2] = ["static", "pooled"];
@@ -439,7 +439,7 @@ mod tests {
                 let obl = frac(RouteSelection::Oblivious, arm, rate);
                 for sel in [
                     RouteSelection::MinimalAdaptive,
-                    RouteSelection::FullyAdaptive { misroute_quota: 4 },
+                    RouteSelection::FullyAdaptive,
                 ] {
                     assert!(
                         frac(sel, arm, rate) >= obl,

@@ -73,7 +73,7 @@ fn config(_: &Case, arm: &str, b: u32) -> SimConfig {
     let selection = match arm {
         "oblivious" => RouteSelection::Oblivious,
         "minimal" => RouteSelection::MinimalAdaptive,
-        "fully" => RouteSelection::FullyAdaptive { misroute_quota: 4 },
+        "fully" => RouteSelection::FullyAdaptive,
         _ => unreachable!("unknown route-selection arm {arm}"),
     };
     SimConfig::new(b)

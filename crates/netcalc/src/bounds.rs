@@ -130,14 +130,13 @@ pub struct BoundConfig {
 }
 
 impl BoundConfig {
-    /// The bound for `b` VCs per edge.
+    /// The bound for `b` VCs per edge (`b ≥ 1`, judged by
+    /// [`delay_bounds`]).
     pub fn new(b: u32) -> Self {
-        assert!(b >= 1, "at least one VC per edge");
         Self { b }
     }
 
-    /// `b` is public, so a literal can hold the 0 `new` refuses; it
-    /// would otherwise surface as a silent `bounded: false`.
+    /// `b = 0` would otherwise surface as a silent `bounded: false`.
     fn validate(&self) -> Result<(), BoundError> {
         if self.b == 0 {
             return Err(BoundError::BadConfig("b must be at least 1"));
@@ -287,25 +286,27 @@ impl<'a> Closure<'a> {
         }
         // An edge no flow crosses repeats its predecessor's start.
         start.dedup();
+        // Each flow's envelope, read once: whether it is one flat bucket,
+        // and how many breakpoint events it adds to an edge's sweep.
+        let shape: Vec<(bool, usize)> = flows
+            .iter()
+            .map(|f| {
+                let buckets = f.arrival.buckets();
+                (matches!(buckets, [tb] if tb.rate == 0.0), buckets.len() - 1)
+            })
+            .collect();
+        // Per edge, one pass: flat, and the events its sweep can see at
+        // most.
+        let mut max_events = 0;
         let flat = start
             .windows(2)
             .map(|edge| {
-                incidence[edge[0]..edge[1]]
-                    .iter()
-                    .all(|&(fi, _)| matches!(flows[fi].arrival.buckets(), [tb] if tb.rate == 0.0))
+                let crossing = incidence[edge[0]..edge[1]].iter().map(|&(fi, _)| shape[fi]);
+                let (flat, events) = crossing.fold((true, 0), |(all, n), (f, k)| (all && f, n + k));
+                max_events = max_events.max(events);
+                flat
             })
             .collect();
-        // Breakpoint events one edge's sweep can see at most.
-        let max_events = start
-            .windows(2)
-            .map(|edge| {
-                incidence[edge[0]..edge[1]]
-                    .iter()
-                    .map(|&(fi, _)| flows[fi].arrival.buckets().len() - 1)
-                    .sum()
-            })
-            .max()
-            .unwrap_or(0);
         Self {
             flows,
             b: cfg.b as f64,

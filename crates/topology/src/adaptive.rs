@@ -115,6 +115,15 @@ pub trait AdaptiveRouter: Sync {
 
     /// Whether `e` belongs to the escape subnetwork.
     fn is_escape(&self, e: EdgeId) -> bool;
+
+    /// Whether no query ever offers `e`: neither a candidate nor a hop of
+    /// an escape route. The simulator runs a fault plan under adaptive
+    /// selection only if the router avoids every edge the plan kills —
+    /// a worm then never holds, selects or waits on a dead edge. The
+    /// default avoids nothing; `FaultedMesh` avoids its plan's dead set.
+    fn avoids(&self, _e: EdgeId) -> bool {
+        false
+    }
 }
 
 impl AdaptiveRouter for Mesh {

@@ -511,6 +511,10 @@ impl AdaptiveRouter for FaultedMesh<'_> {
     fn is_escape(&self, e: EdgeId) -> bool {
         self.mesh.is_escape_edge(e)
     }
+
+    fn avoids(&self, e: EdgeId) -> bool {
+        self.dead[e.idx()]
+    }
 }
 
 #[cfg(test)]
@@ -662,6 +666,11 @@ mod tests {
         fm.candidates(m.node(&[0, 0]), m.node(&[1, 1]), true, &mut cand);
         assert!(!cand.is_empty());
         assert!(cand.iter().all(|&(e, _)| !fm.dead()[e.idx()]));
+        // It avoids exactly the plan's kills; the plain mesh avoids none.
+        for e in m.graph().edges() {
+            assert_eq!(fm.avoids(e), plan.events().iter().any(|ev| ev.edge == e));
+            assert!(!m.avoids(e));
+        }
         // The unfaulted mesh offers strictly more candidates here.
         let mut full = Vec::new();
         m.adaptive_candidates(m.node(&[0, 0]), m.node(&[1, 1]), true, &mut full);

@@ -275,26 +275,6 @@ impl Graph {
         self.topological_order().is_some()
     }
 
-    /// Breadth-first distances (in edges) from `src`; `u32::MAX` marks
-    /// unreachable nodes.
-    pub fn bfs_distances(&self, src: NodeId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.num_nodes()];
-        dist[src.idx()] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(src);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v.idx()];
-            for e in self.out_edges(v) {
-                let w = self.dst(e);
-                if dist[w.idx()] == u32::MAX {
-                    dist[w.idx()] = dv + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
-    }
-
     /// Finds a shortest path of edges from `src` to `dst` via BFS, or `None`
     /// if unreachable.
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<EdgeId>> {
@@ -480,8 +460,6 @@ mod tests {
     #[test]
     fn bfs_and_shortest_path() {
         let (g, _) = diamond();
-        let d = g.bfs_distances(NodeId(0));
-        assert_eq!(d, vec![0, 1, 1, 2]);
         let p = g.shortest_path(NodeId(0), NodeId(3)).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(g.src(p[0]), NodeId(0));

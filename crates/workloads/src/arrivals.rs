@@ -12,7 +12,6 @@
 //! one draw — a [`Bernoulli`] coin, one shift and one integer compare. A
 //! coin of probability zero draws no word at all.
 
-use rand::rngs::StdRng;
 use rand::Bernoulli;
 
 /// A per-endpoint arrival process.
@@ -39,43 +38,59 @@ impl ArrivalProcess {
         let ArrivalProcess::Bernoulli { rate } = *self;
         (rate != 0.0).then(|| Bernoulli::new(rate))
     }
-
-    /// The arrival step times of one endpoint over `0..window`, driven by
-    /// `rng`: its stepper (module docs) stepped `window` times.
-    pub fn arrival_times(&self, window: u64, rng: &mut StdRng) -> Vec<u64> {
-        let Some(coin) = self.stepper() else {
-            return Vec::new();
-        };
-        (0..window).filter(|_| coin.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Substrate, TrafficPattern, Workload};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn bernoulli_rate_matches() {
         let mut rng = StdRng::seed_from_u64(3);
-        let times = ArrivalProcess::bernoulli(0.2).arrival_times(50_000, &mut rng);
-        let rate = times.len() as f64 / 50_000.0;
+        let coin = ArrivalProcess::bernoulli(0.2).stepper().expect("a coin");
+        let arrivals = (0..50_000).filter(|_| coin.sample(&mut rng)).count();
+        let rate = arrivals as f64 / 50_000.0;
         assert!((rate - 0.2).abs() < 0.01, "measured {rate}");
     }
 
     #[test]
     fn times_are_strictly_increasing_and_in_window() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let times = ArrivalProcess::bernoulli(0.5).arrival_times(1000, &mut rng);
-        assert!(times.windows(2).all(|w| w[0] < w[1]));
-        assert!(times.iter().all(|&t| t < 1000));
+        // Each endpoint's rows come out of the generator at strictly
+        // increasing steps inside the window.
+        let w = Workload::new(
+            Substrate::butterfly(3),
+            TrafficPattern::UniformRandom,
+            ArrivalProcess::bernoulli(0.5),
+            1,
+            6,
+        );
+        let rows = w.generate_rows(1000);
+        assert!(!rows.is_empty());
+        for src in 0..w.substrate.endpoints() {
+            let times: Vec<u64> = rows
+                .iter()
+                .filter(|r| r.src == src)
+                .map(|r| r.release)
+                .collect();
+            assert!(times.windows(2).all(|p| p[0] < p[1]), "endpoint {src}");
+            assert!(times.iter().all(|&t| t < 1000), "endpoint {src}");
+        }
     }
 
     #[test]
     fn zero_rate_is_silent() {
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(ArrivalProcess::bernoulli(0.0)
-            .arrival_times(1000, &mut rng)
-            .is_empty());
+        let zero = ArrivalProcess::bernoulli(0.0);
+        assert!(zero.stepper().is_none(), "no coin, so no draw");
+        let w = Workload::new(
+            Substrate::butterfly(3),
+            TrafficPattern::UniformRandom,
+            zero,
+            1,
+            7,
+        );
+        assert!(w.generate_rows(1000).is_empty());
     }
 }

@@ -16,7 +16,8 @@ fn float_coin(rng: &mut StdRng, p: f64) -> bool {
     ((rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
 }
 
-/// `ArrivalProcess::arrival_times` as it was, line for line.
+/// One endpoint's arrival steps over `0..window`, as they were drawn
+/// before, line for line.
 fn arrival_times(process: &ArrivalProcess, window: u64, rng: &mut StdRng) -> Vec<u64> {
     let mut out = Vec::new();
     let ArrivalProcess::Bernoulli { rate } = *process;

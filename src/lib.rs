@@ -61,7 +61,7 @@ pub mod prelude {
     pub use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
     pub use wormhole_flitsim::source::{ReplaySource, Traffic, TrafficSource};
     pub use wormhole_flitsim::stats::{
-        ClosedLoopStats, DiscardReason, LatencyStats, OpenLoopStats, Outcome, SimResult,
+        ClosedLoopStats, LatencyStats, OpenLoopStats, Outcome, SimResult,
     };
     pub use wormhole_flitsim::wormhole::run as wormhole_run;
     pub use wormhole_flitsim::wormhole::run_adaptive as wormhole_run_adaptive;

@@ -121,7 +121,7 @@ fn rotation_on_2d_torus_completes_at_b1_under_both_adaptive_policies() {
     let specs = rotation_specs(&t, 2, 9);
     for sel in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive { misroute_quota: 4 },
+        RouteSelection::FullyAdaptive,
     ] {
         let cfg = SimConfig::new(1)
             .route_selection(sel)
@@ -335,15 +335,16 @@ impl TrafficSource for DiscardLog {
 }
 
 #[test]
-fn a_kill_severing_a_parked_pending_worms_escape_route_dooms_it_that_step() {
-    // 8-ring, B = 1, fault-oblivious escape routing (the plain mesh as
-    // router). Three worms leave node 0 the same way: 0 takes the
+fn a_fault_plan_the_router_does_not_avoid_is_refused_before_step_zero() {
+    // 8-ring, B = 1. Three worms leave node 0 the same way: 0 takes the
     // adaptive lane at step 0, 1 the escape hop at step 1, and 2 — its
-    // only candidate and its escape hop both held for the next ~30
-    // steps — parks at step 1. The kill at step 10 cuts the last hop of
-    // worm 2's escape route, an edge nobody holds: the legacy stepper
-    // dooms worm 2 at that very step, so the event engine must wake it
-    // for the kill rather than for the release 20 steps later.
+    // only candidate and its escape hop both held for the next ~30 steps
+    // — parks at step 1. At step 10 the channel 5 → 6, which no route
+    // uses, dies. The plain mesh would offer its edges as if they lived:
+    // under adaptive selection the run is refused before step 0, on
+    // every engine. A `FaultedMesh` of the same plan avoids them: the run
+    // completes, nothing is discarded, and worm 2 waits through the kill
+    // — parked once, never woken for it.
     const KILL_AT: u64 = 10;
     let t = adaptive_torus(8, 1);
     let (src, near, far) = (NodeId(0), NodeId(2), NodeId(3));
@@ -352,64 +353,57 @@ fn a_kill_severing_a_parked_pending_worms_escape_route_dooms_it_that_step() {
         MessageSpec::new(t.route(src, near), 30),
         MessageSpec::new(t.route(src, far), 30),
     ];
-    let severed = *t.escape_route(src, far).edges().last().unwrap();
-    let router = CountingRouter::new(&t);
-    let run = |engine, check_invariants| {
-        let cfg = SimConfig::new(1)
-            .route_selection(RouteSelection::MinimalAdaptive)
-            .arbitration(Arbitration::FifoById)
-            .faults(FaultPlan::new().kill_link(KILL_AT, severed))
-            .engine(engine)
-            .check_invariants(check_invariants);
-        let mut source = DiscardLog {
-            inner: ReplaySource::new(specs.to_vec()),
-            discards: Vec::new(),
-        };
-        let traffic = Traffic::Source(&mut source);
-        let r = wormhole_simulate(router.graph(), Some(&router), traffic, &cfg).unwrap();
-        (r, source.discards, router.take_calls())
-    };
+    let plan = FaultPlan::new().kill_channel(KILL_AT, &t, &[5], 0, false);
+    let faulted = FaultedMesh::new(&t, &plan).expect("the ring stays connected");
+    let first_kill = plan.events()[0].edge.0;
     let mut runs = Vec::new();
     for engine in [
         Engine::Legacy,
         Engine::EventDriven,
         Engine::Parallel { threads: 2 },
     ] {
-        let (r, discards, _) = run(engine, true);
+        let cfg = SimConfig::new(1)
+            .route_selection(RouteSelection::MinimalAdaptive)
+            .faults(plan.clone())
+            .engine(engine)
+            .check_invariants(true);
+        let mut source = DiscardLog {
+            inner: ReplaySource::new(specs.to_vec()),
+            discards: Vec::new(),
+        };
+        let blind = wormhole_simulate(t.graph(), Some(&t), Traffic::Source(&mut source), &cfg);
+        let want = SimError::Config(ConfigError::FaultBlindRouter { edge: first_kill });
+        assert_eq!(blind.unwrap_err(), want, "{engine:?}");
+        let r = wormhole_simulate(
+            t.graph(),
+            Some(&faulted),
+            Traffic::Source(&mut source),
+            &cfg,
+        )
+        .expect("the router avoids every edge the plan kills");
         assert_eq!(r.outcome, Outcome::Completed, "{engine:?}");
-        assert_eq!(discards, [(2, KILL_AT)], "{engine:?}");
-        assert_eq!(r.messages[2].discarded, Some(DiscardReason::LinkDown));
-        // Blocked at every step before the kill, doomed (not stalled)
-        // at the kill step itself.
-        assert_eq!(r.messages[2].stalls, KILL_AT, "{engine:?}");
+        assert!(source.discards.is_empty(), "{engine:?}");
         assert_eq!(
             (r.kills_applied, r.fault_discards, r.delivered()),
-            (1, 1, 2),
+            (3, 0, 3),
             "{engine:?}"
         );
-        // The invariant checks query the router themselves; count the
-        // engine's own calls without them.
-        runs.push((r, run(engine, false).2));
+        runs.push(r);
     }
-    let [(legacy, legacy_calls), (event, event_calls), (parallel, _)] = &runs[..] else {
-        unreachable!()
-    };
-    for r in [event, parallel] {
-        assert!(r.same_execution(legacy), "run: {r:?}\nlegacy: {legacy:?}");
+    for r in &runs[1..] {
+        assert!(
+            r.same_execution(&runs[0]),
+            "run: {r:?}\nlegacy: {:?}",
+            runs[0]
+        );
     }
-    // Worm 2 really was parked — the run's one park, at step 1, held
-    // until the kill: its ten stalls (asserted above) were settled, not
-    // counted step by step. Both engines asked about the same four head
-    // positions: three worms at node 0, worm 0 again after its adaptive
-    // hop. (Under a fault plan every escape selection of a *runnable*
-    // worm also builds the escape route to look for dead edges, so there
-    // the legacy stepper, which keeps worm 2 runnable, still asks more.)
-    let stats = event.engine_stats.expect("the event driver counts");
-    assert_eq!((stats.parks, stats.pending_entered), (1, 0), "{stats:?}");
-    for calls in [legacy_calls, event_calls] {
-        assert_eq!(calls[..2], [4, 4], "{calls:?}");
-    }
-    assert!(event_calls[2] <= legacy_calls[2]);
+    // Blocked from step 1 until a release turns its key hot: one park,
+    // one contest entered from where it waits, won. (Woken for the kill,
+    // it would have parked a second time.)
+    assert!(runs[0].messages[2].stalls > KILL_AT, "{:?}", runs[0]);
+    let stats = runs[1].engine_stats.expect("the event driver counts");
+    let counts = (stats.parks, stats.pending_entered, stats.waiters_won);
+    assert_eq!(counts, (1, 1, 1), "{stats:?}");
 }
 
 /// A ring whose escape routes close a cycle — each physical channel

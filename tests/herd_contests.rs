@@ -32,7 +32,7 @@
 
 use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
-use wormhole_flitsim::stats::{DiscardReason, EngineStats, Outcome, SimResult};
+use wormhole_flitsim::stats::{EngineStats, Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_flitsim::MessageSpec;
 use wormhole_topology::fault::FaultPlan;
@@ -240,7 +240,7 @@ fn a_kill_severs_a_waiter_the_step_its_key_is_hot() {
     assert_eq!(got.legacy.outcome, Outcome::Completed);
     let m = &got.legacy.messages;
     assert_eq!((m[0].finished, m[0].stalls), (Some(4), 0));
-    assert_eq!(m[1].discarded, Some(DiscardReason::LinkDown));
+    assert!(m[1].discarded);
     assert_eq!((m[1].finished, m[1].stalls), (None, 4));
     assert_eq!((m[2].finished, m[2].stalls), (Some(6), 4));
     assert_eq!(got.legacy.fault_discards, 1);

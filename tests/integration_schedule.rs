@@ -53,7 +53,9 @@ fn lower_bound_instance_outperformed_by_store_forward_at_b1() {
     let net = lowerbound::build(1, 41, 16, false);
     let l = 2 * net.dilation;
     let worm = greedy_wormhole(&net.graph, &net.paths, l, 1, 3).total_steps;
-    let sf = greedy_store_forward(&net.graph, &net.paths).flit_steps(l);
+    let sf = greedy_store_forward(&net.graph, &net.paths)
+        .expect("the instance's paths run over its graph")
+        .flit_steps(l);
     assert!(
         worm > sf,
         "wormhole {worm} should lose to store-and-forward {sf} here"

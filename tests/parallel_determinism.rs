@@ -51,7 +51,7 @@ use proptest::prelude::*;
 use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
 use wormhole_flitsim::message::specs_from_paths;
 use wormhole_flitsim::source::{ReplaySource, TrafficSource};
-use wormhole_flitsim::stats::{DiscardReason, Outcome, SimResult};
+use wormhole_flitsim::stats::{Outcome, SimResult};
 use wormhole_flitsim::wormhole;
 use wormhole_flitsim::MessageSpec;
 use wormhole_topology::adaptive::AdaptiveRouter;
@@ -382,7 +382,7 @@ fn a_kill_severs_a_worm_straddling_a_cut() {
     assert_eq!(lg.outcome, Outcome::Completed);
     assert_eq!((lg.kills_applied, lg.fault_discards), (1, 1));
     // Blocked behind worm 0 over steps 5..=11, then discarded.
-    assert_eq!(lg.messages[1].discarded, Some(DiscardReason::LinkDown));
+    assert!(lg.messages[1].discarded);
     assert_eq!(lg.messages[1].stalls, 7);
     // Blocked at step 4 (e1 frees that step) and over 6..=11.
     assert_eq!(lg.messages[2].stalls, 1 + 6);
@@ -783,7 +783,7 @@ fn a_recycled_handle_never_serves_its_previous_occupants_watch_row() {
         .collect();
     for selection in [
         RouteSelection::MinimalAdaptive,
-        RouteSelection::FullyAdaptive { misroute_quota: 4 },
+        RouteSelection::FullyAdaptive,
     ] {
         let cfg = SimConfig::new(1)
             .route_selection(selection)
@@ -969,7 +969,7 @@ proptest! {
     }
 
     /// Worker-count invariance with native adaptive routing: minimal
-    /// and fully adaptive selection with a misroute quota on
+    /// and fully adaptive selection with its misroute budget on
     /// three-class escape tori, where route choice itself depends on
     /// VC occupancy and escape tails are committed mid-window.
     #[test]
@@ -980,7 +980,6 @@ proptest! {
         l in 1u32..8,
         rate_pct in 5u32..40,
         fully in proptest::bool::ANY,
-        quota in 0u32..5,
         regions in 1u32..9,
         arb in 0u32..4,
         seed in 0u64..1000,
@@ -997,7 +996,7 @@ proptest! {
         );
         let specs = w.generate(80);
         let sel = if fully {
-            RouteSelection::FullyAdaptive { misroute_quota: quota }
+            RouteSelection::FullyAdaptive
         } else {
             RouteSelection::MinimalAdaptive
         };

@@ -392,7 +392,7 @@ proptest! {
         let fanout = Mesh::graph(&t).max_out_degree() as u32;
         let pool = min * fanout + extra;
         let sel = if fully {
-            RouteSelection::FullyAdaptive { misroute_quota: 4 }
+            RouteSelection::FullyAdaptive
         } else {
             RouteSelection::MinimalAdaptive
         };

@@ -5,11 +5,12 @@
 //! drained, mid-run — an id past the bound the source declared among
 //! them), and everything `SimConfig::check` refuses: a fault
 //! plan that does not fit the graph, a missing router or one over
-//! another graph, a pool that cannot honor its floors, policy values no
-//! builder would accept, a region plan built for another graph. The
-//! standalone §1.4 baselines (`restricted`, `cut_through`) return a
-//! slice's malformed spec the same way, and `restricted` its zero VC
-//! count.
+//! another graph, a pool that cannot honor its floors, policy values out
+//! of range, a region plan built for another graph. The standalone §1.4
+//! baselines (`restricted`, `cut_through`) return a slice's malformed
+//! spec the same way, and `restricted` its zero VC count.
+//! `tests/public_api_rejects.rs` holds each door to returning, never
+//! unwinding.
 
 use wormhole_flitsim::config::{ConfigError, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::cut_through::{self, VctConfig};
@@ -348,8 +349,8 @@ fn a_router_over_another_graph_is_refused_before_step_zero() {
 
 #[test]
 fn policy_values_no_builder_accepts_come_back_as_values() {
-    // Every field of `SimConfig` is public: a struct literal carries what
-    // `SimConfig::new` / `vc_policy` / `VcPolicy::pooled` panic on.
+    // The builders judge nothing, and every field of `SimConfig` is
+    // public: a struct literal reaches the door as a builder's value does.
     let (g, edges) = chain(4);
     let specs = [raw(edges.clone(), 2, 0)];
     let pooled = |pool, per_edge_min, per_edge_max| VcPolicy::RouterPooled {

@@ -139,7 +139,6 @@ proptest! {
         l in 1u32..6,
         rate_pct in 5u32..35,
         fully in proptest::bool::ANY,
-        quota in 0u32..4,
         seed in 0u64..1000,
     ) {
         use wormhole_flitsim::config::RouteSelection;
@@ -154,7 +153,7 @@ proptest! {
         );
         let specs = w.generate(80);
         let sel = if fully {
-            RouteSelection::FullyAdaptive { misroute_quota: quota }
+            RouteSelection::FullyAdaptive
         } else {
             RouteSelection::MinimalAdaptive
         };
