@@ -139,7 +139,8 @@ pub enum Engine {
     /// Event-driven core: worms that lose arbitration park on a per-edge
     /// wait queue and contend again, from where they wait, only at a step
     /// after that edge released a VC — a winner leaves the queue, a loser
-    /// is not touched; all-draining stretches fast-forward. The default.
+    /// is not touched; an arrived worm's drain is filed ahead on a step
+    /// wheel instead of stepped. The default.
     EventDriven,
     /// The original per-step rescanning stepper, kept as the differential
     /// oracle.

@@ -29,13 +29,21 @@
 //!   that it contends at the next step ([`Core::lost_in_place`]). Why
 //!   that is exactly what the legacy stepper counts is invariant 1 of the
 //!   [`crate::wormhole`] module docs.
-//! * **All-draining fast-forward** — when nothing is parked and every
-//!   runnable worm is draining into its delivery buffer, the set cannot
-//!   interact before the window ends (drains only ever *decrement*
-//!   holder counts, which commutes), so each worm jumps to
-//!   `min(window end, its finish)`: the deterministic drain phase
-//!   (`finish at advance = hops + L − 1`) collapsed to a closed form by
-//!   [`Core::fast_drain`] ([`crate::kernel::Worm::drain`]).
+//! * **The drain wheel** — once a worm's header arrives it makes no
+//!   further choice: its remaining flits stream out one a step, and the
+//!   step at which its tail leaves each held VC is fixed the moment it
+//!   arrives. The driver files that drain on a step-indexed wheel
+//!   ([`EventState`]) — every remaining VC release under the step it
+//!   happens, the finish under its own — and drops the worm from
+//!   `runnable`. Each executed step fires its slot right after the movers
+//!   apply, so the park pass, the hot keys and a parallel region's outbox
+//!   see the end-of-step state per-step advances would leave. The worm's
+//!   kinematics and flit hops catch up in closed form
+//!   ([`crate::kernel::Worm::drain`]) when it finishes, and wherever they
+//!   are read before that: at a kill, at the run's end and in the
+//!   invariant checks ([`settle_drains`]). When nothing is runnable or
+//!   parked, the window fires the remaining slots up to its end in one
+//!   loop, without stepping.
 //!
 //! A window never crosses an admission, a fault kill or the step cap,
 //! so every arbitration decision — and every
@@ -52,9 +60,10 @@
 //! `active` includes the entire source-queued backlog) into
 //! `O(runnable + winners + pending heads of hot keys)`: a run of waiters
 //! costs its winners, not its length. At low load header hops are stepped
-//! and the `L`-long drain that follows is one `O(path)` jump.
+//! and the `L`-long drain that follows costs one wheel entry per VC it
+//! holds.
 
-use crate::kernel::{WaitQueue, NO_EDGE};
+use crate::kernel::{self, WaitQueue, NO_EDGE};
 use crate::probe::{self, Phase};
 use crate::resident::Core;
 use crate::sim::{self, Driven, Sim};
@@ -62,17 +71,37 @@ use crate::stats::EngineStats;
 use crate::wormhole::SimError;
 
 /// The event driver's bookkeeping over one [`Core`]: which of its worms
-/// are parked and which are runnable.
+/// are parked, which are runnable, and which drain on the wheel.
 pub(crate) struct EventState {
     /// Parked worms, by handle, under the
     /// [`crate::kernel::VcRules::wait_key`]s of the edges they watch.
     pub(crate) waiting: WaitQueue,
     /// Wait-key scratch for [`Core::wait_keys`].
     keys: Vec<usize>,
-    /// Released, unretired, unparked worms — the per-step working set.
+    /// Released, unretired, unparked worms whose header has yet to
+    /// arrive — the per-step working set.
     pub(crate) runnable: Vec<u32>,
+    /// Arrived worms' drains, filed ahead ([`EventState::file`]): slot
+    /// `s & (len − 1)` holds what fires at step `s`, for the `len` steps
+    /// from the next one to fire. `len` is a power of two above the
+    /// longest drain filed so far; the slots are reused for the run.
+    wheel: Vec<Slot>,
+    /// Worms on the wheel.
+    draining: usize,
+    /// The last step at which a filed release lands on an edge another
+    /// region owns (0: none; a sequential core owns every edge). A
+    /// parallel region grants itself one step at a time until it passes.
+    pub(crate) foreign_until: u64,
     /// The step / park / contest counters of [`EngineStats`].
     pub(crate) stats: EngineStats,
+}
+
+/// What the wheel fires at one step: VC releases on these edges, then
+/// the finishes of these worms.
+#[derive(Default)]
+struct Slot {
+    releases: Vec<u32>,
+    finishes: Vec<u32>,
 }
 
 impl EventState {
@@ -81,6 +110,9 @@ impl EventState {
             waiting: WaitQueue::new(core.rules.num_wait_keys()),
             keys: Vec::new(),
             runnable: Vec::new(),
+            wheel: vec![Slot::default()],
+            draining: 0,
+            foreign_until: 0,
             stats: EngineStats::default(),
         }
     }
@@ -88,7 +120,63 @@ impl EventState {
     /// Worms in flight: the legacy `active` size.
     #[inline]
     pub(crate) fn n_active(&self) -> usize {
-        self.runnable.len() + self.waiting.len()
+        self.runnable.len() + self.waiting.len() + self.draining
+    }
+
+    /// Files arrived worm `m`'s drain, whose first advance runs at step
+    /// `from`: each release under the step of the advance that makes it
+    /// ([`crate::kernel::Worm::drain_releases`]), the finish under the
+    /// last.
+    fn file(&mut self, core: &Core, m: u32, from: u64) {
+        let w = core.worms[m as usize];
+        let left = w.drain_left() as usize;
+        if left >= self.wheel.len() {
+            self.grow(left, from);
+        }
+        let (mask, route) = (self.wheel.len() as u64 - 1, core.route(m));
+        for (j, i) in w.drain_releases() {
+            let (s, e) = (from + u64::from(i), route[j as usize - 1].idx());
+            if !core.foreign.is_empty() && core.foreign[e] {
+                self.foreign_until = self.foreign_until.max(s);
+            }
+            self.wheel[(s & mask) as usize].releases.push(e as u32);
+        }
+        let last = from + left as u64 - 1;
+        self.wheel[(last & mask) as usize].finishes.push(m);
+        self.draining += 1;
+    }
+
+    /// Widens the wheel to hold a drain of `left` steps besides the slot
+    /// about to fire. What is filed lies in the old length's steps from
+    /// `from − 1`, each moved whole to its new slot.
+    #[cold]
+    fn grow(&mut self, left: usize, from: u64) {
+        let len = (left + 1).next_power_of_two() as u64;
+        let mut old = std::mem::take(&mut self.wheel);
+        self.wheel.resize_with(len as usize, Slot::default);
+        let (base, n) = (from.saturating_sub(1), old.len() as u64);
+        for s in base..base + n {
+            self.wheel[(s % len) as usize] = std::mem::take(&mut old[(s % n) as usize]);
+        }
+    }
+
+    /// Fires step `t`'s slot: its releases through [`Core::release_vc`],
+    /// its finishes through [`Core::catch_up`]. Returns whether a drain
+    /// advanced during `t`.
+    fn fire(&mut self, core: &mut Core, t: u64) -> bool {
+        let drained = self.draining > 0;
+        let mask = self.wheel.len() as u64 - 1;
+        let slot = &mut self.wheel[(t & mask) as usize];
+        for &e in &slot.releases {
+            core.release_vc(e as usize);
+        }
+        for &m in &slot.finishes {
+            core.catch_up(m, u64::MAX, t);
+        }
+        self.draining -= slot.finishes.len();
+        slot.releases.clear();
+        slot.finishes.clear();
+        drained
     }
 }
 
@@ -124,13 +212,14 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
     let mut t: u64 = 0;
     loop {
         // With worms in flight, the cap ends the run early — settling
-        // parked stalls through the last simulated step, as the legacy
-        // per-step counting would.
+        // parked stalls and cut drains through the last simulated step,
+        // as the legacy per-step counting would.
         let idle = st.n_active() == 0;
         if let Some(outcome) = sim.loop_head(&mut t, idle) {
             if !idle {
-                let last = sim.core.config.max_steps.saturating_sub(1);
-                settle_parked(&mut sim.core, st, last);
+                let cap = sim.core.config.max_steps;
+                settle_parked(&mut sim.core, st, cap.saturating_sub(1));
+                settle_drains(&mut sim.core, st, cap);
             }
             return Ok((outcome, t, None));
         }
@@ -187,10 +276,15 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
 /// ([`crate::config::SimConfig::check`]), and a kill grants no VC. The
 /// discards' VC releases then turn their wait keys hot, so the waiters
 /// contend at `t` itself — they land at step start, like releases
-/// during `t − 1` — and the discarded leave `runnable`.
+/// during `t − 1` — and the discarded leave `runnable`. The drains on the
+/// wheel are settled through `t − 1` first; a severed one is discarded
+/// with the rest, its remaining releases never fire, and the others are
+/// filed again from `t`.
 pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: u64) {
+    let drains = settle_drains(core, st, t);
     list_in_flight(core, st);
     core.kill(due, t);
+    refile(core, st, drains, t);
     if !st.waiting.is_empty() {
         let outcomes = &mut core.outcomes;
         st.waiting.unpark_where(|m, parked_at| {
@@ -206,9 +300,9 @@ pub(crate) fn kill(core: &mut Core, st: &mut EventState, due: &[(u64, u32)], t: 
     st.runnable.retain(|&m| !outcomes[m as usize].discarded);
 }
 
-/// Makes `core.active` current for a cold path — the runnable worms,
-/// then the parked ones in ascending handle order — and returns where
-/// the parked ones start.
+/// Makes `core.active` current for a cold path — the runnable worms
+/// (settled drains among them, [`settle_drains`]), then the parked ones
+/// in ascending handle order — and returns where the parked ones start.
 fn list_in_flight(core: &mut Core, st: &EventState) -> usize {
     core.active.clear();
     core.active.extend_from_slice(&st.runnable);
@@ -220,9 +314,9 @@ fn list_in_flight(core: &mut Core, st: &EventState) -> usize {
 /// entering from outside in between — no admission, no kill, no release
 /// from another region: the one driver under the sequential event engine
 /// (a window ends at the next admission) and under every parallel region
-/// (at the coordinator's grant). Steps while a header can still move,
-/// jumps once every worm is draining, and stops early once the core is
-/// empty or frozen.
+/// (at the coordinator's grant). Steps while a header can still move or
+/// a worm is parked, fires the wheel alone once every worm left is
+/// draining, and stops early once the core is empty or frozen.
 ///
 /// The occupancy sample of the window's last step is left to the caller
 /// ([`crate::kernel::VcLedger::settle_max`]): in a one-step window of a
@@ -246,7 +340,7 @@ pub(crate) fn run_window(
     let mut t = t0;
     while t < stop {
         core.ledger.settle_max(&core.rules); // the previous step's sample
-        if st.runnable.is_empty() && !st.waiting.contest_due() {
+        if st.runnable.is_empty() && st.draining == 0 && !st.waiting.contest_due() {
             // Every worm left is parked on full edges, no release is
             // waiting to be contested, and releases only come from
             // moves — none can happen.
@@ -255,14 +349,19 @@ pub(crate) fn run_window(
             }
             break;
         }
-        // The all-draining jump. Only sound while nothing is parked:
-        // parked worms observe releases. Exact under every policy —
-        // arrived worms make no further route decisions, and drains only
-        // return capacity, which commutes. A one-step window has nothing
-        // to batch.
-        if stop - t > 1 && st.waiting.is_empty() && all_draining(core, st) {
-            ff_batch(core, st, t, stop, &mut win);
+        // Only drains left: nobody contends, and nothing parked observes
+        // a release, so the wheel fires on to the window's end without a
+        // step. Drains only return capacity — no occupancy sample to take
+        // on the way. A one-step window steps, and counts it.
+        if stop - t > 1 && st.waiting.is_empty() && st.runnable.is_empty() {
+            while t < stop && st.fire(core, t) {
+                t += 1;
+            }
+            win.last_move_plus1 = t;
             probe::lap(Phase::Apply);
+            if core.config.check_invariants {
+                validate(core, st, t);
+            }
             break;
         }
         if step(core, st, t, on_park) {
@@ -272,7 +371,7 @@ pub(crate) fn run_window(
             break;
         }
         if core.config.check_invariants {
-            validate(core, st);
+            validate(core, st, t + 1);
         }
         t += 1;
     }
@@ -281,8 +380,10 @@ pub(crate) fn run_window(
 
 /// One full-bandwidth step over the runnable set and the waiters of the
 /// hot wait keys. Mirrors the legacy stepper's classify → arbitrate →
-/// apply phases, then unparks the waiters that won, parks the runnable
-/// losers and turns hot every wait key that released capacity.
+/// apply phases, files the movers whose header arrived and fires the
+/// wheel, then unparks the waiters that won, parks the runnable losers
+/// and turns hot every wait key that released capacity. Returns whether
+/// a worm moved, a drain included.
 fn step(
     core: &mut Core,
     st: &mut EventState,
@@ -290,6 +391,7 @@ fn step(
     on_park: &mut impl FnMut(&Core, u32),
 ) -> bool {
     st.stats.steps_executed += 1;
+    st.stats.worms_stepped += st.runnable.len() as u64;
     // The contest: the waiters of every key that saw a release since its
     // last contest — during step `t − 1`, or landed at the start of `t` by
     // a kill or by the parallel coordinator — contend at `t`, release at
@@ -307,8 +409,20 @@ fn step(
     // policy orders by. Runnable pending adaptive worms select their
     // wanted hop inside classify, exactly like the legacy stepper; the
     // entered ones just did, from the same start-of-step state.
-    // Doomed worms' discards release mid-step and turn keys hot below.
-    let progressed = core.step_winners(t, &st.runnable, Some(&st.waiting));
+    let moved = core.step_winners(t, &st.runnable, Some(&st.waiting));
+    // A mover whose header arrived streams out on the wheel from `t + 1`;
+    // this step's slot fires now, before anything reads end-of-step
+    // state, as the drains' own advances would have.
+    let drained = st.fire(core, t);
+    for i in 0..core.split.movers.len() {
+        let m = core.split.movers[i] & !kernel::PARKED;
+        let w = core.worms[m as usize];
+        if w.draining() && !w.done() {
+            st.file(core, m, t + 1);
+            st.stats.drains += 1;
+        }
+    }
+    probe::lap(Phase::Apply);
     // An entered waiter that won leaves the queue — a run's by index —
     // having stalled at every step since it parked. One that lost stays:
     // parked from `p`, it accrues `s − 1 − p` whenever it wins at `s`,
@@ -352,13 +466,14 @@ fn step(
     }
     wake_released(core, st);
     probe::lap(Phase::Wake);
-    // Retire finished, discarded, and freshly parked worms.
+    // Retire arrived (finished or filed), discarded, and freshly parked
+    // worms.
     let (worms, outcomes, waiting) = (&core.worms, &core.outcomes, &st.waiting);
     st.runnable.retain(|&m| {
-        !worms[m as usize].done() && !outcomes[m as usize].discarded && !waiting.is_parked(m)
+        !worms[m as usize].draining() && !outcomes[m as usize].discarded && !waiting.is_parked(m)
     });
     probe::lap(Phase::Retain);
-    progressed
+    moved || drained
 }
 
 /// Turns hot the wait key of every edge that released capacity since
@@ -389,25 +504,45 @@ pub(crate) fn settle_parked(core: &mut Core, st: &mut EventState, through: u64) 
     });
 }
 
-fn all_draining(core: &Core, st: &EventState) -> bool {
-    st.runnable
-        .iter()
-        .all(|&m| core.worms[m as usize].draining())
+/// Brings every drain on the wheel up to the start of step `now` — the
+/// next step it would fire — for a reader of `core.worms` (a kill, the
+/// run's end, an invariant check): each worm catches up the advances
+/// its filed drain ran through `now − 1` ([`Core::catch_up`]), none of
+/// them its last, and is appended to `runnable`. Empties the wheel — its
+/// unfired releases still stand in the ledger — and returns where the
+/// settled worms start in `runnable`.
+pub(crate) fn settle_drains(core: &mut Core, st: &mut EventState, now: u64) -> usize {
+    let from = st.runnable.len();
+    if st.draining == 0 {
+        return from; // `now` may be the end of an open-ended window
+    }
+    let len = st.wheel.len() as u64;
+    for s in now..now + len {
+        let slot = &mut st.wheel[(s & (len - 1)) as usize];
+        slot.releases.clear();
+        for &m in &slot.finishes {
+            // Filed with `left` advances to go, the last at `s`.
+            let left = u64::from(core.worms[m as usize].drain_left());
+            core.catch_up(m, now + left - 1 - s, now - 1);
+            st.runnable.push(m);
+        }
+        slot.finishes.clear();
+    }
+    st.draining = 0;
+    st.foreign_until = 0;
+    from
 }
 
-/// Fast-forwards an all-draining runnable set (the caller guarantees
-/// that, that nothing is parked, and more than one step to run): each
-/// worm jumps to `min(stop, finish)` by [`Core::fast_drain`]. Occupancy
-/// only falls, so there is no sample to take on the way.
-fn ff_batch(core: &mut Core, st: &mut EventState, t: u64, stop: u64, win: &mut Window) {
-    for &m in &st.runnable {
-        win.last_move_plus1 = win.last_move_plus1.max(core.fast_drain(m, t, stop));
+/// Files the settled drains `runnable[from..]` ([`settle_drains`]) back
+/// on the wheel from step `now`, but for the ones a kill discarded.
+fn refile(core: &Core, st: &mut EventState, from: usize, now: u64) {
+    for i in from..st.runnable.len() {
+        let m = st.runnable[i];
+        if !core.outcomes[m as usize].discarded {
+            st.file(core, m, now);
+        }
     }
-    let worms = &core.worms;
-    st.runnable.retain(|&m| !worms[m as usize].done());
-    if core.config.check_invariants {
-        validate(core, st);
-    }
+    st.runnable.truncate(from);
 }
 
 /// Full state validation (the core's invariants plus the driver's own):
@@ -422,8 +557,10 @@ fn ff_batch(core: &mut Core, st: &mut EventState, t: u64, stop: u64, win: &mut W
 /// edge a frozen-route waiter's run entry records must be the edge it
 /// wants, and a parked pending head's selection must be pinned to its
 /// row's escape hop (the row itself is held against the router by
-/// [`Core::validate`]).
-pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
+/// [`Core::validate`]). The drains on the wheel are settled up to step
+/// `now` for the check and filed again from there.
+pub(crate) fn validate(core: &mut Core, st: &mut EventState, now: u64) {
+    let drains = settle_drains(core, st, now);
     assert_eq!(
         st.n_active(),
         core.unfinished,
@@ -470,4 +607,5 @@ pub(crate) fn validate(core: &mut Core, st: &mut EventState) {
     }
     assert!(rest.is_empty(), "wait queue entries of unparked worms");
     core.validate();
+    refile(core, st, drains, now);
 }

@@ -19,7 +19,8 @@
 //!   order, a pending head on its whole watch set;
 //! * **worm kinematics** ([`Worm`]) — the rigid-worm advance count, what
 //!   one advance acquires and releases (every edge a flit occupies holds
-//!   a VC, the final one included), and the closed-form drain;
+//!   a VC, the final one included), and an arrived worm's drain: when
+//!   it releases each edge it holds, and its flit hops in closed form;
 //! * **routing and ordering** — adaptive hop selection and route
 //!   extension, the mover-vs-contender classification, and arbitration's
 //!   second pass — who gets an edge's grants, in the canonical contender
@@ -56,22 +57,18 @@ pub(crate) struct Worm {
     pub(crate) pending_route: bool,
 }
 
-/// What one [`Worm::advance`] or [`Worm::drain`] did. Edges are 1-based
-/// path indices the caller resolves against the worm's route (acquire
-/// first, then release).
+/// What one [`Worm::advance`] did. Edges are 1-based path indices the
+/// caller resolves against the worm's route (acquire first, then
+/// release).
 pub(crate) struct Moved {
-    /// Flit steps taken: 1 for an advance, `k` clamped to the worm's
-    /// finish for a drain.
-    pub(crate) steps: u64,
     /// Flits × edges crossed.
     pub(crate) flit_hops: u64,
-    /// The newly crossed edge, whose VC the worm now holds (drains
-    /// acquire nothing).
+    /// The newly crossed edge, whose VC the worm now holds.
     pub(crate) acquire: Option<u32>,
     /// Edges whose VCs were released, in release order: those the tail
     /// left and, on finishing, the final edge.
     pub(crate) released: std::ops::Range<u32>,
-    /// The last flit was delivered, by the last of the `steps`.
+    /// The last flit was delivered.
     pub(crate) finished: bool,
 }
 
@@ -142,7 +139,6 @@ impl Worm {
         let a = self.advance;
         let finished = self.done();
         Moved {
-            steps: 1,
             flit_hops,
             acquire: (a <= self.hops).then_some(a),
             released: self.released_since(a - 1, finished),
@@ -150,47 +146,44 @@ impl Worm {
         }
     }
 
+    /// Advances left to a draining worm's finish.
+    #[inline]
+    pub(crate) fn drain_left(&self) -> u32 {
+        self.hops + self.length - 1 - self.advance
+    }
+
+    /// When a draining worm lets go of what it holds: each held edge with
+    /// the advance, counted from the next (0), that releases it — the
+    /// tail leaves edge `j` at advance `j + L`, and the finishing advance
+    /// releases the last edges. [`Self::advance`] run [`Self::drain_left`]
+    /// times releases exactly these, one advance's in this order; the
+    /// event driver files them ahead on its wheel.
+    pub(crate) fn drain_releases(&self) -> impl Iterator<Item = (u32, u32)> {
+        let (fin, a0, length) = (self.hops + self.length - 1, self.advance, self.length);
+        self.held_vcs()
+            .map(move |j| (j, (j + length).min(fin) - a0 - 1))
+    }
+
     /// Batch-advances a draining worm by `k` steps (clamped to its
-    /// finish) in O(1) plus the released edges: drains acquire nothing
-    /// and finish deterministically at `advance = hops + L − 1`, so the
-    /// per-step effects collapse to a closed-form `flit_hops` sum and
-    /// the tail's release sequence. Callers use it only where no third
-    /// party can observe the intermediate states (nothing parked;
-    /// co-advancing worms are drains too, and drains only ever decrement
-    /// holder counts, which commutes); the legacy stepper never does —
-    /// it advances drains one [`Self::advance`] at a time, which is what
-    /// differentially checks this closed form.
-    pub(crate) fn drain(&mut self, k: u64) -> Moved {
+    /// finish) in O(1) and returns the flit hops they made: drains
+    /// acquire nothing and finish deterministically at `advance = hops +
+    /// L − 1`, so the per-step widths collapse to a closed-form sum. The
+    /// event driver brings a worm whose drain its wheel ran ahead — its
+    /// releases fired there ([`Self::drain_releases`]) — up to date with
+    /// it; the legacy stepper never does — it advances drains one
+    /// [`Self::advance`] at a time, which is what differentially checks
+    /// this closed form.
+    pub(crate) fn drain(&mut self, k: u64) -> u64 {
         debug_assert!(self.draining());
-        let (hops, length, a0) = (self.hops, self.length, self.advance);
-        let fin_a = hops + length - 1;
-        let steps = ((fin_a - a0) as u64).min(k);
-        let a1 = a0 + steps as u32;
-        // flit_hops: Σ width(a) for a ∈ (a0, a1]; width(a) = hops while
-        // a ≤ L (the tail is still injecting) and hops + L − a after.
-        let mut flit_hops = 0;
-        {
-            let (d, l) = (hops as u64, length as u64);
-            let (a0, a1) = (a0 as u64, a1 as u64);
-            let flat_hi = a1.min(l);
-            if flat_hi > a0 {
-                flit_hops += d * (flat_hi - a0);
-            }
-            let s = a0.max(l) + 1;
-            if a1 >= s {
-                let (w_hi, w_lo) = (d + l - s, d + l - a1);
-                flit_hops += (w_hi + w_lo) * (a1 - s + 1) / 2;
-            }
-        }
-        self.advance = a1;
-        let finished = steps > 0 && a1 == fin_a;
-        Moved {
-            steps,
-            flit_hops,
-            acquire: None,
-            released: self.released_since(a0, finished),
-            finished,
-        }
+        // Advance `a` moves `min(D, D + L − a)` flits: `D + L − a` less
+        // the `L − a` not yet injected while `a < L`. Summed over `a` in
+        // `(a0, a1]`, each part telescopes over triangular numbers.
+        let tri = |n: u64| n * (n + 1) / 2;
+        let (dl, l) = (u64::from(self.hops + self.length), u64::from(self.length));
+        let beyond = |a: u64| tri(dl - a - 1) - tri(l.saturating_sub(a + 1));
+        let a0 = u64::from(self.advance);
+        self.advance += k.min(u64::from(self.drain_left())) as u32;
+        beyond(a0) - beyond(u64::from(self.advance))
     }
 }
 
@@ -1678,7 +1671,7 @@ mod tests {
             while !w.done() {
                 let step = w.advance();
                 let (width, acquire, released, finished) = reference_advance(&mut r);
-                assert_eq!((step.steps, step.flit_hops), (1, width as u64));
+                assert_eq!(step.flit_hops, width as u64);
                 assert_eq!(step.acquire, acquire);
                 assert_eq!(step.released.collect::<Vec<_>>(), released);
                 assert_eq!(step.finished, finished);
@@ -1698,6 +1691,32 @@ mod tests {
     }
 
     #[test]
+    fn drain_releases_are_what_successive_advances_release() {
+        for (hops, length) in (1..=5).flat_map(|d| (1..=6).map(move |l| (d, l))) {
+            for a0 in hops..hops + length - 1 {
+                let start = Worm {
+                    advance: a0,
+                    hops,
+                    length,
+                    pending_route: false,
+                };
+                let (mut stepped, mut released) = (start, Vec::new());
+                for i in 0.. {
+                    let step = stepped.advance();
+                    released.extend(step.released.map(|j| (j, i)));
+                    if step.finished {
+                        assert_eq!(i + 1, start.drain_left(), "hops={hops} L={length} a0={a0}");
+                        break;
+                    }
+                }
+                let mut filed: Vec<_> = start.drain_releases().collect();
+                filed.sort_by_key(|&(_, i)| i); // stable: one advance's stay in order
+                assert_eq!(filed, released, "hops={hops} L={length} a0={a0}");
+            }
+        }
+    }
+
+    #[test]
     fn drain_equals_k_successive_advances() {
         for (hops, length) in (1..=5).flat_map(|d| (1..=6).map(move |l| (d, l))) {
             let fin_a = hops + length - 1;
@@ -1713,25 +1732,19 @@ mod tests {
                         pending_route: false,
                     };
                     let mut stepped = start;
-                    let (mut flit_hops, mut released, mut finished) = (0u64, Vec::new(), false);
+                    let mut flit_hops = 0u64;
                     for _ in 0..k {
                         if stepped.done() {
                             break;
                         }
-                        let (width, acquire, rel, fin) = reference_advance(&mut stepped);
+                        let (width, acquire, ..) = reference_advance(&mut stepped);
                         assert_eq!(acquire, None, "drains acquire nothing");
                         flit_hops += width as u64;
-                        released.extend(rel);
-                        finished |= fin;
                     }
                     let mut drained = start;
-                    let d = drained.drain(k);
                     let case = format!("hops={hops} L={length} a0={a0} k={k}");
-                    assert_eq!(d.steps, (stepped.advance - a0) as u64, "{case}");
-                    assert_eq!(d.flit_hops, flit_hops, "{case}");
-                    assert_eq!(d.released.collect::<Vec<_>>(), released, "{case}");
+                    assert_eq!(drained.drain(k), flit_hops, "{case}");
                     assert_eq!(drained.advance, stepped.advance, "{case}");
-                    assert_eq!(d.finished, finished, "{case}");
                 }
             }
         }

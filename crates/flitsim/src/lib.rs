@@ -31,11 +31,11 @@
 //!
 //! The wormhole model has three bit-identical engines behind
 //! [`config::Engine`]: the default event-driven engine (parked losers
-//! contending in place, all-draining fast-forward), the legacy per-step
-//! stepper kept as its differential oracle, and a partitioned parallel engine
-//! ([`config::Engine::Parallel`]) that shards the network into regions,
-//! one per worker thread, each advanced by the event engine's own driver
-//! under conservative lookahead windows. Every engine runs every
+//! contending in place, arrived worms draining on a step wheel), the
+//! legacy per-step stepper kept as its differential oracle, and a
+//! partitioned parallel engine ([`config::Engine::Parallel`]) that
+//! shards the network into regions, one per worker thread, each advanced
+//! by the event engine's own driver under conservative lookahead windows. Every engine runs every
 //! configuration — adaptive routing, pooled VCs, reactive sources and
 //! fault plans included; see the [`wormhole`] module docs for the
 //! equivalence invariants.

@@ -13,10 +13,10 @@
 //! *plan-aware and per-worm*: [`RegionPlan::distance_to_cut`] gives the
 //! minimum number of flit steps before a header at node `v` can
 //! traverse a cross-region edge, and [`worm_bound`] refines that to the
-//! exact worm population (a drain whose held edges are all local can
-//! never influence another region again; an in-flight worm whose
-//! remaining path stays inside its region is bounded only by the next
-//! admission). The coordinator takes the minimum over the populated
+//! exact worm population (a drain whose releases of foreign edges have
+//! all fired can never influence another region again; an in-flight
+//! worm whose remaining path stays inside its region is bounded only by
+//! the next admission). The coordinator takes the minimum over the populated
 //! regions, caps it at the next message release, the next fault kill and
 //! the step cap, and broadcasts one *window* `[t, t + w)`; each worker
 //! then runs its region through the whole window without any
@@ -28,8 +28,8 @@
 //! sequential engines run, its ledger counting only the region's own
 //! edges and routers — and an [`EventState`], and advances them with the
 //! event engine's own [`engine::run_window`]: stepping, parking, waking,
-//! the all-draining fast-forward and the stall arithmetic are that
-//! module's, argued there and in the [`crate::wormhole`] docs.
+//! the drain wheel and the stall arithmetic are that module's, argued
+//! there and in the [`crate::wormhole`] docs.
 //!
 //! With `n` workers and a plan of `k > n` regions, [`drive`] first merges
 //! plan region `r` into region `r · n / k` — adjacent regions, as every
@@ -96,9 +96,11 @@
 //! region's core *is* the sequential core restricted to the worms that
 //! can interact with each other:
 //!
-//! * **Held edges**: a worm holding a foreign edge caps its bound at 1,
-//!   so multi-step windows only ever contain worms whose held — and
-//!   therefore releasable — edges are all local.
+//! * **Held edges**: a worm holding a foreign edge caps its bound at 1 —
+//!   a drain on the wheel until its last foreign release has fired
+//!   ([`EventState::foreign_until`]) — so multi-step windows only ever
+//!   contain worms whose held — and therefore releasable — edges are all
+//!   local.
 //! * **Oblivious worms** advance at most one hop per step, so a worm
 //!   whose first foreign path edge sits `j` hops past its head cannot
 //!   contend for it before relative step `j − 1` — the last step of a
@@ -253,17 +255,22 @@ fn cuts(ctx: &Ctx, core: &Core, h: u32, home: u32) -> (u32, u32) {
 ///   node, so it is bounded by [`RegionPlan::distance_to_cut`] — it
 ///   cannot stand on a foreign node (or commit a route prefix leaving
 ///   the region) any sooner.
-/// * A draining worm only releases held (hence local) edges: unbounded.
 /// * An in-flight oblivious worm advances one hop per step, so its
 ///   first foreign path edge at 1-based index `j` cannot be contended
-///   before relative step `j − 1 − advance`.
+///   before relative step `j − 1 − advance`; one with none ahead is
+///   unbounded.
+///
+/// A worm whose header has arrived is on the wheel, not asked here: it
+/// only releases what it holds, so the region caps its grant at 1 while
+/// a filed release of a foreign edge is still to fire
+/// ([`EventState::foreign_until`]) and not at all after.
 fn worm_bound(ctx: &Ctx, core: &Core, h: u32, (behind, ahead): (u32, u32)) -> u64 {
     let w = &core.worms[h as usize];
     if behind >= w.held_range().0 {
         1
     } else if w.pending_route {
         ctx.dist_to_cut[core.head_node(h).idx()].max(1)
-    } else if w.draining() || ahead == u32::MAX {
+    } else if ahead == u32::MAX {
         u64::MAX
     } else {
         (ahead - 1 - w.advance) as u64
@@ -424,13 +431,18 @@ impl<'a> Region<'a> {
         self.win = engine::run_window(&mut self.core, &mut self.st, t0, end, &mut on_park);
         let core = &mut self.core;
         // Movers whose next wanted edge is owned elsewhere emigrate;
-        // draining worms have none and stay put.
-        let mut safe = u64::MAX;
+        // draining worms, on the wheel, have none and stay put — holding
+        // the grant to one step while a foreign release is still to fire.
+        let mut safe = if self.st.foreign_until >= end {
+            1
+        } else {
+            u64::MAX
+        };
         self.st.runnable.retain(|&h| {
             let (w, at) = (&core.worms[h as usize], at(core, h));
             // A pending head may have stepped over the cut; a frozen
             // route leaves exactly when it wants its first foreign edge.
-            let may_leave = w.pending_route || (!w.draining() && at.1 == w.advance + 1);
+            let may_leave = w.pending_route || at.1 == w.advance + 1;
             let target = if may_leave { ctx.home(core, h) } else { idx };
             if target != idx {
                 core.unfinished -= 1;
@@ -541,8 +553,8 @@ fn step_window(shared: &Shared<'_>, t: u64, w: u64) {
 /// ([`engine::validate`]), plus the one comparison no region can make
 /// alone — a worm may hold VCs on another region's edges, so the held
 /// counts recomputed from the worms and the ledgers' holder counts
-/// agree only summed over regions.
-fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize) {
+/// agree only summed over regions. `now` is the next window's first step.
+fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize, now: u64) {
     let (mut held, mut holders) = (vec![0u16; num_edges], vec![0u16; num_edges]);
     for reg in regs {
         let reg = &mut **reg;
@@ -550,7 +562,7 @@ fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize) {
         // worm still parked on an edge a landed release freed, its key
         // not yet hot, would fail the parked-set check.
         engine::wake_released(&mut reg.core, &mut reg.st);
-        engine::validate(&mut reg.core, &mut reg.st);
+        engine::validate(&mut reg.core, &mut reg.st, now);
         add_rows(&mut held, &reg.core.held_counts());
         add_rows(&mut holders, &reg.core.ledger.holders);
     }
@@ -572,9 +584,10 @@ fn fold_totals(into: &mut Core, from: &Core) {
     }
 }
 
-/// The run is over: settles the still-parked worms' stalls through step
-/// `through`, records every resident's outcome in the run's id-keyed
-/// core — or, for the deadlock report, moves the whole worm there — and
+/// The run is over: settles the still-parked worms' stalls and the
+/// drains on the wheel through step `through`, records every resident's
+/// outcome in the run's id-keyed core — or, for the deadlock report,
+/// moves the whole worm there — and
 /// folds the per-region accumulators into the run totals, the event
 /// driver's counters into `stats`.
 fn write_back<'a>(
@@ -589,6 +602,7 @@ fn write_back<'a>(
         let reg = &mut **reg;
         stats.add_driver_counts(&reg.st.stats);
         engine::settle_parked(&mut reg.core, &mut reg.st, through);
+        engine::settle_drains(&mut reg.core, &mut reg.st, through + 1);
         for h in reg.st.runnable.drain(..) {
             if whole {
                 let r = reg.core.take(h);
@@ -785,7 +799,7 @@ fn run_loop<'a>(
             return Ok(sim.deadlock(t_dead));
         }
         if sim.core.config.check_invariants {
-            validate(&mut regs, sim.graph.num_edges());
+            validate(&mut regs, sim.graph.num_edges(), t + w);
         }
         t += w;
     }

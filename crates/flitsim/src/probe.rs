@@ -45,7 +45,7 @@ pub enum Phase {
     Classify,
     /// Per-edge arbitration.
     Arbitrate,
-    /// Advancing the winners, the all-draining jump included.
+    /// Advancing the winners, and firing and filling the drain wheel.
     Apply,
     /// Stalling, discarding or parking the losers.
     Park,

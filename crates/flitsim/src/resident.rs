@@ -810,23 +810,16 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Batch-advances a draining worm from step `t` to `min(stop,
-    /// finish)` with [`Worm::drain`]'s closed form and returns that
-    /// step. Only called by the event driver, in the contexts that
-    /// method's docs allow.
-    pub(crate) fn fast_drain(&mut self, m: u32, t: u64, stop: u64) -> u64 {
-        debug_assert!(t < stop);
-        let d = self.worms[m as usize].drain(stop - t);
-        self.flit_hops += d.flit_hops;
-        for j in d.released {
-            let e = self.path_edge(m, j);
-            self.release_vc(e);
+    /// Brings draining worm `m` `k` advances further ([`Worm::drain`]'s
+    /// closed form, clamped to its finish) — advances the event driver's
+    /// wheel ran ahead of it, having fired their releases — and counts
+    /// their flit hops; delivers the worm if they reach its finish, the
+    /// last of them at step `t`.
+    pub(crate) fn catch_up(&mut self, m: u32, k: u64, t: u64) {
+        self.flit_hops += self.worms[m as usize].drain(k);
+        if self.worms[m as usize].done() {
+            self.finish(m, t + 1);
         }
-        let end = t + d.steps;
-        if d.finished {
-            self.finish(m, end); // the finishing advance ran at step end − 1
-        }
-        end
     }
 
     /// Discards `m` during step `t` — a fault kill severed it — releasing

@@ -59,9 +59,16 @@ pub struct EngineStats {
     /// steps a block of adjacent plan regions merged into one before
     /// step 0.
     pub regions: u32,
-    /// Steps the event driver stepped worm by worm — those it did not
-    /// jump (all worms draining, an idle network) or sit out frozen.
+    /// Steps the event driver ran its step loop on — those it did not
+    /// jump (an idle network; only drains left and nothing parked, where
+    /// the wheel fires on alone) or sit out frozen.
     pub steps_executed: u64,
+    /// Runnable worms classified, summed over `steps_executed`: a worm
+    /// whose header has arrived is on the wheel, not among them.
+    pub worms_stepped: u64,
+    /// Worms whose header arrived with flits still to stream, their
+    /// drain filed on the wheel.
+    pub drains: u64,
     /// Times a blocked worm was parked on the wait queue. A worm parks
     /// once per edge it finds full: losing a contest does not re-park it.
     pub parks: u64,
@@ -89,6 +96,8 @@ impl EngineStats {
     /// the run ends.
     pub(crate) fn add_driver_counts(&mut self, from: &EngineStats) {
         self.steps_executed += from.steps_executed;
+        self.worms_stepped += from.worms_stepped;
+        self.drains += from.drains;
         self.parks += from.parks;
         self.contests += from.contests;
         self.waiters_entered += from.waiters_entered;

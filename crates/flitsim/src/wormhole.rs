@@ -116,12 +116,14 @@
 //!    legacy stepper gets by reading start-of-step state. Releases that
 //!    land at the start of a step (a kill's discards; in a parallel
 //!    region, another region's releases of the step before) turn their
-//!    keys hot before that step's contest. The
-//!    all-draining jump only batches steps in which no worm wants an
-//!    edge and no parked worm exists to observe a release (it stops at
-//!    the next message release, the next kill and the step cap), and a
-//!    core with a hot key is never called frozen, so no
-//!    arbitration, and no release visibility boundary, is ever skipped.
+//!    keys hot before that step's contest. A drain's releases are filed
+//!    on the event driver's wheel under the steps they happen and fired
+//!    at those steps, before the park pass reads end-of-step state; the
+//!    wheel fires on without a step only while no worm wants an edge and
+//!    no parked worm exists to observe a release (up to the next message
+//!    release, the next kill and the step cap), and a core with a hot
+//!    key is never called frozen, so no arbitration, and no release
+//!    visibility boundary, is ever skipped.
 //! 3. **Order-free outcomes.** Everything a step writes is either
 //!    per-worm (finish times, `first_move`, stalls) or a commutative
 //!    update (`flit_hops`, holder increments/decrements), except the two
@@ -215,8 +217,9 @@
 //! A fault kill leaves a parked pending worm where it waits: under a
 //! fault plan the router avoids every edge the plan kills
 //! ([`crate::config::SimConfig::check`] refuses a router that does
-//! not), so no edge it watches dies. The all-draining and idle-network jumps stay exact: an arrived worm
-//! makes no further route decision.
+//! not), so no edge it watches dies. The drain wheel and the
+//! idle-network jump stay exact: an arrived worm makes no further route
+//! decision.
 
 use std::fmt;
 

@@ -362,7 +362,7 @@ pub fn run(fast: bool, engine: Engine) -> Vec<Table> {
     sweep.note(
         "All arms of a rate share one batch and one seeded Bernoulli channel-kill plan (which \
          never disconnects a ring, so the escape subnetwork survives acyclically). Oblivious \
-         worms on a killed route are discarded (LinkDown); adaptive worms route around the dead \
+         worms on a killed route are discarded ('discards'); adaptive worms route around the dead \
          channels and cannot deadlock — no row may read DEADLOCK. 'recovery' is steps from the \
          last kill to the first delivery after it.",
     );

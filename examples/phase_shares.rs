@@ -10,10 +10,11 @@
 //! whose window loop runs on the calling thread and whose work between
 //! windows is the `merge` row. Under each table it prints each
 //! workload's [`EngineStats`] — exact counts, the same on any host, so a
-//! before / after needs no quiet machine: steps executed, parks,
-//! contests, waiters entered and won, pending heads entered (the same on
-//! both engines), and the parallel coordinator's windows, the steps they
-//! covered, one-step windows and hand-offs.
+//! before / after needs no quiet machine: steps executed, worms stepped,
+//! drains filed on the wheel, parks, contests, waiters entered and won,
+//! pending heads entered (the same on both engines), and the parallel
+//! coordinator's windows, the steps they covered, one-step windows and
+//! hand-offs.
 //!
 //! ```text
 //! cargo run --release --features phase-probe --example phase_shares [-- SEED [REPS]]
@@ -90,9 +91,11 @@ fn closed_loop(seed: u64, reps: u64, engine: Engine) -> Probed {
 
 /// The counters the table shows, in its row order; the coordinator's
 /// last four are zero on the event engine.
-fn counts(s: &EngineStats) -> [(&'static str, u64); 10] {
+fn counts(s: &EngineStats) -> [(&'static str, u64); 12] {
     [
         ("steps executed", s.steps_executed),
+        ("worms stepped", s.worms_stepped),
+        ("drains", s.drains),
         ("parks", s.parks),
         ("contests", s.contests),
         ("waiters entered", s.waiters_entered),
@@ -207,7 +210,7 @@ fn tables(engine: &str, seed: u64, reps: u64, runs: &[(&str, Probed)]) {
     }
     println!("\n\n{engine} counters, one run each\n");
     header("counter", runs);
-    let counts: Vec<[(&str, u64); 10]> = runs.iter().map(|(_, (_, s))| counts(s)).collect();
+    let counts: Vec<[(&str, u64); 12]> = runs.iter().map(|(_, (_, s))| counts(s)).collect();
     for row in 0..counts[0].len() {
         print!("| {} |", counts[0][row].0);
         for run in &counts {

@@ -107,10 +107,14 @@ fn herd_counts(s: &EngineStats) -> (u64, u64, u64, u64) {
     (s.parks, s.contests, s.waiters_entered, s.waiters_won)
 }
 
-/// The event driver's counters: `steps_executed`, the
-/// [`herd_counts`] and `pending_entered`.
-fn driver_counts(s: &EngineStats) -> (u64, (u64, u64, u64, u64), u64) {
-    (s.steps_executed, herd_counts(s), s.pending_entered)
+/// The event driver's counters: `steps_executed`, `worms_stepped`,
+/// `drains`, the [`herd_counts`] and `pending_entered`.
+fn driver_counts(s: &EngineStats) -> ([u64; 3], (u64, u64, u64, u64), u64) {
+    (
+        [s.steps_executed, s.worms_stepped, s.drains],
+        herd_counts(s),
+        s.pending_entered,
+    )
 }
 
 fn adaptive_torus(radix: u32, dims: u32) -> Mesh {
@@ -135,7 +139,9 @@ fn worm(path: &[EdgeId], length: u32) -> MessageSpec {
 /// policy, each of the `K − B` worms the first step blocks parks exactly
 /// once and wins exactly once — `B` at a time, every `L` steps — and the
 /// contests they lose in between touch nobody: entered once per contest
-/// while still waiting, `Σ (K − B·j)` in all.
+/// while still waiting, `Σ (K − B·j)` in all. Every worm is stepped once,
+/// at step 0 — a winner's header arrives with its one hop, and it drains
+/// on the wheel — so `K` worms stepped and `K` drains.
 #[test]
 fn a_herd_on_one_edge_parks_once_per_worm_under_every_policy() {
     const K: u64 = 24;
@@ -178,6 +184,7 @@ fn a_herd_on_one_edge_parks_once_per_worm_under_every_policy() {
                     // The last wave's drain, nothing parked behind it,
                     // is one jump.
                     assert_eq!(stats.steps_executed, (waves - 1) * L + 1, "{case}");
+                    assert_eq!((stats.worms_stepped, stats.drains), (K, K), "{case}");
                 }
                 if b == 1 && arbitration == Arbitration::FifoById {
                     for (i, m) in got.legacy.messages.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Differential test matrix for the three wormhole simulator engines.
 //!
-//! The event-driven engine (wait-queue wakeups, all-draining
-//! fast-forward, arithmetic stall accounting) and the partitioned
+//! The event-driven engine (wait-queue wakeups, the drain wheel,
+//! arithmetic stall accounting) and the partitioned
 //! parallel engine (per-region workers under conservative lookahead
 //! windows) must produce **bit-identical** [`SimResult`]s to the legacy
 //! per-step rescanning stepper — outcome, finish times, first moves,
@@ -273,29 +273,29 @@ proptest! {
     /// and pooled VCs, ending at the step cap: nearly every pending
     /// header finds its whole candidate set and its escape hop full, so
     /// the event engine and the parallel regions park it on the whole
-    /// watch set (the precondition below keeps that path exercised) and
-    /// settle its stalls arithmetically — which must reproduce the
-    /// legacy stepper's per-step re-selection bit for bit.
+    /// watch set and settle its stalls arithmetically — which must
+    /// reproduce the legacy stepper's per-step re-selection bit for bit.
+    /// Every case is saturated by construction: a batch the legacy run
+    /// does not saturate moves on to the next seed, and a case that finds
+    /// none in `SEED_TRIES` fails. What no seed can saturate is not drawn:
+    /// two or more shared credits a router, or a load under 85 %, let a
+    /// ring of four carry every batch at under five stalls a flit-hop.
     #[test]
     fn engines_agree_on_saturated_adaptive_tori(
         radix in 4u32..7,
         dims in 1u32..3,
         pooled in proptest::bool::ANY,
-        extra in 0u32..4,
+        extra in 0u32..2,
         cap_idx in 0u32..3,
         l in 8u32..13,
-        rate_pct in 80u32..100,
+        rate_pct in 85u32..100,
         tornado in proptest::bool::ANY,
         fully in proptest::bool::ANY,
-        // Unused: the misroute budget is a constant. The draw keeps the
-        // later arguments, and so the case set, where they were (without
-        // it, a re-drawn 4-ring case reads 4.2 stalls per flit-hop, under
-        // the saturation this test wants).
-        _budget_draw in 0u32..5,
         arb in 0u32..4,
         seed in 0u64..1000,
     ) {
         use wormhole_flitsim::config::RouteSelection;
+        const SEED_TRIES: u64 = 16;
         let substrate = Substrate::torus_with(radix, dims, RoutingDiscipline::AdaptiveEscape);
         let mesh = substrate.as_mesh().expect("torus is mesh-based");
         let pattern = if tornado {
@@ -303,41 +303,45 @@ proptest! {
         } else {
             TrafficPattern::UniformRandom
         };
-        let w = Workload::new(
-            substrate.clone(),
-            pattern,
-            ArrivalProcess::bernoulli(rate_pct as f64 / 100.0),
-            l,
-            seed,
-        );
-        let specs = w.generate(160);
         let sel = if fully {
             RouteSelection::FullyAdaptive
         } else {
             RouteSelection::MinimalAdaptive
         };
-        // One VC per lane (a floor of one under pooling): the adaptive
-        // lane saturates within a few dozen steps at these loads.
-        let mut cfg = SimConfig::new(1)
-            .arbitration(arbitration(arb))
-            .seed(seed)
-            .route_selection(sel)
-            .max_steps(160)
-            .check_invariants(true);
-        if pooled {
-            cfg = cfg.vc_policy(pooled_policy(
-                substrate.graph().max_out_degree() as u32,
-                0,
-                extra,
-                cap_idx,
-            ));
-        }
-        let lg = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(Engine::Legacy));
-        prop_assert_eq!(&lg.outcome, &Outcome::MaxSteps);
+        let saturated = (seed..seed + SEED_TRIES).find_map(|seed| {
+            let w = Workload::new(
+                substrate.clone(),
+                pattern.clone(),
+                ArrivalProcess::bernoulli(rate_pct as f64 / 100.0),
+                l,
+                seed,
+            );
+            let specs = w.generate(160);
+            // One VC per lane (a floor of one under pooling): the adaptive
+            // lane saturates within a few dozen steps at these loads.
+            let mut cfg = SimConfig::new(1)
+                .arbitration(arbitration(arb))
+                .seed(seed)
+                .route_selection(sel)
+                .max_steps(160)
+                .check_invariants(true);
+            if pooled {
+                cfg = cfg.vc_policy(pooled_policy(
+                    substrate.graph().max_out_degree() as u32,
+                    0,
+                    extra,
+                    cap_idx,
+                ));
+            }
+            let lg = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(Engine::Legacy));
+            let saturated = lg.outcome == Outcome::MaxSteps && lg.total_stalls > 5 * lg.flit_hops;
+            saturated.then_some((specs, cfg, lg))
+        });
         prop_assert!(
-            lg.total_stalls > 5 * lg.flit_hops,
-            "not saturated: {} stalls for {} flit-hops", lg.total_stalls, lg.flit_hops
+            saturated.is_some(),
+            "no seed in {seed}..{} saturates", seed + SEED_TRIES
         );
+        let (specs, cfg, lg) = saturated.expect("checked");
         for engine in [Engine::EventDriven, Engine::Parallel { threads: 2 }] {
             let r = wormhole::run_adaptive(mesh, &specs, &cfg.clone().engine(engine));
             prop_assert!(
