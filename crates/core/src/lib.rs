@@ -11,8 +11,7 @@
 //!   simulator, with the paper's zero-blocking guarantee checked;
 //! * [`lower_bound`] — the Theorem 2.2.1 experiment;
 //! * [`butterfly`] — the §3.1 two-pass randomized algorithm and the §3.2
-//!   one-pass lower-bound machinery;
-//! * [`chernoff`] — the probabilistic toolkit (Lemma 2.1.1/2.1.2 numerics).
+//!   one-pass lower-bound machinery.
 //!
 //! # Example: schedule a workload with B virtual channels
 //!
@@ -34,7 +33,6 @@
 
 pub mod bounds;
 pub mod butterfly;
-pub mod chernoff;
 pub mod coloring;
 pub mod firstfit;
 pub mod lower_bound;

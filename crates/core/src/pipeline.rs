@@ -6,8 +6,8 @@
 //! the one coloring path every experiment, example and the benchmark
 //! take. The κ it finds tracks the bound's *shape*
 //! `O(C(D log D)^{1/B}/B)` without the proof's constants; the paper's own
-//! Case-1 `r` ([`crate::refine::r_case1`], certified by the LLL condition
-//! in [`crate::chernoff`]) caps the search.
+//! Case-1 `r` ([`crate::refine::r_case1`], which meets the LLL condition)
+//! caps the search.
 //!
 //! The paper chains three cases of the lemma (Case 3 while `C > D`, Case 2
 //! down to `log D`, Case 1 down to `B`). That staged run was measured

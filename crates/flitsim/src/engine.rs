@@ -41,12 +41,13 @@
 //!   kinematics and flit hops catch up in closed form
 //!   ([`crate::kernel::Worm::drain`]) when it finishes, and wherever they
 //!   are read before that: at a kill, at the run's end and in the
-//!   invariant checks ([`settle_drains`]). When nothing is runnable or
-//!   parked, the window fires the remaining slots up to its end in one
-//!   loop, without stepping.
+//!   invariant checks ([`settle_drains`]). A step with only drains left
+//!   is stepped like any other — an empty classify and arbitration, then
+//!   its slot — so a window's steps, and the step counters, do not depend
+//!   on where its ends fall.
 //!
-//! A window never crosses an admission, a fault kill or the step cap,
-//! so every arbitration decision — and every
+//! A window never crosses an admission, a fault kill or the step cap
+//! ([`Sim::window_end`]), so every arbitration decision — and every
 //! release-at-`t`-visible-at-`t+1` boundary — still happens at its
 //! exact legacy step. What a kill does at such a boundary to a core
 //! with parked worms is [`kill`], stated once beside the window. Two
@@ -217,9 +218,8 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
         let idle = st.n_active() == 0;
         if let Some(outcome) = sim.loop_head(&mut t, idle) {
             if !idle {
-                let cap = sim.core.config.max_steps;
-                settle_parked(&mut sim.core, st, cap.saturating_sub(1));
-                settle_drains(&mut sim.core, st, cap);
+                let last = sim.core.config.max_steps.saturating_sub(1);
+                settle(&mut sim.core, st, last);
             }
             return Ok((outcome, t, None));
         }
@@ -238,18 +238,7 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
             // movement-free step here, which no reported field observes.
             continue;
         }
-        // One window: up to the next admission (a new contender), the
-        // next scheduled fault kill (the dead set changes) or the step
-        // cap. A non-reactive source's next release cannot move before
-        // it is reached; a reactive one may answer a delivery with a
-        // release at the very next step, so its windows are one step.
-        let stop = if sim.reactive {
-            t + 1
-        } else {
-            let next_rel = sim.peek_next_release(t).unwrap_or(u64::MAX);
-            let cap = sim.core.config.max_steps;
-            cap.min(next_rel).min(sim.next_kill_time()).max(t + 1)
-        };
+        let stop = sim.window_end(t);
         let win = run_window(&mut sim.core, st, t, stop, &mut |_, _| {});
         sim.core.ledger.settle_max(&sim.core.rules);
         if win.frozen_at != u64::MAX {
@@ -258,7 +247,7 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
             // the same step at which the legacy stepper's no-movement
             // test fires, and it counted a stall for every blocked worm
             // during that step.
-            settle_parked(&mut sim.core, st, win.frozen_at);
+            settle(&mut sim.core, st, win.frozen_at);
             return Ok(sim.deadlock(win.frozen_at));
         }
         t = stop;
@@ -314,9 +303,9 @@ fn list_in_flight(core: &mut Core, st: &EventState) -> usize {
 /// entering from outside in between — no admission, no kill, no release
 /// from another region: the one driver under the sequential event engine
 /// (a window ends at the next admission) and under every parallel region
-/// (at the coordinator's grant). Steps while a header can still move or
-/// a worm is parked, fires the wheel alone once every worm left is
-/// draining, and stops early once the core is empty or frozen.
+/// (at the coordinator's grant). Steps every step it covers while a worm
+/// is in flight — runnable, parked or draining — and stops early once
+/// the core is empty or frozen.
 ///
 /// The occupancy sample of the window's last step is left to the caller
 /// ([`crate::kernel::VcLedger::settle_max`]): in a one-step window of a
@@ -346,21 +335,6 @@ pub(crate) fn run_window(
             // moves — none can happen.
             if !st.waiting.is_empty() {
                 win.frozen_at = t;
-            }
-            break;
-        }
-        // Only drains left: nobody contends, and nothing parked observes
-        // a release, so the wheel fires on to the window's end without a
-        // step. Drains only return capacity — no occupancy sample to take
-        // on the way. A one-step window steps, and counts it.
-        if stop - t > 1 && st.waiting.is_empty() && st.runnable.is_empty() {
-            while t < stop && st.fire(core, t) {
-                t += 1;
-            }
-            win.last_move_plus1 = t;
-            probe::lap(Phase::Apply);
-            if core.config.check_invariants {
-                validate(core, st, t);
             }
             break;
         }
@@ -493,15 +467,18 @@ pub(crate) fn wake_released(core: &mut Core, st: &mut EventState) {
     core.track_releases = !st.waiting.is_empty();
 }
 
-/// The run is over (deadlock or step cap), or the core is being folded
-/// into another: settles the per-step stalls the legacy stepper would
-/// have counted for every still-parked worm through step `through`,
-/// returns them to `runnable`, and cools every hot key.
-pub(crate) fn settle_parked(core: &mut Core, st: &mut EventState, through: u64) {
+/// The run ends after step `through` (the step cap, a deadlock verdict —
+/// at a freeze nothing drains — or a parallel region's write-back):
+/// settles the stalls the legacy stepper would have counted for every
+/// still-parked worm through `through` and brings every drain up to the
+/// start of `through + 1` ([`settle_drains`]), all of them back in
+/// `runnable`, and cools every hot key.
+pub(crate) fn settle(core: &mut Core, st: &mut EventState, through: u64) {
     st.waiting.settle_all(through, |m, skipped| {
         core.outcomes[m as usize].stalls += skipped;
         st.runnable.push(m);
     });
+    settle_drains(core, st, through + 1);
 }
 
 /// Brings every drain on the wheel up to the start of step `now` — the
@@ -511,7 +488,7 @@ pub(crate) fn settle_parked(core: &mut Core, st: &mut EventState, through: u64) 
 /// them its last, and is appended to `runnable`. Empties the wheel — its
 /// unfired releases still stand in the ledger — and returns where the
 /// settled worms start in `runnable`.
-pub(crate) fn settle_drains(core: &mut Core, st: &mut EventState, now: u64) -> usize {
+fn settle_drains(core: &mut Core, st: &mut EventState, now: u64) -> usize {
     let from = st.runnable.len();
     if st.draining == 0 {
         return from; // `now` may be the end of an open-ended window

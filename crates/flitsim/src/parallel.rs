@@ -51,16 +51,16 @@
 //!   region), under a recycled local handle. Admission places it there
 //!   directly — a pending head in its source node's region, read off the
 //!   spec; only a discard on arrival lands in the run's id-keyed core.
-//!   At the end of a window a region hands back the worms that finished
-//!   or were discarded as [`Retired`] — `(time, id, delivered, outcome)`,
-//!   the handle recycled on the spot — whose outcomes the coordinator
-//!   records in the id-keyed core and whose completion callbacks it
-//!   flushes in canonical `(time, id)` order, as always; and it moves out
-//!   the movers whose next wanted edge now lies across the cut (to that
-//!   edge's region, as [`Resident`] values: nothing is copied). A parked
-//!   worm never migrates: it did not move. When the run ends, the
-//!   residents' outcomes are written back the same way; whole worms move
-//!   to the id-keyed core only for a deadlock report.
+//!   At the end of a window the coordinator reads each region's
+//!   completions in place (its core's `done` list, as the sequential
+//!   engines keep it): it records a finished or discarded worm's outcome
+//!   in the id-keyed core, whose completion callbacks it flushes in
+//!   canonical `(time, id)` order, as always, and frees its handle. A
+//!   region moves out the movers whose next wanted edge now lies across
+//!   the cut (to that edge's region, as [`Resident`] values: nothing is
+//!   copied). A parked worm never migrates: it did not move. When the
+//!   run ends, the residents' outcomes are written back the same way;
+//!   whole worms move to the id-keyed core only for a deadlock report.
 //! * **The one hook.** A release on an edge another region owns goes to
 //!   the core's outbox ([`Core::release_vc`]) and lands on its owner
 //!   between windows — before the owner, entering its next window,
@@ -138,7 +138,7 @@ use crate::engine::{self, EventState};
 use crate::probe::{self, Phase};
 use crate::resident::{Core, Resident};
 use crate::sim::{self, Driven, Sim};
-use crate::stats::{EngineStats, MessageOutcome};
+use crate::stats::EngineStats;
 use crate::wormhole::SimError;
 
 /// Default region count when [`SimConfig::regions`] is `None`
@@ -285,13 +285,6 @@ fn add_rows<T: Copy + std::ops::AddAssign>(into: &mut [T], from: &[T]) {
     }
 }
 
-/// What a region hands back of a worm that finished or was discarded,
-/// and all [`land`] records of it — `(time, id, delivered, outcome)`,
-/// the time `t + 1` for a delivery and `t` for a discard, the stamps the
-/// sequential engines record. The worm itself stays behind, its handle
-/// free for the next arrival.
-type Retired = (u64, u32, bool, MessageOutcome);
-
 /// One region: the [`Core`] holding its resident worms and the ledger
 /// of the edges and routers it owns (full-size arrays indexed by
 /// *global* ids — foreign entries stay zero), the event driver's state
@@ -310,8 +303,6 @@ struct Region<'a> {
     /// Outbox: worms whose next wanted edge crossed the cut, with the
     /// region owning it.
     handoffs: Vec<(u32, Resident<'a>)>,
-    /// Outbox: worms that finished or were discarded this window.
-    retired: Vec<Retired>,
     /// Running minimum [`worm_bound`] over the parked population, folded
     /// in as each worm parks (a parked worm's bound is constant; reset
     /// when a window ends with the queue empty). Folding this into `safe`
@@ -356,7 +347,6 @@ impl<'a> Region<'a> {
             free: Vec::new(),
             cuts: Vec::new(),
             handoffs: Vec::new(),
-            retired: Vec::new(),
             parked_safe: u64::MAX,
             safe: u64::MAX,
             win: engine::Window {
@@ -384,19 +374,6 @@ impl<'a> Region<'a> {
         self.st.runnable.push(h);
     }
 
-    /// Hands the worms that finished or were discarded since the last
-    /// call to the `retired` outbox and recycles their handles on the
-    /// spot: a finished worm already gave back what it owned
-    /// ([`Core::vacate`]).
-    fn retire(&mut self) {
-        let core = &mut self.core;
-        for (time, h, delivered) in core.done.drain(..) {
-            let (id, out) = (core.ids[h as usize], core.outcomes[h as usize]);
-            self.retired.push((time, id, delivered, out));
-            self.free.push(h);
-        }
-    }
-
     /// Runs this region through the window `[t0, end)` without touching
     /// any other region's state ([`engine::run_window`]), then empties
     /// it of the worms that no longer belong here and refreshes the
@@ -409,7 +386,6 @@ impl<'a> Region<'a> {
             // Nobody can leave and nothing bounds the next grant: the
             // event engine's window, and its `on_park`.
             self.win = engine::run_window(&mut self.core, &mut self.st, t0, end, &mut |_, _| {});
-            self.retire();
             return;
         }
         let (idx, cached) = (self.idx, &self.cuts);
@@ -453,7 +429,6 @@ impl<'a> Region<'a> {
             }
             target == idx
         });
-        self.retire();
         if self.st.waiting.is_empty() {
             self.parked_safe = u64::MAX;
         }
@@ -584,8 +559,8 @@ fn fold_totals(into: &mut Core, from: &Core) {
     }
 }
 
-/// The run is over: settles the still-parked worms' stalls and the
-/// drains on the wheel through step `through`, records every resident's
+/// The run is over: settles every region through step `through`
+/// ([`engine::settle`]), records every resident's
 /// outcome in the run's id-keyed core — or, for the deadlock report,
 /// moves the whole worm there — and
 /// folds the per-region accumulators into the run totals, the event
@@ -601,8 +576,7 @@ fn write_back<'a>(
     for reg in regs {
         let reg = &mut **reg;
         stats.add_driver_counts(&reg.st.stats);
-        engine::settle_parked(&mut reg.core, &mut reg.st, through);
-        engine::settle_drains(&mut reg.core, &mut reg.st, through + 1);
+        engine::settle(&mut reg.core, &mut reg.st, through);
         for h in reg.st.runnable.drain(..) {
             if whole {
                 let r = reg.core.take(h);
@@ -617,20 +591,21 @@ fn write_back<'a>(
     probe::lap(Phase::Merge);
 }
 
-/// Lands the regions' outboxes, in region-index order (the effects are
-/// commutative or canonically re-sorted downstream; fixing the order
-/// makes the run reproducible by inspection, not just by argument):
-/// cross-region releases on the edges' owners, the retired worms'
-/// outcomes in the run's id-keyed core — whose next completion flush
-/// reports them to the source — and emigrants in their new regions,
-/// counted in `stats.handoffs`. Returns how many worms retired.
+/// Lands what the regions left for the coordinator, in region-index
+/// order (the effects are commutative or canonically re-sorted
+/// downstream; fixing the order makes the run reproducible by
+/// inspection, not just by argument): first every region's cross-region
+/// releases, on the edges' owners, and its retirements — read off its
+/// core's completions, their outcomes recorded in the run's id-keyed
+/// core, whose next completion flush reports them to the source, and
+/// their handles freed — then every region's emigrants, in their new
+/// regions, counted in `stats.handoffs`.
 fn land<'a>(
     ctx: &Ctx,
     sim: &mut Sim<'a>,
     regs: &mut [MutexGuard<'_, Region<'a>>],
     stats: &mut EngineStats,
-) -> usize {
-    let mut n_retired = 0;
+) {
     for i in 0..regs.len() {
         let mut releases = std::mem::take(&mut regs[i].core.remote_releases);
         for e in releases.drain(..) {
@@ -638,11 +613,15 @@ fn land<'a>(
             regs[owner].core.release_vc(e as usize);
         }
         regs[i].core.remote_releases = releases;
-        n_retired += regs[i].retired.len();
-        for (time, id, delivered, out) in regs[i].retired.drain(..) {
-            sim.core.record(id, out);
+        let Region { core, free, .. } = &mut *regs[i];
+        for (time, h, delivered) in core.done.drain(..) {
+            let id = core.ids[h as usize];
+            sim.core.record(id, core.outcomes[h as usize]);
             sim.core.done.push((time, id, delivered));
+            free.push(h);
         }
+    }
+    for i in 0..regs.len() {
         let mut handoffs = std::mem::take(&mut regs[i].handoffs);
         stats.handoffs += handoffs.len() as u64;
         for (target, r) in handoffs.drain(..) {
@@ -651,7 +630,6 @@ fn land<'a>(
         regs[i].handoffs = handoffs;
     }
     probe::lap(Phase::Merge);
-    n_retired
 }
 
 /// The coordinator: mirrors [`crate::legacy::drive`]'s loop head (idle
@@ -665,13 +643,13 @@ fn run_loop<'a>(
 ) -> Result<Driven, SimError> {
     let ctx = &shared.ctx;
     let mut t: u64 = 0;
-    let mut n_active: usize = 0;
     // Between windows every region is the coordinator's: one lock each
     // per window, not one per outbox entry.
     let lock_all = || (0..shared.regions.len()).map(|i| shared.lock(i));
     let mut regs: Vec<MutexGuard<'_, Region<'a>>> = lock_all().collect();
     loop {
-        if let Some(outcome) = sim.loop_head(&mut t, n_active == 0) {
+        let idle = regs.iter().all(|reg| reg.st.n_active() == 0);
+        if let Some(outcome) = sim.loop_head(&mut t, idle) {
             // The cap may end the run with worms still parked; the
             // sequential engines count their stalls through the last
             // step that ran.
@@ -695,13 +673,12 @@ fn run_loop<'a>(
             for reg in &mut regs {
                 let reg = &mut **reg;
                 engine::kill(&mut reg.core, &mut reg.st, due, t);
-                reg.retire();
             }
-            n_active -= land(ctx, sim, &mut regs, stats);
+            land(ctx, sim, &mut regs, stats);
         }
         // Each worm goes straight into the region it belongs in; only a
         // discard on arrival lands in the id-keyed core.
-        let (_, new) = sim.admit_with(t, |total, graph, id, spec, now| {
+        sim.admit_with(t, |total, graph, id, spec, now| {
             if sim::dead_on_arrival(total, &spec) {
                 return sim::admit(total, graph, id, spec, now);
             }
@@ -709,25 +686,18 @@ fn run_loop<'a>(
             regs[ctx.entry(&r)].arrive(ctx, r);
             true
         })?;
-        n_active += new.len();
 
         // The cut-bound grant: the minimum per-region `safe` bound over
         // populated regions (infinite while no resident can reach a cut).
         let populated = regs.iter().filter(|reg| reg.st.n_active() > 0);
         let grant = populated.map(|reg| reg.safe).min().unwrap_or(u64::MAX);
-        // The window: that grant capped at the next admission, the next
-        // fault kill and the step cap. Reactive sources pin it to one
-        // step (a delivery may spawn a release mid-window otherwise); so
-        // does any worm near a cut. `peek_next_release` is an idempotent
-        // peek for non-reactive sources, so consulting it every window
-        // leaves the admission sequence untouched.
-        let w = if sim.reactive || grant <= 1 {
+        // The window: that grant, capped where the event engine's window
+        // ends ([`Sim::window_end`]); a worm near a cut pins it to one
+        // step, without asking the source.
+        let w = if grant <= 1 {
             1
         } else {
-            let next_rel = sim.peek_next_release(t).unwrap_or(u64::MAX);
-            let cap = sim.core.config.max_steps;
-            let stop = cap.min(next_rel).min(sim.next_kill_time());
-            grant.min(stop.saturating_sub(t).max(1))
+            grant.min(sim.window_end(t) - t)
         };
 
         regs.clear(); // unlock
@@ -788,7 +758,7 @@ fn run_loop<'a>(
         // and the waiters contend from the step after, as in the
         // sequential engines. Emigrants arrive after the top-up above,
         // which is for the worms that sat the window out.
-        n_active -= land(ctx, sim, &mut regs, stats);
+        land(ctx, sim, &mut regs, stats);
 
         if deadlocked {
             // Static state, nothing can ever move again: deadlock at

@@ -44,8 +44,8 @@ pub(crate) struct Sim<'a> {
     /// [`Sim::deadlock`] iterates it.
     admitted: Vec<u32>,
     /// Cached [`TrafficSource::reactive`] — `true` pins the event
-    /// drivers' windows to one step.
-    pub(crate) reactive: bool,
+    /// drivers' windows to one step ([`Sim::window_end`]).
+    reactive: bool,
     /// Cached [`TrafficSource::id_hint`]; 0 for a slice.
     pub(crate) id_hint: u32,
     /// The feed's declared size: the slice's length, or the larger of a
@@ -283,6 +283,22 @@ impl<'a> Sim<'a> {
         };
         probe::lap(Phase::LoopHead);
         next
+    }
+
+    /// Where a window opened at `t` must end at the latest, for every
+    /// event-style driver: the next admission (a new contender), the next
+    /// fault kill (the dead set changes) or the step cap, and at least one
+    /// step on. A non-reactive source's next release cannot move before it
+    /// is reached, and peeking it leaves the admission sequence untouched;
+    /// a reactive one may answer a delivery with a release at the very
+    /// next step, so its windows are one step.
+    pub(crate) fn window_end(&mut self, t: u64) -> u64 {
+        if self.reactive {
+            return t + 1;
+        }
+        let next_rel = self.peek_next_release(t).unwrap_or(u64::MAX);
+        let cap = self.core.config.max_steps;
+        cap.min(next_rel).min(self.next_kill_time()).max(t + 1)
     }
 
     /// Flushes completions, then pulls every message released by `now`

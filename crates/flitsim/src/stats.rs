@@ -59,9 +59,10 @@ pub struct EngineStats {
     /// steps a block of adjacent plan regions merged into one before
     /// step 0.
     pub regions: u32,
-    /// Steps the event driver ran its step loop on — those it did not
-    /// jump (an idle network; only drains left and nothing parked, where
-    /// the wheel fires on alone) or sit out frozen.
+    /// Steps the event driver stepped: every step with a worm in flight,
+    /// a step with only drains left included, wherever the windows end —
+    /// but the steps a frozen parallel region sits out. An idle network's
+    /// gap is jumped, not stepped.
     pub steps_executed: u64,
     /// Runnable worms classified, summed over `steps_executed`: a worm
     /// whose header has arrived is on the wheel, not among them.

@@ -768,7 +768,7 @@ fn engines_agree_at_the_step_cap() {
 
 #[test]
 fn engines_agree_on_sparse_schedules() {
-    // Idle-gap jumps and lone-worm fast-forward against the legacy
+    // Idle-gap jumps and a lone worm's drain against the legacy
     // stepper's step-by-step walk.
     let (g, edges) = chain(6);
     let specs = vec![

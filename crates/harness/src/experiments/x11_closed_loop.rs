@@ -110,11 +110,11 @@ const POLICIES: [&str; 2] = ["static", "pooled"];
 const BUDGET: u32 = 2;
 
 /// The service-traffic description both arms share: clients (first half
-/// of the endpoints) send fixed-length messages to uniformly drawn
-/// servers (last half).
+/// of the endpoints) send `L`-flit messages to the servers (last half),
+/// a quarter of them aimed at one hot server.
 fn scenario(sub: &Substrate, rate: f64, seed: u64) -> ServiceScenario {
     let half = sub.endpoints() / 2;
-    ServiceScenario::new(sub.clone(), half, half, rate, seed).pareto_lengths(1.5, L, L)
+    ServiceScenario::new(sub.clone(), half, half, L, rate, seed)
 }
 
 /// The closed-loop counterpart over the same partitions: `w` outstanding

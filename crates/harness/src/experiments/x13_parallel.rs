@@ -258,7 +258,7 @@ pub fn run(fast: bool) -> Vec<Table> {
          merged into one region before step 0 (`regions`), so one worker steps the whole \
          torus, like the event engine. Tornado traffic travels only in dimension 0, so no \
          route crosses a cut: every grant is unbounded and the drain phase runs barrier-free \
-         with in-region fast-forwards. Uniform traffic crosses the slab faces from the first \
+         in long windows. Uniform traffic crosses the slab faces from the first \
          step: the grant drops to one step.",
     );
     // The honest headline per arm: what one parallel worker costs next

@@ -15,8 +15,8 @@
 //! whose header sits `d` hops away from the nearest cross edge cannot
 //! touch the cut for `d` steps. [`RegionPlan::distance_to_cut`] computes
 //! that per-node distance matrix, which is what lets the parallel engine
-//! grant multi-step windows and fast-forward inside a region instead of
-//! running lockstep supersteps.
+//! grant multi-step windows, each region stepping through its own with
+//! no barrier, instead of running lockstep supersteps.
 //!
 //! Plans are built either directly ([`RegionPlan::contiguous`],
 //! [`RegionPlan::contiguous_aligned`], [`RegionPlan::from_node_regions`])

@@ -501,8 +501,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_closed_loop_runs() {
-        // The reactive-source path disables the event engine's batched
-        // fast-forwards but keeps park/wake and idle jumps; the
+        // The reactive-source path pins the event engines' windows to
+        // one step but keeps park/wake and idle jumps; the
         // delivery-flush canonicalization must make the engines (and
         // their derived chain stats) identical.
         let sub = Substrate::torus_with(4, 2, crate::RoutingDiscipline::DatelineClasses);

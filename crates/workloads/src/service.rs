@@ -1,15 +1,12 @@
-//! Service-style traffic scenarios: heavy-tailed message sizes,
-//! client/server endpoint partitions, and a hot server.
+//! Service-style traffic scenarios: client/server endpoint partitions
+//! and a hot server.
 //!
 //! The synthetic patterns in [`crate::patterns`] stress the *topology*
 //! (bit permutations, tornado, …); a [`ServiceScenario`] instead stresses
-//! the *traffic shape* datacenter-style services exhibit: request sizes
-//! drawn from a bounded Pareto (most messages short, rare multi-hundred
-//! flit worms holding channels for a long time — exactly the regime
-//! where virtual channels let short worms overtake), and all traffic
-//! flowing from a client partition into a server partition, a quarter of
-//! it aimed at one hot server. Every client injects by the same Bernoulli
-//! rate at every step.
+//! the *traffic shape* of a service: all traffic flows from a client
+//! partition into a server partition, a quarter of it aimed at one hot
+//! server — an incast. Every client injects by the same Bernoulli rate
+//! at every step, and every message is the same length.
 //!
 //! A scenario generates routing-free [`TraceRow`]s or routes them into
 //! `MessageSpec`s. A closed-loop run over the same partitions builds its
@@ -40,13 +37,8 @@ pub struct ServiceScenario {
     pub clients: u32,
     /// Number of server endpoints (the last `servers` endpoints).
     pub servers: u32,
-    /// Pareto tail index for message lengths (smaller ⇒ heavier tail;
-    /// `1 < α ≤ 3` is the service-traffic regime).
-    pub alpha: f64,
-    /// Minimum message length in flits (the Pareto scale `x_m ≥ 1`).
-    pub min_len: u32,
-    /// Maximum message length in flits (truncation bound).
-    pub max_len: u32,
+    /// Message length in flits, the same for every message.
+    pub length: u32,
     /// Per-client injection probability per step.
     pub base_rate: f64,
     /// Master seed; per-client streams derive from it.
@@ -55,11 +47,11 @@ pub struct ServiceScenario {
 
 impl ServiceScenario {
     /// Builds and validates a scenario.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         substrate: Substrate,
         clients: u32,
         servers: u32,
+        length: u32,
         base_rate: f64,
         seed: u64,
     ) -> Self {
@@ -67,23 +59,12 @@ impl ServiceScenario {
             substrate,
             clients,
             servers,
-            alpha: 1.5,
-            min_len: 1,
-            max_len: 64,
+            length,
             base_rate,
             seed,
         };
         s.validate();
         s
-    }
-
-    /// Sets the bounded-Pareto length distribution.
-    pub fn pareto_lengths(mut self, alpha: f64, min_len: u32, max_len: u32) -> Self {
-        self.alpha = alpha;
-        self.min_len = min_len;
-        self.max_len = max_len;
-        self.validate();
-        self
     }
 
     fn validate(&self) {
@@ -95,24 +76,11 @@ impl ServiceScenario {
             self.servers,
             self.substrate.endpoints()
         );
-        assert!(self.alpha > 1.0, "Pareto tail index must exceed 1");
-        assert!(
-            1 <= self.min_len && self.min_len <= self.max_len,
-            "need 1 <= min_len <= max_len"
-        );
+        assert!(self.length >= 1, "a message is at least one flit");
         assert!(
             (0.0..=1.0).contains(&self.base_rate),
             "base_rate is a probability"
         );
-    }
-
-    /// Bounded-Pareto inverse CDF over `[min_len, max_len]`.
-    fn draw_length(&self, rng: &mut StdRng) -> u32 {
-        let u = rng.random_range(0.0..1.0);
-        let xm = self.min_len as f64;
-        let xx = self.max_len as f64;
-        let x = xm / (1.0 - u * (1.0 - (xm / xx).powf(self.alpha))).powf(1.0 / self.alpha);
-        (x as u32).clamp(self.min_len, self.max_len)
     }
 
     /// Endpoint id of server index `k` (servers are the last endpoints).
@@ -122,7 +90,7 @@ impl ServiceScenario {
 
     /// Generates the timed rows for injection steps `0..window`, sorted
     /// by `(release, src)`. Deterministic per seed; each client owns two
-    /// decorrelated streams (arrivals vs destinations/lengths), so one
+    /// decorrelated streams (arrivals vs destinations), so one
     /// client's trace is independent of the others and of the window.
     ///
     /// Steps outside, clients inside, so the rows come out in order as
@@ -154,7 +122,7 @@ impl ServiceScenario {
                     src,
                     dst: self.server_endpoint(k),
                     release,
-                    length: self.draw_length(draw_rng),
+                    length: self.length,
                 });
             }
         }
@@ -177,7 +145,7 @@ mod tests {
     use super::*;
 
     fn scenario() -> ServiceScenario {
-        ServiceScenario::new(Substrate::butterfly(4), 8, 8, 0.2, 17).pareto_lengths(1.5, 2, 40)
+        ServiceScenario::new(Substrate::butterfly(4), 8, 8, 6, 0.2, 17)
     }
 
     #[test]
@@ -193,19 +161,8 @@ mod tests {
             assert!(r.release < 500);
             assert!(r.src < 8, "injections come from clients only");
             assert!(r.dst >= n - 8, "traffic lands on servers only");
-            assert!((2..=40).contains(&r.length));
+            assert_eq!(r.length, 6);
         }
-    }
-
-    #[test]
-    fn lengths_are_heavy_tailed_but_bounded() {
-        let s = scenario();
-        let rows = s.generate_rows(4000);
-        let short = rows.iter().filter(|r| r.length <= 4).count();
-        let long = rows.iter().filter(|r| r.length >= 20).count();
-        // Bounded Pareto with α=1.5: most mass near x_m, a real tail.
-        assert!(short > rows.len() / 2, "{short}/{}", rows.len());
-        assert!(long > 0, "tail never sampled in {} rows", rows.len());
     }
 
     #[test]
@@ -230,7 +187,7 @@ mod tests {
     #[should_panic(expected = "overlap")]
     fn partitions_summing_past_u32_are_rejected() {
         // `u32::MAX + 2` wraps to 1 in a `u32` add; the sum is in `u64`.
-        ServiceScenario::new(Substrate::butterfly(4), u32::MAX, 2, 0.1, 1);
+        ServiceScenario::new(Substrate::butterfly(4), u32::MAX, 2, 4, 0.1, 1);
     }
 
     #[test]

@@ -73,15 +73,11 @@ fn service_rows(s: &ServiceScenario, window: u64) -> Vec<TraceRow> {
             } else {
                 draw_rng.random_range(0..s.servers)
             };
-            // The bounded-Pareto inverse CDF, as `draw_length` computes it.
-            let u = draw_rng.random_range(0.0..1.0);
-            let (xm, xx) = (s.min_len as f64, s.max_len as f64);
-            let x = xm / (1.0 - u * (1.0 - (xm / xx).powf(s.alpha))).powf(1.0 / s.alpha);
             stamped.push(TraceRow {
                 src,
                 dst: n - s.servers + k,
                 release: t,
-                length: (x as u32).clamp(s.min_len, s.max_len),
+                length: s.length,
             });
         }
     }
@@ -149,15 +145,16 @@ fn workload_rows_equal_the_sorted_per_endpoint_rows() {
 
 #[test]
 fn service_rows_equal_the_sorted_per_client_rows() {
-    let base =
-        |rate: f64, seed: u64| ServiceScenario::new(Substrate::butterfly(4), 6, 8, rate, seed);
+    let base = |length: u32, rate: f64, seed: u64| {
+        ServiceScenario::new(Substrate::butterfly(4), 6, 8, length, rate, seed)
+    };
     let (mut rows, mut silent_cases) = (0usize, 0usize);
     for rate in [0.0, 0.17, 1.0] {
         for seed in [2u64, 11] {
             let scenarios = [
-                ("plain", base(rate, seed)),
-                ("pareto", base(rate, seed).pareto_lengths(1.2, 2, 200)),
-                ("light tail", base(rate, seed).pareto_lengths(2.5, 1, 40)),
+                ("one flit", base(1, rate, seed)),
+                ("short", base(8, rate, seed)),
+                ("long", base(200, rate, seed)),
             ];
             for (name, s) in &scenarios {
                 for window in [0u64, 1, 2_000] {

@@ -141,7 +141,10 @@ fn worm(path: &[EdgeId], length: u32) -> MessageSpec {
 /// contests they lose in between touch nobody: entered once per contest
 /// while still waiting, `Σ (K − B·j)` in all. Every worm is stepped once,
 /// at step 0 — a winner's header arrives with its one hop, and it drains
-/// on the wheel — so `K` worms stepped and `K` drains.
+/// on the wheel — so `K` worms stepped and `K` drains. The run lasts
+/// `waves · L` steps, `waves = K / B`, and something is in flight at
+/// every one of them — the last wave draining at the end — so every one
+/// is stepped.
 #[test]
 fn a_herd_on_one_edge_parks_once_per_worm_under_every_policy() {
     const K: u64 = 24;
@@ -181,9 +184,9 @@ fn a_herd_on_one_edge_parks_once_per_worm_under_every_policy() {
                         "{case}"
                     );
                     assert_eq!(stats.pending_entered, 0, "{case}");
-                    // The last wave's drain, nothing parked behind it,
-                    // is one jump.
-                    assert_eq!(stats.steps_executed, (waves - 1) * L + 1, "{case}");
+                    // Every step from 0 to the last wave's finish is
+                    // stepped, its drain included: `waves · L` of them.
+                    assert_eq!(stats.steps_executed, waves * L, "{case}");
                     assert_eq!((stats.worms_stepped, stats.drains), (K, K), "{case}");
                 }
                 if b == 1 && arbitration == Arbitration::FifoById {

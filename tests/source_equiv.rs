@@ -11,11 +11,12 @@
 
 use proptest::prelude::*;
 
-use wormhole_flitsim::config::{Arbitration, Engine, SimConfig, VcPolicy};
+use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::message::{specs_from_paths, MessageSpec};
-use wormhole_flitsim::source::{ReplaySource, Traffic};
-use wormhole_flitsim::stats::{Outcome, SimResult};
+use wormhole_flitsim::source::{ReplaySource, Traffic, TrafficSource};
+use wormhole_flitsim::stats::{EngineStats, Outcome, SimResult};
 use wormhole_flitsim::wormhole;
+use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::random_nets::shared_chain_instance;
 use wormhole_workloads::{ArrivalProcess, RoutingDiscipline, Substrate, TrafficPattern, Workload};
 
@@ -141,7 +142,6 @@ proptest! {
         fully in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        use wormhole_flitsim::config::RouteSelection;
         let substrate = Substrate::torus_with(radix, dims, RoutingDiscipline::AdaptiveEscape);
         let mesh = substrate.as_mesh().expect("torus is mesh-based");
         let w = Workload::new(
@@ -315,4 +315,104 @@ fn an_empty_slice_completes_at_step_zero_on_both_paths() {
     let r = assert_replay_matches(&g, &[], &SimConfig::new(1).check_invariants(true));
     assert_eq!((r.outcome, r.total_steps), (Outcome::Completed, 0));
     assert!(r.messages.is_empty());
+}
+
+/// Replays a batch like [`ReplaySource`] but reports itself reactive, so
+/// that every event-style driver ends each window after one step.
+struct OneStepWindows(ReplaySource);
+
+impl TrafficSource for OneStepWindows {
+    fn next_release(&mut self, now: u64) -> Option<u64> {
+        self.0.next_release(now)
+    }
+    fn take_ready(&mut self, now: u64, out: &mut Vec<(u32, MessageSpec)>) {
+        self.0.take_ready(now, out)
+    }
+    fn reactive(&self) -> bool {
+        true
+    }
+    fn id_bound(&self) -> Option<u32> {
+        self.0.id_bound()
+    }
+}
+
+/// The event driver's counters: steps executed, worms stepped, drains,
+/// parks, contests, waiters entered / won, pending heads entered.
+fn driver_counts(s: &EngineStats) -> [u64; 8] {
+    [
+        s.steps_executed,
+        s.worms_stepped,
+        s.drains,
+        s.parks,
+        s.contests,
+        s.waiters_entered,
+        s.waiters_won,
+        s.pending_entered,
+    ]
+}
+
+/// Where a window ends is the driver's business alone: one batch run as
+/// a lent slice — windows as long as the gaps between releases — and
+/// replayed through a source that pins every window to one step gives
+/// the same result and the same driver counters, on the event engine and
+/// on one parallel worker. Light traffic leaves drain-only tails between
+/// releases, a cap lands mid-drain, a naive pooled torus deadlocks, and
+/// adaptive heads park on their watch sets.
+#[test]
+fn the_driver_counters_do_not_depend_on_window_length() {
+    let butterfly = Substrate::butterfly(4);
+    let naive = Substrate::torus_with(5, 2, RoutingDiscipline::Naive);
+    let escape = Substrate::torus_with(5, 2, RoutingDiscipline::AdaptiveEscape);
+    let mesh = escape.as_mesh().expect("torus is mesh-based");
+    let batch = |sub: &Substrate, pattern, rate, l| {
+        let arrivals = ArrivalProcess::bernoulli(rate);
+        Workload::new(sub.clone(), pattern, arrivals, l, 7).generate(200)
+    };
+    let cases = [
+        (
+            &butterfly,
+            None,
+            batch(&butterfly, TrafficPattern::UniformRandom, 0.04, 8),
+            SimConfig::new(2),
+        ),
+        (
+            &butterfly,
+            None,
+            batch(&butterfly, TrafficPattern::UniformRandom, 0.4, 6),
+            SimConfig::new(1).max_steps(150),
+        ),
+        (
+            &naive,
+            None,
+            batch(&naive, TrafficPattern::Tornado, 0.3, 6),
+            SimConfig::new(1).vc_policy(VcPolicy::pooled(4, 1, 4)),
+        ),
+        (
+            &escape,
+            Some(mesh),
+            batch(&escape, TrafficPattern::UniformRandom, 0.2, 4),
+            SimConfig::new(1).route_selection(RouteSelection::MinimalAdaptive),
+        ),
+    ];
+    for (case, (sub, router, specs, cfg)) in cases.iter().enumerate() {
+        let router = router.map(|m| m as &dyn AdaptiveRouter);
+        for engine in [Engine::EventDriven, Engine::Parallel { threads: 1 }] {
+            let cfg = cfg.clone().check_invariants(true).engine(engine);
+            let run = |traffic| wormhole::simulate(sub.graph(), router, traffic, &cfg).unwrap();
+            let long = run(Traffic::Specs(specs));
+            let mut src = OneStepWindows(ReplaySource::new(specs.clone()));
+            let short = run(Traffic::Source(&mut src));
+            assert!(
+                long.same_execution(&short),
+                "case {case}, {engine:?}: the window layout moved the result"
+            );
+            let (long, short) = (long.engine_stats.unwrap(), short.engine_stats.unwrap());
+            assert_eq!(short.windows, short.one_step_windows, "case {case}");
+            assert_eq!(
+                driver_counts(&long),
+                driver_counts(&short),
+                "case {case}, {engine:?}: the window layout moved the counters"
+            );
+        }
+    }
 }
