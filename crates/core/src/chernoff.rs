@@ -1,110 +1,38 @@
-//! Numeric helpers for the probabilistic machinery: log-binomials, the
-//! Chernoff tail of Lemma 2.1.2, and the Lovász-Local-Lemma feasibility
-//! condition `4qb < 1` evaluated for each case of Lemma 2.1.5.
-
-/// `ln(n!)` — exact summation for small `n`, Stirling series beyond.
-pub fn ln_factorial(n: u64) -> f64 {
-    if n < 2 {
-        return 0.0;
-    }
-    if n <= 256 {
-        return (2..=n).map(|i| (i as f64).ln()).sum();
-    }
-    let x = n as f64;
-    // Stirling with the 1/(12x) correction: error < 1/(360 x^3).
-    x * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI * x).ln() + 1.0 / (12.0 * x)
-}
-
-/// `ln C(n, k)`; `-inf` when `k > n`.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
-/// The Chernoff tail of Lemma 2.1.2: `Pr[X > (1+δ)μ] < exp(−μδ²/3)` for
-/// independent Bernoulli sums with mean `μ` and `0 < δ ≤ 1`.
-pub fn chernoff_tail(mu: f64, delta: f64) -> f64 {
-    assert!(delta > 0.0 && delta <= 1.0, "Chernoff needs 0 < δ ≤ 1");
-    (-mu * delta * delta / 3.0).exp()
-}
-
-/// ln of the union-style bad-event probability bound used by cases 1 and 2
-/// of Lemma 2.1.5: `q ≤ C(ms, mf) · r^{−mf}` — the chance that more than
-/// `mf` of `ms` messages land in one of `r` classes *and* pile on one edge.
-pub fn ln_bad_event_prob(ms: u64, mf: u64, r: f64) -> f64 {
-    ln_choose(ms, mf) - mf as f64 * r.ln()
-}
-
-/// Evaluates the LLL condition `4·q·b < 1` with `b = ms·D` dependent events
-/// (each bad event involves ≤ ms messages crossing ≤ D edges each). Returns
-/// the left-hand side; values below 1 certify Lemma 2.1.1 applies.
-pub fn lll_lhs(ms: u64, mf: u64, d: u64, r: f64) -> f64 {
-    let ln_lhs = (4.0f64).ln() + ln_bad_event_prob(ms, mf, r) + ((ms * d) as f64).ln();
-    ln_lhs.exp()
-}
+//! The Lovász-Local-Lemma certificate for Case 1 of Lemma 2.1.5, checked
+//! against the paper's `r` ([`crate::refine::r_case1`]). Test-only: the
+//! refinement resamples until the coloring is good and never evaluates
+//! the bound itself.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::refine::r_case1;
 
-    #[test]
-    fn factorials_exact_small() {
-        assert_eq!(ln_factorial(0), 0.0);
-        assert_eq!(ln_factorial(1), 0.0);
-        assert!((ln_factorial(5) - 120f64.ln()).abs() < 1e-9);
-        assert!((ln_factorial(10) - 3628800f64.ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stirling_matches_exact_at_crossover() {
-        // Compare the Stirling branch to direct summation just above 256.
-        let direct: f64 = (2..=300u64).map(|i| (i as f64).ln()).sum();
-        assert!((ln_factorial(300) - direct).abs() / direct < 1e-9);
-    }
-
-    #[test]
-    fn choose_consistency() {
-        assert!((ln_choose(10, 3) - 120f64.ln()).abs() < 1e-9);
-        assert!((ln_choose(52, 5) - 2_598_960f64.ln()).abs() < 1e-6);
-        assert_eq!(ln_choose(3, 5), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn chernoff_monotone() {
-        assert!(chernoff_tail(10.0, 0.5) > chernoff_tail(100.0, 0.5));
-        assert!(chernoff_tail(10.0, 0.2) > chernoff_tail(10.0, 0.9));
-        assert!(chernoff_tail(100.0, 1.0) < 1e-10);
+    /// The left side `4·q·b` of the LLL condition for Lemma 2.1.5's bad
+    /// event — more than `mf` of `ms` messages in one of `r` classes on
+    /// one edge, `q ≤ C(ms, mf)·r^{−mf}` — with `b = ms·D` dependent
+    /// events; below 1 it certifies Lemma 2.1.1 applies.
+    fn lll_lhs(ms: u64, mf: u64, d: u64, r: f64) -> f64 {
+        let ln_choose: f64 = (0..mf)
+            .map(|i| ((ms - i) as f64 / (i + 1) as f64).ln())
+            .sum();
+        (4f64.ln() + ln_choose - mf as f64 * r.ln() + ((ms * d) as f64).ln()).exp()
     }
 
     #[test]
     fn lll_condition_holds_with_paper_r_case1() {
-        // Case 1 of Lemma 2.1.5: ms ≤ log D, mf = B,
-        // r = 3e(D·ms)^{1/B}·ms/B ⇒ 4qb < 1 (the paper computes 4/3^B).
-        for (ms, d, b) in [(8u64, 100_000u64, 2u64), (6, 1 << 20, 3), (4, 4096, 1)] {
-            let r = 3.0 * std::f64::consts::E * ((d * ms) as f64).powf(1.0 / b as f64) * ms as f64
-                / b as f64;
-            let lhs = lll_lhs(ms, b, d, r);
+        // Case 1 of Lemma 2.1.5: ms ≤ log D, mf = B (the paper computes
+        // 4qb ≤ 4/3^B).
+        for (ms, d, b) in [(8u32, 100_000u32, 2u32), (6, 1 << 20, 3), (4, 4096, 1)] {
+            let r = r_case1(ms, d, b) as f64;
+            let lhs = lll_lhs(ms.into(), b.into(), d.into(), r);
             assert!(lhs < 1.0, "LLL fails: ms={ms} d={d} b={b} lhs={lhs}");
         }
     }
 
     #[test]
-    fn lll_condition_holds_with_paper_r_case2() {
-        // Case 2: log D < ms ≤ D, mf = log D, r = 32e·ms/log D.
-        for (ms, d) in [(200u64, 1_000u64), (1000, 4096)] {
-            let logd = (d as f64).log2();
-            let r = 32.0 * std::f64::consts::E * ms as f64 / logd;
-            let lhs = lll_lhs(ms, logd as u64, d, r);
-            assert!(lhs < 1.0, "LLL fails: ms={ms} d={d} lhs={lhs}");
-        }
-    }
-
-    #[test]
     fn lll_fails_with_tiny_r() {
-        // Sanity: r = 1 cannot satisfy the condition on a congested
-        // instance, so the certificate must report ≥ 1.
+        // The certificate has teeth: r = 1 cannot satisfy it on a
+        // congested instance.
         assert!(lll_lhs(64, 2, 64, 1.0) >= 1.0);
     }
 }

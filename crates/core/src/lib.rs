@@ -33,6 +33,7 @@
 
 pub mod bounds;
 pub mod butterfly;
+mod chernoff;
 pub mod coloring;
 pub mod firstfit;
 pub mod lower_bound;
