@@ -146,10 +146,20 @@ mod tests {
 
     #[test]
     fn butterfly_bounds_sane() {
+        use crate::butterfly::lower_bound::{phase_lower_bound, s_threshold};
+        // Thm 3.2.1's one-pass lower bound as e6 evaluates it: `T ≥ nqL/s`
+        // at the Thm 3.2.5 collision threshold `s`.
+        let lower =
+            |msg_len, q| phase_lower_bound(1024, q, msg_len, s_threshold(1024, q, 1, msg_len));
         let up = butterfly_upper_bound(10, 10, 1024, 1);
-        assert!(up > 0.0);
+        let lo = lower(10, 10);
+        assert!(up > 0.0 && lo > 0.0);
+        assert!(lo <= up);
         // More VCs helps the upper bound.
         assert!(butterfly_upper_bound(10, 10, 1024, 2) < up);
+        // The lower bound grows with q and L.
+        assert!(lower(10, 20) > lo);
+        assert!(lower(20, 10) > lo);
     }
 
     #[test]

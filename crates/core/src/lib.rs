@@ -33,6 +33,7 @@
 
 pub mod bounds;
 pub mod butterfly;
+#[cfg(test)]
 mod chernoff;
 pub mod coloring;
 pub mod firstfit;

@@ -145,37 +145,29 @@ fn workload_rows_equal_the_sorted_per_endpoint_rows() {
 
 #[test]
 fn service_rows_equal_the_sorted_per_client_rows() {
-    let base = |length: u32, rate: f64, seed: u64| {
-        ServiceScenario::new(Substrate::butterfly(4), 6, 8, length, rate, seed)
-    };
     let (mut rows, mut silent_cases) = (0usize, 0usize);
     for rate in [0.0, 0.17, 1.0] {
         for seed in [2u64, 11] {
-            let scenarios = [
-                ("one flit", base(1, rate, seed)),
-                ("short", base(8, rate, seed)),
-                ("long", base(200, rate, seed)),
-            ];
-            for (name, s) in &scenarios {
-                for window in [0u64, 1, 2_000] {
-                    let got = s.generate_rows(window);
-                    assert_eq!(
-                        got,
-                        service_rows(s, window),
-                        "{name} rate {rate} seed {seed} window {window}"
-                    );
-                    rows += got.len();
-                    // A silent step draws no row.
-                    if rate == 0.0 {
-                        assert!(got.is_empty(), "{name} seed {seed} window {window}");
-                        silent_cases += 1;
-                    }
+            // Every message has the one length, drawn from no stream.
+            let s = ServiceScenario::new(Substrate::butterfly(4), 6, 8, 8, rate, seed);
+            for window in [0u64, 1, 2_000] {
+                let got = s.generate_rows(window);
+                assert_eq!(
+                    got,
+                    service_rows(&s, window),
+                    "rate {rate} seed {seed} window {window}"
+                );
+                rows += got.len();
+                // A silent step draws no row.
+                if rate == 0.0 {
+                    assert!(got.is_empty(), "seed {seed} window {window}");
+                    silent_cases += 1;
                 }
             }
         }
     }
     assert!(
-        rows > 50_000 && silent_cases > 0,
+        rows > 25_000 && silent_cases > 0,
         "{rows} rows, {silent_cases}"
     );
 }
