@@ -12,23 +12,27 @@
 //!   hop for a pending adaptive head) and costs nothing while none of
 //!   them releases a VC. A release marks its key *hot*; the next executed
 //!   step holds one contest per hot key and enters its waiters into that
-//!   step's arbitration from where they wait. The frozen-route waiters of
-//!   a key wait in a run kept in canonical arbitration order, and each run
-//!   is entered whole under the edge it wants: arbitration reads only the
-//!   winning places of its merge with the runnable contenders
+//!   step's arbitration from where they wait. Every waiter waits in the
+//!   run of each of its keys, kept in canonical arbitration order, and
+//!   each run is entered whole under the edge it wants: arbitration reads
+//!   only the winning places of its merge with the runnable contenders
 //!   ([`crate::kernel::Split`]), so a herd costs its winners, not its size
-//!   — no worm, spec or route of a loser is read. A pending head is
-//!   entered one by one, under the hop it selects, on start-of-step
-//!   occupancy, from the watch row it parked with
-//!   ([`Core::contend_parked`]; no router is asked). Only a **winner**
-//!   leaves the queue — every key it waited on, a run's by index — its
-//!   stalls settled arithmetically (`stalls += win − 1 − park`). A
-//!   frozen-route loser is not touched at all; a pending loser has its
-//!   selection pinned back to the escape hop and, if another edge it
-//!   watches is acquirable at end of step, its key marked hot again so
-//!   that it contends at the next step ([`Core::lost_in_place`]). Why
-//!   that is exactly what the legacy stepper counts is invariant 1 of the
-//!   [`crate::wormhole`] module docs.
+//!   — no worm, spec or route of a loser is read. A pending head is in
+//!   the run too when exactly one of its keys is hot: every other edge it
+//!   watches is still full, so it can only take that key's edge, under the
+//!   hop its watch row holds for it, which a run winner takes before it
+//!   advances. The contest selects one at a time, on start-of-step
+//!   occupancy from the watch row ([`Core::contend_parked`]; no router is
+//!   asked), only the heads a run cannot hold: two or more hot keys, a
+//!   pooled router's key, a u-turn edge, or a loser still loose (below).
+//!   Only a **winner** leaves the queue — every key it waited on — its
+//!   stalls settled arithmetically (`stalls += win − 1 − park`). A loser
+//!   within a run is not touched at all; a head selected one at a time
+//!   that loses has its selection pinned back to the escape hop and, if
+//!   another edge it watches is acquirable at end of step, a key marked
+//!   hot again so that it contends — selected one at a time — at the next
+//!   step ([`Core::lost_in_place`]). Why that is exactly what the legacy
+//!   stepper counts is invariant 1 of the [`crate::wormhole`] module docs.
 //! * **The drain wheel** — once a worm's header arrives it makes no
 //!   further choice: its remaining flits stream out one a step, and the
 //!   step at which its tail leaves each held VC is fixed the moment it
@@ -59,12 +63,13 @@
 //!
 //! Near saturation this turns the `O(active)` per-step rescan (where
 //! `active` includes the entire source-queued backlog) into
-//! `O(runnable + winners + pending heads of hot keys)`: a run of waiters
-//! costs its winners, not its length. At low load header hops are stepped
+//! `O(runnable + winners + heads selected one at a time)`, plus a stamp
+//! pass over the hot runs that hold pending heads: a run of waiters costs
+//! its winners, not its length. At low load header hops are stepped
 //! and the `L`-long drain that follows costs one wheel entry per VC it
 //! holds.
 
-use crate::kernel::{self, WaitQueue, NO_EDGE};
+use crate::kernel::{self, WaitQueue};
 use crate::probe::{self, Phase};
 use crate::resident::Core;
 use crate::sim::{self, Driven, Sim};
@@ -77,8 +82,8 @@ pub(crate) struct EventState {
     /// Parked worms, by handle, under the
     /// [`crate::kernel::VcRules::wait_key`]s of the edges they watch.
     pub(crate) waiting: WaitQueue,
-    /// Wait-key scratch for [`Core::wait_keys`].
-    keys: Vec<usize>,
+    /// Wait-key scratch for [`Core::wait_keys`] and [`Core::parked_keys`].
+    keys: Vec<(usize, u32)>,
     /// Released, unretired, unparked worms whose header has yet to
     /// arrive — the per-step working set.
     pub(crate) runnable: Vec<u32>,
@@ -369,10 +374,10 @@ fn step(
     // The contest: the waiters of every key that saw a release since its
     // last contest — during step `t − 1`, or landed at the start of `t` by
     // a kill or by the parallel coordinator — contend at `t`, release at
-    // `t − 1` being visible at `t`. Each does so from where it waits: the
-    // frozen-route waiters in their runs, whole, a pending adaptive head —
-    // once, however many of its keys are hot — for the hop it selects
-    // from its watch row.
+    // `t − 1` being visible at `t`. Each does so from where it waits, in
+    // the runs of its keys, whole — but a pending adaptive head the run
+    // cannot hold, which selects its hop from its watch row, once however
+    // many of its keys are hot.
     st.stats.contests += st.waiting.scan_hot(|m| core.contend_parked(m)) as u64;
     probe::lap(Phase::Contest);
     // Classify, arbitrate, advance the winners. The parked worms left
@@ -397,18 +402,24 @@ fn step(
         }
     }
     probe::lap(Phase::Apply);
-    // An entered waiter that won leaves the queue — a run's by index —
-    // having stalled at every step since it parked. One that lost stays:
+    // An entered waiter that won leaves the queue — a frozen route's run
+    // by index, a pending head's runs through its row's keys — having
+    // stalled at every step since it parked. One that lost stays:
     // parked from `p`, it accrues `s − 1 − p` whenever it wins at `s`,
-    // however many contests it lost in between.
+    // however many contests it lost in between; a head the contest took
+    // out of its runs goes back in.
     st.stats.waiters_entered += st.waiting.entered() as u64;
-    st.stats.pending_entered += st.waiting.entered_heads().len() as u64;
+    st.stats.pending_entered += st.waiting.pending_entered() as u64;
+    st.stats.pending_selected += st.waiting.entered_heads().len() as u64;
     st.stats.waiters_won += core.won.len() as u64;
     st.waiting.leave_runs(&mut core.split.run_won);
     for &m in &core.won {
-        core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m);
+        core.parked_keys(m, &mut st.keys);
+        let keys = st.keys.iter().map(|k| k.0);
+        core.outcomes[m as usize].stalls += (t - 1) - st.waiting.unpark(m, keys);
         st.runnable.push(m);
     }
+    st.waiting.rejoin();
     // Runnable losers stall, then park. Parking checks the
     // *end-of-step* acquirability: if this step's releases already freed
     // capacity on an edge the worm could want, it stays runnable and
@@ -422,20 +433,22 @@ fn step(
     for i in 0..core.split.blocked.len() {
         let m = core.split.blocked[i];
         core.outcomes[m as usize].stalls += 1;
-        if let Some(edge) = core.wait_keys(m, &mut st.keys) {
-            st.waiting.park(m, &st.keys, edge, core.rank(m), t);
+        if core.wait_keys(m, &mut st.keys) {
+            let pending = core.worms[m as usize].pending_route;
+            st.waiting.park(m, &st.keys, pending, core.rank(m), t);
             st.stats.parks += 1;
             on_park(core, m);
         }
     }
     probe::lap(Phase::Park);
-    // A pending head that lost in place keeps waiting. It may have lost
-    // one edge while another it watches is open — no release will say so,
-    // and a runnable loser would re-select at `t + 1`: so does it.
+    // A pending head selected one at a time that lost in place keeps
+    // waiting. It may have lost one edge while another it watches is open
+    // — no release will say so, and a runnable loser would re-select at
+    // `t + 1`: so does it.
     for i in 0..st.waiting.entered_heads().len() {
         let (_, m) = st.waiting.entered_heads()[i];
         if let Some(key) = core.lost_in_place(m) {
-            st.waiting.mark_hot(key);
+            st.waiting.reenter(m, key);
         }
     }
     wake_released(core, st);
@@ -529,11 +542,14 @@ fn refile(core: &Core, st: &mut EventState, from: usize, now: u64) {
 /// worms in flight; every edge a parked worm watches must be
 /// non-acquirable (full, or starved of shared pool credit) — what makes
 /// arithmetic stall accounting exact — unless one of its wait keys is
-/// hot, in which case it contends at the next executed step; the queue's
-/// entries of every other parked worm must be exactly its watch set; the
-/// edge a frozen-route waiter's run entry records must be the edge it
-/// wants, and a parked pending head's selection must be pinned to its
-/// row's escape hop (the row itself is held against the router by
+/// hot, in which case it contends at the next executed step, and under
+/// the static policy every acquirable one's own key must be hot — what
+/// lets a pending head with one hot key be entered with that key's run —
+/// but a loose head's; the queue's entries of every other parked worm
+/// must be exactly its watch set, each with the edge its run entry
+/// records; the edge a frozen-route waiter's entry records must be the
+/// edge it wants, and a parked pending head's selection must be pinned to
+/// its row's escape hop (the row itself is held against the router by
 /// [`Core::validate`]). The drains on the wheel are settled up to step
 /// `now` for the check and filed again from there.
 pub(crate) fn validate(core: &mut Core, st: &mut EventState, now: u64) {
@@ -550,35 +566,42 @@ pub(crate) fn validate(core: &mut Core, st: &mut EventState, now: u64) {
         let m = core.active[i];
         let (mine, others) = rest.split_at(rest.partition_point(|&(h, ..)| h == m));
         rest = others;
-        let w = core.worms[m as usize];
-        let wanted = if w.pending_route {
+        let (w, id) = (core.worms[m as usize], core.ids[m as usize]);
+        if w.pending_route {
+            let pinned = core.pinned_to_escape(m);
             assert!(
-                core.pinned_to_escape(m),
-                "parked pending worm {} is not pinned to its escape hop",
-                core.ids[m as usize]
+                pinned,
+                "parked pending worm {id} is not pinned to its escape hop"
             );
-            NO_EDGE
         } else {
-            core.path_edge(m, w.advance + 1) as u32
-        };
-        assert!(
-            mine.iter().all(|&(.., edge)| edge == wanted),
-            "parked worm {} recorded another edge than it wants",
-            core.ids[m as usize]
-        );
-        if core.wait_keys(m, &mut st.keys).is_some() {
+            let wanted = core.path_edge(m, w.advance + 1) as u32;
+            let right = mine.iter().all(|&(.., edge)| edge == wanted);
             assert!(
-                mine.iter()
-                    .map(|&(_, key, _)| key)
-                    .eq(st.keys.iter().copied()),
-                "wait queue out of sync with the watch set of parked worm {}",
-                core.ids[m as usize]
+                right,
+                "parked worm {id} recorded another edge than it wants"
+            );
+        }
+        let hot = |key| st.waiting.is_hot(key);
+        if core.wait_keys(m, &mut st.keys) {
+            let entries = mine.iter().map(|&(_, key, edge)| (key, edge));
+            assert!(
+                entries.eq(st.keys.iter().copied()),
+                "wait queue out of sync with the watch set of parked worm {id}"
             );
         } else {
             assert!(
-                mine.iter().any(|&(_, key, _)| st.waiting.is_hot(key)),
-                "parked worm {} watches an acquirable edge and none of its keys is hot",
-                core.ids[m as usize]
+                mine.iter().any(|&(_, key, _)| hot(key)),
+                "parked worm {id} watches an acquirable edge and none of its keys is hot"
+            );
+            // Under the static policy a key is its edge. A head with one
+            // hot key is entered in that key's run: it must watch no other
+            // acquirable edge — but one that lost in place with an edge
+            // open, which the contest selects one at a time.
+            let full = |key| core.ledger.free_vcs(&core.rules, key) == 0;
+            let cold_open = mine.iter().any(|&(_, key, _)| !hot(key) && !full(key));
+            assert!(
+                core.rules.pooled || st.waiting.is_loose(m) || !cold_open,
+                "parked worm {id} watches an acquirable edge whose key is cold"
             );
         }
     }

@@ -69,9 +69,6 @@ struct WatchHead {
     /// profitable.
     len: u16,
     profitable: u16,
-    /// Whether the worm, parked, was entered into the current step's
-    /// arbitration: it waits on several keys and enters once.
-    contending: bool,
 }
 
 /// The candidates of `cands` flagged `profitable` (or those not), in the
@@ -90,7 +87,6 @@ const NO_ROW: WatchHead = WatchHead {
     prev: AT_SOURCE,
     len: 0,
     profitable: 0,
-    contending: false,
 };
 
 impl<'a> AdaptiveState<'a> {
@@ -129,16 +125,22 @@ impl<'a> AdaptiveState<'a> {
     /// Pending worm `h`'s watch row if it answers for where the head
     /// stands now.
     fn row(&self, h: usize) -> Option<WatchRow<'_>> {
-        let head = self.row_heads.get(h)?;
-        (head.filled_at == self.routes[h].len() as u32 + 1).then(|| {
-            let cands = &self.row_cands[h * self.stride..][..head.len as usize];
-            let (profitable, misroutes) = cands.split_at(head.profitable as usize);
-            WatchRow {
-                profitable,
-                misroutes,
-                escape: head.escape,
-                prev: Some(head.prev).filter(|&v| v != AT_SOURCE),
-            }
+        let now = self.routes[h].len() as u32 + 1;
+        self.kept_row(h)
+            .filter(|_| self.row_heads[h].filled_at == now)
+    }
+
+    /// The watch row last filled for handle `h`, wherever its head
+    /// stands now.
+    fn kept_row(&self, h: usize) -> Option<WatchRow<'_>> {
+        let head = self.row_heads.get(h).filter(|head| head.filled_at != 0)?;
+        let cands = &self.row_cands[h * self.stride..][..head.len as usize];
+        let (profitable, misroutes) = cands.split_at(head.profitable as usize);
+        Some(WatchRow {
+            profitable,
+            misroutes,
+            escape: head.escape,
+            prev: Some(head.prev).filter(|&v| v != AT_SOURCE),
         })
     }
 
@@ -172,7 +174,6 @@ impl<'a> AdaptiveState<'a> {
             prev: prev.unwrap_or(AT_SOURCE),
             len: self.cand.len() as u16,
             profitable: lane(&self.cand, true).count() as u16,
-            contending: false,
         };
     }
 
@@ -517,30 +518,28 @@ impl<'a> Core<'a> {
         sel
     }
 
-    /// Parked pending worm `m` waits on a key that turned hot: selects
-    /// its wanted hop like a runnable one and returns the edge it enters
-    /// this step's arbitration under ([`Core::step_winners`]'s `entered`)
-    /// — or `None`, if another of its keys already entered it this step.
-    pub(crate) fn contend_parked(&mut self, m: u32) -> Option<u32> {
-        let ad = self.adaptive.as_mut().expect("pending worm without state");
-        if std::mem::replace(&mut ad.row_heads[m as usize].contending, true) {
-            return None;
-        }
-        self.select(m).edge()
+    /// Parked pending worm `m`, which the contest selects one at a time
+    /// ([`kernel::WaitQueue::scan_hot`]), selects its wanted hop like a
+    /// runnable one and returns the edge it enters this step's
+    /// arbitration under.
+    pub(crate) fn contend_parked(&mut self, m: u32) -> u32 {
+        let sel = self.select(m).edge();
+        sel.expect("selection always yields a hop")
     }
 
-    /// Settles pending worm `m` after the contest [`Core::contend_parked`]
-    /// entered it into. A winner has moved on — its row is outdated — and
-    /// there is nothing to do. A loser stays where it waits: its selection
-    /// is pinned back to the escape hop — what the legacy stepper selects
-    /// at a step that moves nothing, which the deadlock report reads.
-    /// Returns the wait key of a watched edge that is acquirable now that
-    /// the step's releases have landed, if there is one: the loser must
-    /// contend again at the next step, as a runnable one would.
+    /// Settles pending worm `m` after the contest selected its hop one at
+    /// a time ([`Core::contend_parked`]). A winner has moved on — its row
+    /// is outdated — and there is nothing to do. A loser stays where it
+    /// waits: its selection is pinned back to the escape hop — what the
+    /// legacy stepper selects at a step that moves nothing, which the
+    /// deadlock report reads. Returns the wait key of a watched edge that
+    /// is acquirable now that the step's releases have landed, if there
+    /// is one: the loser must contend again at the next step, as a
+    /// runnable one would. (A head entered within a run is never asked:
+    /// its lost edge is full again, or released and hot.)
     pub(crate) fn lost_in_place(&mut self, m: u32) -> Option<usize> {
         let mi = m as usize;
         let ad = self.adaptive.as_mut().expect("pending worm without state");
-        ad.row_heads[mi].contending = false;
         let row = ad.row(mi)?;
         let (rules, ledger) = (&self.rules, &self.ledger);
         let open = row
@@ -549,6 +548,24 @@ impl<'a> Core<'a> {
             .map(|e| rules.wait_key(e.idx()));
         ad.selected[mi] = SelectedHop::Escape { edge: row.escape.0 };
         open
+    }
+
+    /// Fills `keys` with the wait keys of the watch row last filled for
+    /// worm `m`: those a pending head parked on, for the row stays in
+    /// place until the head selects again — so also in the step it wins
+    /// and moves on.
+    pub(crate) fn parked_keys(&self, m: u32, keys: &mut Vec<(usize, u32)>) {
+        keys.clear();
+        if let Some(row) = self
+            .adaptive
+            .as_ref()
+            .and_then(|ad| ad.kept_row(m as usize))
+        {
+            keys.extend(
+                row.edges()
+                    .map(|e| (self.rules.wait_key(e.idx()), kernel::NO_EDGE)),
+            );
+        }
     }
 
     /// Whether pending worm `m`'s selection is the escape hop of its
@@ -587,32 +604,35 @@ impl<'a> Core<'a> {
     /// Whether worm `m`, blocked this step, can park
     /// ([`kernel::WaitQueue`]): every edge it could want next is still
     /// non-acquirable now that the step's releases have landed. If so,
-    /// fills `keys` with the wait keys to park on and returns the edge it
-    /// waits for — the next path edge, and its key, for a frozen route,
-    /// whose run it joins; [`kernel::NO_EDGE`] and the whole watch set's keys
-    /// for a pending one ([`kernel::pending_wait_keys`]), whose selection
-    /// is pinned to the escape hop the legacy stepper re-selects every
-    /// step it stays blocked (what the deadlock report reads).
-    pub(crate) fn wait_keys(&mut self, m: u32, keys: &mut Vec<usize>) -> Option<u32> {
+    /// fills `keys` with the wait keys to park on, each with the edge its
+    /// run entry records — for a frozen route its next path edge and that
+    /// edge's key; for a pending one the whole watch set's keys
+    /// ([`kernel::pending_wait_keys`]), whose selection is pinned to the
+    /// escape hop the legacy stepper re-selects every step it stays
+    /// blocked (what the deadlock report reads).
+    pub(crate) fn wait_keys(&mut self, m: u32, keys: &mut Vec<(usize, u32)>) -> bool {
         let mi = m as usize;
         let w = self.worms[mi];
         if !w.pending_route {
             let e = self.path_edge(m, w.advance + 1);
             keys.clear();
-            keys.push(self.rules.wait_key(e));
-            return (self.ledger.free_vcs(&self.rules, e) == 0).then_some(e as u32);
+            keys.push((self.rules.wait_key(e), e as u32));
+            return self.ledger.free_vcs(&self.rules, e) == 0;
         }
         let misroutes_ok = self.misroutes_ok(m);
         let ad = self
             .adaptive
             .as_mut()
             .expect("pending worm without a router");
+        let g = ad.router.graph();
         let row = ad.watch(mi, misroutes_ok);
         let escape = row.escape;
-        kernel::pending_wait_keys(&self.rules, &self.ledger, row, keys).then(|| {
+        let parks =
+            kernel::pending_wait_keys(g, &self.rules, &self.ledger, row, misroutes_ok, keys);
+        if parks {
             ad.selected[mi] = SelectedHop::Escape { edge: escape.0 };
-            kernel::NO_EDGE
-        })
+        }
+        parks
     }
 
     /// Worm `m`'s place in the canonical arbitration order
@@ -631,9 +651,10 @@ impl<'a> Core<'a> {
     /// The phases of a full-bandwidth step every driver shares, over the
     /// worms `stepping` (they only differ in which list that is) and the
     /// waiters the event driver's `contest` entered from its wait queue —
-    /// pending heads one by one under the hop each selected, frozen-route
-    /// waiters in whole runs ([`WaitQueue::scan_hot`]); none under the
-    /// legacy stepper: classify, arbitrate, advance the winners. Leaves
+    /// in whole runs, but the pending heads it selected one at a time
+    /// under the hop each chose ([`WaitQueue::scan_hot`]); none under the
+    /// legacy stepper: classify, arbitrate, advance the winners (a
+    /// parked pending winner selects its hop first). Leaves
     /// the `stepping` losers in `split.blocked` for the caller to stall
     /// or park, and the entered winners in `won` for it to unpark
     /// — those of a run also in `split.run_won`, by index; an entered
@@ -670,7 +691,16 @@ impl<'a> Core<'a> {
         // counts, contenders in rank order.
         self.arbitrate(contest);
         probe::lap(Phase::Arbitrate);
-        // Phase 3: apply.
+        // Phase 3: apply. A parked pending winner selects first, on
+        // start-of-step occupancy: one that won within a run takes the
+        // run's edge, the one it watches that grants a VC.
+        let adaptive = self.adaptive.is_some();
+        for i in (0..self.split.movers.len()).take_while(|_| adaptive) {
+            let m = self.split.movers[i] & !kernel::PARKED;
+            if m != self.split.movers[i] && self.worms[m as usize].pending_route {
+                self.select(m);
+            }
+        }
         for i in 0..self.split.movers.len() {
             let m = self.split.movers[i] & !kernel::PARKED;
             if m != self.split.movers[i] {
@@ -1000,6 +1030,30 @@ mod tests {
         Some(escape)
     }
 
+    /// The edge a static run entry on edge `e` records, from the router:
+    /// `e` where the head would take a hop were `e` the one open edge it
+    /// watches — a profitable candidate, a misroute that is no u-turn, the
+    /// escape hop — and `NO_EDGE` where it would not.
+    fn oracle_lane(
+        router: &dyn AdaptiveRouter,
+        (head, prev): (NodeId, Option<NodeId>),
+        dst: NodeId,
+        misroutes_ok: bool,
+        e: usize,
+    ) -> u32 {
+        let mut cand = Vec::new();
+        router.candidates(head, dst, misroutes_ok, &mut cand);
+        let u_turn = prev == Some(router.graph().dst(EdgeId(e as u32)));
+        let takes = cand
+            .iter()
+            .any(|&(c, profitable)| c.idx() == e && (profitable || misroutes_ok && !u_turn));
+        if takes || router.escape_hop(head, dst).idx() == e {
+            e as u32
+        } else {
+            kernel::NO_EDGE
+        }
+    }
+
     /// A pending worm of `length` whose head stands at the end of `route`
     /// from `src` (at `src` itself when the route is empty), bound for
     /// `dst`, with `budget` misroutes left.
@@ -1101,6 +1155,7 @@ mod tests {
                     misroutes_ok,
                 );
                 assert_eq!(core.select(h), want, "case {case}, {ask} ask");
+                let mut want_keys = Vec::new();
                 let want = oracle_wait_keys(
                     router,
                     &core.rules,
@@ -1108,17 +1163,22 @@ mod tests {
                     at,
                     dst,
                     misroutes_ok,
-                    &mut keys,
+                    &mut want_keys,
                 );
-                let want_keys = keys.clone();
-                let edge = core.wait_keys(h, &mut keys);
-                assert_eq!(
-                    edge,
-                    want.map(|_| kernel::NO_EDGE),
-                    "case {case}, {ask} ask"
-                );
+                let parks = core.wait_keys(h, &mut keys);
+                assert_eq!(parks, want.is_some(), "case {case}, {ask} ask");
                 if let Some(escape) = want {
-                    assert_eq!(keys, want_keys, "case {case}, {ask} ask");
+                    let got: Vec<usize> = keys.iter().map(|k| k.0).collect();
+                    assert_eq!(got, want_keys, "case {case}, {ask} ask");
+                    for &(key, edge) in &keys {
+                        let lane = oracle_lane(router, (at, prev), dst, misroutes_ok, key);
+                        let want = if core.rules.pooled {
+                            kernel::NO_EDGE
+                        } else {
+                            lane
+                        };
+                        assert_eq!(edge, want, "case {case}, {ask} ask, key {key}");
+                    }
                     assert!(core.pinned_to_escape(h));
                     let pinned = SelectedHop::Escape { edge: escape.0 };
                     assert_eq!(core.adaptive.as_ref().unwrap().selected[h as usize], pinned);

@@ -80,9 +80,9 @@ pub struct EngineStats {
     /// hot is cooled without one.
     pub contests: u64,
     /// Waiters those contests entered into a step's arbitration from
-    /// where they wait — frozen-route worms in the runs of their keys,
-    /// whole, pending adaptive heads one by one for the hop they select
-    /// from their watch row — each at most once a step.
+    /// where they wait — in the runs of their keys, whole, but the
+    /// pending adaptive heads selected one at a time (`pending_selected`)
+    /// — each at most once a step.
     pub waiters_entered: u64,
     /// Of `waiters_entered`, those that won their edge and left the
     /// queue; the rest (`waiters_entered − waiters_won`) lost and stayed
@@ -90,6 +90,11 @@ pub struct EngineStats {
     pub waiters_won: u64,
     /// Of `waiters_entered`, the pending adaptive heads.
     pub pending_entered: u64,
+    /// Of `pending_entered`, the heads whose hop the contest selected one
+    /// at a time — two or more of their keys hot, a pooled router's key,
+    /// a u-turn edge, or a loser with an edge still open — rather than
+    /// entered with the run of their one hot key.
+    pub pending_selected: u64,
 }
 
 impl EngineStats {
@@ -104,6 +109,7 @@ impl EngineStats {
         self.waiters_entered += from.waiters_entered;
         self.waiters_won += from.waiters_won;
         self.pending_entered += from.pending_entered;
+        self.pending_selected += from.pending_selected;
     }
 }
 

@@ -102,14 +102,18 @@
 //!    unparks it) instead of counted one step at a time —
 //!    and why a waiter that loses a contest stays where it waits. A
 //!    pending adaptive waiter selects each step it contends, and does so
-//!    in place too: a hot key enters it — once a step, however many of
-//!    its keys are hot — under the hop it selects from the watch row it
-//!    parked with, on the same start-of-step occupancy a runnable worm
-//!    reads. It differs from a frozen-route loser in one way: it may
-//!    lose the edge it chose while *another* edge it watches is open, and
-//!    no release will say so. Such a loser has its key marked hot again
-//!    and contends at the next step, as the legacy stepper's would;
-//!    every other loser's whole watch set is full again, as above.
+//!    in place too — once a step, however many of its keys are hot — on
+//!    the same start-of-step occupancy a runnable worm reads. With one
+//!    key hot, every other edge it watches is still full, so under the
+//!    static policy (a key is an edge) it can only take that edge, under
+//!    the hop its watch row holds for it: it is entered with that key's
+//!    run like a frozen route. Otherwise the contest selects its hop from
+//!    the row one at a time. It differs from a frozen-route loser in one
+//!    way: selected one at a time, it may lose the edge it chose while
+//!    *another* edge it watches is open, and no release will say so. Such
+//!    a loser has a key marked hot again and contends, selected one at a
+//!    time, at the next step, as the legacy stepper's would; every other
+//!    loser's whole watch set is full again, as above.
 //! 2. **Release at `t` is visible at `t+1`.** Keys turn hot at the end of
 //!    the step whose releases produced them, so their waiters contend at
 //!    `t+1` using start-of-step holder counts — the same convention the

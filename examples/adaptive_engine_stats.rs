@@ -1,7 +1,8 @@
 //! What the engines *did* on a saturated minimal-adaptive tornado torus:
 //! prints [`SimResult::engine_stats`] — parks, contests, waiters entered
-//! and won, pending heads entered — for the event engine and one parallel
-//! worker, beside what was simulated. The defaults are the inputs of the
+//! and won, pending heads entered and, of those, selected one at a time
+//! rather than entered with a run — for the event engine and one
+//! parallel worker, beside what was simulated. The defaults are the inputs of the
 //! benchmark's `torus_adaptive_saturated` workload at `--seed 1` (16×16
 //! adaptive-escape torus, tornado at rate 0.10, `L` = 8, `B` = 2, window
 //! 300, random arbitration, eight slab regions, the same seed
@@ -65,6 +66,11 @@ fn main() {
             "{engine:?}: {:?} after {} steps, {} flit-hops, {} stalls, {} escape fallbacks",
             r.outcome, r.total_steps, r.flit_hops, r.total_stalls, r.escape_fallbacks
         );
-        println!("  {:?}\n", r.engine_stats.expect("the event driver counts"));
+        let stats = r.engine_stats.expect("the event driver counts");
+        println!(
+            "  pending heads selected one at a time: {} of {} entered",
+            stats.pending_selected, stats.pending_entered
+        );
+        println!("  {stats:?}\n");
     }
 }

@@ -12,7 +12,8 @@
 //! workload's [`EngineStats`] — exact counts, the same on any host, so a
 //! before / after needs no quiet machine: steps executed, worms stepped,
 //! drains filed on the wheel, parks, contests, waiters entered and won,
-//! pending heads entered (the same on both engines), and the parallel
+//! pending heads entered and, of those, selected one at a time (the same
+//! on both engines), and the parallel
 //! coordinator's windows, the steps they covered, one-step windows and
 //! hand-offs.
 //!
@@ -91,7 +92,7 @@ fn closed_loop(seed: u64, reps: u64, engine: Engine) -> Probed {
 
 /// The counters the table shows, in its row order; the coordinator's
 /// last four are zero on the event engine.
-fn counts(s: &EngineStats) -> [(&'static str, u64); 12] {
+fn counts(s: &EngineStats) -> [(&'static str, u64); 13] {
     [
         ("steps executed", s.steps_executed),
         ("worms stepped", s.worms_stepped),
@@ -101,6 +102,7 @@ fn counts(s: &EngineStats) -> [(&'static str, u64); 12] {
         ("waiters entered", s.waiters_entered),
         ("waiters won", s.waiters_won),
         ("pending entered", s.pending_entered),
+        ("pending selected", s.pending_selected),
         ("windows", s.windows),
         ("window steps", s.window_steps),
         ("one-step windows", s.one_step_windows),
@@ -210,7 +212,7 @@ fn tables(engine: &str, seed: u64, reps: u64, runs: &[(&str, Probed)]) {
     }
     println!("\n\n{engine} counters, one run each\n");
     header("counter", runs);
-    let counts: Vec<[(&str, u64); 12]> = runs.iter().map(|(_, (_, s))| counts(s)).collect();
+    let counts: Vec<[(&str, u64); 13]> = runs.iter().map(|(_, (_, s))| counts(s)).collect();
     for row in 0..counts[0].len() {
         print!("| {} |", counts[0][row].0);
         for run in &counts {

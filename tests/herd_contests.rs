@@ -24,11 +24,14 @@
 //!   a kill severing a waiter the step its key is hot, a release landed
 //!   from another region between two windows, and a run that ends — step
 //!   cap, deadlock — around a release nobody got to contest;
-//! * the adaptive herd: a pending head waits on its whole watch set and
-//!   contends from there too, under the hop it selects from its watch row
-//!   — parked once however many contests it loses, entered once a step
-//!   however many of its keys are hot, and back in the next step's
-//!   contest when it lost one edge while another it watches stayed open.
+//! * the adaptive herd: a pending head waits in the run of every key of
+//!   its watch set. With one key hot it is entered with that key's run,
+//!   under the hop its row holds for the edge, and costs nothing when it
+//!   loses. With two or more hot, on a pooled router's key, on a u-turn
+//!   edge, or after it lost one edge while another it watches stayed open,
+//!   the contest selects its hop one at a time (`pending_selected`). It is
+//!   parked once however many contests it loses, and entered once a step
+//!   however many of its keys are hot.
 
 use wormhole_flitsim::config::{Arbitration, Engine, RouteSelection, SimConfig, VcPolicy};
 use wormhole_flitsim::open_loop::{run_open_loop, OpenLoopConfig};
@@ -108,12 +111,13 @@ fn herd_counts(s: &EngineStats) -> (u64, u64, u64, u64) {
 }
 
 /// The event driver's counters: `steps_executed`, `worms_stepped`,
-/// `drains`, the [`herd_counts`] and `pending_entered`.
-fn driver_counts(s: &EngineStats) -> ([u64; 3], (u64, u64, u64, u64), u64) {
+/// `drains`, the [`herd_counts`], `pending_entered` and
+/// `pending_selected`.
+fn driver_counts(s: &EngineStats) -> ([u64; 3], (u64, u64, u64, u64), [u64; 2]) {
     (
         [s.steps_executed, s.worms_stepped, s.drains],
         herd_counts(s),
-        s.pending_entered,
+        [s.pending_entered, s.pending_selected],
     )
 }
 
@@ -350,10 +354,11 @@ fn a_deadlock_verdict_through_a_hot_key_counts_the_legacy_stalls() {
 /// of them, `L = 5`, is followed through its edge by the herd, while the
 /// other, `L = 60`, outlasts it. The herd (`L = 3`, released at step 2)
 /// finds both full: each worm parks, once, on both keys. Every release
-/// is then a contest among the worms still waiting, each entered under
-/// the hop it selects from its row — whichever edge it was that opened —
-/// and only the winner leaves the queue: `K` parks, `K` contests,
-/// `K + (K − 1) + … + 1` pending heads entered, under every policy.
+/// is then a contest among the worms still waiting, each entered with
+/// the run of the one key that turned hot, under the hop its row holds
+/// for that edge — whichever edge it was that opened — and only the
+/// winner leaves the queue: `K` parks, `K` contests, `K + (K − 1) + … + 1`
+/// pending heads entered, none selected alone, under every policy.
 #[test]
 fn an_adaptive_herd_at_one_source_parks_once_per_worm_under_every_policy() {
     const K: u64 = 12;
@@ -394,6 +399,9 @@ fn an_adaptive_herd_at_one_source_parks_once_per_worm_under_every_policy() {
             let entered = K * (K + 1) / 2;
             assert_eq!(herd_counts(stats), (K, K, entered, K), "{case}");
             assert_eq!(stats.pending_entered, entered, "{case}");
+            // One edge opens at a time, so one key is hot: every head is
+            // entered with that key's run and none is selected alone.
+            assert_eq!(stats.pending_selected, 0, "{case}");
         }
     }
 }
@@ -404,10 +412,11 @@ fn an_adaptive_herd_at_one_source_parks_once_per_worm_under_every_policy() {
 /// edges out of `(0, 0)` at step 0 and worm 2 its escape hop at step 1;
 /// worms 3 and 4, bound for `(1, 1)` from step 2, watch all three and
 /// park. Both adaptive edges open during step 5. At step 6 each waiter
-/// is entered once, though two of its keys are hot, and both select the
-/// same edge — equal occupancy, lower id: worm 3 wins it, worm 4 loses
-/// with its other candidate still free. It moves at step 7, as under the
-/// legacy stepper, not at worm 3's release some steps later.
+/// is selected once, one at a time, out of the runs of its two hot keys,
+/// and both select the same edge — equal occupancy, lower id: worm 3
+/// wins it, worm 4 loses with its other candidate still free. It moves
+/// at step 7, as under the legacy stepper, not at worm 3's release some
+/// steps later.
 #[test]
 fn a_pending_loser_whose_other_candidate_is_open_contends_again_the_next_step() {
     let t = adaptive_torus(5, 2);
@@ -434,6 +443,109 @@ fn a_pending_loser_whose_other_candidate_is_open_contends_again_the_next_step() 
         // one winner. Step 7: the loser's key, hot again, and the loser.
         assert_eq!(herd_counts(stats), (2, 3, 3, 2));
         assert_eq!(stats.pending_entered, 3);
+        // Both heads had two hot keys at step 6 and the loser was loose
+        // at step 7: all three entries selected one at a time.
+        assert_eq!(stats.pending_selected, 3);
+    }
+}
+
+/// The u-turn trap. On the 5 × 5 torus at `B = 1`, fully adaptive, the
+/// head goes from `(0, 0)` to `(2, 0)`, released at step 1. Three worms
+/// (`L = 30`) fill the adaptive edges out of `(0, 0)` but `−x`, so the
+/// head misroutes to `(4, 0)` — still two hops out, and the edge back,
+/// `+x`, is a misroute too: a u-turn, which it never takes. Five worms
+/// out of `(4, 0)` fill the rest of what it watches there: the adaptive
+/// edges (`L = 30`; `L = 6` on the u-turn) and, from step 1, its escape
+/// hop. The head parks at step 2. The u-turn opens during step 5, and its
+/// key alone turns hot: the head must not contend for it. The contest
+/// selects its hop one at a time — the escape hop, full — at step 6, and
+/// at every step after while the u-turn stays open (a runnable loser
+/// would re-select as often), until the long worms leave during step 29.
+#[test]
+fn a_head_parked_beside_its_u_turn_never_contends_for_it() {
+    let t = adaptive_torus(5, 2);
+    let at = |x, y| t.node(&[x, y]);
+    let spec = |src, dst, l| MessageSpec::new(t.route(src, dst), l);
+    let specs = [
+        spec(at(0, 0), at(1, 0), 30),
+        spec(at(0, 0), at(0, 1), 30),
+        spec(at(0, 0), at(0, 4), 30),
+        spec(at(4, 0), at(3, 0), 30),
+        spec(at(4, 0), at(0, 0), 6),
+        spec(at(4, 0), at(4, 1), 30),
+        spec(at(4, 0), at(4, 4), 30),
+        spec(at(4, 0), at(3, 0), 30),
+        spec(at(0, 0), at(2, 0), 4).release_at(1),
+    ];
+    let config = SimConfig::new(1).route_selection(RouteSelection::FullyAdaptive);
+    let got = run_adaptive_everywhere(&t, &specs, &config);
+    assert_eq!(got.legacy.outcome, Outcome::Completed);
+    let head = &got.legacy.messages[8];
+    assert_eq!((head.first_move, head.stalls), (Some(1), 28));
+    // Its one misroute is the first hop; the one fallback is the worm
+    // that took the escape hop out of `(4, 0)`.
+    assert_eq!(got.legacy.misroute_hops, 1);
+    assert_eq!(got.legacy.escape_fallbacks, 1);
+    for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+        // One park. Steps 6–29: the u-turn's key, hot again after every
+        // loss, and the head selected one at a time, 24 times. Step 30:
+        // the three adaptive edges the long worms left during step 29 —
+        // the head lost at step 29 with the profitable one open, and that
+        // is the key it marked — and the head selected once more, to win.
+        assert_eq!(herd_counts(stats), (1, 24 + 3, 25, 1));
+        assert_eq!((stats.pending_entered, stats.pending_selected), (25, 25));
+    }
+}
+
+/// A pooled adaptive herd: under pooling a wait key is the router, so
+/// every pending head on it is selected one at a time. The herd of
+/// [`an_adaptive_herd_at_one_source_parks_once_per_worm_under_every_policy`]
+/// on the 8-ring under `pooled(6, 1, 1)` — one VC an edge, as at `B = 1`,
+/// keyed on node 0's router — plus a sibling worm out of node 0 the other
+/// way (`L = 4`, from step 2), whose release enters the whole herd for
+/// nothing.
+#[test]
+fn a_pooled_adaptive_herd_is_selected_one_at_a_time() {
+    const K: u64 = 12;
+    const L: u64 = 3;
+    let ring = adaptive_torus(8, 1);
+    let hop = |dst| ring.route(NodeId(0), NodeId(dst));
+    let mut specs = vec![
+        MessageSpec::new(hop(1), 5),
+        MessageSpec::new(hop(1), 60).with_priority(1),
+    ];
+    specs.extend((0..K).map(|i| {
+        MessageSpec::new(hop(1), L as u32)
+            .release_at(2)
+            .with_priority((2 + K - i) as u32)
+    }));
+    specs.push(MessageSpec::new(hop(7), 4).release_at(2));
+    for arbitration in ARBITRATIONS {
+        let config = SimConfig::new(1)
+            .vc_policy(VcPolicy::pooled(6, 1, 1))
+            .route_selection(RouteSelection::MinimalAdaptive)
+            .arbitration(arbitration)
+            .seed(7);
+        let got = run_adaptive_everywhere(&ring, &specs, &config);
+        let case = format!("{arbitration:?}");
+        assert_eq!(got.legacy.outcome, Outcome::Completed, "{case}");
+        // The herd's contests are those of the static herd, one a win.
+        // The sibling leaves during step 5, which is a contest of its own
+        // where the lane's short worm left during step 4 — the herd has
+        // `K − 1` heads left then — and the same contest where the short
+        // worm lost the lane at step 0 and left the escape hop during
+        // step 5 (the long one won it under `Random`).
+        let lane = got.legacy.escape_fallbacks == 1;
+        let (contests, entered) = if lane {
+            (K + 1, K * (K + 1) / 2 + K - 1)
+        } else {
+            (K, K * (K + 1) / 2)
+        };
+        for stats in [&got.event, &got.parallel[0], &got.parallel[1]] {
+            assert_eq!(herd_counts(stats), (K, contests, entered, K), "{case}");
+            assert_eq!(stats.pending_entered, entered, "{case}");
+            assert_eq!(stats.pending_selected, entered, "{case}");
+        }
     }
 }
 
@@ -522,6 +634,9 @@ fn counter_golden_on_a_saturated_minimal_adaptive_tornado_point() {
     );
     assert_eq!(herd_counts(&got.event), (5_844, 440, 13_859, 414));
     assert_eq!(got.event.pending_entered, 13_499);
+    // Measured: the heads with two or more hot keys in one step, and the
+    // losers that contended again from where they wait.
+    assert_eq!(got.event.pending_selected, 7);
 }
 
 /// Tornado traffic on a 6 × 6 dateline torus cut into six slabs: it
