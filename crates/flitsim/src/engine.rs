@@ -16,8 +16,15 @@
 //!   run of each of its keys, kept in canonical arbitration order, and
 //!   each run is entered whole under the edge it wants: arbitration reads
 //!   only the winning places of its merge with the runnable contenders
-//!   ([`crate::kernel::Split`]), so a herd costs its winners, not its size
-//!   — no worm, spec or route of a loser is read. A pending head is in
+//!   ([`crate::kernel::Split`]) — no worm, spec or route of a loser is
+//!   read. Under the deterministic policies a herd so costs its winners,
+//!   not its size. Under [`crate::config::Arbitration::Random`], which
+//!   every torus workload runs, it still costs its size in RNG draws: the
+//!   canonical order is a Fisher–Yates shuffle over all `n` merged
+//!   places, `n − 1` draws an edge (on `torus_uniform_saturated`, seed 1,
+//!   Σ `n` = 697 400 places in 51 361 contested groups a run, for 686 093
+//!   waiters entered). The draws define the arbitration — every `Random`
+//!   golden — so they stay. A pending head is in
 //!   the run too when exactly one of its keys is hot: every other edge it
 //!   watches is still full, so it can only take that key's edge, under the
 //!   hop its watch row holds for it, which a run winner takes before it
@@ -64,8 +71,9 @@
 //! Near saturation this turns the `O(active)` per-step rescan (where
 //! `active` includes the entire source-queued backlog) into
 //! `O(runnable + winners + heads selected one at a time)`, plus a stamp
-//! pass over the hot runs that hold pending heads: a run of waiters costs
-//! its winners, not its length. At low load header hops are stepped
+//! pass over the hot runs that hold pending heads: a run of waiters is
+//! read at its winners only (under `Random` it is drawn over whole). At
+//! low load header hops are stepped
 //! and the `L`-long drain that follows costs one wheel entry per VC it
 //! holds.
 
@@ -202,13 +210,6 @@ pub(crate) struct Window {
 /// in [`Sim::engine_stats`].
 pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
     let mut st = EventState::new(&sim.core);
-    // A live source's id hint sizes the queue's per-handle tables like
-    // the core's. A slice run's grow as its worms park: sized up front,
-    // they shifted glibc's trim and mmap thresholds, and the benchmark's
-    // next traffic set-up on a light torus read 7–10 % slower (2-vCPU
-    // Xeon).
-    st.waiting
-        .reserve(sim.id_hint as usize, sim.core.adaptive.is_some());
     let driven = drive_windows(sim, &mut st);
     sim.engine_stats = Some(st.stats);
     driven
@@ -234,8 +235,12 @@ fn drive_windows(sim: &mut Sim, st: &mut EventState) -> Result<Driven, SimError>
             let (core, due) = sim.due_kills(t);
             kill(core, st, due, t);
         }
-        let (_, new) = sim.admit_with(t, sim::admit)?;
-        st.runnable.extend_from_slice(new);
+        let runnable = &mut st.runnable;
+        sim.admit_with(t, |core, graph, id, spec, now| {
+            let h = sim::admit(core, graph, id, spec, now);
+            runnable.extend(h);
+            h.is_some()
+        })?;
         if st.n_active() == 0 {
             // Kills (or dead-on-arrival admissions) emptied the network;
             // the next iteration's idle handling jumps to the next

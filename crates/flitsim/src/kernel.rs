@@ -680,7 +680,12 @@ impl Split {
     /// run, which is in rank order already; the draws are applied to
     /// merged places, not to contenders, and the merge is walked to the
     /// winning places, so a run waiter is located by its index and a
-    /// losing waiter is never read. (Always inlined: it runs once per
+    /// losing waiter is never read. The shuffle itself is over all `n`
+    /// places — `n − 1` draws, losers' places included — so under
+    /// `Random` a contested group costs its size in draws, if not in
+    /// reads; the draws define the order (every `Random` golden), so a
+    /// cheaper sampler of the `free` winners would be another arbitration.
+    /// (Always inlined: it runs once per
     /// contended edge per step, where a call of its own shows in
     /// light-load arbitration.)
     #[inline(always)]
@@ -798,8 +803,10 @@ pub(crate) struct Waiter {
 /// [`Waiter`] order, and a hot key hands its runs to arbitration whole,
 /// one per wanted edge ([`Self::entered_runs`]): the first pass counts a
 /// run, by its length, in what its edge grants ([`VcLedger::grants`]),
-/// the second reads only its winning places ([`Split::group`]), and a
-/// winner leaves its run by index ([`Self::leave_runs`]). A key is
+/// the second reads only its winning places ([`Split::group`]; under
+/// [`Arbitration::Random`] its shuffle draws over every place, losers'
+/// included), and a winner leaves its run by index
+/// ([`Self::leave_runs`]). A key is
 /// waited on while its run is not empty; nothing counts its waiters.
 ///
 /// A pending head is entered with a run when exactly one of its keys is
@@ -897,16 +904,6 @@ impl WaitQueue {
         Self {
             num_keys,
             ..Self::default()
-        }
-    }
-
-    /// Sizes the per-handle tables for handles `0..n` — the pending
-    /// heads' only when `pending` heads can park — so that no park grows
-    /// them.
-    pub(crate) fn reserve(&mut self, n: usize, pending: bool) {
-        self.since.reserve_exact(n);
-        if pending {
-            self.heads.reserve_exact(n);
         }
     }
 

@@ -29,9 +29,12 @@ pub(crate) fn drive(sim: &mut Sim) -> Result<Driven, SimError> {
             core.kill(due, t);
             retire_finished(core);
         }
-        let (core, new) = sim.admit_with(t, sim::admit)?;
-        core.active.extend_from_slice(new);
-
+        sim.admit_with(t, |core, graph, id, spec, now| {
+            let h = sim::admit(core, graph, id, spec, now);
+            core.active.extend(h);
+            h.is_some()
+        })?;
+        let core = &mut sim.core;
         let moved = step_full_bandwidth(core, t);
 
         if !moved && !core.active.is_empty() {

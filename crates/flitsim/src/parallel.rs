@@ -38,10 +38,9 @@
 //! graph and no edge crosses its boundary: it keeps no cut state (no path
 //! scan on arrival, the event engine's no-op `on_park`, no window-end
 //! emigration or [`worm_bound`] pass). Its worms enter and leave it in
-//! place, below, and its per-handle tables — like every region's — are
-//! sized once before step 0 as the event engine sizes its own, shared
-//! over the regions, so one worker allocates what the event engine
-//! allocates.
+//! place, below, under recycled slots as the event engine's do — every
+//! core's per-slot tables grow to the most worms it held at once — so one
+//! worker allocates what the event engine allocates.
 //!
 //! What this module owns is what is parallel:
 //!
@@ -50,17 +49,17 @@
 //!   acquiring; a pending adaptive worm resides in its head node's
 //!   region), under a recycled local handle. Admission places it there
 //!   directly — a pending head in its source node's region, read off the
-//!   spec; only a discard on arrival lands in the run's id-keyed core.
-//!   At the end of a window the coordinator reads each region's
-//!   completions in place (its core's `done` list, as the sequential
-//!   engines keep it): it records a finished or discarded worm's outcome
-//!   in the id-keyed core, whose completion callbacks it flushes in
-//!   canonical `(time, id)` order, as always, and frees its handle. A
+//!   spec; only a discard on arrival lands in the run's own core. At the
+//!   end of a window the coordinator retires each region's completions in
+//!   place, through the body [`Sim`] retires its own core's with
+//!   ([`Record::retire`]: the outcome recorded by id, the completion
+//!   queued for the canonical `(time, id)` flush, the handle freed). A
 //!   region moves out the movers whose next wanted edge now lies across
 //!   the cut (to that edge's region, as [`Resident`] values: nothing is
 //!   copied). A parked worm never migrates: it did not move. When the
-//!   run ends, the residents' outcomes are written back the same way;
-//!   whole worms move to the id-keyed core only for a deadlock report.
+//!   run ends, the residents' outcomes are written back the same way
+//!   ([`Record::write_back`]); whole worms move to the run's core only
+//!   for a deadlock report.
 //! * **The one hook.** A release on an edge another region owns goes to
 //!   the core's outbox ([`Core::release_vc`]) and lands on its owner
 //!   between windows — before the owner, entering its next window,
@@ -124,6 +123,8 @@
 //! adaptive routing, reactive sources, fault plans.
 //!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
+//! [`Record::retire`]: crate::sim::Record::retire
+//! [`Record::write_back`]: crate::sim::Record::write_back
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
 
 use std::any::Any;
@@ -294,8 +295,6 @@ struct Region<'a> {
     idx: u32,
     core: Core<'a>,
     st: EventState,
-    /// Handles whose worm left (retired or emigrated), for reuse.
-    free: Vec<u32>,
     /// Per handle: the worm's [`cuts`], cached on arrival unless its
     /// route was still pending then (its escape tail may yet leave the
     /// region), so the window-end pass skips the O(path) rescan.
@@ -320,31 +319,17 @@ struct Region<'a> {
 }
 
 impl<'a> Region<'a> {
-    /// Region `idx` of `n`, its per-handle tables sized for its share of
-    /// the feed's declared size.
-    fn new(idx: u32, ctx: &Ctx, sim: &Sim<'a>, n: usize) -> Region<'a> {
+    /// Region `idx`, empty.
+    fn new(idx: u32, ctx: &Ctx, sim: &Sim<'a>) -> Region<'a> {
         let adaptive = sim.core.adaptive.as_ref().map(|ad| ad.sibling());
         // Each region keeps its own copy of the rules: a fault kill sets
         // the same dead flags in every copy, at the same boundary.
-        let mut core = Core::new(
-            sim.graph,
-            adaptive,
-            sim.core.config,
-            sim.core.rules.clone(),
-            false,
-        );
+        let mut core = Core::new(sim.graph, adaptive, sim.core.config, sim.core.rules.clone());
         core.foreign = ctx.foreign(idx);
-        core.reserve(sim.reserved.div_ceil(n));
-        let mut st = EventState::new(&core);
-        // The wait queue as in `engine::drive`: a live source's id hint
-        // sizes it, a slice run's grows as its worms park.
-        let hint = (sim.id_hint as usize).div_ceil(n);
-        st.waiting.reserve(hint, core.adaptive.is_some());
         Region {
             idx,
-            st,
+            st: EventState::new(&core),
             core,
-            free: Vec::new(),
             cuts: Vec::new(),
             handoffs: Vec::new(),
             parked_safe: u64::MAX,
@@ -360,9 +345,7 @@ impl<'a> Region<'a> {
     /// region — under a free handle, caches its [`cuts`] and tightens the
     /// window grant.
     fn arrive(&mut self, ctx: &Ctx, r: Resident<'a>) {
-        let h = self.free.pop().unwrap_or(self.core.worms.len() as u32);
-        self.core.put(h, r);
-        self.core.unfinished += 1;
+        let h = self.core.enter(r);
         if ctx.has_cut[self.idx as usize] {
             let at = cuts(ctx, &self.core, h, self.idx);
             if self.cuts.len() <= h as usize {
@@ -421,9 +404,7 @@ impl<'a> Region<'a> {
             let may_leave = w.pending_route || at.1 == w.advance + 1;
             let target = if may_leave { ctx.home(core, h) } else { idx };
             if target != idx {
-                core.unfinished -= 1;
                 self.handoffs.push((target, core.take(h)));
-                self.free.push(h);
             } else {
                 safe = safe.min(worm_bound(ctx, core, h, at));
             }
@@ -545,7 +526,7 @@ fn validate(regs: &mut [MutexGuard<'_, Region<'_>>], num_edges: usize, now: u64)
 }
 
 /// Adds `from`'s run accumulators and occupancy maxima into `into`'s: a
-/// region's into the run's id-keyed core when the run ends.
+/// region's into the run's own core when the run ends.
 fn fold_totals(into: &mut Core, from: &Core) {
     into.flit_hops += from.flit_hops;
     into.last_finish = into.last_finish.max(from.last_finish);
@@ -560,11 +541,12 @@ fn fold_totals(into: &mut Core, from: &Core) {
 }
 
 /// The run is over: settles every region through step `through`
-/// ([`engine::settle`]), records every resident's
-/// outcome in the run's id-keyed core — or, for the deadlock report,
-/// moves the whole worm there — and
-/// folds the per-region accumulators into the run totals, the event
-/// driver's counters into `stats`.
+/// ([`engine::settle`]), records every resident's outcome by id — the
+/// write-back [`Sim`] runs over its own core
+/// ([`crate::sim::Record::write_back`]) — or, for the deadlock report,
+/// moves the whole worm into the run's core, and folds the per-region
+/// accumulators into the run totals, the event driver's counters into
+/// `stats`.
 fn write_back<'a>(
     sim: &mut Sim<'a>,
     regs: &mut [MutexGuard<'_, Region<'a>>],
@@ -572,21 +554,19 @@ fn write_back<'a>(
     whole: bool,
     stats: &mut EngineStats,
 ) {
-    let total = &mut sim.core;
     for reg in regs {
         let reg = &mut **reg;
         stats.add_driver_counts(&reg.st.stats);
         engine::settle(&mut reg.core, &mut reg.st, through);
-        for h in reg.st.runnable.drain(..) {
-            if whole {
-                let r = reg.core.take(h);
-                total.put(r.id, r);
-            } else {
-                total.record(reg.core.ids[h as usize], reg.core.outcomes[h as usize]);
+        if whole {
+            for h in reg.st.runnable.drain(..) {
+                sim.core.enter(reg.core.take(h));
             }
+        } else {
+            sim.record.write_back(&mut reg.core);
         }
         reg.core.ledger.settle_max(&reg.core.rules);
-        fold_totals(total, &reg.core);
+        fold_totals(&mut sim.core, &reg.core);
     }
     probe::lap(Phase::Merge);
 }
@@ -595,11 +575,10 @@ fn write_back<'a>(
 /// order (the effects are commutative or canonically re-sorted
 /// downstream; fixing the order makes the run reproducible by
 /// inspection, not just by argument): first every region's cross-region
-/// releases, on the edges' owners, and its retirements — read off its
-/// core's completions, their outcomes recorded in the run's id-keyed
-/// core, whose next completion flush reports them to the source, and
-/// their handles freed — then every region's emigrants, in their new
-/// regions, counted in `stats.handoffs`.
+/// releases, on the edges' owners, and its retirements — outcomes
+/// recorded by id, completions queued for the run's next flush, handles
+/// freed ([`crate::sim::Record::retire`]) — then every region's
+/// emigrants, in their new regions, counted in `stats.handoffs`.
 fn land<'a>(
     ctx: &Ctx,
     sim: &mut Sim<'a>,
@@ -613,13 +592,7 @@ fn land<'a>(
             regs[owner].core.release_vc(e as usize);
         }
         regs[i].core.remote_releases = releases;
-        let Region { core, free, .. } = &mut *regs[i];
-        for (time, h, delivered) in core.done.drain(..) {
-            let id = core.ids[h as usize];
-            sim.core.record(id, core.outcomes[h as usize]);
-            sim.core.done.push((time, id, delivered));
-            free.push(h);
-        }
+        sim.record.retire(&mut regs[i].core);
     }
     for i in 0..regs.len() {
         let mut handoffs = std::mem::take(&mut regs[i].handoffs);
@@ -659,7 +632,7 @@ fn run_loop<'a>(
         }
         // A fault kill is a window boundary too, and one every region
         // reaches together: each applies it to its own residents and its
-        // own copy of the rules ([`engine::kill`] — the id-keyed core
+        // own copy of the rules ([`engine::kill`] — the run's own core
         // holds no worm here, only the dead flags admission reads). The
         // discards' releases on other regions' edges land before the
         // window opens, where the owners turn their wait keys hot for the
@@ -677,10 +650,10 @@ fn run_loop<'a>(
             land(ctx, sim, &mut regs, stats);
         }
         // Each worm goes straight into the region it belongs in; only a
-        // discard on arrival lands in the id-keyed core.
+        // discard on arrival lands in the run's own core.
         sim.admit_with(t, |total, graph, id, spec, now| {
             if sim::dead_on_arrival(total, &spec) {
-                return sim::admit(total, graph, id, spec, now);
+                return sim::admit(total, graph, id, spec, now).is_some();
             }
             let r = sim::arrival(total, graph, id, spec);
             regs[ctx.entry(&r)].arrive(ctx, r);
@@ -809,9 +782,8 @@ pub(crate) fn drive<'a>(sim: &mut Sim<'a>, threads: u32) -> Result<Driven, SimEr
         RegionPlan::from_node_regions(graph, worker.collect())
     });
     let ctx = Ctx::new(graph, plan.as_ref());
-    // The regions share the feed's size for their per-handle tables.
     let regions = (0..n)
-        .map(|r| Mutex::new(Region::new(r as u32, &ctx, sim, n)))
+        .map(|r| Mutex::new(Region::new(r as u32, &ctx, sim)))
         .collect();
     let shared = Shared {
         regions,

@@ -1,10 +1,12 @@
 //! The resident-worm half of a simulation: [`Core`] — the worms in
 //! flight, the VC ledger they hold VCs in and the step phases that move
-//! them — and [`Resident`], one worm's whole state as a value. The
-//! sequential engines run one core, keyed by message id, inside
-//! [`crate::sim::Sim`]; every region of the parallel engine runs one of
-//! its own. The model, the engines and the invariants that keep them
-//! bit-identical are the [`crate::wormhole`] module docs'.
+//! them — and [`Resident`], one worm's whole state as a value. A core
+//! keys its worms by recycled slot, so its per-slot tables grow to the
+//! most worms it held at once, not to the run's message count. The
+//! sequential engines run one core inside [`crate::sim::Sim`]; every
+//! region of the parallel engine runs one of its own. The model, the
+//! engines and the invariants that keep them bit-identical are the
+//! [`crate::wormhole`] module docs'.
 
 use std::borrow::Cow;
 
@@ -29,7 +31,7 @@ pub(crate) struct AdaptiveState<'a> {
     /// Incrementally built route per handle: the adaptive prefix plus,
     /// after a fallback, the escape tail. Replaces `spec.path` as the
     /// source of truth for [`Core::path_edge`]. Allocated per message
-    /// at admission and freed when its worm leaves ([`Core::vacate`]).
+    /// at admission and freed with its slot ([`Core::free_slot`]).
     pub(crate) routes: Vec<Vec<EdgeId>>,
     /// Injection node per handle (head position at `advance == 0`).
     pub(crate) src: Vec<NodeId>,
@@ -40,9 +42,9 @@ pub(crate) struct AdaptiveState<'a> {
     /// Wanted-hop selection per handle (see [`SelectedHop`]).
     pub(crate) selected: Vec<SelectedHop>,
     /// Watch-row header per handle ([`AdaptiveState::watch`]). Like
-    /// `row_cands`, grown — inside what [`Core::reserve`] sized — as rows
-    /// are first filled: a core that never steps (the parallel engine's
-    /// id-keyed one) never touches either.
+    /// `row_cands`, grown as rows are first filled: a core that never
+    /// steps (a parallel run's [`crate::sim::Sim`] core) never touches
+    /// either.
     row_heads: Vec<WatchHead>,
     /// The rows' candidates, `stride` slots per handle, the profitable
     /// ones first.
@@ -203,6 +205,9 @@ fn route_of<'r>(
     }
 }
 
+/// [`Core::ids`] of a handle that holds no worm.
+const VACANT: u32 = u32::MAX;
+
 /// The spec of a handle that holds no worm: never activated, so never
 /// stepped (an empty path owns no allocation).
 fn vacant_spec<'a>() -> Cow<'a, MessageSpec> {
@@ -216,8 +221,8 @@ fn vacant_spec<'a>() -> Cow<'a, MessageSpec> {
 
 /// One worm's whole state as a value: what admission installs in a
 /// [`Core`], and what the parallel engine moves — never copies — from
-/// core to core when a worm crosses a cut, or into the id-keyed core
-/// for a deadlock report. The spec is the caller's own when the run was
+/// core to core when a worm crosses a cut, or into the run's core for a
+/// deadlock report. The spec is the caller's own when the run was
 /// lent a slice, owned when a live source made it. The adaptive fields
 /// are inert under oblivious routing.
 pub(crate) struct Resident<'a> {
@@ -234,10 +239,12 @@ pub(crate) struct Resident<'a> {
 
 /// The resident-worm half of a simulation: the worms in flight, the VC
 /// ledger they hold VCs in, and the step phases that move them. Worms
-/// are keyed by *handle* — the message id in the sequential engines'
-/// single core, a recycled slot in a parallel region's — and nothing in
-/// here knows which; the run-level half (source, admission, kill
-/// schedule, verdicts) is [`crate::sim::Sim`].
+/// are keyed by *handle*, a recycled slot: a worm enters under the slot
+/// last freed, or a new one ([`Core::enter`]), `ids` maps the slot back
+/// to its message, and the slot is freed when the worm leaves — retired
+/// by [`crate::sim::Record::retire`], or moved out ([`Core::take`]). The
+/// run-level half (source, admission, kill schedule, verdicts, the
+/// outcomes by id) is [`crate::sim::Sim`].
 pub(crate) struct Core<'a> {
     pub(crate) config: &'a SimConfig,
     /// The VC ledger's immutable half: capacities per edge and router,
@@ -250,16 +257,13 @@ pub(crate) struct Core<'a> {
     /// Per contended edge, how many VCs it grants this step
     /// ([`VcLedger::grants`]).
     grants: Vec<u32>,
-    /// Message id per handle.
+    /// Message id per handle; [`VACANT`] where no worm lives.
+    /// Arbitration orders contenders by message id, read here.
     pub(crate) ids: Vec<u32>,
-    /// Whether every handle *is* its message id — true of
-    /// [`crate::sim::Sim`]'s core, false of a parallel region's recycled
-    /// slots. Arbitration orders contenders by message id, and reads it
-    /// off the handle when it can.
-    handles_are_ids: bool,
-    /// Spec per handle ([`vacant_spec`] where no worm lives), borrowed
-    /// from the slice the run was lent or owned; an owned one goes when
-    /// its worm finishes or is discarded ([`Core::vacate`]).
+    /// Handles whose worm left, for reuse — last freed first.
+    free: Vec<u32>,
+    /// Spec per handle, borrowed from the slice the run was lent or
+    /// owned; an owned one goes with its slot ([`Core::free_slot`]).
     pub(crate) specs: Vec<Cow<'a, MessageSpec>>,
     pub(crate) worms: Vec<Worm>,
     pub(crate) outcomes: Vec<MessageOutcome>,
@@ -289,7 +293,8 @@ pub(crate) struct Core<'a> {
     /// Outbox for releases on `foreign` edges; the coordinator lands
     /// them on their owners between windows.
     pub(crate) remote_releases: Vec<u32>,
-    /// Completions not yet reported: `(time, handle, delivered)`.
+    /// Completions not yet retired ([`crate::sim::Record::retire`]):
+    /// `(time, handle, delivered)`.
     pub(crate) done: Vec<(u64, u32, bool)>,
     pub(crate) flit_hops: u64,
     pub(crate) last_finish: u64,
@@ -311,7 +316,6 @@ impl<'a> Core<'a> {
         adaptive: Option<AdaptiveState<'a>>,
         config: &'a SimConfig,
         rules: VcRules,
-        handles_are_ids: bool,
     ) -> Self {
         Self {
             config,
@@ -320,7 +324,7 @@ impl<'a> Core<'a> {
             buckets: FlatBuckets::with_edges(graph.num_edges()),
             grants: Vec::new(),
             ids: Vec::new(),
-            handles_are_ids,
+            free: Vec::new(),
             specs: Vec::new(),
             worms: Vec::new(),
             outcomes: Vec::new(),
@@ -342,33 +346,23 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Sizes every per-handle table for handles `0..n` in one allocation
-    /// each, so that [`Core::put`] never grows them.
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.ids.reserve_exact(n);
-        self.specs.reserve_exact(n);
-        self.worms.reserve_exact(n);
-        self.outcomes.reserve_exact(n);
-        if let Some(ad) = &mut self.adaptive {
-            ad.routes.reserve_exact(n);
-            ad.src.reserve_exact(n);
-            ad.dst.reserve_exact(n);
-            ad.budget.reserve_exact(n);
-            ad.selected.reserve_exact(n);
-            ad.row_heads.reserve_exact(n);
-            ad.row_cands.reserve_exact(n * ad.stride);
-        }
+    /// Installs `r` under a free handle — the one last freed, or a new
+    /// one — and returns it.
+    pub(crate) fn enter(&mut self, r: Resident<'a>) -> u32 {
+        let h = self.free.pop().unwrap_or(self.ids.len() as u32);
+        self.put(h, r);
+        self.unfinished += 1;
+        h
     }
 
     /// Installs `r` under handle `h`, growing every per-handle table to
-    /// cover it (handles below `h` not yet seen get vacant slots; the
-    /// outcomes may already reach further — the parallel engine's id-keyed
-    /// core records them alone, [`Core::record`]). The worm arrives
-    /// without a watch row and asks the router again where it stands.
-    pub(crate) fn put(&mut self, h: u32, r: Resident<'a>) {
+    /// cover it (handles below `h` not yet seen get vacant slots). The
+    /// worm arrives without a watch row and asks the router again where
+    /// it stands.
+    fn put(&mut self, h: u32, r: Resident<'a>) {
         let hi = h as usize;
         while self.specs.len() <= hi {
-            self.ids.push(self.specs.len() as u32);
+            self.ids.push(VACANT);
             self.specs.push(vacant_spec());
             self.worms.push(Worm {
                 advance: 0,
@@ -376,6 +370,7 @@ impl<'a> Core<'a> {
                 length: 1,
                 pending_route: false,
             });
+            self.outcomes.push(MessageOutcome::default());
             if let Some(ad) = &mut self.adaptive {
                 ad.routes.push(Vec::new());
                 ad.src.push(NodeId(0));
@@ -387,7 +382,7 @@ impl<'a> Core<'a> {
         self.ids[hi] = r.id;
         self.specs[hi] = r.spec;
         self.worms[hi] = r.worm;
-        self.record(h, r.out);
+        self.outcomes[hi] = r.out;
         if let Some(ad) = &mut self.adaptive {
             ad.routes[hi] = r.route;
             ad.src[hi] = r.src;
@@ -402,19 +397,29 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Writes `out` as handle `h`'s outcome, growing the outcome table
-    /// alone to cover it: all the parallel engine's id-keyed core keeps of
-    /// a worm that retired, or was still in flight at the step cap.
-    pub(crate) fn record(&mut self, h: u32, out: MessageOutcome) {
+    /// Frees handle `h`, whose worm has left, for reuse, and gives back
+    /// what the run owns of the worm: the spec a live source made for it
+    /// (its path) and its adaptive route. A spec lent from the caller's
+    /// slice is not the run's to free and stays.
+    pub(crate) fn free_slot(&mut self, h: u32) {
         let hi = h as usize;
-        if self.outcomes.len() <= hi {
-            self.outcomes.resize(hi + 1, MessageOutcome::default());
+        self.ids[hi] = VACANT;
+        if let Cow::Owned(_) = self.specs[hi] {
+            self.specs[hi] = vacant_spec();
         }
-        self.outcomes[hi] = out;
+        if let Some(ad) = &mut self.adaptive {
+            ad.routes[hi] = Vec::new();
+        }
+        self.free.push(h);
     }
 
-    /// Moves worm `h` out, leaving its slot vacant (the kinematics and
-    /// the outcome stay readable; the path and route go with the worm).
+    /// The handles that hold a worm, ascending.
+    pub(crate) fn occupied(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.ids.len() as u32).filter(|&h| self.ids[h as usize] != VACANT)
+    }
+
+    /// Moves worm `h` out and frees its slot (the path and route go with
+    /// the worm).
     pub(crate) fn take(&mut self, h: u32) -> Resident<'a> {
         let hi = h as usize;
         let (route, src, dst, budget, selected) = match &mut self.adaptive {
@@ -427,7 +432,7 @@ impl<'a> Core<'a> {
             ),
             None => (Vec::new(), NodeId(0), NodeId(0), 0, SelectedHop::None),
         };
-        Resident {
+        let r = Resident {
             id: self.ids[hi],
             spec: std::mem::replace(&mut self.specs[hi], vacant_spec()),
             worm: self.worms[hi],
@@ -437,7 +442,10 @@ impl<'a> Core<'a> {
             dst,
             budget,
             selected,
-        }
+        };
+        self.unfinished -= 1;
+        self.free_slot(h);
+        r
     }
 
     #[inline]
@@ -640,12 +648,7 @@ impl<'a> Core<'a> {
     #[inline]
     pub(crate) fn rank(&self, m: u32) -> Rank {
         let mi = m as usize;
-        let id = if self.handles_are_ids {
-            m
-        } else {
-            self.ids[mi]
-        };
-        kernel::rank(self.config.arbitration, id, || &self.specs[mi])
+        kernel::rank(self.config.arbitration, self.ids[mi], || &self.specs[mi])
     }
 
     /// The phases of a full-bandwidth step every driver shares, over the
@@ -730,13 +733,12 @@ impl<'a> Core<'a> {
             grants,
             split,
             ids,
-            handles_are_ids,
             specs,
             ..
         } = self;
         ledger.grants(rules, buckets, grants);
-        let (by_handle, ids, specs) = (*handles_are_ids, &ids[..], &specs[..]);
-        let id = move |m: u32| if by_handle { m } else { ids[m as usize] };
+        let (ids, specs) = (&ids[..], &specs[..]);
+        let id = move |m: u32| ids[m as usize];
         let spec = move |m: u32| &*specs[m as usize];
         match config.arbitration {
             // `Random` shuffles from `FifoById`'s order.
@@ -780,22 +782,6 @@ impl<'a> Core<'a> {
         self.last_finish = self.last_finish.max(at);
         self.unfinished -= 1;
         self.done.push((at, m, true));
-        self.vacate(m);
-    }
-
-    /// Gives back what worm `m`, which has left the network, owns: the
-    /// spec a live source made for it (its path) and its adaptive route
-    /// row. Nothing reads a finished or discarded worm's route, so only
-    /// its outcome and kinematics stay; a spec lent from the caller's
-    /// slice is not the run's to free and stays too.
-    fn vacate(&mut self, m: u32) {
-        let mi = m as usize;
-        if let Cow::Owned(_) = self.specs[mi] {
-            self.specs[mi] = vacant_spec();
-        }
-        if let Some(ad) = &mut self.adaptive {
-            ad.routes[mi] = Vec::new();
-        }
     }
 
     /// Advances winner `m` one flit step ([`Worm::advance`]) and applies
@@ -863,7 +849,6 @@ impl<'a> Core<'a> {
         self.fault_discards += 1;
         self.unfinished -= 1;
         self.done.push((t, m, false));
-        self.vacate(m);
     }
 
     /// VCs the `active` worms hold, per edge.
@@ -1116,7 +1101,7 @@ mod tests {
                 .route_selection(selection);
             let rules = VcRules::new(g, &config, faulted);
             let ad = AdaptiveState::new(router);
-            let mut core = Core::new(g, Some(ad), &config, rules, true);
+            let mut core = Core::new(g, Some(ad), &config, rules);
             // Occupancy: acquire at random until a good share is full.
             for _ in 0..rng.random_range(0..3 * g.num_edges()) {
                 let e = rng.random_range(0..g.num_edges());
@@ -1232,7 +1217,6 @@ mod tests {
             Some(AdaptiveState::new(router)),
             config,
             rules,
-            true,
         );
         let budget = config.route_selection.misroute_budget();
         core.put(0, standing(src, Vec::new(), dst, budget, 3));

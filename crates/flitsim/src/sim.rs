@@ -1,17 +1,19 @@
 //! The run-level half of a simulation: [`Sim`] — where the messages
 //! come from ([`Feed`]) and how they are admitted, the fault kill
-//! schedule, the loop head and the verdicts every driver shares, and the
-//! fold into a [`SimResult`]. Built only by [`crate::wormhole::simulate`],
-//! around the id-keyed [`Core`] the three drivers
-//! ([`crate::legacy::drive`], [`crate::engine::drive`],
-//! [`crate::parallel::drive`]) step.
+//! schedule, the loop head and the verdicts every driver shares, what
+//! the run keeps per message id ([`Record`]), and the fold into a
+//! [`SimResult`]. Built only by [`crate::wormhole::simulate`], around
+//! the slot-keyed [`Core`] the sequential drivers
+//! ([`crate::legacy::drive`], [`crate::engine::drive`]) step; the
+//! parallel one ([`crate::parallel::drive`]) steps a core per region and
+//! retires their worms into the same [`Record`].
 
 use std::borrow::Cow;
 
 use wormhole_topology::adaptive::AdaptiveRouter;
 use wormhole_topology::graph::{Graph, NodeId};
 
-use crate::config::{Engine, RouteSelection, SimConfig};
+use crate::config::{RouteSelection, SimConfig};
 use crate::events::{DeadlockReport, WaitFor};
 use crate::kernel::{SelectedHop, VcRules, Worm};
 use crate::message::{check_spec, check_specs, MessageSpec, SpecError};
@@ -25,14 +27,66 @@ use crate::wormhole::SimError;
 /// the deadlock post-mortem.
 pub(crate) type Driven = (Outcome, u64, Option<DeadlockReport>);
 
+/// What a run keeps of its messages by id: every outcome a core retired
+/// or wrote back, and the completions retired since the source last
+/// heard of them. One body retires a core's worms into it, whichever
+/// core: [`Sim`]'s own, or a parallel region's.
+pub(crate) struct Record {
+    /// Per id: the outcome (default until its worm retires or the run
+    /// ends); the result's `messages`.
+    outcomes: Vec<MessageOutcome>,
+    /// Completions not yet reported: `(time, id, delivered)`.
+    done: Vec<(u64, u32, bool)>,
+}
+
+impl Record {
+    /// Writes `out` as message `id`'s outcome, growing the table to
+    /// cover it.
+    fn put(&mut self, id: u32, out: MessageOutcome) {
+        let i = id as usize;
+        if self.outcomes.len() <= i {
+            self.outcomes.resize(i + 1, MessageOutcome::default());
+        }
+        self.outcomes[i] = out;
+    }
+
+    /// Retires every worm `core` finished or discarded since the last
+    /// call: records its outcome by id, queues its completion for the
+    /// source, and frees its slot.
+    pub(crate) fn retire(&mut self, core: &mut Core) {
+        for i in 0..core.done.len() {
+            let (time, h, delivered) = core.done[i];
+            let id = core.ids[h as usize];
+            self.put(id, core.outcomes[h as usize]);
+            self.done.push((time, id, delivered));
+            core.free_slot(h);
+        }
+        core.done.clear();
+    }
+
+    /// The run is over: records the outcome of every worm still in
+    /// `core`'s slots (at the step cap, or a deadlock verdict), once its
+    /// finished and discarded ones are retired.
+    pub(crate) fn write_back(&mut self, core: &mut Core) {
+        self.retire(core);
+        for h in core.occupied() {
+            self.put(core.ids[h as usize], core.outcomes[h as usize]);
+        }
+    }
+}
+
 /// The run-level half of a simulation: the message source and
 /// admission, the fault kill schedule, the loop head and verdicts every
-/// driver shares. Its [`Core`] is keyed by message id; the sequential
-/// engines run every worm in it, the parallel engine only records
-/// outcomes in it (and, for a deadlock report, the worms still in
-/// flight).
+/// driver shares. The sequential engines run every worm in its [`Core`],
+/// under recycled slots; the parallel engine only discards dead-on-arrival
+/// worms there (and, for a deadlock report, moves the worms still in
+/// flight there). Per message id it keeps only what the result reports
+/// and what admission walks: [`Record`]'s outcomes, `admitted` and a
+/// slice's release order.
 pub(crate) struct Sim<'a> {
     pub(crate) core: Core<'a>,
+    /// The outcomes by id, and the completions not yet reported.
+    pub(crate) record: Record,
     /// The simulated graph (a live source's spec checks, adaptive
     /// endpoint lookup, and the parallel engine's region layout).
     pub(crate) graph: &'a Graph,
@@ -46,16 +100,6 @@ pub(crate) struct Sim<'a> {
     /// Cached [`TrafficSource::reactive`] — `true` pins the event
     /// drivers' windows to one step ([`Sim::window_end`]).
     reactive: bool,
-    /// Cached [`TrafficSource::id_hint`]; 0 for a slice.
-    pub(crate) id_hint: u32,
-    /// The feed's declared size: the slice's length, or the larger of a
-    /// live source's id bound and id hint. [`Sim::new`] sizes the
-    /// id-keyed core from it, each parallel region its share of it, once,
-    /// before step 0. The hint only sizes — an id past it is admitted and
-    /// the tables grow from there — and a reservation the run never
-    /// reaches stays address space (no table is filled ahead of its ids).
-    /// A feed that declares neither grows them as ids appear.
-    pub(crate) reserved: usize,
     /// The kill schedule of [`SimConfig::faults`], ascending `(at, edge)`
     /// ([`wormhole_topology::fault::FaultPlan::edge_schedule`]).
     kill_schedule: Vec<(u64, u32)>,
@@ -113,10 +157,10 @@ pub(crate) fn arrival<'a>(
     }
 }
 
-/// Installs message `id` in the id-keyed `core` at step `now`
-/// ([`arrival`]). It holds nothing yet: one [`dead_on_arrival`] is
-/// discarded on the spot, which fires the source's `on_discarded` so
-/// that closed-loop sources can reissue. Returns whether the worm is in
+/// Installs message `id` in `core` at step `now` ([`arrival`]), under a
+/// free slot. It holds nothing yet: one [`dead_on_arrival`] is discarded
+/// on the spot, which fires the source's `on_discarded` so that
+/// closed-loop sources can reissue. Returns the slot of a worm in
 /// flight. One body, out of line under both arms' loops: inlined into
 /// each, `torus_uniform_light` read 2–3 % slower on both engines (7 of 8
 /// alternated pairs).
@@ -127,14 +171,13 @@ pub(crate) fn admit<'a>(
     id: u32,
     spec: Cow<'a, MessageSpec>,
     now: u64,
-) -> bool {
+) -> Option<u32> {
     let dead = dead_on_arrival(core, &spec);
-    core.put(id, arrival(core, graph, id, spec));
-    core.unfinished += 1;
+    let h = core.enter(arrival(core, graph, id, spec));
     if dead {
-        core.discard(id, now);
+        core.discard(h, now);
     }
-    !dead
+    (!dead).then_some(h)
 }
 
 /// The two arms [`Sim`] pulls messages from. Either is the door its
@@ -180,7 +223,7 @@ impl<'a> Sim<'a> {
             _ => Vec::new(),
         };
         let rules = VcRules::new(graph, config, !kill_schedule.is_empty());
-        let (feed, reactive, id_hint, reserved) = match traffic {
+        let (feed, reactive, reserved) = match traffic {
             Traffic::Specs(specs) => {
                 check_specs(graph, specs)?;
                 let feed = Feed::Slice {
@@ -188,7 +231,7 @@ impl<'a> Sim<'a> {
                     order: release_order(specs.len(), |i| specs[i as usize].release),
                     cursor: 0,
                 };
-                (feed, false, 0, specs.len())
+                (feed, false, specs.len())
             }
             Traffic::Source(source) => {
                 let (reactive, id_bound, id_hint) =
@@ -200,26 +243,26 @@ impl<'a> Sim<'a> {
                     emitted: Vec::with_capacity(n),
                     ready: Vec::new(),
                 };
-                (feed, reactive, id_hint, n)
+                (feed, reactive, n)
             }
         };
         let adaptive = router.map(AdaptiveState::new);
-        let mut core = Core::new(graph, adaptive, config, rules, true);
-        // The sequential engines run every worm in the id-keyed core; a
-        // parallel run's regions hold the worms, and its id-keyed core
-        // only records outcomes.
-        match config.engine {
-            Engine::Parallel { .. } => core.outcomes.reserve_exact(reserved),
-            _ => core.reserve(reserved),
-        }
+        // The per-id tables are sized once, from the feed's declared size:
+        // the slice's length, or the larger of a live source's id bound and
+        // id hint. The hint only sizes — an id past it is admitted and the
+        // tables grow from there. The cores' per-slot tables grow to the
+        // most worms in flight at once.
+        let record = Record {
+            outcomes: Vec::with_capacity(reserved),
+            done: Vec::new(),
+        };
         Ok(Self {
-            core,
+            core: Core::new(graph, adaptive, config, rules),
+            record,
             graph,
             feed,
             admitted: Vec::with_capacity(reserved),
             reactive,
-            id_hint,
-            reserved,
             kill_schedule,
             next_kill: 0,
             engine_stats: None,
@@ -237,7 +280,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Moves the cursor past every schedule entry with `at ≤ t` and
-    /// hands them out with the id-keyed core. Each driver applies them
+    /// hands them out with the run's core. Each driver applies them
     /// at the start of step `t`, before admissions, to every core it
     /// runs ([`Core::kill`]; [`crate::engine::kill`] around it where
     /// worms park), so messages released at `t` see the new dead set.
@@ -250,12 +293,13 @@ impl<'a> Sim<'a> {
         (&mut self.core, &self.kill_schedule[from..self.next_kill])
     }
 
-    /// Dispatches buffered completions to the source in ascending
-    /// `(time, id)` order — the canonical, engine-independent callback
-    /// sequence of the [`crate::source`] contract. A lent slice has
-    /// nobody to tell.
+    /// Retires the core's completions ([`Record::retire`]), then
+    /// dispatches every buffered one to the source in ascending `(time,
+    /// id)` order — the canonical, engine-independent callback sequence
+    /// of the [`crate::source`] contract. A lent slice has nobody to tell.
     fn flush_deliveries(&mut self) {
-        let done = &mut self.core.done;
+        self.record.retire(&mut self.core);
+        let done = &mut self.record.done;
         if let Feed::Live { source, .. } = &mut self.feed {
             done.sort_unstable();
             for &(t, id, delivered) in done.iter() {
@@ -302,20 +346,17 @@ impl<'a> Sim<'a> {
     }
 
     /// Flushes completions, then pulls every message released by `now`
-    /// and hands it to `place` with the id-keyed core, once its entry is
+    /// and hands it to `place` with the run's core, once its entry is
     /// checked; `place` installs it and returns whether it is in flight.
     /// The sequential drivers place with [`admit`], the parallel engine
-    /// straight into the region a worm belongs in. Hands back the core
-    /// with the new ids in flight, in admission order (one discarded on
-    /// arrival is the core's business alone), or the first spec of a live
-    /// source that fails its entry check.
+    /// straight into the region a worm belongs in. Fails with the first
+    /// spec of a live source that fails its entry check.
     pub(crate) fn admit_with(
         &mut self,
         now: u64,
         mut place: impl FnMut(&mut Core<'a>, &Graph, u32, Cow<'a, MessageSpec>, u64) -> bool,
-    ) -> Result<(&mut Core<'a>, &[u32]), SimError> {
+    ) -> Result<(), SimError> {
         self.flush_deliveries();
-        let start = self.admitted.len();
         let (core, graph, admitted) = (&mut self.core, self.graph, &mut self.admitted);
         match &mut self.feed {
             Feed::Slice {
@@ -367,19 +408,21 @@ impl<'a> Sim<'a> {
             }
         }
         probe::lap(Phase::Admit);
-        Ok((core, &admitted[start..]))
+        Ok(())
     }
 
     /// Folds what a driver returned — how the run ended, the step it
     /// stopped at, the deadlock post-mortem — and the accumulated state
     /// into the [`SimResult`].
     pub(crate) fn into_result(self, (outcome, t, deadlock_report): Driven) -> SimResult {
-        let mut core = self.core;
+        let (mut core, mut record) = (self.core, self.record);
+        record.write_back(&mut core);
+        let mut outcomes = record.outcomes;
         let total_steps = match outcome {
             Outcome::Completed => core.last_finish,
             _ => t,
         };
-        let total_stalls = core.outcomes.iter().map(|o| o.stalls).sum();
+        let total_stalls = outcomes.iter().map(|o| o.stalls).sum();
         let (escape_fallbacks, misroute_hops) = core.adaptive.as_ref().map_or((0, 0), |a| {
             (a.stats.escape_fallbacks, a.stats.misroute_hops)
         });
@@ -391,7 +434,7 @@ impl<'a> Sim<'a> {
         let kills_applied = self.next_kill as u64;
         let applied = self.kill_schedule[..self.next_kill].last();
         let recovered = applied.and_then(|&(last_kill_at, _)| {
-            let finishes = core.outcomes.iter().filter_map(|o| o.finished);
+            let finishes = outcomes.iter().filter_map(|o| o.finished);
             finishes.filter_map(|f| f.checked_sub(last_kill_at)).min()
         });
         // A capped run may end before the source emitted every message it
@@ -401,13 +444,13 @@ impl<'a> Sim<'a> {
             Feed::Slice { specs, .. } => specs.len(),
             Feed::Live { id_bound, .. } => id_bound.unwrap_or(0) as usize,
         };
-        if core.outcomes.len() < id_bound {
-            core.outcomes.resize(id_bound, MessageOutcome::default());
+        if outcomes.len() < id_bound {
+            outcomes.resize(id_bound, MessageOutcome::default());
         }
         let result = SimResult {
             outcome,
             total_steps,
-            messages: core.outcomes,
+            messages: outcomes,
             max_vcs_in_use: core.ledger.max_vcs as u32,
             max_pool_in_use: core.ledger.max_pool,
             total_stalls,
@@ -456,24 +499,31 @@ impl<'a> Sim<'a> {
     }
 
     /// The deadlock verdict at step `t`, the same from every driver: the
-    /// worms in flight — `active`, rebuilt here (admitted, with neither a
-    /// finish nor a discard on their outcome, in admission order: what
-    /// the legacy stepper's retire scan keeps current every step, and the
-    /// event-style drivers never pay for) —
-    /// and the wait-for relation among them: per blocked worm, the edge
-    /// it wants and that edge's current holders, looked up in one list
-    /// of `(edge, holder)` pairs sorted by edge (a deadlocked
+    /// worms in flight — every slot of the core once its finished and
+    /// discarded worms are retired, listed as `active` in admission order
+    /// (what the legacy stepper's retire scan keeps current every step,
+    /// and the event-style drivers never pay for) — and the wait-for
+    /// relation among them, by message id: per blocked worm, the edge it
+    /// wants and that edge's current holders, looked up in one list of
+    /// `(edge, holder)` pairs sorted by edge (a deadlocked
     /// near-saturation run holds a large fraction of all edges).
     pub(crate) fn deadlock(&mut self, t: u64) -> Driven {
         let core = &mut self.core;
+        self.record.retire(core);
+        let mut slots: Vec<(u32, u32)> =
+            core.occupied().map(|h| (core.ids[h as usize], h)).collect();
+        slots.sort_unstable();
+        let slot = |id: u32| {
+            slots
+                .binary_search_by_key(&id, |s| s.0)
+                .ok()
+                .map(|i| slots[i].1)
+        };
         core.active.clear();
-        for &m in &self.admitted {
-            let out = &core.outcomes[m as usize];
-            if out.finished.is_none() && !out.discarded {
-                core.active.push(m);
-            }
-        }
+        core.active
+            .extend(self.admitted.iter().filter_map(|&id| slot(id)));
         let core = &self.core;
+        let id = |h: u32| core.ids[h as usize];
         let mut held: Vec<(usize, u32)> = Vec::new();
         for &m in &core.active {
             let w = core.worms[m as usize];
@@ -497,13 +547,14 @@ impl<'a> Sim<'a> {
             };
             let holders = held[held.partition_point(|&(x, _)| x < e)..].iter();
             waits.push(WaitFor {
-                message: m,
+                message: id(m),
                 edge: e as u32,
-                holders: holders.take_while(|h| h.0 == e).map(|h| h.1).collect(),
+                holders: holders.take_while(|h| h.0 == e).map(|h| id(h.1)).collect(),
             });
         }
         waits.sort_by_key(|w| w.message);
         let report = DeadlockReport::from_waits(waits);
-        (Outcome::Deadlock(core.active.clone()), t, Some(report))
+        let ids = core.active.iter().map(|&m| id(m)).collect();
+        (Outcome::Deadlock(ids), t, Some(report))
     }
 }

@@ -36,9 +36,10 @@
 //! The model itself — VC ledger, worm kinematics, arbitration, hop
 //! selection — is stated once, in the crate-private `kernel` module,
 //! and the worms in flight with the step phases that move them once, in
-//! `Core` (`resident` module); what a run adds around them — the
-//! source, admission, the kill schedule, the verdicts — once, in `Sim`
-//! (`sim` module), which only [`simulate`] builds. Three engines
+//! `Core` (`resident` module), under recycled slots; what a run adds
+//! around them — the source, admission, the kill schedule, the verdicts,
+//! the outcomes by message id — once, in `Sim` (`sim` module), which
+//! only [`simulate`] builds. Three engines
 //! ([`crate::config::Engine`]) decide which
 //! worms the core steps and when; each runs every configuration, and they are
 //! required to produce **bit-identical [`SimResult`]s** — the proptest
@@ -52,10 +53,9 @@
 //!   worm that loses arbitration on the wait queues of the edges it
 //!   could want next and lets it contend again only at a step after one
 //!   of them released a VC — from where it waits: it leaves the queue
-//!   when it wins, and losing costs it nothing; a stretch with nothing
-//!   parked and every in-flight worm
-//!   draining jumps to the next release with the drain phases collapsed
-//!   to closed form, and a fully idle network jumps straight to the next
+//!   when it wins, and losing costs it nothing; a worm whose header has
+//!   arrived drains on a step-indexed wheel, its flits caught up in
+//!   closed form, and a fully idle network jumps straight to the next
 //!   message release;
 //! * the **partitioned parallel** engine (`parallel` module) cuts the
 //!   network into regions, gives each a `Core` of its own, and runs
@@ -139,7 +139,14 @@
 //!    desynchronize), and
 //!    `max_vcs_in_use` samples holder counts at end of step rather than
 //!    at each acquisition instant (which would depend on the interleaving
-//!    of same-step acquires and releases).
+//!    of same-step acquires and releases). Every core keys its worms by
+//!    a recycled slot, a *handle*, whose value depends on what left
+//!    before, so nothing reported may depend on a handle either: a rank
+//!    is the message id, read through the slot, and what a driver lists
+//!    by handle (the parked set, a kill's discards, the completions) is
+//!    commutative or re-sorted by id downstream — the deadlock report's
+//!    worms in admission order, its waits by id, the source's callbacks
+//!    in `(time, id)` order.
 //!
 //! # VC capacity policies
 //!
@@ -288,14 +295,16 @@ impl std::error::Error for SimError {}
 /// [`crate::config::RouteSelection`]) and hands it to the configured
 /// [`Engine`] — every engine runs every configuration.
 ///
-/// The per-message tables are sized once, before step 0: to the slice,
-/// or to the larger of a source's [`TrafficSource::id_bound`] and
-/// [`TrafficSource::id_hint`]. The hint only sizes — it refuses no id
-/// and pads no result; a run that goes past it grows the tables from
-/// there. A message that finishes or is discarded gives back what the
-/// run owns of it (a live source's route, an adaptive route row) and
-/// keeps only its outcome, so a live run holds the routes of what is in
-/// flight, not of every message it made.
+/// Per message the run keeps only its outcome and its place in the
+/// admission order (and, for a slice, in the release order), in tables
+/// sized once, before step 0: to the slice, or to the larger of a
+/// source's [`TrafficSource::id_bound`] and [`TrafficSource::id_hint`].
+/// The hint only sizes — it refuses no id and pads no result; a run that
+/// goes past it grows the tables from there. A worm in flight lives in a
+/// recycled slot, and one that finishes or is discarded gives the slot
+/// back with what the run owns of it (a live source's route, an adaptive
+/// route row), so a run holds the worms of what is in flight, not of
+/// every message it made.
 ///
 /// # Errors
 ///

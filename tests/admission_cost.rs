@@ -2,12 +2,12 @@
 //! is exact and needs no quiet machine.
 //!
 //! `wormhole::run` is lent its slice: admitting a message allocates
-//! nothing (the spec is borrowed, the core's tables were sized before
-//! the first admission), so a run of `2N` messages allocates no more
-//! than a run of `N` up to the amortized growth of the working-set
-//! vectors. Cloning the specs — what the slice path did when it wrapped
-//! them in a `ReplaySource` — costs one allocation a message and fails
-//! the gate by a factor of eight.
+//! nothing (the spec is borrowed, the per-id tables were sized before
+//! the first admission, and the worm takes a recycled slot), so a run of
+//! `2N` messages allocates no more than a run of `N` up to the amortized
+//! growth of the working-set vectors. Cloning the specs — what the slice
+//! path did when it wrapped them in a `ReplaySource` — costs one
+//! allocation a message and fails the gate by a factor of eight.
 //!
 //! A live source makes its messages as the run goes, and each needs one
 //! allocation of its own: its route. The closed-loop source's schedule
@@ -22,11 +22,16 @@
 //!
 //! One parallel worker pays what the event engine pays, on a capped
 //! batch whose worms are mostly still in flight: a worm enters its
-//! region and leaves it in place, and every region sizes its tables
-//! before step 0. A coordinator that installs each worm in an id-keyed
-//! table and copies it into the region, or a region whose tables grow
-//! push by push, moves about five times the event engine's bytes
-//! through `realloc`.
+//! region and leaves it in place, and every core — the event engine's
+//! and each region's — keeps its worms in recycled slots, whose tables
+//! grow to the most worms it held at once.
+//!
+//! A lent slice's run holds per message only what the result reports
+//! and what admission walks — the outcome table, the admission list and
+//! the release order, 56 bytes — and per worm in flight the rest: the
+//! worms live in recycled slots on every engine, so a run twice as long
+//! at the same load holds at most 64 bytes more a message at its peak.
+//! A core keyed by message id holds about 124.
 //!
 //! The counters are per thread: no other test can allocate into a
 //! measurement.
@@ -54,14 +59,17 @@ thread_local! {
             moved: 0,
             live: 0,
             peak: 0,
+            bytes: 0,
+            peak_bytes: 0,
         })
     };
 }
 
 /// A thread's heap traffic: blocks allocated (a growth in place counts
 /// as an allocation) and freed, the bytes `realloc` moved (the old
-/// block's size, whether or not it grew in place), and the blocks live
-/// now and at most since [`counted`] last reset the peak.
+/// block's size, whether or not it grew in place), and the blocks and
+/// the bytes live now and at most since [`counted`] last reset the
+/// peaks.
 #[derive(Clone, Copy)]
 struct Counts {
     allocs: u64,
@@ -69,6 +77,8 @@ struct Counts {
     moved: u64,
     live: i64,
     peak: i64,
+    bytes: i64,
+    peak_bytes: i64,
 }
 
 struct Counting;
@@ -79,6 +89,7 @@ fn count(f: impl FnOnce(&mut Counts)) {
         let mut counts = c.get();
         f(&mut counts);
         counts.peak = counts.peak.max(counts.live);
+        counts.peak_bytes = counts.peak_bytes.max(counts.bytes);
         c.set(counts);
     });
 }
@@ -91,6 +102,7 @@ unsafe impl GlobalAlloc for Counting {
         count(|c| {
             c.allocs += 1;
             c.live += 1;
+            c.bytes += layout.size() as i64;
         });
         // SAFETY: the caller's `layout` obligations pass through.
         unsafe { System.alloc(layout) }
@@ -100,6 +112,7 @@ unsafe impl GlobalAlloc for Counting {
         count(|c| {
             c.frees += 1;
             c.live -= 1;
+            c.bytes -= layout.size() as i64;
         });
         // SAFETY: `ptr` came from `System` through `alloc` / `realloc`.
         unsafe { System.dealloc(ptr, layout) }
@@ -109,6 +122,7 @@ unsafe impl GlobalAlloc for Counting {
         count(|c| {
             c.allocs += 1;
             c.moved += layout.size() as u64;
+            c.bytes += new_size as i64 - layout.size() as i64;
         });
         // SAFETY: as `dealloc`; `new_size` is the caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -126,6 +140,8 @@ struct Cost {
     moved: u64,
     /// The most blocks live at once above those live on entry.
     peak: i64,
+    /// The most bytes live at once above those live on entry.
+    peak_bytes: i64,
 }
 
 /// Runs `f` and returns its value with what it did to this thread's
@@ -134,6 +150,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Cost) {
     let c0 = COUNTS.with(|c| {
         let mut counts = c.get();
         counts.peak = counts.live;
+        counts.peak_bytes = counts.bytes;
         c.set(counts);
         counts
     });
@@ -144,26 +161,26 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Cost) {
         frees: c1.frees - c0.frees,
         moved: c1.moved - c0.moved,
         peak: c1.peak - c0.live,
+        peak_bytes: c1.peak_bytes - c0.bytes,
     };
     (out, cost)
 }
 
-/// Allocations inside one `wormhole::run`, and frees inside the drop of
-/// its result.
-fn run_cost(substrate: &Substrate, specs: &[MessageSpec], engine: Engine) -> (u64, u64) {
+/// What one `wormhole::run` did to this thread's heap, and the frees
+/// inside the drop of its result.
+fn run_cost(substrate: &Substrate, specs: &[MessageSpec], engine: Engine) -> (Cost, u64) {
     let cfg = SimConfig::new(2).engine(engine);
     let (result, run): (SimResult, _) = counted(|| wormhole::run(substrate.graph(), specs, &cfg));
     assert_eq!(result.outcome, Outcome::Completed);
     assert_eq!(result.delivered(), specs.len());
     let ((), dropped) = counted(|| drop(result));
-    (run.allocs, dropped.frees)
+    (run, dropped.frees)
 }
 
-#[test]
-fn admitting_a_message_allocates_nothing() {
-    const N: usize = 4_000;
-    // An 8×8 dateline torus at a twentieth of a flit per node per step:
-    // worms seldom meet.
+/// An 8×8 dateline torus at a twentieth of a flit per node per step —
+/// worms seldom meet — and 12 000 steps of its traffic (more than 8 000
+/// messages).
+fn light_torus() -> (Substrate, Vec<MessageSpec>) {
     let substrate = Substrate::torus_with(8, 2, RoutingDiscipline::DatelineClasses);
     let workload = Workload::new(
         substrate.clone(),
@@ -173,10 +190,18 @@ fn admitting_a_message_allocates_nothing() {
         0xad31,
     );
     let specs = workload.generate(12_000);
+    (substrate, specs)
+}
+
+#[test]
+fn admitting_a_message_allocates_nothing() {
+    const N: usize = 4_000;
+    let (substrate, specs) = light_torus();
     assert!(specs.len() >= 2 * N, "only {} specs", specs.len());
 
     let (small, small_drop) = run_cost(&substrate, &specs[..N], Engine::EventDriven);
     let (large, large_drop) = run_cost(&substrate, &specs[..2 * N], Engine::EventDriven);
+    let (small, large) = (small.allocs, large.allocs);
     println!("event: allocs({N}) = {small}, allocs({}) = {large}", 2 * N);
     println!("event: frees in drop(SimResult) = {small_drop}, {large_drop}");
     assert!(
@@ -184,7 +209,7 @@ fn admitting_a_message_allocates_nothing() {
         "{N} more messages cost {} more allocations",
         large - small
     );
-    // The outcome table, moved out of the core: one block however many
+    // The outcome table, moved out of the run: one block however many
     // messages ran.
     assert_eq!((small_drop, large_drop), (1, 1));
 
@@ -194,6 +219,7 @@ fn admitting_a_message_allocates_nothing() {
     let one_worker = Engine::Parallel { threads: 1 };
     let (small, _) = run_cost(&substrate, &specs[..N], one_worker);
     let (large, _) = run_cost(&substrate, &specs[..2 * N], one_worker);
+    let (small, large) = (small.allocs, large.allocs);
     println!(
         "parallel(1): allocs({N}) = {small}, allocs({}) = {large}",
         2 * N
@@ -203,6 +229,39 @@ fn admitting_a_message_allocates_nothing() {
         "one worker: {N} more messages cost {} more allocations",
         large - small
     );
+}
+
+#[test]
+fn a_lent_slice_holds_per_message_only_what_the_result_reports() {
+    const N: usize = 4_000;
+    let (substrate, specs) = light_torus();
+    assert!(specs.len() >= 2 * N, "only {} specs", specs.len());
+    // Twice the messages at the same load: the same worms in flight, so
+    // the per-slot tables reach the same size, and what the peak gains is
+    // what the run keeps per message id.
+    let engines = [
+        Engine::EventDriven,
+        Engine::Legacy,
+        Engine::Parallel { threads: 1 },
+    ];
+    let grown = engines.map(|engine| {
+        let (small, _) = run_cost(&substrate, &specs[..N], engine);
+        let (large, _) = run_cost(&substrate, &specs[..2 * N], engine);
+        println!(
+            "{engine:?}: peak live bytes({N}) = {}, ({}) = {}",
+            small.peak_bytes,
+            2 * N,
+            large.peak_bytes
+        );
+        (engine, large.peak_bytes - small.peak_bytes)
+    });
+    for (engine, extra) in grown {
+        assert!(
+            extra <= 64 * N as i64,
+            "{engine:?}: {N} more messages hold {:.1} more bytes a message at the peak",
+            extra as f64 / N as f64
+        );
+    }
 }
 
 /// What building a closed-loop source with request horizon `horizon`
@@ -323,8 +382,9 @@ fn one_worker_allocates_what_the_event_engine_does_on_a_batch_still_in_flight() 
     );
     assert_eq!(one.messages, event.messages);
     // A worm enters its region and leaves it in place: the coordinator
-    // keeps no worm of its own, and a region's tables are sized before
-    // step 0, so one worker grows no table the event engine does not.
+    // keeps no worm of its own, and a region's tables grow as the event
+    // engine's core's do, so one worker grows no table the event engine
+    // does not.
     assert!(
         p.moved <= e.moved + (4 << 10),
         "one worker moved {} bytes through realloc, the event engine {}",
